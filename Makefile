@@ -11,7 +11,7 @@ GO ?= go
 # failure domains (panic recovery, deadlines, forced drains) concurrently.
 RACE_PKGS = ./internal/core/ ./internal/fabric/ ./internal/dsd/ ./internal/exec/ ./internal/umesh/ ./internal/solver/ ./internal/serve/ ./internal/loadgen/ ./internal/faultinject/
 
-.PHONY: build test race bench-smoke bench-kernel bench-umesh bench-usolve bench-serve chaos-smoke fuzz-smoke cover docs-check vet fmt-check ci
+.PHONY: build test race bench-selftest bench-smoke bench-kernel bench-umesh bench-usolve bench-serve chaos-smoke fuzz-smoke cover docs-check vet fmt-check ci
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,13 @@ test:
 
 race:
 	$(GO) test -race -count=1 $(RACE_PKGS)
+
+# The repository benchmark (benchmark/, BENCHMARK.json) is its own module, so
+# the root `go build/vet/test ./...` never see it. It drives the stack through
+# the massivefv facade; vetting and testing it here is what catches an
+# internal rename that breaks that facade before the benchmark pipeline does.
+bench-selftest:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Exercise every benchmark once at reduced size — validates the harness
 # without paying full measurement cost (what CI runs). -run '^$$' skips the
@@ -78,8 +85,10 @@ fuzz-smoke:
 
 # Per-package coverage gate over the solver-path packages. Floors are pinned
 # a few points under the measured numbers so genuine regressions fail while
-# rounding noise does not. Current coverage (2026-08, PR 10):
-#   internal/umesh  94.7%   internal/solver 89.7%   internal/exec 95.8%
+# rounding noise does not. Current coverage (2026-08, PR 10; umesh and solver
+# re-measured and re-pinned 2026-09, PR 14, after the per-call resident
+# surface was deleted and the statement count of both packages shrank):
+#   internal/umesh  95.1%   internal/solver 91.0%   internal/exec 95.8%
 #   internal/serve  90.8%   internal/loadgen 97.3%  internal/faultinject 86.8%
 cover:
 	@set -e; \
@@ -91,8 +100,8 @@ cover:
 	    echo "cover: $$1 coverage $$pct% fell below the pinned floor $$2%"; exit 1; \
 	  fi; \
 	}; \
-	check ./internal/umesh/ 88; \
-	check ./internal/solver/ 86; \
+	check ./internal/umesh/ 91; \
+	check ./internal/solver/ 88; \
 	check ./internal/exec/ 95; \
 	check ./internal/serve/ 88; \
 	check ./internal/loadgen/ 92; \
@@ -127,4 +136,4 @@ fmt-check:
 	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Everything the CI workflow gates on.
-ci: build vet fmt-check test race cover docs-check bench-smoke bench-kernel bench-umesh bench-usolve bench-serve chaos-smoke fuzz-smoke
+ci: build vet fmt-check test bench-selftest race cover docs-check bench-smoke bench-kernel bench-umesh bench-usolve bench-serve chaos-smoke fuzz-smoke

@@ -28,12 +28,14 @@
 // The §8 matrix-free Krylov extension runs on both mesh families. On the
 // structured mesh, solver.DataflowOperator applies the pressure matrix
 // through the dataflow kernel. On the unstructured mesh, umesh.PartOperator
-// implements solver.VectorSpace, so CG/BiCGStab run part-resident: the
+// implements solver.ProgramSpace, so CG/BiCGStab run part-resident: the
 // whole Krylov working set lives in each part's compact layout for the
-// entire solve (one scatter in, one gather out), each operator application
-// is a fused pack+send+interior-compute phase overlapping the halo exchange
-// followed by receive+frontier, and the vector algebra runs as fused
-// partitioned phases with per-part partial reductions. Every inner product
+// entire solve (one scatter in, one gather out), and the recurrence runs as
+// compiled phase programs — one plan dispatch per iteration, each operator
+// application a fused pack+send+interior-compute step overlapping the halo
+// exchange followed by receive+frontier, the vector algebra fused steps with
+// per-part partial reductions. The phase program is the only way to drive
+// the resident operator. Every inner product
 // folds through the canonical blocked reduction (umesh.CanonicalOrder — the
 // RCB recursion's own summation tree), so a transient backward-Euler run
 // (umesh.RunTransientPartitioned, massivefv.SolveUnstructured /

@@ -28,9 +28,9 @@ func (t tridiag) Apply(dst, x []float64) error {
 
 // ExampleCG solves a small SPD system with Jacobi-preconditioned CG. The
 // preconditioner is supplied as the matrix diagonal through
-// Options.PrecondDiag rather than a Precond closure: a diagonal keeps
-// part-resident operators (solver.VectorSpace) on their fused resident
-// path, while a closure would force every iteration through global slices.
+// Options.PrecondDiag rather than a Precond closure: a diagonal works with
+// every operator, while a closure over global slices runs only on the slice
+// path — part-resident operators (solver.ProgramSpace) refuse it.
 func ExampleCG() {
 	a := tridiag{n: 64}
 	b := make([]float64, a.n)

@@ -10,13 +10,13 @@ import "fmt"
 //     optional PrecondFactory extension (the serial reference operator
 //     implements it, so serial golden trajectories wrap the very same
 //     preconditioner the partitioned solves run);
-//   - the part-resident path installs the rung through the optional
-//     ResidentPrecond extension, so the preconditioner application executes
-//     as fused phases in the operator's own compact layout.
+//   - the part-resident path installs every rung, Jacobi and identity
+//     included, through ProgramSpace.SetPrecond, so the preconditioner
+//     application compiles into the phase programs as steps in the
+//     operator's own compact layout.
 //
-// Jacobi (and the identity default) need no operator cooperation: both paths
-// implement them directly from Options.PrecondDiag, exactly as before the
-// ladder existed.
+// On the slice path Jacobi (and the identity default) need no operator
+// cooperation: they are built directly from Options.PrecondDiag.
 
 // PrecondKind names a rung of the preconditioner ladder. The zero value
 // selects the pre-ladder default: Jacobi when Options.PrecondDiag is set,
@@ -36,7 +36,7 @@ const (
 	PrecondJacobi PrecondKind = "jacobi"
 	// PrecondSSOR is symmetric Gauss–Seidel (SSOR at ω=1) restricted to the
 	// operator's canonical reduction blocks, so the sweep is identical for
-	// every part count. Operator-built (PrecondFactory / ResidentPrecond).
+	// every part count. Operator-built (PrecondFactory / ProgramSpace.SetPrecond).
 	PrecondSSOR PrecondKind = "ssor"
 	// PrecondChebyshev is a fixed-degree Chebyshev polynomial of the
 	// Jacobi-scaled operator — applications and elementwise updates only,
@@ -77,30 +77,37 @@ func (k PrecondKind) operatorBuilt() bool {
 // build the ladder's operator-defined preconditioners as slice closures.
 // The slice-path solvers call it for any operator-built PrecondKind; the
 // returned closure must apply the exact same arithmetic, in the same order,
-// as the operator's resident counterpart (ResidentPrecond), so slice and
-// resident solves with the same rung stay bit-identical.
+// as the resident counterpart (ProgramSpace.SetPrecond), so slice and resident
+// solves with the same rung stay bit-identical.
 type PrecondFactory interface {
 	MakePrecond(kind PrecondKind, diag []float64) (func(z, r []float64), error)
 }
 
-// ResidentPrecond is an optional VectorSpace extension: a resident operator
-// that can install the ladder's operator-defined preconditioners in its own
-// layout, so PrecondVec/PrecondDotVec apply the selected rung as fused
-// phases. SetPrecond replaces any previously installed preconditioner
-// (including SetPrecondDiag's Jacobi).
-type ResidentPrecond interface {
-	SetPrecond(kind PrecondKind, diag []float64) error
+// checkPrecond validates what both paths require of a kind-selected
+// preconditioner before anything is built: a known kind, a diagonal for
+// Jacobi, and a diagonal (when given) of the operator's size.
+func checkPrecond(n int, opts Options) error {
+	if !opts.PrecondKind.valid() {
+		return fmt.Errorf("solver: unknown preconditioner kind %q", opts.PrecondKind)
+	}
+	if opts.PrecondKind == PrecondJacobi && opts.PrecondDiag == nil {
+		return fmt.Errorf("solver: %q preconditioning needs Options.PrecondDiag", opts.PrecondKind)
+	}
+	if opts.PrecondDiag != nil && len(opts.PrecondDiag) != n {
+		return fmt.Errorf("solver: preconditioner diagonal covers %d entries, operator has %d", len(opts.PrecondDiag), n)
+	}
+	return nil
 }
 
 // resolvePrecond materializes Options.PrecondKind/PrecondDiag into the
 // slice-path closure when no explicit closure was given. Operator-built
 // rungs are delegated to the operator's PrecondFactory.
 func resolvePrecond(a Operator, opts *Options) error {
-	if !opts.PrecondKind.valid() {
-		return fmt.Errorf("solver: unknown preconditioner kind %q", opts.PrecondKind)
-	}
 	if opts.Precond != nil {
 		return nil
+	}
+	if err := checkPrecond(a.Size(), *opts); err != nil {
+		return err
 	}
 	if opts.PrecondKind.operatorBuilt() {
 		f, ok := a.(PrecondFactory)
@@ -115,9 +122,6 @@ func resolvePrecond(a Operator, opts *Options) error {
 		return nil
 	}
 	if opts.PrecondDiag == nil {
-		if opts.PrecondKind == PrecondJacobi {
-			return fmt.Errorf("solver: %q preconditioning needs Options.PrecondDiag", opts.PrecondKind)
-		}
 		return nil
 	}
 	pre, err := JacobiPrecond(opts.PrecondDiag)
@@ -128,22 +132,16 @@ func resolvePrecond(a Operator, opts *Options) error {
 	return nil
 }
 
-// installPrecond installs the selected rung on a resident operator:
-// Jacobi/identity through the core SetPrecondDiag, operator-built rungs
-// through the ResidentPrecond extension.
-func installPrecond(a VectorSpace, opts Options) error {
-	if !opts.PrecondKind.valid() {
-		return fmt.Errorf("solver: unknown preconditioner kind %q", opts.PrecondKind)
+// installPrecond installs the selected rung on a resident operator. A
+// global-slice closure cannot run there — the vectors never leave the
+// operator's layout — so Options.Precond is refused rather than silently
+// rerouted through a scatter and gather per application.
+func installPrecond(a ProgramSpace, opts Options) error {
+	if opts.Precond != nil {
+		return fmt.Errorf("solver: Options.Precond is a global-slice closure and cannot run on the resident operator %T; select the preconditioner with PrecondKind/PrecondDiag", a)
 	}
-	if opts.PrecondKind.operatorBuilt() {
-		rp, ok := a.(ResidentPrecond)
-		if !ok {
-			return fmt.Errorf("solver: operator %T has no resident %q preconditioner (no ResidentPrecond)", a, opts.PrecondKind)
-		}
-		return rp.SetPrecond(opts.PrecondKind, opts.PrecondDiag)
+	if err := checkPrecond(a.Size(), opts); err != nil {
+		return err
 	}
-	if opts.PrecondKind == PrecondJacobi && opts.PrecondDiag == nil {
-		return fmt.Errorf("solver: %q preconditioning needs Options.PrecondDiag", opts.PrecondKind)
-	}
-	return a.SetPrecondDiag(opts.PrecondDiag)
+	return a.SetPrecond(opts.PrecondKind, opts.PrecondDiag)
 }

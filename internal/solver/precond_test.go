@@ -38,7 +38,8 @@ func TestPrecondKindsLadder(t *testing.T) {
 func TestPrecondKindValidationOnSlicePath(t *testing.T) {
 	// The slice path: an unknown kind is rejected, an operator-built kind on
 	// an operator without PrecondFactory is rejected, jacobi demands a
-	// diagonal, and an explicit Precond closure wins over the kind.
+	// diagonal of the operator's size, and an explicit Precond closure wins
+	// over the kind.
 	a := spdTest(8)
 	b := make([]float64, 8)
 	b[0] = 1
@@ -55,6 +56,25 @@ func TestPrecondKindValidationOnSlicePath(t *testing.T) {
 	if _, err := CG(a, x, b, Options{PrecondKind: PrecondJacobi}); err == nil {
 		t.Error("jacobi without a diagonal accepted")
 	}
+	// A diagonal of the wrong length is refused up front with the resident
+	// path's message, on both paths — it used to reach the closure and
+	// either panic (short) or be silently truncated (long).
+	short := []float64{4, 4, 4}
+	for name, op := range map[string]Operator{"slice": a, "resident": &sliceSpace{denseOp: a}} {
+		for _, solve := range []func(Operator, []float64, []float64, Options) (*Stats, error){CG, BiCGStab} {
+			_, err := solve(op, x, b, Options{PrecondDiag: short})
+			if err == nil || !strings.Contains(err.Error(), "preconditioner diagonal covers 3 entries, operator has 8") {
+				t.Errorf("%s path, short PrecondDiag: err = %v, want the length error", name, err)
+			}
+		}
+	}
+	// JacobiPrecond itself refuses a nil or empty diagonal instead of
+	// returning a closure that indexes out of range on first use.
+	for _, diag := range [][]float64{nil, {}} {
+		if pre, err := JacobiPrecond(diag); err == nil || pre != nil {
+			t.Errorf("JacobiPrecond(%v) = (%v, %v), want an error", diag, pre != nil, err)
+		}
+	}
 	// An explicit closure short-circuits kind resolution entirely.
 	applied := false
 	pre := func(z, r []float64) { applied = true; copy(z, r) }
@@ -67,10 +87,11 @@ func TestPrecondKindValidationOnSlicePath(t *testing.T) {
 }
 
 func TestPrecondKindValidationOnResidentPath(t *testing.T) {
-	// The resident path: a VectorSpace without the ResidentPrecond extension
-	// cannot run operator-built rungs; jacobi still demands a diagonal.
+	// The resident path: a ProgramSpace whose SetPrecond cannot build the
+	// operator-built rungs surfaces that error; jacobi still demands a
+	// diagonal.
 	op := spdTest(8)
-	d := &denseSpace{denseOp: op}
+	d := &sliceSpace{denseOp: op}
 	b := make([]float64, 8)
 	b[0] = 1
 	x := make([]float64, 8)
@@ -79,8 +100,8 @@ func TestPrecondKindValidationOnResidentPath(t *testing.T) {
 	}
 	for _, kind := range []PrecondKind{PrecondSSOR, PrecondChebyshev, PrecondAMG} {
 		_, err := CG(d, x, b, Options{PrecondKind: kind})
-		if err == nil || !strings.Contains(err.Error(), "ResidentPrecond") {
-			t.Errorf("%s on a plain VectorSpace: err = %v, want a ResidentPrecond error", kind, err)
+		if err == nil || !strings.Contains(err.Error(), "cannot build") {
+			t.Errorf("%s on a rung-less ProgramSpace: err = %v, want its SetPrecond error", kind, err)
 		}
 	}
 	if _, err := CG(d, x, b, Options{PrecondKind: PrecondJacobi}); err == nil {

@@ -1,20 +1,16 @@
 package solver
 
-// This file defines the phase-program representation of a Krylov iteration.
-// The resident solvers (resident.go) no longer drive a VectorSpace one
-// method call at a time; they describe one iteration as a fixed list of
-// ProgOps — vector kernels with scalar inputs read through pointers at run
-// time, reduction results written through pointers, and host actions (the
-// α/β recurrences, breakdown checks, convergence tests) attached to the op
-// whose results they consume. The list is the single source of iteration
-// truth with two executors:
-//
-//   - a ProgramSpace operator (umesh.PartOperator) compiles the list into an
-//     exec.Plan: one SPMD pass per iteration with the counted minimum of
-//     barriers, actions running inside the barriers;
-//   - any other VectorSpace gets the interpreter below, which replays the
-//     list through the ordinary VectorSpace methods — same arithmetic, same
-//     order, so both executors produce bit-identical solves.
+// This file defines the phase-program representation of the resident Krylov
+// solves and the one interface a resident operator implements. The resident
+// solvers (resident.go) describe their set-up and one iteration each as a
+// fixed list of ProgOps — vector kernels with scalar inputs read through
+// pointers at run time, reduction results written through pointers, and host
+// actions (the α/β recurrences, breakdown checks, convergence tests)
+// attached to the op whose results they consume. A ProgramSpace operator
+// (umesh.PartOperator) compiles a list into its own execution machinery — an
+// exec.Plan: one SPMD pass per run with the counted minimum of barriers,
+// actions running inside the barriers. There is no other executor; the tests
+// run the same lists over plain slices as a fake.
 
 // OpKind enumerates the vector kernels a ProgOp can request. The vector
 // operands are named V1..V5, scalar inputs A1/A2 (dereferenced when the op
@@ -71,86 +67,47 @@ type ProgOp struct {
 }
 
 // Program is a compiled phase program. Run executes one full pass — for the
-// resident solvers, one Krylov iteration — and reports whether an action
-// stopped it early.
+// resident solvers, the solve's set-up or one Krylov iteration — and reports
+// whether an action stopped it early.
 type Program interface {
 	Run() (stopped bool, err error)
 }
 
-// ProgramSpace is the VectorSpace extension for operators that can compile a
-// phase program into their own execution machinery (for the partitioned
-// operator: an exec.Plan run SPMD by the worker pool, host actions executed
-// inside the barriers).
+// ProgramSpace is the part-resident operator: it holds the Krylov working set
+// in its own (typically partitioned) layout and executes compiled phase
+// programs there, so a solve is scatter (Load2) → set-up program → N ×
+// iteration program → gather (Store), and no vector round-trips through
+// global storage in between. CG and BiCGStab take this path whenever the
+// operator implements it.
+//
+// Contract, so resident solves reproduce slice solves exactly:
+//   - each op evaluates the expression its OpKind documents, per element, the
+//     same expression the slice recurrences use;
+//   - every reduction is a deterministic sum in one fixed global order, the
+//     same order for every runtime configuration (worker count, part count);
+//   - vector contents persist between programs until overwritten.
+//
+// A ProgramSpace is driven by one goroutine at a time.
 type ProgramSpace interface {
-	VectorSpace
+	// Size returns the vector length.
+	Size() int
+	// Reserve ensures resident vectors Vec(0)..Vec(n-1) exist. Growing may
+	// allocate; re-reserving an existing count must not.
+	Reserve(n int)
+	// Load2 scatters two global vectors into resident vectors in one pass —
+	// the solve's single scatter.
+	Load2(v1 Vec, src1 []float64, v2 Vec, src2 []float64)
+	// Store gathers a resident vector into global order — the solve's single
+	// gather.
+	Store(dst []float64, v Vec)
+	// SetPrecond installs a rung of the preconditioner ladder as the M⁻¹ of
+	// OpPrecond/OpPrecondDot/OpCGStepPre, replacing the previous one. Jacobi
+	// applies z_i = (1/d_i)·r_i exactly like JacobiPrecond; the default kind
+	// is Jacobi when diag is non-nil and the identity otherwise. Programs
+	// freeze the installed preconditioner when compiled, so install first.
+	SetPrecond(kind PrecondKind, diag []float64) error
+	// CompileProgram lowers a phase program onto the operator's execution
+	// machinery. The ops slice (and the scalars it points to) must outlive
+	// the returned Program.
 	CompileProgram(ops []ProgOp) (Program, error)
-}
-
-// compileProgram returns the operator's own compilation when it offers one,
-// else the method-by-method interpreter.
-func compileProgram(a VectorSpace, ops []ProgOp) (Program, error) {
-	if ps, ok := a.(ProgramSpace); ok {
-		return ps.CompileProgram(ops)
-	}
-	return &interpProgram{vs: a, ops: ops}, nil
-}
-
-// interpProgram replays a phase program through plain VectorSpace calls.
-type interpProgram struct {
-	vs  VectorSpace
-	ops []ProgOp
-}
-
-func (p *interpProgram) Run() (bool, error) {
-	a := p.vs
-	for i := range p.ops {
-		op := &p.ops[i]
-		switch op.Kind {
-		case OpApply:
-			if err := a.ApplyVec(op.V1, op.V2); err != nil {
-				return false, err
-			}
-		case OpApplyDot:
-			d, err := a.ApplyDotVec(op.V1, op.V2, op.V3)
-			if err != nil {
-				return false, err
-			}
-			*op.R1 = d
-		case OpDot:
-			*op.R1 = a.DotVec(op.V1, op.V2)
-		case OpDot2:
-			*op.R1, *op.R2 = a.Dot2Vec(op.V1, op.V2, op.V3)
-		case OpCopy:
-			a.CopyVec(op.V1, op.V2)
-		case OpAxpy:
-			a.AxpyVec(op.V1, *op.A1, op.V2)
-		case OpAxpy2:
-			a.Axpy2Vec(op.V1, *op.A1, op.V2, *op.A2, op.V3)
-		case OpXpby:
-			a.XpbyVec(op.V1, *op.A1, op.V2)
-		case OpSubAxpyDot:
-			*op.R1 = a.SubAxpyDotVec(op.V1, op.V2, *op.A1, op.V3)
-		case OpCGStep:
-			*op.R1 = a.CGStepVec(op.V1, *op.A1, op.V2, op.V3, op.V4)
-		case OpCGStepPre:
-			*op.R1 = a.CGStepVec(op.V1, *op.A1, op.V2, op.V3, op.V4)
-			*op.R2 = a.PrecondDotVec(op.V5, op.V3)
-		case OpBicgP:
-			a.BicgPVec(op.V1, op.V2, op.V3, *op.A1, *op.A2)
-		case OpPrecond:
-			a.PrecondVec(op.V1, op.V2)
-		case OpPrecondDot:
-			*op.R1 = a.PrecondDotVec(op.V1, op.V2)
-		}
-		if op.Action != nil {
-			stop, err := op.Action()
-			if err != nil {
-				return false, err
-			}
-			if stop {
-				return true, nil
-			}
-		}
-	}
-	return false, nil
 }

@@ -7,36 +7,38 @@ import (
 )
 
 // This file holds the part-resident Krylov recurrences: CG and BiCGStab
-// executed entirely through a VectorSpace, so every working vector lives in
-// the operator's own (partitioned) layout for the whole solve. A solve
-// scatters its inputs once (LoadVec2), gathers the solution once (StoreVec),
-// and runs each iteration as one phase program (see program.go): the vector
-// kernels of the recurrence with the scalar bookkeeping attached as host
-// actions. A ProgramSpace operator executes the program as a single SPMD
-// plan per iteration; everything else goes through the interpreter — same
-// ops, same order, bit-identical results.
+// executed entirely by a ProgramSpace, so every working vector lives in the
+// operator's own (partitioned) layout for the whole solve. The recurrence is
+// compiled once (CompileCG / CompileBiCGStab) into a set-up program (‖b‖,
+// r = b − A·x and the first direction) and an iteration program; a solve then
+// scatters its inputs once (Load2), runs the set-up program and one iteration
+// program per Krylov iteration, and gathers the solution once (Store). Each
+// program is the vector kernels of that stretch of the recurrence with the
+// scalar bookkeeping attached as host actions (see program.go); the operator
+// executes it as a single SPMD plan.
 //
-// Bit-identity discipline: each resident op evaluates exactly the
-// expressions of the slice recurrence in the same order (the fused
-// update+dot phases sum their reductions in the operator's one fixed global
-// order), so a resident solve reproduces a slice solve over the same
-// operator ordering bit-for-bit. The breakdown checks mirror the slice
-// implementations check-for-check for the same reason.
+// Bit-identity discipline: each op evaluates exactly the expressions of the
+// slice recurrence in the same order (the fused update+dot ops sum their
+// reductions in the operator's one fixed global order), so a resident solve
+// reproduces a slice solve over the same operator ordering bit-for-bit. The
+// breakdown checks mirror the slice implementations check-for-check for the
+// same reason.
 
 // Resident vector handles: the solvers address their working sets as fixed
 // slots Vec(0..n-1) reserved up front, so repeated solves on one operator
-// reuse the same storage and allocate nothing new.
+// reuse the same storage and allocate nothing new. Both recurrences keep the
+// iterate in vecX and the right-hand side in vecB — where Solve scatters its
+// arguments and gathers the solution from.
 const (
-	cgX   = Vec(0)
-	cgB   = Vec(1)
+	vecX = Vec(0)
+	vecB = Vec(1)
+
 	cgR   = Vec(2)
 	cgZ   = Vec(3)
 	cgP   = Vec(4)
 	cgAp  = Vec(5)
 	cgLen = 6
 
-	biX    = Vec(0)
-	biB    = Vec(1)
 	biR    = Vec(2)
 	biRHat = Vec(3)
 	biV    = Vec(4)
@@ -48,13 +50,43 @@ const (
 	biLen  = 10
 )
 
-// cgState is the scalar state of one resident CG solve, shared between the
-// program's ops (via pointers) and its actions (via closure).
+// krylov is the scalar state both recurrences share between the programs'
+// ops (via pointers), their actions (via closure) and the solve driver.
+type krylov struct {
+	k         int // current iteration
+	normB, rr float64
+	tol, one  float64 // one is the constant 1.0 an op's *A1 can point at
+	st        *Stats  // the running solve's report
+	half      bool    // BiCGStab: converged at the half step (after s)
+}
+
+// residualSetup is the opening both recurrences share: ‖b‖ (a zero right-hand
+// side stops the program before x is touched) and r = b − A·x through the
+// scratch vector ax. The ⟨r, r⟩ the fused op leaves in s.rr goes unread (the
+// slice path takes no initial residual norm either).
+func residualSetup(s *krylov, x, b, r, ax Vec) []ProgOp {
+	return []ProgOp{
+		{Kind: OpDot, V1: b, V2: b, R1: &s.normB, Action: func() (bool, error) {
+			s.normB = math.Sqrt(s.normB)
+			return s.normB == 0, nil
+		}},
+		{Kind: OpApply, V1: ax, V2: x},
+		{Kind: OpSubAxpyDot, V1: r, V2: b, V3: ax, A1: &s.one, R1: &s.rr},
+	}
+}
+
+// cgState is the scalar state of a resident CG.
 type cgState struct {
-	k                               int
-	rz, rzNew, pap, alpha, beta, rr float64
-	normB, tol                      float64
-	st                              *Stats
+	krylov
+	rz, rzNew, pap, alpha, beta float64
+}
+
+// cgSetup is the CG prologue as a phase program: the shared residual opening,
+// then z = M⁻¹·r with rz = ⟨r, z⟩ and p = z.
+func cgSetup(s *cgState) []ProgOp {
+	return append(residualSetup(&s.krylov, vecX, vecB, cgR, cgAp),
+		ProgOp{Kind: OpPrecondDot, V1: cgZ, V2: cgR, R1: &s.rz},
+		ProgOp{Kind: OpCopy, V1: cgP, V2: cgZ})
 }
 
 // cgProgram is one CG iteration as a phase program. With an elementwise
@@ -88,7 +120,7 @@ func cgProgram(s *cgState, rung bool) []ProgOp {
 	if rung {
 		return []ProgOp{
 			{Kind: OpApplyDot, V1: cgAp, V2: cgP, V3: cgP, R1: &s.pap, Action: alphaAct},
-			{Kind: OpCGStep, V1: cgX, V2: cgP, V3: cgR, V4: cgAp, A1: &s.alpha, R1: &s.rr, Action: convAct},
+			{Kind: OpCGStep, V1: vecX, V2: cgP, V3: cgR, V4: cgAp, A1: &s.alpha, R1: &s.rr, Action: convAct},
 			{Kind: OpPrecondDot, V1: cgZ, V2: cgR, R1: &s.rzNew, Action: betaAct},
 			{Kind: OpXpby, V1: cgP, V2: cgZ, A1: &s.beta},
 		}
@@ -104,73 +136,26 @@ func cgProgram(s *cgState, rung bool) []ProgOp {
 	}
 	return []ProgOp{
 		{Kind: OpApplyDot, V1: cgAp, V2: cgP, V3: cgP, R1: &s.pap, Action: alphaAct},
-		{Kind: OpCGStepPre, V1: cgX, V2: cgP, V3: cgR, V4: cgAp, V5: cgZ,
+		{Kind: OpCGStepPre, V1: vecX, V2: cgP, V3: cgR, V4: cgAp, V5: cgZ,
 			A1: &s.alpha, R1: &s.rr, R2: &s.rzNew, Action: fusedAct},
 		{Kind: OpXpby, V1: cgP, V2: cgZ, A1: &s.beta},
 	}
 }
 
-// cgResident is preconditioned conjugate gradients with the whole working
-// set resident in the operator's layout.
-func cgResident(a VectorSpace, x, b []float64, opts Options) (*Stats, error) {
-	if err := installPrecond(a, opts); err != nil {
-		return nil, err
-	}
-	a.Reserve(cgLen)
-	a.LoadVec2(cgX, x, cgB, b) // the solve's one scatter
-	normB := math.Sqrt(a.DotVec(cgB, cgB))
-	if normB == 0 {
-		zero(x)
-		return &Stats{Converged: true}, nil
-	}
-	// r = b − A·x (the SubAxpy's fused ⟨r,r⟩ is discarded; the slice path
-	// does not take an initial residual norm either).
-	if err := a.ApplyVec(cgAp, cgX); err != nil {
-		return nil, err
-	}
-	a.SubAxpyDotVec(cgR, cgB, 1, cgAp)
-	st := &Stats{}
-	s := &cgState{normB: normB, tol: opts.Tol, st: st}
-	s.rz = a.PrecondDotVec(cgZ, cgR)
-	a.CopyVec(cgP, cgZ)
-	prog, err := compileProgram(a, cgProgram(s, opts.PrecondKind.operatorBuilt()))
-	if err != nil {
-		return nil, err
-	}
-	for k := 0; k < opts.MaxIter; k++ {
-		// The cancel poll sits between iterations — between one prog.Run()
-		// and the next — so a cancelled solve stops at a clean iteration
-		// boundary and every completed iteration's arithmetic is untouched.
-		if opts.cancelled() {
-			a.StoreVec(x, cgX)
-			return st, cancelErr(st)
-		}
-		s.k = k
-		stopped, err := prog.Run()
-		if err != nil {
-			if errors.Is(err, ErrBreakdown) {
-				a.StoreVec(x, cgX)
-				return st, err
-			}
-			return nil, err
-		}
-		if stopped {
-			st.Converged = true
-			a.StoreVec(x, cgX) // the solve's one gather
-			return st, nil
-		}
-	}
-	a.StoreVec(x, cgX)
-	return st, fmt.Errorf("%w after %d iterations (rel residual %.3e)", ErrNotConverged, st.Iterations, st.Residual)
+// biState is the scalar state of a resident BiCGStab.
+type biState struct {
+	krylov
+	rho, rhoNew, beta, alpha, den, ss, omega, tt, ts float64
 }
 
-// biState is the scalar state of one resident BiCGStab solve.
-type biState struct {
-	k                                                    int
-	rho, rhoNew, beta, alpha, den, ss, omega, tt, ts, rr float64
-	normB, tol                                           float64
-	st                                                   *Stats
-	half                                                 bool // converged at the half step (after s)
+// biSetup is the BiCGStab prologue: the shared residual opening, then r̂ = r
+// and the recurrence's scalars at their starting value.
+func biSetup(s *biState) []ProgOp {
+	return append(residualSetup(&s.krylov, vecX, vecB, biR, biT),
+		ProgOp{Kind: OpCopy, V1: biRHat, V2: biR, Action: func() (bool, error) {
+			s.rho, s.alpha, s.omega = 1, 1, 1
+			return false, nil
+		}})
 }
 
 // biProgram is one BiCGStab iteration as a phase program. The first
@@ -233,71 +218,130 @@ func biProgram(s *biState, first bool) []ProgOp {
 		{Kind: OpPrecond, V1: biSh, V2: biS},
 		{Kind: OpApply, V1: biT, V2: biSh},
 		{Kind: OpDot2, V1: biT, V2: biT, V3: biS, R1: &s.tt, R2: &s.ts, Action: ttAct},
-		{Kind: OpAxpy2, V1: biX, V2: biPh, V3: biSh, A1: &s.alpha, A2: &s.omega},
+		{Kind: OpAxpy2, V1: vecX, V2: biPh, V3: biSh, A1: &s.alpha, A2: &s.omega},
 		{Kind: OpSubAxpyDot, V1: biR, V2: biS, V3: biT, A1: &s.omega, R1: &s.rr, Action: rrAct},
 	}
 }
 
-// bicgstabResident is BiCGStab with the whole working set resident in the
-// operator's layout.
-func bicgstabResident(a VectorSpace, x, b []float64, opts Options) (*Stats, error) {
+// Resident is CG or BiCGStab compiled onto a resident operator: the
+// preconditioner is installed and the programs are compiled once, and every
+// Solve re-runs them on a new (x, b). CG and BiCGStab on a ProgramSpace are
+// one compile plus one Solve; a caller that solves the same system many times
+// (umesh.TransientSolver) keeps the Resident and pays the compile once.
+//
+// The operator's preconditioner and its vectors Vec(0..) belong to the
+// Resident between Solves: installing another preconditioner on the operator
+// invalidates it. Like its operator, a Resident is driven by one goroutine at
+// a time.
+type Resident struct {
+	a       ProgramSpace
+	maxIter int
+	s       *krylov
+	setup   Program
+	// first runs iteration 0, steady every later one (one program for CG).
+	first, steady Program
+	// halfStep finishes x after a BiCGStab half-step convergence: x += α·p̂,
+	// the half of the update the stopped iteration never reached.
+	halfStep Program
+}
+
+// CompileCG compiles preconditioned conjugate gradients onto a.
+func CompileCG(a ProgramSpace, opts Options) (*Resident, error) {
+	opts = opts.withDefaults()
+	if err := installPrecond(a, opts); err != nil {
+		return nil, err
+	}
+	a.Reserve(cgLen)
+	s := &cgState{krylov: krylov{tol: opts.Tol, one: 1}}
+	progs, err := compilePrograms(a, cgSetup(s), cgProgram(s, opts.PrecondKind.operatorBuilt()))
+	if err != nil {
+		return nil, err
+	}
+	return &Resident{a: a, maxIter: opts.MaxIter, s: &s.krylov,
+		setup: progs[0], first: progs[1], steady: progs[1]}, nil
+}
+
+// CompileBiCGStab compiles preconditioned BiCGStab onto a.
+func CompileBiCGStab(a ProgramSpace, opts Options) (*Resident, error) {
+	opts = opts.withDefaults()
 	if err := installPrecond(a, opts); err != nil {
 		return nil, err
 	}
 	a.Reserve(biLen)
-	a.LoadVec2(biX, x, biB, b) // the solve's one scatter
-	normB := math.Sqrt(a.DotVec(biB, biB))
-	if normB == 0 {
-		zero(x)
-		return &Stats{Converged: true}, nil
-	}
-	// r = b − A·x, r̂ = r.
-	if err := a.ApplyVec(biT, biX); err != nil {
+	s := &biState{krylov: krylov{tol: opts.Tol, one: 1}}
+	progs, err := compilePrograms(a, biSetup(s), biProgram(s, true), biProgram(s, false),
+		[]ProgOp{{Kind: OpAxpy, V1: vecX, V2: biPh, A1: &s.alpha}})
+	if err != nil {
 		return nil, err
 	}
-	a.SubAxpyDotVec(biR, biB, 1, biT)
-	a.CopyVec(biRHat, biR)
+	return &Resident{a: a, maxIter: opts.MaxIter, s: &s.krylov,
+		setup: progs[0], first: progs[1], steady: progs[2], halfStep: progs[3]}, nil
+}
+
+func compilePrograms(a ProgramSpace, lists ...[]ProgOp) ([]Program, error) {
+	progs := make([]Program, len(lists))
+	for i, ops := range lists {
+		p, err := a.CompileProgram(ops)
+		if err != nil {
+			return nil, err
+		}
+		progs[i] = p
+	}
+	return progs, nil
+}
+
+// Solve solves A·x = b: x carries the initial guess and receives the
+// solution. cancel has the meaning of Options.Cancel (nil means never) and
+// is per solve, so one compiled Resident can serve requests with different
+// deadlines.
+func (r *Resident) Solve(x, b []float64, cancel func() bool) (*Stats, error) {
+	a, s := r.a, r.s
+	if n := a.Size(); len(x) != n || len(b) != n {
+		return nil, fmt.Errorf("solver: size mismatch: operator %d, x %d, b %d", n, len(x), len(b))
+	}
 	st := &Stats{}
-	s := &biState{rho: 1, alpha: 1, omega: 1, normB: normB, tol: opts.Tol, st: st}
-	firstProg, err := compileProgram(a, biProgram(s, true))
+	s.st, s.half = st, false
+	a.Load2(vecX, x, vecB, b) // the solve's one scatter
+	zeroRHS, err := r.setup.Run()
 	if err != nil {
 		return nil, err
 	}
-	steadyProg, err := compileProgram(a, biProgram(s, false))
-	if err != nil {
-		return nil, err
+	if zeroRHS {
+		zero(x)
+		st.Converged = true
+		return st, nil
 	}
-	for k := 0; k < opts.MaxIter; k++ {
-		// Same iteration-boundary cancel discipline as cgResident.
-		if opts.cancelled() {
-			a.StoreVec(x, biX)
+	for s.k = 0; s.k < r.maxIter; s.k++ {
+		// The cancel poll sits between iterations — between one program run
+		// and the next — so a cancelled solve stops at a clean iteration
+		// boundary and every completed iteration's arithmetic is untouched.
+		if cancel != nil && cancel() {
+			a.Store(x, vecX)
 			return st, cancelErr(st)
 		}
-		s.k = k
-		prog := steadyProg
-		if k == 0 {
-			prog = firstProg
+		prog := r.steady
+		if s.k == 0 {
+			prog = r.first
 		}
 		stopped, err := prog.Run()
 		if err != nil {
 			if errors.Is(err, ErrBreakdown) {
-				a.StoreVec(x, biX)
+				a.Store(x, vecX)
 				return st, err
 			}
 			return nil, err
 		}
 		if stopped {
 			if s.half {
-				// Converged at the half step: finish x += α·p̂ before the
-				// gather (the second half of the update never ran).
-				a.AxpyVec(biX, s.alpha, biPh)
-				s.half = false
+				if _, err := r.halfStep.Run(); err != nil {
+					return nil, err
+				}
 			}
 			st.Converged = true
-			a.StoreVec(x, biX) // the solve's one gather
+			a.Store(x, vecX) // the solve's one gather
 			return st, nil
 		}
 	}
-	a.StoreVec(x, biX)
+	a.Store(x, vecX)
 	return st, fmt.Errorf("%w after %d iterations (rel residual %.3e)", ErrNotConverged, st.Iterations, st.Residual)
 }

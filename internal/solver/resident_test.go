@@ -2,131 +2,145 @@ package solver
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
-// denseSpace wraps denseOp as a reference VectorSpace over plain slices with
-// the identity layout and plain left-to-right inner products — the simplest
-// conforming implementation. It exists to prove the resident CG/BiCGStab
-// recurrences reproduce the slice recurrences exactly, independent of any
-// partitioned runtime.
-type denseSpace struct {
+// sliceSpace is the test-only ProgramSpace: denseOp's matrix, the identity
+// layout, and programs executed op by op over plain slices with left-to-right
+// inner products. It is a fake, not a second implementation — it exists to
+// prove the resident CG/BiCGStab programs reproduce the slice recurrences
+// exactly, independent of any partitioned runtime.
+type sliceSpace struct {
 	*denseOp
 	vecs [][]float64
 	inv  []float64 // nil = identity preconditioner
 }
 
-func (d *denseSpace) Reserve(n int) {
+func (d *sliceSpace) Reserve(n int) {
 	for len(d.vecs) < n {
 		d.vecs = append(d.vecs, make([]float64, d.Size()))
 	}
 }
 
-func (d *denseSpace) LoadVec2(v1 Vec, s1 []float64, v2 Vec, s2 []float64) {
+func (d *sliceSpace) Load2(v1 Vec, s1 []float64, v2 Vec, s2 []float64) {
 	copy(d.vecs[v1], s1)
 	copy(d.vecs[v2], s2)
 }
 
-func (d *denseSpace) StoreVec(dst []float64, v Vec) { copy(dst, d.vecs[v]) }
+func (d *sliceSpace) Store(dst []float64, v Vec) { copy(dst, d.vecs[v]) }
 
-func (d *denseSpace) SetPrecondDiag(diag []float64) error {
+func (d *sliceSpace) SetPrecond(kind PrecondKind, diag []float64) error {
+	if kind.operatorBuilt() {
+		return fmt.Errorf("sliceSpace: cannot build the %q preconditioner", kind)
+	}
+	d.inv = nil
 	if diag == nil {
-		d.inv = nil
 		return nil
 	}
-	d.inv = make([]float64, len(diag))
+	inv := make([]float64, len(diag))
 	for i, v := range diag {
 		if v == 0 || math.IsNaN(v) {
-			return errZeroDiag
+			return errors.New("sliceSpace: zero/NaN diagonal entry")
 		}
-		d.inv[i] = 1 / v
+		inv[i] = 1 / v
 	}
+	d.inv = inv
 	return nil
 }
 
-func (d *denseSpace) CopyVec(dst, src Vec) { copy(d.vecs[dst], d.vecs[src]) }
-
-func (d *denseSpace) DotVec(a, b Vec) float64 { return dot(d.vecs[a], d.vecs[b]) }
-
-func (d *denseSpace) Dot2Vec(a, x, y Vec) (float64, float64) {
-	return dot(d.vecs[a], d.vecs[x]), dot(d.vecs[a], d.vecs[y])
+func (d *sliceSpace) CompileProgram(ops []ProgOp) (Program, error) {
+	return &sliceProgram{d: d, ops: ops}, nil
 }
 
-func (d *denseSpace) ApplyVec(dst, x Vec) error { return d.Apply(d.vecs[dst], d.vecs[x]) }
+type sliceProgram struct {
+	d   *sliceSpace
+	ops []ProgOp
+}
 
-func (d *denseSpace) ApplyDotVec(dst, x, w Vec) (float64, error) {
-	if err := d.Apply(d.vecs[dst], d.vecs[x]); err != nil {
-		return 0, err
+func (p *sliceProgram) Run() (bool, error) {
+	d := p.d
+	v := func(h Vec) []float64 { return d.vecs[h] }
+	precond := func(z, r []float64) {
+		copy(z, r)
+		for i := range d.inv {
+			z[i] = d.inv[i] * r[i]
+		}
 	}
-	return dot(d.vecs[w], d.vecs[dst]), nil
-}
-
-func (d *denseSpace) AxpyVec(y Vec, alpha float64, x Vec) { axpy(d.vecs[y], alpha, d.vecs[x]) }
-
-func (d *denseSpace) Axpy2Vec(y Vec, alpha float64, x Vec, beta float64, z Vec) {
-	yy, xx, zz := d.vecs[y], d.vecs[x], d.vecs[z]
-	for i := range yy {
-		yy[i] += alpha*xx[i] + beta*zz[i]
+	cgStep := func(op *ProgOp) {
+		axpy(v(op.V1), *op.A1, v(op.V2))
+		axpy(v(op.V3), -*op.A1, v(op.V4))
+		*op.R1 = dot(v(op.V3), v(op.V3))
 	}
-}
-
-func (d *denseSpace) XpbyVec(y Vec, beta float64, x Vec) {
-	yy, xx := d.vecs[y], d.vecs[x]
-	for i := range yy {
-		yy[i] = xx[i] + beta*yy[i]
+	for i := range p.ops {
+		op := &p.ops[i]
+		switch op.Kind {
+		case OpApply, OpApplyDot:
+			if err := d.Apply(v(op.V1), v(op.V2)); err != nil {
+				return false, err
+			}
+			if op.Kind == OpApplyDot {
+				*op.R1 = dot(v(op.V3), v(op.V1))
+			}
+		case OpDot:
+			*op.R1 = dot(v(op.V1), v(op.V2))
+		case OpDot2:
+			*op.R1, *op.R2 = dot(v(op.V1), v(op.V2)), dot(v(op.V1), v(op.V3))
+		case OpCopy:
+			copy(v(op.V1), v(op.V2))
+		case OpAxpy:
+			axpy(v(op.V1), *op.A1, v(op.V2))
+		case OpAxpy2:
+			y, x, z := v(op.V1), v(op.V2), v(op.V3)
+			for i := range y {
+				y[i] += *op.A1*x[i] + *op.A2*z[i]
+			}
+		case OpXpby:
+			y, x := v(op.V1), v(op.V2)
+			for i := range y {
+				y[i] = x[i] + *op.A1*y[i]
+			}
+		case OpSubAxpyDot:
+			dst, a, b := v(op.V1), v(op.V2), v(op.V3)
+			for i := range dst {
+				dst[i] = a[i] - *op.A1*b[i]
+			}
+			*op.R1 = dot(dst, dst)
+		case OpCGStep:
+			cgStep(op)
+		case OpCGStepPre:
+			cgStep(op)
+			precond(v(op.V5), v(op.V3))
+			*op.R2 = dot(v(op.V3), v(op.V5))
+		case OpBicgP:
+			pp, r, vv := v(op.V1), v(op.V2), v(op.V3)
+			for i := range pp {
+				pp[i] = r[i] + *op.A1*(pp[i]-*op.A2*vv[i])
+			}
+		case OpPrecond, OpPrecondDot:
+			precond(v(op.V1), v(op.V2))
+			if op.Kind == OpPrecondDot {
+				*op.R1 = dot(v(op.V2), v(op.V1))
+			}
+		default:
+			return false, fmt.Errorf("sliceSpace: unknown op kind %d", op.Kind)
+		}
+		if op.Action != nil {
+			stop, err := op.Action()
+			if err != nil {
+				return false, err
+			}
+			if stop {
+				return true, nil
+			}
+		}
 	}
+	return false, nil
 }
 
-func (d *denseSpace) SubAxpyDotVec(dst, a Vec, alpha float64, b Vec) float64 {
-	dd, aa, bb := d.vecs[dst], d.vecs[a], d.vecs[b]
-	s := 0.0
-	for i := range dd {
-		v := aa[i] - alpha*bb[i]
-		dd[i] = v
-		s += v * v
-	}
-	return s
-}
-
-func (d *denseSpace) CGStepVec(x Vec, alpha float64, p, r, ap Vec) float64 {
-	xx, pp, rr, aap := d.vecs[x], d.vecs[p], d.vecs[r], d.vecs[ap]
-	s := 0.0
-	for i := range xx {
-		xx[i] += alpha * pp[i]
-		ri := rr[i] - alpha*aap[i]
-		rr[i] = ri
-		s += ri * ri
-	}
-	return s
-}
-
-func (d *denseSpace) BicgPVec(p, r, v Vec, beta, omega float64) {
-	pp, rr, vv := d.vecs[p], d.vecs[r], d.vecs[v]
-	for i := range pp {
-		pp[i] = rr[i] + beta*(pp[i]-omega*vv[i])
-	}
-}
-
-func (d *denseSpace) PrecondVec(z, r Vec) {
-	zz, rr := d.vecs[z], d.vecs[r]
-	if d.inv == nil {
-		copy(zz, rr)
-		return
-	}
-	for i := range zz {
-		zz[i] = d.inv[i] * rr[i]
-	}
-}
-
-func (d *denseSpace) PrecondDotVec(z, r Vec) float64 {
-	d.PrecondVec(z, r)
-	return dot(d.vecs[r], d.vecs[z])
-}
-
-var _ VectorSpace = (*denseSpace)(nil)
-
-var errZeroDiag = errors.New("denseSpace: zero/NaN diagonal entry")
+var _ ProgramSpace = (*sliceSpace)(nil)
 
 // diagOf extracts the matrix diagonal of a dense operator.
 func diagOf(d *denseOp) []float64 {
@@ -139,7 +153,7 @@ func diagOf(d *denseOp) []float64 {
 
 func TestResidentCGMatchesSlicePathBitExact(t *testing.T) {
 	// The resident recurrence must be the slice recurrence expression for
-	// expression: CG through a conforming VectorSpace reproduces CG through
+	// expression: CG through a conforming ProgramSpace reproduces CG through
 	// the plain Operator bit-for-bit — iterations, histories, solution —
 	// with and without Jacobi preconditioning.
 	for _, seed := range []uint64{1, 7, 42} {
@@ -153,7 +167,7 @@ func TestResidentCGMatchesSlicePathBitExact(t *testing.T) {
 			xs := make([]float64, op.Size())
 			stS, errS := CG(op, xs, b, opts)
 			xr := make([]float64, op.Size())
-			stR, errR := CG(&denseSpace{denseOp: op}, xr, b, opts)
+			stR, errR := CG(&sliceSpace{denseOp: op}, xr, b, opts)
 			if (errS == nil) != (errR == nil) {
 				t.Fatalf("seed %d jacobi=%v: error mismatch: slice %v, resident %v", seed, jacobi, errS, errR)
 			}
@@ -186,7 +200,7 @@ func TestResidentBiCGStabMatchesSlicePathBitExact(t *testing.T) {
 		xs := make([]float64, op.Size())
 		stS, errS := BiCGStab(op, xs, b, opts)
 		xr := make([]float64, op.Size())
-		stR, errR := BiCGStab(&denseSpace{denseOp: op}, xr, b, opts)
+		stR, errR := BiCGStab(&sliceSpace{denseOp: op}, xr, b, opts)
 		if (errS == nil) != (errR == nil) {
 			t.Fatalf("seed %d: error mismatch: slice %v, resident %v", seed, errS, errR)
 		}
@@ -210,7 +224,7 @@ func TestResidentZeroRHS(t *testing.T) {
 	// The zero-b early exit zeroes x on both paths.
 	op, _ := randomSPD(8, 5)
 	x := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	st, err := CG(&denseSpace{denseOp: op}, x, make([]float64, 8), Options{})
+	st, err := CG(&sliceSpace{denseOp: op}, x, make([]float64, 8), Options{})
 	if err != nil || !st.Converged {
 		t.Fatalf("zero RHS: %v %+v", err, st)
 	}
@@ -222,27 +236,32 @@ func TestResidentZeroRHS(t *testing.T) {
 }
 
 func TestPrecondClosureForcesSlicePath(t *testing.T) {
-	// An Options.Precond closure cannot run resident; the solver must fall
-	// back to the slice path and still honor the closure.
+	// An Options.Precond closure works on global slices and cannot run
+	// resident. There is no slice path to force on a ProgramSpace operator any
+	// more: the solver must refuse the combination, before touching x, rather
+	// than ignore the closure or reroute every application through a scatter
+	// and gather.
 	op, b := randomSPD(16, 9)
-	inv := diagOf(op)
-	for i := range inv {
-		inv[i] = 1 / inv[i]
-	}
 	called := false
-	pre := func(z, r []float64) {
-		called = true
-		for i := range z {
-			z[i] = inv[i] * r[i]
+	pre := func(z, r []float64) { called = true; copy(z, r) }
+	for name, solve := range map[string]func(Operator, []float64, []float64, Options) (*Stats, error){"cg": CG, "bicgstab": BiCGStab} {
+		x := make([]float64, op.Size())
+		x[3] = 7
+		st, err := solve(&sliceSpace{denseOp: op}, x, b, Options{Tol: 1e-10, MaxIter: 300, Precond: pre})
+		if err == nil || !strings.Contains(err.Error(), "Options.Precond") {
+			t.Fatalf("%s: Precond closure on a resident operator: err = %v, want an Options.Precond error", name, err)
+		}
+		if st != nil || called || x[3] != 7 {
+			t.Errorf("%s: refused solve still ran: stats %+v, closure called %v, x[3] = %g", name, st, called, x[3])
 		}
 	}
+	// The same closure on the plain operator is the slice path and is honored.
 	x := make([]float64, op.Size())
-	st, err := CG(&denseSpace{denseOp: op}, x, b, Options{Tol: 1e-10, MaxIter: 300, Precond: pre})
-	if err != nil || !st.Converged {
-		t.Fatalf("solve failed: %v %+v", err, st)
+	if st, err := CG(op, x, b, Options{Tol: 1e-10, MaxIter: 300, Precond: pre}); err != nil || !st.Converged {
+		t.Fatalf("slice solve with the closure failed: %v %+v", err, st)
 	}
 	if !called {
-		t.Error("Precond closure never invoked — resident path ignored it")
+		t.Error("slice path never invoked the Precond closure")
 	}
 }
 
@@ -256,7 +275,7 @@ func TestResidentErrorPathsMirrorSlicePath(t *testing.T) {
 		xs := make([]float64, op.Size())
 		_, errS := CG(op, xs, b, opts)
 		xr := make([]float64, op.Size())
-		_, errR := CG(&denseSpace{denseOp: op}, xr, b, opts)
+		_, errR := CG(&sliceSpace{denseOp: op}, xr, b, opts)
 		if !errors.Is(errS, ErrNotConverged) || !errors.Is(errR, ErrNotConverged) {
 			t.Fatalf("want ErrNotConverged on both paths, got slice %v, resident %v", errS, errR)
 		}
@@ -266,7 +285,7 @@ func TestResidentErrorPathsMirrorSlicePath(t *testing.T) {
 			}
 		}
 		xb := make([]float64, op.Size())
-		if _, err := BiCGStab(&denseSpace{denseOp: op}, xb, b, opts); !errors.Is(err, ErrNotConverged) {
+		if _, err := BiCGStab(&sliceSpace{denseOp: op}, xb, b, opts); !errors.Is(err, ErrNotConverged) {
 			t.Fatalf("resident BiCGStab: want ErrNotConverged, got %v", err)
 		}
 	})
@@ -280,10 +299,10 @@ func TestResidentErrorPathsMirrorSlicePath(t *testing.T) {
 		}
 		b := make([]float64, n)
 		b[0] = 1
-		if _, err := CG(&denseSpace{denseOp: zeroA}, make([]float64, n), b, Options{}); !errors.Is(err, ErrBreakdown) {
+		if _, err := CG(&sliceSpace{denseOp: zeroA}, make([]float64, n), b, Options{}); !errors.Is(err, ErrBreakdown) {
 			t.Fatalf("resident CG on zero matrix: want ErrBreakdown, got %v", err)
 		}
-		if _, err := BiCGStab(&denseSpace{denseOp: zeroA}, make([]float64, n), b, Options{}); !errors.Is(err, ErrBreakdown) {
+		if _, err := BiCGStab(&sliceSpace{denseOp: zeroA}, make([]float64, n), b, Options{}); !errors.Is(err, ErrBreakdown) {
 			t.Fatalf("resident BiCGStab on zero matrix: want ErrBreakdown, got %v", err)
 		}
 	})
@@ -291,13 +310,13 @@ func TestResidentErrorPathsMirrorSlicePath(t *testing.T) {
 		op, b := randomSPD(8, 33)
 		bad := make([]float64, op.Size()) // all-zero diagonal
 		opts := Options{PrecondDiag: bad}
-		if _, err := CG(&denseSpace{denseOp: op}, make([]float64, op.Size()), b, opts); err == nil {
+		if _, err := CG(&sliceSpace{denseOp: op}, make([]float64, op.Size()), b, opts); err == nil {
 			t.Error("resident CG accepted a zero preconditioner diagonal")
 		}
 		if _, err := CG(op, make([]float64, op.Size()), b, opts); err == nil {
 			t.Error("slice CG accepted a zero preconditioner diagonal")
 		}
-		if _, err := BiCGStab(&denseSpace{denseOp: op}, make([]float64, op.Size()), b, opts); err == nil {
+		if _, err := BiCGStab(&sliceSpace{denseOp: op}, make([]float64, op.Size()), b, opts); err == nil {
 			t.Error("resident BiCGStab accepted a zero preconditioner diagonal")
 		}
 		if _, err := BiCGStab(op, make([]float64, op.Size()), b, opts); err == nil {
@@ -317,7 +336,7 @@ func TestResidentErrorPathsMirrorSlicePath(t *testing.T) {
 		xs := make([]float64, n)
 		stS, errS := BiCGStab(eye, xs, b, Options{})
 		xr := make([]float64, n)
-		stR, errR := BiCGStab(&denseSpace{denseOp: eye}, xr, b, Options{})
+		stR, errR := BiCGStab(&sliceSpace{denseOp: eye}, xr, b, Options{})
 		if errS != nil || errR != nil || !stS.Converged || !stR.Converged {
 			t.Fatalf("identity solve failed: %v %v %+v %+v", errS, errR, stS, stR)
 		}
@@ -347,7 +366,7 @@ func TestResidentSolveRespectsInitialGuess(t *testing.T) {
 		t.Fatal(err)
 	}
 	xr := append([]float64(nil), guess...)
-	stR, err := CG(&denseSpace{denseOp: op}, xr, b, opts)
+	stR, err := CG(&sliceSpace{denseOp: op}, xr, b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

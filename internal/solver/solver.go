@@ -22,11 +22,16 @@
 // Preconditioning is selected by Options.PrecondKind — a ladder of four
 // rungs (jacobi, ssor, chebyshev, amg). Jacobi needs only the matrix
 // diagonal (Options.PrecondDiag) and works with any Operator; the
-// operator-built rungs are constructed by the operator itself through the
-// PrecondFactory (slice path) and ResidentPrecond (VectorSpace path)
-// extension interfaces, which umesh's serial reference and PartOperator
-// implement. An explicit Options.Precond closure bypasses kind resolution
-// and forces the slice path.
+// operator-built rungs are constructed by the operator itself: as a slice
+// closure through PrecondFactory (umesh's serial reference) or installed
+// resident through ProgramSpace.SetPrecond (umesh.PartOperator). An explicit
+// Options.Precond closure bypasses kind resolution on the slice path; a
+// ProgramSpace operator rejects it.
+//
+// There are two executions of the recurrences and no third: the slice
+// CG/BiCGStab below (any Operator; also the independent recurrence the
+// bit-identity tests compare against) and the phase programs of resident.go,
+// which a ProgramSpace operator compiles and runs in its own layout.
 package solver
 
 import (
@@ -56,70 +61,8 @@ type Reducer interface {
 
 // Vec is an opaque handle to an operator-resident vector — a vector that
 // lives in the operator's own (typically partitioned) layout for the whole
-// solve. Handles are small integers issued by VectorSpace.Reserve.
+// solve. Handles are small integers issued by ProgramSpace.Reserve.
 type Vec int
-
-// VectorSpace is the part-resident Operator extension: an operator that can
-// hold the Krylov working set in its own layout and execute the iteration's
-// vector algebra there, so a solve scatters the inputs once, gathers the
-// solution once, and never round-trips a vector through global storage in
-// between. CG and BiCGStab run their whole recurrence through these methods
-// when an operator provides them (and Options.Precond — a global-slice
-// closure — is not forcing the slice path).
-//
-// Contract, so resident solves reproduce slice solves exactly:
-//   - element updates use the same expressions as the slice recurrences
-//     (e.g. CGStep computes x_i += α·p_i; r_i -= α·ap_i);
-//   - every returned inner product is a deterministic left-to-right sum in
-//     one fixed global order, the same order for every runtime
-//     configuration;
-//   - vector contents persist across calls until overwritten; only owned
-//     entries need to be maintained between operations (Apply refreshes
-//     whatever ghost state it needs itself).
-//
-// A VectorSpace is driven by one goroutine at a time.
-type VectorSpace interface {
-	Operator
-	// Reserve ensures resident vectors Vec(0)..Vec(n-1) exist. Growing may
-	// allocate; re-reserving an existing count must not.
-	Reserve(n int)
-	// LoadVec2 scatters two global vectors into resident vectors in one
-	// phase — the solve's single scatter.
-	LoadVec2(v1 Vec, src1 []float64, v2 Vec, src2 []float64)
-	// StoreVec gathers a resident vector into global order — the solve's
-	// single gather.
-	StoreVec(dst []float64, v Vec)
-	// SetPrecondDiag installs a resident Jacobi preconditioner from the
-	// matrix diagonal (z = r/d elementwise, applied as z_i = (1/d_i)·r_i
-	// exactly like JacobiPrecond). A nil diag selects the identity.
-	SetPrecondDiag(diag []float64) error
-	// CopyVec copies src's owned entries into dst.
-	CopyVec(dst, src Vec)
-	// DotVec returns ⟨a, b⟩.
-	DotVec(a, b Vec) float64
-	// Dot2Vec returns ⟨a, x⟩ and ⟨a, y⟩ in one phase.
-	Dot2Vec(a, x, y Vec) (float64, float64)
-	// ApplyVec computes dst = A·x resident (halo refresh included).
-	ApplyVec(dst, x Vec) error
-	// ApplyDotVec computes dst = A·x and returns ⟨w, dst⟩, fused.
-	ApplyDotVec(dst, x, w Vec) (float64, error)
-	// AxpyVec computes y += α·x.
-	AxpyVec(y Vec, alpha float64, x Vec)
-	// Axpy2Vec computes y += α·x + β·z (one expression per element).
-	Axpy2Vec(y Vec, alpha float64, x Vec, beta float64, z Vec)
-	// XpbyVec computes y = x + β·y (the CG search-direction update).
-	XpbyVec(y Vec, beta float64, x Vec)
-	// SubAxpyDotVec computes dst = a − α·b and returns ⟨dst, dst⟩, fused.
-	SubAxpyDotVec(dst, a Vec, alpha float64, b Vec) float64
-	// CGStepVec computes x += α·p; r −= α·ap and returns ⟨r, r⟩, fused.
-	CGStepVec(x Vec, alpha float64, p, r, ap Vec) float64
-	// BicgPVec computes p = r + β·(p − ω·v), the BiCGStab direction update.
-	BicgPVec(p, r, v Vec, beta, omega float64)
-	// PrecondVec computes z = M⁻¹·r.
-	PrecondVec(z, r Vec)
-	// PrecondDotVec computes z = M⁻¹·r and returns ⟨r, z⟩, fused.
-	PrecondDotVec(z, r Vec) float64
-}
 
 // dotOf routes an inner product through the operator's own reduction when it
 // provides one.
@@ -140,24 +83,24 @@ type Options struct {
 	// Tol is the relative residual tolerance ‖r‖/‖b‖ (default 1e-8).
 	Tol float64
 	// Precond optionally supplies a preconditioner application z = M⁻¹r as
-	// a closure over global slices. Setting it forces the slice-based
-	// iteration even for a VectorSpace operator; prefer PrecondDiag for
-	// Jacobi, which both paths support.
+	// a closure over global slices. Only the slice path can run it: a
+	// ProgramSpace operator keeps its vectors in its own layout, so setting
+	// Precond with one is an error — use PrecondDiag/PrecondKind instead.
 	Precond func(z, r []float64)
 	// PrecondDiag optionally supplies the matrix diagonal for Jacobi
-	// preconditioning. The slice path builds the equivalent of
-	// JacobiPrecond(PrecondDiag); the part-resident path installs it through
-	// VectorSpace.SetPrecondDiag — elementwise z_i = (1/d_i)·r_i either way,
-	// so the two paths stay bit-identical. Ignored when Precond is set.
+	// preconditioning (length Size()). The slice path builds the equivalent
+	// of JacobiPrecond(PrecondDiag); the part-resident path installs it
+	// through ProgramSpace.SetPrecond — elementwise z_i = (1/d_i)·r_i either
+	// way, so the two paths stay bit-identical. Ignored when Precond is set.
 	PrecondDiag []float64
 	// PrecondKind selects a rung of the preconditioner ladder (see the
 	// PrecondKind constants). The zero value keeps the pre-ladder behavior:
 	// Jacobi when PrecondDiag is set, identity otherwise. Operator-built
-	// rungs (SSOR, Chebyshev, AMG) require the operator to implement
-	// PrecondFactory (slice path) or ResidentPrecond (resident path); the
-	// two realizations apply identical arithmetic, so solves stay
-	// bit-identical across paths and part counts. Ignored when Precond is
-	// set.
+	// rungs (SSOR, Chebyshev, AMG) require the operator to build them:
+	// PrecondFactory on the slice path, ProgramSpace.SetPrecond on the
+	// resident path; the two realizations apply identical arithmetic, so
+	// solves stay bit-identical across paths and part counts. Ignored when
+	// Precond is set.
 	PrecondKind PrecondKind
 	// Cancel, when non-nil, is polled at the top of every Krylov iteration
 	// — the iteration barrier. When it returns true the solve stops before
@@ -211,18 +154,22 @@ func cancelErr(st *Stats) error {
 // CG solves A·x = b for symmetric positive definite A. x carries the
 // initial guess and receives the solution.
 //
-// When the operator is a VectorSpace and no slice-closure preconditioner
-// forces the global path, the whole recurrence runs part-resident: one
-// scatter of (x, b), one gather of the solution, and every Apply/axpy/dot in
-// between executed in the operator's own layout through fused phases.
+// When the operator is a ProgramSpace the whole recurrence runs
+// part-resident: one scatter of (x, b), one gather of the solution, and every
+// Apply/axpy/dot in between executed in the operator's own layout as
+// compiled phase programs (resident.go).
 func CG(a Operator, x, b []float64, opts Options) (*Stats, error) {
 	opts = opts.withDefaults()
 	n := a.Size()
 	if len(x) != n || len(b) != n {
 		return nil, fmt.Errorf("solver: size mismatch: operator %d, x %d, b %d", n, len(x), len(b))
 	}
-	if vs, ok := a.(VectorSpace); ok && opts.Precond == nil {
-		return cgResident(vs, x, b, opts)
+	if ps, ok := a.(ProgramSpace); ok {
+		r, err := CompileCG(ps, opts)
+		if err != nil {
+			return nil, err
+		}
+		return r.Solve(x, b, opts.Cancel)
 	}
 	if err := resolvePrecond(a, &opts); err != nil {
 		return nil, err
@@ -281,16 +228,19 @@ func CG(a Operator, x, b []float64, opts Options) (*Stats, error) {
 }
 
 // BiCGStab solves A·x = b for general (nonsymmetric) A. Like CG, the solve
-// runs part-resident when the operator is a VectorSpace and no slice-closure
-// preconditioner forces the global path.
+// runs part-resident when the operator is a ProgramSpace.
 func BiCGStab(a Operator, x, b []float64, opts Options) (*Stats, error) {
 	opts = opts.withDefaults()
 	n := a.Size()
 	if len(x) != n || len(b) != n {
 		return nil, fmt.Errorf("solver: size mismatch: operator %d, x %d, b %d", n, len(x), len(b))
 	}
-	if vs, ok := a.(VectorSpace); ok && opts.Precond == nil {
-		return bicgstabResident(vs, x, b, opts)
+	if ps, ok := a.(ProgramSpace); ok {
+		r, err := CompileBiCGStab(ps, opts)
+		if err != nil {
+			return nil, err
+		}
+		return r.Solve(x, b, opts.Cancel)
 	}
 	if err := resolvePrecond(a, &opts); err != nil {
 		return nil, err
@@ -381,10 +331,13 @@ func BiCGStab(a Operator, x, b []float64, opts Options) (*Stats, error) {
 	return st, fmt.Errorf("%w after %d iterations (rel residual %.3e)", ErrNotConverged, st.Iterations, st.Residual)
 }
 
-// JacobiPrecond builds a Jacobi (diagonal) preconditioner from the
-// operator's diagonal, estimated matrix-free with unit probes when diag is
-// nil, or using the given diagonal directly.
+// JacobiPrecond builds a Jacobi (diagonal) preconditioner z_i = (1/d_i)·r_i
+// from the given matrix diagonal. The diagonal must be non-empty and free of
+// zero/NaN entries; the closure applies to vectors of exactly that length.
 func JacobiPrecond(diag []float64) (func(z, r []float64), error) {
+	if len(diag) == 0 {
+		return nil, fmt.Errorf("solver: Jacobi preconditioning needs a non-empty matrix diagonal")
+	}
 	for i, d := range diag {
 		if d == 0 || math.IsNaN(d) {
 			return nil, fmt.Errorf("solver: zero/NaN diagonal entry at %d", i)

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
+	"repro/internal/exec"
 	"repro/internal/physics"
 	"repro/internal/solver"
 )
@@ -22,13 +22,14 @@ import (
 // exactly one initial scatter and one final gather instead of one global
 // round-trip per operator application.
 //
-// Execution model: every phase body exists twice — as a staged method (the
-// o.v1/o.sc1 fields are set, then one exec.Pool.Run dispatch) used by the
-// individual VectorSpace calls, and as a parameterized shard kernel captured
-// into an exec.Plan step by CompileProgram (program.go), which compiles a
-// whole Krylov iteration into one SPMD plan: one dispatch and the counted
-// minimum of barriers per iteration, with the solver's scalar recurrence
-// running inside the barriers as step actions.
+// Execution model: every vector kernel exists once, as a parameterized shard
+// kernel (shard*) that CompileProgram (program.go) captures into an exec.Plan
+// step. A compiled program runs a whole stretch of the Krylov recurrence as
+// one SPMD plan: one dispatch and the counted minimum of barriers, with the
+// solver's scalar recurrence running inside the barriers as step actions.
+// Compiled programs are the only way vectors are computed on; the four
+// host-driven phases left (scatter, gather, diagonal, preconditioner-diagonal
+// load) move data between global slices and the part layouts.
 //
 // Halo movement is direct-write: each part's send plan carries the
 // receiver's halo block base (opSend.dstBase), and the send phase writes the
@@ -272,23 +273,10 @@ func fluxRow(row []nbrEntry, x []float64, xc float64) float64 {
 	return flux
 }
 
-// opSend is one precompiled outgoing operator transfer: the owned local
-// indices to read and the base of the receiver's halo block for this source
-// — the send phase writes x[idx[j]] straight to the receiver's vector at
-// dstBase+j. The index list is shared with the engine's float32 send plan.
-type opSend struct {
-	dst     int
-	dstBase int
-	idx     []int32
-}
-
 // opPart is the operator's per-part working set: the resident Krylov
-// vectors in the part's compact local layout, the slice-path mirror, the
-// resident inverse diagonal, and the premultiplied adjacency. Everything is
-// O(owned+halo) per vector.
+// vectors in the part's compact local layout, the resident inverse diagonal,
+// and the premultiplied adjacency. Everything is O(owned+halo) per vector.
 type opPart struct {
-	// x is the slice-path local mirror (Apply on global slices).
-	x []float64
 	// vecs holds the resident vectors, each owned cells first then halo
 	// blocks. Only Apply maintains halo entries (for its input vector); all
 	// vector algebra runs over owned entries.
@@ -300,8 +288,9 @@ type opPart struct {
 	accum []float64
 	// rows is the operator-owned premultiplied adjacency (w = Υ·λ) over
 	// owned rows, local indices — what every float64 row sweep streams.
-	rows  [][]nbrEntry
-	sends []opSend
+	rows [][]nbrEntry
+	// sends is the engine's send plan for this part (shared, read-only).
+	sends []sendPlan
 	// blkLo/blkHi/blkOut segment the part's owned range into its canonical
 	// reduction blocks (compact-index [lo, hi) → blockSums[out]): every
 	// reduction accumulates flat within a block and the block partials fold
@@ -328,7 +317,7 @@ type opPart struct {
 // solve, accumulated on the orchestrator around each barriered step:
 //
 //   - Exchange: whole-vector transfers between global and part layouts —
-//     the solve's one scatter (LoadVec2) and one gather (StoreVec);
+//     the solve's one scatter (Load2) and one gather (Store);
 //   - Compute: the operator-application steps (interior and frontier flux
 //     rows; the per-neighbor direct-write halo pushes ride inside the
 //     interior step, overlapped with its row sweep);
@@ -340,24 +329,15 @@ type PhaseSeconds struct {
 	Reduce   float64 `json:"reduce"`
 }
 
-// Add accumulates another breakdown.
-func (p *PhaseSeconds) Add(q PhaseSeconds) {
-	p.Exchange += q.Exchange
-	p.Compute += q.Compute
-	p.Reduce += q.Reduce
-}
-
 // Total is the summed breakdown.
 func (p PhaseSeconds) Total() float64 { return p.Exchange + p.Compute + p.Reduce }
 
-// PartOperator is the matrix-free part-resident operator: it implements
-// solver.Operator and solver.Reducer on global slices (each Apply pays a
-// scatter and gather — the compatibility path), solver.VectorSpace for
-// part-resident solves, where the whole Krylov working set stays in the
-// parts' compact layouts and a solve scatters once and gathers once, and
-// solver.ProgramSpace (program.go), which compiles a whole Krylov iteration
-// into one exec.Plan. Steady-state Apply, Dot, every fused vector phase and
-// every compiled plan execution allocate nothing.
+// PartOperator is the matrix-free part-resident operator: a
+// solver.ProgramSpace, so CG and BiCGStab keep their whole working set in the
+// parts' compact layouts, scatter once, run compiled phase programs
+// (program.go), and gather once. It is also a plain solver.Operator: Apply is
+// scatter → a one-op program → gather. Steady-state Apply, scatter, gather
+// and every compiled program execution allocate nothing.
 //
 // A PartOperator is driven by one goroutine at a time. With an RCB
 // partition of at most reductionDepth (8) bisection levels — up to 256
@@ -372,30 +352,27 @@ type PartOperator struct {
 	parts []*opPart
 
 	// blockSums/blockSums2 hold the canonical block partials of the current
-	// reduction (disjoint per-part writes), treeFolded on the host.
+	// reduction (disjoint per-part writes), treeFolded in a barrier action.
 	blockSums, blockSums2 []float64
 
-	// Staged phase inputs (set per call; closures are pre-built so dispatch
-	// allocates nothing). ga/gb/gdst stage global slices (slice path,
-	// scatter/gather, diagonal); v1..v4 stage resident vector handles;
-	// sc1/sc2 stage scalars; applyDot arms the fused dot sweep of an
-	// application's frontier phase.
-	ga, gb, gdst, diag []float64
-	v1, v2, v3, v4     int
-	sc1, sc2           float64
-	applyDot           bool
+	// Staged inputs of the host-driven phases (set per call; their one-step
+	// plans are pre-built so dispatch allocates nothing): ga/gb/gdst are the
+	// global slices a scatter, gather, diagonal or preconditioner-diagonal
+	// load moves, va/vb the resident vectors a scatter or gather addresses.
+	ga, gb, gdst []float64
+	va, vb       int
 
-	// usePre selects the resident Jacobi preconditioner; false means
-	// identity (SetPrecondDiag(nil)).
+	loadPlan, storePlan, setPrePlan *exec.Plan
+	// applyProg is Apply's one-op program V(1) = A·V(0).
+	applyProg solver.Program
+
+	// usePre selects the resident Jacobi inverse diagonal in the elementwise
+	// preconditioner kernels; false means identity (SetPrecond with a nil
+	// diagonal).
 	usePre bool
-	// preKind is the installed preconditioner ladder rung (SetPrecond);
-	// PrecondVec/PrecondDotVec dispatch on it. The default covers the
-	// Jacobi/identity path through usePre.
+	// preKind is the installed preconditioner ladder rung (SetPrecond), read
+	// by emitPrecond when a program is compiled.
 	preKind solver.PrecondKind
-	// applyScratch redirects the current application sweep's destination to
-	// each part's pw scratch — the in-preconditioner applications (Chebyshev
-	// and AMG run A·z on scratch without burning a solver vector).
-	applyScratch bool
 	// aligned records that the partition's reduction blocks are the global
 	// canonical blocks (compileReduction) — the precondition for the
 	// block-structured rungs.
@@ -410,19 +387,9 @@ type PartOperator struct {
 	amg              *amgLevel
 	coarseR, coarseE []float64
 
-	nVecs int
-
 	// baseBarriers/baseDispatches snapshot the pool counters at operator
 	// construction, so Comm reports this operator's own synchronization.
 	baseBarriers, baseDispatches uint64
-
-	fnSliceSend, fnSliceRecv, fnProd, fnDiag         func(int) error
-	fnLoad2, fnStore, fnSetPre                       func(int) error
-	fnApplySend, fnApplyRecv                         func(int) error
-	fnDot, fnDot2, fnAxpy, fnAxpy2, fnXpby, fnCopy   func(int) error
-	fnCGStep, fnBicgP, fnSubAxpyDot, fnPre, fnPreDot func(int) error
-	fnSetDiag, fnSSOR, fnChebInit, fnChebStep        func(int) error
-	fnAMGPre, fnAMGRestrict, fnAMGProlong, fnAMGPost func(int) error
 
 	// Applications counts operator applications (engine runs of the solve —
 	// the §3 "Algorithm 1 applied N times" pattern, driven by Krylov).
@@ -455,7 +422,6 @@ func NewPartOperator(e *PartEngine, sys *USystem) (*PartOperator, error) {
 	o.parts = make([]*opPart, len(e.parts))
 	for me, ps := range e.parts {
 		op := &opPart{
-			x:       make([]float64, ps.nOwned+ps.nHalo),
 			invDiag: make([]float64, ps.nOwned),
 			accum:   make([]float64, ps.nOwned),
 		}
@@ -472,57 +438,26 @@ func NewPartOperator(e *PartEngine, sys *USystem) (*PartOperator, error) {
 		for i := 0; i < ps.nOwned; i++ {
 			op.rows[i] = entries[ps.rowStart[i]:ps.rowStart[i+1]]
 		}
-		for _, sp := range ps.sends {
-			op.sends = append(op.sends, opSend{dst: sp.dst, dstBase: sp.dstBase, idx: sp.idx})
-		}
+		op.sends = ps.sends
 		o.parts[me] = op
 		if len(ps.sends) > 0 || len(ps.recvs) > 0 || len(ps.frontier) > 0 {
 			o.split = true
 		}
 	}
 	o.compileReduction()
-	o.fnSliceSend = o.phaseSliceSend
-	o.fnSliceRecv = o.phaseSliceRecv
-	o.fnProd = o.phaseProd
-	o.fnDiag = o.phaseDiag
-	o.fnLoad2 = o.phaseLoad2
-	o.fnStore = o.phaseStore
-	o.fnSetPre = o.phaseSetPre
-	o.fnApplySend = o.phaseApplySend
-	o.fnApplyRecv = o.phaseApplyRecv
-	o.fnDot = o.phaseDot
-	o.fnDot2 = o.phaseDot2
-	o.fnAxpy = o.phaseAxpy
-	o.fnAxpy2 = o.phaseAxpy2
-	o.fnXpby = o.phaseXpby
-	o.fnCopy = o.phaseCopy
-	o.fnCGStep = o.phaseCGStep
-	o.fnBicgP = o.phaseBicgP
-	o.fnSubAxpyDot = o.phaseSubAxpyDot
-	o.fnPre = o.phasePre
-	o.fnPreDot = o.phasePreDot
-	o.fnSetDiag = o.phaseSetDiag
-	o.fnSSOR = o.phaseSSOR
-	o.fnChebInit = o.phaseChebInit
-	o.fnChebStep = o.phaseChebStep
-	o.fnAMGPre = o.phaseAMGPre
-	o.fnAMGRestrict = o.phaseAMGRestrict
-	o.fnAMGProlong = o.phaseAMGProlong
-	o.fnAMGPost = o.phaseAMGPost
+	o.loadPlan = e.pool.NewPlan([]exec.Step{{Phase: o.phaseLoad2, Bucket: &o.Phase.Exchange}})
+	o.storePlan = e.pool.NewPlan([]exec.Step{{Phase: o.phaseStore, Bucket: &o.Phase.Exchange}})
+	o.setPrePlan = e.pool.NewPlan([]exec.Step{{Phase: o.phaseSetPre, Bucket: &o.Phase.Reduce}})
+	o.Reserve(2)
+	var err error
+	if o.applyProg, err = o.CompileProgram([]solver.ProgOp{{Kind: solver.OpApply, V1: 1, V2: 0}}); err != nil {
+		return nil, err
+	}
 	return o, nil
 }
 
 // Size implements solver.Operator.
 func (o *PartOperator) Size() int { return o.e.u.NumCells }
-
-// run dispatches one barriered phase and charges its wall-clock to a
-// breakdown bucket.
-func (o *PartOperator) run(fn func(int) error, bucket *float64) error {
-	start := time.Now()
-	err := o.e.pool.Run(fn)
-	*bucket += time.Since(start).Seconds()
-	return err
-}
 
 // compileReduction assigns each part its canonical reduction blocks. With a
 // canonical RCB partition of at most reductionDepth levels, every part
@@ -580,26 +515,15 @@ func (o *PartOperator) compileReduction() {
 	}
 }
 
-// fold combines the block partials through the fixed binary tree — the
-// canonical reduction every inner product of the operator returns.
-func (o *PartOperator) fold() float64 {
-	return treeFold(o.blockSums)
-}
-
-func (o *PartOperator) fold2() (float64, float64) {
-	return treeFold(o.blockSums), treeFold(o.blockSums2)
-}
-
-// finishApply folds the communication counters after an application.
+// finishApply folds the parts' halo traffic after an application (a barrier
+// action; the program's Run refreshes the barrier/dispatch counts after it).
 func (o *PartOperator) finishApply() {
 	o.Applications++
-	total := CommCounters{}
+	o.Comm.HaloWords, o.Comm.Messages = 0, 0
 	for _, op := range o.parts {
-		total.HaloWords += op.comm.HaloWords
-		total.Messages += op.comm.Messages
+		o.Comm.HaloWords += op.comm.HaloWords
+		o.Comm.Messages += op.comm.Messages
 	}
-	o.Comm = total
-	o.syncCounters()
 }
 
 // syncCounters refreshes the operator's barrier/dispatch accounting from the
@@ -610,28 +534,17 @@ func (o *PartOperator) syncCounters() {
 	o.Comm.Dispatches = d - o.baseDispatches
 }
 
-// pushHalo writes the part's planned owned values of one vector straight
-// into each neighbor's halo block of the same vector — the coalesced
-// direct-write exchange: one contiguous write region per (src, dst) pair,
-// no intermediate buffer. xv selects the resident vector; xv < 0 selects
-// the slice-path mirror. The destination ranges are disjoint between all
+// pushHalo writes the part's planned owned values of resident vector xv
+// straight into each neighbor's halo block of the same vector — the coalesced
+// direct-write exchange: one contiguous write region per (src, dst) pair, no
+// intermediate buffer. The destination ranges are disjoint between all
 // senders and from every owned range, so the concurrent writes are
 // race-free; the step barrier orders them before the frontier reads.
 func (o *PartOperator) pushHalo(op *opPart, xv int) {
-	var x []float64
-	if xv < 0 {
-		x = op.x
-	} else {
-		x = op.vecs[xv]
-	}
+	x := op.vecs[xv]
 	for si := range op.sends {
 		sp := &op.sends[si]
-		var dst []float64
-		if xv < 0 {
-			dst = o.parts[sp.dst].x
-		} else {
-			dst = o.parts[sp.dst].vecs[xv]
-		}
+		dst := o.parts[sp.dst].vecs[xv]
 		base := sp.dstBase
 		for j, li := range sp.idx {
 			dst[base+j] = x[li]
@@ -641,86 +554,19 @@ func (o *PartOperator) pushHalo(op *opPart, xv int) {
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Slice-path Operator/Reducer (compatibility: one scatter+gather per Apply)
-// ---------------------------------------------------------------------------
-
-// Apply computes dst = A·x through one partitioned engine application on
-// global slices: load+push+interior-compute, barrier, frontier-compute.
-// Steady state allocates nothing. Part-resident solves use ApplyVec instead,
-// which skips the per-application scatter and gather.
+// Apply computes dst = A·x on global slices: scatter, the one-op apply
+// program, gather — what makes the operator a plain solver.Operator. Steady
+// state allocates nothing. Solves never come through here: they keep their
+// vectors resident and pay the scatter and gather once per solve.
 func (o *PartOperator) Apply(dst, x []float64) error {
 	if len(dst) != len(x) || len(x) != o.e.u.NumCells {
 		return fmt.Errorf("umesh: partitioned operator size mismatch")
 	}
-	o.ga, o.gdst = x, dst
-	if err := o.run(o.fnSliceSend, &o.Phase.Compute); err != nil {
+	o.Load2(0, x, 1, x)
+	if _, err := o.applyProg.Run(); err != nil {
 		return err
 	}
-	if o.split {
-		if err := o.run(o.fnSliceRecv, &o.Phase.Compute); err != nil {
-			return err
-		}
-	}
-	o.finishApply()
-	return nil
-}
-
-// fluxRowsGlobal evaluates the listed owned rows into the staged global
-// destination. It reads the same premultiplied rows as the resident sweeps,
-// so the two Apply paths always evaluate the same matrix.
-func (o *PartOperator) fluxRowsGlobal(ps *partState, op *opPart, rows []int32) {
-	accum := op.accum
-	for _, i := range rows {
-		xc := op.x[i]
-		o.gdst[ps.globalOf[i]] = accum[i]*xc - fluxRow(op.rows[i], op.x, xc)
-	}
-}
-
-// phaseSliceSend loads the part's owned entries from the global vector,
-// pushes its halo values to the neighbors, then computes the interior rows.
-func (o *PartOperator) phaseSliceSend(shard int) error {
-	ps, op := o.e.parts[shard], o.parts[shard]
-	for i := 0; i < ps.nOwned; i++ {
-		op.x[i] = o.ga[ps.globalOf[i]]
-	}
-	o.pushHalo(op, -1)
-	o.fluxRowsGlobal(ps, op, ps.interior)
-	return nil
-}
-
-// phaseSliceRecv finishes the frontier rows once the barrier has ordered the
-// neighbors' halo writes.
-func (o *PartOperator) phaseSliceRecv(shard int) error {
-	ps, op := o.e.parts[shard], o.parts[shard]
-	o.fluxRowsGlobal(ps, op, ps.frontier)
-	return nil
-}
-
-// Dot implements solver.Reducer on global slices: each part accumulates its
-// owned products in compact (canonical) order into its persistent partial
-// slot; the host treeFolds the block partials. With an RCB partition the
-// result is the same fixed tree for every part count. Steady state
-// allocates nothing.
-func (o *PartOperator) Dot(a, b []float64) float64 {
-	o.ga, o.gb = a, b
-	// phaseProd cannot fail; the pool propagates no error here.
-	_ = o.run(o.fnProd, &o.Phase.Reduce)
-	return o.fold()
-}
-
-// phaseProd accumulates the part's owned products a_g·b_g per canonical
-// block in compact order.
-func (o *PartOperator) phaseProd(shard int) error {
-	ps, op := o.e.parts[shard], o.parts[shard]
-	for b := range op.blkLo {
-		acc := 0.0
-		for i := op.blkLo[b]; i < op.blkHi[b]; i++ {
-			g := ps.globalOf[i]
-			acc += o.ga[g] * o.gb[g]
-		}
-		o.blockSums[op.blkOut[b]] = acc
-	}
+	o.Store(dst, 1)
 	return nil
 }
 
@@ -729,8 +575,9 @@ func (o *PartOperator) phaseProd(shard int) error {
 // bit-identical to USystem.Diagonal for every part count.
 func (o *PartOperator) Diagonal() []float64 {
 	d := make([]float64, o.e.u.NumCells)
-	o.diag = d
-	_ = o.e.pool.Run(o.fnDiag)
+	o.gdst = d
+	// phaseDiag cannot fail; the pool propagates no error here.
+	_ = o.e.pool.Run(o.phaseDiag)
 	return d
 }
 
@@ -744,41 +591,34 @@ func (o *PartOperator) phaseDiag(shard int) error {
 		for j := ps.rowStart[i]; j < ps.rowStart[i+1]; j++ {
 			sum += ps.nbrTrans[j] * lam
 		}
-		o.diag[g] = sum
+		o.gdst[g] = sum
 	}
 	return nil
 }
 
-// ---------------------------------------------------------------------------
-// Part-resident VectorSpace
-// ---------------------------------------------------------------------------
-
-// Reserve implements solver.VectorSpace: it grows each part's resident
+// Reserve implements solver.ProgramSpace: it grows each part's resident
 // vector pool to n vectors. Growing allocates; re-reserving does not.
 func (o *PartOperator) Reserve(n int) {
-	if n <= o.nVecs {
-		return
-	}
 	for me, op := range o.parts {
 		ps := o.e.parts[me]
 		for len(op.vecs) < n {
 			op.vecs = append(op.vecs, make([]float64, ps.nOwned+ps.nHalo))
 		}
 	}
-	o.nVecs = n
 }
 
-// LoadVec2 scatters two global vectors into resident vectors in one phase —
-// the solve's single scatter.
-func (o *PartOperator) LoadVec2(v1 solver.Vec, src1 []float64, v2 solver.Vec, src2 []float64) {
-	o.v1, o.ga, o.v2, o.gb = int(v1), src1, int(v2), src2
-	_ = o.run(o.fnLoad2, &o.Phase.Exchange)
+// Load2 scatters two global vectors into resident vectors in one phase — the
+// solve's single scatter.
+func (o *PartOperator) Load2(v1 solver.Vec, src1 []float64, v2 solver.Vec, src2 []float64) {
+	o.va, o.ga, o.vb, o.gb = int(v1), src1, int(v2), src2
+	// phaseLoad2 cannot fail; the pool propagates no error here.
+	_, _ = o.loadPlan.Execute()
 	o.Scatters++
 }
 
 func (o *PartOperator) phaseLoad2(shard int) error {
 	ps, op := o.e.parts[shard], o.parts[shard]
-	a, b := op.vecs[o.v1], op.vecs[o.v2]
+	a, b := op.vecs[o.va], op.vecs[o.vb]
 	for i := 0; i < ps.nOwned; i++ {
 		g := ps.globalOf[i]
 		a[i] = o.ga[g]
@@ -787,90 +627,22 @@ func (o *PartOperator) phaseLoad2(shard int) error {
 	return nil
 }
 
-// StoreVec gathers a resident vector into global order — the solve's single
+// Store gathers a resident vector into global order — the solve's single
 // gather.
-func (o *PartOperator) StoreVec(dst []float64, v solver.Vec) {
-	o.v1, o.gdst = int(v), dst
-	_ = o.run(o.fnStore, &o.Phase.Exchange)
+func (o *PartOperator) Store(dst []float64, v solver.Vec) {
+	o.va, o.gdst = int(v), dst
+	// phaseStore cannot fail; the pool propagates no error here.
+	_, _ = o.storePlan.Execute()
 	o.Gathers++
 }
 
 func (o *PartOperator) phaseStore(shard int) error {
 	ps, op := o.e.parts[shard], o.parts[shard]
-	a := op.vecs[o.v1]
+	a := op.vecs[o.va]
 	for i := 0; i < ps.nOwned; i++ {
 		o.gdst[ps.globalOf[i]] = a[i]
 	}
 	return nil
-}
-
-// SetPrecondDiag installs the resident Jacobi inverse diagonal (z_i =
-// (1/d_i)·r_i, the same expression JacobiPrecond applies). A nil diag
-// selects the identity. The diagonal is validated and reloaded on every
-// call — like the slice path, which rebuilds its closure per solve — so a
-// caller mutating the diag contents between solves can never leave a stale
-// inverse behind; the cost is one O(owned) phase per solve.
-func (o *PartOperator) SetPrecondDiag(diag []float64) error {
-	o.preKind = solver.PrecondDefault
-	if diag == nil {
-		o.usePre = false
-		return nil
-	}
-	if len(diag) != o.e.u.NumCells {
-		return fmt.Errorf("umesh: preconditioner diagonal covers %d cells, mesh has %d", len(diag), o.e.u.NumCells)
-	}
-	for i, d := range diag {
-		if d == 0 || math.IsNaN(d) {
-			return fmt.Errorf("umesh: zero/NaN diagonal entry at %d", i)
-		}
-	}
-	o.usePre = true
-	o.ga = diag
-	_ = o.run(o.fnSetPre, &o.Phase.Reduce)
-	return nil
-}
-
-func (o *PartOperator) phaseSetPre(shard int) error {
-	ps, op := o.e.parts[shard], o.parts[shard]
-	for i := 0; i < ps.nOwned; i++ {
-		op.invDiag[i] = 1 / o.ga[ps.globalOf[i]]
-	}
-	return nil
-}
-
-// ApplyVec computes dst = A·x resident: fused push+interior, barrier,
-// frontier. No global vector is touched.
-func (o *PartOperator) ApplyVec(dst, x solver.Vec) error {
-	o.applyDot = false
-	o.v1, o.v2 = int(dst), int(x)
-	if err := o.run(o.fnApplySend, &o.Phase.Compute); err != nil {
-		return err
-	}
-	if o.split {
-		if err := o.run(o.fnApplyRecv, &o.Phase.Compute); err != nil {
-			return err
-		}
-	}
-	o.finishApply()
-	return nil
-}
-
-// ApplyDotVec computes dst = A·x and returns ⟨w, dst⟩: the inner product is
-// folded into the frontier phase as a compact-order sweep, so the fused
-// application needs no extra barrier.
-func (o *PartOperator) ApplyDotVec(dst, x, w solver.Vec) (float64, error) {
-	o.applyDot = true
-	o.v1, o.v2, o.v3 = int(dst), int(x), int(w)
-	if err := o.run(o.fnApplySend, &o.Phase.Compute); err != nil {
-		return 0, err
-	}
-	if o.split {
-		if err := o.run(o.fnApplyRecv, &o.Phase.Compute); err != nil {
-			return 0, err
-		}
-	}
-	o.finishApply()
-	return o.fold(), nil
 }
 
 // fluxRowsLocal evaluates the listed owned rows of dst = A·x in the part's
@@ -961,39 +733,19 @@ func (o *PartOperator) applyFrontier(shard, xv, dstv, wv int, withDot, scratch b
 	}
 }
 
-func (o *PartOperator) phaseApplySend(shard int) error {
-	o.applySend(shard, o.v2, o.v1, o.v3, o.applyDot, o.applyScratch)
-	return nil
-}
+// The shard kernels below are the vector ops of the phase programs, one per
+// solver.OpKind (program.go captures them into plan steps). Elementwise
+// kernels run over the part's owned entries; reducing kernels accumulate
+// per canonical block in compact order into blockSums/blockSums2, which the
+// step's barrier action treeFolds.
 
-func (o *PartOperator) phaseApplyRecv(shard int) error {
-	o.applyFrontier(shard, o.v2, o.v1, o.v3, o.applyDot, o.applyScratch)
-	return nil
-}
-
-// CopyVec copies src's owned entries into dst.
-func (o *PartOperator) CopyVec(dst, src solver.Vec) {
-	o.v1, o.v2 = int(dst), int(src)
-	_ = o.run(o.fnCopy, &o.Phase.Reduce)
-}
-
+// shardCopy copies src's owned entries into dst.
 func (o *PartOperator) shardCopy(shard, dstv, srcv int) {
 	ps, op := o.e.parts[shard], o.parts[shard]
 	copy(op.vecs[dstv][:ps.nOwned], op.vecs[srcv][:ps.nOwned])
 }
 
-func (o *PartOperator) phaseCopy(shard int) error {
-	o.shardCopy(shard, o.v1, o.v2)
-	return nil
-}
-
-// DotVec returns ⟨a, b⟩ as per-block compact-order partials treeFolded.
-func (o *PartOperator) DotVec(a, b solver.Vec) float64 {
-	o.v1, o.v2 = int(a), int(b)
-	_ = o.run(o.fnDot, &o.Phase.Reduce)
-	return o.fold()
-}
-
+// shardDot accumulates ⟨a, b⟩.
 func (o *PartOperator) shardDot(shard, av, bv int) {
 	op := o.parts[shard]
 	a, b := op.vecs[av], op.vecs[bv]
@@ -1006,18 +758,7 @@ func (o *PartOperator) shardDot(shard, av, bv int) {
 	}
 }
 
-func (o *PartOperator) phaseDot(shard int) error {
-	o.shardDot(shard, o.v1, o.v2)
-	return nil
-}
-
-// Dot2Vec returns ⟨a, x⟩ and ⟨a, y⟩ from one fused phase.
-func (o *PartOperator) Dot2Vec(a, x, y solver.Vec) (float64, float64) {
-	o.v1, o.v2, o.v3 = int(a), int(x), int(y)
-	_ = o.run(o.fnDot2, &o.Phase.Reduce)
-	return o.fold2()
-}
-
+// shardDot2 accumulates ⟨a, x⟩ and ⟨a, y⟩ in one pass.
 func (o *PartOperator) shardDot2(shard, av, xv, yv int) {
 	op := o.parts[shard]
 	a, x, y := op.vecs[av], op.vecs[xv], op.vecs[yv]
@@ -1032,17 +773,7 @@ func (o *PartOperator) shardDot2(shard, av, xv, yv int) {
 	}
 }
 
-func (o *PartOperator) phaseDot2(shard int) error {
-	o.shardDot2(shard, o.v1, o.v2, o.v3)
-	return nil
-}
-
-// AxpyVec computes y += α·x.
-func (o *PartOperator) AxpyVec(y solver.Vec, alpha float64, x solver.Vec) {
-	o.v1, o.v2, o.sc1 = int(y), int(x), alpha
-	_ = o.run(o.fnAxpy, &o.Phase.Reduce)
-}
-
+// shardAxpy computes y += α·x.
 func (o *PartOperator) shardAxpy(shard, yv, xv int, alpha float64) {
 	ps, op := o.e.parts[shard], o.parts[shard]
 	y, x := op.vecs[yv], op.vecs[xv]
@@ -1051,18 +782,8 @@ func (o *PartOperator) shardAxpy(shard, yv, xv int, alpha float64) {
 	}
 }
 
-func (o *PartOperator) phaseAxpy(shard int) error {
-	o.shardAxpy(shard, o.v1, o.v2, o.sc1)
-	return nil
-}
-
-// Axpy2Vec computes y += α·x + β·z in one expression per element (the
+// shardAxpy2 computes y += α·x + β·z in one expression per element (the
 // BiCGStab solution update).
-func (o *PartOperator) Axpy2Vec(y solver.Vec, alpha float64, x solver.Vec, beta float64, z solver.Vec) {
-	o.v1, o.v2, o.v3, o.sc1, o.sc2 = int(y), int(x), int(z), alpha, beta
-	_ = o.run(o.fnAxpy2, &o.Phase.Reduce)
-}
-
 func (o *PartOperator) shardAxpy2(shard, yv, xv, zv int, alpha, beta float64) {
 	ps, op := o.e.parts[shard], o.parts[shard]
 	y, x, z := op.vecs[yv], op.vecs[xv], op.vecs[zv]
@@ -1071,17 +792,7 @@ func (o *PartOperator) shardAxpy2(shard, yv, xv, zv int, alpha, beta float64) {
 	}
 }
 
-func (o *PartOperator) phaseAxpy2(shard int) error {
-	o.shardAxpy2(shard, o.v1, o.v2, o.v3, o.sc1, o.sc2)
-	return nil
-}
-
-// XpbyVec computes y = x + β·y (the CG search-direction update).
-func (o *PartOperator) XpbyVec(y solver.Vec, beta float64, x solver.Vec) {
-	o.v1, o.v2, o.sc1 = int(y), int(x), beta
-	_ = o.run(o.fnXpby, &o.Phase.Reduce)
-}
-
+// shardXpby computes y = x + β·y (the CG search-direction update).
 func (o *PartOperator) shardXpby(shard, yv, xv int, beta float64) {
 	ps, op := o.e.parts[shard], o.parts[shard]
 	y, x := op.vecs[yv], op.vecs[xv]
@@ -1090,18 +801,7 @@ func (o *PartOperator) shardXpby(shard, yv, xv int, beta float64) {
 	}
 }
 
-func (o *PartOperator) phaseXpby(shard int) error {
-	o.shardXpby(shard, o.v1, o.v2, o.sc1)
-	return nil
-}
-
-// SubAxpyDotVec computes dst = a − α·b and returns ⟨dst, dst⟩, fused.
-func (o *PartOperator) SubAxpyDotVec(dst, a solver.Vec, alpha float64, b solver.Vec) float64 {
-	o.v1, o.v2, o.v3, o.sc1 = int(dst), int(a), int(b), alpha
-	_ = o.run(o.fnSubAxpyDot, &o.Phase.Reduce)
-	return o.fold()
-}
-
+// shardSubAxpyDot computes dst = a − α·b and accumulates ⟨dst, dst⟩, fused.
 func (o *PartOperator) shardSubAxpyDot(shard, dstv, av, bv int, alpha float64) {
 	op := o.parts[shard]
 	dst, a, b := op.vecs[dstv], op.vecs[av], op.vecs[bv]
@@ -1116,19 +816,8 @@ func (o *PartOperator) shardSubAxpyDot(shard, dstv, av, bv int, alpha float64) {
 	}
 }
 
-func (o *PartOperator) phaseSubAxpyDot(shard int) error {
-	o.shardSubAxpyDot(shard, o.v1, o.v2, o.v3, o.sc1)
-	return nil
-}
-
-// CGStepVec computes x += α·p; r −= α·ap and returns ⟨r, r⟩ — the two CG
-// axpys and the residual norm fused into one phase.
-func (o *PartOperator) CGStepVec(x solver.Vec, alpha float64, p, r, ap solver.Vec) float64 {
-	o.v1, o.v2, o.v3, o.v4, o.sc1 = int(x), int(p), int(r), int(ap), alpha
-	_ = o.run(o.fnCGStep, &o.Phase.Reduce)
-	return o.fold()
-}
-
+// shardCGStep computes x += α·p; r −= α·ap and accumulates ⟨r, r⟩ — the two
+// CG axpys and the residual norm fused into one pass.
 func (o *PartOperator) shardCGStep(shard, xv, pv, rv, apv int, alpha float64) {
 	op := o.parts[shard]
 	x, p, r, ap := op.vecs[xv], op.vecs[pv], op.vecs[rv], op.vecs[apv]
@@ -1142,11 +831,6 @@ func (o *PartOperator) shardCGStep(shard, xv, pv, rv, apv int, alpha float64) {
 		}
 		o.blockSums[op.blkOut[blk]] = acc
 	}
-}
-
-func (o *PartOperator) phaseCGStep(shard int) error {
-	o.shardCGStep(shard, o.v1, o.v2, o.v3, o.v4, o.sc1)
-	return nil
 }
 
 // shardCGStepPre is the fully fused CG tail for elementwise (identity or
@@ -1179,12 +863,7 @@ func (o *PartOperator) shardCGStepPre(shard, xv, pv, rv, apv, zv int, alpha floa
 	}
 }
 
-// BicgPVec computes p = r + β·(p − ω·v), the BiCGStab direction update.
-func (o *PartOperator) BicgPVec(p, r, v solver.Vec, beta, omega float64) {
-	o.v1, o.v2, o.v3, o.sc1, o.sc2 = int(p), int(r), int(v), beta, omega
-	_ = o.run(o.fnBicgP, &o.Phase.Reduce)
-}
-
+// shardBicgP computes p = r + β·(p − ω·v), the BiCGStab direction update.
 func (o *PartOperator) shardBicgP(shard, pv, rv, vv int, beta, omega float64) {
 	ps, op := o.e.parts[shard], o.parts[shard]
 	p, r, v := op.vecs[pv], op.vecs[rv], op.vecs[vv]
@@ -1193,29 +872,8 @@ func (o *PartOperator) shardBicgP(shard, pv, rv, vv int, beta, omega float64) {
 	}
 }
 
-func (o *PartOperator) phaseBicgP(shard int) error {
-	o.shardBicgP(shard, o.v1, o.v2, o.v3, o.sc1, o.sc2)
-	return nil
-}
-
-// PrecondVec computes z = M⁻¹·r with the installed preconditioner: the
-// Jacobi/identity phase by default, or the SetPrecond rung's fused phase
-// sequence.
-func (o *PartOperator) PrecondVec(z, r solver.Vec) {
-	switch o.preKind {
-	case solver.PrecondSSOR:
-		o.v1, o.v2 = int(z), int(r)
-		_ = o.run(o.fnSSOR, &o.Phase.Reduce)
-	case solver.PrecondChebyshev:
-		o.chebApplyVec(z, r)
-	case solver.PrecondAMG:
-		o.amgApplyVec(z, r)
-	default:
-		o.v1, o.v2 = int(z), int(r)
-		_ = o.run(o.fnPre, &o.Phase.Reduce)
-	}
-}
-
+// shardPre computes z = M⁻¹·r for the elementwise (Jacobi/identity)
+// preconditioner.
 func (o *PartOperator) shardPre(shard, zv, rv int) {
 	ps, op := o.e.parts[shard], o.parts[shard]
 	z, r := op.vecs[zv], op.vecs[rv]
@@ -1229,26 +887,7 @@ func (o *PartOperator) shardPre(shard, zv, rv int) {
 	}
 }
 
-func (o *PartOperator) phasePre(shard int) error {
-	o.shardPre(shard, o.v1, o.v2)
-	return nil
-}
-
-// PrecondDotVec computes z = M⁻¹·r and returns ⟨r, z⟩. The Jacobi/identity
-// default fuses application and reduction into one phase; the ladder rungs
-// run their phase sequence and take the canonical blocked DotVec — the same
-// ⟨r, z⟩ summation tree the slice path's separate reduction produces.
-func (o *PartOperator) PrecondDotVec(z, r solver.Vec) float64 {
-	switch o.preKind {
-	case solver.PrecondSSOR, solver.PrecondChebyshev, solver.PrecondAMG:
-		o.PrecondVec(z, r)
-		return o.DotVec(r, z)
-	}
-	o.v1, o.v2 = int(z), int(r)
-	_ = o.run(o.fnPreDot, &o.Phase.Reduce)
-	return o.fold()
-}
-
+// shardPreDot is shardPre with ⟨r, z⟩ accumulated in the same pass.
 func (o *PartOperator) shardPreDot(shard, zv, rv int) {
 	op := o.parts[shard]
 	z, r := op.vecs[zv], op.vecs[rv]
@@ -1270,11 +909,6 @@ func (o *PartOperator) shardPreDot(shard, zv, rv int) {
 		}
 		o.blockSums[op.blkOut[blk]] = acc
 	}
-}
-
-func (o *PartOperator) phasePreDot(shard int) error {
-	o.shardPreDot(shard, o.v1, o.v2)
-	return nil
 }
 
 // NewSystemOperator builds the solve-side operator for a partition: the
@@ -1302,11 +936,9 @@ func NewSystemOperator(u *Mesh, p *Partition, fl physics.Fluid, sys *USystem, wo
 
 // compile-time interface checks
 var (
-	_ solver.Operator        = (*UHostOperator)(nil)
-	_ solver.Operator        = (*PartOperator)(nil)
-	_ solver.Reducer         = (*PartOperator)(nil)
-	_ solver.VectorSpace     = (*PartOperator)(nil)
-	_ solver.ResidentPrecond = (*PartOperator)(nil)
-	_ solver.Reducer         = (*serialReference)(nil)
-	_ solver.PrecondFactory  = (*serialReference)(nil)
+	_ solver.Operator       = (*UHostOperator)(nil)
+	_ solver.Operator       = (*PartOperator)(nil)
+	_ solver.ProgramSpace   = (*PartOperator)(nil)
+	_ solver.Reducer        = (*serialReference)(nil)
+	_ solver.PrecondFactory = (*serialReference)(nil)
 )

@@ -73,11 +73,23 @@ func TestPartOperatorBitIdenticalToHost(t *testing.T) {
 	}
 }
 
+// runProg compiles a one-off phase program on po and runs it once.
+func runProg(tb testing.TB, po *PartOperator, ops ...solver.ProgOp) {
+	tb.Helper()
+	prog, err := po.CompileProgram(ops)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := prog.Run(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
 func TestPartOperatorDiagonalAndDotBitIdentical(t *testing.T) {
 	// The partitioned Jacobi diagonal must equal the serial diagonal exactly,
-	// and the distributed dot must equal the canonical blocked reduction —
-	// the partition-independent summation tree the serial reference also
-	// uses — for every part count.
+	// and the distributed dot (an OpDot program) must equal the canonical
+	// blocked reduction — the partition-independent summation tree the serial
+	// reference also uses — for every part count.
 	u, err := NewRadialMesh(DefaultRadialOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +122,9 @@ func TestPartOperatorDiagonalAndDotBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		diag := po.Diagonal()
-		dot := po.Dot(a, b)
+		var dot float64
+		po.Load2(0, a, 1, b)
+		runProg(t, po, solver.ProgOp{Kind: solver.OpDot, V1: 0, V2: 1, R1: &dot})
 		e.Close()
 		for i := range wantDiag {
 			if diag[i] != wantDiag[i] {
@@ -124,8 +138,9 @@ func TestPartOperatorDiagonalAndDotBitIdentical(t *testing.T) {
 }
 
 func TestPartOperatorApplyAllocFree(t *testing.T) {
-	// The acceptance check: once warm, Apply and Dot run entirely through
-	// persistent buffers and pre-built phase closures — zero allocations.
+	// The acceptance check: once warm, Apply (scatter, the pre-compiled
+	// one-op program, gather) runs entirely through persistent buffers and
+	// pre-built plans — zero allocations.
 	u, err := NewRadialMesh(DefaultRadialOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -155,12 +170,6 @@ func TestPartOperatorApplyAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state Apply allocates %.1f objects, want 0", allocs)
-	}
-	allocs = testing.AllocsPerRun(50, func() {
-		po.Dot(x, dst)
-	})
-	if allocs != 0 {
-		t.Errorf("distributed Dot allocates %.1f objects, want 0", allocs)
 	}
 }
 
@@ -201,11 +210,11 @@ func residentFixtureOn(tb testing.TB, u *Mesh, levels, workers int) (*PartOperat
 }
 
 func TestResidentSolveMatchesSlicePathBitExact(t *testing.T) {
-	// The resident recurrence is the slice recurrence, expression for
-	// expression: CG through the VectorSpace path must reproduce CG through
-	// the slice path (forced via a Precond closure, which routes dots through
-	// the same canonical Reducer) bit-for-bit — histories, iterations, and
-	// the solution.
+	// The resident programs are the slice recurrence, expression for
+	// expression: CG compiled onto the PartOperator must reproduce the slice
+	// CG over the serial reference (same matrix, dots through the same
+	// canonical Reducer) bit-for-bit — histories, iterations, and the
+	// solution.
 	po, closeOp := residentFixture(t, 2, 2)
 	defer closeOp()
 	diag := po.Diagonal()
@@ -213,17 +222,14 @@ func TestResidentSolveMatchesSlicePathBitExact(t *testing.T) {
 	b := make([]float64, n)
 	b[0], b[n-1] = 2.0, -2.0
 
-	pre, err := solver.JacobiPrecond(diag)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := solver.Options{Tol: 1e-8, MaxIter: 800, PrecondDiag: diag}
 	xSlice := make([]float64, n)
-	stSlice, err := solver.CG(po, xSlice, b, solver.Options{Tol: 1e-8, MaxIter: 800, Precond: pre})
+	stSlice, err := solver.CG(newSerialReference(po.Sys), xSlice, b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	xRes := make([]float64, n)
-	stRes, err := solver.CG(po, xRes, b, solver.Options{Tol: 1e-8, MaxIter: 800, PrecondDiag: diag})
+	stRes, err := solver.CG(po, xRes, b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,6 +245,15 @@ func TestResidentSolveMatchesSlicePathBitExact(t *testing.T) {
 		if xSlice[i] != xRes[i] {
 			t.Fatalf("solution[%d] differs: slice %g, resident %g", i, xSlice[i], xRes[i])
 		}
+	}
+	// A global-slice closure has no resident realization and no slice path
+	// to fall back to on this operator: it is refused.
+	pre, err := solver.JacobiPrecond(diag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := solver.CG(po, xRes, b, solver.Options{Precond: pre}); err == nil {
+		t.Error("Options.Precond closure accepted on the resident operator")
 	}
 }
 
@@ -277,43 +292,70 @@ func TestResidentSolveScattersAndGathersOnce(t *testing.T) {
 	}
 }
 
+// everyOpKind is one program holding each solver.OpKind once, over five
+// distinct vectors and shared scalar cells.
+func everyOpKind(a1, a2, r1, r2 *float64) []solver.ProgOp {
+	var ops []solver.ProgOp
+	for k := solver.OpApply; k <= solver.OpPrecondDot; k++ {
+		ops = append(ops, solver.ProgOp{Kind: k, V1: 0, V2: 1, V3: 2, V4: 3, V5: 4, A1: a1, A2: a2, R1: r1, R2: r2})
+	}
+	return ops
+}
+
 func TestResidentFusedPhasesAllocFree(t *testing.T) {
-	// Every fused part-resident phase must allocate nothing once the vector
-	// pool is warm — the acceptance criterion for the steady-state solve.
+	// Running a compiled program must allocate nothing, whatever it holds:
+	// one program with every OpKind, compiled once per installed rung (the
+	// rung decides what OpPrecond/OpPrecondDot expand to), plus a program of
+	// the solvers' set-up shape — and the scatter, gather and preconditioner
+	// install around them once the vector pool is warm.
 	po, closeOp := residentFixture(t, 2, 2)
 	defer closeOp()
-	diag := po.Diagonal()
-	if err := po.SetPrecondDiag(diag); err != nil {
-		t.Fatal(err)
+	if _, err := po.CompileProgram([]solver.ProgOp{{Kind: solver.OpPrecondDot + 1}}); err == nil {
+		t.Fatal("OpPrecondDot is no longer the last OpKind — extend everyOpKind")
 	}
-	po.Reserve(6)
+	diag := po.Diagonal()
+	po.Reserve(5)
 	n := po.Size()
 	a := probeVector(n, 1)
 	b := probeVector(n, 2)
-	po.LoadVec2(solver.Vec(0), a, solver.Vec(1), b)
 	out := make([]float64, n)
-	steps := map[string]func(){
-		"LoadVec2":      func() { po.LoadVec2(solver.Vec(0), a, solver.Vec(1), b) },
-		"StoreVec":      func() { po.StoreVec(out, solver.Vec(0)) },
-		"ApplyVec":      func() { _ = po.ApplyVec(solver.Vec(2), solver.Vec(0)) },
-		"ApplyDotVec":   func() { _, _ = po.ApplyDotVec(solver.Vec(2), solver.Vec(0), solver.Vec(1)) },
-		"DotVec":        func() { po.DotVec(solver.Vec(0), solver.Vec(1)) },
-		"Dot2Vec":       func() { po.Dot2Vec(solver.Vec(0), solver.Vec(1), solver.Vec(2)) },
-		"AxpyVec":       func() { po.AxpyVec(solver.Vec(2), 0.5, solver.Vec(0)) },
-		"Axpy2Vec":      func() { po.Axpy2Vec(solver.Vec(2), 0.5, solver.Vec(0), 0.25, solver.Vec(1)) },
-		"XpbyVec":       func() { po.XpbyVec(solver.Vec(2), 0.5, solver.Vec(0)) },
-		"SubAxpyDotVec": func() { po.SubAxpyDotVec(solver.Vec(3), solver.Vec(0), 0.5, solver.Vec(1)) },
-		"CGStepVec":     func() { po.CGStepVec(solver.Vec(2), 0.5, solver.Vec(0), solver.Vec(3), solver.Vec(1)) },
-		"BicgPVec":      func() { po.BicgPVec(solver.Vec(3), solver.Vec(0), solver.Vec(1), 0.5, 0.25) },
-		"PrecondVec":    func() { po.PrecondVec(solver.Vec(4), solver.Vec(0)) },
-		"PrecondDotVec": func() { po.PrecondDotVec(solver.Vec(4), solver.Vec(0)) },
-		"CopyVec":       func() { po.CopyVec(solver.Vec(5), solver.Vec(0)) },
-		"SetPrecond":    func() { _ = po.SetPrecondDiag(diag) },
-	}
-	for name, fn := range steps {
-		fn() // warm up
-		if allocs := testing.AllocsPerRun(20, fn); allocs != 0 {
-			t.Errorf("%s allocates %.1f objects per call, want 0", name, allocs)
+	a1, a2, one := 0.5, 0.25, 1.0
+	var r1, r2 float64
+	kinds := append([]solver.PrecondKind{solver.PrecondDefault}, solver.PrecondKinds()...)
+	for _, kind := range kinds {
+		steps := map[string]func(){
+			"Load2":      func() { po.Load2(0, a, 1, b) },
+			"Store":      func() { po.Store(out, 0) },
+			"SetPrecond": func() { _ = po.SetPrecond(kind, diag) },
+		}
+		if err := po.SetPrecond(kind, diag); err != nil {
+			t.Fatal(err)
+		}
+		for name, ops := range map[string][]solver.ProgOp{
+			"every OpKind": everyOpKind(&a1, &a2, &r1, &r2),
+			"set-up": {
+				{Kind: solver.OpDot, V1: 1, V2: 1, R1: &r1},
+				{Kind: solver.OpApply, V1: 4, V2: 0},
+				{Kind: solver.OpSubAxpyDot, V1: 2, V2: 1, V3: 4, A1: &one, R1: &r2},
+				{Kind: solver.OpPrecondDot, V1: 3, V2: 2, R1: &r1},
+				{Kind: solver.OpCopy, V1: 4, V2: 3},
+			},
+		} {
+			prog, err := po.CompileProgram(ops)
+			if err != nil {
+				t.Fatal(err)
+			}
+			steps[name] = func() {
+				if _, err := prog.Run(); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+		for name, fn := range steps {
+			fn() // warm up
+			if allocs := testing.AllocsPerRun(20, fn); allocs != 0 {
+				t.Errorf("%q rung: %s allocates %.1f objects per call, want 0", kind, name, allocs)
+			}
 		}
 	}
 }
@@ -326,12 +368,15 @@ func BenchmarkPartOperatorApply(b *testing.B) {
 			b.Run(benchName(1<<levels, workers), func(b *testing.B) {
 				po, closeOp := residentFixtureOn(b, benchRadial(b), levels, workers)
 				defer closeOp()
-				po.Reserve(2)
 				x := probeVector(po.Size(), 1)
-				po.LoadVec2(solver.Vec(0), x, solver.Vec(1), x)
+				po.Load2(0, x, 1, x)
+				prog, err := po.CompileProgram([]solver.ProgOp{{Kind: solver.OpApply, V1: 1, V2: 0}})
+				if err != nil {
+					b.Fatal(err)
+				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if err := po.ApplyVec(solver.Vec(1), solver.Vec(0)); err != nil {
+					if _, err := prog.Run(); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -347,12 +392,18 @@ func BenchmarkPartOperatorDot(b *testing.B) {
 			b.Run(benchName(1<<levels, workers), func(b *testing.B) {
 				po, closeOp := residentFixtureOn(b, benchRadial(b), levels, workers)
 				defer closeOp()
-				po.Reserve(2)
 				x := probeVector(po.Size(), 1)
-				po.LoadVec2(solver.Vec(0), x, solver.Vec(1), x)
+				po.Load2(0, x, 1, x)
+				var dot float64
+				prog, err := po.CompileProgram([]solver.ProgOp{{Kind: solver.OpDot, V1: 0, V2: 1, R1: &dot}})
+				if err != nil {
+					b.Fatal(err)
+				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					po.DotVec(solver.Vec(0), solver.Vec(1))
+					if _, err := prog.Run(); err != nil {
+						b.Fatal(err)
+					}
 				}
 			})
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"repro/internal/solver"
 )
@@ -12,10 +11,10 @@ import (
 // This file is the preconditioner ladder on the unstructured implicit-solve
 // path: three rungs above Jacobi, each realized twice with identical
 // arithmetic — as a slice closure on the serial reference operator
-// (solver.PrecondFactory) and as fused resident phases on PartOperator
-// (solver.ResidentPrecond) — so golden transient trajectories stay
-// bit-identical between the serial solve and every partitioned
-// configuration.
+// (solver.PrecondFactory, the serial oracle) and as shard kernels on
+// PartOperator whose step sequence emitPrecond (program.go) compiles into the
+// phase programs — so golden transient trajectories stay bit-identical
+// between the serial solve and every partitioned configuration.
 //
 //   - SSOR (symmetric Gauss–Seidel, ω = 1) restricted to the canonical
 //     reduction blocks: couplings crossing a block boundary are dropped from
@@ -591,86 +590,102 @@ func (s *serialReference) amgPrecond(inv []float64, lvl *amgLevel) func(z, r []f
 }
 
 // ---------------------------------------------------------------------------
-// Resident realizations: solver.ResidentPrecond on PartOperator
+// Resident realizations: SetPrecond and the rung shard kernels on PartOperator
 // ---------------------------------------------------------------------------
 
-// SetPrecond implements solver.ResidentPrecond: it installs a ladder rung as
-// the operator's resident preconditioner. Jacobi and the default route
-// through SetPrecondDiag; the block-structured rungs additionally require
+// SetPrecond implements solver.ProgramSpace: it installs a ladder rung as the
+// operator's resident preconditioner, replacing the previous one. Jacobi is
+// the resident inverse diagonal (z_i = (1/d_i)·r_i, the same expression
+// solver.JacobiPrecond applies); the default kind is Jacobi with a diagonal
+// and the identity without. The block-structured rungs additionally require
 // the partition's reduction blocks to be the global canonical blocks
 // (canonical RCB of at most reductionDepth levels), which is what makes
-// their sweeps part-count independent. Installation loads the resident
-// diagonal, sizes the per-part scratch, and — for AMG — compiles the
-// part-local aggregate views over the system's shared (memoized) level.
+// their sweeps part-count independent. The diagonal is validated and
+// reloaded on every call — like the slice path, which rebuilds its closure
+// per solve — so a caller mutating the diag contents between installs can
+// never leave a stale inverse behind; the cost is one O(owned) phase.
+// Installation also sizes the per-part scratch (one buffer per owned row)
+// and — for AMG — compiles the part-local aggregate views over the system's
+// shared (memoized) level. Programs read the installed rung when they are
+// compiled.
 func (o *PartOperator) SetPrecond(kind solver.PrecondKind, diag []float64) error {
+	rung := false
 	switch kind {
 	case solver.PrecondDefault, solver.PrecondJacobi:
-		if kind == solver.PrecondJacobi && diag == nil {
-			return fmt.Errorf("umesh: jacobi preconditioning needs the matrix diagonal")
-		}
-		return o.SetPrecondDiag(diag)
 	case solver.PrecondSSOR, solver.PrecondChebyshev, solver.PrecondAMG:
+		rung = true
 	default:
 		return fmt.Errorf("umesh: unknown preconditioner kind %q", kind)
 	}
 	if diag == nil {
-		return fmt.Errorf("umesh: %q preconditioning needs the matrix diagonal", kind)
+		if kind != solver.PrecondDefault {
+			return fmt.Errorf("umesh: %q preconditioning needs the matrix diagonal", kind)
+		}
+		o.preKind, o.usePre = kind, false
+		return nil
 	}
-	if !o.aligned {
+	if rung && !o.aligned {
 		return fmt.Errorf("umesh: %q preconditioning needs a canonical RCB partition of at most %d levels — the canonical blocks are its units of work", kind, reductionDepth)
 	}
-	if err := o.SetPrecondDiag(diag); err != nil {
-		return err
+	if len(diag) != o.e.u.NumCells {
+		return fmt.Errorf("umesh: preconditioner diagonal covers %d cells, mesh has %d", len(diag), o.e.u.NumCells)
 	}
-	for me, op := range o.parts {
-		n := o.e.parts[me].nOwned
-		if len(op.dLoc) < n {
-			op.dLoc = make([]float64, n)
+	for i, d := range diag {
+		if d == 0 || math.IsNaN(d) {
+			return fmt.Errorf("umesh: zero/NaN diagonal entry at %d", i)
 		}
 	}
-	o.ga = diag
-	_ = o.run(o.fnSetDiag, &o.Phase.Reduce)
+	// The rung's own state first — a failure leaves the previous
+	// preconditioner installed — then the diagonal load.
 	switch kind {
 	case solver.PrecondSSOR:
 		for _, op := range o.parts {
+			op.dLoc = grown(op.dLoc, len(op.rows))
 			op.compileSSOR()
 		}
 	case solver.PrecondChebyshev:
 		o.cheb = newChebCoeffs(o.Sys.chebUpper())
-		for me, op := range o.parts {
-			n := o.e.parts[me].nOwned
-			if len(op.pd) < n {
-				op.pd = make([]float64, n)
-			}
-			if len(op.pw) < n {
-				op.pw = make([]float64, n)
-			}
+		for _, op := range o.parts {
+			op.pd, op.pw = grown(op.pd, len(op.rows)), grown(op.pw, len(op.rows))
 		}
 	case solver.PrecondAMG:
 		lvl, err := o.Sys.amg()
 		if err != nil {
 			return err
 		}
-		for me, op := range o.parts {
-			n := o.e.parts[me].nOwned
-			if len(op.pw) < n {
-				op.pw = make([]float64, n)
-			}
-		}
 		if o.amg != lvl {
 			if err := o.compileAMG(lvl); err != nil {
 				return err
 			}
 		}
+		for _, op := range o.parts {
+			op.pw = grown(op.pw, len(op.rows))
+		}
 	}
-	o.preKind = kind
+	o.ga = diag
+	// phaseSetPre cannot fail; the pool propagates no error here.
+	_, _ = o.setPrePlan.Execute()
+	o.preKind, o.usePre = kind, true
 	return nil
 }
 
-// phaseSetDiag loads the matrix diagonal into each part's compact layout.
-func (o *PartOperator) phaseSetDiag(shard int) error {
+// grown returns buf when it already holds n entries, else a fresh n-entry
+// buffer, so re-installing a rung allocates nothing.
+func grown(buf []float64, n int) []float64 {
+	if len(buf) < n {
+		return make([]float64, n)
+	}
+	return buf
+}
+
+// phaseSetPre loads the inverse diagonal into each part's compact layout,
+// and the diagonal itself where the part carries one (SSOR).
+func (o *PartOperator) phaseSetPre(shard int) error {
 	ps, op := o.e.parts[shard], o.parts[shard]
 	for i := 0; i < ps.nOwned; i++ {
+		op.invDiag[i] = 1 / o.ga[ps.globalOf[i]]
+	}
+	for i := range op.dLoc {
 		op.dLoc[i] = o.ga[ps.globalOf[i]]
 	}
 	return nil
@@ -795,46 +810,7 @@ func (o *PartOperator) shardSSOR(shard, zv, rv int) {
 	}
 }
 
-func (o *PartOperator) phaseSSOR(shard int) error {
-	o.shardSSOR(shard, o.v1, o.v2)
-	return nil
-}
-
-// scratchApplyVec runs one fused resident application with the destination
-// redirected to each part's pw scratch — the in-preconditioner A·z of the
-// Chebyshev and AMG rungs. It reuses the halo-overlapped apply phases (and
-// their communication accounting) without burning a solver vector.
-func (o *PartOperator) scratchApplyVec(x solver.Vec) {
-	o.applyDot, o.applyScratch = false, true
-	o.v2 = int(x)
-	// The phases are structurally infallible here: the exchange plans were
-	// already exercised by the solve's own applications.
-	_ = o.run(o.fnApplySend, &o.Phase.Compute)
-	if o.split {
-		_ = o.run(o.fnApplyRecv, &o.Phase.Compute)
-	}
-	o.applyScratch = false
-	o.finishApply()
-}
-
-// chebApplyVec is the resident Chebyshev application: the init phase seeds z
-// and the direction, then chebDegree−1 rounds of scratch application plus
-// elementwise update. The iteration scalars are computed with the serial
-// closure's expressions from the shared coefficients.
-func (o *PartOperator) chebApplyVec(z, r solver.Vec) {
-	o.v1, o.v2, o.sc1 = int(z), int(r), o.cheb.invTheta
-	_ = o.run(o.fnChebInit, &o.Phase.Reduce)
-	rhoPrev := o.cheb.rho0
-	for k := 1; k < chebDegree; k++ {
-		o.scratchApplyVec(z)
-		rho := 1 / (2*o.cheb.sigma - rhoPrev)
-		o.v1, o.v2 = int(z), int(r)
-		o.sc1, o.sc2 = rho*rhoPrev, 2*rho/o.cheb.delta
-		_ = o.run(o.fnChebStep, &o.Phase.Reduce)
-		rhoPrev = rho
-	}
-}
-
+// shardChebInit seeds the Chebyshev iterate and direction: z = d = (D⁻¹r)/θ.
 func (o *PartOperator) shardChebInit(shard, zv, rv int, invTheta float64) {
 	ps, op := o.e.parts[shard], o.parts[shard]
 	z, r := op.vecs[zv], op.vecs[rv]
@@ -846,11 +822,10 @@ func (o *PartOperator) shardChebInit(shard, zv, rv int, invTheta float64) {
 	}
 }
 
-func (o *PartOperator) phaseChebInit(shard int) error {
-	o.shardChebInit(shard, o.v1, o.v2, o.sc1)
-	return nil
-}
-
+// shardChebStep is one Chebyshev round after the scratch application pw = A·z:
+// d = c1·d + c2·D⁻¹(r − pw); z += d, with the round's scalars c1, c2 computed
+// at compile time by the serial closure's expressions from the shared
+// coefficients.
 func (o *PartOperator) shardChebStep(shard, zv, rv int, c1, c2 float64) {
 	ps, op := o.e.parts[shard], o.parts[shard]
 	z, r := op.vecs[zv], op.vecs[rv]
@@ -862,31 +837,13 @@ func (o *PartOperator) shardChebStep(shard, zv, rv int, c1, c2 float64) {
 	}
 }
 
-func (o *PartOperator) phaseChebStep(shard int) error {
-	o.shardChebStep(shard, o.v1, o.v2, o.sc1, o.sc2)
-	return nil
-}
+// The AMG V-cycle's shard kernels, in step order (emitPrecond): pre-smooth,
+// [scratch application], per-part restriction into the shared coarse vector
+// (disjoint writes) with the host-serial banded coarse solve as its barrier
+// action, prolongation, [scratch application], post-smooth — the serial
+// closure's steps with the fine-grid work partitioned.
 
-// amgApplyVec is the resident AMG V-cycle: pre-smooth, scratch application,
-// per-part restriction into the shared coarse vector (disjoint writes),
-// host-serial banded coarse solve, prolongation, scratch application,
-// post-smooth — the serial closure's steps with the fine-grid work
-// partitioned.
-func (o *PartOperator) amgApplyVec(z, r solver.Vec) {
-	o.v1, o.v2 = int(z), int(r)
-	_ = o.run(o.fnAMGPre, &o.Phase.Reduce)
-	o.scratchApplyVec(z)
-	o.v1, o.v2 = int(z), int(r)
-	_ = o.run(o.fnAMGRestrict, &o.Phase.Reduce)
-	start := time.Now()
-	o.amg.solveCoarse(o.coarseR, o.coarseE)
-	o.Phase.Reduce += time.Since(start).Seconds()
-	_ = o.run(o.fnAMGProlong, &o.Phase.Reduce)
-	o.scratchApplyVec(z)
-	o.v1, o.v2 = int(z), int(r)
-	_ = o.run(o.fnAMGPost, &o.Phase.Reduce)
-}
-
+// shardAMGPre is the weighted-Jacobi pre-smooth from zero: z = ω·D⁻¹r.
 func (o *PartOperator) shardAMGPre(shard, zv, rv int) {
 	ps, op := o.e.parts[shard], o.parts[shard]
 	z, r := op.vecs[zv], op.vecs[rv]
@@ -896,11 +853,8 @@ func (o *PartOperator) shardAMGPre(shard, zv, rv int) {
 	}
 }
 
-func (o *PartOperator) phaseAMGPre(shard int) error {
-	o.shardAMGPre(shard, o.v1, o.v2)
-	return nil
-}
-
+// shardAMGRestrict sums the residual r − A·z (pw) over each owned aggregate's
+// members in canonical order.
 func (o *PartOperator) shardAMGRestrict(shard, rv int) {
 	op := o.parts[shard]
 	r, pw := op.vecs[rv], op.pw
@@ -914,11 +868,7 @@ func (o *PartOperator) shardAMGRestrict(shard, rv int) {
 	}
 }
 
-func (o *PartOperator) phaseAMGRestrict(shard int) error {
-	o.shardAMGRestrict(shard, o.v2)
-	return nil
-}
-
+// shardAMGProlong adds the coarse correction: z_i += e[agg(i)].
 func (o *PartOperator) shardAMGProlong(shard, zv int) {
 	ps, op := o.e.parts[shard], o.parts[shard]
 	z := op.vecs[zv]
@@ -928,11 +878,7 @@ func (o *PartOperator) shardAMGProlong(shard, zv int) {
 	}
 }
 
-func (o *PartOperator) phaseAMGProlong(shard int) error {
-	o.shardAMGProlong(shard, o.v1)
-	return nil
-}
-
+// shardAMGPost is the weighted-Jacobi post-smooth: z += ω·D⁻¹(r − A·z).
 func (o *PartOperator) shardAMGPost(shard, zv, rv int) {
 	ps, op := o.e.parts[shard], o.parts[shard]
 	z, r := op.vecs[zv], op.vecs[rv]
@@ -940,9 +886,4 @@ func (o *PartOperator) shardAMGPost(shard, zv, rv int) {
 	for i := 0; i < ps.nOwned; i++ {
 		z[i] += amgOmega * (inv[i] * (r[i] - pw[i]))
 	}
-}
-
-func (o *PartOperator) phaseAMGPost(shard int) error {
-	o.shardAMGPost(shard, o.v1, o.v2)
-	return nil
 }

@@ -353,6 +353,14 @@ func TestSetPrecondRejectsMisuse(t *testing.T) {
 	if err := po.SetPrecond(solver.PrecondJacobi, nil); err == nil {
 		t.Error("jacobi accepted without a diagonal")
 	}
+	if err := po.SetPrecond(solver.PrecondJacobi, diag[:3]); err == nil {
+		t.Error("short diagonal accepted")
+	}
+	bad := append([]float64(nil), diag...)
+	bad[5] = 0
+	if err := po.SetPrecond(solver.PrecondDefault, bad); err == nil {
+		t.Error("zero diagonal entry accepted")
+	}
 	for _, kind := range ladderKinds() {
 		if err := po.SetPrecond(kind, diag); err != nil {
 			t.Errorf("%s rejected on a canonical partition: %v", kind, err)

@@ -1,6 +1,7 @@
 package umesh
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/solver"
@@ -47,13 +48,13 @@ func TestCompiledCGIterationStepCount(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			po, closeOp := residentFixture(t, tc.levels, tc.workers)
 			defer closeOp()
-			if err := po.SetPrecondDiag(po.Diagonal()); err != nil {
+			if err := po.SetPrecond(solver.PrecondJacobi, po.Diagonal()); err != nil {
 				t.Fatal(err)
 			}
 			po.Reserve(6)
 			n := po.Size()
-			po.LoadVec2(solver.Vec(1), probeVector(n, 3), solver.Vec(3), probeVector(n, 4))
-			po.LoadVec2(solver.Vec(0), make([]float64, n), solver.Vec(2), probeVector(n, 5))
+			po.Load2(1, probeVector(n, 3), 3, probeVector(n, 4))
+			po.Load2(0, make([]float64, n), 2, probeVector(n, 5))
 
 			alpha, beta := 1.0, 1.0
 			var pap, rr, rz float64
@@ -92,6 +93,63 @@ func TestCompiledCGIterationStepCount(t *testing.T) {
 					po.Comm.Barriers, po.Comm.Dispatches, b1-po.baseBarriers, d1-po.baseDispatches)
 			}
 		})
+	}
+
+	// The whole-solve budget: a resident CG solve is preconditioner install,
+	// scatter, set-up program, one program per iteration, gather — exactly
+	// iterations + 4 pool dispatches for every rung and part count, with
+	// exactly one scatter and one gather. Two tolerances per case show the
+	// constant does not depend on the iteration count. A Resident compiled
+	// once (what TransientSolver holds) has paid the install: iterations + 3.
+	const solveOverhead = 4
+	for _, kind := range []solver.PrecondKind{solver.PrecondJacobi, solver.PrecondAMG} {
+		for _, levels := range []int{0, 2} {
+			t.Run(fmt.Sprintf("solve %s parts=%d", kind, 1<<levels), func(t *testing.T) {
+				po, closeOp := residentFixtureOn(t, ladderMesh(t), levels, 1)
+				defer closeOp()
+				diag := po.Diagonal()
+				n := po.Size()
+				b := make([]float64, n)
+				b[0], b[n-1] = 2.0, -2.0
+				prevIts := 0
+				for _, tol := range []float64{1e-4, 1e-9} {
+					_, d0 := po.e.pool.Counters()
+					s0, g0 := po.Scatters, po.Gathers
+					st, err := solver.CG(po, make([]float64, n), b,
+						solver.Options{Tol: tol, MaxIter: 800, PrecondKind: kind, PrecondDiag: diag})
+					if err != nil {
+						t.Fatal(err)
+					}
+					_, d1 := po.e.pool.Counters()
+					if got, want := d1-d0, uint64(st.Iterations+solveOverhead); got != want {
+						t.Errorf("tol %g: %d dispatches for %d iterations, want iterations+%d = %d",
+							tol, got, st.Iterations, solveOverhead, want)
+					}
+					if po.Scatters-s0 != 1 || po.Gathers-g0 != 1 {
+						t.Errorf("tol %g: %d scatters and %d gathers, want exactly 1 each",
+							tol, po.Scatters-s0, po.Gathers-g0)
+					}
+					if st.Iterations <= prevIts {
+						t.Fatalf("tol %g took %d iterations, not more than the looser solve's %d — the table no longer varies the count",
+							tol, st.Iterations, prevIts)
+					}
+					prevIts = st.Iterations
+				}
+				r, err := solver.CompileCG(po, solver.Options{Tol: 1e-9, MaxIter: 800, PrecondKind: kind, PrecondDiag: diag})
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, d0 := po.e.pool.Counters()
+				st, err := r.Solve(make([]float64, n), b, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, d1 := po.e.pool.Counters()
+				if got, want := d1-d0, uint64(st.Iterations+solveOverhead-1); got != want {
+					t.Errorf("compiled Resident: %d dispatches for %d iterations, want %d", got, st.Iterations, want)
+				}
+			})
+		}
 	}
 }
 

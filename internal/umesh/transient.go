@@ -133,10 +133,12 @@ type TransientResult struct {
 // A TransientSolver is driven by one goroutine at a time (the serving layer
 // serializes requests per resident engine).
 type TransientSolver struct {
-	u     *Mesh
-	sys   *USystem
-	op    solver.Operator
-	po    *PartOperator // nil on the serial reference path
+	u   *Mesh
+	sys *USystem
+	po  *PartOperator // nil on the serial reference path
+	// solve is one step's Krylov solve: the Resident compiled onto po, or the
+	// slice solver over the serial reference.
+	solve func(x, b []float64, cancel func() bool) (*solver.Stats, error)
 	close func()
 	opts  TransientOptions // the compiled template (Dt, Porosity, Workers, Solver)
 
@@ -169,39 +171,57 @@ func NewTransientSolver(u *Mesh, p *Partition, fl physics.Fluid, opts TransientO
 		return nil, err
 	}
 	// Jacobi preconditioning goes in as the diagonal, not a closure: the
-	// partitioned path installs it resident (VectorSpace.SetPrecondDiag),
-	// the serial path builds the equivalent slice closure — elementwise
+	// partitioned path installs it resident (ProgramSpace.SetPrecond), the
+	// serial path builds the equivalent slice closure — elementwise
 	// z_i = (1/d_i)·r_i either way, so the two stay bit-identical.
 	opts.Solver.PrecondDiag = diag
-	// Operator-built rungs (SSOR, Chebyshev, AMG) are part of the compiled
-	// plan, so their setup — hierarchy aggregation, coarse factorization,
-	// spectral bounds, part-local sweeps — runs here, not lazily on the first
-	// solve. The solver's own install at solve time then hits the memoized
-	// state, so every Solve on a resident engine pays the same (setup-free)
-	// cost; the serving layer's warm-hit latency depends on it.
-	switch opts.Solver.PrecondKind {
-	case solver.PrecondSSOR, solver.PrecondChebyshev, solver.PrecondAMG:
-		var preErr error
-		if rp, ok := op.(solver.ResidentPrecond); ok {
-			preErr = rp.SetPrecond(opts.Solver.PrecondKind, diag)
-		} else if pf, ok := op.(solver.PrecondFactory); ok {
-			_, preErr = pf.MakePrecond(opts.Solver.PrecondKind, diag)
-		}
-		if preErr != nil {
-			closeOp()
-			return nil, preErr
-		}
-	}
 	s := &TransientSolver{
 		u:     u,
 		sys:   sys,
-		op:    op,
 		close: closeOp,
 		opts:  opts,
 		b:     make([]float64, u.NumCells),
 		x:     make([]float64, u.NumCells),
 	}
-	s.po, _ = op.(*PartOperator)
+	// Everything a request should not pay for happens here, not lazily on the
+	// first solve: the partitioned path installs the preconditioner — for the
+	// operator-built rungs that is hierarchy aggregation, coarse
+	// factorization, spectral bounds, part-local sweeps — and compiles the
+	// solve's phase programs once; the serial path builds its rung closure
+	// once to warm the same memoized setup. Every Solve on a resident engine
+	// then pays the same (setup-free) cost; the serving layer's warm-hit
+	// latency depends on it.
+	if po, ok := op.(*PartOperator); ok {
+		compile := solver.CompileCG
+		if opts.UseBiCGStab {
+			compile = solver.CompileBiCGStab
+		}
+		r, err := compile(po, opts.Solver)
+		if err != nil {
+			closeOp()
+			return nil, err
+		}
+		s.po, s.solve = po, r.Solve
+	} else {
+		switch opts.Solver.PrecondKind {
+		case solver.PrecondSSOR, solver.PrecondChebyshev, solver.PrecondAMG:
+			if pf, ok := op.(solver.PrecondFactory); ok {
+				if _, err := pf.MakePrecond(opts.Solver.PrecondKind, diag); err != nil {
+					closeOp()
+					return nil, err
+				}
+			}
+		}
+		slice := solver.CG
+		if opts.UseBiCGStab {
+			slice = solver.BiCGStab
+		}
+		s.solve = func(x, b []float64, cancel func() bool) (*solver.Stats, error) {
+			so := opts.Solver
+			so.Cancel = cancel
+			return slice(op, x, b, so)
+		}
+	}
 	s.CompileSeconds = time.Since(start).Seconds()
 	return s, nil
 }
@@ -216,11 +236,12 @@ func (s *TransientSolver) Close() {
 
 // Solve runs one transient request on the compiled engine: req.Steps
 // backward-Euler steps driven by req.Wells from req.InitialPressure (zero
-// values fall back to the compiled template's). req.Dt, when set, must
-// match the compiled step length — the frozen coefficients are part of the
-// compiled plan. The returned counters (applications, halo traffic,
-// scatters/gathers, phase seconds) are this request's own deltas, so a
-// reused solver reports each request as if it ran one-shot.
+// values fall back to the compiled template's). req.Dt and req.UseBiCGStab,
+// when set, must match the compiled template — the frozen coefficients and
+// the Krylov method are part of the compiled plan. The returned counters
+// (applications, halo traffic, scatters/gathers, phase seconds) are this
+// request's own deltas, so a reused solver reports each request as if it ran
+// one-shot.
 func (s *TransientSolver) Solve(req TransientOptions) (*TransientResult, error) {
 	if s.close == nil {
 		return nil, fmt.Errorf("umesh: transient solver is closed")
@@ -228,6 +249,9 @@ func (s *TransientSolver) Solve(req TransientOptions) (*TransientResult, error) 
 	if req.Dt != 0 && req.Dt != s.opts.Dt {
 		return nil, fmt.Errorf("umesh: request Dt %g differs from the compiled step %g (compile a new solver)",
 			req.Dt, s.opts.Dt)
+	}
+	if req.UseBiCGStab && !s.opts.UseBiCGStab {
+		return nil, fmt.Errorf("umesh: request asks for BiCGStab but the solver was compiled for CG (compile a new solver)")
 	}
 	steps := req.Steps
 	if steps == 0 {
@@ -291,19 +315,13 @@ func (s *TransientSolver) Solve(req TransientOptions) (*TransientResult, error) 
 		basePhase = s.po.Phase
 	}
 
-	solve := solver.CG
-	if s.opts.UseBiCGStab || req.UseBiCGStab {
-		solve = solver.BiCGStab
-	}
 	// Per-request cancellation: the request's hook wins, the compiled
-	// template's is the fallback. It flows into the Krylov options so the
-	// resident loop polls it at every iteration barrier.
+	// template's is the fallback. The Krylov loop polls it at every
+	// iteration barrier.
 	cancel := req.Cancel
 	if cancel == nil {
 		cancel = s.opts.Cancel
 	}
-	solverOpts := s.opts.Solver
-	solverOpts.Cancel = cancel
 	beforeSolve := req.BeforeSolve
 	if beforeSolve == nil {
 		beforeSolve = s.opts.BeforeSolve
@@ -327,7 +345,7 @@ func (s *TransientSolver) Solve(req TransientOptions) (*TransientResult, error) 
 				return nil, &StepError{Step: step, Err: err}
 			}
 		}
-		st, err := solve(s.op, x, b, solverOpts)
+		st, err := s.solve(x, b, cancel)
 		if err != nil {
 			return nil, &StepError{Step: step, Stats: st, Err: err}
 		}

@@ -83,8 +83,57 @@ func TestTransientSolverReuseBitIdentical(t *testing.T) {
 	}
 }
 
+// TestTransientSolveAllocsPinned pins what one warm Solve allocates: the
+// result (pressure field, step reports) and each step's Stats with its
+// residual history — nothing per iteration and nothing for compilation, which
+// happened once in NewTransientSolver. A per-solve program compile (24–36
+// objects and 2–3 KB per step when this was written) would show here long
+// before it moved the benchmark's alloc_mb_per_op.
+func TestTransientSolveAllocsPinned(t *testing.T) {
+	u := ladderMesh(t)
+	fl := physics.DefaultFluid()
+	for _, tc := range []struct {
+		kind      solver.PrecondKind
+		levels    int
+		maxAllocs float64
+	}{
+		// result + pressure + step list + Stats, plus the history's append
+		// growth: 9 reallocations for 148 iterations, 6 for 17.
+		{solver.PrecondJacobi, 2, 13},
+		{solver.PrecondAMG, 0, 10},
+	} {
+		part, err := RCB(u, tc.levels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := TransientOptions{Dt: 3600, Workers: 1}
+		opts.Solver.PrecondKind = tc.kind
+		ts, err := NewTransientSolver(u, part, fl, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := TransientOptions{Steps: 1, Wells: []Well{{Cell: u.WellIndex(), Rate: 2}, {Cell: u.NumCells - 1, Rate: -2}}}
+		res, err := ts.Solve(req) // warm
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := ts.Solve(req); err != nil {
+				t.Error(err)
+			}
+		})
+		ts.Close()
+		t.Logf("%s parts=%d: %d iterations, %.0f allocations per Solve", tc.kind, part.NumParts, res.Steps[0].Iterations, allocs)
+		if allocs > tc.maxAllocs {
+			t.Errorf("%s parts=%d: one warm Solve allocates %.0f objects, pinned at %.0f",
+				tc.kind, part.NumParts, allocs, tc.maxAllocs)
+		}
+	}
+}
+
 // TestTransientSolverRequestValidation pins the resident API's error
-// contract: Dt is frozen into the plan, a closed solver refuses work.
+// contract: Dt and the Krylov method are frozen into the plan, a closed
+// solver refuses work.
 func TestTransientSolverRequestValidation(t *testing.T) {
 	u, opts := transientFixture(t)
 	fl := physics.DefaultFluid()
@@ -95,6 +144,10 @@ func TestTransientSolverRequestValidation(t *testing.T) {
 	if _, err := ts.Solve(TransientOptions{Dt: opts.Dt * 2, Steps: 1, Wells: opts.Wells}); err == nil ||
 		!strings.Contains(err.Error(), "compiled step") {
 		t.Errorf("mismatched Dt accepted: %v", err)
+	}
+	if _, err := ts.Solve(TransientOptions{UseBiCGStab: true, Steps: 1, Wells: opts.Wells}); err == nil ||
+		!strings.Contains(err.Error(), "compiled for CG") {
+		t.Errorf("BiCGStab request on a CG-compiled solver accepted: %v", err)
 	}
 	if _, err := ts.Solve(TransientOptions{Steps: 1, Wells: []Well{{Cell: u.NumCells, Rate: 1}}}); err == nil {
 		t.Error("out-of-range request well accepted")

@@ -16,10 +16,11 @@
 //
 // On top of the engine sits the §8 matrix-free implicit path, run
 // part-resident: USystem (one frozen backward-Euler pressure step) and
-// PartOperator, a solver.VectorSpace that keeps the whole Krylov working
+// PartOperator, a solver.ProgramSpace that keeps the whole Krylov working
 // set in each part's compact layout for the entire solve — one scatter in,
-// one gather out, fused pack+send+interior-compute phases overlapping the
-// float64 halo exchange, and fused vector/reduction phases in between.
+// one gather out, and in between compiled phase programs (one exec.Plan
+// dispatch per Krylov iteration): fused pack+send+interior-compute steps
+// overlapping the float64 halo exchange, fused vector/reduction steps.
 // Reductions fold through the canonical blocked order (CanonicalOrder, the
 // RCB recursion's own summation tree), which is identical for every part
 // count and for the serial reference, so RunTransientPartitioned (one
@@ -36,9 +37,10 @@
 // banded Cholesky — is built once per USystem and reused across transient
 // steps. Every rung's arithmetic is a function of the canonical order only,
 // never of the partitioning, and the serial reference closures mirror the
-// resident phases expression for expression, so each rung preserves the
+// resident kernels expression for expression, so each rung preserves the
 // bit-identity guarantee at every part count. PartOperator.SetPrecond
-// installs a rung; serialReference.MakePrecond is its serial twin.
+// installs a rung and emitPrecond compiles its step sequence into the
+// programs; serialReference.MakePrecond is its serial oracle.
 package umesh
 
 import (
