@@ -11,10 +11,18 @@ GO ?= go
 # failure domains (panic recovery, deadlines, forced drains) concurrently.
 RACE_PKGS = ./internal/core/ ./internal/fabric/ ./internal/dsd/ ./internal/exec/ ./internal/umesh/ ./internal/solver/ ./internal/serve/ ./internal/loadgen/ ./internal/faultinject/
 
-.PHONY: build test race bench-selftest bench-smoke bench-kernel bench-umesh bench-usolve bench-serve chaos-smoke fuzz-smoke cover docs-check vet fmt-check ci
+.PHONY: build cross-arm64 test race bench-selftest bench-smoke bench-kernel bench-umesh bench-usolve bench-serve chaos-smoke fuzz-smoke cover docs-check vet fmt-check ci
 
 build:
 	$(GO) build ./...
+
+# Cross-compile for arm64, where Go may contract x*y + z into a fused
+# multiply-add: the dsd kernels forbid that with explicit float32(...)
+# roundings, and this keeps that code (and everything else) building and
+# vetting on the architecture where the contract matters.
+cross-arm64:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/dsd/ ./internal/core/
 
 test:
 	$(GO) test ./...
@@ -36,8 +44,8 @@ bench-smoke:
 	@echo "bench-smoke: GOMAXPROCS=$${GOMAXPROCS:-$$(nproc)}"
 	$(GO) test -run '^$$' -bench . -benchtime 1x -short ./...
 
-# The fast-path kernel microbenchmarks (dsd ops, faceFlux, exchange, whole
-# engine) once each — CI's guarantee that they keep compiling and running.
+# The fast-path kernel microbenchmarks (dsd ops, the fused FluxFace kernel
+# against its op-by-op sequence, faceFlux, exchange, whole engine) once each — CI's guarantee that they keep compiling and running.
 # Drop -benchtime/-short for a real measurement.
 bench-kernel:
 	@echo "bench-kernel: GOMAXPROCS=$${GOMAXPROCS:-$$(nproc)}"
@@ -136,4 +144,4 @@ fmt-check:
 	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Everything the CI workflow gates on.
-ci: build vet fmt-check test bench-selftest race cover docs-check bench-smoke bench-kernel bench-umesh bench-usolve bench-serve chaos-smoke fuzz-smoke
+ci: build cross-arm64 vet fmt-check test bench-selftest race cover docs-check bench-smoke bench-kernel bench-umesh bench-usolve bench-serve chaos-smoke fuzz-smoke

@@ -67,12 +67,14 @@
 // baselines field by field.
 //
 // Performance: the engines execute through a fast path that stays
-// bit-identical (residuals and counters) to the legacy code — stride-1
-// specialized vector ops iterating over reslices with the bounds check
-// hoisted out of the loop, deferred per-op counter tallies folded into the
-// full accounting at summarize time, per-PE memories carved from one
-// contiguous arena slab per shard (dsd.NewMemoryFromSlab), and a
-// zero-allocation halo exchange through persistent per-PE send buffers.
+// bit-identical (residuals and counters) to the op-by-op code — the 14-FLOP
+// face kernel as one fused single-pass macro-op (dsd.Engine.FluxFace, every
+// product explicitly rounded so no target contracts it into an FMA),
+// stride-1 specialized vector ops iterating over reslices with the bounds
+// check hoisted out of the loop, deferred per-op counter tallies folded into
+// the full accounting at summarize time, per-PE memories allocated as one
+// zeroed-once arena per shard (dsd.NewArena), and a zero-allocation halo
+// exchange through persistent per-PE send buffers.
 // `make bench-kernel` runs the layer-by-layer microbenchmarks; `fvflux
 // -experiment kernel -json BENCH_kernel.json` and `examples/strongscaling
 // -json BENCH_scaling.json` regenerate the recorded baselines. See the

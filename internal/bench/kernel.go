@@ -87,57 +87,86 @@ type KernelBench struct {
 // opCase is one measured dsd op.
 type opCase struct {
 	name string
-	run  func(e *dsd.Engine, dst, x, y, z dsd.Desc, recv []float32)
+	run  func(e *dsd.Engine, a *opArgs)
+}
+
+// opArgs are the operands every measured op draws from: a destination, three
+// inputs, a fabric column, and five scratch views that only the face kernel's
+// op-by-op fallback writes.
+type opArgs struct {
+	dst, x, y, z dsd.Desc
+	recv         []float32
+	scratch      [5]dsd.Desc
 }
 
 var kernelOps = []opCase{
-	{"MulVV", func(e *dsd.Engine, dst, x, y, _ dsd.Desc, _ []float32) { e.MulVV(dst, x, y) }},
-	{"AddVV", func(e *dsd.Engine, dst, x, y, _ dsd.Desc, _ []float32) { e.AddVV(dst, x, y) }},
-	{"SubVV", func(e *dsd.Engine, dst, x, y, _ dsd.Desc, _ []float32) { e.SubVV(dst, x, y) }},
-	{"FmaVVV", func(e *dsd.Engine, dst, x, y, z dsd.Desc, _ []float32) { e.FmaVVV(dst, x, y, z) }},
-	{"SelGtV", func(e *dsd.Engine, dst, x, y, z dsd.Desc, _ []float32) { e.SelGtV(dst, z, x, y) }},
-	{"AccV", func(e *dsd.Engine, dst, x, _, _ dsd.Desc, _ []float32) { e.AccV(dst, x) }},
-	{"MovRecv", func(e *dsd.Engine, dst, _, _, _ dsd.Desc, recv []float32) { e.MovRecv(dst, recv) }},
+	{"MulVV", func(e *dsd.Engine, a *opArgs) { e.MulVV(a.dst, a.x, a.y) }},
+	{"AddVV", func(e *dsd.Engine, a *opArgs) { e.AddVV(a.dst, a.x, a.y) }},
+	{"SubVV", func(e *dsd.Engine, a *opArgs) { e.SubVV(a.dst, a.x, a.y) }},
+	{"FmaVVV", func(e *dsd.Engine, a *opArgs) { e.FmaVVV(a.dst, a.x, a.y, a.z) }},
+	{"SelGtV", func(e *dsd.Engine, a *opArgs) { e.SelGtV(a.dst, a.z, a.x, a.y) }},
+	{"AccV", func(e *dsd.Engine, a *opArgs) { e.AccV(a.dst, a.x) }},
+	{"MovRecv", func(e *dsd.Engine, a *opArgs) { e.MovRecv(a.dst, a.recv) }},
+	{"FluxFace", fluxFace},
+}
+
+// fluxFace is the whole 14-op face kernel as the engines issue it: the fused
+// macro-op on the fast path and, when that declines (fast path off), the same
+// ops one by one through five reused scratch buffers — so this row's
+// "strided" column is the per-op kernel the macro-op replaced, and its
+// speedup is the fusion's.
+func fluxFace(e *dsd.Engine, a *opArgs) {
+	c := dsd.FluxConsts{AHat: 7e-6, CHat: 595, NegC: -595, InvMu: 16666}
+	f, tr, pK, gzK := a.dst, a.x, a.y, a.z
+	pL, gzL := a.x, a.y // any in-bounds inputs do; they may overlap each other
+	if e.FluxFace(f, tr, pK, gzK, pL, gzL, c) {
+		return
+	}
+	s := &a.scratch
+	e.SubVV(s[0], pL, pK)
+	e.SubVV(s[1], gzL, gzK)
+	e.MulVS(s[2], pK, c.AHat)
+	e.MulVS(s[3], pL, c.AHat)
+	e.AddVV(s[4], s[2], s[3])
+	e.FmaVSS(s[4], s[4], 0.5, c.CHat)
+	e.MulVV(s[1], s[4], s[1])
+	e.NegV(s[1], s[1])
+	e.SubVV(s[0], s[0], s[1])
+	e.SelGtV(s[3], s[0], s[2], s[3])
+	e.SubVS(s[3], s[3], c.NegC)
+	e.MulVS(s[3], s[3], c.InvMu)
+	e.MulVV(s[0], tr, s[0])
+	e.MulVV(f, s[0], s[3])
 }
 
 // measureOp times iters issues of one op at vector length n and returns the
 // element throughput in Melem/s.
 func measureOp(op opCase, n, iters int) (float64, error) {
-	m, err := dsd.NewMemory(8 * n)
+	m, err := dsd.NewMemory(9 * n)
 	if err != nil {
 		return 0, err
 	}
 	e := dsd.NewEngine(m)
-	alloc := func() (dsd.Desc, error) { return m.Alloc(n) }
-	dst, err := alloc()
-	if err != nil {
-		return 0, err
+	var blocks [9]dsd.Desc
+	for i := range blocks {
+		if blocks[i], err = m.Alloc(n); err != nil {
+			return 0, err
+		}
 	}
-	x, err := alloc()
-	if err != nil {
-		return 0, err
-	}
-	y, err := alloc()
-	if err != nil {
-		return 0, err
-	}
-	z, err := alloc()
-	if err != nil {
-		return 0, err
-	}
+	a := &opArgs{dst: blocks[0], x: blocks[1], y: blocks[2], z: blocks[3], recv: make([]float32, n)}
+	copy(a.scratch[:], blocks[4:])
 	for i := 0; i < n; i++ {
-		m.StoreHost(x, i, float32(i%17)+0.5)
-		m.StoreHost(y, i, float32(i%13)-6)
-		m.StoreHost(z, i, float32(i%7)-3)
+		m.StoreHost(a.x, i, float32(i%17)+0.5)
+		m.StoreHost(a.y, i, float32(i%13)-6)
+		m.StoreHost(a.z, i, float32(i%7)-3)
 	}
-	recv := make([]float32, n)
 	// Warm-up pass so neither path pays first-touch costs.
 	for i := 0; i < 64; i++ {
-		op.run(e, dst, x, y, z, recv)
+		op.run(e, a)
 	}
 	start := time.Now()
 	for i := 0; i < iters; i++ {
-		op.run(e, dst, x, y, z, recv)
+		op.run(e, a)
 	}
 	sec := time.Since(start).Seconds()
 	if sec <= 0 {

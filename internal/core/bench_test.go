@@ -14,7 +14,7 @@ import (
 // Each reports both op paths so the fast-path win is visible per layer.
 
 // benchStates builds the PE states of a small mesh with the default options.
-func benchStates(b *testing.B, d mesh.Dims, apps int) ([]*peState, *mesh.Mesh, Options) {
+func benchStates(b *testing.B, d mesh.Dims, apps int) ([]peState, *mesh.Mesh, Options) {
 	b.Helper()
 	m, err := mesh.BuildDefault(d)
 	if err != nil {
@@ -23,7 +23,7 @@ func benchStates(b *testing.B, d mesh.Dims, apps int) ([]*peState, *mesh.Mesh, O
 	opts := DefaultOptions(apps).withDefaults()
 	opts.MemWords = WordsPerZ(opts.BufferReuse)*d.Nz + FixedWords
 	flLin := physics.DefaultFluid().WithModel(physics.DensityLinear)
-	states := make([]*peState, d.Nx*d.Ny)
+	states := make([]peState, d.Nx*d.Ny)
 	if err := newBandStates(states, m, flLin, 0, d.Ny, opts); err != nil {
 		b.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func benchBothPaths(b *testing.B, fn func(b *testing.B)) {
 func BenchmarkKernelFaceFlux(b *testing.B) {
 	benchBothPaths(b, func(b *testing.B) {
 		states, m, _ := benchStates(b, mesh.Dims{Nx: 3, Ny: 3, Nz: 246}, 1)
-		s := states[1*m.Dims.Nx+1] // interior PE
+		s := &states[1*m.Dims.Nx+1] // interior PE
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			s.faceFlux(s.fbuf[mesh.West], s.trans[mesh.West], s.p, s.gz, s.nbrP[0], s.nbrGz[0])
@@ -61,7 +61,7 @@ func BenchmarkKernelFaceFlux(b *testing.B) {
 func BenchmarkKernelExchange(b *testing.B) {
 	benchBothPaths(b, func(b *testing.B) {
 		states, m, _ := benchStates(b, mesh.Dims{Nx: 3, Ny: 3, Nz: 246}, 1)
-		s := states[1*m.Dims.Nx+1]
+		s := &states[1*m.Dims.Nx+1]
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if err := flatExchange(states, s, m.Dims.Nx); err != nil {
@@ -76,7 +76,7 @@ func BenchmarkKernelExchange(b *testing.B) {
 func BenchmarkKernelLocalApplication(b *testing.B) {
 	benchBothPaths(b, func(b *testing.B) {
 		states, m, _ := benchStates(b, mesh.Dims{Nx: 3, Ny: 3, Nz: 246}, 1)
-		s := states[1*m.Dims.Nx+1]
+		s := &states[1*m.Dims.Nx+1]
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			s.runLocalApplication()

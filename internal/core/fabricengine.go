@@ -155,17 +155,15 @@ func RunFabric(m *mesh.Mesh, fl physics.Fluid, opts Options) (*Result, error) {
 	}
 
 	flLin := fl.WithModel(physics.DensityLinear)
-	states := make([]*peState, nx*ny)
+	states := make([]peState, nx*ny)
+	send := make([]float32, len(states)*2*nz)
+	stage := make([]float32, nz)
 	err = fab.ForEachPE(func(pe *fabric.PE) error {
 		if err := installRoutes(pe, opts.Diagonals); err != nil {
 			return err
 		}
-		s, err := setupPE(pe.Eng, m, flLin, pe.X, pe.Y, opts)
-		if err != nil {
-			return err
-		}
-		states[pe.Y*nx+pe.X] = s
-		return nil
+		i := pe.Y*nx + pe.X
+		return states[i].setup(pe.Eng, m, flLin, pe.X, pe.Y, opts, send[i*2*nz:(i+1)*2*nz], stage)
 	})
 	if err != nil {
 		return nil, err
@@ -173,7 +171,7 @@ func RunFabric(m *mesh.Mesh, fl physics.Fluid, opts Options) (*Result, error) {
 
 	start := time.Now()
 	err = fab.Run(func(pe *fabric.PE) error {
-		return fluxWorker(pe, states[pe.Y*nx+pe.X], opts)
+		return fluxWorker(pe, &states[pe.Y*nx+pe.X], opts)
 	})
 	elapsed := time.Since(start)
 	if err != nil {

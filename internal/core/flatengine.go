@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/dsd"
 	"repro/internal/mesh"
@@ -13,62 +12,36 @@ import (
 // column, the identical vector-op sequences, but neighbor columns are copied
 // directly from neighbor PE memories instead of traveling as wavelets. It
 // exists to run functional meshes far larger than goroutine-per-PE execution
-// allows, and it is asserted bit-identical to RunFabric.
+// allows, and it is asserted bit-identical to RunFabric. It is the sharded
+// engine with a single band: one worker runs every phase inline on the
+// calling goroutine, with no barrier.
 func RunFlat(m *mesh.Mesh, fl physics.Fluid, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(m, fl); err != nil {
-		return nil, err
-	}
-	flLin := fl.WithModel(physics.DensityLinear)
-	nx, ny := m.Dims.Nx, m.Dims.Ny
-	states := make([]*peState, nx*ny)
-	if err := newBandStates(states, m, flLin, 0, ny, opts); err != nil {
-		return nil, err
-	}
-
-	start := time.Now()
-	for app := 0; app < opts.Apps; app++ {
-		if app > 0 {
-			for _, s := range states {
-				s.perturb(app)
-			}
-		}
-		for _, s := range states {
-			if err := flatExchange(states, s, nx); err != nil {
-				return nil, err
-			}
-			if opts.CommOnly {
-				continue
-			}
-			s.runLocalApplication()
-		}
-	}
-	elapsed := time.Since(start)
-
-	return summarize("flat", states, m, opts, elapsed), nil
+	opts.Workers = 1
+	return runSharded("flat", m, fl, opts)
 }
 
 // newBandStates allocates and loads the PE states of grid rows [y0, y1) —
-// the shared setup step of the flat engines (the fluid must already carry
-// the linearized density model). The band's PE memories are carved out of
-// one contiguous arena slab, so a band's working set is cache-contiguous
-// instead of nx·(y1−y0) scattered individual allocations; in the sharded
-// engine each worker allocates its own band's slab.
-func newBandStates(states []*peState, m *mesh.Mesh, flLin physics.Fluid, y0, y1 int, opts Options) error {
-	nx, per := m.Dims.Nx, opts.MemWords
-	slab := make([]float32, (y1-y0)*nx*per)
-	for y := y0; y < y1; y++ {
-		for x := 0; x < nx; x++ {
-			off := ((y-y0)*nx + x) * per
-			mem, err := dsd.NewMemoryFromSlab(slab[off : off+per : off+per])
-			if err != nil {
-				return err
-			}
-			s, err := setupPE(dsd.NewEngine(mem), m, flLin, x, y, opts)
-			if err != nil {
-				return err
-			}
-			states[y*nx+x] = s
+// the setup step of one shard of the flat engines (the fluid must already
+// carry the linearized density model). The band's PE memories come from one
+// dsd arena and its engines and send columns from one slice each, so a
+// band's working set is cache-contiguous and its setup costs a handful of
+// allocations instead of several per PE; in the sharded engine each worker
+// allocates its own band.
+func newBandStates(states []peState, m *mesh.Mesh, flLin physics.Fluid, y0, y1 int, opts Options) error {
+	nx, nz := m.Dims.Nx, m.Dims.Nz
+	band := states[y0*nx : y1*nx]
+	mems, err := dsd.NewArena(len(band), opts.MemWords)
+	if err != nil {
+		return err
+	}
+	engs := make([]dsd.Engine, len(band))
+	send := make([]float32, len(band)*2*nz)
+	stage := make([]float32, nz)
+	for i := range band {
+		engs[i].Mem = &mems[i]
+		err := band[i].setup(&engs[i], m, flLin, i%nx, y0+i/nx, opts, send[i*2*nz:(i+1)*2*nz], stage)
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -80,7 +53,7 @@ func newBandStates(states []*peState, m *mesh.Mesh, flLin physics.Fluid, y0, y1 
 // relay would deliver. Each neighbor's persistent send buffer is read in
 // place: the exchange allocates nothing and the only copy is the counted
 // FMOV receive itself.
-func flatExchange(states []*peState, s *peState, nx int) error {
+func flatExchange(states []peState, s *peState, nx int) error {
 	for i, d := range xyDirections {
 		if !s.hasNbr[i] {
 			continue
@@ -89,7 +62,7 @@ func flatExchange(states []*peState, s *peState, nx int) error {
 			continue
 		}
 		dx, dy, _ := d.Offset()
-		n := states[(s.y+dy)*nx+(s.x+dx)]
+		n := &states[(s.y+dy)*nx+(s.x+dx)]
 		if err := s.receiveColumn(i, n.ownColumn()); err != nil {
 			return fmt.Errorf("flat exchange: %w", err)
 		}

@@ -5,10 +5,35 @@ import (
 	"repro/internal/mesh"
 )
 
-// This file is the 14-FLOP per-face flux kernel (DESIGN.md §4) in its two
-// buffer disciplines, plus the vertical faces and the residual assembly.
-// The operation order is identical in every variant, so all engines produce
-// bit-identical float32 residuals.
+// This file is the 14-FLOP per-face flux kernel (DESIGN.md §4), plus the
+// vertical faces and the residual assembly. The operation order is identical
+// in every variant, so all engines produce bit-identical float32 residuals.
+
+// The kernel's intermediates, in production order (DESIGN.md §4).
+const (
+	vDp    = iota // pL − pK
+	vDgz          // gzL − gzK
+	vRK           // â·pK
+	vRL           // â·pL
+	vSum          // rK + rL
+	vAvg          // ρavg = ½·sum + ĉ
+	vGt           // ρavg·dgz
+	vNg           // −gt
+	vDPhi         // ΔΦ = dp − ng
+	vRup          // upwinded â·p
+	vRhoUp        // ρup = rup − (−ĉ)
+	vLam          // λ = ρup/μ
+	vT1           // Υ·ΔΦ
+)
+
+// reuseSlot is the §5.3.1 hand-crafted buffer reuse: which of the five
+// scratch buffers holds each intermediate. A value is overwritten only once
+// it is dead (ρavg replaces the sum in place, ΔΦ replaces dp, λ ends up where
+// rL started).
+var reuseSlot = [scratchNaive]int{
+	vDp: 0, vDgz: 1, vRK: 2, vRL: 3, vSum: 4, vAvg: 4, vGt: 1, vNg: 1,
+	vDPhi: 0, vRup: 3, vRhoUp: 3, vLam: 3, vT1: 0,
+}
 
 // faceFlux evaluates F = Υ·λ_upw·ΔΦ for one face group into dst, reading the
 // own column (pK, gzK), the neighbor column (pL, gzL) and the face
@@ -18,60 +43,47 @@ func (s *peState) faceFlux(dst, tr, pK, gzK, pL, gzL dsd.Desc) {
 	if s.opts.Vectorized {
 		// Whole-column vector issue: the descriptors already are the face
 		// group's full views, so no subviews need slicing on the hot path.
-		s.fluxSeq(dst, tr, pK, gzK, pL, gzL, s.scratch)
+		s.fluxSeq(dst, tr, pK, gzK, pL, gzL, 0)
 		return
 	}
 	// Scalar ablation: one issue per element per op (§5.3.3 in reverse),
 	// through single-element subviews of the same buffers.
 	for z := 0; z < dst.Len; z++ {
-		for i, sc := range s.scratch {
-			s.scratchSub[i] = sc.MustSlice(z, 1)
-		}
 		s.fluxSeq(dst.MustSlice(z, 1), tr.MustSlice(z, 1), pK.MustSlice(z, 1),
-			gzK.MustSlice(z, 1), pL.MustSlice(z, 1), gzL.MustSlice(z, 1), s.scratchSub)
+			gzK.MustSlice(z, 1), pL.MustSlice(z, 1), gzL.MustSlice(z, 1), z)
 	}
 }
 
-// fluxSeq issues the 14-op kernel sequence over pre-sliced views with the
-// given scratch views (whole columns when vectorized, single elements in the
-// scalar ablation). Both buffer disciplines execute the identical op order.
-func (s *peState) fluxSeq(f, tr, pK, gzK, pL, gzL dsd.Desc, sc []dsd.Desc) {
-	e := s.eng
-	c := s.consts
-	if s.opts.BufferReuse {
-		s0, s1, s2, s3, s4 := sc[0], sc[1], sc[2], sc[3], sc[4]
-		e.SubVV(s0, pL, pK)           // dp
-		e.SubVV(s1, gzL, gzK)         // dgz
-		e.MulVS(s2, pK, c.AHat)       // rK
-		e.MulVS(s3, pL, c.AHat)       // rL
-		e.AddVV(s4, s2, s3)           // rK + rL
-		e.FmaVSS(s4, s4, 0.5, c.CHat) // ρavg (in place)
-		e.MulVV(s1, s4, s1)           // gt = ρavg·dgz (overwrites dgz)
-		e.NegV(s1, s1)                // ng (in place)
-		e.SubVV(s0, s0, s1)           // ΔΦ (overwrites dp)
-		e.SelGtV(s3, s0, s2, s3)      // rup (overwrites rL)
-		e.SubVS(s3, s3, c.NegC)       // ρup (in place)
-		e.MulVS(s3, s3, c.InvMu)      // λ (in place)
-		e.MulVV(s0, tr, s0)           // t1 = Υ·ΔΦ (overwrites ΔΦ)
-		e.MulVV(f, s0, s3)            // F (accumulate-store happens at assembly)
+// fluxSeq issues the kernel over pre-sliced views that start off cells into
+// the column (whole columns when vectorized, single elements in the scalar
+// ablation). The fused dsd.FluxFace macro-op executes it in one pass with the
+// intermediates in registers; when it declines (strided operands, fast path
+// off) the same 14 ops are issued one by one through the scratch buffers —
+// the spelling FluxFace is tested against. Either way the op order, the
+// counters and every result bit are the same, under both buffer disciplines.
+func (s *peState) fluxSeq(f, tr, pK, gzK, pL, gzL dsd.Desc, off int) {
+	e, c := s.eng, s.consts
+	if e.FluxFace(f, tr, pK, gzK, pL, gzL, c) {
 		return
 	}
-	// Naive discipline: every intermediate gets its own buffer — the
-	// pre-§5.3.1 layout whose footprint forbids the paper's largest mesh.
-	e.SubVV(sc[0], pL, pK)
-	e.SubVV(sc[1], gzL, gzK)
-	e.MulVS(sc[2], pK, c.AHat)
-	e.MulVS(sc[3], pL, c.AHat)
-	e.AddVV(sc[4], sc[2], sc[3])
-	e.FmaVSS(sc[5], sc[4], 0.5, c.CHat)
-	e.MulVV(sc[6], sc[5], sc[1])
-	e.NegV(sc[7], sc[6])
-	e.SubVV(sc[8], sc[0], sc[7])
-	e.SelGtV(sc[9], sc[8], sc[2], sc[3])
-	e.SubVS(sc[10], sc[9], c.NegC)
-	e.MulVS(sc[11], sc[10], c.InvMu)
-	e.MulVV(sc[12], tr, sc[8])
-	e.MulVV(f, sc[12], sc[11])
+	var v [scratchNaive]dsd.Desc
+	for i, sc := range s.scratch {
+		v[i] = sc.MustSlice(off, f.Len)
+	}
+	e.SubVV(v[vDp], pL, pK)
+	e.SubVV(v[vDgz], gzL, gzK)
+	e.MulVS(v[vRK], pK, c.AHat)
+	e.MulVS(v[vRL], pL, c.AHat)
+	e.AddVV(v[vSum], v[vRK], v[vRL])
+	e.FmaVSS(v[vAvg], v[vSum], 0.5, c.CHat)
+	e.MulVV(v[vGt], v[vAvg], v[vDgz])
+	e.NegV(v[vNg], v[vGt])
+	e.SubVV(v[vDPhi], v[vDp], v[vNg])
+	e.SelGtV(v[vRup], v[vDPhi], v[vRK], v[vRL])
+	e.SubVS(v[vRhoUp], v[vRup], c.NegC)
+	e.MulVS(v[vLam], v[vRhoUp], c.InvMu)
+	e.MulVV(v[vT1], tr, v[vDPhi])
+	e.MulVV(f, v[vT1], v[vLam]) // accumulate-store happens at assembly
 }
 
 // computeXYFace evaluates the flux column for one in-plane direction from

@@ -8,16 +8,16 @@
 // evaluates ten face fluxes per cell with the 14-FLOP vector kernel of
 // DESIGN.md §4 and assembles them into the residual.
 //
-// Three engines execute the same schedule:
+// Two engines execute the same schedule:
 //
 //   - the fabric engine (RunFabric) runs goroutine-per-PE on the
 //     internal/fabric simulator with real wavelet traffic — the functional
-//     twin of the CSL implementation;
-//   - the flat engine (RunFlat) executes the identical per-PE op sequences
-//     serially without goroutines, for large functional meshes;
-//   - the sharded flat engine (RunFlatParallel) decomposes the PE grid into
-//     contiguous row bands and executes the flat schedule on a worker pool,
-//     with a barrier per phase so halo reads never race with writes.
+//     twin of the CSL implementation, and the independent oracle;
+//   - the flat engine executes the identical per-PE op sequences without
+//     wavelets, for large functional meshes: the PE grid is decomposed into
+//     contiguous row bands executed on a worker pool, with a barrier per
+//     phase so halo reads never race with writes (RunFlatParallel). RunFlat
+//     is the same engine with a single band, run inline on the caller.
 //
 // All produce bit-identical residuals and identical counters; tests assert
 // it.

@@ -8,11 +8,12 @@ import (
 	"repro/internal/physics"
 )
 
-// This file is the sharded parallel flat engine: the serial RunFlat schedule
-// decomposed into contiguous row bands of the PE grid, each executed as one
-// shard of an exec.Pool (the shared shard-pool execution layer; the
-// unstructured umesh.PartEngine runs on the same machinery). The phase
-// structure makes the data sharing safe without per-PE locks:
+// This file is the sharded flat engine: the flat schedule decomposed into
+// contiguous row bands of the PE grid, each executed as one shard of an
+// exec.Pool (the shared shard-pool execution layer; the unstructured
+// umesh.PartEngine runs on the same machinery). RunFlat is this engine with
+// one band. The phase structure makes the data sharing safe without per-PE
+// locks:
 //
 //   - perturbation writes only the owning PE's pressure column;
 //   - halo exchange reads neighbor pressure/gravity columns and writes only
@@ -26,9 +27,10 @@ import (
 // phase every touched word is either owned by the executing worker or only
 // read, which is what `go test -race` verifies.
 //
-// Each PE performs exactly the op sequence of the serial engine on exactly
-// the serial engine's input values, so residuals and counters are
-// bit-identical to RunFlat (and hence to RunFabric) for every worker count.
+// Each PE performs exactly the same op sequence on exactly the same input
+// values whatever the decomposition, so residuals and counters are
+// bit-identical for every worker count (and to RunFabric, the independent
+// oracle).
 
 // band is a contiguous range [y0, y1) of PE-grid rows owned by one shard.
 type band struct {
@@ -65,19 +67,26 @@ func partitionRows(ny, parts int) []band {
 // exchange phases of every application. The result is bit-identical to
 // RunFlat for every worker count.
 func RunFlatParallel(m *mesh.Mesh, fl physics.Fluid, opts Options) (*Result, error) {
+	return runSharded("flat-parallel", m, fl, opts)
+}
+
+// runSharded is the flat engine: setup, then per application a perturbation
+// phase and an exchange + compute phase over the row bands, reported under
+// the given engine name.
+func runSharded(engine string, m *mesh.Mesh, fl physics.Fluid, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(m, fl); err != nil {
 		return nil, err
 	}
 	flLin := fl.WithModel(physics.DensityLinear)
 	nx, ny := m.Dims.Nx, m.Dims.Ny
-	states := make([]*peState, nx*ny)
+	states := make([]peState, nx*ny)
 	bands := partitionRows(ny, opts.Workers)
 	pool := exec.NewPool(opts.Workers, len(bands))
 	defer pool.Stop()
 
-	// Sharded setup: each worker allocates its own band's arena slab and
-	// loads its PEs from it; the mesh is only read.
+	// Sharded setup: each worker allocates its own band's arena and loads
+	// its PEs from the mesh, which is only read.
 	err := pool.Run(func(shard int) error {
 		b := bands[shard]
 		return newBandStates(states, m, flLin, b.y0, b.y1, opts)
@@ -93,8 +102,8 @@ func RunFlatParallel(m *mesh.Mesh, fl physics.Fluid, opts Options) (*Result, err
 			// complete before any shard reads a neighbor's column.
 			if err := pool.Run(func(shard int) error {
 				b := bands[shard]
-				for _, s := range states[b.y0*nx : b.y1*nx] {
-					s.perturb(app)
+				for i := b.y0 * nx; i < b.y1*nx; i++ {
+					states[i].perturb(app)
 				}
 				return nil
 			}); err != nil {
@@ -106,7 +115,8 @@ func RunFlatParallel(m *mesh.Mesh, fl physics.Fluid, opts Options) (*Result, err
 		// need no further synchronization within the phase.
 		if err := pool.Run(func(shard int) error {
 			b := bands[shard]
-			for _, s := range states[b.y0*nx : b.y1*nx] {
+			for i := b.y0 * nx; i < b.y1*nx; i++ {
+				s := &states[i]
 				if err := flatExchange(states, s, nx); err != nil {
 					return err
 				}
@@ -122,5 +132,5 @@ func RunFlatParallel(m *mesh.Mesh, fl physics.Fluid, opts Options) (*Result, err
 	}
 	elapsed := time.Since(start)
 
-	return summarize("flat-parallel", states, m, opts, elapsed), nil
+	return summarize(engine, states, m, opts, elapsed), nil
 }

@@ -75,6 +75,9 @@ func TestParallelMatchesFlatBitExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if serial.Engine != "flat" {
+				t.Errorf("RunFlat engine = %q, want flat", serial.Engine)
+			}
 			for _, w := range workerCounts {
 				opts := serialOpts
 				opts.Workers = w

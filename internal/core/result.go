@@ -102,12 +102,14 @@ func interiorPE(d mesh.Dims) (x, y int, ok bool) {
 }
 
 // gatherResidual copies per-PE residual columns into mesh layout.
-func gatherResidual(states []*peState, d mesh.Dims) []float32 {
+func gatherResidual(states []peState, d mesh.Dims) []float32 {
 	out := make([]float32, d.Cells())
-	for _, s := range states {
-		col := s.eng.Mem.ReadAll(s.res)
-		for z := 0; z < s.nz; z++ {
-			out[(z*d.Ny+s.y)*d.Nx+s.x] = col[z]
+	col := make([]float32, d.Nz)
+	for i := range states {
+		s := &states[i]
+		s.eng.Mem.ReadInto(col, s.res)
+		for z, v := range col {
+			out[(z*d.Ny+s.y)*d.Nx+s.x] = v
 		}
 	}
 	return out
@@ -118,7 +120,7 @@ func gatherResidual(states []*peState, d mesh.Dims) []float32 {
 // in any engine-dependent completion order — so the accounting a Result
 // reports is identical no matter which goroutine, worker or shard finished
 // first.
-func summarize(engine string, states []*peState, m *mesh.Mesh, opts Options, elapsed time.Duration) *Result {
+func summarize(engine string, states []peState, m *mesh.Mesh, opts Options, elapsed time.Duration) *Result {
 	res := &Result{
 		Engine:   engine,
 		Dims:     m.Dims,
@@ -135,7 +137,7 @@ func summarize(engine string, states []*peState, m *mesh.Mesh, opts Options, ela
 		}
 	}
 	if x, y, ok := interiorPE(m.Dims); ok {
-		s := states[y*m.Dims.Nx+x]
+		s := &states[y*m.Dims.Nx+x]
 		sc := s.eng.Counters()
 		res.Interior = perCellFromCounters(&sc, opts.Apps, m.Dims.Nz)
 		res.MemStats = s.eng.Mem.Stats()

@@ -20,7 +20,9 @@ import (
 //	nbrP/nbrGz[8] — receive buffers for the eight in-plane neighbors
 //	fbuf[10]      — per-face flux columns (assembled in fixed order)
 //	scratch       — kernel intermediates: 5 buffers with reuse (§5.3.1),
-//	                13 without
+//	                13 without (allocated for the footprint in every run, but
+//	                written only when the kernel executes op by op — the
+//	                fused dsd.FluxFace keeps the intermediates in registers)
 //
 // With buffer reuse the footprint is 44·Nz+4 words; the CS-2's 12288-word
 // PEs therefore hold at most Nz = 279, and without reuse only Nz = 236 —
@@ -28,7 +30,7 @@ import (
 type peState struct {
 	eng    *dsd.Engine
 	opts   Options
-	consts physics.Float32
+	consts dsd.FluxConsts
 	x, y   int
 	nz     int
 	dims   mesh.Dims
@@ -39,13 +41,16 @@ type peState struct {
 	trans       [mesh.NumDirections]dsd.Desc
 	nbrP, nbrGz [8]dsd.Desc // indexed by mesh.Direction (0..7 are in-plane)
 	fbuf        [mesh.NumDirections]dsd.Desc
-	scratch     []dsd.Desc
-	scratchSub  []dsd.Desc // reusable single-element scratch views (scalar ablation)
+	// scratch holds the view of each of the kernel's 13 intermediates, in
+	// production order (the v* indices). Without buffer reuse every
+	// intermediate has a buffer of its own; with it they share five
+	// (reuseSlot).
+	scratch [scratchNaive]dsd.Desc
 
-	// sendBuf is the persistent serialized (pressure, gravity) send column:
-	// the Nz pressure words followed by the Nz gravity words. It is refreshed
-	// once per application (at setup and after each perturb) so halo exchange
-	// never allocates; neighbors read it directly.
+	// sendBuf is the host-side copy of the own body columns in send order:
+	// the Nz pressure words followed by the Nz gravity words. Setup and
+	// perturb write the columns here first and copy them into PE memory, so
+	// halo exchange never allocates; neighbors read it directly.
 	sendBuf []float32
 
 	hasNbr [8]bool // in-plane mesh adjacency
@@ -72,18 +77,22 @@ func WordsPerZ(bufferReuse bool) int {
 // FixedWords is the Z-independent part of the footprint (the pad cells).
 const FixedWords = 4
 
-// setupPE allocates and loads one PE's state from the mesh. The engine's
+// setup allocates and loads one PE's state from the mesh. The engine's
 // memory must be freshly allocated (descriptors are laid out from offset 0).
-func setupPE(eng *dsd.Engine, m *mesh.Mesh, fl physics.Fluid, x, y int, opts Options) (*peState, error) {
+// sendBuf is the PE's 2·Nz-word send column and stage an Nz-word staging
+// column the caller may share between PEs it sets up one after another.
+func (s *peState) setup(eng *dsd.Engine, m *mesh.Mesh, fl physics.Fluid, x, y int, opts Options, sendBuf, stage []float32) error {
 	nz := m.Dims.Nz
-	s := &peState{
-		eng:    eng,
-		opts:   opts,
-		consts: fl.Constants32(),
-		x:      x,
-		y:      y,
-		nz:     nz,
-		dims:   m.Dims,
+	c := fl.Constants32()
+	*s = peState{
+		eng:     eng,
+		opts:    opts,
+		consts:  dsd.FluxConsts{AHat: c.AHat, CHat: c.CHat, NegC: c.NegC, InvMu: c.InvMu},
+		x:       x,
+		y:       y,
+		nz:      nz,
+		dims:    m.Dims,
+		sendBuf: sendBuf,
 	}
 	mem := eng.Mem
 	fail := func(what string, err error) error {
@@ -91,62 +100,75 @@ func setupPE(eng *dsd.Engine, m *mesh.Mesh, fl physics.Fluid, x, y int, opts Opt
 	}
 	var err error
 	if s.pPad, err = mem.Alloc(nz + 2); err != nil {
-		return nil, fail("pressure column", err)
+		return fail("pressure column", err)
 	}
 	if s.gzPad, err = mem.Alloc(nz + 2); err != nil {
-		return nil, fail("gravity column", err)
+		return fail("gravity column", err)
 	}
 	s.p = s.pPad.MustSlice(1, nz)
 	s.gz = s.gzPad.MustSlice(1, nz)
 	if s.res, err = mem.Alloc(nz); err != nil {
-		return nil, fail("residual column", err)
+		return fail("residual column", err)
 	}
 	for _, d := range mesh.AllDirections {
 		if s.trans[d], err = mem.Alloc(nz); err != nil {
-			return nil, fail("transmissibility columns", err)
+			return fail("transmissibility columns", err)
 		}
 	}
 	for i := range s.nbrP {
 		if s.nbrP[i], err = mem.Alloc(nz); err != nil {
-			return nil, fail("neighbor pressure buffers", err)
+			return fail("neighbor pressure buffers", err)
 		}
 		if s.nbrGz[i], err = mem.Alloc(nz); err != nil {
-			return nil, fail("neighbor gravity buffers", err)
+			return fail("neighbor gravity buffers", err)
 		}
 	}
 	for _, d := range mesh.AllDirections {
 		if s.fbuf[d], err = mem.Alloc(nz); err != nil {
-			return nil, fail("flux buffers", err)
+			return fail("flux buffers", err)
 		}
 	}
-	nScratch := scratchReuse
-	if !opts.BufferReuse {
-		nScratch = scratchNaive
+	var bufs [scratchNaive]dsd.Desc
+	nScratch := scratchNaive
+	if opts.BufferReuse {
+		nScratch = scratchReuse
 	}
-	s.scratch = make([]dsd.Desc, nScratch)
-	for i := range s.scratch {
-		if s.scratch[i], err = mem.Alloc(nz); err != nil {
-			return nil, fail("kernel scratch", err)
+	for i := range bufs[:nScratch] {
+		if bufs[i], err = mem.Alloc(nz); err != nil {
+			return fail("kernel scratch", err)
 		}
 	}
-	s.scratchSub = make([]dsd.Desc, nScratch)
+	for v := range s.scratch {
+		slot := v
+		if opts.BufferReuse {
+			slot = reuseSlot[v]
+		}
+		s.scratch[v] = bufs[slot]
+	}
 
-	// Host load (H2D): own columns, transmissibilities, adjacency.
+	// Host load (H2D): own columns, transmissibilities, adjacency. A PE's
+	// cells are one mesh column: every Nx·Ny-th entry from (x, y).
+	first, step := s.globalIndex(0), m.Dims.Nx*m.Dims.Ny
+	pCol, gzCol := sendBuf[:nz], sendBuf[nz:]
 	g := fl.Gravity
-	for z := 0; z < nz; z++ {
-		idx := s.globalIndex(z)
-		mem.StoreHost(s.p, z, float32(m.Pressure[idx]))
-		mem.StoreHost(s.gz, z, float32(g*m.Elev[idx]))
-		for _, d := range mesh.AllDirections {
-			if !opts.Diagonals && d.IsDiagonal() {
-				continue // Υ stays 0: diagonal faces contribute nothing
-			}
-			mem.StoreHost(s.trans[d], z, float32(m.Trans[d][idx]))
+	for z := range pCol {
+		idx := first + z*step
+		pCol[z] = float32(m.Pressure[idx])
+		gzCol[z] = float32(g * m.Elev[idx])
+	}
+	s.hostWrite(s.p, pCol)
+	s.hostWrite(s.gz, gzCol)
+	for _, d := range mesh.AllDirections {
+		if !opts.Diagonals && d.IsDiagonal() {
+			continue // Υ stays 0: diagonal faces contribute nothing
 		}
+		tr := m.Trans[d]
+		for z := range stage {
+			stage[z] = float32(tr[first+z*step])
+		}
+		s.hostWrite(s.trans[d], stage)
 	}
 	s.refreshGhosts()
-	s.sendBuf = make([]float32, 2*nz)
-	s.refreshSendBuf()
 	for i, d := range xyDirections {
 		dx, dy, _ := d.Offset()
 		nx, ny := x+dx, y+dy
@@ -155,13 +177,20 @@ func setupPE(eng *dsd.Engine, m *mesh.Mesh, fl physics.Fluid, x, y int, opts Opt
 			// Mirror own data into missing-neighbor buffers: with Υ = 0 on
 			// boundary faces the values are inert, and mirroring keeps every
 			// intermediate finite.
-			for z := 0; z < nz; z++ {
-				mem.StoreHost(s.nbrP[i], z, mem.Load(s.p, z))
-				mem.StoreHost(s.nbrGz[i], z, mem.Load(s.gz, z))
-			}
+			s.hostWrite(s.nbrP[i], pCol)
+			s.hostWrite(s.nbrGz[i], gzCol)
 		}
 	}
-	return s, nil
+	return nil
+}
+
+// hostWrite copies a host column into PE memory (uncounted — the host
+// runtime's memcpy analog). Column and descriptor are both Nz long by
+// construction, so a mismatch is a bug.
+func (s *peState) hostWrite(d dsd.Desc, src []float32) {
+	if err := s.eng.Mem.WriteAll(d, src); err != nil {
+		panic(err)
+	}
 }
 
 // globalIndex maps the PE's z-th cell to the mesh's linear index.
@@ -182,25 +211,19 @@ func (s *peState) refreshGhosts() {
 
 // perturb applies the shared between-application pressure update to the own
 // column. The update models the host supplying "a different pressure vector
-// at every call" (§3) and is therefore a host-style write, not kernel work.
+// at every call" (§3) and is therefore a host-style write, not kernel work:
+// the send buffer's pressure half is the host copy, updated first and then
+// copied into PE memory. The kernel never writes p or gz, so the two stay
+// equal and the buffer stays valid for every neighbor that reads it.
 func (s *peState) perturb(app int) {
-	mem := s.eng.Mem
-	for z := 0; z < s.nz; z++ {
-		delta := mesh.PerturbDelta32(app, s.globalIndex(z), PerturbAmplitude)
-		mem.StoreHost(s.p, z, mem.Load(s.p, z)+delta)
+	p := s.sendBuf[:s.nz]
+	idx, step := s.globalIndex(0), s.dims.Nx*s.dims.Ny
+	for z := range p {
+		p[z] += mesh.PerturbDelta32(app, idx, PerturbAmplitude)
+		idx += step
 	}
+	s.hostWrite(s.p, p)
 	s.refreshGhosts()
-	s.refreshSendBuf()
-}
-
-// refreshSendBuf re-serializes the own columns into the persistent send
-// buffer (host-side copy, uncounted — the pre-send memcpy analog). Called
-// once per application; between refreshes the kernel never writes p or gz,
-// so the buffer stays valid for every neighbor that reads it.
-func (s *peState) refreshSendBuf() {
-	mem := s.eng.Mem
-	mem.ReadInto(s.sendBuf[:s.nz], s.p)
-	mem.ReadInto(s.sendBuf[s.nz:], s.gz)
 }
 
 // ownColumn returns the PE's serialized (pressure, gravity) body columns in

@@ -123,3 +123,31 @@ func BenchmarkKernelMovRecv(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkKernelFluxFace measures the 14-op face kernel at the paper's
+// column depth, fused (one FluxFace pass) against the op-by-op sequence it
+// replaces on the hot path. MB/s counts output elements (4 bytes each), so
+// Melem/s is MB/s ÷ 4.
+func BenchmarkKernelFluxFace(b *testing.B) {
+	const n = 246
+	for _, variant := range []string{"fused", "sequence"} {
+		b.Run(fmt.Sprintf("n=%d/%s", n, variant), func(b *testing.B) {
+			c := newFaceColumns(b, n)
+			w := c.e.Mem.words
+			for i := 0; i < n; i++ {
+				w[c.p.At(i)], w[c.nbrP.At(i)] = 2e7+float32(i%17)*1e4, 2e7+float32(i%13)*1e4
+				w[c.gz.At(i)], w[c.nbrGz.At(i)] = -15000+float32(i), -15010+float32(i)
+				w[c.tr.At(i)] = 1e-12
+			}
+			b.SetBytes(4 * n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if variant == "fused" {
+					c.e.FluxFace(c.f, c.tr, c.p, c.gz, c.nbrP, c.nbrGz, testConsts)
+				} else {
+					fluxSequence(c.e, c.f, c.tr, c.p, c.gz, c.nbrP, c.nbrGz, testConsts, c.scratch)
+				}
+			}
+		})
+	}
+}

@@ -19,6 +19,7 @@ package dsd
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Desc is a Data Structure Descriptor: a strided view over a PE's memory.
@@ -61,44 +62,59 @@ func (d Desc) Shift(off int) Desc {
 // Stats exposes the high-water mark so the buffer-reuse ablation can compare
 // peak footprints.
 type Memory struct {
-	words   []float32
-	brk     int
-	high    int
-	free    map[int][]int // length → bases of freed blocks
-	reused  int
-	allocs  int
-	blockLn map[int]int // base → allocated length (for Free validation)
+	words  []float32
+	brk    int
+	high   int
+	reused int
+	allocs int
+	// spans records the bump allocator's block layout (for Free validation)
+	// as runs of equal-length blocks: a PE's dozens of Nz-word columns are
+	// one span, so recording an allocation is a counter increment.
+	spans []span
+	free  map[int][]int // length → bases of freed blocks; created by the first Free
+}
+
+// span is a run of count blocks of blockLen words each that the bump
+// allocator laid out back to back from base.
+type span struct {
+	base, blockLen, count int
 }
 
 // NewMemory allocates a PE memory of capacity words. The WSE-2's 48 KiB per
 // PE corresponds to 12288 words.
 func NewMemory(capacityWords int) (*Memory, error) {
+	mems, err := NewArena(1, capacityWords)
+	if err != nil {
+		return nil, err
+	}
+	return &mems[0], nil
+}
+
+// arenaSpans is the span capacity NewArena reserves per memory; a memory that
+// needs more grows its own list.
+const arenaSpans = 4
+
+// NewArena allocates n PE memories of capacityWords each, carved out of one
+// contiguous slab, so an engine's working set is cache-contiguous and costs
+// three allocations (words, headers, span records) instead of several per PE.
+// The slab is zeroed exactly once, by its allocation — Alloc relies on fresh
+// words being zero.
+func NewArena(n, capacityWords int) ([]Memory, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("dsd: arena must hold at least one memory, got %d", n)
+	}
 	if capacityWords <= 0 {
 		return nil, fmt.Errorf("dsd: memory capacity must be positive, got %d", capacityWords)
 	}
-	return &Memory{
-		words:   make([]float32, capacityWords),
-		free:    make(map[int][]int),
-		blockLn: make(map[int]int),
-	}, nil
-}
-
-// NewMemoryFromSlab wraps an externally allocated slab as a PE memory. The
-// engines use it to carve one contiguous arena into per-PE memories, so a
-// shard's working set is cache-contiguous instead of scattered across
-// thousands of individual allocations. The slab is zeroed here (Alloc
-// assumes fresh words are zero) and must not be shared between memories —
-// carve disjoint subslices with a full slice expression.
-func NewMemoryFromSlab(slab []float32) (*Memory, error) {
-	if len(slab) == 0 {
-		return nil, fmt.Errorf("dsd: memory slab must be non-empty")
+	slab := make([]float32, n*capacityWords)
+	spans := make([]span, n*arenaSpans)
+	mems := make([]Memory, n)
+	for i := range mems {
+		w, s := i*capacityWords, i*arenaSpans
+		mems[i].words = slab[w : w+capacityWords : w+capacityWords]
+		mems[i].spans = spans[s : s : s+arenaSpans]
 	}
-	clear(slab)
-	return &Memory{
-		words:   slab,
-		free:    make(map[int][]int),
-		blockLn: make(map[int]int),
-	}, nil
+	return mems, nil
 }
 
 // Capacity returns the memory size in words.
@@ -115,7 +131,6 @@ func (m *Memory) Alloc(n int) (Desc, error) {
 		m.free[n] = bases[:len(bases)-1]
 		m.reused++
 		m.allocs++
-		m.blockLn[base] = n
 		clear(m.words[base : base+n])
 		return Desc{Base: base, Len: n, Stride: 1}, nil
 	}
@@ -128,19 +143,34 @@ func (m *Memory) Alloc(n int) (Desc, error) {
 		m.high = m.brk
 	}
 	m.allocs++
-	m.blockLn[base] = n
+	if k := len(m.spans) - 1; k >= 0 && m.spans[k].blockLen == n {
+		m.spans[k].count++
+	} else {
+		m.spans = append(m.spans, span{base: base, blockLen: n, count: 1})
+	}
 	return Desc{Base: base, Len: n, Stride: 1}, nil
+}
+
+// isBlock reports whether d is exactly a block the bump allocator laid out.
+func (m *Memory) isBlock(d Desc) bool {
+	for _, s := range m.spans {
+		if off := d.Base - s.base; off >= 0 && off < s.blockLen*s.count {
+			return d.Stride == 1 && d.Len == s.blockLen && off%s.blockLen == 0
+		}
+	}
+	return false
 }
 
 // Free returns d's block to the free list for reuse. The descriptor must be
 // exactly as returned by Alloc.
 func (m *Memory) Free(d Desc) error {
-	n, ok := m.blockLn[d.Base]
-	if !ok || d.Stride != 1 || n != d.Len {
+	if !m.isBlock(d) || slices.Contains(m.free[d.Len], d.Base) {
 		return fmt.Errorf("dsd: Free of non-allocated or reshaped block {base %d len %d stride %d}", d.Base, d.Len, d.Stride)
 	}
-	delete(m.blockLn, d.Base)
-	m.free[n] = append(m.free[n], d.Base)
+	if m.free == nil {
+		m.free = make(map[int][]int)
+	}
+	m.free[d.Len] = append(m.free[d.Len], d.Base)
 	return nil
 }
 
@@ -195,6 +225,10 @@ func (m *Memory) ReadInto(dst []float32, d Desc) {
 func (m *Memory) WriteAll(d Desc, src []float32) error {
 	if len(src) != d.Len {
 		return fmt.Errorf("dsd: WriteAll length %d != descriptor length %d", len(src), d.Len)
+	}
+	if d.Stride == 1 {
+		copy(m.words[d.Base:d.Base+d.Len], src)
+		return nil
 	}
 	for i, v := range src {
 		m.words[d.At(i)] = v

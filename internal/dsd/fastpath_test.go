@@ -134,34 +134,86 @@ func TestCountersFoldMatchesManualAccounting(t *testing.T) {
 	}
 }
 
-func TestMemoryFromSlab(t *testing.T) {
-	slab := make([]float32, 64)
-	for i := range slab {
-		slab[i] = 42 // stale content the constructor must clear
-	}
-	m, err := NewMemoryFromSlab(slab)
+func TestNewArena(t *testing.T) {
+	const n, capacity = 3, 64
+	mems, err := NewArena(n, capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Capacity() != 64 {
-		t.Fatalf("capacity = %d, want 64", m.Capacity())
+	if len(mems) != n {
+		t.Fatalf("arena holds %d memories, want %d", len(mems), n)
 	}
-	d, err := m.Alloc(8)
-	if err != nil {
-		t.Fatal(err)
+	// Stale words are never observable: dirty every word of every memory
+	// through a full-capacity block, free it, and allocate again.
+	for i := range mems {
+		m := &mems[i]
+		if m.Capacity() != capacity {
+			t.Fatalf("memory %d capacity = %d, want %d", i, m.Capacity(), capacity)
+		}
+		d, err := m.Alloc(capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < capacity; j++ {
+			if v := m.Load(d, j); v != 0 {
+				t.Fatalf("memory %d: fresh word %d = %g, want 0", i, j, v)
+			}
+			m.StoreHost(d, j, 42)
+		}
+		if _, err := m.Alloc(1); err == nil {
+			t.Fatalf("memory %d allocated past its capacity into its neighbor", i)
+		}
+		if err := m.Free(d); err != nil {
+			t.Fatal(err)
+		}
+		d, err = m.Alloc(capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < capacity; j++ {
+			if v := m.Load(d, j); v != 0 {
+				t.Fatalf("memory %d: reused word %d = %g, want 0", i, j, v)
+			}
+		}
+		m.StoreHost(d, capacity-1, float32(i+1))
 	}
-	for i := 0; i < 8; i++ {
-		if v := m.Load(d, i); v != 0 {
-			t.Fatalf("fresh allocation not zeroed: word %d = %g", i, v)
+	// The memories are disjoint views: each kept its own last word.
+	for i := range mems {
+		if v := mems[i].words[capacity-1]; v != float32(i+1) {
+			t.Errorf("memory %d last word = %g, want %d", i, v, i+1)
 		}
 	}
-	// Writes must land in the caller's slab (it is a view, not a copy).
-	m.StoreHost(d, 3, 7)
-	if slab[d.Base+3] != 7 {
-		t.Error("slab-backed memory did not write through to the slab")
+	for _, bad := range [][2]int{{0, 64}, {-1, 64}, {4, 0}, {4, -8}} {
+		if _, err := NewArena(bad[0], bad[1]); err == nil {
+			t.Errorf("NewArena(%d, %d) accepted", bad[0], bad[1])
+		}
 	}
-	if _, err := NewMemoryFromSlab(nil); err == nil {
-		t.Error("empty slab accepted")
+}
+
+func TestArenaAllocationsDoNotScaleWithMemories(t *testing.T) {
+	// The engines' setup: one arena, then a PE-like layout in every memory
+	// (two padded columns, then dozens of equal columns). Words, headers and
+	// span records are the only allocations, however many memories there are.
+	const pes, nz = 64, 8
+	allocs := testing.AllocsPerRun(10, func() {
+		mems, err := NewArena(pes, 64*nz)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range mems {
+			for k := 0; k < 44; k++ {
+				n := nz
+				if k < 2 {
+					n = nz + 2 // the padded own columns come first
+				}
+				if _, err := mems[i].Alloc(n); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	})
+	if allocs != 3 {
+		t.Errorf("arena of %d memories cost %.0f allocations, want 3", pes, allocs)
 	}
 }
 

@@ -111,10 +111,13 @@ type Engine struct {
 func NewEngine(m *Memory) *Engine { return &Engine{Mem: m} }
 
 // count records one issue of kind k over n elements.
-func (e *Engine) count(k opKind, n int) {
+func (e *Engine) count(k opKind, n int) { e.countN(k, 1, n) }
+
+// countN records issues issues of kind k, each over n elements.
+func (e *Engine) countN(k opKind, issues uint64, n int) {
 	t := &e.tally[k]
-	t.elems += uint64(n)
-	t.issues++
+	t.elems += issues * uint64(n)
+	t.issues += issues
 }
 
 // Counters folds the deferred per-op tallies into the full accounting: the
@@ -168,6 +171,11 @@ func (e *Engine) AddCounters(c *Counters) {
 // explicit check panics with the canonical diagnostics.
 func inUnit(d Desc, n int) bool {
 	return d.Stride == 1 && d.Base >= 0 && d.Base+d.Len <= n
+}
+
+// overlap reports whether two unit-stride views share a word.
+func overlap(a, b Desc) bool {
+	return a.Base < b.Base+b.Len && b.Base < a.Base+a.Len
 }
 
 func (e *Engine) unit1(a Desc) bool {
@@ -309,8 +317,11 @@ func (e *Engine) NegV(dst, a Desc) {
 	e.count(opNegV, dst.Len)
 }
 
-// FmaVSS computes dst = s1·a + s2 (FMA: 2 FLOPs, 3 loads, 1 store; Go
-// evaluates the multiply and add with separate roundings, see physics note).
+// FmaVSS computes dst = s1·a + s2 (FMA: 2 FLOPs, 3 loads, 1 store). The
+// product is rounded to float32 before the add on every architecture: the
+// explicit conversion forbids the compiler from contracting the pair into a
+// hardware fused multiply-add (which Go otherwise may on arm64 and
+// GOAMD64=v3), so residual bits do not depend on the build target.
 func (e *Engine) FmaVSS(dst, a Desc, s1, s2 float32) {
 	sameLen2(dst, a)
 	w := e.Mem.words
@@ -318,18 +329,19 @@ func (e *Engine) FmaVSS(dst, a Desc, s1, s2 float32) {
 		n := dst.Len
 		d, x := w[dst.Base:dst.Base+n], w[a.Base:a.Base+n]
 		for i := range d {
-			d[i] = s1*x[i] + s2
+			d[i] = float32(s1*x[i]) + s2
 		}
 	} else {
 		e.Mem.check(dst, a)
 		for i := 0; i < dst.Len; i++ {
-			w[dst.At(i)] = s1*w[a.At(i)] + s2
+			w[dst.At(i)] = float32(s1*w[a.At(i)]) + s2
 		}
 	}
 	e.count(opFmaVSS, dst.Len)
 }
 
-// FmaVVV computes dst = a·b + c (FMA: 2 FLOPs, 3 loads, 1 store).
+// FmaVVV computes dst = a·b + c (FMA: 2 FLOPs, 3 loads, 1 store), with the
+// product rounded separately like FmaVSS.
 func (e *Engine) FmaVVV(dst, a, b, c Desc) {
 	sameLen4(dst, a, b, c)
 	w := e.Mem.words
@@ -337,12 +349,12 @@ func (e *Engine) FmaVVV(dst, a, b, c Desc) {
 		n := dst.Len
 		d, x, y, z := w[dst.Base:dst.Base+n], w[a.Base:a.Base+n], w[b.Base:b.Base+n], w[c.Base:c.Base+n]
 		for i := range d {
-			d[i] = x[i]*y[i] + z[i]
+			d[i] = float32(x[i]*y[i]) + z[i]
 		}
 	} else {
 		e.Mem.check(dst, a, b, c)
 		for i := 0; i < dst.Len; i++ {
-			w[dst.At(i)] = w[a.At(i)]*w[b.At(i)] + w[c.At(i)]
+			w[dst.At(i)] = float32(w[a.At(i)]*w[b.At(i)]) + w[c.At(i)]
 		}
 	}
 	e.count(opFmaVVV, dst.Len)
@@ -374,6 +386,77 @@ func (e *Engine) SelGtV(dst, cond, a, b Desc) {
 		}
 	}
 	e.count(opSelGtV, dst.Len)
+}
+
+// FluxConsts are the scalar immediates of the TPFA face kernel (DESIGN.md
+// §4): ρ = AHat·p + CHat linearized density, NegC = −CHat, InvMu = 1/μ.
+type FluxConsts struct {
+	AHat, CHat, NegC, InvMu float32
+}
+
+// FluxFace is the 14-FLOP TPFA face kernel as one macro-op: it computes
+// f = tr · λ_upw · ΔΦ from the own columns (pK, gzK) and the neighbor columns
+// (pL, gzL) by streaming every element through exactly the op sequence
+//
+//	SubVV SubVV MulVS MulVS AddVV FmaVSS MulVV NegV SubVV SelGtV SubVS MulVS MulVV MulVV
+//
+// in registers — 6 loads and 1 store per element instead of 27 and 14 — and
+// accounts for it as those 14 issues over Len elements, so counters and every
+// float32 result bit equal the op-by-op execution. Each product is rounded
+// through an explicit float32 conversion, which forbids contraction into a
+// fused multiply-add the separate ops would not perform. The intermediates
+// never reach memory: a kernel's scratch buffers stay allocated (footprint
+// and HighWaterWords are those of the op-by-op kernel) but are not written.
+//
+// It reports false, having done nothing, when the operands do not qualify —
+// a non-unit-stride descriptor, f overlapping an input (the sequence reads
+// every input before it stores f), or the fast path switched off — and the
+// caller then issues the sequence op by op. The inputs may overlap each other
+// (the vertical faces pass Shift(±1) views of one padded column). Mismatched
+// lengths and out-of-bounds descriptors panic like any other op.
+func (e *Engine) FluxFace(f, tr, pK, gzK, pL, gzL Desc, c FluxConsts) bool {
+	sameLen3(f, tr, pK)
+	sameLen4(f, gzK, pL, gzL)
+	n, size := f.Len, len(e.Mem.words)
+	if !fastPath || n <= 0 || !(inUnit(f, size) && inUnit(tr, size) && inUnit(pK, size) &&
+		inUnit(gzK, size) && inUnit(pL, size) && inUnit(gzL, size)) {
+		e.Mem.check(f, tr, pK, gzK, pL, gzL)
+		return false
+	}
+	if overlap(f, tr) || overlap(f, pK) || overlap(f, gzK) || overlap(f, pL) || overlap(f, gzL) {
+		return false
+	}
+	// Every view is resliced to len(fo), which lets the compiler drop the
+	// per-element bounds checks.
+	w := e.Mem.words
+	fo := w[f.Base : f.Base+n]
+	tv, pk, gk := w[tr.Base:][:len(fo)], w[pK.Base:][:len(fo)], w[gzK.Base:][:len(fo)]
+	pl, gl := w[pL.Base:][:len(fo)], w[gzL.Base:][:len(fo)]
+	for i := range fo {
+		dp := pl[i] - pk[i]                  // SubVV
+		dgz := gl[i] - gk[i]                 // SubVV
+		rK := float32(pk[i] * c.AHat)        // MulVS
+		rL := float32(pl[i] * c.AHat)        // MulVS
+		avg := float32(0.5*(rK+rL)) + c.CHat // AddVV, FmaVSS
+		ng := -float32(avg * dgz)            // MulVV, NegV
+		dphi := dp - ng                      // SubVV
+		rup := rL                            // SelGtV
+		if dphi > 0 {
+			rup = rK
+		}
+		lam := float32((rup - c.NegC) * c.InvMu) // SubVS, MulVS
+		t1 := float32(tv[i] * dphi)              // MulVV
+		fo[i] = float32(t1 * lam)                // MulVV
+	}
+	e.countN(opSubVV, 3, n)
+	e.countN(opMulVS, 3, n)
+	e.countN(opMulVV, 3, n)
+	e.countN(opAddVV, 1, n)
+	e.countN(opFmaVSS, 1, n)
+	e.countN(opNegV, 1, n)
+	e.countN(opSelGtV, 1, n)
+	e.countN(opSubVS, 1, n)
+	return true
 }
 
 // AccV computes dst += a — the flux-assembly accumulate-store ("assembles

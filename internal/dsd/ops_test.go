@@ -1,6 +1,7 @@
 package dsd
 
 import (
+	"math"
 	"testing"
 )
 
@@ -99,6 +100,41 @@ func TestFmaVVV(t *testing.T) {
 	e.FmaVVV(dst, a, b, c)
 	if e.Mem.Load(dst, 1) != 2*20 {
 		t.Errorf("fma wrong: %g", e.Mem.Load(dst, 1))
+	}
+}
+
+func TestFmaRoundsProductBeforeAdd(t *testing.T) {
+	// x² = 1 + 2⁻¹² + 2⁻²⁶ needs more than float32's 24 bits: rounded on its
+	// own it is 1 + 2⁻¹², and adding −(1 + 2⁻¹²) gives exactly 0, while a
+	// fused multiply-add keeps the 2⁻²⁶ tail. The ops are specified as two
+	// roundings, on every architecture and on both loop forms.
+	const x = 1 + 1.0/(1<<13)
+	const addend = -(1 + 1.0/(1<<12))
+	if fused := float32(math.FMA(x, x, addend)); fused == 0 {
+		t.Fatal("test input does not distinguish fused from separately rounded")
+	}
+	for _, fast := range []bool{true, false} {
+		m := newMem(t, 64)
+		e := NewEngine(m)
+		a, _ := m.Alloc(4)
+		c, _ := m.Alloc(4)
+		dst, _ := m.Alloc(4)
+		for i := 0; i < 4; i++ {
+			m.StoreHost(a, i, x)
+			m.StoreHost(c, i, addend)
+		}
+		prev := SetFastPath(fast)
+		e.FmaVSS(dst, a, x, addend)
+		vss := m.ReadAll(dst)
+		e.FmaVVV(dst, a, a, c)
+		vvv := m.ReadAll(dst)
+		SetFastPath(prev)
+		for i := 0; i < 4; i++ {
+			if vss[i] != 0 || vvv[i] != 0 {
+				t.Errorf("fast=%v element %d: FmaVSS = %g, FmaVVV = %g, want 0 (product rounded before the add)",
+					fast, i, vss[i], vvv[i])
+			}
+		}
 	}
 }
 

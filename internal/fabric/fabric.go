@@ -135,16 +135,15 @@ func New(cfg Config) (*Fabric, error) {
 	}
 	f := &Fabric{cfg: cfg, stop: make(chan struct{})}
 	f.pes = make([]*PE, cfg.Width*cfg.Height)
-	// One contiguous arena for every PE memory: per-PE views are carved out
-	// of it, so the fabric's working set is one allocation instead of W·H.
-	slab := make([]float32, cfg.Width*cfg.Height*cfg.MemWords)
+	// One contiguous arena for every PE memory, so the fabric's working set
+	// is one allocation instead of W·H.
+	mems, err := dsd.NewArena(cfg.Width*cfg.Height, cfg.MemWords)
+	if err != nil {
+		return nil, err
+	}
 	for y := 0; y < cfg.Height; y++ {
 		for x := 0; x < cfg.Width; x++ {
-			off := (y*cfg.Width + x) * cfg.MemWords
-			mem, err := dsd.NewMemoryFromSlab(slab[off : off+cfg.MemWords : off+cfg.MemWords])
-			if err != nil {
-				return nil, err
-			}
+			mem := &mems[y*cfg.Width+x]
 			pe := &PE{
 				X: x, Y: y,
 				Mem:     mem,
