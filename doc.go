@@ -34,8 +34,10 @@
 // compiled phase programs — one plan dispatch per iteration, each operator
 // application a fused pack+send+interior-compute step overlapping the halo
 // exchange followed by receive+frontier, the vector algebra fused steps with
-// per-part partial reductions. The phase program is the only way to drive
-// the resident operator. Every inner product
+// per-part partial reductions. The phase programs are the only statement of
+// the recurrences and solver.Resident.Solve the only loop that iterates them:
+// a plain Operator (and the serial reference) runs the same programs on a
+// solver.SliceSpace, op by op over global-order slices. Every inner product
 // folds through the canonical blocked reduction (umesh.CanonicalOrder — the
 // RCB recursion's own summation tree), so a transient backward-Euler run
 // (umesh.RunTransientPartitioned, massivefv.SolveUnstructured /

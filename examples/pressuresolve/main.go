@@ -42,13 +42,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pre, err := solver.JacobiPrecond(sys.Diagonal())
-	if err != nil {
-		log.Fatal(err)
-	}
 
+	// Jacobi preconditioning is the matrix diagonal handed to the solver.
 	x := make([]float64, op.Size())
-	st, err := solver.CG(op, x, b, solver.Options{Tol: 1e-6, MaxIter: 300, Precond: pre})
+	st, err := solver.CG(op, x, b, solver.Options{Tol: 1e-6, MaxIter: 300, PrecondDiag: sys.Diagonal()})
 	if err != nil {
 		log.Fatal(err)
 	}

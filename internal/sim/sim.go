@@ -105,12 +105,13 @@ func RunTransient(m *mesh.Mesh, fl physics.Fluid, opts Options) (*Result, error)
 	} else {
 		op = &solver.HostOperator{Sys: sys}
 	}
-	pre, err := solver.JacobiPrecond(sys.Diagonal())
+	// Jacobi-preconditioned CG, compiled once and re-run every step.
+	sopts := opts.Solver
+	sopts.PrecondDiag = sys.Diagonal()
+	cg, err := solver.CompileCG(&solver.SliceSpace{Operator: op}, sopts)
 	if err != nil {
 		return nil, err
 	}
-	sopts := opts.Solver
-	sopts.Precond = pre
 
 	n := m.Dims.Cells()
 	b := make([]float64, n)
@@ -132,7 +133,7 @@ func RunTransient(m *mesh.Mesh, fl physics.Fluid, opts Options) (*Result, error)
 		for i := range x {
 			x[i] = 0 // fresh δp each step (coefficients are frozen)
 		}
-		st, err := solver.CG(op, x, b, sopts)
+		st, err := cg.Solve(x, b, sopts.Cancel)
 		if err != nil {
 			return nil, fmt.Errorf("sim: step %d: %w", step, err)
 		}

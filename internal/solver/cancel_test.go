@@ -65,9 +65,9 @@ func TestCancelStopsAtIterationBoundary(t *testing.T) {
 		})
 	}
 	run("cg slice", CG, spdTest(n))
-	run("cg resident", CG, &sliceSpace{denseOp: spdTest(n)})
+	run("cg resident", CG, &SliceSpace{Operator: spdTest(n)})
 	run("bicgstab slice", BiCGStab, spdTest(n))
-	run("bicgstab resident", BiCGStab, &sliceSpace{denseOp: spdTest(n)})
+	run("bicgstab resident", BiCGStab, &SliceSpace{Operator: spdTest(n)})
 }
 
 // TestCancelBeforeFirstIteration: a hook that is already tripped stops the
@@ -79,9 +79,9 @@ func TestCancelBeforeFirstIteration(t *testing.T) {
 		a     Operator
 	}{
 		{"cg slice", CG, spdTest(20)},
-		{"cg resident", CG, &sliceSpace{denseOp: spdTest(20)}},
+		{"cg resident", CG, &SliceSpace{Operator: spdTest(20)}},
 		{"bicgstab slice", BiCGStab, spdTest(20)},
-		{"bicgstab resident", BiCGStab, &sliceSpace{denseOp: spdTest(20)}},
+		{"bicgstab resident", BiCGStab, &SliceSpace{Operator: spdTest(20)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			x := make([]float64, 20)

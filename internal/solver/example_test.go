@@ -27,10 +27,10 @@ func (t tridiag) Apply(dst, x []float64) error {
 }
 
 // ExampleCG solves a small SPD system with Jacobi-preconditioned CG. The
-// preconditioner is supplied as the matrix diagonal through
-// Options.PrecondDiag rather than a Precond closure: a diagonal works with
-// every operator, while a closure over global slices runs only on the slice
-// path — part-resident operators (solver.ProgramSpace) refuse it.
+// preconditioner is the matrix diagonal handed over in Options.PrecondDiag —
+// it works with every operator: CG wraps a plain Operator like this one in a
+// SliceSpace and runs the same compiled recurrence a partitioned
+// solver.ProgramSpace runs in its own layout.
 func ExampleCG() {
 	a := tridiag{n: 64}
 	b := make([]float64, a.n)

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -35,11 +36,15 @@ func TestPrecondKindsLadder(t *testing.T) {
 	}
 }
 
+// badDiagonals are the entries no preconditioner diagonal may hold: each would
+// invert to ±Inf, NaN or 0.
+var badDiagonals = []float64{0, math.NaN(), math.Inf(1), math.Inf(-1)}
+
 func TestPrecondKindValidationOnSlicePath(t *testing.T) {
-	// The slice path: an unknown kind is rejected, an operator-built kind on
-	// an operator without PrecondFactory is rejected, jacobi demands a
-	// diagonal of the operator's size, and an explicit Precond closure wins
-	// over the kind.
+	// A plain Operator (wrapped in a rung-less SliceSpace): an unknown kind is
+	// rejected, an operator-built kind is rejected because nothing can build
+	// it, jacobi demands a diagonal of the operator's size, and a zero, NaN or
+	// ±Inf entry is refused by index.
 	a := spdTest(8)
 	b := make([]float64, 8)
 	b[0] = 1
@@ -48,19 +53,17 @@ func TestPrecondKindValidationOnSlicePath(t *testing.T) {
 		t.Error("unknown kind accepted")
 	}
 	for _, kind := range []PrecondKind{PrecondSSOR, PrecondChebyshev, PrecondAMG} {
-		_, err := CG(a, x, b, Options{PrecondKind: kind})
-		if err == nil || !strings.Contains(err.Error(), "PrecondFactory") {
-			t.Errorf("%s on a factory-less operator: err = %v, want a PrecondFactory error", kind, err)
+		_, err := CG(a, x, b, Options{PrecondKind: kind, PrecondDiag: diagOf(a)})
+		if err == nil || !strings.Contains(err.Error(), "cannot build") {
+			t.Errorf("%s on a plain operator: err = %v, want a cannot-build error", kind, err)
 		}
 	}
 	if _, err := CG(a, x, b, Options{PrecondKind: PrecondJacobi}); err == nil {
 		t.Error("jacobi without a diagonal accepted")
 	}
-	// A diagonal of the wrong length is refused up front with the resident
-	// path's message, on both paths — it used to reach the closure and
-	// either panic (short) or be silently truncated (long).
+	// A diagonal of the wrong length is refused up front, wrapped or not.
 	short := []float64{4, 4, 4}
-	for name, op := range map[string]Operator{"slice": a, "resident": &sliceSpace{denseOp: a}} {
+	for name, op := range map[string]Operator{"slice": a, "resident": &SliceSpace{Operator: a}} {
 		for _, solve := range []func(Operator, []float64, []float64, Options) (*Stats, error){CG, BiCGStab} {
 			_, err := solve(op, x, b, Options{PrecondDiag: short})
 			if err == nil || !strings.Contains(err.Error(), "preconditioner diagonal covers 3 entries, operator has 8") {
@@ -68,30 +71,28 @@ func TestPrecondKindValidationOnSlicePath(t *testing.T) {
 			}
 		}
 	}
-	// JacobiPrecond itself refuses a nil or empty diagonal instead of
-	// returning a closure that indexes out of range on first use.
-	for _, diag := range [][]float64{nil, {}} {
-		if pre, err := JacobiPrecond(diag); err == nil || pre != nil {
-			t.Errorf("JacobiPrecond(%v) = (%v, %v), want an error", diag, pre != nil, err)
+	// An empty diagonal is a wrong-length diagonal, not a licence to index
+	// out of range on first use.
+	if _, err := CG(a, x, b, Options{PrecondDiag: []float64{}}); err == nil {
+		t.Error("empty diagonal accepted")
+	}
+	for _, bad := range badDiagonals {
+		diag := diagOf(a)
+		diag[5] = bad
+		for _, solve := range []func(Operator, []float64, []float64, Options) (*Stats, error){CG, BiCGStab} {
+			if _, err := solve(a, x, b, Options{PrecondDiag: diag}); err == nil || !strings.Contains(err.Error(), "at 5") {
+				t.Errorf("diagonal entry %v: err = %v, want a rejection naming index 5", bad, err)
+			}
 		}
-	}
-	// An explicit closure short-circuits kind resolution entirely.
-	applied := false
-	pre := func(z, r []float64) { applied = true; copy(z, r) }
-	if _, err := CG(a, x, b, Options{PrecondKind: PrecondAMG, Precond: pre}); err != nil {
-		t.Fatalf("explicit Precond with a ladder kind: %v", err)
-	}
-	if !applied {
-		t.Error("explicit Precond closure never ran")
 	}
 }
 
 func TestPrecondKindValidationOnResidentPath(t *testing.T) {
-	// The resident path: a ProgramSpace whose SetPrecond cannot build the
-	// operator-built rungs surfaces that error; jacobi still demands a
-	// diagonal.
+	// An explicit SliceSpace: without a Rung builder the operator-built rungs
+	// surface its SetPrecond error; jacobi still demands a diagonal; with a
+	// builder the kind and the validated diagonal reach it.
 	op := spdTest(8)
-	d := &sliceSpace{denseOp: op}
+	d := &SliceSpace{Operator: op}
 	b := make([]float64, 8)
 	b[0] = 1
 	x := make([]float64, 8)
@@ -99,20 +100,38 @@ func TestPrecondKindValidationOnResidentPath(t *testing.T) {
 		t.Error("unknown kind accepted")
 	}
 	for _, kind := range []PrecondKind{PrecondSSOR, PrecondChebyshev, PrecondAMG} {
-		_, err := CG(d, x, b, Options{PrecondKind: kind})
+		_, err := CG(d, x, b, Options{PrecondKind: kind, PrecondDiag: diagOf(op)})
 		if err == nil || !strings.Contains(err.Error(), "cannot build") {
-			t.Errorf("%s on a rung-less ProgramSpace: err = %v, want its SetPrecond error", kind, err)
+			t.Errorf("%s on a rung-less SliceSpace: err = %v, want its SetPrecond error", kind, err)
+		}
+		if _, err := CG(d, x, b, Options{PrecondKind: kind}); err == nil {
+			t.Errorf("%s without a diagonal accepted", kind)
 		}
 	}
 	if _, err := CG(d, x, b, Options{PrecondKind: PrecondJacobi}); err == nil {
 		t.Error("jacobi without a diagonal accepted")
 	}
-	if _, err := BiCGStab(d, x, b, Options{PrecondKind: PrecondAMG}); err == nil {
-		t.Error("BiCGStab resident path accepted an uninstallable rung")
+	if _, err := BiCGStab(d, x, b, Options{PrecondKind: PrecondAMG, PrecondDiag: diagOf(op)}); err == nil {
+		t.Error("BiCGStab accepted an uninstallable rung")
+	}
+	for _, bad := range badDiagonals {
+		diag := diagOf(op)
+		diag[2] = bad
+		if err := d.SetPrecond(PrecondDefault, diag); err == nil || !strings.Contains(err.Error(), "at 2") {
+			t.Errorf("SetPrecond with diagonal entry %v: err = %v, want a rejection naming index 2", bad, err)
+		}
 	}
 	// The supported kinds still solve.
 	st, err := CG(d, x, b, Options{PrecondKind: PrecondJacobi, PrecondDiag: diagOf(op)})
 	if err != nil || !st.Converged {
-		t.Fatalf("resident jacobi-by-kind failed: %v", err)
+		t.Fatalf("jacobi-by-kind failed: %v", err)
+	}
+	var built PrecondKind
+	d.Rung = func(kind PrecondKind, diag []float64) (func(z, r []float64), error) {
+		built = kind
+		return func(z, r []float64) { copy(z, r) }, nil
+	}
+	if st, err := CG(d, x, b, Options{PrecondKind: PrecondAMG, PrecondDiag: diagOf(op)}); err != nil || !st.Converged || built != PrecondAMG {
+		t.Fatalf("rung through the builder: %v %+v, built %q", err, st, built)
 	}
 }

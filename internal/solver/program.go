@@ -1,16 +1,17 @@
 package solver
 
-// This file defines the phase-program representation of the resident Krylov
-// solves and the one interface a resident operator implements. The resident
-// solvers (resident.go) describe their set-up and one iteration each as a
-// fixed list of ProgOps — vector kernels with scalar inputs read through
-// pointers at run time, reduction results written through pointers, and host
-// actions (the α/β recurrences, breakdown checks, convergence tests)
-// attached to the op whose results they consume. A ProgramSpace operator
-// (umesh.PartOperator) compiles a list into its own execution machinery — an
-// exec.Plan: one SPMD pass per run with the counted minimum of barriers,
-// actions running inside the barriers. There is no other executor; the tests
-// run the same lists over plain slices as a fake.
+// This file defines the phase-program representation of the Krylov solves and
+// the one interface a space of vectors implements to run them. The solvers
+// (resident.go) describe their set-up and one iteration each as a fixed list
+// of ProgOps — vector kernels with scalar inputs read through pointers at run
+// time, reduction results written through pointers, and host actions (the α/β
+// recurrences, breakdown checks, convergence tests) attached to the op whose
+// results they consume. There are two ProgramSpaces: umesh.PartOperator
+// compiles a list into its own execution machinery — an exec.Plan: one SPMD
+// pass per run with the counted minimum of barriers, actions running inside
+// the barriers — and SliceSpace (slicespace.go) runs it op by op over plain
+// slices. A new vector op is one OpKind here, one SliceSpace case (its
+// specification) and one shard kernel with its CompileProgram case in umesh.
 
 // OpKind enumerates the vector kernels a ProgOp can request. The vector
 // operands are named V1..V5, scalar inputs A1/A2 (dereferenced when the op
@@ -73,16 +74,14 @@ type Program interface {
 	Run() (stopped bool, err error)
 }
 
-// ProgramSpace is the part-resident operator: it holds the Krylov working set
-// in its own (typically partitioned) layout and executes compiled phase
-// programs there, so a solve is scatter (Load2) → set-up program → N ×
-// iteration program → gather (Store), and no vector round-trips through
-// global storage in between. CG and BiCGStab take this path whenever the
-// operator implements it.
+// ProgramSpace is where a solve's vectors live and its programs run: it holds
+// the Krylov working set in its own (typically partitioned) layout and
+// executes compiled phase programs there, so a solve is scatter (Load2) →
+// set-up program → N × iteration program → gather (Store), and no vector
+// round-trips through global storage in between.
 //
-// Contract, so resident solves reproduce slice solves exactly:
-//   - each op evaluates the expression its OpKind documents, per element, the
-//     same expression the slice recurrences use;
+// Contract, so solves on different spaces agree exactly:
+//   - each op evaluates the expression its OpKind documents, per element;
 //   - every reduction is a deterministic sum in one fixed global order, the
 //     same order for every runtime configuration (worker count, part count);
 //   - vector contents persist between programs until overwritten.
@@ -102,9 +101,10 @@ type ProgramSpace interface {
 	Store(dst []float64, v Vec)
 	// SetPrecond installs a rung of the preconditioner ladder as the M⁻¹ of
 	// OpPrecond/OpPrecondDot/OpCGStepPre, replacing the previous one. Jacobi
-	// applies z_i = (1/d_i)·r_i exactly like JacobiPrecond; the default kind
-	// is Jacobi when diag is non-nil and the identity otherwise. Programs
-	// freeze the installed preconditioner when compiled, so install first.
+	// applies z_i = (1/d_i)·r_i; the default kind is Jacobi when diag is
+	// non-nil and the identity otherwise. The request is validated with
+	// CheckPrecond first. Programs may freeze the installed preconditioner
+	// when compiled, so install first.
 	SetPrecond(kind PrecondKind, diag []float64) error
 	// CompileProgram lowers a phase program onto the operator's execution
 	// machinery. The ops slice (and the scalars it points to) must outlive

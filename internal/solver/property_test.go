@@ -120,23 +120,22 @@ func TestCGRandomSPDConvergesMonotonically(t *testing.T) {
 		for i := range b {
 			b[i] = rng.float()
 		}
-		jac, err := JacobiPrecond(diag)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Wrap the preconditioner to record the preconditioned residual norm
-		// at every application on the current residual.
+		// Jacobi built as a rung, so the reference space hands every
+		// application to a wrapper that records the preconditioned residual
+		// norm on the current residual.
 		var precNorms []float64
-		rec := func(z, r []float64) {
-			jac(z, r)
-			prec := 0.0
-			for i := range z {
-				prec += z[i] * r[i]
-			}
-			precNorms = append(precNorms, math.Sqrt(prec))
-		}
+		space := &SliceSpace{Operator: op, Rung: func(_ PrecondKind, diag []float64) (func(z, r []float64), error) {
+			return func(z, r []float64) {
+				prec := 0.0
+				for i := range z {
+					z[i] = (1 / diag[i]) * r[i]
+					prec += z[i] * r[i]
+				}
+				precNorms = append(precNorms, math.Sqrt(prec))
+			}, nil
+		}}
 		x := make([]float64, n)
-		st, err := CG(op, x, b, Options{Tol: 1e-10, MaxIter: 400, Precond: rec})
+		st, err := CG(space, x, b, Options{Tol: 1e-10, MaxIter: 400, PrecondKind: PrecondSSOR, PrecondDiag: diag})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -186,12 +185,8 @@ func TestBiCGStabRandomNonsymmetricMatchesReference(t *testing.T) {
 		for i := range b {
 			b[i] = rng.float()
 		}
-		jac, err := JacobiPrecond(diag)
-		if err != nil {
-			t.Fatal(err)
-		}
 		x := make([]float64, n)
-		st, err := BiCGStab(op, x, b, Options{Tol: 1e-11, MaxIter: 600, Precond: jac})
+		st, err := BiCGStab(op, x, b, Options{Tol: 1e-11, MaxIter: 600, PrecondDiag: diag})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -222,11 +217,7 @@ func TestBiCGStabMatchesHostOperatorSolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := JacobiPrecond(sys.Diagonal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{Tol: 1e-10, MaxIter: 800, Precond: pre}
+	opts := Options{Tol: 1e-10, MaxIter: 800, PrecondDiag: sys.Diagonal()}
 	xcg := make([]float64, op.Size())
 	if _, err := CG(op, xcg, b, opts); err != nil {
 		t.Fatal(err)

@@ -6,23 +6,18 @@ import (
 	"math"
 )
 
-// This file holds the part-resident Krylov recurrences: CG and BiCGStab
-// executed entirely by a ProgramSpace, so every working vector lives in the
-// operator's own (partitioned) layout for the whole solve. The recurrence is
-// compiled once (CompileCG / CompileBiCGStab) into a set-up program (‖b‖,
-// r = b − A·x and the first direction) and an iteration program; a solve then
-// scatters its inputs once (Load2), runs the set-up program and one iteration
-// program per Krylov iteration, and gathers the solution once (Store). Each
-// program is the vector kernels of that stretch of the recurrence with the
-// scalar bookkeeping attached as host actions (see program.go); the operator
-// executes it as a single SPMD plan.
-//
-// Bit-identity discipline: each op evaluates exactly the expressions of the
-// slice recurrence in the same order (the fused update+dot ops sum their
-// reductions in the operator's one fixed global order), so a resident solve
-// reproduces a slice solve over the same operator ordering bit-for-bit. The
-// breakdown checks mirror the slice implementations check-for-check for the
-// same reason.
+// This file is the one statement of the Krylov recurrences and the one loop
+// that iterates them. CG and BiCGStab are compiled once (CompileCG /
+// CompileBiCGStab) onto a ProgramSpace into a set-up program (‖b‖, r = b − A·x
+// and the first direction) and an iteration program; a solve then loads its
+// inputs once (Load2), runs the set-up program and one iteration program per
+// Krylov iteration, and stores the solution once (Store). Each program is the
+// vector kernels of that stretch of the recurrence with the scalar bookkeeping
+// attached as host actions (see program.go). The space decides how a program
+// executes — a single SPMD plan over partitioned vectors on umesh.PartOperator,
+// op by op over plain slices on a SliceSpace — and because every space
+// evaluates the same per-element expressions and sums every reduction in one
+// fixed global order, the solves agree bit for bit.
 
 // Resident vector handles: the solvers address their working sets as fixed
 // slots Vec(0..n-1) reserved up front, so repeated solves on one operator
@@ -60,14 +55,18 @@ type krylov struct {
 	half      bool    // BiCGStab: converged at the half step (after s)
 }
 
-// residualSetup is the opening both recurrences share: ‖b‖ (a zero right-hand
-// side stops the program before x is touched) and r = b − A·x through the
-// scratch vector ax. The ⟨r, r⟩ the fused op leaves in s.rr goes unread (the
-// slice path takes no initial residual norm either).
+// residualSetup is the opening both recurrences share: ‖b‖ and r = b − A·x
+// through the scratch vector ax. A zero right-hand side stops the program, a
+// non-finite one (a NaN or ±Inf entry — every later check would compare
+// against NaN and never fire) fails it, both before x is touched. The ⟨r, r⟩
+// the fused op leaves in s.rr goes unread.
 func residualSetup(s *krylov, x, b, r, ax Vec) []ProgOp {
 	return []ProgOp{
 		{Kind: OpDot, V1: b, V2: b, R1: &s.normB, Action: func() (bool, error) {
 			s.normB = math.Sqrt(s.normB)
+			if math.IsNaN(s.normB) || math.IsInf(s.normB, 0) {
+				return false, fmt.Errorf("%w: non-finite right-hand side (‖b‖ = %v)", ErrBreakdown, s.normB)
+			}
 			return s.normB == 0, nil
 		}},
 		{Kind: OpApply, V1: ax, V2: x},
@@ -94,7 +93,7 @@ func cgSetup(s *cgState) []ProgOp {
 // application and both dots fuse into a single OpCGStepPre pass; the
 // operator-built rungs (SSOR/Chebyshev/AMG) keep the update and the
 // preconditioner as separate ops so a converged final iteration skips the
-// expensive preconditioner exactly like the slice recurrence does.
+// expensive preconditioner.
 func cgProgram(s *cgState, rung bool) []ProgOp {
 	alphaAct := func() (bool, error) {
 		if s.pap == 0 || math.IsNaN(s.pap) {
@@ -223,10 +222,10 @@ func biProgram(s *biState, first bool) []ProgOp {
 	}
 }
 
-// Resident is CG or BiCGStab compiled onto a resident operator: the
-// preconditioner is installed and the programs are compiled once, and every
-// Solve re-runs them on a new (x, b). CG and BiCGStab on a ProgramSpace are
-// one compile plus one Solve; a caller that solves the same system many times
+// Resident is CG or BiCGStab compiled onto a ProgramSpace: the preconditioner
+// is installed and the programs are compiled once, and every Solve re-runs
+// them on a new (x, b). The package-level CG and BiCGStab are one compile plus
+// one Solve; a caller that solves the same system many times
 // (umesh.TransientSolver) keeps the Resident and pays the compile once.
 //
 // The operator's preconditioner and its vectors Vec(0..) belong to the
@@ -248,7 +247,7 @@ type Resident struct {
 // CompileCG compiles preconditioned conjugate gradients onto a.
 func CompileCG(a ProgramSpace, opts Options) (*Resident, error) {
 	opts = opts.withDefaults()
-	if err := installPrecond(a, opts); err != nil {
+	if err := a.SetPrecond(opts.PrecondKind, opts.PrecondDiag); err != nil {
 		return nil, err
 	}
 	a.Reserve(cgLen)
@@ -264,7 +263,7 @@ func CompileCG(a ProgramSpace, opts Options) (*Resident, error) {
 // CompileBiCGStab compiles preconditioned BiCGStab onto a.
 func CompileBiCGStab(a ProgramSpace, opts Options) (*Resident, error) {
 	opts = opts.withDefaults()
-	if err := installPrecond(a, opts); err != nil {
+	if err := a.SetPrecond(opts.PrecondKind, opts.PrecondDiag); err != nil {
 		return nil, err
 	}
 	a.Reserve(biLen)

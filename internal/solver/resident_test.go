@@ -8,139 +8,146 @@ import (
 	"testing"
 )
 
-// sliceSpace is the test-only ProgramSpace: denseOp's matrix, the identity
-// layout, and programs executed op by op over plain slices with left-to-right
-// inner products. It is a fake, not a second implementation — it exists to
-// prove the resident CG/BiCGStab programs reproduce the slice recurrences
-// exactly, independent of any partitioned runtime.
-type sliceSpace struct {
-	*denseOp
-	vecs [][]float64
-	inv  []float64 // nil = identity preconditioner
-}
-
-func (d *sliceSpace) Reserve(n int) {
-	for len(d.vecs) < n {
-		d.vecs = append(d.vecs, make([]float64, d.Size()))
-	}
-}
-
-func (d *sliceSpace) Load2(v1 Vec, s1 []float64, v2 Vec, s2 []float64) {
-	copy(d.vecs[v1], s1)
-	copy(d.vecs[v2], s2)
-}
-
-func (d *sliceSpace) Store(dst []float64, v Vec) { copy(dst, d.vecs[v]) }
-
-func (d *sliceSpace) SetPrecond(kind PrecondKind, diag []float64) error {
-	if kind.operatorBuilt() {
-		return fmt.Errorf("sliceSpace: cannot build the %q preconditioner", kind)
-	}
-	d.inv = nil
-	if diag == nil {
-		return nil
-	}
-	inv := make([]float64, len(diag))
-	for i, v := range diag {
-		if v == 0 || math.IsNaN(v) {
-			return errors.New("sliceSpace: zero/NaN diagonal entry")
-		}
-		inv[i] = 1 / v
-	}
-	d.inv = inv
-	return nil
-}
-
-func (d *sliceSpace) CompileProgram(ops []ProgOp) (Program, error) {
-	return &sliceProgram{d: d, ops: ops}, nil
-}
-
-type sliceProgram struct {
-	d   *sliceSpace
-	ops []ProgOp
-}
-
-func (p *sliceProgram) Run() (bool, error) {
-	d := p.d
-	v := func(h Vec) []float64 { return d.vecs[h] }
-	precond := func(z, r []float64) {
+// naiveCG and naiveBiCGStab are the textbook recurrences written as plainly as
+// possible — slices, one loop, left-to-right sums, no programs, no spaces.
+// They are the independent statement the phase programs are checked against:
+// a solve through Resident.Solve on a SliceSpace must reproduce them bit for
+// bit. inv is the Jacobi inverse diagonal (nil = no preconditioner).
+func naiveCG(a Operator, x, b, inv []float64, tol float64, maxIter int) (*Stats, error) {
+	n := a.Size()
+	pre := func(z, r []float64) {
 		copy(z, r)
-		for i := range d.inv {
-			z[i] = d.inv[i] * r[i]
+		for i := range inv {
+			z[i] = inv[i] * r[i]
 		}
 	}
-	cgStep := func(op *ProgOp) {
-		axpy(v(op.V1), *op.A1, v(op.V2))
-		axpy(v(op.V3), -*op.A1, v(op.V4))
-		*op.R1 = dot(v(op.V3), v(op.V3))
+	r, z, ap := make([]float64, n), make([]float64, n), make([]float64, n)
+	normB := math.Sqrt(dot(b, b))
+	a.Apply(r, x)
+	for i := range r {
+		r[i] = b[i] - r[i]
 	}
-	for i := range p.ops {
-		op := &p.ops[i]
-		switch op.Kind {
-		case OpApply, OpApplyDot:
-			if err := d.Apply(v(op.V1), v(op.V2)); err != nil {
-				return false, err
-			}
-			if op.Kind == OpApplyDot {
-				*op.R1 = dot(v(op.V3), v(op.V1))
-			}
-		case OpDot:
-			*op.R1 = dot(v(op.V1), v(op.V2))
-		case OpDot2:
-			*op.R1, *op.R2 = dot(v(op.V1), v(op.V2)), dot(v(op.V1), v(op.V3))
-		case OpCopy:
-			copy(v(op.V1), v(op.V2))
-		case OpAxpy:
-			axpy(v(op.V1), *op.A1, v(op.V2))
-		case OpAxpy2:
-			y, x, z := v(op.V1), v(op.V2), v(op.V3)
-			for i := range y {
-				y[i] += *op.A1*x[i] + *op.A2*z[i]
-			}
-		case OpXpby:
-			y, x := v(op.V1), v(op.V2)
-			for i := range y {
-				y[i] = x[i] + *op.A1*y[i]
-			}
-		case OpSubAxpyDot:
-			dst, a, b := v(op.V1), v(op.V2), v(op.V3)
-			for i := range dst {
-				dst[i] = a[i] - *op.A1*b[i]
-			}
-			*op.R1 = dot(dst, dst)
-		case OpCGStep:
-			cgStep(op)
-		case OpCGStepPre:
-			cgStep(op)
-			precond(v(op.V5), v(op.V3))
-			*op.R2 = dot(v(op.V3), v(op.V5))
-		case OpBicgP:
-			pp, r, vv := v(op.V1), v(op.V2), v(op.V3)
-			for i := range pp {
-				pp[i] = r[i] + *op.A1*(pp[i]-*op.A2*vv[i])
-			}
-		case OpPrecond, OpPrecondDot:
-			precond(v(op.V1), v(op.V2))
-			if op.Kind == OpPrecondDot {
-				*op.R1 = dot(v(op.V2), v(op.V1))
-			}
-		default:
-			return false, fmt.Errorf("sliceSpace: unknown op kind %d", op.Kind)
+	pre(z, r)
+	p := append([]float64(nil), z...)
+	rz := dot(r, z)
+	st := &Stats{}
+	for k := 0; k < maxIter; k++ {
+		a.Apply(ap, p)
+		pap := dot(p, ap)
+		if pap == 0 {
+			return st, ErrBreakdown
 		}
-		if op.Action != nil {
-			stop, err := op.Action()
-			if err != nil {
-				return false, err
-			}
-			if stop {
-				return true, nil
-			}
+		alpha := rz / pap
+		for i := range x {
+			x[i] += alpha * p[i]
+			r[i] -= alpha * ap[i]
 		}
+		st.Iterations = k + 1
+		st.Residual = math.Sqrt(dot(r, r)) / normB
+		st.History = append(st.History, st.Residual)
+		if st.Residual <= tol {
+			st.Converged = true
+			return st, nil
+		}
+		pre(z, r)
+		rzNew := dot(r, z)
+		for i := range p {
+			p[i] = z[i] + rzNew/rz*p[i]
+		}
+		rz = rzNew
 	}
-	return false, nil
+	return st, ErrNotConverged
 }
 
-var _ ProgramSpace = (*sliceSpace)(nil)
+func naiveBiCGStab(a Operator, x, b, inv []float64, tol float64, maxIter int) (*Stats, error) {
+	n := a.Size()
+	pre := func(z, r []float64) {
+		copy(z, r)
+		for i := range inv {
+			z[i] = inv[i] * r[i]
+		}
+	}
+	vec := func() []float64 { return make([]float64, n) }
+	r, v, p, ph, s, sh, t := vec(), vec(), vec(), vec(), vec(), vec(), vec()
+	normB := math.Sqrt(dot(b, b))
+	a.Apply(r, x)
+	for i := range r {
+		r[i] = b[i] - r[i]
+	}
+	rHat := append([]float64(nil), r...)
+	rho, alpha, omega := 1.0, 1.0, 1.0
+	st := &Stats{}
+	for k := 0; k < maxIter; k++ {
+		rhoNew := dot(rHat, r)
+		if k == 0 {
+			copy(p, r)
+		} else {
+			beta := (rhoNew / rho) * (alpha / omega)
+			for i := range p {
+				p[i] = r[i] + beta*(p[i]-omega*v[i])
+			}
+		}
+		rho = rhoNew
+		pre(ph, p)
+		a.Apply(v, ph)
+		den := dot(rHat, v)
+		if den == 0 {
+			return st, ErrBreakdown
+		}
+		alpha = rho / den
+		for i := range s {
+			s[i] = r[i] - alpha*v[i]
+		}
+		st.Iterations = k + 1
+		if res := math.Sqrt(dot(s, s)) / normB; res <= tol {
+			for i := range x {
+				x[i] += alpha * ph[i]
+			}
+			st.Residual, st.Converged = res, true
+			st.History = append(st.History, res)
+			return st, nil
+		}
+		pre(sh, s)
+		a.Apply(t, sh)
+		omega = dot(t, s) / dot(t, t)
+		for i := range x {
+			x[i] += alpha*ph[i] + omega*sh[i]
+			r[i] = s[i] - omega*t[i]
+		}
+		st.Residual = math.Sqrt(dot(r, r)) / normB
+		st.History = append(st.History, st.Residual)
+		if st.Residual <= tol {
+			st.Converged = true
+			return st, nil
+		}
+	}
+	return st, ErrNotConverged
+}
+
+// invOf inverts a diagonal (nil stays nil).
+func invOf(diag []float64) []float64 {
+	var inv []float64
+	for _, d := range diag {
+		inv = append(inv, 1/d)
+	}
+	return inv
+}
+
+// matchesGauss checks x against dense elimination to 1e-10 of the solution's
+// scale.
+func matchesGauss(t *testing.T, op *denseOp, x, b []float64) {
+	t.Helper()
+	want := gaussSolve(t, op, b)
+	scale := 0.0
+	for _, w := range want {
+		scale = math.Max(scale, math.Abs(w))
+	}
+	for i := range x {
+		if math.Abs(x[i]-want[i]) > 1e-10*scale {
+			t.Fatalf("x[%d] = %g, dense elimination %g", i, x[i], want[i])
+		}
+	}
+}
 
 // diagOf extracts the matrix diagonal of a dense operator.
 func diagOf(d *denseOp) []float64 {
@@ -151,11 +158,33 @@ func diagOf(d *denseOp) []float64 {
 	return diag
 }
 
+// sameSolve asserts two solves agree bit for bit: outcome, iteration count,
+// residual history and solution.
+func sameSolve(t *testing.T, what string, stA *Stats, errA error, xa []float64, stB *Stats, errB error, xb []float64) {
+	t.Helper()
+	if (errA == nil) != (errB == nil) {
+		t.Fatalf("%s: error mismatch: %v vs %v", what, errA, errB)
+	}
+	if stA.Iterations != stB.Iterations || stA.Converged != stB.Converged {
+		t.Fatalf("%s: %d its (conv %v) vs %d its (conv %v)", what, stA.Iterations, stA.Converged, stB.Iterations, stB.Converged)
+	}
+	for k := range stA.History {
+		if stA.History[k] != stB.History[k] {
+			t.Fatalf("%s: history[%d] differs: %g vs %g", what, k, stA.History[k], stB.History[k])
+		}
+	}
+	for i := range xa {
+		if xa[i] != xb[i] {
+			t.Fatalf("%s: x[%d] differs: %g vs %g", what, i, xa[i], xb[i])
+		}
+	}
+}
+
 func TestResidentCGMatchesSlicePathBitExact(t *testing.T) {
-	// The resident recurrence must be the slice recurrence expression for
-	// expression: CG through a conforming ProgramSpace reproduces CG through
-	// the plain Operator bit-for-bit — iterations, histories, solution —
-	// with and without Jacobi preconditioning.
+	// The CG program is textbook CG expression for expression: a solve through
+	// Resident.Solve on a SliceSpace reproduces naiveCG bit-for-bit —
+	// iterations, histories, solution — with and without Jacobi
+	// preconditioning, and lands on the dense-elimination solution.
 	for _, seed := range []uint64{1, 7, 42} {
 		op, b := randomSPD(24, seed)
 		for _, jacobi := range []bool{false, true} {
@@ -163,29 +192,15 @@ func TestResidentCGMatchesSlicePathBitExact(t *testing.T) {
 			if jacobi {
 				diag = diagOf(op)
 			}
-			opts := Options{Tol: 1e-10, MaxIter: 300, PrecondDiag: diag}
 			xs := make([]float64, op.Size())
-			stS, errS := CG(op, xs, b, opts)
+			stS, errS := naiveCG(op, xs, b, invOf(diag), 1e-13, 300)
 			xr := make([]float64, op.Size())
-			stR, errR := CG(&sliceSpace{denseOp: op}, xr, b, opts)
-			if (errS == nil) != (errR == nil) {
-				t.Fatalf("seed %d jacobi=%v: error mismatch: slice %v, resident %v", seed, jacobi, errS, errR)
+			stR, errR := CG(op, xr, b, Options{Tol: 1e-13, MaxIter: 300, PrecondDiag: diag})
+			sameSolve(t, fmt.Sprintf("seed %d jacobi=%v", seed, jacobi), stS, errS, xs, stR, errR, xr)
+			if errR != nil {
+				t.Fatalf("seed %d jacobi=%v: %v", seed, jacobi, errR)
 			}
-			if stS.Iterations != stR.Iterations || stS.Converged != stR.Converged {
-				t.Fatalf("seed %d jacobi=%v: slice %d its (conv %v), resident %d its (conv %v)",
-					seed, jacobi, stS.Iterations, stS.Converged, stR.Iterations, stR.Converged)
-			}
-			for k := range stS.History {
-				if stS.History[k] != stR.History[k] {
-					t.Fatalf("seed %d jacobi=%v: history[%d] differs: %g vs %g",
-						seed, jacobi, k, stS.History[k], stR.History[k])
-				}
-			}
-			for i := range xs {
-				if xs[i] != xr[i] {
-					t.Fatalf("seed %d jacobi=%v: x[%d] differs: %g vs %g", seed, jacobi, i, xs[i], xr[i])
-				}
-			}
+			matchesGauss(t, op, xr, b)
 		}
 	}
 }
@@ -196,35 +211,24 @@ func TestResidentBiCGStabMatchesSlicePathBitExact(t *testing.T) {
 		// Nonsymmetric perturbation exercises the full BiCGStab recurrence.
 		op.a[1][2] += 0.25
 		op.a[5][0] -= 0.125
-		opts := Options{Tol: 1e-10, MaxIter: 400, PrecondDiag: diagOf(op)}
+		diag := diagOf(op)
 		xs := make([]float64, op.Size())
-		stS, errS := BiCGStab(op, xs, b, opts)
+		stS, errS := naiveBiCGStab(op, xs, b, invOf(diag), 1e-13, 400)
 		xr := make([]float64, op.Size())
-		stR, errR := BiCGStab(&sliceSpace{denseOp: op}, xr, b, opts)
-		if (errS == nil) != (errR == nil) {
-			t.Fatalf("seed %d: error mismatch: slice %v, resident %v", seed, errS, errR)
+		stR, errR := BiCGStab(op, xr, b, Options{Tol: 1e-13, MaxIter: 400, PrecondDiag: diag})
+		sameSolve(t, fmt.Sprintf("seed %d", seed), stS, errS, xs, stR, errR, xr)
+		if errR != nil {
+			t.Fatalf("seed %d: %v", seed, errR)
 		}
-		if stS.Iterations != stR.Iterations || stS.Converged != stR.Converged {
-			t.Fatalf("seed %d: slice %d its, resident %d its", seed, stS.Iterations, stR.Iterations)
-		}
-		for k := range stS.History {
-			if stS.History[k] != stR.History[k] {
-				t.Fatalf("seed %d: history[%d] differs: %g vs %g", seed, k, stS.History[k], stR.History[k])
-			}
-		}
-		for i := range xs {
-			if xs[i] != xr[i] {
-				t.Fatalf("seed %d: x[%d] differs: %g vs %g", seed, i, xs[i], xr[i])
-			}
-		}
+		matchesGauss(t, op, xr, b)
 	}
 }
 
 func TestResidentZeroRHS(t *testing.T) {
-	// The zero-b early exit zeroes x on both paths.
+	// The zero-b early exit zeroes x.
 	op, _ := randomSPD(8, 5)
 	x := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	st, err := CG(&sliceSpace{denseOp: op}, x, make([]float64, 8), Options{})
+	st, err := CG(op, x, make([]float64, 8), Options{})
 	if err != nil || !st.Converged {
 		t.Fatalf("zero RHS: %v %+v", err, st)
 	}
@@ -236,48 +240,39 @@ func TestResidentZeroRHS(t *testing.T) {
 }
 
 func TestPrecondClosureForcesSlicePath(t *testing.T) {
-	// An Options.Precond closure works on global slices and cannot run
-	// resident. There is no slice path to force on a ProgramSpace operator any
-	// more: the solver must refuse the combination, before touching x, rather
-	// than ignore the closure or reroute every application through a scatter
-	// and gather.
+	// A z = M⁻¹·r closure over global slices is no solver option any more: it
+	// reaches a solve only as what a SliceSpace's Rung field builds for an
+	// operator-built kind — and there it is honoured, by both methods.
 	op, b := randomSPD(16, 9)
-	called := false
-	pre := func(z, r []float64) { called = true; copy(z, r) }
 	for name, solve := range map[string]func(Operator, []float64, []float64, Options) (*Stats, error){"cg": CG, "bicgstab": BiCGStab} {
+		calls := 0
+		space := &SliceSpace{Operator: op, Rung: func(PrecondKind, []float64) (func(z, r []float64), error) {
+			return func(z, r []float64) { calls++; copy(z, r) }, nil
+		}}
 		x := make([]float64, op.Size())
-		x[3] = 7
-		st, err := solve(&sliceSpace{denseOp: op}, x, b, Options{Tol: 1e-10, MaxIter: 300, Precond: pre})
-		if err == nil || !strings.Contains(err.Error(), "Options.Precond") {
-			t.Fatalf("%s: Precond closure on a resident operator: err = %v, want an Options.Precond error", name, err)
+		st, err := solve(space, x, b, Options{Tol: 1e-10, MaxIter: 300, PrecondKind: PrecondSSOR, PrecondDiag: diagOf(op)})
+		if err != nil || !st.Converged {
+			t.Fatalf("%s with a Rung closure failed: %v %+v", name, err, st)
 		}
-		if st != nil || called || x[3] != 7 {
-			t.Errorf("%s: refused solve still ran: stats %+v, closure called %v, x[3] = %g", name, st, called, x[3])
+		if calls == 0 {
+			t.Errorf("%s never invoked the Rung closure", name)
 		}
-	}
-	// The same closure on the plain operator is the slice path and is honored.
-	x := make([]float64, op.Size())
-	if st, err := CG(op, x, b, Options{Tol: 1e-10, MaxIter: 300, Precond: pre}); err != nil || !st.Converged {
-		t.Fatalf("slice solve with the closure failed: %v %+v", err, st)
-	}
-	if !called {
-		t.Error("slice path never invoked the Precond closure")
 	}
 }
 
 func TestResidentErrorPathsMirrorSlicePath(t *testing.T) {
-	// The exits that are not plain convergence must behave identically on
-	// the two paths: iteration exhaustion (best iterate still stored to x),
-	// Krylov breakdown, and a rejected preconditioner diagonal.
+	// The exits that are not plain convergence: iteration exhaustion (best
+	// iterate still in x, the textbook recurrence's to the bit), Krylov
+	// breakdown, and a rejected preconditioner diagonal.
 	t.Run("not converged", func(t *testing.T) {
 		op, b := randomSPD(24, 21)
 		opts := Options{Tol: 1e-14, MaxIter: 3}
 		xs := make([]float64, op.Size())
-		_, errS := CG(op, xs, b, opts)
+		_, errS := naiveCG(op, xs, b, nil, opts.Tol, opts.MaxIter)
 		xr := make([]float64, op.Size())
-		_, errR := CG(&sliceSpace{denseOp: op}, xr, b, opts)
+		_, errR := CG(op, xr, b, opts)
 		if !errors.Is(errS, ErrNotConverged) || !errors.Is(errR, ErrNotConverged) {
-			t.Fatalf("want ErrNotConverged on both paths, got slice %v, resident %v", errS, errR)
+			t.Fatalf("want ErrNotConverged from both, got textbook %v, program %v", errS, errR)
 		}
 		for i := range xs {
 			if xs[i] != xr[i] {
@@ -285,8 +280,8 @@ func TestResidentErrorPathsMirrorSlicePath(t *testing.T) {
 			}
 		}
 		xb := make([]float64, op.Size())
-		if _, err := BiCGStab(&sliceSpace{denseOp: op}, xb, b, opts); !errors.Is(err, ErrNotConverged) {
-			t.Fatalf("resident BiCGStab: want ErrNotConverged, got %v", err)
+		if _, err := BiCGStab(op, xb, b, opts); !errors.Is(err, ErrNotConverged) {
+			t.Fatalf("BiCGStab: want ErrNotConverged, got %v", err)
 		}
 	})
 	t.Run("breakdown", func(t *testing.T) {
@@ -299,33 +294,28 @@ func TestResidentErrorPathsMirrorSlicePath(t *testing.T) {
 		}
 		b := make([]float64, n)
 		b[0] = 1
-		if _, err := CG(&sliceSpace{denseOp: zeroA}, make([]float64, n), b, Options{}); !errors.Is(err, ErrBreakdown) {
-			t.Fatalf("resident CG on zero matrix: want ErrBreakdown, got %v", err)
+		if _, err := CG(zeroA, make([]float64, n), b, Options{}); !errors.Is(err, ErrBreakdown) {
+			t.Fatalf("CG on zero matrix: want ErrBreakdown, got %v", err)
 		}
-		if _, err := BiCGStab(&sliceSpace{denseOp: zeroA}, make([]float64, n), b, Options{}); !errors.Is(err, ErrBreakdown) {
-			t.Fatalf("resident BiCGStab on zero matrix: want ErrBreakdown, got %v", err)
+		if _, err := BiCGStab(zeroA, make([]float64, n), b, Options{}); !errors.Is(err, ErrBreakdown) {
+			t.Fatalf("BiCGStab on zero matrix: want ErrBreakdown, got %v", err)
 		}
 	})
 	t.Run("bad diagonal", func(t *testing.T) {
 		op, b := randomSPD(8, 33)
 		bad := make([]float64, op.Size()) // all-zero diagonal
 		opts := Options{PrecondDiag: bad}
-		if _, err := CG(&sliceSpace{denseOp: op}, make([]float64, op.Size()), b, opts); err == nil {
-			t.Error("resident CG accepted a zero preconditioner diagonal")
-		}
 		if _, err := CG(op, make([]float64, op.Size()), b, opts); err == nil {
-			t.Error("slice CG accepted a zero preconditioner diagonal")
-		}
-		if _, err := BiCGStab(&sliceSpace{denseOp: op}, make([]float64, op.Size()), b, opts); err == nil {
-			t.Error("resident BiCGStab accepted a zero preconditioner diagonal")
+			t.Error("CG accepted a zero preconditioner diagonal")
 		}
 		if _, err := BiCGStab(op, make([]float64, op.Size()), b, opts); err == nil {
-			t.Error("slice BiCGStab accepted a zero preconditioner diagonal")
+			t.Error("BiCGStab accepted a zero preconditioner diagonal")
 		}
 	})
 	t.Run("bicgstab early exit", func(t *testing.T) {
 		// On the identity matrix BiCGStab converges at the ‖s‖ check of the
-		// first iteration — the half-step exit both paths must take alike.
+		// first iteration — the half-step exit, whose x += α·p̂ the program
+		// must finish exactly like the textbook loop.
 		n := 6
 		eye := &denseOp{a: make([][]float64, n)}
 		for i := range eye.a {
@@ -334,48 +324,52 @@ func TestResidentErrorPathsMirrorSlicePath(t *testing.T) {
 		}
 		b := []float64{1, -2, 3, 0.5, -0.25, 4}
 		xs := make([]float64, n)
-		stS, errS := BiCGStab(eye, xs, b, Options{})
+		stS, errS := naiveBiCGStab(eye, xs, b, nil, 1e-8, 500)
 		xr := make([]float64, n)
-		stR, errR := BiCGStab(&sliceSpace{denseOp: eye}, xr, b, Options{})
+		stR, errR := BiCGStab(eye, xr, b, Options{})
 		if errS != nil || errR != nil || !stS.Converged || !stR.Converged {
 			t.Fatalf("identity solve failed: %v %v %+v %+v", errS, errR, stS, stR)
 		}
-		if stS.Iterations != stR.Iterations {
-			t.Fatalf("iterations differ: %d vs %d", stS.Iterations, stR.Iterations)
-		}
-		for i := range xs {
-			if xs[i] != xr[i] {
-				t.Fatalf("x[%d] differs: %g vs %g", i, xs[i], xr[i])
-			}
-		}
+		sameSolve(t, "identity", stS, errS, xs, stR, errR, xr)
 	})
 }
 
 func TestResidentSolveRespectsInitialGuess(t *testing.T) {
-	// A warm start must behave identically on both paths (the resident
-	// preamble applies A to the loaded x, not to zero).
+	// A warm start: the set-up program applies A to the loaded x, not to zero.
 	op, b := randomSPD(16, 13)
 	guess := make([]float64, op.Size())
 	for i := range guess {
 		guess[i] = math.Sin(float64(i))
 	}
-	opts := Options{Tol: 1e-10, MaxIter: 300}
 	xs := append([]float64(nil), guess...)
-	stS, err := CG(op, xs, b, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stS, errS := naiveCG(op, xs, b, nil, 1e-10, 300)
 	xr := append([]float64(nil), guess...)
-	stR, err := CG(&sliceSpace{denseOp: op}, xr, b, opts)
-	if err != nil {
-		t.Fatal(err)
+	stR, errR := CG(op, xr, b, Options{Tol: 1e-10, MaxIter: 300})
+	if errS != nil || errR != nil {
+		t.Fatal(errS, errR)
 	}
-	if stS.Iterations != stR.Iterations {
-		t.Fatalf("warm start diverged: slice %d its, resident %d", stS.Iterations, stR.Iterations)
-	}
-	for i := range xs {
-		if xs[i] != xr[i] {
-			t.Fatalf("x[%d] differs: %g vs %g", i, xs[i], xr[i])
+	sameSolve(t, "warm start", stS, errS, xs, stR, errR, xr)
+}
+
+func TestNonFiniteRHSIsBreakdown(t *testing.T) {
+	// A NaN or ±Inf entry in b makes ‖b‖ non-finite; every later check would
+	// compare against NaN and never fire (BiCGStab used to run all MaxIter
+	// iterations on NaNs). Both methods stop in the set-up program with
+	// ErrBreakdown, before x is touched.
+	op, _ := randomSPD(8, 5)
+	for name, solve := range map[string]func(Operator, []float64, []float64, Options) (*Stats, error){"cg": CG, "bicgstab": BiCGStab} {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			b := []float64{1, 2, bad, 4, 5, 6, 7, 8}
+			x := []float64{8, 7, 6, 5, 4, 3, 2, 1}
+			_, err := solve(op, x, b, Options{MaxIter: 5})
+			if !errors.Is(err, ErrBreakdown) || !strings.Contains(err.Error(), "non-finite right-hand side") {
+				t.Errorf("%s, b[2] = %v: err = %v, want the non-finite right-hand side breakdown", name, bad, err)
+			}
+			for i, v := range x {
+				if v != float64(8-i) {
+					t.Errorf("%s, b[2] = %v: x[%d] = %g, touched", name, bad, i, v)
+				}
+			}
 		}
 	}
 }

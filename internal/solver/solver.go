@@ -1,7 +1,7 @@
 // Package solver implements the paper's §8 extension: the flux computation
 // "is naturally extendable to a matrix-free operator ... for use in an
 // iterative Krylov method which would solve equation (2)". It provides
-// matrix-free Krylov solvers (CG and BiCGStab) with Jacobi preconditioning
+// matrix-free Krylov solvers (CG and BiCGStab) with a preconditioner ladder
 // over an Operator interface, plus two operators for the implicit pressure
 // equation:
 //
@@ -20,24 +20,25 @@
 // CG applicable; BiCGStab is provided for the general case.
 //
 // Preconditioning is selected by Options.PrecondKind — a ladder of four
-// rungs (jacobi, ssor, chebyshev, amg). Jacobi needs only the matrix
-// diagonal (Options.PrecondDiag) and works with any Operator; the
-// operator-built rungs are constructed by the operator itself: as a slice
-// closure through PrecondFactory (umesh's serial reference) or installed
-// resident through ProgramSpace.SetPrecond (umesh.PartOperator). An explicit
-// Options.Precond closure bypasses kind resolution on the slice path; a
-// ProgramSpace operator rejects it.
+// rungs (jacobi, ssor, chebyshev, amg) — and installed through
+// ProgramSpace.SetPrecond. Jacobi needs only the matrix diagonal
+// (Options.PrecondDiag) and works with any Operator; the operator-built rungs
+// are constructed by whoever knows the matrix graph: umesh.PartOperator in its
+// own layout, or the builder a SliceSpace is given in its Rung field.
 //
-// There are two executions of the recurrences and no third: the slice
-// CG/BiCGStab below (any Operator; also the independent recurrence the
-// bit-identity tests compare against) and the phase programs of resident.go,
-// which a ProgramSpace operator compiles and runs in its own layout.
+// There is one statement of each recurrence and one loop that iterates it:
+// cgProgram/biProgram (resident.go) spell CG and BiCGStab as phase programs,
+// and Resident.Solve drives them on whatever ProgramSpace it is given. A
+// partitioned operator (umesh.PartOperator) compiles the programs into its
+// own execution plans; every other Operator is wrapped in a SliceSpace
+// (slicespace.go), the reference space that runs the same programs op by op
+// on global-order slices — the serial solve is the same solver on the trivial
+// layout, and the oracle the partitioned runs are compared against.
 package solver
 
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Operator applies a linear operator y = A·x on float64 vectors.
@@ -48,33 +49,10 @@ type Operator interface {
 	Size() int
 }
 
-// Reducer is an optional Operator extension: a distributed inner product.
-// Partitioned operators implement it to compute dot products through their
-// own runtime (parallel per-part partial sums, then a deterministic fold in
-// a fixed order), and the slice-based Krylov iterations route every inner
-// product and norm through it. A conforming implementation must return the
-// same left-to-right sum for every configuration of its runtime (worker
-// count, part count), so solves stay bit-reproducible.
-type Reducer interface {
-	Dot(a, b []float64) float64
-}
-
 // Vec is an opaque handle to an operator-resident vector — a vector that
 // lives in the operator's own (typically partitioned) layout for the whole
 // solve. Handles are small integers issued by ProgramSpace.Reserve.
 type Vec int
-
-// dotOf routes an inner product through the operator's own reduction when it
-// provides one.
-func dotOf(a Operator, x, y []float64) float64 {
-	if r, ok := a.(Reducer); ok {
-		return r.Dot(x, y)
-	}
-	return dot(x, y)
-}
-
-// normOf is the Euclidean norm through the operator's reduction.
-func normOf(a Operator, x []float64) float64 { return math.Sqrt(dotOf(a, x, x)) }
 
 // Options controls the Krylov iteration.
 type Options struct {
@@ -82,25 +60,17 @@ type Options struct {
 	MaxIter int
 	// Tol is the relative residual tolerance ‖r‖/‖b‖ (default 1e-8).
 	Tol float64
-	// Precond optionally supplies a preconditioner application z = M⁻¹r as
-	// a closure over global slices. Only the slice path can run it: a
-	// ProgramSpace operator keeps its vectors in its own layout, so setting
-	// Precond with one is an error — use PrecondDiag/PrecondKind instead.
-	Precond func(z, r []float64)
-	// PrecondDiag optionally supplies the matrix diagonal for Jacobi
-	// preconditioning (length Size()). The slice path builds the equivalent
-	// of JacobiPrecond(PrecondDiag); the part-resident path installs it
-	// through ProgramSpace.SetPrecond — elementwise z_i = (1/d_i)·r_i either
-	// way, so the two paths stay bit-identical. Ignored when Precond is set.
+	// PrecondDiag optionally supplies the matrix diagonal (length Size()):
+	// what Jacobi preconditioning applies — elementwise z_i = (1/d_i)·r_i on
+	// every ProgramSpace, so solves stay bit-identical across spaces — and
+	// what the operator-built rungs scale by.
 	PrecondDiag []float64
 	// PrecondKind selects a rung of the preconditioner ladder (see the
-	// PrecondKind constants). The zero value keeps the pre-ladder behavior:
-	// Jacobi when PrecondDiag is set, identity otherwise. Operator-built
-	// rungs (SSOR, Chebyshev, AMG) require the operator to build them:
-	// PrecondFactory on the slice path, ProgramSpace.SetPrecond on the
-	// resident path; the two realizations apply identical arithmetic, so
-	// solves stay bit-identical across paths and part counts. Ignored when
-	// Precond is set.
+	// PrecondKind constants). The zero value is Jacobi when PrecondDiag is
+	// set and the identity otherwise. The operator-built rungs (SSOR,
+	// Chebyshev, AMG) need a space that can build them; every space that can
+	// applies identical arithmetic, so solves stay bit-identical across
+	// spaces and part counts.
 	PrecondKind PrecondKind
 	// Cancel, when non-nil, is polled at the top of every Krylov iteration
 	// — the iteration barrier. When it returns true the solve stops before
@@ -144,222 +114,40 @@ var ErrNotConverged = errors.New("solver: not converged")
 // iterations that completed.
 var ErrCancelled = errors.New("solver: cancelled")
 
-// cancelled polls the cancel hook (nil means never).
-func (o Options) cancelled() bool { return o.Cancel != nil && o.Cancel() }
-
 func cancelErr(st *Stats) error {
 	return fmt.Errorf("%w after %d iterations (rel residual %.3e)", ErrCancelled, st.Iterations, st.Residual)
 }
 
 // CG solves A·x = b for symmetric positive definite A. x carries the
-// initial guess and receives the solution.
-//
-// When the operator is a ProgramSpace the whole recurrence runs
-// part-resident: one scatter of (x, b), one gather of the solution, and every
-// Apply/axpy/dot in between executed in the operator's own layout as
-// compiled phase programs (resident.go).
+// initial guess and receives the solution. It is one CompileCG and one Solve
+// on a's ProgramSpace: a itself when it is one (umesh.PartOperator — one
+// scatter of (x, b), compiled phase programs in the operator's own layout, one
+// gather), else a SliceSpace around it working in place on x and b. A caller
+// that solves the same system repeatedly keeps the Resident instead.
 func CG(a Operator, x, b []float64, opts Options) (*Stats, error) {
-	opts = opts.withDefaults()
-	n := a.Size()
-	if len(x) != n || len(b) != n {
-		return nil, fmt.Errorf("solver: size mismatch: operator %d, x %d, b %d", n, len(x), len(b))
-	}
-	if ps, ok := a.(ProgramSpace); ok {
-		r, err := CompileCG(ps, opts)
-		if err != nil {
-			return nil, err
-		}
-		return r.Solve(x, b, opts.Cancel)
-	}
-	if err := resolvePrecond(a, &opts); err != nil {
+	r, err := CompileCG(spaceOf(a), opts)
+	if err != nil {
 		return nil, err
 	}
-	normB := normOf(a, b)
-	if normB == 0 {
-		zero(x)
-		return &Stats{Converged: true}, nil
-	}
-	r := make([]float64, n)
-	if err := a.Apply(r, x); err != nil {
-		return nil, err
-	}
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
-	z := make([]float64, n)
-	applyPrecond(opts, z, r)
-	p := append([]float64(nil), z...)
-	ap := make([]float64, n)
-	rz := dotOf(a, r, z)
-	st := &Stats{}
-	for k := 0; k < opts.MaxIter; k++ {
-		if opts.cancelled() {
-			return st, cancelErr(st)
-		}
-		if err := a.Apply(ap, p); err != nil {
-			return nil, err
-		}
-		pap := dotOf(a, p, ap)
-		if pap == 0 || math.IsNaN(pap) {
-			return st, fmt.Errorf("%w: pᵀAp = %v at iteration %d", ErrBreakdown, pap, k)
-		}
-		alpha := rz / pap
-		axpy(x, alpha, p)
-		axpy(r, -alpha, ap)
-		st.Iterations = k + 1
-		st.Residual = normOf(a, r) / normB
-		st.History = append(st.History, st.Residual)
-		if st.Residual <= opts.Tol {
-			st.Converged = true
-			return st, nil
-		}
-		applyPrecond(opts, z, r)
-		rzNew := dotOf(a, r, z)
-		if rz == 0 {
-			return st, fmt.Errorf("%w: rᵀz vanished at iteration %d", ErrBreakdown, k)
-		}
-		beta := rzNew / rz
-		for i := range p {
-			p[i] = z[i] + beta*p[i]
-		}
-		rz = rzNew
-	}
-	return st, fmt.Errorf("%w after %d iterations (rel residual %.3e)", ErrNotConverged, st.Iterations, st.Residual)
+	return r.Solve(x, b, opts.Cancel)
 }
 
-// BiCGStab solves A·x = b for general (nonsymmetric) A. Like CG, the solve
-// runs part-resident when the operator is a ProgramSpace.
+// BiCGStab solves A·x = b for general (nonsymmetric) A — CompileBiCGStab and
+// one Solve, on the same choice of space as CG.
 func BiCGStab(a Operator, x, b []float64, opts Options) (*Stats, error) {
-	opts = opts.withDefaults()
-	n := a.Size()
-	if len(x) != n || len(b) != n {
-		return nil, fmt.Errorf("solver: size mismatch: operator %d, x %d, b %d", n, len(x), len(b))
+	r, err := CompileBiCGStab(spaceOf(a), opts)
+	if err != nil {
+		return nil, err
 	}
+	return r.Solve(x, b, opts.Cancel)
+}
+
+// spaceOf is the space a one-shot solve over a runs in.
+func spaceOf(a Operator) ProgramSpace {
 	if ps, ok := a.(ProgramSpace); ok {
-		r, err := CompileBiCGStab(ps, opts)
-		if err != nil {
-			return nil, err
-		}
-		return r.Solve(x, b, opts.Cancel)
+		return ps
 	}
-	if err := resolvePrecond(a, &opts); err != nil {
-		return nil, err
-	}
-	normB := normOf(a, b)
-	if normB == 0 {
-		zero(x)
-		return &Stats{Converged: true}, nil
-	}
-	r := make([]float64, n)
-	if err := a.Apply(r, x); err != nil {
-		return nil, err
-	}
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
-	rHat := append([]float64(nil), r...)
-	var rho, alpha, omega float64 = 1, 1, 1
-	v := make([]float64, n)
-	p := make([]float64, n)
-	ph := make([]float64, n)
-	s := make([]float64, n)
-	sh := make([]float64, n)
-	t := make([]float64, n)
-	st := &Stats{}
-	for k := 0; k < opts.MaxIter; k++ {
-		if opts.cancelled() {
-			return st, cancelErr(st)
-		}
-		rhoNew := dotOf(a, rHat, r)
-		if rhoNew == 0 {
-			return st, fmt.Errorf("%w: ρ = 0 at iteration %d", ErrBreakdown, k)
-		}
-		if k == 0 {
-			copy(p, r)
-		} else {
-			beta := (rhoNew / rho) * (alpha / omega)
-			for i := range p {
-				p[i] = r[i] + beta*(p[i]-omega*v[i])
-			}
-		}
-		rho = rhoNew
-		applyPrecond(opts, ph, p)
-		if err := a.Apply(v, ph); err != nil {
-			return nil, err
-		}
-		den := dotOf(a, rHat, v)
-		if den == 0 {
-			return st, fmt.Errorf("%w: r̂ᵀv = 0 at iteration %d", ErrBreakdown, k)
-		}
-		alpha = rho / den
-		for i := range s {
-			s[i] = r[i] - alpha*v[i]
-		}
-		st.Iterations = k + 1
-		if res := normOf(a, s) / normB; res <= opts.Tol {
-			axpy(x, alpha, ph)
-			st.Residual = res
-			st.History = append(st.History, res)
-			st.Converged = true
-			return st, nil
-		}
-		applyPrecond(opts, sh, s)
-		if err := a.Apply(t, sh); err != nil {
-			return nil, err
-		}
-		tt := dotOf(a, t, t)
-		if tt == 0 {
-			return st, fmt.Errorf("%w: tᵀt = 0 at iteration %d", ErrBreakdown, k)
-		}
-		omega = dotOf(a, t, s) / tt
-		if omega == 0 {
-			return st, fmt.Errorf("%w: ω = 0 at iteration %d", ErrBreakdown, k)
-		}
-		for i := range x {
-			x[i] += alpha*ph[i] + omega*sh[i]
-		}
-		for i := range r {
-			r[i] = s[i] - omega*t[i]
-		}
-		st.Residual = normOf(a, r) / normB
-		st.History = append(st.History, st.Residual)
-		if st.Residual <= opts.Tol {
-			st.Converged = true
-			return st, nil
-		}
-	}
-	return st, fmt.Errorf("%w after %d iterations (rel residual %.3e)", ErrNotConverged, st.Iterations, st.Residual)
-}
-
-// JacobiPrecond builds a Jacobi (diagonal) preconditioner z_i = (1/d_i)·r_i
-// from the given matrix diagonal. The diagonal must be non-empty and free of
-// zero/NaN entries; the closure applies to vectors of exactly that length.
-func JacobiPrecond(diag []float64) (func(z, r []float64), error) {
-	if len(diag) == 0 {
-		return nil, fmt.Errorf("solver: Jacobi preconditioning needs a non-empty matrix diagonal")
-	}
-	for i, d := range diag {
-		if d == 0 || math.IsNaN(d) {
-			return nil, fmt.Errorf("solver: zero/NaN diagonal entry at %d", i)
-		}
-	}
-	inv := make([]float64, len(diag))
-	for i, d := range diag {
-		inv[i] = 1 / d
-	}
-	return func(z, r []float64) {
-		for i := range z {
-			z[i] = inv[i] * r[i]
-		}
-	}, nil
-}
-
-func applyPrecond(opts Options, z, r []float64) {
-	if opts.Precond != nil {
-		opts.Precond(z, r)
-		return
-	}
-	copy(z, r)
+	return &SliceSpace{Operator: a}
 }
 
 func dot(a, b []float64) float64 {
@@ -368,14 +156,6 @@ func dot(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-func norm2(a []float64) float64 { return math.Sqrt(dot(a, a)) }
-
-func axpy(y []float64, alpha float64, x []float64) {
-	for i := range y {
-		y[i] += alpha * x[i]
-	}
 }
 
 func zero(v []float64) {

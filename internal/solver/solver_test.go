@@ -173,11 +173,7 @@ func TestJacobiPrecondSpeedsUpCG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := JacobiPrecond(diag)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prec, err := CG(op, make([]float64, n), b, Options{Tol: 1e-10, MaxIter: 2000, Precond: pre})
+	prec, err := CG(op, make([]float64, n), b, Options{Tol: 1e-10, MaxIter: 2000, PrecondDiag: diag})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +183,7 @@ func TestJacobiPrecondSpeedsUpCG(t *testing.T) {
 }
 
 func TestJacobiPrecondRejectsZeroDiagonal(t *testing.T) {
-	if _, err := JacobiPrecond([]float64{1, 0, 2}); err == nil {
+	if err := CheckPrecond(3, PrecondJacobi, []float64{1, 0, 2}); err == nil {
 		t.Error("zero diagonal accepted")
 	}
 }
@@ -330,12 +326,8 @@ func TestPressureSolveWithDataflowOperator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := JacobiPrecond(sys.Diagonal())
-	if err != nil {
-		t.Fatal(err)
-	}
 	x := make([]float64, dfo.Size())
-	st, err := CG(dfo, x, b, Options{Tol: 1e-6, MaxIter: 400, Precond: pre})
+	st, err := CG(dfo, x, b, Options{Tol: 1e-6, MaxIter: 400, PrecondDiag: sys.Diagonal()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +338,7 @@ func TestPressureSolveWithDataflowOperator(t *testing.T) {
 	host := &HostOperator{Sys: sys}
 	ax := make([]float64, len(x))
 	host.Apply(ax, x)
-	num, den := 0.0, norm2(b)
+	num, den := 0.0, math.Sqrt(dot(b, b))
 	for i := range ax {
 		num += (ax[i] - b[i]) * (ax[i] - b[i])
 	}

@@ -41,8 +41,8 @@ import (
 // Determinism discipline: every inner product is accumulated per canonical
 // block in compact (canonical RCB) order, and the block partials are folded
 // by treeFold — a fixed binary tree that is a function of the block
-// structure only. The serial reference reduces with the identical tree, so
-// partitioned solves are bit-identical across parts {1, 2, 4, 8, ... up to
+// structure only. The serial reference space reduces with the identical tree,
+// so partitioned solves are bit-identical across parts {1, 2, 4, 8, ... up to
 // 2^reductionDepth} × any worker count, and bit-identical to the serial
 // solve.
 
@@ -203,46 +203,37 @@ func (h *UHostOperator) Apply(dst, x []float64) error {
 	return nil
 }
 
-// serialReference is the serial solve-side operator: UHostOperator plus the
-// canonical blocked reduction, so serial Krylov solves take their inner
-// products with exactly the summation tree the partitioned part-resident
-// solves use — what keeps the golden comparison bit-exact.
-type serialReference struct {
-	*UHostOperator
-	order  []int32
-	blocks []int32   // canonical block start offsets into order
-	sums   []float64 // per-block partials, treeFolded
-}
-
-// newSerialReference builds the serial reference operator for a system.
-func newSerialReference(sys *USystem) *serialReference {
-	blocks := canonicalBlocks(sys.U.NumCells)
-	return &serialReference{
-		UHostOperator: &UHostOperator{Sys: sys},
-		order:         CanonicalOrder(sys.U),
-		blocks:        blocks,
-		sums:          make([]float64, len(blocks)),
+// newSerialReference builds the serial solve-side space for a system: the
+// solver's reference SliceSpace over UHostOperator, given the two things that
+// make it the oracle of the partitioned runtime — the canonical blocked
+// reduction (products accumulate flat in canonical order within each block,
+// block partials fold through treeFold: the exact sum every PartOperator
+// takes, for every part count) and the reference rungs of the preconditioner
+// ladder (precond.go).
+func newSerialReference(sys *USystem) *solver.SliceSpace {
+	h := &UHostOperator{Sys: sys}
+	order, blocks := CanonicalOrder(sys.U), canonicalBlocks(sys.U.NumCells)
+	sums := make([]float64, len(blocks))
+	return &solver.SliceSpace{
+		Operator: h,
+		Dot: func(a, b []float64) float64 {
+			for bi := range blocks {
+				lo, hi := int(blocks[bi]), len(order)
+				if bi+1 < len(blocks) {
+					hi = int(blocks[bi+1])
+				}
+				acc := 0.0
+				for _, c := range order[lo:hi] {
+					acc += a[c] * b[c]
+				}
+				sums[bi] = acc
+			}
+			return treeFold(sums)
+		},
+		Rung: func(kind solver.PrecondKind, diag []float64) (func(z, r []float64), error) {
+			return referenceRung(h, order, blocks, kind, diag)
+		},
 	}
-}
-
-// Dot implements solver.Reducer with the canonical blocked sum: products
-// accumulate flat in canonical order within each block, block partials fold
-// through the fixed binary tree — the exact reduction every PartOperator
-// performs, for every part count.
-func (s *serialReference) Dot(a, b []float64) float64 {
-	for bi := range s.blocks {
-		lo, hi := int(s.blocks[bi]), len(s.order)
-		if bi+1 < len(s.blocks) {
-			hi = int(s.blocks[bi+1])
-		}
-		acc := 0.0
-		for k := lo; k < hi; k++ {
-			c := s.order[k]
-			acc += a[c] * b[c]
-		}
-		s.sums[bi] = acc
-	}
-	return treeFold(s.sums)
 }
 
 // nbrEntry is one interleaved CSR adjacency entry of the operator's
@@ -312,6 +303,10 @@ type opPart struct {
 	pd, pw                            []float64
 	aggID, aggPtr, aggCells, aggOfLoc []int32
 }
+
+// owned is resident vector v without its halo blocks — the part's own entries,
+// which is all that vector algebra touches.
+func (op *opPart) owned(v int) []float64 { return op.vecs[v][:len(op.invDiag)] }
 
 // PhaseSeconds is the per-phase wall-clock breakdown of a part-resident
 // solve, accumulated on the orchestrator around each barriered step:
@@ -911,14 +906,14 @@ func (o *PartOperator) shardPreDot(shard, zv, rv int) {
 	}
 }
 
-// NewSystemOperator builds the solve-side operator for a partition: the
-// serial reference (UHostOperator with the canonical-order reduction) when p
-// is nil, otherwise a part-resident PartOperator on a fresh engine. It
-// returns the operator, the Jacobi diagonal (computed by the path that will
-// apply the matrix), and a close function releasing the engine (a no-op for
-// the serial path). Both the transient loop and the massivefv facade build
-// their solves through it, so the two paths cannot drift apart.
-func NewSystemOperator(u *Mesh, p *Partition, fl physics.Fluid, sys *USystem, workers int) (solver.Operator, []float64, func(), error) {
+// NewSystemSpace builds the solve-side space for a partition: the serial
+// reference (newSerialReference) when p is nil, otherwise a part-resident
+// PartOperator on a fresh engine. It returns the space, the Jacobi diagonal
+// (computed by the path that will apply the matrix), and a close function
+// releasing the engine (a no-op for the serial path). Both the transient loop
+// and the massivefv facade build their solves through it, so the two paths
+// cannot drift apart.
+func NewSystemSpace(u *Mesh, p *Partition, fl physics.Fluid, sys *USystem, workers int) (solver.ProgramSpace, []float64, func(), error) {
 	if p == nil {
 		return newSerialReference(sys), sys.Diagonal(), func() {}, nil
 	}
@@ -936,9 +931,7 @@ func NewSystemOperator(u *Mesh, p *Partition, fl physics.Fluid, sys *USystem, wo
 
 // compile-time interface checks
 var (
-	_ solver.Operator       = (*UHostOperator)(nil)
-	_ solver.Operator       = (*PartOperator)(nil)
-	_ solver.ProgramSpace   = (*PartOperator)(nil)
-	_ solver.Reducer        = (*serialReference)(nil)
-	_ solver.PrecondFactory = (*serialReference)(nil)
+	_ solver.Operator     = (*UHostOperator)(nil)
+	_ solver.Operator     = (*PartOperator)(nil)
+	_ solver.ProgramSpace = (*PartOperator)(nil)
 )

@@ -9,12 +9,24 @@ import (
 )
 
 // This file is the preconditioner ladder on the unstructured implicit-solve
-// path: three rungs above Jacobi, each realized twice with identical
-// arithmetic — as a slice closure on the serial reference operator
-// (solver.PrecondFactory, the serial oracle) and as shard kernels on
-// PartOperator whose step sequence emitPrecond (program.go) compiles into the
-// phase programs — so golden transient trajectories stay bit-identical
+// path: three rungs above Jacobi, each realized in both spaces a solve can run
+// in — as a reference rung over global-order slices (referenceRung, what the
+// serial reference space's Rung field builds: the serial oracle) and as plan
+// steps on PartOperator, whose sequence emitPrecond (program.go) compiles into
+// the phase programs — so golden transient trajectories stay bit-identical
 // between the serial solve and every partitioned configuration.
+//
+// What is written once and what is not: the Chebyshev and AMG rungs are
+// elementwise updates, operator applications and per-aggregate sums, none of
+// which cares how a vector is laid out, so their float expressions live in the
+// layout-free kernels below (chebInit, chebStep, amgPre, amgResidualSum,
+// amgProlong, amgPost, and the Chebyshev scalar recurrence chebCoeffs.rounds)
+// and both realizations are compositions of the same calls. Block-SSOR is the
+// exception: its sweeps are sequential recurrences through precompiled
+// triangular index lists, and those lists are layout-specific — global cell
+// ids walked through the canonical order on the reference side, compact local
+// indices on a part — so the sweep is twinned (referenceSSOR / shardSSOR) and
+// TestPrecondLadderGoldenAgainstSerial is what holds the twins together.
 //
 //   - SSOR (symmetric Gauss–Seidel, ω = 1) restricted to the canonical
 //     reduction blocks: couplings crossing a block boundary are dropped from
@@ -67,9 +79,7 @@ const (
 )
 
 // chebCoeffs holds the Chebyshev interval coefficients for [b/chebLoFraction, b]:
-// center θ, half-width δ, σ = θ/δ, and the derived starting values. Both
-// realizations compute the iteration scalars from one shared instance, so
-// the per-step coefficients are identical floats.
+// center θ, half-width δ, σ = θ/δ, and the derived starting values.
 type chebCoeffs struct {
 	theta, delta, sigma float64
 	invTheta, rho0      float64
@@ -81,6 +91,19 @@ func newChebCoeffs(b float64) chebCoeffs {
 	delta := (b - a) / 2
 	sigma := theta / delta
 	return chebCoeffs{theta: theta, delta: delta, sigma: sigma, invTheta: 1 / theta, rho0: 1 / sigma}
+}
+
+// rounds returns the scalars (c1, c2) of the chebDegree−1 Chebyshev rounds
+// d = c1·d + c2·D⁻¹(r − A·z) — the three-term recurrence in ρ, stated once
+// for both realizations.
+func (cf chebCoeffs) rounds() (c [chebDegree - 1][2]float64) {
+	rhoPrev := cf.rho0
+	for k := range c {
+		rho := 1 / (2*cf.sigma - rhoPrev)
+		c[k] = [2]float64{rho * rhoPrev, 2 * rho / cf.delta}
+		rhoPrev = rho
+	}
+	return c
 }
 
 // chebUpper returns the memoized Gershgorin upper bound of the Jacobi-scaled
@@ -115,7 +138,7 @@ func (s *USystem) chebUpper() float64 {
 // amgLevel is the two-level AMG hierarchy of one USystem: the cell →
 // aggregate map, the aggregate member lists in canonical order, and the
 // banded Cholesky factor of the Galerkin coarse matrix. It is assembled once
-// per system (USystem.amg) and shared by the serial closure and every
+// per system (USystem.amg) and shared by the reference rung and every
 // PartOperator, so all paths correct through literally the same factor.
 type amgLevel struct {
 	nAgg int
@@ -400,55 +423,119 @@ func (l *amgLevel) solveCoarse(rc, ec []float64) {
 }
 
 // ---------------------------------------------------------------------------
-// Serial realizations: solver.PrecondFactory on serialReference
+// Layout-free rung kernels — shared by the reference rungs and the plan steps
 // ---------------------------------------------------------------------------
 
-// MakePrecond implements solver.PrecondFactory: it builds the requested
-// ladder rung as a slice closure whose arithmetic is, expression for
-// expression, the partitioned resident realization's — what extends the
-// serial↔partitioned bit-identity guarantee to every rung.
-func (s *serialReference) MakePrecond(kind solver.PrecondKind, diag []float64) (func(z, r []float64), error) {
-	switch kind {
-	case solver.PrecondDefault, solver.PrecondJacobi:
-		if diag == nil {
-			if kind == solver.PrecondJacobi {
-				return nil, fmt.Errorf("umesh: jacobi preconditioning needs the matrix diagonal")
-			}
-			return func(z, r []float64) { copy(z, r) }, nil
-		}
-		return solver.JacobiPrecond(diag)
-	case solver.PrecondSSOR, solver.PrecondChebyshev, solver.PrecondAMG:
-	default:
-		return nil, fmt.Errorf("umesh: unknown preconditioner kind %q", kind)
+// chebInit seeds the Chebyshev iterate and direction: z = d = (D⁻¹r)/θ.
+func chebInit(z, d, inv, r []float64, invTheta float64) {
+	d, inv, r = d[:len(z)], inv[:len(z)], r[:len(z)]
+	for i := range z {
+		zi := (inv[i] * r[i]) * invTheta
+		z[i] = zi
+		d[i] = zi
 	}
-	if diag == nil {
-		return nil, fmt.Errorf("umesh: %q preconditioning needs the matrix diagonal", kind)
+}
+
+// chebStep is one Chebyshev round after the scratch application w = A·z:
+// d = c1·d + c2·D⁻¹(r − w); z += d.
+func chebStep(z, d, inv, r, w []float64, c1, c2 float64) {
+	d, inv, r, w = d[:len(z)], inv[:len(z)], r[:len(z)], w[:len(z)]
+	for i := range z {
+		di := c1*d[i] + c2*(inv[i]*(r[i]-w[i]))
+		d[i] = di
+		z[i] += di
 	}
-	if len(diag) != s.Sys.U.NumCells {
-		return nil, fmt.Errorf("umesh: preconditioner diagonal covers %d cells, mesh has %d", len(diag), s.Sys.U.NumCells)
+}
+
+// amgPre is the weighted-Jacobi pre-smooth from zero: z = ω·D⁻¹r.
+func amgPre(z, inv, r []float64) {
+	inv, r = inv[:len(z)], r[:len(z)]
+	for i := range z {
+		z[i] = amgOmega * (inv[i] * r[i])
 	}
-	inv := make([]float64, len(diag))
+}
+
+// amgResidualSum restricts to one aggregate: the residual r − A·z (w = A·z)
+// summed over the aggregate's member cells in the order given (canonical).
+func amgResidualSum(cells []int32, r, w []float64) float64 {
+	acc := 0.0
+	for _, c := range cells {
+		acc += r[c] - w[c]
+	}
+	return acc
+}
+
+// amgProlong adds the coarse correction: z_i += e[agg(i)].
+func amgProlong(z, ec []float64, agg []int32) {
+	agg = agg[:len(z)]
+	for i := range z {
+		z[i] += ec[agg[i]]
+	}
+}
+
+// amgPost is the weighted-Jacobi post-smooth: z += ω·D⁻¹(r − A·z), w = A·z.
+func amgPost(z, inv, r, w []float64) {
+	inv, r, w = inv[:len(z)], r[:len(z)], w[:len(z)]
+	for i := range z {
+		z[i] += amgOmega * (inv[i] * (r[i] - w[i]))
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Reference realizations: what the serial reference space's Rung field builds
+// ---------------------------------------------------------------------------
+
+// referenceRung builds an operator-built rung as z = M⁻¹·r over global-order
+// slices (diag arrives validated by solver.CheckPrecond). Chebyshev and the
+// AMG V-cycle are the step sequences of emitPrecond with h.Apply for the
+// scratch applications and the shared kernels over whole vectors — what
+// extends the serial↔partitioned bit-identity guarantee to every rung. It owns
+// the inverse diagonal and one scratch vector per application in flight.
+// (h.Apply fails only on a length mismatch, which SetPrecond's check of diag
+// against Size has excluded — hence the dropped errors.)
+func referenceRung(h *UHostOperator, order, blocks []int32, kind solver.PrecondKind, diag []float64) (func(z, r []float64), error) {
+	n := len(diag)
+	inv := make([]float64, n)
 	for i, d := range diag {
-		if d == 0 || math.IsNaN(d) {
-			return nil, fmt.Errorf("umesh: zero/NaN diagonal entry at %d", i)
-		}
 		inv[i] = 1 / d
 	}
 	switch kind {
 	case solver.PrecondSSOR:
-		return s.ssorPrecond(inv, diag), nil
+		return referenceSSOR(h.Sys, order, blocks, inv, diag), nil
 	case solver.PrecondChebyshev:
-		return s.chebPrecond(inv), nil
-	default: // solver.PrecondAMG
-		lvl, err := s.Sys.amg()
+		cf := newChebCoeffs(h.Sys.chebUpper())
+		rounds := cf.rounds()
+		w, d := make([]float64, n), make([]float64, n)
+		return func(z, r []float64) {
+			chebInit(z, d, inv, r, cf.invTheta)
+			for _, c := range rounds {
+				_ = h.Apply(w, z)
+				chebStep(z, d, inv, r, w, c[0], c[1])
+			}
+		}, nil
+	case solver.PrecondAMG:
+		lvl, err := h.Sys.amg()
 		if err != nil {
 			return nil, err
 		}
-		return s.amgPrecond(inv, lvl), nil
+		w := make([]float64, n)
+		rc, ec := make([]float64, lvl.nAgg), make([]float64, lvl.nAgg)
+		return func(z, r []float64) {
+			amgPre(z, inv, r)
+			_ = h.Apply(w, z)
+			for a := range rc {
+				rc[a] = amgResidualSum(lvl.aggCells[lvl.aggStart[a]:lvl.aggStart[a+1]], r, w)
+			}
+			lvl.solveCoarse(rc, ec)
+			amgProlong(z, ec, lvl.aggOf)
+			_ = h.Apply(w, z)
+			amgPost(z, inv, r, w)
+		}, nil
 	}
+	return nil, fmt.Errorf("umesh: %q is not an operator-built preconditioner", kind)
 }
 
-// ssorPrecond builds the serial block-SSOR closure: per canonical block, a
+// referenceSSOR builds the reference block-SSOR rung: per canonical block, a
 // forward Gauss–Seidel sweep in canonical order, then a backward sweep with
 // the diagonal scaling fused in — M = (D+L_B)·D⁻¹·(D+L_Bᵀ) with L_B the
 // in-block strictly-lower couplings. The strictly-lower and strictly-upper
@@ -458,10 +545,9 @@ func (s *serialReference) MakePrecond(kind solver.PrecondKind, diag []float64) (
 // shardSSOR performs the same per-block sweeps over the identically built
 // lists (compact index = canonical position − part start), so the two agree
 // bitwise for every part count.
-func (s *serialReference) ssorPrecond(inv, d []float64) func(z, r []float64) {
-	u := s.Sys.U
-	lam := s.Sys.Mobility
-	order, blocks := s.order, s.blocks
+func referenceSSOR(sys *USystem, order, blocks []int32, inv, d []float64) func(z, r []float64) {
+	u := sys.U
+	lam := sys.Mobility
 	pos := make([]int32, u.NumCells)
 	for k, c := range order {
 		pos[c] = int32(k)
@@ -522,118 +608,34 @@ func (s *serialReference) ssorPrecond(inv, d []float64) func(z, r []float64) {
 	}
 }
 
-// chebPrecond builds the serial Chebyshev closure: the standard Chebyshev
-// iteration on the Jacobi-scaled operator over [b/30, b], applied as
-// chebDegree−1 host operator applications with elementwise updates. The
-// iteration scalars are computed with the same expressions the partitioned
-// driver uses, from the same shared coefficients.
-func (s *serialReference) chebPrecond(inv []float64) func(z, r []float64) {
-	cf := newChebCoeffs(s.Sys.chebUpper())
-	n := s.Sys.U.NumCells
-	w := make([]float64, n)
-	dvec := make([]float64, n)
-	h := s.UHostOperator
-	return func(z, r []float64) {
-		for i := 0; i < n; i++ {
-			zi := (inv[i] * r[i]) * cf.invTheta
-			z[i] = zi
-			dvec[i] = zi
-		}
-		rhoPrev := cf.rho0
-		for k := 1; k < chebDegree; k++ {
-			_ = h.Apply(w, z)
-			rho := 1 / (2*cf.sigma - rhoPrev)
-			c1, c2 := rho*rhoPrev, 2*rho/cf.delta
-			for i := 0; i < n; i++ {
-				di := c1*dvec[i] + c2*(inv[i]*(r[i]-w[i]))
-				dvec[i] = di
-				z[i] += di
-			}
-			rhoPrev = rho
-		}
-	}
-}
-
-// amgPrecond builds the serial AMG V-cycle closure over the shared level:
-// weighted-Jacobi pre-smooth, Galerkin coarse correction through the banded
-// factor, weighted-Jacobi post-smooth. Restriction sums members in canonical
-// order — the same order the per-part restriction phases use.
-func (s *serialReference) amgPrecond(inv []float64, lvl *amgLevel) func(z, r []float64) {
-	n := s.Sys.U.NumCells
-	w := make([]float64, n)
-	rc := make([]float64, lvl.nAgg)
-	ec := make([]float64, lvl.nAgg)
-	h := s.UHostOperator
-	aggOf := lvl.aggOf
-	return func(z, r []float64) {
-		for i := 0; i < n; i++ {
-			z[i] = amgOmega * (inv[i] * r[i])
-		}
-		_ = h.Apply(w, z)
-		for a := 0; a < lvl.nAgg; a++ {
-			acc := 0.0
-			for k := lvl.aggStart[a]; k < lvl.aggStart[a+1]; k++ {
-				c := lvl.aggCells[k]
-				acc += r[c] - w[c]
-			}
-			rc[a] = acc
-		}
-		lvl.solveCoarse(rc, ec)
-		for i := 0; i < n; i++ {
-			z[i] += ec[aggOf[i]]
-		}
-		_ = h.Apply(w, z)
-		for i := 0; i < n; i++ {
-			z[i] += amgOmega * (inv[i] * (r[i] - w[i]))
-		}
-	}
-}
-
 // ---------------------------------------------------------------------------
-// Resident realizations: SetPrecond and the rung shard kernels on PartOperator
+// Resident realizations: SetPrecond, the part-local rung state, and the SSOR sweep
 // ---------------------------------------------------------------------------
 
 // SetPrecond implements solver.ProgramSpace: it installs a ladder rung as the
 // operator's resident preconditioner, replacing the previous one. Jacobi is
-// the resident inverse diagonal (z_i = (1/d_i)·r_i, the same expression
-// solver.JacobiPrecond applies); the default kind is Jacobi with a diagonal
-// and the identity without. The block-structured rungs additionally require
-// the partition's reduction blocks to be the global canonical blocks
-// (canonical RCB of at most reductionDepth levels), which is what makes
-// their sweeps part-count independent. The diagonal is validated and
-// reloaded on every call — like the slice path, which rebuilds its closure
-// per solve — so a caller mutating the diag contents between installs can
-// never leave a stale inverse behind; the cost is one O(owned) phase.
-// Installation also sizes the per-part scratch (one buffer per owned row)
-// and — for AMG — compiles the part-local aggregate views over the system's
-// shared (memoized) level. Programs read the installed rung when they are
-// compiled.
+// the resident inverse diagonal (z_i = (1/d_i)·r_i); the default kind is
+// Jacobi with a diagonal and the identity without. The block-structured rungs
+// additionally require the partition's reduction blocks to be the global
+// canonical blocks (canonical RCB of at most reductionDepth levels), which is
+// what makes their sweeps part-count independent. The diagonal is validated
+// and reloaded on every call, so a caller mutating the diag contents between
+// installs can never leave a stale inverse behind; the cost is one O(owned)
+// phase. Installation also sizes the per-part scratch (one buffer per owned
+// row) and — for AMG — compiles the part-local aggregate views over the
+// system's shared (memoized) level. Programs read the installed rung when they
+// are compiled.
 func (o *PartOperator) SetPrecond(kind solver.PrecondKind, diag []float64) error {
-	rung := false
-	switch kind {
-	case solver.PrecondDefault, solver.PrecondJacobi:
-	case solver.PrecondSSOR, solver.PrecondChebyshev, solver.PrecondAMG:
-		rung = true
-	default:
-		return fmt.Errorf("umesh: unknown preconditioner kind %q", kind)
+	if err := solver.CheckPrecond(o.Size(), kind, diag); err != nil {
+		return err
 	}
 	if diag == nil {
-		if kind != solver.PrecondDefault {
-			return fmt.Errorf("umesh: %q preconditioning needs the matrix diagonal", kind)
-		}
 		o.preKind, o.usePre = kind, false
 		return nil
 	}
+	rung := kind != solver.PrecondDefault && kind != solver.PrecondJacobi
 	if rung && !o.aligned {
 		return fmt.Errorf("umesh: %q preconditioning needs a canonical RCB partition of at most %d levels — the canonical blocks are its units of work", kind, reductionDepth)
-	}
-	if len(diag) != o.e.u.NumCells {
-		return fmt.Errorf("umesh: preconditioner diagonal covers %d cells, mesh has %d", len(diag), o.e.u.NumCells)
-	}
-	for i, d := range diag {
-		if d == 0 || math.IsNaN(d) {
-			return fmt.Errorf("umesh: zero/NaN diagonal entry at %d", i)
-		}
 	}
 	// The rung's own state first — a failure leaves the previous
 	// preconditioner installed — then the diagonal load.
@@ -783,8 +785,8 @@ func (op *opPart) compileSSOR() {
 // scaling fused in, both streaming the precompiled triangular lists.
 // Couplings outside the block — including every halo neighbor — are
 // excluded, so the phase reads only part-local data and needs no exchange;
-// the sweeps are the serial closure's, expression for expression, over the
-// same blocks.
+// the sweeps are referenceSSOR's, expression for expression, over the same
+// blocks.
 func (o *PartOperator) shardSSOR(shard, zv, rv int) {
 	op := o.parts[shard]
 	z, r := op.vecs[zv], op.vecs[rv]
@@ -807,83 +809,5 @@ func (o *PartOperator) shardSSOR(shard, zv, rv int) {
 			}
 			z[i] = (d[i]*z[i] + acc) * inv[i]
 		}
-	}
-}
-
-// shardChebInit seeds the Chebyshev iterate and direction: z = d = (D⁻¹r)/θ.
-func (o *PartOperator) shardChebInit(shard, zv, rv int, invTheta float64) {
-	ps, op := o.e.parts[shard], o.parts[shard]
-	z, r := op.vecs[zv], op.vecs[rv]
-	inv, pd := op.invDiag, op.pd
-	for i := 0; i < ps.nOwned; i++ {
-		zi := (inv[i] * r[i]) * invTheta
-		z[i] = zi
-		pd[i] = zi
-	}
-}
-
-// shardChebStep is one Chebyshev round after the scratch application pw = A·z:
-// d = c1·d + c2·D⁻¹(r − pw); z += d, with the round's scalars c1, c2 computed
-// at compile time by the serial closure's expressions from the shared
-// coefficients.
-func (o *PartOperator) shardChebStep(shard, zv, rv int, c1, c2 float64) {
-	ps, op := o.e.parts[shard], o.parts[shard]
-	z, r := op.vecs[zv], op.vecs[rv]
-	inv, pd, pw := op.invDiag, op.pd, op.pw
-	for i := 0; i < ps.nOwned; i++ {
-		di := c1*pd[i] + c2*(inv[i]*(r[i]-pw[i]))
-		pd[i] = di
-		z[i] += di
-	}
-}
-
-// The AMG V-cycle's shard kernels, in step order (emitPrecond): pre-smooth,
-// [scratch application], per-part restriction into the shared coarse vector
-// (disjoint writes) with the host-serial banded coarse solve as its barrier
-// action, prolongation, [scratch application], post-smooth — the serial
-// closure's steps with the fine-grid work partitioned.
-
-// shardAMGPre is the weighted-Jacobi pre-smooth from zero: z = ω·D⁻¹r.
-func (o *PartOperator) shardAMGPre(shard, zv, rv int) {
-	ps, op := o.e.parts[shard], o.parts[shard]
-	z, r := op.vecs[zv], op.vecs[rv]
-	inv := op.invDiag
-	for i := 0; i < ps.nOwned; i++ {
-		z[i] = amgOmega * (inv[i] * r[i])
-	}
-}
-
-// shardAMGRestrict sums the residual r − A·z (pw) over each owned aggregate's
-// members in canonical order.
-func (o *PartOperator) shardAMGRestrict(shard, rv int) {
-	op := o.parts[shard]
-	r, pw := op.vecs[rv], op.pw
-	for a := range op.aggID {
-		acc := 0.0
-		for k := op.aggPtr[a]; k < op.aggPtr[a+1]; k++ {
-			li := op.aggCells[k]
-			acc += r[li] - pw[li]
-		}
-		o.coarseR[op.aggID[a]] = acc
-	}
-}
-
-// shardAMGProlong adds the coarse correction: z_i += e[agg(i)].
-func (o *PartOperator) shardAMGProlong(shard, zv int) {
-	ps, op := o.e.parts[shard], o.parts[shard]
-	z := op.vecs[zv]
-	ec, agg := o.coarseE, op.aggOfLoc
-	for i := 0; i < ps.nOwned; i++ {
-		z[i] += ec[agg[i]]
-	}
-}
-
-// shardAMGPost is the weighted-Jacobi post-smooth: z += ω·D⁻¹(r − A·z).
-func (o *PartOperator) shardAMGPost(shard, zv, rv int) {
-	ps, op := o.e.parts[shard], o.parts[shard]
-	z, r := op.vecs[zv], op.vecs[rv]
-	inv, pw := op.invDiag, op.pw
-	for i := 0; i < ps.nOwned; i++ {
-		z[i] += amgOmega * (inv[i] * (r[i] - pw[i]))
 	}
 }

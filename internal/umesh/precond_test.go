@@ -3,6 +3,7 @@ package umesh
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/physics"
@@ -22,6 +23,10 @@ func ladderMesh(t testing.TB) *Mesh {
 	return u
 }
 
+// badDiagonalEntries are what no preconditioner diagonal may hold: each would
+// invert to ±Inf, NaN or 0.
+var badDiagonalEntries = []float64{0, math.NaN(), math.Inf(1), math.Inf(-1)}
+
 // ladderKinds are the operator-built rungs — the ones this PR adds above the
 // existing Jacobi/default coverage.
 func ladderKinds() []solver.PrecondKind {
@@ -31,7 +36,7 @@ func ladderKinds() []solver.PrecondKind {
 func TestPrecondLadderGoldenAgainstSerial(t *testing.T) {
 	// The ladder's extension of the PR-4 golden guarantee: for every rung,
 	// the partitioned transient solve (resident preconditioner phases) is
-	// bit-identical to the serial reference (MakePrecond slice closure) —
+	// bit-identical to the serial reference (the reference space's rungs) —
 	// iteration counts, per-step residual histories, and the final field —
 	// across parts {1,2,4,8} × workers {1,2,4}. CI runs this under -race.
 	u := ladderMesh(t)
@@ -192,7 +197,7 @@ func TestAMGAggregationStructure(t *testing.T) {
 // and accumulation coefficients spread over several orders of magnitude —
 // the regime where diagonal scaling alone struggles and the ladder's
 // symmetry requirements are easiest to violate by accident.
-func jitteredSystem(t *testing.T, seed int64) (*serialReference, []float64) {
+func jitteredSystem(t *testing.T, seed int64) (*solver.SliceSpace, []float64) {
 	t.Helper()
 	u, err := NewRadialMesh(RadialOptions{Rings: 12, BaseSectors: 8, RefineEvery: 4, R0: 1, DR: 3, Dz: 4, PermMD: 150})
 	if err != nil {
@@ -221,7 +226,7 @@ func TestPrecondLadderSymmetricPositive(t *testing.T) {
 		n := ref.Size()
 		rng := rand.New(rand.NewSource(seed * 1001))
 		for _, kind := range ladderKinds() {
-			pre, err := ref.MakePrecond(kind, diag)
+			pre, err := ref.Rung(kind, diag)
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, kind, err)
 			}
@@ -274,12 +279,16 @@ func TestPrecondLadderMonotoneError(t *testing.T) {
 		e := make([]float64, n)
 		ae := make([]float64, n)
 		for _, kind := range ladderKinds() {
-			pre, err := ref.MakePrecond(kind, diag)
+			pre, err := ref.Rung(kind, diag)
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, kind, err)
 			}
+			// The rung built once, handed to every solve below through the
+			// Rung field of a copy of the reference space.
+			fixed := &solver.SliceSpace{Operator: ref.Operator, Dot: ref.Dot,
+				Rung: func(solver.PrecondKind, []float64) (func(z, r []float64), error) { return pre, nil }}
 			xstar := make([]float64, n)
-			if st, err := solver.CG(ref, xstar, b, solver.Options{Tol: 1e-12, MaxIter: 4000, Precond: pre}); err != nil || !st.Converged {
+			if st, err := solver.CG(fixed, xstar, b, solver.Options{Tol: 1e-12, MaxIter: 4000, PrecondKind: kind, PrecondDiag: diag}); err != nil || !st.Converged {
 				t.Fatalf("seed %d %s: reference solve failed: %v", seed, kind, err)
 			}
 			// Re-run capped at k iterations for growing k and measure
@@ -307,7 +316,7 @@ func TestPrecondLadderMonotoneError(t *testing.T) {
 				}
 				// Tol below any reachable residual: the solve always runs
 				// exactly k iterations (ErrNotConverged leaves x_k in x).
-				_, _ = solver.CG(ref, x, b, solver.Options{Tol: 1e-300, MaxIter: k, Precond: pre})
+				_, _ = solver.CG(fixed, x, b, solver.Options{Tol: 1e-300, MaxIter: k, PrecondKind: kind, PrecondDiag: diag})
 				cur := errNorm(x)
 				if cur > prev*(1+1e-9) {
 					t.Errorf("seed %d %s: error A-norm rose at iteration %d: %g → %g", seed, kind, k, prev, cur)
@@ -336,7 +345,7 @@ func TestSetPrecondRejectsMisuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, diag, closeOp, err := NewSystemOperator(u, part, physics.DefaultFluid(), sys, 2)
+	op, diag, closeOp, err := NewSystemSpace(u, part, physics.DefaultFluid(), sys, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,10 +365,12 @@ func TestSetPrecondRejectsMisuse(t *testing.T) {
 	if err := po.SetPrecond(solver.PrecondJacobi, diag[:3]); err == nil {
 		t.Error("short diagonal accepted")
 	}
-	bad := append([]float64(nil), diag...)
-	bad[5] = 0
-	if err := po.SetPrecond(solver.PrecondDefault, bad); err == nil {
-		t.Error("zero diagonal entry accepted")
+	for _, v := range badDiagonalEntries {
+		bad := append([]float64(nil), diag...)
+		bad[5] = v
+		if err := po.SetPrecond(solver.PrecondDefault, bad); err == nil || !strings.Contains(err.Error(), "at 5") {
+			t.Errorf("diagonal entry %v: err = %v, want a rejection naming index 5", v, err)
+		}
 	}
 	for _, kind := range ladderKinds() {
 		if err := po.SetPrecond(kind, diag); err != nil {
@@ -377,7 +388,7 @@ func TestSetPrecondRejectsMisuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opRR, diagRR, closeRR, err := NewSystemOperator(u, rr, physics.DefaultFluid(), sys, 2)
+	opRR, diagRR, closeRR, err := NewSystemSpace(u, rr, physics.DefaultFluid(), sys, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,6 +402,8 @@ func TestSetPrecondRejectsMisuse(t *testing.T) {
 }
 
 func TestSerialMakePrecondValidation(t *testing.T) {
+	// The serial reference space's install path has the resident path's guard
+	// rails (solver.CheckPrecond in front of the rung builder).
 	u := ladderMesh(t)
 	sys, err := NewUSystem(u, physics.DefaultFluid(), 3600, 0)
 	if err != nil {
@@ -398,29 +411,33 @@ func TestSerialMakePrecondValidation(t *testing.T) {
 	}
 	ref := newSerialReference(sys)
 	diag := sys.Diagonal()
-	if _, err := ref.MakePrecond("nonsense", diag); err == nil {
+	if err := ref.SetPrecond("nonsense", diag); err == nil {
 		t.Error("unknown kind accepted")
 	}
+	if _, err := ref.Rung(solver.PrecondJacobi, diag); err == nil {
+		t.Error("the rung builder built a kind that is not operator-built")
+	}
 	for _, kind := range ladderKinds() {
-		if _, err := ref.MakePrecond(kind, nil); err == nil {
+		if err := ref.SetPrecond(kind, nil); err == nil {
 			t.Errorf("%s accepted without a diagonal", kind)
 		}
-		if _, err := ref.MakePrecond(kind, diag[:3]); err == nil {
+		if err := ref.SetPrecond(kind, diag[:3]); err == nil {
 			t.Errorf("%s accepted a short diagonal", kind)
 		}
 	}
-	if _, err := ref.MakePrecond(solver.PrecondJacobi, nil); err == nil {
+	if err := ref.SetPrecond(solver.PrecondJacobi, nil); err == nil {
 		t.Error("jacobi accepted without a diagonal")
 	}
-	pre, err := ref.MakePrecond(solver.PrecondDefault, nil)
-	if err != nil || pre == nil {
-		t.Fatalf("default kind without diagonal should yield the identity closure, got %v", err)
+	if err := ref.SetPrecond(solver.PrecondDefault, nil); err != nil {
+		t.Fatalf("default kind without diagonal should install the identity, got %v", err)
 	}
-	bad := append([]float64(nil), diag...)
-	bad[5] = 0
-	for _, kind := range ladderKinds() {
-		if _, err := ref.MakePrecond(kind, bad); err == nil {
-			t.Errorf("%s accepted a zero diagonal entry", kind)
+	for _, v := range badDiagonalEntries {
+		bad := append([]float64(nil), diag...)
+		bad[5] = v
+		for _, kind := range ladderKinds() {
+			if err := ref.SetPrecond(kind, bad); err == nil || !strings.Contains(err.Error(), "at 5") {
+				t.Errorf("%s with diagonal entry %v: err = %v, want a rejection naming index 5", kind, v, err)
+			}
 		}
 	}
 }

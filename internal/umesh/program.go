@@ -27,11 +27,12 @@ import (
 // the Chebyshev scalars and the AMG level are read at compile time, so a
 // program must be compiled after the preconditioner is installed and
 // recompiled if it changes. The resident solvers do exactly that
-// (installPrecond runs before CompileProgram).
+// (SetPrecond runs before CompileProgram).
 //
-// Adding a vector op is one shard kernel plus one case in CompileProgram;
-// adding a preconditioner rung is its shard kernels plus one case in
-// emitPrecond (and the serial oracle closure in precond.go).
+// Adding a vector op is one shard kernel plus one case in CompileProgram (and
+// its solver.SliceSpace case); adding a preconditioner rung is its kernels
+// plus one case in emitPrecond, and the reference rung composed from the same
+// kernels in precond.go.
 //
 // Scalar inputs (*A1/*A2) are dereferenced inside the step's phase closures
 // at run time: the action that sets them runs at the barrier before the
@@ -116,6 +117,13 @@ func (b *planBuilder) add(phase func(int) error, bucket *float64, acts ...func()
 	b.steps = append(b.steps, exec.Step{Phase: phase, Actions: acts, Bucket: bucket})
 }
 
+// addLocal adds a vector-algebra step that touches only the part's own state —
+// how the layout-free rung kernels of precond.go become plan steps.
+func (b *planBuilder) addLocal(kernel func(op *opPart), acts ...func() (bool, error)) {
+	o := b.o
+	b.add(func(shard int) error { kernel(o.parts[shard]); return nil }, &o.Phase.Reduce, acts...)
+}
+
 // foldAct is the canonical reduction as a barrier action: treeFold the block
 // partials into the op's result before the solver action reads it.
 func (b *planBuilder) foldAct(r1 *float64) func() (bool, error) {
@@ -174,7 +182,7 @@ func (b *planBuilder) emitDot(av, bv int, r1 *float64) {
 // inside a plan would deadlock the pool). A non-nil r1 appends the canonical
 // *r1 = ⟨r, z⟩ reduction, fused into the default rung's single step and a
 // separate dot step for the operator-built rungs — the same summation tree
-// the slice path's separate reduction produces.
+// the reference space's separate reduction produces.
 func (b *planBuilder) emitPrecond(zv, rv int, r1 *float64) {
 	o := b.o
 	switch o.preKind {
@@ -182,23 +190,24 @@ func (b *planBuilder) emitPrecond(zv, rv int, r1 *float64) {
 		b.add(func(shard int) error { o.shardSSOR(shard, zv, rv); return nil }, &o.Phase.Reduce)
 	case solver.PrecondChebyshev:
 		cf := o.cheb
-		b.add(func(shard int) error { o.shardChebInit(shard, zv, rv, cf.invTheta); return nil }, &o.Phase.Reduce)
-		rhoPrev := cf.rho0
-		for k := 1; k < chebDegree; k++ {
+		b.addLocal(func(op *opPart) { chebInit(op.owned(zv), op.pd, op.invDiag, op.vecs[rv], cf.invTheta) })
+		for _, c := range cf.rounds() {
 			b.emitApply(zv, 0, 0, nil, true)
-			rho := 1 / (2*cf.sigma - rhoPrev)
-			c1, c2 := rho*rhoPrev, 2*rho/cf.delta
-			b.add(func(shard int) error { o.shardChebStep(shard, zv, rv, c1, c2); return nil }, &o.Phase.Reduce)
-			rhoPrev = rho
+			b.addLocal(func(op *opPart) { chebStep(op.owned(zv), op.pd, op.invDiag, op.vecs[rv], op.pw, c[0], c[1]) })
 		}
 	case solver.PrecondAMG:
-		b.add(func(shard int) error { o.shardAMGPre(shard, zv, rv); return nil }, &o.Phase.Reduce)
+		b.addLocal(func(op *opPart) { amgPre(op.owned(zv), op.invDiag, op.vecs[rv]) })
 		b.emitApply(zv, 0, 0, nil, true)
-		b.add(func(shard int) error { o.shardAMGRestrict(shard, rv); return nil }, &o.Phase.Reduce,
-			func() (bool, error) { o.amg.solveCoarse(o.coarseR, o.coarseE); return false, nil })
-		b.add(func(shard int) error { o.shardAMGProlong(shard, zv); return nil }, &o.Phase.Reduce)
+		// Aggregates are block-bounded and parts own whole blocks, so the
+		// parts' restrictions are disjoint writes into the shared coarse vector.
+		b.addLocal(func(op *opPart) {
+			for a, id := range op.aggID {
+				o.coarseR[id] = amgResidualSum(op.aggCells[op.aggPtr[a]:op.aggPtr[a+1]], op.vecs[rv], op.pw)
+			}
+		}, func() (bool, error) { o.amg.solveCoarse(o.coarseR, o.coarseE); return false, nil })
+		b.addLocal(func(op *opPart) { amgProlong(op.owned(zv), o.coarseE, op.aggOfLoc) })
 		b.emitApply(zv, 0, 0, nil, true)
-		b.add(func(shard int) error { o.shardAMGPost(shard, zv, rv); return nil }, &o.Phase.Reduce)
+		b.addLocal(func(op *opPart) { amgPost(op.owned(zv), op.invDiag, op.vecs[rv], op.pw) })
 	default:
 		if r1 != nil {
 			b.add(func(shard int) error { o.shardPreDot(shard, zv, rv); return nil }, &o.Phase.Reduce, b.foldAct(r1))

@@ -136,11 +136,11 @@ type TransientSolver struct {
 	u   *Mesh
 	sys *USystem
 	po  *PartOperator // nil on the serial reference path
-	// solve is one step's Krylov solve: the Resident compiled onto po, or the
-	// slice solver over the serial reference.
-	solve func(x, b []float64, cancel func() bool) (*solver.Stats, error)
-	close func()
-	opts  TransientOptions // the compiled template (Dt, Porosity, Workers, Solver)
+	// krylov is one step's Krylov solve, compiled onto po or onto the serial
+	// reference space.
+	krylov *solver.Resident
+	close  func()
+	opts   TransientOptions // the compiled template (Dt, Porosity, Workers, Solver)
 
 	// CompileSeconds is the wall-clock NewTransientSolver spent building the
 	// system and the partitioned operator — the cost a scenario cache
@@ -166,62 +166,37 @@ func NewTransientSolver(u *Mesh, p *Partition, fl physics.Fluid, opts TransientO
 	if err != nil {
 		return nil, err
 	}
-	op, diag, closeOp, err := NewSystemOperator(u, p, fl, sys, opts.Workers)
+	space, diag, closeOp, err := NewSystemSpace(u, p, fl, sys, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
-	// Jacobi preconditioning goes in as the diagonal, not a closure: the
-	// partitioned path installs it resident (ProgramSpace.SetPrecond), the
-	// serial path builds the equivalent slice closure — elementwise
-	// z_i = (1/d_i)·r_i either way, so the two stay bit-identical.
 	opts.Solver.PrecondDiag = diag
-	s := &TransientSolver{
-		u:     u,
-		sys:   sys,
-		close: closeOp,
-		opts:  opts,
-		b:     make([]float64, u.NumCells),
-		x:     make([]float64, u.NumCells),
-	}
 	// Everything a request should not pay for happens here, not lazily on the
-	// first solve: the partitioned path installs the preconditioner — for the
-	// operator-built rungs that is hierarchy aggregation, coarse
-	// factorization, spectral bounds, part-local sweeps — and compiles the
-	// solve's phase programs once; the serial path builds its rung closure
-	// once to warm the same memoized setup. Every Solve on a resident engine
-	// then pays the same (setup-free) cost; the serving layer's warm-hit
-	// latency depends on it.
-	if po, ok := op.(*PartOperator); ok {
-		compile := solver.CompileCG
-		if opts.UseBiCGStab {
-			compile = solver.CompileBiCGStab
-		}
-		r, err := compile(po, opts.Solver)
-		if err != nil {
-			closeOp()
-			return nil, err
-		}
-		s.po, s.solve = po, r.Solve
-	} else {
-		switch opts.Solver.PrecondKind {
-		case solver.PrecondSSOR, solver.PrecondChebyshev, solver.PrecondAMG:
-			if pf, ok := op.(solver.PrecondFactory); ok {
-				if _, err := pf.MakePrecond(opts.Solver.PrecondKind, diag); err != nil {
-					closeOp()
-					return nil, err
-				}
-			}
-		}
-		slice := solver.CG
-		if opts.UseBiCGStab {
-			slice = solver.BiCGStab
-		}
-		s.solve = func(x, b []float64, cancel func() bool) (*solver.Stats, error) {
-			so := opts.Solver
-			so.Cancel = cancel
-			return slice(op, x, b, so)
-		}
+	// first solve: installing the preconditioner — for the operator-built
+	// rungs that is hierarchy aggregation, coarse factorization, spectral
+	// bounds, block sweeps — and compiling the solve's phase programs. Every
+	// Solve on a resident engine then pays the same (setup-free) cost; the
+	// serving layer's warm-hit latency depends on it. The serial path differs
+	// only in the space the programs are compiled onto.
+	compile := solver.CompileCG
+	if opts.UseBiCGStab {
+		compile = solver.CompileBiCGStab
 	}
+	krylov, err := compile(space, opts.Solver)
+	if err != nil {
+		closeOp()
+		return nil, err
+	}
+	s := &TransientSolver{
+		u:      u,
+		sys:    sys,
+		krylov: krylov,
+		close:  closeOp,
+		opts:   opts,
+		b:      make([]float64, u.NumCells),
+		x:      make([]float64, u.NumCells),
+	}
+	s.po, _ = space.(*PartOperator)
 	s.CompileSeconds = time.Since(start).Seconds()
 	return s, nil
 }
@@ -277,6 +252,9 @@ func (s *TransientSolver) Solve(req TransientOptions) (*TransientResult, error) 
 		if w.Cell < 0 || w.Cell >= u.NumCells {
 			return nil, fmt.Errorf("umesh: well cell %d outside %d-cell mesh", w.Cell, u.NumCells)
 		}
+		if math.IsNaN(w.Rate) || math.IsInf(w.Rate, 0) {
+			return nil, fmt.Errorf("umesh: well at cell %d has non-finite rate %g", w.Cell, w.Rate)
+		}
 		b[w.Cell] += w.Rate
 		injected += math.Abs(w.Rate)
 	}
@@ -293,6 +271,11 @@ func (s *TransientSolver) Solve(req TransientOptions) (*TransientResult, error) 
 		if len(initial) != u.NumCells {
 			return nil, fmt.Errorf("umesh: initial pressure length %d != cells %d",
 				len(initial), u.NumCells)
+		}
+		for i, v := range initial {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("umesh: non-finite initial pressure %g at cell %d", v, i)
+			}
 		}
 		copy(pres, initial)
 	} else {
@@ -345,7 +328,7 @@ func (s *TransientSolver) Solve(req TransientOptions) (*TransientResult, error) 
 				return nil, &StepError{Step: step, Err: err}
 			}
 		}
-		st, err := s.solve(x, b, cancel)
+		st, err := s.krylov.Solve(x, b, cancel)
 		if err != nil {
 			return nil, &StepError{Step: step, Stats: st, Err: err}
 		}
@@ -392,7 +375,7 @@ func (s *TransientSolver) Solve(req TransientOptions) (*TransientResult, error) 
 // per step. Partitioned solves run part-resident (one scatter and one
 // gather per step; every application, axpy and dot executed as fused phases
 // on the persistent engine runtime). A nil partition selects the serial
-// float64 reference path (UHostOperator + the canonical blocked reduction)
+// float64 reference path (the reference space over UHostOperator)
 // — the golden baseline the partitioned runs must match bit-for-bit, which
 // tests assert for parts 1–8. It is exactly one compile-and-solve cycle of
 // TransientSolver, so serving-layer solves on a cached solver take the same

@@ -36,11 +36,11 @@
 // aggregation, reverse Cuthill–McKee renumbering, Galerkin banded assembly,
 // banded Cholesky — is built once per USystem and reused across transient
 // steps. Every rung's arithmetic is a function of the canonical order only,
-// never of the partitioning, and the serial reference closures mirror the
-// resident kernels expression for expression, so each rung preserves the
-// bit-identity guarantee at every part count. PartOperator.SetPrecond
-// installs a rung and emitPrecond compiles its step sequence into the
-// programs; serialReference.MakePrecond is its serial oracle.
+// never of the partitioning, and the serial reference rungs are built from
+// the same kernels (block-SSOR's sweeps excepted, which are twinned), so each
+// rung preserves the bit-identity guarantee at every part count.
+// PartOperator.SetPrecond installs a rung and emitPrecond compiles its step
+// sequence into the programs; referenceRung is its serial oracle.
 package umesh
 
 import (

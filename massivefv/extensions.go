@@ -53,11 +53,7 @@ func NewDataflowOperator(sys *PressureSystem, fl Fluid) *solver.DataflowOperator
 // through the dataflow operator and returns the pressure update.
 func SolveCG(sys *PressureSystem, fl Fluid, b []float64, opts SolverOptions) ([]float64, *SolverStats, error) {
 	op := solver.NewDataflowOperator(sys, fl)
-	pre, err := solver.JacobiPrecond(sys.Diagonal())
-	if err != nil {
-		return nil, nil, err
-	}
-	opts.Precond = pre
+	opts.PrecondDiag = sys.Diagonal()
 	x := make([]float64, op.Size())
 	st, err := solver.CG(op, x, b, opts)
 	if err != nil {
@@ -173,16 +169,18 @@ func SolveUnstructured(u *UMesh, part *UPartition, fl Fluid, dt float64, b []flo
 	if err != nil {
 		return nil, nil, err
 	}
-	op, diag, closeOp, err := umesh.NewSystemOperator(u, part, fl, sys, 0)
+	space, diag, closeOp, err := umesh.NewSystemSpace(u, part, fl, sys, 0)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer closeOp()
-	// The diagonal, not a closure: a closure would force the slice path and
-	// its per-application scatter/gather.
 	opts.PrecondDiag = diag
-	x := make([]float64, op.Size())
-	st, err := solver.CG(op, x, b, opts)
+	cg, err := solver.CompileCG(space, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	x := make([]float64, space.Size())
+	st, err := cg.Solve(x, b, opts.Cancel)
 	if err != nil {
 		return nil, st, err
 	}
