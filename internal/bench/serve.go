@@ -197,7 +197,7 @@ func RunServeLoad(cfg ServeConfig) (*ServeLoad, error) {
 
 	eff := cfg.Server.WithDefaults()
 	out := &ServeLoad{
-		Scenario:           cfg.Scenario,
+		Scenario:           cfg.Scenario.Normalized(),
 		ScenarioKey:        cfg.Scenario.Key(),
 		StepsPerRequest:    cfg.Steps,
 		EnginesPerScenario: eff.EnginesPerScenario,

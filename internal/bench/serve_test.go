@@ -54,6 +54,10 @@ func TestRunServeLoadSmall(t *testing.T) {
 	if res.BatchMax != serve.DefaultBatchMax || res.MemoCapacity != serve.DefaultMemoCapacity {
 		t.Errorf("knob echo drifted from serve defaults: batch %d, memo %d", res.BatchMax, res.MemoCapacity)
 	}
+	// Likewise the scenario: the one the key was hashed from, defaults filled.
+	if res.Scenario.Mesh != "radial" {
+		t.Errorf("scenario echo is not normalised: mesh %q, want radial", res.Scenario.Mesh)
+	}
 	c := res.Chaos
 	if c == nil {
 		t.Fatal("chaos phase missing from the report")

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -65,6 +66,7 @@ func post(t *testing.T, url, body string) chaosReply {
 }
 
 func TestChaos(t *testing.T) {
+	goroutinesBefore := runtime.NumGoroutine()
 	// Reference hashes from a fault-free server, one per payload variant.
 	ref := make(map[int]string)
 	func() {
@@ -162,4 +164,20 @@ func TestChaos(t *testing.T) {
 		t.Errorf("post-chaos clean solve: status %d hash %s, want 200 %s", r.status, r.hash, ref[0])
 	}
 	s.Drain()
+
+	// No residue: panicked, retired and healed pools all released their
+	// goroutines by the time Drain returned; the closed connections' own
+	// unwind a moment later.
+	ts.Close()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutinesBefore; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine residue after Drain: %d running, %d before the servers were built",
+				runtime.NumGoroutine(), goroutinesBefore)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := s.Stats(); st.QueuedCostSeconds != 0 || st.Requests != st.Completed+st.Failed+st.RejectedRate+
+		st.RejectedQueue+st.RejectedDraining+st.RejectedInvalid+st.RejectedDegraded {
+		t.Errorf("accounting residue after chaos: %+v", st)
+	}
 }

@@ -1,6 +1,6 @@
 package serve
 
-import "sync/atomic"
+import "time"
 
 // This file is the overload brownout: when the estimated queue wait (the
 // summed cost estimates of every admitted-but-unfinished engine-bound
@@ -11,45 +11,38 @@ import "sync/atomic"
 // entry) keeps the mode from flapping at the boundary. The state is
 // advertised in /healthz and /v1/stats so load balancers can steer.
 
-// brownout is the degraded-mode state machine. Enabled when high > 0.
-type brownout struct {
-	high float64 // enter degraded when queued cost exceeds this (seconds)
-	low  float64 // exit degraded when queued cost falls below this
-	shed float64 // in degraded mode, shed requests estimated ≥ this
+// The exit watermark and the shed threshold as fractions of the high-water
+// mark: leave degraded mode below high/2, shed requests estimated ≥ high/4.
+const brownoutExitDivisor, brownoutShedDivisor = 2, 4
 
-	degraded atomic.Bool
+// brownout is the degraded-mode state machine, guarded by the server's core
+// lock. Enabled when high > 0.
+type brownout struct {
+	high     time.Duration // enter degraded when queued cost exceeds this
+	degraded bool
 	stats    *Stats
 }
 
-func newBrownout(high, low, shed float64, stats *Stats) *brownout {
-	return &brownout{high: high, low: low, shed: shed, stats: stats}
-}
-
-func (b *brownout) enabled() bool { return b != nil && b.high > 0 }
-
 // observe folds the current estimated queue wait into the state machine:
-// cross high going up → degraded; fall below low → healthy. Called on every
-// admission and completion, so the mode tracks the queue without a ticker.
-func (b *brownout) observe(queuedSeconds float64) {
-	if !b.enabled() {
-		return
-	}
-	if b.degraded.Load() {
-		if queuedSeconds < b.low && b.degraded.CompareAndSwap(true, false) {
-			b.stats.DegradedExits.Add(1)
-		}
-	} else if queuedSeconds > b.high && b.degraded.CompareAndSwap(false, true) {
+// cross high going up → degraded; fall below the exit watermark → healthy.
+// Called on every charge and refund, so the mode tracks the queue without a
+// ticker.
+func (b *brownout) observe(queued time.Duration) {
+	switch {
+	case b.high <= 0:
+	case b.degraded && queued < b.high/brownoutExitDivisor:
+		b.degraded = false
+		b.stats.DegradedExits.Add(1)
+	case !b.degraded && queued > b.high:
+		b.degraded = true
 		b.stats.DegradedEnters.Add(1)
 	}
 }
 
-// shedNow reports whether a request with the given estimated cost should be
+// sheds reports whether a request with the given estimated cost should be
 // shed under the current mode — the costliest-first policy: only work at or
 // above the shed threshold is refused, so degraded mode keeps serving the
 // cheap majority.
-func (b *brownout) shedNow(estimatedCost float64) bool {
-	return b.enabled() && b.degraded.Load() && estimatedCost >= b.shed
+func (b *brownout) sheds(cost time.Duration) bool {
+	return b.degraded && cost >= b.high/brownoutShedDivisor
 }
-
-// isDegraded reports the current mode (false when disabled).
-func (b *brownout) isDegraded() bool { return b.enabled() && b.degraded.Load() }

@@ -40,28 +40,25 @@ type jobResult struct {
 	solveSeconds float64
 }
 
-// engine is one resident compiled solver plus its dispatch state: inflight
-// is 1 while a batch is executing on it (the dispatcher only hands work to
-// idle engines, so the backlog stays in the dispatcher where it can batch).
-// unhealthy is set when a solve on it panicked: the dispatcher never hands
-// it work again and the entry retires for a background recompile.
+// engine is one resident compiled solver and its pool state (guarded by the
+// entry's mutex): busy while a batch executes on it, lost once a solve on it
+// panicked — a lost engine never takes work again.
 type engine struct {
-	id        int
-	solver    *umesh.TransientSolver
-	ch        chan []*job
-	inflight  atomic.Int64
-	unhealthy atomic.Bool
+	id         int
+	solver     *umesh.TransientSolver
+	busy, lost bool
 }
 
 // entry is one cached scenario: the compiled shared state, a pool of
-// resident engines, and the per-scenario queue its dispatcher drains.
-// Lifecycle: created under the cache lock with ready open; the creating
-// request compiles outside the lock and closes ready; retirement (eviction
-// or cache close) waits for the reference count to drain, closes pending,
-// and the dispatcher then shuts the engines down.
+// resident engines, and the backlog they pull from. Lifecycle: created
+// under the cache lock with ready open; the creating request compiles
+// outside the lock and closes ready; once retired (eviction, heal or cache
+// close) and released by its last request, the engines exit and release
+// their compiled solvers.
 type entry struct {
 	key string
 	scn Scenario
+	c   *cache
 
 	ready          chan struct{} // closed once compiled (err set on failure)
 	err            error
@@ -69,36 +66,162 @@ type entry struct {
 
 	// cells is the compiled mesh's real cell count — what well indices are
 	// validated against; cost is the scenario's online solve-cost estimate
-	// the SJF dispatcher orders by.
+	// (seeded from the static prior, refined by every solve) that admission
+	// prices by and the SJF selection orders by.
 	cells int
 	cost  *costModel
 
+	// mu guards everything below; cond wakes the engines waiting in next.
+	mu      sync.Mutex
+	cond    sync.Cond
 	engines []*engine
-	pending chan *job
-	// freed carries engine ids back to the dispatcher as batches complete
-	// (buffered to the pool size, so engines never block announcing).
-	freed chan int
-
-	refs    sync.WaitGroup // one per in-flight Acquire
-	retired atomic.Bool
-	healing atomic.Bool   // a panic already scheduled this entry's recompile
-	done    chan struct{} // closed when dispatcher and engines have stopped
+	backlog []*job // arrival order
+	refs    int    // in-flight acquires
+	retired bool
 }
 
-// cacheConfig is what the cache needs from the server's options.
-type cacheConfig struct {
-	capacity int
-	engines  int
-	queue    int
-	batchMax int
-	stats    *Stats
-	now      func() time.Time
-	// forceCancel, when set (DrainWithin past its bound), trips every
-	// solve's cancel hook regardless of deadlines.
-	forceCancel *atomic.Bool
-	// solveHook, when non-nil, runs immediately before each engine step
-	// solve with the batch's cancel hook — the fault-injection seam.
-	solveHook func(cancel func() bool) error
+func newEntry(c *cache, scn Scenario) *entry {
+	e := &entry{key: scn.Key(), scn: scn.Normalized(), c: c, ready: make(chan struct{}), refs: 1}
+	e.cost = newCostModel(e.scn.cellEstimate(), e.scn.Precond)
+	e.cond.L = &e.mu
+	return e
+}
+
+// release drops one acquire's reference; the last one out of a retired
+// entry lets its engines exit.
+func (e *entry) release() {
+	e.mu.Lock()
+	e.refs--
+	if e.retired && e.refs == 0 {
+		e.cond.Broadcast()
+	}
+	e.mu.Unlock()
+}
+
+// retire marks the entry as leaving the cache: its engines exit as soon as
+// no request holds it. Callers account the reason themselves (eviction vs
+// heal).
+func (e *entry) retire() {
+	e.mu.Lock()
+	e.retired = true
+	e.mu.Unlock()
+	e.cond.Broadcast()
+}
+
+// enqueue puts a job on the scenario's backlog and wakes the engines. A pool
+// with no healthy engine fails it at once with errPoolUnhealthy, and a job
+// already past its deadline is shed; the answer always arrives on j.done.
+func (e *entry) enqueue(j *job) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if !e.healthy() {
+		j.done <- e.poolLost()
+		return
+	}
+	e.backlog = append(e.backlog, j)
+	e.shedExpired()
+	e.cond.Broadcast()
+}
+
+func (e *entry) healthy() bool {
+	for _, eng := range e.engines {
+		if !eng.lost {
+			return true
+		}
+	}
+	return false
+}
+
+func (e *entry) poolLost() jobResult {
+	return jobResult{engine: -1, err: fmt.Errorf("%w (scenario %s, recompiling)", errPoolUnhealthy, e.key)}
+}
+
+// shedExpired answers every queued job whose deadline has passed: 504 with
+// zero iterations, and no engine time spent.
+func (e *entry) shedExpired() {
+	now := e.c.opts.Now()
+	live := e.backlog[:0]
+	for _, j := range e.backlog {
+		if !j.deadline.IsZero() && !now.Before(j.deadline) {
+			j.done <- jobResult{engine: -1, err: fmt.Errorf("serve: deadline expired while queued: %w", solver.ErrCancelled)}
+			continue
+		}
+		live = append(live, j)
+	}
+	e.backlog = live
+}
+
+// take is the scheduling decision, made by the engine that will run it: the
+// next batch for eng, or nil when nothing is queued or a lower-id engine is
+// idle (the lowest idle id serves, so dispatch is deterministic). Selection
+// is selectGroup's: shortest job first with an aging credit, ties by
+// arrival, and every queued job with the leader's payload rides along (one
+// solve per batch, up to BatchMax) — the backlog is where same-payload
+// requests meet while the engines are busy. e.mu held.
+func (e *entry) take(eng *engine) []*job {
+	e.shedExpired()
+	if len(e.backlog) == 0 {
+		return nil
+	}
+	for _, lower := range e.engines[:eng.id] {
+		if !lower.busy && !lower.lost {
+			return nil
+		}
+	}
+	group, reordered, aged := selectGroup(&e.backlog, e.c.opts.BatchMax, e.cost.estimate, e.c.opts.Now())
+	st := e.c.stats
+	st.SchedDecisions.Add(1)
+	if reordered {
+		st.SchedReorders.Add(1)
+	}
+	if aged {
+		st.SchedAgedPicks.Add(1)
+	}
+	if len(group) > 1 {
+		st.Batches.Add(1)
+		st.BatchedRequests.Add(uint64(len(group)))
+		st.SharedSolves.Add(uint64(len(group) - 1))
+	}
+	eng.busy = true
+	if len(e.backlog) > 0 {
+		e.cond.Broadcast() // a higher id that yielded to eng may serve now
+	}
+	return group
+}
+
+// next blocks until eng has a batch to run; nil means the entry retired and
+// its last request has left.
+func (e *entry) next(eng *engine) []*job {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for {
+		if batch := e.take(eng); batch != nil {
+			return batch
+		}
+		if e.retired && e.refs == 0 {
+			return nil
+		}
+		e.cond.Wait()
+	}
+}
+
+// complete fans one solve's result out to its batch and returns the engine
+// to the pool — or, after a panic, takes it out for good; when that leaves
+// no healthy engine, whatever is queued fails with errPoolUnhealthy.
+func (e *entry) complete(eng *engine, batch []*job, r jobResult, panicked bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for i, j := range batch {
+		r.shared = i > 0
+		j.done <- r
+	}
+	eng.busy, eng.lost = false, panicked
+	if !e.healthy() {
+		for _, j := range e.backlog {
+			j.done <- e.poolLost()
+		}
+		e.backlog = nil
+	}
 }
 
 // cache is the scenario cache: an LRU of compiled entries keyed by the
@@ -107,95 +230,98 @@ type cacheConfig struct {
 // compiles a new entry (possibly evicting the least-recently-used one) and
 // charges the compile time to the missing request.
 type cache struct {
-	cfg cacheConfig
+	opts  Options // the server's, defaults resolved
+	stats *Stats
+	// forceCancel, once set (DrainWithin past its bound), trips every
+	// solve's cancel hook regardless of deadlines.
+	forceCancel *atomic.Bool
 
 	mu      sync.Mutex
 	entries map[string]*list.Element // value: *entry
 	lru     *list.List               // front = most recently used
 	closed  bool
+	// live counts the cache's goroutines — one per engine, plus a heal's
+	// recompile — for close to wait on. Engines start inside acquire; close
+	// runs after every request's acquire has returned (Drain waits) while a
+	// heal's holds its own count, so no Add races the Wait from zero.
+	live sync.WaitGroup
 }
 
-func newCache(cfg cacheConfig) *cache {
-	return &cache{cfg: cfg, entries: make(map[string]*list.Element), lru: list.New()}
+func newCache(opts Options, stats *Stats, forceCancel *atomic.Bool) *cache {
+	return &cache{opts: opts, stats: stats, forceCancel: forceCancel,
+		entries: make(map[string]*list.Element), lru: list.New()}
 }
 
 // acquire resolves a scenario to a live entry, compiling on miss. The
-// returned release must be called once the request's job has completed (or
-// failed); hit reports whether the compiled engines were already resident.
-func (c *cache) acquire(scn Scenario) (e *entry, hit bool, release func(), err error) {
+// caller must release the entry once its job has completed (or failed); hit
+// reports whether the compiled engines were already resident.
+func (c *cache) acquire(scn Scenario) (e *entry, hit bool, err error) {
 	key := scn.Key()
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, false, nil, fmt.Errorf("serve: cache is closed")
+		return nil, false, fmt.Errorf("serve: cache is closed")
 	}
 	if el, ok := c.entries[key]; ok {
 		e = el.Value.(*entry)
 		c.lru.MoveToFront(el)
-		e.refs.Add(1)
+		e.mu.Lock()
+		e.refs++
+		e.mu.Unlock()
 		c.mu.Unlock()
 		<-e.ready // compiled by the missing request (usually long closed)
 		if e.err != nil {
-			e.refs.Done()
-			return nil, true, nil, e.err
+			e.release()
+			return nil, true, e.err
 		}
-		c.cfg.stats.CacheHits.Add(1)
-		return e, true, func() { e.refs.Done() }, nil
+		c.stats.CacheHits.Add(1)
+		return e, true, nil
 	}
-	e = &entry{
-		key:     key,
-		scn:     scn.normalized(),
-		ready:   make(chan struct{}),
-		pending: make(chan *job, c.cfg.queue),
-		done:    make(chan struct{}),
-	}
-	e.refs.Add(1)
-	el := c.lru.PushFront(e)
-	c.entries[key] = el
-	var evicted *entry
-	if c.lru.Len() > c.cfg.capacity {
-		oldest := c.lru.Back()
-		evicted = oldest.Value.(*entry)
-		c.lru.Remove(oldest)
-		delete(c.entries, evicted.key)
+	e = newEntry(c, scn)
+	c.entries[key] = c.lru.PushFront(e)
+	if c.lru.Len() > c.opts.CacheCapacity {
+		c.remove(c.lru.Back().Value.(*entry)).retire()
+		c.stats.Evictions.Add(1)
 	}
 	c.mu.Unlock()
-	if evicted != nil {
-		c.cfg.stats.Evictions.Add(1)
-		c.retire(evicted)
-	}
-	c.cfg.stats.CacheMisses.Add(1)
+	c.stats.CacheMisses.Add(1)
 
 	// Compile outside the lock: concurrent requests for other scenarios
 	// proceed, concurrent requests for this one block on ready.
-	start := c.cfg.now()
+	start := c.opts.Now()
 	e.err = c.compileEntry(e)
-	e.compileSeconds = c.cfg.now().Sub(start).Seconds()
+	e.compileSeconds = c.opts.Now().Sub(start).Seconds()
 	close(e.ready)
 	if e.err != nil {
 		c.mu.Lock()
-		if el2, ok := c.entries[key]; ok && el2.Value.(*entry) == e {
-			c.lru.Remove(el2)
-			delete(c.entries, key)
-		}
+		c.remove(e)
 		c.mu.Unlock()
-		e.refs.Done()
-		close(e.done)
-		return nil, false, nil, e.err
+		return nil, false, e.err
 	}
-	return e, false, func() { e.refs.Done() }, nil
+	return e, false, nil
+}
+
+// remove takes e out of the map and the LRU if it is still the resident
+// entry for its key, and returns it (nil otherwise). c.mu held.
+func (c *cache) remove(e *entry) *entry {
+	el, ok := c.entries[e.key]
+	if !ok || el.Value.(*entry) != e {
+		return nil
+	}
+	c.lru.Remove(el)
+	delete(c.entries, e.key)
+	return e
 }
 
 // compileEntry builds the entry's shared state and engine pool and starts
-// its dispatcher.
+// the engines.
 func (c *cache) compileEntry(e *entry) error {
 	comp, err := e.scn.compile()
 	if err != nil {
 		return err
 	}
 	e.cells = comp.u.NumCells
-	e.cost = newCostModel(comp.u.NumCells, e.scn.Precond)
-	for i := 0; i < c.cfg.engines; i++ {
+	for i := 0; i < c.opts.EnginesPerScenario; i++ {
 		s, err := comp.newSolver()
 		if err != nil {
 			for _, eng := range e.engines {
@@ -203,99 +329,65 @@ func (c *cache) compileEntry(e *entry) error {
 			}
 			return err
 		}
-		e.engines = append(e.engines, &engine{
-			id:     i,
-			solver: s,
-			// Capacity 1: the dispatcher only sends to an idle engine, so
-			// the send never blocks; queued work stays in the dispatcher's
-			// backlog where it can batch.
-			ch: make(chan []*job, 1),
-		})
+		e.engines = append(e.engines, &engine{id: i, solver: s})
 	}
-	e.freed = make(chan int, len(e.engines))
-	go c.dispatch(e)
+	for _, eng := range e.engines {
+		c.live.Add(1)
+		go c.runEngine(e, eng)
+	}
 	return nil
 }
 
-// retire schedules an entry's shutdown: once the last in-flight reference
-// releases, the queue closes and the dispatcher drains and stops the
-// engines. Callers account the reason themselves (eviction vs heal).
-func (c *cache) retire(e *entry) {
-	if e.retired.Swap(true) {
-		return
-	}
-	go func() {
-		e.refs.Wait()
-		close(e.pending)
-	}()
-}
-
 // heal is the panic recovery path: the broken entry leaves the cache (so
-// new acquires compile a fresh pool), retires, and — unless the cache is
-// closing — a background goroutine recompiles the scenario immediately so
-// the next request finds warm engines again. Runs once per entry.
+// new acquires compile a fresh pool) and retires, and — on the first panic
+// of a resident entry, unless the cache is closing — a background goroutine
+// recompiles the scenario so the next request finds warm engines again.
 func (c *cache) heal(e *entry) {
-	if e.healing.Swap(true) {
-		return
-	}
 	c.mu.Lock()
-	closed := c.closed
-	if el, ok := c.entries[e.key]; ok && el.Value.(*entry) == e {
-		c.lru.Remove(el)
-		delete(c.entries, e.key)
+	recompile := c.remove(e) != nil && !c.closed
+	if recompile {
+		c.live.Add(1)
 	}
 	c.mu.Unlock()
-	c.retire(e)
-	if closed {
+	e.retire()
+	if !recompile {
 		return
 	}
 	go func() {
-		if _, _, release, err := c.acquire(e.scn); err == nil {
-			release()
-			c.cfg.stats.EngineRestarts.Add(1)
+		defer c.live.Done()
+		if fresh, _, err := c.acquire(e.scn); err == nil {
+			fresh.release()
+			c.stats.EngineRestarts.Add(1)
 		}
 	}()
 }
 
-// peekCost returns a resident scenario's refined cost model without
-// touching LRU order or references — the brownout admission estimate.
-func (c *cache) peekCost(key string) (*costModel, bool) {
+// costOf returns the model a request on scn (keyed key) is priced by: the resident
+// entry's (EWMA-refined by every solve), else the static prior a fresh entry
+// would start from. It touches neither LRU order nor references.
+func (c *cache) costOf(key string, scn Scenario) *costModel {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*entry)
-		select {
-		case <-e.ready:
-			if e.err == nil {
-				return e.cost, true
-			}
-		default: // still compiling — fall back to the static prior
-		}
+		return el.Value.(*entry).cost
 	}
-	return nil, false
+	n := scn.Normalized()
+	return newCostModel(n.cellEstimate(), n.Precond)
 }
 
-// close retires every entry and waits for their engines to stop.
+// close retires every entry and waits for every engine — of resident,
+// evicted and healed entries alike — to stop.
 func (c *cache) close() {
 	c.mu.Lock()
 	c.closed = true
-	var all []*entry
 	for el := c.lru.Front(); el != nil; el = el.Next() {
-		all = append(all, el.Value.(*entry))
+		c.stats.Evictions.Add(1)
+		el.Value.(*entry).retire()
 	}
 	c.entries = make(map[string]*list.Element)
 	c.lru.Init()
 	c.mu.Unlock()
-	for _, e := range all {
-		c.cfg.stats.Evictions.Add(1)
-		c.retire(e)
-	}
-	for _, e := range all {
-		<-e.ready
-		if e.err == nil {
-			<-e.done
-		}
-	}
+	c.live.Wait()
 }
 
 // size reports the resident scenario count.
@@ -305,241 +397,69 @@ func (c *cache) size() int {
 	return c.lru.Len()
 }
 
-// dispatch is the entry's scheduler. It holds the scenario's backlog: jobs
-// drain from the queue into it in arrival order, and a batch leaves it only
-// when an engine is idle — so under load the backlog is exactly where
-// same-payload requests meet and coalesce (one solve serves the whole
-// batch, up to batchMax). Batch selection is shortest-job-first over the
-// scenario's cost estimate with an aging credit (selectGroup): the cheapest
-// waiting job leads the batch, long jobs age their way to the front instead
-// of starving, and equal priorities resolve by arrival order so replays are
-// stable. Engines announce completion on e.freed; dispatch hands the next
-// batch to the idle engine with the lowest id (deterministic least-loaded:
-// busy engines are never picked). It owns engine shutdown: when the queue
-// closes (retirement) and the backlog is spent, it closes the engine
-// channels, waits for them to finish, and releases the compiled solvers.
-func (c *cache) dispatch(e *entry) {
-	var engWG sync.WaitGroup
-	for _, eng := range e.engines {
-		engWG.Add(1)
-		go func(eng *engine) {
-			defer engWG.Done()
-			c.runEngine(e, eng)
-		}(eng)
-	}
-	ready := make([]bool, len(e.engines))
-	for i := range ready {
-		ready[i] = true
-	}
-	nReady := len(ready)
-	nHealthy := len(ready)
-	// markReady returns an engine to the idle set — unless its last batch
-	// panicked, in which case it leaves the pool for good.
-	markReady := func(id int) {
-		if e.engines[id].unhealthy.Load() {
-			nHealthy--
-			return
-		}
-		ready[id] = true
-		nReady++
-	}
-	var backlog []*job
-	open := true
-	for open || len(backlog) > 0 {
-		// Block until there is something to react to, then drain both
-		// channels opportunistically so one pass sees the whole window.
-		if open {
-			if len(backlog) == 0 {
-				select {
-				case j, ok := <-e.pending:
-					if !ok {
-						open = false
-					} else {
-						backlog = append(backlog, j)
-					}
-				case id := <-e.freed:
-					markReady(id)
-				}
-			}
-			for open {
-				select {
-				case j, ok := <-e.pending:
-					if !ok {
-						open = false
-					} else {
-						backlog = append(backlog, j)
-					}
-					continue
-				default:
-				}
-				break
-			}
-		}
-		for {
-			select {
-			case id := <-e.freed:
-				markReady(id)
-				continue
-			default:
-			}
-			break
-		}
-		// Shed jobs whose deadline already passed before they cost an engine
-		// anything: they 504 with zero iterations and the slot stays free.
-		if n := len(backlog); n > 0 {
-			now := c.cfg.now()
-			live := backlog[:0]
-			for _, j := range backlog {
-				if !j.deadline.IsZero() && !now.Before(j.deadline) {
-					j.done <- jobResult{engine: -1, err: fmt.Errorf("serve: deadline expired while queued: %w", solver.ErrCancelled)}
-					continue
-				}
-				live = append(live, j)
-			}
-			backlog = live
-		}
-		if len(backlog) == 0 {
-			continue
-		}
-		if nHealthy == 0 {
-			// The whole pool panicked away. Fail the backlog fast — the
-			// handler resubmits these to the recompiled pool — and keep
-			// draining the queue until retirement closes it.
-			for _, j := range backlog {
-				j.done <- jobResult{engine: -1, err: fmt.Errorf("%w (scenario %s, recompiling)", errPoolUnhealthy, e.key)}
-			}
-			backlog = backlog[:0]
-			continue
-		}
-		if nReady == 0 {
-			// Every engine is busy: wait for one to free (or, while the
-			// queue is open, for more jobs to deepen the batch).
-			if open {
-				select {
-				case j, ok := <-e.pending:
-					if !ok {
-						open = false
-					} else {
-						backlog = append(backlog, j)
-					}
-				case id := <-e.freed:
-					markReady(id)
-				}
-			} else {
-				markReady(<-e.freed)
-			}
-			continue
-		}
-		group, reordered, aged := selectGroup(&backlog, c.cfg.batchMax, e.cost.estimate, c.cfg.now())
-		c.cfg.stats.SchedDecisions.Add(1)
-		if reordered {
-			c.cfg.stats.SchedReorders.Add(1)
-		}
-		if aged {
-			c.cfg.stats.SchedAgedPicks.Add(1)
-		}
-		if len(group) > 1 {
-			c.cfg.stats.Batches.Add(1)
-			c.cfg.stats.BatchedRequests.Add(uint64(len(group)))
-			c.cfg.stats.SharedSolves.Add(uint64(len(group) - 1))
-		}
-		var eng *engine
-		for id, r := range ready {
-			if r {
-				eng = e.engines[id]
-				break
-			}
-		}
-		ready[eng.id] = false
-		nReady--
-		eng.inflight.Add(1)
-		eng.ch <- group
-	}
-	for _, eng := range e.engines {
-		close(eng.ch)
-	}
-	engWG.Wait()
-	for _, eng := range e.engines {
-		eng.solver.Close()
-	}
-	close(e.done)
-}
-
 // batchCancel builds the cancel hook one engine solve runs under: trip on
-// the server-wide force-cancel (DrainWithin past its bound), or once the
-// batch's latest member deadline passes. Batch-mates share one solve, so
-// the solve runs to the *loosest* deadline in the batch — a member without
-// a deadline keeps the solve unbounded; individually-expired members were
-// already shed pre-dispatch.
+// the server-wide force-cancel, or once the batch's latest member deadline
+// passes. Batch-mates share one solve, so it runs to the *loosest* deadline
+// in the batch — a member without one keeps it unbounded; individually
+// expired members were already shed before the batch was taken.
 func (c *cache) batchCancel(batch []*job) func() bool {
-	deadline := time.Time{}
-	bounded := true
+	var deadline time.Time // the loosest member deadline; zero = unbounded
 	for _, j := range batch {
 		if j.deadline.IsZero() {
-			bounded = false
+			deadline = time.Time{}
 			break
 		}
 		if j.deadline.After(deadline) {
 			deadline = j.deadline
 		}
 	}
-	fc := c.cfg.forceCancel
-	now := c.cfg.now
+	fc, now := c.forceCancel, c.opts.Now
 	return func() bool {
-		if fc != nil && fc.Load() {
-			return true
-		}
-		return bounded && !now().Before(deadline)
+		return fc.Load() || !deadline.IsZero() && !now().Before(deadline)
 	}
 }
 
 // solveBatch runs one batch's solve under recover(): a panic anywhere in
-// the engine (umesh, solver, exec) becomes an error on the batch and an
-// unhealthy mark on the engine instead of a dead daemon.
-func (c *cache) solveBatch(e *entry, eng *engine, opts umesh.TransientOptions) (res *umesh.TransientResult, err error) {
+// the engine (umesh, solver, exec) becomes an error on the batch instead of
+// a dead daemon.
+func solveBatch(eng *engine, opts umesh.TransientOptions) (res *umesh.TransientResult, panicked bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			c.cfg.stats.EnginePanics.Add(1)
-			eng.unhealthy.Store(true)
-			res, err = nil, fmt.Errorf("serve: engine %d panicked: %v", eng.id, r)
+			res, panicked, err = nil, true, fmt.Errorf("serve: engine %d panicked: %v", eng.id, r)
 		}
 	}()
-	return eng.solver.Solve(opts)
+	res, err = eng.solver.Solve(opts)
+	return res, false, err
 }
 
-// runEngine executes batches on one resident engine: one Solve per batch
-// (under panic isolation, with the batch's cancel hook installed), the
-// result fanned out to every batch member, the observed cost folded back
-// into the scenario's estimate. A panic retires the entry for a background
-// recompile (heal) after the batch has been failed — waiters never hang.
+// runEngine is the engine edge: pull the next batch from the backlog, run
+// one Solve for it (panic-isolated, under the batch's cancel hook), fold the
+// observed cost into the scenario's estimate, complete the batch. A panic
+// ends the engine — after the entry is healed (out of the cache) and before
+// the batch is failed, so a resubmitted request never meets the broken pool.
 func (c *cache) runEngine(e *entry, eng *engine) {
-	for batch := range eng.ch {
+	defer c.live.Done()
+	defer eng.solver.Close()
+	for batch := e.next(eng); batch != nil; batch = e.next(eng) {
 		lead := batch[0]
 		opts := lead.req.transientOptions()
 		opts.Cancel = c.batchCancel(batch)
-		opts.BeforeSolve = c.cfg.solveHook
-		start := c.cfg.now()
-		res, err := c.solveBatch(e, eng, opts)
-		sec := c.cfg.now().Sub(start).Seconds()
-		c.cfg.stats.Solves.Add(1)
-		c.cfg.stats.SolveSecondsTotal.add(sec)
+		opts.BeforeSolve = c.opts.SolveHook
+		start := c.opts.Now()
+		res, panicked, err := solveBatch(eng, opts)
+		sec := c.opts.Now().Sub(start).Seconds()
+		c.stats.Solves.Add(1)
+		c.stats.SolveSecondsTotal.add(sec)
 		if err == nil {
 			e.cost.observe(sec, lead.req.effectiveSteps())
 		}
-		for i, j := range batch {
-			j.done <- jobResult{
-				res:          res,
-				err:          err,
-				engine:       eng.id,
-				batchSize:    len(batch),
-				shared:       i > 0,
-				solveSeconds: sec,
-			}
-		}
-		eng.inflight.Add(-1)
-		if eng.unhealthy.Load() {
+		if panicked {
+			c.stats.EnginePanics.Add(1)
 			c.heal(e)
 		}
-		e.freed <- eng.id
+		e.complete(eng, batch, jobResult{res: res, err: err, engine: eng.id, batchSize: len(batch), solveSeconds: sec}, panicked)
+		if panicked {
+			return
+		}
 	}
 }

@@ -217,6 +217,7 @@ func TestEnginePanicSelfHeals(t *testing.T) {
 		}
 		return nil
 	}
+	t.Cleanup(goroutineResidue(t)) // registered first, so it runs after the server's cleanup
 	s, ts := newTestServer(t, Options{SolveHook: hook, MemoCapacity: -1})
 
 	var refResp SolveResponse
@@ -281,8 +282,6 @@ func TestBrownoutHysteresis(t *testing.T) {
 		Now:                 clock.Now,
 		SolveHook:           hook,
 		BrownoutHighSeconds: prior * 0.9,
-		BrownoutLowSeconds:  prior * 0.1,
-		BrownoutShedSeconds: prior * 0.5,
 	})
 	t.Cleanup(release)
 
@@ -388,4 +387,5 @@ func TestDrainWithinForceCancelsStall(t *testing.T) {
 	if st := s.Stats(); st.CancelledSolves != 1 {
 		t.Errorf("CancelledSolves = %d, want 1", st.CancelledSolves)
 	}
+	assertQuiescent(t, s)
 }

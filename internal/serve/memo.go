@@ -90,7 +90,7 @@ func (m *memo) acquire(key memoKey) (e *memoEntry, leader bool) {
 // the lock — the entry's fields are only read after ready closes.
 func (m *memo) publish(key memoKey, e *memoEntry, res *umesh.TransientResult, solveSeconds float64) {
 	e.res = res
-	e.hash = pressureHash(res.Pressure)
+	e.hash = PressureHash(res.Pressure)
 	e.solveSeconds = solveSeconds
 	close(e.ready)
 }

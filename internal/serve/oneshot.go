@@ -4,11 +4,6 @@ import (
 	"repro/internal/umesh"
 )
 
-// PressureHash is the serving layer's bit-identity probe: a hex SHA-256 over
-// the field's raw little-endian float64 bits. Exported so benchmarks and
-// tests can hash a reference solve the same way responses are hashed.
-func PressureHash(p []float64) string { return pressureHash(p) }
-
 // OneShot runs a request as a fresh compile-and-solve cycle — no cache, no
 // resident engine, no reuse — exactly what `fvsim`-style one-shot tooling
 // does. It is the reference a served solve must match bit-for-bit: the

@@ -51,10 +51,10 @@ type Scenario struct {
 	Compressibility float64 `json:"compressibility,omitempty"`
 }
 
-// normalized fills every defaulted field, so equal effective configurations
+// Normalized fills every defaulted field, so equal effective configurations
 // hash to equal keys regardless of which zero values the request spelled
 // out.
-func (s Scenario) normalized() Scenario {
+func (s Scenario) Normalized() Scenario {
 	if s.Mesh == "" {
 		s.Mesh = "radial"
 	}
@@ -95,7 +95,7 @@ func (s Scenario) normalized() Scenario {
 // Validate rejects scenarios the serving layer cannot compile. maxCells
 // bounds the admission-time cell estimate (0 disables the bound).
 func (s Scenario) Validate(maxCells int) error {
-	n := s.normalized()
+	n := s.Normalized()
 	if n.Mesh != "radial" {
 		return fmt.Errorf("serve: unknown mesh family %q (want radial)", s.Mesh)
 	}
@@ -135,8 +135,12 @@ func (s Scenario) Validate(maxCells int) error {
 		return fmt.Errorf("serve: viscosity and compressibility must be positive")
 	}
 	if maxCells > 0 {
-		if cells := n.cellEstimate(); cells > maxCells {
-			return fmt.Errorf("serve: scenario has %d cells, over the %d-cell admission bound", cells, maxCells)
+		cells := n.Rings // a lower bound, so the estimate walks a bounded ring count
+		if cells <= maxCells {
+			cells = n.cellEstimate()
+		}
+		if cells > maxCells {
+			return fmt.Errorf("serve: scenario has %d cells or more, over the %d-cell admission bound", cells, maxCells)
 		}
 	}
 	return nil
@@ -145,13 +149,15 @@ func (s Scenario) Validate(maxCells int) error {
 // cellEstimate replicates the radial builder's sector progression to bound
 // the mesh size before paying for compilation.
 func (s Scenario) cellEstimate() int {
-	n := s.normalized()
+	n := s.Normalized()
 	cells, sectors := 0, n.Sectors
 	for i := 0; i < n.Rings; i++ {
 		if i > 0 && n.RefineEvery > 0 && i%n.RefineEvery == 0 {
 			sectors *= 2
 		}
-		cells += sectors
+		if cells += sectors; cells > 1<<40 {
+			break // over any admissible bound already, and well short of overflow
+		}
 	}
 	return cells
 }
@@ -159,7 +165,7 @@ func (s Scenario) cellEstimate() int {
 // canonical renders the normalized scenario as a fixed-order string — the
 // preimage of the cache key.
 func (s Scenario) canonical() string {
-	n := s.normalized()
+	n := s.Normalized()
 	return fmt.Sprintf("mesh=%s rings=%d sectors=%d refine=%d parts=%d workers=%d precond=%s dt=%g tol=%g maxiter=%d porosity=%g visc=%g compr=%g",
 		n.Mesh, n.Rings, n.Sectors, n.RefineEvery, n.Parts, n.Workers, n.Precond,
 		n.DtSeconds, n.Tol, n.MaxIter, n.Porosity, n.Viscosity, n.Compressibility)
@@ -185,7 +191,7 @@ type compiled struct {
 
 // compile builds the scenario's shared state. It assumes Validate passed.
 func (s Scenario) compile() (*compiled, error) {
-	n := s.normalized()
+	n := s.Normalized()
 	u, err := umesh.NewRadialMesh(umesh.RadialOptions{
 		Rings: n.Rings, BaseSectors: n.Sectors, RefineEvery: n.RefineEvery,
 		R0: 1, DR: 4, Dz: 4, PermMD: 200,

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -102,6 +103,21 @@ func TestCellEstimateMatchesBuiltMesh(t *testing.T) {
 		}
 		if est := scn.cellEstimate(); est != comp.u.NumCells {
 			t.Errorf("scenario %+v: cellEstimate %d != built mesh %d cells", scn, est, comp.u.NumCells)
+		}
+	}
+}
+
+// TestValidateBoundsHugeMeshes pins the decode boundary against absurd mesh
+// sizes: a ring count no loop could walk and a refinement that doubles the
+// sector count past int64 are both refused by the cell bound, promptly and
+// without the estimate overflowing into an admissible number.
+func TestValidateBoundsHugeMeshes(t *testing.T) {
+	for _, scn := range []Scenario{
+		{Rings: math.MaxInt, Sectors: 3},
+		{Rings: 80, Sectors: 3, RefineEvery: 1},
+	} {
+		if err := scn.Validate(DefaultMaxCells); err == nil || !strings.Contains(err.Error(), "admission bound") {
+			t.Errorf("%+v: Validate = %v, want the admission-bound rejection", scn, err)
 		}
 	}
 }

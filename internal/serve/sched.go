@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// This file is the per-scenario dispatcher's job-selection policy:
+// This file is the per-scenario job-selection policy an engine takes by:
 // shortest-job-first over an online-refined cost estimate, with an aging
 // credit so long jobs cannot starve behind a stream of short ones, and a
 // deterministic tie-break (arrival order) so replays are stable.
@@ -81,7 +81,7 @@ func (c *costModel) observe(seconds float64, steps int) {
 	c.mu.Unlock()
 }
 
-// selectGroup removes and returns the next dispatch batch from the backlog:
+// selectGroup removes and returns the next batch from the backlog:
 // the job minimizing estimated cost minus the aging credit
 // (agingCostPerWaitSecond × seconds waited), plus every other backlog job
 // with the same payload, up to max, preserving the arrival order of what

@@ -8,13 +8,25 @@
 //
 // Request path:
 //
-//	POST /v1/solve → admission (token bucket, 429) → bounded queue (429)
+//	POST /v1/solve → decode + validate (400) → admission (draining 503,
+//	    token bucket 429, bounded queue 429)
 //	  → result memo (hit: completed response, no engine; concurrent
 //	    identical misses coalesce on one solve — single flight)
+//	  → pricing (online cost estimate; brownout sheds the costly with 503)
 //	  → scenario cache (hit: resident engines; miss: compile once)
-//	  → per-scenario dispatcher (shortest-job-first over an online cost
-//	    estimate with an aging credit; identical payloads batched, one
-//	    solve per batch; least-loaded resident engine) → render (JSON)
+//	  → the scenario's backlog, from which an idle resident engine pulls
+//	    its next batch (shortest-job-first over the cost estimate with an
+//	    aging credit; identical payloads batched, one solve per batch; the
+//	    lowest idle engine id serves) → render (JSON)
+//
+// Structure: a synchronous, lock-protected core and two thin concurrent
+// edges. The core — admission and pricing (Server.admit/release,
+// price/conclude), each scenario's backlog (entry.enqueue/take/complete) and
+// Server.finish, the one place a terminal counter is written — neither
+// blocks nor starts a goroutine, so it can be driven step by step on the
+// injected clock. The edges are the HTTP handler (handleSolve: stages that
+// return the next value or a terminal reply, one wait on the job's result)
+// and one goroutine per resident engine (runEngine: take, solve, complete).
 //
 // Determinism: a served solve runs the exact one-shot code path
 // (RunTransientPartitioned is one compile-and-solve cycle of the same
@@ -40,6 +52,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -71,8 +84,8 @@ type Options struct {
 	// used scenario is evicted (engines released once idle) beyond it.
 	// Default DefaultCacheCapacity.
 	CacheCapacity int
-	// EnginesPerScenario sizes each scenario's resident engine pool —
-	// batches dispatch to the least-loaded member. Default
+	// EnginesPerScenario sizes each scenario's resident engine pool — the
+	// idle member with the lowest id takes the next batch. Default
 	// DefaultEnginesPerScenario.
 	EnginesPerScenario int
 	// QueueDepth bounds the admitted-but-unfinished job count; request
@@ -84,8 +97,8 @@ type Options struct {
 	// Burst is the token-bucket capacity (instantaneous excursion above the
 	// sustained rate). Default: QueueDepth when rate admission is on.
 	Burst int
-	// BatchMax bounds how many queued same-scenario requests one dispatch
-	// window drains into a batch. Default DefaultBatchMax.
+	// BatchMax bounds how many queued same-payload requests one engine
+	// takes as a batch. Default DefaultBatchMax.
 	BatchMax int
 	// MaxCells rejects scenarios whose mesh would exceed this many cells
 	// before compiling anything. Default DefaultMaxCells; negative disables.
@@ -101,17 +114,10 @@ type Options struct {
 	DefaultDeadline time.Duration
 	// BrownoutHighSeconds enables overload brownout: when the summed cost
 	// estimates of admitted engine-bound requests exceed it, admission
-	// enters degraded mode and sheds the costliest requests with 503 (see
-	// BrownoutShedSeconds) until the estimate falls below
-	// BrownoutLowSeconds. 0 disables brownout.
+	// enters degraded mode and sheds the costliest requests with 503 (those
+	// estimated at a quarter of it or more) until the estimate falls below
+	// half of it. 0 disables brownout.
 	BrownoutHighSeconds float64
-	// BrownoutLowSeconds is the exit watermark of the brownout hysteresis.
-	// Default: BrownoutHighSeconds/2.
-	BrownoutLowSeconds float64
-	// BrownoutShedSeconds is the per-request cost at or above which degraded
-	// mode sheds (cheaper requests keep being served). Default:
-	// BrownoutHighSeconds/4.
-	BrownoutShedSeconds float64
 	// SolveHook, when non-nil, runs immediately before every engine step
 	// solve with that solve's cancel hook. It exists for deterministic
 	// fault injection (internal/faultinject) — production servers leave it
@@ -153,14 +159,6 @@ func (o Options) WithDefaults() Options {
 	}
 	if o.MemoCapacity < 0 {
 		o.MemoCapacity = 0
-	}
-	if o.BrownoutHighSeconds > 0 {
-		if o.BrownoutLowSeconds == 0 {
-			o.BrownoutLowSeconds = o.BrownoutHighSeconds / 2
-		}
-		if o.BrownoutShedSeconds == 0 {
-			o.BrownoutShedSeconds = o.BrownoutHighSeconds / 4
-		}
 	}
 	if o.Now == nil {
 		o.Now = time.Now
@@ -291,8 +289,8 @@ type errorResponse struct {
 }
 
 // tokenBucket is the admission gate: capacity burst, refill rate tokens/sec.
+// Not safe for concurrent use — the server calls it under its core lock.
 type tokenBucket struct {
-	mu     sync.Mutex
 	rate   float64
 	burst  float64
 	tokens float64
@@ -315,8 +313,6 @@ func (b *tokenBucket) allow() (ok bool, retryAfter float64) {
 	if b.rate <= 0 {
 		return true, 0
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	t := b.now()
 	b.tokens += t.Sub(b.last).Seconds() * b.rate
 	if b.tokens > b.burst {
@@ -333,18 +329,24 @@ func (b *tokenBucket) allow() (ok bool, retryAfter float64) {
 // Server is the resident-engine serving layer. Create one with New, mount
 // Handler on an http.Server, and Drain it on shutdown.
 type Server struct {
-	opts     Options
-	cache    *cache
-	memo     *memo
-	admit    *tokenBucket
-	brownout *brownout
-	stats    Stats
+	opts  Options
+	cache *cache
+	memo  *memo
+	stats Stats
 
-	queued atomic.Int64
-	// queuedCost is the estimated queue wait in seconds: the summed cost
-	// estimates of admitted engine-bound requests still in flight. It
-	// drives the brownout state machine and the queue-full Retry-After.
-	queuedCost  atomicSeconds
+	// mu guards the admission state (admit/release, price/conclude).
+	mu     sync.Mutex
+	bucket *tokenBucket
+	queued int // admitted, not yet released
+	// queuedCost is the estimated queue wait: the summed cost estimates of
+	// the priced requests still in flight — whole nanoseconds, so conclude
+	// takes back exactly what price charged and an idle server reads exactly
+	// zero. It drives the brownout and the queue-full Retry-After.
+	queuedCost time.Duration
+	brownout   brownout
+
+	// draining is stored under mu (admit orders against Drain's wait) and
+	// read lock-free by the health check and the resubmit path.
 	draining    atomic.Bool
 	forceCancel atomic.Bool
 	inflight    sync.WaitGroup
@@ -356,22 +358,15 @@ type Server struct {
 func New(opts Options) *Server {
 	opts = opts.WithDefaults()
 	s := &Server{opts: opts}
-	s.admit = newTokenBucket(opts.RatePerSec, opts.Burst, opts.Now)
+	s.bucket = newTokenBucket(opts.RatePerSec, opts.Burst, opts.Now)
 	s.memo = newMemo(opts.MemoCapacity)
-	s.brownout = newBrownout(opts.BrownoutHighSeconds, opts.BrownoutLowSeconds, opts.BrownoutShedSeconds, &s.stats)
-	s.cache = newCache(cacheConfig{
-		capacity:    opts.CacheCapacity,
-		engines:     opts.EnginesPerScenario,
-		queue:       opts.QueueDepth,
-		batchMax:    opts.BatchMax,
-		stats:       &s.stats,
-		now:         opts.Now,
-		forceCancel: &s.forceCancel,
-		solveHook:   opts.SolveHook,
-	})
+	s.brownout = brownout{high: seconds(opts.BrownoutHighSeconds), stats: &s.stats}
+	s.cache = newCache(opts, &s.stats, &s.forceCancel)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/solve", s.handleSolve)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
+	s.mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, http.StatusOK, s.Stats())
+	})
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	return s
 }
@@ -384,8 +379,10 @@ func (s *Server) Stats() StatsSnapshot {
 	snap := s.stats.snapshot()
 	snap.ResidentScenarios = s.cache.size()
 	snap.MemoEntries = s.memo.size()
-	snap.Degraded = s.brownout.isDegraded()
-	snap.QueuedCostSeconds = s.queuedCost.load()
+	s.mu.Lock()
+	snap.Degraded = s.brownout.degraded
+	snap.QueuedCostSeconds = s.queuedCost.Seconds()
+	s.mu.Unlock()
 	return snap
 }
 
@@ -402,79 +399,374 @@ func (s *Server) Drain() { s.DrainWithin(0) }
 // bound is real wall-clock, independent of the injected stats clock: it
 // guards the process's exit, not a measurement.
 func (s *Server) DrainWithin(timeout time.Duration) {
+	s.mu.Lock()
 	s.draining.Store(true)
-	done := make(chan struct{})
-	go func() {
-		s.inflight.Wait()
-		close(done)
-	}()
+	s.mu.Unlock()
 	if timeout > 0 {
-		select {
-		case <-done:
-		case <-time.After(timeout):
-			s.forceCancel.Store(true)
-		}
+		t := time.AfterFunc(timeout, func() { s.forceCancel.Store(true) })
+		defer t.Stop()
 	}
-	<-done
+	s.inflight.Wait()
 	s.cache.close()
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
-func (s *Server) reject(w http.ResponseWriter, code int, c *atomic.Uint64, format string, args ...any) {
-	c.Add(1)
-	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
+// handleHealth reports ok, degraded (still 200, so load balancers can steer
+// without killing an instance that serves cheap work) or draining (503).
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
+	status, code := "ok", http.StatusOK
+	switch {
+	case s.draining.Load():
+		status, code = "draining", http.StatusServiceUnavailable
+	case s.Stats().Degraded:
+		status = "degraded"
+	}
+	writeJSON(w, code, map[string]string{"status": status})
+}
+
+// outcome is how a request ended: the one terminal counter finish bumps.
+type outcome int
+
+const (
+	completed outcome = iota
+	failed
+	rejectedInvalid
+	rejectedRate
+	rejectedQueue
+	rejectedDraining
+	rejectedDegraded
+)
+
+// finish is the single accounting point: every request that incremented
+// Requests passes through here exactly once, so Requests == Completed +
+// Failed + ΣRejected* whenever no request is in flight.
+func (s *Server) finish(o outcome) {
+	[...]*atomic.Uint64{
+		completed:        &s.stats.Completed,
+		failed:           &s.stats.Failed,
+		rejectedInvalid:  &s.stats.RejectedInvalid,
+		rejectedRate:     &s.stats.RejectedRate,
+		rejectedQueue:    &s.stats.RejectedQueue,
+		rejectedDraining: &s.stats.RejectedDraining,
+		rejectedDegraded: &s.stats.RejectedDegraded,
+	}[o].Add(1)
+}
+
+// reply is a request's terminal state: the outcome finish counts and the
+// response the handler writes.
+type reply struct {
+	outcome    outcome
+	code       int
+	retryAfter int // Retry-After header, whole seconds; 0 = none
+	body       []byte
+}
+
+// errorReply builds a non-200 reply. A body that cannot be marshalled (a
+// non-finite residual) ships empty; the status stands.
+func errorReply(o outcome, code int, resp errorResponse) *reply {
+	body, _ := json.Marshal(resp)
+	return &reply{outcome: o, code: code, body: body}
+}
+
+func reject(o outcome, code int, format string, args ...any) *reply {
+	return errorReply(o, code, errorResponse{Error: fmt.Sprintf(format, args...)})
+}
+
+// after sets Retry-After from a computed wait, clamped to ≥1 s (the header
+// is integer seconds; zero would invite an immediate hammer).
+func (r *reply) after(wait float64) *reply {
+	r.retryAfter = max(1, int(math.Ceil(wait)))
+	return r
+}
+
+// maxCost bounds one cost estimate, so that a full queue of absurd step
+// counts cannot overflow the queued-cost sum.
+const maxCost = 24 * time.Hour
+
+// seconds converts estimated seconds into the core's integer currency.
+func seconds(sec float64) time.Duration {
+	return time.Duration(math.Min(sec, maxCost.Seconds()) * float64(time.Second))
+}
+
+// handleSolve takes one request from its body to its reply. Each stage
+// returns either the next stage's input or the terminal reply; the outcome
+// is counted once, here, before the in-flight slot is released — so a
+// drained server's counters are final.
+func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
+	f, rep := s.begin(r.Body, s.opts.Now())
+	if rep == nil {
+		defer s.release()
+		rep = s.serve(f)
+	}
+	s.finish(rep.outcome)
+	if rep.retryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(rep.retryAfter))
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(rep.code)
+	_, _ = w.Write(rep.body)
+}
+
+// begin counts an arriving request and takes it through decode and
+// admission. The flight it starts carries the request's memo identity and
+// its deadline (its own deadline_ms, else the server default, else none),
+// measured from handler entry so decode and validation count against it.
+func (s *Server) begin(body io.Reader, start time.Time) (*flight, *reply) {
+	s.stats.Requests.Add(1)
+	f := &flight{start: start}
+	if err := decodeRequest(body, s.opts.MaxCells, &f.req); err != nil {
+		return nil, reject(rejectedInvalid, http.StatusBadRequest, "%v", err)
+	}
+	if rep := s.admit(); rep != nil {
+		return nil, rep
+	}
+	f.mkey = memoKey{scenario: f.req.Scenario.Key(), payload: f.req.payloadKey()}
+	if f.req.DeadlineMillis > 0 {
+		f.deadline = start.Add(time.Duration(f.req.DeadlineMillis) * time.Millisecond)
+	} else if s.opts.DefaultDeadline > 0 {
+		f.deadline = start.Add(s.opts.DefaultDeadline)
+	}
+	return f, nil
+}
+
+// decodeRequest is the decode stage: parse the body and reject what no
+// compiled scenario could ever serve — before admission, so a client error
+// never takes a queue slot, a memo slot or an engine.
+func decodeRequest(body io.Reader, maxCells int, req *SolveRequest) error {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
+		return fmt.Errorf("bad request body: %v", err)
+	}
+	return req.validate(maxCells)
+}
+
+func (r SolveRequest) validate(maxCells int) error {
+	if err := r.Scenario.Validate(maxCells); err != nil {
+		return err
+	}
+	if r.Steps < 0 {
+		return fmt.Errorf("serve: steps must be non-negative, got %d", r.Steps)
+	}
+	if r.DeadlineMillis < 0 {
+		return fmt.Errorf("serve: deadline_ms must be non-negative, got %d", r.DeadlineMillis)
+	}
+	// Negative well cells can never be valid; the upper bound is checked
+	// against the compiled mesh's real cell count after the cache resolves
+	// (cellEstimate is only the pre-compile MaxCells bound).
+	injected := 0.0
+	for _, well := range r.Wells {
+		if well.Cell < 0 {
+			return fmt.Errorf("serve: well cell %d is negative", well.Cell)
+		}
+		injected += math.Abs(well.Rate)
+	}
+	if len(r.Wells) > 0 && injected == 0 {
+		return fmt.Errorf("serve: all well rates are zero — nothing drives the flow")
+	}
+	return nil
+}
+
+// admit is the admission stage: drain flag, token bucket, queue depth. An
+// admitted request holds a queue slot and Drain's wait until release; both
+// are taken under the lock that reads the drain flag, so Drain cannot miss a
+// request it did not reject.
+func (s *Server) admit() *reply {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-		return
+		return reject(rejectedDraining, http.StatusServiceUnavailable, "serve: draining")
 	}
-	if s.brownout.isDegraded() {
-		// Still serving (cheap work and memo hits), but shedding expensive
-		// requests — 200 with the mode advertised, so load balancers can
-		// steer without killing the instance.
-		writeJSON(w, http.StatusOK, map[string]string{"status": "degraded"})
-		return
+	if ok, wait := s.bucket.allow(); !ok {
+		// Retry-After is the bucket's actual time to the next token.
+		return reject(rejectedRate, http.StatusTooManyRequests, "serve: admission rate exceeded").after(wait)
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	if s.queued >= s.opts.QueueDepth {
+		// Retry-After is the estimated drain time of what is queued ahead.
+		return reject(rejectedQueue, http.StatusTooManyRequests,
+			"serve: queue full (%d jobs)", s.opts.QueueDepth).after(s.queuedCost.Seconds())
+	}
+	s.queued++
+	s.inflight.Add(1)
+	s.stats.Admitted.Add(1)
+	return nil
 }
 
-// retryAfterHeader sets Retry-After from a computed wait, clamped to ≥1s
-// (the header is integer seconds; zero would invite an immediate hammer).
-func retryAfterHeader(w http.ResponseWriter, seconds float64) {
-	secs := int(math.Ceil(seconds))
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
+// release returns an admitted request's queue slot and Drain's wait.
+func (s *Server) release() {
+	s.mu.Lock()
+	s.queued--
+	s.mu.Unlock()
+	s.inflight.Done()
 }
 
-// estimateCost is a request's expected engine seconds — the brownout and
-// queue-wait currency. A resident scenario answers from its EWMA-refined
-// cost model; otherwise the static prior (cells × rung iteration factor ×
-// per-cell seconds) stands in, exactly as the dispatcher's model would be
-// seeded.
-func (s *Server) estimateCost(req SolveRequest) float64 {
-	steps := req.effectiveSteps()
-	if cm, ok := s.cache.peekCost(req.Scenario.Key()); ok {
-		return cm.estimate(steps)
-	}
-	n := req.Scenario.normalized()
-	return float64(n.cellEstimate()) * rungIterationFactor(n.Precond) * priorSecondsPerCellFactor * float64(steps)
+// flight is one admitted request's state between stages.
+type flight struct {
+	req      SolveRequest
+	start    time.Time
+	deadline time.Time // zero = none
+	mkey     memoKey
+	lead     *memoEntry    // set on a memo leader: owed a publish or abandon
+	cost     time.Duration // charged to the queued cost until conclude
+	hit      bool          // its engines were already resident
+	retried  bool          // already resubmitted after a pool loss
+	timings  Timings
 }
 
-// failSolve maps a solve error onto its HTTP shape: 504 for a deadline or
-// drain cancellation, 422 for a Krylov breakdown or non-convergence, 500
+// serve takes an admitted request to its reply; with run it is the blocking
+// glue between the stages: wait for a memo leader, a compile, the result.
+func (s *Server) serve(f *flight) *reply {
+	for s.memo != nil && !f.req.NoMemo && f.lead == nil {
+		ent, leader := s.memo.acquire(f.mkey)
+		if leader {
+			f.lead = ent
+			break
+		}
+		<-ent.ready
+		if rep := s.memoHit(f, ent); rep != nil {
+			return rep
+		}
+		// The leader abandoned (failed or was rejected downstream); retry —
+		// this round may make us the leader.
+	}
+	rep := s.price(f)
+	var jr jobResult
+	if rep == nil {
+		jr, rep = s.run(f)
+	}
+	return s.conclude(f, jr, rep)
+}
+
+// run waits on the engines: resolve the scenario (compiling on a cache
+// miss), submit the job, wait for its result — twice if the pool was lost.
+func (s *Server) run(f *flight) (jobResult, *reply) {
+	for {
+		e, hit, err := s.cache.acquire(f.req.Scenario)
+		if err != nil {
+			return jobResult{}, reject(failed, http.StatusInternalServerError, "%v", err)
+		}
+		j, rep := s.submit(f, e, hit)
+		if rep != nil {
+			e.release()
+			return jobResult{}, rep
+		}
+		jr := <-j.done
+		e.release()
+		if !s.resubmit(f, j, jr) {
+			return jr, nil
+		}
+	}
+}
+
+// memoHit is the memo stage once an entry has settled: a completed
+// identical request — or the leader's, for concurrent identical misses
+// (single flight) — is served from it, no engine involved. nil means the
+// leader abandoned: look again.
+func (s *Server) memoHit(f *flight, ent *memoEntry) *reply {
+	if ent.err != nil {
+		return nil
+	}
+	s.stats.MemoHits.Add(1)
+	resp := newResponse(f.req, f.mkey.scenario, ent.res, ent.hash)
+	resp.Engine, resp.MemoHit, resp.MemoSolveSeconds = -1, true, ent.solveSeconds
+	return s.render(f.start, resp)
+}
+
+// price is the brownout stage: past the memo (hits are still served while
+// degraded), an engine-bound request is priced by its scenario's cost model
+// and shed if costly in degraded mode; else queued cost grows by its price.
+func (s *Server) price(f *flight) *reply {
+	// The estimate takes the cache's lock: stay outside the core's.
+	cost := seconds(s.cache.costOf(f.mkey.scenario, f.req.Scenario).estimate(f.req.effectiveSteps()))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.brownout.sheds(cost) {
+		return reject(rejectedDegraded, http.StatusServiceUnavailable,
+			"serve: degraded (overload brownout), estimated cost %.3gs over the shed threshold",
+			cost.Seconds()).after(s.queuedCost.Seconds())
+	}
+	f.cost = cost
+	s.queuedCost += cost
+	s.brownout.observe(s.queuedCost)
+	return nil
+}
+
+// submit queues a priced request's job on a resolved scenario's backlog.
+func (s *Server) submit(f *flight, e *entry, hit bool) (*job, *reply) {
+	if f.hit = hit; !hit {
+		f.timings.CompileSeconds = e.compileSeconds
+		s.stats.CompileSecondsTotal.add(e.compileSeconds)
+	}
+	// Validate well cells against the compiled mesh, not the estimate — the
+	// estimate is exact for the radial family today, but the compiled count
+	// is the one the engine will index with.
+	for _, well := range f.req.Wells {
+		if well.Cell >= e.cells {
+			return nil, reject(rejectedInvalid, http.StatusBadRequest,
+				"serve: well cell %d outside the compiled %d-cell mesh", well.Cell, e.cells)
+		}
+	}
+	j := &job{
+		req:        f.req,
+		payloadKey: f.mkey.payload,
+		enqueued:   s.opts.Now(),
+		deadline:   f.deadline,
+		done:       make(chan jobResult, 1),
+	}
+	e.enqueue(j)
+	return j, nil
+}
+
+// resubmit books a job's wait and reports whether to queue it again: a job
+// queued behind an engine panic lost its pool, but the heal is already
+// recompiling it — one retry on the fresh pool beats a collateral error.
+func (s *Server) resubmit(f *flight, j *job, jr jobResult) bool {
+	f.timings.QueueSeconds = s.opts.Now().Sub(j.enqueued).Seconds()
+	s.stats.QueueSecondsTotal.add(f.timings.QueueSeconds)
+	if !errors.Is(jr.err, errPoolUnhealthy) || f.retried || s.draining.Load() {
+		return false
+	}
+	f.retried = true
+	return true
+}
+
+// conclude ends a request's engine path, however it went — shed by the
+// brownout, refused by the compiled mesh, failed, or solved: the queued
+// cost is refunded, a memo leader's debt settled, the answer shaped.
+func (s *Server) conclude(f *flight, jr jobResult, rep *reply) *reply {
+	s.mu.Lock()
+	s.queuedCost -= f.cost
+	s.brownout.observe(s.queuedCost)
+	s.mu.Unlock()
+	if rep == nil && jr.err != nil {
+		rep = s.failure(jr.err)
+	}
+	switch {
+	case f.lead != nil && rep == nil:
+		s.memo.publish(f.mkey, f.lead, jr.res, jr.solveSeconds)
+	case f.lead != nil:
+		s.memo.abandon(f.mkey, f.lead)
+	}
+	if rep != nil {
+		return rep
+	}
+	resp := newResponse(f.req, f.mkey.scenario, jr.res, PressureHash(jr.res.Pressure))
+	resp.CacheHit, resp.Batched, resp.Engine, resp.BatchSize = f.hit, jr.shared, jr.engine, jr.batchSize
+	resp.Timings = f.timings
+	resp.Timings.SolveSeconds = jr.solveSeconds
+	return s.render(f.start, resp)
+}
+
+// failure maps a solve error onto its reply: 504 for a deadline or drain
+// cancellation, 422 for a Krylov breakdown or non-convergence, 500
 // otherwise — each with whatever partial-progress diagnostics the engine
 // attached (steps completed, iterations, residual history).
-func (s *Server) failSolve(w http.ResponseWriter, err error) {
+func (s *Server) failure(err error) *reply {
 	resp := errorResponse{Error: err.Error()}
 	var se *umesh.StepError
 	if errors.As(err, &se) {
@@ -484,225 +776,26 @@ func (s *Server) failSolve(w http.ResponseWriter, err error) {
 			resp.ResidualHistory = se.Stats.History
 		}
 	}
-	s.stats.Failed.Add(1)
+	code := http.StatusInternalServerError
 	switch {
 	case errors.Is(err, solver.ErrCancelled):
 		s.stats.CancelledSolves.Add(1)
-		writeJSON(w, http.StatusGatewayTimeout, resp)
+		code = http.StatusGatewayTimeout
 	case errors.Is(err, solver.ErrBreakdown), errors.Is(err, solver.ErrNotConverged):
 		s.stats.SolverErrors.Add(1)
-		writeJSON(w, http.StatusUnprocessableEntity, resp)
-	default:
-		writeJSON(w, http.StatusInternalServerError, resp)
+		code = http.StatusUnprocessableEntity
 	}
+	return errorReply(failed, code, resp)
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
-}
-
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	start := s.opts.Now()
-	s.stats.Requests.Add(1)
-
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var req SolveRequest
-	if err := dec.Decode(&req); err != nil {
-		s.reject(w, http.StatusBadRequest, &s.stats.RejectedInvalid, "bad request body: %v", err)
-		return
-	}
-	if err := req.Scenario.Validate(s.opts.MaxCells); err != nil {
-		s.reject(w, http.StatusBadRequest, &s.stats.RejectedInvalid, "%v", err)
-		return
-	}
-	if req.Steps < 0 {
-		s.reject(w, http.StatusBadRequest, &s.stats.RejectedInvalid, "serve: steps must be non-negative, got %d", req.Steps)
-		return
-	}
-	if req.DeadlineMillis < 0 {
-		s.reject(w, http.StatusBadRequest, &s.stats.RejectedInvalid, "serve: deadline_ms must be non-negative, got %d", req.DeadlineMillis)
-		return
-	}
-	// Negative well cells can never be valid; the upper bound is checked
-	// against the compiled mesh's real cell count after the cache resolves
-	// (cellEstimate is only the pre-compile MaxCells bound).
-	for _, well := range req.Wells {
-		if well.Cell < 0 {
-			s.reject(w, http.StatusBadRequest, &s.stats.RejectedInvalid,
-				"serve: well cell %d is negative", well.Cell)
-			return
-		}
-	}
-
-	// Admission: count the request as in-flight before checking the drain
-	// flag, so Drain's wait cannot miss it; reject-and-release if draining.
-	s.inflight.Add(1)
-	defer s.inflight.Done()
-	if s.draining.Load() {
-		s.reject(w, http.StatusServiceUnavailable, &s.stats.RejectedDraining, "serve: draining")
-		return
-	}
-	if ok, retryAfter := s.admit.allow(); !ok {
-		// Retry-After from the bucket's actual refill clock: the time until
-		// one token exists, not a hardcoded constant.
-		retryAfterHeader(w, retryAfter)
-		s.reject(w, http.StatusTooManyRequests, &s.stats.RejectedRate, "serve: admission rate exceeded")
-		return
-	}
-	if n := s.queued.Add(1); n > int64(s.opts.QueueDepth) {
-		s.queued.Add(-1)
-		// Retry-After from the queue's estimated drain time: the summed cost
-		// estimates of everything admitted ahead of this request.
-		retryAfterHeader(w, s.queuedCost.load())
-		s.reject(w, http.StatusTooManyRequests, &s.stats.RejectedQueue,
-			"serve: queue full (%d jobs)", s.opts.QueueDepth)
-		return
-	}
-	defer s.queued.Add(-1)
-	s.stats.Admitted.Add(1)
-
-	// Result memoization: a completed identical request is served straight
-	// from the memo (no engine); concurrent identical misses coalesce on
-	// the leader's solve — single flight.
-	var (
-		mkey          memoKey
-		ment          *memoEntry
-		memoLeader    bool
-		memoPublished bool
-	)
-	if s.memo != nil && !req.NoMemo {
-		mkey = memoKey{scenario: req.Scenario.Key(), payload: req.payloadKey()}
-		for {
-			ment, memoLeader = s.memo.acquire(mkey)
-			if memoLeader {
-				break
-			}
-			<-ment.ready
-			if ment.err == nil {
-				s.stats.MemoHits.Add(1)
-				s.renderAndSend(w, start, memoResponse(req, mkey, ment))
-				return
-			}
-			// The leader abandoned (failed or was rejected downstream);
-			// retry — this round may make us the leader.
-		}
-		defer func() {
-			if !memoPublished {
-				s.memo.abandon(mkey, ment)
-			}
-		}()
-	}
-
-	// Brownout: past the memo (hits are cheap and still served while
-	// degraded), an engine-bound request is priced and — in degraded mode —
-	// shed if it is among the costly ones the mode exists to keep out.
-	estCost := s.estimateCost(req)
-	if s.brownout.shedNow(estCost) {
-		retryAfterHeader(w, s.queuedCost.load())
-		s.reject(w, http.StatusServiceUnavailable, &s.stats.RejectedDegraded,
-			"serve: degraded (overload brownout), estimated cost %.3gs over the shed threshold", estCost)
-		return
-	}
-	s.queuedCost.add(estCost)
-	s.brownout.observe(s.queuedCost.load())
-	defer func() {
-		s.queuedCost.add(-estCost)
-		s.brownout.observe(s.queuedCost.load())
-	}()
-
-	// The request's deadline: its own deadline_ms, else the server default,
-	// else unbounded. Measured from handler entry so decode/validation time
-	// counts against it.
-	var deadline time.Time
-	if req.DeadlineMillis > 0 {
-		deadline = start.Add(time.Duration(req.DeadlineMillis) * time.Millisecond)
-	} else if s.opts.DefaultDeadline > 0 {
-		deadline = start.Add(s.opts.DefaultDeadline)
-	}
-
-	var (
-		jr             jobResult
-		hit            bool
-		entryKey       string
-		compileSeconds float64
-		queueSeconds   float64
-	)
-	for attempt := 0; ; attempt++ {
-		entry, h, release, err := s.cache.acquire(req.Scenario)
-		if err != nil {
-			s.stats.Failed.Add(1)
-			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-			return
-		}
-		hit, entryKey = h, entry.key
-		if !h {
-			compileSeconds = entry.compileSeconds
-			s.stats.CompileSecondsTotal.add(compileSeconds)
-		}
-		// Validate well cells against the compiled mesh, not the estimate —
-		// the estimate is exact for the radial family today, but the
-		// compiled count is the one the engine will index with.
-		for _, well := range req.Wells {
-			if well.Cell >= entry.cells {
-				release()
-				s.reject(w, http.StatusBadRequest, &s.stats.RejectedInvalid,
-					"serve: well cell %d outside the compiled %d-cell mesh", well.Cell, entry.cells)
-				return
-			}
-		}
-		j := &job{
-			req:        req,
-			payloadKey: req.payloadKey(),
-			enqueued:   s.opts.Now(),
-			deadline:   deadline,
-			done:       make(chan jobResult, 1),
-		}
-		entry.pending <- j
-		jr = <-j.done
-		release()
-		queueSeconds = s.opts.Now().Sub(j.enqueued).Seconds()
-		s.stats.QueueSecondsTotal.add(queueSeconds)
-		// Queued behind an engine panic: the pool retired under this job.
-		// The heal already kicked off a recompile — resubmit once to the
-		// fresh pool instead of surfacing a collateral error.
-		if errors.Is(jr.err, errPoolUnhealthy) && attempt == 0 && !s.draining.Load() {
-			continue
-		}
-		break
-	}
-	if jr.err != nil {
-		s.failSolve(w, jr.err)
-		return
-	}
-
+// newResponse renders a solve result — fresh off an engine or out of the
+// memo — as a response: key, steps, hash, and the field when asked for.
+func newResponse(req SolveRequest, key string, res *umesh.TransientResult, hash string) *SolveResponse {
 	resp := &SolveResponse{
-		ScenarioKey:    entryKey,
-		Cells:          len(jr.res.Pressure),
-		CacheHit:       hit,
-		Batched:        jr.shared,
-		Engine:         jr.engine,
-		BatchSize:      jr.batchSize,
-		PressureSHA256: pressureHash(jr.res.Pressure),
+		ScenarioKey:    key,
+		Cells:          len(res.Pressure),
+		PressureSHA256: hash,
 	}
-	fillSteps(resp, jr.res)
-	if req.ReturnPressure {
-		resp.Pressure = jr.res.Pressure
-	}
-	resp.Timings = Timings{
-		QueueSeconds:   queueSeconds,
-		CompileSeconds: compileSeconds,
-		SolveSeconds:   jr.solveSeconds,
-	}
-	if memoLeader {
-		s.memo.publish(mkey, ment, jr.res, jr.solveSeconds)
-		memoPublished = true
-	}
-	s.renderAndSend(w, start, resp)
-}
-
-// fillSteps copies a result's per-step reports into the response.
-func fillSteps(resp *SolveResponse, res *umesh.TransientResult) {
 	for _, st := range res.Steps {
 		resp.Steps = append(resp.Steps, StepReport{
 			Iterations: st.Iterations,
@@ -712,53 +805,35 @@ func fillSteps(resp *SolveResponse, res *umesh.TransientResult) {
 		})
 		resp.Iterations += st.Iterations
 	}
-}
-
-// memoResponse renders a memo entry as a completed response: the stored
-// steps, hash and solve provenance; no engine, batch or cache involvement.
-func memoResponse(req SolveRequest, key memoKey, e *memoEntry) *SolveResponse {
-	resp := &SolveResponse{
-		ScenarioKey:      key.scenario,
-		Cells:            len(e.res.Pressure),
-		Engine:           -1,
-		MemoHit:          true,
-		MemoSolveSeconds: e.solveSeconds,
-		PressureSHA256:   e.hash,
-	}
-	fillSteps(resp, e.res)
 	if req.ReturnPressure {
-		resp.Pressure = e.res.Pressure
+		resp.Pressure = res.Pressure
 	}
 	return resp
 }
 
-// renderAndSend marshals the response, measures the render on the injected
-// clock, fills the closing timings in, and ships the body.
-func (s *Server) renderAndSend(w http.ResponseWriter, start time.Time, resp *SolveResponse) {
+// render is the last stage: marshal the response, measure the render on the
+// injected clock, fill the closing timings in.
+func (s *Server) render(start time.Time, resp *SolveResponse) *reply {
 	renderStart := s.opts.Now()
-	body, err := json.Marshal(resp)
+	_, err := json.Marshal(resp)
 	renderSeconds := s.opts.Now().Sub(renderStart).Seconds()
 	s.stats.RenderSecondsTotal.add(renderSeconds)
 	if err != nil {
-		s.stats.Failed.Add(1)
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-		return
+		return reject(failed, http.StatusInternalServerError, "%v", err)
 	}
 	resp.Timings.RenderSeconds = renderSeconds
 	resp.Timings.TotalSeconds = s.opts.Now().Sub(start).Seconds()
 	// Re-marshal with the finished timings: the first marshal measured the
 	// render cost, this one (identical layout, two floats filled in) is what
 	// ships.
-	body, _ = json.Marshal(resp)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body)
-	s.stats.Completed.Add(1)
+	body, _ := json.Marshal(resp)
+	return &reply{outcome: completed, code: http.StatusOK, body: body}
 }
 
-// pressureHash is the bit-identity probe: SHA-256 over the field's raw
-// little-endian float64 bits.
-func pressureHash(p []float64) string {
+// PressureHash is the serving layer's bit-identity probe: a hex SHA-256 over
+// the field's raw little-endian float64 bits. Exported so benchmarks and
+// tests can hash a reference solve the same way responses are hashed.
+func PressureHash(p []float64) string {
 	h := sha256.New()
 	var buf [8]byte
 	for _, v := range p {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -12,7 +13,8 @@ import (
 )
 
 // newTestServer builds a server over the small test scenario and an httptest
-// front end; the cleanup drains it so every test exercises shutdown too.
+// front end; the cleanup drains it so every test exercises shutdown too, and
+// asserts the accounting invariants on what the test left behind.
 func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(opts)
@@ -20,8 +22,53 @@ func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	t.Cleanup(func() {
 		ts.Close()
 		s.Drain()
+		assertQuiescent(t, s)
 	})
 	return s, ts
+}
+
+// assertQuiescent is the end-of-test check every server-building test in
+// this package runs once no request is in flight: the conservation law
+// (every request ended in exactly one terminal counter) and a queued cost
+// of exactly zero — not approximately: charge and refund are integers.
+func assertQuiescent(t *testing.T, s *Server) {
+	t.Helper()
+	st := s.Stats()
+	if st.Requests != ended(st) {
+		t.Errorf("conservation law broken: %d requests, %d terminal outcomes (%+v)", st.Requests, ended(st), st)
+	}
+	if st.QueuedCostSeconds != 0 {
+		t.Errorf("queued cost at rest = %g s, want exactly 0", st.QueuedCostSeconds)
+	}
+}
+
+// ended sums the terminal counters: the right-hand side of the conservation
+// law.
+func ended(st StatsSnapshot) uint64 {
+	return st.Completed + st.Failed + st.RejectedRate + st.RejectedQueue +
+		st.RejectedDraining + st.RejectedInvalid + st.RejectedDegraded
+}
+
+// goroutineResidue records the goroutine count and returns the check that
+// it has come back down. Take it before building the server (and its
+// httptest front end) and run it after both are closed; it polls briefly
+// because a closed connection's goroutines unwind asynchronously.
+func goroutineResidue(t *testing.T) func() {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	return func() {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				t.Errorf("goroutine residue: %d running, %d before the server was built\n%s",
+					runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 }
 
 // postSolve posts a body to /v1/solve and decodes the response into out (a
@@ -66,6 +113,8 @@ func TestSolveRejectsInvalid(t *testing.T) {
 		{"parts not power of two", `{"scenario":{"rings":6,"sectors":8,"parts":3}}`},
 		{"negative steps", testBody(`"steps":-1`)},
 		{"negative well cell", testBody(`"wells":[{"cell":-1,"rate":2}]`)},
+		{"zero-rate well", testBody(`"wells":[{"cell":0,"rate":0}]`)},
+		{"zero-rate wells", testBody(`"wells":[{"cell":0,"rate":0},{"cell":47,"rate":-0.0}]`)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -84,6 +133,12 @@ func TestSolveRejectsInvalid(t *testing.T) {
 	}
 	if st.CacheMisses != 0 {
 		t.Errorf("invalid requests compiled %d scenarios", st.CacheMisses)
+	}
+	// A client error is turned away at decode: it never takes a queue slot,
+	// a memo slot or an engine.
+	if st.Admitted != 0 || st.Solves != 0 || st.MemoEntries != 0 || st.Failed != 0 {
+		t.Errorf("invalid requests got past decode: %d admitted, %d solves, %d memo entries, %d failed",
+			st.Admitted, st.Solves, st.MemoEntries, st.Failed)
 	}
 }
 
@@ -283,6 +338,7 @@ func TestQueueFull429(t *testing.T) {
 // TestDrainGraceful pins the shutdown contract: an admitted request runs to
 // completion through Drain, late requests and health checks get 503.
 func TestDrainGraceful(t *testing.T) {
+	defer goroutineResidue(t)() // runs last: after ts.Close below
 	s := New(Options{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -333,6 +389,7 @@ func TestDrainGraceful(t *testing.T) {
 	if st := s.Stats(); st.RejectedDraining == 0 {
 		t.Error("draining rejections not counted")
 	}
+	assertQuiescent(t, s)
 }
 
 // TestCacheEviction pins the LRU bound: capacity 1 means a second scenario

@@ -27,18 +27,23 @@ func (a *atomicSeconds) load() float64 { return math.Float64frombits(a.bits.Load
 // handlers, the admission gate, the cache and the engines all bump it
 // concurrently, and /v1/stats snapshots it without stopping the world.
 type Stats struct {
-	// Request accounting: every POST /v1/solve increments Requests, then
-	// exactly one of Admitted / RejectedRate / RejectedQueue /
-	// RejectedDraining / RejectedInvalid. Two exceptions count both Admitted
-	// and a rejection: well indices are validated against the compiled mesh,
-	// which exists only past admission (RejectedInvalid), and brownout
-	// shedding decides after the memo is consulted (RejectedDegraded).
+	// Request accounting is one conservation law. Every POST /v1/solve
+	// increments Requests on arrival and exactly one terminal counter —
+	// Completed, Failed or one of the five Rejected* — in Server.finish, the
+	// only place they are written, before its queue slot is released. So
+	// whenever no request is in flight (and always after Drain):
+	//
+	//	Requests == Completed + Failed + ΣRejected*
+	//
+	// Admitted is not a term of the law: it counts requests that passed
+	// admission (drain flag, token bucket, queue depth) and took a queue
+	// slot, whatever became of them afterwards.
 	Requests         atomic.Uint64
 	Admitted         atomic.Uint64
 	RejectedRate     atomic.Uint64 // token bucket empty → 429
 	RejectedQueue    atomic.Uint64 // bounded queue full → 429
 	RejectedDraining atomic.Uint64 // drain in progress → 503
-	RejectedInvalid  atomic.Uint64 // bad JSON / bad scenario → 400
+	RejectedInvalid  atomic.Uint64 // bad JSON / scenario / wells → 400
 	RejectedDegraded atomic.Uint64 // brownout shed → 503
 	Completed        atomic.Uint64
 	Failed           atomic.Uint64
