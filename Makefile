@@ -33,11 +33,12 @@ race:
 # Size ratchet: non-test Go lines (comments included — what a reader has to
 # get through) per package, and a ceiling on internal/solver + internal/umesh,
 # the pair ROADMAP's "write each recurrence and each rung once" item tracks
-# (5372 at PR 13, 4870 at PR 14). Lower SIZE_CEILING when a PR shrinks the
+# (5372 at PR 13, 4870 at PR 14, 4699 at PR 17, 4717 at PR 18 — the skyline
+# coarse level's envelope set-up). Lower SIZE_CEILING when a PR shrinks the
 # pair; a PR that must raise it says why. SERVE_CEILING does the same for
 # internal/serve, the serving core ROADMAP's state-machine item tracks (2050
 # at PR 16, 2044 at PR 17).
-SIZE_CEILING = 4720
+SIZE_CEILING = 4717
 SERVE_CEILING = 2044
 size:
 	@set -e; \

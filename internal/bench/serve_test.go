@@ -1,11 +1,52 @@
 package bench
 
 import (
+	"encoding/json"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/serve"
 )
+
+// TestServeRecordPressureHashReproduces pins the end-to-end fixed point of
+// the serving path: a one-shot solve of the experiment's default scenario
+// (15360 cells, 8 parts, AMG at tolerance 1e-2) hashes to the pressure_sha256
+// committed in BENCH_serve.json — the value `fvserve -selftest` reproduces —
+// so a change to any float on the AMG path fails here, not in a re-record.
+func TestServeRecordPressureHashReproduces(t *testing.T) {
+	raw, err := os.ReadFile("../../BENCH_serve.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec struct {
+		Scenario serve.Scenario `json:"scenario"`
+		Steps    int            `json:"steps_per_request"`
+		Hash     string         `json:"pressure_sha256"`
+	}
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		t.Fatal(err)
+	}
+	cfg := ServeConfig{}.withDefaults()
+	if rec.Scenario != cfg.Scenario.Normalized() || rec.Steps != cfg.Steps {
+		t.Fatalf("BENCH_serve.json records scenario %+v × %d steps, the experiment's default is %+v × %d",
+			rec.Scenario, rec.Steps, cfg.Scenario.Normalized(), cfg.Steps)
+	}
+	// The recorded hash is an amd64 value: the umesh float64 kernels carry no
+	// explicit anti-FMA roundings, so an architecture that contracts a·b + c
+	// into one rounding produces a different (equally valid) field.
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("pressure_sha256 was recorded on amd64, this is %s", runtime.GOARCH)
+	}
+	res, err := serve.OneShot(serve.SolveRequest{Scenario: cfg.Scenario, Steps: cfg.Steps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := serve.PressureHash(res.Pressure); got != rec.Hash {
+		t.Errorf("default scenario hashes to %s, BENCH_serve.json records %s", got, rec.Hash)
+	}
+}
 
 // TestRunServeLoadSmall drives the whole serving experiment on the small
 // 48-cell scenario: every phase completes, the memo probes are served

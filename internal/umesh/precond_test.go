@@ -1,8 +1,13 @@
 package umesh
 
 import (
+	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -128,6 +133,64 @@ func TestPrecondLadderIterationOrdering(t *testing.T) {
 	}
 }
 
+func TestPrecondLadderRecordedIterationCounts(t *testing.T) {
+	// The usolve experiment's own configuration — the benchmark mesh, the
+	// steps, Δt and tolerance BENCH_usolve.json records — takes exactly the
+	// serial iteration count recorded there for every rung (1365 / 795 / 369 /
+	// 147 at this commit): a fixed point no layout or fusion change may move.
+	// The counts are amd64 values: the umesh float64 kernels carry no explicit
+	// anti-FMA roundings, so an architecture that contracts a·b + c may
+	// converge an iteration earlier or later.
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("BENCH_usolve.json was recorded on amd64, this is %s", runtime.GOARCH)
+	}
+	if raceEnabled {
+		t.Skip("four serial single-goroutine solves: nothing for the race detector to watch, and ~20 s instrumented")
+	}
+	raw, err := os.ReadFile("../../BENCH_usolve.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec struct {
+		Cells int     `json:"cells"`
+		Steps int     `json:"steps"`
+		Dt    float64 `json:"dt_seconds"`
+		Tol   float64 `json:"tol"`
+		Rungs []struct {
+			Precond    solver.PrecondKind `json:"precond"`
+			Iterations int                `json:"serial_iterations"`
+		} `json:"rungs"`
+	}
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		t.Fatal(err)
+	}
+	u := benchRadial(t)
+	if rec.Cells != u.NumCells || len(rec.Rungs) != len(solver.PrecondKinds()) {
+		t.Fatalf("BENCH_usolve.json records %d cells and %d rungs, the benchmark mesh has %d cells and the ladder %d rungs",
+			rec.Cells, len(rec.Rungs), u.NumCells, len(solver.PrecondKinds()))
+	}
+	opts := TransientOptions{
+		Dt:    rec.Dt,
+		Steps: rec.Steps,
+		Wells: []Well{{Cell: u.WellIndex(), Rate: 2.0}, {Cell: u.NumCells - 1, Rate: -2.0}},
+	}
+	opts.Solver.Tol = rec.Tol
+	for _, rung := range rec.Rungs {
+		opts.Solver.PrecondKind = rung.Precond
+		res, err := RunTransientPartitioned(u, nil, physics.DefaultFluid(), opts)
+		if err != nil {
+			t.Fatalf("%s: %v", rung.Precond, err)
+		}
+		got := 0
+		for _, st := range res.Steps {
+			got += st.Iterations
+		}
+		if got != rung.Iterations {
+			t.Errorf("%s took %d iterations, BENCH_usolve.json records %d", rung.Precond, got, rung.Iterations)
+		}
+	}
+}
+
 func TestAMGAggregationStructure(t *testing.T) {
 	// The two-level hierarchy invariants everything else relies on: the
 	// aggregation is a partition of the cells, member lists walk in canonical
@@ -190,7 +253,243 @@ func TestAMGAggregationStructure(t *testing.T) {
 			t.Fatalf("cell %d not aggregated", c)
 		}
 	}
-	t.Logf("cells=%d aggregates=%d bandwidth=%d", u.NumCells, lvl.nAgg, lvl.bw)
+	bw := 0
+	for i := 0; i < lvl.nAgg; i++ {
+		if w := lvl.rowStart[i+1] - lvl.rowStart[i] - 1; w > bw {
+			bw = w
+		}
+	}
+	t.Logf("cells=%d aggregates=%d max band=%d envelope entries=%d (dense band %d) factor bytes=%d",
+		u.NumCells, lvl.nAgg, bw, len(lvl.fac), lvl.nAgg*(bw+1), 8*len(lvl.fac))
+}
+
+// bandOracle is the textbook coarse level the skyline must reproduce bit for
+// bit: the Galerkin matrix assembled into dense banded lower storage
+// (row-major n×(bw+1), fac[i*(bw+1) + j−i+bw] = L[i][j]), the row-oriented
+// inner-product Cholesky over the whole band, and forward/backward
+// substitution as running differences in ascending column order. It shares
+// only the aggregation with the code under test.
+type bandOracle struct {
+	n, bw int
+	fac   []float64
+}
+
+func newBandOracle(sys *USystem, aggOf []int32, nAgg int) (*bandOracle, error) {
+	o := &bandOracle{n: nAgg}
+	for _, f := range sys.U.Faces {
+		if d := int(aggOf[f.A] - aggOf[f.B]); d > o.bw {
+			o.bw = d
+		} else if -d > o.bw {
+			o.bw = -d
+		}
+	}
+	w := o.bw + 1
+	o.fac = make([]float64, nAgg*w)
+	at := func(i, j int32) *float64 { return &o.fac[int(i)*w+int(j-i)+o.bw] }
+	for c := 0; c < sys.U.NumCells; c++ {
+		*at(aggOf[c], aggOf[c]) += sys.Accum[c]
+	}
+	for _, f := range sys.U.Faces {
+		ia, ib := aggOf[f.A], aggOf[f.B]
+		if ia == ib {
+			continue
+		}
+		t := f.Trans * sys.Mobility
+		*at(ia, ia) += t
+		*at(ib, ib) += t
+		if ia < ib {
+			ia, ib = ib, ia
+		}
+		*at(ia, ib) -= t
+	}
+	for i := 0; i < nAgg; i++ {
+		jmin := i - o.bw
+		if jmin < 0 {
+			jmin = 0
+		}
+		for j := jmin; j <= i; j++ {
+			acc := o.fac[i*w+j-i+o.bw]
+			for k := jmin; k < j; k++ {
+				acc -= o.fac[i*w+k-i+o.bw] * o.fac[j*w+k-j+o.bw]
+			}
+			if j < i {
+				o.fac[i*w+j-i+o.bw] = acc / o.fac[j*w+o.bw]
+			} else {
+				if acc <= 0 || math.IsNaN(acc) {
+					return nil, fmt.Errorf("oracle: pivot %g at aggregate %d", acc, i)
+				}
+				o.fac[i*w+o.bw] = math.Sqrt(acc)
+			}
+		}
+	}
+	return o, nil
+}
+
+// l returns L[i][j], zero outside the band.
+func (o *bandOracle) l(i, j int) float64 {
+	if j > i || i-j > o.bw {
+		return 0
+	}
+	return o.fac[i*(o.bw+1)+j-i+o.bw]
+}
+
+func (o *bandOracle) solve(rc, ec []float64) {
+	for i := 0; i < o.n; i++ {
+		acc := rc[i]
+		for j := max(i-o.bw, 0); j < i; j++ {
+			acc -= o.l(i, j) * ec[j]
+		}
+		ec[i] = acc / o.l(i, i)
+	}
+	for i := o.n - 1; i >= 0; i-- {
+		acc := ec[i]
+		for j := i + 1; j <= min(i+o.bw, o.n-1); j++ {
+			acc -= o.l(j, i) * ec[j]
+		}
+		ec[i] = acc / o.l(i, i)
+	}
+}
+
+func TestAMGSkylineMatchesDenseBandOracle(t *testing.T) {
+	// The serial and partitioned paths share solveCoarse, so no serial↔parts
+	// comparison can see its arithmetic drift; this is the independent check.
+	// On the benchmark mesh, the ladder mesh and three badly-scaled seeded
+	// systems, every entry of the skyline factor and every word of a coarse
+	// solve equals the dense-band oracle's bit for bit, nothing inside the
+	// band but outside the skyline is non-zero, and the solve really solves.
+	systems := map[string]*USystem{}
+	for name, u := range map[string]*Mesh{"bench": benchRadial(t), "ladder": ladderMesh(t)} {
+		sys, err := NewUSystem(u, physics.DefaultFluid(), 3600, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		systems[name] = sys
+	}
+	for _, seed := range []int64{1, 7, 42} {
+		ref, _ := jitteredSystem(t, seed)
+		systems[fmt.Sprintf("jittered-%d", seed)] = ref.Operator.(*UHostOperator).Sys
+	}
+	for name, sys := range systems {
+		lvl, err := sys.amg()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := newBandOracle(sys, lvl.aggOf, lvl.nAgg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		n := lvl.nAgg
+		t.Logf("%s: aggregates=%d band=%d envelope entries=%d (dense band %d)", name, n, want.bw, len(lvl.fac), n*(want.bw+1))
+		if len(lvl.fac) > n*(want.bw+1) {
+			t.Errorf("%s: skyline holds %d entries, more than the %d of the dense band", name, len(lvl.fac), n*(want.bw+1))
+		}
+		for i := 0; i < n; i++ {
+			for j := max(i-want.bw, 0); j <= i; j++ {
+				got := 0.0
+				if row := lvl.fac[lvl.rowStart[j]:lvl.rowStart[j+1]]; i-j < len(row) {
+					got = row[i-j]
+				}
+				if math.Float64bits(got) != math.Float64bits(want.l(i, j)) {
+					t.Fatalf("%s: L[%d][%d] = %x, oracle %x", name, i, j, math.Float64bits(got), math.Float64bits(want.l(i, j)))
+				}
+			}
+		}
+		rng := rand.New(rand.NewSource(int64(n)))
+		rc, got, ref, y := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+		for trial := 0; trial < 3; trial++ {
+			norm := 0.0
+			for i := range rc {
+				rc[i] = rng.NormFloat64() * math.Pow(10, 6*rng.Float64()-3)
+				norm = math.Max(norm, math.Abs(rc[i]))
+			}
+			lvl.solveCoarse(rc, got)
+			want.solve(rc, ref)
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
+					t.Fatalf("%s trial %d: ec[%d] = %x, oracle %x", name, trial, i, math.Float64bits(got[i]), math.Float64bits(ref[i]))
+				}
+			}
+			// ‖L·(Lᵀ·x) − rc‖∞ through the oracle's factor.
+			for i := range y {
+				y[i] = 0
+				for j := i; j <= min(i+want.bw, n-1); j++ {
+					y[i] += want.l(j, i) * got[j]
+				}
+			}
+			for i := range rc {
+				lx := 0.0
+				for j := max(i-want.bw, 0); j <= i; j++ {
+					lx += want.l(i, j) * y[j]
+				}
+				if d := math.Abs(lx - rc[i]); d > 1e-10*norm {
+					t.Errorf("%s trial %d: |L·Lᵀ·x − rc| = %g at %d, ‖rc‖∞ = %g", name, trial, d, i, norm)
+					break
+				}
+			}
+		}
+	}
+}
+
+func TestAMGFactorisationRejectsBadPivot(t *testing.T) {
+	// A failed factorisation names the aggregate and its pivot. +Inf is the
+	// case that used to slip through: it is neither ≤ 0 nor NaN, and its
+	// square root would zero every entry below it without a word.
+	u := ladderMesh(t)
+	clean, err := NewUSystem(u, physics.DefaultFluid(), 3600, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lvl, err := clean.amg()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := u.NumCells / 2
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1e300} {
+		sys, err := NewUSystem(u, physics.DefaultFluid(), 3600, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.Accum[cell] = bad
+		want := fmt.Sprintf("lost positive definiteness at aggregate %d (pivot ", lvl.aggOf[cell])
+		if _, err := sys.amg(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Accum[%d] = %v: err = %v, want one containing %q", cell, bad, err, want)
+		}
+		if _, err := newSerialReference(sys).Rung(solver.PrecondAMG, clean.Diagonal()); err == nil {
+			t.Errorf("Accum[%d] = %v: the AMG rung was built over a failed factorisation", cell, bad)
+		}
+	}
+}
+
+func TestAMGNonFiniteCoarseResidualIsBreakdown(t *testing.T) {
+	// A non-finite coarse residual (here from a poisoned initial guess: b is
+	// finite, so the set-up program's right-hand-side check passes and
+	// r = b − A·x carries the poison into the V-cycle) comes out of both
+	// substitution sweeps non-finite and ends the solve in ErrBreakdown, on
+	// the serial reference and on the partitioned operator alike.
+	po, closeOp := residentFixtureOn(t, ladderMesh(t), 1, 2)
+	defer closeOp()
+	n := po.Size()
+	spaces := map[string]solver.Operator{"serial": newSerialReference(po.Sys), "parts": po}
+	for name, a := range spaces {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			b, x := probeVector(n, 1), probeVector(n, 2)
+			x[n/2] = bad
+			_, err := solver.CG(a, x, b, solver.Options{MaxIter: 5, PrecondKind: solver.PrecondAMG, PrecondDiag: po.Diagonal()})
+			if !errors.Is(err, solver.ErrBreakdown) {
+				t.Errorf("%s with x0[%d] = %v: err = %v, want ErrBreakdown", name, n/2, bad, err)
+			}
+		}
+	}
+	lvl, err := po.Sys.amg()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, ec := make([]float64, lvl.nAgg), make([]float64, lvl.nAgg)
+	rc[lvl.nAgg/2] = math.Inf(1)
+	lvl.solveCoarse(rc, ec)
+	if v := ec[lvl.nAgg/2]; !math.IsNaN(v) && !math.IsInf(v, 0) {
+		t.Errorf("solveCoarse turned rc[%d] = +Inf into the finite %g", lvl.nAgg/2, v)
+	}
 }
 
 // jitteredSystem builds a seeded badly-scaled SPD system: face conductances
@@ -471,6 +770,61 @@ func BenchmarkUsolvePrecond(b *testing.B) {
 				if _, err := RunTransientPartitioned(u, part, fl, opts); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkUsolveAMGStage times the one-off level build and each stage of one
+// AMG V-cycle on the 15360-cell benchmark mesh, through the reference
+// realization's kernels — the per-stage sizing of an AMG iteration
+// (docs/benchmarks.md) without a scratch harness.
+func BenchmarkUsolveAMGStage(b *testing.B) {
+	u := benchRadial(b)
+	sys, err := NewUSystem(u, physics.DefaultFluid(), 3600, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lvl, err := sys.amg()
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := &UHostOperator{Sys: sys}
+	n := u.NumCells
+	inv := sys.Diagonal()
+	for i, d := range inv {
+		inv[i] = 1 / d
+	}
+	r, z, w := probeVector(n, 1), make([]float64, n), make([]float64, n)
+	rc, ec := make([]float64, lvl.nAgg), make([]float64, lvl.nAgg)
+	stages := []struct {
+		name string
+		run  func()
+	}{
+		{"build", func() {
+			if _, err := buildAMGLevel(sys); err != nil {
+				b.Fatal(err)
+			}
+		}},
+		{"pre", func() { amgPre(z, inv, r) }},
+		{"apply", func() { _ = h.Apply(w, z) }},
+		{"restrict", func() {
+			for a := range rc {
+				rc[a] = amgResidualSum(lvl.aggCells[lvl.aggStart[a]:lvl.aggStart[a+1]], r, w)
+			}
+		}},
+		{"coarse", func() { lvl.solveCoarse(rc, ec) }},
+		{"prolong", func() { amgProlong(z, ec, lvl.aggOf) }},
+		{"post", func() { amgPost(z, inv, r, w) }},
+	}
+	// One V-cycle first, so every stage is timed on the data it sees in a solve.
+	for _, st := range stages[1:] {
+		st.run()
+	}
+	for _, st := range stages {
+		b.Run(st.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				st.run()
 			}
 		})
 	}

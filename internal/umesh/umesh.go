@@ -33,9 +33,9 @@
 // the canonical blocks), Chebyshev polynomial smoothing (fixed-degree
 // polynomial of the Jacobi-scaled operator, Gershgorin-bounded spectrum),
 // and a two-level aggregation AMG whose coarse operator — greedy in-block
-// aggregation, reverse Cuthill–McKee renumbering, Galerkin banded assembly,
-// banded Cholesky — is built once per USystem and reused across transient
-// steps. Every rung's arithmetic is a function of the canonical order only,
+// aggregation, reverse Cuthill–McKee renumbering, Galerkin assembly into a
+// skyline of Lᵀ, in-place Cholesky over that envelope — is built once per
+// USystem and reused across transient steps. Every rung's arithmetic is a function of the canonical order only,
 // never of the partitioning, and the serial reference rungs are built from
 // the same kernels (block-SSOR's sweeps excepted, which are twinned), so each
 // rung preserves the bit-identity guarantee at every part count.
