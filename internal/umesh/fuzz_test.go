@@ -2,10 +2,12 @@ package umesh
 
 import (
 	"testing"
+
+	"repro/internal/physics"
 )
 
-// Native Go fuzz targets for the RCB partitioner and the mesh builders —
-// the randomized base of the test pyramid. The seed corpus under
+// Native Go fuzz targets for the RCB partitioner, the mesh builders and the
+// part operator's row store — the randomized base of the test pyramid. The seed corpus under
 // testdata/fuzz/ is checked in and runs as part of every plain `go test`;
 // `make fuzz-smoke` (and CI) additionally explores new inputs for a short
 // -fuzztime.
@@ -180,27 +182,34 @@ func FuzzPartition(f *testing.F) {
 	})
 }
 
+// fuzzRadialOptions maps fuzzer-chosen integers onto in-range radial options
+// and counts the cells they build. Refinement doubles the sector count every
+// RefineEvery rings, so unconstrained inputs grow exponentially; callers bound
+// the workload on the count before building (the builder itself has no size
+// cap by design).
+func fuzzRadialOptions(nRings, nSectors, nRefine uint64) (RadialOptions, int) {
+	opts := RadialOptions{
+		Rings:       int(nRings%24) + 2,
+		BaseSectors: int(nSectors%30) + 3,
+		RefineEvery: int(nRefine % 6),
+		R0:          1, DR: 2, Dz: 2, PermMD: 100,
+	}
+	cells, sectors := 0, opts.BaseSectors
+	for i := 0; i < opts.Rings; i++ {
+		if i > 0 && opts.RefineEvery > 0 && i%opts.RefineEvery == 0 {
+			sectors *= 2
+		}
+		cells += sectors
+	}
+	return opts, cells
+}
+
 func FuzzRadialMesh(f *testing.F) {
 	f.Add(uint64(8), uint64(8), uint64(3))
 	f.Add(uint64(2), uint64(3), uint64(0))   // minimum geometry, no refinement
 	f.Add(uint64(10), uint64(29), uint64(1)) // refine every ring
 	f.Fuzz(func(t *testing.T, nRings, nSectors, nRefine uint64) {
-		opts := RadialOptions{
-			Rings:       int(nRings%24) + 2,
-			BaseSectors: int(nSectors%30) + 3,
-			RefineEvery: int(nRefine % 6),
-			R0:          1, DR: 2, Dz: 2, PermMD: 100,
-		}
-		// Refinement doubles the sector count every RefineEvery rings, so
-		// unconstrained inputs grow exponentially; bound the workload before
-		// building (the builder itself has no size cap by design).
-		cells, sectors := 0, opts.BaseSectors
-		for i := 0; i < opts.Rings; i++ {
-			if i > 0 && opts.RefineEvery > 0 && i%opts.RefineEvery == 0 {
-				sectors *= 2
-			}
-			cells += sectors
-		}
+		opts, cells := fuzzRadialOptions(nRings, nSectors, nRefine)
 		if cells > 20000 {
 			t.Skip("geometry too large for a fuzz iteration")
 		}
@@ -234,5 +243,31 @@ func FuzzRadialMesh(f *testing.F) {
 		}
 		assertOwnershipPartition(t, u, p)
 		assertPlanSymmetry(t, p)
+	})
+}
+
+// FuzzRowStore builds the part-resident operator over FuzzRadialMesh's corpus
+// shape at a fuzzer-chosen part count and holds its row store to the
+// structural invariants (assertRowStore) and its sweep — plain and with the
+// inner product fused — to the oracle, bit for bit.
+func FuzzRowStore(f *testing.F) {
+	f.Add(uint64(8), uint64(8), uint64(3), uint64(2))
+	f.Add(uint64(2), uint64(3), uint64(0), uint64(0))   // minimum geometry: no degree-4 row at all
+	f.Add(uint64(10), uint64(29), uint64(1), uint64(3)) // refine every ring: degree-5 rows throughout
+	f.Fuzz(func(t *testing.T, nRings, nSectors, nRefine, nLevels uint64) {
+		opts, cells := fuzzRadialOptions(nRings, nSectors, nRefine)
+		levels := int(nLevels % 4)
+		if cells > 20000 || 1<<levels > cells {
+			t.Skip("geometry too large for a fuzz iteration, or more parts than cells")
+		}
+		u, err := NewRadialMesh(opts)
+		if err != nil {
+			t.Fatalf("in-range radial options rejected: %+v: %v", opts, err)
+		}
+		sys, err := NewUSystem(u, physics.DefaultFluid(), 3600, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSweepMatchesOracle(t, sys, levels, 2, probeVector(cells, int(nRings%97)), true)
 	})
 }

@@ -31,6 +31,11 @@ import (
 // host-driven phases left (scatter, gather, diagonal, preconditioner-diagonal
 // load) move data between global slices and the part layouts.
 //
+// Rows are a fixed-width table built once per operator (the row store,
+// below); one kernel, opPart.sweep (kernels.go), is its only reader, and
+// hostFluxRow/UHostOperator.Apply stay the independently written oracle of its
+// arithmetic.
+//
 // Halo movement is direct-write: each part's send plan carries the
 // receiver's halo block base (opSend.dstBase), and the send phase writes the
 // planned owned values straight into the neighbor's resident vector — one
@@ -152,13 +157,15 @@ func treeFold(v []float64) float64 {
 	return treeFold(v[:mid]) + treeFold(v[mid:])
 }
 
-// hostFluxRow is the serial flux-row kernel: the cell's face fluxes in
-// adjacency order, with degree-4 rows (the bulk of every mesh here) summed
-// pairwise as (f0+f1)+(f2+f3) — the exact association the partitioned
-// fluxRow kernel uses, which is what keeps host and resident applications
-// bit-identical.
-// The degree-4 body is kept loop-free so it inlines into the sweep; the
-// general-degree tail lives in hostFluxRowSlow.
+// hostFluxRow is the serial flux-row kernel, the oracle's spelling of a row:
+// the cell's face fluxes in adjacency order, with degree-4 rows (the bulk of
+// every mesh here) summed pairwise as (f0+f1)+(f2+f3) and every other degree
+// left to right from zero (hostFluxRowSlow) — the associations the packed
+// sweep of the part-resident operator reproduces, which is what keeps host and
+// resident applications bit-identical. It reads the mesh's own adjacency and
+// multiplies Υ·λ per face, and is kept apart from opPart.sweep on purpose: the
+// two are written independently and compared bit for bit. (It does not inline
+// into UHostOperator.Apply — cost 151 against the budget of 80.)
 func hostFluxRow(nbrs []int32, trans []float64, lam float64, x []float64, xc float64) float64 {
 	if len(nbrs) == 4 && len(trans) == 4 {
 		f0 := trans[0] * lam * (x[nbrs[0]] - xc)
@@ -236,37 +243,52 @@ func newSerialReference(sys *USystem) *solver.SliceSpace {
 	}
 }
 
-// nbrEntry is one interleaved CSR adjacency entry of the operator's
-// premultiplied rows: the neighbor's local index and the face conductance
-// times the frozen mobility (w = Υ·λ), packed so a row sweep streams one
-// 16-byte record per face and skips one multiply.
-type nbrEntry struct {
-	t  float64 // premultiplied weight Υ·λ
-	li int32
-	_  int32
+// The row store. A part's owned flux rows live in one of two arrays, both
+// premultiplied (w = Υ·λ, one multiply less per face) and both indexed by the
+// row's rank among the rows of its kind in compact order:
+//
+//   - degree-4 rows — the bulk of every mesh here — are packed quadRow
+//     records: four weights and four local neighbor indices in adjacency
+//     order, 48 bytes a row with no header, degree or row pointer;
+//   - every other degree is a row of one flat CSR (genStart/gen), 16 bytes an
+//     entry.
+//
+// Rows are never looked up one at a time. A row set (the interior rows, the
+// frontier rows) is compiled once into rowSegs — runs of consecutive compact
+// rows that are all packed or all general — and opPart.sweep walks a run with
+// every per-row stream (accum, x, dst, the records) resliced to the run
+// length, so the neighbor gathers are the only per-row bounds checks left.
+
+// quadRow is one packed degree-4 flux row.
+type quadRow struct {
+	t  [4]float64 // premultiplied weights Υ·λ, adjacency order
+	li [4]uint32  // the neighbors' local indices
 }
 
-// fluxRow evaluates one premultiplied adjacency row: degree-4 rows pairwise
-// as (f0+f1)+(f2+f3), everything else flat in adjacency order — mirrored
-// exactly by hostFluxRow.
-func fluxRow(row []nbrEntry, x []float64, xc float64) float64 {
-	if len(row) == 4 {
-		f0 := row[0].t * (x[row[0].li] - xc)
-		f1 := row[1].t * (x[row[1].li] - xc)
-		f2 := row[2].t * (x[row[2].li] - xc)
-		f3 := row[3].t * (x[row[3].li] - xc)
-		return (f0 + f1) + (f2 + f3)
-	}
-	flux := 0.0
-	for _, e := range row {
-		flux += e.t * (x[e.li] - xc)
-	}
-	return flux
+// nbrEntry is one face of a general (degree ≠ 4) row: the premultiplied
+// weight and the neighbor's local index, one 16-byte record.
+type nbrEntry struct {
+	t  float64
+	li uint32
+	_  uint32
+}
+
+// rowSeg is a run of the consecutive compact rows [lo, lo+n), all packed or
+// all general; first is the rank of row lo in quad (packed) or genStart
+// (general), and the rest of the run follows it there. Where a sweep fuses an
+// inner product the runs are also cut at the reduction blocks' ends, and the
+// last run of each block carries the block's blockSums slot in flush (−1
+// everywhere else).
+type rowSeg struct {
+	lo, n  int32
+	first  int32
+	flush  int32
+	packed bool
 }
 
 // opPart is the operator's per-part working set: the resident Krylov
 // vectors in the part's compact local layout, the resident inverse diagonal,
-// and the premultiplied adjacency. Everything is O(owned+halo) per vector.
+// and the row store. Everything is O(owned+halo) per vector.
 type opPart struct {
 	// vecs holds the resident vectors, each owned cells first then halo
 	// blocks. Only Apply maintains halo entries (for its input vector); all
@@ -277,9 +299,20 @@ type opPart struct {
 	// accum is the system's accumulation coefficient in the part's compact
 	// layout, so the row sweep never chases a global index.
 	accum []float64
-	// rows is the operator-owned premultiplied adjacency (w = Υ·λ) over
-	// owned rows, local indices — what every float64 row sweep streams.
-	rows [][]nbrEntry
+	// quad, genStart and gen are the row store (see quadRow): the packed
+	// degree-4 rows, and general row g = gen[genStart[g]:genStart[g+1]].
+	// Only sweep reads them, and only through the segment lists below; set-up
+	// code that needs a row by index (compileSSOR, phaseDiag) reads the
+	// engine's rowStart/nbrLocal/nbrTrans·λ — the same product.
+	quad     []quadRow
+	genStart []int32
+	gen      []nbrEntry
+	// interior and frontier are the engine's two row sets compiled into
+	// runs: ascending, disjoint, covering exactly ps.interior / ps.frontier.
+	// A part with no frontier computes every row — and the fused ⟨w, A·x⟩ —
+	// in the interior sweep, so its interior runs are cut at the reduction
+	// blocks (buildRows).
+	interior, frontier []rowSeg
 	// sends is the engine's send plan for this part (shared, read-only).
 	sends []sendPlan
 	// blkLo/blkHi/blkOut segment the part's owned range into its canonical
@@ -306,7 +339,7 @@ type opPart struct {
 
 // owned is resident vector v without its halo blocks — the part's own entries,
 // which is all that vector algebra touches.
-func (op *opPart) owned(v int) []float64 { return op.vecs[v][:len(op.invDiag)] }
+func (op *opPart) owned(v int) []float64 { return window(op.vecs[v], 0, len(op.accum)) }
 
 // PhaseSeconds is the per-phase wall-clock breakdown of a part-resident
 // solve, accumulated on the orchestrator around each barriered step:
@@ -423,16 +456,6 @@ func NewPartOperator(e *PartEngine, sys *USystem) (*PartOperator, error) {
 		for i := 0; i < ps.nOwned; i++ {
 			op.accum[i] = sys.Accum[ps.globalOf[i]]
 		}
-		// Premultiplied interleaved adjacency: one entry stream, one slice
-		// header per row.
-		entries := make([]nbrEntry, len(ps.nbrLocal))
-		for j := range ps.nbrLocal {
-			entries[j] = nbrEntry{t: ps.nbrTrans[j] * lam, li: ps.nbrLocal[j]}
-		}
-		op.rows = make([][]nbrEntry, ps.nOwned)
-		for i := 0; i < ps.nOwned; i++ {
-			op.rows[i] = entries[ps.rowStart[i]:ps.rowStart[i+1]]
-		}
 		op.sends = ps.sends
 		o.parts[me] = op
 		if len(ps.sends) > 0 || len(ps.recvs) > 0 || len(ps.frontier) > 0 {
@@ -440,6 +463,9 @@ func NewPartOperator(e *PartEngine, sys *USystem) (*PartOperator, error) {
 		}
 	}
 	o.compileReduction()
+	for me, op := range o.parts {
+		op.buildRows(e.parts[me], lam)
+	}
 	o.loadPlan = e.pool.NewPlan([]exec.Step{{Phase: o.phaseLoad2, Bucket: &o.Phase.Exchange}})
 	o.storePlan = e.pool.NewPlan([]exec.Step{{Phase: o.phaseStore, Bucket: &o.Phase.Exchange}})
 	o.setPrePlan = e.pool.NewPlan([]exec.Step{{Phase: o.phaseSetPre, Bucket: &o.Phase.Reduce}})
@@ -508,6 +534,69 @@ func (o *PartOperator) compileReduction() {
 		op.blkHi = append(op.blkHi, hi-int32(starts[me]))
 		op.blkOut = append(op.blkOut, int32(bi))
 	}
+}
+
+// buildRows fills the part's row store from the engine's adjacency and
+// compiles the interior and frontier row sets into runs. It needs the
+// reduction blocks (compileReduction): a part with no frontier has its
+// interior runs cut at them.
+func (op *opPart) buildRows(ps *partState, lam float64) {
+	isQuad := func(i int32) bool { return ps.rowStart[i+1]-ps.rowStart[i] == 4 }
+	nQuad := 0
+	for i := int32(0); i < int32(ps.nOwned); i++ {
+		if isQuad(i) {
+			nQuad++
+		}
+	}
+	op.quad = make([]quadRow, 0, nQuad)
+	op.genStart = make([]int32, 0, ps.nOwned-nQuad+1)
+	op.gen = make([]nbrEntry, 0, len(ps.nbrLocal)-4*nQuad)
+	// rank[i] is row i's place in quad (degree 4) or genStart (any other).
+	rank := make([]int32, ps.nOwned)
+	for i := int32(0); i < int32(ps.nOwned); i++ {
+		lo, hi := ps.rowStart[i], ps.rowStart[i+1]
+		if isQuad(i) {
+			rank[i] = int32(len(op.quad))
+			var q quadRow
+			for k := range q.t {
+				q.t[k] = ps.nbrTrans[int(lo)+k] * lam
+				q.li[k] = uint32(ps.nbrLocal[int(lo)+k])
+			}
+			op.quad = append(op.quad, q)
+			continue
+		}
+		rank[i] = int32(len(op.genStart))
+		op.genStart = append(op.genStart, int32(len(op.gen)))
+		for j := lo; j < hi; j++ {
+			op.gen = append(op.gen, nbrEntry{t: ps.nbrTrans[j] * lam, li: uint32(ps.nbrLocal[j])})
+		}
+	}
+	op.genStart = append(op.genStart, int32(len(op.gen)))
+
+	// runs compiles an ascending row list. With cut the list is the whole
+	// owned range, which the part's reduction blocks tile without a gap or
+	// an empty block (a part owning no row has no run and is never swept):
+	// the row that opens a block also closes the previous block's last run.
+	runs := func(rows []int32, cut bool) []rowSeg {
+		var segs []rowSeg
+		blk := 0
+		for _, i := range rows {
+			k := len(segs) - 1
+			if cut && i == op.blkHi[blk] {
+				segs[k].flush = op.blkOut[blk]
+				blk++
+			} else if k >= 0 && segs[k].lo+segs[k].n == i && segs[k].packed == isQuad(i) {
+				segs[k].n++
+				continue
+			}
+			segs = append(segs, rowSeg{lo: i, n: 1, first: rank[i], flush: -1, packed: isQuad(i)})
+		}
+		if cut && len(segs) > 0 {
+			segs[len(segs)-1].flush = op.blkOut[blk]
+		}
+		return segs
+	}
+	op.interior, op.frontier = runs(ps.interior, len(ps.frontier) == 0), runs(ps.frontier, false)
 }
 
 // finishApply folds the parts' halo traffic after an application (a barrier
@@ -638,272 +727,6 @@ func (o *PartOperator) phaseStore(shard int) error {
 		o.gdst[ps.globalOf[i]] = a[i]
 	}
 	return nil
-}
-
-// fluxRowsLocal evaluates the listed owned rows of dst = A·x in the part's
-// local layout, in the serial adjacency order per row.
-func (o *PartOperator) fluxRowsLocal(ps *partState, op *opPart, x, dst []float64, rows []int32) {
-	accum := op.accum
-	for _, i := range rows {
-		xc := x[i]
-		dst[i] = accum[i]*xc - fluxRow(op.rows[i], x, xc)
-	}
-}
-
-// fluxRowsSeq is fluxRowsLocal over the whole owned range without the row
-// indirection — the path a part with no frontier (notably parts=1) takes.
-func (o *PartOperator) fluxRowsSeq(ps *partState, op *opPart, x, dst []float64) {
-	accum := op.accum
-	for i := 0; i < ps.nOwned; i++ {
-		xc := x[i]
-		dst[i] = accum[i]*xc - fluxRow(op.rows[i], x, xc)
-	}
-}
-
-// fluxRowsSeqDot is the fully fused no-frontier path: every owned row is
-// computed sequentially in compact order with the inner product ⟨w, dst⟩
-// accumulated per canonical block inside the same sweep — identical values
-// and summation tree as the separate blocked sweep, one less memory pass.
-func (o *PartOperator) fluxRowsSeqDot(ps *partState, op *opPart, x, dst, w []float64) {
-	accum := op.accum
-	for blk := range op.blkLo {
-		acc := 0.0
-		for i := op.blkLo[blk]; i < op.blkHi[blk]; i++ {
-			xc := x[i]
-			d := accum[i]*xc - fluxRow(op.rows[i], x, xc)
-			dst[i] = d
-			acc += w[i] * d
-		}
-		o.blockSums[op.blkOut[blk]] = acc
-	}
-}
-
-// applySend is the first application phase: push the halo values of the
-// resident input vector to the neighbors, then compute the interior rows. A
-// part with no frontier computes everything here — fused with the
-// inner-product sweep when one is armed — leaving the frontier phase
-// trivial. dstv resolves through scratch to the part's preconditioner
-// scratch while a rung's internal application is running.
-func (o *PartOperator) applySend(shard, xv, dstv, wv int, withDot, scratch bool) {
-	ps, op := o.e.parts[shard], o.parts[shard]
-	x := op.vecs[xv]
-	o.pushHalo(op, xv)
-	dst := op.pw
-	if !scratch {
-		dst = op.vecs[dstv]
-	}
-	switch {
-	case len(ps.frontier) > 0:
-		o.fluxRowsLocal(ps, op, x, dst, ps.interior)
-	case withDot:
-		o.fluxRowsSeqDot(ps, op, x, dst, op.vecs[wv])
-	default:
-		o.fluxRowsSeq(ps, op, x, dst)
-	}
-}
-
-// applyFrontier is the second application phase: the barrier before it
-// ordered every neighbor's halo write, so it finishes the frontier rows and
-// (when armed) sweeps the fused inner product in compact order.
-func (o *PartOperator) applyFrontier(shard, xv, dstv, wv int, withDot, scratch bool) {
-	ps, op := o.e.parts[shard], o.parts[shard]
-	if len(ps.frontier) == 0 {
-		return // everything (dot included) already ran in the send phase
-	}
-	x := op.vecs[xv]
-	dst := op.pw
-	if !scratch {
-		dst = op.vecs[dstv]
-	}
-	o.fluxRowsLocal(ps, op, x, dst, ps.frontier)
-	if withDot {
-		w := op.vecs[wv]
-		for b := range op.blkLo {
-			acc := 0.0
-			for i := op.blkLo[b]; i < op.blkHi[b]; i++ {
-				acc += w[i] * dst[i]
-			}
-			o.blockSums[op.blkOut[b]] = acc
-		}
-	}
-}
-
-// The shard kernels below are the vector ops of the phase programs, one per
-// solver.OpKind (program.go captures them into plan steps). Elementwise
-// kernels run over the part's owned entries; reducing kernels accumulate
-// per canonical block in compact order into blockSums/blockSums2, which the
-// step's barrier action treeFolds.
-
-// shardCopy copies src's owned entries into dst.
-func (o *PartOperator) shardCopy(shard, dstv, srcv int) {
-	ps, op := o.e.parts[shard], o.parts[shard]
-	copy(op.vecs[dstv][:ps.nOwned], op.vecs[srcv][:ps.nOwned])
-}
-
-// shardDot accumulates ⟨a, b⟩.
-func (o *PartOperator) shardDot(shard, av, bv int) {
-	op := o.parts[shard]
-	a, b := op.vecs[av], op.vecs[bv]
-	for blk := range op.blkLo {
-		acc := 0.0
-		for i := op.blkLo[blk]; i < op.blkHi[blk]; i++ {
-			acc += a[i] * b[i]
-		}
-		o.blockSums[op.blkOut[blk]] = acc
-	}
-}
-
-// shardDot2 accumulates ⟨a, x⟩ and ⟨a, y⟩ in one pass.
-func (o *PartOperator) shardDot2(shard, av, xv, yv int) {
-	op := o.parts[shard]
-	a, x, y := op.vecs[av], op.vecs[xv], op.vecs[yv]
-	for blk := range op.blkLo {
-		acc1, acc2 := 0.0, 0.0
-		for i := op.blkLo[blk]; i < op.blkHi[blk]; i++ {
-			acc1 += a[i] * x[i]
-			acc2 += a[i] * y[i]
-		}
-		o.blockSums[op.blkOut[blk]] = acc1
-		o.blockSums2[op.blkOut[blk]] = acc2
-	}
-}
-
-// shardAxpy computes y += α·x.
-func (o *PartOperator) shardAxpy(shard, yv, xv int, alpha float64) {
-	ps, op := o.e.parts[shard], o.parts[shard]
-	y, x := op.vecs[yv], op.vecs[xv]
-	for i := 0; i < ps.nOwned; i++ {
-		y[i] += alpha * x[i]
-	}
-}
-
-// shardAxpy2 computes y += α·x + β·z in one expression per element (the
-// BiCGStab solution update).
-func (o *PartOperator) shardAxpy2(shard, yv, xv, zv int, alpha, beta float64) {
-	ps, op := o.e.parts[shard], o.parts[shard]
-	y, x, z := op.vecs[yv], op.vecs[xv], op.vecs[zv]
-	for i := 0; i < ps.nOwned; i++ {
-		y[i] += alpha*x[i] + beta*z[i]
-	}
-}
-
-// shardXpby computes y = x + β·y (the CG search-direction update).
-func (o *PartOperator) shardXpby(shard, yv, xv int, beta float64) {
-	ps, op := o.e.parts[shard], o.parts[shard]
-	y, x := op.vecs[yv], op.vecs[xv]
-	for i := 0; i < ps.nOwned; i++ {
-		y[i] = x[i] + beta*y[i]
-	}
-}
-
-// shardSubAxpyDot computes dst = a − α·b and accumulates ⟨dst, dst⟩, fused.
-func (o *PartOperator) shardSubAxpyDot(shard, dstv, av, bv int, alpha float64) {
-	op := o.parts[shard]
-	dst, a, b := op.vecs[dstv], op.vecs[av], op.vecs[bv]
-	for blk := range op.blkLo {
-		acc := 0.0
-		for i := op.blkLo[blk]; i < op.blkHi[blk]; i++ {
-			d := a[i] - alpha*b[i]
-			dst[i] = d
-			acc += d * d
-		}
-		o.blockSums[op.blkOut[blk]] = acc
-	}
-}
-
-// shardCGStep computes x += α·p; r −= α·ap and accumulates ⟨r, r⟩ — the two
-// CG axpys and the residual norm fused into one pass.
-func (o *PartOperator) shardCGStep(shard, xv, pv, rv, apv int, alpha float64) {
-	op := o.parts[shard]
-	x, p, r, ap := op.vecs[xv], op.vecs[pv], op.vecs[rv], op.vecs[apv]
-	for blk := range op.blkLo {
-		acc := 0.0
-		for i := op.blkLo[blk]; i < op.blkHi[blk]; i++ {
-			x[i] += alpha * p[i]
-			ri := r[i] - alpha*ap[i]
-			r[i] = ri
-			acc += ri * ri
-		}
-		o.blockSums[op.blkOut[blk]] = acc
-	}
-}
-
-// shardCGStepPre is the fully fused CG tail for elementwise (identity or
-// Jacobi) preconditioners: the CG update, the residual norm, the
-// preconditioner application z = M⁻¹·r and ⟨r, z⟩, all in one pass. The
-// per-element expressions and the per-block accumulation orders are exactly
-// those of shardCGStep followed by shardPreDot, so the fusion is invisible
-// bitwise.
-func (o *PartOperator) shardCGStepPre(shard, xv, pv, rv, apv, zv int, alpha float64) {
-	op := o.parts[shard]
-	x, p, r, ap, z := op.vecs[xv], op.vecs[pv], op.vecs[rv], op.vecs[apv], op.vecs[zv]
-	inv := op.invDiag
-	usePre := o.usePre
-	for blk := range op.blkLo {
-		acc1, acc2 := 0.0, 0.0
-		for i := op.blkLo[blk]; i < op.blkHi[blk]; i++ {
-			x[i] += alpha * p[i]
-			ri := r[i] - alpha*ap[i]
-			r[i] = ri
-			acc1 += ri * ri
-			zi := ri
-			if usePre {
-				zi = inv[i] * ri
-			}
-			z[i] = zi
-			acc2 += ri * zi
-		}
-		o.blockSums[op.blkOut[blk]] = acc1
-		o.blockSums2[op.blkOut[blk]] = acc2
-	}
-}
-
-// shardBicgP computes p = r + β·(p − ω·v), the BiCGStab direction update.
-func (o *PartOperator) shardBicgP(shard, pv, rv, vv int, beta, omega float64) {
-	ps, op := o.e.parts[shard], o.parts[shard]
-	p, r, v := op.vecs[pv], op.vecs[rv], op.vecs[vv]
-	for i := 0; i < ps.nOwned; i++ {
-		p[i] = r[i] + beta*(p[i]-omega*v[i])
-	}
-}
-
-// shardPre computes z = M⁻¹·r for the elementwise (Jacobi/identity)
-// preconditioner.
-func (o *PartOperator) shardPre(shard, zv, rv int) {
-	ps, op := o.e.parts[shard], o.parts[shard]
-	z, r := op.vecs[zv], op.vecs[rv]
-	if !o.usePre {
-		copy(z[:ps.nOwned], r[:ps.nOwned])
-		return
-	}
-	inv := op.invDiag
-	for i := 0; i < ps.nOwned; i++ {
-		z[i] = inv[i] * r[i]
-	}
-}
-
-// shardPreDot is shardPre with ⟨r, z⟩ accumulated in the same pass.
-func (o *PartOperator) shardPreDot(shard, zv, rv int) {
-	op := o.parts[shard]
-	z, r := op.vecs[zv], op.vecs[rv]
-	inv := op.invDiag
-	for blk := range op.blkLo {
-		acc := 0.0
-		if !o.usePre {
-			for i := op.blkLo[blk]; i < op.blkHi[blk]; i++ {
-				ri := r[i]
-				z[i] = ri
-				acc += ri * ri
-			}
-		} else {
-			for i := op.blkLo[blk]; i < op.blkHi[blk]; i++ {
-				zi := inv[i] * r[i]
-				z[i] = zi
-				acc += r[i] * zi
-			}
-		}
-		o.blockSums[op.blkOut[blk]] = acc
-	}
 }
 
 // NewSystemSpace builds the solve-side space for a partition: the serial

@@ -659,14 +659,14 @@ func (o *PartOperator) SetPrecond(kind solver.PrecondKind, diag []float64) error
 	// preconditioner installed — then the diagonal load.
 	switch kind {
 	case solver.PrecondSSOR:
-		for _, op := range o.parts {
-			op.dLoc = grown(op.dLoc, len(op.rows))
-			op.compileSSOR()
+		for me, op := range o.parts {
+			op.dLoc = grown(op.dLoc, len(op.accum))
+			op.compileSSOR(o.e.parts[me], o.Sys.Mobility)
 		}
 	case solver.PrecondChebyshev:
 		o.cheb = newChebCoeffs(o.Sys.chebUpper())
 		for _, op := range o.parts {
-			op.pd, op.pw = grown(op.pd, len(op.rows)), grown(op.pw, len(op.rows))
+			op.pd, op.pw = grown(op.pd, len(op.accum)), grown(op.pw, len(op.accum))
 		}
 	case solver.PrecondAMG:
 		lvl, err := o.Sys.amg()
@@ -679,7 +679,7 @@ func (o *PartOperator) SetPrecond(kind solver.PrecondKind, diag []float64) error
 			}
 		}
 		for _, op := range o.parts {
-			op.pw = grown(op.pw, len(op.rows))
+			op.pw = grown(op.pw, len(op.accum))
 		}
 	}
 	o.ga = diag
@@ -763,12 +763,12 @@ func (o *PartOperator) compileAMG(lvl *amgLevel) error {
 
 // compileSSOR precompiles the part's block-SSOR triangular structure: per
 // owned row, the strictly-lower and strictly-upper in-block couplings as
-// premultiplied (Υ·λ — the operator rows already carry the product) index
-// lists in adjacency order. The sweeps then stream the lists branch-free
-// instead of re-filtering every adjacency entry on every application —
-// same couplings, same order, same floats.
-func (op *opPart) compileSSOR() {
-	nOwned := len(op.rows)
+// premultiplied (Υ·λ, from the engine's adjacency — the product the row
+// store carries) index lists in adjacency order. The sweeps then stream the
+// lists branch-free instead of re-filtering every adjacency entry on every
+// application — same couplings, same order, same floats.
+func (op *opPart) compileSSOR(ps *partState, lam float64) {
+	nOwned := ps.nOwned
 	if cap(op.ssorLoPtr) < nOwned+1 {
 		op.ssorLoPtr = make([]int32, nOwned+1)
 		op.ssorUpPtr = make([]int32, nOwned+1)
@@ -780,16 +780,17 @@ func (op *opPart) compileSSOR() {
 	for b := range op.blkLo {
 		lo, hi := op.blkLo[b], op.blkHi[b]
 		for i := lo; i < hi; i++ {
-			for _, e := range op.rows[i] {
-				if e.li < lo || e.li >= hi {
+			for j := ps.rowStart[i]; j < ps.rowStart[i+1]; j++ {
+				li, t := ps.nbrLocal[j], ps.nbrTrans[j]*lam
+				if li < lo || li >= hi {
 					continue
 				}
-				if e.li < i {
-					op.ssorLoW = append(op.ssorLoW, e.t)
-					op.ssorLoI = append(op.ssorLoI, e.li)
-				} else if e.li > i {
-					op.ssorUpW = append(op.ssorUpW, e.t)
-					op.ssorUpI = append(op.ssorUpI, e.li)
+				if li < i {
+					op.ssorLoW = append(op.ssorLoW, t)
+					op.ssorLoI = append(op.ssorLoI, li)
+				} else if li > i {
+					op.ssorUpW = append(op.ssorUpW, t)
+					op.ssorUpI = append(op.ssorUpI, li)
 				}
 			}
 			op.ssorLoPtr[i+1] = int32(len(op.ssorLoI))
