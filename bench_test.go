@@ -233,33 +233,6 @@ func BenchmarkFig8_Roofline(b *testing.B) {
 	b.ReportMetric(fig.AchievedFlops/1e12, "CS2-TFLOPS")
 }
 
-// BenchmarkStrongScaling_FlatParallel sweeps the sharded flat engine over
-// worker counts and reports the best measured speedup over serial RunFlat.
-// -short shrinks the mesh so CI's bench-smoke stays cheap; a full run uses
-// the ≥128×128 mesh the scaling claim is stated on.
-func BenchmarkStrongScaling_FlatParallel(b *testing.B) {
-	d := mesh.Dims{Nx: 128, Ny: 128, Nz: 4}
-	if testing.Short() {
-		d = mesh.Dims{Nx: 24, Ny: 24, Nz: 3}
-	}
-	var s *bench.StrongScaling
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		s, err = bench.RunStrongScaling(bench.ScalingConfig{Dims: d, Apps: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if !s.BitIdentical {
-		b.Fatal("parallel engine diverged from serial flat")
-	}
-	b.ReportMetric(s.MaxSpeedup, "best-speedup")
-	b.ReportMetric(float64(s.BestWorkers), "best-workers")
-	b.ReportMetric(s.Points[len(s.Points)-1].McellsPerSec, "Mcells/s")
-}
-
 // Ablation benchmarks (DESIGN.md §8).
 
 // BenchmarkAblation_DiagonalExchange compares the 10-face schedule with the

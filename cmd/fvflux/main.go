@@ -7,12 +7,11 @@
 //	fvflux -experiment all
 //	fvflux -experiment table1 -dims 16x12x10 -apps 3
 //	fvflux -experiment ablations -engine flat
-//	fvflux -experiment scaling -dims 128x128x4
-//	fvflux -experiment kernel -json BENCH_kernel.json
-//	fvflux -experiment umesh -json BENCH_umesh.json
-//	fvflux -experiment usolve -json BENCH_usolve.json
-//	fvflux -experiment serve -json BENCH_serve.json
 //	fvflux -experiment table2 -engine parallel -workers 8
+//
+// Host wall-clock is not measured here: end-to-end claims go through
+// benchmark/ (BENCHMARK.json), stage timings through `go test -bench` — see
+// docs/benchmarks.md.
 package main
 
 import (
@@ -33,7 +32,7 @@ import (
 // experiments is the single source of truth for -experiment values: it
 // drives the flag help, the unknown-value error, and must match the run()
 // registrations below (plus the "all" sentinel).
-var experiments = []string{"table1", "table2", "table3", "table4", "scaling", "kernel", "umesh", "usolve", "serve", "fig8", "ablations", "all"}
+var experiments = []string{"table1", "table2", "table3", "table4", "fig8", "ablations", "all"}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
@@ -55,9 +54,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		dims       = fs.String("dims", "12x10x8", "functional mesh NxXNyXNz (Nx,Ny ≥ 3)")
 		apps       = fs.Int("apps", 2, "functional applications of Algorithm 1")
 		engine     = fs.String("engine", "fabric", "functional engine: fabric|flat|parallel")
-		workers    = fs.Int("workers", 0, "worker count for engine=parallel (0 = all CPUs)")
-		jsonOut    = fs.String("json", "", "record the selected scaling, kernel, umesh, usolve or serve experiment as JSON to this path (ignored with -experiment all)")
-		preconds   = fs.String("preconds", "", "comma-separated preconditioner rungs for -experiment usolve: jacobi,ssor,chebyshev,amg (default: the whole ladder)")
+		workers    = fs.Int("workers", 0, "worker count for -engine parallel (0 = all CPUs)")
 		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile of the selected experiments to this path")
 		memprofile = fs.String("memprofile", "", "write a pprof heap profile taken after the selected experiments to this path")
 	)
@@ -90,8 +87,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			f.Close()
 		}()
 	}
-	explicit := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 
 	if !slices.Contains(experiments, *experiment) {
 		return fmt.Errorf("unknown experiment %q (want one of %s)", *experiment, strings.Join(experiments, ", "))
@@ -161,109 +156,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		return t.Render(stdout)
 	})
-	runExp("scaling", func(c bench.Config) error {
-		scfg := bench.ScalingConfig{Dims: c.FuncDims, Apps: c.FuncApps}
-		if *workers > 0 {
-			// -workers caps the sweep instead of selecting one point: the
-			// experiment is the trajectory up to that count.
-			scfg.Workers = bench.WorkerSweepUpTo(*workers)
-		}
-		s, err := bench.RunStrongScaling(scfg)
-		if err != nil {
-			return err
-		}
-		if err := s.Render(stdout); err != nil {
-			return err
-		}
-		// Baselines are only recorded for an explicitly selected experiment:
-		// under -experiment all, the JSON experiments would race for the path.
-		if *experiment == "scaling" {
-			return writeJSON(stdout, *jsonOut, s.WriteJSON)
-		}
-		return nil
-	})
-	runExp("kernel", func(c bench.Config) error {
-		// The kernel experiment keeps its own default workload (the scaling
-		// mesh) unless dims were set on the command line.
-		kcfg := bench.KernelConfig{}
-		if explicit["dims"] {
-			kcfg.Dims = c.FuncDims
-		}
-		if explicit["apps"] {
-			kcfg.Apps = c.FuncApps
-		}
-		k, err := bench.RunKernelBench(kcfg)
-		if err != nil {
-			return err
-		}
-		if err := k.Render(stdout); err != nil {
-			return err
-		}
-		if *experiment == "kernel" {
-			return writeJSON(stdout, *jsonOut, k.WriteJSON)
-		}
-		return nil
-	})
-	runExp("umesh", func(c bench.Config) error {
-		// The unstructured experiment runs the partitioned radial-mesh
-		// workload; -apps selects the applications per run, -workers the
-		// engine pool size.
-		ucfg := bench.UmeshScalingConfig{Workers: *workers}
-		if explicit["apps"] {
-			ucfg.Apps = c.FuncApps
-		}
-		u, err := bench.RunUmeshScaling(ucfg)
-		if err != nil {
-			return err
-		}
-		if err := u.Render(stdout); err != nil {
-			return err
-		}
-		if *experiment == "umesh" {
-			return writeJSON(stdout, *jsonOut, u.WriteJSON)
-		}
-		return nil
-	})
-	runExp("usolve", func(c bench.Config) error {
-		// The partitioned implicit-solve experiment: a transient CG run per
-		// preconditioner rung per RCB part count, bit-checked against the
-		// serial reference; -apps selects the backward-Euler step count,
-		// -workers the pool size, -preconds the ladder rungs to sweep.
-		ucfg := bench.UsolveConfig{Workers: *workers}
-		if explicit["apps"] {
-			ucfg.Steps = c.FuncApps
-		}
-		if *preconds != "" {
-			ucfg.Preconds = strings.Split(*preconds, ",")
-		}
-		u, err := bench.RunUsolveScaling(ucfg)
-		if err != nil {
-			return err
-		}
-		if err := u.Render(stdout); err != nil {
-			return err
-		}
-		if *experiment == "usolve" {
-			return writeJSON(stdout, *jsonOut, u.WriteJSON)
-		}
-		return nil
-	})
-	runExp("serve", func(c bench.Config) error {
-		// The serving-layer load experiment: an in-process resident-engine
-		// server measured cold vs warm, bit-checked against the one-shot
-		// path, then driven with open-loop arrivals.
-		s, err := bench.RunServeLoad(bench.ServeConfig{})
-		if err != nil {
-			return err
-		}
-		if err := s.Render(stdout); err != nil {
-			return err
-		}
-		if *experiment == "serve" {
-			return writeJSON(stdout, *jsonOut, s.WriteJSON)
-		}
-		return nil
-	})
 	runExp("fig8", func(c bench.Config) error {
 		f, err := bench.RunFig8(c)
 		if err != nil {
@@ -290,24 +182,4 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	})
 	return firstErr
-}
-
-// writeJSON records an experiment baseline when -json was given.
-func writeJSON(stdout io.Writer, path string, write func(io.Writer) error) error {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "baseline written to %s\n", path)
-	return nil
 }

@@ -15,7 +15,6 @@
 //
 //	fvserve -addr :8080 -cache 4 -engines 2 -queue 64 -rate 40
 //	fvserve -addr :8080 -deadline 30s -drain-timeout 10s
-//	fvserve -selftest -json BENCH_serve.json
 package main
 
 import (
@@ -31,7 +30,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/serve"
 )
 
@@ -62,10 +60,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		memoCap  = fs.Int("memo", serve.DefaultMemoCapacity, "result-memo capacity, completed responses by (scenario, payload) (<=0 disables)")
 		deadline = fs.Duration("deadline", 0, "default solve deadline; requests past it answer 504 (0 = unbounded)")
 		drainTO  = fs.Duration("drain-timeout", 0, "shutdown drain bound; in-flight solves past it are force-cancelled (0 = wait forever)")
-		selftest = fs.Bool("selftest", false, "run the serving load experiment in-process and exit")
-		jsonPath = fs.String("json", "", "selftest: write the BENCH_serve.json report here")
-		requests = fs.Int("requests", 0, "selftest: open-loop arrival count (0 = experiment default)")
-		arrivals = fs.Float64("arrival-rate", 0, "selftest: open-loop arrival rate [req/s] (0 = experiment default)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -87,12 +81,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *burst < 0 {
 		return fmt.Errorf("-burst must be non-negative, got %d", *burst)
-	}
-	if *requests < 0 {
-		return fmt.Errorf("-requests must be non-negative, got %d", *requests)
-	}
-	if *arrivals < 0 {
-		return fmt.Errorf("-arrival-rate must be non-negative, got %g", *arrivals)
 	}
 	if *deadline < 0 {
 		return fmt.Errorf("-deadline must be non-negative, got %v", *deadline)
@@ -117,58 +105,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *memoCap <= 0 {
 		opts.MemoCapacity = -1
 	}
-	if *selftest {
-		return runSelftest(opts, *jsonPath, *requests, *arrivals, stdout)
-	}
 	return serveDaemon(*addr, opts, *drainTO, stdout)
-}
-
-// runSelftest runs the serving load experiment against an in-process server
-// built with the daemon's own options, renders the report, and optionally
-// records BENCH_serve.json.
-func runSelftest(opts serve.Options, jsonPath string, requests int, arrivalRate float64, stdout io.Writer) error {
-	cfg := bench.ServeConfig{
-		Server:     opts,
-		Requests:   requests,
-		RatePerSec: arrivalRate,
-	}
-	res, err := bench.RunServeLoad(cfg)
-	if err != nil {
-		return err
-	}
-	if err := res.Render(stdout); err != nil {
-		return err
-	}
-	if !res.BitIdentical {
-		return fmt.Errorf("selftest: served solve diverged from the one-shot reference (hash mismatch)")
-	}
-	if c := res.Chaos; c != nil {
-		if c.AvailabilityNonFaulted < 0.99 {
-			return fmt.Errorf("selftest: chaos availability %.4f below the 0.99 gate (%d collateral failures)",
-				c.AvailabilityNonFaulted, c.Collateral)
-		}
-		if !c.BitIdentical {
-			return fmt.Errorf("selftest: chaos-phase success diverged from the fault-free reference (hash mismatch)")
-		}
-	}
-	if res.WarmSpeedup < 5 {
-		fmt.Fprintf(stdout, "warning: warm speedup %.1fx below the 5x target\n", res.WarmSpeedup)
-	}
-	if res.MemoSpeedup < 20 {
-		fmt.Fprintf(stdout, "warning: memo speedup %.1fx below the 20x target\n", res.MemoSpeedup)
-	}
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := res.WriteJSON(f); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", jsonPath)
-	}
-	return nil
 }
 
 // serveDaemon runs the HTTP server until SIGTERM/SIGINT, then drains: the

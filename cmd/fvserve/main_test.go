@@ -15,7 +15,7 @@ func TestHelpReturnsErrHelp(t *testing.T) {
 	if !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("run(-h) = %v, want flag.ErrHelp", err)
 	}
-	for _, want := range []string{"-addr", "-engines", "-selftest", "-deadline", "-drain-timeout"} {
+	for _, want := range []string{"-addr", "-engines", "-deadline", "-drain-timeout"} {
 		if !strings.Contains(stderr.String(), want) {
 			t.Errorf("usage output missing %s:\n%s", want, stderr.String())
 		}
@@ -37,8 +37,6 @@ func TestRunCLIValidation(t *testing.T) {
 		{"zero batch", []string{"-batch", "0"}, "-batch must be positive"},
 		{"negative rate", []string{"-rate", "-1"}, "-rate must be non-negative"},
 		{"negative burst", []string{"-burst", "-1"}, "-burst must be non-negative"},
-		{"negative requests", []string{"-selftest", "-requests", "-1"}, "-requests must be non-negative"},
-		{"negative arrival rate", []string{"-selftest", "-arrival-rate", "-1"}, "-arrival-rate must be non-negative"},
 		{"negative deadline", []string{"-deadline", "-3s"}, "-deadline must be non-negative"},
 		{"negative drain timeout", []string{"-drain-timeout", "-1s"}, "-drain-timeout must be non-negative"},
 		{"bad flag value", []string{"-queue", "many"}, "invalid value"},

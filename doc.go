@@ -22,8 +22,7 @@
 // path runs RCB parts on it through umesh.PartEngine — a persistent
 // partitioned engine with compact O(owned+halo) per-part state, precompiled
 // allocation-free halo exchange, and communication counters, bit-identical
-// to the serial cell-based sweep (massivefv.RunUnstructured; `fvflux
-// -experiment umesh -json BENCH_umesh.json` records the scaling baseline).
+// to the serial cell-based sweep (massivefv.RunUnstructured).
 //
 // The §8 matrix-free Krylov extension runs on both mesh families. On the
 // structured mesh, solver.DataflowOperator applies the pressure matrix
@@ -47,12 +46,9 @@
 // preconditioner ladder (solver.PrecondKind: jacobi, block-SSOR, Chebyshev
 // polynomial smoothing, two-level aggregation AMG with a once-per-system
 // coarse operator) runs as fused phases under the same determinism
-// contract; AMG cuts the 15360-cell sweep's CG iterations 9.3x vs Jacobi.
-// `fvflux -experiment usolve -json BENCH_usolve.json` records the
-// implicit-solve scaling baseline per rung with a per-phase
-// exchange/compute/reduce breakdown; parts=1 runs at ≈1.0x the serial solve
-// (0.54x before the part-resident rework). `fvflux -cpuprofile` records a
-// pprof profile of any experiment.
+// contract; AMG cuts the 15360-cell benchmark mesh's CG iterations 9.3x vs
+// Jacobi (1365 → 147, pinned by umesh's
+// TestPrecondLadderRecordedIterationCounts).
 //
 // Tests form a pyramid: unit tests per package; property tests over seeded
 // random systems (solver convergence and monotonicity, SPD symmetry and
@@ -65,8 +61,9 @@
 // every `go test` (`make docs-check`).
 //
 // ARCHITECTURE.md maps the layers and the dataflow of a partitioned
-// resident solve; docs/benchmarks.md documents the recorded BENCH_*.json
-// baselines field by field.
+// resident solve; docs/benchmarks.md says how a number is measured here:
+// benchmark/ (BENCHMARK.json) for every wall-clock claim, `go test -bench`
+// for a stage.
 //
 // Performance: the engines execute through a fast path that stays
 // bit-identical (residuals and counters) to the op-by-op code — the 14-FLOP
@@ -77,10 +74,9 @@
 // the full accounting at summarize time, per-PE memories allocated as one
 // zeroed-once arena per shard (dsd.NewArena), and a zero-allocation halo
 // exchange through persistent per-PE send buffers.
-// `make bench-kernel` runs the layer-by-layer microbenchmarks; `fvflux
-// -experiment kernel -json BENCH_kernel.json` and `examples/strongscaling
-// -json BENCH_scaling.json` regenerate the recorded baselines. See the
-// README's Performance section.
+// `make bench-kernel` runs the layer-by-layer microbenchmarks
+// (BenchmarkKernel* in internal/dsd and internal/core, fast path against the
+// op-by-op oracle). See the README's Performance section.
 //
 // The root package carries the module documentation and the benchmark suite
 // (bench_test.go) that regenerates every table and figure of the paper's

@@ -262,3 +262,25 @@ func TestRenderers(t *testing.T) {
 		}
 	}
 }
+
+func TestMeasureWithParallelEngine(t *testing.T) {
+	// The measurement harness must produce identical counters through the
+	// sharded engine (Config.Workers plumbing).
+	cfg := smallCfg()
+	cfg.UseFabric = false
+	serial, err := Measure(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Workers = 3
+	par, err := Measure(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serial.Dataflow.Counters != par.Dataflow.Counters {
+		t.Error("parallel measurement counters differ from serial flat")
+	}
+	if par.DataflowMaxRelErr > 2e-3 {
+		t.Errorf("parallel measurement rel err %g too large", par.DataflowMaxRelErr)
+	}
+}

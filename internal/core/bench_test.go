@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/dsd"
@@ -84,8 +85,11 @@ func BenchmarkKernelLocalApplication(b *testing.B) {
 	})
 }
 
-// BenchmarkKernelFlatEngine measures the whole serial flat engine on the
-// strong-scaling workload shape (shrunk under -short for CI's smoke run).
+// BenchmarkKernelFlatEngine measures the whole flat engine on the
+// strong-scaling workload shape (shrunk under -short for CI's smoke run) at
+// one and two workers: workers=1 is RunFlat's single inline band, workers=2
+// the sharded pool, so `-cpu 1,2 -count 10` on this benchmark is the
+// strong-scaling measurement of the structured engine.
 func BenchmarkKernelFlatEngine(b *testing.B) {
 	d := mesh.Dims{Nx: 64, Ny: 64, Nz: 4}
 	if testing.Short() {
@@ -99,16 +103,22 @@ func BenchmarkKernelFlatEngine(b *testing.B) {
 	opts := DefaultOptions(2)
 	opts.MemWords = WordsPerZ(opts.BufferReuse)*d.Nz + FixedWords
 	benchBothPaths(b, func(b *testing.B) {
-		var res *Result
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var err error
-			res, err = RunFlat(m, fl, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+				opts := opts
+				opts.Workers = workers
+				var res *Result
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					var err error
+					res, err = RunFlatParallel(m, fl, opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				b.ReportMetric(res.HostThroughput()/1e6, "Mcells/s")
+			})
 		}
-		b.StopTimer()
-		b.ReportMetric(res.HostThroughput()/1e6, "Mcells/s")
 	})
 }

@@ -66,8 +66,7 @@ type ItemReport struct {
 	MaxSeconds float64 `json:"max_seconds"`
 }
 
-// Report is an open-loop run's outcome — the load block of BENCH_serve.json
-// and the fvload report body.
+// Report is an open-loop run's outcome — the fvload report body.
 type Report struct {
 	// Requests, RatePerSec and Seed echo the arrival process.
 	Requests   int     `json:"requests"`

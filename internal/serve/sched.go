@@ -12,8 +12,9 @@ import (
 // deterministic tie-break (arrival order) so replays are stable.
 
 // rungIterationFactor is the preconditioner ladder's relative Krylov
-// iteration cost (jacobi ≡ 1), from the recorded BENCH_usolve.json
-// iteration counts (1365 → 795 / 369 / 147 on the 15360-cell sweep). It
+// iteration cost (jacobi ≡ 1): the iteration counts pinned by umesh's
+// TestPrecondLadderRecordedIterationCounts (1365 → 795 / 369 / 147 on the
+// 15360-cell mesh) as ratios, which TestRungIterationFactor checks. It
 // shapes the static cost prior; observed solves refine it away.
 func rungIterationFactor(precond string) float64 {
 	switch precond {
@@ -29,9 +30,8 @@ func rungIterationFactor(precond string) float64 {
 }
 
 // priorSecondsPerCellFactor converts the static cost shape (cells × rung
-// iteration factor) into a seconds prior before any solve has been
-// observed; the recorded host solves the 15360-cell amg scenario in ~26 ms,
-// ≈1.5e-5 s per cell-factor unit.
+// iteration factor) into a seconds prior; the EWMA replaces it after the
+// scenario's first observed solve.
 const priorSecondsPerCellFactor = 1.5e-5
 
 // agingCostPerWaitSecond is the starvation guard: each second a job has

@@ -171,4 +171,17 @@ func TestRungIterationFactor(t *testing.T) {
 	if rungIterationFactor("unknown") != j {
 		t.Error("unknown preconditioner must get the jacobi ceiling")
 	}
+	// The factors are the pinned ladder of umesh's
+	// TestPrecondLadderRecordedIterationCounts over its jacobi count, to two
+	// decimals: move one and the other must follow.
+	const jacobiIterations = 1365
+	for _, rung := range []struct {
+		precond    string
+		iterations float64
+	}{{"ssor", 795}, {"chebyshev", 369}, {"amg", 147}} {
+		want := math.Round(100*rung.iterations/jacobiIterations) / 100
+		if got := rungIterationFactor(rung.precond); got != want {
+			t.Errorf("%s factor %g, the pinned ladder gives %g/%d = %g", rung.precond, got, rung.iterations, jacobiIterations, want)
+		}
+	}
 }

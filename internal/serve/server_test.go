@@ -253,6 +253,27 @@ func TestSolveBitIdenticalToOneShot(t *testing.T) {
 	}
 }
 
+// TestServeRecordPressureHashReproduces pins the end-to-end fixed point of
+// the serving path: a one-shot solve of the default scenario (15360 cells,
+// 8 parts, AMG at tolerance 1e-2, one step) hashes to this constant, so a
+// change to any float on the AMG path fails here.
+func TestServeRecordPressureHashReproduces(t *testing.T) {
+	const want = "00cc00684ec1d57875f417c0ca01e3f396bf407a112b3792271bca91ab4955b5"
+	// The hash is an amd64 value: the umesh float64 kernels carry no
+	// explicit anti-FMA roundings, so an architecture that contracts a·b + c
+	// into one rounding produces a different (equally valid) field.
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("pressure_sha256 was recorded on amd64, this is %s", runtime.GOARCH)
+	}
+	res, err := OneShot(SolveRequest{Scenario: Scenario{Parts: 8, Precond: "amg", Tol: 1e-2}, Steps: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := PressureHash(res.Pressure); got != want {
+		t.Errorf("default scenario hashes to %s, want %s", got, want)
+	}
+}
+
 // TestSolveReturnPressure pins the optional full-field response: the
 // returned slice hashes to the advertised SHA-256.
 func TestSolveReturnPressure(t *testing.T) {
@@ -477,6 +498,9 @@ func TestConcurrentSameScenario(t *testing.T) {
 	}
 	if st.Solves > st.Completed {
 		t.Errorf("more solves (%d) than completed requests (%d)", st.Solves, st.Completed)
+	}
+	if st.SchedDecisions == 0 {
+		t.Error("engine-bound load recorded no scheduler decisions")
 	}
 }
 

@@ -97,7 +97,7 @@ type Stats struct {
 }
 
 // StatsSnapshot is the JSON form of the counters — the /v1/stats response
-// body and the block BENCH_serve.json embeds.
+// body.
 type StatsSnapshot struct {
 	Requests         uint64 `json:"requests"`
 	Admitted         uint64 `json:"admitted"`

@@ -203,38 +203,50 @@ func TestPartEngineSteadyStateExchangeAllocFree(t *testing.T) {
 
 func TestPartEngineCommCounters(t *testing.T) {
 	// Halo words and messages must equal the partition's static plan sizes
-	// times the application count — the §4 communication volume accounting.
+	// times the application count — the §4 communication volume accounting:
+	// nothing at one part, and more cut faces at every bisection level.
 	u, err := NewRadialMesh(DefaultRadialOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := RCB(u, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const apps = 5
-	e, err := NewPartEngine(u, part, physics.DefaultFluid(), EngineOptions{Apps: apps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	res, err := e.Run(enginePressure(u))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wantWords, wantMsgs uint64
-	for me := 0; me < part.NumParts; me++ {
-		wantWords += uint64(part.HaloCells(me))
-		wantMsgs += uint64(len(part.recvPlan[me]))
-	}
-	wantWords *= apps
-	wantMsgs *= apps
-	if res.Comm.HaloWords != wantWords || res.Comm.Messages != wantMsgs {
-		t.Errorf("comm counters {words %d, msgs %d}, want {%d, %d}",
-			res.Comm.HaloWords, res.Comm.Messages, wantWords, wantMsgs)
-	}
-	if res.NumParts != part.NumParts || res.Apps != apps || res.NumCells != u.NumCells {
-		t.Errorf("result echo wrong: %+v", res)
+	var prevWords uint64
+	for levels := 0; levels <= 2; levels++ {
+		part, err := RCB(u, levels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewPartEngine(u, part, physics.DefaultFluid(), EngineOptions{Apps: apps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Run(enginePressure(u))
+		e.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wantWords, wantMsgs uint64
+		for me := 0; me < part.NumParts; me++ {
+			wantWords += uint64(part.HaloCells(me))
+			wantMsgs += uint64(len(part.recvPlan[me]))
+		}
+		wantWords *= apps
+		wantMsgs *= apps
+		if res.Comm.HaloWords != wantWords || res.Comm.Messages != wantMsgs {
+			t.Errorf("parts=%d: comm counters {words %d, msgs %d}, want {%d, %d}",
+				part.NumParts, res.Comm.HaloWords, res.Comm.Messages, wantWords, wantMsgs)
+		}
+		if levels == 0 && (res.Comm.HaloWords != 0 || res.Comm.Messages != 0) {
+			t.Errorf("1-part run reports communication: %+v", res.Comm)
+		}
+		if levels > 0 && res.Comm.HaloWords <= prevWords {
+			t.Errorf("halo words did not grow with parts: %d at %d parts, %d at half as many",
+				res.Comm.HaloWords, part.NumParts, prevWords)
+		}
+		prevWords = res.Comm.HaloWords
+		if res.NumParts != part.NumParts || res.Apps != apps || res.NumCells != u.NumCells {
+			t.Errorf("result echo wrong: %+v", res)
+		}
 	}
 }
 
@@ -281,8 +293,7 @@ func benchRadial(b testing.TB) *Mesh {
 }
 
 // BenchmarkUmeshEngineStep measures one steady-state application of the
-// partitioned engine (4 parts) — the per-application cost the scaling
-// experiment sweeps.
+// partitioned engine (4 parts), against BenchmarkUmeshSerialSweep.
 func BenchmarkUmeshEngineStep(b *testing.B) {
 	u := benchRadial(b)
 	part, err := RCB(u, 2)

@@ -83,6 +83,19 @@ func TestTransientPartitionedGoldenAgainstSerial(t *testing.T) {
 			if got.OperatorApplications == 0 {
 				t.Errorf("parts=%d workers=%d: no partitioned operator applications recorded", part.NumParts, workers)
 			}
+			// The part-resident guarantee at the level of a whole run: one
+			// scatter and one gather per time step, a populated phase
+			// breakdown, and halo traffic exactly when there is a neighbor.
+			if got.Scatters != opts.Steps || got.Gathers != opts.Steps {
+				t.Errorf("parts=%d workers=%d: %d scatters / %d gathers for %d steps, want %d each",
+					part.NumParts, workers, got.Scatters, got.Gathers, opts.Steps, opts.Steps)
+			}
+			if got.Phase.Total() <= 0 {
+				t.Errorf("parts=%d workers=%d: no per-phase time recorded: %+v", part.NumParts, workers, got.Phase)
+			}
+			if split := part.NumParts > 1; (got.Comm.HaloWords != 0) != split || (got.Comm.Messages != 0) != split {
+				t.Errorf("parts=%d workers=%d: halo traffic %+v", part.NumParts, workers, got.Comm)
+			}
 		}
 	}
 }
@@ -180,8 +193,9 @@ func TestTransientValidation(t *testing.T) {
 	}
 }
 
-// BenchmarkUsolveStep measures one partitioned implicit step (4 parts) — the
-// per-step cost the usolve scaling experiment sweeps.
+// BenchmarkUsolveStep measures one partitioned implicit step (4 parts,
+// NumCPU workers), compile included; -cpu 1,2 runs that pool on one and two
+// Ps — the unstructured side of the second-core measurement.
 func BenchmarkUsolveStep(b *testing.B) {
 	u := benchRadial(b)
 	part, err := RCB(u, 2)

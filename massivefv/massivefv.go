@@ -180,24 +180,6 @@ var (
 	RunTable4 = bench.RunTable4
 	// RunFig8 regenerates both roofline panels.
 	RunFig8 = bench.RunFig8
-	// RunStrongScaling sweeps the sharded flat engine over worker counts.
-	RunStrongScaling = bench.RunStrongScaling
-	// RunUmeshScaling sweeps the partitioned unstructured engine over RCB
-	// part counts against the serial cell-based baseline.
-	RunUmeshScaling = bench.RunUmeshScaling
-)
-
-// Strong-scaling experiment types (the multi-core host sweep).
-type (
-	// ScalingConfig sizes the strong-scaling sweep.
-	ScalingConfig = bench.ScalingConfig
-	// StrongScaling is the sweep outcome (renders and serializes to JSON).
-	StrongScaling = bench.StrongScaling
-	// UmeshScalingConfig sizes the unstructured scaling experiment.
-	UmeshScalingConfig = bench.UmeshScalingConfig
-	// UmeshScaling is its outcome (renders and serializes to JSON — the
-	// BENCH_umesh.json baseline).
-	UmeshScaling = bench.UmeshScaling
 )
 
 type interiorErr struct{}

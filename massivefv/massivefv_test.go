@@ -123,13 +123,3 @@ func TestParallelFacadeBitIdentical(t *testing.T) {
 		}
 	}
 }
-
-func TestStrongScalingFacade(t *testing.T) {
-	s, err := RunStrongScaling(ScalingConfig{Dims: Dims{Nx: 8, Ny: 8, Nz: 2}, Apps: 1, Workers: []int{1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.BitIdentical || len(s.Points) != 2 {
-		t.Errorf("facade sweep wrong: %+v", s)
-	}
-}
