@@ -17,12 +17,27 @@ build:
 	$(GO) build ./...
 
 # Cross-compile for arm64, where Go may contract x*y + z into a fused
-# multiply-add: the dsd kernels forbid that with explicit float32(...)
-# roundings, and this keeps that code (and everything else) building and
-# vetting on the architecture where the contract matters.
+# multiply-add: the structured engines forbid that with explicit float32(...)
+# / float64(...) roundings, so their residual bits hold on any GOARCH. There
+# is no arm64 hardware here, so the assembly is the test: the build fails
+# when internal/dsd or internal/core, or one of the functions that produce
+# the engines' inputs (the pressure perturbation, the linearized-density
+# constants), compiles to a fused multiply-add or -subtract. (FNMULD, a
+# negated product, rounds once and is fine.)
+FMA_FUNCS = mesh\.Perturb(Pressure|Delta|Column)32|physics\.(\(\*Fluid\)|Fluid)\.(LinearCoefficients|Constants32)
 cross-arm64:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/dsd/ ./internal/core/
+	@set -e; \
+	asm() { GOARCH=arm64 $(GO) build -gcflags=-S "$$1" 2>&1 | awk -v funcs="$$2" \
+	  '/ STEXT /{fn=$$1} /\tFN?M(ADD|SUB)[SD]\t/ && fn ~ funcs {print fn ": " $$0; bad=1} / STEXT /{seen=1} END{if(!seen){print "no assembly listed"; exit 2}; exit bad}'; }; \
+	for pkg in ./internal/dsd/ ./internal/core/; do \
+	  asm $$pkg '.' || { echo "cross-arm64: $$pkg contracts a product into a fused multiply-add on arm64 (or listed nothing)"; exit 1; }; \
+	done; \
+	for pkg in ./internal/mesh/ ./internal/physics/; do \
+	  asm $$pkg '$(FMA_FUNCS)' || { echo "cross-arm64: an engine-input function of $$pkg contracts into a fused multiply-add on arm64 (or listed nothing)"; exit 1; }; \
+	done; \
+	echo "cross-arm64: no FMADD/FMSUB/FNMADD/FNMSUB in internal/dsd, internal/core, mesh.Perturb*32, physics LinearCoefficients/Constants32"
 
 test:
 	$(GO) test ./...
@@ -38,13 +53,17 @@ race:
 # and gave back 40 lines, but the packed row store they read — its two record
 # types, the builder and the run compiler, with the comments that say who may
 # read it — is 140 lines that did not exist, and the hoisted usePre loop is
-# spelled twice). Lower SIZE_CEILING when a PR shrinks the
+# spelled twice; 4896 at PR 21: solver.DataflowOperator now owns a compiled
+# core.Engine — compile on first Apply, load + apply + gather per call, Close,
+# the oracle path on a shallow mesh copy — where it used to be one RunFlat
+# call per Apply around a swap of m.Pressure: 35 lines of lifecycle that buy a
+# 3× faster dataflow CG and a mesh nobody writes). Lower SIZE_CEILING when a PR shrinks the
 # pair; a PR that must raise it says why. SERVE_CEILING does the same for
 # internal/serve, the serving core ROADMAP's state-machine item tracks (2050
 # at PR 16, 2044 at PR 17), and BENCH_CEILING for internal/bench, which holds
 # the paper's tables, Fig. 8 and the ablations and nothing that times this
 # host (2695 at PR 19 with the five wall-clock sweeps, 956 at PR 20 without).
-SIZE_CEILING = 4861
+SIZE_CEILING = 4896
 SERVE_CEILING = 2044
 BENCH_CEILING = 956
 size:
@@ -63,24 +82,42 @@ size:
 	echo "size: internal/bench = $$bench non-test lines (ceiling $(BENCH_CEILING))"; \
 	if [ $$bench -gt $(BENCH_CEILING) ]; then echo "size: over the ceiling"; exit 1; fi
 
-# Bounds-check ratchet on the per-iteration kernels: internal/umesh/kernels.go
-# holds the row sweep and every shard kernel, each written so its element loop
-# indexes equal-length windows and carries no check. The compiler's
-# check_bce pass reports what is left, and the count is pinned: the neighbor
-# gathers (x[li] of a packed row ×4, of a general face ×1, and a general row's
-# CSR slice and fused-dot operand), and per run, per block or per call one
-# reslice per operand stream plus the block-table and resident-vector lookups
-# around it. A site added inside an element loop raises the count and fails
-# here; lower BCE_SITES when a PR removes one.
-BCE_SITES = 138
+# Bounds-check ratchet on the per-iteration kernels. The compiler's check_bce
+# pass reports every bounds check it could not remove, and the count per
+# kernel file is pinned: a site added inside an element loop raises it and
+# fails here; lower a pin when a PR removes one.
+#   - internal/umesh/kernels.go holds the row sweep and every shard kernel,
+#     each written so its element loop indexes equal-length windows and
+#     carries no check. What is left: the neighbor gathers (x[li] of a packed
+#     row ×4, of a general face ×1, and a general row's CSR slice and
+#     fused-dot operand), and per run, per block or per call one reslice per
+#     operand stream plus the block-table and resident-vector lookups.
+#   - internal/dsd/ops.go is the structured kernel. The element loops of
+#     FluxFace, FluxFaceAcc (both through the inlined fluxElem), AccV and
+#     MovRecv report nothing; the pinned sites are the per-call reslices, the
+#     second operand of the older single-op fast loops, and the strided
+#     fallback loops (three address computations per element by design).
+#   - internal/core/hostload.go is the tile-ordered host loader: its element
+#     loop keeps exactly one check (the column view's [z]; the mesh line is
+#     resliced per plane), the rest is per tile or per PE.
+# The structured kernel's single spelling must also stay inlinable into the
+# two macro-op loops, or each element pays a call.
+BCE_PINS = internal/umesh:kernels.go:138 internal/dsd:ops.go:106 internal/core:hostload.go:20
 bce:
-	@n=$$($(GO) build -gcflags=-d=ssa/check_bce ./internal/umesh/ 2>&1 | grep -c 'kernels\.go.*Found Is\(Slice\)\{0,1\}InBounds'); \
-	echo "bce: internal/umesh/kernels.go reports $$n bounds-check sites (pinned $(BCE_SITES))"; \
-	if [ $$n -eq 0 ]; then echo "bce: nothing reported — the package did not build with check_bce"; exit 1; fi; \
-	if [ $$n -gt $(BCE_SITES) ]; then \
-	  echo "bce: a bounds check came back into a kernel; list them with"; \
-	  echo "  go build -gcflags=-d=ssa/check_bce ./internal/umesh/ 2>&1 | grep kernels.go"; exit 1; \
-	fi
+	@set -e; \
+	for pin in $(BCE_PINS); do \
+	  pkg=$${pin%%:*}; rest=$${pin#*:}; file=$${rest%%:*}; want=$${rest#*:}; \
+	  n=$$($(GO) build -gcflags=-d=ssa/check_bce ./$$pkg/ 2>&1 | grep -c "$$file.*Found Is\(Slice\)\{0,1\}InBounds" || true); \
+	  echo "bce: $$pkg/$$file reports $$n bounds-check sites (pinned $$want)"; \
+	  if [ $$n -eq 0 ]; then echo "bce: nothing reported — the package did not build with check_bce"; exit 1; fi; \
+	  if [ $$n -gt $$want ]; then \
+	    echo "bce: a bounds check came back into a kernel; list them with"; \
+	    echo "  go build -gcflags=-d=ssa/check_bce ./$$pkg/ 2>&1 | grep $$file"; exit 1; \
+	  fi; \
+	done; \
+	$(GO) build -gcflags=-m ./internal/dsd/ 2>&1 | grep -q 'can inline fluxElem' || \
+	  { echo "bce: dsd.fluxElem is over the inlining budget — FluxFace and FluxFaceAcc would call it per element"; exit 1; }; \
+	echo "bce: dsd.fluxElem inlines"
 
 # The repository benchmark (benchmark/, BENCHMARK.json) is its own module, so
 # the root `go build/vet/test ./...` never see it. It drives the stack through
@@ -96,12 +133,15 @@ bench-smoke:
 	@echo "bench-smoke: GOMAXPROCS=$${GOMAXPROCS:-$$(nproc)}"
 	$(GO) test -run '^$$' -bench . -benchtime 1x -short ./...
 
-# The fast-path kernel microbenchmarks (dsd ops, the fused FluxFace kernel
-# against its op-by-op sequence, faceFlux, exchange, whole engine) once each — CI's guarantee that they keep compiling and running.
-# Drop -benchtime/-short for a real measurement.
+# The structured-kernel microbenchmarks (dsd ops, the fused FluxFace /
+# FluxFaceAcc kernels against their op-by-op sequence, faceFlux, exchange,
+# whole engine, the engine's compile / load-pressure / apply / gather stages,
+# and a dataflow-operator CG solve beside one bare application) once each —
+# CI's guarantee that they keep compiling and running. Drop -benchtime/-short
+# for a real measurement.
 bench-kernel:
 	@echo "bench-kernel: GOMAXPROCS=$${GOMAXPROCS:-$$(nproc)}"
-	$(GO) test -run '^$$' -bench BenchmarkKernel -benchtime 1x -short ./internal/dsd/ ./internal/core/
+	$(GO) test -run '^$$' -bench BenchmarkKernel -benchtime 1x -short ./internal/dsd/ ./internal/core/ ./internal/solver/
 
 # The partitioned unstructured engine microbenchmarks (engine step vs serial
 # sweep) once each — CI's guarantee that they keep compiling and running.
@@ -128,14 +168,16 @@ chaos-smoke:
 	$(GO) test -race -run TestChaos -count=1 ./internal/faultinject/
 
 # Short native-fuzz exploration of the RCB partitioner, the radial mesh
-# builder, the part operator's row store and the serving layer's request
-# decoder (the seed corpora already run under plain `make test`). -fuzz
-# accepts one target per invocation, hence four runs.
+# builder, the part operator's row store, the serving layer's request
+# decoder and the fused flux-and-accumulate macro-op (the seed corpora
+# already run under plain `make test`). -fuzz accepts one target per
+# invocation, hence five runs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPartition$$' -fuzztime 10s ./internal/umesh/
 	$(GO) test -run '^$$' -fuzz '^FuzzRadialMesh$$' -fuzztime 10s ./internal/umesh/
 	$(GO) test -run '^$$' -fuzz '^FuzzRowStore$$' -fuzztime 10s ./internal/umesh/
 	$(GO) test -run '^$$' -fuzz '^FuzzSolveRequest$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzFluxFaceAcc$$' -fuzztime 10s ./internal/dsd/
 
 # Per-package coverage gate over the solver-path packages. Floors are pinned
 # a few points under the measured numbers so genuine regressions fail while

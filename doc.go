@@ -24,9 +24,14 @@
 // allocation-free halo exchange, and communication counters, bit-identical
 // to the serial cell-based sweep (massivefv.RunUnstructured).
 //
+// The two flat entries are one engine, core.Engine, in the paper's execution
+// model: Compile once (arena, PE layout, static columns, worker pool), then
+// LoadPressure, Apply(n) and Residual on data that stays on the PEs.
+//
 // The §8 matrix-free Krylov extension runs on both mesh families. On the
 // structured mesh, solver.DataflowOperator applies the pressure matrix
-// through the dataflow kernel. On the unstructured mesh, umesh.PartOperator
+// through the dataflow kernel, on an engine it keeps for the whole solve
+// (one load and one application per iteration). On the unstructured mesh, umesh.PartOperator
 // implements solver.ProgramSpace, so CG/BiCGStab run part-resident: the
 // whole Krylov working set lives in each part's compact layout for the
 // entire solve (one scatter in, one gather out), and the recurrence runs as
@@ -67,16 +72,19 @@
 //
 // Performance: the engines execute through a fast path that stays
 // bit-identical (residuals and counters) to the op-by-op code — the 14-FLOP
-// face kernel as one fused single-pass macro-op (dsd.Engine.FluxFace, every
+// face kernel as one fused single-pass macro-op (dsd.Engine.FluxFace, and
+// FluxFaceAcc, which also assembles the residual from the register; every
 // product explicitly rounded so no target contracts it into an FMA),
 // stride-1 specialized vector ops iterating over reslices with the bounds
 // check hoisted out of the loop, deferred per-op counter tallies folded into
 // the full accounting at summarize time, per-PE memories allocated as one
-// zeroed-once arena per shard (dsd.NewArena), and a zero-allocation halo
-// exchange through persistent per-PE send buffers.
+// zeroed-once, footprint-sized arena per shard (dsd.NewSizedArena), host
+// loads that walk the mesh a cache line at a time, and a zero-allocation
+// halo exchange through persistent per-PE send buffers.
 // `make bench-kernel` runs the layer-by-layer microbenchmarks
-// (BenchmarkKernel* in internal/dsd and internal/core, fast path against the
-// op-by-op oracle). See the README's Performance section.
+// (BenchmarkKernel* in internal/dsd, internal/core and internal/solver: the
+// fast path against the op-by-op oracle, the engine's four stages, a
+// dataflow-operator CG solve). See the README's Performance section.
 //
 // The root package carries the module documentation and the benchmark suite
 // (bench_test.go) that regenerates every table and figure of the paper's

@@ -33,6 +33,7 @@ func main() {
 
 	// The matrix-free operator is the dataflow flux kernel itself.
 	op := solver.NewDataflowOperator(sys, fl)
+	defer op.Close()
 	if err := op.Verify(); err != nil {
 		log.Fatal(err)
 	}

@@ -11,24 +11,29 @@ import (
 
 // BenchmarkKernel* covers the engine hot path above the dsd ops: the 14-FLOP
 // faceFlux kernel, the zero-allocation halo exchange, a full per-PE local
-// application, and the whole flat engine on the scaling workload's shape.
-// Each reports both op paths so the fast-path win is visible per layer.
+// application, the whole flat engine on the scaling workload's shape, and
+// the engine's four stages on the repository benchmark's mesh. Each reports
+// both op paths so the fast-path win is visible per layer.
 
-// benchStates builds the PE states of a small mesh with the default options.
+// benchStates compiles a small mesh with the default options, loads its
+// pressure field and returns the engine's PE states.
 func benchStates(b *testing.B, d mesh.Dims, apps int) ([]peState, *mesh.Mesh, Options) {
 	b.Helper()
 	m, err := mesh.BuildDefault(d)
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := DefaultOptions(apps).withDefaults()
-	opts.MemWords = WordsPerZ(opts.BufferReuse)*d.Nz + FixedWords
-	flLin := physics.DefaultFluid().WithModel(physics.DensityLinear)
-	states := make([]peState, d.Nx*d.Ny)
-	if err := newBandStates(states, m, flLin, 0, d.Ny, opts); err != nil {
+	opts := DefaultOptions(apps)
+	opts.Workers = 1
+	e, err := Compile(m, physics.DefaultFluid(), opts)
+	if err != nil {
 		b.Fatal(err)
 	}
-	return states, m, opts
+	b.Cleanup(e.Close)
+	if err := e.LoadPressure(m.Pressure); err != nil {
+		b.Fatal(err)
+	}
+	return e.states, m, e.opts
 }
 
 func benchBothPaths(b *testing.B, fn func(b *testing.B)) {
@@ -52,7 +57,7 @@ func BenchmarkKernelFaceFlux(b *testing.B) {
 		s := &states[1*m.Dims.Nx+1] // interior PE
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.faceFlux(s.fbuf[mesh.West], s.trans[mesh.West], s.p, s.gz, s.nbrP[0], s.nbrGz[0])
+			s.computeFace(mesh.West)
 		}
 	})
 }
@@ -119,6 +124,65 @@ func BenchmarkKernelFlatEngine(b *testing.B) {
 				b.StopTimer()
 				b.ReportMetric(res.HostThroughput()/1e6, "Mcells/s")
 			})
+		}
+	})
+}
+
+// BenchmarkKernelEngineStages sizes the four stages of a flat-engine run on
+// the repository benchmark's flux-structured mesh (24×24×246; shrunk under
+// -short): compile (arena, layout, static columns), load-pressure (own
+// columns, ghosts, mirrors), apply (one application, perturbation included)
+// and gather (the residual back in mesh layout). One flux-structured op is
+// compile + load-pressure + 8 × apply + gather.
+func BenchmarkKernelEngineStages(b *testing.B) {
+	d := mesh.Dims{Nx: 24, Ny: 24, Nz: 246}
+	if testing.Short() {
+		d = mesh.Dims{Nx: 6, Ny: 6, Nz: 16}
+	}
+	m, err := mesh.BuildDefault(d)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fl := physics.DefaultFluid()
+	opts := DefaultOptions(1)
+	opts.Workers = 1
+	compile := func(b *testing.B) *Engine {
+		e, err := Compile(m, fl, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return e
+	}
+	b.Run("compile", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			compile(b).Close()
+		}
+	})
+	e := compile(b)
+	defer e.Close()
+	b.Run("load-pressure", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := e.LoadPressure(m.Pressure); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("apply", func(b *testing.B) {
+		if err := e.LoadPressure(m.Pressure); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		if err := e.Apply(b.N); err != nil {
+			b.Fatal(err)
+		}
+	})
+	b.Run("gather", func(b *testing.B) {
+		dst := make([]float32, d.Cells())
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := e.Residual(dst); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

@@ -157,17 +157,19 @@ func RunFabric(m *mesh.Mesh, fl physics.Fluid, opts Options) (*Result, error) {
 	flLin := fl.WithModel(physics.DensityLinear)
 	states := make([]peState, nx*ny)
 	send := make([]float32, len(states)*2*nz)
-	stage := make([]float32, nz)
 	err = fab.ForEachPE(func(pe *fabric.PE) error {
 		if err := installRoutes(pe, opts.Diagonals); err != nil {
 			return err
 		}
 		i := pe.Y*nx + pe.X
-		return states[i].setup(pe.Eng, m, flLin, pe.X, pe.Y, opts, send[i*2*nz:(i+1)*2*nz], stage)
+		return states[i].layout(pe.Eng, m.Dims, flLin, pe.X, pe.Y, opts, send[i*2*nz:(i+1)*2*nz])
 	})
 	if err != nil {
 		return nil, err
 	}
+	// Host load: the whole grid is one band of the flat engine's loaders.
+	loadStatic(states, m, flLin, opts)
+	loadPressure(states, m.Pressure)
 
 	start := time.Now()
 	err = fab.Run(func(pe *fabric.PE) error {
@@ -178,7 +180,7 @@ func RunFabric(m *mesh.Mesh, fl physics.Fluid, opts Options) (*Result, error) {
 		return nil, err
 	}
 
-	res := summarize("fabric", states, m, opts, elapsed)
+	res := summarize("fabric", states, m.Dims, opts, elapsed)
 	tot := fab.Totals()
 	res.FabricTotals = &tot
 	if tot.DroppedAtStop != 0 {
@@ -229,7 +231,7 @@ func fluxWorker(pe *fabric.PE, s *peState, opts Options) error {
 			return err
 		}
 		if !opts.CommOnly {
-			s.computeXYFace(mesh.Direction(st.dirIdx))
+			s.computeFace(mesh.Direction(st.dirIdx))
 		}
 		st.buf = append(st.buf[:0], st.buf[st.want:]...)
 		st.done = true
@@ -297,7 +299,7 @@ func fluxWorker(pe *fabric.PE, s *peState, opts Options) error {
 				if !opts.Diagonals && d.IsDiagonal() {
 					continue
 				}
-				s.computeXYFace(d)
+				s.computeFace(d)
 			}
 			s.assemble()
 		}

@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
+	"time"
 
-	"repro/internal/dsd"
 	"repro/internal/mesh"
 	"repro/internal/physics"
 )
@@ -12,39 +12,42 @@ import (
 // column, the identical vector-op sequences, but neighbor columns are copied
 // directly from neighbor PE memories instead of traveling as wavelets. It
 // exists to run functional meshes far larger than goroutine-per-PE execution
-// allows, and it is asserted bit-identical to RunFabric. It is the sharded
-// engine with a single band: one worker runs every phase inline on the
+// allows, and it is asserted bit-identical to RunFabric. It is the flat
+// Engine with a single band: one worker runs every phase inline on the
 // calling goroutine, with no barrier.
 func RunFlat(m *mesh.Mesh, fl physics.Fluid, opts Options) (*Result, error) {
 	opts.Workers = 1
 	return runSharded("flat", m, fl, opts)
 }
 
-// newBandStates allocates and loads the PE states of grid rows [y0, y1) —
-// the setup step of one shard of the flat engines (the fluid must already
-// carry the linearized density model). The band's PE memories come from one
-// dsd arena and its engines and send columns from one slice each, so a
-// band's working set is cache-contiguous and its setup costs a handful of
-// allocations instead of several per PE; in the sharded engine each worker
-// allocates its own band.
-func newBandStates(states []peState, m *mesh.Mesh, flLin physics.Fluid, y0, y1 int, opts Options) error {
-	nx, nz := m.Dims.Nx, m.Dims.Nz
-	band := states[y0*nx : y1*nx]
-	mems, err := dsd.NewArena(len(band), opts.MemWords)
+// RunFlatParallel executes the flat dataflow schedule on a sharded worker
+// pool: the PE grid's rows are decomposed into opts.Workers contiguous bands
+// and each band's load, exchange and local-application phases run as one
+// shard of an exec.Pool, with a barrier between the perturbation and
+// exchange phases of every application. The result is bit-identical to
+// RunFlat for every worker count.
+func RunFlatParallel(m *mesh.Mesh, fl physics.Fluid, opts Options) (*Result, error) {
+	return runSharded("flat-parallel", m, fl, opts)
+}
+
+// runSharded is one whole run of the flat engine, reported under the given
+// engine name: compile, load the mesh's pressure field, apply opts.Apps
+// times, summarize. Elapsed is the application loop. The engine lives for
+// the call only — nothing is cached across runs.
+func runSharded(engine string, m *mesh.Mesh, fl physics.Fluid, opts Options) (*Result, error) {
+	e, err := Compile(m, fl, opts)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	engs := make([]dsd.Engine, len(band))
-	send := make([]float32, len(band)*2*nz)
-	stage := make([]float32, nz)
-	for i := range band {
-		engs[i].Mem = &mems[i]
-		err := band[i].setup(&engs[i], m, flLin, i%nx, y0+i/nx, opts, send[i*2*nz:(i+1)*2*nz], stage)
-		if err != nil {
-			return err
-		}
+	defer e.Close()
+	if err := e.LoadPressure(m.Pressure); err != nil {
+		return nil, err
 	}
-	return nil
+	start := time.Now()
+	if err := e.Apply(e.opts.Apps); err != nil {
+		return nil, err
+	}
+	return summarize(engine, e.states, e.dims, e.opts, time.Since(start)), nil
 }
 
 // flatExchange copies the eight in-plane neighbor columns into s's receive

@@ -6,7 +6,8 @@ import (
 )
 
 // This file is the 14-FLOP per-face flux kernel (DESIGN.md §4), plus the
-// vertical faces and the residual assembly. The operation order is identical
+// two engines' ways of applying it to the ten faces and assembling the
+// residual. The operation order is identical
 // in every variant, so all engines produce bit-identical float32 residuals.
 
 // The kernel's intermediates, in production order (DESIGN.md §4).
@@ -86,26 +87,41 @@ func (s *peState) fluxSeq(f, tr, pK, gzK, pL, gzL dsd.Desc, off int) {
 	e.MulVV(f, v[vT1], v[vLam]) // accumulate-store happens at assembly
 }
 
-// computeXYFace evaluates the flux column for one in-plane direction from
-// the received neighbor buffers.
-func (s *peState) computeXYFace(d mesh.Direction) {
-	i := int(d) // in-plane directions are enum values 0..7
-	s.faceFlux(s.fbuf[d], s.trans[d], s.p, s.gz, s.nbrP[i], s.nbrGz[i])
+// faceNeighbor returns the neighbor-side (pL, gzL) views of direction d. An
+// in-plane neighbor is the received column. The z±1 neighbors live in the
+// same PE memory (§5.2c): shifted views over the padded own columns stand in
+// for them, and no fabric traffic occurs — which is why Table 4 counts no
+// FMOV for the vertical faces.
+func (s *peState) faceNeighbor(d mesh.Direction) (pL, gzL dsd.Desc) {
+	switch d {
+	case mesh.Up:
+		return s.p.Shift(1), s.gz.Shift(1)
+	case mesh.Down:
+		return s.p.Shift(-1), s.gz.Shift(-1)
+	}
+	return s.nbrP[d], s.nbrGz[d] // in-plane directions are enum values 0..7
 }
 
-// computeVerticalFaces evaluates the Up and Down flux columns. The z±1
-// neighbors live in the same PE memory (§5.2c): shifted views over the
-// padded columns stand in for the neighbor data, and no fabric traffic
-// occurs — which is why Table 4 counts no FMOV for them.
-func (s *peState) computeVerticalFaces() {
-	up := 1
-	s.faceFlux(s.fbuf[mesh.Up], s.trans[mesh.Up], s.p, s.gz, s.p.Shift(up), s.gz.Shift(up))
-	s.faceFlux(s.fbuf[mesh.Down], s.trans[mesh.Down], s.p, s.gz, s.p.Shift(-up), s.gz.Shift(-up))
+// computeFace evaluates the flux column of direction d into fbuf[d].
+func (s *peState) computeFace(d mesh.Direction) {
+	pL, gzL := s.faceNeighbor(d)
+	s.faceFlux(s.fbuf[d], s.trans[d], s.p, s.gz, pL, gzL)
 }
+
+// The fabric engine's application, in three pieces: it computes the vertical
+// faces while columns are in flight and each in-plane face as its column
+// arrives (§5.3.2), so the order of computation depends on communication
+// timing and the flux columns wait in fbuf for the fixed-order assembly.
 
 // beginApplication zeroes the residual (Algorithm 1's rflux := 0).
 func (s *peState) beginApplication() {
 	s.eng.Fill(s.res, 0)
+}
+
+// computeVerticalFaces evaluates the Up and Down flux columns.
+func (s *peState) computeVerticalFaces() {
+	s.computeFace(mesh.Up)
+	s.computeFace(mesh.Down)
 }
 
 // assemble accumulates the ten face-flux columns into the residual in the
@@ -120,18 +136,24 @@ func (s *peState) assemble() {
 	}
 }
 
-// runLocalApplication performs the compute-only portion of one application:
-// vertical faces plus any already-received in-plane faces are the engine
-// driver's responsibility; this helper exists for the flat engine, which has
-// all neighbor data in place before computing.
+// runLocalApplication is the flat engine's application: all neighbor data is
+// in place before it computes, so it takes the faces in assembly order and
+// adds each one's flux to the residual as it is produced (dsd.FluxFaceAcc) —
+// the same accumulation order as compute-everything-then-assemble, without
+// the round trip through fbuf. A face the macro-op declines (fast path off;
+// the scalar ablation, whose issue counts are per element) is evaluated into
+// fbuf[d] and accumulated from there.
 func (s *peState) runLocalApplication() {
 	s.beginApplication()
-	for _, d := range xyDirections {
+	for _, d := range assemblyOrder {
 		if !s.opts.Diagonals && d.IsDiagonal() {
 			continue
 		}
-		s.computeXYFace(d)
+		pL, gzL := s.faceNeighbor(d)
+		if s.opts.Vectorized && s.eng.FluxFaceAcc(s.res, s.fbuf[d], s.trans[d], s.p, s.gz, pL, gzL, s.consts) {
+			continue
+		}
+		s.faceFlux(s.fbuf[d], s.trans[d], s.p, s.gz, pL, gzL)
+		s.eng.AccV(s.res, s.fbuf[d])
 	}
-	s.computeVerticalFaces()
-	s.assemble()
 }

@@ -13,11 +13,13 @@
 //   - the fabric engine (RunFabric) runs goroutine-per-PE on the
 //     internal/fabric simulator with real wavelet traffic — the functional
 //     twin of the CSL implementation, and the independent oracle;
-//   - the flat engine executes the identical per-PE op sequences without
-//     wavelets, for large functional meshes: the PE grid is decomposed into
-//     contiguous row bands executed on a worker pool, with a barrier per
-//     phase so halo reads never race with writes (RunFlatParallel). RunFlat
-//     is the same engine with a single band, run inline on the caller.
+//   - the flat engine (Engine: Compile, LoadPressure, Apply, Residual)
+//     executes the identical per-PE op sequences without wavelets, for large
+//     functional meshes and for callers that apply the kernel many times:
+//     the PE grid is decomposed into contiguous row bands executed on a
+//     worker pool, with a barrier per phase so halo reads never race with
+//     writes. RunFlatParallel is one compile + load + apply; RunFlat is the
+//     same with a single band, run inline on the caller.
 //
 // All produce bit-identical residuals and identical counters; tests assert
 // it.

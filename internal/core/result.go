@@ -104,14 +104,7 @@ func interiorPE(d mesh.Dims) (x, y int, ok bool) {
 // gatherResidual copies per-PE residual columns into mesh layout.
 func gatherResidual(states []peState, d mesh.Dims) []float32 {
 	out := make([]float32, d.Cells())
-	col := make([]float32, d.Nz)
-	for i := range states {
-		s := &states[i]
-		s.eng.Mem.ReadInto(col, s.res)
-		for z, v := range col {
-			out[(z*d.Ny+s.y)*d.Nx+s.x] = v
-		}
-	}
+	storeField(states, out, (*peState).residual)
 	return out
 }
 
@@ -120,26 +113,24 @@ func gatherResidual(states []peState, d mesh.Dims) []float32 {
 // in any engine-dependent completion order — so the accounting a Result
 // reports is identical no matter which goroutine, worker or shard finished
 // first.
-func summarize(engine string, states []peState, m *mesh.Mesh, opts Options, elapsed time.Duration) *Result {
+func summarize(engine string, states []peState, d mesh.Dims, opts Options, elapsed time.Duration) *Result {
 	res := &Result{
 		Engine:   engine,
-		Dims:     m.Dims,
+		Dims:     d,
 		Apps:     opts.Apps,
-		Residual: gatherResidual(states, m.Dims),
+		Residual: gatherResidual(states, d),
 		Elapsed:  elapsed,
 	}
 	// The per-op tallies deferred during the run are folded into the full
 	// Counters accounting here, once per PE, instead of field-by-field in the
 	// op hot loops.
-	for y := 0; y < m.Dims.Ny; y++ {
-		for x := 0; x < m.Dims.Nx; x++ {
-			states[y*m.Dims.Nx+x].eng.AddCounters(&res.Counters)
-		}
+	for i := range states {
+		states[i].eng.AddCounters(&res.Counters)
 	}
-	if x, y, ok := interiorPE(m.Dims); ok {
-		s := &states[y*m.Dims.Nx+x]
+	if x, y, ok := interiorPE(d); ok {
+		s := &states[y*d.Nx+x]
 		sc := s.eng.Counters()
-		res.Interior = perCellFromCounters(&sc, opts.Apps, m.Dims.Nz)
+		res.Interior = perCellFromCounters(&sc, opts.Apps, d.Nz)
 		res.MemStats = s.eng.Mem.Stats()
 	} else if len(states) > 0 {
 		res.MemStats = states[0].eng.Mem.Stats()

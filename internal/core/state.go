@@ -20,9 +20,16 @@ import (
 //	nbrP/nbrGz[8] — receive buffers for the eight in-plane neighbors
 //	fbuf[10]      — per-face flux columns (assembled in fixed order)
 //	scratch       — kernel intermediates: 5 buffers with reuse (§5.3.1),
-//	                13 without (allocated for the footprint in every run, but
-//	                written only when the kernel executes op by op — the
-//	                fused dsd.FluxFace keeps the intermediates in registers)
+//	                13 without
+//
+// fbuf and scratch are what the CSL kernel needs, so every run allocates
+// them and the footprint model counts them; how much of them a run writes
+// depends on the engine. The fused dsd.FluxFace keeps the intermediates in
+// registers, so scratch is written only when the kernel executes op by op;
+// the flat engine's dsd.FluxFaceAcc also adds each flux to the residual from
+// the register, so there fbuf too is footprint-only unless a face falls back.
+// The fabric engine computes faces in arrival order and assembles them in
+// the fixed order afterwards, so it stores every flux column in fbuf.
 //
 // With buffer reuse the footprint is 44·Nz+4 words; the CS-2's 12288-word
 // PEs therefore hold at most Nz = 279, and without reuse only Nz = 236 —
@@ -48,9 +55,9 @@ type peState struct {
 	scratch [scratchNaive]dsd.Desc
 
 	// sendBuf is the host-side copy of the own body columns in send order:
-	// the Nz pressure words followed by the Nz gravity words. Setup and
-	// perturb write the columns here first and copy them into PE memory, so
-	// halo exchange never allocates; neighbors read it directly.
+	// the Nz pressure words followed by the Nz gravity words. The host
+	// loaders and perturb write the columns here first and copy them into PE
+	// memory, so halo exchange never allocates; neighbors read it directly.
 	sendBuf []float32
 
 	hasNbr [8]bool // in-plane mesh adjacency
@@ -77,12 +84,11 @@ func WordsPerZ(bufferReuse bool) int {
 // FixedWords is the Z-independent part of the footprint (the pad cells).
 const FixedWords = 4
 
-// setup allocates and loads one PE's state from the mesh. The engine's
+// layout allocates one PE's descriptors and binds its send column; it reads
+// nothing from the mesh (the band-wide loaders below do). The engine's
 // memory must be freshly allocated (descriptors are laid out from offset 0).
-// sendBuf is the PE's 2·Nz-word send column and stage an Nz-word staging
-// column the caller may share between PEs it sets up one after another.
-func (s *peState) setup(eng *dsd.Engine, m *mesh.Mesh, fl physics.Fluid, x, y int, opts Options, sendBuf, stage []float32) error {
-	nz := m.Dims.Nz
+func (s *peState) layout(eng *dsd.Engine, dims mesh.Dims, fl physics.Fluid, x, y int, opts Options, sendBuf []float32) error {
+	nz := dims.Nz
 	c := fl.Constants32()
 	*s = peState{
 		eng:     eng,
@@ -91,7 +97,7 @@ func (s *peState) setup(eng *dsd.Engine, m *mesh.Mesh, fl physics.Fluid, x, y in
 		x:       x,
 		y:       y,
 		nz:      nz,
-		dims:    m.Dims,
+		dims:    dims,
 		sendBuf: sendBuf,
 	}
 	mem := eng.Mem
@@ -145,41 +151,10 @@ func (s *peState) setup(eng *dsd.Engine, m *mesh.Mesh, fl physics.Fluid, x, y in
 		}
 		s.scratch[v] = bufs[slot]
 	}
-
-	// Host load (H2D): own columns, transmissibilities, adjacency. A PE's
-	// cells are one mesh column: every Nx·Ny-th entry from (x, y).
-	first, step := s.globalIndex(0), m.Dims.Nx*m.Dims.Ny
-	pCol, gzCol := sendBuf[:nz], sendBuf[nz:]
-	g := fl.Gravity
-	for z := range pCol {
-		idx := first + z*step
-		pCol[z] = float32(m.Pressure[idx])
-		gzCol[z] = float32(g * m.Elev[idx])
-	}
-	s.hostWrite(s.p, pCol)
-	s.hostWrite(s.gz, gzCol)
-	for _, d := range mesh.AllDirections {
-		if !opts.Diagonals && d.IsDiagonal() {
-			continue // Υ stays 0: diagonal faces contribute nothing
-		}
-		tr := m.Trans[d]
-		for z := range stage {
-			stage[z] = float32(tr[first+z*step])
-		}
-		s.hostWrite(s.trans[d], stage)
-	}
-	s.refreshGhosts()
 	for i, d := range xyDirections {
 		dx, dy, _ := d.Offset()
 		nx, ny := x+dx, y+dy
-		s.hasNbr[i] = nx >= 0 && nx < m.Dims.Nx && ny >= 0 && ny < m.Dims.Ny
-		if !s.hasNbr[i] {
-			// Mirror own data into missing-neighbor buffers: with Υ = 0 on
-			// boundary faces the values are inert, and mirroring keeps every
-			// intermediate finite.
-			s.hostWrite(s.nbrP[i], pCol)
-			s.hostWrite(s.nbrGz[i], gzCol)
-		}
+		s.hasNbr[i] = nx >= 0 && nx < dims.Nx && ny >= 0 && ny < dims.Ny
 	}
 	return nil
 }
@@ -192,6 +167,9 @@ func (s *peState) hostWrite(d dsd.Desc, src []float32) {
 		panic(err)
 	}
 }
+
+// residual is the host's view of the PE's residual column.
+func (s *peState) residual() []float32 { return s.eng.Mem.HostView(s.res) }
 
 // globalIndex maps the PE's z-th cell to the mesh's linear index.
 func (s *peState) globalIndex(z int) int {
@@ -217,11 +195,7 @@ func (s *peState) refreshGhosts() {
 // equal and the buffer stays valid for every neighbor that reads it.
 func (s *peState) perturb(app int) {
 	p := s.sendBuf[:s.nz]
-	idx, step := s.globalIndex(0), s.dims.Nx*s.dims.Ny
-	for z := range p {
-		p[z] += mesh.PerturbDelta32(app, idx, PerturbAmplitude)
-		idx += step
-	}
+	mesh.PerturbColumn32(p, app, s.globalIndex(0), s.dims.Nx*s.dims.Ny, PerturbAmplitude)
 	s.hostWrite(s.p, p)
 	s.refreshGhosts()
 }

@@ -124,13 +124,15 @@ func BenchmarkKernelMovRecv(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelFluxFace measures the 14-op face kernel at the paper's
-// column depth, fused (one FluxFace pass) against the op-by-op sequence it
-// replaces on the hot path. MB/s counts output elements (4 bytes each), so
-// Melem/s is MB/s ÷ 4.
+// BenchmarkKernelFluxFace measures one face of the residual at the paper's
+// column depth — the 14-op kernel plus its accumulation — three ways: the
+// flat engine's single FluxFaceAcc pass, the fabric engine's FluxFace into
+// the flux column then AccV, and the op-by-op sequence then AccV both fall
+// back to. MB/s counts output elements (4 bytes each), so Melem/s is
+// MB/s ÷ 4.
 func BenchmarkKernelFluxFace(b *testing.B) {
 	const n = 246
-	for _, variant := range []string{"fused", "sequence"} {
+	for _, variant := range []string{"fused-acc", "fused", "sequence"} {
 		b.Run(fmt.Sprintf("n=%d/%s", n, variant), func(b *testing.B) {
 			c := newFaceColumns(b, n)
 			w := c.e.Mem.words
@@ -142,11 +144,16 @@ func BenchmarkKernelFluxFace(b *testing.B) {
 			b.SetBytes(4 * n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if variant == "fused" {
+				switch variant {
+				case "fused-acc":
+					c.e.FluxFaceAcc(c.res, c.f, c.tr, c.p, c.gz, c.nbrP, c.nbrGz, testConsts)
+					continue
+				case "fused":
 					c.e.FluxFace(c.f, c.tr, c.p, c.gz, c.nbrP, c.nbrGz, testConsts)
-				} else {
+				default:
 					fluxSequence(c.e, c.f, c.tr, c.p, c.gz, c.nbrP, c.nbrGz, testConsts, c.scratch)
 				}
+				c.e.AccV(c.res, c.f)
 			}
 		})
 	}

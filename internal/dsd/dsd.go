@@ -62,11 +62,14 @@ func (d Desc) Shift(off int) Desc {
 // Stats exposes the high-water mark so the buffer-reuse ablation can compare
 // peak footprints.
 type Memory struct {
-	words  []float32
-	brk    int
-	high   int
-	reused int
-	allocs int
+	words []float32
+	// capacity is the budget Alloc enforces and Stats reports; words may be
+	// shorter when the arena was sized to a known footprint (NewSizedArena).
+	capacity int
+	brk      int
+	high     int
+	reused   int
+	allocs   int
 	// spans records the bump allocator's block layout (for Free validation)
 	// as runs of equal-length blocks: a PE's dozens of Nz-word columns are
 	// one span, so recording an allocation is a counter increment.
@@ -100,25 +103,41 @@ const arenaSpans = 4
 // The slab is zeroed exactly once, by its allocation — Alloc relies on fresh
 // words being zero.
 func NewArena(n, capacityWords int) ([]Memory, error) {
+	return NewSizedArena(n, capacityWords, capacityWords)
+}
+
+// NewSizedArena is NewArena for a caller that knows the exact footprint of
+// the layout it is about to allocate: every memory enforces and reports
+// capacityWords, but only min(capacityWords, footprintWords) words of it are
+// backed, so the slab holds no word the layout never reaches (and the
+// memories do not sit a power-of-two-ish 48 KiB apart, aliasing each other's
+// cache sets). A footprint over the capacity fails in Alloc with the usual
+// out-of-memory error; one that understates the layout fails there too.
+func NewSizedArena(n, capacityWords, footprintWords int) ([]Memory, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("dsd: arena must hold at least one memory, got %d", n)
 	}
 	if capacityWords <= 0 {
 		return nil, fmt.Errorf("dsd: memory capacity must be positive, got %d", capacityWords)
 	}
-	slab := make([]float32, n*capacityWords)
+	if footprintWords <= 0 {
+		return nil, fmt.Errorf("dsd: arena footprint must be positive, got %d", footprintWords)
+	}
+	backed := min(capacityWords, footprintWords)
+	slab := make([]float32, n*backed)
 	spans := make([]span, n*arenaSpans)
 	mems := make([]Memory, n)
 	for i := range mems {
-		w, s := i*capacityWords, i*arenaSpans
-		mems[i].words = slab[w : w+capacityWords : w+capacityWords]
+		w, s := i*backed, i*arenaSpans
+		mems[i].words = slab[w : w+backed : w+backed]
+		mems[i].capacity = capacityWords
 		mems[i].spans = spans[s : s : s+arenaSpans]
 	}
 	return mems, nil
 }
 
 // Capacity returns the memory size in words.
-func (m *Memory) Capacity() int { return len(m.words) }
+func (m *Memory) Capacity() int { return m.capacity }
 
 // Alloc reserves a contiguous block of n words and returns a unit-stride
 // descriptor. Freed blocks of the same length are reused first.
@@ -134,8 +153,11 @@ func (m *Memory) Alloc(n int) (Desc, error) {
 		clear(m.words[base : base+n])
 		return Desc{Base: base, Len: n, Stride: 1}, nil
 	}
+	if m.brk+n > m.capacity {
+		return Desc{}, fmt.Errorf("dsd: out of PE memory: need %d words, %d of %d used", n, m.brk, m.capacity)
+	}
 	if m.brk+n > len(m.words) {
-		return Desc{}, fmt.Errorf("dsd: out of PE memory: need %d words, %d of %d used", n, m.brk, len(m.words))
+		return Desc{}, fmt.Errorf("dsd: allocation of %d words at %d runs past the %d-word footprint this arena backs", n, m.brk, len(m.words))
 	}
 	base := m.brk
 	m.brk += n
@@ -185,7 +207,7 @@ type Stats struct {
 // Stats returns the allocator statistics.
 func (m *Memory) Stats() Stats {
 	return Stats{
-		CapacityWords:  len(m.words),
+		CapacityWords:  m.capacity,
 		HighWaterWords: m.high,
 		Allocs:         m.allocs,
 		ReusedAllocs:   m.reused,
@@ -198,6 +220,17 @@ func (m *Memory) Load(d Desc, i int) float32 { return m.words[d.At(i)] }
 // StoreHost writes element i of descriptor d (host/debug access, uncounted —
 // the host runtime's memcpy analog).
 func (m *Memory) StoreHost(d Desc, i int, v float32) { m.words[d.At(i)] = v }
+
+// HostView returns the words of a unit-stride descriptor as a slice aliasing
+// the PE memory (host access, uncounted): the host loaders stream whole
+// columns through it instead of paying a call per element.
+func (m *Memory) HostView(d Desc) []float32 {
+	if d.Stride != 1 {
+		panic(fmt.Sprintf("dsd: HostView of a stride-%d descriptor", d.Stride))
+	}
+	m.check(d)
+	return m.words[d.Base : d.Base+d.Len : d.Base+d.Len]
+}
 
 // ReadAll copies descriptor d into a fresh slice (host readback).
 func (m *Memory) ReadAll(d Desc) []float32 {

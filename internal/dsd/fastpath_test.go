@@ -1,6 +1,7 @@
 package dsd
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -187,6 +188,78 @@ func TestNewArena(t *testing.T) {
 		if _, err := NewArena(bad[0], bad[1]); err == nil {
 			t.Errorf("NewArena(%d, %d) accepted", bad[0], bad[1])
 		}
+	}
+}
+
+func TestSizedArenaBacksOnlyTheFootprint(t *testing.T) {
+	const n, capacity, footprint = 3, 64, 40
+	mems, err := NewSizedArena(n, capacity, footprint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range mems {
+		m := &mems[i]
+		if m.Capacity() != capacity || m.Stats().CapacityWords != capacity {
+			t.Fatalf("memory %d reports capacity %d / %d, want the budget %d", i, m.Capacity(), m.Stats().CapacityWords, capacity)
+		}
+		if len(m.words) != footprint {
+			t.Fatalf("memory %d backs %d words, want the footprint %d", i, len(m.words), footprint)
+		}
+		d, err := m.Alloc(footprint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		view := m.HostView(d)
+		view[footprint-1] = float32(i + 1)
+		if _, err := m.Alloc(1); err == nil || !strings.Contains(err.Error(), "footprint") {
+			t.Fatalf("memory %d: allocation past the backed words: err = %v", i, err)
+		}
+	}
+	for i := range mems { // disjoint: each kept its own last word
+		if v := mems[i].words[footprint-1]; v != float32(i+1) {
+			t.Errorf("memory %d last word = %g, want %d", i, v, i+1)
+		}
+	}
+	// A footprint over the budget is an out-of-memory error at the budget,
+	// exactly as in a fully backed memory.
+	mems, err = NewSizedArena(1, 16, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mems[0].Alloc(17); err == nil || !strings.Contains(err.Error(), "out of PE memory: need 17 words, 0 of 16 used") {
+		t.Fatalf("over-budget allocation: err = %v", err)
+	}
+	if _, err := NewSizedArena(1, 16, 0); err == nil {
+		t.Error("NewSizedArena accepted an empty footprint")
+	}
+}
+
+func TestHostViewAliasesUnitStrideColumns(t *testing.T) {
+	m := newMem(t, 32)
+	blk, err := m.Alloc(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := m.HostView(blk.MustSlice(4, 8))
+	if len(view) != 8 || cap(view) != 8 {
+		t.Fatalf("view has len %d cap %d, want 8 and 8", len(view), cap(view))
+	}
+	view[0] = 7
+	if got := m.Load(blk, 4); got != 7 {
+		t.Fatalf("a write through the view did not reach the memory: word = %g", got)
+	}
+	for name, bad := range map[string]Desc{
+		"strided":       {Base: blk.Base, Len: 4, Stride: 2},
+		"out of bounds": {Base: 30, Len: 4, Stride: 1},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "dsd: ") {
+					t.Errorf("HostView of a %s descriptor: panic = %q, want a dsd: panic", name, msg)
+				}
+			}()
+			m.HostView(bad)
+		}()
 	}
 }
 

@@ -37,7 +37,7 @@ type faceColumns struct {
 	pPad, gzPad Desc
 	p, gz       Desc
 	nbrP, nbrGz Desc
-	tr, f       Desc
+	tr, f, res  Desc
 	scratch     [5]Desc
 }
 
@@ -57,7 +57,7 @@ func newFaceColumns(t testing.TB, n int) *faceColumns {
 	c := &faceColumns{e: NewEngine(m)}
 	c.pPad, c.gzPad = alloc(n+2), alloc(n+2)
 	c.p, c.gz = c.pPad.MustSlice(1, n), c.gzPad.MustSlice(1, n)
-	c.nbrP, c.nbrGz, c.tr, c.f = alloc(n), alloc(n), alloc(n), alloc(n)
+	c.nbrP, c.nbrGz, c.tr, c.f, c.res = alloc(n), alloc(n), alloc(n), alloc(n), alloc(n)
 	for i := range c.scratch {
 		c.scratch[i] = alloc(n)
 	}
@@ -221,5 +221,165 @@ func TestFluxFaceDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("FluxFace allocates %.0f times per call, want 0", allocs)
+	}
+}
+
+// accShape names the operand shapes FuzzFluxFaceAcc draws: the eligible ones
+// (in-plane and the two vertical faces, whose neighbor views overlap the own
+// columns) and every way an operand can make the macro-op decline.
+const (
+	shapeInPlane = iota
+	shapeUp
+	shapeDown
+	shapeStridedInput
+	shapeStridedRes
+	shapeResOverlapsInput
+	shapeFluxOverlapsInput
+	shapeResIsFlux
+	shapeFastPathOff
+	numAccShapes
+)
+
+// accOperands returns the eight descriptors of one FluxFaceAcc call over
+// the layout c for the given shape; m ≤ n/2 elements, so that the stride-2
+// views stay inside their n-word columns.
+func accOperands(c *faceColumns, shape, m int) (res, f, tr, pK, gzK, pL, gzL Desc) {
+	cut := func(d Desc) Desc { return d.MustSlice(0, m) }
+	res, f, tr, pK, gzK, pL, gzL = cut(c.res), cut(c.f), cut(c.tr), cut(c.p), cut(c.gz), cut(c.nbrP), cut(c.nbrGz)
+	switch shape {
+	case shapeUp:
+		pL, gzL = pK.Shift(1), gzK.Shift(1)
+	case shapeDown:
+		pL, gzL = pK.Shift(-1), gzK.Shift(-1)
+	case shapeStridedInput:
+		pL.Stride = 2
+	case shapeStridedRes:
+		res.Stride = 2
+	case shapeResOverlapsInput: // partly for m > 1, exactly for m = 1
+		res = pK.Shift(m / 2)
+	case shapeFluxOverlapsInput:
+		f = gzK.Shift(m / 2)
+	case shapeResIsFlux:
+		res = f
+	}
+	return
+}
+
+// FuzzFluxFaceAcc holds the fused flux-and-accumulate macro-op to its
+// op-by-op spelling — FluxFace (or, where that declines, the 14-op sequence)
+// into f, then AccV(res, f) — on random columns salted with special values
+// and zero transmissibilities (fluxes of either zero sign): where it runs,
+// res and the counters are those of the oracle and nothing but res is
+// written; where it declines it has done nothing, and the caller's fallback
+// is the oracle itself.
+func FuzzFluxFaceAcc(f *testing.F) {
+	for shape := 0; shape < numAccShapes; shape++ {
+		f.Add(uint64(shape)*0x9e37+1, uint8(7+shape), uint8(shape))
+	}
+	f.Add(uint64(21), uint8(123), uint8(shapeInPlane))
+	f.Add(uint64(22), uint8(1), uint8(shapeUp))
+	f.Fuzz(func(t *testing.T, seed uint64, size, shapeByte uint8) {
+		m, shape := int(size)%123+1, int(shapeByte)%numAccShapes
+		n := 2 * m
+		rng := rand.New(rand.NewPCG(seed, 0xacc))
+		fused, oracle := newFaceColumns(t, n), newFaceColumns(t, n)
+		w := fused.e.Mem.words
+		drawColumn(rng, w[fused.pPad.Base:fused.pPad.Base+n+2], 2e7, 1e6)
+		drawColumn(rng, w[fused.gzPad.Base:fused.gzPad.Base+n+2], -15000, 500)
+		drawColumn(rng, w[fused.nbrP.Base:fused.nbrP.Base+n], 2e7, 1e6)
+		drawColumn(rng, w[fused.nbrGz.Base:fused.nbrGz.Base+n], -15000, 500)
+		drawColumn(rng, w[fused.tr.Base:fused.tr.Base+n], 1e-12, 1e-12)
+		drawColumn(rng, w[fused.res.Base:fused.res.Base+n], 0, 1e-3) // a residual part-way through assembly
+		for i := 0; i < n; i += 3 {
+			w[fused.tr.Base+i] = specials[rng.IntN(2)] // Υ = ±0: a boundary face
+		}
+		for i := range w[fused.f.Base : fused.f.Base+n] { // stale flux content
+			w[fused.f.Base+i] = 99
+		}
+		copy(oracle.e.Mem.words, w)
+		before := append([]float32(nil), w...)
+
+		if shape == shapeFastPathOff {
+			defer SetFastPath(SetFastPath(false))
+		}
+		spell := func(c *faceColumns) {
+			res, f, tr, pK, gzK, pL, gzL := accOperands(c, shape, m)
+			if !c.e.FluxFace(f, tr, pK, gzK, pL, gzL, testConsts) {
+				var sc [5]Desc
+				for i := range sc {
+					sc[i] = c.scratch[i].MustSlice(0, m)
+				}
+				fluxSequence(c.e, f, tr, pK, gzK, pL, gzL, testConsts, sc)
+			}
+			c.e.AccV(res, f)
+		}
+		spell(oracle)
+
+		res, fd, tr, pK, gzK, pL, gzL := accOperands(fused, shape, m)
+		ran := fused.e.FluxFaceAcc(res, fd, tr, pK, gzK, pL, gzL, testConsts)
+		if want := shape <= shapeDown; ran != want {
+			t.Fatalf("shape %d: FluxFaceAcc ran = %v, want %v", shape, ran, want)
+		}
+		if !ran {
+			if fused.e.Counters() != (Counters{}) {
+				t.Fatalf("shape %d: a declined FluxFaceAcc bumped the counters", shape)
+			}
+			for i, v := range w {
+				if !sameBits(v, before[i]) {
+					t.Fatalf("shape %d: a declined FluxFaceAcc wrote word %d", shape, i)
+				}
+			}
+			spell(fused)
+		}
+		for i, v := range w {
+			inF := ran && i >= fd.Base && i < fd.Base+m
+			want := oracle.e.Mem.words[i]
+			if inF {
+				want = before[i] // the fused op never touches f
+			}
+			if !sameBits(v, want) {
+				t.Fatalf("shape %d m=%d: word %d = %g (%#08x), want %g (%#08x)", shape, m, i,
+					v, math.Float32bits(v), want, math.Float32bits(want))
+			}
+		}
+		if fc, oc := fused.e.Counters(), oracle.e.Counters(); fc != oc {
+			t.Fatalf("shape %d: counters diverged:\nfused  %+v\noracle %+v", shape, fc, oc)
+		}
+	})
+}
+
+func TestFluxFaceAccPanicsLikeTheOps(t *testing.T) {
+	c := newFaceColumns(t, 8)
+	oob := Desc{Base: c.e.Mem.Capacity() - 4, Len: 8, Stride: 1}
+	for _, tc := range []struct {
+		name, want  string
+		res, f, gzL Desc
+	}{
+		{"residual length mismatch", "dsd: descriptor length mismatch", c.res.MustSlice(0, 4), c.f, c.nbrGz},
+		{"flux length mismatch", "dsd: descriptor length mismatch", c.res, c.f.MustSlice(2, 5), c.nbrGz},
+		{"input length mismatch", "dsd: descriptor length mismatch", c.res, c.f, c.nbrGz.MustSlice(0, 7)},
+		{"residual out of bounds", "out of memory bounds", oob, c.f, c.nbrGz},
+		{"flux out of bounds", "out of memory bounds", c.res, oob, c.nbrGz},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				r := recover()
+				msg, _ := r.(string)
+				if !strings.HasPrefix(msg, "dsd: ") || !strings.Contains(msg, tc.want) {
+					t.Fatalf("panic = %v, want a dsd: panic containing %q", r, tc.want)
+				}
+			}()
+			c.e.FluxFaceAcc(tc.res, tc.f, c.tr, c.p, c.gz, c.nbrP, tc.gzL, testConsts)
+		})
+	}
+}
+
+func TestFluxFaceAccDoesNotAllocate(t *testing.T) {
+	c := newFaceColumns(t, 246)
+	allocs := testing.AllocsPerRun(100, func() {
+		c.e.FluxFaceAcc(c.res, c.f, c.tr, c.p, c.gz, c.nbrP, c.nbrGz, testConsts)
+	})
+	if allocs != 0 {
+		t.Errorf("FluxFaceAcc allocates %.0f times per call, want 0", allocs)
 	}
 }

@@ -394,60 +394,69 @@ type FluxConsts struct {
 	AHat, CHat, NegC, InvMu float32
 }
 
-// FluxFace is the 14-FLOP TPFA face kernel as one macro-op: it computes
-// f = tr · λ_upw · ΔΦ from the own columns (pK, gzK) and the neighbor columns
-// (pL, gzL) by streaming every element through exactly the op sequence
+// fluxElem is the 14-op TPFA face kernel on one element, in registers:
 //
 //	SubVV SubVV MulVS MulVS AddVV FmaVSS MulVV NegV SubVV SelGtV SubVS MulVS MulVV MulVV
 //
-// in registers — 6 loads and 1 store per element instead of 27 and 14 — and
-// accounts for it as those 14 issues over Len elements, so counters and every
-// float32 result bit equal the op-by-op execution. Each product is rounded
-// through an explicit float32 conversion, which forbids contraction into a
-// fused multiply-add the separate ops would not perform. The intermediates
-// never reach memory: a kernel's scratch buffers stay allocated (footprint
-// and HighWaterWords are those of the op-by-op kernel) but are not written.
-//
-// It reports false, having done nothing, when the operands do not qualify —
-// a non-unit-stride descriptor, f overlapping an input (the sequence reads
-// every input before it stores f), or the fast path switched off — and the
-// caller then issues the sequence op by op. The inputs may overlap each other
-// (the vertical faces pass Shift(±1) views of one padded column). Mismatched
-// lengths and out-of-bounds descriptors panic like any other op.
-func (e *Engine) FluxFace(f, tr, pK, gzK, pL, gzL Desc, c FluxConsts) bool {
-	sameLen3(f, tr, pK)
-	sameLen4(f, gzK, pL, gzL)
-	n, size := f.Len, len(e.Mem.words)
-	if !fastPath || n <= 0 || !(inUnit(f, size) && inUnit(tr, size) && inUnit(pK, size) &&
-		inUnit(gzK, size) && inUnit(pL, size) && inUnit(gzL, size)) {
-		e.Mem.check(f, tr, pK, gzK, pL, gzL)
-		return false
+// Each product is rounded through an explicit float32 conversion, which
+// forbids contraction into a fused multiply-add the separate ops would not
+// perform. It is the one spelling both macro-ops below stream their columns
+// through; the temporaries are few because it must stay under the compiler's
+// inlining budget (`make bce` checks that it does).
+func fluxElem(tr, pk, gk, pl, gl float32, c FluxConsts) float32 {
+	rK := float32(pk * c.AHat)              // MulVS
+	rL := float32(pl * c.AHat)              // MulVS
+	avg := float32(0.5*(rK+rL)) + c.CHat    // AddVV, FmaVSS
+	dphi := pl - pk - -float32(avg*(gl-gk)) // SubVV; SubVV, MulVV, NegV; SubVV
+	if dphi > 0 {                           // SelGtV: rL becomes the upwinded â·p
+		rL = rK
 	}
-	if overlap(f, tr) || overlap(f, pK) || overlap(f, gzK) || overlap(f, pL) || overlap(f, gzL) {
-		return false
-	}
-	// Every view is resliced to len(fo), which lets the compiler drop the
-	// per-element bounds checks.
-	w := e.Mem.words
-	fo := w[f.Base : f.Base+n]
-	tv, pk, gk := w[tr.Base:][:len(fo)], w[pK.Base:][:len(fo)], w[gzK.Base:][:len(fo)]
-	pl, gl := w[pL.Base:][:len(fo)], w[gzL.Base:][:len(fo)]
-	for i := range fo {
-		dp := pl[i] - pk[i]                  // SubVV
-		dgz := gl[i] - gk[i]                 // SubVV
-		rK := float32(pk[i] * c.AHat)        // MulVS
-		rL := float32(pl[i] * c.AHat)        // MulVS
-		avg := float32(0.5*(rK+rL)) + c.CHat // AddVV, FmaVSS
-		ng := -float32(avg * dgz)            // MulVV, NegV
-		dphi := dp - ng                      // SubVV
-		rup := rL                            // SelGtV
-		if dphi > 0 {
-			rup = rK
+	lam := float32((rL - c.NegC) * c.InvMu) // SubVS, MulVS
+	return float32(float32(tr*dphi) * lam)  // MulVV, MulVV
+}
+
+// fusable is the macro-ops' shared gate: it panics like any other op on
+// mismatched lengths or out-of-bounds descriptors, and reports whether the
+// fused single pass may run — the fast path on, every view unit-stride, and
+// no view in out sharing a word with an input or with another of out. The
+// sequence reads every input before it stores, so inputs may overlap each
+// other (the vertical faces pass Shift(±1) views of one padded column), but
+// an output aliasing anything would see the difference.
+func (e *Engine) fusable(out []Desc, in *[5]Desc) bool {
+	n, size := out[0].Len, len(e.Mem.words)
+	unit := fastPath && n > 0
+	for i := range out {
+		if out[i].Len != n {
+			lenMismatch(n, out[i].Len)
 		}
-		lam := float32((rup - c.NegC) * c.InvMu) // SubVS, MulVS
-		t1 := float32(tv[i] * dphi)              // MulVV
-		fo[i] = float32(t1 * lam)                // MulVV
+		unit = unit && inUnit(out[i], size)
 	}
+	for i := range in {
+		if in[i].Len != n {
+			lenMismatch(n, in[i].Len)
+		}
+		unit = unit && inUnit(in[i], size)
+	}
+	if !unit {
+		e.Mem.check(out...)
+		e.Mem.check(in[:]...)
+		return false
+	}
+	for i := range out {
+		for k := range in {
+			if overlap(out[i], in[k]) {
+				return false
+			}
+		}
+		if i > 0 && overlap(out[i], out[0]) {
+			return false
+		}
+	}
+	return true
+}
+
+// countFlux tallies the kernel's 14 issues over n elements.
+func (e *Engine) countFlux(n int) {
 	e.countN(opSubVV, 3, n)
 	e.countN(opMulVS, 3, n)
 	e.countN(opMulVV, 3, n)
@@ -456,6 +465,57 @@ func (e *Engine) FluxFace(f, tr, pK, gzK, pL, gzL Desc, c FluxConsts) bool {
 	e.countN(opNegV, 1, n)
 	e.countN(opSelGtV, 1, n)
 	e.countN(opSubVS, 1, n)
+}
+
+// FluxFace is the 14-FLOP TPFA face kernel as one macro-op: it computes
+// f = tr · λ_upw · ΔΦ from the own columns (pK, gzK) and the neighbor columns
+// (pL, gzL) by streaming every element through fluxElem — 6 loads and 1 store
+// per element instead of 27 and 14 — and accounts for it as those 14 issues
+// over Len elements, so counters and every float32 result bit equal the
+// op-by-op execution. The intermediates never reach memory: a kernel's
+// scratch buffers stay allocated (footprint and HighWaterWords are those of
+// the op-by-op kernel) but are not written.
+//
+// It reports false, having done nothing, when the operands do not qualify
+// (see fusable) and the caller then issues the sequence op by op.
+func (e *Engine) FluxFace(f, tr, pK, gzK, pL, gzL Desc, c FluxConsts) bool {
+	if !e.fusable([]Desc{f}, &[5]Desc{tr, pK, gzK, pL, gzL}) {
+		return false
+	}
+	// Every view is resliced to len(fo), which lets the compiler drop the
+	// per-element bounds checks.
+	w, n := e.Mem.words, f.Len
+	fo := w[f.Base : f.Base+n]
+	tv, pk, gk := w[tr.Base:][:len(fo)], w[pK.Base:][:len(fo)], w[gzK.Base:][:len(fo)]
+	pl, gl := w[pL.Base:][:len(fo)], w[gzL.Base:][:len(fo)]
+	for i := range fo {
+		fo[i] = fluxElem(tv[i], pk[i], gk[i], pl[i], gl[i], c)
+	}
+	e.countFlux(n)
+	return true
+}
+
+// FluxFaceAcc is FluxFace followed by AccV(res, f) in one pass: each
+// element's flux is rounded to float32 exactly as FluxFace would store it and
+// added to res straight from the register, so the flux column is neither
+// written nor read back. It is tallied as the same 14 issues plus one AccV,
+// and res ends bit-identical to the two-op spelling; f is left untouched —
+// it is passed so that the op declines and panics on exactly the operands
+// the pair it replaces would, and the caller's fallback (FluxFace or the
+// op-by-op sequence into f, then AccV) is valid whenever this reports false.
+func (e *Engine) FluxFaceAcc(res, f, tr, pK, gzK, pL, gzL Desc, c FluxConsts) bool {
+	if !e.fusable([]Desc{res, f}, &[5]Desc{tr, pK, gzK, pL, gzL}) {
+		return false
+	}
+	w, n := e.Mem.words, res.Len
+	ro := w[res.Base : res.Base+n]
+	tv, pk, gk := w[tr.Base:][:len(ro)], w[pK.Base:][:len(ro)], w[gzK.Base:][:len(ro)]
+	pl, gl := w[pL.Base:][:len(ro)], w[gzL.Base:][:len(ro)]
+	for i := range ro {
+		ro[i] += fluxElem(tv[i], pk[i], gk[i], pl[i], gl[i], c)
+	}
+	e.countFlux(n)
+	e.count(opAccV, n)
 	return true
 }
 
@@ -465,8 +525,8 @@ func (e *Engine) AccV(dst, a Desc) {
 	sameLen2(dst, a)
 	w := e.Mem.words
 	if e.unit2(dst, a) {
-		n := dst.Len
-		d, x := w[dst.Base:dst.Base+n], w[a.Base:a.Base+n]
+		d := w[dst.Base : dst.Base+dst.Len]
+		x := w[a.Base:][:len(d)]
 		for i := range d {
 			d[i] += x[i]
 		}

@@ -248,9 +248,25 @@ func PerturbPressure32(p []float32, app int, amp float32) {
 
 // PerturbDelta32 returns the perturbation for one cell; the distributed
 // engines apply it per Z-column using the global cell index, producing the
-// exact same float32 values as PerturbPressure32 over the whole field.
+// exact same float32 values as PerturbPressure32 over the whole field. Both
+// products of the phase and the amplitude product are rounded explicitly, so
+// a target that may fuse x·y + z (arm64) computes the bits amd64 does — here
+// and in the caller's p += delta once this is inlined.
 func PerturbDelta32(app, cellIndex int, amp float32) float32 {
-	return amp * sin32(0.7*float32(app)+0.001*float32(cellIndex))
+	return float32(amp * sin32(float32(0.7*float32(app))+float32(0.001*float32(cellIndex))))
+}
+
+// PerturbColumn32 applies PerturbDelta32 to one strided column of the field:
+// p[z] is cell first + z·step. It is the per-PE form (a Z column is every
+// Nx·Ny-th cell) with the application's phase term hoisted out of the loop;
+// every element evaluates the same float32 expression as PerturbDelta32.
+func PerturbColumn32(p []float32, app, first, step int, amp float32) {
+	phase := float32(0.7 * float32(app))
+	idx := first
+	for z := range p {
+		p[z] += float32(amp * sin32(phase+float32(0.001*float32(idx))))
+		idx += step
+	}
 }
 
 // sin32 is float32 sine via float64 math (single, shared rounding path).

@@ -135,10 +135,11 @@ func (f Fluid) Mobility(p float64) float64 {
 //	ĉ = ρref·(1 − cf·pref)
 //
 // These are the constants the dataflow kernel bakes into its per-PE state
-// (DESIGN.md §4).
+// (DESIGN.md §4). The product cf·pref is rounded before the subtraction, so a
+// target that may fuse it (arm64's FMSUBD) bakes the same ĉ into every PE.
 func (f Fluid) LinearCoefficients() (aHat, cHat float64) {
 	aHat = f.RhoRef * f.Compressibility
-	cHat = f.RhoRef * (1 - f.Compressibility*f.PRef)
+	cHat = f.RhoRef * (1 - float64(f.Compressibility*f.PRef))
 	return aHat, cHat
 }
 

@@ -97,6 +97,7 @@ func RunTransient(m *mesh.Mesh, fl physics.Fluid, opts Options) (*Result, error)
 	var dfo *solver.DataflowOperator
 	if opts.UseDataflowOperator {
 		dfo = solver.NewDataflowOperator(sys, fl)
+		defer dfo.Close()
 		dfo.Workers = opts.Workers
 		if err := dfo.Verify(); err != nil {
 			return nil, err

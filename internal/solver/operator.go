@@ -114,21 +114,28 @@ func (h *HostOperator) Apply(dst, x []float64) error {
 // DataflowOperator evaluates the flux part of A·x through the paper's own
 // dataflow kernel (§8's matrix-free operator): with compressibility and
 // gravity zeroed the kernel's residual is exactly Σ Υ·(ρref/μ)·(x_L − x_K),
-// linear in x. Each Apply is one engine run over the fabric schedule; the
-// accumulation diagonal is added on the host.
+// linear in x. It owns a compiled core.Engine — the paper's execution model:
+// the static data loaded once, then one kernel application per Apply on PEs
+// that stay resident — and adds the accumulation diagonal on the host. It
+// never writes the system's mesh.
 type DataflowOperator struct {
 	Sys *PressureSystem
-	// UseFabric selects the goroutine-per-PE engine; default is the flat
-	// engine (bit-identical, faster per application).
+	// UseFabric selects the goroutine-per-PE engine, the independent oracle:
+	// one whole RunFabric per Apply. Default is the resident flat engine
+	// (bit-identical, and several times faster per application).
 	UseFabric bool
-	// Workers > 1 runs the flat engine's sharded parallel variant with that
-	// worker count (bit-identical; ignored when UseFabric is set).
+	// Workers > 1 runs the flat engine on that many row bands
+	// (bit-identical; ignored when UseFabric is set). The first Apply
+	// compiles the engine, so set it before then.
 	Workers int
 
 	fluid physics.Fluid
-	// Applications counts engine runs (each one is an operator application
-	// on the wafer — the "1000 applications" pattern of §3).
+	// Applications counts engine applications (each one is an operator
+	// application on the wafer — the "1000 applications" pattern of §3).
 	Applications int
+
+	eng *core.Engine // compiled by the first Apply, from the mesh as it is then
+	res []float32    // the kernel's residual, mesh layout
 }
 
 // NewDataflowOperator builds the matrix-free operator for a system.
@@ -142,42 +149,70 @@ func NewDataflowOperator(sys *PressureSystem, fl physics.Fluid) *DataflowOperato
 // Size implements Operator.
 func (d *DataflowOperator) Size() int { return d.Sys.Mesh.Dims.Cells() }
 
-// Apply computes dst = A·x with one dataflow-engine application.
-func (d *DataflowOperator) Apply(dst, x []float64) error {
-	m := d.Sys.Mesh
-	if len(dst) != len(x) || len(x) != m.Dims.Cells() {
-		return fmt.Errorf("solver: dataflow operator size mismatch")
-	}
-	// The engine consumes the mesh's pressure field: stage x there. The
-	// kernel scales fluxes by λ = ρref/μ; align the fluid so that value is
-	// the frozen mobility.
-	saved := m.Pressure
-	px := make([]float64, len(x))
-	copy(px, x)
-	m.Pressure = px
-	defer func() { m.Pressure = saved }()
-
+// options returns the engine options of one application. The kernel scales
+// fluxes by λ = ρref/μ; the operator's fluid makes that the frozen mobility
+// (see Verify).
+func (d *DataflowOperator) options() core.Options {
 	opts := core.DefaultOptions(1)
 	opts.Diagonals = d.Sys.Faces == refflux.FacesAll
-	run := core.RunFlat
-	switch {
-	case d.UseFabric:
-		run = core.RunFabric
-	case d.Workers > 1:
-		opts.Workers = d.Workers
-		run = core.RunFlatParallel
+	opts.Workers = max(1, d.Workers)
+	return opts
+}
+
+// Apply computes dst = A·x with one dataflow-engine application. In the
+// steady state (flat engine, Workers ≤ 1) it allocates nothing.
+func (d *DataflowOperator) Apply(dst, x []float64) error {
+	if len(dst) != len(x) || len(x) != d.Size() {
+		return fmt.Errorf("solver: dataflow operator size mismatch")
 	}
-	res, err := run(m, d.fluid, opts)
-	if err != nil {
+	if err := d.residual(x); err != nil {
 		return fmt.Errorf("solver: dataflow apply: %w", err)
 	}
 	d.Applications++
 	for i := range dst {
 		// Engine residual is +Σ T·λ·(x_L − x_K); the operator needs
 		// accumulation − flux.
-		dst[i] = d.Sys.Accum[i]*x[i] - float64(res.Residual[i])
+		dst[i] = d.Sys.Accum[i]*x[i] - float64(d.res[i])
 	}
 	return nil
+}
+
+// residual leaves the kernel's residual for pressures x in d.res.
+func (d *DataflowOperator) residual(x []float64) error {
+	if d.UseFabric {
+		// The oracle takes its pressures from a mesh: a shallow copy whose
+		// Pressure is x, so the system's mesh is only read.
+		view := *d.Sys.Mesh
+		view.Pressure = x
+		res, err := core.RunFabric(&view, d.fluid, d.options())
+		if err == nil {
+			d.res = res.Residual
+		}
+		return err
+	}
+	if d.eng == nil {
+		eng, err := core.Compile(d.Sys.Mesh, d.fluid, d.options())
+		if err != nil {
+			return err
+		}
+		d.eng, d.res = eng, make([]float32, len(x))
+	}
+	if err := d.eng.LoadPressure(x); err != nil {
+		return err
+	}
+	if err := d.eng.Apply(1); err != nil {
+		return err
+	}
+	return d.eng.Residual(d.res)
+}
+
+// Close releases the compiled engine and its workers. The operator stays
+// usable: the next Apply compiles a fresh one.
+func (d *DataflowOperator) Close() {
+	if d.eng != nil {
+		d.eng.Close()
+		d.eng = nil
+	}
 }
 
 // Verify checks the frozen-mobility alignment: the operator's fluid must

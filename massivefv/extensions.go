@@ -44,7 +44,8 @@ func NewPressureSystem(m *Mesh, fl Fluid, dt float64) (*PressureSystem, error) {
 }
 
 // NewDataflowOperator wraps the dataflow flux kernel as the system's linear
-// operator (§8).
+// operator (§8). It holds a compiled engine from its first Apply on; Close
+// releases it.
 func NewDataflowOperator(sys *PressureSystem, fl Fluid) *solver.DataflowOperator {
 	return solver.NewDataflowOperator(sys, fl)
 }
@@ -53,6 +54,7 @@ func NewDataflowOperator(sys *PressureSystem, fl Fluid) *solver.DataflowOperator
 // through the dataflow operator and returns the pressure update.
 func SolveCG(sys *PressureSystem, fl Fluid, b []float64, opts SolverOptions) ([]float64, *SolverStats, error) {
 	op := solver.NewDataflowOperator(sys, fl)
+	defer op.Close()
 	opts.PrecondDiag = sys.Diagonal()
 	x := make([]float64, op.Size())
 	st, err := solver.CG(op, x, b, opts)
