@@ -8,8 +8,10 @@ GO ?= go
 # multiplexes concurrent requests over those solvers, the open-loop
 # load generator that fires concurrent shot goroutines at it, and the
 # fault-injection package whose chaos suite hammers the serving layer's
-# failure domains (panic recovery, deadlines, forced drains) concurrently.
-RACE_PKGS = ./internal/core/ ./internal/fabric/ ./internal/dsd/ ./internal/exec/ ./internal/umesh/ ./internal/solver/ ./internal/serve/ ./internal/loadgen/ ./internal/faultinject/
+# failure domains (panic recovery, deadlines, forced drains) concurrently,
+# and the wave extension, whose goroutine-per-PE fabric engine writes shared
+# result slices.
+RACE_PKGS = ./internal/core/ ./internal/fabric/ ./internal/dsd/ ./internal/exec/ ./internal/umesh/ ./internal/solver/ ./internal/serve/ ./internal/loadgen/ ./internal/faultinject/ ./internal/wave/
 
 .PHONY: build cross-arm64 test race size bce bench-selftest bench-smoke bench-kernel bench-umesh bench-usolve chaos-smoke fuzz-smoke cover docs-check vet fmt-check ci
 

@@ -369,27 +369,19 @@ func TestFabricTrafficAccounting(t *testing.T) {
 	cardSends := 2 * cardEdges * words
 	// Forwards: one per (received cardinal column, existing clockwise turn):
 	// count analytically by iterating the mesh.
+	// A column that arrived from a direction is forwarded to the neighbor one
+	// clockwise turn on (§5.2.2): from the west it goes south, and so on.
+	turn := map[mesh.Direction]mesh.Direction{
+		mesh.West: mesh.South, mesh.South: mesh.East, mesh.East: mesh.North, mesh.North: mesh.West,
+	}
+	inside := func(x, y int) bool { return x >= 0 && x < d.Nx && y >= 0 && y < d.Ny }
 	var forwards uint64
 	for y := 0; y < d.Ny; y++ {
 		for x := 0; x < d.Nx; x++ {
-			for _, dir := range cardinalDirs {
+			for _, dir := range mesh.CardinalDirections {
 				dx, dy, _ := dir.Offset()
-				if x+dx < 0 || x+dx >= d.Nx || y+dy < 0 || y+dy >= d.Ny {
-					continue // no column arrives from there
-				}
-				t := portOf(dir).ClockwiseTurn()
-				tx, ty := x, y
-				switch t {
-				case 0: // north
-					ty--
-				case 1: // east
-					tx++
-				case 2: // south
-					ty++
-				case 3: // west
-					tx--
-				}
-				if tx >= 0 && tx < d.Nx && ty >= 0 && ty < d.Ny {
+				tx, ty, _ := turn[dir].Offset()
+				if inside(x+dx, y+dy) && inside(x+tx, y+ty) {
 					forwards += words
 				}
 			}

@@ -2,11 +2,10 @@
 // finite-volume flux computation mapped onto a wafer-scale dataflow fabric
 // (§5). Mesh cell (x, y, z) lives on PE (x, y); the whole Z column occupies
 // the PE's private memory (§5.1, Fig. 4). Each application of Algorithm 1
-// exchanges (pressure, gravity-coefficient) columns with the four cardinal
-// neighbors directly and with the four diagonal neighbors through cardinal
-// intermediaries that turn the data 90° clockwise (§5.2, Fig. 5), then
-// evaluates ten face fluxes per cell with the 14-FLOP vector kernel of
-// DESIGN.md §4 and assembles them into the residual.
+// exchanges (pressure, gravity-coefficient) columns with the eight in-plane
+// neighbors (§5.2, Fig. 5; the scheme is fabric/exchange.go), then evaluates
+// ten face fluxes per cell with the 14-FLOP vector kernel of DESIGN.md §4 and
+// assembles them into the residual.
 //
 // Two engines execute the same schedule:
 //
@@ -30,6 +29,7 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/fabric"
 	"repro/internal/mesh"
 	"repro/internal/physics"
 )
@@ -108,22 +108,10 @@ func (o Options) validate(m *mesh.Mesh, fl physics.Fluid) error {
 // (Pa), identical across all engines and the reference.
 const PerturbAmplitude float32 = 1000.0
 
-// Colors of the static communication scheme. One color per (origin
-// direction, hop kind): cardinal columns arrive directly; diagonal columns
-// arrive via a clockwise-turning intermediary (§5.2.2). The receiver decodes
-// the source corner from the arrival direction alone, so routes never need
-// runtime switching (the switching mechanics themselves live in
-// internal/fabric and are exercised by the Fig. 6 broadcast).
-const (
-	colorCardFromW = 2 + iota // sent eastward; arrives from the west
-	colorCardFromE            // sent westward; arrives from the east
-	colorCardFromN            // sent southward; arrives from the north
-	colorCardFromS            // sent northward; arrives from the south
-	colorDiagFromN            // NW corner data, forwarded south by the north PE
-	colorDiagFromE            // NE corner data, forwarded west by the east PE
-	colorDiagFromS            // SE corner data, forwarded north by the south PE
-	colorDiagFromW            // SW corner data, forwarded east by the west PE
-)
+// exchangeColor is the first of the eight colors of the fabric engine's
+// §5.2 exchange (fabric/exchange.go owns the scheme; 0 and 1 are the Fig. 6
+// broadcast's).
+const exchangeColor fabric.Color = 2
 
 // xyDirections is the fixed processing order of the eight in-plane
 // directions; nbr buffers, flux buffers and the assembly use this order so

@@ -106,13 +106,16 @@ func (pe *PE) SendColumn(c Color, vals []float32) {
 // wavelet.
 var ErrRecvTimeout = errors.New("fabric: receive timed out")
 
-// Recv returns the next wavelet delivered to this PE's ramp.
+// Recv returns the next wavelet delivered to this PE's ramp. A wavelet that
+// is already there is taken without arming the timeout's timer.
 func (pe *PE) Recv() (Wavelet, error) {
 	select {
-	case w, ok := <-pe.rampIn:
-		if !ok {
-			return Wavelet{}, errors.New("fabric: ramp closed")
-		}
+	case w := <-pe.rampIn:
+		return w, nil
+	default:
+	}
+	select {
+	case w := <-pe.rampIn:
 		return w, nil
 	case <-time.After(pe.fab.cfg.RecvTimeout):
 		return Wavelet{}, fmt.Errorf("%w: PE(%d,%d)", ErrRecvTimeout, pe.X, pe.Y)

@@ -311,6 +311,20 @@ func TestRecvTimeout(t *testing.T) {
 	}
 }
 
+// A wavelet already on the ramp is taken without arming the timeout's timer.
+func TestRecvQueuedWaveletAllocatesNothing(t *testing.T) {
+	pe := newFabric(t, 1, 1).PE(0, 0)
+	allocs := testing.AllocsPerRun(100, func() {
+		pe.rampIn <- FromF32(2, 1)
+		if _, err := pe.Recv(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Recv with a queued wavelet allocates %g objects, want 0", allocs)
+	}
+}
+
 func TestPEMemoryIsolated(t *testing.T) {
 	f := newFabric(t, 2, 1)
 	err := f.Run(func(pe *PE) error {

@@ -4,7 +4,8 @@
 // Data moves in 32-bit wavelets tagged with a color; routers forward wavelets
 // according to per-color routing rules with two switch positions that runtime
 // commands can flip (paper Fig. 6). Each PE runs two goroutines: its router
-// and its worker program, connected by the ramp.
+// and its worker program, connected by the ramp. exchange.go holds the §5.2
+// neighborhood exchange the flux and wave engines communicate through.
 package fabric
 
 import (

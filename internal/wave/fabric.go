@@ -6,108 +6,13 @@ import (
 	"repro/internal/fabric"
 )
 
-// The fabric engine: one grid cell per PE, the same cardinal +
-// clockwise-relayed diagonal exchange the flux kernel uses (§5.2), one
-// wavelet per direction per time step. Boundary PEs hold the Dirichlet
-// zero and still broadcast, so interior stencils always see eight values.
+// The fabric engine: one grid cell per PE and the flux kernel's §5.2
+// exchange (fabric/exchange.go) with a one-word payload per time step.
+// Boundary PEs hold the Dirichlet zero and still send, so interior stencils
+// always see eight values.
 
-// Wave colors mirror the flux engine's static scheme: one per arrival
-// direction and hop kind.
-const (
-	wColorCardFromW fabric.Color = 2 + iota
-	wColorCardFromE
-	wColorCardFromN
-	wColorCardFromS
-	wColorDiagFromN
-	wColorDiagFromE
-	wColorDiagFromS
-	wColorDiagFromW
-)
-
-func wCardColor(p fabric.Port) fabric.Color {
-	switch p {
-	case fabric.PortWest:
-		return wColorCardFromW
-	case fabric.PortEast:
-		return wColorCardFromE
-	case fabric.PortNorth:
-		return wColorCardFromN
-	case fabric.PortSouth:
-		return wColorCardFromS
-	default:
-		panic(fmt.Sprintf("wave: no cardinal color for %v", p))
-	}
-}
-
-func wDiagColor(p fabric.Port) fabric.Color {
-	switch p {
-	case fabric.PortNorth:
-		return wColorDiagFromN
-	case fabric.PortEast:
-		return wColorDiagFromE
-	case fabric.PortSouth:
-		return wColorDiagFromS
-	case fabric.PortWest:
-		return wColorDiagFromW
-	default:
-		panic(fmt.Sprintf("wave: no diagonal color for %v", p))
-	}
-}
-
-// neighborSlot maps arrival information to the stencil slot order
-// E, W, N, S, NE, NW, SE, SW used by stencilUpdate's caller.
-const (
-	slotE = iota
-	slotW
-	slotN
-	slotS
-	slotNE
-	slotNW
-	slotSE
-	slotSW
-	numSlots
-)
-
-// cardSlot returns the slot of a cardinal value arriving from port p.
-func cardSlot(p fabric.Port) int {
-	switch p {
-	case fabric.PortEast:
-		return slotE
-	case fabric.PortWest:
-		return slotW
-	case fabric.PortNorth:
-		return slotN
-	case fabric.PortSouth:
-		return slotS
-	default:
-		panic("wave: bad cardinal port")
-	}
-}
-
-// diagSlot returns the slot of a relayed diagonal value arriving from port
-// p (same rotation as the flux engine: from N → NW corner, etc.).
-func diagSlot(p fabric.Port) int {
-	switch p {
-	case fabric.PortNorth:
-		return slotNW
-	case fabric.PortEast:
-		return slotNE
-	case fabric.PortSouth:
-		return slotSE
-	case fabric.PortWest:
-		return slotSW
-	default:
-		panic("wave: bad diagonal port")
-	}
-}
-
-type waveStream struct {
-	slot   int
-	isCard bool
-	port   fabric.Port
-	buf    []float32
-	done   bool
-}
+// exchangeColor is the first of the exchange's eight colors.
+const exchangeColor fabric.Color = 2
 
 // simulateFabric runs the leapfrog on the wavelet fabric.
 func simulateFabric(m *Medium, opts Options) (*Result, error) {
@@ -121,7 +26,7 @@ func simulateFabric(m *Medium, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := fab.ForEachPE(func(pe *fabric.PE) error { return installWaveRoutes(pe) }); err != nil {
+	if err := fab.ForEachPE(func(pe *fabric.PE) error { return fabric.InstallExchange(pe, exchangeColor, true) }); err != nil {
 		return nil, err
 	}
 
@@ -137,67 +42,19 @@ func simulateFabric(m *Medium, opts Options) (*Result, error) {
 		var u, uPrev float32
 		localHist := make([]float32, opts.Steps)
 
-		streams := make(map[fabric.Color]*waveStream)
-		for _, p := range fabric.LinkPorts {
-			if pe.HasNeighbor(p) {
-				streams[wCardColor(p)] = &waveStream{slot: cardSlot(p), isCard: true, port: p}
-			}
-		}
-		for _, p := range fabric.LinkPorts {
-			// The corner behind arrival port p exists iff both p and its
-			// clockwise sibling exist (N→NW needs N and W, E→NE needs E
-			// and N, ...).
-			if pe.HasNeighbor(p) && pe.HasNeighbor(p.ClockwiseTurn()) {
-				streams[wDiagColor(p)] = &waveStream{slot: diagSlot(p), port: p}
-			}
-		}
-
-		var nbr [numSlots]float32
-		process := func(st *waveStream) {
-			v := st.buf[0]
-			st.buf = append(st.buf[:0], st.buf[1:]...) // pop the head
-			if st.isCard {
-				if t := st.port.ClockwiseTurn(); pe.HasNeighbor(t) {
-					pe.Send(fabric.FromF32(wDiagColor(t.Opposite()), v))
-				}
-			}
-			nbr[st.slot] = v
-			st.done = true
+		// Neighbor values by origin; each slot is written once per step, so
+		// the order they arrive in does not matter.
+		var nbr [fabric.NumOrigins]float32
+		ex := fabric.NewExchange(pe, exchangeColor, 1, true)
+		deliver := func(o fabric.Origin, v []float32) error {
+			nbr[o] = v[0]
+			return nil
 		}
 
 		for step := 0; step < opts.Steps; step++ {
-			for _, p := range fabric.LinkPorts {
-				if pe.HasNeighbor(p) {
-					pe.Send(fabric.FromF32(wCardColor(p.Opposite()), u))
-				}
-			}
-			remaining := 0
-			for _, st := range streams {
-				st.done = false
-				if len(st.buf) >= 1 {
-					process(st)
-					continue
-				}
-				remaining++
-			}
-			for remaining > 0 {
-				w, err := pe.Recv()
-				if err != nil {
-					return fmt.Errorf("step %d: %w", step, err)
-				}
-				st, ok := streams[w.Color]
-				if !ok {
-					return fmt.Errorf("wave: PE(%d,%d) unexpected color %d", pe.X, pe.Y, w.Color)
-				}
-				if len(st.buf) >= 2 {
-					return fmt.Errorf("wave: PE(%d,%d) color %d overran two steps", pe.X, pe.Y, w.Color)
-				}
-				st.buf = append(st.buf, w.F32())
-				if st.done {
-					continue
-				}
-				process(st)
-				remaining--
+			ex.Send([]float32{u})
+			if err := ex.Collect(deliver); err != nil {
+				return fmt.Errorf("wave: step %d: %w", step, err)
 			}
 			var uNext float32
 			if interior {
@@ -206,8 +63,8 @@ func simulateFabric(m *Medium, opts Options) (*Result, error) {
 					src = sourceTerm(opts, step)
 				}
 				uNext = stencilUpdate(u, uPrev, a[i], b[i], c[i],
-					nbr[slotE], nbr[slotW], nbr[slotN], nbr[slotS],
-					nbr[slotNE], nbr[slotNW], nbr[slotSE], nbr[slotSW], src)
+					nbr[fabric.FromEast], nbr[fabric.FromWest], nbr[fabric.FromNorth], nbr[fabric.FromSouth],
+					nbr[fabric.FromNorthEast], nbr[fabric.FromNorthWest], nbr[fabric.FromSouthEast], nbr[fabric.FromSouthWest], src)
 				if uNext != uNext {
 					return fmt.Errorf("wave: NaN at PE(%d,%d) step %d", pe.X, pe.Y, step)
 				}
@@ -237,34 +94,4 @@ func simulateFabric(m *Medium, opts Options) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// installWaveRoutes mirrors the flux engine's static routing for the wave
-// colors.
-func installWaveRoutes(pe *fabric.PE) error {
-	for _, p := range fabric.LinkPorts {
-		if !pe.HasNeighbor(p) {
-			continue
-		}
-		if err := pe.Router().SetRoute(wCardColor(p), 0, p, fabric.PortRamp); err != nil {
-			return err
-		}
-		if err := pe.Router().SetRoute(wCardColor(p.Opposite()), 0, fabric.PortRamp, p); err != nil {
-			return err
-		}
-	}
-	for _, ap := range fabric.LinkPorts {
-		c := wDiagColor(ap)
-		if pe.HasNeighbor(ap) {
-			if err := pe.Router().SetRoute(c, 0, ap, fabric.PortRamp); err != nil {
-				return err
-			}
-		}
-		if out := ap.Opposite(); pe.HasNeighbor(out) {
-			if err := pe.Router().SetRoute(c, 0, fabric.PortRamp, out); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

@@ -18,9 +18,9 @@
 //	C = 2·sinθ·cosθ·(v_ξ² − v_η²)
 //
 // The cross term C·∂²xy discretizes on the four diagonal neighbors — the
-// nine-point stencil maps exactly onto the flux kernel's cardinal +
-// clockwise-relayed diagonal exchange. One cell lives on one PE; each time
-// step exchanges a single value per direction.
+// nine-point stencil maps exactly onto the flux kernel's neighborhood
+// exchange (fabric/exchange.go). One cell lives on one PE; each time step
+// exchanges a single value per direction.
 //
 // Two engines share the identical float32 update expression: a serial host
 // engine and a fabric engine on the wavelet simulator; tests assert they are

@@ -1,14 +1,11 @@
 // Package wse describes the wafer-scale machine (the Cerebras CS-2 of the
-// paper's §7.1) and provides the host-runtime primitives — loading data into
-// PE memories, launching a fabric program, and reading results back — that
-// mirror the SDK's memcpy facilities.
+// paper's §7.1): the usable fabric, the PE clock and memory, and the fit
+// checks the performance and roofline models size their meshes with.
 package wse
 
 import (
 	"fmt"
 
-	"repro/internal/dsd"
-	"repro/internal/fabric"
 	"repro/internal/units"
 )
 
@@ -76,40 +73,4 @@ func (s MachineSpec) MaxNz(wordsPerZ, fixedWords int) int {
 		return 0
 	}
 	return avail / wordsPerZ
-}
-
-// Runtime is the host-side view of a fabric: it tracks host↔device traffic
-// so experiments can report (and the paper-style timings exclude) the
-// memcpy cost, mirroring "no computations take place on the Linux machine
-// during the experiments" (§7.1).
-type Runtime struct {
-	Fab *fabric.Fabric
-
-	HostToDeviceBytes uint64
-	DeviceToHostBytes uint64
-}
-
-// NewRuntime wraps a fabric.
-func NewRuntime(f *fabric.Fabric) *Runtime { return &Runtime{Fab: f} }
-
-// LoadColumn copies host data into a PE memory region (H2D memcpy analog).
-func (r *Runtime) LoadColumn(pe *fabric.PE, d dsd.Desc, data []float32) error {
-	if err := pe.Mem.WriteAll(d, data); err != nil {
-		return fmt.Errorf("wse: load to PE(%d,%d): %w", pe.X, pe.Y, err)
-	}
-	r.HostToDeviceBytes += uint64(4 * len(data))
-	return nil
-}
-
-// ReadColumn copies a PE memory region back to the host (D2H analog).
-func (r *Runtime) ReadColumn(pe *fabric.PE, d dsd.Desc) []float32 {
-	out := pe.Mem.ReadAll(d)
-	r.DeviceToHostBytes += uint64(4 * len(out))
-	return out
-}
-
-// Launch runs the program on every PE and waits for completion — the
-// host-side kernel launch.
-func (r *Runtime) Launch(program func(pe *fabric.PE) error) error {
-	return r.Fab.Run(program)
 }

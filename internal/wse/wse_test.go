@@ -1,11 +1,6 @@
 package wse
 
-import (
-	"testing"
-	"time"
-
-	"repro/internal/fabric"
-)
+import "testing"
 
 func TestCS2Spec(t *testing.T) {
 	s := CS2()
@@ -59,57 +54,5 @@ func TestMaxNzReproducesPaperScale(t *testing.T) {
 	}
 	if s.MaxNz(10, s.MemWords()+1) != 0 {
 		t.Error("MaxNz with overhead beyond capacity should be 0")
-	}
-}
-
-func TestRuntimeLoadReadRoundTrip(t *testing.T) {
-	f, err := fabric.New(fabric.Config{Width: 2, Height: 2, RecvTimeout: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt := NewRuntime(f)
-	pe := f.PE(1, 1)
-	d, err := pe.Mem.Alloc(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := []float32{1, 2, 3, 4, 5, 6, 7, 8}
-	if err := rt.LoadColumn(pe, d, data); err != nil {
-		t.Fatal(err)
-	}
-	got := rt.ReadColumn(pe, d)
-	for i := range data {
-		if got[i] != data[i] {
-			t.Fatalf("readback[%d] = %g", i, got[i])
-		}
-	}
-	if rt.HostToDeviceBytes != 32 || rt.DeviceToHostBytes != 32 {
-		t.Errorf("traffic H2D=%d D2H=%d, want 32/32", rt.HostToDeviceBytes, rt.DeviceToHostBytes)
-	}
-}
-
-func TestRuntimeLoadLengthMismatch(t *testing.T) {
-	f, _ := fabric.New(fabric.Config{Width: 1, Height: 1})
-	rt := NewRuntime(f)
-	pe := f.PE(0, 0)
-	d, _ := pe.Mem.Alloc(4)
-	if err := rt.LoadColumn(pe, d, []float32{1, 2}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-}
-
-func TestRuntimeLaunch(t *testing.T) {
-	f, _ := fabric.New(fabric.Config{Width: 2, Height: 1, RecvTimeout: 2 * time.Second})
-	rt := NewRuntime(f)
-	ran := make([]bool, 2)
-	err := rt.Launch(func(pe *fabric.PE) error {
-		ran[pe.X] = true
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ran[0] || !ran[1] {
-		t.Error("launch did not reach all PEs")
 	}
 }
