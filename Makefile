@@ -13,7 +13,7 @@ GO ?= go
 # result slices.
 RACE_PKGS = ./internal/core/ ./internal/fabric/ ./internal/dsd/ ./internal/exec/ ./internal/umesh/ ./internal/solver/ ./internal/serve/ ./internal/loadgen/ ./internal/faultinject/ ./internal/wave/
 
-.PHONY: build cross-arm64 test race size bce bench-selftest bench-smoke bench-kernel bench-umesh bench-usolve chaos-smoke fuzz-smoke cover docs-check vet fmt-check ci
+.PHONY: build cross-arm64 test test-v3 race size bce bench-selftest bench-smoke bench-kernel bench-umesh bench-usolve chaos-smoke fuzz-smoke cover docs-check vet fmt-check ci
 
 build:
 	$(GO) build ./...
@@ -44,6 +44,14 @@ cross-arm64:
 test:
 	$(GO) test ./...
 
+# The packages whose tests pin float bits — iteration counts, a pressure
+# hash, residual equalities — once more at GOAMD64=v3, where the compiler may
+# use FMA3: go1.24 fuses none of their float64 or float32 kernels there, so
+# amd64 has one answer, and this leg fails the day that stops being true
+# (ROADMAP item 10 has the arm64 half of the question).
+test-v3:
+	GOAMD64=v3 $(GO) test ./internal/umesh/ ./internal/serve/ ./internal/solver/ ./internal/core/ ./internal/dsd/
+
 race:
 	$(GO) test -race -count=1 $(RACE_PKGS)
 
@@ -59,13 +67,15 @@ race:
 # core.Engine — compile on first Apply, load + apply + gather per call, Close,
 # the oracle path on a shallow mesh copy — where it used to be one RunFlat
 # call per Apply around a swap of m.Pressure: 35 lines of lifecycle that buy a
-# 3× faster dataflow CG and a mesh nobody writes). Lower SIZE_CEILING when a PR shrinks the
-# pair; a PR that must raise it says why. SERVE_CEILING does the same for
+# 3× faster dataflow CG and a mesh nobody writes; 4776 at PR 23: both umesh
+# runtimes on one compiled Layout, one generic pushHalo, one block-SSOR builder
+# and sweep, one diagonal, no ComputeResidualPartitioned). Lower SIZE_CEILING
+# when a PR shrinks the pair; a PR that must raise it says why. SERVE_CEILING does the same for
 # internal/serve, the serving core ROADMAP's state-machine item tracks (2050
 # at PR 16, 2044 at PR 17), and BENCH_CEILING for internal/bench, which holds
 # the paper's tables, Fig. 8 and the ablations and nothing that times this
 # host (2695 at PR 19 with the five wall-clock sweeps, 956 at PR 20 without).
-SIZE_CEILING = 4896
+SIZE_CEILING = 4776
 SERVE_CEILING = 2044
 BENCH_CEILING = 956
 size:
@@ -242,4 +252,4 @@ fmt-check:
 	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Everything the CI workflow gates on.
-ci: build cross-arm64 vet fmt-check size bce test bench-selftest race cover docs-check bench-smoke bench-kernel bench-umesh bench-usolve chaos-smoke fuzz-smoke
+ci: build cross-arm64 vet fmt-check size bce test test-v3 bench-selftest race cover docs-check bench-smoke bench-kernel bench-umesh bench-usolve chaos-smoke fuzz-smoke

@@ -19,10 +19,12 @@
 // The partitioned runtimes share one execution layer, internal/exec: a pool
 // of persistent workers dispatching barriered phases over integer shards.
 // The structured sharded engine runs row bands on it; the §9 unstructured
-// path runs RCB parts on it through umesh.PartEngine — a persistent
-// partitioned engine with compact O(owned+halo) per-part state, precompiled
-// allocation-free halo exchange, and communication counters, bit-identical
-// to the serial cell-based sweep (massivefv.RunUnstructured).
+// path runs RCB parts on it, compiled once into a umesh.Layout — compact
+// O(owned+halo) per-part numbering and precompiled allocation-free
+// direct-write halo exchange — that both unstructured runtimes stand on:
+// umesh.PartEngine, the persistent float32 residual engine with
+// communication counters, bit-identical to the serial cell-based sweep
+// (massivefv.RunUnstructured), and umesh.PartOperator below.
 //
 // The two flat entries are one engine, core.Engine, in the paper's execution
 // model: Compile once (arena, PE layout, static columns, worker pool), then

@@ -12,28 +12,28 @@ import (
 	"math"
 	"strings"
 
-	"repro/internal/wave"
+	"repro/massivefv"
 )
 
 func main() {
 	const nx, ny = 61, 61
-	med, err := wave.NewUniformMedium(nx, ny, 10, 2400, 1500, math.Pi/6)
+	med, err := massivefv.NewWaveMedium(nx, ny, 10, 2400, 1500, math.Pi/6)
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts := wave.Options{
+	opts := massivefv.WaveOptions{
 		Dt:     0.8 * med.MaxStableDt(),
 		Steps:  90,
-		Source: wave.Source{X: nx / 2, Y: ny / 2, Freq: 14, Amp: 1},
+		Source: massivefv.WaveSource{X: nx / 2, Y: ny / 2, Freq: 14, Amp: 1},
 	}
 	fmt.Printf("TTI medium: vFast 2400 m/s, vSlow 1500 m/s, tilt 30°, dt %.4f ms\n", opts.Dt*1e3)
 
-	host, err := wave.Simulate(med, opts)
+	host, err := massivefv.SimulateWave(med, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
 	opts.UseFabric = true
-	fab, err := wave.Simulate(med, opts)
+	fab, err := massivefv.SimulateWave(med, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func main() {
 }
 
 // axisEnergy sums |u|² along a ray from the center at angle theta.
-func axisEnergy(med *wave.Medium, u []float32, theta float64) float64 {
+func axisEnergy(med *massivefv.WaveMedium, u []float32, theta float64) float64 {
 	cx, cy := med.Nx/2, med.Ny/2
 	sum := 0.0
 	for r := 4; r < med.Nx/2-1; r++ {

@@ -10,32 +10,28 @@ import (
 	"log"
 	"strings"
 
-	"repro/internal/mesh"
-	"repro/internal/physics"
-	"repro/internal/refflux"
-	"repro/internal/sim"
+	"repro/massivefv"
 )
 
 func main() {
-	dims := mesh.Dims{Nx: 14, Ny: 12, Nz: 5}
-	m, err := mesh.BuildDefault(dims)
+	dims := massivefv.Dims{Nx: 14, Ny: 12, Nz: 5}
+	m, err := massivefv.BuildMesh(dims)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fl := physics.DefaultFluid()
+	fl := massivefv.DefaultFluid()
 	p0 := m.Pressure[m.Index(3, 3, 2)]
 
-	opts := sim.Options{
+	opts := massivefv.TransientOptions{
 		Dt:    6 * 3600, // 6-hour steps
 		Steps: 10,
-		Wells: []sim.Well{
+		Wells: []massivefv.Well{
 			{X: 3, Y: 3, Rate: 4.0},   // injector, 4 kg/s
 			{X: 10, Y: 8, Rate: -4.0}, // producer
 		},
-		Faces:               refflux.FacesAll,
-		UseDataflowOperator: true,
+		UseDataflowOperator: true, // all ten faces, the default stencil
 	}
-	res, err := sim.RunTransient(m, fl, opts)
+	res, err := massivefv.RunTransient(m, fl, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,7 +51,7 @@ func main() {
 	fmt.Println("\nΔp map (middle layer; + injector side, - producer side):")
 	shades := []byte("--:=+*#")
 	var b strings.Builder
-	mref, _ := mesh.BuildDefault(dims)
+	mref, _ := massivefv.BuildMesh(dims)
 	for y := 0; y < dims.Ny; y++ {
 		for x := 0; x < dims.Nx; x++ {
 			i := m.Index(x, y, 2)

@@ -104,10 +104,6 @@ func (o Options) validate(m *mesh.Mesh, fl physics.Fluid) error {
 	return nil
 }
 
-// PerturbAmplitude is the shared between-application pressure perturbation
-// (Pa), identical across all engines and the reference.
-const PerturbAmplitude float32 = 1000.0
-
 // exchangeColor is the first of the eight colors of the fabric engine's
 // §5.2 exchange (fabric/exchange.go owns the scheme; 0 and 1 are the Fig. 6
 // broadcast's).

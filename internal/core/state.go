@@ -195,7 +195,7 @@ func (s *peState) refreshGhosts() {
 // equal and the buffer stays valid for every neighbor that reads it.
 func (s *peState) perturb(app int) {
 	p := s.sendBuf[:s.nz]
-	mesh.PerturbColumn32(p, app, s.globalIndex(0), s.dims.Nx*s.dims.Ny, PerturbAmplitude)
+	mesh.PerturbColumn32(p, app, s.globalIndex(0), s.dims.Nx*s.dims.Ny, mesh.PerturbAmplitude)
 	s.hostWrite(s.p, p)
 	s.refreshGhosts()
 }

@@ -191,7 +191,7 @@ func (fd *FluxData) run(apps int, launch func() (*gpusim.KernelStats, error)) (*
 	for app := 0; app < apps; app++ {
 		if app > 0 {
 			fd.P.Mutate(func(p []float32) {
-				mesh.PerturbPressure32(p, app, PerturbAmplitude)
+				mesh.PerturbPressure32(p, app, mesh.PerturbAmplitude)
 			})
 		}
 		st, err := launch()
@@ -203,6 +203,3 @@ func (fd *FluxData) run(apps int, launch func() (*gpusim.KernelStats, error)) (*
 	}
 	return total, nil
 }
-
-// PerturbAmplitude matches the dataflow engines' between-application update.
-const PerturbAmplitude float32 = 1000.0

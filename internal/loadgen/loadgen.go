@@ -1,6 +1,6 @@
-// Package loadgen is the open-loop load-generation engine shared by the
-// in-process serving benchmark (internal/bench) and the remote load
-// generator (cmd/fvload). One seeded plan fixes the whole experiment —
+// Package loadgen is the open-loop load-generation engine behind the remote
+// load generator (cmd/fvload); internal/serve's lifecycle tests fire it at an
+// in-process handler. One seeded plan fixes the whole experiment —
 // exponential inter-arrival times and the weighted workload-item draw per
 // shot — so the same spec replays the same traffic against an in-process
 // handler or a remote daemon, and the two paths cannot drift in arrival or

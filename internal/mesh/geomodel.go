@@ -231,6 +231,11 @@ func buildCCS(m *Mesh, opts GeoOptions) {
 	}
 }
 
+// PerturbAmplitude is the amplitude (Pa) every engine — fabric, flat, GPU,
+// reference, unstructured — passes to the perturbation schedule below, so
+// they all see the same sequence of pressure fields.
+const PerturbAmplitude float32 = 1000.0
+
 // PerturbPressure32 applies the deterministic between-application pressure
 // update used by all engines: the paper applies Algorithm 1 a thousand times
 // "with a different pressure vector at every call" (§3). The update is a

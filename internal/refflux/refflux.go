@@ -156,7 +156,7 @@ func Run(m *mesh.Mesh, fl physics.Fluid, p []float32, apps int, opts Options) ([
 	var err error
 	for app := 0; app < apps; app++ {
 		if app > 0 {
-			mesh.PerturbPressure32(p, app, PerturbAmplitude)
+			mesh.PerturbPressure32(p, app, mesh.PerturbAmplitude)
 		}
 		res, err = ComputeResidualParallel(m, fl, p, opts)
 		if err != nil {
@@ -165,11 +165,6 @@ func Run(m *mesh.Mesh, fl physics.Fluid, p []float32, apps int, opts Options) ([
 	}
 	return res, nil
 }
-
-// PerturbAmplitude is the shared between-application pressure perturbation
-// amplitude in Pa. All engines use the same value so their input sequences
-// are bit-identical.
-const PerturbAmplitude = 1000.0
 
 // SumResidual returns Σ residual — exactly zero in infinite precision for
 // no-flow boundaries (every interior face contributes antisymmetric terms);

@@ -110,7 +110,7 @@ func TestNonFiniteInputsRejected(t *testing.T) {
 		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 			b, x := probeVector(n, 1), probeVector(n, 2)
 			b[n/2] = bad
-			_, err := solve(po, x, b, solver.Options{MaxIter: 5, PrecondDiag: po.Diagonal()})
+			_, err := solve(po, x, b, solver.Options{MaxIter: 5, PrecondDiag: po.Sys.Diagonal()})
 			if !errors.Is(err, solver.ErrBreakdown) {
 				t.Errorf("%s with b[%d] = %v: err = %v, want ErrBreakdown", name, n/2, bad, err)
 			}

@@ -4,19 +4,9 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/mesh"
 	"repro/internal/physics"
 )
-
-func TestPerturbAmplitudeMatchesCore(t *testing.T) {
-	// The unstructured engine applies the structured engines' perturbation
-	// schedule; the two amplitude constants must never drift apart.
-	if PerturbAmplitude != core.PerturbAmplitude {
-		t.Fatalf("umesh.PerturbAmplitude %g != core.PerturbAmplitude %g",
-			PerturbAmplitude, core.PerturbAmplitude)
-	}
-}
 
 // engineFixtures returns the three mesh builders of the bit-identity
 // satellite: structured-converted, jittered, and radial.
@@ -51,7 +41,7 @@ func TestPartEngineBitIdenticalToSerial(t *testing.T) {
 	const apps = 4
 	for name, u := range engineFixtures(t) {
 		p := enginePressure(u)
-		serial, err := RunCellBasedApps(u, fl, p, apps, PerturbAmplitude)
+		serial, err := RunCellBasedApps(u, fl, p, apps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,12 +82,43 @@ func TestPartEngineRunRepeatable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewPartEngine(u, part, physics.DefaultFluid(), EngineOptions{Apps: 3, Workers: 2})
+	fl := physics.DefaultFluid()
+	p := enginePressure(u)
+
+	// The one application plan perturbs applications after the first only:
+	// a one-application run leaves the resident field the loaded field, bit
+	// for bit, and its residual is the serial sweep of that field.
+	one, err := NewPartEngine(u, part, fl, EngineOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer one.Close()
+	got, err := one.Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ComputeResidualCellBased(u, fl, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for me, ps := range one.l.parts {
+		for i, g := range ps.globalOf {
+			if one.parts[me].pres[i] != p[g] {
+				t.Fatalf("application 0 perturbed part %d's copy of cell %d", me, g)
+			}
+		}
+	}
+	for i := range want {
+		if got.Residual[i] != want[i] {
+			t.Fatalf("one-application residual[%d] differs from the serial sweep", i)
+		}
+	}
+
+	e, err := NewPartEngine(u, part, fl, EngineOptions{Apps: 3, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	p := enginePressure(u)
 	first, err := e.Run(p)
 	if err != nil {
 		t.Fatal(err)
@@ -134,21 +155,21 @@ func TestPartEngineWorkingSetCompact(t *testing.T) {
 	defer e.Close()
 	totalResident := 0
 	for me := 0; me < part.NumParts; me++ {
-		owned, halo := e.WorkingSet(me)
+		ps, ep := e.l.parts[me], e.parts[me]
+		owned, halo := ps.nOwned, ps.nHalo
 		if owned != len(part.Owned[me]) {
 			t.Errorf("part %d: owned %d, partition says %d", me, owned, len(part.Owned[me]))
 		}
 		if halo != part.HaloCells(me) {
 			t.Errorf("part %d: halo %d, partition says %d", me, halo, part.HaloCells(me))
 		}
-		ps := e.parts[me]
 		resident := owned + halo
-		if len(ps.pres) != resident || len(ps.elev) != resident || len(ps.globalOf) != resident {
+		if len(ep.pres) != resident || len(ep.elev) != resident || len(ps.globalOf) != resident {
 			t.Errorf("part %d: field lengths pres=%d elev=%d globalOf=%d, want owned+halo=%d",
-				me, len(ps.pres), len(ps.elev), len(ps.globalOf), resident)
+				me, len(ep.pres), len(ep.elev), len(ps.globalOf), resident)
 		}
-		if len(ps.res) != owned {
-			t.Errorf("part %d: residual length %d, want owned=%d", me, len(ps.res), owned)
+		if len(ep.res) != owned {
+			t.Errorf("part %d: residual length %d, want owned=%d", me, len(ep.res), owned)
 		}
 		if resident >= u.NumCells {
 			t.Errorf("part %d: working set %d not smaller than the %d-cell mesh — renumbering not compact",
@@ -191,13 +212,17 @@ func TestPartEngineSteadyStateExchangeAllocFree(t *testing.T) {
 	if _, err := e.Run(enginePressure(u)); err != nil { // warm-up: load + 2 apps
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if err := e.step(1); err != nil {
-			t.Error(err)
+	// Both arms of the one plan: application 0 (no perturbation) and a later
+	// one.
+	for _, app := range []int{0, 1} {
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := e.step(app); err != nil {
+				t.Error(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("steady-state application step (app %d) allocates %.1f objects, want 0", app, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state application step allocates %.1f objects, want 0", allocs)
 	}
 }
 

@@ -103,7 +103,7 @@ func (op *opPart) blockDot(a, b, sums []float64) {
 // scratch while a rung's internal application is running.
 func (o *PartOperator) applySend(shard, xv, dstv, wv int, withDot, scratch bool) {
 	op := o.parts[shard]
-	o.pushHalo(op, xv)
+	o.sendHalo(shard, xv)
 	dst := op.pw
 	if !scratch {
 		dst = op.vecs[dstv]

@@ -27,21 +27,20 @@ import (
 // step. A compiled program runs a whole stretch of the Krylov recurrence as
 // one SPMD plan: one dispatch and the counted minimum of barriers, with the
 // solver's scalar recurrence running inside the barriers as step actions.
-// Compiled programs are the only way vectors are computed on; the four
-// host-driven phases left (scatter, gather, diagonal, preconditioner-diagonal
-// load) move data between global slices and the part layouts.
+// Compiled programs are the only way vectors are computed on; the three
+// host-driven phases left (scatter, gather, preconditioner-diagonal load) move
+// data between global slices and the part layouts.
 //
 // Rows are a fixed-width table built once per operator (the row store,
 // below); one kernel, opPart.sweep (kernels.go), is its only reader, and
 // hostFluxRow/UHostOperator.Apply stay the independently written oracle of its
 // arithmetic.
 //
-// Halo movement is direct-write: each part's send plan carries the
-// receiver's halo block base (opSend.dstBase), and the send phase writes the
-// planned owned values straight into the neighbor's resident vector — one
-// coalesced write region per (src, dst) pair per exchange, no intermediate
-// buffers or channels. The writes land in halo ranges no other part touches,
-// and the step barrier orders them before the frontier rows read them.
+// The operator is built on a compiled Layout (layout.go): the parts' compact
+// numbering, the direct-write exchange plans (pushHalo moves a resident
+// vector's planned owned values straight into the neighbors' halo blocks of
+// the same vector) and the worker pool are the layout's; the operator adds the
+// resident vectors, the row store and the reduction blocks.
 //
 // Determinism discipline: every inner product is accumulated per canonical
 // block in compact (canonical RCB) order, and the block partials are folded
@@ -225,10 +224,7 @@ func newSerialReference(sys *USystem) *solver.SliceSpace {
 		Operator: h,
 		Dot: func(a, b []float64) float64 {
 			for bi := range blocks {
-				lo, hi := int(blocks[bi]), len(order)
-				if bi+1 < len(blocks) {
-					hi = int(blocks[bi+1])
-				}
+				lo, hi := blockSpan(blocks, bi, len(order))
 				acc := 0.0
 				for _, c := range order[lo:hi] {
 					acc += a[c] * b[c]
@@ -302,19 +298,17 @@ type opPart struct {
 	// quad, genStart and gen are the row store (see quadRow): the packed
 	// degree-4 rows, and general row g = gen[genStart[g]:genStart[g+1]].
 	// Only sweep reads them, and only through the segment lists below; set-up
-	// code that needs a row by index (compileSSOR, phaseDiag) reads the
-	// engine's rowStart/nbrLocal/nbrTrans·λ — the same product.
+	// code that needs a row by index (the SSOR list builder) reads the
+	// layout's partLayout.row and multiplies by λ — the same product.
 	quad     []quadRow
 	genStart []int32
 	gen      []nbrEntry
-	// interior and frontier are the engine's two row sets compiled into
+	// interior and frontier are the layout's two row sets compiled into
 	// runs: ascending, disjoint, covering exactly ps.interior / ps.frontier.
 	// A part with no frontier computes every row — and the fused ⟨w, A·x⟩ —
 	// in the interior sweep, so its interior runs are cut at the reduction
 	// blocks (buildRows).
 	interior, frontier []rowSeg
-	// sends is the engine's send plan for this part (shared, read-only).
-	sends []sendPlan
 	// blkLo/blkHi/blkOut segment the part's owned range into its canonical
 	// reduction blocks (compact-index [lo, hi) → blockSums[out]): every
 	// reduction accumulates flat within a block and the block partials fold
@@ -324,15 +318,13 @@ type opPart struct {
 	comm                 CommCounters
 
 	// Preconditioner-resident state (SetPrecond): the matrix diagonal in
-	// the compact layout (SSOR's backward sweep), the precompiled SSOR
-	// triangular index lists, the Chebyshev direction vector, the scratch
-	// destination of in-preconditioner operator applications, and the
+	// the compact layout (SSOR's backward sweep), the SSOR triangular index
+	// lists over the part's blocks, the Chebyshev direction vector, the
+	// scratch destination of in-preconditioner operator applications, and the
 	// part-local view of the AMG aggregates (global aggregate ids, member
 	// CSR over local indices, owned-cell → aggregate).
 	dLoc                              []float64
-	ssorLoPtr, ssorUpPtr              []int32
-	ssorLoI, ssorUpI                  []int32
-	ssorLoW, ssorUpW                  []float64
+	ssor                              ssorLists
 	pd, pw                            []float64
 	aggID, aggPtr, aggCells, aggOfLoc []int32
 }
@@ -376,7 +368,7 @@ func (p PhaseSeconds) Total() float64 { return p.Exchange + p.Compute + p.Reduce
 type PartOperator struct {
 	Sys *USystem
 
-	e     *PartEngine
+	l     *Layout
 	parts []*opPart
 
 	// blockSums/blockSums2 hold the canonical block partials of the current
@@ -385,8 +377,8 @@ type PartOperator struct {
 
 	// Staged inputs of the host-driven phases (set per call; their one-step
 	// plans are pre-built so dispatch allocates nothing): ga/gb/gdst are the
-	// global slices a scatter, gather, diagonal or preconditioner-diagonal
-	// load moves, va/vb the resident vectors a scatter or gather addresses.
+	// global slices a scatter, gather or preconditioner-diagonal load moves,
+	// va/vb the resident vectors a scatter or gather addresses.
 	ga, gb, gdst []float64
 	va, vb       int
 
@@ -405,10 +397,6 @@ type PartOperator struct {
 	// canonical blocks (compileReduction) — the precondition for the
 	// block-structured rungs.
 	aligned bool
-	// split records that at least one part exchanges halo data or has
-	// frontier rows: applications then need a second (frontier) phase after
-	// the barrier that orders the halo writes. parts=1 runs single-phase.
-	split bool
 	// cheb holds the installed Chebyshev coefficients; amg the installed
 	// level with its shared coarse vectors.
 	cheb             chebCoeffs
@@ -419,12 +407,12 @@ type PartOperator struct {
 	// construction, so Comm reports this operator's own synchronization.
 	baseBarriers, baseDispatches uint64
 
-	// Applications counts operator applications (engine runs of the solve —
+	// Applications counts operator applications (kernel runs of the solve —
 	// the §3 "Algorithm 1 applied N times" pattern, driven by Krylov).
 	Applications int
 	// Comm accumulates halo traffic and synchronization over all
 	// applications. Float64 payloads are counted as two 32-bit words each,
-	// keeping the word-level accounting comparable with the engine's float32
+	// keeping the word-level accounting comparable with PartEngine's float32
 	// counters.
 	Comm CommCounters
 	// Scatters and Gathers count whole-vector global transfers — the
@@ -434,41 +422,35 @@ type PartOperator struct {
 	Phase PhaseSeconds
 }
 
-// NewPartOperator builds the part-resident operator on an existing engine.
-// The operator shares the engine's pool, partition and renumbering; the
-// engine stays usable for residual runs.
-func NewPartOperator(e *PartEngine, sys *USystem) (*PartOperator, error) {
+// NewPartOperator builds the part-resident operator on a compiled layout of
+// the system's mesh. The layout is shared, not owned: the caller closes it.
+func NewPartOperator(l *Layout, sys *USystem) (*PartOperator, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
 	}
-	if sys.U != e.u {
-		return nil, fmt.Errorf("umesh: operator system is not the engine's mesh")
+	if sys.U != l.u {
+		return nil, fmt.Errorf("umesh: operator system is not the layout's mesh")
 	}
-	o := &PartOperator{Sys: sys, e: e}
-	o.baseBarriers, o.baseDispatches = e.pool.Counters()
-	lam := sys.Mobility
-	o.parts = make([]*opPart, len(e.parts))
-	for me, ps := range e.parts {
+	o := &PartOperator{Sys: sys, l: l}
+	o.baseBarriers, o.baseDispatches = l.pool.Counters()
+	o.parts = make([]*opPart, len(l.parts))
+	for me, ps := range l.parts {
 		op := &opPart{
 			invDiag: make([]float64, ps.nOwned),
 			accum:   make([]float64, ps.nOwned),
 		}
-		for i := 0; i < ps.nOwned; i++ {
+		for i := range op.accum {
 			op.accum[i] = sys.Accum[ps.globalOf[i]]
 		}
-		op.sends = ps.sends
 		o.parts[me] = op
-		if len(ps.sends) > 0 || len(ps.recvs) > 0 || len(ps.frontier) > 0 {
-			o.split = true
-		}
 	}
 	o.compileReduction()
 	for me, op := range o.parts {
-		op.buildRows(e.parts[me], lam)
+		op.buildRows(l.parts[me], sys.Mobility)
 	}
-	o.loadPlan = e.pool.NewPlan([]exec.Step{{Phase: o.phaseLoad2, Bucket: &o.Phase.Exchange}})
-	o.storePlan = e.pool.NewPlan([]exec.Step{{Phase: o.phaseStore, Bucket: &o.Phase.Exchange}})
-	o.setPrePlan = e.pool.NewPlan([]exec.Step{{Phase: o.phaseSetPre, Bucket: &o.Phase.Reduce}})
+	o.loadPlan = l.pool.NewPlan([]exec.Step{{Phase: o.phaseLoad2, Bucket: &o.Phase.Exchange}})
+	o.storePlan = l.pool.NewPlan([]exec.Step{{Phase: o.phaseStore, Bucket: &o.Phase.Exchange}})
+	o.setPrePlan = l.pool.NewPlan([]exec.Step{{Phase: o.phaseSetPre, Bucket: &o.Phase.Reduce}})
 	o.Reserve(2)
 	var err error
 	if o.applyProg, err = o.CompileProgram([]solver.ProgOp{{Kind: solver.OpApply, V1: 1, V2: 0}}); err != nil {
@@ -478,7 +460,7 @@ func NewPartOperator(e *PartEngine, sys *USystem) (*PartOperator, error) {
 }
 
 // Size implements solver.Operator.
-func (o *PartOperator) Size() int { return o.e.u.NumCells }
+func (o *PartOperator) Size() int { return o.l.u.NumCells }
 
 // compileReduction assigns each part its canonical reduction blocks. With a
 // canonical RCB partition of at most reductionDepth levels, every part
@@ -488,12 +470,8 @@ func (o *PartOperator) Size() int { return o.e.u.NumCells }
 // becomes one block — still deterministic for that partition, folded in
 // part order.
 func (o *PartOperator) compileReduction() {
-	p := o.e.part
-	starts := make([]int, p.NumParts+1)
-	for me, owned := range p.Owned {
-		starts[me+1] = starts[me] + len(owned)
-	}
-	blocks := canonicalBlocks(o.e.u.NumCells)
+	p, starts := o.l.part, o.l.starts
+	blocks := canonicalBlocks(o.l.u.NumCells)
 	aligned := p.canonical
 	if aligned {
 		at := make(map[int32]bool, len(blocks))
@@ -501,7 +479,7 @@ func (o *PartOperator) compileReduction() {
 			at[b] = true
 		}
 		for me := 1; me < p.NumParts; me++ {
-			if !at[int32(starts[me])] {
+			if !at[starts[me]] {
 				aligned = false
 				break
 			}
@@ -513,7 +491,7 @@ func (o *PartOperator) compileReduction() {
 		o.blockSums2 = make([]float64, p.NumParts)
 		for me, op := range o.parts {
 			op.blkLo = []int32{0}
-			op.blkHi = []int32{int32(o.e.parts[me].nOwned)}
+			op.blkHi = []int32{starts[me+1] - starts[me]}
 			op.blkOut = []int32{int32(me)}
 		}
 		return
@@ -521,26 +499,23 @@ func (o *PartOperator) compileReduction() {
 	o.blockSums = make([]float64, len(blocks))
 	o.blockSums2 = make([]float64, len(blocks))
 	me := 0
-	for bi, lo := range blocks {
-		hi := int32(o.e.u.NumCells)
-		if bi+1 < len(blocks) {
-			hi = blocks[bi+1]
-		}
-		for int(lo) >= starts[me+1] {
+	for bi := range blocks {
+		lo, hi := blockSpan(blocks, bi, o.l.u.NumCells)
+		for lo >= starts[me+1] {
 			me++
 		}
 		op := o.parts[me]
-		op.blkLo = append(op.blkLo, lo-int32(starts[me]))
-		op.blkHi = append(op.blkHi, hi-int32(starts[me]))
+		op.blkLo = append(op.blkLo, lo-starts[me])
+		op.blkHi = append(op.blkHi, hi-starts[me])
 		op.blkOut = append(op.blkOut, int32(bi))
 	}
 }
 
-// buildRows fills the part's row store from the engine's adjacency and
+// buildRows fills the part's row store from the layout's adjacency and
 // compiles the interior and frontier row sets into runs. It needs the
 // reduction blocks (compileReduction): a part with no frontier has its
 // interior runs cut at them.
-func (op *opPart) buildRows(ps *partState, lam float64) {
+func (op *opPart) buildRows(ps *partLayout, lam float64) {
 	isQuad := func(i int32) bool { return ps.rowStart[i+1]-ps.rowStart[i] == 4 }
 	nQuad := 0
 	for i := int32(0); i < int32(ps.nOwned); i++ {
@@ -613,29 +588,19 @@ func (o *PartOperator) finishApply() {
 // syncCounters refreshes the operator's barrier/dispatch accounting from the
 // pool's lifetime counters.
 func (o *PartOperator) syncCounters() {
-	b, d := o.e.pool.Counters()
+	b, d := o.l.pool.Counters()
 	o.Comm.Barriers = b - o.baseBarriers
 	o.Comm.Dispatches = d - o.baseDispatches
 }
 
-// pushHalo writes the part's planned owned values of resident vector xv
-// straight into each neighbor's halo block of the same vector — the coalesced
-// direct-write exchange: one contiguous write region per (src, dst) pair, no
-// intermediate buffer. The destination ranges are disjoint between all
-// senders and from every owned range, so the concurrent writes are
-// race-free; the step barrier orders them before the frontier reads.
-func (o *PartOperator) pushHalo(op *opPart, xv int) {
-	x := op.vecs[xv]
-	for si := range op.sends {
-		sp := &op.sends[si]
-		dst := o.parts[sp.dst].vecs[xv]
-		base := sp.dstBase
-		for j, li := range sp.idx {
-			dst[base+j] = x[li]
-		}
-		op.comm.HaloWords += 2 * uint64(len(sp.idx))
-		op.comm.Messages++
-	}
+// sendHalo pushes the part's planned owned values of resident vector xv into
+// the neighbors' halo blocks of the same vector and books the traffic, a
+// float64 as two 32-bit words.
+func (o *PartOperator) sendHalo(shard, xv int) {
+	op := o.parts[shard]
+	values, messages := pushHalo(o.l.parts[shard].sends, op.vecs[xv], func(part int) []float64 { return o.parts[part].vecs[xv] })
+	op.comm.HaloWords += 2 * values
+	op.comm.Messages += messages
 }
 
 // Apply computes dst = A·x on global slices: scatter, the one-op apply
@@ -643,7 +608,7 @@ func (o *PartOperator) pushHalo(op *opPart, xv int) {
 // state allocates nothing. Solves never come through here: they keep their
 // vectors resident and pay the scatter and gather once per solve.
 func (o *PartOperator) Apply(dst, x []float64) error {
-	if len(dst) != len(x) || len(x) != o.e.u.NumCells {
+	if len(dst) != len(x) || len(x) != o.Size() {
 		return fmt.Errorf("umesh: partitioned operator size mismatch")
 	}
 	o.Load2(0, x, 1, x)
@@ -654,39 +619,12 @@ func (o *PartOperator) Apply(dst, x []float64) error {
 	return nil
 }
 
-// Diagonal computes the Jacobi diagonal with the partitioned runtime: each
-// part accumulates its owned rows in CSR order into the global diagonal —
-// bit-identical to USystem.Diagonal for every part count.
-func (o *PartOperator) Diagonal() []float64 {
-	d := make([]float64, o.e.u.NumCells)
-	o.gdst = d
-	// phaseDiag cannot fail; the pool propagates no error here.
-	_ = o.e.pool.Run(o.phaseDiag)
-	return d
-}
-
-// phaseDiag accumulates one part's diagonal rows.
-func (o *PartOperator) phaseDiag(shard int) error {
-	ps := o.e.parts[shard]
-	lam := o.Sys.Mobility
-	for i := 0; i < ps.nOwned; i++ {
-		g := ps.globalOf[i]
-		sum := o.Sys.Accum[g]
-		for j := ps.rowStart[i]; j < ps.rowStart[i+1]; j++ {
-			sum += ps.nbrTrans[j] * lam
-		}
-		o.gdst[g] = sum
-	}
-	return nil
-}
-
 // Reserve implements solver.ProgramSpace: it grows each part's resident
 // vector pool to n vectors. Growing allocates; re-reserving does not.
 func (o *PartOperator) Reserve(n int) {
 	for me, op := range o.parts {
-		ps := o.e.parts[me]
 		for len(op.vecs) < n {
-			op.vecs = append(op.vecs, make([]float64, ps.nOwned+ps.nHalo))
+			op.vecs = append(op.vecs, make([]float64, len(o.l.parts[me].globalOf)))
 		}
 	}
 }
@@ -701,7 +639,7 @@ func (o *PartOperator) Load2(v1 solver.Vec, src1 []float64, v2 solver.Vec, src2 
 }
 
 func (o *PartOperator) phaseLoad2(shard int) error {
-	ps, op := o.e.parts[shard], o.parts[shard]
+	ps, op := o.l.parts[shard], o.parts[shard]
 	a, b := op.vecs[o.va], op.vecs[o.vb]
 	for i := 0; i < ps.nOwned; i++ {
 		g := ps.globalOf[i]
@@ -721,7 +659,7 @@ func (o *PartOperator) Store(dst []float64, v solver.Vec) {
 }
 
 func (o *PartOperator) phaseStore(shard int) error {
-	ps, op := o.e.parts[shard], o.parts[shard]
+	ps, op := o.l.parts[shard], o.parts[shard]
 	a := op.vecs[o.va]
 	for i := 0; i < ps.nOwned; i++ {
 		o.gdst[ps.globalOf[i]] = a[i]
@@ -729,27 +667,27 @@ func (o *PartOperator) phaseStore(shard int) error {
 	return nil
 }
 
-// NewSystemSpace builds the solve-side space for a partition: the serial
-// reference (newSerialReference) when p is nil, otherwise a part-resident
-// PartOperator on a fresh engine. It returns the space, the Jacobi diagonal
-// (computed by the path that will apply the matrix), and a close function
-// releasing the engine (a no-op for the serial path). Both the transient loop
-// and the massivefv facade build their solves through it, so the two paths
-// cannot drift apart.
-func NewSystemSpace(u *Mesh, p *Partition, fl physics.Fluid, sys *USystem, workers int) (solver.ProgramSpace, []float64, func(), error) {
+// NewSystemSpace builds the solve-side space of a system for a partition of
+// its mesh: the serial reference (newSerialReference) when p is nil,
+// otherwise a part-resident PartOperator on a freshly compiled layout. It
+// returns the space and a close function releasing the layout's pool (a no-op
+// for the serial path); the Jacobi diagonal of either is sys.Diagonal(). Both
+// the transient loop and the massivefv facade build their solves through it,
+// so the two paths cannot drift apart.
+func NewSystemSpace(p *Partition, sys *USystem, workers int) (solver.ProgramSpace, func(), error) {
 	if p == nil {
-		return newSerialReference(sys), sys.Diagonal(), func() {}, nil
+		return newSerialReference(sys), func() {}, nil
 	}
-	e, err := NewPartEngine(u, p, fl, EngineOptions{Workers: workers})
+	l, err := CompileLayout(sys.U, p, workers)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	po, err := NewPartOperator(e, sys)
+	po, err := NewPartOperator(l, sys)
 	if err != nil {
-		e.Close()
-		return nil, nil, nil, err
+		l.Close()
+		return nil, nil, err
 	}
-	return po, po.Diagonal(), e.Close, nil
+	return po, l.Close, nil
 }
 
 // compile-time interface checks

@@ -47,18 +47,18 @@ func TestPartOperatorBitIdenticalToHost(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 2, 4} {
-				e, err := NewPartEngine(u, part, physics.DefaultFluid(), EngineOptions{Workers: workers})
+				l, err := CompileLayout(u, part, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
-				po, err := NewPartOperator(e, sys)
+				po, err := NewPartOperator(l, sys)
 				if err != nil {
-					e.Close()
+					l.Close()
 					t.Fatal(err)
 				}
 				got := make([]float64, u.NumCells)
 				err = po.Apply(got, x)
-				e.Close()
+				l.Close()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -86,16 +86,14 @@ func runProg(tb testing.TB, po *PartOperator, ops ...solver.ProgOp) {
 }
 
 func TestPartOperatorDiagonalAndDotBitIdentical(t *testing.T) {
-	// The partitioned Jacobi diagonal must equal the serial diagonal exactly,
-	// and the distributed dot (an OpDot program) must equal the canonical
-	// blocked reduction — the partition-independent summation tree the serial
+	// The distributed dot (an OpDot program) must equal the canonical blocked
+	// reduction — the partition-independent summation tree the serial
 	// reference also uses — for every part count.
 	u, err := NewRadialMesh(DefaultRadialOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sys := newUSystemFixture(t, u)
-	wantDiag := sys.Diagonal()
 	a := probeVector(u.NumCells, 3)
 	b := probeVector(u.NumCells, 11)
 	wantDot := newSerialReference(sys).Dot(a, b)
@@ -112,25 +110,19 @@ func TestPartOperatorDiagonalAndDotBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := NewPartEngine(u, part, physics.DefaultFluid(), EngineOptions{Workers: 2})
+		l, err := CompileLayout(u, part, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		po, err := NewPartOperator(e, sys)
+		po, err := NewPartOperator(l, sys)
 		if err != nil {
-			e.Close()
+			l.Close()
 			t.Fatal(err)
 		}
-		diag := po.Diagonal()
 		var dot float64
 		po.Load2(0, a, 1, b)
 		runProg(t, po, solver.ProgOp{Kind: solver.OpDot, V1: 0, V2: 1, R1: &dot})
-		e.Close()
-		for i := range wantDiag {
-			if diag[i] != wantDiag[i] {
-				t.Fatalf("parts=%d: diagonal[%d] differs: %g vs %g", part.NumParts, i, diag[i], wantDiag[i])
-			}
-		}
+		l.Close()
 		if dot != wantDot {
 			t.Fatalf("parts=%d: distributed dot %g != canonical serial reduction %g", part.NumParts, dot, wantDot)
 		}
@@ -149,12 +141,12 @@ func TestPartOperatorApplyAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewPartEngine(u, part, physics.DefaultFluid(), EngineOptions{Workers: 2})
+	l, err := CompileLayout(u, part, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
-	po, err := NewPartOperator(e, newUSystemFixture(t, u))
+	defer l.Close()
+	po, err := NewPartOperator(l, newUSystemFixture(t, u))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,21 +184,21 @@ func residentFixtureOn(tb testing.TB, u *Mesh, levels, workers int) (*PartOperat
 	if err != nil {
 		tb.Fatal(err)
 	}
-	e, err := NewPartEngine(u, part, physics.DefaultFluid(), EngineOptions{Workers: workers})
+	l, err := CompileLayout(u, part, workers)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	sys, err := NewUSystem(u, physics.DefaultFluid(), 3600, 0)
 	if err != nil {
-		e.Close()
+		l.Close()
 		tb.Fatal(err)
 	}
-	po, err := NewPartOperator(e, sys)
+	po, err := NewPartOperator(l, sys)
 	if err != nil {
-		e.Close()
+		l.Close()
 		tb.Fatal(err)
 	}
-	return po, e.Close
+	return po, l.Close
 }
 
 func TestResidentSolveMatchesSlicePathBitExact(t *testing.T) {
@@ -216,7 +208,7 @@ func TestResidentSolveMatchesSlicePathBitExact(t *testing.T) {
 	// the solution.
 	po, closeOp := residentFixture(t, 2, 2)
 	defer closeOp()
-	diag := po.Diagonal()
+	diag := po.Sys.Diagonal()
 	n := po.Size()
 	b := make([]float64, n)
 	b[0], b[n-1] = 2.0, -2.0
@@ -252,7 +244,7 @@ func TestResidentSolveScattersAndGathersOnce(t *testing.T) {
 	// solve, however many iterations the solve takes — for CG and BiCGStab.
 	for _, bicg := range []bool{false, true} {
 		po, closeOp := residentFixture(t, 1, 1)
-		diag := po.Diagonal()
+		diag := po.Sys.Diagonal()
 		n := po.Size()
 		b := make([]float64, n)
 		b[0], b[n-1] = 2.0, -2.0
@@ -308,7 +300,7 @@ func TestResidentFusedPhasesAllocFree(t *testing.T) {
 		if _, err := po.CompileProgram([]solver.ProgOp{{Kind: solver.OpPrecondDot + 1}}); err == nil {
 			t.Fatal("OpPrecondDot is no longer the last OpKind — extend everyOpKind")
 		}
-		diag := po.Diagonal()
+		diag := po.Sys.Diagonal()
 		po.Reserve(5)
 		n := po.Size()
 		a := probeVector(n, 1)
@@ -450,7 +442,7 @@ func BenchmarkPartOperatorHostApply(b *testing.B) {
 func BenchmarkUsolveJacobiStage(b *testing.B) {
 	po, closeOp := residentFixtureOn(b, benchRadial(b), 2, 1)
 	defer closeOp()
-	if err := po.SetPrecond(solver.PrecondJacobi, po.Diagonal()); err != nil {
+	if err := po.SetPrecond(solver.PrecondJacobi, po.Sys.Diagonal()); err != nil {
 		b.Fatal(err)
 	}
 	po.Reserve(5)
@@ -492,12 +484,12 @@ func TestPartOperatorCommCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewPartEngine(u, part, physics.DefaultFluid(), EngineOptions{})
+	l, err := CompileLayout(u, part, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
-	po, err := NewPartOperator(e, newUSystemFixture(t, u))
+	defer l.Close()
+	po, err := NewPartOperator(l, newUSystemFixture(t, u))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -584,12 +576,12 @@ func TestPartOperatorIterationParityWithStructuredHost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewPartEngine(u, part, fl, EngineOptions{Workers: 1})
+	l, err := CompileLayout(u, part, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
-	po, err := NewPartOperator(e, usys)
+	defer l.Close()
+	po, err := NewPartOperator(l, usys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -610,7 +602,7 @@ func TestPartOperatorIterationParityWithStructuredHost(t *testing.T) {
 		return st.Iterations, x
 	}
 	refIts, refX := solve(newSerialReference(usys), usys.Diagonal())
-	partIts, partX := solve(po, po.Diagonal())
+	partIts, partX := solve(po, po.Sys.Diagonal())
 	if refIts != partIts {
 		t.Errorf("iteration parity broken: canonical serial reference %d its, part-resident operator %d its",
 			refIts, partIts)
@@ -672,20 +664,20 @@ func TestNewPartOperatorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewPartEngine(u, part, physics.DefaultFluid(), EngineOptions{})
+	l, err := CompileLayout(u, part, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
+	defer l.Close()
 	other, err := NewRadialMesh(RadialOptions{Rings: 3, BaseSectors: 4, R0: 1, DR: 2, Dz: 2, PermMD: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
 	osys := newUSystemFixture(t, other)
-	if _, err := NewPartOperator(e, osys); err == nil {
+	if _, err := NewPartOperator(l, osys); err == nil {
 		t.Error("system of a different mesh accepted")
 	}
-	po, err := NewPartOperator(e, newUSystemFixture(t, u))
+	po, err := NewPartOperator(l, newUSystemFixture(t, u))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -741,7 +733,7 @@ func assertRowStore(t *testing.T, po *PartOperator) {
 	t.Helper()
 	lam := po.Sys.Mobility
 	for me, op := range po.parts {
-		ps := po.e.parts[me]
+		ps := po.l.parts[me]
 		nQuad, nGen := 0, 0
 		for i := 0; i < ps.nOwned; i++ {
 			lo, hi := int(ps.rowStart[i]), int(ps.rowStart[i+1])
@@ -849,12 +841,12 @@ func assertSweepMatchesOracle(t *testing.T, sys *USystem, levels, workers int, x
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewPartEngine(u, part, physics.DefaultFluid(), EngineOptions{Workers: workers})
+	l, err := CompileLayout(u, part, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
-	po, err := NewPartOperator(e, sys)
+	defer l.Close()
+	po, err := NewPartOperator(l, sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -928,16 +920,16 @@ func TestRowStoreDegenerateShapes(t *testing.T) {
 		}},
 		{"only degree-4 rows", gridMesh(6, 5, true), []int{0, 1, 2}, func(t *testing.T, po *PartOperator) {
 			for me, op := range po.parts {
-				if len(op.gen) != 0 || len(op.quad) != po.e.parts[me].nOwned {
+				if len(op.gen) != 0 || len(op.quad) != po.l.parts[me].nOwned {
 					t.Errorf("part %d keeps %d general faces of a torus, packs %d of %d rows",
-						me, len(op.gen), len(op.quad), po.e.parts[me].nOwned)
+						me, len(op.gen), len(op.quad), po.l.parts[me].nOwned)
 				}
 			}
 		}},
 		{"empty interior", gridMesh(8, 1, false), []int{2}, func(t *testing.T, po *PartOperator) {
 			empty := 0
 			for me, op := range po.parts {
-				if len(po.e.parts[me].interior) == 0 && len(op.interior) == 0 {
+				if len(po.l.parts[me].interior) == 0 && len(op.interior) == 0 {
 					empty++
 				}
 			}

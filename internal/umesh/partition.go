@@ -3,14 +3,13 @@ package umesh
 import (
 	"fmt"
 	"sort"
-
-	"repro/internal/physics"
 )
 
 // Partition assigns cells to parts and precomputes the halo-exchange plan:
 // for every (owner, neighbor-part) pair, the exact cell lists to ship. This
 // is the top-level distribution concern that "would be usually implemented
-// with MPI" (§4), realized with goroutines and channels.
+// with MPI" (§4); CompileLayout (layout.go) flattens the plan into the
+// direct-write index arrays the partitioned runtimes exchange through.
 type Partition struct {
 	NumParts int
 	// Part maps cell → owning part.
@@ -140,6 +139,15 @@ func canonicalBlocks(n int) []int32 {
 	return blocks
 }
 
+// blockSpan returns canonical block bi of an n-cell mesh as the half-open
+// range [lo, hi) of canonical positions.
+func blockSpan(blocks []int32, bi, n int) (lo, hi int32) {
+	if bi+1 < len(blocks) {
+		return blocks[bi], blocks[bi+1]
+	}
+	return blocks[bi], int32(n)
+}
+
 // RCB partitions the mesh into 2^levels parts with recursive coordinate
 // bisection: split the widest centroid axis at its median, recurse. Each
 // part's Owned list is in canonical order (see CanonicalOrder), so the
@@ -250,27 +258,4 @@ func (p *Partition) HaloCells(part int) int {
 		n += len(cells)
 	}
 	return n
-}
-
-// ComputeResidualPartitioned evaluates the cell-based Algorithm 1
-// distributed across parts: a one-application convenience over the
-// persistent PartEngine (which earlier versions implemented as a one-shot
-// goroutine-per-part prototype). The result matches the serial sweeps
-// bit-for-bit in float64 accumulation order per cell (cell-based order is
-// preserved). Callers running more than one application should hold a
-// PartEngine instead of paying engine construction per call.
-func ComputeResidualPartitioned(u *Mesh, p *Partition, fl physics.Fluid, pres []float32) ([]float64, error) {
-	if err := check(u, fl, pres); err != nil {
-		return nil, err
-	}
-	e, err := NewPartEngine(u, p, fl, EngineOptions{Apps: 1})
-	if err != nil {
-		return nil, err
-	}
-	defer e.Close()
-	res, err := e.Run(pres)
-	if err != nil {
-		return nil, err
-	}
-	return res.Residual, nil
 }

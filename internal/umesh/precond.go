@@ -16,17 +16,19 @@ import (
 // the phase programs — so golden transient trajectories stay bit-identical
 // between the serial solve and every partitioned configuration.
 //
-// What is written once and what is not: the Chebyshev and AMG rungs are
+// Every rung's arithmetic is written once. The Chebyshev and AMG rungs are
 // elementwise updates, operator applications and per-aggregate sums, none of
 // which cares how a vector is laid out, so their float expressions live in the
 // layout-free kernels below (chebInit, chebStep, amgPre, amgResidualSum,
 // amgProlong, amgPost, and the Chebyshev scalar recurrence chebCoeffs.rounds)
-// and both realizations are compositions of the same calls. Block-SSOR is the
-// exception: its sweeps are sequential recurrences through precompiled
-// triangular index lists, and those lists are layout-specific — global cell
-// ids walked through the canonical order on the reference side, compact local
-// indices on a part — so the sweep is twinned (referenceSSOR / shardSSOR) and
-// TestPrecondLadderGoldenAgainstSerial is what holds the twins together.
+// and both realizations are compositions of the same calls. Block-SSOR's
+// sweeps are sequential recurrences through triangular index lists (ssorLists)
+// over rows in canonical order: a part's compact index is a canonical position
+// minus the part's start, so one builder fed the layout's rows serves a part,
+// the same builder fed the mesh adjacency walked through CanonicalOrder serves
+// the reference — which gathers r into canonical order, runs the one sweep and
+// scatters z back — and an independently written dense block solve in
+// precond_test.go is the sweep's oracle.
 //
 //   - SSOR (symmetric Gauss–Seidel, ω = 1) restricted to the canonical
 //     reduction blocks: couplings crossing a block boundary are dropped from
@@ -63,10 +65,6 @@ import (
 // summation tree.
 
 const (
-	// ssorOmega documents the SSOR relaxation factor: the rung is symmetric
-	// Gauss–Seidel, SSOR at ω = 1, so no relaxation scaling appears in the
-	// sweeps.
-	ssorOmega = 1.0
 	// chebDegree is the Chebyshev iteration count per application: the rung
 	// applies a degree-chebDegree polynomial costing chebDegree−1 operator
 	// applications.
@@ -194,14 +192,8 @@ func buildAMGLevel(s *USystem) (*amgLevel, error) {
 	var ring []int32
 	nAgg := 0
 	for bi := range blocks {
-		lo, hi := int(blocks[bi]), len(order)
-		if bi+1 < len(blocks) {
-			hi = int(blocks[bi+1])
-		}
-		inBlock := func(c int32) bool {
-			p := int(lvl.pos[c])
-			return p >= lo && p < hi
-		}
+		lo, hi := blockSpan(blocks, bi, len(order))
+		inBlock := func(c int32) bool { return lvl.pos[c] >= lo && lvl.pos[c] < hi }
 		for k := lo; k < hi; k++ {
 			c := order[k]
 			if lvl.aggOf[c] >= 0 {
@@ -519,7 +511,34 @@ func referenceRung(h *UHostOperator, order, blocks []int32, kind solver.PrecondK
 	}
 	switch kind {
 	case solver.PrecondSSOR:
-		return referenceSSOR(h.Sys, order, blocks, inv, diag), nil
+		// The lists index canonical positions, so the rung carries r, z, 1/d
+		// and d in canonical order and permutes on the way in and out.
+		pos := make([]int32, n)
+		zc, rc, invc, dc := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+		for k, c := range order {
+			pos[c], invc[k], dc[k] = int32(k), inv[c], diag[c]
+		}
+		var nbrPos []int32
+		var lists ssorLists
+		blkHi := append(append([]int32(nil), blocks[1:]...), int32(n))
+		lists.build(n, blocks, blkHi, h.Sys.Mobility,
+			func(k int32) ([]int32, []float64) {
+				nbrs, trans := h.Sys.U.halfFaces(int(order[k]))
+				nbrPos = nbrPos[:0]
+				for _, nb := range nbrs {
+					nbrPos = append(nbrPos, pos[nb])
+				}
+				return nbrPos, trans
+			})
+		return func(z, r []float64) {
+			for k, c := range order {
+				rc[k] = r[c]
+			}
+			lists.sweep(zc, rc, invc, dc)
+			for k, c := range order {
+				z[c] = zc[k]
+			}
+		}, nil
 	case solver.PrecondChebyshev:
 		cf := newChebCoeffs(h.Sys.chebUpper())
 		rounds := cf.rounds()
@@ -553,81 +572,93 @@ func referenceRung(h *UHostOperator, order, blocks []int32, kind solver.PrecondK
 	return nil, fmt.Errorf("umesh: %q is not an operator-built preconditioner", kind)
 }
 
-// referenceSSOR builds the reference block-SSOR rung: per canonical block, a
-// forward Gauss–Seidel sweep in canonical order, then a backward sweep with
-// the diagonal scaling fused in — M = (D+L_B)·D⁻¹·(D+L_Bᵀ) with L_B the
-// in-block strictly-lower couplings. The strictly-lower and strictly-upper
-// in-block couplings are precompiled once into premultiplied (Υ·λ) index
-// lists, so the sweeps are branch-free streams instead of re-filtering every
-// neighbor by canonical position on every application. The partitioned
-// shardSSOR performs the same per-block sweeps over the identically built
-// lists (compact index = canonical position − part start), so the two agree
-// bitwise for every part count.
-func referenceSSOR(sys *USystem, order, blocks []int32, inv, d []float64) func(z, r []float64) {
-	u := sys.U
-	lam := sys.Mobility
-	pos := make([]int32, u.NumCells)
-	for k, c := range order {
-		pos[c] = int32(k)
+// ssorLists is block-SSOR's triangular structure over rows in sweep order —
+// canonical positions on the reference side, a part's compact indices (the
+// same order, offset by the part's start) on a part: per row the strictly-lower
+// and strictly-upper couplings inside the row's block as premultiplied (Υ·λ)
+// weights and row indices, in adjacency order, so the sweeps are branch-free
+// streams instead of re-filtering every neighbor on every application.
+// Couplings that leave the block — every halo neighbor of a part among them —
+// are dropped, which is what lets a part sweep with no exchange.
+type ssorLists struct {
+	blkLo, blkHi []int32 // the blocks, as [lo, hi) row ranges
+	loPtr, upPtr []int32
+	loI, upI     []int32
+	loW, upW     []float64
+}
+
+// build compiles the lists for n rows in the given blocks; row(i) returns row
+// i's neighbors as row indices (anything outside [0, n) is out of every
+// block) and its transmissibilities. Rebuilding reuses the buffers, so
+// re-installing the rung allocates nothing.
+func (s *ssorLists) build(n int, blkLo, blkHi []int32, lam float64, row func(i int32) ([]int32, []float64)) {
+	if cap(s.loPtr) < n+1 {
+		s.loPtr, s.upPtr = make([]int32, n+1), make([]int32, n+1)
 	}
-	n := len(order)
-	loPtr := make([]int32, n+1)
-	upPtr := make([]int32, n+1)
-	var loI, upI []int32
-	var loW, upW []float64
-	for bi := range blocks {
-		lo, hi := int(blocks[bi]), n
-		if bi+1 < len(blocks) {
-			hi = int(blocks[bi+1])
-		}
-		for k := lo; k < hi; k++ {
-			c := order[k]
-			nbrs, trans := u.halfFaces(int(c))
-			for idx, nb := range nbrs {
-				p := int(pos[nb])
-				if p < lo || p >= hi {
+	s.blkLo, s.blkHi = blkLo, blkHi
+	s.loPtr, s.upPtr = s.loPtr[:n+1], s.upPtr[:n+1]
+	s.loI, s.loW, s.upI, s.upW = s.loI[:0], s.loW[:0], s.upI[:0], s.upW[:0]
+	for b, lo := range blkLo {
+		hi := blkHi[b]
+		for i := lo; i < hi; i++ {
+			nbrs, trans := row(i)
+			for j, nb := range nbrs {
+				if nb < lo || nb >= hi {
 					continue
 				}
-				if p < k {
-					loW = append(loW, trans[idx]*lam)
-					loI = append(loI, nb)
-				} else if p > k {
-					upW = append(upW, trans[idx]*lam)
-					upI = append(upI, nb)
+				if nb < i {
+					s.loW = append(s.loW, trans[j]*lam)
+					s.loI = append(s.loI, nb)
+				} else if nb > i {
+					s.upW = append(s.upW, trans[j]*lam)
+					s.upI = append(s.upI, nb)
 				}
 			}
-			loPtr[k+1] = int32(len(loI))
-			upPtr[k+1] = int32(len(upI))
+			s.loPtr[i+1] = int32(len(s.loI))
+			s.upPtr[i+1] = int32(len(s.upI))
 		}
 	}
-	return func(z, r []float64) {
-		for bi := range blocks {
-			lo, hi := int(blocks[bi]), n
-			if bi+1 < len(blocks) {
-				hi = int(blocks[bi+1])
+}
+
+// sweep is the block-SSOR application z = M⁻¹·r over row-indexed vectors,
+// M = (D+L_B)·D⁻¹·(D+L_Bᵀ) with L_B the in-block strictly-lower couplings:
+// per block, a forward Gauss–Seidel sweep through the lower lists, then a
+// backward sweep through the upper lists with the diagonal scaling fused in
+// (inv = 1/d). It reads nothing outside the blocks, and no block reads
+// another, so all forward sweeps run before all backward ones: each half is a
+// function of its own that keeps its three lists and three vectors in
+// registers (as one loop nest the sweep ran 7 % slower).
+func (s *ssorLists) sweep(z, r, inv, d []float64) {
+	ssorForward(s.blkLo, s.blkHi, s.loPtr, s.loI, s.loW, z, r, inv)
+	ssorBackward(s.blkLo, s.blkHi, s.upPtr, s.upI, s.upW, z, d, inv)
+}
+
+func ssorForward(blkLo, blkHi, ptr, idx []int32, w, z, r, inv []float64) {
+	for b, lo := range blkLo {
+		for i := lo; i < blkHi[b]; i++ {
+			acc := 0.0
+			for k := ptr[i]; k < ptr[i+1]; k++ {
+				acc += w[k] * z[idx[k]]
 			}
-			for k := lo; k < hi; k++ {
-				c := order[k]
-				acc := 0.0
-				for j := loPtr[k]; j < loPtr[k+1]; j++ {
-					acc += loW[j] * z[loI[j]]
-				}
-				z[c] = (r[c] + acc) * inv[c]
+			z[i] = (r[i] + acc) * inv[i]
+		}
+	}
+}
+
+func ssorBackward(blkLo, blkHi, ptr, idx []int32, w, z, d, inv []float64) {
+	for b, lo := range blkLo {
+		for i := blkHi[b] - 1; i >= lo; i-- {
+			acc := 0.0
+			for k := ptr[i]; k < ptr[i+1]; k++ {
+				acc += w[k] * z[idx[k]]
 			}
-			for k := hi - 1; k >= lo; k-- {
-				c := order[k]
-				acc := 0.0
-				for j := upPtr[k]; j < upPtr[k+1]; j++ {
-					acc += upW[j] * z[upI[j]]
-				}
-				z[c] = (d[c]*z[c] + acc) * inv[c]
-			}
+			z[i] = (d[i]*z[i] + acc) * inv[i]
 		}
 	}
 }
 
 // ---------------------------------------------------------------------------
-// Resident realizations: SetPrecond, the part-local rung state, and the SSOR sweep
+// Resident realizations: SetPrecond and the part-local rung state
 // ---------------------------------------------------------------------------
 
 // SetPrecond implements solver.ProgramSpace: it installs a ladder rung as the
@@ -661,7 +692,7 @@ func (o *PartOperator) SetPrecond(kind solver.PrecondKind, diag []float64) error
 	case solver.PrecondSSOR:
 		for me, op := range o.parts {
 			op.dLoc = grown(op.dLoc, len(op.accum))
-			op.compileSSOR(o.e.parts[me], o.Sys.Mobility)
+			op.ssor.build(len(op.accum), op.blkLo, op.blkHi, o.Sys.Mobility, o.l.parts[me].row)
 		}
 	case solver.PrecondChebyshev:
 		o.cheb = newChebCoeffs(o.Sys.chebUpper())
@@ -701,8 +732,8 @@ func grown(buf []float64, n int) []float64 {
 // phaseSetPre loads the inverse diagonal into each part's compact layout,
 // and the diagonal itself where the part carries one (SSOR).
 func (o *PartOperator) phaseSetPre(shard int) error {
-	ps, op := o.e.parts[shard], o.parts[shard]
-	for i := 0; i < ps.nOwned; i++ {
+	ps, op := o.l.parts[shard], o.parts[shard]
+	for i := range op.invDiag {
 		op.invDiag[i] = 1 / o.ga[ps.globalOf[i]]
 	}
 	for i := range op.dLoc {
@@ -719,11 +750,7 @@ func (o *PartOperator) phaseSetPre(shard int) error {
 // in one part and restriction is a disjoint write into the shared coarse
 // vector.
 func (o *PartOperator) compileAMG(lvl *amgLevel) error {
-	p := o.e.part
-	starts := make([]int32, p.NumParts+1)
-	for me, owned := range p.Owned {
-		starts[me+1] = starts[me] + int32(len(owned))
-	}
+	p, starts := o.l.part, o.l.starts
 	for _, op := range o.parts {
 		op.aggID = op.aggID[:0]
 		op.aggPtr = op.aggPtr[:0]
@@ -745,7 +772,7 @@ func (o *PartOperator) compileAMG(lvl *amgLevel) error {
 	}
 	for me, op := range o.parts {
 		op.aggPtr = append(op.aggPtr, int32(len(op.aggCells)))
-		ps := o.e.parts[me]
+		ps := o.l.parts[me]
 		if len(op.aggOfLoc) < ps.nOwned {
 			op.aggOfLoc = make([]int32, ps.nOwned)
 		}
@@ -759,74 +786,4 @@ func (o *PartOperator) compileAMG(lvl *amgLevel) error {
 	}
 	o.amg = lvl
 	return nil
-}
-
-// compileSSOR precompiles the part's block-SSOR triangular structure: per
-// owned row, the strictly-lower and strictly-upper in-block couplings as
-// premultiplied (Υ·λ, from the engine's adjacency — the product the row
-// store carries) index lists in adjacency order. The sweeps then stream the
-// lists branch-free instead of re-filtering every adjacency entry on every
-// application — same couplings, same order, same floats.
-func (op *opPart) compileSSOR(ps *partState, lam float64) {
-	nOwned := ps.nOwned
-	if cap(op.ssorLoPtr) < nOwned+1 {
-		op.ssorLoPtr = make([]int32, nOwned+1)
-		op.ssorUpPtr = make([]int32, nOwned+1)
-	}
-	op.ssorLoPtr = op.ssorLoPtr[:nOwned+1]
-	op.ssorUpPtr = op.ssorUpPtr[:nOwned+1]
-	op.ssorLoI, op.ssorLoW = op.ssorLoI[:0], op.ssorLoW[:0]
-	op.ssorUpI, op.ssorUpW = op.ssorUpI[:0], op.ssorUpW[:0]
-	for b := range op.blkLo {
-		lo, hi := op.blkLo[b], op.blkHi[b]
-		for i := lo; i < hi; i++ {
-			for j := ps.rowStart[i]; j < ps.rowStart[i+1]; j++ {
-				li, t := ps.nbrLocal[j], ps.nbrTrans[j]*lam
-				if li < lo || li >= hi {
-					continue
-				}
-				if li < i {
-					op.ssorLoW = append(op.ssorLoW, t)
-					op.ssorLoI = append(op.ssorLoI, li)
-				} else if li > i {
-					op.ssorUpW = append(op.ssorUpW, t)
-					op.ssorUpI = append(op.ssorUpI, li)
-				}
-			}
-			op.ssorLoPtr[i+1] = int32(len(op.ssorLoI))
-			op.ssorUpPtr[i+1] = int32(len(op.ssorUpI))
-		}
-	}
-}
-
-// shardSSOR is the resident block-SSOR application: per owned canonical
-// block, the forward sweep, then the backward sweep with the diagonal
-// scaling fused in, both streaming the precompiled triangular lists.
-// Couplings outside the block — including every halo neighbor — are
-// excluded, so the phase reads only part-local data and needs no exchange;
-// the sweeps are referenceSSOR's, expression for expression, over the same
-// blocks.
-func (o *PartOperator) shardSSOR(shard, zv, rv int) {
-	op := o.parts[shard]
-	z, r := op.vecs[zv], op.vecs[rv]
-	inv, d := op.invDiag, op.dLoc
-	loPtr, loI, loW := op.ssorLoPtr, op.ssorLoI, op.ssorLoW
-	upPtr, upI, upW := op.ssorUpPtr, op.ssorUpI, op.ssorUpW
-	for b := range op.blkLo {
-		lo, hi := op.blkLo[b], op.blkHi[b]
-		for i := lo; i < hi; i++ {
-			acc := 0.0
-			for k := loPtr[i]; k < loPtr[i+1]; k++ {
-				acc += loW[k] * z[loI[k]]
-			}
-			z[i] = (r[i] + acc) * inv[i]
-		}
-		for i := hi - 1; i >= lo; i-- {
-			acc := 0.0
-			for k := upPtr[i]; k < upPtr[i+1]; k++ {
-				acc += upW[k] * z[upI[k]]
-			}
-			z[i] = (d[i]*z[i] + acc) * inv[i]
-		}
-	}
 }

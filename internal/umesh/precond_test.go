@@ -95,6 +95,144 @@ func TestPrecondLadderGoldenAgainstSerial(t *testing.T) {
 	}
 }
 
+// denseSolve solves a·x = b by Gaussian elimination with partial pivoting, in
+// place — the textbook routine, nothing shared with the code under test.
+func denseSolve(a [][]float64, b []float64) []float64 {
+	n := len(b)
+	for k := 0; k < n; k++ {
+		piv := k
+		for i := k + 1; i < n; i++ {
+			if math.Abs(a[i][k]) > math.Abs(a[piv][k]) {
+				piv = i
+			}
+		}
+		a[k], a[piv] = a[piv], a[k]
+		b[k], b[piv] = b[piv], b[k]
+		for i := k + 1; i < n; i++ {
+			f := a[i][k] / a[k][k]
+			for j := k; j < n; j++ {
+				a[i][j] -= f * a[k][j]
+			}
+			b[i] -= f * b[k]
+		}
+	}
+	x := make([]float64, n)
+	for i := n - 1; i >= 0; i-- {
+		acc := b[i]
+		for j := i + 1; j < n; j++ {
+			acc -= a[i][j] * x[j]
+		}
+		x[i] = acc / a[i][i]
+	}
+	return x
+}
+
+// textbookBlockSSOR is the rung's definition executed literally, from the
+// USystem alone: per canonical block B (cells in canonical order) assemble the
+// dense in-block matrix A_B from the faces, split it as D + L_B + L_Bᵀ, form
+// M_B = (D+L_B)·D⁻¹·(D+L_Bᵀ) as a dense product and solve M_B·z_B = r_B by
+// elimination. No triangular sweep, no index list.
+func textbookBlockSSOR(sys *USystem, r []float64) []float64 {
+	u := sys.U
+	order, blocks := CanonicalOrder(u), canonicalBlocks(u.NumCells)
+	z := make([]float64, u.NumCells)
+	at := make(map[int]int) // cell → row of the current block
+	for bi := range blocks {
+		lo, hi := blockSpan(blocks, bi, u.NumCells)
+		cells := order[lo:hi]
+		nb := len(cells)
+		clear(at)
+		for k, c := range cells {
+			at[int(c)] = k
+		}
+		a := make([][]float64, nb)
+		for k, c := range cells {
+			a[k] = make([]float64, nb)
+			a[k][k] = sys.Accum[c]
+		}
+		// The diagonal carries every face of the cell (it is A's diagonal);
+		// only couplings with both ends in the block enter L_B.
+		for _, f := range u.Faces {
+			t := f.Trans * sys.Mobility
+			ka, inA := at[f.A]
+			kb, inB := at[f.B]
+			if inA {
+				a[ka][ka] += t
+			}
+			if inB {
+				a[kb][kb] += t
+			}
+			if inA && inB {
+				a[ka][kb] -= t
+				a[kb][ka] -= t
+			}
+		}
+		m := make([][]float64, nb)
+		for i := range m {
+			m[i] = make([]float64, nb)
+			for j := range m[i] {
+				// M_ij = Σ_k (D+L)_ik · (1/d_k) · (D+Lᵀ)_kj, with (D+L)_ik = a_ik
+				// for k ≤ i and (D+Lᵀ)_kj = a_kj for k ≤ j.
+				for k := 0; k <= min(i, j); k++ {
+					m[i][j] += a[i][k] / a[k][k] * a[k][j]
+				}
+			}
+		}
+		rb := make([]float64, nb)
+		for k, c := range cells {
+			rb[k] = r[c]
+		}
+		for k, v := range denseSolve(m, rb) {
+			z[cells[k]] = v
+		}
+	}
+	return z
+}
+
+func TestBlockSSORMatchesDenseTextbook(t *testing.T) {
+	// Both realizations of the SSOR rung call one sweep over one kind of index
+	// list, so the golden serial↔partitioned test proves the rung independent
+	// of the layout but can no longer see a wrong sweep. This can: the dense
+	// textbook solve above shares nothing with it, and the reference rung and
+	// the resident rung on 1, 2 and 4 parts must all match it to rounding on
+	// the 15360-cell radial mesh (60-cell blocks).
+	u := benchRadial(t)
+	sys := newUSystemFixture(t, u)
+	diag := sys.Diagonal()
+	r := probeVector(u.NumCells, 5)
+	want := textbookBlockSSOR(sys, r)
+	scale := 0.0
+	for _, v := range want {
+		scale = math.Max(scale, math.Abs(v))
+	}
+	check := func(name string, got []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Abs(got[i]-want[i]) > 1e-12*scale {
+				t.Fatalf("%s: z[%d] = %g, textbook block-SSOR gives %g", name, i, got[i], want[i])
+			}
+		}
+	}
+	pre, err := newSerialReference(sys).Rung(solver.PrecondSSOR, diag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]float64, u.NumCells)
+	pre(got, r)
+	check("reference rung", got)
+	for _, levels := range []int{0, 1, 2} {
+		po, closeOp := residentFixtureOn(t, u, levels, 2)
+		if err := po.SetPrecond(solver.PrecondSSOR, diag); err != nil {
+			t.Fatal(err)
+		}
+		po.Load2(0, r, 1, r)
+		runProg(t, po, solver.ProgOp{Kind: solver.OpPrecond, V1: 1, V2: 0})
+		po.Store(got, 1)
+		closeOp()
+		check(fmt.Sprintf("parts=%d", 1<<levels), got)
+	}
+}
+
 func TestPrecondLadderIterationOrdering(t *testing.T) {
 	// Each rung up the ladder buys iterations on a mesh with multi-cell
 	// canonical blocks, and AMG clears the headline ≥5× bar over Jacobi.
@@ -460,7 +598,7 @@ func TestAMGNonFiniteCoarseResidualIsBreakdown(t *testing.T) {
 		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 			b, x := probeVector(n, 1), probeVector(n, 2)
 			x[n/2] = bad
-			_, err := solver.CG(a, x, b, solver.Options{MaxIter: 5, PrecondKind: solver.PrecondAMG, PrecondDiag: po.Diagonal()})
+			_, err := solver.CG(a, x, b, solver.Options{MaxIter: 5, PrecondKind: solver.PrecondAMG, PrecondDiag: po.Sys.Diagonal()})
 			if !errors.Is(err, solver.ErrBreakdown) {
 				t.Errorf("%s with x0[%d] = %v: err = %v, want ErrBreakdown", name, n/2, bad, err)
 			}
@@ -630,11 +768,12 @@ func TestSetPrecondRejectsMisuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, diag, closeOp, err := NewSystemSpace(u, part, physics.DefaultFluid(), sys, 2)
+	op, closeOp, err := NewSystemSpace(part, sys, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer closeOp()
+	diag := sys.Diagonal()
 	po := op.(*PartOperator)
 	if err := po.SetPrecond("nonsense", diag); err == nil {
 		t.Error("unknown kind accepted")
@@ -673,14 +812,14 @@ func TestSetPrecondRejectsMisuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opRR, diagRR, closeRR, err := NewSystemSpace(u, rr, physics.DefaultFluid(), sys, 2)
+	opRR, closeRR, err := NewSystemSpace(rr, sys, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer closeRR()
 	poRR := opRR.(*PartOperator)
 	for _, kind := range ladderKinds() {
-		if err := poRR.SetPrecond(kind, diagRR); err == nil {
+		if err := poRR.SetPrecond(kind, diag); err == nil {
 			t.Errorf("%s accepted a non-canonical partition", kind)
 		}
 	}

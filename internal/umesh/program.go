@@ -102,12 +102,13 @@ func (o *PartOperator) CompileProgram(ops []solver.ProgOp) (solver.Program, erro
 			last.Actions = append(last.Actions, op.Action)
 		}
 	}
-	return &compiledProgram{o: o, plan: o.e.pool.NewPlan(b.steps)}, nil
+	return &compiledProgram{o: o, plan: o.l.pool.NewPlan(b.steps)}, nil
 }
 
-// planBuilder accumulates the plan's steps during compilation. All closure
-// allocation happens here, once per compile; executing the plan allocates
-// nothing.
+// planBuilder accumulates a plan's steps during compilation — the Krylov
+// programs' here and, through add alone, PartEngine's application plan. All
+// closure allocation happens here, once per compile; executing the plan
+// allocates nothing.
 type planBuilder struct {
 	o     *PartOperator
 	steps []exec.Step
@@ -159,7 +160,7 @@ func (b *planBuilder) emitApply(xv, dstv, wv int, r1 *float64, scratch bool) {
 	}
 	acts = append(acts, func() (bool, error) { o.finishApply(); return false, nil })
 	send := func(shard int) error { o.applySend(shard, xv, dstv, wv, withDot, scratch); return nil }
-	if !o.split {
+	if !o.l.split {
 		b.add(send, &o.Phase.Compute, acts...)
 		return
 	}
@@ -187,7 +188,9 @@ func (b *planBuilder) emitPrecond(zv, rv int, r1 *float64) {
 	o := b.o
 	switch o.preKind {
 	case solver.PrecondSSOR:
-		b.add(func(shard int) error { o.shardSSOR(shard, zv, rv); return nil }, &o.Phase.Reduce)
+		// Couplings outside a block — every halo neighbor included — are not in
+		// the lists, so the sweep reads only part-local data: no exchange.
+		b.addLocal(func(op *opPart) { op.ssor.sweep(op.vecs[zv], op.vecs[rv], op.invDiag, op.dLoc) })
 	case solver.PrecondChebyshev:
 		cf := o.cheb
 		b.addLocal(func(op *opPart) { chebInit(op.owned(zv), op.pd, op.invDiag, op.vecs[rv], cf.invTheta) })

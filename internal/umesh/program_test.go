@@ -48,7 +48,7 @@ func TestCompiledCGIterationStepCount(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			po, closeOp := residentFixture(t, tc.levels, tc.workers)
 			defer closeOp()
-			if err := po.SetPrecond(solver.PrecondJacobi, po.Diagonal()); err != nil {
+			if err := po.SetPrecond(solver.PrecondJacobi, po.Sys.Diagonal()); err != nil {
 				t.Fatal(err)
 			}
 			po.Reserve(6)
@@ -72,14 +72,14 @@ func TestCompiledCGIterationStepCount(t *testing.T) {
 			if _, err := prog.Run(); err != nil {
 				t.Fatal(err)
 			}
-			b0, d0 := po.e.pool.Counters()
+			b0, d0 := po.l.pool.Counters()
 			const runs = 3
 			for i := 0; i < runs; i++ {
 				if _, err := prog.Run(); err != nil {
 					t.Fatal(err)
 				}
 			}
-			b1, d1 := po.e.pool.Counters()
+			b1, d1 := po.l.pool.Counters()
 			if got := d1 - d0; got != runs {
 				t.Errorf("%d dispatches over %d iterations, want exactly 1 per iteration", got, runs)
 			}
@@ -107,20 +107,20 @@ func TestCompiledCGIterationStepCount(t *testing.T) {
 			t.Run(fmt.Sprintf("solve %s parts=%d", kind, 1<<levels), func(t *testing.T) {
 				po, closeOp := residentFixtureOn(t, ladderMesh(t), levels, 1)
 				defer closeOp()
-				diag := po.Diagonal()
+				diag := po.Sys.Diagonal()
 				n := po.Size()
 				b := make([]float64, n)
 				b[0], b[n-1] = 2.0, -2.0
 				prevIts := 0
 				for _, tol := range []float64{1e-4, 1e-9} {
-					_, d0 := po.e.pool.Counters()
+					_, d0 := po.l.pool.Counters()
 					s0, g0 := po.Scatters, po.Gathers
 					st, err := solver.CG(po, make([]float64, n), b,
 						solver.Options{Tol: tol, MaxIter: 800, PrecondKind: kind, PrecondDiag: diag})
 					if err != nil {
 						t.Fatal(err)
 					}
-					_, d1 := po.e.pool.Counters()
+					_, d1 := po.l.pool.Counters()
 					if got, want := d1-d0, uint64(st.Iterations+solveOverhead); got != want {
 						t.Errorf("tol %g: %d dispatches for %d iterations, want iterations+%d = %d",
 							tol, got, st.Iterations, solveOverhead, want)
@@ -139,12 +139,12 @@ func TestCompiledCGIterationStepCount(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, d0 := po.e.pool.Counters()
+				_, d0 := po.l.pool.Counters()
 				st, err := r.Solve(make([]float64, n), b, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, d1 := po.e.pool.Counters()
+				_, d1 := po.l.pool.Counters()
 				if got, want := d1-d0, uint64(st.Iterations+solveOverhead-1); got != want {
 					t.Errorf("compiled Resident: %d dispatches for %d iterations, want %d", got, st.Iterations, want)
 				}

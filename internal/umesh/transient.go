@@ -15,7 +15,7 @@ import (
 // sim.RunTransient for the structured mesh — the same frozen-coefficient
 // stepping, the same Krylov options, the same per-step reports — with wells
 // addressed by cell instead of by column, and the operator applied through
-// PartEngine instead of the structured engines.
+// PartOperator instead of the structured engines.
 
 // Well is a constant-rate mass source/sink at one cell (positive injects).
 type Well struct {
@@ -34,7 +34,7 @@ type TransientOptions struct {
 	// Porosity is the constant porosity of the accumulation term (0 selects
 	// DefaultPorosity).
 	Porosity float64
-	// Workers sizes the engine worker pool (0 = NumCPU; clamped to parts).
+	// Workers sizes the layout's worker pool (0 = NumCPU; clamped to parts).
 	Workers int
 	// UseBiCGStab selects BiCGStab over the default CG (the system is SPD,
 	// so CG is the natural choice; BiCGStab exists for the general case).
@@ -121,7 +121,7 @@ type TransientResult struct {
 }
 
 // TransientSolver is the resident-engine form of the transient implicit
-// path: plan compilation (RCB renumbering consumption, engine halo plans,
+// path: plan compilation (RCB renumbering consumption, layout halo plans,
 // CSR interleave, operator build, preconditioner setup hooks) happens once
 // in NewTransientSolver, and every Solve after that re-aims the compiled
 // engine at a new right-hand side — new wells, step count and initial field
@@ -166,11 +166,11 @@ func NewTransientSolver(u *Mesh, p *Partition, fl physics.Fluid, opts TransientO
 	if err != nil {
 		return nil, err
 	}
-	space, diag, closeOp, err := NewSystemSpace(u, p, fl, sys, opts.Workers)
+	space, closeOp, err := NewSystemSpace(p, sys, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
-	opts.Solver.PrecondDiag = diag
+	opts.Solver.PrecondDiag = sys.Diagonal()
 	// Everything a request should not pay for happens here, not lazily on the
 	// first solve: installing the preconditioner — for the operator-built
 	// rungs that is hierarchy aggregation, coarse factorization, spectral

@@ -5,16 +5,18 @@
 // from the structured mesh, a geometry-jittered grid, and a radial
 // well-centered mesh whose refinement rings give cells irregular neighbor
 // counts), the TPFA flux computation in both face-based and cell-based
-// sweeps, and a persistent partitioned engine (PartEngine): recursive
-// coordinate bisection, compact per-part renumbering (owned + halo cells
-// only), and message-passing halo exchange through plans precompiled into
-// flat index arrays — the layer "usually implemented with MPI" (§4),
-// executed on the shared shard-pool runtime (internal/exec) the structured
-// sharded engine also runs on. The partitioned residual is bit-identical to
-// the serial cell-based sweep for every part and worker count; tests assert
-// it, including under the race detector.
+// sweeps, and a compiled partition (Layout): recursive coordinate bisection,
+// compact per-part renumbering (owned + halo cells only), and message-passing
+// halo exchange through plans precompiled into flat direct-write index arrays
+// — the layer "usually implemented with MPI" (§4), executed on the shared
+// shard-pool runtime (internal/exec) the structured sharded engine also runs
+// on. Two runtimes stand on a Layout and add only their resident fields. The
+// first is PartEngine, the persistent float32 residual engine: its
+// partitioned residual is bit-identical to the serial cell-based sweep for
+// every part and worker count; tests assert it, including under the race
+// detector.
 //
-// On top of the engine sits the §8 matrix-free implicit path, run
+// The second is the §8 matrix-free implicit path, run
 // part-resident: USystem (one frozen backward-Euler pressure step) and
 // PartOperator, a solver.ProgramSpace that keeps the whole Krylov working
 // set in each part's compact layout for the entire solve — one scatter in,
@@ -37,8 +39,9 @@
 // skyline of Lᵀ, in-place Cholesky over that envelope — is built once per
 // USystem and reused across transient steps. Every rung's arithmetic is a function of the canonical order only,
 // never of the partitioning, and the serial reference rungs are built from
-// the same kernels (block-SSOR's sweeps excepted, which are twinned), so each
-// rung preserves the bit-identity guarantee at every part count.
+// the same kernels (block-SSOR's sweep included: the reference runs it on
+// vectors gathered into canonical order), so each rung preserves the
+// bit-identity guarantee at every part count.
 // PartOperator.SetPrecond installs a rung and emitPrecond compiles its step
 // sequence into the programs; referenceRung is its serial oracle.
 package umesh

@@ -261,6 +261,22 @@ func TestRCBValidation(t *testing.T) {
 	}
 }
 
+// partitionedResidual is one application of Algorithm 1 on the partitioned
+// engine.
+func partitionedResidual(t *testing.T, u *Mesh, part *Partition, fl physics.Fluid, p []float32) []float64 {
+	t.Helper()
+	e, err := NewPartEngine(u, part, fl, EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	res, err := e.Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Residual
+}
+
 func TestPartitionedMatchesSerial(t *testing.T) {
 	for _, levels := range []int{0, 1, 2, 3} {
 		_, um := structuredFixture(t, mesh.Dims{Nx: 8, Ny: 6, Nz: 3})
@@ -280,10 +296,7 @@ func TestPartitionedMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dist, err := ComputeResidualPartitioned(um, part, fl, p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		dist := partitionedResidual(t, um, part, fl, p)
 		for i := range serial {
 			if serial[i] != dist[i] {
 				t.Fatalf("levels=%d: residual[%d] differs: %g vs %g", levels, i, serial[i], dist[i])
@@ -311,10 +324,7 @@ func TestPartitionedRadialMesh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := ComputeResidualPartitioned(um, part, fl, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dist := partitionedResidual(t, um, part, fl, p)
 	for i := range serial {
 		if serial[i] != dist[i] {
 			t.Fatalf("radial partitioned mismatch at %d", i)

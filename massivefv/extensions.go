@@ -171,12 +171,12 @@ func SolveUnstructured(u *UMesh, part *UPartition, fl Fluid, dt float64, b []flo
 	if err != nil {
 		return nil, nil, err
 	}
-	space, diag, closeOp, err := umesh.NewSystemSpace(u, part, fl, sys, 0)
+	space, closeOp, err := umesh.NewSystemSpace(part, sys, 0)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer closeOp()
-	opts.PrecondDiag = diag
+	opts.PrecondDiag = sys.Diagonal()
 	cg, err := solver.CompileCG(space, opts)
 	if err != nil {
 		return nil, nil, err
@@ -212,15 +212,6 @@ func DefaultRadialOptions() umesh.RadialOptions { return umesh.DefaultRadialOpti
 
 // PartitionRCB decomposes an unstructured mesh into 2^levels parts.
 func PartitionRCB(u *UMesh, levels int) (*UPartition, error) { return umesh.RCB(u, levels) }
-
-// UnstructuredResidual evaluates Algorithm 1 on an unstructured mesh
-// (distributed across goroutine ranks when part is non-nil).
-func UnstructuredResidual(u *UMesh, part *UPartition, fl Fluid, p []float32) ([]float64, error) {
-	if part == nil {
-		return umesh.ComputeResidualCellBased(u, fl, p)
-	}
-	return umesh.ComputeResidualPartitioned(u, part, fl, p)
-}
 
 // Resident-engine serving (the fvserve daemon's library surface).
 type (

@@ -81,7 +81,7 @@ func TestFacadeUnstructured(t *testing.T) {
 	for i := range p {
 		p[i] = 2e7 + 1e5*float32(math.Sin(float64(i)))
 	}
-	serial, err := UnstructuredResidual(um, nil, fl, p)
+	serial, err := umesh.ComputeResidualCellBased(um, fl, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,12 +89,12 @@ func TestFacadeUnstructured(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := UnstructuredResidual(um, part, fl, p)
+	dist, err := RunUnstructured(um, part, fl, UnstructuredOptions{UEngineOptions: UEngineOptions{Apps: 1}, Pressure: p})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range serial {
-		if serial[i] != dist[i] {
+		if serial[i] != dist.Residual[i] {
 			t.Fatalf("facade distributed residual differs at %d", i)
 		}
 	}
@@ -207,7 +207,7 @@ func TestFacadeRunUnstructured(t *testing.T) {
 	if res.Comm.HaloWords == 0 || res.Comm.Messages == 0 {
 		t.Error("multi-part run reports no communication")
 	}
-	serial, err := umesh.RunCellBasedApps(um, fl, p, apps, umesh.PerturbAmplitude)
+	serial, err := umesh.RunCellBasedApps(um, fl, p, apps)
 	if err != nil {
 		t.Fatal(err)
 	}
