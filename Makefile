@@ -69,13 +69,15 @@ race:
 # call per Apply around a swap of m.Pressure: 35 lines of lifecycle that buy a
 # 3× faster dataflow CG and a mesh nobody writes; 4776 at PR 23: both umesh
 # runtimes on one compiled Layout, one generic pushHalo, one block-SSOR builder
-# and sweep, one diagonal, no ComputeResidualPartitioned). Lower SIZE_CEILING
+# and sweep, one diagonal, no ComputeResidualPartitioned; 4533 at PR 24:
+# BiCGStab, the five OpKinds only it emitted and the option that selected it
+# are gone — CG is the Krylov method). Lower SIZE_CEILING
 # when a PR shrinks the pair; a PR that must raise it says why. SERVE_CEILING does the same for
 # internal/serve, the serving core ROADMAP's state-machine item tracks (2050
 # at PR 16, 2044 at PR 17), and BENCH_CEILING for internal/bench, which holds
 # the paper's tables, Fig. 8 and the ablations and nothing that times this
 # host (2695 at PR 19 with the five wall-clock sweeps, 956 at PR 20 without).
-SIZE_CEILING = 4776
+SIZE_CEILING = 4533
 SERVE_CEILING = 2044
 BENCH_CEILING = 956
 size:
@@ -103,7 +105,8 @@ size:
 #     carries no check. What is left: the neighbor gathers (x[li] of a packed
 #     row ×4, of a general face ×1, and a general row's CSR slice and
 #     fused-dot operand), and per run, per block or per call one reslice per
-#     operand stream plus the block-table and resident-vector lookups.
+#     operand stream plus the block-table and resident-vector lookups
+#     (137 sites until PR 24 deleted the five BiCGStab-only shard kernels).
 #   - internal/dsd/ops.go is the structured kernel. The element loops of
 #     FluxFace, FluxFaceAcc (both through the inlined fluxElem), AccV and
 #     MovRecv report nothing; the pinned sites are the per-call reslices, the
@@ -114,7 +117,7 @@ size:
 #     resliced per plane), the rest is per tile or per PE.
 # The structured kernel's single spelling must also stay inlinable into the
 # two macro-op loops, or each element pays a call.
-BCE_PINS = internal/umesh:kernels.go:138 internal/dsd:ops.go:106 internal/core:hostload.go:20
+BCE_PINS = internal/umesh:kernels.go:100 internal/dsd:ops.go:106 internal/core:hostload.go:20
 bce:
 	@set -e; \
 	for pin in $(BCE_PINS); do \

@@ -51,11 +51,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var (
 		addr     = fs.String("addr", ":8080", "listen address")
 		cacheCap = fs.Int("cache", serve.DefaultCacheCapacity, "resident scenario cache capacity (LRU beyond it)")
-		engines  = fs.Int("engines", 2, "resident engines per scenario (least-loaded dispatch)")
+		engines  = fs.Int("engines", 2, "resident engines per scenario (the lowest idle one pulls the next batch)")
 		queue    = fs.Int("queue", serve.DefaultQueueDepth, "admitted-job bound; requests beyond it get 429")
 		rate     = fs.Float64("rate", 0, "admission rate limit [req/s], token bucket (0 = off)")
 		burst    = fs.Int("burst", 0, "token-bucket burst (default: the queue depth)")
-		batch    = fs.Int("batch", serve.DefaultBatchMax, "max same-scenario requests batched into one dispatch window")
+		batch    = fs.Int("batch", serve.DefaultBatchMax, "max same-scenario requests an engine pulls from the backlog as one batch")
 		maxCells = fs.Int("max-cells", serve.DefaultMaxCells, "largest admissible scenario in cells (<=0 disables)")
 		memoCap  = fs.Int("memo", serve.DefaultMemoCapacity, "result-memo capacity, completed responses by (scenario, payload) (<=0 disables)")
 		deadline = fs.Duration("deadline", 0, "default solve deadline; requests past it answer 504 (0 = unbounded)")

@@ -34,14 +34,14 @@
 // structured mesh, solver.DataflowOperator applies the pressure matrix
 // through the dataflow kernel, on an engine it keeps for the whole solve
 // (one load and one application per iteration). On the unstructured mesh, umesh.PartOperator
-// implements solver.ProgramSpace, so CG/BiCGStab run part-resident: the
+// implements solver.ProgramSpace, so CG runs part-resident: the
 // whole Krylov working set lives in each part's compact layout for the
 // entire solve (one scatter in, one gather out), and the recurrence runs as
 // compiled phase programs — one plan dispatch per iteration, each operator
 // application a fused pack+send+interior-compute step overlapping the halo
 // exchange followed by receive+frontier, the vector algebra fused steps with
 // per-part partial reductions. The phase programs are the only statement of
-// the recurrences and solver.Resident.Solve the only loop that iterates them:
+// the recurrence and solver.Resident.Solve the only loop that iterates it:
 // a plain Operator (and the serial reference) runs the same programs on a
 // solver.SliceSpace, op by op over global-order slices. Every inner product
 // folds through the canonical blocked reduction (umesh.CanonicalOrder — the

@@ -1,8 +1,8 @@
 package solver
 
 // This file defines the phase-program representation of the Krylov solves and
-// the one interface a space of vectors implements to run them. The solvers
-// (resident.go) describe their set-up and one iteration each as a fixed list
+// the one interface a space of vectors implements to run them. The solver
+// (resident.go) describes its set-up and one iteration each as a fixed list
 // of ProgOps — vector kernels with scalar inputs read through pointers at run
 // time, reduction results written through pointers, and host actions (the α/β
 // recurrences, breakdown checks, convergence tests) attached to the op whose
@@ -14,8 +14,8 @@ package solver
 // specification) and one shard kernel with its CompileProgram case in umesh.
 
 // OpKind enumerates the vector kernels a ProgOp can request. The vector
-// operands are named V1..V5, scalar inputs A1/A2 (dereferenced when the op
-// runs, so actions earlier in the same program can set them), reduction
+// operands are named V1..V5, the scalar input A1 (dereferenced when the op
+// runs, so actions earlier in the same program can set it), reduction
 // results R1/R2.
 type OpKind uint8
 
@@ -26,14 +26,8 @@ const (
 	OpApplyDot
 	// OpDot: *R1 = ⟨V1, V2⟩.
 	OpDot
-	// OpDot2: *R1 = ⟨V1, V2⟩ and *R2 = ⟨V1, V3⟩ in one pass.
-	OpDot2
 	// OpCopy: V1 = V2.
 	OpCopy
-	// OpAxpy: V1 += *A1·V2.
-	OpAxpy
-	// OpAxpy2: V1 += *A1·V2 + *A2·V3.
-	OpAxpy2
 	// OpXpby: V1 = V2 + *A1·V1.
 	OpXpby
 	// OpSubAxpyDot: V1 = V2 − *A1·V3 and *R1 = ⟨V1, V1⟩, fused.
@@ -46,10 +40,6 @@ const (
 	// operator-built rungs need their own phases and use OpCGStep +
 	// OpPrecondDot instead.
 	OpCGStepPre
-	// OpBicgP: V1 = V2 + *A1·(V1 − *A2·V3), the BiCGStab direction update.
-	OpBicgP
-	// OpPrecond: V1 = M⁻¹·V2.
-	OpPrecond
 	// OpPrecondDot: V1 = M⁻¹·V2 and *R1 = ⟨V2, V1⟩, fused.
 	OpPrecondDot
 )
@@ -62,13 +52,13 @@ const (
 type ProgOp struct {
 	Kind               OpKind
 	V1, V2, V3, V4, V5 Vec
-	A1, A2             *float64
+	A1                 *float64
 	R1, R2             *float64
 	Action             func() (stop bool, err error)
 }
 
 // Program is a compiled phase program. Run executes one full pass — for the
-// resident solvers, the solve's set-up or one Krylov iteration — and reports
+// resident solver, the solve's set-up or one Krylov iteration — and reports
 // whether an action stopped it early.
 type Program interface {
 	Run() (stopped bool, err error)
@@ -100,7 +90,7 @@ type ProgramSpace interface {
 	// gather.
 	Store(dst []float64, v Vec)
 	// SetPrecond installs a rung of the preconditioner ladder as the M⁻¹ of
-	// OpPrecond/OpPrecondDot/OpCGStepPre, replacing the previous one. Jacobi
+	// OpPrecondDot/OpCGStepPre, replacing the previous one. Jacobi
 	// applies z_i = (1/d_i)·r_i; the default kind is Jacobi when diag is
 	// non-nil and the identity otherwise. The request is validated with
 	// CheckPrecond first. Programs may freeze the installed preconditioner

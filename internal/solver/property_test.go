@@ -3,9 +3,6 @@ package solver
 import (
 	"math"
 	"testing"
-
-	"repro/internal/mesh"
-	"repro/internal/refflux"
 )
 
 // Property tests over randomized systems — the middle of the test pyramid:
@@ -160,81 +157,6 @@ func TestCGRandomSPDConvergesMonotonically(t *testing.T) {
 			if math.Abs(x[i]-want[i]) > 1e-7*scale {
 				t.Fatalf("seed %d: x[%d] = %g, dense reference %g", seed, i, x[i], want[i])
 			}
-		}
-	}
-}
-
-func TestBiCGStabRandomNonsymmetricMatchesReference(t *testing.T) {
-	// Property: BiCGStab solves nonsymmetric perturbations of random SPD
-	// systems (where CG's theory no longer applies) and lands on the dense
-	// reference solution.
-	for seed := uint64(0); seed < 15; seed++ {
-		n := 18 + int(seed%4)*8
-		op, diag := randomSPD(n, seed*31337+5)
-		rng := propRand(seed*65537 + 3)
-		// Nonsymmetric perturbation, small against the dominant diagonal so
-		// the system stays comfortably nonsingular.
-		for i := 0; i < n; i++ {
-			for j := range op.a[i] {
-				if i != j && op.a[i][j] != 0 {
-					op.a[i][j] += 0.05 * rng.float() * math.Min(diag[i], diag[j])
-				}
-			}
-		}
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = rng.float()
-		}
-		x := make([]float64, n)
-		st, err := BiCGStab(op, x, b, Options{Tol: 1e-11, MaxIter: 600, PrecondDiag: diag})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if !st.Converged {
-			t.Fatalf("seed %d: not converged: %+v", seed, st)
-		}
-		want := gaussSolve(t, op, b)
-		scale := 0.0
-		for _, w := range want {
-			if a := math.Abs(w); a > scale {
-				scale = a
-			}
-		}
-		for i := range x {
-			if math.Abs(x[i]-want[i]) > 1e-7*scale {
-				t.Fatalf("seed %d: x[%d] = %g, dense reference %g", seed, i, x[i], want[i])
-			}
-		}
-	}
-}
-
-func TestBiCGStabMatchesHostOperatorSolution(t *testing.T) {
-	// On the genuine (SPD) pressure system, BiCGStab through the
-	// HostOperator must land on the same solution CG does.
-	sys, _ := buildSys(t, mesh.Dims{Nx: 6, Ny: 5, Nz: 3}, refflux.FacesAll)
-	op := &HostOperator{Sys: sys}
-	b, err := WellSource(sys.Mesh, 1, 2, 2.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{Tol: 1e-10, MaxIter: 800, PrecondDiag: sys.Diagonal()}
-	xcg := make([]float64, op.Size())
-	if _, err := CG(op, xcg, b, opts); err != nil {
-		t.Fatal(err)
-	}
-	xbi := make([]float64, op.Size())
-	if _, err := BiCGStab(op, xbi, b, opts); err != nil {
-		t.Fatal(err)
-	}
-	scale := 0.0
-	for _, v := range xcg {
-		if a := math.Abs(v); a > scale {
-			scale = a
-		}
-	}
-	for i := range xcg {
-		if math.Abs(xcg[i]-xbi[i]) > 1e-6*scale {
-			t.Fatalf("CG and BiCGStab solutions diverge at %d: %g vs %g", i, xcg[i], xbi[i])
 		}
 	}
 }

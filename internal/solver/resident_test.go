@@ -8,11 +8,10 @@ import (
 	"testing"
 )
 
-// naiveCG and naiveBiCGStab are the textbook recurrences written as plainly as
-// possible — slices, one loop, left-to-right sums, no programs, no spaces.
-// They are the independent statement the phase programs are checked against:
-// a solve through Resident.Solve on a SliceSpace must reproduce them bit for
-// bit. inv is the Jacobi inverse diagonal (nil = no preconditioner).
+// naiveCG is the textbook recurrence written as plainly as possible — slices,
+// one loop, left-to-right sums, no programs, no spaces. It is the independent
+// statement the phase programs are checked against: a solve through
+// Resident.Solve on a SliceSpace must reproduce it bit for bit. inv is the Jacobi inverse diagonal (nil = no preconditioner).
 func naiveCG(a Operator, x, b, inv []float64, tol float64, maxIter int) (*Stats, error) {
 	n := a.Size()
 	pre := func(z, r []float64) {
@@ -55,71 +54,6 @@ func naiveCG(a Operator, x, b, inv []float64, tol float64, maxIter int) (*Stats,
 			p[i] = z[i] + rzNew/rz*p[i]
 		}
 		rz = rzNew
-	}
-	return st, ErrNotConverged
-}
-
-func naiveBiCGStab(a Operator, x, b, inv []float64, tol float64, maxIter int) (*Stats, error) {
-	n := a.Size()
-	pre := func(z, r []float64) {
-		copy(z, r)
-		for i := range inv {
-			z[i] = inv[i] * r[i]
-		}
-	}
-	vec := func() []float64 { return make([]float64, n) }
-	r, v, p, ph, s, sh, t := vec(), vec(), vec(), vec(), vec(), vec(), vec()
-	normB := math.Sqrt(dot(b, b))
-	a.Apply(r, x)
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
-	rHat := append([]float64(nil), r...)
-	rho, alpha, omega := 1.0, 1.0, 1.0
-	st := &Stats{}
-	for k := 0; k < maxIter; k++ {
-		rhoNew := dot(rHat, r)
-		if k == 0 {
-			copy(p, r)
-		} else {
-			beta := (rhoNew / rho) * (alpha / omega)
-			for i := range p {
-				p[i] = r[i] + beta*(p[i]-omega*v[i])
-			}
-		}
-		rho = rhoNew
-		pre(ph, p)
-		a.Apply(v, ph)
-		den := dot(rHat, v)
-		if den == 0 {
-			return st, ErrBreakdown
-		}
-		alpha = rho / den
-		for i := range s {
-			s[i] = r[i] - alpha*v[i]
-		}
-		st.Iterations = k + 1
-		if res := math.Sqrt(dot(s, s)) / normB; res <= tol {
-			for i := range x {
-				x[i] += alpha * ph[i]
-			}
-			st.Residual, st.Converged = res, true
-			st.History = append(st.History, res)
-			return st, nil
-		}
-		pre(sh, s)
-		a.Apply(t, sh)
-		omega = dot(t, s) / dot(t, t)
-		for i := range x {
-			x[i] += alpha*ph[i] + omega*sh[i]
-			r[i] = s[i] - omega*t[i]
-		}
-		st.Residual = math.Sqrt(dot(r, r)) / normB
-		st.History = append(st.History, st.Residual)
-		if st.Residual <= tol {
-			st.Converged = true
-			return st, nil
-		}
 	}
 	return st, ErrNotConverged
 }
@@ -205,25 +139,6 @@ func TestResidentCGMatchesSlicePathBitExact(t *testing.T) {
 	}
 }
 
-func TestResidentBiCGStabMatchesSlicePathBitExact(t *testing.T) {
-	for _, seed := range []uint64{3, 11} {
-		op, b := randomSPD(20, seed)
-		// Nonsymmetric perturbation exercises the full BiCGStab recurrence.
-		op.a[1][2] += 0.25
-		op.a[5][0] -= 0.125
-		diag := diagOf(op)
-		xs := make([]float64, op.Size())
-		stS, errS := naiveBiCGStab(op, xs, b, invOf(diag), 1e-13, 400)
-		xr := make([]float64, op.Size())
-		stR, errR := BiCGStab(op, xr, b, Options{Tol: 1e-13, MaxIter: 400, PrecondDiag: diag})
-		sameSolve(t, fmt.Sprintf("seed %d", seed), stS, errS, xs, stR, errR, xr)
-		if errR != nil {
-			t.Fatalf("seed %d: %v", seed, errR)
-		}
-		matchesGauss(t, op, xr, b)
-	}
-}
-
 func TestResidentZeroRHS(t *testing.T) {
 	// The zero-b early exit zeroes x.
 	op, _ := randomSPD(8, 5)
@@ -242,21 +157,19 @@ func TestResidentZeroRHS(t *testing.T) {
 func TestPrecondClosureForcesSlicePath(t *testing.T) {
 	// A z = M⁻¹·r closure over global slices is no solver option any more: it
 	// reaches a solve only as what a SliceSpace's Rung field builds for an
-	// operator-built kind — and there it is honoured, by both methods.
+	// operator-built kind — and there it is honoured.
 	op, b := randomSPD(16, 9)
-	for name, solve := range map[string]func(Operator, []float64, []float64, Options) (*Stats, error){"cg": CG, "bicgstab": BiCGStab} {
-		calls := 0
-		space := &SliceSpace{Operator: op, Rung: func(PrecondKind, []float64) (func(z, r []float64), error) {
-			return func(z, r []float64) { calls++; copy(z, r) }, nil
-		}}
-		x := make([]float64, op.Size())
-		st, err := solve(space, x, b, Options{Tol: 1e-10, MaxIter: 300, PrecondKind: PrecondSSOR, PrecondDiag: diagOf(op)})
-		if err != nil || !st.Converged {
-			t.Fatalf("%s with a Rung closure failed: %v %+v", name, err, st)
-		}
-		if calls == 0 {
-			t.Errorf("%s never invoked the Rung closure", name)
-		}
+	calls := 0
+	space := &SliceSpace{Operator: op, Rung: func(PrecondKind, []float64) (func(z, r []float64), error) {
+		return func(z, r []float64) { calls++; copy(z, r) }, nil
+	}}
+	x := make([]float64, op.Size())
+	st, err := CG(space, x, b, Options{Tol: 1e-10, MaxIter: 300, PrecondKind: PrecondSSOR, PrecondDiag: diagOf(op)})
+	if err != nil || !st.Converged {
+		t.Fatalf("cg with a Rung closure failed: %v %+v", err, st)
+	}
+	if calls == 0 {
+		t.Errorf("cg never invoked the Rung closure")
 	}
 }
 
@@ -279,14 +192,9 @@ func TestResidentErrorPathsMirrorSlicePath(t *testing.T) {
 				t.Fatalf("best iterate differs at %d: %g vs %g", i, xs[i], xr[i])
 			}
 		}
-		xb := make([]float64, op.Size())
-		if _, err := BiCGStab(op, xb, b, opts); !errors.Is(err, ErrNotConverged) {
-			t.Fatalf("BiCGStab: want ErrNotConverged, got %v", err)
-		}
 	})
 	t.Run("breakdown", func(t *testing.T) {
-		// The zero matrix gives pᵀAp = 0 on the first CG iteration and
-		// r̂ᵀv = 0 in BiCGStab.
+		// The zero matrix gives pᵀAp = 0 on the first CG iteration.
 		n := 6
 		zeroA := &denseOp{a: make([][]float64, n)}
 		for i := range zeroA.a {
@@ -297,9 +205,6 @@ func TestResidentErrorPathsMirrorSlicePath(t *testing.T) {
 		if _, err := CG(zeroA, make([]float64, n), b, Options{}); !errors.Is(err, ErrBreakdown) {
 			t.Fatalf("CG on zero matrix: want ErrBreakdown, got %v", err)
 		}
-		if _, err := BiCGStab(zeroA, make([]float64, n), b, Options{}); !errors.Is(err, ErrBreakdown) {
-			t.Fatalf("BiCGStab on zero matrix: want ErrBreakdown, got %v", err)
-		}
 	})
 	t.Run("bad diagonal", func(t *testing.T) {
 		op, b := randomSPD(8, 33)
@@ -308,29 +213,6 @@ func TestResidentErrorPathsMirrorSlicePath(t *testing.T) {
 		if _, err := CG(op, make([]float64, op.Size()), b, opts); err == nil {
 			t.Error("CG accepted a zero preconditioner diagonal")
 		}
-		if _, err := BiCGStab(op, make([]float64, op.Size()), b, opts); err == nil {
-			t.Error("BiCGStab accepted a zero preconditioner diagonal")
-		}
-	})
-	t.Run("bicgstab early exit", func(t *testing.T) {
-		// On the identity matrix BiCGStab converges at the ‖s‖ check of the
-		// first iteration — the half-step exit, whose x += α·p̂ the program
-		// must finish exactly like the textbook loop.
-		n := 6
-		eye := &denseOp{a: make([][]float64, n)}
-		for i := range eye.a {
-			eye.a[i] = make([]float64, n)
-			eye.a[i][i] = 1
-		}
-		b := []float64{1, -2, 3, 0.5, -0.25, 4}
-		xs := make([]float64, n)
-		stS, errS := naiveBiCGStab(eye, xs, b, nil, 1e-8, 500)
-		xr := make([]float64, n)
-		stR, errR := BiCGStab(eye, xr, b, Options{})
-		if errS != nil || errR != nil || !stS.Converged || !stR.Converged {
-			t.Fatalf("identity solve failed: %v %v %+v %+v", errS, errR, stS, stR)
-		}
-		sameSolve(t, "identity", stS, errS, xs, stR, errR, xr)
 	})
 }
 
@@ -353,23 +235,68 @@ func TestResidentSolveRespectsInitialGuess(t *testing.T) {
 
 func TestNonFiniteRHSIsBreakdown(t *testing.T) {
 	// A NaN or ±Inf entry in b makes ‖b‖ non-finite; every later check would
-	// compare against NaN and never fire (BiCGStab used to run all MaxIter
-	// iterations on NaNs). Both methods stop in the set-up program with
-	// ErrBreakdown, before x is touched.
+	// compare against NaN and never fire. The solve stops in the set-up program
+	// with ErrBreakdown, before x is touched.
 	op, _ := randomSPD(8, 5)
-	for name, solve := range map[string]func(Operator, []float64, []float64, Options) (*Stats, error){"cg": CG, "bicgstab": BiCGStab} {
-		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-			b := []float64{1, 2, bad, 4, 5, 6, 7, 8}
-			x := []float64{8, 7, 6, 5, 4, 3, 2, 1}
-			_, err := solve(op, x, b, Options{MaxIter: 5})
-			if !errors.Is(err, ErrBreakdown) || !strings.Contains(err.Error(), "non-finite right-hand side") {
-				t.Errorf("%s, b[2] = %v: err = %v, want the non-finite right-hand side breakdown", name, bad, err)
-			}
-			for i, v := range x {
-				if v != float64(8-i) {
-					t.Errorf("%s, b[2] = %v: x[%d] = %g, touched", name, bad, i, v)
-				}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		b := []float64{1, 2, bad, 4, 5, 6, 7, 8}
+		x := []float64{8, 7, 6, 5, 4, 3, 2, 1}
+		_, err := CG(op, x, b, Options{MaxIter: 5})
+		if !errors.Is(err, ErrBreakdown) || !strings.Contains(err.Error(), "non-finite right-hand side") {
+			t.Errorf("b[2] = %v: err = %v, want the non-finite right-hand side breakdown", bad, err)
+		}
+		for i, v := range x {
+			if v != float64(8-i) {
+				t.Errorf("b[2] = %v: x[%d] = %g, touched", bad, i, v)
 			}
 		}
+	}
+}
+
+// recordingSpace is a SliceSpace that notes every OpKind it is asked to
+// compile.
+type recordingSpace struct {
+	SliceSpace
+	seen map[OpKind]bool
+}
+
+func (r *recordingSpace) CompileProgram(ops []ProgOp) (Program, error) {
+	for i := range ops {
+		r.seen[ops[i].Kind] = true
+	}
+	return r.SliceSpace.CompileProgram(ops)
+}
+
+func TestCompiledCGEmitsEveryOpKind(t *testing.T) {
+	// The OpKind enum is what compiled CG emits and nothing else: the fused
+	// shape (Jacobi) and the rung shape (an operator-built kind) together use
+	// every constant, so an op no program runs cannot sit in every
+	// ProgramSpace unnoticed. The enum's end is where the reference space
+	// stops accepting kinds.
+	op, _ := randomSPD(8, 5)
+	seen := map[OpKind]bool{}
+	for _, kind := range []PrecondKind{PrecondJacobi, PrecondSSOR} {
+		space := &recordingSpace{seen: seen, SliceSpace: SliceSpace{Operator: op,
+			Rung: func(PrecondKind, []float64) (func(z, r []float64), error) {
+				return func(z, r []float64) { copy(z, r) }, nil
+			}}}
+		if _, err := CompileCG(space, Options{PrecondKind: kind, PrecondDiag: diagOf(op)}); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+	}
+	ref := &SliceSpace{Operator: op}
+	if _, err := ref.CompileProgram([]ProgOp{{Kind: OpPrecondDot + 1}}); err == nil {
+		t.Fatal("OpPrecondDot is no longer the last OpKind — extend this sweep")
+	}
+	for k := OpApply; k <= OpPrecondDot; k++ {
+		if _, err := ref.CompileProgram([]ProgOp{{Kind: k}}); err != nil {
+			t.Errorf("op kind %d: the reference space refuses it: %v", k, err)
+		}
+		if !seen[k] {
+			t.Errorf("op kind %d is emitted by neither shape of compiled CG", k)
+		}
+	}
+	if len(seen) != int(OpPrecondDot)+1 {
+		t.Errorf("compiled CG emits %d kinds, the enum has %d", len(seen), int(OpPrecondDot)+1)
 	}
 }

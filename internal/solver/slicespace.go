@@ -4,7 +4,7 @@ import "fmt"
 
 // SliceSpace is the reference ProgramSpace: any Operator, the identity
 // layout, and phase programs executed op by op over global-order slices. It is
-// what CG and BiCGStab run on when the operator has no layout of its own
+// what CG runs on when the operator has no layout of its own
 // (HostOperator, DataflowOperator), and — with umesh supplying the canonical
 // blocked reduction and the rung builder — the serial oracle every
 // partitioned solve is compared against bit for bit. Each op evaluates the
@@ -116,17 +116,8 @@ func (p *sliceProgram) Run() (bool, error) {
 			}
 		case OpDot:
 			*op.R1 = s.dot(s.vec(op.V1), s.vec(op.V2))
-		case OpDot2:
-			*op.R1, *op.R2 = s.dot(s.vec(op.V1), s.vec(op.V2)), s.dot(s.vec(op.V1), s.vec(op.V3))
 		case OpCopy:
 			copy(s.vec(op.V1), s.vec(op.V2))
-		case OpAxpy:
-			axpy(s.vec(op.V1), *op.A1, s.vec(op.V2))
-		case OpAxpy2:
-			y, x, z, a, b := s.vec(op.V1), s.vec(op.V2), s.vec(op.V3), *op.A1, *op.A2
-			for i := range y {
-				y[i] += a*x[i] + b*z[i]
-			}
 		case OpXpby:
 			y, x, b := s.vec(op.V1), s.vec(op.V2), *op.A1
 			for i := range y {
@@ -147,16 +138,9 @@ func (p *sliceProgram) Run() (bool, error) {
 				s.precond(s.vec(op.V5), r)
 				*op.R2 = s.dot(r, s.vec(op.V5))
 			}
-		case OpBicgP:
-			pv, r, v, b, w := s.vec(op.V1), s.vec(op.V2), s.vec(op.V3), *op.A1, *op.A2
-			for i := range pv {
-				pv[i] = r[i] + b*(pv[i]-w*v[i])
-			}
-		case OpPrecond, OpPrecondDot:
+		case OpPrecondDot:
 			s.precond(s.vec(op.V1), s.vec(op.V2))
-			if op.Kind == OpPrecondDot {
-				*op.R1 = s.dot(s.vec(op.V2), s.vec(op.V1))
-			}
+			*op.R1 = s.dot(s.vec(op.V2), s.vec(op.V1))
 		}
 		if op.Action != nil {
 			if stop, err := op.Action(); stop || err != nil {

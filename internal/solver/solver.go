@@ -1,9 +1,8 @@
 // Package solver implements the paper's §8 extension: the flux computation
 // "is naturally extendable to a matrix-free operator ... for use in an
-// iterative Krylov method which would solve equation (2)". It provides
-// matrix-free Krylov solvers (CG and BiCGStab) with a preconditioner ladder
-// over an Operator interface, plus two operators for the implicit pressure
-// equation:
+// iterative Krylov method which would solve equation (2)". It provides a
+// matrix-free Krylov solver (CG) with a preconditioner ladder over an
+// Operator interface, plus two operators for the implicit pressure equation:
 //
 //   - HostOperator: the TPFA flux Jacobian with frozen face mobilities,
 //     assembled from the mesh on the host (float64);
@@ -16,8 +15,8 @@
 //
 //	(V·φ·ρref·cf/Δt)·δp − ∂F/∂p·δp = b
 //
-// whose matrix is symmetric positive definite for frozen mobilities, making
-// CG applicable; BiCGStab is provided for the general case.
+// whose matrix is symmetric positive definite for frozen mobilities, so CG is
+// the Krylov method.
 //
 // Preconditioning is selected by Options.PrecondKind — a ladder of four
 // rungs (jacobi, ssor, chebyshev, amg) — and installed through
@@ -26,9 +25,9 @@
 // are constructed by whoever knows the matrix graph: umesh.PartOperator in its
 // own layout, or the builder a SliceSpace is given in its Rung field.
 //
-// There is one statement of each recurrence and one loop that iterates it:
-// cgProgram/biProgram (resident.go) spell CG and BiCGStab as phase programs,
-// and Resident.Solve drives them on whatever ProgramSpace it is given. A
+// There is one statement of the recurrence and one loop that iterates it:
+// cgSetup/cgProgram (resident.go) spell CG as phase programs, and
+// Resident.Solve drives them on whatever ProgramSpace it is given. A
 // partitioned operator (umesh.PartOperator) compiles the programs into its
 // own execution plans; every other Operator is wrapped in a SliceSpace
 // (slicespace.go), the reference space that runs the same programs op by op
@@ -126,16 +125,6 @@ func cancelErr(st *Stats) error {
 // that solves the same system repeatedly keeps the Resident instead.
 func CG(a Operator, x, b []float64, opts Options) (*Stats, error) {
 	r, err := CompileCG(spaceOf(a), opts)
-	if err != nil {
-		return nil, err
-	}
-	return r.Solve(x, b, opts.Cancel)
-}
-
-// BiCGStab solves A·x = b for general (nonsymmetric) A — CompileBiCGStab and
-// one Solve, on the same choice of space as CG.
-func BiCGStab(a Operator, x, b []float64, opts Options) (*Stats, error) {
-	r, err := CompileBiCGStab(spaceOf(a), opts)
 	if err != nil {
 		return nil, err
 	}

@@ -11,8 +11,8 @@ import (
 )
 
 // TestEveryOpBitIdenticalToReference is the differential test behind the
-// oracle: not the op sequences CG and BiCGStab happen to emit, but every
-// solver.OpKind on its own — seeded random vectors and scalars, under the
+// oracle: not the op sequences CG happens to emit, but every solver.OpKind
+// on its own — seeded random vectors and a scalar, under the
 // identity and each rung of the ladder — run on the serial reference space and
 // on PartOperator at parts {1, 2, 4, 8} × workers {1, 2}. Every vector and
 // both reductions must agree to the bit.
@@ -27,7 +27,7 @@ func TestEveryOpBitIdenticalToReference(t *testing.T) {
 			in[v][i] = rng.NormFloat64()
 		}
 	}
-	a1, a2 := rng.NormFloat64(), rng.NormFloat64()
+	a1 := rng.NormFloat64()
 	type result struct {
 		vecs [5][]float64
 		r    [2]float64
@@ -50,7 +50,7 @@ func TestEveryOpBitIdenticalToReference(t *testing.T) {
 		sp.Load2(2, res.vecs[2], 3, res.vecs[3])
 		sp.Load2(4, res.vecs[4], 4, res.vecs[4])
 		prog, err := sp.CompileProgram([]solver.ProgOp{{Kind: k, V1: 0, V2: 1, V3: 2, V4: 3, V5: 4,
-			A1: &a1, A2: &a2, R1: &res.r[0], R2: &res.r[1]}})
+			A1: &a1, R1: &res.r[0], R2: &res.r[1]}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,25 +99,23 @@ func TestEveryOpBitIdenticalToReference(t *testing.T) {
 }
 
 // TestNonFiniteInputsRejected: a NaN/±Inf right-hand side is a breakdown in
-// the set-up program of both methods on the partitioned space too (x
-// untouched — the solve never gathers), and TransientSolver refuses non-finite
-// well rates and initial pressures before any solve starts.
+// the set-up program on the partitioned space too (x untouched — the solve
+// never gathers), and TransientSolver refuses non-finite well rates and
+// initial pressures before any solve starts.
 func TestNonFiniteInputsRejected(t *testing.T) {
 	po, closeOp := residentFixture(t, 2, 2)
 	defer closeOp()
 	n := po.Size()
-	for name, solve := range map[string]func(solver.Operator, []float64, []float64, solver.Options) (*solver.Stats, error){"cg": solver.CG, "bicgstab": solver.BiCGStab} {
-		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-			b, x := probeVector(n, 1), probeVector(n, 2)
-			b[n/2] = bad
-			_, err := solve(po, x, b, solver.Options{MaxIter: 5, PrecondDiag: po.Sys.Diagonal()})
-			if !errors.Is(err, solver.ErrBreakdown) {
-				t.Errorf("%s with b[%d] = %v: err = %v, want ErrBreakdown", name, n/2, bad, err)
-			}
-			for i, want := range probeVector(n, 2) {
-				if x[i] != want {
-					t.Fatalf("%s with b[%d] = %v: x[%d] touched", name, n/2, bad, i)
-				}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		b, x := probeVector(n, 1), probeVector(n, 2)
+		b[n/2] = bad
+		_, err := solver.CG(po, x, b, solver.Options{MaxIter: 5, PrecondDiag: po.Sys.Diagonal()})
+		if !errors.Is(err, solver.ErrBreakdown) {
+			t.Errorf("b[%d] = %v: err = %v, want ErrBreakdown", n/2, bad, err)
+		}
+		for i, want := range probeVector(n, 2) {
+			if x[i] != want {
+				t.Fatalf("b[%d] = %v: x[%d] touched", n/2, bad, i)
 			}
 		}
 	}

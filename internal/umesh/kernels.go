@@ -153,41 +153,6 @@ func (o *PartOperator) shardDot(shard, av, bv int) {
 	op.blockDot(op.vecs[av], op.vecs[bv], o.blockSums)
 }
 
-// shardDot2 accumulates ⟨a, x⟩ and ⟨a, y⟩ in one pass.
-func (o *PartOperator) shardDot2(shard, av, xv, yv int) {
-	op := o.parts[shard]
-	for blk := range op.blkLo {
-		lo, n := op.block(blk)
-		a, x, y := window(op.vecs[av], lo, n), window(op.vecs[xv], lo, n), window(op.vecs[yv], lo, n)
-		acc1, acc2 := 0.0, 0.0
-		for i := range a {
-			acc1 += a[i] * x[i]
-			acc2 += a[i] * y[i]
-		}
-		o.blockSums[op.blkOut[blk]] = acc1
-		o.blockSums2[op.blkOut[blk]] = acc2
-	}
-}
-
-// shardAxpy computes y += α·x.
-func (o *PartOperator) shardAxpy(shard, yv, xv int, alpha float64) {
-	op := o.parts[shard]
-	y, x := op.owned(yv), op.owned(xv)
-	for i := range y {
-		y[i] += alpha * x[i]
-	}
-}
-
-// shardAxpy2 computes y += α·x + β·z in one expression per element (the
-// BiCGStab solution update).
-func (o *PartOperator) shardAxpy2(shard, yv, xv, zv int, alpha, beta float64) {
-	op := o.parts[shard]
-	y, x, z := op.owned(yv), op.owned(xv), op.owned(zv)
-	for i := range y {
-		y[i] += alpha*x[i] + beta*z[i]
-	}
-}
-
 // shardXpby computes y = x + β·y (the CG search-direction update).
 func (o *PartOperator) shardXpby(shard, yv, xv int, beta float64) {
 	op := o.parts[shard]
@@ -271,31 +236,8 @@ func (o *PartOperator) shardCGStepPre(shard, xv, pv, rv, apv, zv int, alpha floa
 	}
 }
 
-// shardBicgP computes p = r + β·(p − ω·v), the BiCGStab direction update.
-func (o *PartOperator) shardBicgP(shard, pv, rv, vv int, beta, omega float64) {
-	op := o.parts[shard]
-	p, r, v := op.owned(pv), op.owned(rv), op.owned(vv)
-	for i := range p {
-		p[i] = r[i] + beta*(p[i]-omega*v[i])
-	}
-}
-
-// shardPre computes z = M⁻¹·r for the elementwise (Jacobi/identity)
-// preconditioner.
-func (o *PartOperator) shardPre(shard, zv, rv int) {
-	op := o.parts[shard]
-	z, r := op.owned(zv), op.owned(rv)
-	if !o.usePre {
-		copy(z, r)
-		return
-	}
-	inv := window(op.invDiag, 0, len(z))
-	for i := range z {
-		z[i] = inv[i] * r[i]
-	}
-}
-
-// shardPreDot is shardPre with ⟨r, z⟩ accumulated in the same pass.
+// shardPreDot computes z = M⁻¹·r for the elementwise (Jacobi/identity)
+// preconditioner with ⟨r, z⟩ accumulated in the same pass.
 func (o *PartOperator) shardPreDot(shard, zv, rv int) {
 	op := o.parts[shard]
 	for blk := range op.blkLo {

@@ -16,9 +16,9 @@ import (
 // over an unstructured mesh (the unstructured mirror of
 // solver.PressureSystem); UHostOperator applies it serially in float64 — the
 // reference every partitioned solve is measured against; PartOperator is the
-// part-resident operator: the whole Krylov working set (x, r, p, q, z for
-// CG; the BiCGStab set) lives in each part's compact local layout
-// (owned-first + halo blocks) for the whole solve, so a solve performs
+// part-resident operator: the whole Krylov working set (CG's x, b, r, z, p
+// and A·p) lives in each part's compact local layout (owned-first + halo
+// blocks) for the whole solve, so a solve performs
 // exactly one initial scatter and one final gather instead of one global
 // round-trip per operator application.
 //
@@ -353,9 +353,9 @@ type PhaseSeconds struct {
 func (p PhaseSeconds) Total() float64 { return p.Exchange + p.Compute + p.Reduce }
 
 // PartOperator is the matrix-free part-resident operator: a
-// solver.ProgramSpace, so CG and BiCGStab keep their whole working set in the
-// parts' compact layouts, scatter once, run compiled phase programs
-// (program.go), and gather once. It is also a plain solver.Operator: Apply is
+// solver.ProgramSpace, so CG keeps its whole working set in the parts'
+// compact layouts, scatters once, runs compiled phase programs
+// (program.go), and gathers once. It is also a plain solver.Operator: Apply is
 // scatter → a one-op program → gather. Steady-state Apply, scatter, gather
 // and every compiled program execution allocate nothing.
 //

@@ -241,45 +241,39 @@ func TestResidentSolveMatchesSlicePathBitExact(t *testing.T) {
 
 func TestResidentSolveScattersAndGathersOnce(t *testing.T) {
 	// The part-resident acceptance metric: one scatter and one gather per
-	// solve, however many iterations the solve takes — for CG and BiCGStab.
-	for _, bicg := range []bool{false, true} {
-		po, closeOp := residentFixture(t, 1, 1)
-		diag := po.Sys.Diagonal()
-		n := po.Size()
-		b := make([]float64, n)
-		b[0], b[n-1] = 2.0, -2.0
-		x := make([]float64, n)
-		solve := solver.CG
-		if bicg {
-			solve = solver.BiCGStab
-		}
-		st, err := solve(po, x, b, solver.Options{Tol: 1e-8, MaxIter: 800, PrecondDiag: diag})
-		closeOp()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !st.Converged || st.Iterations < 2 {
-			t.Fatalf("bicg=%v: degenerate solve: %+v", bicg, st)
-		}
-		if po.Scatters != 1 || po.Gathers != 1 {
-			t.Errorf("bicg=%v: %d iterations used %d scatters and %d gathers, want exactly 1 each",
-				bicg, st.Iterations, po.Scatters, po.Gathers)
-		}
-		if po.Applications < st.Iterations {
-			t.Errorf("bicg=%v: %d applications for %d iterations", bicg, po.Applications, st.Iterations)
-		}
-		if po.Phase.Total() <= 0 {
-			t.Errorf("bicg=%v: no per-phase time recorded: %+v", bicg, po.Phase)
-		}
+	// solve, however many iterations the solve takes.
+	po, closeOp := residentFixture(t, 1, 1)
+	diag := po.Sys.Diagonal()
+	n := po.Size()
+	b := make([]float64, n)
+	b[0], b[n-1] = 2.0, -2.0
+	x := make([]float64, n)
+	st, err := solver.CG(po, x, b, solver.Options{Tol: 1e-8, MaxIter: 800, PrecondDiag: diag})
+	closeOp()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Converged || st.Iterations < 2 {
+		t.Fatalf("degenerate solve: %+v", st)
+	}
+	if po.Scatters != 1 || po.Gathers != 1 {
+		t.Errorf("%d iterations used %d scatters and %d gathers, want exactly 1 each",
+			st.Iterations, po.Scatters, po.Gathers)
+	}
+	if po.Applications < st.Iterations {
+		t.Errorf("%d applications for %d iterations", po.Applications, st.Iterations)
+	}
+	if po.Phase.Total() <= 0 {
+		t.Errorf("no per-phase time recorded: %+v", po.Phase)
 	}
 }
 
 // everyOpKind is one program holding each solver.OpKind once, over five
 // distinct vectors and shared scalar cells.
-func everyOpKind(a1, a2, r1, r2 *float64) []solver.ProgOp {
+func everyOpKind(a1, r1, r2 *float64) []solver.ProgOp {
 	var ops []solver.ProgOp
 	for k := solver.OpApply; k <= solver.OpPrecondDot; k++ {
-		ops = append(ops, solver.ProgOp{Kind: k, V1: 0, V2: 1, V3: 2, V4: 3, V5: 4, A1: a1, A2: a2, R1: r1, R2: r2})
+		ops = append(ops, solver.ProgOp{Kind: k, V1: 0, V2: 1, V3: 2, V4: 3, V5: 4, A1: a1, R1: r1, R2: r2})
 	}
 	return ops
 }
@@ -287,8 +281,8 @@ func everyOpKind(a1, a2, r1, r2 *float64) []solver.ProgOp {
 func TestResidentFusedPhasesAllocFree(t *testing.T) {
 	// Running a compiled program must allocate nothing, whatever it holds:
 	// one program with every OpKind, compiled once per installed rung (the
-	// rung decides what OpPrecond/OpPrecondDot expand to), plus a program of
-	// the solvers' set-up shape — and the scatter, gather and preconditioner
+	// rung decides what OpPrecondDot expands to), plus a program of
+	// the solver's set-up shape — and the scatter, gather and preconditioner
 	// install around them once the vector pool is warm. Both application
 	// shapes are covered: 4 parts (interior and frontier sweeps, the
 	// frontier-phase block dot) and 1 part (one sweep cut at the reduction
@@ -306,7 +300,7 @@ func TestResidentFusedPhasesAllocFree(t *testing.T) {
 		a := probeVector(n, 1)
 		b := probeVector(n, 2)
 		out := make([]float64, n)
-		a1, a2, one := 0.5, 0.25, 1.0
+		a1, one := 0.5, 1.0
 		var r1, r2 float64
 		kinds := append([]solver.PrecondKind{solver.PrecondDefault}, solver.PrecondKinds()...)
 		for _, kind := range kinds {
@@ -335,7 +329,7 @@ func TestResidentFusedPhasesAllocFree(t *testing.T) {
 				t.Fatal(err)
 			}
 			for name, ops := range map[string][]solver.ProgOp{
-				"every OpKind": everyOpKind(&a1, &a2, &r1, &r2),
+				"every OpKind": everyOpKind(&a1, &r1, &r2),
 				"set-up": {
 					{Kind: solver.OpDot, V1: 1, V2: 1, R1: &r1},
 					{Kind: solver.OpApply, V1: 4, V2: 0},

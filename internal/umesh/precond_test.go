@@ -226,7 +226,8 @@ func TestBlockSSORMatchesDenseTextbook(t *testing.T) {
 			t.Fatal(err)
 		}
 		po.Load2(0, r, 1, r)
-		runProg(t, po, solver.ProgOp{Kind: solver.OpPrecond, V1: 1, V2: 0})
+		var rz float64
+		runProg(t, po, solver.ProgOp{Kind: solver.OpPrecondDot, V1: 1, V2: 0, R1: &rz})
 		po.Store(got, 1)
 		closeOp()
 		check(fmt.Sprintf("parts=%d", 1<<levels), got)

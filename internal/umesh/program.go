@@ -26,7 +26,7 @@ import (
 // Compilation freezes the operator's preconditioner configuration: preKind,
 // the Chebyshev scalars and the AMG level are read at compile time, so a
 // program must be compiled after the preconditioner is installed and
-// recompiled if it changes. The resident solvers do exactly that
+// recompiled if it changes. The resident solver does exactly that
 // (SetPrecond runs before CompileProgram).
 //
 // Adding a vector op is one shard kernel plus one case in CompileProgram (and
@@ -34,9 +34,9 @@ import (
 // plus one case in emitPrecond, and the reference rung composed from the same
 // kernels in precond.go.
 //
-// Scalar inputs (*A1/*A2) are dereferenced inside the step's phase closures
-// at run time: the action that sets them runs at the barrier before the
-// step, so every worker reads the settled value.
+// The scalar input (*A1) is dereferenced inside the step's phase closures at
+// run time: the action that sets it runs at the barrier before the step, so
+// every worker reads the settled value.
 
 // compiledProgram is a solver phase program lowered onto the operator's
 // worker pool.
@@ -58,7 +58,7 @@ func (o *PartOperator) CompileProgram(ops []solver.ProgOp) (solver.Program, erro
 	for i := range ops {
 		op := &ops[i]
 		v1, v2, v3, v4, v5 := int(op.V1), int(op.V2), int(op.V3), int(op.V4), int(op.V5)
-		a1, a2 := op.A1, op.A2
+		a1 := op.A1
 		switch op.Kind {
 		case solver.OpApply:
 			b.emitApply(v2, v1, 0, nil, false)
@@ -66,15 +66,8 @@ func (o *PartOperator) CompileProgram(ops []solver.ProgOp) (solver.Program, erro
 			b.emitApply(v2, v1, v3, op.R1, false)
 		case solver.OpDot:
 			b.emitDot(v1, v2, op.R1)
-		case solver.OpDot2:
-			b.add(func(shard int) error { o.shardDot2(shard, v1, v2, v3); return nil },
-				&o.Phase.Reduce, b.fold2Act(op.R1, op.R2))
 		case solver.OpCopy:
 			b.add(func(shard int) error { o.shardCopy(shard, v1, v2); return nil }, &o.Phase.Reduce)
-		case solver.OpAxpy:
-			b.add(func(shard int) error { o.shardAxpy(shard, v1, v2, *a1); return nil }, &o.Phase.Reduce)
-		case solver.OpAxpy2:
-			b.add(func(shard int) error { o.shardAxpy2(shard, v1, v2, v3, *a1, *a2); return nil }, &o.Phase.Reduce)
 		case solver.OpXpby:
 			b.add(func(shard int) error { o.shardXpby(shard, v1, v2, *a1); return nil }, &o.Phase.Reduce)
 		case solver.OpSubAxpyDot:
@@ -86,10 +79,6 @@ func (o *PartOperator) CompileProgram(ops []solver.ProgOp) (solver.Program, erro
 		case solver.OpCGStepPre:
 			b.add(func(shard int) error { o.shardCGStepPre(shard, v1, v2, v3, v4, v5, *a1); return nil },
 				&o.Phase.Reduce, b.fold2Act(op.R1, op.R2))
-		case solver.OpBicgP:
-			b.add(func(shard int) error { o.shardBicgP(shard, v1, v2, v3, *a1, *a2); return nil }, &o.Phase.Reduce)
-		case solver.OpPrecond:
-			b.emitPrecond(v1, v2, nil)
 		case solver.OpPrecondDot:
 			b.emitPrecond(v1, v2, op.R1)
 		default:
@@ -175,15 +164,15 @@ func (b *planBuilder) emitDot(av, bv int, r1 *float64) {
 	b.add(func(shard int) error { o.shardDot(shard, av, bv); return nil }, &o.Phase.Reduce, b.foldAct(r1))
 }
 
-// emitPrecond lowers z = M⁻¹·r for the preconditioner installed at compile
-// time — the one place each rung's step sequence is written. The elementwise
-// default is one fused step; the ladder rungs expand into their step
-// sequences, with the host-serial coarse solve of the AMG V-cycle running as
-// a barrier action (host work belongs in actions: a nested dispatch from
-// inside a plan would deadlock the pool). A non-nil r1 appends the canonical
-// *r1 = ⟨r, z⟩ reduction, fused into the default rung's single step and a
-// separate dot step for the operator-built rungs — the same summation tree
-// the reference space's separate reduction produces.
+// emitPrecond lowers z = M⁻¹·r with *r1 = ⟨r, z⟩ for the preconditioner
+// installed at compile time — the one place each rung's step sequence is
+// written. The elementwise default is one fused step; the ladder rungs expand
+// into their step sequences, with the host-serial coarse solve of the AMG
+// V-cycle running as a barrier action (host work belongs in actions: a nested
+// dispatch from inside a plan would deadlock the pool). The canonical ⟨r, z⟩
+// reduction is fused into the default rung's single step and a separate dot
+// step for the operator-built rungs — the same summation tree the reference
+// space's separate reduction produces.
 func (b *planBuilder) emitPrecond(zv, rv int, r1 *float64) {
 	o := b.o
 	switch o.preKind {
@@ -212,14 +201,8 @@ func (b *planBuilder) emitPrecond(zv, rv int, r1 *float64) {
 		b.emitApply(zv, 0, 0, nil, true)
 		b.addLocal(func(op *opPart) { amgPost(op.owned(zv), op.invDiag, op.vecs[rv], op.pw) })
 	default:
-		if r1 != nil {
-			b.add(func(shard int) error { o.shardPreDot(shard, zv, rv); return nil }, &o.Phase.Reduce, b.foldAct(r1))
-		} else {
-			b.add(func(shard int) error { o.shardPre(shard, zv, rv); return nil }, &o.Phase.Reduce)
-		}
+		b.add(func(shard int) error { o.shardPreDot(shard, zv, rv); return nil }, &o.Phase.Reduce, b.foldAct(r1))
 		return
 	}
-	if r1 != nil {
-		b.emitDot(rv, zv, r1)
-	}
+	b.emitDot(rv, zv, r1)
 }

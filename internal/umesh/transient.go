@@ -1,6 +1,7 @@
 package umesh
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -36,9 +37,6 @@ type TransientOptions struct {
 	Porosity float64
 	// Workers sizes the layout's worker pool (0 = NumCPU; clamped to parts).
 	Workers int
-	// UseBiCGStab selects BiCGStab over the default CG (the system is SPD,
-	// so CG is the natural choice; BiCGStab exists for the general case).
-	UseBiCGStab bool
 	// InitialPressure is the starting field (nil selects uniform 20 MPa).
 	InitialPressure []float64
 	// Solver overrides the Krylov options (tolerance, iterations).
@@ -60,6 +58,9 @@ type TransientOptions struct {
 }
 
 func (o TransientOptions) withDefaults() TransientOptions {
+	if o.Porosity == 0 {
+		o.Porosity = DefaultPorosity
+	}
 	if o.Solver.MaxIter == 0 {
 		o.Solver.MaxIter = 800
 	}
@@ -151,8 +152,8 @@ type TransientSolver struct {
 }
 
 // NewTransientSolver compiles a resident transient solver for a mesh,
-// partition and step template. opts.Dt, Porosity, Workers, Solver and
-// UseBiCGStab are frozen into the compiled engine; Wells, Steps and
+// partition and step template. opts.Dt, Porosity, Workers and Solver are
+// frozen into the compiled engine; Wells, Steps and
 // InitialPressure are per-request inputs consumed by Solve (the values in
 // opts serve as that request's defaults). A nil partition compiles the
 // serial reference path.
@@ -178,11 +179,7 @@ func NewTransientSolver(u *Mesh, p *Partition, fl physics.Fluid, opts TransientO
 	// Solve on a resident engine then pays the same (setup-free) cost; the
 	// serving layer's warm-hit latency depends on it. The serial path differs
 	// only in the space the programs are compiled onto.
-	compile := solver.CompileCG
-	if opts.UseBiCGStab {
-		compile = solver.CompileBiCGStab
-	}
-	krylov, err := compile(space, opts.Solver)
+	krylov, err := solver.CompileCG(space, opts.Solver)
 	if err != nil {
 		closeOp()
 		return nil, err
@@ -209,11 +206,21 @@ func (s *TransientSolver) Close() {
 	}
 }
 
+// frozen is the rule for a request field that is compiled into the plan: the
+// zero value means the template's, anything else must be the template's.
+func frozen[T comparable](name string, req, tmpl T) error {
+	var unset T
+	if req != unset && req != tmpl {
+		return fmt.Errorf("umesh: request %s %v differs from the compiled %v (compile a new solver)", name, req, tmpl)
+	}
+	return nil
+}
+
 // Solve runs one transient request on the compiled engine: req.Steps
 // backward-Euler steps driven by req.Wells from req.InitialPressure (zero
-// values fall back to the compiled template's). req.Dt and req.UseBiCGStab,
-// when set, must match the compiled template — the frozen coefficients and
-// the Krylov method are part of the compiled plan. The returned counters
+// values fall back to the compiled template's). The fields frozen into the
+// compiled plan — Dt, Porosity, Workers and the Solver's Tol, MaxIter and
+// PrecondKind — must, when set, equal the template's. The returned counters
 // (applications, halo traffic, scatters/gathers, phase seconds) are this
 // request's own deltas, so a reused solver reports each request as if it ran
 // one-shot.
@@ -221,12 +228,16 @@ func (s *TransientSolver) Solve(req TransientOptions) (*TransientResult, error) 
 	if s.close == nil {
 		return nil, fmt.Errorf("umesh: transient solver is closed")
 	}
-	if req.Dt != 0 && req.Dt != s.opts.Dt {
-		return nil, fmt.Errorf("umesh: request Dt %g differs from the compiled step %g (compile a new solver)",
-			req.Dt, s.opts.Dt)
-	}
-	if req.UseBiCGStab && !s.opts.UseBiCGStab {
-		return nil, fmt.Errorf("umesh: request asks for BiCGStab but the solver was compiled for CG (compile a new solver)")
+	t := &s.opts
+	if err := errors.Join(
+		frozen("Dt", req.Dt, t.Dt),
+		frozen("Porosity", req.Porosity, t.Porosity),
+		frozen("Workers", req.Workers, t.Workers),
+		frozen("Solver.Tol", req.Solver.Tol, t.Solver.Tol),
+		frozen("Solver.MaxIter", req.Solver.MaxIter, t.Solver.MaxIter),
+		frozen("Solver.PrecondKind", req.Solver.PrecondKind, t.Solver.PrecondKind),
+	); err != nil {
+		return nil, err
 	}
 	steps := req.Steps
 	if steps == 0 {

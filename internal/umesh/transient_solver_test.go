@@ -139,22 +139,59 @@ func TestTransientSolveAllocsPinned(t *testing.T) {
 }
 
 // TestTransientSolverRequestValidation pins the resident API's error
-// contract: Dt and the Krylov method are frozen into the plan, a closed
-// solver refuses work.
+// contract: every field frozen into the plan follows one rule — zero means the
+// template's, a set value must equal the template's — and a closed solver
+// refuses work.
 func TestTransientSolverRequestValidation(t *testing.T) {
 	u, opts := transientFixture(t)
+	opts.Workers = 2
+	opts.Solver.Tol = 1e-9
+	opts.Solver.PrecondKind = solver.PrecondSSOR
 	fl := physics.DefaultFluid()
-	ts, err := NewTransientSolver(u, nil, fl, opts)
+	part, err := RCB(u, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ts.Solve(TransientOptions{Dt: opts.Dt * 2, Steps: 1, Wells: opts.Wells}); err == nil ||
-		!strings.Contains(err.Error(), "compiled step") {
-		t.Errorf("mismatched Dt accepted: %v", err)
+	ts, err := NewTransientSolver(u, part, fl, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ts.Solve(TransientOptions{UseBiCGStab: true, Steps: 1, Wells: opts.Wells}); err == nil ||
-		!strings.Contains(err.Error(), "compiled for CG") {
-		t.Errorf("BiCGStab request on a CG-compiled solver accepted: %v", err)
+	want, err := ts.Solve(TransientOptions{Steps: 1, Wells: opts.Wells})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		field string // "" = the request restates the template and is accepted
+		set   func(*TransientOptions)
+	}{
+		{"", func(r *TransientOptions) { r.Dt = opts.Dt }},
+		{"", func(r *TransientOptions) { r.Porosity = DefaultPorosity }},
+		{"", func(r *TransientOptions) { r.Workers = 2 }},
+		{"", func(r *TransientOptions) { r.Solver = opts.Solver }},
+		{"", func(r *TransientOptions) { r.Solver.MaxIter = 800 }},
+		{"Dt", func(r *TransientOptions) { r.Dt = opts.Dt * 2 }},
+		{"Porosity", func(r *TransientOptions) { r.Porosity = 0.3 }},
+		{"Workers", func(r *TransientOptions) { r.Workers = 1 }},
+		{"Solver.Tol", func(r *TransientOptions) { r.Solver.Tol = 1e-10 }},
+		{"Solver.MaxIter", func(r *TransientOptions) { r.Solver.MaxIter = 10 }},
+		{"Solver.PrecondKind", func(r *TransientOptions) { r.Solver.PrecondKind = solver.PrecondAMG }},
+	} {
+		req := TransientOptions{Steps: 1, Wells: opts.Wells}
+		tc.set(&req)
+		res, err := ts.Solve(req)
+		if tc.field == "" {
+			if err != nil {
+				t.Errorf("request restating the template refused: %v", err)
+			} else if res.Steps[0].Iterations != want.Steps[0].Iterations {
+				t.Errorf("request restating the template took %d iterations, the bare request %d",
+					res.Steps[0].Iterations, want.Steps[0].Iterations)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "request "+tc.field+" ") ||
+			!strings.Contains(err.Error(), "compile a new solver") {
+			t.Errorf("mismatched %s accepted or misreported: %v", tc.field, err)
+		}
 	}
 	if _, err := ts.Solve(TransientOptions{Steps: 1, Wells: []Well{{Cell: u.NumCells, Rate: 1}}}); err == nil {
 		t.Error("out-of-range request well accepted")

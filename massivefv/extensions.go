@@ -197,11 +197,6 @@ func RunTransientUnstructured(u *UMesh, part *UPartition, fl Fluid, opts UTransi
 	return umesh.RunTransientPartitioned(u, part, fl, opts)
 }
 
-// UnstructuredFromMesh converts a structured mesh (all ten faces).
-func UnstructuredFromMesh(m *Mesh) (*UMesh, error) {
-	return umesh.FromStructured(m, refflux.FacesAll)
-}
-
 // NewRadialMesh builds a well-centered refined radial mesh.
 func NewRadialMesh(opts umesh.RadialOptions) (*UMesh, error) {
 	return umesh.NewRadialMesh(opts)
@@ -241,6 +236,7 @@ func NewTransientSolver(u *UMesh, part *UPartition, fl Fluid, opts UTransientOpt
 }
 
 // NewServer builds the resident-engine serving layer: a scenario cache of
-// compiled engines behind admission control and batched least-loaded
-// dispatch. Mount Handler on an http.Server and Drain on shutdown.
+// compiled engines behind admission control; each scenario's lowest idle
+// engine pulls its next batch from the scenario's backlog. Mount Handler on
+// an http.Server and Drain on shutdown.
 func NewServer(opts ServeOptions) *serve.Server { return serve.New(opts) }

@@ -98,15 +98,6 @@ func TestFacadeUnstructured(t *testing.T) {
 			t.Fatalf("facade distributed residual differs at %d", i)
 		}
 	}
-	// Structured conversion path.
-	m, _ := BuildMesh(Dims{Nx: 4, Ny: 4, Nz: 2})
-	u2, err := UnstructuredFromMesh(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u2.NumCells != 32 {
-		t.Errorf("converted mesh has %d cells", u2.NumCells)
-	}
 }
 
 func TestFacadeSolveUnstructured(t *testing.T) {

@@ -90,11 +90,6 @@ func RunDataflowFlat(m *Mesh, fl Fluid, apps int) (*Result, error) {
 	return core.RunFlat(m, fl, core.DefaultOptions(apps))
 }
 
-// RunDataflowFlatOpts is RunDataflowFlat with explicit options.
-func RunDataflowFlatOpts(m *Mesh, fl Fluid, opts Options) (*Result, error) {
-	return core.RunFlat(m, fl, opts)
-}
-
 // RunFlatParallel executes the flat schedule on the sharded multi-core
 // engine: the PE grid is decomposed into contiguous row bands and each band
 // runs on one worker of a pool sized by workers (0 selects
