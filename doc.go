@@ -72,20 +72,20 @@
 // benchmark/ (BENCHMARK.json) for every wall-clock claim, `go test -bench`
 // for a stage.
 //
-// Performance: the engines execute through a fast path that stays
-// bit-identical (residuals and counters) to the op-by-op code — the 14-FLOP
-// face kernel as one fused single-pass macro-op (dsd.Engine.FluxFace, and
-// FluxFaceAcc, which also assembles the residual from the register; every
-// product explicitly rounded so no target contracts it into an FMA),
-// stride-1 specialized vector ops iterating over reslices with the bounds
-// check hoisted out of the loop, deferred per-op counter tallies folded into
-// the full accounting at summarize time, per-PE memories allocated as one
-// zeroed-once, footprint-sized arena per shard (dsd.NewSizedArena), host
-// loads that walk the mesh a cache line at a time, and a zero-allocation
-// halo exchange through persistent per-PE send buffers.
+// Performance: the engines stay bit-identical (residuals and counters) to an
+// op-by-op oracle kept in the tests. The 14-FLOP face kernel is one fused
+// single-pass macro-op (dsd.Engine.FluxFace, and FluxFaceAcc, which also
+// assembles the residual from the register; every product explicitly
+// rounded so no target contracts it into an FMA); descriptors are contiguous
+// columns, so every vector op is one loop over reslices with its bounds
+// checked once per call; per-op counter tallies are deferred and folded into
+// the full accounting at summarize time; per-PE memories are allocated as
+// one zeroed-once, footprint-sized arena per shard (dsd.NewSizedArena); host
+// loads walk the mesh a cache line at a time; and the halo exchange runs
+// through persistent per-PE send buffers without allocating.
 // `make bench-kernel` runs the layer-by-layer microbenchmarks
 // (BenchmarkKernel* in internal/dsd, internal/core and internal/solver: the
-// fast path against the op-by-op oracle, the engine's four stages, a
+// fused kernels against the op-by-op oracle, the engine's four stages, a
 // dataflow-operator CG solve). See the README's Performance section.
 //
 // The root package carries the module documentation and the benchmark suite

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/dsd"
 	"repro/internal/mesh"
 	"repro/internal/physics"
 )
@@ -12,8 +11,7 @@ import (
 // BenchmarkKernel* covers the engine hot path above the dsd ops: the 14-FLOP
 // faceFlux kernel, the zero-allocation halo exchange, a full per-PE local
 // application, the whole flat engine on the scaling workload's shape, and
-// the engine's four stages on the repository benchmark's mesh. Each reports
-// both op paths so the fast-path win is visible per layer.
+// the engine's four stages on the repository benchmark's mesh.
 
 // benchStates compiles a small mesh with the default options, loads its
 // pressure field and returns the engine's PE states.
@@ -36,58 +34,39 @@ func benchStates(b *testing.B, d mesh.Dims, apps int) ([]peState, *mesh.Mesh, Op
 	return e.states, m, e.opts
 }
 
-func benchBothPaths(b *testing.B, fn func(b *testing.B)) {
-	for _, path := range []struct {
-		name string
-		fast bool
-	}{{"fast", true}, {"strided", false}} {
-		b.Run(path.name, func(b *testing.B) {
-			prev := dsd.SetFastPath(path.fast)
-			defer dsd.SetFastPath(prev)
-			fn(b)
-		})
-	}
-}
-
 // BenchmarkKernelFaceFlux measures one face-group evaluation (the §5.3.3
 // vector kernel) on an interior PE at the paper's column depth.
 func BenchmarkKernelFaceFlux(b *testing.B) {
-	benchBothPaths(b, func(b *testing.B) {
-		states, m, _ := benchStates(b, mesh.Dims{Nx: 3, Ny: 3, Nz: 246}, 1)
-		s := &states[1*m.Dims.Nx+1] // interior PE
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.computeFace(mesh.West)
-		}
-	})
+	states, m, _ := benchStates(b, mesh.Dims{Nx: 3, Ny: 3, Nz: 246}, 1)
+	s := &states[1*m.Dims.Nx+1] // interior PE
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.computeFace(mesh.West)
+	}
 }
 
 // BenchmarkKernelExchange measures one PE's full halo exchange (eight
 // neighbor columns, FMOV-accounted, no allocation).
 func BenchmarkKernelExchange(b *testing.B) {
-	benchBothPaths(b, func(b *testing.B) {
-		states, m, _ := benchStates(b, mesh.Dims{Nx: 3, Ny: 3, Nz: 246}, 1)
-		s := &states[1*m.Dims.Nx+1]
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := flatExchange(states, s, m.Dims.Nx); err != nil {
-				b.Fatal(err)
-			}
+	states, m, _ := benchStates(b, mesh.Dims{Nx: 3, Ny: 3, Nz: 246}, 1)
+	s := &states[1*m.Dims.Nx+1]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := flatExchange(states, s, m.Dims.Nx); err != nil {
+			b.Fatal(err)
 		}
-	})
+	}
 }
 
 // BenchmarkKernelLocalApplication measures one PE's complete local
 // application: residual zeroing, ten face groups, assembly.
 func BenchmarkKernelLocalApplication(b *testing.B) {
-	benchBothPaths(b, func(b *testing.B) {
-		states, m, _ := benchStates(b, mesh.Dims{Nx: 3, Ny: 3, Nz: 246}, 1)
-		s := &states[1*m.Dims.Nx+1]
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.runLocalApplication()
-		}
-	})
+	states, m, _ := benchStates(b, mesh.Dims{Nx: 3, Ny: 3, Nz: 246}, 1)
+	s := &states[1*m.Dims.Nx+1]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.runLocalApplication()
+	}
 }
 
 // BenchmarkKernelFlatEngine measures the whole flat engine on the
@@ -107,25 +86,23 @@ func BenchmarkKernelFlatEngine(b *testing.B) {
 	fl := physics.DefaultFluid()
 	opts := DefaultOptions(2)
 	opts.MemWords = WordsPerZ(opts.BufferReuse)*d.Nz + FixedWords
-	benchBothPaths(b, func(b *testing.B) {
-		for _, workers := range []int{1, 2} {
-			b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-				opts := opts
-				opts.Workers = workers
-				var res *Result
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var err error
-					res, err = RunFlatParallel(m, fl, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			opts := opts
+			opts.Workers = workers
+			var res *Result
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var err error
+				res, err = RunFlatParallel(m, fl, opts)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.StopTimer()
-				b.ReportMetric(res.HostThroughput()/1e6, "Mcells/s")
-			})
-		}
-	})
+			}
+			b.StopTimer()
+			b.ReportMetric(res.HostThroughput()/1e6, "Mcells/s")
+		})
+	}
 }
 
 // BenchmarkKernelEngineStages sizes the four stages of a flat-engine run on

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -69,26 +70,47 @@ func assertResidualsClose(t *testing.T, got []float32, want []float64, tol float
 	}
 }
 
+// TestFabricMatchesFlatBitExact holds two independent executions of the
+// kernel to each other under every ablation: the flat engine, which
+// assembles each face from the register (FluxFaceAcc), and the fabric
+// engine, which stores every flux column in fbuf in arrival order
+// (FluxFace) and assembles afterwards — every residual bit and the whole
+// Counters struct.
 func TestFabricMatchesFlatBitExact(t *testing.T) {
 	m := testMesh(t, mesh.Dims{Nx: 6, Ny: 5, Nz: 4})
 	fl := physics.DefaultFluid()
-	for _, apps := range []int{1, 3} {
-		flat, err := RunFlat(m, fl, testOpts(apps))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fab, err := RunFabric(m, fl, testOpts(apps))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range flat.Residual {
-			if flat.Residual[i] != fab.Residual[i] {
-				t.Fatalf("apps=%d: residual[%d] differs: flat %g vs fabric %g",
-					apps, i, flat.Residual[i], fab.Residual[i])
-			}
-		}
-		if flat.Counters != fab.Counters {
-			t.Errorf("apps=%d: counters differ:\nflat   %+v\nfabric %+v", apps, flat.Counters, fab.Counters)
+	variants := []struct {
+		name   string
+		modify func(*Options)
+	}{
+		{"default", func(*Options) {}},
+		{"scalar", func(o *Options) { o.Vectorized = false }},
+		{"naive-buffers", func(o *Options) { o.BufferReuse = false }},
+		{"no-diagonals", func(o *Options) { o.Diagonals = false }},
+		{"comm-only", func(o *Options) { o.CommOnly = true }},
+	}
+	for _, v := range variants {
+		for _, apps := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/apps=%d", v.name, apps), func(t *testing.T) {
+				opts := testOpts(apps)
+				v.modify(&opts)
+				flat, err := RunFlat(m, fl, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fab, err := RunFabric(m, fl, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range flat.Residual {
+					if math.Float32bits(flat.Residual[i]) != math.Float32bits(fab.Residual[i]) {
+						t.Fatalf("residual[%d] differs: flat %g vs fabric %g", i, flat.Residual[i], fab.Residual[i])
+					}
+				}
+				if flat.Counters != fab.Counters {
+					t.Errorf("counters differ:\nflat   %+v\nfabric %+v", flat.Counters, fab.Counters)
+				}
+			})
 		}
 	}
 }

@@ -28,7 +28,7 @@ import (
 //   - halo exchange reads neighbor pressure/gravity columns and writes only
 //     the owning PE's receive buffers and counters;
 //   - the local application reads own and received columns and writes only
-//     own residual (and, on a fallback, flux/scratch) buffers and counters.
+//     own residual (and, in the scalar ablation, flux) buffers and counters.
 //
 // The only cross-shard conflict is therefore perturb's write against a
 // neighboring shard's halo read, so each application runs as two barriered

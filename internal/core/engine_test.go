@@ -15,7 +15,7 @@ func subCounters(a, b dsd.Counters) dsd.Counters {
 	return dsd.Counters{
 		FMUL: a.FMUL - b.FMUL, FADD: a.FADD - b.FADD, FSUB: a.FSUB - b.FSUB,
 		FNEG: a.FNEG - b.FNEG, FMA: a.FMA - b.FMA, FMOV: a.FMOV - b.FMOV,
-		SELGT: a.SELGT - b.SELGT, ACC: a.ACC - b.ACC, FILL: a.FILL - b.FILL, MEMMOV: a.MEMMOV - b.MEMMOV,
+		SELGT: a.SELGT - b.SELGT, ACC: a.ACC - b.ACC, FILL: a.FILL - b.FILL,
 		Loads: a.Loads - b.Loads, Stores: a.Stores - b.Stores, FabricLoads: a.FabricLoads - b.FabricLoads,
 		UncountedLoads: a.UncountedLoads - b.UncountedLoads, UncountedStores: a.UncountedStores - b.UncountedStores,
 		Issues: a.Issues - b.Issues,
@@ -163,7 +163,7 @@ func TestTileLoaderMatchesPerPEGather(t *testing.T) {
 				}
 				expect := func(s *peState, what string, got dsd.Desc, want []float32) {
 					t.Helper()
-					for z, v := range s.eng.Mem.ReadAll(got) {
+					for z, v := range s.eng.Mem.HostView(got) {
 						if math.Float32bits(v) != math.Float32bits(want[z]) {
 							t.Fatalf("%s: PE(%d,%d) %s[%d] = %g, per-PE gather gives %g", name, s.x, s.y, what, z, v, want[z])
 						}

@@ -5,86 +5,29 @@ import (
 	"repro/internal/mesh"
 )
 
-// This file is the 14-FLOP per-face flux kernel (DESIGN.md §4), plus the
-// two engines' ways of applying it to the ten faces and assembling the
-// residual. The operation order is identical
-// in every variant, so all engines produce bit-identical float32 residuals.
-
-// The kernel's intermediates, in production order (DESIGN.md §4).
-const (
-	vDp    = iota // pL − pK
-	vDgz          // gzL − gzK
-	vRK           // â·pK
-	vRL           // â·pL
-	vSum          // rK + rL
-	vAvg          // ρavg = ½·sum + ĉ
-	vGt           // ρavg·dgz
-	vNg           // −gt
-	vDPhi         // ΔΦ = dp − ng
-	vRup          // upwinded â·p
-	vRhoUp        // ρup = rup − (−ĉ)
-	vLam          // λ = ρup/μ
-	vT1           // Υ·ΔΦ
-)
-
-// reuseSlot is the §5.3.1 hand-crafted buffer reuse: which of the five
-// scratch buffers holds each intermediate. A value is overwritten only once
-// it is dead (ρavg replaces the sum in place, ΔΦ replaces dp, λ ends up where
-// rL started).
-var reuseSlot = [scratchNaive]int{
-	vDp: 0, vDgz: 1, vRK: 2, vRL: 3, vSum: 4, vAvg: 4, vGt: 1, vNg: 1,
-	vDPhi: 0, vRup: 3, vRhoUp: 3, vLam: 3, vT1: 0,
-}
+// This file applies the 14-FLOP per-face flux kernel (DESIGN.md §4, the
+// fused dsd.FluxFace) to the ten faces and assembles the residual, the two
+// engines' ways. Every face is evaluated by the same kernel and added in the
+// same fixed order, so all engines produce bit-identical float32 residuals.
 
 // faceFlux evaluates F = Υ·λ_upw·ΔΦ for one face group into dst, reading the
 // own column (pK, gzK), the neighbor column (pL, gzL) and the face
 // transmissibilities tr. Exactly 6 FMUL + 4 FSUB + 1 FADD + 1 FMA + 1 FNEG
 // per element, plus one predicated SELGT — the Table 4 mix.
 func (s *peState) faceFlux(dst, tr, pK, gzK, pL, gzL dsd.Desc) {
+	e, c := s.eng, s.consts
 	if s.opts.Vectorized {
 		// Whole-column vector issue: the descriptors already are the face
 		// group's full views, so no subviews need slicing on the hot path.
-		s.fluxSeq(dst, tr, pK, gzK, pL, gzL, 0)
+		e.FluxFace(dst, tr, pK, gzK, pL, gzL, c)
 		return
 	}
 	// Scalar ablation: one issue per element per op (§5.3.3 in reverse),
 	// through single-element subviews of the same buffers.
 	for z := 0; z < dst.Len; z++ {
-		s.fluxSeq(dst.MustSlice(z, 1), tr.MustSlice(z, 1), pK.MustSlice(z, 1),
-			gzK.MustSlice(z, 1), pL.MustSlice(z, 1), gzL.MustSlice(z, 1), z)
+		e.FluxFace(dst.MustSlice(z, 1), tr.MustSlice(z, 1), pK.MustSlice(z, 1),
+			gzK.MustSlice(z, 1), pL.MustSlice(z, 1), gzL.MustSlice(z, 1), c)
 	}
-}
-
-// fluxSeq issues the kernel over pre-sliced views that start off cells into
-// the column (whole columns when vectorized, single elements in the scalar
-// ablation). The fused dsd.FluxFace macro-op executes it in one pass with the
-// intermediates in registers; when it declines (strided operands, fast path
-// off) the same 14 ops are issued one by one through the scratch buffers —
-// the spelling FluxFace is tested against. Either way the op order, the
-// counters and every result bit are the same, under both buffer disciplines.
-func (s *peState) fluxSeq(f, tr, pK, gzK, pL, gzL dsd.Desc, off int) {
-	e, c := s.eng, s.consts
-	if e.FluxFace(f, tr, pK, gzK, pL, gzL, c) {
-		return
-	}
-	var v [scratchNaive]dsd.Desc
-	for i, sc := range s.scratch {
-		v[i] = sc.MustSlice(off, f.Len)
-	}
-	e.SubVV(v[vDp], pL, pK)
-	e.SubVV(v[vDgz], gzL, gzK)
-	e.MulVS(v[vRK], pK, c.AHat)
-	e.MulVS(v[vRL], pL, c.AHat)
-	e.AddVV(v[vSum], v[vRK], v[vRL])
-	e.FmaVSS(v[vAvg], v[vSum], 0.5, c.CHat)
-	e.MulVV(v[vGt], v[vAvg], v[vDgz])
-	e.NegV(v[vNg], v[vGt])
-	e.SubVV(v[vDPhi], v[vDp], v[vNg])
-	e.SelGtV(v[vRup], v[vDPhi], v[vRK], v[vRL])
-	e.SubVS(v[vRhoUp], v[vRup], c.NegC)
-	e.MulVS(v[vLam], v[vRhoUp], c.InvMu)
-	e.MulVV(v[vT1], tr, v[vDPhi])
-	e.MulVV(f, v[vT1], v[vLam]) // accumulate-store happens at assembly
 }
 
 // faceNeighbor returns the neighbor-side (pL, gzL) views of direction d. An
@@ -140,9 +83,9 @@ func (s *peState) assemble() {
 // in place before it computes, so it takes the faces in assembly order and
 // adds each one's flux to the residual as it is produced (dsd.FluxFaceAcc) —
 // the same accumulation order as compute-everything-then-assemble, without
-// the round trip through fbuf. A face the macro-op declines (fast path off;
-// the scalar ablation, whose issue counts are per element) is evaluated into
-// fbuf[d] and accumulated from there.
+// the round trip through fbuf. The scalar ablation, whose issue counts are
+// per element, evaluates each face into fbuf[d] and accumulates it from
+// there.
 func (s *peState) runLocalApplication() {
 	s.beginApplication()
 	for _, d := range assemblyOrder {
@@ -150,7 +93,8 @@ func (s *peState) runLocalApplication() {
 			continue
 		}
 		pL, gzL := s.faceNeighbor(d)
-		if s.opts.Vectorized && s.eng.FluxFaceAcc(s.res, s.fbuf[d], s.trans[d], s.p, s.gz, pL, gzL, s.consts) {
+		if s.opts.Vectorized {
+			s.eng.FluxFaceAcc(s.res, s.fbuf[d], s.trans[d], s.p, s.gz, pL, gzL, s.consts)
 			continue
 		}
 		s.faceFlux(s.fbuf[d], s.trans[d], s.p, s.gz, pL, gzL)

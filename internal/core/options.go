@@ -51,9 +51,9 @@ type Options struct {
 	// kernel issues per-element scalar ops — functionally identical, but the
 	// issue counters (and the modeled time) blow up; used by the ablation.
 	Vectorized bool
-	// BufferReuse enables the §5.3.1 scratch-buffer reuse. When false the
-	// kernel allocates fresh intermediates for every face, inflating the
-	// per-PE memory high-water mark (reported via Result.MemStats).
+	// BufferReuse enables the §5.3.1 scratch-buffer reuse: 5 scratch columns
+	// for the kernel's 13 intermediates, else 13. The fused kernel never
+	// writes them, so only the per-PE high-water mark moves (Result.MemStats).
 	BufferReuse bool
 	// MemWords overrides the per-PE memory budget in float32 words
 	// (default: the CS-2's 12288). Small values inject allocation failures.

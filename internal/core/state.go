@@ -25,11 +25,11 @@ import (
 // fbuf and scratch are what the CSL kernel needs, so every run allocates
 // them and the footprint model counts them; how much of them a run writes
 // depends on the engine. The fused dsd.FluxFace keeps the intermediates in
-// registers, so scratch is written only when the kernel executes op by op;
-// the flat engine's dsd.FluxFaceAcc also adds each flux to the residual from
-// the register, so there fbuf too is footprint-only unless a face falls back.
-// The fabric engine computes faces in arrival order and assembles them in
-// the fixed order afterwards, so it stores every flux column in fbuf.
+// registers, so no run writes scratch, and no descriptor of it is kept; the
+// flat engine's dsd.FluxFaceAcc also adds each flux to the residual from the
+// register, so there fbuf is written only in the scalar ablation. The fabric
+// engine computes faces in arrival order and assembles them in the fixed
+// order afterwards, so it stores every flux column in fbuf.
 //
 // With buffer reuse the footprint is 44·Nz+4 words; the CS-2's 12288-word
 // PEs therefore hold at most Nz = 279, and without reuse only Nz = 236 —
@@ -48,11 +48,6 @@ type peState struct {
 	trans       [mesh.NumDirections]dsd.Desc
 	nbrP, nbrGz [8]dsd.Desc // indexed by mesh.Direction (0..7 are in-plane)
 	fbuf        [mesh.NumDirections]dsd.Desc
-	// scratch holds the view of each of the kernel's 13 intermediates, in
-	// production order (the v* indices). Without buffer reuse every
-	// intermediate has a buffer of its own; with it they share five
-	// (reuseSlot).
-	scratch [scratchNaive]dsd.Desc
 
 	// sendBuf is the host-side copy of the own body columns in send order:
 	// the Nz pressure words followed by the Nz gravity words. The host
@@ -63,22 +58,21 @@ type peState struct {
 	hasNbr [8]bool // in-plane mesh adjacency
 }
 
-// scratchReuse and scratchNaive are the intermediate-buffer counts with and
-// without the §5.3.1 reuse optimization.
-const (
-	scratchReuse = 5
-	scratchNaive = 13
-)
+// scratchColumns is the kernel's intermediate-column count: the 13
+// intermediates share five columns with the §5.3.1 reuse optimization (a
+// value is overwritten only once it is dead) and have one each without.
+func scratchColumns(bufferReuse bool) int {
+	if bufferReuse {
+		return 5
+	}
+	return 13
+}
 
 // WordsPerZ returns the per-PE memory footprint per mesh layer for the given
 // options — the wse.MachineSpec.MaxNz input.
 func WordsPerZ(bufferReuse bool) int {
-	scratch := scratchNaive
-	if bufferReuse {
-		scratch = scratchReuse
-	}
 	// 2 padded own columns + res + 10 trans + 16 nbr + 10 fbuf + scratch.
-	return 2 + 1 + 10 + 16 + 10 + scratch
+	return 2 + 1 + 10 + 16 + 10 + scratchColumns(bufferReuse)
 }
 
 // FixedWords is the Z-independent part of the footprint (the pad cells).
@@ -134,22 +128,10 @@ func (s *peState) layout(eng *dsd.Engine, dims mesh.Dims, fl physics.Fluid, x, y
 			return fail("flux buffers", err)
 		}
 	}
-	var bufs [scratchNaive]dsd.Desc
-	nScratch := scratchNaive
-	if opts.BufferReuse {
-		nScratch = scratchReuse
-	}
-	for i := range bufs[:nScratch] {
-		if bufs[i], err = mem.Alloc(nz); err != nil {
+	for range scratchColumns(opts.BufferReuse) {
+		if _, err = mem.Alloc(nz); err != nil {
 			return fail("kernel scratch", err)
 		}
-	}
-	for v := range s.scratch {
-		slot := v
-		if opts.BufferReuse {
-			slot = reuseSlot[v]
-		}
-		s.scratch[v] = bufs[slot]
 	}
 	for i, d := range xyDirections {
 		dx, dy, _ := d.Offset()

@@ -7,10 +7,9 @@ import (
 
 // BenchmarkKernel* microbenchmarks measure the vector ops at the paper's
 // column depth (Nz = 246) and at the shallow functional depth the scaling
-// workload uses (Nz = 4), on both the stride-1 fast path and the legacy
-// strided loops. CI runs them with -benchtime=1x as a compile-and-run smoke;
-// `make bench-kernel` or `go test -bench BenchmarkKernel ./internal/dsd/`
-// measures for real.
+// workload uses (Nz = 4). CI runs them with -benchtime=1x as a
+// compile-and-run smoke; `make bench-kernel` or `go test -bench
+// BenchmarkKernel ./internal/dsd/` measures for real.
 
 func benchEngine(b *testing.B, n int) (*Engine, Desc, Desc, Desc, Desc) {
 	b.Helper()
@@ -35,26 +34,19 @@ func benchEngine(b *testing.B, n int) (*Engine, Desc, Desc, Desc, Desc) {
 	return e, dst, x, y, z
 }
 
-// benchPaths runs fn under both op paths as sub-benchmarks.
-func benchPaths(b *testing.B, n int, fn func(b *testing.B, e *Engine, dst, x, y, z Desc)) {
-	for _, path := range []struct {
-		name string
-		fast bool
-	}{{"fast", true}, {"strided", false}} {
-		b.Run(fmt.Sprintf("n=%d/%s", n, path.name), func(b *testing.B) {
-			e, dst, x, y, z := benchEngine(b, n)
-			prev := SetFastPath(path.fast)
-			defer SetFastPath(prev)
-			b.SetBytes(int64(4 * n))
-			b.ResetTimer()
-			fn(b, e, dst, x, y, z)
-		})
-	}
+// benchOp runs fn over n-element columns as the sub-benchmark n=<n>.
+func benchOp(b *testing.B, n int, fn func(b *testing.B, e *Engine, dst, x, y, z Desc)) {
+	b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+		e, dst, x, y, z := benchEngine(b, n)
+		b.SetBytes(int64(4 * n))
+		b.ResetTimer()
+		fn(b, e, dst, x, y, z)
+	})
 }
 
 func BenchmarkKernelMulVV(b *testing.B) {
 	for _, n := range []int{4, 246} {
-		benchPaths(b, n, func(b *testing.B, e *Engine, dst, x, y, _ Desc) {
+		benchOp(b, n, func(b *testing.B, e *Engine, dst, x, y, _ Desc) {
 			for i := 0; i < b.N; i++ {
 				e.MulVV(dst, x, y)
 			}
@@ -64,7 +56,7 @@ func BenchmarkKernelMulVV(b *testing.B) {
 
 func BenchmarkKernelAddVV(b *testing.B) {
 	for _, n := range []int{4, 246} {
-		benchPaths(b, n, func(b *testing.B, e *Engine, dst, x, y, _ Desc) {
+		benchOp(b, n, func(b *testing.B, e *Engine, dst, x, y, _ Desc) {
 			for i := 0; i < b.N; i++ {
 				e.AddVV(dst, x, y)
 			}
@@ -74,7 +66,7 @@ func BenchmarkKernelAddVV(b *testing.B) {
 
 func BenchmarkKernelSubVV(b *testing.B) {
 	for _, n := range []int{4, 246} {
-		benchPaths(b, n, func(b *testing.B, e *Engine, dst, x, y, _ Desc) {
+		benchOp(b, n, func(b *testing.B, e *Engine, dst, x, y, _ Desc) {
 			for i := 0; i < b.N; i++ {
 				e.SubVV(dst, x, y)
 			}
@@ -84,7 +76,7 @@ func BenchmarkKernelSubVV(b *testing.B) {
 
 func BenchmarkKernelFmaVVV(b *testing.B) {
 	for _, n := range []int{4, 246} {
-		benchPaths(b, n, func(b *testing.B, e *Engine, dst, x, y, z Desc) {
+		benchOp(b, n, func(b *testing.B, e *Engine, dst, x, y, z Desc) {
 			for i := 0; i < b.N; i++ {
 				e.FmaVVV(dst, x, y, z)
 			}
@@ -94,7 +86,7 @@ func BenchmarkKernelFmaVVV(b *testing.B) {
 
 func BenchmarkKernelSelGtV(b *testing.B) {
 	for _, n := range []int{4, 246} {
-		benchPaths(b, n, func(b *testing.B, e *Engine, dst, x, y, z Desc) {
+		benchOp(b, n, func(b *testing.B, e *Engine, dst, x, y, z Desc) {
 			for i := 0; i < b.N; i++ {
 				e.SelGtV(dst, z, x, y)
 			}
@@ -104,7 +96,7 @@ func BenchmarkKernelSelGtV(b *testing.B) {
 
 func BenchmarkKernelAccV(b *testing.B) {
 	for _, n := range []int{4, 246} {
-		benchPaths(b, n, func(b *testing.B, e *Engine, dst, x, _, _ Desc) {
+		benchOp(b, n, func(b *testing.B, e *Engine, dst, x, _, _ Desc) {
 			for i := 0; i < b.N; i++ {
 				e.AccV(dst, x)
 			}
@@ -114,7 +106,7 @@ func BenchmarkKernelAccV(b *testing.B) {
 
 func BenchmarkKernelMovRecv(b *testing.B) {
 	for _, n := range []int{4, 246} {
-		benchPaths(b, n, func(b *testing.B, e *Engine, dst, _, _, _ Desc) {
+		benchOp(b, n, func(b *testing.B, e *Engine, dst, _, _, _ Desc) {
 			src := make([]float32, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -127,9 +119,9 @@ func BenchmarkKernelMovRecv(b *testing.B) {
 // BenchmarkKernelFluxFace measures one face of the residual at the paper's
 // column depth — the 14-op kernel plus its accumulation — three ways: the
 // flat engine's single FluxFaceAcc pass, the fabric engine's FluxFace into
-// the flux column then AccV, and the op-by-op sequence then AccV both fall
-// back to. MB/s counts output elements (4 bytes each), so Melem/s is
-// MB/s ÷ 4.
+// the flux column then AccV, and the op-by-op sequence then AccV — the
+// spelling the tests hold both macro-ops to, so its time is the oracle's
+// cost. MB/s counts output elements (4 bytes each), so Melem/s is MB/s ÷ 4.
 func BenchmarkKernelFluxFace(b *testing.B) {
 	const n = 246
 	for _, variant := range []string{"fused-acc", "fused", "sequence"} {

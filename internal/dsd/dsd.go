@@ -3,12 +3,12 @@
 // the small vector instruction set the paper's flux kernel uses
 // (FMUL/FADD/FSUB/FNEG/FMA/FMOV, §5.3.3 and Table 4).
 //
-// A DSD describes an array view — base address, length, stride — and a vector
-// instruction streams its operands through the functional unit at constant
-// throughput, which is how the hardware vectorizes without caches. Every op
-// updates instruction, FLOP, memory-traffic and fabric-traffic counters; the
-// Table 4 experiment and the roofline model read these counters rather than
-// hardcoding the paper's numbers.
+// A DSD describes a contiguous array view — base address and length — and a
+// vector instruction streams its operands through the functional unit at
+// constant throughput, which is how the hardware vectorizes without caches.
+// Every op updates instruction, FLOP, memory-traffic and fabric-traffic
+// counters; the Table 4 experiment and the roofline model read these counters
+// rather than hardcoding the paper's numbers.
 //
 // Accounting conventions (DESIGN.md §2): per element, an op performs one load
 // per source operand (scalar immediates included, matching Table 4's
@@ -22,22 +22,24 @@ import (
 	"slices"
 )
 
-// Desc is a Data Structure Descriptor: a strided view over a PE's memory.
+// Desc is a Data Structure Descriptor: a contiguous view over a PE's memory.
+// Every view the paper's mapping needs is one (§5.1: a PE keeps each field's
+// whole Z column as one block of local memory), so a descriptor has no
+// stride.
 type Desc struct {
-	Base   int // word offset of element 0
-	Len    int // number of elements
-	Stride int // distance between consecutive elements, in words
+	Base int // word offset of element 0
+	Len  int // number of elements
 }
 
 // At returns the word address of element i.
-func (d Desc) At(i int) int { return d.Base + i*d.Stride }
+func (d Desc) At(i int) int { return d.Base + i }
 
-// Slice returns the subview [off, off+n) with the same stride.
+// Slice returns the subview [off, off+n).
 func (d Desc) Slice(off, n int) (Desc, error) {
 	if off < 0 || n < 0 || off+n > d.Len {
 		return Desc{}, fmt.Errorf("dsd: slice [%d,%d) out of descriptor length %d", off, off+n, d.Len)
 	}
-	return Desc{Base: d.Base + off*d.Stride, Len: n, Stride: d.Stride}, nil
+	return Desc{Base: d.Base + off, Len: n}, nil
 }
 
 // MustSlice is Slice for statically-correct offsets; it panics on error.
@@ -53,7 +55,7 @@ func (d Desc) MustSlice(off, n int) Desc {
 // guarantees the displaced view stays within its allocation (used for the
 // z±1 vertical-neighbor views over padded columns).
 func (d Desc) Shift(off int) Desc {
-	return Desc{Base: d.Base + off*d.Stride, Len: d.Len, Stride: d.Stride}
+	return Desc{Base: d.Base + off, Len: d.Len}
 }
 
 // Memory is a PE's private local memory: a fixed budget of float32 words with
@@ -139,8 +141,8 @@ func NewSizedArena(n, capacityWords, footprintWords int) ([]Memory, error) {
 // Capacity returns the memory size in words.
 func (m *Memory) Capacity() int { return m.capacity }
 
-// Alloc reserves a contiguous block of n words and returns a unit-stride
-// descriptor. Freed blocks of the same length are reused first.
+// Alloc reserves a contiguous block of n words and returns its descriptor.
+// Freed blocks of the same length are reused first.
 func (m *Memory) Alloc(n int) (Desc, error) {
 	if n <= 0 {
 		return Desc{}, fmt.Errorf("dsd: allocation size must be positive, got %d", n)
@@ -151,7 +153,7 @@ func (m *Memory) Alloc(n int) (Desc, error) {
 		m.reused++
 		m.allocs++
 		clear(m.words[base : base+n])
-		return Desc{Base: base, Len: n, Stride: 1}, nil
+		return Desc{Base: base, Len: n}, nil
 	}
 	if m.brk+n > m.capacity {
 		return Desc{}, fmt.Errorf("dsd: out of PE memory: need %d words, %d of %d used", n, m.brk, m.capacity)
@@ -170,14 +172,14 @@ func (m *Memory) Alloc(n int) (Desc, error) {
 	} else {
 		m.spans = append(m.spans, span{base: base, blockLen: n, count: 1})
 	}
-	return Desc{Base: base, Len: n, Stride: 1}, nil
+	return Desc{Base: base, Len: n}, nil
 }
 
 // isBlock reports whether d is exactly a block the bump allocator laid out.
 func (m *Memory) isBlock(d Desc) bool {
 	for _, s := range m.spans {
 		if off := d.Base - s.base; off >= 0 && off < s.blockLen*s.count {
-			return d.Stride == 1 && d.Len == s.blockLen && off%s.blockLen == 0
+			return d.Len == s.blockLen && off%s.blockLen == 0
 		}
 	}
 	return false
@@ -187,7 +189,7 @@ func (m *Memory) isBlock(d Desc) bool {
 // exactly as returned by Alloc.
 func (m *Memory) Free(d Desc) error {
 	if !m.isBlock(d) || slices.Contains(m.free[d.Len], d.Base) {
-		return fmt.Errorf("dsd: Free of non-allocated or reshaped block {base %d len %d stride %d}", d.Base, d.Len, d.Stride)
+		return fmt.Errorf("dsd: Free of non-allocated or reshaped block {base %d len %d}", d.Base, d.Len)
 	}
 	if m.free == nil {
 		m.free = make(map[int][]int)
@@ -221,37 +223,13 @@ func (m *Memory) Load(d Desc, i int) float32 { return m.words[d.At(i)] }
 // the host runtime's memcpy analog).
 func (m *Memory) StoreHost(d Desc, i int, v float32) { m.words[d.At(i)] = v }
 
-// HostView returns the words of a unit-stride descriptor as a slice aliasing
-// the PE memory (host access, uncounted): the host loaders stream whole
-// columns through it instead of paying a call per element.
+// HostView returns the words of d as a slice aliasing the PE memory (host
+// access, uncounted): the host loaders stream whole columns through it
+// instead of paying a call per element. Its capacity is its length, so an
+// append never writes past the column.
 func (m *Memory) HostView(d Desc) []float32 {
-	if d.Stride != 1 {
-		panic(fmt.Sprintf("dsd: HostView of a stride-%d descriptor", d.Stride))
-	}
-	m.check(d)
-	return m.words[d.Base : d.Base+d.Len : d.Base+d.Len]
-}
-
-// ReadAll copies descriptor d into a fresh slice (host readback).
-func (m *Memory) ReadAll(d Desc) []float32 {
-	out := make([]float32, d.Len)
-	m.ReadInto(out, d)
-	return out
-}
-
-// ReadInto copies descriptor d into dst without allocating (host readback
-// into a reusable buffer). Lengths must match.
-func (m *Memory) ReadInto(dst []float32, d Desc) {
-	if len(dst) != d.Len {
-		panic(fmt.Sprintf("dsd: ReadInto length %d != descriptor length %d", len(dst), d.Len))
-	}
-	if d.Stride == 1 {
-		copy(dst, m.words[d.Base:d.Base+d.Len])
-		return
-	}
-	for i := range dst {
-		dst[i] = m.words[d.At(i)]
-	}
+	v := m.col(d)
+	return v[:len(v):len(v)]
 }
 
 // WriteAll copies src into descriptor d (host load). Lengths must match.
@@ -259,35 +237,35 @@ func (m *Memory) WriteAll(d Desc, src []float32) error {
 	if len(src) != d.Len {
 		return fmt.Errorf("dsd: WriteAll length %d != descriptor length %d", len(src), d.Len)
 	}
-	if d.Stride == 1 {
-		copy(m.words[d.Base:d.Base+d.Len], src)
-		return nil
-	}
-	for i, v := range src {
-		m.words[d.At(i)] = v
-	}
+	copy(m.col(d), src)
 	return nil
 }
 
-// check panics when descriptors are incompatible or out of bounds — these
-// are programming errors in kernel construction, not runtime conditions.
-func (m *Memory) check(ds ...Desc) {
-	for _, d := range ds {
-		if d.Len < 0 {
-			panic(fmt.Sprintf("dsd: negative descriptor length %d", d.Len))
-		}
-		if d.Len == 0 {
-			continue
-		}
-		lo, hi := d.At(0), d.At(d.Len-1)
-		if hi < lo {
-			lo, hi = hi, lo
-		}
-		if lo < 0 || hi >= len(m.words) {
-			panic(fmt.Sprintf("dsd: descriptor {base %d len %d stride %d} out of memory bounds [0,%d)",
-				d.Base, d.Len, d.Stride, len(m.words)))
-		}
+// col returns the words d views. It is every op's bounds check: a view
+// reaching outside the memory (or a negative length) is a programming error
+// in kernel construction, not a runtime condition, and panics. An empty
+// descriptor is an empty column wherever it points.
+func (m *Memory) col(d Desc) []float32 {
+	if d.Len == 0 {
+		return nil
 	}
+	if !m.holds(d) {
+		badDesc(d, len(m.words))
+	}
+	return m.words[d.Base : d.Base+d.Len]
+}
+
+// holds reports whether d has a length ≥ 0 and all its words in the memory.
+func (m *Memory) holds(d Desc) bool {
+	return d.Len >= 0 && d.Base >= 0 && d.Base+d.Len <= len(m.words)
+}
+
+// badDesc panics with the diagnostic for a descriptor col rejects.
+func badDesc(d Desc, words int) {
+	if d.Len < 0 {
+		panic(fmt.Sprintf("dsd: negative descriptor length %d", d.Len))
+	}
+	panic(fmt.Sprintf("dsd: descriptor {base %d len %d} out of memory bounds [0,%d)", d.Base, d.Len, words))
 }
 
 // sameLen2/3/4 are fixed-arity length checks — the variadic form cost a

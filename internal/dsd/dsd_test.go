@@ -36,7 +36,7 @@ func TestAllocSequential(t *testing.T) {
 	if a.Base == b.Base {
 		t.Error("allocations overlap")
 	}
-	if a.Len != 30 || a.Stride != 1 {
+	if a.Len != 30 {
 		t.Errorf("bad descriptor %+v", a)
 	}
 	if _, err := m.Alloc(50); err == nil {
@@ -87,7 +87,7 @@ func TestReusedBlockIsZeroed(t *testing.T) {
 func TestFreeRejectsBogusDescriptors(t *testing.T) {
 	m := newMem(t, 100)
 	a, _ := m.Alloc(10)
-	if err := m.Free(Desc{Base: a.Base + 1, Len: 9, Stride: 1}); err == nil {
+	if err := m.Free(Desc{Base: a.Base + 1, Len: 9}); err == nil {
 		t.Error("freeing interior pointer accepted")
 	}
 	sub := a.MustSlice(0, 5)
@@ -103,12 +103,12 @@ func TestFreeRejectsBogusDescriptors(t *testing.T) {
 }
 
 func TestDescSlice(t *testing.T) {
-	d := Desc{Base: 10, Len: 20, Stride: 2}
+	d := Desc{Base: 10, Len: 20}
 	s, err := d.Slice(5, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Base != 20 || s.Len != 10 || s.Stride != 2 {
+	if s.Base != 15 || s.Len != 10 {
 		t.Errorf("bad slice %+v", s)
 	}
 	if _, err := d.Slice(15, 10); err == nil {
@@ -120,17 +120,17 @@ func TestDescSlice(t *testing.T) {
 }
 
 func TestDescShiftAndAt(t *testing.T) {
-	d := Desc{Base: 8, Len: 4, Stride: 3}
-	if d.At(2) != 14 {
-		t.Errorf("At(2) = %d, want 14", d.At(2))
+	d := Desc{Base: 8, Len: 4}
+	if d.At(2) != 10 {
+		t.Errorf("At(2) = %d, want 10", d.At(2))
 	}
 	s := d.Shift(1)
-	if s.Base != 11 || s.Len != 4 || s.Stride != 3 {
+	if s.Base != 9 || s.Len != 4 {
 		t.Errorf("bad shift %+v", s)
 	}
 	n := d.Shift(-1)
-	if n.Base != 5 {
-		t.Errorf("negative shift base = %d, want 5", n.Base)
+	if n.Base != 7 {
+		t.Errorf("negative shift base = %d, want 7", n.Base)
 	}
 }
 
@@ -140,7 +140,7 @@ func TestMustSlicePanics(t *testing.T) {
 			t.Error("MustSlice out of range did not panic")
 		}
 	}()
-	Desc{Base: 0, Len: 3, Stride: 1}.MustSlice(2, 5)
+	Desc{Base: 0, Len: 3}.MustSlice(2, 5)
 }
 
 func TestWriteReadAll(t *testing.T) {
@@ -149,10 +149,10 @@ func TestWriteReadAll(t *testing.T) {
 	if err := m.WriteAll(d, []float32{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
-	got := m.ReadAll(d)
+	got := m.HostView(d)
 	for i, want := range []float32{1, 2, 3, 4} {
 		if got[i] != want {
-			t.Fatalf("ReadAll[%d] = %g, want %g", i, got[i], want)
+			t.Fatalf("readback[%d] = %g, want %g", i, got[i], want)
 		}
 	}
 	if err := m.WriteAll(d, []float32{1}); err == nil {
@@ -160,23 +160,44 @@ func TestWriteReadAll(t *testing.T) {
 	}
 }
 
-func TestStridedWriteRead(t *testing.T) {
-	m := newMem(t, 32)
-	base, _ := m.Alloc(16)
-	d := Desc{Base: base.Base, Len: 4, Stride: 4}
-	if err := m.WriteAll(d, []float32{10, 20, 30, 40}); err != nil {
+// TestReadInto reads a column back into a host buffer: element-wise host
+// stores land where the column view reads them, and a copy taken from the
+// view is a snapshot that later stores do not reach.
+func TestReadInto(t *testing.T) {
+	m := newMem(t, 64)
+	blk, err := m.Alloc(16)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Load(base, 0) != 10 || m.Load(base, 4) != 20 || m.Load(base, 8) != 30 || m.Load(base, 12) != 40 {
-		t.Error("strided write landed wrong")
+	for i := 0; i < 16; i++ {
+		m.StoreHost(blk, i, float32(i))
 	}
+	dst := make([]float32, 16)
+	if n := copy(dst, m.HostView(blk)); n != 16 {
+		t.Fatalf("copied %d words from a 16-word column", n)
+	}
+	for i, v := range dst {
+		if v != float32(i) {
+			t.Fatalf("readback of StoreHost[%d] = %g", i, v)
+		}
+	}
+	m.StoreHost(blk, 0, 99)
+	if dst[0] != 0 {
+		t.Errorf("host copy changed to %g after a later store", dst[0])
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("HostView of a column past the end of memory did not panic")
+		}
+	}()
+	m.HostView(Desc{Base: blk.Base, Len: m.Capacity() - blk.Base + 1})
 }
 
 func TestBoundsCheckPanics(t *testing.T) {
 	m := newMem(t, 16)
 	e := NewEngine(m)
-	bad := Desc{Base: 10, Len: 10, Stride: 1}
-	ok := Desc{Base: 0, Len: 10, Stride: 1}
+	bad := Desc{Base: 10, Len: 10}
+	ok := Desc{Base: 0, Len: 10}
 	defer func() {
 		r := recover()
 		if r == nil {

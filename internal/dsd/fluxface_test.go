@@ -1,6 +1,7 @@
 package dsd
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"strings"
@@ -130,9 +131,7 @@ func TestFluxFaceMatchesOpSequence(t *testing.T) {
 		copy(seq.e.Mem.words, w)
 		before := append([]float32(nil), w...)
 
-		if !fused.e.FluxFace(fused.f, fused.tr, fused.p, fused.gz, pL, gzL, testConsts) {
-			t.Fatalf("trial %d: FluxFace declined unit-stride operands (n=%d kind=%d)", trial, n, kind)
-		}
+		fused.e.FluxFace(fused.f, fused.tr, fused.p, fused.gz, pL, gzL, testConsts)
 		pL, gzL = seq.neighbor(kind)
 		fluxSequence(seq.e, seq.f, seq.tr, seq.p, seq.gz, pL, gzL, testConsts, seq.scratch)
 
@@ -156,44 +155,109 @@ func TestFluxFaceMatchesOpSequence(t *testing.T) {
 	}
 }
 
-func TestFluxFaceDeclinesIneligibleOperands(t *testing.T) {
-	const n = 8
-	c := newFaceColumns(t, 2*n)
-	half := func(d Desc) Desc { return d.MustSlice(0, n) }
-	f, tr, p, gz, nbrP, nbrGz := half(c.f), half(c.tr), half(c.p), half(c.gz), half(c.nbrP), half(c.nbrGz)
-	strided := Desc{Base: c.nbrP.Base, Len: n, Stride: 2}
-
-	cases := []struct {
-		name                     string
-		f, tr, pK, gzK, pL, gzL  Desc
-		fastPathOff, wantFusable bool
-	}{
-		{name: "unit stride", f: f, tr: tr, pK: p, gzK: gz, pL: nbrP, gzL: nbrGz, wantFusable: true},
-		{name: "strided input", f: f, tr: tr, pK: p, gzK: gz, pL: strided, gzL: nbrGz},
-		{name: "strided output", f: strided, tr: tr, pK: p, gzK: gz, pL: c.tr.MustSlice(n, n), gzL: nbrGz},
-		{name: "output overlaps input", f: p.Shift(1), tr: tr, pK: p, gzK: gz, pL: nbrP, gzL: nbrGz},
-		{name: "fast path off", f: f, tr: tr, pK: p, gzK: gz, pL: nbrP, gzL: nbrGz, fastPathOff: true},
+// TestFluxFaceAntisymmetric: swapping the own and the neighbor columns
+// negates the flux exactly wherever ΔΦ ≠ 0 — every intermediate of the
+// reversed evaluation is the negation or the swap of the forward one, and
+// round-to-nearest is symmetric in sign. On an exact tie (ΔΦ = 0, every
+// fourth cell) both directions give a zero flux.
+func TestFluxFaceAntisymmetric(t *testing.T) {
+	const n = 246
+	rng := rand.New(rand.NewPCG(3, 0xa5e))
+	for trial := 0; trial < 20; trial++ {
+		c := newFaceColumns(t, n)
+		w := c.e.Mem.words
+		for i := 0; i < n; i++ {
+			w[c.p.At(i)], w[c.nbrP.At(i)] = 1.4e7+2e6*rng.Float32(), 1.4e7+2e6*rng.Float32()
+			w[c.gz.At(i)], w[c.nbrGz.At(i)] = -15000+500*rng.Float32(), -15000+500*rng.Float32()
+			w[c.tr.At(i)] = 1e-12 * (1 + rng.Float32())
+			if i%4 == 0 {
+				w[c.nbrP.At(i)], w[c.nbrGz.At(i)] = w[c.p.At(i)], w[c.gz.At(i)]
+			}
+		}
+		c.e.FluxFace(c.f, c.tr, c.p, c.gz, c.nbrP, c.nbrGz, testConsts)
+		c.e.FluxFace(c.res, c.tr, c.nbrP, c.nbrGz, c.p, c.gz, testConsts)
+		for i := 0; i < n; i++ {
+			fKL, fLK := c.e.Mem.Load(c.f, i), c.e.Mem.Load(c.res, i)
+			tie := i%4 == 0
+			if tie != (fKL == 0) || tie != (fLK == 0) {
+				t.Fatalf("trial %d cell %d: f_KL = %g, f_LK = %g; want both zero exactly on a tie (tie=%v)", trial, i, fKL, fLK, tie)
+			}
+			if !tie && math.Float32bits(fLK) != math.Float32bits(-fKL) {
+				t.Fatalf("trial %d cell %d: f_LK = %g (%#08x), want −f_KL = %g (%#08x)", trial, i,
+					fLK, math.Float32bits(fLK), -fKL, math.Float32bits(-fKL))
+			}
+		}
 	}
-	for _, tc := range cases {
+}
+
+// TestFluxFaceRejectsAliasedOutputs: an output sharing a word with an input,
+// or FluxFaceAcc's two outputs sharing one, is a kernel-construction bug —
+// the macro-op panics with a dsd: message before it writes or counts
+// anything. Disjoint operands, and inputs overlapping each other (the
+// vertical faces), run.
+func TestFluxFaceRejectsAliasedOutputs(t *testing.T) {
+	const m = 8
+	c := newFaceColumns(t, 2*m)
+	_, f, tr, p, gz, nbrP, nbrGz := accOperands(c, shapeInPlane, m)
+	type call struct {
+		name string
+		ok   bool
+		run  func()
+	}
+	calls := []call{
+		{"disjoint operands", true, func() { c.e.FluxFace(f, tr, p, gz, nbrP, nbrGz, testConsts) }},
+		{"inputs overlap", true, func() { c.e.FluxFace(f, tr, p, gz, p.Shift(1), gz.Shift(1), testConsts) }},
+		{"output overlaps input", false, func() { c.e.FluxFace(p.Shift(1), tr, p, gz, nbrP, nbrGz, testConsts) }},
+	}
+	for _, shape := range []int{shapeResOverlapsInput, shapeFluxOverlapsInput, shapeResIsFlux} {
+		res, f, tr, pK, gzK, pL, gzL := accOperands(c, shape, m)
+		calls = append(calls, call{accShapeNames[shape], false, func() {
+			c.e.FluxFaceAcc(res, f, tr, pK, gzK, pL, gzL, testConsts)
+		}})
+	}
+	for _, tc := range calls {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.fastPathOff {
-				defer SetFastPath(SetFastPath(false))
-			}
-			before := c.e.Counters()
-			ran := c.e.FluxFace(tc.f, tc.tr, tc.pK, tc.gzK, tc.pL, tc.gzL, testConsts)
-			if ran != tc.wantFusable {
-				t.Fatalf("FluxFace ran = %v, want %v", ran, tc.wantFusable)
-			}
-			if !ran && c.e.Counters() != before {
-				t.Error("a declined FluxFace still bumped the counters")
+			if !tc.ok {
+				rejects(t, c.e, tc.run)
+			} else if msg := panicMessage(tc.run); msg != "" {
+				t.Fatalf("valid operands panicked: %s", msg)
 			}
 		})
 	}
 }
 
+// rejects asserts that run panics with a dsd: message naming an overlap and
+// leaves e's memory and counters as they were.
+func rejects(t *testing.T, e *Engine, run func()) {
+	t.Helper()
+	before, counters := append([]float32(nil), e.Mem.words...), e.Counters()
+	if msg := panicMessage(run); !strings.HasPrefix(msg, "dsd: ") || !strings.Contains(msg, "overlaps") {
+		t.Fatalf("panic = %q, want a dsd: panic naming the overlap", msg)
+	}
+	if e.Counters() != counters {
+		t.Fatal("a rejected macro-op bumped the counters")
+	}
+	for k, v := range e.Mem.words {
+		if !sameBits(v, before[k]) {
+			t.Fatalf("a rejected macro-op wrote word %d", k)
+		}
+	}
+}
+
+// panicMessage runs fn and returns what it panicked with ("" if it returned).
+func panicMessage(fn func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	fn()
+	return ""
+}
+
 func TestFluxFacePanicsLikeTheOps(t *testing.T) {
 	c := newFaceColumns(t, 8)
-	oob := Desc{Base: c.e.Mem.Capacity() - 4, Len: 8, Stride: 1}
+	oob := Desc{Base: c.e.Mem.Capacity() - 4, Len: 8}
 	for _, tc := range []struct {
 		name, want string
 		pL         Desc
@@ -224,25 +288,26 @@ func TestFluxFaceDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// accShape names the operand shapes FuzzFluxFaceAcc draws: the eligible ones
+// accShape names the operand shapes FuzzFluxFaceAcc draws: the valid ones
 // (in-plane and the two vertical faces, whose neighbor views overlap the own
-// columns) and every way an operand can make the macro-op decline.
+// columns) and the three ways an output can alias another operand, which
+// make the macro-op panic.
 const (
 	shapeInPlane = iota
 	shapeUp
 	shapeDown
-	shapeStridedInput
-	shapeStridedRes
 	shapeResOverlapsInput
 	shapeFluxOverlapsInput
 	shapeResIsFlux
-	shapeFastPathOff
 	numAccShapes
 )
 
+var accShapeNames = [numAccShapes]string{
+	"in-plane", "up", "down", "residual overlaps input", "flux overlaps input", "residual is flux",
+}
+
 // accOperands returns the eight descriptors of one FluxFaceAcc call over
-// the layout c for the given shape; m ≤ n/2 elements, so that the stride-2
-// views stay inside their n-word columns.
+// the layout c for the given shape, m ≤ n/2 elements long.
 func accOperands(c *faceColumns, shape, m int) (res, f, tr, pK, gzK, pL, gzL Desc) {
 	cut := func(d Desc) Desc { return d.MustSlice(0, m) }
 	res, f, tr, pK, gzK, pL, gzL = cut(c.res), cut(c.f), cut(c.tr), cut(c.p), cut(c.gz), cut(c.nbrP), cut(c.nbrGz)
@@ -251,10 +316,6 @@ func accOperands(c *faceColumns, shape, m int) (res, f, tr, pK, gzK, pL, gzL Des
 		pL, gzL = pK.Shift(1), gzK.Shift(1)
 	case shapeDown:
 		pL, gzL = pK.Shift(-1), gzK.Shift(-1)
-	case shapeStridedInput:
-		pL.Stride = 2
-	case shapeStridedRes:
-		res.Stride = 2
 	case shapeResOverlapsInput: // partly for m > 1, exactly for m = 1
 		res = pK.Shift(m / 2)
 	case shapeFluxOverlapsInput:
@@ -266,18 +327,20 @@ func accOperands(c *faceColumns, shape, m int) (res, f, tr, pK, gzK, pL, gzL Des
 }
 
 // FuzzFluxFaceAcc holds the fused flux-and-accumulate macro-op to its
-// op-by-op spelling — FluxFace (or, where that declines, the 14-op sequence)
-// into f, then AccV(res, f) — on random columns salted with special values
-// and zero transmissibilities (fluxes of either zero sign): where it runs,
-// res and the counters are those of the oracle and nothing but res is
-// written; where it declines it has done nothing, and the caller's fallback
-// is the oracle itself.
+// two-op spelling — FluxFace into f, then AccV(res, f) — on random columns
+// salted with special values and zero transmissibilities (fluxes of either
+// zero sign): on valid operands res and the counters are those of the
+// oracle and nothing but res is written; on aliased outputs it panics with a
+// dsd: message, having written and counted nothing.
 func FuzzFluxFaceAcc(f *testing.F) {
 	for shape := 0; shape < numAccShapes; shape++ {
 		f.Add(uint64(shape)*0x9e37+1, uint8(7+shape), uint8(shape))
 	}
 	f.Add(uint64(21), uint8(123), uint8(shapeInPlane))
 	f.Add(uint64(22), uint8(1), uint8(shapeUp))
+	f.Add(uint64(23), uint8(0), uint8(shapeResOverlapsInput)) // m = 1: exact overlap
+	f.Add(uint64(24), uint8(0), uint8(shapeResIsFlux))
+	f.Add(uint64(25), uint8(122), uint8(shapeDown)) // m = 123, the deepest draw
 	f.Fuzz(func(t *testing.T, seed uint64, size, shapeByte uint8) {
 		m, shape := int(size)%123+1, int(shapeByte)%numAccShapes
 		n := 2 * m
@@ -299,42 +362,19 @@ func FuzzFluxFaceAcc(f *testing.F) {
 		copy(oracle.e.Mem.words, w)
 		before := append([]float32(nil), w...)
 
-		if shape == shapeFastPathOff {
-			defer SetFastPath(SetFastPath(false))
-		}
-		spell := func(c *faceColumns) {
-			res, f, tr, pK, gzK, pL, gzL := accOperands(c, shape, m)
-			if !c.e.FluxFace(f, tr, pK, gzK, pL, gzL, testConsts) {
-				var sc [5]Desc
-				for i := range sc {
-					sc[i] = c.scratch[i].MustSlice(0, m)
-				}
-				fluxSequence(c.e, f, tr, pK, gzK, pL, gzL, testConsts, sc)
-			}
-			c.e.AccV(res, f)
-		}
-		spell(oracle)
-
 		res, fd, tr, pK, gzK, pL, gzL := accOperands(fused, shape, m)
-		ran := fused.e.FluxFaceAcc(res, fd, tr, pK, gzK, pL, gzL, testConsts)
-		if want := shape <= shapeDown; ran != want {
-			t.Fatalf("shape %d: FluxFaceAcc ran = %v, want %v", shape, ran, want)
+		if shape > shapeDown {
+			rejects(t, fused.e, func() { fused.e.FluxFaceAcc(res, fd, tr, pK, gzK, pL, gzL, testConsts) })
+			return
 		}
-		if !ran {
-			if fused.e.Counters() != (Counters{}) {
-				t.Fatalf("shape %d: a declined FluxFaceAcc bumped the counters", shape)
-			}
-			for i, v := range w {
-				if !sameBits(v, before[i]) {
-					t.Fatalf("shape %d: a declined FluxFaceAcc wrote word %d", shape, i)
-				}
-			}
-			spell(fused)
-		}
+		fused.e.FluxFaceAcc(res, fd, tr, pK, gzK, pL, gzL, testConsts)
+
+		ores, of, otr, opK, ogzK, opL, ogzL := accOperands(oracle, shape, m)
+		oracle.e.FluxFace(of, otr, opK, ogzK, opL, ogzL, testConsts)
+		oracle.e.AccV(ores, of)
 		for i, v := range w {
-			inF := ran && i >= fd.Base && i < fd.Base+m
 			want := oracle.e.Mem.words[i]
-			if inF {
+			if i >= fd.Base && i < fd.Base+m {
 				want = before[i] // the fused op never touches f
 			}
 			if !sameBits(v, want) {
@@ -350,7 +390,7 @@ func FuzzFluxFaceAcc(f *testing.F) {
 
 func TestFluxFaceAccPanicsLikeTheOps(t *testing.T) {
 	c := newFaceColumns(t, 8)
-	oob := Desc{Base: c.e.Mem.Capacity() - 4, Len: 8, Stride: 1}
+	oob := Desc{Base: c.e.Mem.Capacity() - 4, Len: 8}
 	for _, tc := range []struct {
 		name, want  string
 		res, f, gzL Desc

@@ -1,5 +1,7 @@
 package dsd
 
+import "fmt"
+
 // Counters accumulates the per-PE instruction, FLOP and traffic statistics
 // that Table 4 and the roofline model consume. Counted ops follow the
 // paper's accounting (loads = source operands per element, one store per
@@ -8,7 +10,7 @@ package dsd
 type Counters struct {
 	FMUL, FADD, FSUB, FNEG, FMA, FMOV uint64 // counted per element
 
-	SELGT, ACC, FILL, MEMMOV uint64 // uncounted class, per element
+	SELGT, ACC, FILL uint64 // uncounted class, per element
 
 	Loads, Stores uint64 // counted memory traffic, words
 	FabricLoads   uint64 // counted fabric traffic (receives), words
@@ -46,7 +48,6 @@ func (c *Counters) Add(o *Counters) {
 	c.SELGT += o.SELGT
 	c.ACC += o.ACC
 	c.FILL += o.FILL
-	c.MEMMOV += o.MEMMOV
 	c.Loads += o.Loads
 	c.Stores += o.Stores
 	c.FabricLoads += o.FabricLoads
@@ -73,7 +74,6 @@ const (
 	opSelGtV
 	opAccV
 	opFill
-	opMovV
 	opMovRecv
 	numOpKinds
 )
@@ -82,21 +82,6 @@ const (
 // total instruction issues.
 type opTally struct {
 	elems, issues uint64
-}
-
-// fastPath gates the stride-1 specialized loops. It exists so the
-// bit-identity tests can force the legacy strided loops over the same mesh;
-// production code never clears it.
-var fastPath = true
-
-// SetFastPath enables or disables the stride-1 specializations, returning
-// the previous setting. Both paths compute bit-identical results with
-// identical counters — the toggle only exists so tests can assert that. Not
-// safe to call while engines are running.
-func SetFastPath(on bool) (prev bool) {
-	prev = fastPath
-	fastPath = on
-	return prev
 }
 
 // Engine executes the vector ISA against one PE memory, updating counters.
@@ -130,8 +115,7 @@ func (e *Engine) Counters() Counters {
 	subVV, subVS := t[opSubVV].elems, t[opSubVS].elems
 	negV := t[opNegV].elems
 	fmaVSS, fmaVVV := t[opFmaVSS].elems, t[opFmaVVV].elems
-	selGt, acc, fill, movV, movRecv :=
-		t[opSelGtV].elems, t[opAccV].elems, t[opFill].elems, t[opMovV].elems, t[opMovRecv].elems
+	selGt, acc, fill, movRecv := t[opSelGtV].elems, t[opAccV].elems, t[opFill].elems, t[opMovRecv].elems
 
 	var c Counters
 	c.FMUL = mulVV + mulVS
@@ -143,16 +127,14 @@ func (e *Engine) Counters() Counters {
 	c.SELGT = selGt
 	c.ACC = acc
 	c.FILL = fill
-	c.MEMMOV = movV
 	// Counted traffic: 2 loads for the two-operand ops (scalar immediates
 	// included), 1 for FNEG, 3 for FMA; one store per counted element.
 	c.Loads = 2*(mulVV+mulVS+addVV+subVV+subVS) + negV + 3*(fmaVSS+fmaVVV)
 	c.Stores = c.FMUL + c.FADD + c.FSUB + c.FNEG + c.FMA + c.FMOV
 	c.FabricLoads = movRecv
-	// Uncounted class: SELGT 3 loads, ACC 2, MOV 1; one store each, FILL
-	// store-only.
-	c.UncountedLoads = 3*selGt + 2*acc + movV
-	c.UncountedStores = selGt + acc + fill + movV
+	// Uncounted class: SELGT 3 loads, ACC 2; one store each, FILL store-only.
+	c.UncountedLoads = 3*selGt + 2*acc
+	c.UncountedStores = selGt + acc + fill
 	for k := range t {
 		c.Issues += t[k].issues
 	}
@@ -165,156 +147,79 @@ func (e *Engine) AddCounters(c *Counters) {
 	c.Add(&ec)
 }
 
-// inUnit reports whether d is a unit-stride descriptor fully inside a memory
-// of n words — the precondition of the reslice fast path. Descriptors that
-// fail it (strided, empty, or out of bounds) take the legacy loop, whose
-// explicit check panics with the canonical diagnostics.
-func inUnit(d Desc, n int) bool {
-	return d.Stride == 1 && d.Base >= 0 && d.Base+d.Len <= n
-}
-
-// overlap reports whether two unit-stride views share a word.
+// overlap reports whether two views share a word.
 func overlap(a, b Desc) bool {
 	return a.Base < b.Base+b.Len && b.Base < a.Base+a.Len
 }
 
-func (e *Engine) unit1(a Desc) bool {
-	return fastPath && a.Len > 0 && inUnit(a, len(e.Mem.words))
-}
-
-func (e *Engine) unit2(a, b Desc) bool {
-	n := len(e.Mem.words)
-	return fastPath && a.Len > 0 && inUnit(a, n) && inUnit(b, n)
-}
-
-func (e *Engine) unit3(a, b, c Desc) bool {
-	return e.unit2(a, b) && inUnit(c, len(e.Mem.words))
-}
-
-func (e *Engine) unit4(a, b, c, d Desc) bool {
-	return e.unit3(a, b, c) && inUnit(d, len(e.Mem.words))
-}
-
-// The stride-1 fast paths below iterate over reslices of the memory words:
-// the unit* predicate hoists the bounds check out of the loop, the reslice
-// replaces the per-element d.At(i) index multiply, and equal-length slices
-// let the compiler eliminate the per-element bounds checks. Operation order
-// matches the strided loops exactly, so results are bit-identical; the
-// strided loops remain as the general fallback (and as the panic path for
-// invalid descriptors, keeping check's diagnostics).
+// Every op below checks its operands' lengths and bounds (col), then runs one
+// element loop; the sources are resliced to the destination's length, so the
+// compiler drops the per-element bounds checks.
 
 // MulVV computes dst = a·b elementwise (FMUL: 2 loads, 1 store / element).
 func (e *Engine) MulVV(dst, a, b Desc) {
 	sameLen3(dst, a, b)
-	w := e.Mem.words
-	if e.unit3(dst, a, b) {
-		n := dst.Len
-		d, x, y := w[dst.Base:dst.Base+n], w[a.Base:a.Base+n], w[b.Base:b.Base+n]
-		for i := range d {
-			d[i] = x[i] * y[i]
-		}
-	} else {
-		e.Mem.check(dst, a, b)
-		for i := 0; i < dst.Len; i++ {
-			w[dst.At(i)] = w[a.At(i)] * w[b.At(i)]
-		}
+	d := e.Mem.col(dst)
+	x, y := e.Mem.col(a)[:len(d)], e.Mem.col(b)[:len(d)]
+	for i := range d {
+		d[i] = x[i] * y[i]
 	}
-	e.count(opMulVV, dst.Len)
+	e.count(opMulVV, len(d))
 }
 
 // MulVS computes dst = a·s (FMUL with a scalar operand; still 2 loads).
 func (e *Engine) MulVS(dst, a Desc, s float32) {
 	sameLen2(dst, a)
-	w := e.Mem.words
-	if e.unit2(dst, a) {
-		n := dst.Len
-		d, x := w[dst.Base:dst.Base+n], w[a.Base:a.Base+n]
-		for i := range d {
-			d[i] = x[i] * s
-		}
-	} else {
-		e.Mem.check(dst, a)
-		for i := 0; i < dst.Len; i++ {
-			w[dst.At(i)] = w[a.At(i)] * s
-		}
+	d := e.Mem.col(dst)
+	x := e.Mem.col(a)[:len(d)]
+	for i := range d {
+		d[i] = x[i] * s
 	}
-	e.count(opMulVS, dst.Len)
+	e.count(opMulVS, len(d))
 }
 
 // AddVV computes dst = a + b (FADD: 2 loads, 1 store).
 func (e *Engine) AddVV(dst, a, b Desc) {
 	sameLen3(dst, a, b)
-	w := e.Mem.words
-	if e.unit3(dst, a, b) {
-		n := dst.Len
-		d, x, y := w[dst.Base:dst.Base+n], w[a.Base:a.Base+n], w[b.Base:b.Base+n]
-		for i := range d {
-			d[i] = x[i] + y[i]
-		}
-	} else {
-		e.Mem.check(dst, a, b)
-		for i := 0; i < dst.Len; i++ {
-			w[dst.At(i)] = w[a.At(i)] + w[b.At(i)]
-		}
+	d := e.Mem.col(dst)
+	x, y := e.Mem.col(a)[:len(d)], e.Mem.col(b)[:len(d)]
+	for i := range d {
+		d[i] = x[i] + y[i]
 	}
-	e.count(opAddVV, dst.Len)
+	e.count(opAddVV, len(d))
 }
 
 // SubVV computes dst = a − b (FSUB: 2 loads, 1 store).
 func (e *Engine) SubVV(dst, a, b Desc) {
 	sameLen3(dst, a, b)
-	w := e.Mem.words
-	if e.unit3(dst, a, b) {
-		n := dst.Len
-		d, x, y := w[dst.Base:dst.Base+n], w[a.Base:a.Base+n], w[b.Base:b.Base+n]
-		for i := range d {
-			d[i] = x[i] - y[i]
-		}
-	} else {
-		e.Mem.check(dst, a, b)
-		for i := 0; i < dst.Len; i++ {
-			w[dst.At(i)] = w[a.At(i)] - w[b.At(i)]
-		}
+	d := e.Mem.col(dst)
+	x, y := e.Mem.col(a)[:len(d)], e.Mem.col(b)[:len(d)]
+	for i := range d {
+		d[i] = x[i] - y[i]
 	}
-	e.count(opSubVV, dst.Len)
+	e.count(opSubVV, len(d))
 }
 
 // SubVS computes dst = a − s (FSUB with scalar subtrahend).
 func (e *Engine) SubVS(dst, a Desc, s float32) {
 	sameLen2(dst, a)
-	w := e.Mem.words
-	if e.unit2(dst, a) {
-		n := dst.Len
-		d, x := w[dst.Base:dst.Base+n], w[a.Base:a.Base+n]
-		for i := range d {
-			d[i] = x[i] - s
-		}
-	} else {
-		e.Mem.check(dst, a)
-		for i := 0; i < dst.Len; i++ {
-			w[dst.At(i)] = w[a.At(i)] - s
-		}
+	d := e.Mem.col(dst)
+	x := e.Mem.col(a)[:len(d)]
+	for i := range d {
+		d[i] = x[i] - s
 	}
-	e.count(opSubVS, dst.Len)
+	e.count(opSubVS, len(d))
 }
 
 // NegV computes dst = −a (FNEG: 1 load, 1 store).
 func (e *Engine) NegV(dst, a Desc) {
 	sameLen2(dst, a)
-	w := e.Mem.words
-	if e.unit2(dst, a) {
-		n := dst.Len
-		d, x := w[dst.Base:dst.Base+n], w[a.Base:a.Base+n]
-		for i := range d {
-			d[i] = -x[i]
-		}
-	} else {
-		e.Mem.check(dst, a)
-		for i := 0; i < dst.Len; i++ {
-			w[dst.At(i)] = -w[a.At(i)]
-		}
+	d := e.Mem.col(dst)
+	x := e.Mem.col(a)[:len(d)]
+	for i := range d {
+		d[i] = -x[i]
 	}
-	e.count(opNegV, dst.Len)
+	e.count(opNegV, len(d))
 }
 
 // FmaVSS computes dst = s1·a + s2 (FMA: 2 FLOPs, 3 loads, 1 store). The
@@ -324,68 +229,40 @@ func (e *Engine) NegV(dst, a Desc) {
 // GOAMD64=v3), so residual bits do not depend on the build target.
 func (e *Engine) FmaVSS(dst, a Desc, s1, s2 float32) {
 	sameLen2(dst, a)
-	w := e.Mem.words
-	if e.unit2(dst, a) {
-		n := dst.Len
-		d, x := w[dst.Base:dst.Base+n], w[a.Base:a.Base+n]
-		for i := range d {
-			d[i] = float32(s1*x[i]) + s2
-		}
-	} else {
-		e.Mem.check(dst, a)
-		for i := 0; i < dst.Len; i++ {
-			w[dst.At(i)] = float32(s1*w[a.At(i)]) + s2
-		}
+	d := e.Mem.col(dst)
+	x := e.Mem.col(a)[:len(d)]
+	for i := range d {
+		d[i] = float32(s1*x[i]) + s2
 	}
-	e.count(opFmaVSS, dst.Len)
+	e.count(opFmaVSS, len(d))
 }
 
 // FmaVVV computes dst = a·b + c (FMA: 2 FLOPs, 3 loads, 1 store), with the
 // product rounded separately like FmaVSS.
 func (e *Engine) FmaVVV(dst, a, b, c Desc) {
 	sameLen4(dst, a, b, c)
-	w := e.Mem.words
-	if e.unit4(dst, a, b, c) {
-		n := dst.Len
-		d, x, y, z := w[dst.Base:dst.Base+n], w[a.Base:a.Base+n], w[b.Base:b.Base+n], w[c.Base:c.Base+n]
-		for i := range d {
-			d[i] = float32(x[i]*y[i]) + z[i]
-		}
-	} else {
-		e.Mem.check(dst, a, b, c)
-		for i := 0; i < dst.Len; i++ {
-			w[dst.At(i)] = float32(w[a.At(i)]*w[b.At(i)]) + w[c.At(i)]
-		}
+	d := e.Mem.col(dst)
+	x, y, z := e.Mem.col(a)[:len(d)], e.Mem.col(b)[:len(d)], e.Mem.col(c)[:len(d)]
+	for i := range d {
+		d[i] = float32(x[i]*y[i]) + z[i]
 	}
-	e.count(opFmaVVV, dst.Len)
+	e.count(opFmaVVV, len(d))
 }
 
 // SelGtV computes dst = cond > 0 ? a : b — the upwind selection (Eq. 4) as a
 // predicated move. Uncounted class: 3 loads, 1 store tracked separately.
 func (e *Engine) SelGtV(dst, cond, a, b Desc) {
 	sameLen4(dst, cond, a, b)
-	w := e.Mem.words
-	if e.unit4(dst, cond, a, b) {
-		n := dst.Len
-		d, p, x, y := w[dst.Base:dst.Base+n], w[cond.Base:cond.Base+n], w[a.Base:a.Base+n], w[b.Base:b.Base+n]
-		for i := range d {
-			if p[i] > 0 {
-				d[i] = x[i]
-			} else {
-				d[i] = y[i]
-			}
-		}
-	} else {
-		e.Mem.check(dst, cond, a, b)
-		for i := 0; i < dst.Len; i++ {
-			if w[cond.At(i)] > 0 {
-				w[dst.At(i)] = w[a.At(i)]
-			} else {
-				w[dst.At(i)] = w[b.At(i)]
-			}
+	d := e.Mem.col(dst)
+	p, x, y := e.Mem.col(cond)[:len(d)], e.Mem.col(a)[:len(d)], e.Mem.col(b)[:len(d)]
+	for i := range d {
+		if p[i] > 0 {
+			d[i] = x[i]
+		} else {
+			d[i] = y[i]
 		}
 	}
-	e.count(opSelGtV, dst.Len)
+	e.count(opSelGtV, len(d))
 }
 
 // FluxConsts are the scalar immediates of the TPFA face kernel (DESIGN.md
@@ -415,44 +292,35 @@ func fluxElem(tr, pk, gk, pl, gl float32, c FluxConsts) float32 {
 	return float32(float32(tr*dphi) * lam)  // MulVV, MulVV
 }
 
-// fusable is the macro-ops' shared gate: it panics like any other op on
-// mismatched lengths or out-of-bounds descriptors, and reports whether the
-// fused single pass may run — the fast path on, every view unit-stride, and
-// no view in out sharing a word with an input or with another of out. The
-// sequence reads every input before it stores, so inputs may overlap each
-// other (the vertical faces pass Shift(±1) views of one padded column), but
-// an output aliasing anything would see the difference.
-func (e *Engine) fusable(out []Desc, in *[5]Desc) bool {
-	n, size := out[0].Len, len(e.Mem.words)
-	unit := fastPath && n > 0
-	for i := range out {
-		if out[i].Len != n {
-			lenMismatch(n, out[i].Len)
+// faceCols is the macro-ops' operand check: it stores the column of each of
+// ds (the first outs are outputs) in cols and panics like any op on a length
+// mismatch or a view outside the memory — and when an output shares a word
+// with any other view. The single pass reads an element's inputs before it
+// stores, so inputs may overlap (the vertical faces' Shift(±1) views), but an
+// aliased output would differ from the op-by-op sequence: a construction bug.
+func (e *Engine) faceCols(cols *[7][]float32, outs int, ds ...Desc) {
+	n := ds[0].Len
+	for _, d := range ds {
+		if d.Len != n {
+			lenMismatch(n, d.Len)
 		}
-		unit = unit && inUnit(out[i], size)
 	}
-	for i := range in {
-		if in[i].Len != n {
-			lenMismatch(n, in[i].Len)
+	if w := e.Mem.words; n != 0 { // empty columns stay nil, wherever they point
+		for i, d := range ds {
+			if !e.Mem.holds(d) {
+				badDesc(d, len(w))
+			}
+			cols[i] = w[d.Base : d.Base+n]
 		}
-		unit = unit && inUnit(in[i], size)
 	}
-	if !unit {
-		e.Mem.check(out...)
-		e.Mem.check(in[:]...)
-		return false
-	}
-	for i := range out {
-		for k := range in {
-			if overlap(out[i], in[k]) {
-				return false
+	for i, o := range ds[:outs] {
+		for j, d := range ds {
+			if j != i && overlap(o, d) {
+				panic(fmt.Sprintf("dsd: flux kernel output {base %d len %d} overlaps operand {base %d len %d}",
+					o.Base, o.Len, d.Base, d.Len))
 			}
 		}
-		if i > 0 && overlap(out[i], out[0]) {
-			return false
-		}
 	}
-	return true
 }
 
 // countFlux tallies the kernel's 14 issues over n elements.
@@ -475,107 +343,57 @@ func (e *Engine) countFlux(n int) {
 // op-by-op execution. The intermediates never reach memory: a kernel's
 // scratch buffers stay allocated (footprint and HighWaterWords are those of
 // the op-by-op kernel) but are not written.
-//
-// It reports false, having done nothing, when the operands do not qualify
-// (see fusable) and the caller then issues the sequence op by op.
-func (e *Engine) FluxFace(f, tr, pK, gzK, pL, gzL Desc, c FluxConsts) bool {
-	if !e.fusable([]Desc{f}, &[5]Desc{tr, pK, gzK, pL, gzL}) {
-		return false
-	}
-	// Every view is resliced to len(fo), which lets the compiler drop the
-	// per-element bounds checks.
-	w, n := e.Mem.words, f.Len
-	fo := w[f.Base : f.Base+n]
-	tv, pk, gk := w[tr.Base:][:len(fo)], w[pK.Base:][:len(fo)], w[gzK.Base:][:len(fo)]
-	pl, gl := w[pL.Base:][:len(fo)], w[gzL.Base:][:len(fo)]
+func (e *Engine) FluxFace(f, tr, pK, gzK, pL, gzL Desc, c FluxConsts) {
+	var col [7][]float32
+	e.faceCols(&col, 1, f, tr, pK, gzK, pL, gzL)
+	fo := col[0]
+	tv, pk, gk := col[1][:len(fo)], col[2][:len(fo)], col[3][:len(fo)]
+	pl, gl := col[4][:len(fo)], col[5][:len(fo)]
 	for i := range fo {
 		fo[i] = fluxElem(tv[i], pk[i], gk[i], pl[i], gl[i], c)
 	}
-	e.countFlux(n)
-	return true
+	e.countFlux(len(fo))
 }
 
 // FluxFaceAcc is FluxFace followed by AccV(res, f) in one pass: each
 // element's flux is rounded to float32 exactly as FluxFace would store it and
 // added to res straight from the register, so the flux column is neither
 // written nor read back. It is tallied as the same 14 issues plus one AccV,
-// and res ends bit-identical to the two-op spelling; f is left untouched —
-// it is passed so that the op declines and panics on exactly the operands
-// the pair it replaces would, and the caller's fallback (FluxFace or the
-// op-by-op sequence into f, then AccV) is valid whenever this reports false.
-func (e *Engine) FluxFaceAcc(res, f, tr, pK, gzK, pL, gzL Desc, c FluxConsts) bool {
-	if !e.fusable([]Desc{res, f}, &[5]Desc{tr, pK, gzK, pL, gzL}) {
-		return false
-	}
-	w, n := e.Mem.words, res.Len
-	ro := w[res.Base : res.Base+n]
-	tv, pk, gk := w[tr.Base:][:len(ro)], w[pK.Base:][:len(ro)], w[gzK.Base:][:len(ro)]
-	pl, gl := w[pL.Base:][:len(ro)], w[gzL.Base:][:len(ro)]
+// and res ends bit-identical to the two-op spelling. f is left untouched; it
+// is passed so that the op is checked against every operand of the pair it
+// replaces (and res may not alias it).
+func (e *Engine) FluxFaceAcc(res, f, tr, pK, gzK, pL, gzL Desc, c FluxConsts) {
+	var col [7][]float32
+	e.faceCols(&col, 2, res, f, tr, pK, gzK, pL, gzL)
+	ro := col[0]
+	tv, pk, gk := col[2][:len(ro)], col[3][:len(ro)], col[4][:len(ro)]
+	pl, gl := col[5][:len(ro)], col[6][:len(ro)]
 	for i := range ro {
 		ro[i] += fluxElem(tv[i], pk[i], gk[i], pl[i], gl[i], c)
 	}
-	e.countFlux(n)
-	e.count(opAccV, n)
-	return true
+	e.countFlux(len(ro))
+	e.count(opAccV, len(ro))
 }
 
 // AccV computes dst += a — the flux-assembly accumulate-store ("assembles
 // all the local fluxes", §6). Uncounted class: 2 loads, 1 store.
 func (e *Engine) AccV(dst, a Desc) {
 	sameLen2(dst, a)
-	w := e.Mem.words
-	if e.unit2(dst, a) {
-		d := w[dst.Base : dst.Base+dst.Len]
-		x := w[a.Base:][:len(d)]
-		for i := range d {
-			d[i] += x[i]
-		}
-	} else {
-		e.Mem.check(dst, a)
-		for i := 0; i < dst.Len; i++ {
-			w[dst.At(i)] += w[a.At(i)]
-		}
+	d := e.Mem.col(dst)
+	x := e.Mem.col(a)[:len(d)]
+	for i := range d {
+		d[i] += x[i]
 	}
-	e.count(opAccV, dst.Len)
+	e.count(opAccV, len(d))
 }
 
 // Fill sets dst = s (residual zeroing; uncounted class: 1 store).
 func (e *Engine) Fill(dst Desc, s float32) {
-	w := e.Mem.words
-	if e.unit1(dst) {
-		d := w[dst.Base : dst.Base+dst.Len]
-		for i := range d {
-			d[i] = s
-		}
-	} else {
-		e.Mem.check(dst)
-		for i := 0; i < dst.Len; i++ {
-			w[dst.At(i)] = s
-		}
+	d := e.Mem.col(dst)
+	for i := range d {
+		d[i] = s
 	}
-	e.count(opFill, dst.Len)
-}
-
-// MovV copies dst = a within local memory (uncounted buffer move; the
-// optimized kernel avoids these — the buffer-reuse ablation counts them).
-// The fast path keeps the forward element loop rather than copy(): the two
-// views may overlap, and the legacy semantics are the forward-order ones.
-func (e *Engine) MovV(dst, a Desc) {
-	sameLen2(dst, a)
-	w := e.Mem.words
-	if e.unit2(dst, a) {
-		n := dst.Len
-		d, x := w[dst.Base:dst.Base+n], w[a.Base:a.Base+n]
-		for i := range d {
-			d[i] = x[i]
-		}
-	} else {
-		e.Mem.check(dst, a)
-		for i := 0; i < dst.Len; i++ {
-			w[dst.At(i)] = w[a.At(i)]
-		}
-	}
-	e.count(opMovV, dst.Len)
+	e.count(opFill, len(d))
 }
 
 // MovRecv stores a received fabric column into local memory (FMOV:
@@ -584,14 +402,6 @@ func (e *Engine) MovRecv(dst Desc, src []float32) {
 	if len(src) != dst.Len {
 		panic("dsd: MovRecv length mismatch")
 	}
-	w := e.Mem.words
-	if e.unit1(dst) {
-		copy(w[dst.Base:dst.Base+dst.Len], src)
-	} else {
-		e.Mem.check(dst)
-		for i, v := range src {
-			w[dst.At(i)] = v
-		}
-	}
+	copy(e.Mem.col(dst), src)
 	e.count(opMovRecv, dst.Len)
 }

@@ -341,9 +341,9 @@ func TestPEMemoryIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Memories must differ between PEs (same offsets, different contents).
-	head := dsd.Desc{Base: 0, Len: 4, Stride: 1}
-	da := f.PE(0, 0).Mem.ReadAll(head)
-	db := f.PE(1, 0).Mem.ReadAll(head)
+	head := dsd.Desc{Base: 0, Len: 4}
+	da := f.PE(0, 0).Mem.HostView(head)
+	db := f.PE(1, 0).Mem.HostView(head)
 	if da[0] != 1 || db[0] != 2 {
 		t.Errorf("PE memories shared or misloaded: %g %g", da[0], db[0])
 	}

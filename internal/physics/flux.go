@@ -1,7 +1,5 @@
 package physics
 
-import "math"
-
 // FaceFlux evaluates the TPFA flux F_KL (Eq. 3a) across one face in float64.
 // Inputs are the transmissibility Υ (already geometric+permeability, see
 // internal/mesh), the cell pressures, and the cell-center elevations. The
@@ -35,57 +33,6 @@ func (f Fluid) UpwindMobility(dPhi, pK, pL float64) float64 {
 	}
 	return f.Density(pL) / f.Viscosity
 }
-
-// FaceFlux32 is the single-precision TPFA face flux with the *linearized*
-// density, written as the exact operation sequence of the dataflow kernel
-// (DESIGN.md §4) so that the scalar host value and the vectorized DSD value
-// agree bit-for-bit. gzK/gzL are the g-premultiplied elevations (g·z) that
-// the PEs exchange as "gravity coefficients".
-func FaceFlux32(c Float32, trans, pK, pL, gzK, gzL float32) float32 {
-	dp := pL - pK            // FSUB
-	dgz := gzL - gzK         // FSUB
-	rK := c.AHat * pK        // FMUL
-	rL := c.AHat * pL        // FMUL
-	s := rK + rL             // FADD
-	rhoAvg := 0.5*s + c.CHat // FMA (single rounding not modeled; see note below)
-	gt := rhoAvg * dgz       // FMUL
-	ng := -gt                // FNEG
-	dPhi := dp - ng          // FSUB
-	rup := rL                // SELGT (predicated move)
-	if dPhi > 0 {
-		rup = rK
-	}
-	rhoUp := rup - c.NegC     // FSUB
-	lambda := rhoUp * c.InvMu // FMUL
-	t1 := trans * dPhi        // FMUL
-	return t1 * lambda        // FMUL (accumulate-store performed by the caller)
-}
-
-// Note on FMA rounding: the CS-2 FMA fuses the multiply-add with a single
-// rounding. Go's float32 arithmetic rounds each step. The dataflow engines and
-// this host mirror both use the two-rounding form, so engines agree exactly
-// with each other; the float64 reference bounds the model error instead.
-
-// FaceFlux32Exp is the single-precision flux with the exponential density
-// (Eq. 5), matching what the GPU-style kernels compute. It exists so the GPU
-// kernels and their tests share one definition.
-func FaceFlux32Exp(rhoRef, pRef, cf, g, invMu, trans, pK, pL, zK, zL float32) float32 {
-	rhoK := rhoRef * expf(cf*(pK-pRef))
-	rhoL := rhoRef * expf(cf*(pL-pRef))
-	rhoAvg := 0.5 * (rhoK + rhoL)
-	dPhi := pL - pK + rhoAvg*g*(zL-zK)
-	var lambda float32
-	if dPhi > 0 {
-		lambda = rhoK * invMu
-	} else {
-		lambda = rhoL * invMu
-	}
-	return trans * lambda * dPhi
-}
-
-// expf is float32 exp via float64 math, the same lowering a GPU's expf would
-// perform at full precision.
-func expf(x float32) float32 { return float32(math.Exp(float64(x))) }
 
 // FlopsPerFaceLinear is the floating-point operation count of one linearized
 // face-flux evaluation (FMA counted as 2 FLOPs), as in Table 4.

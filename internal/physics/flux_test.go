@@ -122,64 +122,6 @@ func TestPotentialDifferenceHydrostaticBalance(t *testing.T) {
 	}
 }
 
-func TestFaceFlux32MatchesScalarSequence(t *testing.T) {
-	// FaceFlux32 must equal the float64 evaluation of the same linearized
-	// algebra to float32 precision (it *is* the kernel's op order).
-	f := testFluid().WithModel(DensityLinear)
-	c := f.Constants32()
-	cases := []struct{ pK, pL, gzK, gzL, tr float32 }{
-		{1.9e7, 2.0e7, 14700, 14800, 1e-12},
-		{2.0e7, 1.9e7, 14800, 14700, 1e-12},
-		{1.5e7, 1.5e7, 14700, 14800, 2e-12},
-		{1.5e7, 1.5e7, 14800, 14800, 2e-12},
-	}
-	for _, cs := range cases {
-		got := float64(FaceFlux32(c, cs.tr, cs.pK, cs.pL, cs.gzK, cs.gzL))
-		want := f.FaceFlux(float64(cs.tr), float64(cs.pK), float64(cs.pL),
-			float64(cs.gzK)/f.Gravity, float64(cs.gzL)/f.Gravity)
-		if want == 0 {
-			if got != 0 {
-				t.Errorf("case %+v: got %g, want exactly 0", cs, got)
-			}
-			continue
-		}
-		if rel := math.Abs(got-want) / math.Abs(want); rel > 2e-5 {
-			t.Errorf("case %+v: float32 kernel %g vs float64 %g (rel %g)", cs, got, want, rel)
-		}
-	}
-}
-
-func TestFaceFlux32Antisymmetry(t *testing.T) {
-	f := testFluid().WithModel(DensityLinear)
-	c := f.Constants32()
-	cfg := quick.Config{MaxCount: 500}
-	err := quick.Check(func(rawPK, rawPL float64) bool {
-		pK := float32(1.4e7 + 2e6*frac(rawPK))
-		pL := float32(1.4e7 + 2e6*frac(rawPL))
-		gzK, gzL := float32(14700), float32(14950)
-		fKL := FaceFlux32(c, 1e-12, pK, pL, gzK, gzL)
-		fLK := FaceFlux32(c, 1e-12, pL, pK, gzL, gzK)
-		// Bitwise antisymmetry holds when ΔΦ ≠ 0: every intermediate of the
-		// reversed evaluation is the negation/swap of the forward one.
-		return fKL == -fLK || (fKL == 0 && fLK == 0)
-	}, &cfg)
-	if err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFaceFlux32ExpMatchesFloat64(t *testing.T) {
-	f := testFluid() // exponential model
-	rho, pref := float32(f.RhoRef), float32(f.PRef)
-	cf, g := float32(f.Compressibility), float32(f.Gravity)
-	invMu := float32(1 / f.Viscosity)
-	got := float64(FaceFlux32Exp(rho, pref, cf, g, invMu, 1e-12, 1.9e7, 2.0e7, 1500, 1510))
-	want := f.FaceFlux(1e-12, 1.9e7, 2.0e7, 1500, 1510)
-	if rel := math.Abs(got-want) / math.Abs(want); rel > 2e-5 {
-		t.Errorf("exp kernel fp32 %g vs fp64 %g (rel %g)", got, want, rel)
-	}
-}
-
 func TestFlopConstants(t *testing.T) {
 	if FlopsPerFaceLinear != 14 {
 		t.Errorf("FlopsPerFaceLinear = %d, want 14 (Table 4)", FlopsPerFaceLinear)
