@@ -4,16 +4,17 @@ GO ?= go
 # serial flat engine, the sharded parallel flat engine, the vector ISA they
 # all execute, the shared shard-pool execution layer, the partitioned
 # unstructured engine built on it, the Krylov solvers that drive the
-# partitioned implicit path, the resident-engine serving layer that
+# partitioned implicit path, the structured front end whose dataflow
+# operator owns a compiled engine, the resident-engine serving layer that
 # multiplexes concurrent requests over those solvers, the open-loop
 # load generator that fires concurrent shot goroutines at it, and the
 # fault-injection package whose chaos suite hammers the serving layer's
 # failure domains (panic recovery, deadlines, forced drains) concurrently,
 # and the wave extension, whose goroutine-per-PE fabric engine writes shared
 # result slices.
-RACE_PKGS = ./internal/core/ ./internal/fabric/ ./internal/dsd/ ./internal/exec/ ./internal/umesh/ ./internal/solver/ ./internal/serve/ ./internal/loadgen/ ./internal/faultinject/ ./internal/wave/
+RACE_PKGS = ./internal/core/ ./internal/fabric/ ./internal/dsd/ ./internal/exec/ ./internal/umesh/ ./internal/solver/ ./internal/sim/ ./internal/serve/ ./internal/loadgen/ ./internal/faultinject/ ./internal/wave/
 
-.PHONY: build cross-arm64 test test-v3 race size bce bench-selftest bench-smoke bench-kernel bench-umesh bench-usolve chaos-smoke fuzz-smoke cover docs-check vet fmt-check ci
+.PHONY: build cross-arm64 test test-v3 race size layers bce bench-selftest bench-smoke bench-kernel bench-umesh bench-usolve chaos-smoke fuzz-smoke cover docs-check vet fmt-check ci
 
 build:
 	$(GO) build ./...
@@ -56,8 +57,10 @@ race:
 	$(GO) test -race -count=1 $(RACE_PKGS)
 
 # Size ratchet: non-test Go lines (comments included — what a reader has to
-# get through) per package, and a ceiling on internal/solver + internal/umesh,
-# the pair ROADMAP's "write each recurrence and each rung once" item tracks
+# get through) per package, and a ceiling on internal/solver + internal/umesh
+# + internal/sim (sim is counted so that code moved among the three counts
+# once), the implicit path ROADMAP's "write each recurrence and each rung
+# once" item tracks
 # (5372 at PR 13, 4870 at PR 14, 4699 at PR 17, 4717 at PR 18 — the skyline
 # coarse level's envelope set-up; 4861 at PR 19: three row sweeps became one
 # and gave back 40 lines, but the packed row store they read — its two record
@@ -71,8 +74,11 @@ race:
 # runtimes on one compiled Layout, one generic pushHalo, one block-SSOR builder
 # and sweep, one diagonal, no ComputeResidualPartitioned; 4533 at PR 24:
 # BiCGStab, the five OpKinds only it emitted and the option that selected it
-# are gone — CG is the Krylov method). Lower SIZE_CEILING
-# when a PR shrinks the pair; a PR that must raise it says why. SERVE_CEILING does the same for
+# are gone — CG is the Krylov method; 4573 with internal/sim counted, 4700
+# before: the structured simulator runs on umesh's transient solver, so its
+# pressure system, host operator, well source and step loop are gone, and
+# DataflowOperator moved from solver to sim). Lower SIZE_CEILING
+# when a PR shrinks the sum; a PR that must raise it says why. SERVE_CEILING does the same for
 # internal/serve, the serving core ROADMAP's state-machine item tracks (2050
 # at PR 16, 2044 at PR 17), and BENCH_CEILING for internal/bench, which holds
 # the paper's tables, Fig. 8 and the ablations and nothing that times this
@@ -81,7 +87,7 @@ race:
 # its engines (2204 with strided descriptors, the fast-path toggle and core's
 # op-by-op fallback; 1919 once a descriptor became a contiguous column and one
 # face kernel was left, with no second path beside it).
-SIZE_CEILING = 4533
+SIZE_CEILING = 4573
 SERVE_CEILING = 2044
 BENCH_CEILING = 956
 STRUCT_CEILING = 1919
@@ -91,8 +97,8 @@ size:
 	  n=$$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l); \
 	  printf '%6d  %s\n' $$n $$d; \
 	done | sort -k2; \
-	pair=$$(ls internal/solver/*.go internal/umesh/*.go | grep -v _test.go | xargs cat | wc -l); \
-	echo "size: internal/solver + internal/umesh = $$pair non-test lines (ceiling $(SIZE_CEILING))"; \
+	pair=$$(ls internal/solver/*.go internal/umesh/*.go internal/sim/*.go | grep -v _test.go | xargs cat | wc -l); \
+	echo "size: internal/solver + internal/umesh + internal/sim = $$pair non-test lines (ceiling $(SIZE_CEILING))"; \
 	if [ $$pair -gt $(SIZE_CEILING) ]; then echo "size: over the ceiling"; exit 1; fi; \
 	serve=$$(ls internal/serve/*.go | grep -v _test.go | xargs cat | wc -l); \
 	echo "size: internal/serve = $$serve non-test lines (ceiling $(SERVE_CEILING))"; \
@@ -103,6 +109,14 @@ size:
 	structured=$$(ls internal/dsd/*.go internal/core/*.go | grep -v _test.go | xargs cat | wc -l); \
 	echo "size: internal/dsd + internal/core = $$structured non-test lines (ceiling $(STRUCT_CEILING))"; \
 	if [ $$structured -gt $(STRUCT_CEILING) ]; then echo "size: over the ceiling"; exit 1; fi
+
+# Layering: internal/solver is the Krylov layer and nothing else — operators
+# live with the meshes they apply (umesh, sim) — so it may import no other
+# package of this module.
+layers:
+	@deps=$$($(GO) list -deps ./internal/solver/ | grep '^repro/internal/' | grep -vx 'repro/internal/solver' || true); \
+	if [ -n "$$deps" ]; then echo "layers: internal/solver imports module packages:"; echo "$$deps"; exit 1; fi; \
+	echo "layers: internal/solver imports no repro/internal/ package"
 
 # Bounds-check ratchet on the per-iteration kernels. The compiler's check_bce
 # pass reports every bounds check it could not remove, and the count per
@@ -166,7 +180,7 @@ bench-smoke:
 # for a real measurement.
 bench-kernel:
 	@echo "bench-kernel: GOMAXPROCS=$${GOMAXPROCS:-$$(nproc)}"
-	$(GO) test -run '^$$' -bench BenchmarkKernel -benchtime 1x -short ./internal/dsd/ ./internal/core/ ./internal/solver/
+	$(GO) test -run '^$$' -bench BenchmarkKernel -benchtime 1x -short ./internal/dsd/ ./internal/core/ ./internal/sim/
 
 # The partitioned unstructured engine microbenchmarks (engine step vs serial
 # sweep) once each — CI's guarantee that they keep compiling and running.
@@ -265,4 +279,4 @@ fmt-check:
 	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Everything the CI workflow gates on.
-ci: build cross-arm64 vet fmt-check size bce test test-v3 bench-selftest race cover docs-check bench-smoke bench-kernel bench-umesh bench-usolve chaos-smoke fuzz-smoke
+ci: build cross-arm64 vet fmt-check size layers bce test test-v3 bench-selftest race cover docs-check bench-smoke bench-kernel bench-umesh bench-usolve chaos-smoke fuzz-smoke

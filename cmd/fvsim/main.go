@@ -83,7 +83,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 }
 
-// runStructured is the original backward-Euler path over the structured mesh.
+// runStructured runs the structured mesh through sim, the structured front end
+// of the one transient solver.
 func runStructured(stdout io.Writer, dimsStr string, steps int, dt time.Duration, rate float64, dataflow bool, workers int) error {
 	d, err := cliutil.ParseDims(dimsStr)
 	if err != nil {

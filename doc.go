@@ -30,10 +30,13 @@
 // model: Compile once (arena, PE layout, static columns, worker pool), then
 // LoadPressure, Apply(n) and Residual on data that stays on the PEs.
 //
-// The §8 matrix-free Krylov extension runs on both mesh families. On the
-// structured mesh, solver.DataflowOperator applies the pressure matrix
-// through the dataflow kernel, on an engine it keeps for the whole solve
-// (one load and one application per iteration). On the unstructured mesh, umesh.PartOperator
+// The §8 matrix-free Krylov extension runs on both mesh families, through
+// one pressure system (umesh.USystem) and one backward-Euler step loop
+// (umesh.TransientSolver). The structured simulator (internal/sim) converts
+// its mesh with umesh.FromStructured, keeping the per-cell porosity; with
+// -dataflow, sim.DataflowOperator applies the pressure matrix through the
+// dataflow kernel, on an engine it keeps for the whole solve (one load and
+// one application per iteration). On the unstructured mesh, umesh.PartOperator
 // implements solver.ProgramSpace, so CG runs part-resident: the
 // whole Krylov working set lives in each part's compact layout for the
 // entire solve (one scatter in, one gather out), and the recurrence runs as

@@ -29,7 +29,7 @@ func main() {
 		dims.Cells(), sys.Mobility)
 
 	// The matrix-free operator is the dataflow flux kernel itself.
-	op := massivefv.NewDataflowOperator(sys, fl)
+	op := massivefv.NewDataflowOperator(m, sys, fl)
 	defer op.Close()
 	if err := op.Verify(); err != nil {
 		log.Fatal(err)
@@ -44,7 +44,7 @@ func main() {
 	}
 
 	// Jacobi-preconditioned CG through the dataflow operator.
-	x, st, err := massivefv.SolveCG(sys, fl, b, massivefv.SolverOptions{Tol: 1e-6, MaxIter: 300})
+	x, st, err := massivefv.SolveCG(m, sys, fl, b, massivefv.SolverOptions{Tol: 1e-6, MaxIter: 300})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // columns, the worker pool and its phase plans; LoadPressure then moves one
 // pressure field onto the PEs, Apply runs applications of Algorithm 1, and
 // Residual reads the result back. RunFlat and RunFlatParallel are one
-// Compile + LoadPressure + Apply; solver.DataflowOperator keeps an engine
+// Compile + LoadPressure + Apply; sim.DataflowOperator keeps an engine
 // across the applications of a Krylov solve.
 //
 // The PE grid is decomposed into contiguous row bands, each executed as one

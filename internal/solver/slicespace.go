@@ -4,12 +4,12 @@ import "fmt"
 
 // SliceSpace is the reference ProgramSpace: any Operator, the identity
 // layout, and phase programs executed op by op over global-order slices. It is
-// what CG runs on when the operator has no layout of its own
-// (HostOperator, DataflowOperator), and — with umesh supplying the canonical
-// blocked reduction and the rung builder — the serial oracle every
-// partitioned solve is compared against bit for bit. Each op evaluates the
-// expression its OpKind documents and nothing is fused, so a case here is also
-// the specification a partitioned kernel must reproduce.
+// what CG runs on when the operator has no layout of its own, and — with
+// umesh supplying the canonical blocked reduction and the rung builder
+// (umesh.ReferenceSpace) — the serial oracle every partitioned solve is
+// compared against bit for bit. Each op evaluates the expression its OpKind
+// documents and nothing is fused, so a case here is also the specification a
+// partitioned kernel must reproduce.
 //
 // Load2 binds its handles to the caller's slices instead of copying them, so
 // a solve works in place on x and b; the space owns only the recurrence's

@@ -1,22 +1,17 @@
 // Package solver implements the paper's §8 extension: the flux computation
 // "is naturally extendable to a matrix-free operator ... for use in an
-// iterative Krylov method which would solve equation (2)". It provides a
-// matrix-free Krylov solver (CG) with a preconditioner ladder over an
-// Operator interface, plus two operators for the implicit pressure equation:
-//
-//   - HostOperator: the TPFA flux Jacobian with frozen face mobilities,
-//     assembled from the mesh on the host (float64);
-//   - DataflowOperator: matrix-free application through the paper's own
-//     dataflow kernel — with compressibility and gravity zeroed, the flux
-//     residual is exactly linear in pressure, so one engine run per Apply
-//     evaluates A·x on the (simulated) wafer.
-//
-// The solved system is one backward-Euler step of Eq. (2):
+// iterative Krylov method which would solve equation (2)". It is the Krylov
+// layer and nothing else — it imports no other package of the repository: a
+// matrix-free solver (CG) with a preconditioner ladder over an Operator
+// interface. The operators live with the meshes they apply: umesh's
+// UHostOperator and PartOperator for the pressure system of one
+// backward-Euler step of Eq. (2),
 //
 //	(V·φ·ρref·cf/Δt)·δp − ∂F/∂p·δp = b
 //
-// whose matrix is symmetric positive definite for frozen mobilities, so CG is
-// the Krylov method.
+// and sim's DataflowOperator, which applies the same matrix through the
+// paper's own dataflow kernel. The matrix is symmetric positive definite for
+// frozen mobilities, so CG is the Krylov method.
 //
 // Preconditioning is selected by Options.PrecondKind — a ladder of four
 // rungs (jacobi, ssor, chebyshev, amg) — and installed through

@@ -63,7 +63,7 @@ func TestEveryOpBitIdenticalToReference(t *testing.T) {
 		return res
 	}
 	kinds := append([]solver.PrecondKind{solver.PrecondDefault}, solver.PrecondKinds()...)
-	ref := newSerialReference(sys)
+	ref := ReferenceSpace(sys, nil)
 	want := map[solver.PrecondKind][]*result{}
 	for _, kind := range kinds {
 		for k := solver.OpApply; k <= solver.OpPrecondDot; k++ {

@@ -13,14 +13,14 @@ import (
 // This file is the §8 extension carried onto the partitioned unstructured
 // runtime: the flux kernel as a matrix-free linear operator for an iterative
 // Krylov method. USystem freezes one backward-Euler pressure step of Eq. (2)
-// over an unstructured mesh (the unstructured mirror of
-// solver.PressureSystem); UHostOperator applies it serially in float64 — the
-// reference every partitioned solve is measured against; PartOperator is the
-// part-resident operator: the whole Krylov working set (CG's x, b, r, z, p
-// and A·p) lives in each part's compact local layout (owned-first + halo
-// blocks) for the whole solve, so a solve performs
-// exactly one initial scatter and one final gather instead of one global
-// round-trip per operator application.
+// over an unstructured mesh — the repository's one pressure system: a
+// structured mesh gets it through FromStructured, porosity included;
+// UHostOperator applies it serially in float64 — the reference every
+// partitioned solve is measured against; PartOperator is the part-resident
+// operator: the whole Krylov working set (CG's x, b, r, z, p and A·p) lives
+// in each part's compact local layout (owned-first + halo blocks) for the
+// whole solve, so a solve performs exactly one initial scatter and one final
+// gather instead of one global round-trip per operator application.
 //
 // Execution model: every vector kernel exists once, as a parameterized shard
 // kernel (shard*) that CompileProgram (program.go) captures into an exec.Plan
@@ -50,8 +50,8 @@ import (
 // 2^reductionDepth} × any worker count, and bit-identical to the serial
 // solve.
 
-// DefaultPorosity is the constant porosity the unstructured pressure system
-// assumes (the unstructured mesh carries no per-cell porosity field).
+// DefaultPorosity is the constant porosity a pressure system assumes on a
+// mesh with no per-cell porosity field.
 const DefaultPorosity = 0.2
 
 // USystem is one backward-Euler step of Eq. (2) on an unstructured mesh,
@@ -78,8 +78,9 @@ type USystem struct {
 	chebTop float64
 }
 
-// NewUSystem freezes the coefficients of a backward-Euler step of length dt
-// with the given constant porosity (0 selects DefaultPorosity).
+// NewUSystem freezes the coefficients of a backward-Euler step of length dt.
+// φ is the mesh's per-cell Porosity when it has one — porosity must then be
+// 0 — and otherwise the constant porosity (0 selects DefaultPorosity).
 func NewUSystem(u *Mesh, fl physics.Fluid, dt, porosity float64) (*USystem, error) {
 	if err := u.Validate(); err != nil {
 		return nil, err
@@ -90,15 +91,22 @@ func NewUSystem(u *Mesh, fl physics.Fluid, dt, porosity float64) (*USystem, erro
 	if dt <= 0 {
 		return nil, fmt.Errorf("umesh: time step must be positive, got %g", dt)
 	}
+	if u.Porosity != nil && porosity != 0 {
+		return nil, fmt.Errorf("umesh: constant porosity %g given for a mesh with per-cell porosity", porosity)
+	}
 	if porosity == 0 {
 		porosity = DefaultPorosity
 	}
-	if porosity < 0 || porosity > 1 {
-		return nil, fmt.Errorf("umesh: porosity %g outside (0, 1]", porosity)
-	}
 	acc := make([]float64, u.NumCells)
 	for i := range acc {
-		acc[i] = u.Volume[i] * porosity * fl.RhoRef * fl.Compressibility / dt
+		phi := porosity
+		if u.Porosity != nil {
+			phi = u.Porosity[i]
+		}
+		if !(phi > 0 && phi <= 1) {
+			return nil, fmt.Errorf("umesh: porosity %g outside (0, 1] at cell %d", phi, i)
+		}
+		acc[i] = u.Volume[i] * phi * fl.RhoRef * fl.Compressibility / dt
 		if acc[i] <= 0 {
 			return nil, fmt.Errorf("umesh: non-positive accumulation at cell %d (volume %g, cf %g)",
 				i, u.Volume[i], fl.Compressibility)
@@ -209,19 +217,25 @@ func (h *UHostOperator) Apply(dst, x []float64) error {
 	return nil
 }
 
-// newSerialReference builds the serial solve-side space for a system: the
-// solver's reference SliceSpace over UHostOperator, given the two things that
-// make it the oracle of the partitioned runtime — the canonical blocked
-// reduction (products accumulate flat in canonical order within each block,
-// block partials fold through treeFold: the exact sum every PartOperator
-// takes, for every part count) and the reference rungs of the preconditioner
-// ladder (precond.go).
-func newSerialReference(sys *USystem) *solver.SliceSpace {
+// ReferenceSpace builds the serial solve-side space for a system: the
+// solver's reference SliceSpace over op, given the two things that make it the
+// oracle of the partitioned runtime — the canonical blocked reduction
+// (products accumulate flat in canonical order within each block, block
+// partials fold through treeFold: the exact sum every PartOperator takes, for
+// every part count) and the reference rungs of the preconditioner ladder
+// (precond.go), built from the system. op is nil for the system's own
+// UHostOperator; any other operator must apply the same matrix (the
+// structured front end passes the dataflow kernel), so solves through it
+// differ from the host solve only in the applications.
+func ReferenceSpace(sys *USystem, op solver.Operator) *solver.SliceSpace {
 	h := &UHostOperator{Sys: sys}
+	if op == nil {
+		op = h
+	}
 	order, blocks := CanonicalOrder(sys.U), canonicalBlocks(sys.U.NumCells)
 	sums := make([]float64, len(blocks))
 	return &solver.SliceSpace{
-		Operator: h,
+		Operator: op,
 		Dot: func(a, b []float64) float64 {
 			for bi := range blocks {
 				lo, hi := blockSpan(blocks, bi, len(order))
@@ -448,9 +462,15 @@ func NewPartOperator(l *Layout, sys *USystem) (*PartOperator, error) {
 	for me, op := range o.parts {
 		op.buildRows(l.parts[me], sys.Mobility)
 	}
-	o.loadPlan = l.pool.NewPlan([]exec.Step{{Phase: o.phaseLoad2, Bucket: &o.Phase.Exchange}})
-	o.storePlan = l.pool.NewPlan([]exec.Step{{Phase: o.phaseStore, Bucket: &o.Phase.Exchange}})
-	o.setPrePlan = l.pool.NewPlan([]exec.Step{{Phase: o.phaseSetPre, Bucket: &o.Phase.Reduce}})
+	// The host-driven phases are one-step plans.
+	one := func(phase func(int) error, bucket *float64) *exec.Plan {
+		b := planBuilder{o: o}
+		b.add(phase, bucket)
+		return l.pool.NewPlan(b.steps)
+	}
+	o.loadPlan = one(o.phaseLoad2, &o.Phase.Exchange)
+	o.storePlan = one(o.phaseStore, &o.Phase.Exchange)
+	o.setPrePlan = one(o.phaseSetPre, &o.Phase.Reduce)
 	o.Reserve(2)
 	var err error
 	if o.applyProg, err = o.CompileProgram([]solver.ProgOp{{Kind: solver.OpApply, V1: 1, V2: 0}}); err != nil {
@@ -668,7 +688,7 @@ func (o *PartOperator) phaseStore(shard int) error {
 }
 
 // NewSystemSpace builds the solve-side space of a system for a partition of
-// its mesh: the serial reference (newSerialReference) when p is nil,
+// its mesh: the serial reference (ReferenceSpace) when p is nil,
 // otherwise a part-resident PartOperator on a freshly compiled layout. It
 // returns the space and a close function releasing the layout's pool (a no-op
 // for the serial path); the Jacobi diagonal of either is sys.Diagonal(). Both
@@ -676,7 +696,7 @@ func (o *PartOperator) phaseStore(shard int) error {
 // so the two paths cannot drift apart.
 func NewSystemSpace(p *Partition, sys *USystem, workers int) (solver.ProgramSpace, func(), error) {
 	if p == nil {
-		return newSerialReference(sys), func() {}, nil
+		return ReferenceSpace(sys, nil), func() {}, nil
 	}
 	l, err := CompileLayout(sys.U, p, workers)
 	if err != nil {

@@ -96,7 +96,7 @@ func TestPartOperatorDiagonalAndDotBitIdentical(t *testing.T) {
 	sys := newUSystemFixture(t, u)
 	a := probeVector(u.NumCells, 3)
 	b := probeVector(u.NumCells, 11)
-	wantDot := newSerialReference(sys).Dot(a, b)
+	wantDot := ReferenceSpace(sys, nil).Dot(a, b)
 	plain := 0.0
 	for i := range a {
 		plain += a[i] * b[i]
@@ -215,7 +215,7 @@ func TestResidentSolveMatchesSlicePathBitExact(t *testing.T) {
 
 	opts := solver.Options{Tol: 1e-8, MaxIter: 800, PrecondDiag: diag}
 	xSlice := make([]float64, n)
-	stSlice, err := solver.CG(newSerialReference(po.Sys), xSlice, b, opts)
+	stSlice, err := solver.CG(ReferenceSpace(po.Sys, nil), xSlice, b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,27 +545,26 @@ func TestUHostOperatorSymmetricPositiveDefinite(t *testing.T) {
 }
 
 func TestPartOperatorIterationParityWithStructuredHost(t *testing.T) {
-	// On a structured-converted mesh with the structured system's own
-	// coefficients: the part-resident solve at parts=1 takes exactly as many
-	// iterations as the canonical serial reference (the designed invariant),
-	// and cross-validates against CG through solver.HostOperator — whose
-	// inner products use the plain index-order sum, so its trajectory may
-	// round differently: iterations agree within a small band and the
+	// On a structured-converted mesh: the part-resident solve at parts=1
+	// takes exactly as many iterations as the canonical serial reference (the
+	// designed invariant), and cross-validates against CG through the
+	// structured stencil oracle — whose inner products use the plain
+	// index-order sum and whose rows sum in direction order, so its trajectory
+	// may round differently: iterations agree within a small band and the
 	// solutions to solver tolerance.
 	sm, err := mesh.BuildDefault(mesh.Dims{Nx: 8, Ny: 6, Nz: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fl := physics.DefaultFluid()
-	ssys, err := solver.NewPressureSystem(sm, fl, 3600, refflux.FacesAll)
-	if err != nil {
-		t.Fatal(err)
-	}
 	u, err := FromStructured(sm, refflux.FacesAll)
 	if err != nil {
 		t.Fatal(err)
 	}
-	usys := &USystem{U: u, Mobility: ssys.Mobility, Accum: ssys.Accum}
+	usys, err := NewUSystem(u, fl, 3600, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	part, err := RCB(u, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -580,9 +579,13 @@ func TestPartOperatorIterationParityWithStructuredHost(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b, err := solver.WellSource(sm, 1, 1, 1.0)
-	if err != nil {
-		t.Fatal(err)
+	// A unit injector column at (1, 1), balanced by a producer column at the
+	// mirrored corner.
+	d := sm.Dims
+	b := make([]float64, d.Cells())
+	for z := 0; z < d.Nz; z++ {
+		b[sm.Index(1, 1, z)] += 1 / float64(d.Nz)
+		b[sm.Index(d.Nx-2, d.Ny-2, z)] -= 1 / float64(d.Nz)
 	}
 	solve := func(op solver.Operator, diag []float64) (int, []float64) {
 		x := make([]float64, op.Size())
@@ -595,7 +598,7 @@ func TestPartOperatorIterationParityWithStructuredHost(t *testing.T) {
 		}
 		return st.Iterations, x
 	}
-	refIts, refX := solve(newSerialReference(usys), usys.Diagonal())
+	refIts, refX := solve(ReferenceSpace(usys, nil), usys.Diagonal())
 	partIts, partX := solve(po, po.Sys.Diagonal())
 	if refIts != partIts {
 		t.Errorf("iteration parity broken: canonical serial reference %d its, part-resident operator %d its",
@@ -607,7 +610,8 @@ func TestPartOperatorIterationParityWithStructuredHost(t *testing.T) {
 				i, partX[i], refX[i])
 		}
 	}
-	hostIts, hostX := solve(&solver.HostOperator{Sys: ssys}, ssys.Diagonal())
+	st := newStructuredStencil(sm, fl, 3600, refflux.FacesAll)
+	hostIts, hostX := solve(st, st.Diagonal())
 	if d := hostIts - partIts; d < -5 || d > 5 {
 		t.Errorf("structured host took %d its, part-resident %d — more than reordering noise", hostIts, partIts)
 	}
@@ -636,6 +640,14 @@ func TestNewUSystemValidation(t *testing.T) {
 	}
 	if _, err := NewUSystem(u, fl, 3600, 1.5); err == nil {
 		t.Error("porosity > 1 accepted")
+	}
+	_, su := structuredFixture(t, mesh.Dims{Nx: 3, Ny: 3, Nz: 2})
+	if _, err := NewUSystem(su, fl, 3600, DefaultPorosity); err == nil {
+		t.Error("a constant porosity accepted on a mesh with per-cell porosity")
+	}
+	su.Porosity[4] = 0
+	if _, err := NewUSystem(su, fl, 3600, 0); err == nil {
+		t.Error("a zero per-cell porosity accepted")
 	}
 	incomp := fl
 	incomp.Compressibility = 0
@@ -867,7 +879,7 @@ func assertSweepMatchesOracle(t *testing.T, sys *USystem, levels, workers int, x
 	po.Reserve(3)
 	po.Load2(0, x, 2, w)
 	runProg(t, po, solver.ProgOp{Kind: solver.OpApplyDot, V1: 1, V2: 0, V3: 2, R1: &dot})
-	if ref := newSerialReference(sys).Dot(w, want); math.Float64bits(dot) != math.Float64bits(ref) {
+	if ref := ReferenceSpace(sys, nil).Dot(w, want); math.Float64bits(dot) != math.Float64bits(ref) {
 		t.Fatalf("parts=%d workers=%d: fused ⟨w, A·x⟩ = %x, canonical dot of the oracle rows %x",
 			part.NumParts, workers, math.Float64bits(dot), math.Float64bits(ref))
 	}

@@ -213,7 +213,7 @@ func TestBlockSSORMatchesDenseTextbook(t *testing.T) {
 			}
 		}
 	}
-	pre, err := newSerialReference(sys).Rung(solver.PrecondSSOR, diag)
+	pre, err := ReferenceSpace(sys, nil).Rung(solver.PrecondSSOR, diag)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -579,7 +579,7 @@ func TestAMGFactorisationRejectsBadPivot(t *testing.T) {
 		if _, err := sys.amg(); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("Accum[%d] = %v: err = %v, want one containing %q", cell, bad, err, want)
 		}
-		if _, err := newSerialReference(sys).Rung(solver.PrecondAMG, clean.Diagonal()); err == nil {
+		if _, err := ReferenceSpace(sys, nil).Rung(solver.PrecondAMG, clean.Diagonal()); err == nil {
 			t.Errorf("Accum[%d] = %v: the AMG rung was built over a failed factorisation", cell, bad)
 		}
 	}
@@ -594,7 +594,7 @@ func TestAMGNonFiniteCoarseResidualIsBreakdown(t *testing.T) {
 	po, closeOp := residentFixtureOn(t, ladderMesh(t), 1, 2)
 	defer closeOp()
 	n := po.Size()
-	spaces := map[string]solver.Operator{"serial": newSerialReference(po.Sys), "parts": po}
+	spaces := map[string]solver.Operator{"serial": ReferenceSpace(po.Sys, nil), "parts": po}
 	for name, a := range spaces {
 		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 			b, x := probeVector(n, 1), probeVector(n, 2)
@@ -638,7 +638,7 @@ func jitteredSystem(t *testing.T, seed int64) (*solver.SliceSpace, []float64) {
 	for i := range sys.Accum {
 		sys.Accum[i] *= math.Pow(10, 3*rng.Float64()-1.5)
 	}
-	return newSerialReference(sys), sys.Diagonal()
+	return ReferenceSpace(sys, nil), sys.Diagonal()
 }
 
 func TestPrecondLadderSymmetricPositive(t *testing.T) {
@@ -834,7 +834,7 @@ func TestSerialMakePrecondValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := newSerialReference(sys)
+	ref := ReferenceSpace(sys, nil)
 	diag := sys.Diagonal()
 	if err := ref.SetPrecond("nonsense", diag); err == nil {
 		t.Error("unknown kind accepted")

@@ -10,13 +10,14 @@ import (
 	"repro/internal/solver"
 )
 
-// This file is the transient backward-Euler loop over the partitioned
-// implicit solve: the §2 simulator workflow (one preconditioned Krylov solve
-// per time step) executed on the persistent unstructured runtime. It mirrors
-// sim.RunTransient for the structured mesh — the same frozen-coefficient
-// stepping, the same Krylov options, the same per-step reports — with wells
-// addressed by cell instead of by column, and the operator applied through
-// PartOperator instead of the structured engines.
+// This file is the transient backward-Euler loop: the §2 simulator workflow,
+// one preconditioned Krylov solve per time step with frozen coefficients. It
+// is the only step loop in the repository. Unstructured meshes run it on the
+// serial reference or the partitioned runtime (NewTransientSolver); the
+// structured simulator (internal/sim) converts its mesh with FromStructured,
+// turns each column well into one cell well per layer, and runs it too —
+// through NewTransientSolver on the host path, through CompileTransient with
+// the dataflow kernel as the operator on the §8 path.
 
 // Well is a constant-rate mass source/sink at one cell (positive injects).
 type Well struct {
@@ -24,16 +25,15 @@ type Well struct {
 	Rate float64
 }
 
-// TransientOptions configures a partitioned transient run. The fields mirror
-// sim.Options (Dt, Steps, Workers, Solver have identical semantics); Wells
-// are per-cell because unstructured meshes have no well columns.
+// TransientOptions configures a transient run. Wells are per cell; a
+// structured front end expands a column well into one well per layer.
 type TransientOptions struct {
 	// Dt is the time-step length in seconds; Steps the step count.
 	Dt    float64
 	Steps int
 	Wells []Well
 	// Porosity is the constant porosity of the accumulation term (0 selects
-	// DefaultPorosity).
+	// DefaultPorosity); it must be 0 on a mesh with per-cell Porosity.
 	Porosity float64
 	// Workers sizes the layout's worker pool (0 = NumCPU; clamped to parts).
 	Workers int
@@ -57,8 +57,8 @@ type TransientOptions struct {
 	BeforeSolve func(cancel func() bool) error
 }
 
-func (o TransientOptions) withDefaults() TransientOptions {
-	if o.Porosity == 0 {
+func (o TransientOptions) withDefaults(u *Mesh) TransientOptions {
+	if o.Porosity == 0 && u.Porosity == nil {
 		o.Porosity = DefaultPorosity
 	}
 	if o.Solver.MaxIter == 0 {
@@ -95,19 +95,20 @@ type TransientStep struct {
 	Residual   float64
 	MaxDeltaP  float64 // Pa
 	// MassError is |Σ accum·δp − Σ q| / Σ|q| — the per-step conservation
-	// check, as in sim.StepReport.
+	// check.
 	MassError float64
 	// History is ‖r‖/‖b‖ after each Krylov iteration.
 	History []float64
 }
 
-// TransientResult is a partitioned transient run's outcome.
+// TransientResult is a transient run's outcome.
 type TransientResult struct {
 	Steps []TransientStep
 	// Pressure is the final field.
 	Pressure []float64
 	// OperatorApplications counts partitioned engine applications performed
-	// by the Krylov iterations (0 for the serial reference path).
+	// by the Krylov iterations (0 for the serial reference path; the
+	// structured front end reports its dataflow kernel's applications here).
 	OperatorApplications int
 	// Comm is the total halo traffic of those applications (zero for the
 	// serial path).
@@ -158,10 +159,6 @@ type TransientSolver struct {
 // opts serve as that request's defaults). A nil partition compiles the
 // serial reference path.
 func NewTransientSolver(u *Mesh, p *Partition, fl physics.Fluid, opts TransientOptions) (*TransientSolver, error) {
-	opts = opts.withDefaults()
-	if opts.Dt <= 0 {
-		return nil, fmt.Errorf("umesh: need positive Dt, got %g", opts.Dt)
-	}
 	start := time.Now()
 	sys, err := NewUSystem(u, fl, opts.Dt, opts.Porosity)
 	if err != nil {
@@ -170,6 +167,26 @@ func NewTransientSolver(u *Mesh, p *Partition, fl physics.Fluid, opts TransientO
 	space, closeOp, err := NewSystemSpace(p, sys, opts.Workers)
 	if err != nil {
 		return nil, err
+	}
+	s, err := CompileTransient(sys, space, closeOp, opts)
+	if err != nil {
+		return nil, err
+	}
+	s.CompileSeconds = time.Since(start).Seconds()
+	return s, nil
+}
+
+// CompileTransient is the compile step every transient solver shares: it
+// compiles the Krylov solve of opts onto a space built for sys — and built
+// with opts' Dt, Porosity and Workers — and takes ownership of closeOp, which
+// releases the space (on an error here as well). NewTransientSolver calls it
+// with the space of NewSystemSpace; the structured front end with a
+// ReferenceSpace over its dataflow operator.
+func CompileTransient(sys *USystem, space solver.ProgramSpace, closeOp func(), opts TransientOptions) (*TransientSolver, error) {
+	opts = opts.withDefaults(sys.U)
+	if opts.Dt <= 0 {
+		closeOp()
+		return nil, fmt.Errorf("umesh: need positive Dt, got %g", opts.Dt)
 	}
 	opts.Solver.PrecondDiag = sys.Diagonal()
 	// Everything a request should not pay for happens here, not lazily on the
@@ -185,16 +202,15 @@ func NewTransientSolver(u *Mesh, p *Partition, fl physics.Fluid, opts TransientO
 		return nil, err
 	}
 	s := &TransientSolver{
-		u:      u,
+		u:      sys.U,
 		sys:    sys,
 		krylov: krylov,
 		close:  closeOp,
 		opts:   opts,
-		b:      make([]float64, u.NumCells),
-		x:      make([]float64, u.NumCells),
+		b:      make([]float64, sys.U.NumCells),
+		x:      make([]float64, sys.U.NumCells),
 	}
 	s.po, _ = space.(*PartOperator)
-	s.CompileSeconds = time.Since(start).Seconds()
 	return s, nil
 }
 

@@ -68,6 +68,11 @@ type Mesh struct {
 	// Volume and Elev are per-cell geometric properties (Elev is the
 	// gravity-coefficient input, z increasing upward).
 	Volume, Elev []float64
+	// Porosity is the per-cell porosity φ of the accumulation term
+	// (FromStructured copies the structured mesh's), or nil for a mesh
+	// without one, such as a radial mesh, whose systems take a constant
+	// (NewUSystem).
+	Porosity []float64
 	// Centroid is the cell-center position (x, y, z), used by partitioners.
 	Centroid [][3]float64
 	// Faces lists each interior face exactly once.
@@ -112,6 +117,9 @@ func (u *Mesh) Validate() error {
 			return fmt.Errorf("umesh: field length %d != cells %d", len(s), u.NumCells)
 		}
 	}
+	if u.Porosity != nil && len(u.Porosity) != u.NumCells {
+		return fmt.Errorf("umesh: porosity length %d != cells %d", len(u.Porosity), u.NumCells)
+	}
 	if len(u.Centroid) != u.NumCells {
 		return fmt.Errorf("umesh: centroid length %d != cells %d", len(u.Centroid), u.NumCells)
 	}
@@ -144,13 +152,16 @@ func (u *Mesh) buildAdjacency() {
 }
 
 // FromStructured converts a structured mesh (with the chosen face set) to
-// the unstructured representation; residuals must match refflux exactly.
+// the unstructured representation; residuals must match refflux exactly. The
+// cells keep the structured numbering and porosity, so a system built on the
+// result is the structured mesh's own.
 func FromStructured(m *mesh.Mesh, faces refflux.FaceSet) (*Mesh, error) {
 	d := m.Dims
 	u := &Mesh{
 		NumCells: d.Cells(),
 		Volume:   make([]float64, d.Cells()),
 		Elev:     append([]float64(nil), m.Elev...),
+		Porosity: append([]float64(nil), m.Porosity...),
 		Centroid: make([][3]float64, d.Cells()),
 	}
 	vol := m.Spacing.Dx * m.Spacing.Dy * m.Spacing.Dz

@@ -15,8 +15,6 @@ import (
 
 // Solver types (§8: matrix-free Krylov over the flux operator).
 type (
-	// PressureSystem is a frozen-coefficient backward-Euler pressure step.
-	PressureSystem = solver.PressureSystem
 	// SolverOptions configures the Krylov iteration.
 	SolverOptions = solver.Options
 	// SolverStats reports convergence.
@@ -38,38 +36,48 @@ const (
 	PrecondAMG       = solver.PrecondAMG
 )
 
-// NewPressureSystem freezes one implicit step of Eq. (2).
-func NewPressureSystem(m *Mesh, fl Fluid, dt float64) (*PressureSystem, error) {
-	return solver.NewPressureSystem(m, fl, dt, refflux.FacesAll)
+// NewPressureSystem freezes one implicit step of Eq. (2) on a structured
+// mesh: the system of umesh.FromStructured(m, all ten faces), with the mesh's
+// own porosity.
+func NewPressureSystem(m *Mesh, fl Fluid, dt float64) (*UPressureSystem, error) {
+	u, err := umesh.FromStructured(m, refflux.FacesAll)
+	if err != nil {
+		return nil, err
+	}
+	return umesh.NewUSystem(u, fl, dt, 0)
 }
 
-// NewDataflowOperator wraps the dataflow flux kernel as the system's linear
-// operator (§8). It holds a compiled engine from its first Apply on; Close
-// releases it.
-func NewDataflowOperator(sys *PressureSystem, fl Fluid) *solver.DataflowOperator {
-	return solver.NewDataflowOperator(sys, fl)
+// NewDataflowOperator wraps the dataflow flux kernel as the linear operator
+// of a structured mesh's system (§8). It holds a compiled engine from its
+// first Apply on; Close releases it.
+func NewDataflowOperator(m *Mesh, sys *UPressureSystem, fl Fluid) *sim.DataflowOperator {
+	return sim.NewDataflowOperator(m, sys, fl, refflux.FacesAll)
 }
 
-// SolveCG runs Jacobi-preconditioned conjugate gradients on the system
-// through the dataflow operator and returns the pressure update.
-func SolveCG(sys *PressureSystem, fl Fluid, b []float64, opts SolverOptions) ([]float64, *SolverStats, error) {
-	op := solver.NewDataflowOperator(sys, fl)
+// SolveCG runs Jacobi-preconditioned conjugate gradients on a structured
+// mesh's system through the dataflow operator and returns the pressure
+// update.
+func SolveCG(m *Mesh, sys *UPressureSystem, fl Fluid, b []float64, opts SolverOptions) ([]float64, *SolverStats, error) {
+	op := NewDataflowOperator(m, sys, fl)
 	defer op.Close()
+	if err := op.Verify(); err != nil {
+		return nil, nil, err
+	}
 	opts.PrecondDiag = sys.Diagonal()
 	x := make([]float64, op.Size())
-	st, err := solver.CG(op, x, b, opts)
+	st, err := solver.CG(umesh.ReferenceSpace(sys, op), x, b, opts)
 	if err != nil {
 		return nil, st, err
 	}
 	return x, st, nil
 }
 
-// Transient simulation (the §2 workflow).
+// Transient simulation (the §2 workflow) on a structured mesh.
 type (
 	// TransientOptions configures the implicit time stepping.
 	TransientOptions = sim.Options
 	// TransientResult carries per-step reports and the final field.
-	TransientResult = sim.Result
+	TransientResult = umesh.TransientResult
 	// Well is a constant-rate column source/sink.
 	Well = sim.Well
 )

@@ -21,7 +21,7 @@ func TestFacadePressureSolve(t *testing.T) {
 	b := make([]float64, m.Dims.Cells())
 	b[m.Index(2, 2, 1)] = 1
 	b[m.Index(5, 4, 1)] = -1
-	x, st, err := SolveCG(sys, fl, b, SolverOptions{Tol: 1e-6, MaxIter: 300})
+	x, st, err := SolveCG(m, sys, fl, b, SolverOptions{Tol: 1e-6, MaxIter: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
