@@ -54,10 +54,10 @@
 // bit-identical to the serial reference at every part and worker count:
 // residual histories, iteration counts, and the final field. A resident
 // preconditioner ladder (solver.PrecondKind: jacobi, block-SSOR, Chebyshev
-// polynomial smoothing, two-level aggregation AMG with a once-per-system
-// coarse operator) runs as fused phases under the same determinism
-// contract; AMG cuts the 15360-cell benchmark mesh's CG iterations 9.3x vs
-// Jacobi (1365 → 147, pinned by umesh's
+// polynomial smoothing, aggregation AMG whose coarse correction is a
+// once-per-system two-grid cycle) runs as fused phases under the same
+// determinism contract; AMG cuts the 15360-cell benchmark mesh's CG
+// iterations 8.6x vs Jacobi (1365 → 159, pinned by umesh's
 // TestPrecondLadderRecordedIterationCounts).
 //
 // Tests form a pyramid: unit tests per package; property tests over seeded

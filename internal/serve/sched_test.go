@@ -118,7 +118,7 @@ func TestSelectGroupTakesOneJob(t *testing.T) {
 // observation replaces it, later observations blend by ewmaAlpha.
 func TestCostModelObserve(t *testing.T) {
 	m := newCostModel(1000, "amg")
-	prior := 1000 * 0.11 * priorSecondsPerCellFactor
+	prior := 1000 * 0.12 * priorSecondsPerCellFactor
 	if got := m.estimate(2); got != 2*prior {
 		t.Errorf("static estimate = %g, want %g", got, 2*prior)
 	}
@@ -151,7 +151,7 @@ func TestRungIterationFactor(t *testing.T) {
 	for _, rung := range []struct {
 		precond    string
 		iterations float64
-	}{{"ssor", 795}, {"chebyshev", 369}, {"amg", 147}} {
+	}{{"ssor", 795}, {"chebyshev", 369}, {"amg", 159}} {
 		want := math.Round(100*rung.iterations/jacobiIterations) / 100
 		if got := rungIterationFactor(rung.precond); got != want {
 			t.Errorf("%s factor %g, the pinned ladder gives %g/%d = %g", rung.precond, got, rung.iterations, jacobiIterations, want)

@@ -68,7 +68,7 @@ type USystem struct {
 	Accum []float64
 
 	// preMu guards the memoized preconditioner setup state below: the
-	// two-level AMG hierarchy (aggregation + factored Galerkin coarse
+	// AMG hierarchy (aggregations, A_c and the factored level-2 Galerkin
 	// matrix, assembled once per system and reused by every solve and every
 	// transient step, serial and partitioned alike) and the Chebyshev
 	// spectral bound.

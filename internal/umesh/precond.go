@@ -1,9 +1,11 @@
 package umesh
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/solver"
 )
@@ -45,19 +47,19 @@ import (
 //     reuses the fused exchange-overlapped application phases on a scratch
 //     destination.
 //
-//   - Two-level aggregation AMG: greedy distance-2 face-adjacency
-//     aggregation walked in canonical order and bounded by the canonical
-//     blocks (an aggregate never crosses a block, hence never a part), a
-//     Galerkin coarse matrix assembled once per USystem into a skyline of
-//     Lᵀ and Cholesky-factored in place (the aggregates are renumbered by
-//     reverse Cuthill–McKee, which keeps the rows short; only the envelope
-//     is stored, factored and multiplied), and a V-cycle of
-//     weighted-Jacobi smoothing around the exact coarse correction. The
-//     coarse residual restriction is a per-part disjoint write into one
-//     shared coarse vector (the "coarse-level halo plan" degenerates to
-//     nothing precisely because aggregates are block-bounded), and the
-//     coarse triangular solves run host-serial — the identical code and data
-//     on the serial and partitioned paths.
+//   - Aggregation AMG: greedy distance-2 face-adjacency aggregation walked
+//     in canonical order and bounded by the canonical blocks (an aggregate
+//     never crosses a block, hence never a part), renumbered by reverse
+//     Cuthill–McKee, and a V-cycle of weighted-Jacobi smoothing around a
+//     coarse correction. The coarse correction is itself a two-grid cycle,
+//     built once per USystem: the same aggregation rule on the Galerkin
+//     matrix A_c's graph gives level 2, whose Galerkin matrix is assembled
+//     into a skyline of Lᵀ and Cholesky-factored in place (only the envelope
+//     is stored, factored and multiplied). The coarse residual restriction
+//     is a per-part disjoint write into one shared coarse vector (the
+//     "coarse-level halo plan" degenerates to nothing precisely because
+//     aggregates are block-bounded), and the coarse cycle runs host-serial —
+//     the identical code and data on the serial and partitioned paths.
 //
 // Bit-identity discipline, as everywhere on this path: both realizations of
 // a rung evaluate the same floating-point expressions in the same order, and
@@ -131,35 +133,60 @@ func (s *USystem) chebUpper() float64 {
 }
 
 // ---------------------------------------------------------------------------
-// Two-level aggregation AMG: hierarchy construction (once per USystem)
+// Aggregation AMG: hierarchy construction (once per USystem)
 // ---------------------------------------------------------------------------
 
-// amgLevel is the two-level AMG hierarchy of one USystem: the cell →
-// aggregate map, the aggregate member lists in canonical order, and the
-// skyline Cholesky factor of the Galerkin coarse matrix. It is assembled once
-// per system (USystem.amg) and shared by the reference rung and every
-// PartOperator, so all paths correct through literally the same factor.
-type amgLevel struct {
-	nAgg int
-	// aggOf maps cell → aggregate; aggStart/aggCells list each aggregate's
-	// member cells in canonical order (the shared restriction summation
-	// order).
+// aggregates is one piecewise-constant prolongation: the fine index →
+// aggregate map and each aggregate's members in the level's walk order
+// (canonical for cells, ascending for level-1 aggregates) — the shared
+// restriction summation order.
+type aggregates struct {
+	nAgg               int
 	aggOf              []int32
 	aggStart, aggCells []int32
+}
+
+func (g *aggregates) members(a int) []int32 { return g.aggCells[g.aggStart[a]:g.aggStart[a+1]] }
+
+// amgLevel is the AMG hierarchy of one USystem, assembled once per system
+// (USystem.amg) and shared, read-only, by the reference rung and every
+// PartOperator, so all paths correct through literally the same coarse cycle.
+type amgLevel struct {
+	aggregates // level 1: cells → aggregates
 	// pos is the canonical position of each cell (the inverse of
 	// CanonicalOrder) — kept for the part-local aggregate compilation.
 	pos []int32
-	// fac is the Cholesky factor as a skyline of Lᵀ, the one layout both
-	// substitution sweeps walk at unit stride: row i is
+	// A_c as CSR: the diagonal and its inverse, and per row the off-diagonal
+	// entries (−conductance) sorted by column.
+	cDiag, cInv []float64
+	cPtr, cCol  []int32
+	cVal        []float64
+	// coarse aggregates the level-1 aggregates into level 2.
+	coarse aggregates
+	// fac is the level-2 Cholesky factor as a skyline of Lᵀ, the one layout
+	// both substitution sweeps walk at unit stride: row i is
 	// fac[rowStart[i]:rowStart[i+1]] = L[i][i], L[i+1][i], …, L[last][i] —
 	// the diagonal, then column i of L down to the last row whose envelope
 	// reaches it. The structural zeros outside are neither stored nor multiplied.
 	rowStart []int
 	fac      []float64
+	// mu guards solveCoarse's scratch — A_c·z, the level-2 residual and
+	// correction — so concurrent solves on one system take turns through
+	// the host-serial cycle rather than share its vectors.
+	mu        sync.Mutex
+	w, r2, e2 []float64
 }
 
-// amg returns the system's memoized two-level hierarchy, building and
-// factoring it on first use.
+// edge is one coupling of a matrix in Laplacian form, diag(acc) + Σ
+// t·(e_lo − e_hi)(e_lo − e_hi)ᵀ with lo < hi — the form of the fine system
+// (acc = Accum, t = Υ·λ per face), which a Galerkin product keeps.
+type edge struct {
+	lo, hi int32
+	t      float64
+}
+
+// amg returns the system's memoized AMG hierarchy, building and factoring it
+// on first use.
 func (s *USystem) amg() (*amgLevel, error) {
 	s.preMu.Lock()
 	defer s.preMu.Unlock()
@@ -169,129 +196,232 @@ func (s *USystem) amg() (*amgLevel, error) {
 	return s.amgLvl, s.amgErr
 }
 
-// buildAMGLevel aggregates the mesh and assembles + factors the Galerkin
-// coarse matrix.
+// buildAMGLevel builds the hierarchy: the level-1 aggregation of the cells
+// and A_c, the level-2 aggregation of A_c's graph, and the factored level-2
+// Galerkin matrix.
 func buildAMGLevel(s *USystem) (*amgLevel, error) {
 	u := s.U
 	order := CanonicalOrder(u)
 	blocks := canonicalBlocks(u.NumCells)
 	lvl := &amgLevel{pos: make([]int32, u.NumCells)}
-	for k, c := range order {
-		lvl.pos[c] = int32(k)
-	}
-
-	// Greedy distance-2 aggregation in canonical order, bounded by the
-	// canonical blocks: each unassigned seed absorbs its unassigned
-	// in-block neighbors (ring 1) and their unassigned in-block neighbors
-	// (ring 2). Determinism comes from the fixed seed order (canonical) and
-	// the fixed adjacency order of each ring walk.
-	lvl.aggOf = make([]int32, u.NumCells)
-	for i := range lvl.aggOf {
-		lvl.aggOf[i] = -1
-	}
-	var ring []int32
-	nAgg := 0
+	blockOf := make([]int32, u.NumCells)
 	for bi := range blocks {
 		lo, hi := blockSpan(blocks, bi, len(order))
-		inBlock := func(c int32) bool { return lvl.pos[c] >= lo && lvl.pos[c] < hi }
 		for k := lo; k < hi; k++ {
-			c := order[k]
-			if lvl.aggOf[c] >= 0 {
-				continue
+			lvl.pos[order[k]], blockOf[order[k]] = k, int32(bi)
+		}
+	}
+
+	// Level 1 seeds in canonical order and stays inside the canonical blocks,
+	// so an aggregate never crosses a block, hence never a part.
+	aggOf, nAgg := aggregate(order,
+		func(c int32) []int32 { nbrs, _ := u.halfFaces(int(c)); return nbrs },
+		func(seed, c int32) bool { return blockOf[c] == blockOf[seed] })
+	faces := make([]edge, len(u.Faces))
+	for i, f := range u.Faces {
+		faces[i] = edge{int32(f.A), int32(f.B), f.Trans * s.Mobility}
+	}
+	edges := coarsen(aggOf, nAgg, faces)
+
+	// Renumber aggregates by reverse Cuthill–McKee. Canonical numbering has
+	// O(n) bandwidth — the first RCB plane separates neighbors by half the
+	// numbering — and level 2 seeds in level 1's numbering, so its skyline
+	// would inherit the width. The permutation is deterministic and invisible
+	// to bit-identity: every path indexes through the same shared level.
+	perm := coarseRCM(nAgg, edges)
+	for c := range aggOf {
+		aggOf[c] = perm[aggOf[c]]
+	}
+	edges = coarsen(perm, nAgg, edges)
+	lvl.aggregates = newAggregates(aggOf, nAgg, order)
+
+	// A_c = Pᵀ·A·P: accumulations summed over the members in canonical order,
+	// couplings over their faces in face order. A bad diagonal is named by its
+	// level-1 aggregate before anything is built on it.
+	acc := lvl.sum(s.Accum)
+	lvl.cDiag = laplacianDiag(acc, edges)
+	lvl.cInv = make([]float64, nAgg)
+	for a, d := range lvl.cDiag {
+		if !(d > 0) || math.IsInf(d, 1) {
+			return nil, fmt.Errorf("umesh: AMG coarse matrix lost positive definiteness at aggregate %d (pivot %g)", a, d)
+		}
+		lvl.cInv[a] = 1 / d
+	}
+	lvl.cPtr, lvl.cCol, lvl.cVal = csr(nAgg, edges)
+
+	// Level 2: the same rule on A_c's graph, seeded in level-1 order and not
+	// block-bounded — level 2 lives only in the host-serial barrier action,
+	// which no part owns.
+	ids := make([]int32, nAgg)
+	for a := range ids {
+		ids[a] = int32(a)
+	}
+	agg2, n2 := aggregate(ids, func(a int32) []int32 { return lvl.cCol[lvl.cPtr[a]:lvl.cPtr[a+1]] }, nil)
+	lvl.coarse = newAggregates(agg2, n2, ids)
+	if err := lvl.factor(lvl.coarse.sum(acc), coarsen(agg2, n2, edges)); err != nil {
+		return nil, err
+	}
+	lvl.w, lvl.r2, lvl.e2 = make([]float64, nAgg), make([]float64, n2), make([]float64, n2)
+	return lvl, nil
+}
+
+// aggregate is the greedy distance-2 rule both levels share: walking the
+// seeds in order, each unassigned seed opens an aggregate and absorbs its
+// unassigned neighbors (ring 1) and their unassigned neighbors (ring 2) —
+// those keep admits, or all of them when keep is nil. Determinism comes from
+// the fixed seed order and the fixed adjacency order of each ring walk.
+func aggregate(seeds []int32, nbrs func(int32) []int32, keep func(seed, i int32) bool) ([]int32, int) {
+	aggOf := make([]int32, len(seeds))
+	for i := range aggOf {
+		aggOf[i] = -1
+	}
+	free := func(seed, i int32) bool { return aggOf[i] < 0 && (keep == nil || keep(seed, i)) }
+	var ring []int32
+	n := int32(0)
+	for _, c := range seeds {
+		if aggOf[c] >= 0 {
+			continue
+		}
+		aggOf[c] = n
+		ring = ring[:0]
+		for _, nb := range nbrs(c) {
+			if free(c, nb) {
+				aggOf[nb] = n
+				ring = append(ring, nb)
 			}
-			aid := int32(nAgg)
-			nAgg++
-			lvl.aggOf[c] = aid
-			ring = ring[:0]
-			nbrs, _ := u.halfFaces(int(c))
-			for _, nb := range nbrs {
-				if lvl.aggOf[nb] < 0 && inBlock(nb) {
-					lvl.aggOf[nb] = aid
-					ring = append(ring, nb)
-				}
-			}
-			for _, m := range ring {
-				nbrs2, _ := u.halfFaces(int(m))
-				for _, nb := range nbrs2 {
-					if lvl.aggOf[nb] < 0 && inBlock(nb) {
-						lvl.aggOf[nb] = aid
-					}
+		}
+		for _, m := range ring {
+			for _, nb := range nbrs(m) {
+				if free(c, nb) {
+					aggOf[nb] = n
 				}
 			}
 		}
+		n++
 	}
-	lvl.nAgg = nAgg
+	return aggOf, int(n)
+}
 
-	// Renumber aggregates by reverse Cuthill–McKee on the coarse face graph.
-	// Raw canonical numbering has O(n) bandwidth — the first RCB bisection
-	// plane separates spatially adjacent aggregates by half the numbering —
-	// which would make the factor's skyline effectively dense. RCM brings it
-	// down to the coarse graph's natural width; the permutation is
-	// deterministic (degree then id tie-breaking, computed host-serial once)
-	// and invisible to bit-identity: every path indexes the coarse vectors
-	// through the same shared level.
-	perm := coarseRCM(u, lvl.aggOf, nAgg)
-	for c := range lvl.aggOf {
-		lvl.aggOf[c] = perm[lvl.aggOf[c]]
-	}
+// newAggregates lists each aggregate's members in walk order.
+func newAggregates(aggOf []int32, n int, walk []int32) aggregates {
+	cells, start := bucketed(walk, n, func(c int32) int32 { return aggOf[c] })
+	return aggregates{nAgg: n, aggOf: aggOf, aggStart: start, aggCells: cells}
+}
 
-	// Member CSR in canonical order: one canonical traversal appends each
-	// cell to its aggregate, so every member list is canonically sorted.
-	lvl.aggStart = make([]int32, nAgg+1)
-	for _, c := range order {
-		lvl.aggStart[lvl.aggOf[c]+1]++
+// bucketed is a stable counting sort of items by a key in [0, n); it also
+// returns where each key's run starts (and, last, where the runs end).
+func bucketed[T any](items []T, n int, key func(T) int32) ([]T, []int32) {
+	start := make([]int32, n+1)
+	for _, it := range items {
+		start[key(it)+1]++
 	}
-	for a := 0; a < nAgg; a++ {
-		lvl.aggStart[a+1] += lvl.aggStart[a]
+	for i := 0; i < n; i++ {
+		start[i+1] += start[i]
 	}
-	lvl.aggCells = make([]int32, u.NumCells)
-	cursor := append([]int32(nil), lvl.aggStart[:nAgg]...)
-	for _, c := range order {
-		a := lvl.aggOf[c]
-		lvl.aggCells[cursor[a]] = c
-		cursor[a]++
+	out, next := make([]T, len(items)), slices.Clone(start[:n])
+	for _, it := range items {
+		k := key(it)
+		out[next[k]] = it
+		next[k]++
 	}
+	return out, start
+}
 
-	// Skyline of Lᵀ from the face graph: Cholesky fill stays inside the row
-	// envelope of the assembled matrix, so L[j][i] can be non-zero only where
-	// row j's first coupling is at or before i — row i of Lᵀ runs to the
+// sum restricts v: per aggregate, v summed over the members in member order.
+func (g *aggregates) sum(v []float64) []float64 {
+	out := make([]float64, g.nAgg)
+	for a := range out {
+		for _, i := range g.members(a) {
+			out[a] += v[i]
+		}
+	}
+	return out
+}
+
+// coarsen is the Galerkin product of a piecewise-constant prolongation onto n
+// aggregates, on the couplings: each edge maps through aggOf, an edge inside
+// one aggregate cancels exactly and is dropped, and the rest come out sorted
+// by (lo, hi), the conductances of one pair summed in input order (the sorts
+// are stable) — no map: the sort is the deduplication.
+func coarsen(aggOf []int32, n int, in []edge) []edge {
+	out := make([]edge, 0, len(in))
+	for _, e := range in {
+		if a, b := aggOf[e.lo], aggOf[e.hi]; a != b {
+			out = append(out, edge{min(a, b), max(a, b), e.t})
+		}
+	}
+	out, _ = bucketed(out, n, func(e edge) int32 { return e.hi })
+	out, _ = bucketed(out, n, func(e edge) int32 { return e.lo })
+	k := 0
+	for _, e := range out {
+		if k > 0 && out[k-1].lo == e.lo && out[k-1].hi == e.hi {
+			out[k-1].t += e.t
+			continue
+		}
+		out[k] = e
+		k++
+	}
+	return out[:k]
+}
+
+// laplacianDiag is the diagonal of a matrix in Laplacian form: acc plus the
+// conductances of the incident edges in edge order — for sorted edges, in
+// ascending neighbor order.
+func laplacianDiag(acc []float64, es []edge) []float64 {
+	d := slices.Clone(acc)
+	for _, e := range es {
+		d[e.lo] += e.t
+		d[e.hi] += e.t
+	}
+	return d
+}
+
+// csr lays sorted edges out as the off-diagonal rows of their matrix, −t at
+// both (lo, hi) and (hi, lo); sorted edges place every (j, i) with j < i
+// before any (i, k), so each row comes out in ascending column order.
+func csr(n int, es []edge) (ptr, col []int32, val []float64) {
+	ptr = make([]int32, n+1)
+	for _, e := range es {
+		ptr[e.lo+1]++
+		ptr[e.hi+1]++
+	}
+	for i := 0; i < n; i++ {
+		ptr[i+1] += ptr[i]
+	}
+	col, val = make([]int32, ptr[n]), make([]float64, ptr[n])
+	next := slices.Clone(ptr[:n])
+	for _, e := range es {
+		col[next[e.lo]], val[next[e.lo]] = e.hi, -e.t
+		col[next[e.hi]], val[next[e.hi]] = e.lo, -e.t
+		next[e.lo]++
+		next[e.hi]++
+	}
+	return ptr, col, val
+}
+
+// factor assembles the level-2 Galerkin matrix, given in Laplacian form, into
+// the skyline of Lᵀ and Cholesky-factors it in place.
+func (l *amgLevel) factor(acc []float64, es []edge) error {
+	n := len(acc)
+	// Cholesky fill stays inside the row envelope, so row i of Lᵀ runs to the
 	// farthest aggregate coupled to any row ≤ i.
-	ends := func(f Face) (lo, hi int) {
-		a, b := int(lvl.aggOf[f.A]), int(lvl.aggOf[f.B])
-		return min(a, b), max(a, b)
+	reach := make([]int, n)
+	for _, e := range es {
+		reach[e.lo] = max(reach[e.lo], int(e.hi))
 	}
-	reach := make([]int, nAgg)
-	for _, f := range u.Faces {
-		lo, hi := ends(f)
-		reach[lo] = max(reach[lo], hi)
-	}
-	start := make([]int, nAgg+1)
-	for i, last := 0, 0; i < nAgg; i++ {
+	start := make([]int, n+1)
+	for i, last := 0, 0; i < n; i++ {
 		last = max(last, i, reach[i])
 		start[i+1] = start[i] + last - i + 1
 	}
-
-	// Galerkin assembly into the skyline: per cell the accumulation lands on
-	// the aggregate diagonal; per cross-aggregate face the conductance adds to
-	// both diagonals and subtracts from the coupling (a face interior to an
-	// aggregate contributes exactly zero and is skipped). Assembly order is
-	// fixed (cells, then faces), and the level is shared, so the factor is one
-	// object for all paths.
-	fac := make([]float64, start[nAgg])
-	lvl.rowStart, lvl.fac = start, fac
-	for c := 0; c < u.NumCells; c++ {
-		fac[start[lvl.aggOf[c]]] += s.Accum[c]
+	fac := make([]float64, start[n])
+	for i, d := range laplacianDiag(acc, es) {
+		fac[start[i]] = d
 	}
-	for _, f := range u.Faces {
-		lo, hi := ends(f)
-		if lo == hi {
-			continue
-		}
-		t := f.Trans * s.Mobility
-		fac[start[lo]] += t
-		fac[start[hi]] += t
-		fac[start[lo]+hi-lo] -= t
+	for _, e := range es {
+		fac[start[e.lo]+int(e.hi-e.lo)] = -e.t
 	}
+	l.rowStart, l.fac = start, fac
 
 	// In-place Cholesky (no pivoting — the Galerkin matrix of an SPD system
 	// under a full-rank piecewise-constant prolongation is SPD), one row of
@@ -299,11 +429,11 @@ func buildAMGLevel(s *USystem) (*amgLevel, error) {
 	// the rows below it. Every entry (i, j) thus receives its L[i][k]·L[j][k]
 	// terms in ascending k, the textbook inner product's order and bits, each
 	// pass unit-stride and the exact zeros outside the skyline never formed.
-	for k := 0; k < nAgg; k++ {
+	for k := 0; k < n; k++ {
 		row := fac[start[k]:start[k+1]]
 		piv := row[0]
 		if !(piv > 0) || math.IsInf(piv, 1) {
-			return nil, fmt.Errorf("umesh: AMG coarse matrix lost positive definiteness at aggregate %d (pivot %g)", k, piv)
+			return fmt.Errorf("umesh: AMG level-2 matrix lost positive definiteness at aggregate %d (pivot %g)", k, piv)
 		}
 		d := math.Sqrt(piv)
 		row[0] = d
@@ -314,53 +444,28 @@ func buildAMGLevel(s *USystem) (*amgLevel, error) {
 			subScaled(fac[start[k+t]:], row[t:], row[t])
 		}
 	}
-	return lvl, nil
+	return nil
 }
 
-// coarseRCM computes a reverse Cuthill–McKee permutation of the aggregate
-// graph: perm[old] = new. BFS from a minimum-degree seed, neighbors visited
-// in (degree, id) order, final order reversed — the classic bandwidth
-// reducer, deterministic by construction.
-func coarseRCM(u *Mesh, aggOf []int32, nAgg int) []int32 {
-	adj := make([][]int32, nAgg)
-	seen := make(map[int64]bool, len(u.Faces))
-	for _, f := range u.Faces {
-		ia, ib := aggOf[f.A], aggOf[f.B]
-		if ia == ib {
-			continue
-		}
-		key := int64(ia)*int64(nAgg) + int64(ib)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		seen[int64(ib)*int64(nAgg)+int64(ia)] = true
-		adj[ia] = append(adj[ia], ib)
-		adj[ib] = append(adj[ib], ia)
+// coarseRCM computes a reverse Cuthill–McKee permutation of a coarse graph
+// given by its sorted edges: perm[old] = new. BFS from a minimum-degree seed,
+// neighbors visited in (degree, id) order, final order reversed — the classic
+// bandwidth reducer, deterministic by construction.
+func coarseRCM(n int, es []edge) []int32 {
+	ptr, adj, _ := csr(n, es)
+	nbrs := func(a int32) []int32 { return adj[ptr[a]:ptr[a+1]] }
+	deg := func(a int32) int32 { return ptr[a+1] - ptr[a] }
+	for a := range int32(n) {
+		slices.SortFunc(nbrs(a), func(x, y int32) int { return cmp.Or(cmp.Compare(deg(x), deg(y)), cmp.Compare(x, y)) })
 	}
-	byDegreeThenID := func(list []int32) {
-		sort.Slice(list, func(x, y int) bool {
-			dx, dy := len(adj[list[x]]), len(adj[list[y]])
-			if dx != dy {
-				return dx < dy
-			}
-			return list[x] < list[y]
-		})
-	}
-	for a := range adj {
-		byDegreeThenID(adj[a])
-	}
-	visited := make([]bool, nAgg)
-	rcmOrder := make([]int32, 0, nAgg)
-	for len(rcmOrder) < nAgg {
+	visited := make([]bool, n)
+	rcmOrder := make([]int32, 0, n)
+	for len(rcmOrder) < n {
 		// Seed each component at its minimum-degree (then minimum-id)
 		// unvisited aggregate.
 		seed := int32(-1)
-		for a := int32(0); a < int32(nAgg); a++ {
-			if visited[a] {
-				continue
-			}
-			if seed < 0 || len(adj[a]) < len(adj[seed]) {
+		for a := range int32(n) {
+			if !visited[a] && (seed < 0 || deg(a) < deg(seed)) {
 				seed = a
 			}
 		}
@@ -370,7 +475,7 @@ func coarseRCM(u *Mesh, aggOf []int32, nAgg int) []int32 {
 			a := queue[0]
 			queue = queue[1:]
 			rcmOrder = append(rcmOrder, a)
-			for _, nb := range adj[a] {
+			for _, nb := range nbrs(a) {
 				if !visited[nb] {
 					visited[nb] = true
 					queue = append(queue, nb)
@@ -378,9 +483,9 @@ func coarseRCM(u *Mesh, aggOf []int32, nAgg int) []int32 {
 			}
 		}
 	}
-	perm := make([]int32, nAgg)
+	perm := make([]int32, n)
 	for k, a := range rcmOrder {
-		perm[a] = int32(nAgg - 1 - k)
+		perm[a] = int32(n - 1 - k)
 	}
 	return perm
 }
@@ -405,23 +510,64 @@ func subScaled(dst, src []float64, c float64) {
 	}
 }
 
-// solveCoarse solves the factored coarse system L·Lᵀ·ec = rc — host-serial
-// and identical on the serial and partitioned paths, both sweeps unit-stride
-// over the rows of Lᵀ. The forward sweep is column-oriented: once e_j is
-// final it is subtracted from the rows below, so every row still receives its
-// terms in ascending j (the row-oriented sweep's bits) as independent updates.
-// The backward sweep's first term needs the row just finished, so it stays a
-// row-oriented running difference in ascending j.
+// solveCoarse is the coarse correction ec ≈ A_c⁻¹·rc of the V-cycle: a
+// two-grid cycle on level 1, with the same kernels as the fine level's —
+//
+//	z = ω·D_c⁻¹·rc; restrict rc − A_c·z to level 2; solve there exactly;
+//	prolong into z; ec = z + ω·D_c⁻¹·(rc − A_c·z)
+//
+// — whose equal Jacobi weights before and after the correction keep it
+// symmetric positive definite, hence the whole rung. It is host-serial and
+// the identical code and data on the serial and partitioned paths.
 func (l *amgLevel) solveCoarse(rc, ec []float64) {
+	l.mu.Lock()
+	w, r2, e2 := l.w, l.r2, l.e2
+	rc, ec = rc[:l.nAgg], ec[:l.nAgg]
+	amgPre(ec, l.cInv, rc)
+	l.applyCoarse(w, ec)
+	for p := range r2 {
+		r2[p] = amgResidualSum(l.coarse.members(p), rc, w)
+	}
+	l.solveSkyline(r2, e2)
+	amgProlong(ec, e2, l.coarse.aggOf)
+	l.applyCoarse(w, ec)
+	amgPost(ec, l.cInv, rc, w)
+	l.mu.Unlock()
+}
+
+// applyCoarse is w = A_c·z, each row's diagonal term first and then its
+// off-diagonal terms in ascending column order.
+func (l *amgLevel) applyCoarse(w, z []float64) {
+	ptr, col, val := l.cPtr[:len(w)+1], l.cCol, l.cVal
+	diag, z := l.cDiag[:len(w)], z[:len(w)]
+	for i := range w {
+		cols := col[ptr[i]:ptr[i+1]]
+		vals := val[ptr[i]:ptr[i+1]]
+		vals = vals[:len(cols)]
+		acc := diag[i] * z[i]
+		for k, j := range cols {
+			acc += vals[k] * z[j]
+		}
+		w[i] = acc
+	}
+}
+
+// solveSkyline solves the factored level-2 system L·Lᵀ·e = r, both sweeps
+// unit-stride over the rows of Lᵀ. The forward sweep is column-oriented: once
+// e_j is final it is subtracted from the rows below, so every row still
+// receives its terms in ascending j (the row-oriented sweep's bits) as
+// independent updates. The backward sweep's first term needs the row just
+// finished, so it stays a row-oriented running difference in ascending j.
+func (l *amgLevel) solveSkyline(rc, ec []float64) {
 	start, fac := l.rowStart, l.fac
 	copy(ec, rc)
-	for j := 0; j < l.nAgg; j++ {
+	for j := range ec {
 		row := fac[start[j]:start[j+1]]
 		e := ec[j] / row[0]
 		ec[j] = e
 		subScaled(ec[j+1:], row[1:], e)
 	}
-	for i := l.nAgg - 1; i >= 0; i-- {
+	for i := len(ec) - 1; i >= 0; i-- {
 		row := fac[start[i]:start[i+1]]
 		acc := ec[i]
 		rest := ec[i+1:][:len(row)-1]
@@ -561,7 +707,7 @@ func referenceRung(h *UHostOperator, order, blocks []int32, kind solver.PrecondK
 			amgPre(z, inv, r)
 			_ = h.Apply(w, z)
 			for a := range rc {
-				rc[a] = amgResidualSum(lvl.aggCells[lvl.aggStart[a]:lvl.aggStart[a+1]], r, w)
+				rc[a] = amgResidualSum(lvl.members(a), r, w)
 			}
 			lvl.solveCoarse(rc, ec)
 			amgProlong(z, ec, lvl.aggOf)

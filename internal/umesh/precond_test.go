@@ -6,7 +6,9 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/physics"
@@ -285,7 +287,7 @@ func TestPrecondLadderRecordedIterationCounts(t *testing.T) {
 		{solver.PrecondJacobi, 1365},
 		{solver.PrecondSSOR, 795},
 		{solver.PrecondChebyshev, 369},
-		{solver.PrecondAMG, 147},
+		{solver.PrecondAMG, 159},
 	}
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("the ladder was recorded on amd64, this is %s", runtime.GOARCH)
@@ -378,60 +380,49 @@ func TestAMGAggregationStructure(t *testing.T) {
 			t.Fatalf("cell %d not aggregated", c)
 		}
 	}
+	n2 := lvl.coarse.nAgg
+	if n2 <= 0 || n2 >= lvl.nAgg {
+		t.Fatalf("level-2 size %d is not a coarsening of %d aggregates", n2, lvl.nAgg)
+	}
 	bw := 0
-	for i := 0; i < lvl.nAgg; i++ {
+	for i := 0; i < n2; i++ {
 		if w := lvl.rowStart[i+1] - lvl.rowStart[i] - 1; w > bw {
 			bw = w
 		}
 	}
-	t.Logf("cells=%d aggregates=%d max band=%d envelope entries=%d (dense band %d) factor bytes=%d",
-		u.NumCells, lvl.nAgg, bw, len(lvl.fac), lvl.nAgg*(bw+1), 8*len(lvl.fac))
+	t.Logf("cells=%d aggregates=%d A_c off-diagonals=%d level-2 aggregates=%d max band=%d envelope entries=%d (dense band %d) factor bytes=%d",
+		u.NumCells, lvl.nAgg, len(lvl.cVal), n2, bw, len(lvl.fac), n2*(bw+1), 8*len(lvl.fac))
 }
 
-// bandOracle is the textbook coarse level the skyline must reproduce bit for
-// bit: the Galerkin matrix assembled into dense banded lower storage
+// bandOracle is the textbook level-2 factor the skyline must reproduce bit
+// for bit: a dense symmetric matrix copied into banded lower storage
 // (row-major n×(bw+1), fac[i*(bw+1) + j−i+bw] = L[i][j]), the row-oriented
 // inner-product Cholesky over the whole band, and forward/backward
-// substitution as running differences in ascending column order. It shares
-// only the aggregation with the code under test.
+// substitution as running differences in ascending column order.
 type bandOracle struct {
 	n, bw int
 	fac   []float64
 }
 
-func newBandOracle(sys *USystem, aggOf []int32, nAgg int) (*bandOracle, error) {
-	o := &bandOracle{n: nAgg}
-	for _, f := range sys.U.Faces {
-		if d := int(aggOf[f.A] - aggOf[f.B]); d > o.bw {
-			o.bw = d
-		} else if -d > o.bw {
-			o.bw = -d
+func newBandOracle(a [][]float64) (*bandOracle, error) {
+	n := len(a)
+	o := &bandOracle{n: n}
+	for i := range a {
+		for j := 0; j < i; j++ {
+			if a[i][j] != 0 {
+				o.bw = max(o.bw, i-j)
+			}
 		}
 	}
 	w := o.bw + 1
-	o.fac = make([]float64, nAgg*w)
-	at := func(i, j int32) *float64 { return &o.fac[int(i)*w+int(j-i)+o.bw] }
-	for c := 0; c < sys.U.NumCells; c++ {
-		*at(aggOf[c], aggOf[c]) += sys.Accum[c]
+	o.fac = make([]float64, n*w)
+	for i := range a {
+		for j := max(i-o.bw, 0); j <= i; j++ {
+			o.fac[i*w+j-i+o.bw] = a[i][j]
+		}
 	}
-	for _, f := range sys.U.Faces {
-		ia, ib := aggOf[f.A], aggOf[f.B]
-		if ia == ib {
-			continue
-		}
-		t := f.Trans * sys.Mobility
-		*at(ia, ia) += t
-		*at(ib, ib) += t
-		if ia < ib {
-			ia, ib = ib, ia
-		}
-		*at(ia, ib) -= t
-	}
-	for i := 0; i < nAgg; i++ {
-		jmin := i - o.bw
-		if jmin < 0 {
-			jmin = 0
-		}
+	for i := 0; i < n; i++ {
+		jmin := max(i-o.bw, 0)
 		for j := jmin; j <= i; j++ {
 			acc := o.fac[i*w+j-i+o.bw]
 			for k := jmin; k < j; k++ {
@@ -475,13 +466,152 @@ func (o *bandOracle) solve(rc, ec []float64) {
 	}
 }
 
+// coarseOracle is the textbook two-grid coarse cycle solveCoarse must
+// reproduce bit for bit. It shares only the two aggregation maps with the code
+// under test: A_c is assembled independently from the mesh faces into a dense
+// band of couplings, the level-2 Galerkin matrix densely from A_c, both in the
+// documented summation orders —
+//
+//   - an accumulation: the members' in canonical order (level 1), in
+//     ascending order (level 2);
+//   - a coupling: its face conductances in face order (level 1), its level-1
+//     couplings in (row, column) order (level 2);
+//   - a diagonal: the accumulation, then the incident couplings in ascending
+//     neighbor order;
+//   - A_c·z: the diagonal term, then the off-diagonals in ascending column
+//     order.
+type coarseOracle struct {
+	n, bw int
+	agg2  []int32
+	d     []float64   // A_c's diagonal
+	up    []float64   // A_c's couplings: up[i*(bw+1)+j−i] = t_ij for i < j ≤ i+bw
+	a2    [][]float64 // the dense level-2 Galerkin matrix
+	fac2  *bandOracle
+}
+
+func newCoarseOracle(sys *USystem, lvl *amgLevel) (*coarseOracle, error) {
+	u, aggOf, n := sys.U, lvl.aggOf, lvl.nAgg
+	o := &coarseOracle{n: n, agg2: lvl.coarse.aggOf}
+	for _, f := range u.Faces {
+		o.bw = max(o.bw, int(aggOf[f.A]-aggOf[f.B]), int(aggOf[f.B]-aggOf[f.A]))
+	}
+	o.up = make([]float64, n*(o.bw+1))
+	for _, f := range u.Faces {
+		a, b := aggOf[f.A], aggOf[f.B]
+		if a != b {
+			*o.at(int(min(a, b)), int(max(a, b))) += f.Trans * sys.Mobility
+		}
+	}
+	acc := make([]float64, n)
+	for _, c := range CanonicalOrder(u) {
+		acc[aggOf[c]] += sys.Accum[c]
+	}
+	o.d = make([]float64, n)
+	for i := range o.d {
+		o.d[i] = acc[i]
+		for j := max(i-o.bw, 0); j <= min(i+o.bw, n-1); j++ {
+			if j != i {
+				o.d[i] += o.t(i, j)
+			}
+		}
+	}
+
+	n2 := lvl.coarse.nAgg
+	acc2, t2 := make([]float64, n2), make([][]float64, n2)
+	for p := range t2 {
+		t2[p] = make([]float64, n2)
+	}
+	for i := 0; i < n; i++ {
+		acc2[o.agg2[i]] += acc[i]
+		for j := i + 1; j <= min(i+o.bw, n-1); j++ {
+			p, q := o.agg2[i], o.agg2[j]
+			if t := o.t(i, j); t != 0 && p != q {
+				t2[min(p, q)][max(p, q)] += t
+			}
+		}
+	}
+	o.a2 = make([][]float64, n2)
+	for p := range o.a2 {
+		o.a2[p] = make([]float64, n2)
+		o.a2[p][p] = acc2[p]
+		for q := 0; q < n2; q++ {
+			if t := t2[min(p, q)][max(p, q)]; q != p && t != 0 {
+				o.a2[p][p] += t
+				o.a2[p][q] = -t
+			}
+		}
+	}
+	var err error
+	o.fac2, err = newBandOracle(o.a2)
+	return o, err
+}
+
+func (o *coarseOracle) at(i, j int) *float64 { return &o.up[i*(o.bw+1)+j-i] }
+
+// t is the coupling between level-1 aggregates i ≠ j, zero outside the band.
+func (o *coarseOracle) t(i, j int) float64 {
+	i, j = min(i, j), max(i, j)
+	if j-i > o.bw {
+		return 0
+	}
+	return *o.at(i, j)
+}
+
+// apply is w = A_c·z over the band, skipping structural zeros.
+func (o *coarseOracle) apply(w, z []float64) {
+	for i := range w {
+		acc := o.d[i] * z[i]
+		for j := max(i-o.bw, 0); j <= min(i+o.bw, o.n-1); j++ {
+			if t := o.t(i, j); j != i && t != 0 {
+				acc += -t * z[j]
+			}
+		}
+		w[i] = acc
+	}
+}
+
+// cycle is the two-grid cycle, spelled step by step.
+func (o *coarseOracle) cycle(rc, ec []float64) {
+	n, n2 := o.n, o.fac2.n
+	z, w := make([]float64, n), make([]float64, n)
+	for i := range z {
+		z[i] = amgOmega * ((1 / o.d[i]) * rc[i])
+	}
+	o.apply(w, z)
+	r2, e2 := make([]float64, n2), make([]float64, n2)
+	for i := 0; i < n; i++ {
+		r2[o.agg2[i]] += rc[i] - w[i]
+	}
+	o.fac2.solve(r2, e2)
+	for i := range z {
+		z[i] += e2[o.agg2[i]]
+	}
+	o.apply(w, z)
+	for i := range ec {
+		ec[i] = z[i] + amgOmega*((1/o.d[i])*(rc[i]-w[i]))
+	}
+}
+
+// aNorm is ‖e‖ in the A_c norm.
+func (o *coarseOracle) aNorm(e []float64) float64 {
+	w := make([]float64, len(e))
+	o.apply(w, e)
+	s := 0.0
+	for i := range e {
+		s += e[i] * w[i]
+	}
+	return math.Sqrt(s)
+}
+
 func TestAMGSkylineMatchesDenseBandOracle(t *testing.T) {
 	// The serial and partitioned paths share solveCoarse, so no serial↔parts
 	// comparison can see its arithmetic drift; this is the independent check.
 	// On the benchmark mesh, the ladder mesh and three badly-scaled seeded
-	// systems, every entry of the skyline factor and every word of a coarse
-	// solve equals the dense-band oracle's bit for bit, nothing inside the
-	// band but outside the skyline is non-zero, and the solve really solves.
+	// systems: A_c equals the oracle's entry for entry, every entry of the
+	// level-2 skyline factor equals the dense-band oracle's and nothing inside
+	// the band but outside the skyline is non-zero, the level-2 solve really
+	// solves, every word of a coarse cycle equals the textbook cycle's, and
+	// one cycle contracts a random error in the A_c norm.
 	systems := map[string]*USystem{}
 	for name, u := range map[string]*Mesh{"bench": benchRadial(t), "ladder": ladderMesh(t)} {
 		sys, err := NewUSystem(u, physics.DefaultFluid(), 3600, 0)
@@ -499,16 +629,45 @@ func TestAMGSkylineMatchesDenseBandOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		want, err := newBandOracle(sys, lvl.aggOf, lvl.nAgg)
+		o, err := newCoarseOracle(sys, lvl)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		n := lvl.nAgg
-		t.Logf("%s: aggregates=%d band=%d envelope entries=%d (dense band %d)", name, n, want.bw, len(lvl.fac), n*(want.bw+1))
-		if len(lvl.fac) > n*(want.bw+1) {
-			t.Errorf("%s: skyline holds %d entries, more than the %d of the dense band", name, len(lvl.fac), n*(want.bw+1))
-		}
+		n, want := lvl.nAgg, o.fac2
+		n2 := want.n
+		t.Logf("%s: aggregates=%d A_c band=%d off-diagonals=%d level-2 aggregates=%d band=%d envelope entries=%d (dense band %d)",
+			name, n, o.bw, len(lvl.cVal), n2, want.bw, len(lvl.fac), n2*(want.bw+1))
+
+		// A_c, entry for entry.
 		for i := 0; i < n; i++ {
+			if math.Float64bits(lvl.cDiag[i]) != math.Float64bits(o.d[i]) {
+				t.Fatalf("%s: A_c[%d][%d] = %x, oracle %x", name, i, i, math.Float64bits(lvl.cDiag[i]), math.Float64bits(o.d[i]))
+			}
+			nnz := 0
+			for j := max(i-o.bw, 0); j <= min(i+o.bw, n-1); j++ {
+				if j != i && o.t(i, j) != 0 {
+					nnz++
+				}
+			}
+			if got := int(lvl.cPtr[i+1] - lvl.cPtr[i]); got != nnz {
+				t.Fatalf("%s: A_c row %d holds %d off-diagonals, oracle %d", name, i, got, nnz)
+			}
+			for k := lvl.cPtr[i]; k < lvl.cPtr[i+1]; k++ {
+				j := int(lvl.cCol[k])
+				if k > lvl.cPtr[i] && lvl.cCol[k-1] >= lvl.cCol[k] {
+					t.Fatalf("%s: A_c row %d columns out of order at %d", name, i, j)
+				}
+				if math.Float64bits(lvl.cVal[k]) != math.Float64bits(-o.t(i, j)) {
+					t.Fatalf("%s: A_c[%d][%d] = %x, oracle %x", name, i, j, math.Float64bits(lvl.cVal[k]), math.Float64bits(-o.t(i, j)))
+				}
+			}
+		}
+
+		// The level-2 factor, entry for entry.
+		if len(lvl.fac) > n2*(want.bw+1) {
+			t.Errorf("%s: skyline holds %d entries, more than the %d of the dense band", name, len(lvl.fac), n2*(want.bw+1))
+		}
+		for i := 0; i < n2; i++ {
 			for j := max(i-want.bw, 0); j <= i; j++ {
 				got := 0.0
 				if row := lvl.fac[lvl.rowStart[j]:lvl.rowStart[j+1]]; i-j < len(row) {
@@ -519,37 +678,58 @@ func TestAMGSkylineMatchesDenseBandOracle(t *testing.T) {
 				}
 			}
 		}
+
 		rng := rand.New(rand.NewSource(int64(n)))
-		rc, got, ref, y := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+		rc, got, ref := make([]float64, n), make([]float64, n), make([]float64, n)
+		r2, e2 := make([]float64, n2), make([]float64, n2)
 		for trial := 0; trial < 3; trial++ {
-			norm := 0.0
+			// The level-2 solve solves: ‖A2·e − r‖∞ within rounding of
+			// max_p Σ_q |A2[p][q]·e_q|.
+			for p := range r2 {
+				r2[p] = rng.NormFloat64() * math.Pow(10, 6*rng.Float64()-3)
+			}
+			lvl.solveSkyline(r2, e2)
+			scale, worst := 0.0, 0.0
+			for p, row := range o.a2 {
+				ax, mag := 0.0, 0.0
+				for q, a := range row {
+					ax += a * e2[q]
+					mag += math.Abs(a * e2[q])
+				}
+				scale, worst = math.Max(scale, mag), math.Max(worst, math.Abs(ax-r2[p]))
+			}
+			if worst > 1e-10*scale {
+				t.Errorf("%s trial %d: ‖A2·e − r‖∞ = %g, against Σ|A2·e| up to %g", name, trial, worst, scale)
+			}
+
+			// The cycle, word for word.
 			for i := range rc {
 				rc[i] = rng.NormFloat64() * math.Pow(10, 6*rng.Float64()-3)
-				norm = math.Max(norm, math.Abs(rc[i]))
 			}
 			lvl.solveCoarse(rc, got)
-			want.solve(rc, ref)
+			o.cycle(rc, ref)
 			for i := range got {
 				if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
 					t.Fatalf("%s trial %d: ec[%d] = %x, oracle %x", name, trial, i, math.Float64bits(got[i]), math.Float64bits(ref[i]))
 				}
 			}
-			// ‖L·(Lᵀ·x) − rc‖∞ through the oracle's factor.
-			for i := range y {
-				y[i] = 0
-				for j := i; j <= min(i+want.bw, n-1); j++ {
-					y[i] += want.l(j, i) * got[j]
-				}
+
+			// One cycle contracts a random error e: the error left after
+			// correcting from r = A_c·e is e − M⁻¹·r.
+			e := make([]float64, n)
+			for i := range e {
+				e[i] = rng.NormFloat64()
 			}
-			for i := range rc {
-				lx := 0.0
-				for j := max(i-want.bw, 0); j <= i; j++ {
-					lx += want.l(i, j) * y[j]
-				}
-				if d := math.Abs(lx - rc[i]); d > 1e-10*norm {
-					t.Errorf("%s trial %d: |L·Lᵀ·x − rc| = %g at %d, ‖rc‖∞ = %g", name, trial, d, i, norm)
-					break
-				}
+			o.apply(rc, e)
+			lvl.solveCoarse(rc, got)
+			before := o.aNorm(e)
+			for i := range e {
+				e[i] -= got[i]
+			}
+			if after := o.aNorm(e); !(after < before) {
+				t.Errorf("%s trial %d: one cycle took ‖e‖_A from %g to %g", name, trial, before, after)
+			} else if trial == 0 {
+				t.Logf("%s: one cycle contracts ‖e‖_A by %.3f", name, after/before)
 			}
 		}
 	}
@@ -615,6 +795,65 @@ func TestAMGNonFiniteCoarseResidualIsBreakdown(t *testing.T) {
 	if v := ec[lvl.nAgg/2]; !math.IsNaN(v) && !math.IsInf(v, 0) {
 		t.Errorf("solveCoarse turned rc[%d] = +Inf into the finite %g", lvl.nAgg/2, v)
 	}
+}
+
+func TestAMGLevel2RejectsIndefinite(t *testing.T) {
+	// Every A_c diagonal can be positive while the hierarchy is not SPD: a
+	// small negative accumulation in every cell leaves each diagonal
+	// dominated by its conductances but makes 1ᵀA·1 < 0, so the level-2
+	// factorisation must meet a non-positive pivot and name it.
+	sys, err := NewUSystem(ladderMesh(t), physics.DefaultFluid(), 3600, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := range sys.Accum {
+		_, trans := sys.U.halfFaces(c)
+		off := 0.0
+		for _, tr := range trans {
+			off += tr * sys.Mobility
+		}
+		sys.Accum[c] = -1e-3 * off
+	}
+	want := "AMG level-2 matrix lost positive definiteness at aggregate "
+	if _, err := sys.amg(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("err = %v, want one containing %q", err, want)
+	}
+}
+
+func TestAMGCoarseCycleConcurrent(t *testing.T) {
+	// One level serves every solve on its system, and solveCoarse's scratch
+	// lives on the level: concurrent cycles must each return the sequential
+	// answer.
+	sys, err := NewUSystem(ladderMesh(t), physics.DefaultFluid(), 3600, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lvl, err := sys.amg()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines = 4
+	rcs, want := make([][]float64, goroutines), make([][]float64, goroutines)
+	for g := range rcs {
+		rcs[g], want[g] = probeVector(lvl.nAgg, g+1), make([]float64, lvl.nAgg)
+		lvl.solveCoarse(rcs[g], want[g])
+	}
+	var wg sync.WaitGroup
+	for g := range rcs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got := make([]float64, lvl.nAgg)
+			for range 50 {
+				lvl.solveCoarse(rcs[g], got)
+				if !slices.Equal(got, want[g]) {
+					t.Errorf("goroutine %d: a concurrent cycle differs from the sequential one", g)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // jitteredSystem builds a seeded badly-scaled SPD system: face conductances
@@ -923,6 +1162,7 @@ func BenchmarkUsolveAMGStage(b *testing.B) {
 	}
 	r, z, w := probeVector(n, 1), make([]float64, n), make([]float64, n)
 	rc, ec := make([]float64, lvl.nAgg), make([]float64, lvl.nAgg)
+	wc, r2, e2 := make([]float64, lvl.nAgg), make([]float64, lvl.coarse.nAgg), make([]float64, lvl.coarse.nAgg)
 	stages := []struct {
 		name string
 		run  func()
@@ -939,7 +1179,20 @@ func BenchmarkUsolveAMGStage(b *testing.B) {
 				rc[a] = amgResidualSum(lvl.aggCells[lvl.aggStart[a]:lvl.aggStart[a+1]], r, w)
 			}
 		}},
-		{"coarse", func() { lvl.solveCoarse(rc, ec) }},
+		// solveCoarse split in two: everything on level 1 — the two A_c
+		// residuals, the Jacobi steps, the level-2 restriction and
+		// prolongation — and the level-2 skyline sweeps.
+		{"coarse-smooth", func() {
+			amgPre(ec, lvl.cInv, rc)
+			lvl.applyCoarse(wc, ec)
+			for p := range r2 {
+				r2[p] = amgResidualSum(lvl.coarse.members(p), rc, wc)
+			}
+			amgProlong(ec, e2, lvl.coarse.aggOf)
+			lvl.applyCoarse(wc, ec)
+			amgPost(ec, lvl.cInv, rc, wc)
+		}},
+		{"coarse-solve", func() { lvl.solveSkyline(r2, e2) }},
 		{"prolong", func() { amgProlong(z, ec, lvl.aggOf) }},
 		{"post", func() { amgPost(z, inv, r, w) }},
 	}

@@ -1,6 +1,7 @@
 package umesh
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -201,5 +202,31 @@ func TestTransientSolverRequestValidation(t *testing.T) {
 	if _, err := ts.Solve(TransientOptions{Steps: 1, Wells: opts.Wells}); err == nil ||
 		!strings.Contains(err.Error(), "closed") {
 		t.Errorf("closed solver accepted work: %v", err)
+	}
+}
+
+// TestTransientStepsRepeatTheFirst states a modelling gap rather than a
+// virtue: Solve builds b from the wells once and zeroes x every step, and no
+// step feeds the pressure it reached back into the next right-hand side, so
+// every step of a request solves the identical system — same iteration
+// count, same residual history, same δp. A true backward-Euler right-hand
+// side (q plus the accumulation of pⁿ) would make this test fail; it is
+// there so that change is made on purpose.
+func TestTransientStepsRepeatTheFirst(t *testing.T) {
+	u, opts := transientFixture(t)
+	opts.Steps = 3
+	for _, kind := range []solver.PrecondKind{solver.PrecondJacobi, solver.PrecondAMG} {
+		opts.Solver.PrecondKind = kind
+		res, err := RunTransientPartitioned(u, nil, physics.DefaultFluid(), opts)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		first := res.Steps[0]
+		for _, st := range res.Steps[1:] {
+			if st.Iterations != first.Iterations || st.MaxDeltaP != first.MaxDeltaP || !slices.Equal(st.History, first.History) {
+				t.Errorf("%s step %d: %d iterations, max δp %g differ from step 0's %d, %g (or the residual history does)",
+					kind, st.Step, st.Iterations, st.MaxDeltaP, first.Iterations, first.MaxDeltaP)
+			}
+		}
 	}
 }

@@ -34,10 +34,11 @@
 // contract: Jacobi, block-SSOR (symmetric Gauss–Seidel sweeps confined to
 // the canonical blocks), Chebyshev polynomial smoothing (fixed-degree
 // polynomial of the Jacobi-scaled operator, Gershgorin-bounded spectrum),
-// and a two-level aggregation AMG whose coarse operator — greedy in-block
-// aggregation, reverse Cuthill–McKee renumbering, Galerkin assembly into a
-// skyline of Lᵀ, in-place Cholesky over that envelope — is built once per
-// USystem and reused across transient steps. Every rung's arithmetic is a function of the canonical order only,
+// and an aggregation AMG whose hierarchy — greedy in-block aggregation,
+// reverse Cuthill–McKee renumbering, the Galerkin matrix A_c, the same
+// aggregation of A_c's graph and its Galerkin matrix Cholesky-factored in a
+// skyline of Lᵀ, for a coarse correction that is a two-grid cycle on A_c —
+// is built once per USystem and reused across transient steps. Every rung's arithmetic is a function of the canonical order only,
 // never of the partitioning, and the serial reference rungs are built from
 // the same kernels (block-SSOR's sweep included: the reference runs it on
 // vectors gathered into canonical order), so each rung preserves the
