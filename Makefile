@@ -84,21 +84,25 @@ race:
 # for: A_c in CSR, the Laplacian-form edge list and its map-free
 # Galerkin coarsening by a stable counting sort, one aggregation routine for
 # both levels and the two-grid cycle — the skyline builder and Cholesky are
-# the old ones, now fed level 2). Lower
+# the old ones, now fed level 2; 4643 once a solve space preconditions from
+# its own system's diagonal on canonical RCB partitions only, with no
+# PrecondDiag option, identity preconditioner or per-part fold). Lower
 # SIZE_CEILING when a PR shrinks the sum; a PR that must raise it says why.
 # SERVE_CEILING does the same for internal/serve, the serving core ROADMAP's
 # state-machine item tracks (2050 at PR 16, 2044 at PR 17, 2017 once the
 # memo's single flight became the only way requests share a solve — backlog
 # batching, BatchMax and the loosest-deadline cancel are gone, an engine
-# solves one job), and BENCH_CEILING for internal/bench, which holds
+# solves one job; 2025 once Scenario.Validate turns away a part count the
+# mesh or RCB cannot take, which used to fail as a 500 at compile), and
+# BENCH_CEILING for internal/bench, which holds
 # the paper's tables, Fig. 8 and the ablations and nothing that times this
 # host (2695 at PR 19 with the five wall-clock sweeps, 956 at PR 20 without).
 # STRUCT_CEILING holds internal/dsd + internal/core, the structured kernel and
 # its engines (2204 with strided descriptors, the fast-path toggle and core's
 # op-by-op fallback; 1919 once a descriptor became a contiguous column and one
 # face kernel was left, with no second path beside it).
-SIZE_CEILING = 4703
-SERVE_CEILING = 2017
+SIZE_CEILING = 4643
+SERVE_CEILING = 2025
 BENCH_CEILING = 956
 STRUCT_CEILING = 1919
 size:

@@ -108,6 +108,14 @@ func (s Scenario) Validate(maxCells int) error {
 	if n.Parts < 1 || bits.OnesCount(uint(n.Parts)) != 1 {
 		return fmt.Errorf("serve: parts must be a positive power of two (RCB bisection), got %d", n.Parts)
 	}
+	if n.Parts > umesh.MaxParts {
+		return fmt.Errorf("serve: parts %d over the %d parts RCB builds", n.Parts, umesh.MaxParts)
+	}
+	// Every ring holds cells, so the estimate is walked only for a ring
+	// count below the part count.
+	if n.Parts > n.Rings && n.Parts > n.cellEstimate() {
+		return fmt.Errorf("serve: parts %d exceed the mesh's %d cells", n.Parts, n.cellEstimate())
+	}
 	if n.Workers < 1 {
 		return fmt.Errorf("serve: workers must be positive, got %d", s.Workers)
 	}

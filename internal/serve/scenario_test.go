@@ -60,6 +60,10 @@ func TestScenarioValidate(t *testing.T) {
 		{"negative refine", Scenario{Rings: 6, Sectors: 8, RefineEvery: -1}, 0, "refine_every"},
 		{"parts not power of two", Scenario{Rings: 6, Sectors: 8, Parts: 3}, 0, "power of two"},
 		{"negative parts", Scenario{Rings: 6, Sectors: 8, Parts: -2}, 0, "power of two"},
+		{"more parts than cells", Scenario{Rings: 6, Sectors: 8, Parts: 64}, 0, "exceed the mesh's 48 cells"},
+		{"as many parts as cells", Scenario{Rings: 2, Sectors: 4, Parts: 8}, 0, ""},
+		{"more parts than RCB builds", Scenario{Parts: 512, Precond: "amg"}, 0, "over the 256 parts"},
+		{"most parts RCB builds", Scenario{Parts: 256}, 0, ""},
 		{"negative workers", Scenario{Rings: 6, Sectors: 8, Workers: -1}, 0, "workers"},
 		{"unknown precond", Scenario{Precond: "ilu"}, 0, "unknown preconditioner"},
 		{"negative tol", Scenario{Tol: -1}, 0, "positive"},

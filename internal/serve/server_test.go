@@ -111,6 +111,8 @@ func TestSolveRejectsInvalid(t *testing.T) {
 		{"unknown mesh", `{"scenario":{"mesh":"tetrahedral"}}`},
 		{"unknown precond", `{"scenario":{"precond":"ilu"}}`},
 		{"parts not power of two", `{"scenario":{"rings":6,"sectors":8,"parts":3}}`},
+		{"more parts than cells", `{"scenario":{"rings":6,"sectors":8,"parts":64}}`},
+		{"more parts than RCB builds", `{"scenario":{"parts":512,"precond":"amg"}}`},
 		{"negative steps", testBody(`"steps":-1`)},
 		{"negative well cell", testBody(`"wells":[{"cell":-1,"rate":2}]`)},
 		{"zero-rate well", testBody(`"wells":[{"cell":0,"rate":0}]`)},

@@ -50,6 +50,9 @@ func NewDataflowOperator(m *mesh.Mesh, sys *umesh.USystem, fl physics.Fluid, fac
 // Size implements solver.Operator.
 func (d *DataflowOperator) Size() int { return d.Mesh.Dims.Cells() }
 
+// Diagonal implements solver.Operator: the system's diagonal.
+func (d *DataflowOperator) Diagonal() []float64 { return d.Sys.Diagonal() }
+
 // options returns the engine options of one application. The kernel scales
 // fluxes by λ = ρref/μ; the operator's fluid makes that the frozen mobility
 // (see Verify).

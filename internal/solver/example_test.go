@@ -12,6 +12,14 @@ type tridiag struct{ n int }
 
 func (t tridiag) Size() int { return t.n }
 
+func (t tridiag) Diagonal() []float64 {
+	diag := make([]float64, t.n)
+	for i := range diag {
+		diag[i] = 4
+	}
+	return diag
+}
+
 func (t tridiag) Apply(dst, x []float64) error {
 	for i := range dst {
 		v := 4 * x[i]
@@ -27,8 +35,8 @@ func (t tridiag) Apply(dst, x []float64) error {
 }
 
 // ExampleCG solves a small SPD system with Jacobi-preconditioned CG. The
-// preconditioner is the matrix diagonal handed over in Options.PrecondDiag —
-// it works with every operator: CG wraps a plain Operator like this one in a
+// preconditioner is the operator's own diagonal (Operator.Diagonal) — it
+// works with every operator: CG wraps a plain Operator like this one in a
 // SliceSpace and runs the same compiled recurrence a partitioned
 // solver.ProgramSpace runs in its own layout.
 func ExampleCG() {
@@ -36,12 +44,7 @@ func ExampleCG() {
 	b := make([]float64, a.n)
 	b[0], b[a.n-1] = 1, 1
 	x := make([]float64, a.n)
-
-	diag := make([]float64, a.n)
-	for i := range diag {
-		diag[i] = 4
-	}
-	st, err := solver.CG(a, x, b, solver.Options{Tol: 1e-10, PrecondDiag: diag})
+	st, err := solver.CG(a, x, b, solver.Options{Tol: 1e-10})
 	if err != nil {
 		fmt.Println("solve failed:", err)
 		return

@@ -20,14 +20,14 @@ func TestPrecondKindsLadder(t *testing.T) {
 			t.Errorf("%q does not validate", kinds[i])
 		}
 	}
-	if !PrecondDefault.valid() {
-		t.Error("the default kind does not validate")
+	if !PrecondKind("").valid() {
+		t.Error("the zero kind (Jacobi) does not validate")
 	}
 	if PrecondKind("nonsense").valid() {
 		t.Error("an unknown kind validates")
 	}
-	if PrecondJacobi.operatorBuilt() || PrecondDefault.operatorBuilt() {
-		t.Error("jacobi/default must not require operator cooperation")
+	if PrecondJacobi.operatorBuilt() || PrecondKind("").operatorBuilt() {
+		t.Error("jacobi must not require operator cooperation")
 	}
 	for _, k := range []PrecondKind{PrecondSSOR, PrecondChebyshev, PrecondAMG} {
 		if !k.operatorBuilt() {
@@ -43,8 +43,8 @@ var badDiagonals = []float64{0, math.NaN(), math.Inf(1), math.Inf(-1)}
 func TestPrecondKindValidationOnSlicePath(t *testing.T) {
 	// A plain Operator (wrapped in a rung-less SliceSpace): an unknown kind is
 	// rejected, an operator-built kind is rejected because nothing can build
-	// it, jacobi demands a diagonal of the operator's size, and a zero, NaN or
-	// ±Inf entry is refused by index.
+	// it, and an operator whose own diagonal holds a zero, NaN or ±Inf entry
+	// is refused by index, wrapped or not.
 	a := spdTest(8)
 	b := make([]float64, 8)
 	b[0] = 1
@@ -53,40 +53,26 @@ func TestPrecondKindValidationOnSlicePath(t *testing.T) {
 		t.Error("unknown kind accepted")
 	}
 	for _, kind := range []PrecondKind{PrecondSSOR, PrecondChebyshev, PrecondAMG} {
-		_, err := CG(a, x, b, Options{PrecondKind: kind, PrecondDiag: diagOf(a)})
+		_, err := CG(a, x, b, Options{PrecondKind: kind})
 		if err == nil || !strings.Contains(err.Error(), "cannot build") {
 			t.Errorf("%s on a plain operator: err = %v, want a cannot-build error", kind, err)
 		}
 	}
-	if _, err := CG(a, x, b, Options{PrecondKind: PrecondJacobi}); err == nil {
-		t.Error("jacobi without a diagonal accepted")
-	}
-	// A diagonal of the wrong length is refused up front, wrapped or not.
-	short := []float64{4, 4, 4}
-	for name, op := range map[string]Operator{"slice": a, "resident": &SliceSpace{Operator: a}} {
-		_, err := CG(op, x, b, Options{PrecondDiag: short})
-		if err == nil || !strings.Contains(err.Error(), "preconditioner diagonal covers 3 entries, operator has 8") {
-			t.Errorf("%s path, short PrecondDiag: err = %v, want the length error", name, err)
-		}
-	}
-	// An empty diagonal is a wrong-length diagonal, not a licence to index
-	// out of range on first use.
-	if _, err := CG(a, x, b, Options{PrecondDiag: []float64{}}); err == nil {
-		t.Error("empty diagonal accepted")
-	}
 	for _, bad := range badDiagonals {
-		diag := diagOf(a)
-		diag[5] = bad
-		if _, err := CG(a, x, b, Options{PrecondDiag: diag}); err == nil || !strings.Contains(err.Error(), "at 5") {
-			t.Errorf("diagonal entry %v: err = %v, want a rejection naming index 5", bad, err)
+		corrupt := spdTest(8)
+		corrupt.a[5][5] = bad
+		for name, op := range map[string]Operator{"slice": corrupt, "resident": &SliceSpace{Operator: corrupt}} {
+			if _, err := CG(op, x, b, Options{}); err == nil || !strings.Contains(err.Error(), "at 5") {
+				t.Errorf("%s path, diagonal entry %v: err = %v, want a rejection naming index 5", name, bad, err)
+			}
 		}
 	}
 }
 
 func TestPrecondKindValidationOnResidentPath(t *testing.T) {
 	// An explicit SliceSpace: without a Rung builder the operator-built rungs
-	// surface its SetPrecond error; jacobi still demands a diagonal; with a
-	// builder the kind and the validated diagonal reach it.
+	// surface its SetPrecond error; with a builder the kind and the
+	// operator's validated diagonal reach it.
 	op := spdTest(8)
 	d := &SliceSpace{Operator: op}
 	b := make([]float64, 8)
@@ -96,35 +82,34 @@ func TestPrecondKindValidationOnResidentPath(t *testing.T) {
 		t.Error("unknown kind accepted")
 	}
 	for _, kind := range []PrecondKind{PrecondSSOR, PrecondChebyshev, PrecondAMG} {
-		_, err := CG(d, x, b, Options{PrecondKind: kind, PrecondDiag: diagOf(op)})
+		_, err := CG(d, x, b, Options{PrecondKind: kind})
 		if err == nil || !strings.Contains(err.Error(), "cannot build") {
 			t.Errorf("%s on a rung-less SliceSpace: err = %v, want its SetPrecond error", kind, err)
 		}
-		if _, err := CG(d, x, b, Options{PrecondKind: kind}); err == nil {
-			t.Errorf("%s without a diagonal accepted", kind)
-		}
-	}
-	if _, err := CG(d, x, b, Options{PrecondKind: PrecondJacobi}); err == nil {
-		t.Error("jacobi without a diagonal accepted")
 	}
 	for _, bad := range badDiagonals {
-		diag := diagOf(op)
-		diag[2] = bad
-		if err := d.SetPrecond(PrecondDefault, diag); err == nil || !strings.Contains(err.Error(), "at 2") {
+		corrupt := spdTest(8)
+		corrupt.a[2][2] = bad
+		sp := &SliceSpace{Operator: corrupt}
+		if err := sp.SetPrecond(PrecondJacobi); err == nil || !strings.Contains(err.Error(), "at 2") {
 			t.Errorf("SetPrecond with diagonal entry %v: err = %v, want a rejection naming index 2", bad, err)
 		}
 	}
 	// The supported kinds still solve.
-	st, err := CG(d, x, b, Options{PrecondKind: PrecondJacobi, PrecondDiag: diagOf(op)})
+	st, err := CG(d, x, b, Options{PrecondKind: PrecondJacobi})
 	if err != nil || !st.Converged {
 		t.Fatalf("jacobi-by-kind failed: %v", err)
 	}
 	var built PrecondKind
+	var got []float64
 	d.Rung = func(kind PrecondKind, diag []float64) (func(z, r []float64), error) {
-		built = kind
+		built, got = kind, diag
 		return func(z, r []float64) { copy(z, r) }, nil
 	}
-	if st, err := CG(d, x, b, Options{PrecondKind: PrecondAMG, PrecondDiag: diagOf(op)}); err != nil || !st.Converged || built != PrecondAMG {
+	if st, err := CG(d, x, b, Options{PrecondKind: PrecondAMG}); err != nil || !st.Converged || built != PrecondAMG {
 		t.Fatalf("rung through the builder: %v %+v, built %q", err, st, built)
+	}
+	if len(got) != 8 || got[0] != 4 {
+		t.Errorf("the builder got diagonal %v, want the operator's", got)
 	}
 }

@@ -36,7 +36,7 @@ const (
 	OpCGStep
 	// OpCGStepPre: OpCGStep plus the diagonal preconditioner application
 	// V5 = M⁻¹·V3 and *R2 = ⟨V3, V5⟩, all in one pass. Only emitted when
-	// the active preconditioner is elementwise (identity or Jacobi); the
+	// the active preconditioner is elementwise (Jacobi); the
 	// operator-built rungs need their own phases and use OpCGStep +
 	// OpPrecondDot instead.
 	OpCGStepPre
@@ -90,12 +90,12 @@ type ProgramSpace interface {
 	// gather.
 	Store(dst []float64, v Vec)
 	// SetPrecond installs a rung of the preconditioner ladder as the M⁻¹ of
-	// OpPrecondDot/OpCGStepPre, replacing the previous one. Jacobi
-	// applies z_i = (1/d_i)·r_i; the default kind is Jacobi when diag is
-	// non-nil and the identity otherwise. The request is validated with
+	// OpPrecondDot/OpCGStepPre, replacing the previous one, built from the
+	// diagonal of the space's own system. Jacobi (the zero kind) applies
+	// z_i = (1/d_i)·r_i. The kind and the diagonal are validated with
 	// CheckPrecond first. Programs may freeze the installed preconditioner
 	// when compiled, so install first.
-	SetPrecond(kind PrecondKind, diag []float64) error
+	SetPrecond(kind PrecondKind) error
 	// CompileProgram lowers a phase program onto the operator's execution
 	// machinery. The ops slice (and the scalars it points to) must outlive
 	// the returned Program.

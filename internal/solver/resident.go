@@ -67,8 +67,8 @@ func cgSetup(s *cgState) []ProgOp {
 	}
 }
 
-// cgProgram is one CG iteration as a phase program. With an elementwise
-// (identity/Jacobi) preconditioner the residual update, preconditioner
+// cgProgram is one CG iteration as a phase program. With the elementwise
+// (Jacobi) preconditioner the residual update, preconditioner
 // application and both dots fuse into a single OpCGStepPre pass; the
 // operator-built rungs (SSOR/Chebyshev/AMG) keep the update and the
 // preconditioner as separate ops so a converged final iteration skips the
@@ -140,7 +140,7 @@ type Resident struct {
 // CompileCG compiles preconditioned conjugate gradients onto a.
 func CompileCG(a ProgramSpace, opts Options) (*Resident, error) {
 	opts = opts.withDefaults()
-	if err := a.SetPrecond(opts.PrecondKind, opts.PrecondDiag); err != nil {
+	if err := a.SetPrecond(opts.PrecondKind); err != nil {
 		return nil, err
 	}
 	a.Reserve(cgLen)

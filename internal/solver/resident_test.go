@@ -11,13 +11,14 @@ import (
 // naiveCG is the textbook recurrence written as plainly as possible — slices,
 // one loop, left-to-right sums, no programs, no spaces. It is the independent
 // statement the phase programs are checked against: a solve through
-// Resident.Solve on a SliceSpace must reproduce it bit for bit. inv is the Jacobi inverse diagonal (nil = no preconditioner).
-func naiveCG(a Operator, x, b, inv []float64, tol float64, maxIter int) (*Stats, error) {
+// Resident.Solve on a SliceSpace must reproduce it bit for bit. It is
+// preconditioned by Jacobi on a's diagonal, as every solve is.
+func naiveCG(a Operator, x, b []float64, tol float64, maxIter int) (*Stats, error) {
 	n := a.Size()
+	diag := a.Diagonal()
 	pre := func(z, r []float64) {
-		copy(z, r)
-		for i := range inv {
-			z[i] = inv[i] * r[i]
+		for i := range z {
+			z[i] = (1 / diag[i]) * r[i]
 		}
 	}
 	r, z, ap := make([]float64, n), make([]float64, n), make([]float64, n)
@@ -58,15 +59,6 @@ func naiveCG(a Operator, x, b, inv []float64, tol float64, maxIter int) (*Stats,
 	return st, ErrNotConverged
 }
 
-// invOf inverts a diagonal (nil stays nil).
-func invOf(diag []float64) []float64 {
-	var inv []float64
-	for _, d := range diag {
-		inv = append(inv, 1/d)
-	}
-	return inv
-}
-
 // matchesGauss checks x against dense elimination to 1e-10 of the solution's
 // scale.
 func matchesGauss(t *testing.T, op *denseOp, x, b []float64) {
@@ -81,15 +73,6 @@ func matchesGauss(t *testing.T, op *denseOp, x, b []float64) {
 			t.Fatalf("x[%d] = %g, dense elimination %g", i, x[i], want[i])
 		}
 	}
-}
-
-// diagOf extracts the matrix diagonal of a dense operator.
-func diagOf(d *denseOp) []float64 {
-	diag := make([]float64, d.Size())
-	for i := range d.a {
-		diag[i] = d.a[i][i]
-	}
-	return diag
 }
 
 // sameSolve asserts two solves agree bit for bit: outcome, iteration count,
@@ -117,25 +100,19 @@ func sameSolve(t *testing.T, what string, stA *Stats, errA error, xa []float64, 
 func TestResidentCGMatchesSlicePathBitExact(t *testing.T) {
 	// The CG program is textbook CG expression for expression: a solve through
 	// Resident.Solve on a SliceSpace reproduces naiveCG bit-for-bit —
-	// iterations, histories, solution — with and without Jacobi
+	// iterations, histories, solution — under the operator's Jacobi
 	// preconditioning, and lands on the dense-elimination solution.
 	for _, seed := range []uint64{1, 7, 42} {
 		op, b := randomSPD(24, seed)
-		for _, jacobi := range []bool{false, true} {
-			var diag []float64
-			if jacobi {
-				diag = diagOf(op)
-			}
-			xs := make([]float64, op.Size())
-			stS, errS := naiveCG(op, xs, b, invOf(diag), 1e-13, 300)
-			xr := make([]float64, op.Size())
-			stR, errR := CG(op, xr, b, Options{Tol: 1e-13, MaxIter: 300, PrecondDiag: diag})
-			sameSolve(t, fmt.Sprintf("seed %d jacobi=%v", seed, jacobi), stS, errS, xs, stR, errR, xr)
-			if errR != nil {
-				t.Fatalf("seed %d jacobi=%v: %v", seed, jacobi, errR)
-			}
-			matchesGauss(t, op, xr, b)
+		xs := make([]float64, op.Size())
+		stS, errS := naiveCG(op, xs, b, 1e-13, 300)
+		xr := make([]float64, op.Size())
+		stR, errR := CG(op, xr, b, Options{Tol: 1e-13, MaxIter: 300})
+		sameSolve(t, fmt.Sprintf("seed %d", seed), stS, errS, xs, stR, errR, xr)
+		if errR != nil {
+			t.Fatalf("seed %d: %v", seed, errR)
 		}
+		matchesGauss(t, op, xr, b)
 	}
 }
 
@@ -164,7 +141,7 @@ func TestPrecondClosureForcesSlicePath(t *testing.T) {
 		return func(z, r []float64) { calls++; copy(z, r) }, nil
 	}}
 	x := make([]float64, op.Size())
-	st, err := CG(space, x, b, Options{Tol: 1e-10, MaxIter: 300, PrecondKind: PrecondSSOR, PrecondDiag: diagOf(op)})
+	st, err := CG(space, x, b, Options{Tol: 1e-10, MaxIter: 300, PrecondKind: PrecondSSOR})
 	if err != nil || !st.Converged {
 		t.Fatalf("cg with a Rung closure failed: %v %+v", err, st)
 	}
@@ -176,12 +153,12 @@ func TestPrecondClosureForcesSlicePath(t *testing.T) {
 func TestResidentErrorPathsMirrorSlicePath(t *testing.T) {
 	// The exits that are not plain convergence: iteration exhaustion (best
 	// iterate still in x, the textbook recurrence's to the bit), Krylov
-	// breakdown, and a rejected preconditioner diagonal.
+	// breakdown, and an operator whose diagonal cannot precondition.
 	t.Run("not converged", func(t *testing.T) {
 		op, b := randomSPD(24, 21)
 		opts := Options{Tol: 1e-14, MaxIter: 3}
 		xs := make([]float64, op.Size())
-		_, errS := naiveCG(op, xs, b, nil, opts.Tol, opts.MaxIter)
+		_, errS := naiveCG(op, xs, b, opts.Tol, opts.MaxIter)
 		xr := make([]float64, op.Size())
 		_, errR := CG(op, xr, b, opts)
 		if !errors.Is(errS, ErrNotConverged) || !errors.Is(errR, ErrNotConverged) {
@@ -194,24 +171,27 @@ func TestResidentErrorPathsMirrorSlicePath(t *testing.T) {
 		}
 	})
 	t.Run("breakdown", func(t *testing.T) {
-		// The zero matrix gives pᵀAp = 0 on the first CG iteration.
+		// The indefinite diag(1, −1, 1, −1, …) passes the diagonal check, and
+		// with b = 1 its first direction p = D⁻¹b = (1, −1, …) gives pᵀAp = 0.
 		n := 6
-		zeroA := &denseOp{a: make([][]float64, n)}
-		for i := range zeroA.a {
-			zeroA.a[i] = make([]float64, n)
-		}
+		indef := &denseOp{a: make([][]float64, n)}
 		b := make([]float64, n)
-		b[0] = 1
-		if _, err := CG(zeroA, make([]float64, n), b, Options{}); !errors.Is(err, ErrBreakdown) {
-			t.Fatalf("CG on zero matrix: want ErrBreakdown, got %v", err)
+		for i := range indef.a {
+			indef.a[i] = make([]float64, n)
+			indef.a[i][i] = float64(1 - 2*(i%2))
+			b[i] = 1
+		}
+		if _, err := CG(indef, make([]float64, n), b, Options{}); !errors.Is(err, ErrBreakdown) {
+			t.Fatalf("CG on an indefinite matrix: want ErrBreakdown, got %v", err)
 		}
 	})
 	t.Run("bad diagonal", func(t *testing.T) {
 		op, b := randomSPD(8, 33)
-		bad := make([]float64, op.Size()) // all-zero diagonal
-		opts := Options{PrecondDiag: bad}
-		if _, err := CG(op, make([]float64, op.Size()), b, opts); err == nil {
-			t.Error("CG accepted a zero preconditioner diagonal")
+		for i := range op.a {
+			op.a[i][i] = 0
+		}
+		if _, err := CG(op, make([]float64, op.Size()), b, Options{}); err == nil {
+			t.Error("CG accepted an operator with a zero diagonal")
 		}
 	})
 }
@@ -224,7 +204,7 @@ func TestResidentSolveRespectsInitialGuess(t *testing.T) {
 		guess[i] = math.Sin(float64(i))
 	}
 	xs := append([]float64(nil), guess...)
-	stS, errS := naiveCG(op, xs, b, nil, 1e-10, 300)
+	stS, errS := naiveCG(op, xs, b, 1e-10, 300)
 	xr := append([]float64(nil), guess...)
 	stR, errR := CG(op, xr, b, Options{Tol: 1e-10, MaxIter: 300})
 	if errS != nil || errR != nil {
@@ -280,7 +260,7 @@ func TestCompiledCGEmitsEveryOpKind(t *testing.T) {
 			Rung: func(PrecondKind, []float64) (func(z, r []float64), error) {
 				return func(z, r []float64) { copy(z, r) }, nil
 			}}}
-		if _, err := CompileCG(space, Options{PrecondKind: kind, PrecondDiag: diagOf(op)}); err != nil {
+		if _, err := CompileCG(space, Options{PrecondKind: kind}); err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
 	}

@@ -13,8 +13,8 @@ import "fmt"
 //
 // Load2 binds its handles to the caller's slices instead of copying them, so
 // a solve works in place on x and b; the space owns only the recurrence's
-// work vectors (allocated on first use, kept between solves) and the inverse
-// diagonal.
+// work vectors (allocated on first use, kept between solves) and the
+// installed preconditioner.
 type SliceSpace struct {
 	Operator
 	// Dot, when non-nil, takes every inner product in place of the
@@ -22,12 +22,12 @@ type SliceSpace struct {
 	// tree of the runtime it is the oracle of.
 	Dot func(a, b []float64) float64
 	// Rung, when non-nil, builds the operator-built rungs (SSOR, Chebyshev,
-	// AMG) as z = M⁻¹·r over global-order slices; diag has been validated.
-	// Without it only Jacobi and the identity can be installed.
+	// AMG) as z = M⁻¹·r over global-order slices; diag is the operator's
+	// diagonal, already validated. Without it only Jacobi can be installed.
 	Rung func(kind PrecondKind, diag []float64) (func(z, r []float64), error)
 
 	vecs [][]float64
-	pre  func(z, r []float64) // installed M⁻¹; nil is the identity
+	pre  func(z, r []float64) // the installed M⁻¹
 }
 
 // Reserve implements ProgramSpace.
@@ -55,15 +55,13 @@ func (s *SliceSpace) Load2(v1 Vec, src1 []float64, v2 Vec, src2 []float64) {
 // Store implements ProgramSpace (a no-op onto the slice v is bound to).
 func (s *SliceSpace) Store(dst []float64, v Vec) { copy(dst, s.vec(v)) }
 
-// SetPrecond implements ProgramSpace.
-func (s *SliceSpace) SetPrecond(kind PrecondKind, diag []float64) error {
+// SetPrecond implements ProgramSpace with the operator's own diagonal.
+func (s *SliceSpace) SetPrecond(kind PrecondKind) error {
+	diag := s.Diagonal()
 	if err := CheckPrecond(s.Size(), kind, diag); err != nil {
 		return err
 	}
-	switch {
-	case diag == nil:
-		s.pre = nil
-	case kind.operatorBuilt():
+	if kind.operatorBuilt() {
 		if s.Rung == nil {
 			return fmt.Errorf("solver: operator %T cannot build the %q preconditioner", s.Operator, kind)
 		}
@@ -72,7 +70,7 @@ func (s *SliceSpace) SetPrecond(kind PrecondKind, diag []float64) error {
 			return err
 		}
 		s.pre = pre
-	default:
+	} else {
 		inv := make([]float64, len(diag))
 		for i, d := range diag {
 			inv[i] = 1 / d
@@ -135,11 +133,11 @@ func (p *sliceProgram) Run() (bool, error) {
 			axpy(r, -*op.A1, s.vec(op.V4))
 			*op.R1 = s.dot(r, r)
 			if op.Kind == OpCGStepPre {
-				s.precond(s.vec(op.V5), r)
+				s.pre(s.vec(op.V5), r)
 				*op.R2 = s.dot(r, s.vec(op.V5))
 			}
 		case OpPrecondDot:
-			s.precond(s.vec(op.V1), s.vec(op.V2))
+			s.pre(s.vec(op.V1), s.vec(op.V2))
 			*op.R1 = s.dot(s.vec(op.V2), s.vec(op.V1))
 		}
 		if op.Action != nil {
@@ -149,15 +147,6 @@ func (p *sliceProgram) Run() (bool, error) {
 		}
 	}
 	return false, nil
-}
-
-// precond applies the installed z = M⁻¹·r.
-func (s *SliceSpace) precond(z, r []float64) {
-	if s.pre == nil {
-		copy(z, r)
-		return
-	}
-	s.pre(z, r)
 }
 
 // dot is the space's inner product.

@@ -15,10 +15,11 @@
 //
 // Preconditioning is selected by Options.PrecondKind — a ladder of four
 // rungs (jacobi, ssor, chebyshev, amg) — and installed through
-// ProgramSpace.SetPrecond. Jacobi needs only the matrix diagonal
-// (Options.PrecondDiag) and works with any Operator; the operator-built rungs
-// are constructed by whoever knows the matrix graph: umesh.PartOperator in its
-// own layout, or the builder a SliceSpace is given in its Rung field.
+// ProgramSpace.SetPrecond. Every rung scales by the matrix diagonal, which a
+// space reads from its own system (Operator.Diagonal), never from the caller;
+// Jacobi needs nothing else and works with any Operator. The operator-built
+// rungs are constructed by whoever knows the matrix graph: umesh.PartOperator
+// in its own layout, or the builder a SliceSpace is given in its Rung field.
 //
 // There is one statement of the recurrence and one loop that iterates it:
 // cgSetup/cgProgram (resident.go) spell CG as phase programs, and
@@ -41,6 +42,9 @@ type Operator interface {
 	Apply(dst, x []float64) error
 	// Size returns the vector length.
 	Size() int
+	// Diagonal returns the matrix diagonal (Size() entries, read-only): what
+	// Jacobi preconditioning inverts and the operator-built rungs scale by.
+	Diagonal() []float64
 }
 
 // Vec is an opaque handle to an operator-resident vector — a vector that
@@ -54,17 +58,11 @@ type Options struct {
 	MaxIter int
 	// Tol is the relative residual tolerance ‖r‖/‖b‖ (default 1e-8).
 	Tol float64
-	// PrecondDiag optionally supplies the matrix diagonal (length Size()):
-	// what Jacobi preconditioning applies — elementwise z_i = (1/d_i)·r_i on
-	// every ProgramSpace, so solves stay bit-identical across spaces — and
-	// what the operator-built rungs scale by.
-	PrecondDiag []float64
 	// PrecondKind selects a rung of the preconditioner ladder (see the
-	// PrecondKind constants). The zero value is Jacobi when PrecondDiag is
-	// set and the identity otherwise. The operator-built rungs (SSOR,
-	// Chebyshev, AMG) need a space that can build them; every space that can
-	// applies identical arithmetic, so solves stay bit-identical across
-	// spaces and part counts.
+	// PrecondKind constants); the zero value is Jacobi. The operator-built
+	// rungs (SSOR, Chebyshev, AMG) need a space that can build them; every
+	// space that can applies identical arithmetic, so solves stay
+	// bit-identical across spaces and part counts.
 	PrecondKind PrecondKind
 	// Cancel, when non-nil, is polled at the top of every Krylov iteration
 	// — the iteration barrier. When it returns true the solve stops before

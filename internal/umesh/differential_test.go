@@ -12,8 +12,8 @@ import (
 
 // TestEveryOpBitIdenticalToReference is the differential test behind the
 // oracle: not the op sequences CG happens to emit, but every solver.OpKind
-// on its own — seeded random vectors and a scalar, under the
-// identity and each rung of the ladder — run on the serial reference space and
+// on its own — seeded random vectors and a scalar, under each rung of the
+// ladder — run on the serial reference space and
 // on PartOperator at parts {1, 2, 4, 8} × workers {1, 2}. Every vector and
 // both reductions must agree to the bit.
 func TestEveryOpBitIdenticalToReference(t *testing.T) {
@@ -34,11 +34,7 @@ func TestEveryOpBitIdenticalToReference(t *testing.T) {
 	}
 	// run executes the one-op program on sp from the seeded inputs.
 	run := func(sp solver.ProgramSpace, kind solver.PrecondKind, k solver.OpKind) *result {
-		var diag []float64
-		if kind != solver.PrecondDefault {
-			diag = sys.Diagonal()
-		}
-		if err := sp.SetPrecond(kind, diag); err != nil {
+		if err := sp.SetPrecond(kind); err != nil {
 			t.Fatal(err)
 		}
 		res := &result{}
@@ -62,7 +58,7 @@ func TestEveryOpBitIdenticalToReference(t *testing.T) {
 		}
 		return res
 	}
-	kinds := append([]solver.PrecondKind{solver.PrecondDefault}, solver.PrecondKinds()...)
+	kinds := solver.PrecondKinds()
 	ref := ReferenceSpace(sys, nil)
 	want := map[solver.PrecondKind][]*result{}
 	for _, kind := range kinds {
@@ -75,8 +71,8 @@ func TestEveryOpBitIdenticalToReference(t *testing.T) {
 			po, closeOp := residentFixtureOn(t, u, levels, workers)
 			for _, kind := range kinds {
 				for k := solver.OpApply; k <= solver.OpPrecondDot; k++ {
-					if k == solver.OpCGStepPre && kind != solver.PrecondDefault && kind != solver.PrecondJacobi {
-						continue // defined for elementwise preconditioners only
+					if k == solver.OpCGStepPre && kind != solver.PrecondJacobi {
+						continue // defined for the elementwise preconditioner only
 					}
 					got, w := run(po, kind, k), want[kind][k]
 					for i, r := range got.r {
@@ -109,7 +105,7 @@ func TestNonFiniteInputsRejected(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		b, x := probeVector(n, 1), probeVector(n, 2)
 		b[n/2] = bad
-		_, err := solver.CG(po, x, b, solver.Options{MaxIter: 5, PrecondDiag: po.Sys.Diagonal()})
+		_, err := solver.CG(po, x, b, solver.Options{MaxIter: 5})
 		if !errors.Is(err, solver.ErrBreakdown) {
 			t.Errorf("b[%d] = %v: err = %v, want ErrBreakdown", n/2, bad, err)
 		}

@@ -161,7 +161,7 @@ func FuzzPartition(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed, nCells, nFaces, nLevels uint64) {
 		cells := int(nCells%300) + 1
 		faces := int(nFaces % 1200)
-		levels := int(nLevels % 5)
+		levels := int(nLevels % (reductionDepth + 1)) // every depth RCB accepts
 		if 1<<levels > cells {
 			t.Skip("more parts than cells — rejected by construction")
 		}

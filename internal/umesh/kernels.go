@@ -197,8 +197,8 @@ func (o *PartOperator) shardCGStep(shard, xv, pv, rv, apv int, alpha float64) {
 	}
 }
 
-// shardCGStepPre is the fully fused CG tail for elementwise (identity or
-// Jacobi) preconditioners: the CG update, the residual norm, the
+// shardCGStepPre is the fully fused CG tail for the elementwise (Jacobi)
+// preconditioner: the CG update, the residual norm, the
 // preconditioner application z = M⁻¹·r and ⟨r, z⟩, all in one pass. The
 // per-element expressions and the per-block accumulation orders are exactly
 // those of shardCGStep followed by shardPreDot, so the fusion is invisible
@@ -211,51 +211,32 @@ func (o *PartOperator) shardCGStepPre(shard, xv, pv, rv, apv, zv int, alpha floa
 		r, ap := window(op.vecs[rv], lo, n), window(op.vecs[apv], lo, n)
 		z, inv := window(op.vecs[zv], lo, n), window(op.invDiag, lo, n)
 		acc1, acc2 := 0.0, 0.0
-		if o.usePre {
-			for i := range x {
-				x[i] += alpha * p[i]
-				ri := r[i] - alpha*ap[i]
-				r[i] = ri
-				acc1 += ri * ri
-				zi := inv[i] * ri
-				z[i] = zi
-				acc2 += ri * zi
-			}
-		} else {
-			for i := range x {
-				x[i] += alpha * p[i]
-				ri := r[i] - alpha*ap[i]
-				r[i] = ri
-				acc1 += ri * ri
-				z[i] = ri
-				acc2 += ri * ri
-			}
+		for i := range x {
+			x[i] += alpha * p[i]
+			ri := r[i] - alpha*ap[i]
+			r[i] = ri
+			acc1 += ri * ri
+			zi := inv[i] * ri
+			z[i] = zi
+			acc2 += ri * zi
 		}
 		o.blockSums[op.blkOut[blk]] = acc1
 		o.blockSums2[op.blkOut[blk]] = acc2
 	}
 }
 
-// shardPreDot computes z = M⁻¹·r for the elementwise (Jacobi/identity)
-// preconditioner with ⟨r, z⟩ accumulated in the same pass.
+// shardPreDot computes z = M⁻¹·r for the elementwise (Jacobi) preconditioner
+// with ⟨r, z⟩ accumulated in the same pass.
 func (o *PartOperator) shardPreDot(shard, zv, rv int) {
 	op := o.parts[shard]
 	for blk := range op.blkLo {
 		lo, n := op.block(blk)
 		z, r, inv := window(op.vecs[zv], lo, n), window(op.vecs[rv], lo, n), window(op.invDiag, lo, n)
 		acc := 0.0
-		if !o.usePre {
-			for i := range z {
-				ri := r[i]
-				z[i] = ri
-				acc += ri * ri
-			}
-		} else {
-			for i := range z {
-				zi := inv[i] * r[i]
-				z[i] = zi
-				acc += r[i] * zi
-			}
+		for i := range z {
+			zi := inv[i] * r[i]
+			z[i] = zi
+			acc += r[i] * zi
 		}
 		o.blockSums[op.blkOut[blk]] = acc
 	}

@@ -3,6 +3,7 @@ package umesh
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/exec"
@@ -68,11 +69,12 @@ type USystem struct {
 	Accum []float64
 
 	// preMu guards the memoized preconditioner setup state below: the
-	// AMG hierarchy (aggregations, A_c and the factored level-2 Galerkin
-	// matrix, assembled once per system and reused by every solve and every
-	// transient step, serial and partitioned alike) and the Chebyshev
-	// spectral bound.
+	// matrix diagonal every rung scales by, the AMG hierarchy (aggregations,
+	// A_c and the factored level-2 Galerkin matrix, assembled once per system
+	// and reused by every solve and every transient step, serial and
+	// partitioned alike) and the Chebyshev spectral bound.
 	preMu   sync.Mutex
+	diag    []float64
 	amgLvl  *amgLevel
 	amgErr  error
 	chebTop float64
@@ -129,20 +131,26 @@ func (s *USystem) Validate() error {
 	return nil
 }
 
-// Diagonal returns the matrix diagonal for the Jacobi preconditioner:
+// Diagonal returns the matrix diagonal every preconditioner rung scales by:
 // accumulation plus the sum of the cell's face conductances, accumulated in
-// adjacency order (the same order the operators use).
+// adjacency order (the same order the operators use). It is computed once per
+// system and shared, so callers must treat it as read-only.
 func (s *USystem) Diagonal() []float64 {
-	d := make([]float64, s.U.NumCells)
-	lam := s.Mobility
-	for c := 0; c < s.U.NumCells; c++ {
-		_, trans := s.U.halfFaces(c)
-		sum := s.Accum[c]
-		for _, t := range trans {
-			sum += t * lam
+	s.preMu.Lock()
+	if s.diag == nil {
+		s.diag = make([]float64, s.U.NumCells)
+		lam := s.Mobility
+		for c := range s.diag {
+			_, trans := s.U.halfFaces(c)
+			sum := s.Accum[c]
+			for _, t := range trans {
+				sum += t * lam
+			}
+			s.diag[c] = sum
 		}
-		d[c] = sum
 	}
+	d := s.diag
+	s.preMu.Unlock()
 	return d
 }
 
@@ -201,6 +209,9 @@ type UHostOperator struct {
 
 // Size implements solver.Operator.
 func (h *UHostOperator) Size() int { return h.Sys.U.NumCells }
+
+// Diagonal implements solver.Operator: the system's diagonal.
+func (h *UHostOperator) Diagonal() []float64 { return h.Sys.Diagonal() }
 
 // Apply computes dst = A·x with the cell-based sweep in adjacency order.
 func (h *UHostOperator) Apply(dst, x []float64) error {
@@ -373,12 +384,10 @@ func (p PhaseSeconds) Total() float64 { return p.Exchange + p.Compute + p.Reduce
 // scatter → a one-op program → gather. Steady-state Apply, scatter, gather
 // and every compiled program execution allocate nothing.
 //
-// A PartOperator is driven by one goroutine at a time. With an RCB
-// partition of at most reductionDepth (8) bisection levels — up to 256
-// parts — its reductions are bit-identical for every part count (see
-// CanonicalOrder). Deeper or hand-built partitions fall back to a
-// per-part fold: still deterministic for that partition, but tied to its
-// Owned order rather than part-count independent.
+// A PartOperator is driven by one goroutine at a time. Its partition is an
+// RCB partition — at most reductionDepth (8) bisection levels, up to
+// MaxParts parts — so its reductions are bit-identical for every part count
+// (see CanonicalOrder); NewPartOperator refuses any other.
 type PartOperator struct {
 	Sys *USystem
 
@@ -400,17 +409,9 @@ type PartOperator struct {
 	// applyProg is Apply's one-op program V(1) = A·V(0).
 	applyProg solver.Program
 
-	// usePre selects the resident Jacobi inverse diagonal in the elementwise
-	// preconditioner kernels; false means identity (SetPrecond with a nil
-	// diagonal).
-	usePre bool
 	// preKind is the installed preconditioner ladder rung (SetPrecond), read
 	// by emitPrecond when a program is compiled.
 	preKind solver.PrecondKind
-	// aligned records that the partition's reduction blocks are the global
-	// canonical blocks (compileReduction) — the precondition for the
-	// block-structured rungs.
-	aligned bool
 	// cheb holds the installed Chebyshev coefficients; amg the installed
 	// level with its shared coarse vectors.
 	cheb             chebCoeffs
@@ -437,7 +438,8 @@ type PartOperator struct {
 }
 
 // NewPartOperator builds the part-resident operator on a compiled layout of
-// the system's mesh. The layout is shared, not owned: the caller closes it.
+// the system's mesh, which must partition it canonically (see
+// compileReduction). The layout is shared, not owned: the caller closes it.
 func NewPartOperator(l *Layout, sys *USystem) (*PartOperator, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
@@ -458,7 +460,9 @@ func NewPartOperator(l *Layout, sys *USystem) (*PartOperator, error) {
 		}
 		o.parts[me] = op
 	}
-	o.compileReduction()
+	if err := o.compileReduction(); err != nil {
+		return nil, err
+	}
 	for me, op := range o.parts {
 		op.buildRows(l.parts[me], sys.Mobility)
 	}
@@ -482,53 +486,39 @@ func NewPartOperator(l *Layout, sys *USystem) (*PartOperator, error) {
 // Size implements solver.Operator.
 func (o *PartOperator) Size() int { return o.l.u.NumCells }
 
-// compileReduction assigns each part its canonical reduction blocks. With a
-// canonical RCB partition of at most reductionDepth levels, every part
-// boundary is a block boundary, so the parts share the one global block
-// structure and the fold is part-count independent. Otherwise (hand-built
-// partition, or deeper than the block tree) each part's whole owned range
-// becomes one block — still deterministic for that partition, folded in
-// part order.
-func (o *PartOperator) compileReduction() {
-	p, starts := o.l.part, o.l.starts
-	blocks := canonicalBlocks(o.l.u.NumCells)
-	aligned := p.canonical
-	if aligned {
-		at := make(map[int32]bool, len(blocks))
-		for _, b := range blocks {
-			at[b] = true
-		}
-		for me := 1; me < p.NumParts; me++ {
-			if !at[starts[me]] {
-				aligned = false
-				break
-			}
+// Diagonal implements solver.Operator: the system's diagonal.
+func (o *PartOperator) Diagonal() []float64 { return o.Sys.Diagonal() }
+
+// compileReduction assigns each part its canonical reduction blocks. The
+// partition must be what RCB builds: each part owns one run of the canonical
+// order, in that order, and every part boundary is a block boundary (at most
+// reductionDepth levels) — so the parts share the one global block structure
+// and the fold is part-count independent. Any other partition is an error.
+func (o *PartOperator) compileReduction() error {
+	n, starts, order := o.l.u.NumCells, o.l.starts, CanonicalOrder(o.l.u)
+	for me, ps := range o.l.parts {
+		if !slices.Equal(ps.globalOf[:ps.nOwned], order[starts[me]:starts[me+1]]) {
+			return fmt.Errorf("umesh: part %d does not own a run of the canonical order — partition with RCB", me)
 		}
 	}
-	o.aligned = aligned
-	if !aligned {
-		o.blockSums = make([]float64, p.NumParts)
-		o.blockSums2 = make([]float64, p.NumParts)
-		for me, op := range o.parts {
-			op.blkLo = []int32{0}
-			op.blkHi = []int32{starts[me+1] - starts[me]}
-			op.blkOut = []int32{int32(me)}
-		}
-		return
-	}
+	blocks := canonicalBlocks(n)
 	o.blockSums = make([]float64, len(blocks))
 	o.blockSums2 = make([]float64, len(blocks))
 	me := 0
 	for bi := range blocks {
-		lo, hi := blockSpan(blocks, bi, o.l.u.NumCells)
+		lo, hi := blockSpan(blocks, bi, n)
 		for lo >= starts[me+1] {
 			me++
+		}
+		if hi > starts[me+1] {
+			return fmt.Errorf("umesh: part %d starts inside canonical block %d — more than %d parts", me+1, bi, MaxParts)
 		}
 		op := o.parts[me]
 		op.blkLo = append(op.blkLo, lo-starts[me])
 		op.blkHi = append(op.blkHi, hi-starts[me])
 		op.blkOut = append(op.blkOut, int32(bi))
 	}
+	return nil
 }
 
 // buildRows fills the part's row store from the layout's adjacency and
@@ -691,7 +681,7 @@ func (o *PartOperator) phaseStore(shard int) error {
 // its mesh: the serial reference (ReferenceSpace) when p is nil,
 // otherwise a part-resident PartOperator on a freshly compiled layout. It
 // returns the space and a close function releasing the layout's pool (a no-op
-// for the serial path); the Jacobi diagonal of either is sys.Diagonal(). Both
+// for the serial path); either preconditions from sys.Diagonal(). Both
 // the transient loop and the massivefv facade build their solves through it,
 // so the two paths cannot drift apart.
 func NewSystemSpace(p *Partition, sys *USystem, workers int) (solver.ProgramSpace, func(), error) {

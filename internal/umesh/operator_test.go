@@ -3,6 +3,7 @@ package umesh
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/mesh"
@@ -208,12 +209,11 @@ func TestResidentSolveMatchesSlicePathBitExact(t *testing.T) {
 	// the solution.
 	po, closeOp := residentFixture(t, 2, 2)
 	defer closeOp()
-	diag := po.Sys.Diagonal()
 	n := po.Size()
 	b := make([]float64, n)
 	b[0], b[n-1] = 2.0, -2.0
 
-	opts := solver.Options{Tol: 1e-8, MaxIter: 800, PrecondDiag: diag}
+	opts := solver.Options{Tol: 1e-8, MaxIter: 800}
 	xSlice := make([]float64, n)
 	stSlice, err := solver.CG(ReferenceSpace(po.Sys, nil), xSlice, b, opts)
 	if err != nil {
@@ -239,16 +239,44 @@ func TestResidentSolveMatchesSlicePathBitExact(t *testing.T) {
 	}
 }
 
+func TestZeroPrecondKindIsJacobi(t *testing.T) {
+	// The zero PrecondKind is Jacobi, not a preconditioner of its own: on the
+	// serial reference space and on a 2-part PartOperator it solves bit for
+	// bit like PrecondJacobi — iterations, history and solution.
+	po, closeOp := residentFixture(t, 1, 2)
+	defer closeOp()
+	n := po.Size()
+	b := make([]float64, n)
+	b[0], b[n-1] = 2.0, -2.0
+	for name, space := range map[string]solver.ProgramSpace{"reference": ReferenceSpace(po.Sys, nil), "parts=2": po} {
+		var sts [2]*solver.Stats
+		var xs [2][]float64
+		for i, kind := range []solver.PrecondKind{"", solver.PrecondJacobi} {
+			cg, err := solver.CompileCG(space, solver.Options{Tol: 1e-8, MaxIter: 800, PrecondKind: kind})
+			if err != nil {
+				t.Fatal(err)
+			}
+			xs[i] = make([]float64, n)
+			if sts[i], err = cg.Solve(xs[i], b, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if sts[0].Iterations != sts[1].Iterations || !slices.Equal(sts[0].History, sts[1].History) || !slices.Equal(xs[0], xs[1]) {
+			t.Errorf("%s: the zero kind took %d iterations, jacobi %d, or their histories or solutions differ",
+				name, sts[0].Iterations, sts[1].Iterations)
+		}
+	}
+}
+
 func TestResidentSolveScattersAndGathersOnce(t *testing.T) {
 	// The part-resident acceptance metric: one scatter and one gather per
 	// solve, however many iterations the solve takes.
 	po, closeOp := residentFixture(t, 1, 1)
-	diag := po.Sys.Diagonal()
 	n := po.Size()
 	b := make([]float64, n)
 	b[0], b[n-1] = 2.0, -2.0
 	x := make([]float64, n)
-	st, err := solver.CG(po, x, b, solver.Options{Tol: 1e-8, MaxIter: 800, PrecondDiag: diag})
+	st, err := solver.CG(po, x, b, solver.Options{Tol: 1e-8, MaxIter: 800})
 	closeOp()
 	if err != nil {
 		t.Fatal(err)
@@ -294,7 +322,6 @@ func TestResidentFusedPhasesAllocFree(t *testing.T) {
 		if _, err := po.CompileProgram([]solver.ProgOp{{Kind: solver.OpPrecondDot + 1}}); err == nil {
 			t.Fatal("OpPrecondDot is no longer the last OpKind — extend everyOpKind")
 		}
-		diag := po.Sys.Diagonal()
 		po.Reserve(5)
 		n := po.Size()
 		a := probeVector(n, 1)
@@ -302,12 +329,11 @@ func TestResidentFusedPhasesAllocFree(t *testing.T) {
 		out := make([]float64, n)
 		a1, one := 0.5, 1.0
 		var r1, r2 float64
-		kinds := append([]solver.PrecondKind{solver.PrecondDefault}, solver.PrecondKinds()...)
-		for _, kind := range kinds {
+		for _, kind := range solver.PrecondKinds() {
 			steps := map[string]func(){
 				"Load2":      func() { po.Load2(0, a, 1, b) },
 				"Store":      func() { po.Store(out, 0) },
-				"SetPrecond": func() { _ = po.SetPrecond(kind, diag) },
+				"SetPrecond": func() { _ = po.SetPrecond(kind) },
 				"sweep": func() {
 					for _, op := range po.parts {
 						var w []float64
@@ -325,7 +351,7 @@ func TestResidentFusedPhasesAllocFree(t *testing.T) {
 					}
 				},
 			}
-			if err := po.SetPrecond(kind, diag); err != nil {
+			if err := po.SetPrecond(kind); err != nil {
 				t.Fatal(err)
 			}
 			for name, ops := range map[string][]solver.ProgOp{
@@ -436,7 +462,7 @@ func BenchmarkPartOperatorHostApply(b *testing.B) {
 func BenchmarkUsolveJacobiStage(b *testing.B) {
 	po, closeOp := residentFixtureOn(b, benchRadial(b), 2, 1)
 	defer closeOp()
-	if err := po.SetPrecond(solver.PrecondJacobi, po.Sys.Diagonal()); err != nil {
+	if err := po.SetPrecond(solver.PrecondJacobi); err != nil {
 		b.Fatal(err)
 	}
 	po.Reserve(5)
@@ -587,9 +613,9 @@ func TestPartOperatorIterationParityWithStructuredHost(t *testing.T) {
 		b[sm.Index(1, 1, z)] += 1 / float64(d.Nz)
 		b[sm.Index(d.Nx-2, d.Ny-2, z)] -= 1 / float64(d.Nz)
 	}
-	solve := func(op solver.Operator, diag []float64) (int, []float64) {
+	solve := func(op solver.Operator) (int, []float64) {
 		x := make([]float64, op.Size())
-		st, err := solver.CG(op, x, b, solver.Options{Tol: 1e-8, MaxIter: 600, PrecondDiag: diag})
+		st, err := solver.CG(op, x, b, solver.Options{Tol: 1e-8, MaxIter: 600})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -598,8 +624,8 @@ func TestPartOperatorIterationParityWithStructuredHost(t *testing.T) {
 		}
 		return st.Iterations, x
 	}
-	refIts, refX := solve(ReferenceSpace(usys, nil), usys.Diagonal())
-	partIts, partX := solve(po, po.Sys.Diagonal())
+	refIts, refX := solve(ReferenceSpace(usys, nil))
+	partIts, partX := solve(po)
 	if refIts != partIts {
 		t.Errorf("iteration parity broken: canonical serial reference %d its, part-resident operator %d its",
 			refIts, partIts)
@@ -611,7 +637,7 @@ func TestPartOperatorIterationParityWithStructuredHost(t *testing.T) {
 		}
 	}
 	st := newStructuredStencil(sm, fl, 3600, refflux.FacesAll)
-	hostIts, hostX := solve(st, st.Diagonal())
+	hostIts, hostX := solve(st)
 	if d := hostIts - partIts; d < -5 || d > 5 {
 		t.Errorf("structured host took %d its, part-resident %d — more than reordering noise", hostIts, partIts)
 	}

@@ -18,10 +18,6 @@ type Partition struct {
 	// order (see CanonicalOrder), each part owning one contiguous canonical
 	// run with parts ascending.
 	Owned [][]int
-	// canonical records that Owned has the canonical-run structure above —
-	// what entitles partitioned reductions to the part-count-independent
-	// canonical block fold.
-	canonical bool
 	// sendPlan[p] lists, per destination part, the owned cells whose values
 	// the destination needs (because a face crosses the boundary).
 	sendPlan []map[int][]int
@@ -116,8 +112,11 @@ func CanonicalOrder(u *Mesh) []int32 {
 // boundaries are the canonical recursion's own cuts, so every RCB part with
 // up to reductionDepth bisection levels owns whole blocks — which is what
 // makes the folded sum the same for every part count, and for the serial
-// reference.
+// reference. RCB goes no deeper.
 const reductionDepth = 8
+
+// MaxParts is the largest part count RCB builds: 2^reductionDepth.
+const MaxParts = 1 << reductionDepth
 
 // canonicalBlocks returns the start offsets (ascending, first always 0) of
 // the canonical reduction blocks for an n-cell mesh: the canonical-order
@@ -153,12 +152,13 @@ func blockSpan(blocks []int32, bi, n int) (lo, hi int32) {
 // part's Owned list is in canonical order (see CanonicalOrder), so the
 // concatenation of Owned lists over ascending parts is the canonical order
 // itself — the property every deterministic partitioned reduction relies on.
+// levels is at most reductionDepth, so every part owns whole reduction blocks.
 func RCB(u *Mesh, levels int) (*Partition, error) {
 	if err := u.Validate(); err != nil {
 		return nil, err
 	}
-	if levels < 0 || levels > 16 {
-		return nil, fmt.Errorf("umesh: RCB levels %d out of range [0,16]", levels)
+	if levels < 0 || levels > reductionDepth {
+		return nil, fmt.Errorf("umesh: RCB levels %d out of range [0,%d]", levels, reductionDepth)
 	}
 	numParts := 1 << levels
 	if numParts > u.NumCells {
@@ -195,7 +195,6 @@ func RCB(u *Mesh, levels int) (*Partition, error) {
 	for _, c := range CanonicalOrder(u) {
 		p.Owned[part[c]] = append(p.Owned[part[c]], int(c))
 	}
-	p.canonical = true
 	return p, nil
 }
 

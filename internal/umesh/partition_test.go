@@ -145,7 +145,8 @@ func TestCanonicalOrderHierarchy(t *testing.T) {
 	// order is a permutation of the cells, every RCB part owns one
 	// contiguous canonical run with parts ascending (so the concatenation of
 	// Owned lists is the canonical order itself), and part boundaries land
-	// on canonical block boundaries.
+	// on canonical block boundaries — at every depth RCB accepts (the radial
+	// fixture has cells enough for all 2^reductionDepth parts).
 	for name, u := range partitionFixtures(t) {
 		canon := CanonicalOrder(u)
 		if len(canon) != u.NumCells {
@@ -162,7 +163,10 @@ func TestCanonicalOrderHierarchy(t *testing.T) {
 		for _, b := range canonicalBlocks(u.NumCells) {
 			blockAt[int(b)] = true
 		}
-		for _, levels := range []int{0, 1, 2, 3} {
+		for levels := 0; levels <= reductionDepth; levels++ {
+			if 1<<levels > u.NumCells {
+				continue // more parts than cells: RCB refuses (TestRCBValidation)
+			}
 			p, err := RCB(u, levels)
 			if err != nil {
 				t.Fatal(err)

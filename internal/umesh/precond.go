@@ -642,8 +642,8 @@ func amgPost(z, inv, r, w []float64) {
 // ---------------------------------------------------------------------------
 
 // referenceRung builds an operator-built rung as z = M⁻¹·r over global-order
-// slices (diag arrives validated by solver.CheckPrecond). Chebyshev and the
-// AMG V-cycle are the step sequences of emitPrecond with h.Apply for the
+// slices (diag is the system's, validated by solver.CheckPrecond). Chebyshev
+// and the AMG V-cycle are the step sequences of emitPrecond with h.Apply for the
 // scratch applications and the shared kernels over whole vectors — what
 // extends the serial↔partitioned bit-identity guarantee to every rung. It owns
 // the inverse diagonal and one scratch vector per application in flight.
@@ -808,29 +808,17 @@ func ssorBackward(blkLo, blkHi, ptr, idx []int32, w, z, d, inv []float64) {
 // ---------------------------------------------------------------------------
 
 // SetPrecond implements solver.ProgramSpace: it installs a ladder rung as the
-// operator's resident preconditioner, replacing the previous one. Jacobi is
-// the resident inverse diagonal (z_i = (1/d_i)·r_i); the default kind is
-// Jacobi with a diagonal and the identity without. The block-structured rungs
-// additionally require the partition's reduction blocks to be the global
-// canonical blocks (canonical RCB of at most reductionDepth levels), which is
-// what makes their sweeps part-count independent. The diagonal is validated
-// and reloaded on every call, so a caller mutating the diag contents between
-// installs can never leave a stale inverse behind; the cost is one O(owned)
-// phase. Installation also sizes the per-part scratch (one buffer per owned
-// row) and — for AMG — compiles the part-local aggregate views over the
-// system's shared (memoized) level. Programs read the installed rung when they
-// are compiled.
-func (o *PartOperator) SetPrecond(kind solver.PrecondKind, diag []float64) error {
+// operator's resident preconditioner, replacing the previous one. Jacobi (the
+// zero kind) is the resident inverse diagonal (z_i = (1/d_i)·r_i). The
+// diagonal is the system's own (memoized) one, validated and loaded into the
+// parts on every call — one O(owned) phase. Installation also sizes the
+// per-part scratch (one buffer per owned row) and — for AMG — compiles the
+// part-local aggregate views over the system's shared (memoized) level.
+// Programs read the installed rung when they are compiled.
+func (o *PartOperator) SetPrecond(kind solver.PrecondKind) error {
+	diag := o.Sys.Diagonal()
 	if err := solver.CheckPrecond(o.Size(), kind, diag); err != nil {
 		return err
-	}
-	if diag == nil {
-		o.preKind, o.usePre = kind, false
-		return nil
-	}
-	rung := kind != solver.PrecondDefault && kind != solver.PrecondJacobi
-	if rung && !o.aligned {
-		return fmt.Errorf("umesh: %q preconditioning needs a canonical RCB partition of at most %d levels — the canonical blocks are its units of work", kind, reductionDepth)
 	}
 	// The rung's own state first — a failure leaves the previous
 	// preconditioner installed — then the diagonal load.
@@ -862,7 +850,7 @@ func (o *PartOperator) SetPrecond(kind solver.PrecondKind, diag []float64) error
 	o.ga = diag
 	// phaseSetPre cannot fail; the pool propagates no error here.
 	_, _ = o.setPrePlan.Execute()
-	o.preKind, o.usePre = kind, true
+	o.preKind = kind
 	return nil
 }
 

@@ -32,8 +32,7 @@ func ladderMesh(t testing.TB) *Mesh {
 // invert to ±Inf, NaN or 0.
 var badDiagonalEntries = []float64{0, math.NaN(), math.Inf(1), math.Inf(-1)}
 
-// ladderKinds are the operator-built rungs — the ones this PR adds above the
-// existing Jacobi/default coverage.
+// ladderKinds are the operator-built rungs, the ones above Jacobi.
 func ladderKinds() []solver.PrecondKind {
 	return []solver.PrecondKind{solver.PrecondSSOR, solver.PrecondChebyshev, solver.PrecondAMG}
 }
@@ -224,7 +223,7 @@ func TestBlockSSORMatchesDenseTextbook(t *testing.T) {
 	check("reference rung", got)
 	for _, levels := range []int{0, 1, 2} {
 		po, closeOp := residentFixtureOn(t, u, levels, 2)
-		if err := po.SetPrecond(solver.PrecondSSOR, diag); err != nil {
+		if err := po.SetPrecond(solver.PrecondSSOR); err != nil {
 			t.Fatal(err)
 		}
 		po.Load2(0, r, 1, r)
@@ -779,7 +778,7 @@ func TestAMGNonFiniteCoarseResidualIsBreakdown(t *testing.T) {
 		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 			b, x := probeVector(n, 1), probeVector(n, 2)
 			x[n/2] = bad
-			_, err := solver.CG(a, x, b, solver.Options{MaxIter: 5, PrecondKind: solver.PrecondAMG, PrecondDiag: po.Sys.Diagonal()})
+			_, err := solver.CG(a, x, b, solver.Options{MaxIter: 5, PrecondKind: solver.PrecondAMG})
 			if !errors.Is(err, solver.ErrBreakdown) {
 				t.Errorf("%s with x0[%d] = %v: err = %v, want ErrBreakdown", name, n/2, bad, err)
 			}
@@ -951,7 +950,7 @@ func TestPrecondLadderMonotoneError(t *testing.T) {
 			fixed := &solver.SliceSpace{Operator: ref.Operator, Dot: ref.Dot,
 				Rung: func(solver.PrecondKind, []float64) (func(z, r []float64), error) { return pre, nil }}
 			xstar := make([]float64, n)
-			if st, err := solver.CG(fixed, xstar, b, solver.Options{Tol: 1e-12, MaxIter: 4000, PrecondKind: kind, PrecondDiag: diag}); err != nil || !st.Converged {
+			if st, err := solver.CG(fixed, xstar, b, solver.Options{Tol: 1e-12, MaxIter: 4000, PrecondKind: kind}); err != nil || !st.Converged {
 				t.Fatalf("seed %d %s: reference solve failed: %v", seed, kind, err)
 			}
 			// Re-run capped at k iterations for growing k and measure
@@ -979,7 +978,7 @@ func TestPrecondLadderMonotoneError(t *testing.T) {
 				}
 				// Tol below any reachable residual: the solve always runs
 				// exactly k iterations (ErrNotConverged leaves x_k in x).
-				_, _ = solver.CG(fixed, x, b, solver.Options{Tol: 1e-300, MaxIter: k, PrecondKind: kind, PrecondDiag: diag})
+				_, _ = solver.CG(fixed, x, b, solver.Options{Tol: 1e-300, MaxIter: k, PrecondKind: kind})
 				cur := errNorm(x)
 				if cur > prev*(1+1e-9) {
 					t.Errorf("seed %d %s: error A-norm rose at iteration %d: %g → %g", seed, kind, k, prev, cur)
@@ -996,110 +995,107 @@ func TestPrecondLadderMonotoneError(t *testing.T) {
 	}
 }
 
+// corruptSystem is a fresh system on u whose diagonal — the memoized one every
+// space preconditions from — holds v at cell 5.
+func corruptSystem(t *testing.T, u *Mesh, v float64) *USystem {
+	t.Helper()
+	sys := newUSystemFixture(t, u)
+	sys.Diagonal()[5] = v
+	return sys
+}
+
 func TestSetPrecondRejectsMisuse(t *testing.T) {
-	// The resident install path's guard rails: ladder rungs demand a
-	// diagonal, a known kind, and a canonical RCB partition.
+	// The resident install path's guard rails: a known kind, and a system
+	// whose diagonal every rung can invert.
 	u := ladderMesh(t)
-	sys, err := NewUSystem(u, physics.DefaultFluid(), 3600, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	part, err := RCB(u, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, closeOp, err := NewSystemSpace(part, sys, 2)
+	op, closeOp, err := NewSystemSpace(part, newUSystemFixture(t, u), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer closeOp()
-	diag := sys.Diagonal()
-	po := op.(*PartOperator)
-	if err := po.SetPrecond("nonsense", diag); err == nil {
+	if err := op.SetPrecond("nonsense"); err == nil {
 		t.Error("unknown kind accepted")
 	}
-	for _, kind := range ladderKinds() {
-		if err := po.SetPrecond(kind, nil); err == nil {
-			t.Errorf("%s accepted without a diagonal", kind)
-		}
-	}
-	if err := po.SetPrecond(solver.PrecondJacobi, nil); err == nil {
-		t.Error("jacobi accepted without a diagonal")
-	}
-	if err := po.SetPrecond(solver.PrecondJacobi, diag[:3]); err == nil {
-		t.Error("short diagonal accepted")
-	}
-	for _, v := range badDiagonalEntries {
-		bad := append([]float64(nil), diag...)
-		bad[5] = v
-		if err := po.SetPrecond(solver.PrecondDefault, bad); err == nil || !strings.Contains(err.Error(), "at 5") {
-			t.Errorf("diagonal entry %v: err = %v, want a rejection naming index 5", v, err)
-		}
-	}
-	for _, kind := range ladderKinds() {
-		if err := po.SetPrecond(kind, diag); err != nil {
+	for _, kind := range solver.PrecondKinds() {
+		if err := op.SetPrecond(kind); err != nil {
 			t.Errorf("%s rejected on a canonical partition: %v", kind, err)
 		}
 	}
-
-	// A hand-built non-canonical partition (round-robin) must be refused for
-	// block-structured rungs: its reduction blocks are not the canonical ones.
-	rrPart := make([]int, u.NumCells)
-	for c := range rrPart {
-		rrPart[c] = c % 2
-	}
-	rr, err := buildPartition(u, rrPart, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opRR, closeRR, err := NewSystemSpace(rr, sys, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeRR()
-	poRR := opRR.(*PartOperator)
-	for _, kind := range ladderKinds() {
-		if err := poRR.SetPrecond(kind, diag); err == nil {
-			t.Errorf("%s accepted a non-canonical partition", kind)
+	for _, v := range badDiagonalEntries {
+		bad, closeBad, err := NewSystemSpace(part, corruptSystem(t, u, v), 2)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for _, kind := range solver.PrecondKinds() {
+			if err := bad.SetPrecond(kind); err == nil || !strings.Contains(err.Error(), "at 5") {
+				t.Errorf("%s, diagonal entry %v: err = %v, want a rejection naming index 5", kind, v, err)
+			}
+		}
+		closeBad()
+	}
+}
+
+func TestNewPartOperatorRefusesNonCanonicalPartitions(t *testing.T) {
+	// The part-resident space runs on RCB partitions only: a part that does
+	// not own a run of the canonical order, or that starts inside a canonical
+	// reduction block, is an error — there is no second way to fold.
+	u := ladderMesh(t)
+	sys := newUSystemFixture(t, u)
+	order := CanonicalOrder(u)
+	roundRobin, oneCellFirst := make([]int, u.NumCells), make([]int, u.NumCells)
+	for k, c := range order {
+		roundRobin[c] = int(c) % 2
+		oneCellFirst[c] = min(k, 1)
+	}
+	for name, tc := range map[string]struct {
+		part []int
+		want string
+	}{
+		"round-robin":         {roundRobin, "does not own a run of the canonical order"},
+		"one-cell first part": {oneCellFirst, "part 1 starts inside canonical block 0"},
+	} {
+		p, err := buildPartition(u, tc.part, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range p.Owned { // in canonical order, as RCB lists them
+			p.Owned[i] = p.Owned[i][:0]
+		}
+		for _, c := range order {
+			p.Owned[p.Part[c]] = append(p.Owned[p.Part[c]], int(c))
+		}
+		l, err := CompileLayout(u, p, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewPartOperator(l, sys); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", name, err, tc.want)
+		}
+		l.Close()
 	}
 }
 
 func TestSerialMakePrecondValidation(t *testing.T) {
 	// The serial reference space's install path has the resident path's guard
-	// rails (solver.CheckPrecond in front of the rung builder).
+	// rails (solver.CheckPrecond on the system's diagonal, in front of the
+	// rung builder).
 	u := ladderMesh(t)
-	sys, err := NewUSystem(u, physics.DefaultFluid(), 3600, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := newUSystemFixture(t, u)
 	ref := ReferenceSpace(sys, nil)
-	diag := sys.Diagonal()
-	if err := ref.SetPrecond("nonsense", diag); err == nil {
+	if err := ref.SetPrecond("nonsense"); err == nil {
 		t.Error("unknown kind accepted")
 	}
-	if _, err := ref.Rung(solver.PrecondJacobi, diag); err == nil {
+	if _, err := ref.Rung(solver.PrecondJacobi, sys.Diagonal()); err == nil {
 		t.Error("the rung builder built a kind that is not operator-built")
 	}
-	for _, kind := range ladderKinds() {
-		if err := ref.SetPrecond(kind, nil); err == nil {
-			t.Errorf("%s accepted without a diagonal", kind)
-		}
-		if err := ref.SetPrecond(kind, diag[:3]); err == nil {
-			t.Errorf("%s accepted a short diagonal", kind)
-		}
-	}
-	if err := ref.SetPrecond(solver.PrecondJacobi, nil); err == nil {
-		t.Error("jacobi accepted without a diagonal")
-	}
-	if err := ref.SetPrecond(solver.PrecondDefault, nil); err != nil {
-		t.Fatalf("default kind without diagonal should install the identity, got %v", err)
-	}
 	for _, v := range badDiagonalEntries {
-		bad := append([]float64(nil), diag...)
-		bad[5] = v
-		for _, kind := range ladderKinds() {
-			if err := ref.SetPrecond(kind, bad); err == nil || !strings.Contains(err.Error(), "at 5") {
+		bad := ReferenceSpace(corruptSystem(t, u, v), nil)
+		for _, kind := range solver.PrecondKinds() {
+			if err := bad.SetPrecond(kind); err == nil || !strings.Contains(err.Error(), "at 5") {
 				t.Errorf("%s with diagonal entry %v: err = %v, want a rejection naming index 5", kind, v, err)
 			}
 		}
@@ -1156,7 +1152,7 @@ func BenchmarkUsolveAMGStage(b *testing.B) {
 	}
 	h := &UHostOperator{Sys: sys}
 	n := u.NumCells
-	inv := sys.Diagonal()
+	inv := slices.Clone(sys.Diagonal())
 	for i, d := range inv {
 		inv[i] = 1 / d
 	}

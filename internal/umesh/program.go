@@ -18,7 +18,7 @@ import (
 // them.
 //
 // Step budget (the counted minimum asserted by TestCompiledCGIterationStepCount):
-// a Jacobi/identity CG iteration compiles to 3 steps at parts=1 (fused
+// a Jacobi CG iteration compiles to 3 steps at parts=1 (fused
 // apply+dot, fused CGStep+precond+both dots, Xpby) and 4 steps when any part
 // exchanges halo data (the application splits into push+interior and
 // frontier around the barrier that orders the halo writes).

@@ -8,7 +8,7 @@ import (
 )
 
 // fusedCGIterationOps builds the phase program the resident CG solver
-// compiles for the Jacobi/identity rung: fused apply+dot, fused
+// compiles for the Jacobi rung: fused apply+dot, fused
 // CGStep+precond+both dots, Xpby (see solver.cgProgram).
 func fusedCGIterationOps(alpha, beta, pap, rr, rz *float64) []solver.ProgOp {
 	const (
@@ -48,7 +48,7 @@ func TestCompiledCGIterationStepCount(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			po, closeOp := residentFixture(t, tc.levels, tc.workers)
 			defer closeOp()
-			if err := po.SetPrecond(solver.PrecondJacobi, po.Sys.Diagonal()); err != nil {
+			if err := po.SetPrecond(solver.PrecondJacobi); err != nil {
 				t.Fatal(err)
 			}
 			po.Reserve(6)
@@ -107,7 +107,6 @@ func TestCompiledCGIterationStepCount(t *testing.T) {
 			t.Run(fmt.Sprintf("solve %s parts=%d", kind, 1<<levels), func(t *testing.T) {
 				po, closeOp := residentFixtureOn(t, ladderMesh(t), levels, 1)
 				defer closeOp()
-				diag := po.Sys.Diagonal()
 				n := po.Size()
 				b := make([]float64, n)
 				b[0], b[n-1] = 2.0, -2.0
@@ -116,7 +115,7 @@ func TestCompiledCGIterationStepCount(t *testing.T) {
 					_, d0 := po.l.pool.Counters()
 					s0, g0 := po.Scatters, po.Gathers
 					st, err := solver.CG(po, make([]float64, n), b,
-						solver.Options{Tol: tol, MaxIter: 800, PrecondKind: kind, PrecondDiag: diag})
+						solver.Options{Tol: tol, MaxIter: 800, PrecondKind: kind})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -135,7 +134,7 @@ func TestCompiledCGIterationStepCount(t *testing.T) {
 					}
 					prevIts = st.Iterations
 				}
-				r, err := solver.CompileCG(po, solver.Options{Tol: 1e-9, MaxIter: 800, PrecondKind: kind, PrecondDiag: diag})
+				r, err := solver.CompileCG(po, solver.Options{Tol: 1e-9, MaxIter: 800, PrecondKind: kind})
 				if err != nil {
 					t.Fatal(err)
 				}

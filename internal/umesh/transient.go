@@ -187,7 +187,6 @@ func CompileTransient(sys *USystem, space solver.ProgramSpace, closeOp func(), o
 		closeOp()
 		return nil, fmt.Errorf("umesh: need positive Dt, got %g", opts.Dt)
 	}
-	opts.Solver.PrecondDiag = sys.Diagonal()
 	// Everything a request should not pay for happens here, not lazily on the
 	// first solve: installing the preconditioner — for the operator-built
 	// rungs that is hierarchy aggregation, coarse factorization, spectral

@@ -28,7 +28,8 @@
 // count and for the serial reference, so RunTransientPartitioned (one
 // preconditioned Krylov solve per time step) is bit-identical to the serial
 // reference — residual histories, iteration counts, final state — for every
-// part and worker count; the golden regression asserts it under -race.
+// RCB part count (at most MaxParts; no other partition is accepted) and
+// worker count; the golden regression asserts it under -race.
 //
 // A preconditioner ladder (solver.PrecondKind) runs resident under the same
 // contract: Jacobi, block-SSOR (symmetric Gauss–Seidel sweeps confined to
@@ -38,7 +39,9 @@
 // reverse Cuthill–McKee renumbering, the Galerkin matrix A_c, the same
 // aggregation of A_c's graph and its Galerkin matrix Cholesky-factored in a
 // skyline of Lᵀ, for a coarse correction that is a two-grid cycle on A_c —
-// is built once per USystem and reused across transient steps. Every rung's arithmetic is a function of the canonical order only,
+// is built once per USystem and reused across transient steps, as is the
+// diagonal every rung scales by (USystem.Diagonal; no caller hands one in).
+// Every rung's arithmetic is a function of the canonical order only,
 // never of the partitioning, and the serial reference rungs are built from
 // the same kernels (block-SSOR's sweep included: the reference runs it on
 // vectors gathered into canonical order), so each rung preserves the

@@ -253,8 +253,8 @@ func TestRCBPartitionBalanced(t *testing.T) {
 
 func TestRCBValidation(t *testing.T) {
 	_, um := structuredFixture(t, mesh.Dims{Nx: 3, Ny: 3, Nz: 1})
-	if _, err := RCB(um, 17); err == nil {
-		t.Error("17 levels accepted")
+	if _, err := RCB(um, reductionDepth+1); err == nil {
+		t.Errorf("%d levels accepted — deeper than the canonical reduction blocks", reductionDepth+1)
 	}
 	if _, err := RCB(um, 5); err == nil {
 		t.Error("more parts than cells accepted")

@@ -20,8 +20,8 @@ type (
 	// SolverStats reports convergence.
 	SolverStats = solver.Stats
 	// PrecondKind names a rung of the preconditioner ladder; set it on
-	// SolverOptions.PrecondKind to select the rung (SolveUnstructured and
-	// the transient runners supply the diagonal themselves).
+	// SolverOptions.PrecondKind to select the rung (the zero value is
+	// Jacobi). Every rung scales by the system's own diagonal.
 	PrecondKind = solver.PrecondKind
 )
 
@@ -54,16 +54,15 @@ func NewDataflowOperator(m *Mesh, sys *UPressureSystem, fl Fluid) *sim.DataflowO
 	return sim.NewDataflowOperator(m, sys, fl, refflux.FacesAll)
 }
 
-// SolveCG runs Jacobi-preconditioned conjugate gradients on a structured
-// mesh's system through the dataflow operator and returns the pressure
-// update.
+// SolveCG runs conjugate gradients on a structured mesh's system through the
+// dataflow operator, preconditioned by opts.PrecondKind (Jacobi unless set)
+// from the system's own diagonal, and returns the pressure update.
 func SolveCG(m *Mesh, sys *UPressureSystem, fl Fluid, b []float64, opts SolverOptions) ([]float64, *SolverStats, error) {
 	op := NewDataflowOperator(m, sys, fl)
 	defer op.Close()
 	if err := op.Verify(); err != nil {
 		return nil, nil, err
 	}
-	opts.PrecondDiag = sys.Diagonal()
 	x := make([]float64, op.Size())
 	st, err := solver.CG(umesh.ReferenceSpace(sys, op), x, b, opts)
 	if err != nil {
@@ -168,7 +167,8 @@ type (
 )
 
 // SolveUnstructured solves one implicit pressure step A·δp = b on the
-// unstructured mesh with Jacobi-preconditioned CG. Partitioned solves run
+// unstructured mesh with CG, preconditioned by opts.PrecondKind (Jacobi
+// unless set) from the system's own diagonal. Partitioned solves run
 // part-resident: the Krylov working set lives in each part's compact layout
 // for the whole solve (one scatter in, one gather out) with fused
 // exchange-overlapped operator applications. A nil partition selects the
@@ -184,7 +184,6 @@ func SolveUnstructured(u *UMesh, part *UPartition, fl Fluid, dt float64, b []flo
 		return nil, nil, err
 	}
 	defer closeOp()
-	opts.PrecondDiag = sys.Diagonal()
 	cg, err := solver.CompileCG(space, opts)
 	if err != nil {
 		return nil, nil, err
