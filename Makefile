@@ -86,7 +86,11 @@ race:
 # both levels and the two-grid cycle — the skyline builder and Cholesky are
 # the old ones, now fed level 2; 4643 once a solve space preconditions from
 # its own system's diagonal on canonical RCB partitions only, with no
-# PrecondDiag option, identity preconditioner or per-part fold). Lower
+# PrecondDiag option, identity preconditioner or per-part fold; 4695 once the
+# canonical order is built by in-place median selection instead of a sort per
+# level, net +52: selection +30 after bisect and RCB's own recursion are gone
+# — RCB reads its parts off the order's cuts — adjacency counted and sliced
+# in two passes +14, and Validate's non-finite centroid and Υ checks +8). Lower
 # SIZE_CEILING when a PR shrinks the sum; a PR that must raise it says why.
 # SERVE_CEILING does the same for internal/serve, the serving core ROADMAP's
 # state-machine item tracks (2050 at PR 16, 2044 at PR 17, 2017 once the
@@ -101,7 +105,7 @@ race:
 # its engines (2204 with strided descriptors, the fast-path toggle and core's
 # op-by-op fallback; 1919 once a descriptor became a contiguous column and one
 # face kernel was left, with no second path beside it).
-SIZE_CEILING = 4643
+SIZE_CEILING = 4695
 SERVE_CEILING = 2025
 BENCH_CEILING = 956
 STRUCT_CEILING = 1919
@@ -207,7 +211,8 @@ bench-umesh:
 # partitioned step, a transient solve per preconditioner-ladder rung —
 # BenchmarkUsolvePrecond/{jacobi,ssor,chebyshev,amg} — and the per-stage
 # sizings of one Jacobi-CG and one AMG iteration, BenchmarkUsolveJacobiStage
-# and BenchmarkUsolveAMGStage) once each — CI's guarantee that they keep
+# and BenchmarkUsolveAMGStage, and the three stages of a set-up,
+# BenchmarkUsolveSetup/{mesh,rcb,compile}) once each — CI's guarantee that they keep
 # compiling and running.
 bench-usolve:
 	@echo "bench-usolve: GOMAXPROCS=$${GOMAXPROCS:-$$(nproc)}"
@@ -220,7 +225,8 @@ bench-usolve:
 chaos-smoke:
 	$(GO) test -race -run TestChaos -count=1 ./internal/faultinject/
 
-# Short native-fuzz exploration of the RCB partitioner, the radial mesh
+# Short native-fuzz exploration of the RCB partitioner and canonical order
+# (held to the sort-per-level oracle, on coarse-grid inputs too), the radial mesh
 # builder, the part operator's row store, the serving layer's request
 # decoder and the fused flux-and-accumulate macro-op (the seed corpora
 # already run under plain `make test`). -fuzz accepts one target per

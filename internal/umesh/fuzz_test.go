@@ -1,6 +1,7 @@
 package umesh
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/physics"
@@ -27,8 +28,10 @@ func (r *fuzzRand) float() float64 { return float64(r.next()>>11) / float64(1<<5
 
 // randomFuzzMesh builds an arbitrary-topology mesh from fuzzer-chosen sizes:
 // random centroids in a box, random face pairs (duplicates and isolated
-// cells allowed — the partitioner must cope with degenerate topology).
-func randomFuzzMesh(seed uint64, cells, faces int) *Mesh {
+// cells allowed — the partitioner must cope with degenerate topology). A
+// grid above 0 snaps every centroid coordinate onto grid levels per axis,
+// so coordinates, and whole centroids, repeat and the id tie-break decides.
+func randomFuzzMesh(seed uint64, cells, faces, grid int) *Mesh {
 	rng := fuzzRand(seed)
 	u := &Mesh{
 		NumCells: cells,
@@ -38,7 +41,13 @@ func randomFuzzMesh(seed uint64, cells, faces int) *Mesh {
 	}
 	for c := 0; c < cells; c++ {
 		u.Volume[c] = 1 + rng.float()
-		u.Centroid[c] = [3]float64{rng.float() * 100, rng.float() * 100, rng.float() * 10}
+		r := [3]float64{rng.float(), rng.float(), rng.float()}
+		if grid > 0 {
+			for k := range r {
+				r[k] = math.Floor(r[k]*float64(grid)) / float64(grid)
+			}
+		}
+		u.Centroid[c] = [3]float64{r[0] * 100, r[1] * 100, r[2] * 10}
 		u.Elev[c] = u.Centroid[c][2]
 	}
 	for i := 0; i < faces; i++ {
@@ -153,19 +162,21 @@ func assertHaloFaceAdjacent(t *testing.T, u *Mesh, p *Partition) {
 	}
 }
 
+// FuzzPartition holds RCB to its structural invariants and, with
+// CanonicalOrder, to the sort-per-level oracle (assertMatchesSortOracle).
 func FuzzPartition(f *testing.F) {
-	f.Add(uint64(1), uint64(40), uint64(80), uint64(2))
-	f.Add(uint64(99), uint64(1), uint64(0), uint64(0))   // single isolated cell
-	f.Add(uint64(7), uint64(16), uint64(200), uint64(4)) // dense multigraph
-	f.Add(uint64(3), uint64(250), uint64(500), uint64(3))
-	f.Fuzz(func(t *testing.T, seed, nCells, nFaces, nLevels uint64) {
+	f.Add(uint64(1), uint64(40), uint64(80), uint64(2), uint64(0))
+	f.Add(uint64(99), uint64(1), uint64(0), uint64(0), uint64(0))   // single isolated cell
+	f.Add(uint64(7), uint64(16), uint64(200), uint64(4), uint64(0)) // dense multigraph
+	f.Add(uint64(3), uint64(250), uint64(500), uint64(3), uint64(0))
+	f.Fuzz(func(t *testing.T, seed, nCells, nFaces, nLevels, nGrid uint64) {
 		cells := int(nCells%300) + 1
 		faces := int(nFaces % 1200)
 		levels := int(nLevels % (reductionDepth + 1)) // every depth RCB accepts
 		if 1<<levels > cells {
 			t.Skip("more parts than cells — rejected by construction")
 		}
-		u := randomFuzzMesh(seed, cells, faces)
+		u := randomFuzzMesh(seed, cells, faces, int(nGrid%8))
 		if err := u.Validate(); err != nil {
 			t.Fatalf("random mesh invalid: %v", err)
 		}
@@ -179,6 +190,7 @@ func FuzzPartition(f *testing.F) {
 		assertOwnershipPartition(t, u, p)
 		assertPlanSymmetry(t, p)
 		assertHaloFaceAdjacent(t, u, p)
+		assertMatchesSortOracle(t, u)
 	})
 }
 

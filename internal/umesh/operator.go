@@ -243,7 +243,7 @@ func ReferenceSpace(sys *USystem, op solver.Operator) *solver.SliceSpace {
 	if op == nil {
 		op = h
 	}
-	order, blocks := CanonicalOrder(sys.U), canonicalBlocks(sys.U.NumCells)
+	order, blocks := CanonicalOrder(sys.U), canonicalBlocks(sys.U.NumCells, reductionDepth)
 	sums := make([]float64, len(blocks))
 	return &solver.SliceSpace{
 		Operator: op,
@@ -501,7 +501,7 @@ func (o *PartOperator) compileReduction() error {
 			return fmt.Errorf("umesh: part %d does not own a run of the canonical order — partition with RCB", me)
 		}
 	}
-	blocks := canonicalBlocks(n)
+	blocks := canonicalBlocks(n, reductionDepth)
 	o.blockSums = make([]float64, len(blocks))
 	o.blockSums2 = make([]float64, len(blocks))
 	me := 0

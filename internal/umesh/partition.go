@@ -2,7 +2,8 @@ package umesh
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // Partition assigns cells to parts and precomputes the halo-exchange plan:
@@ -14,9 +15,9 @@ type Partition struct {
 	NumParts int
 	// Part maps cell → owning part.
 	Part []int
-	// Owned lists each part's cells. RCB partitions list them in canonical
-	// order (see CanonicalOrder), each part owning one contiguous canonical
-	// run with parts ascending.
+	// Owned lists each part's cells in canonical order (see
+	// CanonicalOrder); an RCB part owns one contiguous canonical run, with
+	// parts ascending.
 	Owned [][]int
 	// sendPlan[p] lists, per destination part, the owned cells whose values
 	// the destination needs (because a face crosses the boundary).
@@ -26,44 +27,30 @@ type Partition struct {
 	recvPlan []map[int][]int
 }
 
-// bisect is the one median split both RCB and CanonicalOrder recurse on:
-// sort the subset along the widest axis of its bounding box (cell id breaks
-// ties, so the split is deterministic) and cut at the middle. Sharing the
-// helper is what guarantees the two recursions agree on every common prefix
-// — an RCB part at any level is exactly one subtree of the canonical-order
-// recursion, hence one contiguous canonical-order range.
-func bisect(u *Mesh, ids []int) int {
-	var lo, hi [3]float64
-	for k := 0; k < 3; k++ {
-		lo[k], hi[k] = u.Centroid[ids[0]][k], u.Centroid[ids[0]][k]
+// cellKey is one record of the array the canonical-order recursion carries:
+// a cell's centroid and id.
+type cellKey struct {
+	c  [3]float64
+	id int32
+}
+
+// before is the strict total order every bisection splits under: the
+// coordinate along axis, then the cell id, which decides the many ties of a
+// structured mesh's grid planes.
+func (a *cellKey) before(b *cellKey, axis int) bool {
+	if a.c[axis] != b.c[axis] {
+		return a.c[axis] < b.c[axis]
 	}
-	for _, c := range ids {
-		for k := 0; k < 3; k++ {
-			if v := u.Centroid[c][k]; v < lo[k] {
-				lo[k] = v
-			} else if v > hi[k] {
-				hi[k] = v
-			}
-		}
-	}
-	axis := 0
-	for k := 1; k < 3; k++ {
-		if hi[k]-lo[k] > hi[axis]-lo[axis] {
-			axis = k
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := u.Centroid[ids[i]][axis], u.Centroid[ids[j]][axis]
-		if a != b {
-			return a < b
-		}
-		return ids[i] < ids[j] // deterministic tie-break
-	})
-	return len(ids) / 2
+	return a.id < b.id
 }
 
 // CanonicalOrder returns the mesh's cells in canonical RCB order: the
 // recursive coordinate bisection carried all the way down to single cells.
+// Each node takes the widest axis of its cells' bounding box and puts the
+// len/2 smallest under (coordinate, id) on its left — a median selection,
+// not a sort. Only the left *set* matters: a node's box, axis and split
+// depend on which cells it holds, never on their order, so the recursion
+// below fixes the order, and it is the one a sort at every level gives.
 // Because RCB is hierarchical — every partition level refines the previous
 // one with the same median splits — each part of RCB(u, levels) owns one
 // contiguous run of this order, for every level, with parts ascending.
@@ -84,26 +71,89 @@ func CanonicalOrder(u *Mesh) []int32 {
 	if u.canon != nil {
 		return u.canon
 	}
-	ids := make([]int, u.NumCells)
-	for i := range ids {
-		ids[i] = i
+	keys := make([]cellKey, u.NumCells)
+	for i := range keys {
+		keys[i] = cellKey{u.Centroid[i], int32(i)}
 	}
-	var rec func(ids []int)
-	rec = func(ids []int) {
-		if len(ids) <= 1 {
-			return
-		}
-		mid := bisect(u, ids)
-		rec(ids[:mid])
-		rec(ids[mid:])
-	}
-	rec(ids)
-	order := make([]int32, len(ids))
-	for i, c := range ids {
-		order[i] = int32(c)
+	bisectAll(keys)
+	order := make([]int32, len(keys))
+	for i, k := range keys {
+		order[i] = k.id
 	}
 	u.canon = order
 	return order
+}
+
+// bisectAll orders keys canonically: split at the median along the widest
+// axis of their bounding box (the first axis wins a tie), recurse left,
+// loop right.
+func bisectAll(keys []cellKey) {
+	for len(keys) > 1 {
+		lo, hi := keys[0].c, keys[0].c
+		for i := range keys {
+			for k, v := range keys[i].c {
+				if v < lo[k] {
+					lo[k] = v
+				} else if v > hi[k] {
+					hi[k] = v
+				}
+			}
+		}
+		axis := 0
+		for k := 1; k < 3; k++ {
+			if hi[k]-lo[k] > hi[axis]-lo[axis] {
+				axis = k
+			}
+		}
+		mid := len(keys) / 2
+		selectLeft(keys, mid, axis, 2*bits.Len(uint(len(keys))))
+		bisectAll(keys[:mid])
+		keys = keys[mid:]
+	}
+}
+
+// selectLeft permutes keys in place so that keys[:k] holds the k smallest
+// under before(axis): quickselect around median-of-three pivots until at
+// most 12 keys are undecided, or rounds partition rounds are spent (bisectAll
+// grants 2·log₂ n, so no input goes quadratic); a sort, which is insertion
+// sort at that size, settles the rest.
+func selectLeft(keys []cellKey, k, axis, rounds int) {
+	lo, hi := 0, len(keys) // keys[:lo] < keys[lo:hi] < keys[hi:]
+	for ; hi-lo > 12 && rounds > 0; rounds-- {
+		a := keys[lo:hi]
+		n, m := len(a), len(a)/2
+		if a[m].before(&a[0], axis) {
+			a[0], a[m] = a[m], a[0]
+		}
+		if a[n-1].before(&a[0], axis) {
+			a[0], a[n-1] = a[n-1], a[0]
+		}
+		if a[m].before(&a[n-1], axis) { // the median of the three to a[n-1]
+			a[m], a[n-1] = a[n-1], a[m]
+		}
+		p := 0
+		for i := range n - 1 {
+			if a[i].before(&a[n-1], axis) {
+				a[i], a[p] = a[p], a[i]
+				p++
+			}
+		}
+		a[p], a[n-1] = a[n-1], a[p]
+		switch p += lo; {
+		case p == k:
+			return
+		case p < k:
+			lo = p + 1
+		default:
+			hi = p
+		}
+	}
+	slices.SortFunc(keys[lo:hi], func(a, b cellKey) int {
+		if a.before(&b, axis) {
+			return -1
+		}
+		return 1 // ids are distinct: no two keys compare equal
+	})
 }
 
 // reductionDepth fixes the depth of the canonical reduction tree: inner
@@ -119,10 +169,11 @@ const reductionDepth = 8
 const MaxParts = 1 << reductionDepth
 
 // canonicalBlocks returns the start offsets (ascending, first always 0) of
-// the canonical reduction blocks for an n-cell mesh: the canonical-order
-// positions cut by the first reductionDepth levels of the len/2 bisection
-// recursion. The block structure depends only on n, never on a partition.
-func canonicalBlocks(n int) []int32 {
+// the depth-d canonical blocks of an n-cell mesh: the canonical-order
+// positions cut by the first d levels of the len/2 bisection recursion. The
+// reduction blocks are depth reductionDepth, RCB's parts depth levels; the
+// block structure depends only on n and d, never on a partition.
+func canonicalBlocks(n, d int) []int32 {
 	var blocks []int32
 	var rec func(off, ln, d int)
 	rec = func(off, ln, d int) {
@@ -134,7 +185,7 @@ func canonicalBlocks(n int) []int32 {
 		rec(off, mid, d-1)
 		rec(off+mid, ln-mid, d-1)
 	}
-	rec(0, n, reductionDepth)
+	rec(0, n, d)
 	return blocks
 }
 
@@ -148,11 +199,12 @@ func blockSpan(blocks []int32, bi, n int) (lo, hi int32) {
 }
 
 // RCB partitions the mesh into 2^levels parts with recursive coordinate
-// bisection: split the widest centroid axis at its median, recurse. Each
-// part's Owned list is in canonical order (see CanonicalOrder), so the
-// concatenation of Owned lists over ascending parts is the canonical order
-// itself — the property every deterministic partitioned reduction relies on.
-// levels is at most reductionDepth, so every part owns whole reduction blocks.
+// bisection: split the widest centroid axis at its median, recurse. Those
+// splits are the first levels of CanonicalOrder's recursion, so part p is the
+// order's depth-levels block p, and the concatenation of Owned lists over
+// ascending parts is the canonical order itself — the property every
+// deterministic partitioned reduction relies on. levels is at most
+// reductionDepth, so every part owns whole reduction blocks.
 func RCB(u *Mesh, levels int) (*Partition, error) {
 	if err := u.Validate(); err != nil {
 		return nil, err
@@ -164,49 +216,27 @@ func RCB(u *Mesh, levels int) (*Partition, error) {
 	if numParts > u.NumCells {
 		return nil, fmt.Errorf("umesh: %d parts exceed %d cells", numParts, u.NumCells)
 	}
+	order, blocks := CanonicalOrder(u), canonicalBlocks(u.NumCells, levels)
 	part := make([]int, u.NumCells)
-	cells := make([]int, u.NumCells)
-	for i := range cells {
-		cells[i] = i
-	}
-	var split func(ids []int, base, lvl int)
-	split = func(ids []int, base, lvl int) {
-		if lvl == 0 {
-			for _, c := range ids {
-				part[c] = base
-			}
-			return
+	for pp := range blocks {
+		lo, hi := blockSpan(blocks, pp, u.NumCells)
+		for _, c := range order[lo:hi] {
+			part[c] = pp
 		}
-		mid := bisect(u, ids)
-		split(ids[:mid], base, lvl-1)
-		split(ids[mid:], base+(1<<(lvl-1)), lvl-1)
 	}
-	split(cells, 0, levels)
-	p, err := buildPartition(u, part, numParts)
-	if err != nil {
-		return nil, err
-	}
-	// Rebuild the Owned lists in canonical order: each part's run of the
-	// canonical order is contiguous, so appending in canonical traversal
-	// yields canonically sorted lists.
-	for i := range p.Owned {
-		p.Owned[i] = p.Owned[i][:0]
-	}
-	for _, c := range CanonicalOrder(u) {
-		p.Owned[part[c]] = append(p.Owned[part[c]], int(c))
-	}
-	return p, nil
+	return buildPartition(u, part, numParts)
 }
 
-// buildPartition derives ownership lists and the halo plan from a part map.
+// buildPartition derives the ownership lists, each in canonical order, and
+// the halo plan from a part map.
 func buildPartition(u *Mesh, part []int, numParts int) (*Partition, error) {
 	p := &Partition{NumParts: numParts, Part: part}
 	p.Owned = make([][]int, numParts)
-	for c, pp := range part {
-		if pp < 0 || pp >= numParts {
+	for _, c := range CanonicalOrder(u) {
+		if pp := part[c]; pp < 0 || pp >= numParts {
 			return nil, fmt.Errorf("umesh: cell %d assigned to invalid part %d", c, pp)
 		}
-		p.Owned[pp] = append(p.Owned[pp], c)
+		p.Owned[part[c]] = append(p.Owned[part[c]], int(c))
 	}
 	// Halo plan: a face (A,B) crossing parts means each side needs the
 	// other's cell value. Collect unique cells per (src,dst) pair in
@@ -241,7 +271,7 @@ func buildPartition(u *Mesh, part []int, numParts int) (*Partition, error) {
 			for c := range set {
 				cells = append(cells, c)
 			}
-			sort.Ints(cells)
+			slices.Sort(cells)
 			p.recvPlan[dst][src] = cells
 			p.sendPlan[src][dst] = cells
 		}

@@ -1,6 +1,10 @@
 package umesh
 
 import (
+	"fmt"
+	"math/bits"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/mesh"
@@ -146,7 +150,9 @@ func TestCanonicalOrderHierarchy(t *testing.T) {
 	// contiguous canonical run with parts ascending (so the concatenation of
 	// Owned lists is the canonical order itself), and part boundaries land
 	// on canonical block boundaries — at every depth RCB accepts (the radial
-	// fixture has cells enough for all 2^reductionDepth parts).
+	// fixture has cells enough for all 2^reductionDepth parts). RCB reads its
+	// parts off the order's cuts, so this holds by construction; that the
+	// parts are the right ones is TestCanonicalOrderMatchesSortOracle's job.
 	for name, u := range partitionFixtures(t) {
 		canon := CanonicalOrder(u)
 		if len(canon) != u.NumCells {
@@ -160,7 +166,7 @@ func TestCanonicalOrderHierarchy(t *testing.T) {
 			seen[c] = true
 		}
 		blockAt := map[int]bool{}
-		for _, b := range canonicalBlocks(u.NumCells) {
+		for _, b := range canonicalBlocks(u.NumCells, reductionDepth) {
 			blockAt[int(b)] = true
 		}
 		for levels := 0; levels <= reductionDepth; levels++ {
@@ -206,6 +212,205 @@ func TestCanonicalOrderCachedAndInvalidated(t *testing.T) {
 	if &after[0] == &first[0] {
 		t.Error("Jitter left a stale canonical order cached")
 	}
+}
+
+// oracleBisect is the canonical recursion's median split as first
+// written, one reflective sort per level: sort the subset along the widest
+// axis of its bounding box (cell id breaks ties) and cut at the middle.
+// CanonicalOrder's selection and RCB's cuts are held to it.
+func oracleBisect(u *Mesh, ids []int) int {
+	var lo, hi [3]float64
+	for k := 0; k < 3; k++ {
+		lo[k], hi[k] = u.Centroid[ids[0]][k], u.Centroid[ids[0]][k]
+	}
+	for _, c := range ids {
+		for k := 0; k < 3; k++ {
+			if v := u.Centroid[c][k]; v < lo[k] {
+				lo[k] = v
+			} else if v > hi[k] {
+				hi[k] = v
+			}
+		}
+	}
+	axis := 0
+	for k := 1; k < 3; k++ {
+		if hi[k]-lo[k] > hi[axis]-lo[axis] {
+			axis = k
+		}
+	}
+	sort.Slice(ids, func(i, j int) bool {
+		a, b := u.Centroid[ids[i]][axis], u.Centroid[ids[j]][axis]
+		if a != b {
+			return a < b
+		}
+		return ids[i] < ids[j] // deterministic tie-break
+	})
+	return len(ids) / 2
+}
+
+// oracleOrder is the canonical order by oracleBisect down to single cells.
+func oracleOrder(u *Mesh) []int32 {
+	ids := make([]int, u.NumCells)
+	for i := range ids {
+		ids[i] = i
+	}
+	var rec func(ids []int)
+	rec = func(ids []int) {
+		if len(ids) <= 1 {
+			return
+		}
+		mid := oracleBisect(u, ids)
+		rec(ids[:mid])
+		rec(ids[mid:])
+	}
+	rec(ids)
+	order := make([]int32, len(ids))
+	for i, c := range ids {
+		order[i] = int32(c)
+	}
+	return order
+}
+
+// oracleRCB bisects levels deep by oracleBisect and returns the part map
+// and each part's cells in oracle canonical order.
+func oracleRCB(u *Mesh, order []int32, levels int) ([]int, [][]int) {
+	part := make([]int, u.NumCells)
+	cells := make([]int, u.NumCells)
+	for i := range cells {
+		cells[i] = i
+	}
+	var split func(ids []int, base, lvl int)
+	split = func(ids []int, base, lvl int) {
+		if lvl == 0 {
+			for _, c := range ids {
+				part[c] = base
+			}
+			return
+		}
+		mid := oracleBisect(u, ids)
+		split(ids[:mid], base, lvl-1)
+		split(ids[mid:], base+(1<<(lvl-1)), lvl-1)
+	}
+	split(cells, 0, levels)
+	owned := make([][]int, 1<<levels)
+	for _, c := range order {
+		owned[part[c]] = append(owned[part[c]], int(c))
+	}
+	return part, owned
+}
+
+// assertMatchesSortOracle holds CanonicalOrder and RCB(u, l) for every
+// depth RCB accepts to the sort-per-level oracle, element for element.
+func assertMatchesSortOracle(t *testing.T, u *Mesh) {
+	t.Helper()
+	want := oracleOrder(u)
+	if got := CanonicalOrder(u); !slices.Equal(got, want) {
+		t.Fatalf("CanonicalOrder diverges from the sort oracle at position %d", firstDiff(got, want))
+	}
+	for levels := 0; levels <= reductionDepth && 1<<levels <= u.NumCells; levels++ {
+		p, err := RCB(u, levels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		part, owned := oracleRCB(u, want, levels)
+		if !slices.Equal(p.Part, part) {
+			t.Fatalf("RCB(%d).Part diverges from the sort oracle at cell %d", levels, firstDiff(p.Part, part))
+		}
+		for pp := range owned {
+			if !slices.Equal(p.Owned[pp], owned[pp]) {
+				t.Fatalf("RCB(%d).Owned[%d] diverges from the sort oracle", levels, pp)
+			}
+		}
+	}
+}
+
+func firstDiff[E comparable](a, b []E) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
+}
+
+func TestCanonicalOrderMatchesSortOracle(t *testing.T) {
+	// The selection must put exactly the sort's cells on each node's left,
+	// so the order and every RCB depth are the sort-per-level recursion's.
+	// The structured meshes are tie-heavy: whole grid planes share a
+	// coordinate, so the id tie-break decides most splits.
+	meshes := map[string]*Mesh{"bench": benchRadial(t)}
+	for _, seed := range []uint64{3, 8} {
+		for name, opts := range map[string]RadialOptions{"default": DefaultRadialOptions(), "ladder": {Rings: 24, BaseSectors: 12, RefineEvery: 6, R0: 1, DR: 3, Dz: 4, PermMD: 150}} {
+			u, err := NewRadialMesh(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := u.Jitter(0.3, seed); err != nil {
+				t.Fatal(err)
+			}
+			meshes[fmt.Sprintf("jittered-%s-%d", name, seed)] = u
+		}
+	}
+	for _, d := range []mesh.Dims{{Nx: 24, Ny: 24, Nz: 32}, {Nx: 16, Ny: 16, Nz: 16}, {Nx: 33, Ny: 5, Nz: 9}, {Nx: 1, Ny: 1, Nz: 50}, {Nx: 2, Ny: 3, Nz: 1}} {
+		_, u := structuredFixture(t, d)
+		meshes[fmt.Sprintf("structured-%dx%dx%d", d.Nx, d.Ny, d.Nz)] = u
+	}
+	for name, u := range meshes {
+		t.Run(name, func(t *testing.T) { assertMatchesSortOracle(t, u) })
+	}
+}
+
+func TestSelectLeftPutsTheSmallestLeft(t *testing.T) {
+	// Every round budget leaves the same two sets — the k smallest keys
+	// under (coordinate, id) left, the rest right: 0 and 1 reach the sort
+	// fallback, the budget bisectAll grants finishes by selection.
+	byKey := func(axis int) func(a, b cellKey) int {
+		return func(a, b cellKey) int {
+			if a.before(&b, axis) {
+				return -1
+			}
+			return 1
+		}
+	}
+	rng := fuzzRand(5)
+	for _, n := range []int{2, 3, 12, 13, 40, 257, 1000} {
+		for _, shape := range []string{"random", "ascending", "descending", "three values"} {
+			keys := make([]cellKey, n)
+			for i, j := range rngPerm(&rng, n) {
+				v := float64(i) // ascending
+				switch shape {
+				case "random":
+					v = rng.float()
+				case "descending":
+					v = float64(n - i)
+				case "three values":
+					v = float64(rng.next() % 3)
+				}
+				keys[i] = cellKey{[3]float64{0, v, 0}, int32(j)}
+			}
+			want := slices.Clone(keys)
+			slices.SortFunc(want, byKey(1))
+			for _, rounds := range []int{0, 1, 2 * bits.Len(uint(n))} {
+				got, k := slices.Clone(keys), n/2
+				selectLeft(got, k, 1, rounds)
+				slices.SortFunc(got[:k], byKey(1))
+				slices.SortFunc(got[k:], byKey(1))
+				if !slices.Equal(got, want) {
+					t.Errorf("n=%d %s rounds=%d: the left %d keys are not the %d smallest", n, shape, rounds, k, k)
+				}
+			}
+		}
+	}
+}
+
+// rngPerm returns a random permutation of 0..n-1.
+func rngPerm(rng *fuzzRand, n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		j := int(rng.next() % uint64(i+1))
+		p[i], p[j] = p[j], i
+	}
+	return p
 }
 
 func containsCell(cells []int, c int) bool {

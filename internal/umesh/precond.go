@@ -202,7 +202,7 @@ func (s *USystem) amg() (*amgLevel, error) {
 func buildAMGLevel(s *USystem) (*amgLevel, error) {
 	u := s.U
 	order := CanonicalOrder(u)
-	blocks := canonicalBlocks(u.NumCells)
+	blocks := canonicalBlocks(u.NumCells, reductionDepth)
 	lvl := &amgLevel{pos: make([]int32, u.NumCells)}
 	blockOf := make([]int32, u.NumCells)
 	for bi := range blocks {

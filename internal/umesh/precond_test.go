@@ -135,7 +135,7 @@ func denseSolve(a [][]float64, b []float64) []float64 {
 // elimination. No triangular sweep, no index list.
 func textbookBlockSSOR(sys *USystem, r []float64) []float64 {
 	u := sys.U
-	order, blocks := CanonicalOrder(u), canonicalBlocks(u.NumCells)
+	order, blocks := CanonicalOrder(u), canonicalBlocks(u.NumCells, reductionDepth)
 	z := make([]float64, u.NumCells)
 	at := make(map[int]int) // cell → row of the current block
 	for bi := range blocks {
@@ -339,7 +339,7 @@ func TestAMGAggregationStructure(t *testing.T) {
 	}
 	seen := make([]bool, u.NumCells)
 	order := CanonicalOrder(u)
-	blocks := canonicalBlocks(u.NumCells)
+	blocks := canonicalBlocks(u.NumCells, reductionDepth)
 	blockOf := make([]int, u.NumCells)
 	for bi := range blocks {
 		lo, hi := int(blocks[bi]), len(order)
@@ -1058,15 +1058,9 @@ func TestNewPartOperatorRefusesNonCanonicalPartitions(t *testing.T) {
 		"round-robin":         {roundRobin, "does not own a run of the canonical order"},
 		"one-cell first part": {oneCellFirst, "part 1 starts inside canonical block 0"},
 	} {
-		p, err := buildPartition(u, tc.part, 2)
+		p, err := buildPartition(u, tc.part, 2) // Owned in canonical order, as RCB lists them
 		if err != nil {
 			t.Fatal(err)
-		}
-		for i := range p.Owned { // in canonical order, as RCB lists them
-			p.Owned[i] = p.Owned[i][:0]
-		}
-		for _, c := range order {
-			p.Owned[p.Part[c]] = append(p.Owned[p.Part[c]], int(c))
 		}
 		l, err := CompileLayout(u, p, 1)
 		if err != nil {

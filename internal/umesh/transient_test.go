@@ -187,3 +187,42 @@ func BenchmarkUsolveStep(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkUsolveSetup times the three stages of one usolve set-up on the
+// 15360-cell benchmark mesh: the radial mesh build, RCB at 2 levels with the
+// canonical-order cache cleared each iteration (so the order is recomputed,
+// as on a fresh mesh), and compiling the Jacobi transient solver on that
+// partition.
+func BenchmarkUsolveSetup(b *testing.B) {
+	u := benchRadial(b)
+	part, err := RCB(u, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := TransientOptions{Dt: 3600, Steps: 2, Workers: 1}
+	opts.Solver.Tol = 1e-8
+	b.Run("mesh", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchRadial(b)
+		}
+	})
+	b.Run("rcb", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			u.canonMu.Lock()
+			u.canon = nil
+			u.canonMu.Unlock()
+			if _, err := RCB(u, 2); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("compile", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			s, err := NewTransientSolver(u, part, physics.DefaultFluid(), opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s.Close()
+		}
+	})
+}

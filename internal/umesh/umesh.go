@@ -127,26 +127,48 @@ func (u *Mesh) Validate() error {
 	if len(u.Centroid) != u.NumCells {
 		return fmt.Errorf("umesh: centroid length %d != cells %d", len(u.Centroid), u.NumCells)
 	}
+	// A NaN or infinite coordinate leaves the bisection order undefined.
+	for c, x := range u.Centroid {
+		for _, v := range x {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("umesh: cell %d has non-finite centroid %v", c, x)
+			}
+		}
+	}
 	for i, f := range u.Faces {
 		if f.A < 0 || f.A >= u.NumCells || f.B < 0 || f.B >= u.NumCells || f.A == f.B {
 			return fmt.Errorf("umesh: face %d connects invalid cells (%d, %d)", i, f.A, f.B)
 		}
-		if f.Trans < 0 || math.IsNaN(f.Trans) {
+		if f.Trans < 0 || math.IsNaN(f.Trans) || math.IsInf(f.Trans, 1) {
 			return fmt.Errorf("umesh: face %d has invalid transmissibility %g", i, f.Trans)
 		}
 	}
 	return nil
 }
 
-// buildAdjacency derives the per-cell half-face lists from Faces. It also
-// invalidates the cached canonical order: every builder and mutator ends
-// here, so geometry changes can never leave a stale order behind.
+// buildAdjacency derives the per-cell half-face lists from Faces, in face
+// order: it counts degrees, slices one backing array per field with
+// capacity = degree, then fills the slices. It also invalidates the cached
+// canonical order: every builder and mutator ends here, so geometry changes
+// can never leave a stale order behind.
 func (u *Mesh) buildAdjacency() {
 	u.canonMu.Lock()
 	u.canon = nil
 	u.canonMu.Unlock()
+	deg := make([]int, u.NumCells)
+	for _, f := range u.Faces {
+		deg[f.A]++
+		deg[f.B]++
+	}
+	nbr, trans := make([]int32, 2*len(u.Faces)), make([]float64, 2*len(u.Faces))
 	u.adjNbr = make([][]int32, u.NumCells)
 	u.adjTrans = make([][]float64, u.NumCells)
+	off := 0
+	for c, d := range deg {
+		u.adjNbr[c] = nbr[off : off : off+d]
+		u.adjTrans[c] = trans[off : off : off+d]
+		off += d
+	}
 	for _, f := range u.Faces {
 		u.adjNbr[f.A] = append(u.adjNbr[f.A], int32(f.B))
 		u.adjTrans[f.A] = append(u.adjTrans[f.A], f.Trans)

@@ -2,6 +2,7 @@ package umesh
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -344,20 +345,23 @@ func TestPartitionedRadialMesh(t *testing.T) {
 }
 
 func TestValidateCatchesCorruption(t *testing.T) {
-	_, um := structuredFixture(t, mesh.Dims{Nx: 3, Ny: 3, Nz: 2})
-	um.Faces[0].B = um.Faces[0].A
-	if err := um.Validate(); err == nil {
-		t.Error("self-face accepted")
-	}
-	_, um = structuredFixture(t, mesh.Dims{Nx: 3, Ny: 3, Nz: 2})
-	um.Faces[0].Trans = -1
-	if err := um.Validate(); err == nil {
-		t.Error("negative transmissibility accepted")
-	}
-	_, um = structuredFixture(t, mesh.Dims{Nx: 3, Ny: 3, Nz: 2})
-	um.Faces[0].A = 10_000
-	if err := um.Validate(); err == nil {
-		t.Error("out-of-range face accepted")
+	for _, tc := range []struct {
+		name    string
+		corrupt func(u *Mesh)
+		want    string // the index the error must name
+	}{
+		{"self-face", func(u *Mesh) { u.Faces[3].B = u.Faces[3].A }, "face 3 "},
+		{"negative transmissibility", func(u *Mesh) { u.Faces[3].Trans = -1 }, "face 3 "},
+		{"out-of-range face", func(u *Mesh) { u.Faces[3].A = 10_000 }, "face 3 "},
+		{"+Inf transmissibility", func(u *Mesh) { u.Faces[5].Trans = math.Inf(1) }, "face 5 "},
+		{"NaN centroid", func(u *Mesh) { u.Centroid[7][1] = math.NaN() }, "cell 7 "},
+		{"-Inf centroid", func(u *Mesh) { u.Centroid[2][0] = math.Inf(-1) }, "cell 2 "},
+	} {
+		_, um := structuredFixture(t, mesh.Dims{Nx: 3, Ny: 3, Nz: 2})
+		tc.corrupt(um)
+		if err := um.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate() = %v, want an error naming %q", tc.name, err, tc.want)
+		}
 	}
 }
 
