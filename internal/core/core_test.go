@@ -75,9 +75,21 @@ func assertResidualsClose(t *testing.T, got []float32, want []float64, tol float
 // assembles each face from the register (FluxFaceAcc), and the fabric
 // engine, which stores every flux column in fbuf in arrival order
 // (FluxFace) and assembles afterwards — every residual bit and the whole
-// Counters struct.
+// Counters struct. Nz = 4 is all kernel tail; Nz = 13 is one 8-lane step of
+// the kernel's vector body plus a 5-element tail, where the host has one.
 func TestFabricMatchesFlatBitExact(t *testing.T) {
-	m := testMesh(t, mesh.Dims{Nx: 6, Ny: 5, Nz: 4})
+	for _, nz := range []int{4, 13} {
+		prefix := ""
+		if nz != 4 {
+			prefix = fmt.Sprintf("nz=%d/", nz)
+		}
+		fabricMatchesFlat(t, testMesh(t, mesh.Dims{Nx: 6, Ny: 5, Nz: nz}), prefix)
+	}
+}
+
+// fabricMatchesFlat runs TestFabricMatchesFlatBitExact's variants on m as
+// subtests named prefix + variant/apps.
+func fabricMatchesFlat(t *testing.T, m *mesh.Mesh, prefix string) {
 	fl := physics.DefaultFluid()
 	variants := []struct {
 		name   string
@@ -91,7 +103,7 @@ func TestFabricMatchesFlatBitExact(t *testing.T) {
 	}
 	for _, v := range variants {
 		for _, apps := range []int{1, 3} {
-			t.Run(fmt.Sprintf("%s/apps=%d", v.name, apps), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s%s/apps=%d", prefix, v.name, apps), func(t *testing.T) {
 				opts := testOpts(apps)
 				v.modify(&opts)
 				flat, err := RunFlat(m, fl, opts)
@@ -242,30 +254,41 @@ func TestDiagonalsOffAblation(t *testing.T) {
 	assertResidualsClose(t, res.Residual, ref, 2e-3)
 }
 
+// TestScalarAblationBitIdentical: the scalar ablation issues every op on
+// single elements, so it streams every face through the kernel's Go
+// spelling, fluxElem; the vectorized run takes whole columns through the
+// vector body where the host has one. Their residuals agree bit for bit at
+// depths that are all tail (4, 5), exactly one 8-lane step (8), a step and
+// a tail (13) and the paper's depth (246).
 func TestScalarAblationBitIdentical(t *testing.T) {
-	m := testMesh(t, mesh.Dims{Nx: 4, Ny: 4, Nz: 5})
 	fl := physics.DefaultFluid()
-	vec, err := RunFlat(m, fl, testOpts(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := testOpts(1)
-	opts.Vectorized = false
-	sc, err := RunFlat(m, fl, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range vec.Residual {
-		if vec.Residual[i] != sc.Residual[i] {
-			t.Fatalf("scalar/vector residual differs at %d", i)
-		}
-	}
-	if sc.Counters.Flops() != vec.Counters.Flops() {
-		t.Error("scalar mode changed FLOP count")
-	}
-	if sc.Counters.Issues <= vec.Counters.Issues {
-		t.Errorf("scalar issues %d not greater than vector issues %d",
-			sc.Counters.Issues, vec.Counters.Issues)
+	for _, d := range []mesh.Dims{{Nx: 4, Ny: 4, Nz: 4}, {Nx: 4, Ny: 4, Nz: 5}, {Nx: 4, Ny: 4, Nz: 8}, {Nx: 4, Ny: 4, Nz: 13}, {Nx: 3, Ny: 3, Nz: 246}} {
+		t.Run(fmt.Sprintf("nz=%d", d.Nz), func(t *testing.T) {
+			m := testMesh(t, d)
+			opts := testOpts(2)
+			vec, err := RunFlat(m, fl, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Vectorized = false
+			sc, err := RunFlat(m, fl, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range vec.Residual {
+				if math.Float32bits(vec.Residual[i]) != math.Float32bits(sc.Residual[i]) {
+					t.Fatalf("residual[%d]: vectorized %g (%#08x), scalar %g (%#08x)", i,
+						vec.Residual[i], math.Float32bits(vec.Residual[i]), sc.Residual[i], math.Float32bits(sc.Residual[i]))
+				}
+			}
+			if sc.Counters.Flops() != vec.Counters.Flops() {
+				t.Error("scalar mode changed FLOP count")
+			}
+			if sc.Counters.Issues <= vec.Counters.Issues {
+				t.Errorf("scalar issues %d not greater than vector issues %d",
+					sc.Counters.Issues, vec.Counters.Issues)
+			}
+		})
 	}
 }
 

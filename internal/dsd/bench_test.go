@@ -117,15 +117,21 @@ func BenchmarkKernelMovRecv(b *testing.B) {
 }
 
 // BenchmarkKernelFluxFace measures one face of the residual at the paper's
-// column depth — the 14-op kernel plus its accumulation — three ways: the
-// flat engine's single FluxFaceAcc pass, the fabric engine's FluxFace into
+// column depth — the 14-op kernel plus its accumulation — four ways: the
+// flat engine's single FluxFaceAcc pass (through the vector body where the
+// host has one, and as fused-acc-scalar through fluxElem alone), the fabric
+// engine's FluxFace into
 // the flux column then AccV, and the op-by-op sequence then AccV — the
 // spelling the tests hold both macro-ops to, so its time is the oracle's
 // cost. MB/s counts output elements (4 bytes each), so Melem/s is MB/s ÷ 4.
 func BenchmarkKernelFluxFace(b *testing.B) {
 	const n = 246
-	for _, variant := range []string{"fused-acc", "fused", "sequence"} {
+	for _, variant := range []string{"fused-acc", "fused-acc-scalar", "fused", "sequence"} {
 		b.Run(fmt.Sprintf("n=%d/%s", n, variant), func(b *testing.B) {
+			defer func(v bool) { vectorFlux = v }(vectorFlux)
+			if variant == "fused-acc-scalar" {
+				vectorFlux = false
+			}
 			c := newFaceColumns(b, n)
 			w := c.e.Mem.words
 			for i := 0; i < n; i++ {
@@ -137,7 +143,7 @@ func BenchmarkKernelFluxFace(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				switch variant {
-				case "fused-acc":
+				case "fused-acc", "fused-acc-scalar":
 					c.e.FluxFaceAcc(c.res, c.f, c.tr, c.p, c.gz, c.nbrP, c.nbrGz, testConsts)
 					continue
 				case "fused":

@@ -155,6 +155,110 @@ func TestFluxFaceMatchesOpSequence(t *testing.T) {
 	}
 }
 
+// TestFluxVectorMatchesFluxElem holds the face kernel's vector body to
+// fluxElem lane by lane, on columns where each of the six inputs is, in turn,
+// every special value (±0, subnormals, ±Inf, NaN, ±MaxFloat32) against
+// reservoir-scaled neighbors, on the exact zeros the kernel branches on
+// (Υ = ±0, ΔΦ = +0 and ΔΦ = −0), and on random columns salted with specials.
+// Both the storing and the accumulating body are checked.
+func TestFluxVectorMatchesFluxElem(t *testing.T) {
+	if !vectorFlux {
+		t.Skip("no vector body for the face kernel on this host")
+	}
+	const tr, pk, gk, pl, gl = 0, 1, 2, 3, 4
+	var lanes [][5]float32
+	typical := [5]float32{1e-12, 2e7, -15000, 2.01e7, -15010}
+	for in := range typical {
+		for _, v := range specials {
+			l := typical
+			l[in] = v
+			lanes = append(lanes, l)
+		}
+	}
+	negZero := float32(math.Copysign(0, -1))
+	lanes = append(lanes,
+		[5]float32{0, 2e7, -15000, 2.01e7, -15010},       // Υ = +0
+		[5]float32{negZero, 2e7, -15000, 2.01e7, -15010}, // Υ = −0
+		[5]float32{1e-12, 2e7, -15000, 2e7, -15000},      // ΔΦ = +0
+		[5]float32{1e-12, 0, 0, negZero, negZero},        // ΔΦ = −0
+		[5]float32{negZero, 0, 0, negZero, negZero},      // ΔΦ = −0, Υ = −0
+		[5]float32{1e-12, 1e-40, 1e-40, -1e-40, -1e-40},  // subnormal pressures
+		[5]float32{1e-40, 2e7, -15000, 2.01e7, -15010},   // subnormal Υ
+	)
+	lanes = append(lanes, signedZeroTie(t))
+	rng := rand.New(rand.NewPCG(31, 0x5eed))
+	for len(lanes)%8 != 5 || len(lanes) < 4096 { // whole steps and a 5-lane tail
+		var l [5]float32
+		for in, centre := range typical {
+			col := l[in : in+1]
+			drawColumn(rng, col, centre, centre/20)
+		}
+		lanes = append(lanes, l)
+	}
+	n := len(lanes)
+	cols := make([][]float32, 5)
+	for in := range cols {
+		cols[in] = make([]float32, n)
+		for i, l := range lanes {
+			cols[in][i] = l[in]
+		}
+	}
+	for _, acc := range []bool{false, true} {
+		out := make([]float32, n)
+		for i := range out {
+			out[i] = float32(i%7) - 3
+		}
+		before := append([]float32(nil), out...)
+		c := testConsts
+		done := fluxVector(out, cols[tr], cols[pk], cols[gk], cols[pl], cols[gl], &c, acc)
+		if want := uint(n &^ 7); done != want {
+			t.Fatalf("acc=%v: vector body ran %d of %d elements, want %d", acc, done, n, want)
+		}
+		for i := range out {
+			want := before[i]
+			if i < int(done) {
+				f := fluxElem(cols[tr][i], cols[pk][i], cols[gk][i], cols[pl][i], cols[gl][i], testConsts)
+				if acc {
+					want += f
+				} else {
+					want = f
+				}
+			}
+			if !sameBits(out[i], want) {
+				t.Fatalf("acc=%v lane %d inputs %v: vector %g (%#08x), fluxElem %g (%#08x)", acc, i, lanes[i],
+					out[i], math.Float32bits(out[i]), want, math.Float32bits(want))
+			}
+		}
+	}
+}
+
+// signedZeroTie returns a lane whose ΔΦ is exactly +0 although its two
+// upwind candidates have mobilities of opposite sign (pK = −10⁸ makes
+// â·pK + Ĉ negative, pL = 0 keeps it positive), so only the flux's zero sign
+// tells which one the kernel chose: a compare that took ΔΦ = 0 as
+// "greater" would give −0 where fluxElem gives +0.
+func signedZeroTie(t *testing.T) [5]float32 {
+	t.Helper()
+	const pk, pl = -1e8, 0
+	c := testConsts
+	rK, rL := float32(pk*c.AHat), float32(pl*c.AHat)
+	avg := float32(0.5*(rK+rL)) + c.CHat
+	d := float32(-(pl - pk) / avg)
+	for i := 0; i < 64 && float32(avg*d) != -(pl-pk); i++ {
+		if float32(avg*d) < -(pl - pk) {
+			d = math.Nextafter32(d, 0)
+		} else {
+			d = math.Nextafter32(d, float32(math.Inf(-1)))
+		}
+	}
+	l := [5]float32{1e-12, pk, 0, pl, d} // tr, pK, gzK, pL, gzL
+	if f := fluxElem(l[0], l[1], l[2], l[3], l[4], c); f != 0 || math.Signbit(float64(f)) ||
+		float32((rK-c.NegC)*c.InvMu) >= 0 {
+		t.Fatalf("no signed-zero tie: lane %v gives flux %g", l, f)
+	}
+	return l
+}
+
 // TestFluxFaceAntisymmetric: swapping the own and the neighbor columns
 // negates the flux exactly wherever ΔΦ ≠ 0 — every intermediate of the
 // reversed evaluation is the negation or the swap of the forward one, and
@@ -326,10 +430,12 @@ func accOperands(c *faceColumns, shape, m int) (res, f, tr, pK, gzK, pL, gzL Des
 	return
 }
 
-// FuzzFluxFaceAcc holds the fused flux-and-accumulate macro-op to its
-// two-op spelling — FluxFace into f, then AccV(res, f) — on random columns
-// salted with special values and zero transmissibilities (fluxes of either
-// zero sign): on valid operands res and the counters are those of the
+// FuzzFluxFaceAcc holds the fused flux-and-accumulate macro-op to the
+// op-by-op kernel — fluxSequence into f through scratch columns, then
+// AccV(res, f), which share no code with the macro-op's vector body or
+// fluxElem — on random columns 1–246 deep (every tail length past the 8-lane
+// steps) salted with special values and zero transmissibilities (fluxes of
+// either zero sign): on valid operands res and the counters are those of the
 // oracle and nothing but res is written; on aliased outputs it panics with a
 // dsd: message, having written and counted nothing.
 func FuzzFluxFaceAcc(f *testing.F) {
@@ -340,9 +446,13 @@ func FuzzFluxFaceAcc(f *testing.F) {
 	f.Add(uint64(22), uint8(1), uint8(shapeUp))
 	f.Add(uint64(23), uint8(0), uint8(shapeResOverlapsInput)) // m = 1: exact overlap
 	f.Add(uint64(24), uint8(0), uint8(shapeResIsFlux))
-	f.Add(uint64(25), uint8(122), uint8(shapeDown)) // m = 123, the deepest draw
+	f.Add(uint64(25), uint8(245), uint8(shapeDown)) // m = 246, the paper's depth and the deepest draw
+	// m = 16 … 23: two 8-lane steps and every tail length.
+	for tail := 0; tail < 8; tail++ {
+		f.Add(uint64(30+tail), uint8(15+tail), uint8(tail%3))
+	}
 	f.Fuzz(func(t *testing.T, seed uint64, size, shapeByte uint8) {
-		m, shape := int(size)%123+1, int(shapeByte)%numAccShapes
+		m, shape := int(size)%246+1, int(shapeByte)%numAccShapes
 		n := 2 * m
 		rng := rand.New(rand.NewPCG(seed, 0xacc))
 		fused, oracle := newFaceColumns(t, n), newFaceColumns(t, n)
@@ -370,12 +480,19 @@ func FuzzFluxFaceAcc(f *testing.F) {
 		fused.e.FluxFaceAcc(res, fd, tr, pK, gzK, pL, gzL, testConsts)
 
 		ores, of, otr, opK, ogzK, opL, ogzL := accOperands(oracle, shape, m)
-		oracle.e.FluxFace(of, otr, opK, ogzK, opL, ogzL, testConsts)
+		var scratch [5]Desc
+		for k, d := range oracle.scratch {
+			scratch[k] = d.MustSlice(0, m)
+		}
+		fluxSequence(oracle.e, of, otr, opK, ogzK, opL, ogzL, testConsts, scratch)
 		oracle.e.AccV(ores, of)
+		untouched := func(i int) bool { // the fused op never writes f or the scratch columns
+			return i >= fd.Base && i < fd.Base+m || i >= fused.scratch[0].Base
+		}
 		for i, v := range w {
 			want := oracle.e.Mem.words[i]
-			if i >= fd.Base && i < fd.Base+m {
-				want = before[i] // the fused op never touches f
+			if untouched(i) {
+				want = before[i]
 			}
 			if !sameBits(v, want) {
 				t.Fatalf("shape %d m=%d: word %d = %g (%#08x), want %g (%#08x)", shape, m, i,

@@ -1,6 +1,14 @@
 package dsd
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/cpufeat"
+)
+
+// vectorFlux selects the face kernel's vector body (cpufeat.AVX2FMA); only
+// tests clear it, to time or check fluxElem alone.
+var vectorFlux = cpufeat.AVX2FMA
 
 // Counters accumulates the per-PE instruction, FLOP and traffic statistics
 // that Table 4 and the roofline model consume. Counted ops follow the
@@ -277,9 +285,11 @@ type FluxConsts struct {
 //
 // Each product is rounded through an explicit float32 conversion, which
 // forbids contraction into a fused multiply-add the separate ops would not
-// perform. It is the one spelling both macro-ops below stream their columns
-// through; the temporaries are few because it must stay under the compiler's
-// inlining budget (`make bce` checks that it does).
+// perform. It is the kernel's definition: the macro-ops' vector body
+// (flux_amd64.s, on hosts with AVX2) performs the same operations in the same
+// order on 8 lanes, and fluxElem takes the tail past its last whole step and
+// every element elsewhere. The temporaries are few because it must stay under
+// the compiler's inlining budget (`make bce` checks that it does).
 func fluxElem(tr, pk, gk, pl, gl float32, c FluxConsts) float32 {
 	rK := float32(pk * c.AHat)              // MulVS
 	rL := float32(pl * c.AHat)              // MulVS
@@ -337,19 +347,20 @@ func (e *Engine) countFlux(n int) {
 
 // FluxFace is the 14-FLOP TPFA face kernel as one macro-op: it computes
 // f = tr · λ_upw · ΔΦ from the own columns (pK, gzK) and the neighbor columns
-// (pL, gzL) by streaming every element through fluxElem — 6 loads and 1 store
-// per element instead of 27 and 14 — and accounts for it as those 14 issues
-// over Len elements, so counters and every float32 result bit equal the
-// op-by-op execution. The intermediates never reach memory: a kernel's
-// scratch buffers stay allocated (footprint and HighWaterWords are those of
-// the op-by-op kernel) but are not written.
+// (pL, gzL) by streaming every element through fluxElem or its vector body —
+// 6 loads and 1 store per element instead of 27 and 14 — and accounts for it
+// as those 14 issues over Len elements, so counters and every float32 result
+// bit equal the op-by-op execution. The intermediates never reach memory: a
+// kernel's scratch buffers stay allocated (footprint and HighWaterWords are
+// those of the op-by-op kernel) but are not written.
 func (e *Engine) FluxFace(f, tr, pK, gzK, pL, gzL Desc, c FluxConsts) {
 	var col [7][]float32
 	e.faceCols(&col, 1, f, tr, pK, gzK, pL, gzL)
 	fo := col[0]
 	tv, pk, gk := col[1][:len(fo)], col[2][:len(fo)], col[3][:len(fo)]
 	pl, gl := col[4][:len(fo)], col[5][:len(fo)]
-	for i := range fo {
+	// i is unsigned so that i < len(fo) alone proves every index in range.
+	for i := fluxVector(fo, tv, pk, gk, pl, gl, &c, false); i < uint(len(fo)); i++ {
 		fo[i] = fluxElem(tv[i], pk[i], gk[i], pl[i], gl[i], c)
 	}
 	e.countFlux(len(fo))
@@ -368,7 +379,7 @@ func (e *Engine) FluxFaceAcc(res, f, tr, pK, gzK, pL, gzL Desc, c FluxConsts) {
 	ro := col[0]
 	tv, pk, gk := col[2][:len(ro)], col[3][:len(ro)], col[4][:len(ro)]
 	pl, gl := col[5][:len(ro)], col[6][:len(ro)]
-	for i := range ro {
+	for i := fluxVector(ro, tv, pk, gk, pl, gl, &c, true); i < uint(len(ro)); i++ {
 		ro[i] += fluxElem(tv[i], pk[i], gk[i], pl[i], gl[i], c)
 	}
 	e.countFlux(len(ro))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/cpufeat"
 	"repro/internal/units"
 )
 
@@ -265,9 +266,28 @@ func PerturbDelta32(app, cellIndex int, amp float32) float32 {
 // p[z] is cell first + z·step. It is the per-PE form (a Z column is every
 // Nx·Ny-th cell) with the application's phase term hoisted out of the loop;
 // every element evaluates the same float32 expression as PerturbDelta32.
+// Where the host has the sine's vector body (vectorSin), whole blocks of four
+// arguments go through it, and a lane it marks NaN is recomputed with sin32,
+// so every sine is sin32's bit for bit; the tail and other hosts call sin32.
 func PerturbColumn32(p []float32, app, first, step int, amp float32) {
 	phase := float32(0.7 * float32(app))
 	idx := first
+	var x, s [sinBlock]float32
+	for vectorSin && len(p) >= 4 {
+		n := min(len(p), sinBlock) &^ 3
+		for i := range x[:n] {
+			x[i] = phase + float32(0.001*float32(idx))
+			idx += step
+		}
+		sinVector(s[:n], x[:n])
+		for i, v := range s[:n] {
+			if v != v {
+				v = sin32(x[i])
+			}
+			p[i] += float32(amp * v)
+		}
+		p = p[n:]
+	}
 	for z := range p {
 		p[z] += float32(amp * sin32(phase+float32(0.001*float32(idx))))
 		idx += step
@@ -275,4 +295,13 @@ func PerturbColumn32(p []float32, app, first, step int, amp float32) {
 }
 
 // sin32 is float32 sine via float64 math (single, shared rounding path).
+// It is the definition: sinVector returns its values or marks a lane for it.
 func sin32(x float32) float32 { return float32(math.Sin(float64(x))) }
+
+// vectorSin selects the sine's vector body where the host has one
+// (cpufeat.AVX2FMA). Only tests clear it, to time or check sin32 alone.
+var vectorSin = cpufeat.AVX2FMA
+
+// sinBlock is how many arguments PerturbColumn32 hands the vector body per
+// call: a column of the paper's depth (246) takes four calls.
+const sinBlock = 64
