@@ -77,7 +77,7 @@ func broadcastDemo(stdout io.Writer, width int) error {
 		fmt.Fprintf(stdout, "PE %2d received %.0f from its western neighbor\n", x, got[x])
 	}
 	tot := f.Totals()
-	fmt.Fprintf(stdout, "router commands applied: %d, wavelets delivered: %d, dropped: %d\n",
+	fmt.Fprintf(stdout, "router commands applied: %d, wavelets delivered: %d, left unread: %d\n",
 		tot.Commands, tot.DeliveredToPE, tot.DroppedAtStop)
 	return nil
 }
@@ -101,7 +101,7 @@ func fluxDemo(stdout io.Writer, dimsStr string, apps int) error {
 		fmt.Fprintf(stdout, "per interior cell: %s\n", res.Interior)
 	}
 	if res.FabricTotals != nil {
-		fmt.Fprintf(stdout, "fabric: %d wavelets sent from ramps, %d delivered, %d router-forwarded, %d dropped\n",
+		fmt.Fprintf(stdout, "fabric: %d wavelets sent from ramps, %d delivered, %d router-forwarded, %d left unread\n",
 			res.FabricTotals.SentFromRamp, res.FabricTotals.DeliveredToPE,
 			res.FabricTotals.Forwarded, res.FabricTotals.DroppedAtStop)
 	}

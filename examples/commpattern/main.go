@@ -90,7 +90,7 @@ func main() {
 		fmt.Printf("    corner %s → intermediary %s (%s)\n", r.corner, r.inter, r.turn)
 	}
 	if res.FabricTotals != nil {
-		fmt.Printf("\n  wavelets: %d sent from ramps, %d delivered to PEs, %d dropped\n",
+		fmt.Printf("\n  wavelets: %d sent from ramps, %d delivered to PEs, %d left unread\n",
 			res.FabricTotals.SentFromRamp, res.FabricTotals.DeliveredToPE, res.FabricTotals.DroppedAtStop)
 	}
 	if res.Interior != nil {

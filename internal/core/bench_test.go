@@ -10,8 +10,9 @@ import (
 
 // BenchmarkKernel* covers the engine hot path above the dsd ops: the 14-FLOP
 // faceFlux kernel, the zero-allocation halo exchange, a full per-PE local
-// application, the whole flat engine on the scaling workload's shape, and
-// the engine's four stages on the repository benchmark's mesh.
+// application, the whole flat engine on the scaling workload's shape, the
+// engine's four stages on the repository benchmark's mesh, and the wavelet
+// fabric engine on the benchmark's fabric-probe mesh.
 
 // benchStates compiles a small mesh with the default options, loads its
 // pressure field and returns the engine's PE states.
@@ -162,4 +163,34 @@ func BenchmarkKernelEngineStages(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkKernelFabricRun measures the wavelet fabric engine (RunFabric) on
+// the repository benchmark's fabric-probe shape, 8×8×64 with 2 applications
+// (shrunk under -short). cells/s is the probe's fabric.cell_updates_per_s:
+// cell updates over the time spent inside Fabric.Run, summed over all runs;
+// wavelets is the count delivered to PEs per run (107 520 at full size).
+func BenchmarkKernelFabricRun(b *testing.B) {
+	d := mesh.Dims{Nx: 8, Ny: 8, Nz: 64}
+	if testing.Short() {
+		d = mesh.Dims{Nx: 4, Ny: 4, Nz: 8}
+	}
+	m, err := mesh.BuildDefault(d)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fl := physics.DefaultFluid()
+	opts := DefaultOptions(2)
+	var cells, run float64
+	var res *Result
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res, err = RunFabric(m, fl, opts); err != nil {
+			b.Fatal(err)
+		}
+		cells += float64(res.CellsUpdated())
+		run += res.Elapsed.Seconds()
+	}
+	b.ReportMetric(cells/run, "cells/s")
+	b.ReportMetric(float64(res.FabricTotals.DeliveredToPE), "wavelets")
 }

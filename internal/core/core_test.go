@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/mesh"
 	"repro/internal/physics"
@@ -21,18 +20,12 @@ func testMesh(t *testing.T, d mesh.Dims) *mesh.Mesh {
 	return m
 }
 
-func testOpts(apps int) Options {
-	o := DefaultOptions(apps)
-	o.RecvTimeout = 10 * time.Second
-	return o
-}
-
 func TestFlatMatchesReference(t *testing.T) {
 	// The float32 dataflow engine with the linearized density must agree
 	// with the float64 reference (same density model) to float32 tolerance.
 	m := testMesh(t, mesh.Dims{Nx: 8, Ny: 7, Nz: 6})
 	fl := physics.DefaultFluid()
-	res, err := RunFlat(m, fl, testOpts(1))
+	res, err := RunFlat(m, fl, DefaultOptions(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +97,7 @@ func fabricMatchesFlat(t *testing.T, m *mesh.Mesh, prefix string) {
 	for _, v := range variants {
 		for _, apps := range []int{1, 3} {
 			t.Run(fmt.Sprintf("%s%s/apps=%d", prefix, v.name, apps), func(t *testing.T) {
-				opts := testOpts(apps)
+				opts := DefaultOptions(apps)
 				v.modify(&opts)
 				flat, err := RunFlat(m, fl, opts)
 				if err != nil {
@@ -130,7 +123,7 @@ func fabricMatchesFlat(t *testing.T, m *mesh.Mesh, prefix string) {
 func TestFabricMatchesReferenceMultiApp(t *testing.T) {
 	m := testMesh(t, mesh.Dims{Nx: 5, Ny: 5, Nz: 5})
 	fl := physics.DefaultFluid()
-	res, err := RunFabric(m, fl, testOpts(4))
+	res, err := RunFabric(m, fl, DefaultOptions(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +140,7 @@ func TestTable4PerCellCounts(t *testing.T) {
 	// exactly — 60 FMUL, 40 FSUB, 10 FNEG, 10 FADD, 10 FMA, 16 FMOV,
 	// 406 loads+stores, 16 fabric loads, 140 FLOPs per cell.
 	m := testMesh(t, mesh.Dims{Nx: 5, Ny: 5, Nz: 7})
-	res, err := RunFabric(m, physics.DefaultFluid(), testOpts(3))
+	res, err := RunFabric(m, physics.DefaultFluid(), DefaultOptions(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +178,7 @@ func TestTable4PerCellCounts(t *testing.T) {
 
 func TestMassConservation(t *testing.T) {
 	m := testMesh(t, mesh.Dims{Nx: 6, Ny: 6, Nz: 5})
-	res, err := RunFlat(m, physics.DefaultFluid(), testOpts(1))
+	res, err := RunFlat(m, physics.DefaultFluid(), DefaultOptions(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +197,7 @@ func TestMassConservation(t *testing.T) {
 
 func TestCommOnlyMode(t *testing.T) {
 	m := testMesh(t, mesh.Dims{Nx: 4, Ny: 4, Nz: 4})
-	opts := testOpts(2)
+	opts := DefaultOptions(2)
 	opts.CommOnly = true
 	res, err := RunFabric(m, physics.DefaultFluid(), opts)
 	if err != nil {
@@ -222,7 +215,7 @@ func TestCommOnlyMode(t *testing.T) {
 		t.Error("comm-only moved no data")
 	}
 	// Same communication volume as the full run (Table 3's premise).
-	full, err := RunFabric(m, physics.DefaultFluid(), testOpts(2))
+	full, err := RunFabric(m, physics.DefaultFluid(), DefaultOptions(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +227,7 @@ func TestCommOnlyMode(t *testing.T) {
 
 func TestDiagonalsOffAblation(t *testing.T) {
 	m := testMesh(t, mesh.Dims{Nx: 5, Ny: 5, Nz: 4})
-	opts := testOpts(1)
+	opts := DefaultOptions(1)
 	opts.Diagonals = false
 	res, err := RunFabric(m, physics.DefaultFluid(), opts)
 	if err != nil {
@@ -265,7 +258,7 @@ func TestScalarAblationBitIdentical(t *testing.T) {
 	for _, d := range []mesh.Dims{{Nx: 4, Ny: 4, Nz: 4}, {Nx: 4, Ny: 4, Nz: 5}, {Nx: 4, Ny: 4, Nz: 8}, {Nx: 4, Ny: 4, Nz: 13}, {Nx: 3, Ny: 3, Nz: 246}} {
 		t.Run(fmt.Sprintf("nz=%d", d.Nz), func(t *testing.T) {
 			m := testMesh(t, d)
-			opts := testOpts(2)
+			opts := DefaultOptions(2)
 			vec, err := RunFlat(m, fl, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -295,11 +288,11 @@ func TestScalarAblationBitIdentical(t *testing.T) {
 func TestBufferReuseAblation(t *testing.T) {
 	m := testMesh(t, mesh.Dims{Nx: 4, Ny: 4, Nz: 6})
 	fl := physics.DefaultFluid()
-	reuse, err := RunFlat(m, fl, testOpts(1))
+	reuse, err := RunFlat(m, fl, DefaultOptions(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := testOpts(1)
+	opts := DefaultOptions(1)
 	opts.BufferReuse = false
 	naive, err := RunFlat(m, fl, opts)
 	if err != nil {
@@ -341,7 +334,7 @@ func TestPaperNzCapacity(t *testing.T) {
 
 func TestOutOfMemoryInjection(t *testing.T) {
 	m := testMesh(t, mesh.Dims{Nx: 3, Ny: 3, Nz: 64})
-	opts := testOpts(1)
+	opts := DefaultOptions(1)
 	opts.MemWords = 512 // far below 44·64
 	_, err := RunFlat(m, physics.DefaultFluid(), opts)
 	if err == nil || !strings.Contains(err.Error(), "out of PE memory") {
@@ -360,7 +353,7 @@ func TestOptionValidation(t *testing.T) {
 	}
 	bad := physics.DefaultFluid()
 	bad.Viscosity = 0
-	if _, err := RunFlat(m, bad, testOpts(1)); err == nil {
+	if _, err := RunFlat(m, bad, DefaultOptions(1)); err == nil {
 		t.Error("invalid fluid accepted")
 	}
 }
@@ -369,7 +362,7 @@ func TestSingleColumnMesh(t *testing.T) {
 	// 1×1 fabric: no in-plane neighbors at all; only vertical faces work.
 	m := testMesh(t, mesh.Dims{Nx: 1, Ny: 1, Nz: 8})
 	fl := physics.DefaultFluid()
-	res, err := RunFabric(m, fl, testOpts(2))
+	res, err := RunFabric(m, fl, DefaultOptions(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +380,7 @@ func TestMinimalPlaneMesh(t *testing.T) {
 	// Nz = 1: vertical faces are all boundary; only in-plane physics.
 	m := testMesh(t, mesh.Dims{Nx: 6, Ny: 4, Nz: 1})
 	fl := physics.DefaultFluid()
-	res, err := RunFabric(m, fl, testOpts(2))
+	res, err := RunFabric(m, fl, DefaultOptions(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +397,7 @@ func TestFabricTrafficAccounting(t *testing.T) {
 	// total ramp sends must equal the analytic count.
 	d := mesh.Dims{Nx: 4, Ny: 3, Nz: 2}
 	m := testMesh(t, d)
-	res, err := RunFabric(m, physics.DefaultFluid(), testOpts(1))
+	res, err := RunFabric(m, physics.DefaultFluid(), DefaultOptions(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +443,7 @@ func TestInteriorFMOVRequiresAllNeighbors(t *testing.T) {
 	// A 3×3 mesh's center PE receives from all 8 neighbors; corners receive
 	// from 3 (2 cardinal + 1 diagonal).
 	m := testMesh(t, mesh.Dims{Nx: 3, Ny: 3, Nz: 2})
-	res, err := RunFabric(m, physics.DefaultFluid(), testOpts(1))
+	res, err := RunFabric(m, physics.DefaultFluid(), DefaultOptions(1))
 	if err != nil {
 		t.Fatal(err)
 	}

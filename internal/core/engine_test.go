@@ -32,7 +32,7 @@ func TestEngineReuseBitIdentical(t *testing.T) {
 	for _, diagonals := range []bool{true, false} {
 		for _, workers := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("diagonals=%v/workers=%d", diagonals, workers), func(t *testing.T) {
-				opts := testOpts(3)
+				opts := DefaultOptions(3)
 				opts.Diagonals, opts.Workers = diagonals, workers
 				e, err := Compile(m, fl, opts)
 				if err != nil {
@@ -87,11 +87,11 @@ func withApps(o Options, apps int) Options {
 func TestEngineSplitApplyContinuesTheSequence(t *testing.T) {
 	fl := physics.DefaultFluid()
 	m := testMesh(t, mesh.Dims{Nx: 4, Ny: 3, Nz: 4})
-	whole, err := RunFlat(m, fl, testOpts(5))
+	whole, err := RunFlat(m, fl, DefaultOptions(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := Compile(m, fl, testOpts(5))
+	e, err := Compile(m, fl, DefaultOptions(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestEngineSplitApplyContinuesTheSequence(t *testing.T) {
 
 func TestEngineRejectsWrongSizes(t *testing.T) {
 	m := testMesh(t, mesh.Dims{Nx: 3, Ny: 3, Nz: 2})
-	e, err := Compile(m, physics.DefaultFluid(), testOpts(1))
+	e, err := Compile(m, physics.DefaultFluid(), DefaultOptions(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestTileLoaderMatchesPerPEGather(t *testing.T) {
 		for _, diagonals := range []bool{true, false} {
 			for _, workers := range []int{1, 3} {
 				m := testMesh(t, d)
-				opts := testOpts(1)
+				opts := DefaultOptions(1)
 				opts.Diagonals, opts.Workers = diagonals, workers
 				e, err := Compile(m, fl, opts)
 				if err != nil {

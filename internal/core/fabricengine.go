@@ -26,14 +26,7 @@ func RunFabric(m *mesh.Mesh, fl physics.Fluid, opts Options) (*Result, error) {
 		return nil, err
 	}
 	nx, ny, nz := m.Dims.Nx, m.Dims.Ny, m.Dims.Nz
-	fab, err := fabric.New(fabric.Config{
-		Width:       nx,
-		Height:      ny,
-		MemWords:    opts.MemWords,
-		LinkBuffer:  8*nz + 64,
-		RampBuffer:  32*nz + 256,
-		RecvTimeout: opts.RecvTimeout,
-	})
+	fab, err := fabric.New(fabric.Config{Width: nx, Height: ny, MemWords: opts.MemWords})
 	if err != nil {
 		return nil, err
 	}
@@ -68,7 +61,7 @@ func RunFabric(m *mesh.Mesh, fl physics.Fluid, opts Options) (*Result, error) {
 	tot := fab.Totals()
 	res.FabricTotals = &tot
 	if tot.DroppedAtStop != 0 {
-		return nil, fmt.Errorf("core: %d wavelets still in flight at shutdown — protocol error", tot.DroppedAtStop)
+		return nil, fmt.Errorf("core: %d wavelets left unread at the end of the run — protocol error", tot.DroppedAtStop)
 	}
 	return res, nil
 }

@@ -27,7 +27,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"repro/internal/fabric"
 	"repro/internal/mesh"
@@ -58,8 +57,6 @@ type Options struct {
 	// MemWords overrides the per-PE memory budget in float32 words
 	// (default: the CS-2's 12288). Small values inject allocation failures.
 	MemWords int
-	// RecvTimeout bounds fabric receives (default 30 s).
-	RecvTimeout time.Duration
 	// Workers is the worker-goroutine count of the sharded parallel flat
 	// engine (RunFlatParallel): the PE grid is decomposed into that many
 	// contiguous row bands, each executed by one worker. 0 selects

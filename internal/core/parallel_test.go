@@ -69,7 +69,7 @@ func TestParallelMatchesFlatBitExact(t *testing.T) {
 	for _, d := range dims {
 		for _, diagonals := range []bool{true, false} {
 			m := testMesh(t, d)
-			serialOpts := testOpts(3)
+			serialOpts := DefaultOptions(3)
 			serialOpts.Diagonals = diagonals
 			serial, err := RunFlat(m, fl, serialOpts)
 			if err != nil {
@@ -108,7 +108,7 @@ func TestParallelMatchesFlatBitExact(t *testing.T) {
 func TestParallelMatchesReference(t *testing.T) {
 	m := testMesh(t, mesh.Dims{Nx: 8, Ny: 7, Nz: 6})
 	fl := physics.DefaultFluid()
-	opts := testOpts(2)
+	opts := DefaultOptions(2)
 	opts.Workers = 3 // deliberately not a divisor of Ny
 	res, err := RunFlatParallel(m, fl, opts)
 	if err != nil {
@@ -126,7 +126,7 @@ func TestParallelMatchesReference(t *testing.T) {
 
 func TestParallelCommOnly(t *testing.T) {
 	m := testMesh(t, mesh.Dims{Nx: 4, Ny: 6, Nz: 4})
-	opts := testOpts(2)
+	opts := DefaultOptions(2)
 	opts.CommOnly = true
 	opts.Workers = 2
 	par, err := RunFlatParallel(m, physics.DefaultFluid(), opts)
@@ -150,11 +150,11 @@ func TestParallelSingleRowAndColumn(t *testing.T) {
 	fl := physics.DefaultFluid()
 	for _, d := range []mesh.Dims{{Nx: 7, Ny: 1, Nz: 3}, {Nx: 1, Ny: 7, Nz: 3}} {
 		m := testMesh(t, d)
-		serial, err := RunFlat(m, fl, testOpts(2))
+		serial, err := RunFlat(m, fl, DefaultOptions(2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := testOpts(2)
+		opts := DefaultOptions(2)
 		opts.Workers = 4
 		par, err := RunFlatParallel(m, fl, opts)
 		if err != nil {
@@ -170,7 +170,7 @@ func TestParallelSingleRowAndColumn(t *testing.T) {
 
 func TestParallelErrorPropagation(t *testing.T) {
 	m := testMesh(t, mesh.Dims{Nx: 3, Ny: 6, Nz: 64})
-	opts := testOpts(1)
+	opts := DefaultOptions(1)
 	opts.MemWords = 512 // far below the 44·64-word footprint
 	opts.Workers = 3
 	if _, err := RunFlatParallel(m, physics.DefaultFluid(), opts); err == nil {

@@ -1,9 +1,6 @@
 package fabric
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // This file implements the paper's Fig. 6 scenario: the eastward localized
 // broadcast used to exchange cell values along the X dimension with a single
@@ -91,7 +88,7 @@ func EastwardBroadcast(f *Fabric, values []float32) ([]float32, error) {
 		return nil, err
 	}
 	received := make([]float32, f.Width())
-	bar := newBarrier(f.Width())
+	bar := &barrier{f: f, parties: f.Width()}
 	err := f.Run(func(pe *PE) error {
 		sender := pe.X%2 == 0
 		for step := 0; step < 2; step++ {
@@ -127,7 +124,9 @@ func EastwardBroadcast(f *Fabric, values []float32) ([]float32, error) {
 					return fmt.Errorf("step %d: expected command wavelet, got color %d", step, c.Color)
 				}
 			}
-			bar.await()
+			if err := bar.await(pe); err != nil {
+				return fmt.Errorf("step %d: %w", step, err)
+			}
 			sender = !sender
 		}
 		return nil
@@ -138,36 +137,29 @@ func EastwardBroadcast(f *Fabric, values []float32) ([]float32, error) {
 	return received, nil
 }
 
-// barrier is a reusable cyclic barrier for the fabric's worker goroutines.
+// barrier is a reusable cyclic barrier for a fabric's worker goroutines. It
+// lives on the fabric mutex, and a worker waiting in it counts as blocked,
+// so a worker that returns before the barrier ends the run in ErrDeadlock.
 type barrier struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
+	f       *Fabric
 	parties int
-	waiting int
-	gen     int
+	waiting []*PE
 }
 
-func newBarrier(parties int) *barrier {
-	b := &barrier{parties: parties}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// await blocks until all parties have arrived, then releases the generation.
-func (b *barrier) await() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	gen := b.gen
-	b.waiting++
-	if b.waiting == b.parties {
-		b.waiting = 0
-		b.gen++
-		b.cond.Broadcast()
-		return
+// await blocks pe until all parties have arrived; the last one releases the
+// others.
+func (b *barrier) await(pe *PE) error {
+	b.f.mu.Lock()
+	defer b.f.mu.Unlock()
+	if len(b.waiting)+1 < b.parties {
+		b.waiting = append(b.waiting, pe)
+		return pe.park(inBarrier)
 	}
-	for gen == b.gen {
-		b.cond.Wait()
+	for _, w := range b.waiting {
+		w.unpark(inBarrier)
 	}
+	b.waiting = b.waiting[:0]
+	return nil
 }
 
 // setPosition force-sets a color's switch position during configuration

@@ -1,13 +1,14 @@
 package fabric
 
 import (
+	"errors"
+	"strings"
 	"testing"
-	"time"
 )
 
 func broadcastFabric(t *testing.T, w int) *Fabric {
 	t.Helper()
-	f, err := New(Config{Width: w, Height: 1, RecvTimeout: 5 * time.Second})
+	f, err := New(Config{Width: w, Height: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,5 +155,26 @@ func TestUnknownCommandTargetIsError(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("command for unrouted color did not error")
+	}
+}
+
+// A worker that returns before the Fig. 6 barrier leaves the others waiting
+// in it; the run ends in ErrDeadlock naming them instead of hanging.
+func TestBarrierWithAWorkerGoneIsADeadlock(t *testing.T) {
+	f := broadcastFabric(t, 3)
+	bar := &barrier{f: f, parties: 3}
+	err := f.Run(func(pe *PE) error {
+		if pe.X == 2 {
+			return nil
+		}
+		return bar.await(pe)
+	})
+	if !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("want ErrDeadlock, got %v", err)
+	}
+	for _, name := range []string{"PE(0,0) waits in a barrier", "PE(1,0) waits in a barrier"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error does not say %q: %v", name, err)
+		}
 	}
 }

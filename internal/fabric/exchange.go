@@ -124,8 +124,8 @@ func (e *Exchange) Send(own []float32) {
 // previous round first, in Origin order, then in arrival order — forwarding
 // every cardinal payload clockwise on the way. The slice is valid only
 // during the call. A color outside the exchange or from an origin the PE
-// does not expect, a neighbor more than one round ahead, and a receive
-// timeout are errors.
+// does not expect, a neighbor more than one round ahead, and a deadlock
+// (ErrDeadlock) are errors.
 func (e *Exchange) Collect(deliver func(Origin, []float32) error) error {
 	remaining := 0
 	for o := range e.streams {

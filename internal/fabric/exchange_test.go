@@ -244,13 +244,10 @@ func TestExchangeOverrunIsAnError(t *testing.T) {
 	}
 }
 
-func TestExchangeCollectTimesOut(t *testing.T) {
-	f, err := New(Config{Width: 2, Height: 1, RecvTimeout: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestExchangeCollectDeadlocks(t *testing.T) {
+	f := newFabric(t, 2, 1)
 	installExchange(t, f, true)
-	err = f.Run(func(pe *PE) error {
+	err := f.Run(func(pe *PE) error {
 		if pe.X == 0 {
 			return nil // never sends
 		}
@@ -258,8 +255,8 @@ func TestExchangeCollectTimesOut(t *testing.T) {
 		ex.Send([]float32{0})
 		return ex.Collect(func(Origin, []float32) error { return nil })
 	})
-	if !errors.Is(err, ErrRecvTimeout) {
-		t.Fatalf("want ErrRecvTimeout, got %v", err)
+	if !errors.Is(err, ErrDeadlock) || !strings.Contains(err.Error(), "PE(1,0) waits in Recv") {
+		t.Fatalf("want ErrDeadlock naming PE(1,0), got %v", err)
 	}
 }
 
@@ -275,5 +272,51 @@ func TestInstallExchangeRoutes(t *testing.T) {
 	}
 	if err := InstallExchange(f.PE(1, 1), MaxColors-Color(NumOrigins)+1, true); err == nil {
 		t.Error("a base color whose eighth color is past MaxColors was accepted")
+	}
+}
+
+// A correct protocol never reads as a deadlock, whatever the schedule: the
+// Fig. 6 broadcast at every width 1–9 and 20 exchange rounds on 4×3 and 8×8
+// fabrics, repeated (run it under -race, and with -count, to vary the
+// schedule).
+func TestCorrectProtocolsNeverDeadlock(t *testing.T) {
+	for rep := 0; rep < 5; rep++ {
+		for w := 1; w <= 9; w++ {
+			values := make([]float32, w)
+			for x := range values {
+				values[x] = float32(x + 1)
+			}
+			got, err := EastwardBroadcast(newFabric(t, w, 1), values)
+			if err != nil {
+				t.Fatalf("broadcast width %d: %v", w, err)
+			}
+			for x := 1; x < w; x++ {
+				if got[x] != values[x-1] {
+					t.Fatalf("broadcast width %d: PE %d received %g, want %g", w, x, got[x], values[x-1])
+				}
+			}
+		}
+		for _, dims := range [][2]int{{4, 3}, {8, 8}} {
+			f := newFabric(t, dims[0], dims[1])
+			installExchange(t, f, true)
+			err := f.Run(func(pe *PE) error {
+				ex := NewExchange(pe, testBase, 3, true)
+				own := make([]float32, 3)
+				for r := 0; r < 20; r++ {
+					stamp(own, pe.X, pe.Y, r)
+					ex.Send(own)
+					if err := ex.Collect(func(o Origin, data []float32) error { return checkStamp(pe, o, data, r) }); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("exchange %dx%d: %v", dims[0], dims[1], err)
+			}
+			if tot := f.Totals(); tot.DroppedAtStop != 0 {
+				t.Fatalf("exchange %dx%d left %d wavelets unread", dims[0], dims[1], tot.DroppedAtStop)
+			}
+		}
 	}
 }

@@ -4,16 +4,17 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/dsd"
 )
 
 func newFabric(t *testing.T, w, h int) *Fabric {
 	t.Helper()
-	f, err := New(Config{Width: w, Height: h, RecvTimeout: 5 * time.Second})
+	f, err := New(Config{Width: w, Height: h})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +25,6 @@ func TestNewValidation(t *testing.T) {
 	bad := []Config{
 		{Width: 0, Height: 3},
 		{Width: 3, Height: -1},
-		{Width: 2, Height: 2, LinkBuffer: -4},
 		{Width: 2, Height: 2, MemWords: -1},
 	}
 	for _, cfg := range bad {
@@ -44,12 +44,34 @@ func TestTopologyWiring(t *testing.T) {
 	if !pe.HasNeighbor(PortEast) || !pe.HasNeighbor(PortSouth) {
 		t.Error("corner PE missing real neighbors")
 	}
-	// Out-channel of (0,0) east must be in-channel of (1,0) west.
-	if f.PE(0, 0).out[PortEast] != f.PE(1, 0).in[PortWest] {
-		t.Error("east link not shared")
-	}
-	if f.PE(1, 1).out[PortNorth] != f.PE(1, 0).in[PortSouth] {
-		t.Error("north link not shared")
+	// Every neighbor pointer names the adjacent PE, and the link is
+	// symmetric: the neighbor's opposite port points back.
+	for y := 0; y < 2; y++ {
+		for x := 0; x < 3; x++ {
+			pe := f.PE(x, y)
+			for _, p := range LinkPorts {
+				nx, ny := x, y
+				switch p {
+				case PortNorth:
+					ny--
+				case PortEast:
+					nx++
+				case PortSouth:
+					ny++
+				case PortWest:
+					nx--
+				}
+				if nx < 0 || nx >= 3 || ny < 0 || ny >= 2 {
+					if pe.nbr[p] != nil {
+						t.Errorf("PE(%d,%d) has a %v neighbor off the fabric", x, y, p)
+					}
+					continue
+				}
+				if pe.nbr[p] != f.PE(nx, ny) || pe.nbr[p].nbr[p.Opposite()] != pe {
+					t.Errorf("PE(%d,%d) %v neighbor is not PE(%d,%d) pointing back", x, y, p, nx, ny)
+				}
+			}
+		}
 	}
 }
 
@@ -261,15 +283,47 @@ func TestRouteValidation(t *testing.T) {
 
 func TestMissingRouteIsAnError(t *testing.T) {
 	f := newFabric(t, 2, 1)
-	// No routes installed at all: sending must surface a routing error.
+	// No routes installed at all: sending must surface a routing error, and
+	// the receiver the wavelet never reaches must end in a deadlock, not a
+	// hang.
 	err := f.Run(func(pe *PE) error {
 		if pe.X == 0 {
 			pe.Send(FromF32(3, 1))
+			return nil
 		}
-		return nil
+		_, err := pe.Recv()
+		return err
 	})
 	if err == nil || !strings.Contains(err.Error(), "no route") {
 		t.Fatalf("expected routing error, got %v", err)
+	}
+	if !errors.Is(err, ErrDeadlock) || !strings.Contains(err.Error(), "PE(1,0) waits in Recv") {
+		t.Fatalf("expected PE(1,0) to end in ErrDeadlock, got %v", err)
+	}
+}
+
+// A route that leads back into itself is a routing error, not an endless
+// forward.
+func TestRoutingCycleIsAnError(t *testing.T) {
+	f := newFabric(t, 2, 1)
+	const col Color = 6
+	if err := f.PE(0, 0).Router().SetRoute(col, 0, PortRamp, PortEast); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.PE(0, 0).Router().SetRoute(col, 0, PortEast, PortEast); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.PE(1, 0).Router().SetRoute(col, 0, PortWest, PortWest); err != nil {
+		t.Fatal(err)
+	}
+	err := f.Run(func(pe *PE) error {
+		if pe.X == 0 {
+			pe.Send(FromF32(col, 1))
+		}
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "routes in a cycle") {
+		t.Fatalf("expected a routing-cycle error, got %v", err)
 	}
 }
 
@@ -287,6 +341,60 @@ func TestWorkerErrorsAreCollected(t *testing.T) {
 	}
 }
 
+// Run reports the first eight worker errors and counts the rest.
+func TestWorkerErrorsSuppressedAreCounted(t *testing.T) {
+	f := newFabric(t, 3, 4)
+	err := f.Run(func(pe *PE) error { return fmt.Errorf("PE(%d,%d) failed", pe.X, pe.Y) })
+	if err == nil || !strings.Contains(err.Error(), "... 4 more worker errors suppressed") {
+		t.Fatalf("12 failing workers: want 8 errors and 4 suppressed, got %v", err)
+	}
+	if n := strings.Count(err.Error(), "failed"); n != 8 {
+		t.Errorf("%d worker errors reported, want 8", n)
+	}
+}
+
+func TestRunTwiceIsAnError(t *testing.T) {
+	f := newFabric(t, 2, 1)
+	if err := f.Run(func(*PE) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Run(func(*PE) error { return nil }); !errors.Is(err, ErrRunTwice) {
+		t.Fatalf("second Run: want ErrRunTwice, got %v", err)
+	}
+}
+
+// Run starts one goroutine per PE: a router is not a thread. The count is
+// of the goroutines this test's Run created, read off a full stack dump
+// while every worker is alive, so exiting workers of earlier tests do not
+// blur it.
+func TestRunStartsOneGoroutinePerPE(t *testing.T) {
+	const w, h = 3, 2
+	f := newFabric(t, w, h)
+	buf := make([]byte, 1<<20)
+	self := strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+	var started sync.WaitGroup
+	started.Add(w * h)
+	release := make(chan struct{})
+	created := 0
+	err := f.Run(func(pe *PE) error {
+		started.Done()
+		if pe.X == 0 && pe.Y == 0 {
+			started.Wait()
+			dump := string(buf[:runtime.Stack(buf, true)])
+			created = strings.Count(dump, "created by repro/internal/fabric.(*Fabric).Run in goroutine "+self+"\n")
+			close(release)
+		}
+		<-release
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if created != w*h {
+		t.Errorf("Run started %d goroutines, want %d (one per PE)", created, w*h)
+	}
+}
+
 func TestWorkerPanicsBecomeErrors(t *testing.T) {
 	f := newFabric(t, 1, 1)
 	err := f.Run(func(pe *PE) error {
@@ -297,25 +405,33 @@ func TestWorkerPanicsBecomeErrors(t *testing.T) {
 	}
 }
 
-func TestRecvTimeout(t *testing.T) {
-	f, err := New(Config{Width: 1, Height: 1, RecvTimeout: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = f.Run(func(pe *PE) error {
-		_, err := pe.Recv()
-		return err
-	})
-	if !errors.Is(err, ErrRecvTimeout) {
-		t.Fatalf("want ErrRecvTimeout, got %v", err)
+// A worker waiting for a wavelet nobody will send is told at once, by name,
+// both when it is alone and when the last other worker returns.
+func TestRecvDeadlock(t *testing.T) {
+	for _, w := range []int{1, 2} {
+		f := newFabric(t, w, 1)
+		err := f.Run(func(pe *PE) error {
+			if pe.X == 1 {
+				return nil // never sends
+			}
+			_, err := pe.Recv()
+			return err
+		})
+		if !errors.Is(err, ErrDeadlock) || !strings.Contains(err.Error(), "PE(0,0) waits in Recv") {
+			t.Fatalf("width %d: want ErrDeadlock naming PE(0,0), got %v", w, err)
+		}
 	}
 }
 
-// A wavelet already on the ramp is taken without arming the timeout's timer.
+// A wavelet in the inbox is taken without waiting; the inbox reuses its
+// backing array, so a loopback Send + Recv allocates nothing.
 func TestRecvQueuedWaveletAllocatesNothing(t *testing.T) {
 	pe := newFabric(t, 1, 1).PE(0, 0)
+	if err := pe.Router().SetRoute(2, 0, PortRamp, PortRamp); err != nil {
+		t.Fatal(err)
+	}
 	allocs := testing.AllocsPerRun(100, func() {
-		pe.rampIn <- FromF32(2, 1)
+		pe.Send(FromF32(2, 1))
 		if _, err := pe.Recv(); err != nil {
 			t.Fatal(err)
 		}

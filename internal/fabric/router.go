@@ -20,19 +20,20 @@ type routeEntry struct {
 	pos   uint8
 }
 
-// RouterCounters aggregates a router's traffic, updated atomically because
-// the fabric sums them while routers may still run in other tests.
+// RouterCounters aggregates a router's traffic. Routing updates them under
+// the fabric mutex; they are atomic so a worker may watch one mid-run.
 type RouterCounters struct {
-	SentFromRamp   atomic.Uint64 // ramp → link
-	DeliveredToPE  atomic.Uint64 // link → ramp
-	Forwarded      atomic.Uint64 // link → link (multi-hop traffic)
-	Commands       atomic.Uint64 // switch commands applied
-	DroppedAtStop  atomic.Uint64 // wavelets discarded during shutdown drain
-	LoopbackToRamp atomic.Uint64 // ramp → ramp (self-delivery, used by tests)
+	SentFromRamp  atomic.Uint64 // ramp → link
+	DeliveredToPE atomic.Uint64 // link → ramp
+	Forwarded     atomic.Uint64 // link → link (multi-hop traffic)
+	Commands      atomic.Uint64 // switch commands applied
+	DroppedAtStop atomic.Uint64 // wavelets left unread in the inbox when Run returned
 }
 
-// router is one PE's five-port router. Route configuration happens before
-// the fabric starts (static routes) and at runtime through command wavelets.
+// router is one PE's five-port router: a switch, not a thread. Route
+// configuration happens before the fabric runs (static routes) and at
+// runtime through command wavelets; wavelets pass through it inside the
+// sender's PE.Send.
 type router struct {
 	pe       *PE
 	entries  [MaxColors]*routeEntry
@@ -58,7 +59,7 @@ func (r *router) SetRoute(c Color, pos uint8, from Port, to ...Port) error {
 		if p >= NumPorts {
 			return fmt.Errorf("fabric: invalid to-port %d", p)
 		}
-		if p != PortRamp && r.pe.link(p) == nil {
+		if p != PortRamp && !r.pe.HasNeighbor(p) {
 			return fmt.Errorf("fabric: PE(%d,%d) route %v→%v crosses the fabric edge", r.pe.X, r.pe.Y, from, p)
 		}
 	}
@@ -84,8 +85,7 @@ func (r *router) SetCommandColor(c Color) error {
 	if c >= MaxColors {
 		return fmt.Errorf("fabric: command color %d out of range", c)
 	}
-	r.cmd = c
-	r.hasCmd = true
+	r.cmd, r.hasCmd = c, true
 	return nil
 }
 
@@ -98,23 +98,30 @@ func (r *router) Position(c Color) uint8 {
 	return 0
 }
 
-// route processes one wavelet arriving on port from. It returns false when a
-// routing error occurred (recorded in routeErr; the fabric surfaces it).
-// Deliveries select on stop so a failed worker cannot wedge the fabric.
-func (r *router) route(w Wavelet, from Port, stop <-chan struct{}) bool {
+// route carries one wavelet that arrives on port from through this router,
+// with the fabric mutex held: it applies a switch command, then appends to
+// the PE's inbox or hands the wavelet to the neighbor on each output port.
+// hops counts the links crossed so far; a route that crosses more links
+// than the fabric has is a cycle. A routing error is recorded in routeErr
+// (Run reports it) and drops the wavelet.
+func (r *router) route(w Wavelet, from Port, hops int) {
 	if int(w.Color) >= len(r.entries) {
 		r.fail(fmt.Errorf("fabric: PE(%d,%d) received wavelet with invalid color %d", r.pe.X, r.pe.Y, w.Color))
-		return false
+		return
 	}
 	e := r.entries[w.Color]
 	if e == nil {
 		r.fail(fmt.Errorf("fabric: PE(%d,%d) has no route for color %d (from %v)", r.pe.X, r.pe.Y, w.Color, from))
-		return false
+		return
 	}
 	rule := e.rules[e.pos]
 	if rule == nil || rule.out[from] == nil {
 		r.fail(fmt.Errorf("fabric: PE(%d,%d) color %d position %d has no route from %v", r.pe.X, r.pe.Y, w.Color, e.pos, from))
-		return false
+		return
+	}
+	if hops > len(r.pe.fab.pes)*len(LinkPorts) {
+		r.fail(fmt.Errorf("fabric: PE(%d,%d) color %d routes in a cycle", r.pe.X, r.pe.Y, w.Color))
+		return
 	}
 	// Apply switch commands before forwarding: each router reconfigures as
 	// the command passes through it (Fig. 6b), and the worker observing the
@@ -125,168 +132,33 @@ func (r *router) route(w Wavelet, from Port, stop <-chan struct{}) bool {
 		switch {
 		case te != nil && pos == TogglePosition:
 			te.pos ^= 1
-			r.C.Commands.Add(1)
 		case te != nil && pos <= 1:
 			te.pos = pos
-			r.C.Commands.Add(1)
 		default:
 			r.fail(fmt.Errorf("fabric: PE(%d,%d) switch command for unknown color %d / position %d", r.pe.X, r.pe.Y, target, pos))
-			return false
+			return
 		}
+		r.C.Commands.Add(1)
 	}
-	for _, outPort := range rule.out[from] {
-		var dst chan Wavelet
+	for _, out := range rule.out[from] {
 		switch {
-		case outPort == PortRamp && from == PortRamp:
-			r.C.LoopbackToRamp.Add(1)
-			dst = r.pe.rampIn
-		case outPort == PortRamp:
-			r.C.DeliveredToPE.Add(1)
-			dst = r.pe.rampIn
+		case out == PortRamp:
+			if from != PortRamp {
+				r.C.DeliveredToPE.Add(1)
+			}
+			r.pe.deliver(w)
+			continue
 		case from == PortRamp:
 			r.C.SentFromRamp.Add(1)
-			dst = r.pe.link(outPort)
 		default:
 			r.C.Forwarded.Add(1)
-			dst = r.pe.link(outPort)
 		}
-		select {
-		case dst <- w:
-		case <-stop:
-			r.C.DroppedAtStop.Add(1)
-			return true
-		}
+		r.pe.nbr[out].rt.route(w, out.Opposite(), hops+1)
 	}
-	return true
 }
 
 func (r *router) fail(err error) {
 	if r.routeErr == nil {
 		r.routeErr = err
-	}
-}
-
-// run is the router goroutine: it multiplexes the four fabric links and the
-// worker's ramp-out until the fabric stops, then drains what remains.
-func (r *router) run(stop <-chan struct{}) {
-	in := r.pe.in
-	rampOut := r.pe.rampOut
-	open := 0
-	for _, ch := range in {
-		if ch != nil {
-			open++
-		}
-	}
-	rampOpen := true
-	for rampOpen || open > 0 {
-		select {
-		case w, ok := <-rampOut:
-			if !ok {
-				rampOpen = false
-				rampOut = nil
-				continue
-			}
-			r.route(w, PortRamp, stop)
-		case w, ok := <-in[PortNorth]:
-			if !r.linkEvent(w, ok, PortNorth, &open, stop) {
-				in[PortNorth] = nil
-			}
-		case w, ok := <-in[PortEast]:
-			if !r.linkEvent(w, ok, PortEast, &open, stop) {
-				in[PortEast] = nil
-			}
-		case w, ok := <-in[PortSouth]:
-			if !r.linkEvent(w, ok, PortSouth, &open, stop) {
-				in[PortSouth] = nil
-			}
-		case w, ok := <-in[PortWest]:
-			if !r.linkEvent(w, ok, PortWest, &open, stop) {
-				in[PortWest] = nil
-			}
-		case <-stop:
-			// Workers have all finished (Run closes stop only after
-			// workers.Wait()), so everything they sent is already buffered:
-			// route those wavelets before draining, deterministically.
-			r.flush(stop)
-			r.drain()
-			return
-		}
-	}
-}
-
-// flush routes whatever is already buffered on the ramp and the in-links at
-// shutdown. Bounded so a pathological routing cycle cannot spin forever.
-func (r *router) flush(stop <-chan struct{}) {
-	const maxFlush = 1 << 20
-	for n := 0; n < maxFlush; n++ {
-		progressed := false
-		select {
-		case w, ok := <-r.pe.rampOut:
-			if ok {
-				r.route(w, PortRamp, stop)
-				progressed = true
-			}
-		default:
-		}
-		for _, p := range LinkPorts {
-			ch := r.pe.in[p]
-			if ch == nil {
-				continue
-			}
-			select {
-			case w, ok := <-ch:
-				if ok {
-					r.route(w, p, stop)
-					progressed = true
-				}
-			default:
-			}
-		}
-		if !progressed {
-			return
-		}
-	}
-}
-
-func (r *router) linkEvent(w Wavelet, ok bool, from Port, open *int, stop <-chan struct{}) bool {
-	if !ok {
-		*open--
-		return false
-	}
-	r.route(w, from, stop)
-	return true
-}
-
-// drain empties remaining input non-destructively at shutdown, counting
-// stragglers: a correct protocol leaves zero wavelets in flight, and tests
-// assert DroppedAtStop == 0.
-func (r *router) drain() {
-	for _, ch := range r.pe.in {
-		if ch == nil {
-			continue
-		}
-		for {
-			select {
-			case _, ok := <-ch:
-				if !ok {
-					goto next
-				}
-				r.C.DroppedAtStop.Add(1)
-			default:
-				goto next
-			}
-		}
-	next:
-	}
-	for {
-		select {
-		case _, ok := <-r.pe.rampOut:
-			if !ok {
-				return
-			}
-			r.C.DroppedAtStop.Add(1)
-		default:
-			return
-		}
 	}
 }

@@ -3,9 +3,12 @@
 // and a five-port router (North, East, South, West, Ramp — paper Fig. 2).
 // Data moves in 32-bit wavelets tagged with a color; routers forward wavelets
 // according to per-color routing rules with two switch positions that runtime
-// commands can flip (paper Fig. 6). Each PE runs two goroutines: its router
-// and its worker program, connected by the ramp. exchange.go holds the §5.2
-// neighborhood exchange the flux and wave engines communicate through.
+// commands can flip (paper Fig. 6). Each PE runs one goroutine, its worker
+// program; a router is a switch, not a thread: a sent wavelet is routed to
+// completion in the sender's goroutine, into the inboxes of the PEs it
+// reaches, so nothing is ever in flight and a run in which every live worker
+// waits is reported as ErrDeadlock. exchange.go holds the §5.2 neighborhood
+// exchange the flux and wave engines communicate through.
 package fabric
 
 import (

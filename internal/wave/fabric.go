@@ -16,13 +16,8 @@ const exchangeColor fabric.Color = 2
 
 // simulateFabric runs the leapfrog on the wavelet fabric.
 func simulateFabric(m *Medium, opts Options) (*Result, error) {
-	fab, err := fabric.New(fabric.Config{
-		Width:      m.Nx,
-		Height:     m.Ny,
-		MemWords:   64, // wave state lives in worker locals; PE memory unused
-		LinkBuffer: 64,
-		RampBuffer: 128,
-	})
+	// Wave state lives in worker locals; PE memory is unused.
+	fab, err := fabric.New(fabric.Config{Width: m.Nx, Height: m.Ny, MemWords: 64})
 	if err != nil {
 		return nil, err
 	}
