@@ -90,14 +90,19 @@ race:
 # canonical order is built by in-place median selection instead of a sort per
 # level, net +52: selection +30 after bisect and RCB's own recursion are gone
 # — RCB reads its parts off the order's cuts — adjacency counted and sliced
-# in two passes +14, and Validate's non-finite centroid and Υ checks +8). Lower
+# in two passes +14, and Validate's non-finite centroid and Υ checks +8; 4540
+# once block-SSOR is gone: its index lists, sweeps, per-part diagonal and the
+# reference rung's canonical-order permutation — the ladder is Jacobi,
+# Chebyshev, AMG). Lower
 # SIZE_CEILING when a PR shrinks the sum; a PR that must raise it says why.
 # SERVE_CEILING does the same for internal/serve, the serving core ROADMAP's
 # state-machine item tracks (2050 at PR 16, 2044 at PR 17, 2017 once the
 # memo's single flight became the only way requests share a solve — backlog
 # batching, BatchMax and the loosest-deadline cancel are gone, an engine
 # solves one job; 2025 once Scenario.Validate turns away a part count the
-# mesh or RCB cannot take, which used to fail as a 500 at compile), and
+# mesh or RCB cannot take, which used to fail as a 500 at compile; 2017 once
+# the ssor rung's cost factor is gone and Validate checks the rung with one
+# slices.Contains), and
 # BENCH_CEILING for internal/bench, which holds
 # the paper's tables, Fig. 8 and the ablations and nothing that times this
 # host (2695 at PR 19 with the five wall-clock sweeps, 956 at PR 20 without).
@@ -113,8 +118,8 @@ race:
 # a router goroutine per PE, its link and ramp channels, their drain at stop
 # and a 30-s receive timeout; 959 once a wavelet is routed to completion in
 # its sender's goroutine and deadlock is detected exactly).
-SIZE_CEILING = 4695
-SERVE_CEILING = 2025
+SIZE_CEILING = 4540
+SERVE_CEILING = 2017
 BENCH_CEILING = 956
 STRUCT_CEILING = 2046
 FABRIC_CEILING = 959
@@ -242,7 +247,7 @@ bench-umesh:
 # The part-resident implicit-solve microbenchmarks (resident operator
 # application and fused reductions vs the serial host apply, one whole
 # partitioned step, a transient solve per preconditioner-ladder rung —
-# BenchmarkUsolvePrecond/{jacobi,ssor,chebyshev,amg} — and the per-stage
+# BenchmarkUsolvePrecond/{jacobi,chebyshev,amg} — and the per-stage
 # sizings of one Jacobi-CG and one AMG iteration, BenchmarkUsolveJacobiStage
 # and BenchmarkUsolveAMGStage, and the three stages of a set-up,
 # BenchmarkUsolveSetup/{mesh,rcb,compile}) once each — CI's guarantee that they keep

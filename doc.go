@@ -53,8 +53,8 @@
 // RunTransientUnstructured, `fvsim -mesh unstructured -parts N`) is
 // bit-identical to the serial reference at every part and worker count:
 // residual histories, iteration counts, and the final field. A resident
-// preconditioner ladder (solver.PrecondKind: jacobi, block-SSOR, Chebyshev
-// polynomial smoothing, aggregation AMG whose coarse correction is a
+// preconditioner ladder (solver.PrecondKind: jacobi, Chebyshev polynomial
+// smoothing, aggregation AMG whose coarse correction is a
 // once-per-system two-grid cycle) runs as fused phases under the same
 // determinism contract; AMG cuts the 15360-cell benchmark mesh's CG
 // iterations 8.6x vs Jacobi (1365 → 159, pinned by umesh's

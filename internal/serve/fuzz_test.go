@@ -28,6 +28,7 @@ func FuzzSolveRequest(f *testing.F) {
 		`{"scenario":{},"bogus":1}`,
 		`{"scenario":{"mesh":"tetrahedral"}}`,
 		`{"scenario":{"precond":"ilu"}}`,
+		`{"scenario":{"precond":"ssor"}}`,
 		`{"scenario":{"rings":6,"sectors":8,"parts":3}}`,
 		`{"scenario":{"rings":6,"sectors":8,"parts":2,"max_iter":2,"tol":1e-30}}`,
 		`{"scenario":{"mesh":"radial","rings":64,"sectors":64,"refine_every":16,"parts":8,"workers":2,"precond":"amg","dt_seconds":60,"porosity":0.3,"viscosity":1e-4,"compressibility":1e-9}}`,

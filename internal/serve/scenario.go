@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 
 	"repro/internal/physics"
@@ -35,8 +36,8 @@ type Scenario struct {
 	// worker each so a pool of them does not oversubscribe the host).
 	Parts   int `json:"parts,omitempty"`
 	Workers int `json:"workers,omitempty"`
-	// Precond names the preconditioner ladder rung: jacobi, ssor, chebyshev
-	// or amg (empty selects jacobi).
+	// Precond names the preconditioner ladder rung: jacobi, chebyshev or amg
+	// (empty selects jacobi).
 	Precond string `json:"precond,omitempty"`
 	// DtSeconds is the frozen backward-Euler step length (0 selects 3600);
 	// Tol and MaxIter shape the Krylov iteration (0 selects 1e-8 / 800).
@@ -119,17 +120,10 @@ func (s Scenario) Validate(maxCells int) error {
 	if n.Workers < 1 {
 		return fmt.Errorf("serve: workers must be positive, got %d", s.Workers)
 	}
-	kind := solver.PrecondKind(n.Precond)
-	known := false
-	for _, k := range solver.PrecondKinds() {
-		if kind == k {
-			known = true
-		}
-	}
-	if !known {
-		names := make([]string, 0, 4)
-		for _, k := range solver.PrecondKinds() {
-			names = append(names, string(k))
+	if kinds := solver.PrecondKinds(); !slices.Contains(kinds, solver.PrecondKind(n.Precond)) {
+		names := make([]string, len(kinds))
+		for i, k := range kinds {
+			names[i] = string(k)
 		}
 		return fmt.Errorf("serve: unknown preconditioner %q (want %s)", s.Precond, strings.Join(names, ", "))
 	}

@@ -66,6 +66,7 @@ func TestScenarioValidate(t *testing.T) {
 		{"most parts RCB builds", Scenario{Parts: 256}, 0, ""},
 		{"negative workers", Scenario{Rings: 6, Sectors: 8, Workers: -1}, 0, "workers"},
 		{"unknown precond", Scenario{Precond: "ilu"}, 0, "unknown preconditioner"},
+		{"retired rung ssor", Scenario{Precond: "ssor"}, 0, `unknown preconditioner "ssor" (want jacobi, chebyshev, amg)`},
 		{"negative tol", Scenario{Tol: -1}, 0, "positive"},
 		{"negative dt", Scenario{DtSeconds: -3600}, 0, "positive"},
 		{"porosity over 1", Scenario{Porosity: 1.5}, 0, "porosity"},

@@ -14,13 +14,11 @@ import (
 
 // rungIterationFactor is the preconditioner ladder's relative Krylov
 // iteration cost (jacobi ≡ 1): the iteration counts pinned by umesh's
-// TestPrecondLadderRecordedIterationCounts (1365 → 795 / 369 / 159 on the
+// TestPrecondLadderRecordedIterationCounts (1365 → 369 / 159 on the
 // 15360-cell mesh) as ratios, which TestRungIterationFactor checks. It
 // shapes the static cost prior; observed solves refine it away.
 func rungIterationFactor(precond string) float64 {
 	switch precond {
-	case "ssor":
-		return 0.58
 	case "chebyshev":
 		return 0.27
 	case "amg":

@@ -136,10 +136,9 @@ func TestCostModelObserve(t *testing.T) {
 // TestRungIterationFactor pins the ladder ordering the static prior relies
 // on: stronger rungs cost fewer iterations, unknown names get the ceiling.
 func TestRungIterationFactor(t *testing.T) {
-	j, s, c, a := rungIterationFactor("jacobi"), rungIterationFactor("ssor"),
-		rungIterationFactor("chebyshev"), rungIterationFactor("amg")
-	if !(j > s && s > c && c > a && a > 0) {
-		t.Errorf("ladder factors not strictly decreasing: %g %g %g %g", j, s, c, a)
+	j, c, a := rungIterationFactor("jacobi"), rungIterationFactor("chebyshev"), rungIterationFactor("amg")
+	if !(j > c && c > a && a > 0) {
+		t.Errorf("ladder factors not strictly decreasing: %g %g %g", j, c, a)
 	}
 	if rungIterationFactor("unknown") != j {
 		t.Error("unknown preconditioner must get the jacobi ceiling")
@@ -151,7 +150,7 @@ func TestRungIterationFactor(t *testing.T) {
 	for _, rung := range []struct {
 		precond    string
 		iterations float64
-	}{{"ssor", 795}, {"chebyshev", 369}, {"amg", 159}} {
+	}{{"chebyshev", 369}, {"amg", 159}} {
 		want := math.Round(100*rung.iterations/jacobiIterations) / 100
 		if got := rungIterationFactor(rung.precond); got != want {
 			t.Errorf("%s factor %g, the pinned ladder gives %g/%d = %g", rung.precond, got, rung.iterations, jacobiIterations, want)

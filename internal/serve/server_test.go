@@ -110,6 +110,7 @@ func TestSolveRejectsInvalid(t *testing.T) {
 		{"unknown field", `{"scenario":{},"bogus":1}`},
 		{"unknown mesh", `{"scenario":{"mesh":"tetrahedral"}}`},
 		{"unknown precond", `{"scenario":{"precond":"ilu"}}`},
+		{"retired rung ssor", `{"scenario":{"precond":"ssor"}}`},
 		{"parts not power of two", `{"scenario":{"rings":6,"sectors":8,"parts":3}}`},
 		{"more parts than cells", `{"scenario":{"rings":6,"sectors":8,"parts":64}}`},
 		{"more parts than RCB builds", `{"scenario":{"parts":512,"precond":"amg"}}`},

@@ -18,17 +18,12 @@ import (
 // Jacobi.
 type PrecondKind string
 
-// The ladder's rungs, in ascending strength (and per-iteration cost):
-// diagonal scaling, symmetric Gauss–Seidel over canonical blocks, a fixed-
-// degree Chebyshev polynomial of the Jacobi-scaled operator, and a two-level
+// The ladder's rungs, in ascending strength: diagonal scaling, a fixed-degree
+// Chebyshev polynomial of the Jacobi-scaled operator, and a two-level
 // aggregation AMG V-cycle.
 const (
 	// PrecondJacobi is diagonal scaling z_i = (1/d_i)·r_i.
 	PrecondJacobi PrecondKind = "jacobi"
-	// PrecondSSOR is symmetric Gauss–Seidel (SSOR at ω=1) restricted to the
-	// operator's canonical reduction blocks, so the sweep is identical for
-	// every part count. Operator-built.
-	PrecondSSOR PrecondKind = "ssor"
 	// PrecondChebyshev is a fixed-degree Chebyshev polynomial of the
 	// Jacobi-scaled operator — applications and elementwise updates only,
 	// no triangular solves. Operator-built.
@@ -42,13 +37,13 @@ const (
 // PrecondKinds lists the ladder's rungs in ascending strength order — the
 // sweep order benchmarks and CLIs use.
 func PrecondKinds() []PrecondKind {
-	return []PrecondKind{PrecondJacobi, PrecondSSOR, PrecondChebyshev, PrecondAMG}
+	return []PrecondKind{PrecondJacobi, PrecondChebyshev, PrecondAMG}
 }
 
 // valid reports whether k names a known rung (the zero value is Jacobi).
 func (k PrecondKind) valid() bool {
 	switch k {
-	case "", PrecondJacobi, PrecondSSOR, PrecondChebyshev, PrecondAMG:
+	case "", PrecondJacobi, PrecondChebyshev, PrecondAMG:
 		return true
 	}
 	return false
@@ -58,7 +53,7 @@ func (k PrecondKind) valid() bool {
 // (everything above Jacobi: the construction needs the matrix graph).
 func (k PrecondKind) operatorBuilt() bool {
 	switch k {
-	case PrecondSSOR, PrecondChebyshev, PrecondAMG:
+	case PrecondChebyshev, PrecondAMG:
 		return true
 	}
 	return false

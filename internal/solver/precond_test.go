@@ -8,7 +8,7 @@ import (
 
 func TestPrecondKindsLadder(t *testing.T) {
 	kinds := PrecondKinds()
-	want := []PrecondKind{PrecondJacobi, PrecondSSOR, PrecondChebyshev, PrecondAMG}
+	want := []PrecondKind{PrecondJacobi, PrecondChebyshev, PrecondAMG}
 	if len(kinds) != len(want) {
 		t.Fatalf("PrecondKinds() = %v, want %v", kinds, want)
 	}
@@ -29,7 +29,7 @@ func TestPrecondKindsLadder(t *testing.T) {
 	if PrecondJacobi.operatorBuilt() || PrecondKind("").operatorBuilt() {
 		t.Error("jacobi must not require operator cooperation")
 	}
-	for _, k := range []PrecondKind{PrecondSSOR, PrecondChebyshev, PrecondAMG} {
+	for _, k := range []PrecondKind{PrecondChebyshev, PrecondAMG} {
 		if !k.operatorBuilt() {
 			t.Errorf("%q must be operator-built", k)
 		}
@@ -52,7 +52,7 @@ func TestPrecondKindValidationOnSlicePath(t *testing.T) {
 	if _, err := CG(a, x, b, Options{PrecondKind: "nonsense"}); err == nil {
 		t.Error("unknown kind accepted")
 	}
-	for _, kind := range []PrecondKind{PrecondSSOR, PrecondChebyshev, PrecondAMG} {
+	for _, kind := range []PrecondKind{PrecondChebyshev, PrecondAMG} {
 		_, err := CG(a, x, b, Options{PrecondKind: kind})
 		if err == nil || !strings.Contains(err.Error(), "cannot build") {
 			t.Errorf("%s on a plain operator: err = %v, want a cannot-build error", kind, err)
@@ -81,7 +81,7 @@ func TestPrecondKindValidationOnResidentPath(t *testing.T) {
 	if _, err := CG(d, x, b, Options{PrecondKind: "nonsense"}); err == nil {
 		t.Error("unknown kind accepted")
 	}
-	for _, kind := range []PrecondKind{PrecondSSOR, PrecondChebyshev, PrecondAMG} {
+	for _, kind := range []PrecondKind{PrecondChebyshev, PrecondAMG} {
 		_, err := CG(d, x, b, Options{PrecondKind: kind})
 		if err == nil || !strings.Contains(err.Error(), "cannot build") {
 			t.Errorf("%s on a rung-less SliceSpace: err = %v, want its SetPrecond error", kind, err)

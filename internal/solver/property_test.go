@@ -132,7 +132,7 @@ func TestCGRandomSPDConvergesMonotonically(t *testing.T) {
 			}, nil
 		}}
 		x := make([]float64, n)
-		st, err := CG(space, x, b, Options{Tol: 1e-10, MaxIter: 400, PrecondKind: PrecondSSOR})
+		st, err := CG(space, x, b, Options{Tol: 1e-10, MaxIter: 400, PrecondKind: PrecondChebyshev})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -70,7 +70,7 @@ func cgSetup(s *cgState) []ProgOp {
 // cgProgram is one CG iteration as a phase program. With the elementwise
 // (Jacobi) preconditioner the residual update, preconditioner
 // application and both dots fuse into a single OpCGStepPre pass; the
-// operator-built rungs (SSOR/Chebyshev/AMG) keep the update and the
+// operator-built rungs (Chebyshev/AMG) keep the update and the
 // preconditioner as separate ops so a converged final iteration skips the
 // expensive preconditioner.
 func cgProgram(s *cgState, rung bool) []ProgOp {

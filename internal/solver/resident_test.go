@@ -141,7 +141,7 @@ func TestPrecondClosureForcesSlicePath(t *testing.T) {
 		return func(z, r []float64) { calls++; copy(z, r) }, nil
 	}}
 	x := make([]float64, op.Size())
-	st, err := CG(space, x, b, Options{Tol: 1e-10, MaxIter: 300, PrecondKind: PrecondSSOR})
+	st, err := CG(space, x, b, Options{Tol: 1e-10, MaxIter: 300, PrecondKind: PrecondChebyshev})
 	if err != nil || !st.Converged {
 		t.Fatalf("cg with a Rung closure failed: %v %+v", err, st)
 	}
@@ -255,7 +255,7 @@ func TestCompiledCGEmitsEveryOpKind(t *testing.T) {
 	// stops accepting kinds.
 	op, _ := randomSPD(8, 5)
 	seen := map[OpKind]bool{}
-	for _, kind := range []PrecondKind{PrecondJacobi, PrecondSSOR} {
+	for _, kind := range []PrecondKind{PrecondJacobi, PrecondChebyshev} {
 		space := &recordingSpace{seen: seen, SliceSpace: SliceSpace{Operator: op,
 			Rung: func(PrecondKind, []float64) (func(z, r []float64), error) {
 				return func(z, r []float64) { copy(z, r) }, nil

@@ -21,8 +21,8 @@ type SliceSpace struct {
 	// left-to-right sum — the hook that gives the reference the summation
 	// tree of the runtime it is the oracle of.
 	Dot func(a, b []float64) float64
-	// Rung, when non-nil, builds the operator-built rungs (SSOR, Chebyshev,
-	// AMG) as z = M⁻¹·r over global-order slices; diag is the operator's
+	// Rung, when non-nil, builds the operator-built rungs (Chebyshev, AMG)
+	// as z = M⁻¹·r over global-order slices; diag is the operator's
 	// diagonal, already validated. Without it only Jacobi can be installed.
 	Rung func(kind PrecondKind, diag []float64) (func(z, r []float64), error)
 

@@ -13,8 +13,8 @@
 // paper's own dataflow kernel. The matrix is symmetric positive definite for
 // frozen mobilities, so CG is the Krylov method.
 //
-// Preconditioning is selected by Options.PrecondKind — a ladder of four
-// rungs (jacobi, ssor, chebyshev, amg) — and installed through
+// Preconditioning is selected by Options.PrecondKind — a ladder of three
+// rungs (jacobi, chebyshev, amg) — and installed through
 // ProgramSpace.SetPrecond. Every rung scales by the matrix diagonal, which a
 // space reads from its own system (Operator.Diagonal), never from the caller;
 // Jacobi needs nothing else and works with any Operator. The operator-built
@@ -60,7 +60,7 @@ type Options struct {
 	Tol float64
 	// PrecondKind selects a rung of the preconditioner ladder (see the
 	// PrecondKind constants); the zero value is Jacobi. The operator-built
-	// rungs (SSOR, Chebyshev, AMG) need a space that can build them; every
+	// rungs (Chebyshev, AMG) need a space that can build them; every
 	// space that can applies identical arithmetic, so solves stay
 	// bit-identical across spaces and part counts.
 	PrecondKind PrecondKind

@@ -259,7 +259,7 @@ func ReferenceSpace(sys *USystem, op solver.Operator) *solver.SliceSpace {
 			return treeFold(sums)
 		},
 		Rung: func(kind solver.PrecondKind, diag []float64) (func(z, r []float64), error) {
-			return referenceRung(h, order, blocks, kind, diag)
+			return referenceRung(h, kind, diag)
 		},
 	}
 }
@@ -322,9 +322,7 @@ type opPart struct {
 	accum []float64
 	// quad, genStart and gen are the row store (see quadRow): the packed
 	// degree-4 rows, and general row g = gen[genStart[g]:genStart[g+1]].
-	// Only sweep reads them, and only through the segment lists below; set-up
-	// code that needs a row by index (the SSOR list builder) reads the
-	// layout's partLayout.row and multiplies by λ — the same product.
+	// Only sweep reads them, and only through the segment lists below.
 	quad     []quadRow
 	genStart []int32
 	gen      []nbrEntry
@@ -342,14 +340,10 @@ type opPart struct {
 	blkLo, blkHi, blkOut []int32
 	comm                 CommCounters
 
-	// Preconditioner-resident state (SetPrecond): the matrix diagonal in
-	// the compact layout (SSOR's backward sweep), the SSOR triangular index
-	// lists over the part's blocks, the Chebyshev direction vector, the
-	// scratch destination of in-preconditioner operator applications, and the
-	// part-local view of the AMG aggregates (global aggregate ids, member
-	// CSR over local indices, owned-cell → aggregate).
-	dLoc                              []float64
-	ssor                              ssorLists
+	// Preconditioner-resident state (SetPrecond): the Chebyshev direction
+	// vector, the scratch destination of in-preconditioner operator
+	// applications, and the part-local view of the AMG aggregates (global
+	// aggregate ids, member CSR over local indices, owned-cell → aggregate).
 	pd, pw                            []float64
 	aggID, aggPtr, aggCells, aggOfLoc []int32
 }

@@ -11,34 +11,19 @@ import (
 )
 
 // This file is the preconditioner ladder on the unstructured implicit-solve
-// path: three rungs above Jacobi, each realized in both spaces a solve can run
+// path: two rungs above Jacobi, each realized in both spaces a solve can run
 // in — as a reference rung over global-order slices (referenceRung, what the
 // serial reference space's Rung field builds: the serial oracle) and as plan
 // steps on PartOperator, whose sequence emitPrecond (program.go) compiles into
 // the phase programs — so golden transient trajectories stay bit-identical
 // between the serial solve and every partitioned configuration.
 //
-// Every rung's arithmetic is written once. The Chebyshev and AMG rungs are
-// elementwise updates, operator applications and per-aggregate sums, none of
-// which cares how a vector is laid out, so their float expressions live in the
+// Every rung's arithmetic is written once. Both rungs are elementwise
+// updates, operator applications and per-aggregate sums, none of which cares
+// how a vector is laid out, so their float expressions live in the
 // layout-free kernels below (chebInit, chebStep, amgPre, amgResidualSum,
 // amgProlong, amgPost, and the Chebyshev scalar recurrence chebCoeffs.rounds)
-// and both realizations are compositions of the same calls. Block-SSOR's
-// sweeps are sequential recurrences through triangular index lists (ssorLists)
-// over rows in canonical order: a part's compact index is a canonical position
-// minus the part's start, so one builder fed the layout's rows serves a part,
-// the same builder fed the mesh adjacency walked through CanonicalOrder serves
-// the reference — which gathers r into canonical order, runs the one sweep and
-// scatters z back — and an independently written dense block solve in
-// precond_test.go is the sweep's oracle.
-//
-//   - SSOR (symmetric Gauss–Seidel, ω = 1) restricted to the canonical
-//     reduction blocks: couplings crossing a block boundary are dropped from
-//     the preconditioner (the matrix itself is untouched), which keeps M
-//     symmetric positive definite, makes every block's triangular sweep an
-//     independent unit of work, and — because an RCB part owns whole
-//     canonical blocks — makes the partitioned application one local phase
-//     with no halo exchange and no part-count dependence.
+// and both realizations are compositions of the same calls.
 //
 //   - Chebyshev: a fixed-degree polynomial of the Jacobi-scaled operator
 //     D⁻¹A on the interval [b/30, b], where b ≥ λmax(D⁻¹A) is the Gershgorin
@@ -649,42 +634,13 @@ func amgPost(z, inv, r, w []float64) {
 // the inverse diagonal and one scratch vector per application in flight.
 // (h.Apply fails only on a length mismatch, which SetPrecond's check of diag
 // against Size has excluded — hence the dropped errors.)
-func referenceRung(h *UHostOperator, order, blocks []int32, kind solver.PrecondKind, diag []float64) (func(z, r []float64), error) {
+func referenceRung(h *UHostOperator, kind solver.PrecondKind, diag []float64) (func(z, r []float64), error) {
 	n := len(diag)
 	inv := make([]float64, n)
 	for i, d := range diag {
 		inv[i] = 1 / d
 	}
 	switch kind {
-	case solver.PrecondSSOR:
-		// The lists index canonical positions, so the rung carries r, z, 1/d
-		// and d in canonical order and permutes on the way in and out.
-		pos := make([]int32, n)
-		zc, rc, invc, dc := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
-		for k, c := range order {
-			pos[c], invc[k], dc[k] = int32(k), inv[c], diag[c]
-		}
-		var nbrPos []int32
-		var lists ssorLists
-		blkHi := append(append([]int32(nil), blocks[1:]...), int32(n))
-		lists.build(n, blocks, blkHi, h.Sys.Mobility,
-			func(k int32) ([]int32, []float64) {
-				nbrs, trans := h.Sys.U.halfFaces(int(order[k]))
-				nbrPos = nbrPos[:0]
-				for _, nb := range nbrs {
-					nbrPos = append(nbrPos, pos[nb])
-				}
-				return nbrPos, trans
-			})
-		return func(z, r []float64) {
-			for k, c := range order {
-				rc[k] = r[c]
-			}
-			lists.sweep(zc, rc, invc, dc)
-			for k, c := range order {
-				z[c] = zc[k]
-			}
-		}, nil
 	case solver.PrecondChebyshev:
 		cf := newChebCoeffs(h.Sys.chebUpper())
 		rounds := cf.rounds()
@@ -718,91 +674,6 @@ func referenceRung(h *UHostOperator, order, blocks []int32, kind solver.PrecondK
 	return nil, fmt.Errorf("umesh: %q is not an operator-built preconditioner", kind)
 }
 
-// ssorLists is block-SSOR's triangular structure over rows in sweep order —
-// canonical positions on the reference side, a part's compact indices (the
-// same order, offset by the part's start) on a part: per row the strictly-lower
-// and strictly-upper couplings inside the row's block as premultiplied (Υ·λ)
-// weights and row indices, in adjacency order, so the sweeps are branch-free
-// streams instead of re-filtering every neighbor on every application.
-// Couplings that leave the block — every halo neighbor of a part among them —
-// are dropped, which is what lets a part sweep with no exchange.
-type ssorLists struct {
-	blkLo, blkHi []int32 // the blocks, as [lo, hi) row ranges
-	loPtr, upPtr []int32
-	loI, upI     []int32
-	loW, upW     []float64
-}
-
-// build compiles the lists for n rows in the given blocks; row(i) returns row
-// i's neighbors as row indices (anything outside [0, n) is out of every
-// block) and its transmissibilities. Rebuilding reuses the buffers, so
-// re-installing the rung allocates nothing.
-func (s *ssorLists) build(n int, blkLo, blkHi []int32, lam float64, row func(i int32) ([]int32, []float64)) {
-	if cap(s.loPtr) < n+1 {
-		s.loPtr, s.upPtr = make([]int32, n+1), make([]int32, n+1)
-	}
-	s.blkLo, s.blkHi = blkLo, blkHi
-	s.loPtr, s.upPtr = s.loPtr[:n+1], s.upPtr[:n+1]
-	s.loI, s.loW, s.upI, s.upW = s.loI[:0], s.loW[:0], s.upI[:0], s.upW[:0]
-	for b, lo := range blkLo {
-		hi := blkHi[b]
-		for i := lo; i < hi; i++ {
-			nbrs, trans := row(i)
-			for j, nb := range nbrs {
-				if nb < lo || nb >= hi {
-					continue
-				}
-				if nb < i {
-					s.loW = append(s.loW, trans[j]*lam)
-					s.loI = append(s.loI, nb)
-				} else if nb > i {
-					s.upW = append(s.upW, trans[j]*lam)
-					s.upI = append(s.upI, nb)
-				}
-			}
-			s.loPtr[i+1] = int32(len(s.loI))
-			s.upPtr[i+1] = int32(len(s.upI))
-		}
-	}
-}
-
-// sweep is the block-SSOR application z = M⁻¹·r over row-indexed vectors,
-// M = (D+L_B)·D⁻¹·(D+L_Bᵀ) with L_B the in-block strictly-lower couplings:
-// per block, a forward Gauss–Seidel sweep through the lower lists, then a
-// backward sweep through the upper lists with the diagonal scaling fused in
-// (inv = 1/d). It reads nothing outside the blocks, and no block reads
-// another, so all forward sweeps run before all backward ones: each half is a
-// function of its own that keeps its three lists and three vectors in
-// registers (as one loop nest the sweep ran 7 % slower).
-func (s *ssorLists) sweep(z, r, inv, d []float64) {
-	ssorForward(s.blkLo, s.blkHi, s.loPtr, s.loI, s.loW, z, r, inv)
-	ssorBackward(s.blkLo, s.blkHi, s.upPtr, s.upI, s.upW, z, d, inv)
-}
-
-func ssorForward(blkLo, blkHi, ptr, idx []int32, w, z, r, inv []float64) {
-	for b, lo := range blkLo {
-		for i := lo; i < blkHi[b]; i++ {
-			acc := 0.0
-			for k := ptr[i]; k < ptr[i+1]; k++ {
-				acc += w[k] * z[idx[k]]
-			}
-			z[i] = (r[i] + acc) * inv[i]
-		}
-	}
-}
-
-func ssorBackward(blkLo, blkHi, ptr, idx []int32, w, z, d, inv []float64) {
-	for b, lo := range blkLo {
-		for i := blkHi[b] - 1; i >= lo; i-- {
-			acc := 0.0
-			for k := ptr[i]; k < ptr[i+1]; k++ {
-				acc += w[k] * z[idx[k]]
-			}
-			z[i] = (d[i]*z[i] + acc) * inv[i]
-		}
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Resident realizations: SetPrecond and the part-local rung state
 // ---------------------------------------------------------------------------
@@ -823,11 +694,6 @@ func (o *PartOperator) SetPrecond(kind solver.PrecondKind) error {
 	// The rung's own state first — a failure leaves the previous
 	// preconditioner installed — then the diagonal load.
 	switch kind {
-	case solver.PrecondSSOR:
-		for me, op := range o.parts {
-			op.dLoc = grown(op.dLoc, len(op.accum))
-			op.ssor.build(len(op.accum), op.blkLo, op.blkHi, o.Sys.Mobility, o.l.parts[me].row)
-		}
 	case solver.PrecondChebyshev:
 		o.cheb = newChebCoeffs(o.Sys.chebUpper())
 		for _, op := range o.parts {
@@ -863,15 +729,11 @@ func grown(buf []float64, n int) []float64 {
 	return buf
 }
 
-// phaseSetPre loads the inverse diagonal into each part's compact layout,
-// and the diagonal itself where the part carries one (SSOR).
+// phaseSetPre loads the inverse diagonal into each part's compact layout.
 func (o *PartOperator) phaseSetPre(shard int) error {
 	ps, op := o.l.parts[shard], o.parts[shard]
 	for i := range op.invDiag {
 		op.invDiag[i] = 1 / o.ga[ps.globalOf[i]]
-	}
-	for i := range op.dLoc {
-		op.dLoc[i] = o.ga[ps.globalOf[i]]
 	}
 	return nil
 }

@@ -17,7 +17,7 @@ import (
 
 // ladderMesh builds a mesh large enough that the depth-8 canonical blocks
 // hold several cells each — the regime where the block-structured rungs
-// (SSOR sweeps, AMG aggregates) actually have in-block couplings to work
+// (AMG aggregates) actually have in-block couplings to work
 // with. ~1080 cells → ~4-cell blocks.
 func ladderMesh(t testing.TB) *Mesh {
 	t.Helper()
@@ -34,7 +34,7 @@ var badDiagonalEntries = []float64{0, math.NaN(), math.Inf(1), math.Inf(-1)}
 
 // ladderKinds are the operator-built rungs, the ones above Jacobi.
 func ladderKinds() []solver.PrecondKind {
-	return []solver.PrecondKind{solver.PrecondSSOR, solver.PrecondChebyshev, solver.PrecondAMG}
+	return []solver.PrecondKind{solver.PrecondChebyshev, solver.PrecondAMG}
 }
 
 func TestPrecondLadderGoldenAgainstSerial(t *testing.T) {
@@ -96,148 +96,10 @@ func TestPrecondLadderGoldenAgainstSerial(t *testing.T) {
 	}
 }
 
-// denseSolve solves a·x = b by Gaussian elimination with partial pivoting, in
-// place — the textbook routine, nothing shared with the code under test.
-func denseSolve(a [][]float64, b []float64) []float64 {
-	n := len(b)
-	for k := 0; k < n; k++ {
-		piv := k
-		for i := k + 1; i < n; i++ {
-			if math.Abs(a[i][k]) > math.Abs(a[piv][k]) {
-				piv = i
-			}
-		}
-		a[k], a[piv] = a[piv], a[k]
-		b[k], b[piv] = b[piv], b[k]
-		for i := k + 1; i < n; i++ {
-			f := a[i][k] / a[k][k]
-			for j := k; j < n; j++ {
-				a[i][j] -= f * a[k][j]
-			}
-			b[i] -= f * b[k]
-		}
-	}
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		acc := b[i]
-		for j := i + 1; j < n; j++ {
-			acc -= a[i][j] * x[j]
-		}
-		x[i] = acc / a[i][i]
-	}
-	return x
-}
-
-// textbookBlockSSOR is the rung's definition executed literally, from the
-// USystem alone: per canonical block B (cells in canonical order) assemble the
-// dense in-block matrix A_B from the faces, split it as D + L_B + L_Bᵀ, form
-// M_B = (D+L_B)·D⁻¹·(D+L_Bᵀ) as a dense product and solve M_B·z_B = r_B by
-// elimination. No triangular sweep, no index list.
-func textbookBlockSSOR(sys *USystem, r []float64) []float64 {
-	u := sys.U
-	order, blocks := CanonicalOrder(u), canonicalBlocks(u.NumCells, reductionDepth)
-	z := make([]float64, u.NumCells)
-	at := make(map[int]int) // cell → row of the current block
-	for bi := range blocks {
-		lo, hi := blockSpan(blocks, bi, u.NumCells)
-		cells := order[lo:hi]
-		nb := len(cells)
-		clear(at)
-		for k, c := range cells {
-			at[int(c)] = k
-		}
-		a := make([][]float64, nb)
-		for k, c := range cells {
-			a[k] = make([]float64, nb)
-			a[k][k] = sys.Accum[c]
-		}
-		// The diagonal carries every face of the cell (it is A's diagonal);
-		// only couplings with both ends in the block enter L_B.
-		for _, f := range u.Faces {
-			t := f.Trans * sys.Mobility
-			ka, inA := at[f.A]
-			kb, inB := at[f.B]
-			if inA {
-				a[ka][ka] += t
-			}
-			if inB {
-				a[kb][kb] += t
-			}
-			if inA && inB {
-				a[ka][kb] -= t
-				a[kb][ka] -= t
-			}
-		}
-		m := make([][]float64, nb)
-		for i := range m {
-			m[i] = make([]float64, nb)
-			for j := range m[i] {
-				// M_ij = Σ_k (D+L)_ik · (1/d_k) · (D+Lᵀ)_kj, with (D+L)_ik = a_ik
-				// for k ≤ i and (D+Lᵀ)_kj = a_kj for k ≤ j.
-				for k := 0; k <= min(i, j); k++ {
-					m[i][j] += a[i][k] / a[k][k] * a[k][j]
-				}
-			}
-		}
-		rb := make([]float64, nb)
-		for k, c := range cells {
-			rb[k] = r[c]
-		}
-		for k, v := range denseSolve(m, rb) {
-			z[cells[k]] = v
-		}
-	}
-	return z
-}
-
-func TestBlockSSORMatchesDenseTextbook(t *testing.T) {
-	// Both realizations of the SSOR rung call one sweep over one kind of index
-	// list, so the golden serial↔partitioned test proves the rung independent
-	// of the layout but can no longer see a wrong sweep. This can: the dense
-	// textbook solve above shares nothing with it, and the reference rung and
-	// the resident rung on 1, 2 and 4 parts must all match it to rounding on
-	// the 15360-cell radial mesh (60-cell blocks).
-	u := benchRadial(t)
-	sys := newUSystemFixture(t, u)
-	diag := sys.Diagonal()
-	r := probeVector(u.NumCells, 5)
-	want := textbookBlockSSOR(sys, r)
-	scale := 0.0
-	for _, v := range want {
-		scale = math.Max(scale, math.Abs(v))
-	}
-	check := func(name string, got []float64) {
-		t.Helper()
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-12*scale {
-				t.Fatalf("%s: z[%d] = %g, textbook block-SSOR gives %g", name, i, got[i], want[i])
-			}
-		}
-	}
-	pre, err := ReferenceSpace(sys, nil).Rung(solver.PrecondSSOR, diag)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]float64, u.NumCells)
-	pre(got, r)
-	check("reference rung", got)
-	for _, levels := range []int{0, 1, 2} {
-		po, closeOp := residentFixtureOn(t, u, levels, 2)
-		if err := po.SetPrecond(solver.PrecondSSOR); err != nil {
-			t.Fatal(err)
-		}
-		po.Load2(0, r, 1, r)
-		var rz float64
-		runProg(t, po, solver.ProgOp{Kind: solver.OpPrecondDot, V1: 1, V2: 0, R1: &rz})
-		po.Store(got, 1)
-		closeOp()
-		check(fmt.Sprintf("parts=%d", 1<<levels), got)
-	}
-}
-
 func TestPrecondLadderIterationOrdering(t *testing.T) {
 	// Each rung up the ladder buys iterations on a mesh with multi-cell
-	// canonical blocks, and AMG clears the headline ≥5× bar over Jacobi.
+	// canonical blocks — Jacobi > Chebyshev > AMG, strictly — and AMG clears
+	// the headline ≥5× bar over Jacobi.
 	u, err := NewRadialMesh(RadialOptions{Rings: 48, BaseSectors: 24, RefineEvery: 12, R0: 1, DR: 2, Dz: 3, PermMD: 150})
 	if err != nil {
 		t.Fatal(err)
@@ -258,13 +120,13 @@ func TestPrecondLadderIterationOrdering(t *testing.T) {
 		}
 		iters[kind] = res.Steps[0].Iterations
 	}
-	t.Logf("iterations: jacobi=%d ssor=%d chebyshev=%d amg=%d",
-		iters[solver.PrecondJacobi], iters[solver.PrecondSSOR], iters[solver.PrecondChebyshev], iters[solver.PrecondAMG])
-	if iters[solver.PrecondSSOR] >= iters[solver.PrecondJacobi] {
-		t.Errorf("SSOR (%d iterations) did not beat Jacobi (%d)", iters[solver.PrecondSSOR], iters[solver.PrecondJacobi])
+	t.Logf("iterations: jacobi=%d chebyshev=%d amg=%d",
+		iters[solver.PrecondJacobi], iters[solver.PrecondChebyshev], iters[solver.PrecondAMG])
+	if iters[solver.PrecondChebyshev] >= iters[solver.PrecondJacobi] {
+		t.Errorf("Chebyshev (%d iterations) did not beat Jacobi (%d)", iters[solver.PrecondChebyshev], iters[solver.PrecondJacobi])
 	}
-	if iters[solver.PrecondChebyshev] >= iters[solver.PrecondSSOR] {
-		t.Errorf("Chebyshev (%d iterations) did not beat SSOR (%d)", iters[solver.PrecondChebyshev], iters[solver.PrecondSSOR])
+	if iters[solver.PrecondAMG] >= iters[solver.PrecondChebyshev] {
+		t.Errorf("AMG (%d iterations) did not beat Chebyshev (%d)", iters[solver.PrecondAMG], iters[solver.PrecondChebyshev])
 	}
 	if 5*iters[solver.PrecondAMG] > iters[solver.PrecondJacobi] {
 		t.Errorf("AMG (%d iterations) is not ≥5× below Jacobi (%d)", iters[solver.PrecondAMG], iters[solver.PrecondJacobi])
@@ -284,7 +146,6 @@ func TestPrecondLadderRecordedIterationCounts(t *testing.T) {
 		iterations int
 	}{
 		{solver.PrecondJacobi, 1365},
-		{solver.PrecondSSOR, 795},
 		{solver.PrecondChebyshev, 369},
 		{solver.PrecondAMG, 159},
 	}
@@ -292,7 +153,7 @@ func TestPrecondLadderRecordedIterationCounts(t *testing.T) {
 		t.Skipf("the ladder was recorded on amd64, this is %s", runtime.GOARCH)
 	}
 	if raceEnabled {
-		t.Skip("four serial single-goroutine solves: nothing for the race detector to watch, and ~20 s instrumented")
+		t.Skip("three serial single-goroutine solves: nothing for the race detector to watch, and ~20 s instrumented")
 	}
 	u := benchRadial(t)
 	opts := TransientOptions{

@@ -176,10 +176,6 @@ func (b *planBuilder) emitDot(av, bv int, r1 *float64) {
 func (b *planBuilder) emitPrecond(zv, rv int, r1 *float64) {
 	o := b.o
 	switch o.preKind {
-	case solver.PrecondSSOR:
-		// Couplings outside a block — every halo neighbor included — are not in
-		// the lists, so the sweep reads only part-local data: no exchange.
-		b.addLocal(func(op *opPart) { op.ssor.sweep(op.vecs[zv], op.vecs[rv], op.invDiag, op.dLoc) })
 	case solver.PrecondChebyshev:
 		cf := o.cheb
 		b.addLocal(func(op *opPart) { chebInit(op.owned(zv), op.pd, op.invDiag, op.vecs[rv], cf.invTheta) })

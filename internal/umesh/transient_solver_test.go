@@ -147,7 +147,7 @@ func TestTransientSolverRequestValidation(t *testing.T) {
 	u, opts := transientFixture(t)
 	opts.Workers = 2
 	opts.Solver.Tol = 1e-9
-	opts.Solver.PrecondKind = solver.PrecondSSOR
+	opts.Solver.PrecondKind = solver.PrecondChebyshev
 	fl := physics.DefaultFluid()
 	part, err := RCB(u, 1)
 	if err != nil {

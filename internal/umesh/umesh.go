@@ -32,8 +32,7 @@
 // worker count; the golden regression asserts it under -race.
 //
 // A preconditioner ladder (solver.PrecondKind) runs resident under the same
-// contract: Jacobi, block-SSOR (symmetric Gauss–Seidel sweeps confined to
-// the canonical blocks), Chebyshev polynomial smoothing (fixed-degree
+// contract: Jacobi, Chebyshev polynomial smoothing (fixed-degree
 // polynomial of the Jacobi-scaled operator, Gershgorin-bounded spectrum),
 // and an aggregation AMG whose hierarchy — greedy in-block aggregation,
 // reverse Cuthill–McKee renumbering, the Galerkin matrix A_c, the same
@@ -43,9 +42,8 @@
 // diagonal every rung scales by (USystem.Diagonal; no caller hands one in).
 // Every rung's arithmetic is a function of the canonical order only,
 // never of the partitioning, and the serial reference rungs are built from
-// the same kernels (block-SSOR's sweep included: the reference runs it on
-// vectors gathered into canonical order), so each rung preserves the
-// bit-identity guarantee at every part count.
+// the same kernels, so each rung preserves the bit-identity guarantee at
+// every part count.
 // PartOperator.SetPrecond installs a rung and emitPrecond compiles its step
 // sequence into the programs; referenceRung is its serial oracle.
 package umesh

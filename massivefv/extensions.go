@@ -26,12 +26,11 @@ type (
 )
 
 // The preconditioner ladder, weakest to strongest by CG iteration count.
-// Jacobi works everywhere; the operator-built rungs (SSOR, Chebyshev, AMG)
+// Jacobi works everywhere; the operator-built rungs (Chebyshev, AMG)
 // need the unstructured operators — serial or canonically RCB-partitioned —
 // and reproduce the serial trajectory bit-for-bit on every part count.
 const (
 	PrecondJacobi    = solver.PrecondJacobi
-	PrecondSSOR      = solver.PrecondSSOR
 	PrecondChebyshev = solver.PrecondChebyshev
 	PrecondAMG       = solver.PrecondAMG
 )
