@@ -61,8 +61,8 @@ func main() {
 }
 
 // defaultSpec is the workload used without -spec: the benchmark scenario
-// under a mixed payload, so the target's memo and SJF scheduler both see
-// heterogeneous traffic.
+// under a mixed payload, so the target's memo sees repeats beside misses of
+// different step counts.
 func defaultSpec() loadgen.Spec {
 	scenario := `"scenario":{"parts":8,"precond":"amg","tol":1e-2}`
 	wells := `"wells":[{"cell":0,"rate":1.5},{"cell":15359,"rate":-1.5}]`

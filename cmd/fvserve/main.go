@@ -46,12 +46,30 @@ func main() {
 // run executes the tool with explicit argv and streams — the testable entry
 // the table-driven CLI tests drive.
 func run(args []string, stdout, stderr io.Writer) error {
+	c, err := parseFlags(args, stderr)
+	if err != nil {
+		return err
+	}
+	return serveDaemon(c.addr, c.opts, c.drainTimeout, stdout)
+}
+
+// config is what the flags select: where to listen, how to serve, and how
+// long a shutdown drain may take.
+type config struct {
+	addr         string
+	opts         serve.Options
+	drainTimeout time.Duration
+}
+
+// parseFlags turns argv into a config, rejecting invalid values before
+// anything starts.
+func parseFlags(args []string, stderr io.Writer) (config, error) {
 	fs := flag.NewFlagSet("fvserve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
 		addr     = fs.String("addr", ":8080", "listen address")
 		cacheCap = fs.Int("cache", serve.DefaultCacheCapacity, "resident scenario cache capacity (LRU beyond it)")
-		engines  = fs.Int("engines", 2, "resident engines per scenario (the lowest idle one takes the next queued request)")
+		engines  = fs.Int("engines", serve.DefaultEnginesPerScenario, "resident engines per scenario (the lowest idle one takes the next queued request)")
 		queue    = fs.Int("queue", serve.DefaultQueueDepth, "admitted-job bound; requests beyond it get 429")
 		rate     = fs.Float64("rate", 0, "admission rate limit [req/s], token bucket (0 = off)")
 		burst    = fs.Int("burst", 0, "token-bucket burst (default: the queue depth)")
@@ -61,28 +79,28 @@ func run(args []string, stdout, stderr io.Writer) error {
 		drainTO  = fs.Duration("drain-timeout", 0, "shutdown drain bound; in-flight solves past it are force-cancelled (0 = wait forever)")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return config{}, err
 	}
 	if *cacheCap < 1 {
-		return fmt.Errorf("-cache must be positive, got %d", *cacheCap)
+		return config{}, fmt.Errorf("-cache must be positive, got %d", *cacheCap)
 	}
 	if *engines < 1 {
-		return fmt.Errorf("-engines must be positive, got %d", *engines)
+		return config{}, fmt.Errorf("-engines must be positive, got %d", *engines)
 	}
 	if *queue < 1 {
-		return fmt.Errorf("-queue must be positive, got %d", *queue)
+		return config{}, fmt.Errorf("-queue must be positive, got %d", *queue)
 	}
 	if *rate < 0 {
-		return fmt.Errorf("-rate must be non-negative, got %g", *rate)
+		return config{}, fmt.Errorf("-rate must be non-negative, got %g", *rate)
 	}
 	if *burst < 0 {
-		return fmt.Errorf("-burst must be non-negative, got %d", *burst)
+		return config{}, fmt.Errorf("-burst must be non-negative, got %d", *burst)
 	}
 	if *deadline < 0 {
-		return fmt.Errorf("-deadline must be non-negative, got %v", *deadline)
+		return config{}, fmt.Errorf("-deadline must be non-negative, got %v", *deadline)
 	}
 	if *drainTO < 0 {
-		return fmt.Errorf("-drain-timeout must be non-negative, got %v", *drainTO)
+		return config{}, fmt.Errorf("-drain-timeout must be non-negative, got %v", *drainTO)
 	}
 	opts := serve.Options{
 		CacheCapacity:      *cacheCap,
@@ -100,7 +118,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *memoCap <= 0 {
 		opts.MemoCapacity = -1
 	}
-	return serveDaemon(*addr, opts, *drainTO, stdout)
+	return config{addr: *addr, opts: opts, drainTimeout: *drainTO}, nil
 }
 
 // serveDaemon runs the HTTP server until SIGTERM/SIGINT, then drains: the

@@ -3,8 +3,11 @@ package main
 import (
 	"errors"
 	"flag"
+	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/serve"
 )
 
 // TestHelpReturnsErrHelp pins the -h contract: run surfaces flag.ErrHelp
@@ -53,5 +56,28 @@ func TestRunCLIValidation(t *testing.T) {
 				t.Errorf("run(%v) error %q does not contain %q", c.args, err, c.wantErr)
 			}
 		})
+	}
+}
+
+// TestDefaultsEchoServe pins that every flag with a serve.Default* constant
+// defaults to it, so a bare fvserve serves what serve.Options{} does.
+func TestDefaultsEchoServe(t *testing.T) {
+	c, err := parseFlags(nil, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		flag      string
+		got, want int
+	}{
+		{"-cache", c.opts.CacheCapacity, serve.DefaultCacheCapacity},
+		{"-engines", c.opts.EnginesPerScenario, serve.DefaultEnginesPerScenario},
+		{"-queue", c.opts.QueueDepth, serve.DefaultQueueDepth},
+		{"-max-cells", c.opts.MaxCells, serve.DefaultMaxCells},
+		{"-memo", c.opts.MemoCapacity, serve.DefaultMemoCapacity},
+	} {
+		if f.got != f.want {
+			t.Errorf("%s defaults to %d, the serving layer's default is %d", f.flag, f.got, f.want)
+		}
 	}
 }

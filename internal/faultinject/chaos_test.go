@@ -176,7 +176,7 @@ func TestChaos(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	if st := s.Stats(); st.QueuedCostSeconds != 0 || st.Requests != st.Completed+st.Failed+st.RejectedRate+
-		st.RejectedQueue+st.RejectedDraining+st.RejectedInvalid+st.RejectedDegraded {
+		st.RejectedQueue+st.RejectedDraining+st.RejectedInvalid {
 		t.Errorf("accounting residue after chaos: %+v", st)
 	}
 }

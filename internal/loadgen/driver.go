@@ -34,7 +34,7 @@ type PostResult struct {
 }
 
 // retryable reports whether an outcome is worth re-firing: the server said
-// "later" (admission 429, brownout/drain 503) or transport failed entirely.
+// "later" (admission 429, drain 503) or transport failed entirely.
 // Hard failures (4xx client bugs, 422, 500, 504) are final.
 func (r PostResult) retryable() bool {
 	return r.Err != nil ||

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,11 +62,8 @@ type entry struct {
 	compileSeconds float64
 
 	// cells is the compiled mesh's real cell count — what well indices are
-	// validated against; cost is the scenario's online solve-cost estimate
-	// (seeded from the static prior, refined by every solve) that admission
-	// prices by and the SJF selection orders by.
+	// validated against.
 	cells int
-	cost  *costModel
 
 	// mu guards everything below; cond wakes the engines waiting in next.
 	mu      sync.Mutex
@@ -74,11 +72,13 @@ type entry struct {
 	backlog []*job // arrival order
 	refs    int    // in-flight acquires
 	retired bool
+	// perStep is the last successful solve's seconds per step (0 before the
+	// first): what a request on this scenario is priced at, per step.
+	perStep float64
 }
 
 func newEntry(c *cache, scn Scenario) *entry {
 	e := &entry{key: scn.Key(), scn: scn.Normalized(), c: c, ready: make(chan struct{}), refs: 1}
-	e.cost = newCostModel(e.scn.cellEstimate(), e.scn.Precond)
 	e.cond.L = &e.mu
 	return e
 }
@@ -148,10 +148,9 @@ func (e *entry) shedExpired() {
 }
 
 // take is the scheduling decision, made by the engine that will run it: the
-// next job for eng, or nil when nothing is queued or a lower-id engine is
-// idle (the lowest idle id serves, so dispatch is deterministic). Selection
-// is selectGroup's: shortest job first with an aging credit, ties by
-// arrival. e.mu held.
+// oldest live job for eng, or nil when nothing is queued or a lower-id
+// engine is idle (the lowest idle id serves, so dispatch is deterministic).
+// e.mu held.
 func (e *entry) take(eng *engine) *job {
 	e.shedExpired()
 	if len(e.backlog) == 0 {
@@ -162,15 +161,9 @@ func (e *entry) take(eng *engine) *job {
 			return nil
 		}
 	}
-	j, reordered, aged := selectGroup(&e.backlog, e.cost.estimate, e.c.opts.Now())
-	st := e.c.stats
-	st.SchedDecisions.Add(1)
-	if reordered {
-		st.SchedReorders.Add(1)
-	}
-	if aged {
-		st.SchedAgedPicks.Add(1)
-	}
+	j := e.backlog[0]
+	e.backlog = slices.Delete(e.backlog, 0, 1)
+	e.c.stats.SchedDecisions.Add(1)
 	eng.busy = true
 	if len(e.backlog) > 0 {
 		e.cond.Broadcast() // a higher id that yielded to eng may serve now
@@ -196,10 +189,14 @@ func (e *entry) next(eng *engine) *job {
 
 // complete answers one solve's job and returns the engine to the pool — or,
 // after a panic, takes it out for good; when that leaves no healthy engine,
-// whatever is queued fails with errPoolUnhealthy.
+// whatever is queued fails with errPoolUnhealthy. A successful solve sets
+// the scenario's price per step.
 func (e *entry) complete(eng *engine, j *job, r jobResult, panicked bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if r.err == nil {
+		e.perStep = r.solveSeconds / float64(j.req.effectiveSteps())
+	}
 	j.done <- r
 	eng.busy, eng.lost = false, panicked
 	if !e.healthy() {
@@ -348,17 +345,21 @@ func (c *cache) heal(e *entry) {
 	}()
 }
 
-// costOf returns the model a request on scn (keyed key) is priced by: the resident
-// entry's (EWMA-refined by every solve), else the static prior a fresh entry
-// would start from. It touches neither LRU order nor references.
-func (c *cache) costOf(key string, scn Scenario) *costModel {
+// secondsPerStep is what a request on the scenario keyed key is priced at,
+// per step: the resident entry's last observed solve, else 0. It touches
+// neither LRU order nor references.
+func (c *cache) secondsPerStep(key string) float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		return el.Value.(*entry).cost
+	el, ok := c.entries[key]
+	if !ok {
+		return 0
 	}
-	n := scn.Normalized()
-	return newCostModel(n.cellEstimate(), n.Precond)
+	e := el.Value.(*entry)
+	e.mu.Lock()
+	perStep := e.perStep
+	e.mu.Unlock()
+	return perStep
 }
 
 // close retires every entry and waits for every engine — of resident,
@@ -406,10 +407,10 @@ func solveJob(eng *engine, opts umesh.TransientOptions) (res *umesh.TransientRes
 }
 
 // runEngine is the engine edge: pull the next job from the backlog, run one
-// Solve for it (panic-isolated, under the job's cancel hook), fold the
-// observed cost into the scenario's estimate, complete the job. A panic ends
-// the engine — after the entry is healed (out of the cache) and before the
-// job is failed, so a resubmitted request never meets the broken pool.
+// Solve for it (panic-isolated, under the job's cancel hook), complete the
+// job with its measured seconds. A panic ends the engine — after the entry
+// is healed (out of the cache) and before the job is failed, so a
+// resubmitted request never meets the broken pool.
 func (c *cache) runEngine(e *entry, eng *engine) {
 	defer c.live.Done()
 	defer eng.solver.Close()
@@ -422,9 +423,6 @@ func (c *cache) runEngine(e *entry, eng *engine) {
 		sec := c.opts.Now().Sub(start).Seconds()
 		c.stats.Solves.Add(1)
 		c.stats.SolveSecondsTotal.add(sec)
-		if err == nil {
-			e.cost.observe(sec, j.req.effectiveSteps())
-		}
 		if panicked {
 			c.stats.EnginePanics.Add(1)
 			c.heal(e)

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -154,43 +153,66 @@ func TestRetryAfterFromTokenBucket(t *testing.T) {
 	}
 }
 
-// TestRetryAfterFromQueueCost pins the queue-full 429 header: Retry-After
-// must reflect the estimated drain time of the work already queued (the
-// blocked request's static cost prior), not a constant.
+// TestRetryAfterFromQueueCost pins the queue-full 429 header on the
+// injected clock: Retry-After is the price of the work in flight — its steps
+// × its scenario's last observed seconds per step — clamped to ≥ 1 s. Before
+// any solve of the scenario has been observed the price is 0 and the header
+// reads 1.
 func TestRetryAfterFromQueueCost(t *testing.T) {
-	gate := make(chan struct{})
-	var once sync.Once
-	release := func() { once.Do(func() { close(gate) }) }
-	hook := func(cancel func() bool) error { <-gate; return nil }
-	s, ts := newTestServer(t, Options{QueueDepth: 1, SolveHook: hook})
-	t.Cleanup(release)
+	clock := newFakeClock()
+	steps := make(chan struct{}, 8) // one token per solve step an engine may run
+	hook := func(cancel func() bool) error {
+		<-steps
+		clock.Advance(1250 * time.Millisecond) // every step's fake duration
+		return nil
+	}
+	s, ts := newTestServer(t, Options{QueueDepth: 1, Now: clock.Now, SolveHook: hook})
+	t.Cleanup(func() { close(steps) })
 
-	// 3600 steps × 48 cells × jacobi rung 1 × 1.5e-5 s/cell = 2.592 s of
-	// estimated queue cost → ceil = 3.
-	done := make(chan int, 1)
-	go func() {
-		resp, err := http.Post(ts.URL+"/v1/solve", "application/json",
-			bytes.NewReader([]byte(testBody(`"steps":3600,"no_memo":true`))))
-		if err != nil {
-			done <- -1
-			return
+	// solve posts a request that holds the one queue slot until its steps run.
+	solve := func(n int) chan int {
+		done := make(chan int, 1)
+		go func() {
+			resp, err := http.Post(ts.URL+"/v1/solve", "application/json",
+				strings.NewReader(testBody(fmt.Sprintf(`"steps":%d,"no_memo":true`, n))))
+			if err != nil {
+				done <- -1
+				return
+			}
+			resp.Body.Close()
+			done <- resp.StatusCode
+		}()
+		return done
+	}
+	queueFull := func(want, why string) {
+		t.Helper()
+		resp := postRaw(t, ts, testBody(`"no_memo":true,"wells":[{"cell":1,"rate":1}]`))
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("over-depth request: status %d, want 429", resp.StatusCode)
 		}
-		resp.Body.Close()
-		done <- resp.StatusCode
-	}()
-	waitFor(t, func() bool { return s.Stats().QueuedCostSeconds > 2 })
+		if got := resp.Header.Get("Retry-After"); got != want {
+			t.Errorf("Retry-After = %q, want %q (%s)", got, want, why)
+		}
+	}
+	run := func(n int, done chan int) {
+		t.Helper()
+		for range n {
+			steps <- struct{}{}
+		}
+		if code := <-done; code != http.StatusOK {
+			t.Fatalf("blocked %d-step request finished with %d, want 200", n, code)
+		}
+	}
 
-	resp := postRaw(t, ts, testBody(`"no_memo":true,"wells":[{"cell":1,"rate":1}]`))
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over-depth request: status %d, want 429", resp.StatusCode)
-	}
-	if got := resp.Header.Get("Retry-After"); got != "3" {
-		t.Errorf("Retry-After = %q, want \"3\" (ceil of 2.592 s queued cost)", got)
-	}
-	release()
-	if code := <-done; code != http.StatusOK {
-		t.Fatalf("blocked request finished with %d, want 200", code)
-	}
+	done := solve(2)
+	waitFor(t, func() bool { return s.Stats().Admitted == 1 })
+	queueFull("1", "nothing observed yet: priced at 0, clamped to 1 s")
+	run(2, done) // 2 steps in 2.5 fake seconds: 1.25 s per step
+
+	done = solve(3)
+	waitFor(t, func() bool { return s.Stats().QueuedCostSeconds == 3.75 })
+	queueFull("4", "ceil of 3 queued steps × 1.25 s")
+	run(3, done)
 }
 
 // waitFor polls cond for up to 5 s.
@@ -249,102 +271,6 @@ func TestEnginePanicSelfHeals(t *testing.T) {
 		t.Fatalf("healthz after heal: %v / %v", hz, err)
 	}
 	hz.Body.Close()
-}
-
-// TestBrownoutHysteresis walks the degradation state machine end to end:
-// queued cost over the high watermark enters degraded mode (advertised on
-// /healthz, expensive requests shed with 503 + Retry-After, memo hits still
-// served), and draining back under the low watermark exits it.
-func TestBrownoutHysteresis(t *testing.T) {
-	gate := make(chan struct{})
-	var once sync.Once
-	release := func() { once.Do(func() { close(gate) }) }
-	var gated atomic.Bool
-	hook := func(cancel func() bool) error {
-		if gated.Load() {
-			<-gate
-		}
-		return nil
-	}
-
-	// The expensive driver scenario is distinct from the memo-primed one, so
-	// its cost estimate comes from the static prior (deterministic under a
-	// frozen clock, where a resident EWMA would have decayed to ~0).
-	const bigSteps = 100
-	big := Scenario{Rings: 8, Sectors: 8, Parts: 2}
-	prior := float64(big.cellEstimate()) * rungIterationFactor("") * priorSecondsPerCellFactor * bigSteps
-	bigBody := func(extra string) string {
-		return fmt.Sprintf(`{"scenario":{"rings":8,"sectors":8,"parts":2},"steps":%d,"no_memo":true%s}`, bigSteps, extra)
-	}
-
-	clock := newFakeClock()
-	s, ts := newTestServer(t, Options{
-		Now:                 clock.Now,
-		SolveHook:           hook,
-		BrownoutHighSeconds: prior * 0.9,
-	})
-	t.Cleanup(release)
-
-	// Prime the memo with a cheap scenario while the gate is open.
-	if code := postSolve(t, ts, testBody(""), nil); code != http.StatusOK {
-		t.Fatalf("memo prime: status %d, want 200", code)
-	}
-
-	gated.Store(true)
-	done := make(chan int, 1)
-	go func() {
-		resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader([]byte(bigBody(""))))
-		if err != nil {
-			done <- -1
-			return
-		}
-		resp.Body.Close()
-		done <- resp.StatusCode
-	}()
-	waitFor(t, func() bool { return s.Stats().Degraded })
-	if st := s.Stats(); st.DegradedEnters != 1 {
-		t.Fatalf("DegradedEnters = %d, want 1", st.DegradedEnters)
-	}
-
-	// Expensive request while degraded: shed with 503 and a Retry-After.
-	resp := postRaw(t, ts, bigBody(`,"wells":[{"cell":1,"rate":1}]`))
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("expensive request while degraded: status %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("degraded 503 carries no Retry-After")
-	}
-	if st := s.Stats(); st.RejectedDegraded != 1 {
-		t.Errorf("RejectedDegraded = %d, want 1", st.RejectedDegraded)
-	}
-
-	// Memo hits are cheap — still served while degraded.
-	var memoResp SolveResponse
-	if code := postSolve(t, ts, testBody(""), &memoResp); code != http.StatusOK || !memoResp.MemoHit {
-		t.Errorf("memo hit while degraded: status %d memo_hit %v, want 200 true", code, memoResp.MemoHit)
-	}
-
-	// /healthz advertises the mode without going unhealthy.
-	hz, err := http.Get(ts.URL + "/healthz")
-	if err != nil || hz.StatusCode != http.StatusOK {
-		t.Fatalf("healthz while degraded: %v / %v", hz, err)
-	}
-	var hzBody map[string]string
-	if err := json.NewDecoder(hz.Body).Decode(&hzBody); err != nil || hzBody["status"] != "degraded" {
-		t.Errorf("healthz status = %v (%v), want degraded", hzBody, err)
-	}
-	hz.Body.Close()
-
-	// Drain: the blocked solve completes, queued cost falls under the low
-	// watermark, and the state machine exits degraded mode.
-	release()
-	if code := <-done; code != http.StatusOK {
-		t.Fatalf("blocked expensive request finished with %d, want 200", code)
-	}
-	waitFor(t, func() bool { return !s.Stats().Degraded })
-	if st := s.Stats(); st.DegradedExits != 1 {
-		t.Errorf("DegradedExits = %d, want 1", st.DegradedExits)
-	}
 }
 
 // TestDrainWithinForceCancelsStall pins the bounded-shutdown contract: a

@@ -19,6 +19,7 @@ func FuzzSolveRequest(f *testing.F) {
 		testBody(""),
 		testBody(`"steps":2`),
 		testBody(`"steps":-1`),
+		testBody(`"steps":2000000000`),
 		testBody(`"no_memo":true,"return_pressure":true`),
 		testBody(`"deadline_ms":1,"no_memo":true`),
 		testBody(`"wells":[{"cell":0,"rate":1.5},{"cell":47,"rate":-1.5}]`),

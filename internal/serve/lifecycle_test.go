@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -29,12 +28,7 @@ import (
 const (
 	mDepth, mEngines = 6, 2
 	mRate, mBurst    = 300.0, 4
-	mHigh            = 40 * time.Millisecond // brownout high-water mark
 )
-
-// mPerStep is the static cost prior of the 48-cell jacobi test scenario in
-// seconds per step; nothing in this test observes a solve, so it never moves.
-var mPerStep = float64(48) * rungIterationFactor("jacobi") * priorSecondsPerCellFactor
 
 // mClass is one request class of the workload mix.
 type mClass struct {
@@ -75,20 +69,22 @@ type mPool struct {
 	backlog []*mReq // arrival order
 	running [mEngines]*mReq
 	lost    [mEngines]bool
+	perStep float64 // the last completed solve's seconds per step
 }
 
 type model struct {
-	tokens             float64
-	last               time.Time
-	draining, degraded bool
-	queuedCost         int64
-	memo               map[string]bool // key → completed (present but false: in flight)
-	live               []*mReq         // admitted, not ended
-	pools              []*mPool        // the last one is current
-	out                map[int]outcome // what the current step ended
+	tokens     float64
+	last       time.Time
+	draining   bool
+	queuedCost int64
+	memo       map[string]bool // key → completed (present but false: in flight)
+	live       []*mReq         // admitted, not ended
+	pools      []*mPool        // the last one is current
+	out        map[int]outcome // what the current step ended
 	// groups and shared count the memo's single-flight groups: a leader's
-	// completed solve that k ≥ 1 followers joined is one group, k shared.
-	groups, shared uint64
+	// completed solve that k ≥ 1 followers joined is one group, k shared;
+	// priced counts the requests priced above zero.
+	groups, shared, priced uint64
 }
 
 func (m *model) arrive(now time.Time, r *mReq) {
@@ -108,7 +104,7 @@ func (m *model) arrive(now time.Time, r *mReq) {
 }
 
 // proceed is everything past admission: memo (hit, follow or lead), price
-// (shed the costly while degraded), queue.
+// (steps × the current pool's last observed seconds per step), queue.
 func (m *model) proceed(now time.Time, r *mReq) {
 	if done, flying := m.memo[r.c.name]; r.c.memo && done {
 		m.end(now, r, completed)
@@ -118,22 +114,12 @@ func (m *model) proceed(now time.Time, r *mReq) {
 	} else if r.c.memo {
 		m.memo[r.c.name], r.leader = false, true
 	}
-	if cost := int64(mPerStep * float64(r.c.steps) * 1e9); m.degraded && cost >= int64(mHigh)/4 {
-		m.end(now, r, rejectedDegraded)
-	} else {
-		r.cost = cost
-		m.charge(cost)
-		m.submit(now, r)
+	r.cost = int64(float64(r.c.steps) * m.pools[len(m.pools)-1].perStep * 1e9)
+	if r.cost > 0 {
+		m.priced++
 	}
-}
-
-// charge moves the queued cost and, with it, the brownout mode: enter above
-// the high-water mark, leave below half of it.
-func (m *model) charge(d int64) {
-	m.queuedCost += d
-	if m.degraded && m.queuedCost < int64(mHigh)/2 || !m.degraded && m.queuedCost > int64(mHigh) {
-		m.degraded = !m.degraded
-	}
+	m.queuedCost += r.cost
+	m.submit(now, r)
 }
 
 // submit queues a priced request on the current pool, which has never lost
@@ -158,26 +144,29 @@ func (m *model) shed(now time.Time, p *mPool) {
 	})
 }
 
-// take is SJF with aging: lowest cost − wait goes (ties: earliest arrival),
-// one job per engine; lower idle ids go first. -1: engine k takes nothing.
+// take is the oldest live job of the pool, one job per engine; lower idle
+// ids go first. -1: engine k takes nothing.
 func (m *model) take(now time.Time, p *mPool, k int) int {
 	m.shed(now, p)
 	if len(p.backlog) == 0 || k == 1 && !p.lost[0] && p.running[0] == nil {
 		return -1
 	}
-	prio := func(r *mReq) float64 { return mPerStep*float64(r.c.steps) - now.Sub(r.enq).Seconds() }
-	r := slices.MinFunc(p.backlog, func(a, b *mReq) int { return cmp.Compare(prio(a), prio(b)) })
-	p.backlog = slices.DeleteFunc(p.backlog, func(b *mReq) bool { return b == r })
+	r := p.backlog[0]
+	p.backlog = p.backlog[1:]
 	p.running[k] = r
 	return r.id
 }
 
-// complete answers engine k's job — the one request its solve answers, whose
-// id it returns; a panic loses the engine, replaces a current pool, and —
-// with no engine left — answers the backlog poolLost.
-func (m *model) complete(p *mPool, k int, o outcome, panicked bool) int {
+// complete answers engine k's job — the one request its solve of sec seconds
+// answers, whose id it returns. A completed solve prices the pool's next
+// requests; a panic loses the engine, replaces a current pool, and — with no
+// engine left — answers the backlog poolLost.
+func (m *model) complete(p *mPool, k int, o outcome, panicked bool, sec float64) int {
 	r := p.running[k]
 	r.answer = o
+	if o == completed {
+		p.perStep = sec / float64(r.c.steps)
+	}
 	p.running[k], p.lost[k] = nil, panicked
 	if panicked && p == m.pools[len(m.pools)-1] {
 		m.pools = append(m.pools, &mPool{})
@@ -208,7 +197,7 @@ func (m *model) wake(now time.Time, id int) {
 }
 
 func (m *model) end(now time.Time, r *mReq, o outcome) {
-	m.charge(-r.cost)
+	m.queuedCost -= r.cost
 	m.out[r.id] = o
 	m.live = slices.DeleteFunc(m.live, func(l *mReq) bool { return l == r })
 	if !r.leader {
@@ -249,12 +238,21 @@ type sut struct {
 	took  map[*engine]*job
 }
 
+// newPool makes a fresh pool the scenario's resident entry — the one price
+// reads — as a heal's recompile would.
 func (d *sut) newPool() {
 	e := newEntry(d.s.cache, testScenario())
 	e.cells, e.refs = 48, 0
 	for i := 0; i < mEngines; i++ {
 		e.engines = append(e.engines, &engine{id: i})
 	}
+	c := d.s.cache
+	c.mu.Lock()
+	if len(d.pools) > 0 {
+		c.remove(d.pools[len(d.pools)-1])
+	}
+	c.entries[e.key] = c.lru.PushFront(e)
+	c.mu.Unlock()
 	d.pools = append(d.pools, e)
 }
 
@@ -288,10 +286,7 @@ func (d *sut) proceed(r *sutReq) {
 			return
 		}
 	}
-	if rep := d.s.price(r.f); rep != nil {
-		d.end(r, d.s.conclude(r.f, jobResult{}, rep))
-		return
-	}
+	d.s.price(r.f)
 	d.submit(r)
 }
 
@@ -367,10 +362,11 @@ func (d *sut) take(e *entry, k int) int {
 	return d.owner(j)
 }
 
-// complete is runEngine's tail — heal before a panicked job is failed — and
-// returns the id of the one request the solve answered: the test fails
-// unless exactly one job holds an answer from engine k.
-func (d *sut) complete(e *entry, k int, err error, panicked bool) int {
+// complete is runEngine's tail for a solve of sec seconds — heal before a
+// panicked job is failed — and returns the id of the one request the solve
+// answered: the test fails unless exactly one job holds an answer from
+// engine k.
+func (d *sut) complete(e *entry, k int, err error, panicked bool, sec float64) int {
 	eng := e.engines[k]
 	j := d.took[eng]
 	delete(d.took, eng)
@@ -383,7 +379,7 @@ func (d *sut) complete(e *entry, k int, err error, panicked bool) int {
 			d.newPool()
 		}
 	}
-	e.complete(eng, j, jobResult{res: res, err: err, engine: k}, panicked)
+	e.complete(eng, j, jobResult{res: res, err: err, engine: k, solveSeconds: sec}, panicked)
 	var answered []int
 	for _, r := range d.live {
 		if r.j == nil || len(r.j.done) == 0 {
@@ -408,9 +404,6 @@ func (d *sut) check(m *model, step string) {
 		d.t.Fatalf("%s: ended %v, model says %v", step, d.out, m.out)
 	}
 	st := d.s.Stats()
-	if st.Degraded != m.degraded {
-		d.t.Fatalf("%s: degraded = %v, model says %v", step, st.Degraded, m.degraded)
-	}
 	var priced time.Duration
 	for _, r := range d.live {
 		priced += r.f.cost
@@ -467,19 +460,20 @@ func (d *sut) check(m *model, step string) {
 // arrivals (a loadgen plan over the class mix), clock advances, engines
 // taking jobs, solves completing ok / with a solver error / with a panic (a
 // faultinject plan), and a drain — comparing every step's ended requests,
-// brownout mode, queued cost, job custody, single-flight groups and which
-// one request each solve answered with the model.
+// queued cost, job custody, single-flight groups, which job each engine took
+// and which one request each solve answered with the model.
 func TestLifecycleAgainstModel(t *testing.T) {
 	var items []loadgen.Item
 	for _, c := range mClasses {
 		items = append(items, loadgen.Item{Name: c.name, Body: []byte(c.body)})
 	}
 	seen := map[outcome]int{} // every way a request can end, and how often it did
-	shared := uint64(0)
+	var shared, priced uint64
 	for seed := int64(1); seed <= 1000; seed++ {
-		shared += runInterleaving(t, seed, items, seen)
+		s, p := runInterleaving(t, seed, items, seen)
+		shared, priced = shared+s, priced+p
 	}
-	for o := completed; o <= rejectedDegraded; o++ {
+	for o := completed; o <= rejectedDraining; o++ {
 		if seen[o] == 0 {
 			t.Errorf("no interleaving ended a request with outcome %d: the mix has gone soft", o)
 		}
@@ -487,12 +481,16 @@ func TestLifecycleAgainstModel(t *testing.T) {
 	if shared == 0 {
 		t.Error("no interleaving shared a solve through the memo's single flight")
 	}
-	t.Logf("outcomes over all interleavings: %v; %d shared solves", seen, shared)
+	if priced == 0 {
+		t.Error("no interleaving priced a request above zero")
+	}
+	t.Logf("outcomes over all interleavings: %v; %d shared solves; %d requests priced above zero", seen, shared, priced)
 }
 
 // runInterleaving plays one seeded interleaving and returns the solves its
-// requests shared through the memo's single flight.
-func runInterleaving(t *testing.T, seed int64, items []loadgen.Item, seen map[outcome]int) uint64 {
+// requests shared through the memo's single flight and how many of its
+// requests were priced above zero.
+func runInterleaving(t *testing.T, seed int64, items []loadgen.Item, seen map[outcome]int) (shared, priced uint64) {
 	shots, err := loadgen.Plan(loadgen.Spec{Requests: 40, RatePerSec: 400, Seed: seed, Items: items})
 	if err != nil {
 		t.Fatal(err)
@@ -502,7 +500,7 @@ func runInterleaving(t *testing.T, seed int64, items []loadgen.Item, seen map[ou
 	hook := faultinject.RandomPlan(seed, 24, 6, 0, 4, 0, clock.Now).Hook()
 	d := &sut{t: t, took: map[*engine]*job{}, s: New(Options{
 		Now: clock.Now, QueueDepth: mDepth, EnginesPerScenario: mEngines,
-		RatePerSec: mRate, Burst: mBurst, BrownoutHighSeconds: mHigh.Seconds(),
+		RatePerSec: mRate, Burst: mBurst,
 	})}
 	d.newPool()
 	m := &model{tokens: mBurst, last: t0, memo: map[string]bool{}, pools: []*mPool{{}}}
@@ -529,13 +527,14 @@ func runInterleaving(t *testing.T, seed int64, items []loadgen.Item, seen map[ou
 				}
 			})
 		} else if finish {
-			step(fmt.Sprintf("pool %d engine %d completes", p, k), func(time.Time) {
+			sec := float64(1+rng.Intn(50)) * 1e-3
+			step(fmt.Sprintf("pool %d engine %d completes in %gs", p, k, sec), func(time.Time) {
 				panicked, err := runFault(hook)
 				o := completed
 				if err != nil {
 					o = failed
 				}
-				if got, want := d.complete(e, k, err, panicked), m.complete(mp, k, o, panicked); got != want {
+				if got, want := d.complete(e, k, err, panicked, sec), m.complete(mp, k, o, panicked, sec); got != want {
 					t.Fatalf("seed %d: pool %d engine %d's solve answered request %d, model says %d", seed, p, k, got, want)
 				}
 			})
@@ -581,7 +580,7 @@ func runInterleaving(t *testing.T, seed int64, items []loadgen.Item, seen map[ou
 	}
 	d.s.Drain()
 	assertQuiescent(t, d.s)
-	return m.shared
+	return m.shared, m.priced
 }
 
 // runFault asks the fault plan what the next solve does.
@@ -629,6 +628,42 @@ func TestEngineGoroutines(t *testing.T) {
 		t.Errorf("%d serving goroutines right after Drain, want 0", got)
 	}
 	assertQuiescent(t, s)
+}
+
+// TestTakeOldestFirst pins the selection policy on its own: an engine takes
+// one job per pick, the oldest live one, whatever its step count — a job
+// past its deadline is shed first — and what stays behind keeps arrival
+// order.
+func TestTakeOldestFirst(t *testing.T) {
+	clock := newFakeClock()
+	s := New(Options{Now: clock.Now})
+	defer s.Drain()
+	e := newEntry(s.cache, testScenario())
+	eng := &engine{id: 0}
+	e.engines = []*engine{eng}
+	var want []*job
+	for i, steps := range []int{5, 1, 5, 1, 1} {
+		j := &job{req: SolveRequest{Steps: steps}, done: make(chan jobResult, 1)}
+		if i == 1 {
+			j.deadline = clock.Now().Add(time.Millisecond)
+		} else {
+			want = append(want, j)
+		}
+		e.enqueue(j)
+	}
+	clock.Advance(time.Millisecond) // the 1-step job at index 1 expires
+	for i, w := range want {
+		e.mu.Lock()
+		j := e.take(eng)
+		eng.busy = false
+		e.mu.Unlock()
+		if j != w {
+			t.Fatalf("pick %d took a %d-step job out of arrival order", i, j.req.Steps)
+		}
+	}
+	if len(e.backlog) != 0 || s.Stats().SchedDecisions != uint64(len(want)) {
+		t.Errorf("%d jobs left behind after %d decisions, want 0 after %d", len(e.backlog), s.Stats().SchedDecisions, len(want))
+	}
 }
 
 // TestEnqueueOnLostPool pins the one core transition the interleavings above

@@ -13,12 +13,12 @@
 //	  → result memo (hit: completed response, no engine; concurrent
 //	    identical misses coalesce on the leader's solve — single flight,
 //	    the only way two requests share one)
-//	  → pricing (online cost estimate; brownout sheds the costly with 503)
+//	  → pricing (steps × the scenario's last observed seconds per step,
+//	    charged to the queued cost until the request ends)
 //	  → scenario cache (hit: resident engines; miss: compile once)
 //	  → the scenario's backlog, from which an idle resident engine takes
-//	    its next job (shortest-job-first over the cost estimate with an
-//	    aging credit; the lowest idle engine id serves), solves it and
-//	    answers it → render (JSON)
+//	    the oldest live job (the lowest idle engine id serves), solves it
+//	    and answers it → render (JSON)
 //
 // Structure: a synchronous, lock-protected core and two thin concurrent
 // edges. The core — admission and pricing (Server.admit/release,
@@ -109,12 +109,6 @@ type Options struct {
 	// boundary and the request gets 504 with partial-progress diagnostics.
 	// 0 leaves solves unbounded unless the request asks.
 	DefaultDeadline time.Duration
-	// BrownoutHighSeconds enables overload brownout: when the summed cost
-	// estimates of admitted engine-bound requests exceed it, admission
-	// enters degraded mode and sheds the costliest requests with 503 (those
-	// estimated at a quarter of it or more) until the estimate falls below
-	// half of it. 0 disables brownout.
-	BrownoutHighSeconds float64
 	// SolveHook, when non-nil, runs immediately before every engine step
 	// solve with that solve's cancel hook. It exists for deterministic
 	// fault injection (internal/faultinject) — production servers leave it
@@ -173,7 +167,7 @@ type SolveRequest struct {
 	// Wells drive the flow; empty selects the scenario's default pair
 	// (inject at the well cell, produce at the last cell, ±2 kg/s).
 	Wells []WellSpec `json:"wells,omitempty"`
-	// Steps is the backward-Euler step count (default 1).
+	// Steps is the backward-Euler step count (default 1, at most maxSteps).
 	Steps int `json:"steps,omitempty"`
 	// ReturnPressure includes the full final pressure field in the response
 	// (the SHA-256 of its raw bits is always included).
@@ -192,6 +186,11 @@ type SolveRequest struct {
 	// deadline.
 	DeadlineMillis int `json:"deadline_ms,omitempty"`
 }
+
+// maxSteps bounds a request's step count: without a deadline, one request
+// holds an engine for all of its steps, and its response carries one report
+// per step.
+const maxSteps = 1000
 
 // effectiveSteps is the step count the engine will run (0 defaults to 1).
 func (r SolveRequest) effectiveSteps() int {
@@ -331,12 +330,11 @@ type Server struct {
 	mu     sync.Mutex
 	bucket *tokenBucket
 	queued int // admitted, not yet released
-	// queuedCost is the estimated queue wait: the summed cost estimates of
-	// the priced requests still in flight — whole nanoseconds, so conclude
-	// takes back exactly what price charged and an idle server reads exactly
-	// zero. It drives the brownout and the queue-full Retry-After.
+	// queuedCost is the estimated queue wait: the summed prices of the
+	// requests still in flight — whole nanoseconds, so conclude takes back
+	// exactly what price charged and an idle server reads exactly zero. It
+	// is the queue-full 429's Retry-After.
 	queuedCost time.Duration
-	brownout   brownout
 
 	// draining is stored under mu (admit orders against Drain's wait) and
 	// read lock-free by the health check and the resubmit path.
@@ -353,7 +351,6 @@ func New(opts Options) *Server {
 	s := &Server{opts: opts}
 	s.bucket = newTokenBucket(opts.RatePerSec, opts.Burst, opts.Now)
 	s.memo = newMemo(opts.MemoCapacity)
-	s.brownout = brownout{high: seconds(opts.BrownoutHighSeconds), stats: &s.stats}
 	s.cache = newCache(opts, &s.stats, &s.forceCancel)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/solve", s.handleSolve)
@@ -373,7 +370,6 @@ func (s *Server) Stats() StatsSnapshot {
 	snap.ResidentScenarios = s.cache.size()
 	snap.MemoEntries = s.memo.size()
 	s.mu.Lock()
-	snap.Degraded = s.brownout.degraded
 	snap.QueuedCostSeconds = s.queuedCost.Seconds()
 	s.mu.Unlock()
 	return snap
@@ -409,15 +405,11 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// handleHealth reports ok, degraded (still 200, so load balancers can steer
-// without killing an instance that serves cheap work) or draining (503).
+// handleHealth reports ok, or draining (503).
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	status, code := "ok", http.StatusOK
-	switch {
-	case s.draining.Load():
+	if s.draining.Load() {
 		status, code = "draining", http.StatusServiceUnavailable
-	case s.Stats().Degraded:
-		status = "degraded"
 	}
 	writeJSON(w, code, map[string]string{"status": status})
 }
@@ -432,7 +424,6 @@ const (
 	rejectedRate
 	rejectedQueue
 	rejectedDraining
-	rejectedDegraded
 )
 
 // finish is the single accounting point: every request that incremented
@@ -446,7 +437,6 @@ func (s *Server) finish(o outcome) {
 		rejectedRate:     &s.stats.RejectedRate,
 		rejectedQueue:    &s.stats.RejectedQueue,
 		rejectedDraining: &s.stats.RejectedDraining,
-		rejectedDegraded: &s.stats.RejectedDegraded,
 	}[o].Add(1)
 }
 
@@ -477,11 +467,11 @@ func (r *reply) after(wait float64) *reply {
 	return r
 }
 
-// maxCost bounds one cost estimate, so that a full queue of absurd step
-// counts cannot overflow the queued-cost sum.
+// maxCost bounds one price, so that a full queue behind an absurdly slow
+// observed solve cannot overflow the queued-cost sum.
 const maxCost = 24 * time.Hour
 
-// seconds converts estimated seconds into the core's integer currency.
+// seconds converts a price in seconds into the core's integer currency.
 func seconds(sec float64) time.Duration {
 	return time.Duration(math.Min(sec, maxCost.Seconds()) * float64(time.Second))
 }
@@ -543,8 +533,8 @@ func (r SolveRequest) validate(maxCells int) error {
 	if err := r.Scenario.Validate(maxCells); err != nil {
 		return err
 	}
-	if r.Steps < 0 {
-		return fmt.Errorf("serve: steps must be non-negative, got %d", r.Steps)
+	if r.Steps < 0 || r.Steps > maxSteps {
+		return fmt.Errorf("serve: steps must be in [0, %d], got %d", maxSteps, r.Steps)
 	}
 	if r.DeadlineMillis < 0 {
 		return fmt.Errorf("serve: deadline_ms must be non-negative, got %d", r.DeadlineMillis)
@@ -627,11 +617,8 @@ func (s *Server) serve(f *flight) *reply {
 		// The leader abandoned (failed or was rejected downstream); retry —
 		// this round may make us the leader.
 	}
-	rep := s.price(f)
-	var jr jobResult
-	if rep == nil {
-		jr, rep = s.run(f)
-	}
+	s.price(f)
+	jr, rep := s.run(f)
 	return s.conclude(f, jr, rep)
 }
 
@@ -670,23 +657,15 @@ func (s *Server) memoHit(f *flight, ent *memoEntry) *reply {
 	return s.render(f.start, resp)
 }
 
-// price is the brownout stage: past the memo (hits are still served while
-// degraded), an engine-bound request is priced by its scenario's cost model
-// and shed if costly in degraded mode; else queued cost grows by its price.
-func (s *Server) price(f *flight) *reply {
-	// The estimate takes the cache's lock: stay outside the core's.
-	cost := seconds(s.cache.costOf(f.mkey.scenario, f.req.Scenario).estimate(f.req.effectiveSteps()))
+// price charges an engine-bound request (past the memo) to the queued cost:
+// its steps × its scenario's last observed seconds per step.
+func (s *Server) price(f *flight) {
+	// The lookup takes the cache's lock: stay outside the core's.
+	cost := seconds(float64(f.req.effectiveSteps()) * s.cache.secondsPerStep(f.mkey.scenario))
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.brownout.sheds(cost) {
-		return reject(rejectedDegraded, http.StatusServiceUnavailable,
-			"serve: degraded (overload brownout), estimated cost %.3gs over the shed threshold",
-			cost.Seconds()).after(s.queuedCost.Seconds())
-	}
 	f.cost = cost
 	s.queuedCost += cost
-	s.brownout.observe(s.queuedCost)
-	return nil
+	s.mu.Unlock()
 }
 
 // submit queues a priced request's job on a resolved scenario's backlog.
@@ -727,13 +706,12 @@ func (s *Server) resubmit(f *flight, j *job, jr jobResult) bool {
 	return true
 }
 
-// conclude ends a request's engine path, however it went — shed by the
-// brownout, refused by the compiled mesh, failed, or solved: the queued
-// cost is refunded, a memo leader's debt settled, the answer shaped.
+// conclude ends a request's engine path, however it went — refused by the
+// compiled mesh, failed, or solved: the queued cost is refunded, a memo
+// leader's debt settled, the answer shaped.
 func (s *Server) conclude(f *flight, jr jobResult, rep *reply) *reply {
 	s.mu.Lock()
 	s.queuedCost -= f.cost
-	s.brownout.observe(s.queuedCost)
 	s.mu.Unlock()
 	if rep == nil && jr.err != nil {
 		rep = s.failure(jr.err)

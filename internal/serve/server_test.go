@@ -46,7 +46,7 @@ func assertQuiescent(t *testing.T, s *Server) {
 // law.
 func ended(st StatsSnapshot) uint64 {
 	return st.Completed + st.Failed + st.RejectedRate + st.RejectedQueue +
-		st.RejectedDraining + st.RejectedInvalid + st.RejectedDegraded
+		st.RejectedDraining + st.RejectedInvalid
 }
 
 // goroutineResidue records the goroutine count and returns the check that
@@ -115,6 +115,7 @@ func TestSolveRejectsInvalid(t *testing.T) {
 		{"more parts than cells", `{"scenario":{"rings":6,"sectors":8,"parts":64}}`},
 		{"more parts than RCB builds", `{"scenario":{"parts":512,"precond":"amg"}}`},
 		{"negative steps", testBody(`"steps":-1`)},
+		{"steps over the bound", testBody(`"steps":1001`)},
 		{"negative well cell", testBody(`"wells":[{"cell":-1,"rate":2}]`)},
 		{"zero-rate well", testBody(`"wells":[{"cell":0,"rate":0}]`)},
 		{"zero-rate wells", testBody(`"wells":[{"cell":0,"rate":0},{"cell":47,"rate":-0.0}]`)},

@@ -29,7 +29,7 @@ func (a *atomicSeconds) load() float64 { return math.Float64frombits(a.bits.Load
 type Stats struct {
 	// Request accounting is one conservation law. Every POST /v1/solve
 	// increments Requests on arrival and exactly one terminal counter —
-	// Completed, Failed or one of the five Rejected* — in Server.finish, the
+	// Completed, Failed or one of the four Rejected* — in Server.finish, the
 	// only place they are written, before its queue slot is released. So
 	// whenever no request is in flight (and always after Drain):
 	//
@@ -43,8 +43,7 @@ type Stats struct {
 	RejectedRate     atomic.Uint64 // token bucket empty → 429
 	RejectedQueue    atomic.Uint64 // bounded queue full → 429
 	RejectedDraining atomic.Uint64 // drain in progress → 503
-	RejectedInvalid  atomic.Uint64 // bad JSON / scenario / wells → 400
-	RejectedDegraded atomic.Uint64 // brownout shed → 503
+	RejectedInvalid  atomic.Uint64 // bad JSON / scenario / wells / steps → 400
 	Completed        atomic.Uint64
 	Failed           atomic.Uint64
 
@@ -58,11 +57,6 @@ type Stats struct {
 	CancelledSolves atomic.Uint64
 	SolverErrors    atomic.Uint64
 
-	// Brownout accounting: mode transitions of the degradation state
-	// machine (the current mode itself is in the snapshot).
-	DegradedEnters atomic.Uint64
-	DegradedExits  atomic.Uint64
-
 	// Scenario cache accounting.
 	CacheHits   atomic.Uint64
 	CacheMisses atomic.Uint64
@@ -73,13 +67,8 @@ type Stats struct {
 	// without an engine solve of their own.
 	MemoHits atomic.Uint64
 
-	// Scheduler accounting: SchedDecisions counts dispatch selections;
-	// SchedReorders those where SJF picked a job other than the oldest;
-	// SchedAgedPicks those where the aging credit overrode a strictly
-	// cheaper estimate.
+	// SchedDecisions counts the jobs engines took off a backlog.
 	SchedDecisions atomic.Uint64
-	SchedReorders  atomic.Uint64
-	SchedAgedPicks atomic.Uint64
 
 	// Shared-solve accounting: Solves counts engine solves, each of which
 	// answered exactly one request. Batches/BatchedRequests/SharedSolves
@@ -108,6 +97,8 @@ type StatsSnapshot struct {
 	RejectedQueue    uint64 `json:"rejected_queue"`
 	RejectedDraining uint64 `json:"rejected_draining"`
 	RejectedInvalid  uint64 `json:"rejected_invalid"`
+	// RejectedDegraded is always 0; it stays because the repository
+	// benchmark sums it into serve.rejected_total.
 	RejectedDegraded uint64 `json:"rejected_degraded"`
 	Completed        uint64 `json:"completed"`
 	Failed           uint64 `json:"failed"`
@@ -117,11 +108,8 @@ type StatsSnapshot struct {
 	CancelledSolves uint64 `json:"cancelled_solves"`
 	SolverErrors    uint64 `json:"solver_errors"`
 
-	DegradedEnters uint64 `json:"degraded_enters"`
-	DegradedExits  uint64 `json:"degraded_exits"`
-	// Degraded is the brownout mode at snapshot time; QueuedCostSeconds the
-	// estimated queue wait driving it.
-	Degraded          bool    `json:"degraded"`
+	// QueuedCostSeconds is the estimated queue wait: the summed prices of
+	// the requests in flight, exactly 0 once idle.
 	QueuedCostSeconds float64 `json:"queued_cost_seconds"`
 
 	CacheHits         uint64 `json:"cache_hits"`
@@ -133,8 +121,8 @@ type StatsSnapshot struct {
 	MemoEntries int    `json:"memo_entries"`
 
 	SchedDecisions uint64 `json:"sched_decisions"`
-	SchedReorders  uint64 `json:"sched_reorders"`
-	SchedAgedPicks uint64 `json:"sched_aged_picks"`
+	// SchedReorders is always 0: the backlog is served in arrival order.
+	SchedReorders uint64 `json:"sched_reorders"`
 
 	Solves          uint64 `json:"solves"`
 	Batches         uint64 `json:"batches"`
@@ -156,7 +144,6 @@ func (s *Stats) snapshot() StatsSnapshot {
 		RejectedQueue:    s.RejectedQueue.Load(),
 		RejectedDraining: s.RejectedDraining.Load(),
 		RejectedInvalid:  s.RejectedInvalid.Load(),
-		RejectedDegraded: s.RejectedDegraded.Load(),
 		Completed:        s.Completed.Load(),
 		Failed:           s.Failed.Load(),
 
@@ -165,9 +152,6 @@ func (s *Stats) snapshot() StatsSnapshot {
 		CancelledSolves: s.CancelledSolves.Load(),
 		SolverErrors:    s.SolverErrors.Load(),
 
-		DegradedEnters: s.DegradedEnters.Load(),
-		DegradedExits:  s.DegradedExits.Load(),
-
 		CacheHits:   s.CacheHits.Load(),
 		CacheMisses: s.CacheMisses.Load(),
 		Evictions:   s.Evictions.Load(),
@@ -175,8 +159,6 @@ func (s *Stats) snapshot() StatsSnapshot {
 		MemoHits: s.MemoHits.Load(),
 
 		SchedDecisions: s.SchedDecisions.Load(),
-		SchedReorders:  s.SchedReorders.Load(),
-		SchedAgedPicks: s.SchedAgedPicks.Load(),
 
 		Solves:          s.Solves.Load(),
 		Batches:         s.Batches.Load(),

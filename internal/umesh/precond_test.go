@@ -137,7 +137,7 @@ func TestPrecondLadderRecordedIterationCounts(t *testing.T) {
 	// The pinned ladder: the benchmark radial mesh, three backward-Euler steps
 	// of 3600 s to 1e-8 between a ±2 kg/s well pair, takes exactly these
 	// serial iteration counts per rung — a fixed point no layout or fusion
-	// change may move (serve's rungIterationFactor prior is their ratios).
+	// change may move.
 	// The counts are amd64 values: the umesh float64 kernels carry no explicit
 	// anti-FMA roundings, so an architecture that contracts a·b + c may
 	// converge an iteration earlier or later.
