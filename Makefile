@@ -14,7 +14,7 @@ GO ?= go
 # result slices.
 RACE_PKGS = ./internal/core/ ./internal/fabric/ ./internal/dsd/ ./internal/exec/ ./internal/umesh/ ./internal/solver/ ./internal/sim/ ./internal/serve/ ./internal/loadgen/ ./internal/faultinject/ ./internal/wave/
 
-.PHONY: build cross-arm64 test test-v3 race size layers bce bench-selftest bench-layout bench-smoke bench-kernel bench-umesh bench-usolve chaos-smoke fuzz-smoke cover docs-check vet fmt-check ci
+.PHONY: build cross-arm64 test test-v3 race size layers bce bench-selftest bench-layout ab bench-smoke bench-kernel bench-umesh bench-usolve chaos-smoke fuzz-smoke cover docs-check vet fmt-check ci
 
 build:
 	$(GO) build ./...
@@ -116,7 +116,13 @@ race:
 # it; 2056 once that kernel gained its AVX2 body: 93 lines of internal/dsd/*.s,
 # counted from here on, and 44 of Go that declare it, pick it by CPUID and
 # hand fluxElem the tail; 2046 once the fabric engine stopped sizing link and
-# ramp buffers and forwarding a receive timeout). FABRIC_CEILING holds
+# ramp buffers and forwarding a receive timeout; 2135 once the flat engine's
+# application became one dsd.FluxCell per PE, net +89 of the at most 90 it
+# was allowed: the cell op and its operand checks (+35 of dsd Go, net of
+# FluxFaceAcc and faceCols deleted), its AVX2 body summing up to ten faces
+# in a register (+33 of assembly), and core's wire lookup and face table
+# (+21), for an application a quarter faster that copies no neighbor
+# column). FABRIC_CEILING holds
 # internal/fabric, the wavelet fabric under the structured engines (1072 with
 # a router goroutine per PE, its link and ramp channels, their drain at stop
 # and a 30-s receive timeout; 959 once a wavelet is routed to completion in
@@ -124,7 +130,7 @@ race:
 SIZE_CEILING = 4540
 SERVE_CEILING = 1819
 BENCH_CEILING = 956
-STRUCT_CEILING = 2046
+STRUCT_CEILING = 2135
 FABRIC_CEILING = 959
 size:
 	@set -e; \
@@ -169,19 +175,22 @@ layers:
 #     (137 sites until PR 24 deleted the five BiCGStab-only shard kernels).
 #   - internal/dsd/ops.go is the structured kernel. Every op has one element
 #     loop, over columns resliced to the destination's length, and none
-#     reports a check (FluxFace and FluxFaceAcc stream the inlined fluxElem);
-#     the pinned sites are per call: one reslice per source column, the
-#     macro-ops' operand table, and the tally slot (106 sites while strided
-#     loops computed three addresses per element and the single-op loops
-#     checked their second operand).
+#     reports a check (FluxFace and FluxCell stream the inlined fluxElem over
+#     the tail their vector bodies leave); the pinned sites are per call or
+#     per face: one reslice per source column or wire half, FluxCell's tail
+#     clear, and the tally slot (106 sites while strided loops computed three
+#     addresses per element and the single-op loops checked their second
+#     operand; 33 with FluxFaceAcc). The flat engine reads its neighbors'
+#     columns off the wire inside FluxCell — there is no FMOV copy on its hot
+#     path to keep check-free, only the scalar ablation's and CommOnly's.
 #   - internal/core/hostload.go is the tile-ordered host loader: its element
 #     loop keeps exactly one check (the column view's [z]; the mesh line is
 #     resliced per plane), the rest is per tile or per PE.
 # The structured kernel's single spelling must also stay inlinable into the
-# two macro-op loops, or each element pays a call. Its vector body
+# two macro-ops' tail loops, or each element pays a call. Its vector body
 # (internal/dsd/*.s) must round every product before its sum as fluxElem
 # does, so a fused multiply-add mnemonic there fails the gate.
-BCE_PINS = internal/umesh:kernels.go:100 internal/dsd:ops.go:33 internal/core:hostload.go:20
+BCE_PINS = internal/umesh:kernels.go:100 internal/dsd:ops.go:32 internal/core:hostload.go:20
 bce:
 	@set -e; \
 	for pin in $(BCE_PINS); do \
@@ -195,7 +204,7 @@ bce:
 	  fi; \
 	done; \
 	$(GO) build -gcflags=-m ./internal/dsd/ 2>&1 | grep -q 'can inline fluxElem' || \
-	  { echo "bce: dsd.fluxElem is over the inlining budget — FluxFace and FluxFaceAcc would call it per element"; exit 1; }; \
+	  { echo "bce: dsd.fluxElem is over the inlining budget — FluxFace and FluxCell would call it per element"; exit 1; }; \
 	echo "bce: dsd.fluxElem inlines"; \
 	if grep -nE 'VFN?M(ADD|SUB)' internal/dsd/*.s; then \
 	  echo "bce: the face kernel's vector body fuses a multiply and an add, which fluxElem never does"; exit 1; fi; \
@@ -223,6 +232,19 @@ bench-layout:
 	[ -n "$$addr" ] || { echo "bench-layout: no main.(*yardstick).run in the benchmark binary"; exit 1; }; \
 	echo "bench-layout: main.(*yardstick).run at 0x$$addr, $$((0x$$addr % 64)) mod 64"
 
+# The claim protocol as one command (cmd/fvab): builds the benchmark from
+# BASE (a git worktree under .bench_build/ab) and from the working tree with
+# run.sh's environment, prints both builds' yardstick offsets and stops with
+# exit status 2 when they differ, then runs N alternating pairs of workload W
+# (seeds 1…N, the first side alternating) and prints, per end-to-end metric,
+# both medians and quartiles, the k-of-N wins and the verdict against
+# BENCHMARK.json's bound; it exits 1 on a regression beyond a bound or a
+# larger share of failed operations. Not part of ci: a pair takes ~50 s.
+N ?= 10
+ab:
+	@[ -n "$(BASE)" ] && [ -n "$(W)" ] || { echo "usage: make ab BASE=<rev> W=<workload> [N=10]"; exit 2; }
+	$(GO) run ./cmd/fvab -base $(BASE) -workload $(W) -n $(N)
+
 # Exercise every benchmark once at reduced size — validates the harness
 # without paying full measurement cost (what CI runs). -run '^$$' skips the
 # unit tests, which the test target already covers.
@@ -230,8 +252,8 @@ bench-smoke:
 	@echo "bench-smoke: GOMAXPROCS=$${GOMAXPROCS:-$$(nproc)}"
 	$(GO) test -run '^$$' -bench . -benchtime 1x -short ./...
 
-# The structured-kernel microbenchmarks (dsd ops, the fused FluxFace /
-# FluxFaceAcc kernels against their op-by-op sequence, faceFlux, exchange,
+# The structured-kernel microbenchmarks (dsd ops, the whole-PE FluxCell and
+# the fused FluxFace against their op-by-op sequence, faceFlux, exchange,
 # whole engine, the engine's compile / load-pressure / apply / gather stages,
 # the wavelet fabric engine, and a dataflow-operator CG solve beside one bare
 # application) once each —
@@ -269,7 +291,7 @@ chaos-smoke:
 # Short native-fuzz exploration of the RCB partitioner and canonical order
 # (held to the sort-per-level oracle, on coarse-grid inputs too), the radial mesh
 # builder, the part operator's row store, the serving layer's request
-# decoder and the fused flux-and-accumulate macro-op (the seed corpora
+# decoder and the whole-PE flux macro-op FluxCell (the seed corpora
 # already run under plain `make test`). -fuzz accepts one target per
 # invocation, hence five runs.
 fuzz-smoke:
@@ -277,7 +299,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRadialMesh$$' -fuzztime 10s ./internal/umesh/
 	$(GO) test -run '^$$' -fuzz '^FuzzRowStore$$' -fuzztime 10s ./internal/umesh/
 	$(GO) test -run '^$$' -fuzz '^FuzzSolveRequest$$' -fuzztime 10s ./internal/serve/
-	$(GO) test -run '^$$' -fuzz '^FuzzFluxFaceAcc$$' -fuzztime 10s ./internal/dsd/
+	$(GO) test -run '^$$' -fuzz '^FuzzFluxCell$$' -fuzztime 10s ./internal/dsd/
 
 # Per-package coverage gate over the solver-path packages. Floors are pinned
 # a few points under the measured numbers so genuine regressions fail while

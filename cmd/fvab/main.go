@@ -1,0 +1,385 @@
+// Command fvab runs the claim protocol as one command. It builds the
+// repository benchmark (benchmark/) from a base revision and from the working
+// tree and checks that both builds put the yardstick's timed loop at the same
+// offset mod 64. Then it runs N alternating pairs of one workload and judges
+// every end-to-end metric against its bound in BENCHMARK.json.
+//
+// Usage:
+//
+//	fvab -base <rev> -workload <name> [-n 10]
+//	make ab BASE=<rev> W=<workload> N=10
+//
+// The base is checked out as a detached git worktree under .bench_build/ab
+// (the revision must already be in .git) and removed afterwards. Both
+// binaries are built as benchmark/run.sh builds one, with its environment.
+// Pair i runs seed i with --trace 0 and BENCHMARK.json's run_seconds; the
+// base runs first in odd pairs and the working tree first in even ones.
+//
+// Exit status:
+//   - 0 when no metric regressed beyond its bound and the change failed no
+//     larger share of operations;
+//   - 1 when one did, or on an error;
+//   - 2 when the two builds' yardstick offsets differ, before any pair runs,
+//     because their normalised metrics would not be comparable.
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"flag"
+	"fmt"
+	"io"
+	"math"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"slices"
+	"strings"
+)
+
+// errLayout is the exit-2 outcome: the builds' yardstick offsets differ.
+var errLayout = errors.New("the two builds' yardstick offsets differ: normalised metrics are not comparable")
+
+// errRegressed is the exit-1 verdict of a completed comparison.
+var errRegressed = errors.New("the change regressed")
+
+func main() {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errLayout):
+		fmt.Fprintln(os.Stderr, "fvab: warning:", err)
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "fvab:", err)
+		os.Exit(1)
+	}
+}
+
+// run executes the tool with explicit argv and streams.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("fvab", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		base     = fs.String("base", "", "git revision to compare the working tree against (required)")
+		workload = fs.String("workload", "", "benchmark workload, as BENCHMARK.json names it (required)")
+		n        = fs.Int("n", 10, "alternating pairs to run, seeds 1…n")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *base == "" || *workload == "" || *n < 1 || fs.NArg() > 0 {
+		fs.Usage()
+		return errors.New("need -base and -workload, and -n ≥ 1")
+	}
+	top, err := output(".", "git", "rev-parse", "--show-toplevel")
+	if err != nil {
+		return err
+	}
+	root := strings.TrimSpace(top)
+	bounds, seconds, err := loadSpec(filepath.Join(root, "BENCHMARK.json"), *workload)
+	if err != nil {
+		return err
+	}
+
+	ab := filepath.Join(root, ".bench_build", "ab")
+	tree := filepath.Join(ab, "base-tree")
+	// A worktree an interrupted run left behind goes first; there is none
+	// to remove on a clean start, so that error means nothing.
+	_, _ = output(root, "git", "worktree", "remove", "--force", tree)
+	if _, err := output(root, "git", "worktree", "add", "--detach", tree, *base); err != nil {
+		return err
+	}
+	defer func() {
+		if _, err := output(root, "git", "worktree", "remove", "--force", tree); err != nil {
+			fmt.Fprintln(stderr, "fvab: leaving the base worktree behind:", err)
+		}
+	}()
+	sides := [2]side{
+		{name: "base", tree: tree, bin: filepath.Join(ab, "base", "fvbench")},
+		{name: "change", tree: root, bin: filepath.Join(ab, "change", "fvbench")},
+	}
+	for i := range sides {
+		s := &sides[i]
+		if err := build(root, s); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "layout: %s build, main.(*yardstick).run at %d mod 64\n", s.name, s.offset)
+	}
+	if sides[0].offset != sides[1].offset {
+		return errLayout
+	}
+
+	fmt.Fprintf(stdout, "fvab: %s, %d alternating pairs at --seconds %d, base %s vs the working tree\n",
+		*workload, *n, seconds, *base)
+	var pairs []pair
+	for seed := 1; seed <= *n; seed++ {
+		order := []int{0, 1}
+		if seed%2 == 0 {
+			order = []int{1, 0}
+		}
+		var p pair
+		for _, k := range order {
+			r, err := sides[k].run(*workload, seed, seconds)
+			if err != nil {
+				return err
+			}
+			p[k] = r
+		}
+		fmt.Fprintf(stdout, "pair %2d (seed %d, %s first):%s\n", seed, seed, sides[order[0]].name, p.line(bounds))
+		pairs = append(pairs, p)
+	}
+	return report(stdout, bounds, pairs)
+}
+
+// side is one build under comparison.
+type side struct {
+	name   string
+	tree   string // the checkout it is built from and runs in
+	bin    string
+	offset uint64 // main.(*yardstick).run's address mod 64
+}
+
+// build builds the side's benchmark binary with benchmark/run.sh's
+// environment (its Go files under the working tree's .bench_build, so the
+// build cache outlives the base worktree) and reads its yardstick offset.
+func build(root string, s *side) error {
+	cache := filepath.Join(root, ".bench_build")
+	cmd := exec.Command("go", "build", "-o", s.bin, ".")
+	cmd.Dir = filepath.Join(s.tree, "benchmark")
+	cmd.Env = append(os.Environ(), "HOME="+filepath.Join(cache, "home"), "GOCACHE="+filepath.Join(cache, "gocache"),
+		"GOPATH="+filepath.Join(cache, "gopath"), "GOFLAGS=", "GOWORK=off", "GOTOOLCHAIN=local")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		return fmt.Errorf("building the %s benchmark: %v\n%s", s.name, err, out)
+	}
+	nm, err := output(root, "go", "tool", "nm", s.bin)
+	if err != nil {
+		return err
+	}
+	addr, ok := symbolAddr(nm, "main.(*yardstick).run")
+	if !ok {
+		return fmt.Errorf("no main.(*yardstick).run in the %s benchmark binary", s.name)
+	}
+	s.offset = addr % 64
+	return nil
+}
+
+// symbolAddr finds a text symbol's address in `go tool nm` output.
+func symbolAddr(nm, symbol string) (uint64, bool) {
+	for _, line := range strings.Split(nm, "\n") {
+		f := strings.Fields(line)
+		if len(f) == 3 && f[2] == symbol {
+			var addr uint64
+			if _, err := fmt.Sscanf(f[0], "%x", &addr); err == nil {
+				return addr, true
+			}
+		}
+	}
+	return 0, false
+}
+
+// run runs one untraced benchmark and parses its result line. A run whose
+// operations failed exits 1 but still prints the line, which counts them.
+func (s *side) run(workload string, seed, seconds int) (result, error) {
+	cmd := exec.Command(s.bin, "--workload", workload, "--seed", fmt.Sprint(seed),
+		"--seconds", fmt.Sprint(seconds), "--trace", "0")
+	cmd.Dir = s.tree
+	out, err := cmd.Output()
+	r, perr := parseResult(out)
+	if perr != nil {
+		return result{}, fmt.Errorf("%s run, seed %d: %v (%v)", s.name, seed, perr, err)
+	}
+	return r, nil
+}
+
+// output runs a command in dir and returns its standard output.
+func output(dir, name string, args ...string) (string, error) {
+	cmd := exec.Command(name, args...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return "", fmt.Errorf("%s %s: %v: %s", name, strings.Join(args, " "), err, strings.TrimSpace(stderr.String()))
+	}
+	return string(out), nil
+}
+
+// bound is one end-to-end metric of BENCHMARK.json: a change may be worse
+// than the base by at most Bound, a fraction of the base's median.
+type bound struct {
+	Name   string  `json:"name"`
+	Better string  `json:"better"`
+	Bound  float64 `json:"bound"`
+}
+
+// loadSpec reads BENCHMARK.json's end-to-end metrics and run length, and
+// checks that it declares the workload.
+func loadSpec(path, workload string) ([]bound, int, error) {
+	var s struct {
+		RunSeconds int `json:"run_seconds"`
+		Workloads  []struct {
+			Name string `json:"name"`
+		} `json:"workloads"`
+		EndToEnd []bound `json:"end_to_end"`
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	if err := json.Unmarshal(b, &s); err != nil {
+		return nil, 0, fmt.Errorf("%s: %w", path, err)
+	}
+	declared := false
+	for _, w := range s.Workloads {
+		declared = declared || w.Name == workload
+	}
+	if !declared {
+		return nil, 0, fmt.Errorf("%s declares no workload %q", path, workload)
+	}
+	if len(s.EndToEnd) == 0 || s.RunSeconds < 1 {
+		return nil, 0, fmt.Errorf("%s lists no end-to-end metric or no run_seconds", path)
+	}
+	for _, m := range s.EndToEnd {
+		if m.Better != "lower" && m.Better != "higher" || m.Bound <= 0 {
+			return nil, 0, fmt.Errorf("%s: metric %q needs better lower|higher and a positive bound", path, m.Name)
+		}
+	}
+	return s.EndToEnd, s.RunSeconds, nil
+}
+
+// result is a benchmark run's last output line.
+type result struct {
+	Correct   bool `json:"correct"`
+	Attempted int  `json:"attempted"`
+	Failed    int  `json:"failed"`
+	Metrics   map[string]struct {
+		Value float64 `json:"value"`
+	} `json:"metrics"`
+}
+
+// parseResult reads the JSON result from a run's standard output: its last
+// non-empty line.
+func parseResult(out []byte) (result, error) {
+	var r result
+	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	last := strings.TrimSpace(lines[len(lines)-1])
+	if !strings.HasPrefix(last, "{") {
+		return r, fmt.Errorf("no result line in the output (last line %q)", last)
+	}
+	if err := json.Unmarshal([]byte(last), &r); err != nil {
+		return r, fmt.Errorf("result line: %w", err)
+	}
+	return r, nil
+}
+
+// pair is one seed's base ([0]) and change ([1]) runs.
+type pair [2]result
+
+// line renders the pair's metrics, base → change.
+func (p pair) line(bounds []bound) string {
+	var b strings.Builder
+	for _, m := range bounds {
+		fmt.Fprintf(&b, " %s %.4g→%.4g", m.Name, p[0].Metrics[m.Name].Value, p[1].Metrics[m.Name].Value)
+	}
+	fmt.Fprintf(&b, " failed %d/%d→%d/%d", p[0].Failed, p[0].Attempted, p[1].Failed, p[1].Attempted)
+	return b.String()
+}
+
+// row is the comparison of one metric over all pairs.
+type row struct {
+	bound
+	base, change [3]float64 // first quartile, median, third quartile
+	wins         int        // pairs in which the change is better
+	worse        float64    // the change's median, worse than the base's by this fraction (< 0: better)
+	verdict      string
+	regressed    bool
+}
+
+// judge compares every bounded metric over the pairs. A metric regresses
+// when the change's median is worse than the base's by more than its bound;
+// it improves when the change wins at least 9 in 10 pairs and the medians
+// differ by more than the base's interquartile range.
+func judge(bounds []bound, pairs []pair) []row {
+	rows := make([]row, 0, len(bounds))
+	for _, m := range bounds {
+		var bv, cv []float64
+		r := row{bound: m}
+		for _, p := range pairs {
+			b, c := p[0].Metrics[m.Name].Value, p[1].Metrics[m.Name].Value
+			bv, cv = append(bv, b), append(cv, c)
+			if m.Better == "lower" && c < b || m.Better == "higher" && c > b {
+				r.wins++
+			}
+		}
+		r.base, r.change = quartiles(bv), quartiles(cv)
+		r.worse = (r.change[1] - r.base[1]) / r.base[1]
+		if m.Better == "higher" {
+			r.worse = -r.worse
+		}
+		switch {
+		case r.worse > m.Bound:
+			r.regressed = true
+			r.verdict = fmt.Sprintf("REGRESSION: worse by more than the bound %g", m.Bound)
+		case r.worse < 0 && 10*r.wins >= 9*len(pairs) && math.Abs(r.change[1]-r.base[1]) > r.base[2]-r.base[0]:
+			r.verdict = "better: ≥ 9 in 10 pairs, beyond the base IQR"
+		default:
+			r.verdict = "within the bound"
+		}
+		rows = append(rows, r)
+	}
+	return rows
+}
+
+// failedShare sums one side's failed and attempted operations over the pairs.
+func failedShare(pairs []pair, side int) (failed, attempted int) {
+	for _, p := range pairs {
+		failed += p[side].Failed
+		attempted += p[side].Attempted
+	}
+	return failed, attempted
+}
+
+// quartiles returns the first quartile, the median and the third quartile
+// of v, interpolated linearly between order statistics.
+func quartiles(v []float64) [3]float64 {
+	s := slices.Sorted(slices.Values(v))
+	at := func(q float64) float64 {
+		x := q * float64(len(s)-1)
+		lo := int(x)
+		if lo+1 >= len(s) {
+			return s[lo]
+		}
+		return s[lo] + (x-float64(lo))*(s[lo+1]-s[lo])
+	}
+	return [3]float64{at(0.25), at(0.5), at(0.75)}
+}
+
+// report prints the comparison table and the verdict, and returns
+// errRegressed when a metric regressed beyond its bound or the change failed
+// a larger share of operations.
+func report(w io.Writer, bounds []bound, pairs []pair) error {
+	fmt.Fprintf(w, "%-20s %-6s %-5s %-34s %-34s %8s %6s  %s\n",
+		"metric", "better", "bound", "base median [q1, q3]", "change median [q1, q3]", "Δ median", "wins", "verdict")
+	regressed := false
+	for _, r := range judge(bounds, pairs) {
+		q := func(v [3]float64) string { return fmt.Sprintf("%.4g [%.4g, %.4g]", v[1], v[0], v[2]) }
+		delta := (r.change[1] - r.base[1]) / r.base[1]
+		fmt.Fprintf(w, "%-20s %-6s %-5g %-34s %-34s %+7.1f%% %3d/%-2d  %s\n",
+			r.Name, r.Better, r.Bound, q(r.base), q(r.change), 100*delta, r.wins, len(pairs), r.verdict)
+		regressed = regressed || r.regressed
+	}
+	bf, ba := failedShare(pairs, 0)
+	cf, ca := failedShare(pairs, 1)
+	fmt.Fprintf(w, "failed operations: base %d of %d, change %d of %d\n", bf, ba, cf, ca)
+	if ca == 0 || cf*max(ba, 1) > bf*ca {
+		fmt.Fprintln(w, "REGRESSION: the change failed a larger share of its operations")
+		regressed = true
+	}
+	if regressed {
+		return errRegressed
+	}
+	fmt.Fprintln(w, "verdict: no metric regressed beyond its bound")
+	return nil
+}

@@ -1,0 +1,196 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// line is a canned benchmark result line with the given op_s_p50 and
+// alloc_mb_per_op and failed share.
+func line(opS, alloc float64, failed, attempted int) string {
+	return fmt.Sprintf(`{"correct":%v,"attempted":%d,"failed":%d,"metrics":{`+
+		`"op_s_p50":{"value":%g,"unit":"s"},"alloc_mb_per_op":{"value":%g,"unit":"MiB"}}}`,
+		failed == 0, attempted, failed, opS, alloc)
+}
+
+var testBounds = []bound{
+	{Name: "op_s_p50", Better: "lower", Bound: 0.2},
+	{Name: "alloc_mb_per_op", Better: "lower", Bound: 0.05},
+}
+
+// pairsOf parses canned base and change lines into pairs.
+func pairsOf(t *testing.T, base, change []string) []pair {
+	t.Helper()
+	var ps []pair
+	for i := range base {
+		var p pair
+		for k, l := range []string{base[i], change[i]} {
+			r, err := parseResult([]byte("op 1 … done\n  op_s_p50  0.03 s\n" + l + "\n"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p[k] = r
+		}
+		ps = append(ps, p)
+	}
+	return ps
+}
+
+func TestParseResultReadsTheLastLine(t *testing.T) {
+	r, err := parseResult([]byte("trace: 3 spans\n" + line(0.0332, 26.1, 1, 40) + "\n\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Correct || r.Failed != 1 || r.Attempted != 40 || r.Metrics["op_s_p50"].Value != 0.0332 {
+		t.Fatalf("parsed %+v", r)
+	}
+	for _, out := range []string{"", "benchmark: no such workload\n", "{\"correct\":tru\n"} {
+		if _, err := parseResult([]byte(out)); err == nil {
+			t.Errorf("parseResult(%q) accepted it", out)
+		}
+	}
+}
+
+func TestQuartilesInterpolate(t *testing.T) {
+	got := quartiles([]float64{5, 1, 4, 2, 3})
+	if got != [3]float64{2, 3, 4} {
+		t.Fatalf("quartiles of 1…5 = %v", got)
+	}
+	if got := quartiles([]float64{1, 2, 3, 4}); got != [3]float64{1.75, 2.5, 3.25} {
+		t.Fatalf("quartiles of 1…4 = %v", got)
+	}
+	if got := quartiles([]float64{7}); got != [3]float64{7, 7, 7} {
+		t.Fatalf("quartiles of one value = %v", got)
+	}
+}
+
+// TestJudgeVerdicts: a change faster in 10 of 10 pairs by more than the
+// base's spread is "better"; one 30 % slower regresses op_s_p50 (bound 20 %);
+// one 4 % heavier stays within alloc_mb_per_op's 5 %; and one faster in only
+// 8 of 10 pairs makes no claim.
+func TestJudgeVerdicts(t *testing.T) {
+	var base, faster, slower, mixed []string
+	for i := range 10 {
+		b := 0.0330 + 0.0002*float64(i%3)
+		base = append(base, line(b, 26.10, 0, 100))
+		faster = append(faster, line(0.85*b, 26.10*1.04, 0, 100))
+		slower = append(slower, line(1.3*b, 26.10, 0, 100))
+		m := 0.9 * b
+		if i < 2 {
+			m = 1.05 * b
+		}
+		mixed = append(mixed, line(m, 26.10, 0, 100))
+	}
+	for _, tc := range []struct {
+		name         string
+		change       []string
+		opVerdict    string
+		wins         int
+		anyRegressed bool
+	}{
+		{"faster", faster, "better", 10, false},
+		{"slower", slower, "REGRESSION", 0, true},
+		{"eight of ten", mixed, "within the bound", 8, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rows := judge(testBounds, pairsOf(t, base, tc.change))
+			op, alloc := rows[0], rows[1]
+			if !strings.HasPrefix(op.verdict, tc.opVerdict) || op.wins != tc.wins {
+				t.Errorf("op_s_p50: verdict %q, wins %d; want %q…, %d", op.verdict, op.wins, tc.opVerdict, tc.wins)
+			}
+			if alloc.regressed {
+				t.Errorf("alloc_mb_per_op regressed: %+v", alloc)
+			}
+			var out bytes.Buffer
+			err := report(&out, testBounds, pairsOf(t, base, tc.change))
+			if got := errors.Is(err, errRegressed); got != tc.anyRegressed {
+				t.Errorf("report = %v, want regressed %v\n%s", err, tc.anyRegressed, out.String())
+			}
+		})
+	}
+}
+
+// TestHigherIsBetterMetric: for a "higher" metric the sign flips — a 30 %
+// drop regresses, a rise wins.
+func TestHigherIsBetterMetric(t *testing.T) {
+	b := []bound{{Name: "op_s_p50", Better: "higher", Bound: 0.2}}
+	base := []string{line(100, 1, 0, 10), line(101, 1, 0, 10)}
+	rows := judge(b, pairsOf(t, base, []string{line(70, 1, 0, 10), line(71, 1, 0, 10)}))
+	if !rows[0].regressed || rows[0].wins != 0 {
+		t.Fatalf("a 30 %% drop of a higher-is-better metric: %+v", rows[0])
+	}
+	rows = judge(b, pairsOf(t, base, []string{line(120, 1, 0, 10), line(121, 1, 0, 10)}))
+	if rows[0].regressed || rows[0].wins != 2 || !strings.HasPrefix(rows[0].verdict, "better") {
+		t.Fatalf("a 20 %% rise of a higher-is-better metric: %+v", rows[0])
+	}
+}
+
+// TestReportFailsOnALargerFailedShare: identical metrics, but the change
+// failed 1 of 100 operations where the base failed none.
+func TestReportFailsOnALargerFailedShare(t *testing.T) {
+	base := []string{line(0.033, 26.1, 0, 100), line(0.033, 26.1, 0, 100)}
+	change := []string{line(0.033, 26.1, 1, 100), line(0.033, 26.1, 0, 100)}
+	var out bytes.Buffer
+	if err := report(&out, testBounds, pairsOf(t, base, change)); !errors.Is(err, errRegressed) {
+		t.Fatalf("report = %v, want a regression\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "base 0 of 200, change 1 of 200") {
+		t.Errorf("failed-operation line missing:\n%s", out.String())
+	}
+	out.Reset()
+	if err := report(&out, testBounds, pairsOf(t, change, base)); err != nil {
+		t.Fatalf("a smaller failed share regressed: %v\n%s", err, out.String())
+	}
+}
+
+func TestSymbolAddr(t *testing.T) {
+	nm := "  4a3f20 T main.(*yardstick).run\n  4a3f00 T main.(*yardstick).runAll\n  5c0000 D main.x\n"
+	if addr, ok := symbolAddr(nm, "main.(*yardstick).run"); !ok || addr != 0x4a3f20 || addr%64 != 32 {
+		t.Fatalf("symbolAddr = %#x, %v", addr, ok)
+	}
+	if _, ok := symbolAddr(nm, "main.missing"); ok {
+		t.Fatal("found a symbol that is not there")
+	}
+}
+
+// TestLoadSpecReadsTheRepositoryBenchmark: the repository's own
+// BENCHMARK.json parses, declares flux-structured, bounds op_s_p50 and sets
+// a run length; a workload it does not declare is an error.
+func TestLoadSpecReadsTheRepositoryBenchmark(t *testing.T) {
+	path := filepath.Join("..", "..", "BENCHMARK.json")
+	bounds, seconds, err := loadSpec(path, "flux-structured")
+	if err != nil || seconds < 1 {
+		t.Fatalf("loadSpec: %d s, %v", seconds, err)
+	}
+	found := false
+	for _, b := range bounds {
+		found = found || b.Name == "op_s_p50" && b.Better == "lower" && b.Bound > 0
+	}
+	if !found {
+		t.Fatalf("no op_s_p50 bound in %+v", bounds)
+	}
+	if _, _, err := loadSpec(path, "no-such-workload"); err == nil {
+		t.Fatal("loadSpec accepted an undeclared workload")
+	}
+	bad := filepath.Join(t.TempDir(), "BENCHMARK.json")
+	if err := os.WriteFile(bad, []byte(`{"workloads":[{"name":"w"}],"run_seconds":16,"end_to_end":[{"name":"m","better":"up","bound":0.1}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := loadSpec(bad, "w"); err == nil {
+		t.Fatal("loadSpec accepted better \"up\"")
+	}
+}
+
+func TestRunRejectsMissingFlags(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	for _, args := range [][]string{{}, {"-base", "HEAD"}, {"-workload", "flux-structured"}, {"-base", "HEAD", "-workload", "x", "-n", "0"}} {
+		if err := run(args, &stdout, &stderr); err == nil {
+			t.Errorf("run(%q) accepted it", args)
+		}
+	}
+}

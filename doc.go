@@ -77,15 +77,17 @@
 //
 // Performance: the engines stay bit-identical (residuals and counters) to an
 // op-by-op oracle kept in the tests. The 14-FLOP face kernel is one fused
-// single-pass macro-op (dsd.Engine.FluxFace, and FluxFaceAcc, which also
-// assembles the residual from the register; every product explicitly
-// rounded so no target contracts it into an FMA); descriptors are contiguous
+// single-pass macro-op (dsd.Engine.FluxFace; every product explicitly
+// rounded so no target contracts it into an FMA), and the flat engine runs a
+// PE's whole application as one more, dsd.Engine.FluxCell: the ten faces in
+// one pass, in-plane columns read off the wire, the fluxes summed in a
+// register and the residual stored once; descriptors are contiguous
 // columns, so every vector op is one loop over reslices with its bounds
 // checked once per call; per-op counter tallies are deferred and folded into
 // the full accounting at summarize time; per-PE memories are allocated as
 // one zeroed-once, footprint-sized arena per shard (dsd.NewSizedArena); host
-// loads walk the mesh a cache line at a time; and the halo exchange runs
-// through persistent per-PE send buffers without allocating.
+// loads walk the mesh a cache line at a time; and the flat engine reads its
+// neighbors' persistent send columns in place, with no copy or allocation.
 // `make bench-kernel` runs the layer-by-layer microbenchmarks
 // (BenchmarkKernel* in internal/dsd, internal/core and internal/solver: the
 // fused kernels against the op-by-op oracle, the engine's four stages, a

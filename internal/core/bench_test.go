@@ -9,10 +9,11 @@ import (
 )
 
 // BenchmarkKernel* covers the engine hot path above the dsd ops: the 14-FLOP
-// faceFlux kernel, the zero-allocation halo exchange, a full per-PE local
-// application, the whole flat engine on the scaling workload's shape, the
-// engine's four stages on the repository benchmark's mesh, and the wavelet
-// fabric engine on the benchmark's fabric-probe mesh.
+// faceFlux kernel, the zero-allocation halo exchange of the scalar and
+// comm-only paths, a full per-PE vectorized application, the whole flat
+// engine on the scaling workload's shape, the engine's four stages on the
+// repository benchmark's mesh, and the wavelet fabric engine on the
+// benchmark's fabric-probe mesh.
 
 // benchStates compiles a small mesh with the default options, loads its
 // pressure field and returns the engine's PE states.
@@ -46,27 +47,31 @@ func BenchmarkKernelFaceFlux(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelExchange measures one PE's full halo exchange (eight
-// neighbor columns, FMOV-accounted, no allocation).
+// BenchmarkKernelExchange measures one PE's full halo exchange as the
+// scalar ablation and CommOnly run it: eight neighbor columns FMOV-copied
+// into the receive buffers, no allocation. The vectorized application reads
+// the same columns off the wire instead (BenchmarkKernelLocalApplication).
 func BenchmarkKernelExchange(b *testing.B) {
 	states, m, _ := benchStates(b, mesh.Dims{Nx: 3, Ny: 3, Nz: 246}, 1)
 	s := &states[1*m.Dims.Nx+1]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := flatExchange(states, s, m.Dims.Nx); err != nil {
+		if err := flatExchange(states, s); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkKernelLocalApplication measures one PE's complete local
-// application: residual zeroing, ten face groups, assembly.
+// BenchmarkKernelLocalApplication measures one interior PE's complete
+// vectorized application as the flat engine runs it: one FluxCell over ten
+// faces, eight of them read off the neighbors' send columns — exchange,
+// residual zeroing, face groups and assembly in one pass.
 func BenchmarkKernelLocalApplication(b *testing.B) {
 	states, m, _ := benchStates(b, mesh.Dims{Nx: 3, Ny: 3, Nz: 246}, 1)
 	s := &states[1*m.Dims.Nx+1]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.runLocalApplication()
+		s.applyCell(states)
 	}
 }
 

@@ -64,11 +64,11 @@ func assertResidualsClose(t *testing.T, got []float32, want []float64, tol float
 }
 
 // TestFabricMatchesFlatBitExact holds two independent executions of the
-// kernel to each other under every ablation: the flat engine, which
-// assembles each face from the register (FluxFaceAcc), and the fabric
-// engine, which stores every flux column in fbuf in arrival order
-// (FluxFace) and assembles afterwards — every residual bit and the whole
-// Counters struct. Nz = 4 is all kernel tail; Nz = 13 is one 8-lane step of
+// kernel to each other under every ablation: the flat engine, which reads
+// the in-plane columns off the wire and sums the faces in a register
+// (FluxCell), and the fabric engine, which stores every flux column in fbuf
+// in arrival order (FluxFace) and assembles afterwards — every residual bit
+// and the whole Counters struct. Nz = 4 is all kernel tail; Nz = 13 is one 8-lane step of
 // the kernel's vector body plus a 5-element tail, where the host has one.
 func TestFabricMatchesFlatBitExact(t *testing.T) {
 	for _, nz := range []int{4, 13} {

@@ -25,10 +25,11 @@ import (
 // structure makes the data sharing safe without per-PE locks:
 //
 //   - perturbation writes only the owning PE's pressure column;
-//   - halo exchange reads neighbor pressure/gravity columns and writes only
-//     the owning PE's receive buffers and counters;
-//   - the local application reads own and received columns and writes only
-//     own residual (and, in the scalar ablation, flux) buffers and counters.
+//   - halo exchange reads neighbor pressure/gravity send columns and writes
+//     only the owning PE's receive buffers and counters (the vectorized
+//     application reads those send columns itself and skips the copy);
+//   - the local application writes only own residual (and, in the scalar
+//     ablation, flux) buffers and counters.
 //
 // The only cross-shard conflict is therefore perturb's write against a
 // neighboring shard's halo read, so each application runs as two barriered
@@ -175,9 +176,12 @@ func (e *Engine) loadShard(shard int) error {
 	return nil
 }
 
-// Apply runs n applications of Algorithm 1. The pressure field is perturbed
-// in place before every application but the first since LoadPressure.
+// Apply runs n ≥ 0 applications of Algorithm 1, perturbing the pressure
+// field in place before every one but the first since LoadPressure.
 func (e *Engine) Apply(n int) error {
+	if n < 0 {
+		return fmt.Errorf("core: cannot run %d applications", n)
+	}
 	for ; n > 0; n-- {
 		if _, err := e.apply.Execute(); err != nil {
 			return err
@@ -201,18 +205,23 @@ func (e *Engine) perturb(shard int) error {
 	return nil
 }
 
-// exchangeCompute is phase 2: halo exchange + local application. Exchange
-// only reads neighbor columns and the application never writes them, so
-// shards need no further synchronization within the phase.
+// exchangeCompute is phase 2: halo exchange + local application, in one
+// applyCell unless the scalar ablation or CommOnly copy the columns first
+// (flatExchange). Either way neighbor columns are only read, so shards need
+// no further synchronization within the phase.
 func (e *Engine) exchangeCompute(shard int) error {
 	band := e.band(shard)
 	for i := range band {
 		s := &band[i]
-		if err := flatExchange(e.states, s, e.dims.Nx); err != nil {
+		if e.opts.Vectorized && !e.opts.CommOnly {
+			s.applyCell(e.states)
+			continue
+		}
+		if err := flatExchange(e.states, s); err != nil {
 			return err
 		}
 		if !e.opts.CommOnly {
-			s.runLocalApplication()
+			s.runScalarApplication()
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dsd"
@@ -127,6 +128,106 @@ func TestEngineRejectsWrongSizes(t *testing.T) {
 	}
 	if err := e.Residual(make([]float32, 19)); err == nil {
 		t.Error("Residual accepted a buffer of the wrong size")
+	}
+}
+
+// TestEngineApplyRejectsNegativeCount: Apply(n) with n < 0 is an error
+// naming n, and it runs nothing — no phase, no count, no perturbation step.
+func TestEngineApplyRejectsNegativeCount(t *testing.T) {
+	m := testMesh(t, mesh.Dims{Nx: 3, Ny: 3, Nz: 2})
+	e, err := Compile(m, physics.DefaultFluid(), DefaultOptions(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.LoadPressure(m.Pressure); err != nil {
+		t.Fatal(err)
+	}
+	err = e.Apply(-3)
+	if err == nil || !strings.Contains(err.Error(), "-3") {
+		t.Fatalf("Apply(-3) = %v, want an error naming -3", err)
+	}
+	if c := summarize("flat", e.states, e.dims, e.opts, 0).Counters; e.app != 0 || c != (dsd.Counters{}) {
+		t.Fatalf("Apply(-3) ran: application %d, counters %+v", e.app, c)
+	}
+}
+
+// TestFlatEngineReadsTheWire: the vectorized flat engine takes each in-plane
+// neighbor's column straight off that neighbor's send column, so with every
+// present neighbor's receive buffers NaN after LoadPressure its residual bits
+// and counters are still RunFabric's — at Nz = 4 (all kernel tail) and 13,
+// with and without diagonals, at one worker and two. A PE with a missing
+// neighbor still reads that face off its mirror buffers: NaN them on the
+// corner PE (0,0) too and exactly its residual turns NaN (Υ = 0 there, and
+// 0·NaN is NaN), while every other cell keeps the fabric's bits.
+func TestFlatEngineReadsTheWire(t *testing.T) {
+	fl := physics.DefaultFluid()
+	nan := float32(math.NaN())
+	// poison NaNs the receive buffers of s's present (or missing) neighbors.
+	poison := func(s *peState, present bool) {
+		for k, has := range s.hasNbr {
+			if has != present {
+				continue
+			}
+			for _, col := range [][]float32{s.eng.Mem.HostView(s.nbrP[k]), s.eng.Mem.HostView(s.nbrGz[k])} {
+				for i := range col {
+					col[i] = nan
+				}
+			}
+		}
+	}
+	for _, nz := range []int{4, 13} {
+		m := testMesh(t, mesh.Dims{Nx: 5, Ny: 4, Nz: nz})
+		for _, diagonals := range []bool{true, false} {
+			opts := DefaultOptions(3)
+			opts.Diagonals = diagonals
+			fab, err := RunFabric(m, fl, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2} {
+				for _, mirrors := range []bool{false, true} {
+					name := fmt.Sprintf("nz=%d/diagonals=%v/workers=%d/nan-mirrors=%v", nz, diagonals, workers, mirrors)
+					t.Run(name, func(t *testing.T) {
+						opts := opts
+						opts.Workers = workers
+						e, err := Compile(m, fl, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer e.Close()
+						if err := e.LoadPressure(m.Pressure); err != nil {
+							t.Fatal(err)
+						}
+						for i := range e.states {
+							poison(&e.states[i], true)
+						}
+						if mirrors {
+							poison(&e.states[0], false)
+						}
+						if err := e.Apply(opts.Apps); err != nil {
+							t.Fatal(err)
+						}
+						flat := summarize("flat", e.states, e.dims, e.opts, 0)
+						for i, got := range flat.Residual {
+							want := fab.Residual[i]
+							if corner := i%(m.Dims.Nx*m.Dims.Ny) == 0; mirrors && corner {
+								if got == got {
+									t.Fatalf("residual[%d] = %g with NaN mirrors, want NaN: the mirror was not read", i, got)
+								}
+								continue
+							}
+							if math.Float32bits(got) != math.Float32bits(want) {
+								t.Fatalf("residual[%d] = %g, fabric %g: a receive buffer was read", i, got, want)
+							}
+						}
+						if flat.Counters != fab.Counters {
+							t.Errorf("counters differ:\nflat   %+v\nfabric %+v", flat.Counters, fab.Counters)
+						}
+					})
+				}
+			}
+		}
 	}
 }
 

@@ -90,7 +90,7 @@ func fluxWorker(pe *fabric.PE, s *peState, opts Options) error {
 			s.perturb(app)
 		}
 		if !opts.CommOnly {
-			s.beginApplication()
+			s.eng.Fill(s.res, 0)
 		}
 		ex.Send(s.ownColumn())
 		if !opts.CommOnly {

@@ -50,23 +50,17 @@ func runSharded(engine string, m *mesh.Mesh, fl physics.Fluid, opts Options) (*R
 	return summarize(engine, e.states, e.dims, e.opts, time.Since(start)), nil
 }
 
-// flatExchange copies the eight in-plane neighbor columns into s's receive
-// buffers with the same FMOV accounting the fabric engine performs. Diagonal
-// columns are taken from the corner PE directly — the values the clockwise
-// relay would deliver. Each neighbor's persistent send buffer is read in
-// place: the exchange allocates nothing and the only copy is the counted
-// FMOV receive itself.
-func flatExchange(states []peState, s *peState, nx int) error {
+// flatExchange is the scalar ablation's and CommOnly's halo exchange: it
+// copies the in-plane neighbor columns into s's receive buffers with the
+// same FMOV accounting the fabric engine performs. No column is allocated:
+// each is read off the neighbor's send column (wire), and the only copy is
+// the counted FMOV receive itself.
+func flatExchange(states []peState, s *peState) error {
 	for i, d := range xyDirections {
-		if !s.hasNbr[i] {
+		if !s.hasNbr[i] || !s.opts.Diagonals && d.IsDiagonal() {
 			continue
 		}
-		if !s.opts.Diagonals && d.IsDiagonal() {
-			continue
-		}
-		dx, dy, _ := d.Offset()
-		n := &states[(s.y+dy)*nx+(s.x+dx)]
-		if err := s.receiveColumn(i, n.ownColumn()); err != nil {
+		if err := s.receiveColumn(i, s.wire(states, d)); err != nil {
 			return fmt.Errorf("flat exchange: %w", err)
 		}
 	}

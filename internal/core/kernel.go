@@ -5,10 +5,11 @@ import (
 	"repro/internal/mesh"
 )
 
-// This file applies the 14-FLOP per-face flux kernel (DESIGN.md §4, the
-// fused dsd.FluxFace) to the ten faces and assembles the residual, the two
-// engines' ways. Every face is evaluated by the same kernel and added in the
-// same fixed order, so all engines produce bit-identical float32 residuals.
+// This file applies the 14-FLOP per-face flux kernel (DESIGN.md §4: fluxElem,
+// in dsd.FluxFace or the flat engine's dsd.FluxCell) to the ten faces and
+// assembles the residual, the engines' ways. Every face is evaluated by the
+// same kernel and added in the same fixed order from +0, so all engines
+// produce bit-identical float32 residuals.
 
 // faceFlux evaluates F = Υ·λ_upw·ΔΦ for one face group into dst, reading the
 // own column (pK, gzK), the neighbor column (pL, gzL) and the face
@@ -51,15 +52,11 @@ func (s *peState) computeFace(d mesh.Direction) {
 	s.faceFlux(s.fbuf[d], s.trans[d], s.p, s.gz, pL, gzL)
 }
 
-// The fabric engine's application, in three pieces: it computes the vertical
-// faces while columns are in flight and each in-plane face as its column
-// arrives (§5.3.2), so the order of computation depends on communication
-// timing and the flux columns wait in fbuf for the fixed-order assembly.
-
-// beginApplication zeroes the residual (Algorithm 1's rflux := 0).
-func (s *peState) beginApplication() {
-	s.eng.Fill(s.res, 0)
-}
+// The fabric engine's application, in three pieces after zeroing the
+// residual (Algorithm 1's rflux := 0): it computes the vertical faces while
+// columns are in flight and each in-plane face as its column arrives
+// (§5.3.2), so the order of computation depends on communication timing and
+// the flux columns wait in fbuf for the fixed-order assembly.
 
 // computeVerticalFaces evaluates the Up and Down flux columns.
 func (s *peState) computeVerticalFaces() {
@@ -79,25 +76,37 @@ func (s *peState) assemble() {
 	}
 }
 
-// runLocalApplication is the flat engine's application: all neighbor data is
-// in place before it computes, so it takes the faces in assembly order and
-// adds each one's flux to the residual as it is produced (dsd.FluxFaceAcc) —
-// the same accumulation order as compute-everything-then-assemble, without
-// the round trip through fbuf. The scalar ablation, whose issue counts are
-// per element, evaluates each face into fbuf[d] and accumulates it from
-// there.
-func (s *peState) runLocalApplication() {
-	s.beginApplication()
+// applyCell is the flat engine's vectorized application: one dsd.FluxCell
+// over the faces in assembly order, each in-plane neighbor's column read off
+// its send column (the wire the FMOV receive copies from) and a missing
+// neighbor's off the mirror buffers. It counts and yields what receive,
+// compute and assemble would, but writes only the residual.
+func (s *peState) applyCell(states []peState) {
+	var faces [mesh.NumDirections]dsd.Face
+	k := 0
 	for _, d := range assemblyOrder {
 		if !s.opts.Diagonals && d.IsDiagonal() {
 			continue
 		}
 		pL, gzL := s.faceNeighbor(d)
-		if s.opts.Vectorized {
-			s.eng.FluxFaceAcc(s.res, s.fbuf[d], s.trans[d], s.p, s.gz, pL, gzL, s.consts)
-			continue
+		faces[k] = dsd.Face{Tr: s.trans[d], PL: pL, GzL: gzL}
+		if d < mesh.Down && s.hasNbr[d] { // in-plane directions are enum values 0..7
+			faces[k].Wire = s.wire(states, d)
 		}
-		s.faceFlux(s.fbuf[d], s.trans[d], s.p, s.gz, pL, gzL)
-		s.eng.AccV(s.res, s.fbuf[d])
+		k++
 	}
+	s.eng.FluxCell(s.res, s.p, s.gz, faces[:k], s.consts)
+}
+
+// runScalarApplication is the scalar ablation's application once the
+// exchange has filled the receive buffers: the fabric engine's, with every
+// face evaluated into fbuf[d] (per-element issues) before the assembly.
+func (s *peState) runScalarApplication() {
+	s.eng.Fill(s.res, 0)
+	for _, d := range assemblyOrder {
+		if s.opts.Diagonals || !d.IsDiagonal() {
+			s.computeFace(d)
+		}
+	}
+	s.assemble()
 }

@@ -22,14 +22,15 @@ import (
 //	scratch       — kernel intermediates: 5 buffers with reuse (§5.3.1),
 //	                13 without
 //
-// fbuf and scratch are what the CSL kernel needs, so every run allocates
-// them and the footprint model counts them; how much of them a run writes
-// depends on the engine. The fused dsd.FluxFace keeps the intermediates in
-// registers, so no run writes scratch, and no descriptor of it is kept; the
-// flat engine's dsd.FluxFaceAcc also adds each flux to the residual from the
-// register, so there fbuf is written only in the scalar ablation. The fabric
-// engine computes faces in arrival order and assembles them in the fixed
-// order afterwards, so it stores every flux column in fbuf.
+// nbr, fbuf and scratch are what the CSL kernel needs, so every run
+// allocates them and the footprint model counts them; how much of them a run
+// writes depends on the engine. The fused dsd.FluxFace keeps the
+// intermediates in registers, so no run writes scratch, and no descriptor of
+// it is kept. The fabric engine receives into nbr and, computing faces in
+// arrival order, stores every flux column in fbuf. The flat engine's
+// dsd.FluxCell reads the neighbors' send columns off the wire and sums the
+// fluxes in a register, so it writes neither (the scalar ablation and
+// CommOnly still do).
 //
 // With buffer reuse the footprint is 44·Nz+4 words; the CS-2's 12288-word
 // PEs therefore hold at most Nz = 279, and without reuse only Nz = 236 —
@@ -188,6 +189,14 @@ func (s *peState) perturb(app int) {
 // slice is the persistent send buffer: valid until the next perturb, never
 // reallocated.
 func (s *peState) ownColumn() []float32 { return s.sendBuf }
+
+// wire returns the send column of s's neighbor in in-plane direction d, the
+// column the §5.2 exchange delivers from there — a diagonal one straight from
+// the corner PE, the values the clockwise relay would carry.
+func (s *peState) wire(states []peState, d mesh.Direction) []float32 {
+	dx, dy, _ := d.Offset()
+	return states[(s.y+dy)*s.dims.Nx+s.x+dx].ownColumn()
+}
 
 // receiveColumn stores an arrived 2·Nz column into the direction's neighbor
 // buffers (FMOV: fabric load + memory store per element).

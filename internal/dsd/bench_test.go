@@ -116,21 +116,26 @@ func BenchmarkKernelMovRecv(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelFluxFace measures one face of the residual at the paper's
-// column depth — the 14-op kernel plus its accumulation — four ways: the
-// flat engine's single FluxFaceAcc pass (through the vector body where the
-// host has one, and as fused-acc-scalar through fluxElem alone), the fabric
-// engine's FluxFace into
-// the flux column then AccV, and the op-by-op sequence then AccV — the
-// spelling the tests hold both macro-ops to, so its time is the oracle's
-// cost. MB/s counts output elements (4 bytes each), so Melem/s is MB/s ÷ 4.
+// BenchmarkKernelFluxFace measures the residual's faces at the paper's
+// column depth four ways: the flat engine's whole application of one PE as
+// one FluxCell over ten faces, eight of them read off the wire (through the
+// vector body where the host has one, and as cell-scalar through fluxElem
+// alone); and one face as the fabric engine evaluates it, FluxFace into the
+// flux column then AccV, and as the op-by-op sequence then AccV — the
+// spelling the tests hold the macro-ops to, so its time is the oracle's cost.
+// MB/s counts face evaluations (4 bytes per element of each face), so Melem/s
+// is MB/s ÷ 4 whatever the face count.
 func BenchmarkKernelFluxFace(b *testing.B) {
 	const n = 246
-	for _, variant := range []string{"fused-acc", "fused-acc-scalar", "fused", "sequence"} {
+	for _, variant := range []string{"cell", "cell-scalar", "fused", "sequence"} {
 		b.Run(fmt.Sprintf("n=%d/%s", n, variant), func(b *testing.B) {
 			defer func(v bool) { vectorFlux = v }(vectorFlux)
-			if variant == "fused-acc-scalar" {
+			if variant == "cell-scalar" {
 				vectorFlux = false
+			}
+			if variant == "cell" || variant == "cell-scalar" {
+				benchCell(b, n)
+				return
 			}
 			c := newFaceColumns(b, n)
 			w := c.e.Mem.words
@@ -142,17 +147,40 @@ func BenchmarkKernelFluxFace(b *testing.B) {
 			b.SetBytes(4 * n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				switch variant {
-				case "fused-acc", "fused-acc-scalar":
-					c.e.FluxFaceAcc(c.res, c.f, c.tr, c.p, c.gz, c.nbrP, c.nbrGz, testConsts)
-					continue
-				case "fused":
+				if variant == "fused" {
 					c.e.FluxFace(c.f, c.tr, c.p, c.gz, c.nbrP, c.nbrGz, testConsts)
-				default:
+				} else {
 					fluxSequence(c.e, c.f, c.tr, c.p, c.gz, c.nbrP, c.nbrGz, testConsts, c.scratch)
 				}
 				c.e.AccV(c.res, c.f)
 			}
 		})
+	}
+}
+
+// benchCell times one FluxCell over an interior PE's ten faces: eight
+// in-plane ones on their own wire columns, then Down and Up.
+func benchCell(b *testing.B, n int) {
+	c := newCellColumns(b, n)
+	w := c.e.Mem.words
+	for i := 0; i < n; i++ {
+		w[c.p.At(i)], w[c.gz.At(i)] = 2e7+float32(i%17)*1e4, -15000+float32(i)
+		for k := range c.tr {
+			w[c.tr[k].At(i)] = 1e-12
+		}
+	}
+	faces := make([]Face, 0, maxCellFaces)
+	for s := range 8 {
+		wire := make([]float32, 2*n)
+		for i := 0; i < n; i++ {
+			wire[i], wire[n+i] = 2e7+float32((i+s)%13)*1e4, -15010+float32(i)
+		}
+		faces = append(faces, c.face(s, s, wire))
+	}
+	faces = append(faces, c.face(slotDown, 8, nil), c.face(slotUp, 9, nil))
+	b.SetBytes(4 * int64(n*len(faces)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.e.FluxCell(c.res, c.p, c.gz, faces, testConsts)
 	}
 }

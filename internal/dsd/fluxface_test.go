@@ -160,7 +160,8 @@ func TestFluxFaceMatchesOpSequence(t *testing.T) {
 // every special value (±0, subnormals, ±Inf, NaN, ±MaxFloat32) against
 // reservoir-scaled neighbors, on the exact zeros the kernel branches on
 // (Υ = ±0, ΔΦ = +0 and ΔΦ = −0), and on random columns salted with specials.
-// Both the storing and the accumulating body are checked.
+// The cell body is held to fluxElem's per-face fluxes summed from +0 in face
+// order, at every face count 0–10.
 func TestFluxVectorMatchesFluxElem(t *testing.T) {
 	if !vectorFlux {
 		t.Skip("no vector body for the face kernel on this host")
@@ -203,29 +204,53 @@ func TestFluxVectorMatchesFluxElem(t *testing.T) {
 			cols[in][i] = l[in]
 		}
 	}
-	for _, acc := range []bool{false, true} {
-		out := make([]float32, n)
-		for i := range out {
-			out[i] = float32(i%7) - 3
+	out := make([]float32, n)
+	for i := range out {
+		out[i] = float32(i%7) - 3
+	}
+	before := append([]float32(nil), out...)
+	c := testConsts
+	done := fluxVector(out, cols[tr], cols[pk], cols[gk], cols[pl], cols[gl], &c)
+	if want := uint(n &^ 7); done != want {
+		t.Fatalf("vector body ran %d of %d elements, want %d", done, n, want)
+	}
+	for i := range out {
+		want := before[i]
+		if i < int(done) {
+			want = fluxElem(cols[tr][i], cols[pk][i], cols[gk][i], cols[pl][i], cols[gl][i], testConsts)
 		}
-		before := append([]float32(nil), out...)
-		c := testConsts
-		done := fluxVector(out, cols[tr], cols[pk], cols[gk], cols[pl], cols[gl], &c, acc)
+		if !sameBits(out[i], want) {
+			t.Fatalf("lane %d inputs %v: vector %g (%#08x), fluxElem %g (%#08x)", i, lanes[i],
+				out[i], math.Float32bits(out[i]), want, math.Float32bits(want))
+		}
+	}
+
+	// The cell body: face k reads the neighbor lanes rotated by k·(n/10), so
+	// every special value meets every face position and the others' sums.
+	for nf := 0; nf <= maxCellFaces; nf++ {
+		var faces cellFaces
+		for k := range faces[:nf] {
+			rot := func(col []float32) []float32 {
+				r := k * (n / maxCellFaces)
+				return append(append([]float32(nil), col[r:]...), col[:r]...)
+			}
+			faces[k] = [3][]float32{rot(cols[tr]), rot(cols[pl]), rot(cols[gl])}
+		}
+		copy(out, before)
+		done := cellVector(out, cols[pk], cols[gk], &faces, nf, &c)
 		if want := uint(n &^ 7); done != want {
-			t.Fatalf("acc=%v: vector body ran %d of %d elements, want %d", acc, done, n, want)
+			t.Fatalf("%d faces: cell body ran %d of %d elements, want %d", nf, done, n, want)
 		}
 		for i := range out {
 			want := before[i]
 			if i < int(done) {
-				f := fluxElem(cols[tr][i], cols[pk][i], cols[gk][i], cols[pl][i], cols[gl][i], testConsts)
-				if acc {
-					want += f
-				} else {
-					want = f
+				want = 0
+				for _, f := range faces[:nf] {
+					want += fluxElem(f[0][i], cols[pk][i], cols[gk][i], f[1][i], f[2][i], testConsts)
 				}
 			}
 			if !sameBits(out[i], want) {
-				t.Fatalf("acc=%v lane %d inputs %v: vector %g (%#08x), fluxElem %g (%#08x)", acc, i, lanes[i],
+				t.Fatalf("%d faces, lane %d: cell body %g (%#08x), sum of fluxElem %g (%#08x)", nf, i,
 					out[i], math.Float32bits(out[i]), want, math.Float32bits(want))
 			}
 		}
@@ -294,35 +319,38 @@ func TestFluxFaceAntisymmetric(t *testing.T) {
 	}
 }
 
-// TestFluxFaceRejectsAliasedOutputs: an output sharing a word with an input,
-// or FluxFaceAcc's two outputs sharing one, is a kernel-construction bug —
-// the macro-op panics with a dsd: message before it writes or counts
-// anything. Disjoint operands, and inputs overlapping each other (the
-// vertical faces), run.
+// TestFluxFaceRejectsAliasedOutputs: an output sharing a word with an
+// operand — FluxFace's flux column, or FluxCell's residual with any view it
+// reads or a receive buffer the op-by-op spelling writes — is a
+// kernel-construction bug: the macro-op panics with a dsd: message before it
+// writes or counts anything. Disjoint operands, and inputs overlapping each
+// other (the vertical faces), run.
 func TestFluxFaceRejectsAliasedOutputs(t *testing.T) {
 	const m = 8
 	c := newFaceColumns(t, 2*m)
-	_, f, tr, p, gz, nbrP, nbrGz := accOperands(c, shapeInPlane, m)
-	type call struct {
+	cut := func(d Desc) Desc { return d.MustSlice(0, m) }
+	f, res, tr, p, gz, nbrP, nbrGz := cut(c.f), cut(c.res), cut(c.tr), cut(c.p), cut(c.gz), cut(c.nbrP), cut(c.nbrGz)
+	wire := make([]float32, 2*m)
+	cell := func(res Desc, face Face) func() {
+		return func() { c.e.FluxCell(res, p, gz, []Face{{Tr: tr, PL: p.Shift(1), GzL: gz.Shift(1)}, face}, testConsts) }
+	}
+	for _, tc := range []struct {
 		name string
 		ok   bool
 		run  func()
-	}
-	calls := []call{
+	}{
 		{"disjoint operands", true, func() { c.e.FluxFace(f, tr, p, gz, nbrP, nbrGz, testConsts) }},
 		{"inputs overlap", true, func() { c.e.FluxFace(f, tr, p, gz, p.Shift(1), gz.Shift(1), testConsts) }},
 		{"output overlaps input", false, func() { c.e.FluxFace(p.Shift(1), tr, p, gz, nbrP, nbrGz, testConsts) }},
-	}
-	for _, shape := range []int{shapeResOverlapsInput, shapeFluxOverlapsInput, shapeResIsFlux} {
-		res, f, tr, pK, gzK, pL, gzL := accOperands(c, shape, m)
-		calls = append(calls, call{accShapeNames[shape], false, func() {
-			c.e.FluxFaceAcc(res, f, tr, pK, gzK, pL, gzL, testConsts)
-		}})
-	}
-	for _, tc := range calls {
+		{"flux overlaps input", false, func() { c.e.FluxFace(gz.Shift(m/2), tr, p, gz, nbrP, nbrGz, testConsts) }},
+		{"cell disjoint operands", true, cell(res, Face{Tr: tr, PL: nbrP, GzL: nbrGz, Wire: wire})},
+		{"residual overlaps input", false, cell(p.Shift(m/2), Face{Tr: tr, PL: nbrP, GzL: nbrGz})},
+		{"residual overlaps transmissibility", false, cell(tr.Shift(m/2), Face{Tr: tr, PL: nbrP, GzL: nbrGz})},
+		{"residual overlaps receive buffer", false, cell(nbrGz, Face{Tr: tr, PL: nbrP, GzL: nbrGz, Wire: wire})},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if !tc.ok {
-				rejects(t, c.e, tc.run)
+				rejects(t, c.e, tc.run, "overlaps")
 			} else if msg := panicMessage(tc.run); msg != "" {
 				t.Fatalf("valid operands panicked: %s", msg)
 			}
@@ -330,13 +358,13 @@ func TestFluxFaceRejectsAliasedOutputs(t *testing.T) {
 	}
 }
 
-// rejects asserts that run panics with a dsd: message naming an overlap and
+// rejects asserts that run panics with a dsd: message containing want and
 // leaves e's memory and counters as they were.
-func rejects(t *testing.T, e *Engine, run func()) {
+func rejects(t *testing.T, e *Engine, run func(), want string) {
 	t.Helper()
 	before, counters := append([]float32(nil), e.Mem.words...), e.Counters()
-	if msg := panicMessage(run); !strings.HasPrefix(msg, "dsd: ") || !strings.Contains(msg, "overlaps") {
-		t.Fatalf("panic = %q, want a dsd: panic naming the overlap", msg)
+	if msg := panicMessage(run); !strings.HasPrefix(msg, "dsd: ") || !strings.Contains(msg, want) {
+		t.Fatalf("panic = %q, want a dsd: panic containing %q", msg, want)
 	}
 	if e.Counters() != counters {
 		t.Fatal("a rejected macro-op bumped the counters")
@@ -370,14 +398,7 @@ func TestFluxFacePanicsLikeTheOps(t *testing.T) {
 		{"out of bounds", "out of memory bounds", oob},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			defer func() {
-				r := recover()
-				msg, _ := r.(string)
-				if !strings.HasPrefix(msg, "dsd: ") || !strings.Contains(msg, tc.want) {
-					t.Fatalf("panic = %v, want a dsd: panic containing %q", r, tc.want)
-				}
-			}()
-			c.e.FluxFace(c.f, c.tr, c.p, c.gz, tc.pL, c.nbrGz, testConsts)
+			rejects(t, c.e, func() { c.e.FluxFace(c.f, c.tr, c.p, c.gz, tc.pL, c.nbrGz, testConsts) }, tc.want)
 		})
 	}
 }
@@ -392,52 +413,209 @@ func TestFluxFaceDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// accShape names the operand shapes FuzzFluxFaceAcc draws: the valid ones
-// (in-plane and the two vertical faces, whose neighbor views overlap the own
-// columns) and the three ways an output can alias another operand, which
-// make the macro-op panic.
+// cellColumns is one PE's layout for FluxCell: padded own columns (so the
+// vertical faces' Shift(±1) views stay inside the memory), the residual, a
+// flux column for the op-by-op oracle, ten transmissibility columns and
+// eight pairs of receive buffers. It is laid out by hand, so n may be 0.
+type cellColumns struct {
+	e           *Engine
+	pPad, gzPad Desc
+	p, gz       Desc
+	res, f      Desc
+	tr          [maxCellFaces]Desc
+	nbrP, nbrGz [8]Desc
+}
+
+func newCellColumns(t testing.TB, n int) *cellColumns {
+	t.Helper()
+	m, err := NewMemory(30*n + 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &cellColumns{e: NewEngine(m)}
+	next := 0
+	col := func(k int) Desc {
+		d := Desc{Base: next, Len: k}
+		next += k
+		return d
+	}
+	c.pPad, c.gzPad = col(n+2), col(n+2)
+	c.p, c.gz = c.pPad.MustSlice(1, n), c.gzPad.MustSlice(1, n)
+	c.res, c.f = col(n), col(n)
+	for k := range c.tr {
+		c.tr[k] = col(n)
+	}
+	for k := range c.nbrP {
+		c.nbrP[k], c.nbrGz[k] = col(n), col(n)
+	}
+	return c
+}
+
+// Face slots of a cell: 0–7 are the in-plane faces with their receive
+// buffers, then the two vertical faces.
+const (
+	slotDown = 8 + iota
+	slotUp
+)
+
+// face returns the Face of slot s with transmissibility column k; an in-plane
+// face takes wire when it is non-nil, else it reads its receive buffers.
+func (c *cellColumns) face(s, k int, wire []float32) Face {
+	f := Face{Tr: c.tr[k]}
+	switch s {
+	case slotDown:
+		f.PL, f.GzL = c.p.Shift(-1), c.gz.Shift(-1)
+	case slotUp:
+		f.PL, f.GzL = c.p.Shift(1), c.gz.Shift(1)
+	default:
+		f.PL, f.GzL, f.Wire = c.nbrP[s], c.nbrGz[s], wire
+	}
+	return f
+}
+
+// cellSequence is FluxCell's op-by-op spelling, the oracle FuzzFluxCell
+// holds it to: zero the residual, then per face receive the wire into the
+// receive buffers, evaluate the face into the flux column and add it.
+func cellSequence(c *cellColumns, faces []Face) {
+	c.e.Fill(c.res, 0)
+	for _, f := range faces {
+		if f.Wire != nil {
+			c.e.MovRecv(f.PL, f.Wire[:c.res.Len])
+			c.e.MovRecv(f.GzL, f.Wire[c.res.Len:])
+		}
+		c.e.FluxFace(c.f, f.Tr, c.p, c.gz, f.PL, f.GzL, testConsts)
+		c.e.AccV(c.res, c.f)
+	}
+}
+
+// Face sets FuzzFluxCell draws: all ten faces in the engines' assembly order,
+// the six without diagonals, or 0–10 faces of random slots.
+const (
+	setAll = iota
+	setNoDiagonals
+	setRandom
+	numCellSets
+)
+
+// drawFaces returns a face list of the given set over c, each in-plane face
+// on a fresh random wire or (a boundary PE's mirror) its receive buffers.
+func drawFaces(rng *rand.Rand, c *cellColumns, set, n int) []Face {
+	var slots []int
+	switch set {
+	case setAll:
+		slots = []int{0, 1, 2, 3, 4, 5, 6, 7, slotDown, slotUp}
+	case setNoDiagonals:
+		slots = []int{0, 1, 2, 3, slotDown, slotUp}
+	default:
+		// A receive buffer belongs to one face, but the vertical views may
+		// repeat: they are only read.
+		inPlane := rng.Perm(8)
+		for range rng.IntN(maxCellFaces + 1) {
+			if s := rng.IntN(10); s < 8 && len(inPlane) > 0 {
+				slots, inPlane = append(slots, inPlane[0]), inPlane[1:]
+			} else {
+				slots = append(slots, slotDown+rng.IntN(2))
+			}
+		}
+	}
+	faces := make([]Face, len(slots))
+	for k, s := range slots {
+		var wire []float32
+		if rng.IntN(4) != 0 {
+			wire = make([]float32, 2*n)
+			drawColumn(rng, wire[:n], 2e7, 1e6)
+			drawColumn(rng, wire[n:], -15000, 500)
+		}
+		faces[k] = c.face(s, rng.IntN(maxCellFaces), wire)
+	}
+	return faces
+}
+
+// FuzzFluxCell holds the whole-cell macro-op to its op-by-op spelling
+// (cellSequence: Fill, two MovRecvs per wire face into real receive buffers,
+// FluxFace, AccV) on columns 0–40 deep — every tail past the vector body's
+// 8-lane steps, or whole columns through fluxElem alone — with 0–10 faces, wire and memory faces mixed beside the
+// vertical Shift(±1) views, salted with NaN, ±0, ±Inf and subnormal lanes
+// and zero transmissibilities (fluxes of either zero sign): the residual
+// bits and the counters are the oracle's, and FluxCell writes nothing but
+// the residual.
+func FuzzFluxCell(f *testing.F) {
+	for _, nz := range []uint8{0, 1, 4, 7, 8, 13, 16, 23, 40} {
+		f.Add(uint64(nz)*0x9e37+1, nz, uint8(setAll), false)
+		f.Add(uint64(nz)*0x9e37+2, nz, uint8(setRandom), false)
+	}
+	f.Add(uint64(3), uint8(4), uint8(setNoDiagonals), false)
+	f.Add(uint64(4), uint8(13), uint8(setNoDiagonals), false)
+	f.Add(uint64(5), uint8(31), uint8(setNoDiagonals), false)
+	f.Add(uint64(6), uint8(40), uint8(setAll), true)
+	f.Add(uint64(7), uint8(24), uint8(setRandom), true)
+	f.Fuzz(func(t *testing.T, seed uint64, depth, set uint8, goOnly bool) {
+		// goOnly runs every element through fluxElem, as hosts without the
+		// vector body do.
+		defer func(v bool) { vectorFlux = v }(vectorFlux)
+		vectorFlux = vectorFlux && !goOnly
+		n := int(depth) % 41
+		rng := rand.New(rand.NewPCG(seed, 0xce11))
+		fused, oracle := newCellColumns(t, n), newCellColumns(t, n)
+		w := fused.e.Mem.words
+		drawColumn(rng, w[fused.pPad.Base:fused.pPad.Base+n+2], 2e7, 1e6)
+		drawColumn(rng, w[fused.gzPad.Base:fused.gzPad.Base+n+2], -15000, 500)
+		drawColumn(rng, w[fused.res.Base:fused.res.Base+2*n], 0, 1e-3) // stale residual and flux
+		for k := range fused.tr {
+			drawColumn(rng, w[fused.tr[k].Base:fused.tr[k].Base+n], 1e-12, 1e-12)
+			for i := 0; i < n; i += 3 {
+				w[fused.tr[k].Base+i] = specials[rng.IntN(2)] // Υ = ±0: a boundary face
+			}
+		}
+		for k := range fused.nbrP {
+			drawColumn(rng, w[fused.nbrP[k].Base:fused.nbrP[k].Base+n], 2e7, 1e6)
+			drawColumn(rng, w[fused.nbrGz[k].Base:fused.nbrGz[k].Base+n], -15000, 500)
+		}
+		copy(oracle.e.Mem.words, w)
+		before := append([]float32(nil), w...)
+
+		faces := drawFaces(rng, fused, int(set)%numCellSets, n)
+		fused.e.FluxCell(fused.res, fused.p, fused.gz, faces, testConsts)
+		// The same faces over the oracle's memory: the layouts are identical.
+		cellSequence(oracle, faces)
+
+		for i, v := range w {
+			want := before[i]
+			if i >= fused.res.Base && i < fused.res.Base+n {
+				want = oracle.e.Mem.words[i]
+			}
+			if !sameBits(v, want) {
+				t.Fatalf("n=%d, %d faces: word %d = %g (%#08x), want %g (%#08x)", n, len(faces), i,
+					v, math.Float32bits(v), want, math.Float32bits(want))
+			}
+		}
+		if fc, oc := fused.e.Counters(), oracle.e.Counters(); fc != oc {
+			t.Fatalf("n=%d, %d faces: counters diverged:\nfused  %+v\noracle %+v", n, len(faces), fc, oc)
+		}
+	})
+}
+
+// The operand shapes FuzzFluxFaceAcc draws for its one face: the valid ones
+// (an in-plane face, on the wire or read from its receive buffers, and the
+// two vertical faces, whose neighbor views overlap the own columns) and three
+// ways the residual can alias an operand, which make FluxCell panic.
 const (
 	shapeInPlane = iota
 	shapeUp
 	shapeDown
 	shapeResOverlapsInput
-	shapeFluxOverlapsInput
-	shapeResIsFlux
+	shapeResOverlapsTr
+	shapeResIsRecvBuf
 	numAccShapes
 )
 
-var accShapeNames = [numAccShapes]string{
-	"in-plane", "up", "down", "residual overlaps input", "flux overlaps input", "residual is flux",
-}
-
-// accOperands returns the eight descriptors of one FluxFaceAcc call over
-// the layout c for the given shape, m ≤ n/2 elements long.
-func accOperands(c *faceColumns, shape, m int) (res, f, tr, pK, gzK, pL, gzL Desc) {
-	cut := func(d Desc) Desc { return d.MustSlice(0, m) }
-	res, f, tr, pK, gzK, pL, gzL = cut(c.res), cut(c.f), cut(c.tr), cut(c.p), cut(c.gz), cut(c.nbrP), cut(c.nbrGz)
-	switch shape {
-	case shapeUp:
-		pL, gzL = pK.Shift(1), gzK.Shift(1)
-	case shapeDown:
-		pL, gzL = pK.Shift(-1), gzK.Shift(-1)
-	case shapeResOverlapsInput: // partly for m > 1, exactly for m = 1
-		res = pK.Shift(m / 2)
-	case shapeFluxOverlapsInput:
-		f = gzK.Shift(m / 2)
-	case shapeResIsFlux:
-		res = f
-	}
-	return
-}
-
-// FuzzFluxFaceAcc holds the fused flux-and-accumulate macro-op to the
-// op-by-op kernel — fluxSequence into f through scratch columns, then
-// AccV(res, f), which share no code with the macro-op's vector body or
-// fluxElem — on random columns 1–246 deep (every tail length past the 8-lane
-// steps) salted with special values and zero transmissibilities (fluxes of
-// either zero sign): on valid operands res and the counters are those of the
-// oracle and nothing but res is written; on aliased outputs it panics with a
-// dsd: message, having written and counted nothing.
+// FuzzFluxFaceAcc holds one face's flux accumulated into the residual —
+// FluxCell over a single face — to its op-by-op spelling (cellSequence) on
+// columns 1–246 deep: the paper's depth and every tail past the 8-lane
+// steps, deeper than FuzzFluxCell draws. On valid operands the residual
+// bits and the counters are the oracle's and nothing else is written; on an
+// aliased residual the op panics with a dsd: message, having written and
+// counted nothing.
 func FuzzFluxFaceAcc(f *testing.F) {
 	for shape := 0; shape < numAccShapes; shape++ {
 		f.Add(uint64(shape)*0x9e37+1, uint8(7+shape), uint8(shape))
@@ -445,7 +623,7 @@ func FuzzFluxFaceAcc(f *testing.F) {
 	f.Add(uint64(21), uint8(123), uint8(shapeInPlane))
 	f.Add(uint64(22), uint8(1), uint8(shapeUp))
 	f.Add(uint64(23), uint8(0), uint8(shapeResOverlapsInput)) // m = 1: exact overlap
-	f.Add(uint64(24), uint8(0), uint8(shapeResIsFlux))
+	f.Add(uint64(24), uint8(0), uint8(shapeResIsRecvBuf))
 	f.Add(uint64(25), uint8(245), uint8(shapeDown)) // m = 246, the paper's depth and the deepest draw
 	// m = 16 … 23: two 8-lane steps and every tail length.
 	for tail := 0; tail < 8; tail++ {
@@ -453,46 +631,54 @@ func FuzzFluxFaceAcc(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, size, shapeByte uint8) {
 		m, shape := int(size)%246+1, int(shapeByte)%numAccShapes
-		n := 2 * m
 		rng := rand.New(rand.NewPCG(seed, 0xacc))
-		fused, oracle := newFaceColumns(t, n), newFaceColumns(t, n)
+		fused, oracle := newCellColumns(t, m), newCellColumns(t, m)
 		w := fused.e.Mem.words
-		drawColumn(rng, w[fused.pPad.Base:fused.pPad.Base+n+2], 2e7, 1e6)
-		drawColumn(rng, w[fused.gzPad.Base:fused.gzPad.Base+n+2], -15000, 500)
-		drawColumn(rng, w[fused.nbrP.Base:fused.nbrP.Base+n], 2e7, 1e6)
-		drawColumn(rng, w[fused.nbrGz.Base:fused.nbrGz.Base+n], -15000, 500)
-		drawColumn(rng, w[fused.tr.Base:fused.tr.Base+n], 1e-12, 1e-12)
-		drawColumn(rng, w[fused.res.Base:fused.res.Base+n], 0, 1e-3) // a residual part-way through assembly
-		for i := 0; i < n; i += 3 {
-			w[fused.tr.Base+i] = specials[rng.IntN(2)] // Υ = ±0: a boundary face
+		drawColumn(rng, w[fused.pPad.Base:fused.pPad.Base+m+2], 2e7, 1e6)
+		drawColumn(rng, w[fused.gzPad.Base:fused.gzPad.Base+m+2], -15000, 500)
+		drawColumn(rng, w[fused.res.Base:fused.res.Base+2*m], 0, 1e-3) // stale residual and flux
+		drawColumn(rng, w[fused.tr[0].Base:fused.tr[0].Base+m], 1e-12, 1e-12)
+		for i := 0; i < m; i += 3 {
+			w[fused.tr[0].Base+i] = specials[rng.IntN(2)] // Υ = ±0: a boundary face
 		}
-		for i := range w[fused.f.Base : fused.f.Base+n] { // stale flux content
-			w[fused.f.Base+i] = 99
-		}
+		drawColumn(rng, w[fused.nbrP[0].Base:fused.nbrP[0].Base+m], 2e7, 1e6)
+		drawColumn(rng, w[fused.nbrGz[0].Base:fused.nbrGz[0].Base+m], -15000, 500)
 		copy(oracle.e.Mem.words, w)
 		before := append([]float32(nil), w...)
 
-		res, fd, tr, pK, gzK, pL, gzL := accOperands(fused, shape, m)
+		wire := make([]float32, 2*m)
+		drawColumn(rng, wire[:m], 2e7, 1e6)
+		drawColumn(rng, wire[m:], -15000, 500)
+		res, face := fused.res, fused.face(0, 0, nil)
+		switch shape {
+		case shapeInPlane:
+			if rng.IntN(4) != 0 {
+				face = fused.face(0, 0, wire)
+			}
+		case shapeUp:
+			face = fused.face(slotUp, 0, nil)
+		case shapeDown:
+			face = fused.face(slotDown, 0, nil)
+		case shapeResOverlapsInput: // partly for m > 1, exactly for m = 1
+			res = fused.p.Shift(m / 2)
+		case shapeResOverlapsTr:
+			res = face.Tr.Shift(m / 2)
+		case shapeResIsRecvBuf:
+			face = fused.face(0, 0, wire)
+			res = face.GzL
+		}
 		if shape > shapeDown {
-			rejects(t, fused.e, func() { fused.e.FluxFaceAcc(res, fd, tr, pK, gzK, pL, gzL, testConsts) })
+			rejects(t, fused.e, func() { fused.e.FluxCell(res, fused.p, fused.gz, []Face{face}, testConsts) }, "overlaps")
 			return
 		}
-		fused.e.FluxFaceAcc(res, fd, tr, pK, gzK, pL, gzL, testConsts)
+		fused.e.FluxCell(res, fused.p, fused.gz, []Face{face}, testConsts)
+		// The same face over the oracle's memory: the layouts are identical.
+		cellSequence(oracle, []Face{face})
 
-		ores, of, otr, opK, ogzK, opL, ogzL := accOperands(oracle, shape, m)
-		var scratch [5]Desc
-		for k, d := range oracle.scratch {
-			scratch[k] = d.MustSlice(0, m)
-		}
-		fluxSequence(oracle.e, of, otr, opK, ogzK, opL, ogzL, testConsts, scratch)
-		oracle.e.AccV(ores, of)
-		untouched := func(i int) bool { // the fused op never writes f or the scratch columns
-			return i >= fd.Base && i < fd.Base+m || i >= fused.scratch[0].Base
-		}
 		for i, v := range w {
-			want := oracle.e.Mem.words[i]
-			if untouched(i) {
-				want = before[i]
+			want := before[i]
+			if i >= fused.res.Base && i < fused.res.Base+m {
+				want = oracle.e.Mem.words[i]
 			}
 			if !sameBits(v, want) {
 				t.Fatalf("shape %d m=%d: word %d = %g (%#08x), want %g (%#08x)", shape, m, i,
@@ -505,38 +691,49 @@ func FuzzFluxFaceAcc(f *testing.F) {
 	})
 }
 
-func TestFluxFaceAccPanicsLikeTheOps(t *testing.T) {
-	c := newFaceColumns(t, 8)
-	oob := Desc{Base: c.e.Mem.Capacity() - 4, Len: 8}
+func TestFluxCellPanicsLikeTheOps(t *testing.T) {
+	const n = 8
+	c := newCellColumns(t, n)
+	oob := Desc{Base: c.e.Mem.Capacity() - 4, Len: n}
+	wire := make([]float32, 2*n)
+	all := make([]Face, maxCellFaces+1)
+	for k := range all {
+		all[k] = c.face(slotUp, 0, nil)
+	}
 	for _, tc := range []struct {
-		name, want  string
-		res, f, gzL Desc
+		name, want string
+		res, pK    Desc
+		faces      []Face
 	}{
-		{"residual length mismatch", "dsd: descriptor length mismatch", c.res.MustSlice(0, 4), c.f, c.nbrGz},
-		{"flux length mismatch", "dsd: descriptor length mismatch", c.res, c.f.MustSlice(2, 5), c.nbrGz},
-		{"input length mismatch", "dsd: descriptor length mismatch", c.res, c.f, c.nbrGz.MustSlice(0, 7)},
-		{"residual out of bounds", "out of memory bounds", oob, c.f, c.nbrGz},
-		{"flux out of bounds", "out of memory bounds", c.res, oob, c.nbrGz},
+		{"residual length mismatch", "dsd: descriptor length mismatch", c.res.MustSlice(0, 4), c.p, []Face{c.face(0, 0, wire)}},
+		{"input length mismatch", "dsd: descriptor length mismatch", c.res, c.p.MustSlice(0, 7), []Face{c.face(0, 0, wire)}},
+		{"transmissibility length mismatch", "dsd: descriptor length mismatch", c.res, c.p, []Face{{Tr: c.tr[0].MustSlice(2, 5), PL: c.nbrP[0], GzL: c.nbrGz[0]}}},
+		{"residual out of bounds", "out of memory bounds", oob, c.p, []Face{c.face(0, 0, wire)}},
+		{"receive buffer out of bounds", "out of memory bounds", c.res, c.p, []Face{{Tr: c.tr[0], PL: oob, GzL: c.nbrGz[0], Wire: wire}}},
+		{"wire length mismatch", "dsd: FluxCell wire of 15 words", c.res, c.p, []Face{c.face(1, 0, wire[1:])}},
+		{"eleven faces", "dsd: FluxCell of 11 faces", c.res, c.p, all},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			defer func() {
-				r := recover()
-				msg, _ := r.(string)
-				if !strings.HasPrefix(msg, "dsd: ") || !strings.Contains(msg, tc.want) {
-					t.Fatalf("panic = %v, want a dsd: panic containing %q", r, tc.want)
-				}
-			}()
-			c.e.FluxFaceAcc(tc.res, tc.f, c.tr, c.p, c.gz, c.nbrP, tc.gzL, testConsts)
+			rejects(t, c.e, func() { c.e.FluxCell(tc.res, tc.pK, c.gz, tc.faces, testConsts) }, tc.want)
 		})
 	}
 }
 
-func TestFluxFaceAccDoesNotAllocate(t *testing.T) {
-	c := newFaceColumns(t, 246)
+// TestFluxCellDoesNotAllocate: the flat engine's application, ten faces of
+// which eight arrive on the wire, at the paper's depth.
+func TestFluxCellDoesNotAllocate(t *testing.T) {
+	const n = 246
+	c := newCellColumns(t, n)
+	wire := make([]float32, 2*n)
+	faces := make([]Face, 0, maxCellFaces)
+	for s := range 8 {
+		faces = append(faces, c.face(s, s, wire))
+	}
+	faces = append(faces, c.face(slotDown, 8, nil), c.face(slotUp, 9, nil))
 	allocs := testing.AllocsPerRun(100, func() {
-		c.e.FluxFaceAcc(c.res, c.f, c.tr, c.p, c.gz, c.nbrP, c.nbrGz, testConsts)
+		c.e.FluxCell(c.res, c.p, c.gz, faces, testConsts)
 	})
 	if allocs != 0 {
-		t.Errorf("FluxFaceAcc allocates %.0f times per call, want 0", allocs)
+		t.Errorf("FluxCell allocates %.0f times per call, want 0", allocs)
 	}
 }

@@ -302,47 +302,33 @@ func fluxElem(tr, pk, gk, pl, gl float32, c FluxConsts) float32 {
 	return float32(float32(tr*dphi) * lam)  // MulVV, MulVV
 }
 
-// faceCols is the macro-ops' operand check: it stores the column of each of
-// ds (the first outs are outputs) in cols and panics like any op on a length
-// mismatch or a view outside the memory — and when an output shares a word
-// with any other view. The single pass reads an element's inputs before it
-// stores, so inputs may overlap (the vertical faces' Shift(±1) views), but an
-// aliased output would differ from the op-by-op sequence: a construction bug.
-func (e *Engine) faceCols(cols *[7][]float32, outs int, ds ...Desc) {
-	n := ds[0].Len
-	for _, d := range ds {
-		if d.Len != n {
-			lenMismatch(n, d.Len)
-		}
+// operand returns the column of d, an input of a macro-op writing out, and
+// panics like any op on a length mismatch or a view outside the memory — and
+// when d shares a word with out. Inputs may overlap each other (the vertical
+// faces' Shift(±1) views): an element's inputs are read before it is stored.
+// An aliased output would differ from the op-by-op sequence.
+func (e *Engine) operand(out, d Desc) []float32 {
+	if d.Len != out.Len {
+		lenMismatch(out.Len, d.Len)
 	}
-	if w := e.Mem.words; n != 0 { // empty columns stay nil, wherever they point
-		for i, d := range ds {
-			if !e.Mem.holds(d) {
-				badDesc(d, len(w))
-			}
-			cols[i] = w[d.Base : d.Base+n]
-		}
+	v := e.Mem.col(d)
+	if overlap(out, d) {
+		panic(fmt.Sprintf("dsd: flux kernel output {base %d len %d} overlaps operand {base %d len %d}",
+			out.Base, out.Len, d.Base, d.Len))
 	}
-	for i, o := range ds[:outs] {
-		for j, d := range ds {
-			if j != i && overlap(o, d) {
-				panic(fmt.Sprintf("dsd: flux kernel output {base %d len %d} overlaps operand {base %d len %d}",
-					o.Base, o.Len, d.Base, d.Len))
-			}
-		}
-	}
+	return v
 }
 
-// countFlux tallies the kernel's 14 issues over n elements.
-func (e *Engine) countFlux(n int) {
-	e.countN(opSubVV, 3, n)
-	e.countN(opMulVS, 3, n)
-	e.countN(opMulVV, 3, n)
-	e.countN(opAddVV, 1, n)
-	e.countN(opFmaVSS, 1, n)
-	e.countN(opNegV, 1, n)
-	e.countN(opSelGtV, 1, n)
-	e.countN(opSubVS, 1, n)
+// countFlux tallies the kernel's 14 issues, for k faces, over n elements.
+func (e *Engine) countFlux(k uint64, n int) {
+	e.countN(opSubVV, 3*k, n)
+	e.countN(opMulVS, 3*k, n)
+	e.countN(opMulVV, 3*k, n)
+	e.countN(opAddVV, k, n)
+	e.countN(opFmaVSS, k, n)
+	e.countN(opNegV, k, n)
+	e.countN(opSelGtV, k, n)
+	e.countN(opSubVS, k, n)
 }
 
 // FluxFace is the 14-FLOP TPFA face kernel as one macro-op: it computes
@@ -354,36 +340,77 @@ func (e *Engine) countFlux(n int) {
 // kernel's scratch buffers stay allocated (footprint and HighWaterWords are
 // those of the op-by-op kernel) but are not written.
 func (e *Engine) FluxFace(f, tr, pK, gzK, pL, gzL Desc, c FluxConsts) {
-	var col [7][]float32
-	e.faceCols(&col, 1, f, tr, pK, gzK, pL, gzL)
-	fo := col[0]
-	tv, pk, gk := col[1][:len(fo)], col[2][:len(fo)], col[3][:len(fo)]
-	pl, gl := col[4][:len(fo)], col[5][:len(fo)]
+	fo := e.Mem.col(f)
+	tv, pk, gk := e.operand(f, tr)[:len(fo)], e.operand(f, pK)[:len(fo)], e.operand(f, gzK)[:len(fo)]
+	pl, gl := e.operand(f, pL)[:len(fo)], e.operand(f, gzL)[:len(fo)]
 	// i is unsigned so that i < len(fo) alone proves every index in range.
-	for i := fluxVector(fo, tv, pk, gk, pl, gl, &c, false); i < uint(len(fo)); i++ {
+	for i := fluxVector(fo, tv, pk, gk, pl, gl, &c); i < uint(len(fo)); i++ {
 		fo[i] = fluxElem(tv[i], pk[i], gk[i], pl[i], gl[i], c)
 	}
-	e.countFlux(len(fo))
+	e.countFlux(1, len(fo))
 }
 
-// FluxFaceAcc is FluxFace followed by AccV(res, f) in one pass: each
-// element's flux is rounded to float32 exactly as FluxFace would store it and
-// added to res straight from the register, so the flux column is neither
-// written nor read back. It is tallied as the same 14 issues plus one AccV,
-// and res ends bit-identical to the two-op spelling. f is left untouched; it
-// is passed so that the op is checked against every operand of the pair it
-// replaces (and res may not alias it).
-func (e *Engine) FluxFaceAcc(res, f, tr, pK, gzK, pL, gzL Desc, c FluxConsts) {
-	var col [7][]float32
-	e.faceCols(&col, 2, res, f, tr, pK, gzK, pL, gzL)
-	ro := col[0]
-	tv, pk, gk := col[2][:len(ro)], col[3][:len(ro)], col[4][:len(ro)]
-	pl, gl := col[5][:len(ro)], col[6][:len(ro)]
-	for i := fluxVector(ro, tv, pk, gk, pl, gl, &c, true); i < uint(len(ro)); i++ {
-		ro[i] += fluxElem(tv[i], pk[i], gk[i], pl[i], gl[i], c)
+// Face is one face of a FluxCell: its transmissibility column Tr and the
+// neighbor's pressure and g·z columns PL and GzL — or, when Wire is not nil,
+// the receive buffers the op-by-op spelling MovRecvs the wire into: the
+// neighbor's 2·Len words, pressure then g·z, as the §5.2 exchange sends them.
+// FluxCell reads the wire and leaves the buffers as they are.
+type Face struct {
+	Tr, PL, GzL Desc
+	Wire        []float32
+}
+
+// maxCellFaces is the most faces a FluxCell takes: a cell's eight in-plane
+// and two vertical faces.
+const maxCellFaces = 10
+
+// cellFaces holds each face's (tr, pL, gzL) columns, the layout the vector
+// body walks: the data pointers sit 24 bytes apart, faces 72 bytes apart.
+type cellFaces [maxCellFaces][3][]float32
+
+// FluxCell is one whole application of a PE as one macro-op, exactly
+//
+//	Fill(res, 0)
+//	for each face, in order:
+//		MovRecv(PL, Wire[:Len]); MovRecv(GzL, Wire[Len:])  (wire faces only)
+//		FluxFace(f, Tr, pK, gzK, PL, GzL)
+//		AccV(res, f)
+//
+// in one pass: per element it reads pK and gzK once, sums the fluxes from +0
+// in a register in face order and stores res once, which is tallied as that
+// sequence and bit-identical to it. Nothing else is written. Every operand is
+// checked first, as the ops do: lengths, bounds, the wire's 2·Len words, and
+// res sharing a word with any view.
+func (e *Engine) FluxCell(res, pK, gzK Desc, faces []Face, c FluxConsts) {
+	if len(faces) > maxCellFaces {
+		panic(fmt.Sprintf("dsd: FluxCell of %d faces, at most %d", len(faces), maxCellFaces))
 	}
-	e.countFlux(len(ro))
-	e.count(opAccV, len(ro))
+	ro := e.Mem.col(res)
+	pk, gk := e.operand(res, pK)[:len(ro)], e.operand(res, gzK)[:len(ro)]
+	var cols cellFaces
+	wires := uint64(0)
+	for k, f := range faces {
+		cols[k] = [3][]float32{e.operand(res, f.Tr), e.operand(res, f.PL), e.operand(res, f.GzL)}
+		if f.Wire != nil {
+			if len(f.Wire) != 2*len(ro) {
+				panic(fmt.Sprintf("dsd: FluxCell wire of %d words for a %d-element column", len(f.Wire), len(ro)))
+			}
+			cols[k][1], cols[k][2] = f.Wire[:len(ro)], f.Wire[len(ro):]
+			wires++
+		}
+	}
+	done := cellVector(ro, pk, gk, &cols, len(faces), &c)
+	clear(ro[done:])
+	for _, col := range cols[:len(faces)] {
+		tv, pl, gl := col[0][:len(ro)], col[1][:len(ro)], col[2][:len(ro)]
+		for i := done; i < uint(len(ro)); i++ {
+			ro[i] += fluxElem(tv[i], pk[i], gk[i], pl[i], gl[i], c)
+		}
+	}
+	e.count(opFill, len(ro))
+	e.countN(opMovRecv, 2*wires, len(ro))
+	e.countFlux(uint64(len(faces)), len(ro))
+	e.countN(opAccV, uint64(len(faces)), len(ro))
 }
 
 // AccV computes dst += a — the flux-assembly accumulate-store ("assembles

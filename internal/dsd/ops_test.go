@@ -389,14 +389,15 @@ func TestCountersFoldMatchesManualAccounting(t *testing.T) {
 
 // TestEmptyDescriptorsIssueOnce: an op over empty descriptors is one issue
 // of nothing wherever they point — no bounds panic, no element counted
-// (FluxFace and FluxFaceAcc book their 14 and 15 issues).
+// (FluxFace books its 14 issues, a one-face FluxCell off the wire its Fill,
+// two MovRecvs, 14 and an AccV).
 func TestEmptyDescriptorsIssueOnce(t *testing.T) {
 	e := NewEngine(newMem(t, 8))
 	z := Desc{Base: 1 << 20, Len: 0}
 	opSequence(e, z, z, Desc{Base: -3}, z)
 	e.FluxFace(z, z, z, z, z, z, testConsts)
-	e.FluxFaceAcc(z, Desc{Base: 4}, z, z, z, z, z, testConsts)
-	if c := e.Counters(); c != (Counters{Issues: 12 + 14 + 15}) {
-		t.Fatalf("counters %+v, want only %d issues", c, 12+14+15)
+	e.FluxCell(z, z, z, []Face{{Tr: z, PL: Desc{Base: 4}, GzL: z, Wire: []float32{}}}, testConsts)
+	if c := e.Counters(); c != (Counters{Issues: 12 + 14 + 18}) {
+		t.Fatalf("counters %+v, want only %d issues", c, 12+14+18)
 	}
 }
