@@ -233,7 +233,7 @@ func BenchmarkFig8_Roofline(b *testing.B) {
 	b.ReportMetric(fig.AchievedFlops/1e12, "CS2-TFLOPS")
 }
 
-// Ablation benchmarks (DESIGN.md §8).
+// Ablation benchmarks (internal/bench's ablations; docs/benchmarks.md).
 
 // BenchmarkAblation_DiagonalExchange compares the 10-face schedule with the
 // textbook 6-face TPFA (§5.2.2 is optional for the scheme).

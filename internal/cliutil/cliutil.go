@@ -3,6 +3,7 @@ package cliutil
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/mesh"
@@ -16,8 +17,12 @@ func ParseDims(s string) (mesh.Dims, error) {
 		return mesh.Dims{}, fmt.Errorf("dims %q: want NxXNyXNz, e.g. 12x10x8", s)
 	}
 	var d mesh.Dims
-	if _, err := fmt.Sscanf(strings.Join(parts, " "), "%d %d %d", &d.Nx, &d.Ny, &d.Nz); err != nil {
-		return mesh.Dims{}, fmt.Errorf("dims %q: %w", s, err)
+	for i, n := range []*int{&d.Nx, &d.Ny, &d.Nz} {
+		v, err := strconv.Atoi(parts[i])
+		if err != nil {
+			return mesh.Dims{}, fmt.Errorf("dims %q: %w", s, err)
+		}
+		*n = v
 	}
 	if err := d.Validate(); err != nil {
 		return mesh.Dims{}, err

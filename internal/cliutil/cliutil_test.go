@@ -21,6 +21,9 @@ func TestParseDims(t *testing.T) {
 		{"0x10x8", mesh.Dims{}, false},
 		{"-3x10x8", mesh.Dims{}, false},
 		{"", mesh.Dims{}, false},
+		{"3x4x5y", mesh.Dims{}, false},
+		{"3x4x5.7", mesh.Dims{}, false},
+		{"3x4x5 6", mesh.Dims{}, false},
 	}
 	for _, c := range cases {
 		got, err := ParseDims(c.in)

@@ -416,9 +416,9 @@ func TestFabricTrafficAccounting(t *testing.T) {
 	var forwards uint64
 	for y := 0; y < d.Ny; y++ {
 		for x := 0; x < d.Nx; x++ {
-			for _, dir := range mesh.CardinalDirections {
+			for dir, next := range turn {
 				dx, dy, _ := dir.Offset()
-				tx, ty, _ := turn[dir].Offset()
+				tx, ty, _ := next.Offset()
 				if inside(x+dx, y+dy) && inside(x+tx, y+ty) {
 					forwards += words
 				}

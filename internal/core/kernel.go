@@ -5,7 +5,7 @@ import (
 	"repro/internal/mesh"
 )
 
-// This file applies the 14-FLOP per-face flux kernel (DESIGN.md §4: fluxElem,
+// This file applies the 14-FLOP per-face flux kernel (§5.3.3: fluxElem,
 // in dsd.FluxFace or the flat engine's dsd.FluxCell) to the ten faces and
 // assembles the residual, the engines' ways. Every face is evaluated by the
 // same kernel and added in the same fixed order from +0, so all engines

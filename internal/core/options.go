@@ -4,7 +4,7 @@
 // the PE's private memory (§5.1, Fig. 4). Each application of Algorithm 1
 // exchanges (pressure, gravity-coefficient) columns with the eight in-plane
 // neighbors (§5.2, Fig. 5; the scheme is fabric/exchange.go), then evaluates
-// ten face fluxes per cell with the 14-FLOP vector kernel of DESIGN.md §4 and
+// ten face fluxes per cell with the 14-FLOP vector kernel of §5.3.3 and
 // assembles them into the residual.
 //
 // Two engines execute the same schedule:

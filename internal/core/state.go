@@ -34,7 +34,7 @@ import (
 //
 // With buffer reuse the footprint is 44·Nz+4 words; the CS-2's 12288-word
 // PEs therefore hold at most Nz = 279, and without reuse only Nz = 236 —
-// bracketing the paper's 246-layer maximum mesh (see EXPERIMENTS.md).
+// bracketing the paper's 246-layer maximum mesh (§7; TestPaperNzCapacity).
 type peState struct {
 	eng    *dsd.Engine
 	opts   Options

@@ -14,12 +14,12 @@ func TestNewArena(t *testing.T) {
 	if len(mems) != n {
 		t.Fatalf("arena holds %d memories, want %d", len(mems), n)
 	}
-	// Stale words are never observable: dirty every word of every memory
-	// through a full-capacity block, free it, and allocate again.
+	// Every word is fresh: allocate a full-capacity block in each memory,
+	// check it reads zero and dirty it.
 	for i := range mems {
 		m := &mems[i]
-		if m.Capacity() != capacity {
-			t.Fatalf("memory %d capacity = %d, want %d", i, m.Capacity(), capacity)
+		if m.Stats().CapacityWords != capacity {
+			t.Fatalf("memory %d capacity = %d, want %d", i, m.Stats().CapacityWords, capacity)
 		}
 		d, err := m.Alloc(capacity)
 		if err != nil {
@@ -33,18 +33,6 @@ func TestNewArena(t *testing.T) {
 		}
 		if _, err := m.Alloc(1); err == nil {
 			t.Fatalf("memory %d allocated past its capacity into its neighbor", i)
-		}
-		if err := m.Free(d); err != nil {
-			t.Fatal(err)
-		}
-		d, err = m.Alloc(capacity)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < capacity; j++ {
-			if v := m.Load(d, j); v != 0 {
-				t.Fatalf("memory %d: reused word %d = %g, want 0", i, j, v)
-			}
 		}
 		m.StoreHost(d, capacity-1, float32(i+1))
 	}
@@ -69,8 +57,8 @@ func TestSizedArenaBacksOnlyTheFootprint(t *testing.T) {
 	}
 	for i := range mems {
 		m := &mems[i]
-		if m.Capacity() != capacity || m.Stats().CapacityWords != capacity {
-			t.Fatalf("memory %d reports capacity %d / %d, want the budget %d", i, m.Capacity(), m.Stats().CapacityWords, capacity)
+		if m.Stats().CapacityWords != capacity {
+			t.Fatalf("memory %d reports capacity %d, want the budget %d", i, m.Stats().CapacityWords, capacity)
 		}
 		if len(m.words) != footprint {
 			t.Fatalf("memory %d backs %d words, want the footprint %d", i, len(m.words), footprint)
@@ -135,8 +123,8 @@ func TestHostViewAliasesColumns(t *testing.T) {
 
 func TestArenaAllocationsDoNotScaleWithMemories(t *testing.T) {
 	// The engines' setup: one arena, then a PE-like layout in every memory
-	// (two padded columns, then dozens of equal columns). Words, headers and
-	// span records are the only allocations, however many memories there are.
+	// (two padded columns, then dozens of equal columns). Words and headers
+	// are the only allocations, however many memories there are.
 	const pes, nz = 64, 8
 	allocs := testing.AllocsPerRun(10, func() {
 		mems, err := NewArena(pes, 64*nz)
@@ -155,7 +143,7 @@ func TestArenaAllocationsDoNotScaleWithMemories(t *testing.T) {
 			}
 		}
 	})
-	if allocs != 3 {
-		t.Errorf("arena of %d memories cost %.0f allocations, want 3", pes, allocs)
+	if allocs != 2 {
+		t.Errorf("arena of %d memories cost %.0f allocations, want 2", pes, allocs)
 	}
 }

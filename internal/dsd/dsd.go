@@ -10,17 +10,14 @@
 // counters; the Table 4 experiment and the roofline model read these counters
 // rather than hardcoding the paper's numbers.
 //
-// Accounting conventions (DESIGN.md §2): per element, an op performs one load
-// per source operand (scalar immediates included, matching Table 4's
+// Accounting conventions (§5.3.3, Table 4): per element, an op performs one
+// load per source operand (scalar immediates included, matching Table 4's
 // "2 loads" for FMUL) and one store. The upwind selection (SELGT) and the
 // final flux assembly (ACC) are predicated/accumulating moves, tracked in a
 // separate uncounted class exactly as Table 4 implies.
 package dsd
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Desc is a Data Structure Descriptor: a contiguous view over a PE's memory.
 // Every view the paper's mapping needs is one (§5.1: a PE keeps each field's
@@ -58,52 +55,24 @@ func (d Desc) Shift(off int) Desc {
 	return Desc{Base: d.Base + off, Len: d.Len}
 }
 
-// Memory is a PE's private local memory: a fixed budget of float32 words with
-// a bump allocator and an explicit free list. The free list exists because
-// the paper's key memory optimization is hand-crafted buffer reuse (§5.3.1);
-// Stats exposes the high-water mark so the buffer-reuse ablation can compare
-// peak footprints.
+// Memory is a PE's private local memory: a fixed budget of float32 words
+// with a bump allocator. Nothing is ever freed — the paper's buffer reuse
+// (§5.3.1) is a fixed layout of fewer scratch columns, not a runtime free
+// list — so the break is the high-water mark Stats reports for the
+// buffer-reuse ablation.
 type Memory struct {
 	words []float32
 	// capacity is the budget Alloc enforces and Stats reports; words may be
 	// shorter when the arena was sized to a known footprint (NewSizedArena).
 	capacity int
 	brk      int
-	high     int
-	reused   int
-	allocs   int
-	// spans records the bump allocator's block layout (for Free validation)
-	// as runs of equal-length blocks: a PE's dozens of Nz-word columns are
-	// one span, so recording an allocation is a counter increment.
-	spans []span
-	free  map[int][]int // length → bases of freed blocks; created by the first Free
 }
-
-// span is a run of count blocks of blockLen words each that the bump
-// allocator laid out back to back from base.
-type span struct {
-	base, blockLen, count int
-}
-
-// NewMemory allocates a PE memory of capacity words. The WSE-2's 48 KiB per
-// PE corresponds to 12288 words.
-func NewMemory(capacityWords int) (*Memory, error) {
-	mems, err := NewArena(1, capacityWords)
-	if err != nil {
-		return nil, err
-	}
-	return &mems[0], nil
-}
-
-// arenaSpans is the span capacity NewArena reserves per memory; a memory that
-// needs more grows its own list.
-const arenaSpans = 4
 
 // NewArena allocates n PE memories of capacityWords each, carved out of one
 // contiguous slab, so an engine's working set is cache-contiguous and costs
-// three allocations (words, headers, span records) instead of several per PE.
-// The slab is zeroed exactly once, by its allocation — Alloc relies on fresh
-// words being zero.
+// two allocations (words and headers) instead of several per PE. The slab
+// is zeroed exactly once, by its allocation — Alloc relies on fresh words
+// being zero.
 func NewArena(n, capacityWords int) ([]Memory, error) {
 	return NewSizedArena(n, capacityWords, capacityWords)
 }
@@ -127,33 +96,20 @@ func NewSizedArena(n, capacityWords, footprintWords int) ([]Memory, error) {
 	}
 	backed := min(capacityWords, footprintWords)
 	slab := make([]float32, n*backed)
-	spans := make([]span, n*arenaSpans)
 	mems := make([]Memory, n)
 	for i := range mems {
-		w, s := i*backed, i*arenaSpans
+		w := i * backed
 		mems[i].words = slab[w : w+backed : w+backed]
 		mems[i].capacity = capacityWords
-		mems[i].spans = spans[s : s : s+arenaSpans]
 	}
 	return mems, nil
 }
 
-// Capacity returns the memory size in words.
-func (m *Memory) Capacity() int { return m.capacity }
-
-// Alloc reserves a contiguous block of n words and returns its descriptor.
-// Freed blocks of the same length are reused first.
+// Alloc reserves a contiguous block of n fresh, zero words and returns its
+// descriptor.
 func (m *Memory) Alloc(n int) (Desc, error) {
 	if n <= 0 {
 		return Desc{}, fmt.Errorf("dsd: allocation size must be positive, got %d", n)
-	}
-	if bases := m.free[n]; len(bases) > 0 {
-		base := bases[len(bases)-1]
-		m.free[n] = bases[:len(bases)-1]
-		m.reused++
-		m.allocs++
-		clear(m.words[base : base+n])
-		return Desc{Base: base, Len: n}, nil
 	}
 	if m.brk+n > m.capacity {
 		return Desc{}, fmt.Errorf("dsd: out of PE memory: need %d words, %d of %d used", n, m.brk, m.capacity)
@@ -163,57 +119,18 @@ func (m *Memory) Alloc(n int) (Desc, error) {
 	}
 	base := m.brk
 	m.brk += n
-	if m.brk > m.high {
-		m.high = m.brk
-	}
-	m.allocs++
-	if k := len(m.spans) - 1; k >= 0 && m.spans[k].blockLen == n {
-		m.spans[k].count++
-	} else {
-		m.spans = append(m.spans, span{base: base, blockLen: n, count: 1})
-	}
 	return Desc{Base: base, Len: n}, nil
-}
-
-// isBlock reports whether d is exactly a block the bump allocator laid out.
-func (m *Memory) isBlock(d Desc) bool {
-	for _, s := range m.spans {
-		if off := d.Base - s.base; off >= 0 && off < s.blockLen*s.count {
-			return d.Len == s.blockLen && off%s.blockLen == 0
-		}
-	}
-	return false
-}
-
-// Free returns d's block to the free list for reuse. The descriptor must be
-// exactly as returned by Alloc.
-func (m *Memory) Free(d Desc) error {
-	if !m.isBlock(d) || slices.Contains(m.free[d.Len], d.Base) {
-		return fmt.Errorf("dsd: Free of non-allocated or reshaped block {base %d len %d}", d.Base, d.Len)
-	}
-	if m.free == nil {
-		m.free = make(map[int][]int)
-	}
-	m.free[d.Len] = append(m.free[d.Len], d.Base)
-	return nil
 }
 
 // Stats reports allocator behaviour for the memory-optimization ablation.
 type Stats struct {
 	CapacityWords  int
 	HighWaterWords int
-	Allocs         int
-	ReusedAllocs   int
 }
 
 // Stats returns the allocator statistics.
 func (m *Memory) Stats() Stats {
-	return Stats{
-		CapacityWords:  m.capacity,
-		HighWaterWords: m.high,
-		Allocs:         m.allocs,
-		ReusedAllocs:   m.reused,
-	}
+	return Stats{CapacityWords: m.capacity, HighWaterWords: m.brk}
 }
 
 // Load reads element i of descriptor d (host/debug access, uncounted).
@@ -268,8 +185,8 @@ func badDesc(d Desc, words int) {
 	panic(fmt.Sprintf("dsd: descriptor {base %d len %d} out of memory bounds [0,%d)", d.Base, d.Len, words))
 }
 
-// sameLen2/3/4 are fixed-arity length checks — the variadic form cost a
-// slice header and a loop on every op call in the hot path.
+// sameLen2 is a fixed-arity length check — the variadic form cost a slice
+// header and a loop on every op call in the hot path.
 func lenMismatch(want, got int) {
 	panic(fmt.Sprintf("dsd: descriptor length mismatch: %d vs %d", want, got))
 }
@@ -277,21 +194,5 @@ func lenMismatch(want, got int) {
 func sameLen2(a, b Desc) {
 	if b.Len != a.Len {
 		lenMismatch(a.Len, b.Len)
-	}
-}
-
-func sameLen3(a, b, c Desc) {
-	if b.Len != a.Len {
-		lenMismatch(a.Len, b.Len)
-	}
-	if c.Len != a.Len {
-		lenMismatch(a.Len, c.Len)
-	}
-}
-
-func sameLen4(a, b, c, d Desc) {
-	sameLen3(a, b, c)
-	if d.Len != a.Len {
-		lenMismatch(a.Len, d.Len)
 	}
 }

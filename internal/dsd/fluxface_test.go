@@ -30,6 +30,138 @@ func fluxSequence(e *Engine, f, tr, pK, gzK, pL, gzL Desc, c FluxConsts, s [5]De
 	e.MulVV(f, s[0], s[3])
 }
 
+// The single-instruction ops of the vector ISA that fluxSequence spells the
+// kernel in; the engines run only the macro-ops, so these live with their
+// oracle. Every op checks its operands' lengths and bounds (col), then runs
+// one element loop; the sources are resliced to the destination's length, so
+// the compiler drops the per-element bounds checks.
+
+// MulVV computes dst = a·b elementwise (FMUL: 2 loads, 1 store / element).
+func (e *Engine) MulVV(dst, a, b Desc) {
+	sameLen3(dst, a, b)
+	d := e.Mem.col(dst)
+	x, y := e.Mem.col(a)[:len(d)], e.Mem.col(b)[:len(d)]
+	for i := range d {
+		d[i] = x[i] * y[i]
+	}
+	e.count(opMulVV, len(d))
+}
+
+// MulVS computes dst = a·s (FMUL with a scalar operand; still 2 loads).
+func (e *Engine) MulVS(dst, a Desc, s float32) {
+	sameLen2(dst, a)
+	d := e.Mem.col(dst)
+	x := e.Mem.col(a)[:len(d)]
+	for i := range d {
+		d[i] = x[i] * s
+	}
+	e.count(opMulVS, len(d))
+}
+
+// AddVV computes dst = a + b (FADD: 2 loads, 1 store).
+func (e *Engine) AddVV(dst, a, b Desc) {
+	sameLen3(dst, a, b)
+	d := e.Mem.col(dst)
+	x, y := e.Mem.col(a)[:len(d)], e.Mem.col(b)[:len(d)]
+	for i := range d {
+		d[i] = x[i] + y[i]
+	}
+	e.count(opAddVV, len(d))
+}
+
+// SubVV computes dst = a − b (FSUB: 2 loads, 1 store).
+func (e *Engine) SubVV(dst, a, b Desc) {
+	sameLen3(dst, a, b)
+	d := e.Mem.col(dst)
+	x, y := e.Mem.col(a)[:len(d)], e.Mem.col(b)[:len(d)]
+	for i := range d {
+		d[i] = x[i] - y[i]
+	}
+	e.count(opSubVV, len(d))
+}
+
+// SubVS computes dst = a − s (FSUB with scalar subtrahend).
+func (e *Engine) SubVS(dst, a Desc, s float32) {
+	sameLen2(dst, a)
+	d := e.Mem.col(dst)
+	x := e.Mem.col(a)[:len(d)]
+	for i := range d {
+		d[i] = x[i] - s
+	}
+	e.count(opSubVS, len(d))
+}
+
+// NegV computes dst = −a (FNEG: 1 load, 1 store).
+func (e *Engine) NegV(dst, a Desc) {
+	sameLen2(dst, a)
+	d := e.Mem.col(dst)
+	x := e.Mem.col(a)[:len(d)]
+	for i := range d {
+		d[i] = -x[i]
+	}
+	e.count(opNegV, len(d))
+}
+
+// FmaVSS computes dst = s1·a + s2 (FMA: 2 FLOPs, 3 loads, 1 store). The
+// product is rounded to float32 before the add on every architecture: the
+// explicit conversion forbids the compiler from contracting the pair into a
+// hardware fused multiply-add (which Go otherwise may on arm64 and
+// GOAMD64=v3), so residual bits do not depend on the build target.
+func (e *Engine) FmaVSS(dst, a Desc, s1, s2 float32) {
+	sameLen2(dst, a)
+	d := e.Mem.col(dst)
+	x := e.Mem.col(a)[:len(d)]
+	for i := range d {
+		d[i] = float32(s1*x[i]) + s2
+	}
+	e.count(opFmaVSS, len(d))
+}
+
+// FmaVVV computes dst = a·b + c (FMA: 2 FLOPs, 3 loads, 1 store), with the
+// product rounded separately like FmaVSS.
+func (e *Engine) FmaVVV(dst, a, b, c Desc) {
+	sameLen4(dst, a, b, c)
+	d := e.Mem.col(dst)
+	x, y, z := e.Mem.col(a)[:len(d)], e.Mem.col(b)[:len(d)], e.Mem.col(c)[:len(d)]
+	for i := range d {
+		d[i] = float32(x[i]*y[i]) + z[i]
+	}
+	e.count(opFmaVVV, len(d))
+}
+
+// SelGtV computes dst = cond > 0 ? a : b — the upwind selection (Eq. 4) as a
+// predicated move. Uncounted class: 3 loads, 1 store tracked separately.
+func (e *Engine) SelGtV(dst, cond, a, b Desc) {
+	sameLen4(dst, cond, a, b)
+	d := e.Mem.col(dst)
+	p, x, y := e.Mem.col(cond)[:len(d)], e.Mem.col(a)[:len(d)], e.Mem.col(b)[:len(d)]
+	for i := range d {
+		if p[i] > 0 {
+			d[i] = x[i]
+		} else {
+			d[i] = y[i]
+		}
+	}
+	e.count(opSelGtV, len(d))
+}
+
+// sameLen3/4 are sameLen2 for the three- and four-operand ops above.
+func sameLen3(a, b, c Desc) {
+	if b.Len != a.Len {
+		lenMismatch(a.Len, b.Len)
+	}
+	if c.Len != a.Len {
+		lenMismatch(a.Len, c.Len)
+	}
+}
+
+func sameLen4(a, b, c, d Desc) {
+	sameLen3(a, b, c)
+	if d.Len != a.Len {
+		lenMismatch(a.Len, d.Len)
+	}
+}
+
 // faceColumns is one PE-like layout: padded own columns (so the vertical
 // faces' Shift(±1) views stay inside the allocation), neighbor columns,
 // transmissibility, flux and scratch.
@@ -389,7 +521,7 @@ func panicMessage(fn func()) (msg string) {
 
 func TestFluxFacePanicsLikeTheOps(t *testing.T) {
 	c := newFaceColumns(t, 8)
-	oob := Desc{Base: c.e.Mem.Capacity() - 4, Len: 8}
+	oob := Desc{Base: c.e.Mem.capacity - 4, Len: 8}
 	for _, tc := range []struct {
 		name, want string
 		pL         Desc
@@ -694,7 +826,7 @@ func FuzzFluxFaceAcc(f *testing.F) {
 func TestFluxCellPanicsLikeTheOps(t *testing.T) {
 	const n = 8
 	c := newCellColumns(t, n)
-	oob := Desc{Base: c.e.Mem.Capacity() - 4, Len: n}
+	oob := Desc{Base: c.e.Mem.capacity - 4, Len: n}
 	wire := make([]float32, 2*n)
 	all := make([]Face, maxCellFaces+1)
 	for k := range all {

@@ -5,7 +5,7 @@
 // the unstructured part engine / operator in umesh), so all of them share one
 // scheduling discipline:
 //
-//   - a shard is a stable integer in [0, Shards()); what it denotes (a band
+//   - a shard is a stable integer in [0, shards); what it denotes (a band
 //     of PE-grid rows, an RCB part) is the caller's business;
 //   - a Plan is a compiled sequence of Steps; each Step is one phase function
 //     dispatched over every shard, followed by a barrier and then the Step's
@@ -144,9 +144,6 @@ func NewPool(workers, shards int) *Pool {
 
 // Workers returns the worker count (after clamping), orchestrator included.
 func (p *Pool) Workers() int { return p.workers }
-
-// Shards returns the shard count every phase is dispatched over.
-func (p *Pool) Shards() int { return p.shards }
 
 // Counters reports the pool's lifetime synchronization counts: barriers is
 // the number of barrier crossings (one per executed plan step; always 0 with

@@ -20,9 +20,9 @@ func TestPoolClamping(t *testing.T) {
 	}
 	for _, c := range cases {
 		p := NewPool(c.workers, c.shards)
-		if p.Workers() != c.wantWorkers || p.Shards() != c.wantShards {
+		if p.Workers() != c.wantWorkers || p.shards != c.wantShards {
 			t.Errorf("NewPool(%d, %d): workers %d shards %d, want %d/%d",
-				c.workers, c.shards, p.Workers(), p.Shards(), c.wantWorkers, c.wantShards)
+				c.workers, c.shards, p.Workers(), p.shards, c.wantWorkers, c.wantShards)
 		}
 		p.Stop()
 	}

@@ -6,6 +6,15 @@ import (
 	"testing"
 )
 
+// Position returns the current switch position of a color (tests observe the
+// Fig. 6 alternation through this).
+func (r *router) Position(c Color) uint8 {
+	if e := r.entries[c]; e != nil {
+		return e.pos
+	}
+	return 0
+}
+
 func broadcastFabric(t *testing.T, w int) *Fabric {
 	t.Helper()
 	f, err := New(Config{Width: w, Height: 1})

@@ -303,12 +303,3 @@ func (f *Fabric) Totals() TotalCounters {
 	}
 	return t
 }
-
-// EngineCounters sums the dsd vector-engine counters across all PEs.
-func (f *Fabric) EngineCounters() dsd.Counters {
-	var c dsd.Counters
-	for _, pe := range f.pes {
-		pe.Eng.AddCounters(&c)
-	}
-	return c
-}

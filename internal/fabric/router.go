@@ -89,15 +89,6 @@ func (r *router) SetCommandColor(c Color) error {
 	return nil
 }
 
-// Position returns the current switch position of a color (tests observe the
-// Fig. 6 alternation through this).
-func (r *router) Position(c Color) uint8 {
-	if e := r.entries[c]; e != nil {
-		return e.pos
-	}
-	return 0
-}
-
 // route carries one wavelet that arrives on port from through this router,
 // with the fabric mutex held: it applies a switch command, then appends to
 // the PE's inbox or hands the wavelet to the neighbor on each output port.

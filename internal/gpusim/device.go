@@ -106,9 +106,6 @@ func (d *Device) Malloc(name string, n int) (*Buffer, error) {
 	return b, nil
 }
 
-// AllocatedBytes returns the current device-memory footprint.
-func (d *Device) AllocatedBytes() int64 { return d.allocated }
-
 // CopyToDevice is the cudaMemcpy H2D analog.
 func (d *Device) CopyToDevice(dst *Buffer, src []float32) error {
 	if len(src) != len(dst.data) {
@@ -141,15 +138,6 @@ type KernelStats struct {
 
 // Bytes returns the word-level memory traffic in bytes.
 func (k *KernelStats) Bytes() uint64 { return 4 * (k.LoadWords + k.StoreWords) }
-
-// ArithmeticIntensity returns FLOPs per byte of word-level traffic — the
-// quantity Nsight reports and Fig. 8 (bottom) plots (paper: 2.11).
-func (k *KernelStats) ArithmeticIntensity() float64 {
-	if b := k.Bytes(); b > 0 {
-		return float64(k.Flops) / float64(b)
-	}
-	return 0
-}
 
 // Add accumulates other into k (used to sum stats across launches).
 func (k *KernelStats) Add(o *KernelStats) {

@@ -144,10 +144,6 @@ func clamp(v, lo, hi int) int {
 // (10 faces × physics.FlopsPerFaceExp); tests assert the counters agree.
 const FlopsPerCell = 10 * physics.FlopsPerFaceExp
 
-// WordsPerCell is the per-cell word-level traffic: 2 own loads + 3 loads per
-// face + 1 store.
-const WordsPerCell = 2 + 3*10 + 1
-
 // RunRAJA applies Algorithm 1 apps times through the Fig. 7 execution
 // policy, perturbing the pressure vector between applications (host-side
 // preparation of "a different pressure vector at every call"). It returns

@@ -115,10 +115,11 @@ func TestPerCellCounters(t *testing.T) {
 	if got := st.Flops / cells; got != FlopsPerCell {
 		t.Errorf("FLOPs/cell = %d, want %d", got, FlopsPerCell)
 	}
-	if got := (st.LoadWords + st.StoreWords) / cells; got != WordsPerCell {
-		t.Errorf("words/cell = %d, want %d", got, WordsPerCell)
+	// 2 own loads + 3 loads per face + 1 store.
+	if got, want := (st.LoadWords+st.StoreWords)/cells, uint64(2+3*10+1); got != want {
+		t.Errorf("words/cell = %d, want %d", got, want)
 	}
-	if ai := st.ArithmeticIntensity(); math.Abs(ai-2.11) > 0.05 {
+	if ai := float64(st.Flops) / float64(st.Bytes()); math.Abs(ai-2.11) > 0.05 {
 		t.Errorf("AI = %.3f, want ≈2.11 (§7.3)", ai)
 	}
 	if st.ExpCalls != 20*cells {

@@ -10,7 +10,6 @@ package mesh
 
 import (
 	"fmt"
-	"math"
 )
 
 // Direction enumerates the ten face directions of a cell: four cardinal
@@ -108,22 +107,8 @@ func (d Direction) IsDiagonal() bool {
 	return d == NorthWest || d == NorthEast || d == SouthWest || d == SouthEast
 }
 
-// IsCardinal reports whether d is one of the four in-plane cardinals.
-func (d Direction) IsCardinal() bool {
-	return d == West || d == East || d == North || d == South
-}
-
-// IsVertical reports whether d is Up or Down.
-func (d Direction) IsVertical() bool { return d == Up || d == Down }
-
-// CardinalDirections lists the in-plane cardinal directions in a fixed order.
-var CardinalDirections = [4]Direction{West, East, North, South}
-
 // DiagonalDirections lists the in-plane diagonal directions in a fixed order.
 var DiagonalDirections = [4]Direction{NorthWest, NorthEast, SouthWest, SouthEast}
-
-// VerticalDirections lists the two vertical directions.
-var VerticalDirections = [2]Direction{Down, Up}
 
 // AllDirections lists all ten directions in enum order.
 var AllDirections = [NumDirections]Direction{
@@ -215,15 +200,6 @@ func (m *Mesh) Index(x, y, z int) int {
 	return (z*m.Dims.Ny+y)*m.Dims.Nx + x
 }
 
-// Coords is the inverse of Index.
-func (m *Mesh) Coords(idx int) (x, y, z int) {
-	nx, ny := m.Dims.Nx, m.Dims.Ny
-	x = idx % nx
-	y = (idx / nx) % ny
-	z = idx / (nx * ny)
-	return x, y, z
-}
-
 // InBounds reports whether (x, y, z) is a valid cell coordinate.
 func (m *Mesh) InBounds(x, y, z int) bool {
 	return x >= 0 && x < m.Dims.Nx && y >= 0 && y < m.Dims.Ny && z >= 0 && z < m.Dims.Nz
@@ -240,19 +216,9 @@ func (m *Mesh) Neighbor(x, y, z int, d Direction) (int, bool) {
 	return m.Index(nx, ny, nz), true
 }
 
-// InteriorCell reports whether the cell has all ten neighbors.
-func (m *Mesh) InteriorCell(x, y, z int) bool {
-	return x > 0 && x < m.Dims.Nx-1 &&
-		y > 0 && y < m.Dims.Ny-1 &&
-		z > 0 && z < m.Dims.Nz-1
-}
-
 // Pressure32 returns the pressure field narrowed to float32 (fresh slice),
 // the form loaded into PE memories and GPU device memory.
 func (m *Mesh) Pressure32() []float32 { return to32(m.Pressure) }
-
-// Elev32 returns the elevation field narrowed to float32.
-func (m *Mesh) Elev32() []float32 { return to32(m.Elev) }
 
 // GravityElev32 returns g·z per cell in float32 — the "gravity coefficient"
 // the PEs exchange over the fabric (paper §5.1).
@@ -275,35 +241,6 @@ func to32(in []float64) []float32 {
 	return out
 }
 
-// CheckTransSymmetry verifies Trans[d][K] == Trans[opp(d)][L] for every
-// interior face and that boundary faces carry zero. It is used by tests and
-// by engines' option validation.
-func (m *Mesh) CheckTransSymmetry() error {
-	for _, d := range AllDirections {
-		opp := d.Opposite()
-		for z := 0; z < m.Dims.Nz; z++ {
-			for y := 0; y < m.Dims.Ny; y++ {
-				for x := 0; x < m.Dims.Nx; x++ {
-					k := m.Index(x, y, z)
-					l, ok := m.Neighbor(x, y, z, d)
-					if !ok {
-						if m.Trans[d][k] != 0 {
-							return fmt.Errorf("mesh: boundary face %s of cell (%d,%d,%d) has nonzero transmissibility %g",
-								d, x, y, z, m.Trans[d][k])
-						}
-						continue
-					}
-					if m.Trans[d][k] != m.Trans[opp][l] {
-						return fmt.Errorf("mesh: asymmetric transmissibility across %s face of (%d,%d,%d): %g vs %g",
-							d, x, y, z, m.Trans[d][k], m.Trans[opp][l])
-					}
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // TotalPoreVolume returns Σ φ·V over all cells (used by examples to report
 // storage capacity).
 func (m *Mesh) TotalPoreVolume() float64 {
@@ -313,15 +250,4 @@ func (m *Mesh) TotalPoreVolume() float64 {
 		sum += phi * v
 	}
 	return sum
-}
-
-// MaxAbsPressure returns max |p| over the field, a cheap sanity metric.
-func (m *Mesh) MaxAbsPressure() float64 {
-	mx := 0.0
-	for _, p := range m.Pressure {
-		if a := math.Abs(p); a > mx {
-			mx = a
-		}
-	}
-	return mx
 }

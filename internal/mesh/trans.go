@@ -91,47 +91,3 @@ func harmonicMean(a, b float64) float64 {
 	}
 	return 2 * a * b / (a + b)
 }
-
-// TransStats summarizes the transmissibility field for reports.
-type TransStats struct {
-	Min, Max, Mean float64
-	NonZeroFaces   int
-}
-
-// TransmissibilityStats computes summary statistics over all non-boundary
-// faces (counting each physical face once, from the lower-index side).
-func (m *Mesh) TransmissibilityStats() TransStats {
-	st := TransStats{Min: math.Inf(1), Max: math.Inf(-1)}
-	sum := 0.0
-	for z := 0; z < m.Dims.Nz; z++ {
-		for y := 0; y < m.Dims.Ny; y++ {
-			for x := 0; x < m.Dims.Nx; x++ {
-				k := m.Index(x, y, z)
-				for _, d := range AllDirections {
-					l, ok := m.Neighbor(x, y, z, d)
-					if !ok || l < k {
-						continue
-					}
-					t := m.Trans[d][k]
-					if t == 0 {
-						continue
-					}
-					st.NonZeroFaces++
-					sum += t
-					if t < st.Min {
-						st.Min = t
-					}
-					if t > st.Max {
-						st.Max = t
-					}
-				}
-			}
-		}
-	}
-	if st.NonZeroFaces > 0 {
-		st.Mean = sum / float64(st.NonZeroFaces)
-	} else {
-		st.Min, st.Max = 0, 0
-	}
-	return st
-}

@@ -6,8 +6,8 @@
 // tells us nothing about a wafer or a GPU. The models here are closed-form
 // expressions in the *measured counters* (bytes, words, issues, FLOPs) with
 // a handful of hardware constants calibrated once against the paper's §7
-// measurements. The calibration algebra and the paper-vs-model deltas are
-// recorded in EXPERIMENTS.md; the headline checks are:
+// measurements. This package's tests hold the model to the paper's Tables 1–3
+// and §7.2; the headline checks are:
 //
 //	CS-2  compute 62.4 µs/app  = 406 acc/cell × 4 B × 246 layers / 6.402 GB/s
 //	CS-2  comm    18.6 µs/app  = 4·Nz inbound words/link × 18.9 ns
@@ -44,7 +44,7 @@ type CS2Params struct {
 }
 
 // DefaultCS2 returns the constants calibrated against §7.2 (see the package
-// comment and EXPERIMENTS.md).
+// comment).
 func DefaultCS2() CS2Params {
 	return CS2Params{
 		MemBandwidth: 6.4023e9,

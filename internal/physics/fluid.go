@@ -18,11 +18,10 @@
 //
 // Two density models are provided: the exponential Eq. 5 and its
 // slight-compressibility linearization ρ ≈ ρref·(1 + cf·(p − pref)), which is
-// the form whose operation count matches the paper's Table 4 (see DESIGN.md §2).
+// the form whose operation count matches the paper's Table 4 (§5.3.3).
 package physics
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -101,10 +100,6 @@ func (f Fluid) Validate() error {
 	return nil
 }
 
-// ErrNonFiniteState is returned by checked evaluations when a pressure input
-// is NaN or infinite.
-var ErrNonFiniteState = errors.New("physics: non-finite pressure input")
-
 // Density evaluates ρ(p) with the configured model (Eq. 5 or its
 // linearization).
 func (f Fluid) Density(p float64) float64 {
@@ -114,14 +109,6 @@ func (f Fluid) Density(p float64) float64 {
 	default:
 		return f.RhoRef * math.Exp(f.Compressibility*(p-f.PRef))
 	}
-}
-
-// DensityChecked is Density with input validation, for host-facing APIs.
-func (f Fluid) DensityChecked(p float64) (float64, error) {
-	if math.IsNaN(p) || math.IsInf(p, 0) {
-		return 0, fmt.Errorf("%w: p=%v", ErrNonFiniteState, p)
-	}
-	return f.Density(p), nil
 }
 
 // Mobility evaluates λ(p) = ρ(p)/μ.
@@ -135,16 +122,14 @@ func (f Fluid) Mobility(p float64) float64 {
 //	ĉ = ρref·(1 − cf·pref)
 //
 // These are the constants the dataflow kernel bakes into its per-PE state
-// (DESIGN.md §4). The product cf·pref is rounded before the subtraction, so a
-// target that may fuse it (arm64's FMSUBD) bakes the same ĉ into every PE.
+// (dsd.FluxConsts, §5.3.3). The product cf·pref is rounded before the
+// subtraction, so a target that may fuse it (arm64's FMSUBD) bakes the same ĉ
+// into every PE.
 func (f Fluid) LinearCoefficients() (aHat, cHat float64) {
 	aHat = f.RhoRef * f.Compressibility
 	cHat = f.RhoRef * (1 - float64(f.Compressibility*f.PRef))
 	return aHat, cHat
 }
-
-// InvViscosity returns 1/μ, precomputed by kernels.
-func (f Fluid) InvViscosity() float64 { return 1 / f.Viscosity }
 
 // WithModel returns a copy of f using the given density model.
 func (f Fluid) WithModel(m DensityModel) Fluid {
@@ -157,7 +142,7 @@ func (f Fluid) WithModel(m DensityModel) Fluid {
 type Float32 struct {
 	AHat   float32 // ρref·cf
 	CHat   float32 // ρref(1 − cf·pref)
-	NegC   float32 // −ĉ (the kernel subtracts a negative constant, DESIGN.md §4)
+	NegC   float32 // −ĉ (the kernel subtracts a negative constant, dsd.FluxConsts)
 	InvMu  float32 // 1/μ
 	RhoRef float32
 	PRef   float32

@@ -1,7 +1,6 @@
 package physics
 
 import (
-	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -96,18 +95,6 @@ func TestMobilityIsDensityOverViscosity(t *testing.T) {
 	p := 2e7
 	if got, want := f.Mobility(p), f.Density(p)/f.Viscosity; got != want {
 		t.Errorf("Mobility = %g, want %g", got, want)
-	}
-}
-
-func TestDensityCheckedRejectsNonFinite(t *testing.T) {
-	f := testFluid()
-	for _, p := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if _, err := f.DensityChecked(p); !errors.Is(err, ErrNonFiniteState) {
-			t.Errorf("DensityChecked(%v): want ErrNonFiniteState, got %v", p, err)
-		}
-	}
-	if v, err := f.DensityChecked(f.PRef); err != nil || v != f.RhoRef {
-		t.Errorf("DensityChecked(pref) = %g, %v", v, err)
 	}
 }
 

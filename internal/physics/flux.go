@@ -20,24 +20,6 @@ func (f Fluid) FaceFlux(trans, pK, pL, zK, zL float64) float64 {
 	return trans * lambda * dPhi
 }
 
-// PotentialDifference evaluates ΔΦ_KL (Eq. 3b) in float64.
-func (f Fluid) PotentialDifference(pK, pL, zK, zL float64) float64 {
-	rhoAvg := 0.5 * (f.Density(pK) + f.Density(pL))
-	return pL - pK + rhoAvg*f.Gravity*(zL-zK)
-}
-
-// UpwindMobility evaluates λ_upw (Eq. 4) given a precomputed ΔΦ.
-func (f Fluid) UpwindMobility(dPhi, pK, pL float64) float64 {
-	if dPhi > 0 {
-		return f.Density(pK) / f.Viscosity
-	}
-	return f.Density(pL) / f.Viscosity
-}
-
-// FlopsPerFaceLinear is the floating-point operation count of one linearized
-// face-flux evaluation (FMA counted as 2 FLOPs), as in Table 4.
-const FlopsPerFaceLinear = 14
-
 // ExpFlopCost is the FLOP-equivalent cost assigned to one expf evaluation in
 // the GPU kernels' accounting (SFU range reduction + polynomial, profiler
 // convention). With this value the reference GPU kernel measures 28 FLOPs

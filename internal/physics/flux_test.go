@@ -85,15 +85,12 @@ func TestUpwindSelection(t *testing.T) {
 	f := testFluid()
 	f.Gravity = 0
 	pK, pL := 1.9e7, 2.0e7 // ΔΦ = pL − pK > 0 → upwind is K
-	dPhi := f.PotentialDifference(pK, pL, 0, 0)
-	if dPhi <= 0 {
-		t.Fatalf("setup wrong: dPhi = %g", dPhi)
+	if got, want := f.FaceFlux(1, pK, pL, 0, 0), f.Density(pK)/f.Viscosity*(pL-pK); got != want {
+		t.Errorf("flux = %g, want K-side mobility · ΔΦ = %g", got, want)
 	}
-	if got, want := f.UpwindMobility(dPhi, pK, pL), f.Density(pK)/f.Viscosity; got != want {
-		t.Errorf("upwind mobility = %g, want K-side %g", got, want)
-	}
-	if got, want := f.UpwindMobility(-dPhi, pK, pL), f.Density(pL)/f.Viscosity; got != want {
-		t.Errorf("downwind mobility = %g, want L-side %g", got, want)
+	// Swapped, ΔΦ < 0 and the upwind cell is the new L, the old K.
+	if got, want := f.FaceFlux(1, pL, pK, 0, 0), f.Density(pK)/f.Viscosity*(pK-pL); got != want {
+		t.Errorf("flux = %g, want L-side mobility · ΔΦ = %g", got, want)
 	}
 }
 
@@ -116,16 +113,13 @@ func TestPotentialDifferenceHydrostaticBalance(t *testing.T) {
 	p0 := 1e5
 	pK := p0 - f.RhoRef*f.Gravity*zK
 	pL := p0 - f.RhoRef*f.Gravity*zL
-	dPhi := f.PotentialDifference(pK, pL, zK, zL)
-	if math.Abs(dPhi) > 1e-6 {
+	// FaceFlux = Υ·λ·ΔΦ with Υ = 1, so ΔΦ = flux/λ.
+	if dPhi := f.FaceFlux(1, pK, pL, zK, zL) / f.Mobility(pK); math.Abs(dPhi) > 1e-6 {
 		t.Errorf("hydrostatic ΔΦ = %g, want ~0", dPhi)
 	}
 }
 
 func TestFlopConstants(t *testing.T) {
-	if FlopsPerFaceLinear != 14 {
-		t.Errorf("FlopsPerFaceLinear = %d, want 14 (Table 4)", FlopsPerFaceLinear)
-	}
 	if FlopsPerFaceExp != 16+2*ExpFlopCost {
 		t.Errorf("FlopsPerFaceExp inconsistent: %d", FlopsPerFaceExp)
 	}

@@ -64,34 +64,18 @@ func (f FaceSet) Directions() []mesh.Direction {
 // Options configures a reference run.
 type Options struct {
 	Faces FaceSet
-	// Workers sets the parallel fan-out of ComputeResidualParallel; zero
-	// means runtime.NumCPU().
+	// Workers sets the parallel fan-out of ComputeResidual; zero means
+	// runtime.NumCPU().
 	Workers int
 }
 
-// ComputeResidual runs one application of Algorithm 1 serially in float64.
-// The pressure input is the float32 device field (shared with the other
-// engines) widened internally. The returned residual has one entry per cell.
+// ComputeResidual runs one application of Algorithm 1 in float64, the outer
+// sweep split over Z slabs across a fixed worker pool. The pressure input is
+// the float32 device field (shared with the other engines) widened
+// internally. The returned residual has one entry per cell; each is produced
+// by exactly one worker, so no synchronization of the output is needed and
+// the result does not depend on the worker count.
 func ComputeResidual(m *mesh.Mesh, fl physics.Fluid, p []float32, opts Options) ([]float64, error) {
-	if err := validate(m, fl, p); err != nil {
-		return nil, err
-	}
-	res := make([]float64, m.Dims.Cells())
-	dirs := opts.Faces.Directions()
-	for z := 0; z < m.Dims.Nz; z++ {
-		for y := 0; y < m.Dims.Ny; y++ {
-			for x := 0; x < m.Dims.Nx; x++ {
-				res[m.Index(x, y, z)] = cellResidual(m, fl, p, x, y, z, dirs)
-			}
-		}
-	}
-	return res, nil
-}
-
-// ComputeResidualParallel is ComputeResidual with the outer sweep split over
-// Z slabs across a fixed worker pool. Each cell's residual is produced by
-// exactly one worker, so no synchronization of the output is needed.
-func ComputeResidualParallel(m *mesh.Mesh, fl physics.Fluid, p []float32, opts Options) ([]float64, error) {
 	if err := validate(m, fl, p); err != nil {
 		return nil, err
 	}
@@ -158,23 +142,12 @@ func Run(m *mesh.Mesh, fl physics.Fluid, p []float32, apps int, opts Options) ([
 		if app > 0 {
 			mesh.PerturbPressure32(p, app, mesh.PerturbAmplitude)
 		}
-		res, err = ComputeResidualParallel(m, fl, p, opts)
+		res, err = ComputeResidual(m, fl, p, opts)
 		if err != nil {
 			return nil, err
 		}
 	}
 	return res, nil
-}
-
-// SumResidual returns Σ residual — exactly zero in infinite precision for
-// no-flow boundaries (every interior face contributes antisymmetric terms);
-// in float64 it is zero to rounding. Tests assert this invariant.
-func SumResidual(res []float64) float64 {
-	s := 0.0
-	for _, r := range res {
-		s += r
-	}
-	return s
 }
 
 func validate(m *mesh.Mesh, fl physics.Fluid, p []float32) error {

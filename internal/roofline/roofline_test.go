@@ -164,38 +164,3 @@ func TestChartValidation(t *testing.T) {
 		t.Error("dot with unknown ceiling accepted")
 	}
 }
-
-func TestSweepGPU(t *testing.T) {
-	dev := gpusim.NewDevice(gpusim.A100())
-	res, err := SweepGPU(dev, 1<<16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) < 3 {
-		t.Errorf("sweep produced %d points", len(res.Points))
-	}
-	if res.Bandwidth != gpusim.A100().ERTBandwidth {
-		t.Error("sweep bandwidth not the calibrated ceiling")
-	}
-	for _, pt := range res.Points {
-		if pt.BytesMoved != uint64(12*pt.WorkingSetWords) {
-			t.Errorf("point %d: bytes %d, want %d", pt.WorkingSetWords, pt.BytesMoved, 12*pt.WorkingSetWords)
-		}
-	}
-	if _, err := SweepGPU(dev, 10); err == nil {
-		t.Error("tiny sweep accepted")
-	}
-}
-
-func TestSweepPE(t *testing.T) {
-	res, err := SweepPE(12288, perfmodel.DefaultCS2().MemBandwidth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 1 || res.Points[0].BytesMoved == 0 {
-		t.Errorf("PE sweep wrong: %+v", res)
-	}
-	if _, err := SweepPE(8, 1); err == nil {
-		t.Error("tiny PE sweep accepted")
-	}
-}

@@ -1,11 +1,8 @@
 // Package units provides the physical constants and unit-conversion helpers
 // used throughout the finite-volume flux computation. All internal math is in
-// SI units (Pa, m, s, kg); the helpers exist so that geomodel builders and
-// examples can speak in the field units common in reservoir engineering
-// (millidarcy, centipoise, bar).
+// SI units (Pa, m, s, kg); the geomodel builders quote permeability in
+// millidarcy, the field unit common in reservoir engineering.
 package units
-
-import "math"
 
 // Fundamental constants (SI).
 const (
@@ -18,19 +15,6 @@ const (
 
 	// MilliDarcy is 1 mD in m².
 	MilliDarcy = Darcy * 1e-3
-
-	// CentiPoise is 1 cP in Pa·s. Water is ~1 cP; supercritical CO2 is
-	// ~0.05–0.08 cP at storage conditions.
-	CentiPoise = 1e-3
-
-	// Bar is 1 bar in Pa.
-	Bar = 1e5
-
-	// MegaPascal is 1 MPa in Pa.
-	MegaPascal = 1e6
-
-	// PerPascal annotates compressibility values (1/Pa).
-	PerPascal = 1.0
 )
 
 // Byte-size helpers for the machine models.
@@ -43,50 +27,8 @@ const (
 // FromMilliDarcy converts a permeability in millidarcy to m².
 func FromMilliDarcy(md float64) float64 { return md * MilliDarcy }
 
-// ToMilliDarcy converts a permeability in m² to millidarcy.
-func ToMilliDarcy(m2 float64) float64 { return m2 / MilliDarcy }
-
-// FromBar converts a pressure in bar to Pa.
-func FromBar(bar float64) float64 { return bar * Bar }
-
-// ToBar converts a pressure in Pa to bar.
-func ToBar(pa float64) float64 { return pa / Bar }
-
-// FromCentiPoise converts a viscosity in cP to Pa·s.
-func FromCentiPoise(cp float64) float64 { return cp * CentiPoise }
-
 // HydrostaticPressure returns the pressure at depth z (m, positive down)
 // for a column of fluid with the given surface pressure and constant density.
 func HydrostaticPressure(surfacePa, density, depth float64) float64 {
 	return surfacePa + density*Gravity*depth
-}
-
-// ApproxEqual reports whether a and b agree to within the given relative
-// tolerance (with an absolute floor for values near zero).
-func ApproxEqual(a, b, relTol float64) bool {
-	diff := math.Abs(a - b)
-	if diff == 0 {
-		return true
-	}
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	if scale < 1e-300 {
-		return diff < relTol
-	}
-	return diff <= relTol*scale
-}
-
-// ApproxEqual32 is ApproxEqual for float32 operands, evaluated in float64.
-func ApproxEqual32(a, b float32, relTol float64) bool {
-	return ApproxEqual(float64(a), float64(b), relTol)
-}
-
-// ClampInt returns v limited to the closed interval [lo, hi].
-func ClampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

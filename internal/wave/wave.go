@@ -239,45 +239,3 @@ func maxAbsChecked(u []float32, step int) (float32, error) {
 	}
 	return mx, nil
 }
-
-// SimulateReference is the float64 gold stepper for accuracy bounds.
-func SimulateReference(m *Medium, opts Options) ([]float64, error) {
-	if err := m.validate(opts); err != nil {
-		return nil, err
-	}
-	n := m.Nx * m.Ny
-	a := make([]float64, n)
-	b := make([]float64, n)
-	c := make([]float64, n)
-	s := opts.Dt * opts.Dt / (m.Dx * m.Dx)
-	for i := 0; i < n; i++ {
-		vf2 := m.VFast[i] * m.VFast[i]
-		vs2 := m.VSlow[i] * m.VSlow[i]
-		cos, sin := math.Cos(m.Theta[i]), math.Sin(m.Theta[i])
-		a[i] = s * (vf2*cos*cos + vs2*sin*sin)
-		b[i] = s * (vf2*sin*sin + vs2*cos*cos)
-		c[i] = s * 2 * sin * cos * (vf2 - vs2) / 4
-	}
-	u := make([]float64, n)
-	uPrev := make([]float64, n)
-	uNext := make([]float64, n)
-	srcIdx := m.Index(opts.Source.X, opts.Source.Y)
-	for step := 0; step < opts.Steps; step++ {
-		t := float64(step) * opts.Dt
-		srcVal := opts.Dt * opts.Dt * opts.Source.Ricker(t)
-		for y := 1; y < m.Ny-1; y++ {
-			for x := 1; x < m.Nx-1; x++ {
-				i := m.Index(x, y)
-				lap := a[i]*(u[i+1]-2*u[i]+u[i-1]) +
-					b[i]*(u[i+m.Nx]-2*u[i]+u[i-m.Nx]) +
-					c[i]*((u[i+m.Nx+1]+u[i-m.Nx-1])-(u[i-m.Nx+1]+u[i+m.Nx-1]))
-				uNext[i] = 2*u[i] - uPrev[i] + lap
-				if i == srcIdx {
-					uNext[i] += srcVal
-				}
-			}
-		}
-		uPrev, u, uNext = u, uNext, uPrev
-	}
-	return u, nil
-}

@@ -63,7 +63,7 @@ func (s MachineSpec) CheckFabricFit(nx, ny int) error {
 // MaxNz returns the largest Z-column depth whose per-PE footprint
 // (wordsPerZ·Nz + fixedWords) fits the PE memory. The paper's 246-layer
 // limit on the largest mesh emerges from this bound with the flux kernel's
-// layout (see EXPERIMENTS.md).
+// layout (core's per-PE footprint, §5.3.1).
 func (s MachineSpec) MaxNz(wordsPerZ, fixedWords int) int {
 	if wordsPerZ <= 0 {
 		return 0
