@@ -1,10 +1,10 @@
 GO ?= go
 
 # The engine packages the race gate covers: the goroutine-per-PE fabric, the
-# serial flat engine, the sharded parallel flat engine, the vector ISA they
-# all execute, the shared shard-pool execution layer, the partitioned
-# unstructured engine built on it, the Krylov solvers that drive the
-# partitioned implicit path, the structured front end whose dataflow
+# sharded flat engine, the vector ISA they both execute, the shared
+# shard-pool execution layer, the partitioned unstructured engine built on
+# it, the Krylov solvers that drive the partitioned implicit path, the
+# structured front end whose dataflow
 # operator owns a compiled engine, the resident-engine serving layer that
 # multiplexes concurrent requests over those solvers, the open-loop
 # load generator that fires concurrent shot goroutines at it, and the
@@ -14,7 +14,7 @@ GO ?= go
 # result slices.
 RACE_PKGS = ./internal/core/ ./internal/fabric/ ./internal/dsd/ ./internal/exec/ ./internal/umesh/ ./internal/solver/ ./internal/sim/ ./internal/serve/ ./internal/loadgen/ ./internal/faultinject/ ./internal/wave/
 
-.PHONY: build cross-arm64 test test-v3 race size layers bce bench-selftest bench-layout ab bench-smoke bench-kernel bench-umesh bench-usolve chaos-smoke fuzz-smoke cover docs-check vet fmt-check ci
+.PHONY: build cross-arm64 test test-v3 race size layers bce bench-selftest bench-layout ab ab-all bench-smoke bench-kernel bench-umesh bench-usolve chaos-smoke fuzz-smoke cover docs-check vet fmt-check ci
 
 build:
 	$(GO) build ./...
@@ -110,6 +110,8 @@ race:
 # BENCH_CEILING for internal/bench, which holds
 # the paper's tables, Fig. 8 and the ablations and nothing that times this
 # host (2695 at PR 19 with the five wall-clock sweeps, 956 at PR 20 without).
+# It is 897 once every experiment runs on the fabric engine, with no engine
+# choice in Config and no host-time fields in Measurement.
 # STRUCT_CEILING holds internal/dsd + internal/core, the structured kernel and
 # its engines, assembly included (2204 with strided descriptors, the fast-path
 # toggle and core's op-by-op fallback; 1919 once a descriptor became a
@@ -125,7 +127,9 @@ race:
 # (+21), for an application a quarter faster that copies no neighbor
 # column; 1843 once the single-instruction ops only the op-by-op oracle runs
 # moved into its test file and the PE allocator became bump-only, with no
-# free list). FABRIC_CEILING holds
+# free list; 1780 once the flat engine's one application is FluxCell — the
+# FMOV exchange, the scalar application and RunFlat are gone, and the
+# comm-only and scalar builds run on the fabric engine only). FABRIC_CEILING holds
 # internal/fabric, the wavelet fabric under the structured engines (1072 with
 # a router goroutine per PE, its link and ramp channels, their drain at stop
 # and a 30-s receive timeout; 959 once a wavelet is routed to completion in
@@ -136,13 +140,15 @@ race:
 # (17568 before this ratchet, of which 287 assembly; 16590 once every exported
 # name needed a non-test caller — meshgen and its snapshot format, the ERT
 # sweep, the allocator's free list and the test-only API deleted, the oracles
-# moved into the tests that use them).
+# moved into the tests that use them; 16464 once the flat engine has one
+# application and the paper evaluation one engine, net of fvab's -workload
+# all).
 SIZE_CEILING = 4524
 SERVE_CEILING = 1819
-BENCH_CEILING = 956
-STRUCT_CEILING = 1843
+BENCH_CEILING = 897
+STRUCT_CEILING = 1780
 FABRIC_CEILING = 941
-MODULE_CEILING = 16590
+MODULE_CEILING = 16464
 size:
 	@set -e; \
 	for d in $$($(GO) list -f '{{.Dir}}' ./... | sed "s|^$$PWD/*||; s|^$$|.|"); do \
@@ -198,8 +204,8 @@ layers:
 #     operand; 33 with FluxFaceAcc; 32 until the single-instruction ops, whose
 #     reslices were half the sites, moved into the oracle's test file). The
 #     flat engine reads its neighbors' columns off the wire inside FluxCell —
-#     there is no FMOV copy on its hot path to keep check-free, only the
-#     scalar ablation's and CommOnly's.
+#     there is no FMOV copy on its path to keep check-free, only the fabric
+#     engine's receive.
 #   - internal/core/hostload.go is the tile-ordered host loader: its element
 #     loop keeps exactly one check (the column view's [z]; the mesh line is
 #     resliced per plane), the rest is per tile or per PE.
@@ -250,17 +256,24 @@ bench-layout:
 	echo "bench-layout: main.(*yardstick).run at 0x$$addr, $$((0x$$addr % 64)) mod 64"
 
 # The claim protocol as one command (cmd/fvab): builds the benchmark from
-# BASE (a git worktree under .bench_build/ab) and from the working tree with
-# run.sh's environment, prints both builds' yardstick offsets and stops with
-# exit status 2 when they differ, then runs N alternating pairs of workload W
-# (seeds 1…N, the first side alternating) and prints, per end-to-end metric,
-# both medians and quartiles, the k-of-N wins and the verdict against
-# BENCHMARK.json's bound; it exits 1 on a regression beyond a bound or a
-# larger share of failed operations. Not part of ci: a pair takes ~50 s.
+# BASE (a git worktree under .bench_build/ab) and from the working
+# tree with run.sh's environment, prints both builds' yardstick offsets and
+# stops with exit status 2 when they differ, then runs N alternating pairs of
+# workload W (seeds 1…N, the first side alternating) and prints, per
+# end-to-end metric, both medians and quartiles, the k-of-N wins and the
+# verdict against BENCHMARK.json's bound; it exits 1 on a regression beyond a
+# bound or a larger share of failed operations. ab-all does the same for
+# every BENCHMARK.json workload in file order on the one pair of builds,
+# one verdict table per workload, and exits 1 if any regressed. Not part of
+# ci: a pair takes ~50 s, so ab-all at N=10 takes about half an hour.
 N ?= 10
 ab:
 	@[ -n "$(BASE)" ] && [ -n "$(W)" ] || { echo "usage: make ab BASE=<rev> W=<workload> [N=10]"; exit 2; }
 	$(GO) run ./cmd/fvab -base $(BASE) -workload $(W) -n $(N)
+
+ab-all:
+	@[ -n "$(BASE)" ] || { echo "usage: make ab-all BASE=<rev> [N=10]"; exit 2; }
+	$(GO) run ./cmd/fvab -base $(BASE) -workload all -n $(N)
 
 # Exercise every benchmark once at reduced size — validates the harness
 # without paying full measurement cost (what CI runs). -run '^$$' skips the

@@ -24,11 +24,7 @@ import (
 )
 
 func benchCfg() bench.Config {
-	return bench.Config{
-		FuncDims:  mesh.Dims{Nx: 10, Ny: 8, Nz: 6},
-		FuncApps:  2,
-		UseFabric: true,
-	}
+	return bench.Config{FuncDims: mesh.Dims{Nx: 10, Ny: 8, Nz: 6}, FuncApps: 2}
 }
 
 func buildBenchMesh(b *testing.B, d mesh.Dims) *mesh.Mesh {

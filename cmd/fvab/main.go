@@ -1,23 +1,28 @@
 // Command fvab runs the claim protocol as one command. It builds the
 // repository benchmark (benchmark/) from a base revision and from the working
 // tree and checks that both builds put the yardstick's timed loop at the same
-// offset mod 64. Then it runs N alternating pairs of one workload and judges
-// every end-to-end metric against its bound in BENCHMARK.json.
+// offset mod 64. Then it runs N alternating pairs of one workload, or of
+// every workload in BENCHMARK.json's order with -workload all, and judges
+// every end-to-end metric against its bound in BENCHMARK.json, printing one
+// verdict table per workload.
 //
 // Usage:
 //
 //	fvab -base <rev> -workload <name> [-n 10]
+//	fvab -base <rev> -workload all [-n 10]
 //	make ab BASE=<rev> W=<workload> N=10
+//	make ab-all BASE=<rev> N=10
 //
 // The base is checked out as a detached git worktree under .bench_build/ab
 // (the revision must already be in .git) and removed afterwards. Both
-// binaries are built as benchmark/run.sh builds one, with its environment.
-// Pair i runs seed i with --trace 0 and BENCHMARK.json's run_seconds; the
-// base runs first in odd pairs and the working tree first in even ones.
+// binaries are built once, as benchmark/run.sh builds one, with its
+// environment. Pair i runs seed i with --trace 0 and BENCHMARK.json's
+// run_seconds; the base runs first in odd pairs and the working tree first in
+// even ones.
 //
 // Exit status:
-//   - 0 when no metric regressed beyond its bound and the change failed no
-//     larger share of operations;
+//   - 0 when no metric of any workload regressed beyond its bound and the
+//     change failed no larger share of operations;
 //   - 1 when one did, or on an error;
 //   - 2 when the two builds' yardstick offsets differ, before any pair runs,
 //     because their normalised metrics would not be comparable.
@@ -63,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var (
 		base     = fs.String("base", "", "git revision to compare the working tree against (required)")
-		workload = fs.String("workload", "", "benchmark workload, as BENCHMARK.json names it (required)")
+		workload = fs.String("workload", "", "benchmark workload, as BENCHMARK.json names it, or all (required)")
 		n        = fs.Int("n", 10, "alternating pairs to run, seeds 1…n")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -78,7 +83,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	root := strings.TrimSpace(top)
-	bounds, seconds, err := loadSpec(filepath.Join(root, "BENCHMARK.json"), *workload)
+	workloads, bounds, seconds, err := loadSpec(filepath.Join(root, "BENCHMARK.json"), *workload)
 	if err != nil {
 		return err
 	}
@@ -112,25 +117,45 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	fmt.Fprintf(stdout, "fvab: %s, %d alternating pairs at --seconds %d, base %s vs the working tree\n",
-		*workload, *n, seconds, *base)
-	var pairs []pair
-	for seed := 1; seed <= *n; seed++ {
-		order := []int{0, 1}
-		if seed%2 == 0 {
-			order = []int{1, 0}
-		}
-		var p pair
-		for _, k := range order {
-			r, err := sides[k].run(*workload, seed, seconds)
-			if err != nil {
-				return err
+		strings.Join(workloads, ", "), *n, seconds, *base)
+	return compare(stdout, workloads, bounds, *n, func(k int, workload string, seed int) (result, error) {
+		return sides[k].run(workload, seed, seconds)
+	})
+}
+
+// compare runs n alternating pairs of each workload in turn — run(k, …) runs
+// the base (k = 0) or the change (k = 1) — printing every pair and one
+// verdict table per workload. It returns errRegressed, naming the workloads,
+// when any of them regressed.
+func compare(w io.Writer, workloads []string, bounds []bound, n int, run func(k int, workload string, seed int) (result, error)) error {
+	var regressed []string
+	for _, wl := range workloads {
+		fmt.Fprintf(w, "%s:\n", wl)
+		var pairs []pair
+		for seed := 1; seed <= n; seed++ {
+			order, first := []int{0, 1}, "base"
+			if seed%2 == 0 {
+				order, first = []int{1, 0}, "change"
 			}
-			p[k] = r
+			var p pair
+			for _, k := range order {
+				r, err := run(k, wl, seed)
+				if err != nil {
+					return err
+				}
+				p[k] = r
+			}
+			fmt.Fprintf(w, "pair %2d (seed %d, %s first):%s\n", seed, seed, first, p.line(bounds))
+			pairs = append(pairs, p)
 		}
-		fmt.Fprintf(stdout, "pair %2d (seed %d, %s first):%s\n", seed, seed, sides[order[0]].name, p.line(bounds))
-		pairs = append(pairs, p)
+		if report(w, bounds, pairs) != nil {
+			regressed = append(regressed, wl)
+		}
 	}
-	return report(stdout, bounds, pairs)
+	if len(regressed) > 0 {
+		return fmt.Errorf("%w: %s", errRegressed, strings.Join(regressed, ", "))
+	}
+	return nil
 }
 
 // side is one build under comparison.
@@ -215,8 +240,9 @@ type bound struct {
 }
 
 // loadSpec reads BENCHMARK.json's end-to-end metrics and run length, and
-// checks that it declares the workload.
-func loadSpec(path, workload string) ([]bound, int, error) {
+// the workloads to compare: the named one, which it must declare, or for
+// "all" every one it declares, in its order.
+func loadSpec(path, workload string) ([]string, []bound, int, error) {
 	var s struct {
 		RunSeconds int `json:"run_seconds"`
 		Workloads  []struct {
@@ -226,27 +252,31 @@ func loadSpec(path, workload string) ([]bound, int, error) {
 	}
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
 	if err := json.Unmarshal(b, &s); err != nil {
-		return nil, 0, fmt.Errorf("%s: %w", path, err)
+		return nil, nil, 0, fmt.Errorf("%s: %w", path, err)
 	}
-	declared := false
+	var declared []string
 	for _, w := range s.Workloads {
-		declared = declared || w.Name == workload
+		declared = append(declared, w.Name)
 	}
-	if !declared {
-		return nil, 0, fmt.Errorf("%s declares no workload %q", path, workload)
+	workloads := declared
+	if workload != "all" {
+		if !slices.Contains(declared, workload) {
+			return nil, nil, 0, fmt.Errorf("%s declares no workload %q", path, workload)
+		}
+		workloads = []string{workload}
 	}
-	if len(s.EndToEnd) == 0 || s.RunSeconds < 1 {
-		return nil, 0, fmt.Errorf("%s lists no end-to-end metric or no run_seconds", path)
+	if len(workloads) == 0 || len(s.EndToEnd) == 0 || s.RunSeconds < 1 {
+		return nil, nil, 0, fmt.Errorf("%s lists no workload, no end-to-end metric or no run_seconds", path)
 	}
 	for _, m := range s.EndToEnd {
 		if m.Better != "lower" && m.Better != "higher" || m.Bound <= 0 {
-			return nil, 0, fmt.Errorf("%s: metric %q needs better lower|higher and a positive bound", path, m.Name)
+			return nil, nil, 0, fmt.Errorf("%s: metric %q needs better lower|higher and a positive bound", path, m.Name)
 		}
 	}
-	return s.EndToEnd, s.RunSeconds, nil
+	return workloads, s.EndToEnd, s.RunSeconds, nil
 }
 
 // result is a benchmark run's last output line.

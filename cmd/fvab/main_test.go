@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -148,6 +149,39 @@ func TestReportFailsOnALargerFailedShare(t *testing.T) {
 	}
 }
 
+// TestCompareRunsEveryWorkload: compare runs each workload's pairs in turn,
+// alternating which side goes first, prints one verdict table per workload
+// and names exactly the workload that regressed — after running the rest.
+func TestCompareRunsEveryWorkload(t *testing.T) {
+	var calls []string
+	run := func(k int, workload string, seed int) (result, error) {
+		calls = append(calls, fmt.Sprintf("%s/%d/%d", workload, seed, k))
+		opS := 0.033
+		if workload == "slow" && k == 1 {
+			opS *= 1.3
+		}
+		return parseResult([]byte(line(opS, 26.1, 0, 100)))
+	}
+	var out bytes.Buffer
+	err := compare(&out, []string{"steady", "slow", "last"}, testBounds, 2, run)
+	if !errors.Is(err, errRegressed) || !strings.HasSuffix(err.Error(), ": slow") {
+		t.Fatalf("compare = %v, want a regression naming slow only\n%s", err, out.String())
+	}
+	want := []string{"steady/1/0", "steady/1/1", "steady/2/1", "steady/2/0",
+		"slow/1/0", "slow/1/1", "slow/2/1", "slow/2/0", "last/1/0", "last/1/1", "last/2/1", "last/2/0"}
+	if !slices.Equal(calls, want) {
+		t.Errorf("runs %q, want %q", calls, want)
+	}
+	if n := strings.Count(out.String(), "verdict"); n != 3+2 {
+		t.Errorf("%d verdict lines and headers, want a table header per workload and two clean verdicts:\n%s", n, out.String())
+	}
+	for _, w := range []string{"steady:\n", "slow:\n", "last:\n"} {
+		if !strings.Contains(out.String(), w) {
+			t.Errorf("no %q heading:\n%s", w, out.String())
+		}
+	}
+}
+
 func TestSymbolAddr(t *testing.T) {
 	nm := "  4a3f20 T main.(*yardstick).run\n  4a3f00 T main.(*yardstick).runAll\n  5c0000 D main.x\n"
 	if addr, ok := symbolAddr(nm, "main.(*yardstick).run"); !ok || addr != 0x4a3f20 || addr%64 != 32 {
@@ -160,12 +194,17 @@ func TestSymbolAddr(t *testing.T) {
 
 // TestLoadSpecReadsTheRepositoryBenchmark: the repository's own
 // BENCHMARK.json parses, declares flux-structured, bounds op_s_p50 and sets
-// a run length; a workload it does not declare is an error.
+// a run length; "all" is its four workloads in file order; a workload it
+// does not declare is an error.
 func TestLoadSpecReadsTheRepositoryBenchmark(t *testing.T) {
 	path := filepath.Join("..", "..", "BENCHMARK.json")
-	bounds, seconds, err := loadSpec(path, "flux-structured")
-	if err != nil || seconds < 1 {
-		t.Fatalf("loadSpec: %d s, %v", seconds, err)
+	workloads, bounds, seconds, err := loadSpec(path, "flux-structured")
+	if err != nil || seconds < 1 || !slices.Equal(workloads, []string{"flux-structured"}) {
+		t.Fatalf("loadSpec: %q, %d s, %v", workloads, seconds, err)
+	}
+	all, _, _, err := loadSpec(path, "all")
+	if want := []string{"flux-structured", "usolve-jacobi-p4", "usolve-amg-p1", "serve-mixed"}; err != nil || !slices.Equal(all, want) {
+		t.Fatalf("loadSpec(all) = %q, %v; want %q", all, err, want)
 	}
 	found := false
 	for _, b := range bounds {
@@ -174,14 +213,14 @@ func TestLoadSpecReadsTheRepositoryBenchmark(t *testing.T) {
 	if !found {
 		t.Fatalf("no op_s_p50 bound in %+v", bounds)
 	}
-	if _, _, err := loadSpec(path, "no-such-workload"); err == nil {
+	if _, _, _, err := loadSpec(path, "no-such-workload"); err == nil {
 		t.Fatal("loadSpec accepted an undeclared workload")
 	}
 	bad := filepath.Join(t.TempDir(), "BENCHMARK.json")
 	if err := os.WriteFile(bad, []byte(`{"workloads":[{"name":"w"}],"run_seconds":16,"end_to_end":[{"name":"m","better":"up","bound":0.1}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := loadSpec(bad, "w"); err == nil {
+	if _, _, _, err := loadSpec(bad, "w"); err == nil {
 		t.Fatal("loadSpec accepted better \"up\"")
 	}
 }

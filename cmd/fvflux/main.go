@@ -6,8 +6,11 @@
 //
 //	fvflux -experiment all
 //	fvflux -experiment table1 -dims 16x12x10 -apps 3
-//	fvflux -experiment ablations -engine flat
-//	fvflux -experiment table2 -engine parallel -workers 8
+//	fvflux -experiment ablations -dims 4x4x246
+//
+// Every functional dataflow run is the wavelet-fabric engine
+// (core.RunFabric), the paper's modified builds included: the comm-only run
+// of Table 3 and the scalar kernel of the vectorization ablation.
 //
 // Host wall-clock is not measured here: end-to-end claims go through
 // benchmark/ (BENCHMARK.json), stage timings through `go test -bench` — see
@@ -53,8 +56,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		experiment = fs.String("experiment", "all", strings.Join(experiments, "|"))
 		dims       = fs.String("dims", "12x10x8", "functional mesh NxXNyXNz (Nx,Ny ≥ 3)")
 		apps       = fs.Int("apps", 2, "functional applications of Algorithm 1")
-		engine     = fs.String("engine", "fabric", "functional engine: fabric|flat|parallel")
-		workers    = fs.Int("workers", 0, "worker count for -engine parallel (0 = all CPUs)")
 		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile of the selected experiments to this path")
 		memprofile = fs.String("memprofile", "", "write a pprof heap profile taken after the selected experiments to this path")
 	)
@@ -97,23 +98,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	cfg := bench.Config{FuncDims: d, FuncApps: *apps}
-	switch *engine {
-	case "fabric":
-		cfg.UseFabric = true
-	case "flat":
-		cfg.UseFabric = false
-	case "parallel":
-		if *workers < 0 {
-			return fmt.Errorf("-workers must be non-negative, got %d", *workers)
-		}
-		cfg.UseFabric = false
-		cfg.Workers = *workers
-		if cfg.Workers == 0 {
-			cfg.Workers = runtime.NumCPU()
-		}
-	default:
-		return fmt.Errorf("unknown engine %q (want fabric, flat or parallel)", *engine)
-	}
 
 	var firstErr error
 	runExp := func(name string, fn func(bench.Config) error) {

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -22,9 +23,9 @@ func TestHelpReturnsErrHelp(t *testing.T) {
 	}
 }
 
-// TestRunCLIValidation is the table-driven CLI test of the satellite bugfix:
-// unknown -experiment and -engine values produce a usage error instead of
-// silently running a default.
+// TestRunCLIValidation is the table-driven CLI test: unknown -experiment
+// values produce a usage error instead of silently running a default, and
+// the engine flags are gone — every functional run is the fabric engine.
 func TestRunCLIValidation(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -33,8 +34,8 @@ func TestRunCLIValidation(t *testing.T) {
 	}{
 		{"unknown experiment", []string{"-experiment", "table9"}, "unknown experiment"},
 		{"empty experiment", []string{"-experiment", ""}, "unknown experiment"},
-		{"unknown engine", []string{"-experiment", "table1", "-engine", "tpu"}, "unknown engine"},
-		{"negative workers", []string{"-experiment", "table1", "-engine", "parallel", "-workers", "-2"}, "non-negative"},
+		{"removed engine flag", []string{"-experiment", "table1", "-engine", "flat"}, "flag provided but not defined"},
+		{"removed workers flag", []string{"-experiment", "table1", "-workers", "2"}, "flag provided but not defined"},
 		{"bad dims", []string{"-experiment", "table1", "-dims", "12x10"}, "dims"},
 		{"undefined flag", []string{"-bogus"}, "flag provided but not defined"},
 		{"unwritable cpuprofile", []string{"-experiment", "table1", "-cpuprofile", "/no/such/dir/prof.out"}, "cpuprofile"},
@@ -61,7 +62,7 @@ func TestRunTable1Small(t *testing.T) {
 		t.Skip("functional experiment in -short mode")
 	}
 	var stdout, stderr strings.Builder
-	if err := run([]string{"-experiment", "table1", "-engine", "flat", "-dims", "4x4x2", "-apps", "1"}, &stdout, &stderr); err != nil {
+	if err := run([]string{"-experiment", "table1", "-dims", "4x4x2", "-apps", "1"}, &stdout, &stderr); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(stdout.String(), "==== table1 ====") {
@@ -77,7 +78,7 @@ func TestRunCPUProfile(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "cpu.pprof")
 	var stdout, stderr strings.Builder
-	if err := run([]string{"-experiment", "table1", "-engine", "flat", "-dims", "4x4x2", "-apps", "1", "-cpuprofile", path}, &stdout, &stderr); err != nil {
+	if err := run([]string{"-experiment", "table1", "-dims", "4x4x2", "-apps", "1", "-cpuprofile", path}, &stdout, &stderr); err != nil {
 		t.Fatal(err)
 	}
 	info, err := os.Stat(path)
@@ -97,7 +98,7 @@ func TestRunMemProfile(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "heap.pprof")
 	var stdout, stderr strings.Builder
-	if err := run([]string{"-experiment", "table1", "-engine", "flat", "-dims", "4x4x2", "-apps", "1", "-memprofile", path}, &stdout, &stderr); err != nil {
+	if err := run([]string{"-experiment", "table1", "-dims", "4x4x2", "-apps", "1", "-memprofile", path}, &stdout, &stderr); err != nil {
 		t.Fatal(err)
 	}
 	info, err := os.Stat(path)
@@ -106,5 +107,36 @@ func TestRunMemProfile(t *testing.T) {
 	}
 	if info.Size() == 0 {
 		t.Error("heap profile file is empty")
+	}
+}
+
+// TestExperimentAllMatchesGolden pins every number the paper evaluation
+// prints — Tables 1–4, Fig. 8 and the ablations at the default functional
+// mesh — byte for byte against testdata/all.golden. The golden is amd64's:
+// on arm64 Go may contract products into fused multiply-adds in the GPU
+// twin's kernels.fluxCell (Table 1's functional-validation line), in
+// perfmodel.CS2Params.Project (every CS-2 model figure) and in
+// roofline.Chart (where Fig. 8 plots its dots), so the test runs on amd64
+// only.
+func TestExperimentAllMatchesGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("the golden output is amd64's, this is %s", runtime.GOARCH)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "all.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr strings.Builder
+	if err := run([]string{"-experiment", "all"}, &stdout, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	if got := stdout.String(); got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := range min(len(gl), len(wl)) {
+			if gl[i] != wl[i] {
+				t.Fatalf("line %d differs from the golden:\ngot  %q\nwant %q", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("output has %d lines, the golden %d", len(gl), len(wl))
 	}
 }

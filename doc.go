@@ -10,11 +10,12 @@
 //	go build ./...
 //	go test ./...
 //
-// Three bit-identical engines execute the dataflow schedule: the
-// goroutine-per-PE fabric simulator (massivefv.RunDataflow), the serial flat
-// engine (massivefv.RunDataflowFlat), and the sharded multi-core flat engine
-// (massivefv.RunFlatParallel — worker count 0 means runtime.NumCPU(); the
-// fvflux and fvsim commands expose it as -workers).
+// Two bit-identical engines execute the dataflow schedule: the
+// goroutine-per-PE fabric simulator (massivefv.RunDataflow,
+// RunDataflowOpts), which also runs the paper's comm-only and scalar builds,
+// and the flat engine (massivefv.RunFlatParallelOpts — Options.Workers row
+// bands on a worker pool, 0 meaning runtime.NumCPU(); fvsim exposes it as
+// -workers), which runs the vectorized kernel only.
 //
 // The partitioned runtimes share one execution layer, internal/exec: a pool
 // of persistent workers dispatching barriered phases over integer shards.
@@ -26,8 +27,7 @@
 // communication counters, bit-identical to the serial cell-based sweep
 // (massivefv.RunUnstructured), and umesh.PartOperator below.
 //
-// The two flat entries are one engine, core.Engine, in the paper's execution
-// model: Compile once (arena, PE layout, static columns, worker pool), then
+// The flat engine is core.Engine, in the paper's execution model: Compile once (arena, PE layout, static columns, worker pool), then
 // LoadPressure, Apply(n) and Residual on data that stays on the PEs.
 //
 // The §8 matrix-free Krylov extension runs on both mesh families, through

@@ -29,7 +29,7 @@ func main() {
 
 	// Flat dataflow engine: identical numerics to the fabric engine, fast
 	// enough for this mesh size.
-	df, err := massivefv.RunDataflowFlat(m, fl, apps)
+	df, err := massivefv.RunFlatParallelOpts(m, fl, massivefv.DefaultOptions(apps))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func main() {
 
 	// Verify against the flat engine (which reads neighbors directly): if
 	// any relay delivered the wrong column, the residuals would differ.
-	res2, err := core.RunFlat(m, fl, core.DefaultOptions(1))
+	res2, err := core.RunFlatParallel(m, fl, core.DefaultOptions(1))
 	if err != nil {
 		log.Fatal(err)
 	}

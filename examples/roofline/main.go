@@ -13,11 +13,7 @@ import (
 )
 
 func main() {
-	cfg := bench.Config{
-		FuncDims:  mesh.Dims{Nx: 10, Ny: 8, Nz: 6},
-		FuncApps:  2,
-		UseFabric: true,
-	}
+	cfg := bench.Config{FuncDims: mesh.Dims{Nx: 10, Ny: 8, Nz: 6}, FuncApps: 2}
 	fig, err := bench.RunFig8(cfg)
 	if err != nil {
 		log.Fatal(err)

@@ -32,7 +32,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts.UseFabric = true
+	opts.Fabric = true
 	fab, err := massivefv.SimulateWave(med, opts)
 	if err != nil {
 		log.Fatal(err)

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/gpusim"
@@ -16,76 +15,31 @@ import (
 
 // Config sizes the functional measurement runs that feed the projections.
 // The counters the model consumes are per-cell and deterministic, so a
-// reduced functional mesh measures them exactly; the harness also reports
-// host wall-clock for the simulators themselves.
+// reduced functional mesh measures them exactly. Every dataflow run is
+// core.RunFabric, the functional twin of the paper's CSL implementation,
+// which also runs its modified builds (comm-only, scalar kernel).
 type Config struct {
 	// FuncDims is the functional mesh (fabric engine + GPU simulator).
 	// Needs Nx, Ny ≥ 3 so an interior PE exists.
 	FuncDims mesh.Dims
 	// FuncApps is the functional application count.
 	FuncApps int
-	// UseFabric selects the goroutine-per-PE engine (default); false uses
-	// the flat engine (bit-identical, faster for big functional meshes).
-	UseFabric bool
-	// Workers > 1 selects the sharded parallel flat engine with that worker
-	// count wherever the flat schedule runs: the dataflow measurement when
-	// UseFabric is false, and the always-flat experiments (e.g. the
-	// vectorization ablation) regardless of UseFabric. Results are
-	// bit-identical to the serial flat engine.
-	Workers int
-	// Fluid overrides the default CO2 fluid when non-nil.
-	Fluid *physics.Fluid
 }
 
 // DefaultConfig returns the standard functional sizing.
 func DefaultConfig() Config {
-	return Config{
-		FuncDims:  mesh.Dims{Nx: 12, Ny: 10, Nz: 8},
-		FuncApps:  2,
-		UseFabric: true,
-	}
+	return Config{FuncDims: mesh.Dims{Nx: 12, Ny: 10, Nz: 8}, FuncApps: 2}
 }
 
 func (c Config) withDefaults() Config {
 	d := DefaultConfig()
 	if c.FuncDims == (mesh.Dims{}) {
 		c.FuncDims = d.FuncDims
-		c.UseFabric = true
 	}
 	if c.FuncApps == 0 {
 		c.FuncApps = d.FuncApps
 	}
 	return c
-}
-
-func (c Config) fluid() physics.Fluid {
-	if c.Fluid != nil {
-		return *c.Fluid
-	}
-	return physics.DefaultFluid()
-}
-
-// engineRun returns the configured functional dataflow engine: fabric,
-// serial flat, or the sharded parallel flat engine. All three are
-// bit-identical, so the choice only affects host wall-clock.
-func (c Config) engineRun() func(*mesh.Mesh, physics.Fluid, core.Options) (*core.Result, error) {
-	if c.UseFabric {
-		return core.RunFabric
-	}
-	return c.flatRun()
-}
-
-// flatRun returns the serial or sharded flat engine per c.Workers,
-// regardless of UseFabric — for experiments that need the flat schedule's
-// host speed (e.g. the scalar-kernel ablation).
-func (c Config) flatRun() func(*mesh.Mesh, physics.Fluid, core.Options) (*core.Result, error) {
-	if c.Workers > 1 {
-		return func(m *mesh.Mesh, fl physics.Fluid, o core.Options) (*core.Result, error) {
-			o.Workers = c.Workers
-			return core.RunFlatParallel(m, fl, o)
-		}
-	}
-	return core.RunFlat
 }
 
 // Measurement is the outcome of the functional runs: counters for the model
@@ -108,10 +62,6 @@ type Measurement struct {
 	GPUMaxRelErr float64
 	// Occupancy is the modeled occupancy of the 16×8×8 launch.
 	Occupancy gpusim.Occupancy
-
-	// Host wall-clock of the functional simulators (not hardware numbers).
-	DataflowHostTime time.Duration
-	GPUHostTime      time.Duration
 }
 
 // Measure runs the functional experiments once and validates them.
@@ -124,17 +74,15 @@ func Measure(cfg Config) (*Measurement, error) {
 	if err != nil {
 		return nil, err
 	}
-	fl := cfg.fluid()
+	fl := physics.DefaultFluid()
 
 	meas := &Measurement{Dims: cfg.FuncDims, Apps: cfg.FuncApps}
 
 	// Dataflow functional run.
-	opts := core.DefaultOptions(cfg.FuncApps)
-	meas.Dataflow, err = cfg.engineRun()(m, fl, opts)
+	meas.Dataflow, err = core.RunFabric(m, fl, core.DefaultOptions(cfg.FuncApps))
 	if err != nil {
 		return nil, fmt.Errorf("bench: dataflow run: %w", err)
 	}
-	meas.DataflowHostTime = meas.Dataflow.Elapsed
 	if meas.Dataflow.Interior == nil {
 		return nil, fmt.Errorf("bench: no interior PE measured on %v", cfg.FuncDims)
 	}
@@ -147,7 +95,6 @@ func Measure(cfg Config) (*Measurement, error) {
 	meas.DataflowMaxRelErr = maxRelErr(meas.Dataflow.Residual, ref)
 
 	// GPU functional runs (fresh meshes: pressure is perturbed in place).
-	gpuStart := time.Now()
 	rajaRes, rajaStats, err := runGPU(cfg, fl, perfmodel.VariantRAJA)
 	if err != nil {
 		return nil, err
@@ -156,7 +103,6 @@ func Measure(cfg Config) (*Measurement, error) {
 	if err != nil {
 		return nil, err
 	}
-	meas.GPUHostTime = time.Since(gpuStart)
 	meas.RAJAStats, meas.CUDAStats = rajaStats, cudaStats
 	m2, err := mesh.BuildDefault(cfg.FuncDims)
 	if err != nil {

@@ -36,8 +36,6 @@ func (t *Table1) Render(w io.Writer) error {
 	fmt.Fprintf(tw, "Energy ratio vs RAJA\t%.1fx (paper)\t%.2fx (model)\t\n", PaperHeadline.EnergyRatio, t.EnergyRatio)
 	fmt.Fprintf(tw, "\nFunctional validation (mesh %v, %d apps): dataflow max rel err %.2e, GPU max rel err %.2e\n",
 		t.Meas.Dims, t.Meas.Apps, t.Meas.DataflowMaxRelErr, t.Meas.GPUMaxRelErr)
-	fmt.Fprintf(tw, "Host simulator time: dataflow %v, GPU %v (functional twins, not hardware)\n",
-		t.Meas.DataflowHostTime.Round(1000), t.Meas.GPUHostTime.Round(1000))
 	return tw.Flush()
 }
 

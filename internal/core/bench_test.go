@@ -9,10 +9,9 @@ import (
 )
 
 // BenchmarkKernel* covers the engine hot path above the dsd ops: the 14-FLOP
-// faceFlux kernel, the zero-allocation halo exchange of the scalar and
-// comm-only paths, a full per-PE vectorized application, the whole flat
-// engine on the scaling workload's shape, the engine's four stages on the
-// repository benchmark's mesh, and the wavelet fabric engine on the
+// faceFlux kernel, a full per-PE application (halo exchange included), the
+// whole flat engine on the scaling workload's shape, the engine's four stages
+// on the repository benchmark's mesh, and the wavelet fabric engine on the
 // benchmark's fabric-probe mesh.
 
 // benchStates compiles a small mesh with the default options, loads its
@@ -47,21 +46,6 @@ func BenchmarkKernelFaceFlux(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelExchange measures one PE's full halo exchange as the
-// scalar ablation and CommOnly run it: eight neighbor columns FMOV-copied
-// into the receive buffers, no allocation. The vectorized application reads
-// the same columns off the wire instead (BenchmarkKernelLocalApplication).
-func BenchmarkKernelExchange(b *testing.B) {
-	states, m, _ := benchStates(b, mesh.Dims{Nx: 3, Ny: 3, Nz: 246}, 1)
-	s := &states[1*m.Dims.Nx+1]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := flatExchange(states, s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkKernelLocalApplication measures one interior PE's complete
 // vectorized application as the flat engine runs it: one FluxCell over ten
 // faces, eight of them read off the neighbors' send columns — exchange,
@@ -77,7 +61,7 @@ func BenchmarkKernelLocalApplication(b *testing.B) {
 
 // BenchmarkKernelFlatEngine measures the whole flat engine on the
 // strong-scaling workload shape (shrunk under -short for CI's smoke run) at
-// one and two workers: workers=1 is RunFlat's single inline band, workers=2
+// one and two workers: workers=1 is the single inline band, workers=2
 // the sharded pool, so `-cpu 1,2 -count 10` on this benchmark is the
 // strong-scaling measurement of the structured engine.
 func BenchmarkKernelFlatEngine(b *testing.B) {

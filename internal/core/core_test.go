@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -25,7 +26,7 @@ func TestFlatMatchesReference(t *testing.T) {
 	// with the float64 reference (same density model) to float32 tolerance.
 	m := testMesh(t, mesh.Dims{Nx: 8, Ny: 7, Nz: 6})
 	fl := physics.DefaultFluid()
-	res, err := RunFlat(m, fl, DefaultOptions(1))
+	res, err := runFlat(m, fl, DefaultOptions(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,13 +64,21 @@ func assertResidualsClose(t *testing.T, got []float32, want []float64, tol float
 	}
 }
 
+// runFlat is the flat engine at one worker: a single band, every phase run
+// inline on the calling goroutine.
+func runFlat(m *mesh.Mesh, fl physics.Fluid, opts Options) (*Result, error) {
+	opts.Workers = 1
+	return RunFlatParallel(m, fl, opts)
+}
+
 // TestFabricMatchesFlatBitExact holds two independent executions of the
 // kernel to each other under every ablation: the flat engine, which reads
 // the in-plane columns off the wire and sums the faces in a register
 // (FluxCell), and the fabric engine, which stores every flux column in fbuf
 // in arrival order (FluxFace) and assembles afterwards — every residual bit
-// and the whole Counters struct. Nz = 4 is all kernel tail; Nz = 13 is one 8-lane step of
-// the kernel's vector body plus a 5-element tail, where the host has one.
+// and the whole Counters struct. Nz = 4 is all kernel tail; Nz = 13 is one
+// 8-lane step of the kernel's vector body plus a 5-element tail, where the
+// host has one.
 func TestFabricMatchesFlatBitExact(t *testing.T) {
 	for _, nz := range []int{4, 13} {
 		prefix := ""
@@ -81,7 +90,10 @@ func TestFabricMatchesFlatBitExact(t *testing.T) {
 }
 
 // fabricMatchesFlat runs TestFabricMatchesFlatBitExact's variants on m as
-// subtests named prefix + variant/apps.
+// subtests named prefix + variant/apps. The scalar and comm-only builds run
+// on the fabric engine only and are held to the flat engine's default run:
+// the scalar residual bit for bit, with every counter but Issues equal; the
+// comm-only residual all zero, with no FLOP and the same fabric words.
 func fabricMatchesFlat(t *testing.T, m *mesh.Mesh, prefix string) {
 	fl := physics.DefaultFluid()
 	variants := []struct {
@@ -99,21 +111,41 @@ func fabricMatchesFlat(t *testing.T, m *mesh.Mesh, prefix string) {
 			t.Run(fmt.Sprintf("%s%s/apps=%d", prefix, v.name, apps), func(t *testing.T) {
 				opts := DefaultOptions(apps)
 				v.modify(&opts)
-				flat, err := RunFlat(m, fl, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
 				fab, err := RunFabric(m, fl, opts)
 				if err != nil {
 					t.Fatal(err)
+				}
+				opts.CommOnly, opts.Vectorized = false, true
+				flat, err := runFlat(m, fl, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if v.name == "comm-only" {
+					for i, r := range fab.Residual {
+						if r != 0 {
+							t.Fatalf("comm-only residual[%d] = %g, want 0", i, r)
+						}
+					}
+					if fab.Counters.Flops() != 0 || fab.Counters.FabricLoads != flat.Counters.FabricLoads {
+						t.Errorf("comm-only: %d FLOPs, %d fabric words; want 0 and the full run's %d",
+							fab.Counters.Flops(), fab.Counters.FabricLoads, flat.Counters.FabricLoads)
+					}
+					return
 				}
 				for i := range flat.Residual {
 					if math.Float32bits(flat.Residual[i]) != math.Float32bits(fab.Residual[i]) {
 						t.Fatalf("residual[%d] differs: flat %g vs fabric %g", i, flat.Residual[i], fab.Residual[i])
 					}
 				}
-				if flat.Counters != fab.Counters {
-					t.Errorf("counters differ:\nflat   %+v\nfabric %+v", flat.Counters, fab.Counters)
+				want, got := flat.Counters, fab.Counters
+				if v.name == "scalar" {
+					if got.Issues <= want.Issues {
+						t.Errorf("scalar issues %d not above vectorized %d", got.Issues, want.Issues)
+					}
+					got.Issues = want.Issues
+				}
+				if got != want {
+					t.Errorf("counters differ:\nflat   %+v\nfabric %+v", want, got)
 				}
 			})
 		}
@@ -178,7 +210,7 @@ func TestTable4PerCellCounts(t *testing.T) {
 
 func TestMassConservation(t *testing.T) {
 	m := testMesh(t, mesh.Dims{Nx: 6, Ny: 6, Nz: 5})
-	res, err := RunFlat(m, physics.DefaultFluid(), DefaultOptions(1))
+	res, err := runFlat(m, physics.DefaultFluid(), DefaultOptions(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,21 +282,22 @@ func TestDiagonalsOffAblation(t *testing.T) {
 // TestScalarAblationBitIdentical: the scalar ablation issues every op on
 // single elements, so it streams every face through the kernel's Go
 // spelling, fluxElem; the vectorized run takes whole columns through the
-// vector body where the host has one. Their residuals agree bit for bit at
-// depths that are all tail (4, 5), exactly one 8-lane step (8), a step and
-// a tail (13) and the paper's depth (246).
+// vector body where the host has one. Both run on the fabric engine, and
+// their residuals agree bit for bit at depths that are all tail (4, 5),
+// exactly one 8-lane step (8), a step and a tail (13) and the paper's depth
+// (246).
 func TestScalarAblationBitIdentical(t *testing.T) {
 	fl := physics.DefaultFluid()
 	for _, d := range []mesh.Dims{{Nx: 4, Ny: 4, Nz: 4}, {Nx: 4, Ny: 4, Nz: 5}, {Nx: 4, Ny: 4, Nz: 8}, {Nx: 4, Ny: 4, Nz: 13}, {Nx: 3, Ny: 3, Nz: 246}} {
 		t.Run(fmt.Sprintf("nz=%d", d.Nz), func(t *testing.T) {
 			m := testMesh(t, d)
 			opts := DefaultOptions(2)
-			vec, err := RunFlat(m, fl, opts)
+			vec, err := RunFabric(m, fl, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			opts.Vectorized = false
-			sc, err := RunFlat(m, fl, opts)
+			sc, err := RunFabric(m, fl, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -288,13 +321,13 @@ func TestScalarAblationBitIdentical(t *testing.T) {
 func TestBufferReuseAblation(t *testing.T) {
 	m := testMesh(t, mesh.Dims{Nx: 4, Ny: 4, Nz: 6})
 	fl := physics.DefaultFluid()
-	reuse, err := RunFlat(m, fl, DefaultOptions(1))
+	reuse, err := runFlat(m, fl, DefaultOptions(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions(1)
 	opts.BufferReuse = false
-	naive, err := RunFlat(m, fl, opts)
+	naive, err := runFlat(m, fl, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +369,7 @@ func TestOutOfMemoryInjection(t *testing.T) {
 	m := testMesh(t, mesh.Dims{Nx: 3, Ny: 3, Nz: 64})
 	opts := DefaultOptions(1)
 	opts.MemWords = 512 // far below 44·64
-	_, err := RunFlat(m, physics.DefaultFluid(), opts)
+	_, err := runFlat(m, physics.DefaultFluid(), opts)
 	if err == nil || !strings.Contains(err.Error(), "out of PE memory") {
 		t.Fatalf("want out-of-memory error, got %v", err)
 	}
@@ -346,15 +379,41 @@ func TestOutOfMemoryInjection(t *testing.T) {
 	}
 }
 
+// TestFlatEngineRejectsFabricOnlyBuilds: the paper's comm-only and scalar
+// builds, and the zero Options that leaves Vectorized off, are the fabric
+// engine's; Compile and RunFlatParallel name RunFabric instead of running
+// them.
+func TestFlatEngineRejectsFabricOnlyBuilds(t *testing.T) {
+	m := testMesh(t, mesh.Dims{Nx: 3, Ny: 3, Nz: 3})
+	fl := physics.DefaultFluid()
+	commOnly, scalar := DefaultOptions(1), DefaultOptions(1)
+	commOnly.CommOnly = true
+	scalar.Vectorized = false
+	for name, opts := range map[string]Options{"comm-only": commOnly, "scalar": scalar, "zero": {Apps: 1}} {
+		if e, err := Compile(m, fl, opts); !errors.Is(err, errFabricOnly) {
+			if e != nil {
+				e.Close()
+			}
+			t.Errorf("%s: Compile error %v, want %v", name, err, errFabricOnly)
+		}
+		if _, err := RunFlatParallel(m, fl, opts); !errors.Is(err, errFabricOnly) {
+			t.Errorf("%s: RunFlatParallel error %v, want %v", name, err, errFabricOnly)
+		}
+		if _, err := RunFabric(m, fl, opts); err != nil {
+			t.Errorf("%s: RunFabric: %v", name, err)
+		}
+	}
+}
+
 func TestOptionValidation(t *testing.T) {
 	m := testMesh(t, mesh.Dims{Nx: 3, Ny: 3, Nz: 3})
-	if _, err := RunFlat(m, physics.DefaultFluid(), Options{Apps: 0}); err == nil {
-		t.Error("apps=0 accepted")
+	if _, err := runFlat(m, physics.DefaultFluid(), DefaultOptions(0)); err == nil || !strings.Contains(err.Error(), "applications") {
+		t.Errorf("apps=0 accepted: err = %v", err)
 	}
 	bad := physics.DefaultFluid()
 	bad.Viscosity = 0
-	if _, err := RunFlat(m, bad, DefaultOptions(1)); err == nil {
-		t.Error("invalid fluid accepted")
+	if _, err := runFlat(m, bad, DefaultOptions(1)); err == nil || !strings.Contains(err.Error(), "viscosity") {
+		t.Errorf("invalid fluid accepted: err = %v", err)
 	}
 }
 

@@ -24,7 +24,7 @@ func subCounters(a, b dsd.Counters) dsd.Counters {
 }
 
 // TestEngineReuseBitIdentical: one Compile followed by k × {LoadPressure,
-// Apply} is k fresh RunFlat runs — residual bits, the counters each run adds,
+// Apply} is k fresh runFlat runs — residual bits, the counters each run adds,
 // the allocator report — for every worker count, with and without
 // diagonals. (core is in the race gate, so the reuse also runs under -race.)
 func TestEngineReuseBitIdentical(t *testing.T) {
@@ -49,7 +49,7 @@ func TestEngineReuseBitIdentical(t *testing.T) {
 					for i, p := range m.Pressure {
 						view.Pressure[i] = p + 3e4*math.Sin(float64(i+11*k)*0.21)
 					}
-					fresh, err := RunFlat(&view, fl, withApps(opts, k+1))
+					fresh, err := runFlat(&view, fl, withApps(opts, k+1))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -88,7 +88,7 @@ func withApps(o Options, apps int) Options {
 func TestEngineSplitApplyContinuesTheSequence(t *testing.T) {
 	fl := physics.DefaultFluid()
 	m := testMesh(t, mesh.Dims{Nx: 4, Ny: 3, Nz: 4})
-	whole, err := RunFlat(m, fl, DefaultOptions(5))
+	whole, err := runFlat(m, fl, DefaultOptions(5))
 	if err != nil {
 		t.Fatal(err)
 	}

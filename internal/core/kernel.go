@@ -23,8 +23,9 @@ func (s *peState) faceFlux(dst, tr, pK, gzK, pL, gzL dsd.Desc) {
 		e.FluxFace(dst, tr, pK, gzK, pL, gzL, c)
 		return
 	}
-	// Scalar ablation: one issue per element per op (§5.3.3 in reverse),
-	// through single-element subviews of the same buffers.
+	// Scalar ablation (fabric engine only): one issue per element per op
+	// (§5.3.3 in reverse), through single-element subviews of the same
+	// buffers.
 	for z := 0; z < dst.Len; z++ {
 		e.FluxFace(dst.MustSlice(z, 1), tr.MustSlice(z, 1), pK.MustSlice(z, 1),
 			gzK.MustSlice(z, 1), pL.MustSlice(z, 1), gzL.MustSlice(z, 1), c)
@@ -76,7 +77,7 @@ func (s *peState) assemble() {
 	}
 }
 
-// applyCell is the flat engine's vectorized application: one dsd.FluxCell
+// applyCell is the flat engine's application: one dsd.FluxCell
 // over the faces in assembly order, each in-plane neighbor's column read off
 // its send column (the wire the FMOV receive copies from) and a missing
 // neighbor's off the mirror buffers. It counts and yields what receive,
@@ -96,17 +97,4 @@ func (s *peState) applyCell(states []peState) {
 		k++
 	}
 	s.eng.FluxCell(s.res, s.p, s.gz, faces[:k], s.consts)
-}
-
-// runScalarApplication is the scalar ablation's application once the
-// exchange has filled the receive buffers: the fabric engine's, with every
-// face evaluated into fbuf[d] (per-element issues) before the assembly.
-func (s *peState) runScalarApplication() {
-	s.eng.Fill(s.res, 0)
-	for _, d := range assemblyOrder {
-		if s.opts.Diagonals || !d.IsDiagonal() {
-			s.computeFace(d)
-		}
-	}
-	s.assemble()
 }

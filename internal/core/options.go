@@ -13,15 +13,16 @@
 //     internal/fabric simulator with real wavelet traffic — the functional
 //     twin of the CSL implementation, and the independent oracle;
 //   - the flat engine (Engine: Compile, LoadPressure, Apply, Residual)
-//     executes the identical per-PE op sequences without wavelets, for large
-//     functional meshes and for callers that apply the kernel many times:
-//     the PE grid is decomposed into contiguous row bands executed on a
-//     worker pool, with a barrier per phase so halo reads never race with
-//     writes. RunFlatParallel is one compile + load + apply; RunFlat is the
-//     same with a single band, run inline on the caller.
+//     computes the same residuals and counters without wavelets, one
+//     dsd.FluxCell per PE that reads the neighbors' columns off the wire,
+//     for large functional meshes and for callers that apply the kernel many
+//     times: the PE grid is decomposed into contiguous row bands executed on
+//     a worker pool, with a barrier per phase so halo reads never race with
+//     writes. RunFlatParallel is one compile + load + apply.
 //
-// All produce bit-identical residuals and identical counters; tests assert
-// it.
+// Both produce bit-identical residuals and identical counters; tests assert
+// it. The paper's modified builds — comm-only (Table 3) and the scalar
+// kernel (§5.3.3) — run on the fabric engine only: Compile rejects them.
 package core
 
 import (
@@ -40,7 +41,7 @@ type Options struct {
 	Apps int
 	// CommOnly removes all flux computation and keeps only the data
 	// communication — the Table 3 ablation ("we modified our dataflow
-	// implementation to remove all flux computations").
+	// implementation to remove all flux computations"). RunFabric only.
 	CommOnly bool
 	// Diagonals enables the four diagonal faces and their relayed
 	// communication (§5.2.2). On by default through DefaultOptions; the
@@ -49,6 +50,7 @@ type Options struct {
 	// Vectorized selects DSD vector execution (§5.3.3). When false the
 	// kernel issues per-element scalar ops — functionally identical, but the
 	// issue counters (and the modeled time) blow up; used by the ablation.
+	// RunFabric only: the flat engine is vectorized.
 	Vectorized bool
 	// BufferReuse enables the §5.3.1 scratch-buffer reuse: 5 scratch columns
 	// for the kernel's 13 intermediates, else 13. The fused kernel never
@@ -57,10 +59,9 @@ type Options struct {
 	// MemWords overrides the per-PE memory budget in float32 words
 	// (default: the CS-2's 12288). Small values inject allocation failures.
 	MemWords int
-	// Workers is the worker-goroutine count of the sharded parallel flat
-	// engine (RunFlatParallel): the PE grid is decomposed into that many
-	// contiguous row bands, each executed by one worker. 0 selects
-	// runtime.NumCPU(). The serial engines ignore it.
+	// Workers is the worker-goroutine count of the flat engine: the PE grid
+	// is decomposed into that many contiguous row bands, each executed by
+	// one worker. 0 selects runtime.NumCPU(). RunFabric ignores it.
 	Workers int
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/mesh"
@@ -71,12 +72,12 @@ func TestParallelMatchesFlatBitExact(t *testing.T) {
 			m := testMesh(t, d)
 			serialOpts := DefaultOptions(3)
 			serialOpts.Diagonals = diagonals
-			serial, err := RunFlat(m, fl, serialOpts)
+			serial, err := runFlat(m, fl, serialOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if serial.Engine != "flat" {
-				t.Errorf("RunFlat engine = %q, want flat", serial.Engine)
+				t.Errorf("runFlat engine = %q, want flat", serial.Engine)
 			}
 			for _, w := range workerCounts {
 				opts := serialOpts
@@ -119,29 +120,33 @@ func TestParallelMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertResidualsClose(t, res.Residual, ref, 2e-3)
-	if res.Engine != "flat-parallel" {
-		t.Errorf("engine = %q, want flat-parallel", res.Engine)
+	if res.Engine != "flat" {
+		t.Errorf("engine = %q, want flat", res.Engine)
 	}
 }
 
+// TestParallelCommOnly: the comm-only build runs on the fabric engine, which
+// ignores Workers, and moves exactly the FMOV and fabric words of the flat
+// engine's full run at two workers, with no FLOP.
 func TestParallelCommOnly(t *testing.T) {
 	m := testMesh(t, mesh.Dims{Nx: 4, Ny: 6, Nz: 4})
 	opts := DefaultOptions(2)
-	opts.CommOnly = true
 	opts.Workers = 2
-	par, err := RunFlatParallel(m, physics.DefaultFluid(), opts)
+	full, err := RunFlatParallel(m, physics.DefaultFluid(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := RunFlat(m, physics.DefaultFluid(), opts)
+	opts.CommOnly = true
+	co, err := RunFabric(m, physics.DefaultFluid(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if par.Counters != serial.Counters {
-		t.Errorf("comm-only counters differ:\nserial   %+v\nparallel %+v", serial.Counters, par.Counters)
+	if co.Counters.FMOV != full.Counters.FMOV || co.Counters.FabricLoads != full.Counters.FabricLoads {
+		t.Errorf("comm-only moved FMOV %d / fabric %d, full run %d / %d",
+			co.Counters.FMOV, co.Counters.FabricLoads, full.Counters.FMOV, full.Counters.FabricLoads)
 	}
-	if par.Counters.Flops() != 0 {
-		t.Errorf("comm-only performed %d FLOPs", par.Counters.Flops())
+	if co.Counters.Flops() != 0 {
+		t.Errorf("comm-only performed %d FLOPs", co.Counters.Flops())
 	}
 }
 
@@ -150,7 +155,7 @@ func TestParallelSingleRowAndColumn(t *testing.T) {
 	fl := physics.DefaultFluid()
 	for _, d := range []mesh.Dims{{Nx: 7, Ny: 1, Nz: 3}, {Nx: 1, Ny: 7, Nz: 3}} {
 		m := testMesh(t, d)
-		serial, err := RunFlat(m, fl, DefaultOptions(2))
+		serial, err := runFlat(m, fl, DefaultOptions(2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,10 +178,13 @@ func TestParallelErrorPropagation(t *testing.T) {
 	opts := DefaultOptions(1)
 	opts.MemWords = 512 // far below the 44·64-word footprint
 	opts.Workers = 3
-	if _, err := RunFlatParallel(m, physics.DefaultFluid(), opts); err == nil {
-		t.Fatal("parallel engine accepted impossible memory budget")
+	if _, err := RunFlatParallel(m, physics.DefaultFluid(), opts); err == nil || !strings.Contains(err.Error(), "out of PE memory") {
+		t.Fatalf("parallel engine accepted impossible memory budget: err = %v", err)
 	}
-	if _, err := RunFlatParallel(m, physics.DefaultFluid(), Options{Apps: 1, Workers: -2}); err == nil {
-		t.Fatal("negative worker count accepted")
+	// Fresh options at the default budget, so only the worker check can fail.
+	opts = DefaultOptions(1)
+	opts.Workers = -2
+	if _, err := RunFlatParallel(m, physics.DefaultFluid(), opts); err == nil || !strings.Contains(err.Error(), "workers") {
+		t.Fatalf("negative worker count accepted: err = %v", err)
 	}
 }

@@ -24,7 +24,7 @@ func TestPropertyEnginesAgreeOnRandomGeomodels(t *testing.T) {
 			return false
 		}
 		fl := physics.DefaultFluid()
-		flat, err := RunFlat(m, fl, DefaultOptions(apps))
+		flat, err := runFlat(m, fl, DefaultOptions(apps))
 		if err != nil {
 			return false
 		}
@@ -52,7 +52,7 @@ func TestPropertyConservationOnRandomGeomodels(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := RunFlat(m, physics.DefaultFluid(), DefaultOptions(1))
+		res, err := runFlat(m, physics.DefaultFluid(), DefaultOptions(1))
 		if err != nil {
 			return false
 		}
@@ -79,7 +79,7 @@ func TestPropertyTable4InvariantUnderGeomodel(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := RunFlat(m, physics.DefaultFluid(), DefaultOptions(2))
+		res, err := runFlat(m, physics.DefaultFluid(), DefaultOptions(2))
 		if err != nil || res.Interior == nil {
 			return false
 		}
@@ -123,7 +123,7 @@ func TestMappingComparison(t *testing.T) {
 
 func TestResultHelpers(t *testing.T) {
 	m := testMesh(t, mesh.Dims{Nx: 4, Ny: 4, Nz: 3})
-	res, err := RunFlat(m, physics.DefaultFluid(), DefaultOptions(2))
+	res, err := runFlat(m, physics.DefaultFluid(), DefaultOptions(2))
 	if err != nil {
 		t.Fatal(err)
 	}

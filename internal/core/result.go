@@ -38,8 +38,7 @@ func (p PerCell) AIFabric() float64 {
 
 // Result is the output of a core engine run.
 type Result struct {
-	// Engine names the executing engine: "fabric", "flat" (RunFlat) or
-	// "flat-parallel" (RunFlatParallel).
+	// Engine names the executing engine: "fabric" or "flat".
 	Engine string
 	// Dims echoes the mesh dimensions; Apps the application count.
 	Dims mesh.Dims

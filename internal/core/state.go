@@ -29,8 +29,7 @@ import (
 // it is kept. The fabric engine receives into nbr and, computing faces in
 // arrival order, stores every flux column in fbuf. The flat engine's
 // dsd.FluxCell reads the neighbors' send columns off the wire and sums the
-// fluxes in a register, so it writes neither (the scalar ablation and
-// CommOnly still do).
+// fluxes in a register, so it writes neither.
 //
 // With buffer reuse the footprint is 44·Nz+4 words; the CS-2's 12288-word
 // PEs therefore hold at most Nz = 279, and without reuse only Nz = 236 —

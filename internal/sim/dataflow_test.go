@@ -221,8 +221,9 @@ func TestDataflowOperatorSteadyStateAllocFree(t *testing.T) {
 }
 
 // TestDataflowOperatorResidentMatchesFreshRuns: the resident engine's k-th
-// application equals a fresh RunFlat on a mesh holding the same pressures —
-// at one and at three workers, and again after Close recompiled the engine.
+// application equals a fresh RunFlatParallel on a mesh holding the same
+// pressures — at one and at three workers, and again after Close recompiled
+// the engine.
 func TestDataflowOperatorResidentMatchesFreshRuns(t *testing.T) {
 	m, sys, fl, _ := fvsimStep(t, mesh.Dims{Nx: 7, Ny: 6, Nz: 3}, refflux.FacesAll)
 	n := m.Dims.Cells()
@@ -241,7 +242,7 @@ func TestDataflowOperatorResidentMatchesFreshRuns(t *testing.T) {
 			}
 			view := *m
 			view.Pressure = x
-			fresh, err := core.RunFlat(&view, op.fluid, op.options())
+			fresh, err := core.RunFlatParallel(&view, op.fluid, op.options())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -125,9 +125,9 @@ type Options struct {
 	Dt     float64
 	Steps  int
 	Source Source
-	// UseFabric runs the wavelet-fabric engine; default is the serial host
+	// Fabric runs the wavelet-fabric engine; default is the serial host
 	// engine (bit-identical).
-	UseFabric bool
+	Fabric bool
 }
 
 // Result is the final wavefield and per-step diagnostics.
@@ -173,7 +173,7 @@ func Simulate(m *Medium, opts Options) (*Result, error) {
 	if err := m.validate(opts); err != nil {
 		return nil, err
 	}
-	if opts.UseFabric {
+	if opts.Fabric {
 		return simulateFabric(m, opts)
 	}
 	return simulateHost(m, opts)

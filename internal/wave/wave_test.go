@@ -190,7 +190,7 @@ func TestFabricMatchesHostBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.UseFabric = true
+	opts.Fabric = true
 	fab, err := Simulate(m, opts)
 	if err != nil {
 		t.Fatal(err)

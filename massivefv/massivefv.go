@@ -84,25 +84,11 @@ func RunDataflowOpts(m *Mesh, fl Fluid, opts Options) (*Result, error) {
 	return core.RunFabric(m, fl, opts)
 }
 
-// RunDataflowFlat executes the identical schedule serially — bit-identical
-// residuals, much faster for large functional meshes.
-func RunDataflowFlat(m *Mesh, fl Fluid, apps int) (*Result, error) {
-	return core.RunFlat(m, fl, core.DefaultOptions(apps))
-}
-
-// RunFlatParallel executes the flat schedule on the sharded multi-core
-// engine: the PE grid is decomposed into contiguous row bands and each band
-// runs on one worker of a pool sized by workers (0 selects
-// runtime.NumCPU()). Residuals and counters are bit-identical to
-// RunDataflowFlat for every worker count.
-func RunFlatParallel(m *Mesh, fl Fluid, apps, workers int) (*Result, error) {
-	opts := core.DefaultOptions(apps)
-	opts.Workers = workers
-	return core.RunFlatParallel(m, fl, opts)
-}
-
-// RunFlatParallelOpts is RunFlatParallel with explicit options
-// (Options.Workers sizes the pool).
+// RunFlatParallelOpts executes the flat engine: the same residuals and
+// counters as RunDataflowOpts without wavelets, on a pool of Options.Workers
+// workers (0 selects runtime.NumCPU()), each running a contiguous band of PE
+// rows. It runs the vectorized kernel only: the comm-only and scalar builds
+// (Options.CommOnly, Options.Vectorized = false) are RunDataflowOpts'.
 func RunFlatParallelOpts(m *Mesh, fl Fluid, opts Options) (*Result, error) {
 	return core.RunFlatParallel(m, fl, opts)
 }

@@ -70,7 +70,7 @@ func TestFlatMatchesFabricThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	m2, _ := BuildMesh(Dims{Nx: 5, Ny: 4, Nz: 3})
-	b, err := RunDataflowFlat(m2, DefaultFluid(), 1)
+	b, err := RunFlatParallelOpts(m2, DefaultFluid(), DefaultOptions(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestFlatMatchesFabricThroughFacade(t *testing.T) {
 
 func TestProjectCS2RequiresInterior(t *testing.T) {
 	m, _ := BuildMesh(Dims{Nx: 2, Ny: 2, Nz: 3})
-	res, err := RunDataflowFlat(m, DefaultFluid(), 1)
+	res, err := RunDataflow(m, DefaultFluid(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestProjectCS2RequiresInterior(t *testing.T) {
 }
 
 func TestExperimentEntryPoints(t *testing.T) {
-	cfg := ExperimentConfig{FuncDims: Dims{Nx: 6, Ny: 5, Nz: 4}, FuncApps: 1, UseFabric: false}
+	cfg := ExperimentConfig{FuncDims: Dims{Nx: 6, Ny: 5, Nz: 4}, FuncApps: 1}
 	if _, err := RunTable4(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -104,12 +104,15 @@ func TestParallelFacadeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := RunDataflowFlat(m, DefaultFluid(), 2)
+	opts := DefaultOptions(2)
+	opts.Workers = 1
+	serial, err := RunFlatParallelOpts(m, DefaultFluid(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 3} {
-		par, err := RunFlatParallel(m, DefaultFluid(), 2, workers)
+	for _, workers := range []int{2, 3} {
+		opts.Workers = workers
+		par, err := RunFlatParallelOpts(m, DefaultFluid(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
