@@ -94,7 +94,8 @@ race:
 # once block-SSOR is gone: its index lists, sweeps, per-part diagonal and the
 # reference rung's canonical-order permutation — the ladder is Jacobi,
 # Chebyshev, AMG; 4524 once umesh's face-based residual, which only its
-# tests called, moved into them). Lower
+# tests called, moved into them; 4447 once an application is a halo push and
+# one sweep over every owned row, with no interior/frontier row split). Lower
 # SIZE_CEILING when a PR shrinks the sum; a PR that must raise it says why.
 # SERVE_CEILING does the same for internal/serve, the serving core ROADMAP's
 # state-machine item tracks (2050 at PR 16, 2044 at PR 17, 2017 once the
@@ -142,13 +143,13 @@ race:
 # sweep, the allocator's free list and the test-only API deleted, the oracles
 # moved into the tests that use them; 16464 once the flat engine has one
 # application and the paper evaluation one engine, net of fvab's -workload
-# all).
-SIZE_CEILING = 4524
+# all; 16443 once umesh's row split is gone, net of fvab's count diff).
+SIZE_CEILING = 4447
 SERVE_CEILING = 1819
 BENCH_CEILING = 897
 STRUCT_CEILING = 1780
 FABRIC_CEILING = 941
-MODULE_CEILING = 16464
+MODULE_CEILING = 16443
 size:
 	@set -e; \
 	for d in $$($(GO) list -f '{{.Dir}}' ./... | sed "s|^$$PWD/*||; s|^$$|.|"); do \
@@ -193,7 +194,8 @@ layers:
 #     row ×4, of a general face ×1, and a general row's CSR slice and
 #     fused-dot operand), and per run, per block or per call one reslice per
 #     operand stream plus the block-table and resident-vector lookups
-#     (137 sites until PR 24 deleted the five BiCGStab-only shard kernels).
+#     (137 sites until the five BiCGStab-only shard kernels were deleted;
+#     100 until an application became one sweep beside one block dot).
 #   - internal/dsd/ops.go is the structured kernel. Every op has one element
 #     loop, over columns resliced to the destination's length, and none
 #     reports a check (FluxFace and FluxCell stream the inlined fluxElem over
@@ -213,7 +215,7 @@ layers:
 # two macro-ops' tail loops, or each element pays a call. Its vector body
 # (internal/dsd/*.s) must round every product before its sum as fluxElem
 # does, so a fused multiply-add mnemonic there fails the gate.
-BCE_PINS = internal/umesh:kernels.go:100 internal/dsd:ops.go:16 internal/core:hostload.go:20
+BCE_PINS = internal/umesh:kernels.go:96 internal/dsd:ops.go:16 internal/core:hostload.go:20
 bce:
 	@set -e; \
 	for pin in $(BCE_PINS); do \
@@ -303,8 +305,10 @@ bench-umesh:
 # application and fused reductions vs the serial host apply, one whole
 # partitioned step, a transient solve per preconditioner-ladder rung —
 # BenchmarkUsolvePrecond/{jacobi,chebyshev,amg} — and the per-stage
-# sizings of one Jacobi-CG and one AMG iteration, BenchmarkUsolveJacobiStage
-# and BenchmarkUsolveAMGStage, and the three stages of a set-up,
+# sizings of one Jacobi-CG iteration, BenchmarkUsolveJacobiStage/{push,
+# apply,dot,cgstep,xpby} — the halo push, the row sweep with its fused dot,
+# the set-up dot, the fused CG tail, the direction update — and of one AMG
+# iteration, BenchmarkUsolveAMGStage, and the three stages of a set-up,
 # BenchmarkUsolveSetup/{mesh,rcb,compile}) once each — CI's guarantee that they keep
 # compiling and running.
 bench-usolve:

@@ -18,12 +18,15 @@
 // binaries are built once, as benchmark/run.sh builds one, with its
 // environment. Pair i runs seed i with --trace 0 and BENCHMARK.json's
 // run_seconds; the base runs first in odd pairs and the working tree first in
-// even ones.
+// even ones. After a workload's pairs, each side runs it once more on seed 1
+// with --trace 1, and every metric whose unit is count — iterations,
+// applications, halo words, messages, dispatches, barriers, … — is compared:
+// a change that claims only speed leaves each of them identical (≡).
 //
 // Exit status:
 //   - 0 when no metric of any workload regressed beyond its bound and the
 //     change failed no larger share of operations;
-//   - 1 when one did, or on an error;
+//   - 1 when one did, when a count moved, or on an error;
 //   - 2 when the two builds' yardstick offsets differ, before any pair runs,
 //     because their normalised metrics would not be comparable.
 package main
@@ -46,8 +49,12 @@ import (
 // errLayout is the exit-2 outcome: the builds' yardstick offsets differ.
 var errLayout = errors.New("the two builds' yardstick offsets differ: normalised metrics are not comparable")
 
-// errRegressed is the exit-1 verdict of a completed comparison.
-var errRegressed = errors.New("the change regressed")
+// errRegressed and errMoved are the exit-1 verdicts of a completed
+// comparison.
+var (
+	errRegressed = errors.New("the change regressed")
+	errMoved     = errors.New("counts moved")
+)
 
 func main() {
 	err := run(os.Args[1:], os.Stdout, os.Stderr)
@@ -118,17 +125,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	fmt.Fprintf(stdout, "fvab: %s, %d alternating pairs at --seconds %d, base %s vs the working tree\n",
 		strings.Join(workloads, ", "), *n, seconds, *base)
-	return compare(stdout, workloads, bounds, *n, func(k int, workload string, seed int) (result, error) {
-		return sides[k].run(workload, seed, seconds)
+	return compare(stdout, workloads, bounds, *n, func(k int, workload string, seed int, trace bool) (result, error) {
+		return sides[k].run(workload, seed, seconds, trace)
 	})
 }
 
 // compare runs n alternating pairs of each workload in turn — run(k, …) runs
 // the base (k = 0) or the change (k = 1) — printing every pair and one
-// verdict table per workload. It returns errRegressed, naming the workloads,
-// when any of them regressed.
-func compare(w io.Writer, workloads []string, bounds []bound, n int, run func(k int, workload string, seed int) (result, error)) error {
-	var regressed []string
+// verdict table per workload, then one traced run per side and the count
+// diff. It returns errRegressed, naming the workloads, when any of them
+// regressed, and errMoved, naming each count, when a count moved.
+func compare(w io.Writer, workloads []string, bounds []bound, n int, run func(k int, workload string, seed int, trace bool) (result, error)) error {
+	var regressed, moved []string
 	for _, wl := range workloads {
 		fmt.Fprintf(w, "%s:\n", wl)
 		var pairs []pair
@@ -139,7 +147,7 @@ func compare(w io.Writer, workloads []string, bounds []bound, n int, run func(k 
 			}
 			var p pair
 			for _, k := range order {
-				r, err := run(k, wl, seed)
+				r, err := run(k, wl, seed, false)
 				if err != nil {
 					return err
 				}
@@ -151,11 +159,53 @@ func compare(w io.Writer, workloads []string, bounds []bound, n int, run func(k 
 		if report(w, bounds, pairs) != nil {
 			regressed = append(regressed, wl)
 		}
+		var traced pair
+		for k := range traced {
+			r, err := run(k, wl, 1, true)
+			if err != nil {
+				return err
+			}
+			traced[k] = r
+		}
+		fmt.Fprintln(w, "counts of one traced run per side, seed 1 (base, change):")
+		for _, name := range countDiff(w, traced) {
+			moved = append(moved, wl+" "+name)
+		}
 	}
+	var errs []error
 	if len(regressed) > 0 {
-		return fmt.Errorf("%w: %s", errRegressed, strings.Join(regressed, ", "))
+		errs = append(errs, fmt.Errorf("%w: %s", errRegressed, strings.Join(regressed, ", ")))
 	}
-	return nil
+	if len(moved) > 0 {
+		errs = append(errs, fmt.Errorf("%w: %s", errMoved, strings.Join(moved, ", ")))
+	}
+	return errors.Join(errs...)
+}
+
+// countDiff prints every metric of a traced pair whose unit is count, base
+// and change, marked ≡ when they are equal, and returns the names of those
+// that moved — a count one side does not report moved too.
+func countDiff(w io.Writer, p pair) []string {
+	var names, moved []string
+	for k := range p {
+		for name, m := range p[k].Metrics {
+			if m.Unit == "count" && !slices.Contains(names, name) {
+				names = append(names, name)
+			}
+		}
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		b, bok := p[0].Metrics[name]
+		c, cok := p[1].Metrics[name]
+		mark := "≡"
+		if !bok || !cok || b != c {
+			mark = "MOVED"
+			moved = append(moved, name)
+		}
+		fmt.Fprintf(w, "  %-36s %14.6g %14.6g  %s\n", name, b.Value, c.Value, mark)
+	}
+	return moved
 }
 
 // side is one build under comparison.
@@ -204,11 +254,16 @@ func symbolAddr(nm, symbol string) (uint64, bool) {
 	return 0, false
 }
 
-// run runs one untraced benchmark and parses its result line. A run whose
-// operations failed exits 1 but still prints the line, which counts them.
-func (s *side) run(workload string, seed, seconds int) (result, error) {
-	cmd := exec.Command(s.bin, "--workload", workload, "--seed", fmt.Sprint(seed),
-		"--seconds", fmt.Sprint(seconds), "--trace", "0")
+// run runs one benchmark and parses its result line; a traced run writes its
+// spans beside the binary. A run whose operations failed exits 1 but still
+// prints the line, which counts them.
+func (s *side) run(workload string, seed, seconds int, trace bool) (result, error) {
+	args := []string{"--workload", workload, "--seed", fmt.Sprint(seed), "--seconds", fmt.Sprint(seconds), "--trace", "0"}
+	if trace {
+		args[len(args)-1] = "1"
+		args = append(args, "--trace-out", filepath.Join(filepath.Dir(s.bin), "trace-"+workload+".json"))
+	}
+	cmd := exec.Command(s.bin, args...)
 	cmd.Dir = s.tree
 	out, err := cmd.Output()
 	r, perr := parseResult(out)
@@ -286,6 +341,7 @@ type result struct {
 	Failed    int  `json:"failed"`
 	Metrics   map[string]struct {
 		Value float64 `json:"value"`
+		Unit  string  `json:"unit"`
 	} `json:"metrics"`
 }
 

@@ -150,12 +150,17 @@ func TestReportFailsOnALargerFailedShare(t *testing.T) {
 }
 
 // TestCompareRunsEveryWorkload: compare runs each workload's pairs in turn,
-// alternating which side goes first, prints one verdict table per workload
-// and names exactly the workload that regressed — after running the rest.
+// alternating which side goes first, then one traced run per side, prints
+// one verdict table per workload and names exactly the workload that
+// regressed — after running the rest.
 func TestCompareRunsEveryWorkload(t *testing.T) {
 	var calls []string
-	run := func(k int, workload string, seed int) (result, error) {
-		calls = append(calls, fmt.Sprintf("%s/%d/%d", workload, seed, k))
+	run := func(k int, workload string, seed int, trace bool) (result, error) {
+		call := fmt.Sprintf("%s/%d/%d", workload, seed, k)
+		if trace {
+			call += "/trace"
+		}
+		calls = append(calls, call)
 		opS := 0.033
 		if workload == "slow" && k == 1 {
 			opS *= 1.3
@@ -167,8 +172,10 @@ func TestCompareRunsEveryWorkload(t *testing.T) {
 	if !errors.Is(err, errRegressed) || !strings.HasSuffix(err.Error(), ": slow") {
 		t.Fatalf("compare = %v, want a regression naming slow only\n%s", err, out.String())
 	}
-	want := []string{"steady/1/0", "steady/1/1", "steady/2/1", "steady/2/0",
-		"slow/1/0", "slow/1/1", "slow/2/1", "slow/2/0", "last/1/0", "last/1/1", "last/2/1", "last/2/0"}
+	var want []string
+	for _, w := range []string{"steady", "slow", "last"} {
+		want = append(want, w+"/1/0", w+"/1/1", w+"/2/1", w+"/2/0", w+"/1/0/trace", w+"/1/1/trace")
+	}
 	if !slices.Equal(calls, want) {
 		t.Errorf("runs %q, want %q", calls, want)
 	}
@@ -179,6 +186,50 @@ func TestCompareRunsEveryWorkload(t *testing.T) {
 		if !strings.Contains(out.String(), w) {
 			t.Errorf("no %q heading:\n%s", w, out.String())
 		}
+	}
+}
+
+// countLine is a canned traced result line: op_s_p50 in seconds and the given
+// metrics as counts.
+func countLine(opS float64, counts map[string]float64) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, `{"correct":true,"attempted":1,"failed":0,"metrics":{"op_s_p50":{"value":%g,"unit":"s"}`, opS)
+	for name, v := range counts {
+		fmt.Fprintf(&b, `,%q:{"value":%g,"unit":"count"}`, name, v)
+	}
+	return b.String() + "}}"
+}
+
+// TestCountDiffNamesEveryMovedCount: on canned traced output, counts that
+// repeat are ≡, and a count that changed or that one side does not report is
+// named; a metric in seconds is not a count, however far it moves.
+func TestCountDiffNamesEveryMovedCount(t *testing.T) {
+	base := countLine(0.15, map[string]float64{"solver.iterations_per_op": 910, "umesh.halo_words_per_op": 933888, "exec.barriers_per_op": 0, "serve.solves": 110})
+	change := countLine(0.30, map[string]float64{"solver.iterations_per_op": 910, "umesh.halo_words_per_op": 934000, "exec.barriers_per_op": 0, "umesh.gathers_per_op": 2})
+	var out bytes.Buffer
+	moved := countDiff(&out, pairsOf(t, []string{base}, []string{change})[0])
+	if want := []string{"serve.solves", "umesh.gathers_per_op", "umesh.halo_words_per_op"}; !slices.Equal(moved, want) {
+		t.Fatalf("moved %q, want %q\n%s", moved, want, out.String())
+	}
+	if n := strings.Count(out.String(), "≡"); n != 2 {
+		t.Errorf("%d counts marked ≡, want 2:\n%s", n, out.String())
+	}
+	if strings.Contains(out.String(), "op_s_p50") {
+		t.Errorf("a metric in seconds was diffed as a count:\n%s", out.String())
+	}
+
+	// compare turns a moved count into errMoved naming the workload and the
+	// count, beside the verdict tables.
+	run := func(k int, workload string, seed int, trace bool) (result, error) {
+		if l := []string{base, change}[k]; trace {
+			return parseResult([]byte(l))
+		}
+		return parseResult([]byte(line(0.033, 26.1, 0, 100)))
+	}
+	out.Reset()
+	err := compare(&out, []string{"usolve"}, testBounds, 2, run)
+	if !errors.Is(err, errMoved) || errors.Is(err, errRegressed) || !strings.Contains(err.Error(), "usolve umesh.halo_words_per_op") {
+		t.Fatalf("compare = %v, want errMoved naming usolve umesh.halo_words_per_op\n%s", err, out.String())
 	}
 }
 

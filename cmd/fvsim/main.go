@@ -2,8 +2,8 @@
 // pressure stepping with wells, one preconditioned Krylov solve per step.
 // On the structured mesh every operator application can flow through the
 // dataflow flux kernel (the §8 execution model); on an unstructured radial
-// mesh the solve runs on the partitioned runtime (umesh.PartEngine), the §9
-// topology distributed over RCB parts.
+// mesh it runs umesh.RunTransientPartitioned — a TransientSolver on a
+// PartOperator — the §9 topology distributed over RCB parts.
 //
 // Usage:
 //

@@ -41,8 +41,8 @@
 // whole Krylov working set lives in each part's compact layout for the
 // entire solve (one scatter in, one gather out), and the recurrence runs as
 // compiled phase programs — one plan dispatch per iteration, each operator
-// application a fused pack+send+interior-compute step overlapping the halo
-// exchange followed by receive+frontier, the vector algebra fused steps with
+// application a halo push step (when some part exchanges data), the barrier
+// and one sweep over every owned row, the vector algebra fused steps with
 // per-part partial reductions. The phase programs are the only statement of
 // the recurrence and solver.Resident.Solve the only loop that iterates it:
 // a plain Operator (and the serial reference) runs the same programs on a

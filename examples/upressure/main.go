@@ -2,9 +2,9 @@
 // extension running on the §9 partitioned unstructured runtime. A transient
 // backward-Euler run (one Jacobi-preconditioned CG solve per step) drives an
 // injector/producer pair on a refined radial mesh; the solve runs
-// part-resident (one scatter in, one gather out, fused exchange-overlapped
-// applications in between), and the canonical blocked reductions make the
-// whole solve — residual histories, iteration counts, final field —
+// part-resident (one scatter in, one gather out, each application a halo
+// push and one row sweep in between), and the canonical blocked reductions
+// make the whole solve — residual histories, iteration counts, final field —
 // bit-identical to the serial reference at every part count.
 package main
 

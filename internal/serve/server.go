@@ -1,7 +1,7 @@
 // Package serve is the resident-engine serving layer: a long-running
 // HTTP/JSON front end over the partitioned unstructured implicit solver that
-// keeps compiled engines (umesh.TransientSolver — PartEngine, PartOperator
-// and their phase programs) resident behind a scenario cache, so a repeat
+// keeps compiled engines (umesh.TransientSolver — a PartOperator and its
+// phase programs) resident behind a scenario cache, so a repeat
 // request skips plan compilation entirely and pays only queue + solve +
 // render — and keeps completed results behind a bounded memo, so an
 // identical repeat request skips the engines too.

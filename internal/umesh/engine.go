@@ -15,11 +15,11 @@ import (
 // structured core.Engine runs on. The engine adds to the layout its resident
 // fields (pressure over owned + halo cells, elevation, the owned residual)
 // and one precompiled application plan, emitted through the planBuilder the
-// Krylov programs use: [perturb (applications after the first) + halo push +
-// interior rows, frontier rows] — one exec.Plan dispatch per application, not
-// one pool round-trip per phase — with communication counters (halo words,
-// messages, barriers, dispatches) mirroring the word-level accounting the
-// structured engines keep.
+// Krylov programs use: [perturb (applications after the first) + halo push,
+// residual sweep] — one exec.Plan dispatch per application, not one pool
+// round-trip per phase, and one step when no part exchanges halo data — with
+// communication counters (halo words, messages, barriers, dispatches)
+// mirroring the word-level accounting the structured engines keep.
 //
 // The residual stays bit-identical to the serial cell-based sweep: every
 // owned cell accumulates its faces in exactly the adjacency order of
@@ -101,8 +101,9 @@ type PartEngine struct {
 	apps  int
 	parts []*enginePart
 
-	// plan is the precompiled application: the fused perturb+send+interior
-	// step, then — only when the layout is split — the frontier step.
+	// plan is the precompiled application: the perturb+push step, then —
+	// only when the layout exchanges halo data, else in the same step — the
+	// residual sweep.
 	plan *exec.Plan
 	app  int // current application, set before each plan dispatch
 }
@@ -136,9 +137,11 @@ func NewPartEngine(u *Mesh, p *Partition, fl physics.Fluid, opts EngineOptions) 
 		e.parts[me] = ep
 	}
 	var b planBuilder
-	b.add(e.phaseSendInterior, nil)
-	if l.split {
-		b.add(e.phaseFrontier, nil)
+	if l.exchanges {
+		b.add(func(shard int) error { e.perturbPush(shard); return nil }, nil)
+		b.add(e.phaseSweep, nil)
+	} else {
+		b.add(func(shard int) error { e.perturbPush(shard); return e.phaseSweep(shard) }, nil)
 	}
 	e.plan = l.pool.NewPlan(b.steps)
 	return e, nil
@@ -214,35 +217,15 @@ func (e *PartEngine) step(app int) error {
 	return err
 }
 
-// residualRows evaluates the listed owned rows in the serial sweep's
-// per-cell accumulation order. Rows write disjoint residual entries, so
-// splitting them between the send and frontier phases leaves every value
-// bit-identical to the one-pass sweep.
-func (e *PartEngine) residualRows(shard int, rows []int32) {
-	fl, ps, ep := e.fl, e.l.parts[shard], e.parts[shard]
-	for _, i := range rows {
-		pc := float64(ep.pres[i])
-		zc := ep.elev[i]
-		sum := 0.0
-		for j := ps.rowStart[i]; j < ps.rowStart[i+1]; j++ {
-			nb := ps.nbrLocal[j]
-			sum += fl.FaceFlux(ps.nbrTrans[j], pc, float64(ep.pres[nb]), zc, ep.elev[nb])
-		}
-		ep.res[i] = sum
-	}
-}
-
-// phaseSendInterior is the first step of an application. After the first
+// perturbPush is the first step of an application. After the first
 // application it perturbs the part's owned cells with the shared schedule —
 // guarded by app > 0 exactly as core.Engine.perturb is; the perturbation
 // touches only cells no other part reads or writes during this step, so it
 // needs no barrier of its own, and the halo copies are refreshed by the push
 // that follows, so the global field evolves exactly as the serial sweep's
-// does. Then it pushes the halo values into the neighbors' resident fields
-// and computes every interior row (no halo neighbors) — the halo movement
-// overlapped with the bulk of the sweep. The steady-state path allocates
-// nothing.
-func (e *PartEngine) phaseSendInterior(shard int) error {
+// does. Then it pushes the halo values into the neighbors' resident fields.
+// The steady-state path allocates nothing.
+func (e *PartEngine) perturbPush(shard int) {
 	ps, ep := e.l.parts[shard], e.parts[shard]
 	if e.app > 0 {
 		for i, g := range ps.globalOf[:ps.nOwned] {
@@ -252,14 +235,23 @@ func (e *PartEngine) phaseSendInterior(shard int) error {
 	values, messages := pushHalo(ps.sends, ep.pres, func(part int) []float32 { return e.parts[part].pres })
 	ep.comm.HaloWords += values
 	ep.comm.Messages += messages
-	e.residualRows(shard, ps.interior)
-	return nil
 }
 
-// phaseFrontier computes the frontier rows once the step barrier has ordered
-// every neighbor's halo write into this part's resident field.
-func (e *PartEngine) phaseFrontier(shard int) error {
-	e.residualRows(shard, e.l.parts[shard].frontier)
+// phaseSweep evaluates every owned row, once the step barrier has ordered
+// every neighbor's halo write into this part's resident field, in the serial
+// sweep's per-cell accumulation order.
+func (e *PartEngine) phaseSweep(shard int) error {
+	fl, ps, ep := e.fl, e.l.parts[shard], e.parts[shard]
+	for i := range ep.res {
+		pc := float64(ep.pres[i])
+		zc := ep.elev[i]
+		sum := 0.0
+		for j := ps.rowStart[i]; j < ps.rowStart[i+1]; j++ {
+			nb := ps.nbrLocal[j]
+			sum += fl.FaceFlux(ps.nbrTrans[j], pc, float64(ep.pres[nb]), zc, ep.elev[nb])
+		}
+		ep.res[i] = sum
+	}
 	return nil
 }
 

@@ -1,9 +1,9 @@
 package umesh
 
 // This file holds the loops of the part-resident operator that run once per
-// Krylov iteration: the row sweep over the row store (operator.go), the two
-// application phases that call it, and the shard kernels program.go captures
-// into plan steps. Each operand stream is resliced to the run or block being
+// Krylov iteration: the row sweep over the row store (operator.go), the
+// application that calls it, and the shard kernels program.go captures into
+// plan steps. Each operand stream is resliced to the run or block being
 // walked (window), so element loops carry no bounds checks beyond the neighbor
 // gathers; `make bce` pins the number of check sites this file reports.
 
@@ -37,8 +37,8 @@ func quadFlux(r *quadRow, x []float64, xc float64) float64 {
 // fuses the inner product ⟨w, dst⟩ into the pass: products accumulate in row
 // order and each run with a flush slot stores (and restarts) the partial —
 // the canonical blocked reduction, identical values and summation tree as a
-// separate block sweep, one less memory pass. Only runs cut at the reduction
-// blocks (a part with no frontier) may be swept with w.
+// separate block sweep, one less memory pass. The runs must be cut at the
+// reduction blocks, as a part's rows are (buildRows).
 func (op *opPart) sweep(segs []rowSeg, x, dst, w, sums []float64) {
 	acc := 0.0
 	for si := range segs {
@@ -82,55 +82,22 @@ func (op *opPart) sweep(segs []rowSeg, x, dst, w, sums []float64) {
 	}
 }
 
-// blockDot accumulates ⟨a, b⟩ per reduction block into sums.
-func (op *opPart) blockDot(a, b, sums []float64) {
-	for blk := range op.blkLo {
-		lo, n := op.block(blk)
-		a, b := window(a, lo, n), window(b, lo, n)
-		acc := 0.0
-		for i := range a {
-			acc += a[i] * b[i]
-		}
-		sums[op.blkOut[blk]] = acc
-	}
-}
-
-// applySend is the first application phase: push the halo values of the
-// resident input vector to the neighbors, then compute the interior rows. A
-// part with no frontier computes everything here — fused with the
-// inner-product sweep when one is armed — leaving the frontier phase
-// trivial. dstv resolves through scratch to the part's preconditioner
-// scratch while a rung's internal application is running.
-func (o *PartOperator) applySend(shard, xv, dstv, wv int, withDot, scratch bool) {
+// applyRows is an application's one sweep: every owned row of dst = A·x in
+// compact order, with ⟨w, dst⟩ fused in when withDot is set. The barrier
+// before it ordered every neighbor's halo push (sendHalo) into x. dstv
+// resolves through scratch to the part's preconditioner scratch while a
+// rung's internal application is running.
+func (o *PartOperator) applyRows(shard, xv, dstv, wv int, withDot, scratch bool) {
 	op := o.parts[shard]
-	o.sendHalo(shard, xv)
 	dst := op.pw
 	if !scratch {
 		dst = op.vecs[dstv]
 	}
 	var w []float64
-	if withDot && len(op.frontier) == 0 {
+	if withDot {
 		w = op.vecs[wv]
 	}
-	op.sweep(op.interior, op.vecs[xv], dst, w, o.blockSums)
-}
-
-// applyFrontier is the second application phase: the barrier before it
-// ordered every neighbor's halo write, so it finishes the frontier rows and
-// (when armed) sweeps the fused inner product in compact order.
-func (o *PartOperator) applyFrontier(shard, xv, dstv, wv int, withDot, scratch bool) {
-	op := o.parts[shard]
-	if len(op.frontier) == 0 {
-		return // everything (dot included) already ran in the send phase
-	}
-	dst := op.pw
-	if !scratch {
-		dst = op.vecs[dstv]
-	}
-	op.sweep(op.frontier, op.vecs[xv], dst, nil, nil)
-	if withDot {
-		op.blockDot(op.vecs[wv], dst, o.blockSums)
-	}
+	op.sweep(op.rows, op.vecs[xv], dst, w, o.blockSums)
 }
 
 // The shard kernels below are the vector ops of the phase programs, one per
@@ -150,7 +117,15 @@ func (o *PartOperator) shardCopy(shard, dstv, srcv int) {
 // shardDot accumulates ⟨a, b⟩.
 func (o *PartOperator) shardDot(shard, av, bv int) {
 	op := o.parts[shard]
-	op.blockDot(op.vecs[av], op.vecs[bv], o.blockSums)
+	for blk := range op.blkLo {
+		lo, n := op.block(blk)
+		a, b := window(op.vecs[av], lo, n), window(op.vecs[bv], lo, n)
+		acc := 0.0
+		for i := range a {
+			acc += a[i] * b[i]
+		}
+		o.blockSums[op.blkOut[blk]] = acc
+	}
 }
 
 // shardXpby computes y = x + β·y (the CG search-direction update).

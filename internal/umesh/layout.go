@@ -23,9 +23,11 @@ import (
 //     carries the local owned indices to read and the base of the receiver's
 //     halo block for this source, so a push (pushHalo) writes the planned
 //     values straight into the neighbor's resident field — one coalesced
-//     region per (src, dst) pair, no buffers or channels;
-//   - the interior/frontier row split that lets a runtime overlap the push
-//     with the rows that read no halo cell.
+//     region per (src, dst) pair, no buffers or channels.
+//
+// A runtime's application is then a push step (only when some part exchanges
+// data), the step barrier that orders the halo writes, and one sweep over
+// every owned row.
 
 // Layout is a partition compiled for one mesh. Compile it once; build a
 // PartOperator (or, through NewPartEngine, a PartEngine) on it; Close stops
@@ -39,17 +41,18 @@ type Layout struct {
 	// canonical RCB partition, the canonical position of part me's first
 	// cell, so compact index = canonical position − starts[me].
 	starts []int32
-	// split records that some part exchanges halo data or has frontier rows:
-	// an application then needs a second (frontier) step after the barrier
-	// that orders the halo writes. A one-part layout runs single-step.
-	split bool
+	// exchanges records that some part sends or receives halo data: an
+	// application then pushes the halo in a step of its own, whose barrier
+	// orders the writes before any row reads them. A one-part layout runs
+	// single-step.
+	exchanges bool
 }
 
 // sendPlan is one precompiled outgoing transfer: the local owned indices to
 // read and the base of the receiver's contiguous halo block for this source.
 // The destination ranges are disjoint between all senders and from every
 // owned range, and the step barrier orders the writes before the receiver's
-// frontier rows read them.
+// rows read them.
 type sendPlan struct {
 	dst     int
 	dstBase int
@@ -75,19 +78,6 @@ type partLayout struct {
 	nbrTrans      []float64
 	sends         []sendPlan
 	recvs         []recvSlot
-	// interior lists the owned rows with no halo-cell neighbors and frontier
-	// the rest, both in compact order. Interior rows are computable before
-	// the barrier that orders the halo writes, so a fused send phase
-	// evaluates them alongside the writes; frontier rows wait for the
-	// barrier.
-	interior, frontier []int32
-}
-
-// row returns owned row i's neighbors (local indices) and transmissibilities
-// in the serial sweep's adjacency order.
-func (ps *partLayout) row(i int32) ([]int32, []float64) {
-	lo, hi := ps.rowStart[i], ps.rowStart[i+1]
-	return ps.nbrLocal[lo:hi], ps.nbrTrans[lo:hi]
 }
 
 // CompileLayout renumbers every part into its compact index space, resolves
@@ -114,8 +104,8 @@ func CompileLayout(u *Mesh, p *Partition, workers int) (*Layout, error) {
 		}
 		l.parts[me] = ps
 		l.starts[me+1] = l.starts[me] + int32(ps.nOwned)
-		if len(ps.sends) > 0 || len(ps.recvs) > 0 || len(ps.frontier) > 0 {
-			l.split = true
+		if len(ps.sends) > 0 || len(ps.recvs) > 0 {
+			l.exchanges = true
 		}
 	}
 	// Resolve each send plan's direct-write base against the receiver's halo
@@ -218,23 +208,6 @@ func newPartLayout(u *Mesh, p *Partition, me int) (*partLayout, error) {
 		ps.sends = append(ps.sends, sp)
 	}
 
-	// Interior/frontier row classification: a row touching any halo cell
-	// must wait for the exchange; every other row overlaps with it.
-	for i := int32(0); i < int32(ps.nOwned); i++ {
-		isFrontier := false
-		nbrs, _ := ps.row(i)
-		for _, li := range nbrs {
-			if li >= int32(ps.nOwned) {
-				isFrontier = true
-				break
-			}
-		}
-		if isFrontier {
-			ps.frontier = append(ps.frontier, i)
-		} else {
-			ps.interior = append(ps.interior, i)
-		}
-	}
 	return ps, nil
 }
 
@@ -244,7 +217,7 @@ func newPartLayout(u *Mesh, p *Partition, me int) (*partLayout, error) {
 // a part id to that part's copy): one coalesced write region per (src, dst)
 // pair, no intermediate buffer. The regions are disjoint from every owned
 // range and from each other, so the concurrent writes are race-free; the step
-// barrier orders them before the receivers' frontier rows. It returns the
+// barrier orders them before the receivers' row sweeps. It returns the
 // values and the messages it moved, for the caller's CommCounters.
 func pushHalo[T float32 | float64](sends []sendPlan, x []T, field func(part int) []T) (values, messages uint64) {
 	for si := range sends {

@@ -274,11 +274,11 @@ func ReferenceSpace(sys *USystem, op solver.Operator) *solver.SliceSpace {
 //   - every other degree is a row of one flat CSR (genStart/gen), 16 bytes an
 //     entry.
 //
-// Rows are never looked up one at a time. A row set (the interior rows, the
-// frontier rows) is compiled once into rowSegs — runs of consecutive compact
-// rows that are all packed or all general — and opPart.sweep walks a run with
-// every per-row stream (accum, x, dst, the records) resliced to the run
-// length, so the neighbor gathers are the only per-row bounds checks left.
+// Rows are never looked up one at a time. A part's owned range is compiled
+// once into rowSegs — runs of consecutive compact rows that are all packed or
+// all general — and opPart.sweep walks a run with every per-row stream
+// (accum, x, dst, the records) resliced to the run length, so the neighbor
+// gathers are the only per-row bounds checks left.
 
 // quadRow is one packed degree-4 flux row.
 type quadRow struct {
@@ -296,10 +296,10 @@ type nbrEntry struct {
 
 // rowSeg is a run of the consecutive compact rows [lo, lo+n), all packed or
 // all general; first is the rank of row lo in quad (packed) or genStart
-// (general), and the rest of the run follows it there. Where a sweep fuses an
-// inner product the runs are also cut at the reduction blocks' ends, and the
-// last run of each block carries the block's blockSums slot in flush (−1
-// everywhere else).
+// (general), and the rest of the run follows it there. Runs are also cut at
+// the reduction blocks' ends, and the last run of each block carries the
+// block's blockSums slot in flush (−1 everywhere else), so a sweep can fuse
+// an inner product.
 type rowSeg struct {
 	lo, n  int32
 	first  int32
@@ -322,16 +322,14 @@ type opPart struct {
 	accum []float64
 	// quad, genStart and gen are the row store (see quadRow): the packed
 	// degree-4 rows, and general row g = gen[genStart[g]:genStart[g+1]].
-	// Only sweep reads them, and only through the segment lists below.
+	// Only sweep reads them, and only through rows.
 	quad     []quadRow
 	genStart []int32
 	gen      []nbrEntry
-	// interior and frontier are the layout's two row sets compiled into
-	// runs: ascending, disjoint, covering exactly ps.interior / ps.frontier.
-	// A part with no frontier computes every row — and the fused ⟨w, A·x⟩ —
-	// in the interior sweep, so its interior runs are cut at the reduction
-	// blocks (buildRows).
-	interior, frontier []rowSeg
+	// rows is the owned range compiled into runs, in compact order and cut
+	// at the reduction blocks (buildRows): the one row list every sweep
+	// walks.
+	rows []rowSeg
 	// blkLo/blkHi/blkOut segment the part's owned range into its canonical
 	// reduction blocks (compact-index [lo, hi) → blockSums[out]): every
 	// reduction accumulates flat within a block and the block partials fold
@@ -357,9 +355,8 @@ func (op *opPart) owned(v int) []float64 { return window(op.vecs[v], 0, len(op.a
 //
 //   - Exchange: whole-vector transfers between global and part layouts —
 //     the solve's one scatter (Load2) and one gather (Store);
-//   - Compute: the operator-application steps (interior and frontier flux
-//     rows; the per-neighbor direct-write halo pushes ride inside the
-//     interior step, overlapped with its row sweep);
+//   - Compute: the operator-application steps (the per-neighbor
+//     direct-write halo pushes and the row sweep);
 //   - Reduce: the fused vector-algebra steps (axpy/dot/preconditioner
 //     updates with their per-block partial reductions and tree folds).
 type PhaseSeconds struct {
@@ -516,26 +513,39 @@ func (o *PartOperator) compileReduction() error {
 }
 
 // buildRows fills the part's row store from the layout's adjacency and
-// compiles the interior and frontier row sets into runs. It needs the
-// reduction blocks (compileReduction): a part with no frontier has its
-// interior runs cut at them.
+// compiles the owned range into runs. It needs the reduction blocks
+// (compileReduction), which tile the owned range without a gap or an empty
+// block (a part owning no row has no run and is never swept).
 func (op *opPart) buildRows(ps *partLayout, lam float64) {
-	isQuad := func(i int32) bool { return ps.rowStart[i+1]-ps.rowStart[i] == 4 }
 	nQuad := 0
-	for i := int32(0); i < int32(ps.nOwned); i++ {
-		if isQuad(i) {
+	for i := 0; i < ps.nOwned; i++ {
+		if ps.rowStart[i+1]-ps.rowStart[i] == 4 {
 			nQuad++
 		}
 	}
 	op.quad = make([]quadRow, 0, nQuad)
 	op.genStart = make([]int32, 0, ps.nOwned-nQuad+1)
 	op.gen = make([]nbrEntry, 0, len(ps.nbrLocal)-4*nQuad)
-	// rank[i] is row i's place in quad (degree 4) or genStart (any other).
-	rank := make([]int32, ps.nOwned)
+	blk := 0
 	for i := int32(0); i < int32(ps.nOwned); i++ {
 		lo, hi := ps.rowStart[i], ps.rowStart[i+1]
-		if isQuad(i) {
-			rank[i] = int32(len(op.quad))
+		packed := hi-lo == 4
+		// A run grows while its rows are of one kind and in one block: the
+		// row that opens a block closes the previous block's last run.
+		last := len(op.rows) - 1
+		if i == op.blkHi[blk] {
+			op.rows[last].flush = op.blkOut[blk]
+			blk++
+		}
+		if last < 0 || op.rows[last].flush >= 0 || op.rows[last].packed != packed {
+			first := int32(len(op.genStart))
+			if packed {
+				first = int32(len(op.quad))
+			}
+			op.rows = append(op.rows, rowSeg{lo: i, first: first, flush: -1, packed: packed})
+		}
+		op.rows[len(op.rows)-1].n++
+		if packed {
 			var q quadRow
 			for k := range q.t {
 				q.t[k] = ps.nbrTrans[int(lo)+k] * lam
@@ -544,38 +554,15 @@ func (op *opPart) buildRows(ps *partLayout, lam float64) {
 			op.quad = append(op.quad, q)
 			continue
 		}
-		rank[i] = int32(len(op.genStart))
 		op.genStart = append(op.genStart, int32(len(op.gen)))
 		for j := lo; j < hi; j++ {
 			op.gen = append(op.gen, nbrEntry{t: ps.nbrTrans[j] * lam, li: uint32(ps.nbrLocal[j])})
 		}
 	}
 	op.genStart = append(op.genStart, int32(len(op.gen)))
-
-	// runs compiles an ascending row list. With cut the list is the whole
-	// owned range, which the part's reduction blocks tile without a gap or
-	// an empty block (a part owning no row has no run and is never swept):
-	// the row that opens a block also closes the previous block's last run.
-	runs := func(rows []int32, cut bool) []rowSeg {
-		var segs []rowSeg
-		blk := 0
-		for _, i := range rows {
-			k := len(segs) - 1
-			if cut && i == op.blkHi[blk] {
-				segs[k].flush = op.blkOut[blk]
-				blk++
-			} else if k >= 0 && segs[k].lo+segs[k].n == i && segs[k].packed == isQuad(i) {
-				segs[k].n++
-				continue
-			}
-			segs = append(segs, rowSeg{lo: i, n: 1, first: rank[i], flush: -1, packed: isQuad(i)})
-		}
-		if cut && len(segs) > 0 {
-			segs[len(segs)-1].flush = op.blkOut[blk]
-		}
-		return segs
+	if len(op.rows) > 0 {
+		op.rows[len(op.rows)-1].flush = op.blkOut[blk]
 	}
-	op.interior, op.frontier = runs(ps.interior, len(ps.frontier) == 0), runs(ps.frontier, false)
 }
 
 // finishApply folds the parts' halo traffic after an application (a barrier

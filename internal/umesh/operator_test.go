@@ -312,10 +312,10 @@ func TestResidentFusedPhasesAllocFree(t *testing.T) {
 	// rung decides what OpPrecondDot expands to), plus a program of
 	// the solver's set-up shape — and the scatter, gather and preconditioner
 	// install around them once the vector pool is warm. Both application
-	// shapes are covered: 4 parts (interior and frontier sweeps, the
-	// frontier-phase block dot) and 1 part (one sweep cut at the reduction
-	// blocks with the inner product fused into it); the row sweep and the
-	// block-window kernels are also called directly, outside any plan.
+	// shapes are covered: 4 parts (a halo push, then the sweep) and 1 part
+	// (the sweep alone), the inner product fused into the sweep; the halo
+	// push, the row sweep and the block-window kernels are also called
+	// directly, outside any plan.
 	for _, levels := range []int{2, 0} {
 		po, closeOp := residentFixture(t, levels, 2)
 		defer closeOp()
@@ -335,18 +335,14 @@ func TestResidentFusedPhasesAllocFree(t *testing.T) {
 				"Store":      func() { po.Store(out, 0) },
 				"SetPrecond": func() { _ = po.SetPrecond(kind) },
 				"sweep": func() {
-					for _, op := range po.parts {
-						var w []float64
-						if len(op.frontier) == 0 {
-							w = op.vecs[2]
-						}
-						op.sweep(op.interior, op.vecs[0], op.vecs[4], w, po.blockSums)
-						op.sweep(op.frontier, op.vecs[0], op.vecs[4], nil, nil)
+					for shard, op := range po.parts {
+						po.sendHalo(shard, 0)
+						op.sweep(op.rows, op.vecs[0], op.vecs[4], op.vecs[2], po.blockSums)
 					}
 				},
 				"block windows": func() {
-					for shard, op := range po.parts {
-						op.blockDot(op.vecs[0], op.vecs[1], po.blockSums)
+					for shard := range po.parts {
+						po.shardDot(shard, 0, 1)
 						po.shardCGStepPre(shard, 0, 1, 2, 3, 4, a1)
 					}
 				},
@@ -385,7 +381,7 @@ func TestResidentFusedPhasesAllocFree(t *testing.T) {
 }
 
 // BenchmarkPartOperatorApply measures one resident operator application
-// (fused send+interior, receive+frontier) across part and worker counts.
+// (the halo push, then the row sweep) across part and worker counts.
 func BenchmarkPartOperatorApply(b *testing.B) {
 	for _, levels := range []int{0, 1, 2} {
 		for _, workers := range []int{1, 2} {
@@ -454,9 +450,9 @@ func BenchmarkPartOperatorHostApply(b *testing.B) {
 }
 
 // BenchmarkUsolveJacobiStage times each step of one Jacobi-CG iteration on
-// the 15360-cell benchmark mesh at 4 parts — the fused push+interior step, the
-// frontier step with its inner product, the set-up dot, the fused CG tail and
-// the direction update — the shard kernels called part by part on the
+// the 15360-cell benchmark mesh at 4 parts — the halo push, the row sweep
+// with its fused inner product, the set-up dot, the fused CG tail and the
+// direction update — the shard kernels called part by part on the
 // benchmark goroutine, no pool: the per-stage sizing of a Jacobi iteration
 // (docs/benchmarks.md) without a scratch harness.
 func BenchmarkUsolveJacobiStage(b *testing.B) {
@@ -473,8 +469,8 @@ func BenchmarkUsolveJacobiStage(b *testing.B) {
 		name string
 		run  func(shard int)
 	}{
-		{"apply-interior", func(s int) { po.applySend(s, 0, 4, 1, true, false) }},
-		{"apply-frontier", func(s int) { po.applyFrontier(s, 0, 4, 1, true, false) }},
+		{"push", func(s int) { po.sendHalo(s, 0) }},
+		{"apply", func(s int) { po.applyRows(s, 0, 4, 1, true, false) }},
 		{"dot", func(s int) { po.shardDot(s, 0, 1) }},
 		{"cgstep", func(s int) { po.shardCGStepPre(s, 2, 0, 1, 4, 3, 1e-3) }},
 		{"xpby", func(s int) { po.shardXpby(s, 0, 3, 0.5) }},
@@ -754,13 +750,12 @@ func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
 
-// assertRowStore checks a part operator's row store and segment lists against
+// assertRowStore checks a part operator's row store and run list against
 // the engine's adjacency: every row is stored once, packed exactly when its
 // degree is 4, with the premultiplied weights and neighbors in adjacency
-// order; each part's runs are ascending, disjoint, homogeneous, expand to
-// exactly ps.interior / ps.frontier, and — where the part has no frontier and
-// the inner product is fused into the sweep — never cross a reduction block,
-// with each block's last run (and no other) carrying the block's slot.
+// order; each part's runs start at row 0, follow each other with no gap, are
+// homogeneous and correctly ranked, end at nOwned, never cross a reduction
+// block, and each block's last run (and no other) carries the block's slot.
 func assertRowStore(t *testing.T, po *PartOperator) {
 	t.Helper()
 	lam := po.Sys.Mobility
@@ -805,64 +800,44 @@ func assertRowStore(t *testing.T, po *PartOperator) {
 				rank[i], g = g, g+1
 			}
 		}
-		fused := len(ps.frontier) == 0
-		for _, set := range []struct {
-			name string
-			segs []rowSeg
-			rows []int32
-		}{{"interior", op.interior, ps.interior}, {"frontier", op.frontier, ps.frontier}} {
-			var rows []int32
-			next, blk := int32(0), 0
-			for si, s := range set.segs {
-				if s.lo < next || s.n < 0 {
-					t.Fatalf("part %d %s run %d [%d,+%d) overlaps or precedes row %d", me, set.name, si, s.lo, s.n, next)
+		next, blk := int32(0), 0
+		for si, s := range op.rows {
+			if s.lo != next || s.n < 1 {
+				t.Fatalf("part %d run %d [%d,+%d) does not start at row %d", me, si, s.lo, s.n, next)
+			}
+			next = s.lo + s.n
+			for i := s.lo; i < next; i++ {
+				if packed := ps.rowStart[i+1]-ps.rowStart[i] == 4; packed != s.packed {
+					t.Fatalf("part %d run %d: row %d packed=%v inside a packed=%v run", me, si, i, packed, s.packed)
 				}
-				next = s.lo + s.n
-				for i := s.lo; i < next; i++ {
-					if packed := ps.rowStart[i+1]-ps.rowStart[i] == 4; packed != s.packed {
-						t.Fatalf("part %d %s run %d: row %d packed=%v inside a packed=%v run", me, set.name, si, i, packed, s.packed)
-					}
-					if want := s.first + (i - s.lo); rank[i] != want {
-						t.Fatalf("part %d %s run %d: row %d has rank %d, run addresses %d", me, set.name, si, i, rank[i], want)
-					}
-					rows = append(rows, i)
-				}
-				if !fused || set.name == "frontier" {
-					if s.flush != -1 {
-						t.Fatalf("part %d %s run %d carries reduction slot %d outside a fused sweep", me, set.name, si, s.flush)
-					}
-					continue
-				}
-				for s.lo >= op.blkHi[blk] && s.n > 0 {
-					blk++
-				}
-				if s.lo < op.blkLo[blk] || next > op.blkHi[blk] {
-					t.Fatalf("part %d run %d [%d,%d) crosses reduction block [%d,%d)", me, si, s.lo, next, op.blkLo[blk], op.blkHi[blk])
-				}
-				last := si+1 == len(set.segs) || set.segs[si+1].lo >= op.blkHi[blk]
-				if want := int32(-1); last {
-					want = op.blkOut[blk]
-					if s.flush != want {
-						t.Fatalf("part %d run %d ends block %d with slot %d, want %d", me, si, blk, s.flush, want)
-					}
-				} else if s.flush != want {
-					t.Fatalf("part %d run %d is inside block %d but carries slot %d", me, si, blk, s.flush)
+				if want := s.first + (i - s.lo); rank[i] != want {
+					t.Fatalf("part %d run %d: row %d has rank %d, run addresses %d", me, si, i, rank[i], want)
 				}
 			}
-			if len(rows) != len(set.rows) {
-				t.Fatalf("part %d: %s runs cover %d rows, the engine lists %d", me, set.name, len(rows), len(set.rows))
+			for s.lo >= op.blkHi[blk] {
+				blk++
 			}
-			for k := range rows {
-				if rows[k] != set.rows[k] {
-					t.Fatalf("part %d: %s runs reach row %d where the engine lists %d", me, set.name, rows[k], set.rows[k])
+			if s.lo < op.blkLo[blk] || next > op.blkHi[blk] {
+				t.Fatalf("part %d run %d [%d,%d) crosses reduction block [%d,%d)", me, si, s.lo, next, op.blkLo[blk], op.blkHi[blk])
+			}
+			last := si+1 == len(op.rows) || op.rows[si+1].lo >= op.blkHi[blk]
+			if want := int32(-1); last {
+				want = op.blkOut[blk]
+				if s.flush != want {
+					t.Fatalf("part %d run %d ends block %d with slot %d, want %d", me, si, blk, s.flush, want)
 				}
+			} else if s.flush != want {
+				t.Fatalf("part %d run %d is inside block %d but carries slot %d", me, si, blk, s.flush)
 			}
+		}
+		if int(next) != ps.nOwned {
+			t.Fatalf("part %d: runs end at row %d, the part owns %d", me, next, ps.nOwned)
 		}
 	}
 }
 
-// assertSweepMatchesOracle applies the operator to x through the pool (push,
-// interior sweep, frontier sweep) and holds every row to the oracle bit for
+// assertSweepMatchesOracle applies the operator to x through the pool (halo
+// push, then the row sweep) and holds every row to the oracle bit for
 // bit; with finite x it also checks the fused ⟨w, A·x⟩ against the serial
 // reference's canonical dot of the oracle rows. It returns the operator (its
 // engine closed — for structural checks only) and the applied rows.
@@ -958,20 +933,23 @@ func TestRowStoreDegenerateShapes(t *testing.T) {
 				}
 			}
 		}},
-		{"empty interior", gridMesh(8, 1, false), []int{2}, func(t *testing.T, po *PartOperator) {
-			empty := 0
-			for me, op := range po.parts {
-				if len(po.l.parts[me].interior) == 0 && len(op.interior) == 0 {
-					empty++
+		{"every row reads a halo cell", gridMesh(8, 1, false), []int{2}, func(t *testing.T, po *PartOperator) {
+			allHalo := func(ps *partLayout) bool {
+				for i := int32(0); i < int32(ps.nOwned); i++ {
+					nbrs := ps.nbrLocal[ps.rowStart[i]:ps.rowStart[i+1]]
+					if !slices.ContainsFunc(nbrs, func(li int32) bool { return li >= int32(ps.nOwned) }) {
+						return false
+					}
 				}
+				return true
 			}
-			if empty == 0 {
-				t.Error("no part of the 2-cell-per-part chain has an empty interior set")
+			if !slices.ContainsFunc(po.l.parts, allHalo) {
+				t.Error("no part of the 2-cell-per-part chain has every row reading a halo cell")
 			}
 		}},
 		{"single-row run at a block edge", ladderMesh(t), []int{0}, func(t *testing.T, po *PartOperator) {
 			op := po.parts[0]
-			for _, s := range op.interior {
+			for _, s := range op.rows {
 				if s.n == 1 && s.flush >= 0 {
 					return
 				}

@@ -29,7 +29,7 @@ import (
 //     D⁻¹A on the interval [b/30, b], where b ≥ λmax(D⁻¹A) is the Gershgorin
 //     row-sum bound. The application is chebDegree−1 operator applications
 //     plus elementwise updates — no triangular solves, so the resident form
-//     reuses the fused exchange-overlapped application phases on a scratch
+//     reuses the operator's application (halo push, row sweep) on a scratch
 //     destination.
 //
 //   - Aggregation AMG: greedy distance-2 face-adjacency aggregation walked

@@ -20,8 +20,8 @@ import (
 // Step budget (the counted minimum asserted by TestCompiledCGIterationStepCount):
 // a Jacobi CG iteration compiles to 3 steps at parts=1 (fused
 // apply+dot, fused CGStep+precond+both dots, Xpby) and 4 steps when any part
-// exchanges halo data (the application splits into push+interior and
-// frontier around the barrier that orders the halo writes).
+// exchanges halo data (the halo push is a step of its own, whose barrier
+// orders the writes before the sweep reads them).
 //
 // Compilation freezes the operator's preconditioner configuration: preKind,
 // the Chebyshev scalars and the AMG level are read at compile time, so a
@@ -133,28 +133,24 @@ func (b *planBuilder) fold2Act(r1, r2 *float64) func() (bool, error) {
 	}
 }
 
-// emitApply lowers an application dst = A·x: the fused push+interior step,
-// and — only when some part actually exchanges halo data or has frontier rows
-// — the frontier step after the barrier that orders the halo writes. A
+// emitApply lowers an application dst = A·x: the halo push step — only when
+// some part exchanges halo data — then one sweep over every owned row. A
 // non-nil r1 fuses the inner product *r1 = ⟨w, dst⟩ into the sweep; scratch
 // redirects dst to each part's pw, the destination of the applications inside
 // the Chebyshev and AMG rungs (no solver vector burned). The reduction fold
-// and the communication accounting run at the final step's barrier.
+// and the communication accounting run at the sweep's barrier.
 func (b *planBuilder) emitApply(xv, dstv, wv int, r1 *float64, scratch bool) {
 	o := b.o
+	if o.l.exchanges {
+		b.add(func(shard int) error { o.sendHalo(shard, xv); return nil }, &o.Phase.Compute)
+	}
 	withDot := r1 != nil
 	var acts []func() (bool, error)
 	if withDot {
 		acts = append(acts, b.foldAct(r1))
 	}
 	acts = append(acts, func() (bool, error) { o.finishApply(); return false, nil })
-	send := func(shard int) error { o.applySend(shard, xv, dstv, wv, withDot, scratch); return nil }
-	if !o.l.split {
-		b.add(send, &o.Phase.Compute, acts...)
-		return
-	}
-	b.add(send, &o.Phase.Compute)
-	b.add(func(shard int) error { o.applyFrontier(shard, xv, dstv, wv, withDot, scratch); return nil },
+	b.add(func(shard int) error { o.applyRows(shard, xv, dstv, wv, withDot, scratch); return nil },
 		&o.Phase.Compute, acts...)
 }
 

@@ -31,8 +31,8 @@ func fusedCGIterationOps(alpha, beta, pap, rr, rz *float64) []solver.ProgOp {
 func TestCompiledCGIterationStepCount(t *testing.T) {
 	// The counted minimum the phase-program executor exists for: a
 	// Jacobi-preconditioned CG iteration must compile to exactly 3 plan steps
-	// when no part exchanges halo data and 4 when the application splits into
-	// push+interior / frontier — and each iteration must cost exactly one
+	// when no part exchanges halo data and 4 when the application pushes the
+	// halo in a step of its own — and each iteration must cost exactly one
 	// pool dispatch, with one barrier per step only when workers > 1.
 	cases := []struct {
 		name            string
@@ -41,8 +41,8 @@ func TestCompiledCGIterationStepCount(t *testing.T) {
 		barriersPerRun  uint64
 	}{
 		{"parts=1 workers=1", 0, 1, 3, 0}, // inline: no barriers at all
-		{"parts=4 workers=1", 2, 1, 4, 0}, // split but inline: extra frontier step, still barrier-free
-		{"parts=4 workers=2", 2, 2, 4, 4}, // split + real workers: one barrier per step
+		{"parts=4 workers=1", 2, 1, 4, 0}, // exchanges but inline: extra push step, still barrier-free
+		{"parts=4 workers=2", 2, 2, 4, 4}, // exchanges + real workers: one barrier per step
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

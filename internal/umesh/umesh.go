@@ -21,8 +21,8 @@
 // PartOperator, a solver.ProgramSpace that keeps the whole Krylov working
 // set in each part's compact layout for the entire solve — one scatter in,
 // one gather out, and in between compiled phase programs (one exec.Plan
-// dispatch per Krylov iteration): fused pack+send+interior-compute steps
-// overlapping the float64 halo exchange, fused vector/reduction steps.
+// dispatch per Krylov iteration): a float64 halo push step, then one sweep
+// over every owned row per application, fused vector/reduction steps.
 // Reductions fold through the canonical blocked order (CanonicalOrder, the
 // RCB recursion's own summation tree), which is identical for every part
 // count and for the serial reference, so RunTransientPartitioned (one

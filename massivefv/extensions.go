@@ -169,8 +169,8 @@ type (
 // unstructured mesh with CG, preconditioned by opts.PrecondKind (Jacobi
 // unless set) from the system's own diagonal. Partitioned solves run
 // part-resident: the Krylov working set lives in each part's compact layout
-// for the whole solve (one scatter in, one gather out) with fused
-// exchange-overlapped operator applications. A nil partition selects the
+// for the whole solve (one scatter in, one gather out), each operator
+// application a halo push and one row sweep. A nil partition selects the
 // serial float64 reference operator; partitioned solves are bit-identical
 // to it for every part count.
 func SolveUnstructured(u *UMesh, part *UPartition, fl Fluid, dt float64, b []float64, opts SolverOptions) ([]float64, *SolverStats, error) {
