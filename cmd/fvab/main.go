@@ -23,12 +23,19 @@
 // applications, halo words, messages, dispatches, barriers, … — is compared:
 // a change that claims only speed leaves each of them identical (≡).
 //
+// When the two builds put the yardstick at different offsets, their
+// normalised metrics are not comparable. fvab prints both offsets and runs
+// the pairs anyway, judging setup_s and op_s_p50 by their raw counterparts
+// (host.raw_setup_s, host.raw_op_s_p50) under the same bounds, the
+// allocation and residency metrics as usual, and op_s_p90 and
+// cell_updates_per_s, which have no raw counterpart, not at all.
+//
 // Exit status:
 //   - 0 when no metric of any workload regressed beyond its bound and the
 //     change failed no larger share of operations;
 //   - 1 when one did, when a count moved, or on an error;
-//   - 2 when the two builds' yardstick offsets differ, before any pair runs,
-//     because their normalised metrics would not be comparable.
+//   - 2 when none of that happened but the two builds' yardstick offsets
+//     differ, so only the raw metrics were judged.
 package main
 
 import (
@@ -47,7 +54,17 @@ import (
 )
 
 // errLayout is the exit-2 outcome: the builds' yardstick offsets differ.
-var errLayout = errors.New("the two builds' yardstick offsets differ: normalised metrics are not comparable")
+var errLayout = errors.New("the two builds' yardstick offsets differ: only raw metrics were judged")
+
+// rawMetric maps each end-to-end metric normalised by the yardstick to the
+// raw metric judged in its place when the builds' offsets differ; "" marks
+// one with no raw counterpart.
+var rawMetric = map[string]string{
+	"setup_s":            "host.raw_setup_s",
+	"op_s_p50":           "host.raw_op_s_p50",
+	"op_s_p90":           "",
+	"cell_updates_per_s": "",
+}
 
 // errRegressed and errMoved are the exit-1 verdicts of a completed
 // comparison.
@@ -119,15 +136,41 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "layout: %s build, main.(*yardstick).run at %d mod 64\n", s.name, s.offset)
 	}
-	if sides[0].offset != sides[1].offset {
-		return errLayout
+	mismatch := sides[0].offset != sides[1].offset
+	if mismatch {
+		var skipped []string
+		bounds, skipped = rawBounds(bounds)
+		fmt.Fprintf(stdout, "layout: offsets differ, judging raw metrics; %s not comparable\n", strings.Join(skipped, ", "))
 	}
 
 	fmt.Fprintf(stdout, "fvab: %s, %d alternating pairs at --seconds %d, base %s vs the working tree\n",
 		strings.Join(workloads, ", "), *n, seconds, *base)
-	return compare(stdout, workloads, bounds, *n, func(k int, workload string, seed int, trace bool) (result, error) {
+	err = compare(stdout, workloads, bounds, *n, func(k int, workload string, seed int, trace bool) (result, error) {
 		return sides[k].run(workload, seed, seconds, trace)
 	})
+	if err == nil && mismatch {
+		return errLayout
+	}
+	return err
+}
+
+// rawBounds returns the bounds to judge two builds by when their yardstick
+// offsets differ: each normalised metric of rawMetric replaced by its raw
+// counterpart under the same bound, or left out and named in skipped.
+func rawBounds(bounds []bound) (judged []bound, skipped []string) {
+	for _, b := range bounds {
+		raw, normalised := rawMetric[b.Name]
+		switch {
+		case !normalised:
+		case raw == "":
+			skipped = append(skipped, b.Name)
+			continue
+		default:
+			b.Name = raw
+		}
+		judged = append(judged, b)
+	}
+	return judged, skipped
 }
 
 // compare runs n alternating pairs of each workload in turn — run(k, …) runs

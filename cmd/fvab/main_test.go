@@ -233,6 +233,67 @@ func TestCountDiffNamesEveryMovedCount(t *testing.T) {
 	}
 }
 
+// rawLine is a canned result line with every end-to-end metric of
+// BENCHMARK.json: norm scales the normalised times (and divides the
+// normalised rate), raw scales the raw times.
+func rawLine(norm, raw float64) string {
+	return fmt.Sprintf(`{"correct":true,"attempted":100,"failed":0,"metrics":{`+
+		`"setup_s":{"value":%g,"unit":"s"},"op_s_p50":{"value":%g,"unit":"s"},"op_s_p90":{"value":%g,"unit":"s"},`+
+		`"cell_updates_per_s":{"value":%g,"unit":"1/s"},"alloc_mb_per_op":{"value":26.1,"unit":"MiB"},`+
+		`"resident_mb":{"value":80,"unit":"MiB"},"host.raw_setup_s":{"value":%g,"unit":"s"},`+
+		`"host.raw_op_s_p50":{"value":%g,"unit":"s"}}}`,
+		0.05*norm, 0.15*norm, 0.16*norm, 1e8/norm, 0.06*raw, 0.18*raw)
+}
+
+// TestRawBoundsJudgeRawMetricsWhenLayoutsDiffer: on the repository's
+// BENCHMARK.json, setup_s and op_s_p50 are judged on their raw
+// counterparts under their own bounds, the allocation and residency metrics
+// as they are, and op_s_p90 and cell_updates_per_s not at all. A change
+// whose normalised metrics moved by 30 % while its raw times held passes; one
+// whose raw op time rose by 30 % regresses.
+func TestRawBoundsJudgeRawMetricsWhenLayoutsDiffer(t *testing.T) {
+	_, bounds, _, err := loadSpec(filepath.Join("..", "..", "BENCHMARK.json"), "all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	judged, skipped := rawBounds(bounds)
+	var names []string
+	for _, b := range judged {
+		names = append(names, b.Name)
+		if b.Name == "host.raw_op_s_p50" && b.Bound != 0.2 || b.Name == "host.raw_setup_s" && b.Bound != 0.25 {
+			t.Errorf("%s judged under bound %g, not its normalised metric's", b.Name, b.Bound)
+		}
+	}
+	if want := []string{"host.raw_setup_s", "host.raw_op_s_p50", "alloc_mb_per_op", "resident_mb"}; !slices.Equal(names, want) {
+		t.Fatalf("judged %q, want %q", names, want)
+	}
+	if want := []string{"op_s_p90", "cell_updates_per_s"}; !slices.Equal(skipped, want) {
+		t.Fatalf("not comparable %q, want %q", skipped, want)
+	}
+
+	base := []string{rawLine(1, 1), rawLine(1.01, 1.01), rawLine(0.99, 0.99)}
+	shifted := []string{rawLine(1.3, 1), rawLine(1.31, 1.01), rawLine(1.29, 0.99)}
+	var out bytes.Buffer
+	if err := report(&out, bounds, pairsOf(t, base, shifted)); !errors.Is(err, errRegressed) {
+		t.Fatalf("normalised metrics 30 %% worse did not regress when judged as they are\n%s", out.String())
+	}
+	out.Reset()
+	if err := report(&out, judged, pairsOf(t, base, shifted)); err != nil {
+		t.Fatalf("raw metrics unchanged, yet report = %v\n%s", err, out.String())
+	}
+	if strings.Contains(out.String(), "op_s_p90") || strings.Contains(out.String(), "cell_updates_per_s") {
+		t.Errorf("a metric that is not comparable was judged:\n%s", out.String())
+	}
+	slower := []string{rawLine(1, 1.3), rawLine(1.01, 1.31), rawLine(0.99, 1.29)}
+	out.Reset()
+	err = report(&out, judged, pairsOf(t, base, slower))
+	rows := strings.Split(out.String(), "\n")
+	i := slices.IndexFunc(rows, func(r string) bool { return strings.HasPrefix(r, "host.raw_op_s_p50 ") })
+	if !errors.Is(err, errRegressed) || i < 0 || !strings.Contains(rows[i], "REGRESSION") {
+		t.Fatalf("raw times 30 %% worse: report = %v, want host.raw_op_s_p50 to regress\n%s", err, out.String())
+	}
+}
+
 func TestSymbolAddr(t *testing.T) {
 	nm := "  4a3f20 T main.(*yardstick).run\n  4a3f00 T main.(*yardstick).runAll\n  5c0000 D main.x\n"
 	if addr, ok := symbolAddr(nm, "main.(*yardstick).run"); !ok || addr != 0x4a3f20 || addr%64 != 32 {

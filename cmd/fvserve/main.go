@@ -1,7 +1,7 @@
 // Command fvserve is the resident-engine serving daemon: a long-running
 // HTTP/JSON front end over the partitioned unstructured implicit solver
 // (internal/serve). Compiled engines stay resident behind a scenario cache,
-// so repeat requests skip plan compilation — mesh build, RCB, halo plans,
+// so repeat requests skip plan compilation — mesh build, RCB, halo lists,
 // CSR interleave, phase programs, preconditioner setup — and pay only
 // queue + solve + render. Admission control (token bucket + bounded queue)
 // sheds overload with 429s; SIGTERM/SIGINT drains gracefully: in-flight

@@ -250,11 +250,7 @@ func TestPartEngineCommCounters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var wantWords, wantMsgs uint64
-		for me := 0; me < part.NumParts; me++ {
-			wantWords += uint64(part.HaloCells(me))
-			wantMsgs += uint64(len(part.recvPlan[me]))
-		}
+		wantWords, wantMsgs := cutFaceComm(u, part)
 		wantWords *= apps
 		wantMsgs *= apps
 		if res.Comm.HaloWords != wantWords || res.Comm.Messages != wantMsgs {

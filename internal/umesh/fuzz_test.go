@@ -2,6 +2,7 @@ package umesh
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/physics"
@@ -100,64 +101,84 @@ func assertOwnershipPartition(t *testing.T, u *Mesh, p *Partition) {
 	}
 }
 
-// assertPlanSymmetry checks sendPlan[src][dst] == recvPlan[dst][src] — one
-// message's wire format, agreed by both ends — with no orphan sends or
-// receives.
-func assertPlanSymmetry(t *testing.T, p *Partition) {
+// assertHaloLists checks each part's halo list against the mesh: grouped by
+// owning part with owners ascending and ids strictly ascending within a group
+// (so no cell is listed twice), none of the part's own cells, every listed
+// cell face-adjacent to the part, and every cut face's far cell listed — the
+// exact §4 ghost layer, complete and nothing speculative.
+func assertHaloLists(t *testing.T, u *Mesh, p *Partition) {
 	t.Helper()
-	for src := 0; src < p.NumParts; src++ {
-		for dst, sent := range p.sendPlan[src] {
-			recv, ok := p.recvPlan[dst][src]
-			if !ok || len(sent) != len(recv) {
-				t.Fatalf("%d→%d: send plan has %d cells, recv plan %d (present %v)", src, dst, len(sent), len(recv), ok)
-			}
-			for i := range sent {
-				if sent[i] != recv[i] {
-					t.Fatalf("%d→%d: plan diverges at %d: %d vs %d", src, dst, i, sent[i], recv[i])
-				}
-			}
-		}
-		for src2, recv := range p.recvPlan[src] {
-			if _, ok := p.sendPlan[src2][src]; !ok {
-				t.Fatalf("part %d expects %d cells from %d, which sends nothing", src, len(recv), src2)
-			}
-		}
+	if len(p.halo) != p.NumParts {
+		t.Fatalf("%d halo lists for %d parts", len(p.halo), p.NumParts)
 	}
-}
-
-// assertHaloFaceAdjacent checks every planned halo cell is owned by its
-// sender and face-adjacent to the receiving part, and that every cross-part
-// face is covered by the plans (the exact §4 ghost layer, complete and
-// nothing speculative).
-func assertHaloFaceAdjacent(t *testing.T, u *Mesh, p *Partition) {
-	t.Helper()
-	for dst := 0; dst < p.NumParts; dst++ {
-		for src, cells := range p.recvPlan[dst] {
-			for _, c := range cells {
-				if p.Part[c] != src {
-					t.Fatalf("halo cell %d planned from part %d but owned by %d", c, src, p.Part[c])
+	for me, halo := range p.halo {
+		for i, c := range halo {
+			src := p.Part[c]
+			if src == me {
+				t.Fatalf("part %d lists its own cell %d as halo", me, c)
+			}
+			if i > 0 {
+				if prev := halo[i-1]; p.Part[prev] > src || p.Part[prev] == src && prev >= c {
+					t.Fatalf("part %d: halo cell %d of part %d follows %d of part %d — not (owner, id) ascending",
+						me, c, src, prev, p.Part[prev])
 				}
-				nbrs, _ := u.halfFaces(c)
-				adjacent := false
-				for _, nb := range nbrs {
-					if p.Part[nb] == dst {
-						adjacent = true
-						break
-					}
-				}
-				if !adjacent {
-					t.Fatalf("planned halo cell %d (part %d→%d) is not face-adjacent to the receiver", c, src, dst)
-				}
+			}
+			nbrs, _ := u.halfFaces(int(c))
+			if !slices.ContainsFunc(nbrs, func(nb int32) bool { return p.Part[nb] == me }) {
+				t.Fatalf("halo cell %d (part %d→%d) is not face-adjacent to the receiver", c, src, me)
 			}
 		}
 	}
 	for _, f := range u.Faces {
 		pa, pb := p.Part[f.A], p.Part[f.B]
-		if pa == pb {
-			continue
+		if pa != pb && (!slices.Contains(p.halo[pa], int32(f.B)) || !slices.Contains(p.halo[pb], int32(f.A))) {
+			t.Fatalf("cross-part face (%d,%d) between parts %d/%d missing from the halo lists", f.A, f.B, pa, pb)
 		}
-		if !containsCell(p.recvPlan[pa][pb], f.B) || !containsCell(p.recvPlan[pb][pa], f.A) {
-			t.Fatalf("cross-part face (%d,%d) between parts %d/%d missing from the halo plans", f.A, f.B, pa, pb)
+	}
+}
+
+// assertSendsMatchBlocks checks a compiled layout's exchange against its
+// receive side: every send src → dst reads owned cells of src and writes
+// the same cells, in strictly ascending id order, into dst's halo
+// (src.globalOf[idx[j]] == dst.globalOf[dstBase+j]); each part's sends
+// ascend by destination, so there is one block per (src, dst) pair; and
+// the blocks of a receiver cover its halo exactly once — inside it, never
+// overlapping.
+func assertSendsMatchBlocks(t *testing.T, l *Layout) {
+	t.Helper()
+	written := make([][]int, len(l.parts))
+	for dst, ps := range l.parts {
+		written[dst] = make([]int, ps.nHalo)
+	}
+	for src, ps := range l.parts {
+		for si, sp := range ps.sends {
+			if sp.dst == src || si > 0 && sp.dst <= ps.sends[si-1].dst {
+				t.Fatalf("part %d: send %d goes to part %d after part %d — destinations must ascend, once each, never to itself",
+					src, si, sp.dst, ps.sends[max(si-1, 0)].dst)
+			}
+			dst := l.parts[sp.dst]
+			if sp.dstBase < dst.nOwned || sp.dstBase+len(sp.idx) > len(dst.globalOf) {
+				t.Fatalf("%d→%d: block [%d, %d) outside the halo [%d, %d)",
+					src, sp.dst, sp.dstBase, sp.dstBase+len(sp.idx), dst.nOwned, len(dst.globalOf))
+			}
+			for j, li := range sp.idx {
+				at := sp.dstBase + j
+				if int(li) >= ps.nOwned || ps.globalOf[li] != dst.globalOf[at] {
+					t.Fatalf("%d→%d slot %d: sends local %d (owned %d), the receiver holds cell %d there",
+						src, sp.dst, j, li, ps.nOwned, dst.globalOf[at])
+				}
+				if j > 0 && dst.globalOf[at] <= dst.globalOf[at-1] {
+					t.Fatalf("%d→%d: cells %d then %d — not ascending", src, sp.dst, dst.globalOf[at-1], dst.globalOf[at])
+				}
+				written[sp.dst][at-dst.nOwned]++
+			}
+		}
+	}
+	for dst, w := range written {
+		for i, n := range w {
+			if n != 1 {
+				t.Fatalf("part %d: halo slot %d written by %d sends, want exactly 1", dst, i, n)
+			}
 		}
 	}
 }
@@ -188,8 +209,13 @@ func FuzzPartition(f *testing.F) {
 			t.Fatalf("RCB produced %d parts, want %d", p.NumParts, 1<<levels)
 		}
 		assertOwnershipPartition(t, u, p)
-		assertPlanSymmetry(t, p)
-		assertHaloFaceAdjacent(t, u, p)
+		assertHaloLists(t, u, p)
+		l, err := CompileLayout(u, p, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSendsMatchBlocks(t, l)
+		l.Close()
 		assertMatchesSortOracle(t, u)
 	})
 }
@@ -248,13 +274,13 @@ func FuzzRadialMesh(f *testing.F) {
 		if degSum != 2*len(u.Faces) {
 			t.Fatalf("adjacency degree sum %d != 2×faces %d", degSum, 2*len(u.Faces))
 		}
-		// The builder's output must be partitionable with a valid halo plan.
+		// The builder's output must be partitionable with valid halo lists.
 		p, err := RCB(u, 1)
 		if err != nil {
 			t.Fatalf("RCB on built mesh: %v", err)
 		}
 		assertOwnershipPartition(t, u, p)
-		assertPlanSymmetry(t, p)
+		assertHaloLists(t, u, p)
 	})
 }
 

@@ -3,18 +3,18 @@ package umesh
 import (
 	"fmt"
 	"runtime"
-	"sort"
 
 	"repro/internal/exec"
 )
 
 // This file is the compiled partition — the one decision both partitioned
 // runtimes stand on: each part's cells renumbered owned-first with one
-// contiguous halo block per source part, the Partition's exchange plans
-// flattened into direct-write index arrays, and the worker pool the parts run
-// on. PartEngine (engine.go, the float32 residual runtime) and PartOperator
-// (operator.go, the float64 Krylov space) each add their own resident fields
-// in this numbering and nothing else; neither knows how it was derived.
+// contiguous halo block per source part, read straight off the Partition's
+// halo list, every send derived from its receiver's block, and the worker
+// pool the parts run on. PartEngine (engine.go, the float32 residual runtime)
+// and PartOperator (operator.go, the float64 Krylov space) each add their own
+// resident fields in this numbering and nothing else; neither knows how it
+// was derived.
 //
 //   - compact local renumbering: a part's working set is its owned cells plus
 //     its halo cells only (O(owned+halo)), never a global-sized array per
@@ -49,22 +49,14 @@ type Layout struct {
 }
 
 // sendPlan is one precompiled outgoing transfer: the local owned indices to
-// read and the base of the receiver's contiguous halo block for this source.
-// The destination ranges are disjoint between all senders and from every
-// owned range, and the step barrier orders the writes before the receiver's
-// rows read them.
+// read and the base of the receiver's contiguous halo block for this source,
+// whose cells they are in order. The destination ranges are disjoint between
+// all senders and from every owned range, and the step barrier orders the
+// writes before the receiver's rows read them.
 type sendPlan struct {
 	dst     int
 	dstBase int
 	idx     []int32
-}
-
-// recvSlot is one precompiled incoming transfer: halo cells are renumbered
-// so each source part's cells occupy one contiguous local range. The slots
-// define the halo layout senders resolve their dstBase against.
-type recvSlot struct {
-	src     int
-	base, n int
 }
 
 // partLayout is one part's compact numbering: owned cells first, then halo
@@ -77,18 +69,22 @@ type partLayout struct {
 	nbrLocal      []int32
 	nbrTrans      []float64
 	sends         []sendPlan
-	recvs         []recvSlot
 }
 
-// CompileLayout renumbers every part into its compact index space, resolves
-// the direct-write exchange bases and starts the worker pool (workers 0
-// selects runtime.NumCPU(); the pool clamps it to the part count).
+// CompileLayout renumbers every part into its compact index space, derives
+// the direct-write exchange plans and starts the worker pool (workers 0
+// selects runtime.NumCPU(); the pool clamps it to the part count). The
+// partition must come from RCB, which records the halo lists.
 func CompileLayout(u *Mesh, p *Partition, workers int) (*Layout, error) {
 	if err := u.Validate(); err != nil {
 		return nil, err
 	}
 	if len(p.Part) != u.NumCells {
 		return nil, fmt.Errorf("umesh: partition covers %d cells, mesh has %d", len(p.Part), u.NumCells)
+	}
+	if p.halo == nil || len(p.halo) != p.NumParts || len(p.Owned) != p.NumParts {
+		return nil, fmt.Errorf("umesh: partition of %d parts has %d owned and %d halo lists; build it with RCB",
+			p.NumParts, len(p.Owned), len(p.halo))
 	}
 	if workers < 0 {
 		return nil, fmt.Errorf("umesh: workers must be non-negative, got %d", workers)
@@ -97,33 +93,21 @@ func CompileLayout(u *Mesh, p *Partition, workers int) (*Layout, error) {
 		workers = runtime.NumCPU()
 	}
 	l := &Layout{u: u, part: p, parts: make([]*partLayout, p.NumParts), starts: make([]int32, p.NumParts+1)}
-	for me := range l.parts {
-		ps, err := newPartLayout(u, p, me)
-		if err != nil {
-			return nil, err
-		}
-		l.parts[me] = ps
-		l.starts[me+1] = l.starts[me] + int32(ps.nOwned)
-		if len(ps.sends) > 0 || len(ps.recvs) > 0 {
-			l.exchanges = true
+	// at[c] is c's index in its owner's Owned list, haloAt[c] its local
+	// index in the part being compiled, when that part reads c as halo.
+	at, haloAt := make([]int32, u.NumCells), make([]int32, u.NumCells)
+	for me, owned := range p.Owned {
+		l.parts[me] = &partLayout{nOwned: len(owned), nHalo: len(p.halo[me])}
+		for i, c := range owned {
+			at[c] = int32(i)
 		}
 	}
-	// Resolve each send plan's direct-write base against the receiver's halo
-	// layout. The partition builds sendPlan[src][dst] and recvPlan[dst][src]
-	// from the same cell list, so the planned length must match the slot.
 	for me, ps := range l.parts {
-		for si := range ps.sends {
-			sp := &ps.sends[si]
-			sp.dstBase = -1
-			for _, r := range l.parts[sp.dst].recvs {
-				if r.src == me && r.n == len(sp.idx) {
-					sp.dstBase = r.base
-				}
-			}
-			if sp.dstBase < 0 {
-				return nil, fmt.Errorf("umesh: part %d sends %d cells to part %d but the receiver plans no matching halo block", me, len(sp.idx), sp.dst)
-			}
+		if err := l.compilePart(me, at, haloAt); err != nil {
+			return nil, err
 		}
+		l.starts[me+1] = l.starts[me] + int32(ps.nOwned)
+		l.exchanges = l.exchanges || ps.nHalo > 0
 	}
 	l.pool = exec.NewPool(workers, p.NumParts)
 	return l, nil
@@ -132,83 +116,57 @@ func CompileLayout(u *Mesh, p *Partition, workers int) (*Layout, error) {
 // Close stops the worker pool. Nothing built on the layout may run after.
 func (l *Layout) Close() { l.pool.Stop() }
 
-// sortedKeys returns a plan map's part keys in ascending order — the
-// deterministic neighbor ordering every precompiled plan uses.
-func sortedKeys(m map[int][]int) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
-
-// newPartLayout renumbers one part into its compact local index space and
-// precompiles its exchange plans (the direct-write bases are resolved by
-// CompileLayout once every part's halo layout exists).
-func newPartLayout(u *Mesh, p *Partition, me int) (*partLayout, error) {
-	owned := p.Owned[me]
-	ps := &partLayout{nOwned: len(owned)}
-
-	// Local renumbering: owned cells first (in Owned order), then each
-	// source part's halo cells as one contiguous block, sources ascending.
-	localOf := make(map[int]int32, len(owned))
-	ps.globalOf = make([]int32, 0, len(owned))
-	for i, c := range owned {
-		localOf[c] = int32(i)
+// compilePart renumbers part me — owned cells first, in Owned order, then
+// its halo list — builds its rows over local indices, and appends to each
+// source part the send plan that fills one of its halo blocks.
+func (l *Layout) compilePart(me int, at, haloAt []int32) error {
+	ps, owned, halo := l.parts[me], l.part.Owned[me], l.part.halo[me]
+	ps.globalOf = make([]int32, 0, len(owned)+len(halo))
+	for _, c := range owned {
 		ps.globalOf = append(ps.globalOf, int32(c))
 	}
-	for _, src := range sortedKeys(p.recvPlan[me]) {
-		cells := p.recvPlan[me][src]
-		ps.recvs = append(ps.recvs, recvSlot{src: src, base: len(ps.globalOf), n: len(cells)})
-		for _, c := range cells {
-			if _, dup := localOf[c]; dup {
-				return nil, fmt.Errorf("umesh: part %d receives cell %d twice", me, c)
-			}
-			localOf[c] = int32(len(ps.globalOf))
-			ps.globalOf = append(ps.globalOf, int32(c))
+	// One halo block per source part, in the list's order. Faces are
+	// symmetric, so block src is exactly what part src sends to me: its plan
+	// reads those cells at their owned indices and writes them from the
+	// block's base on. Parts compile in ascending order, so every part's
+	// sends ascend by destination.
+	for i, c := range halo {
+		src := l.part.Part[c]
+		haloAt[c] = int32(len(ps.globalOf))
+		if i == 0 || src != l.part.Part[halo[i-1]] {
+			l.parts[src].sends = append(l.parts[src].sends, sendPlan{dst: me, dstBase: len(ps.globalOf)})
 		}
-		ps.nHalo += len(cells)
+		sp := &l.parts[src].sends[len(l.parts[src].sends)-1]
+		sp.idx = append(sp.idx, at[c])
+		ps.globalOf = append(ps.globalOf, c)
 	}
 
 	// CSR adjacency over local indices, preserving the exact per-cell
 	// neighbor order of the serial cell-based sweep.
 	ps.rowStart = make([]int32, ps.nOwned+1)
 	for i, c := range owned {
-		ps.rowStart[i+1] = ps.rowStart[i] + int32(u.Degree(c))
+		ps.rowStart[i+1] = ps.rowStart[i] + int32(l.u.Degree(c))
 	}
 	ps.nbrLocal = make([]int32, ps.rowStart[ps.nOwned])
 	ps.nbrTrans = make([]float64, ps.rowStart[ps.nOwned])
 	k := 0
 	for _, c := range owned {
-		nbrs, trans := u.halfFaces(c)
+		nbrs, trans := l.u.halfFaces(c)
 		for j, nb := range nbrs {
-			li, ok := localOf[int(nb)]
-			if !ok {
-				return nil, fmt.Errorf("umesh: part %d: neighbor %d of owned cell %d is neither owned nor planned halo", me, nb, c)
+			li := at[nb]
+			if l.part.Part[nb] != me {
+				li = haloAt[nb]
+			}
+			// Only a partition built for another mesh misses a neighbor.
+			if int(li) >= len(ps.globalOf) || ps.globalOf[li] != nb {
+				return fmt.Errorf("umesh: part %d: neighbor %d of owned cell %d is neither owned nor in its halo list", me, nb, c)
 			}
 			ps.nbrLocal[k] = li
 			ps.nbrTrans[k] = trans[j]
 			k++
 		}
 	}
-
-	// Send plans: local owned indices to read; the direct-write base into
-	// the receiver is filled in by CompileLayout.
-	for _, dst := range sortedKeys(p.sendPlan[me]) {
-		cells := p.sendPlan[me][dst]
-		sp := sendPlan{dst: dst, idx: make([]int32, len(cells))}
-		for i, c := range cells {
-			li, ok := localOf[c]
-			if !ok || li >= int32(ps.nOwned) {
-				return nil, fmt.Errorf("umesh: part %d: planned send cell %d is not owned", me, c)
-			}
-			sp.idx[i] = li
-		}
-		ps.sends = append(ps.sends, sp)
-	}
-
-	return ps, nil
+	return nil
 }
 
 // pushHalo is the halo exchange, written once for both runtimes: it writes

@@ -38,9 +38,9 @@ import (
 // arithmetic.
 //
 // The operator is built on a compiled Layout (layout.go): the parts' compact
-// numbering, the direct-write exchange plans (pushHalo moves a resident
-// vector's planned owned values straight into the neighbors' halo blocks of
-// the same vector) and the worker pool are the layout's; the operator adds the
+// numbering, the direct-write send plans derived from the halo lists (pushHalo
+// moves a resident vector's sent owned values straight into the neighbors'
+// halo blocks of the same vector) and the worker pool are the layout's; the operator adds the
 // resident vectors, the row store and the reduction blocks.
 //
 // Determinism discipline: every inner product is accumulated per canonical

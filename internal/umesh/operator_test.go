@@ -509,11 +509,8 @@ func TestPartOperatorCommCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wantWords, wantMsgs uint64
-	for me := 0; me < part.NumParts; me++ {
-		wantWords += 2 * uint64(part.HaloCells(me))
-		wantMsgs += uint64(len(part.recvPlan[me]))
-	}
+	wantWords, wantMsgs := cutFaceComm(u, part)
+	wantWords *= 2
 	x := probeVector(u.NumCells, 2)
 	dst := make([]float64, u.NumCells)
 	const apps = 4

@@ -1,16 +1,18 @@
 package umesh
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
 )
 
-// Partition assigns cells to parts and precomputes the halo-exchange plan:
-// for every (owner, neighbor-part) pair, the exact cell lists to ship. This
-// is the top-level distribution concern that "would be usually implemented
-// with MPI" (§4); CompileLayout (layout.go) flattens the plan into the
-// direct-write index arrays the partitioned runtimes exchange through.
+// Partition assigns cells to parts and records each part's halo: the cells
+// it reads but does not own. This is the top-level distribution concern that
+// "would be usually implemented with MPI" (§4); CompileLayout (layout.go)
+// compiles the halo lists into the direct-write index arrays the partitioned
+// runtimes exchange through. Only RCB builds the halo lists, so
+// CompileLayout rejects a Partition assembled by hand.
 type Partition struct {
 	NumParts int
 	// Part maps cell → owning part.
@@ -19,12 +21,11 @@ type Partition struct {
 	// CanonicalOrder); an RCB part owns one contiguous canonical run, with
 	// parts ascending.
 	Owned [][]int
-	// sendPlan[p] lists, per destination part, the owned cells whose values
-	// the destination needs (because a face crosses the boundary).
-	sendPlan []map[int][]int
-	// recvPlan[p] lists, per source part, the remote cells p will receive
-	// (in the sender's order, so one message slots straight in).
-	recvPlan []map[int][]int
+	// halo[p] lists the cells part p reads across a cut face, grouped by
+	// owning part with parts ascending, ascending by cell id within a
+	// group. Faces are symmetric, so group q of halo[p] is also exactly
+	// what part q sends to p: one list serves both ends of every message.
+	halo [][]int32
 }
 
 // cellKey is one record of the array the canonical-order recursion carries:
@@ -228,7 +229,7 @@ func RCB(u *Mesh, levels int) (*Partition, error) {
 }
 
 // buildPartition derives the ownership lists, each in canonical order, and
-// the halo plan from a part map.
+// the halo lists from a part map.
 func buildPartition(u *Mesh, part []int, numParts int) (*Partition, error) {
 	p := &Partition{NumParts: numParts, Part: part}
 	p.Owned = make([][]int, numParts)
@@ -238,53 +239,31 @@ func buildPartition(u *Mesh, part []int, numParts int) (*Partition, error) {
 		}
 		p.Owned[part[c]] = append(p.Owned[part[c]], int(c))
 	}
-	// Halo plan: a face (A,B) crossing parts means each side needs the
-	// other's cell value. Collect unique cells per (src,dst) pair in
-	// deterministic (cell-id) order.
-	needed := make([]map[int]map[int]bool, numParts) // dst → src → set of src cells
-	for i := range needed {
-		needed[i] = make(map[int]map[int]bool)
-	}
-	addNeed := func(dst, src, cell int) {
-		if needed[dst][src] == nil {
-			needed[dst][src] = make(map[int]bool)
-		}
-		needed[dst][src][cell] = true
-	}
-	for _, f := range u.Faces {
-		pa, pb := part[f.A], part[f.B]
-		if pa == pb {
-			continue
-		}
-		addNeed(pa, pb, f.B)
-		addNeed(pb, pa, f.A)
-	}
-	p.sendPlan = make([]map[int][]int, numParts)
-	p.recvPlan = make([]map[int][]int, numParts)
-	for i := range p.sendPlan {
-		p.sendPlan[i] = make(map[int][]int)
-		p.recvPlan[i] = make(map[int][]int)
-	}
-	for dst := 0; dst < numParts; dst++ {
-		for src, set := range needed[dst] {
-			cells := make([]int, 0, len(set))
-			for c := range set {
-				cells = append(cells, c)
+	// One pass over each part's owned rows collects the neighbors it does
+	// not own; seen[c] holds the stamp (1 + part) of the last part that
+	// listed c, so a cell read across several faces is listed once.
+	seen := make([]int32, u.NumCells)
+	p.halo = make([][]int32, numParts)
+	for me, owned := range p.Owned {
+		var halo []int32
+		stamp := int32(me + 1)
+		for _, c := range owned {
+			nbrs, _ := u.halfFaces(c)
+			for _, nb := range nbrs {
+				if part[nb] != me && seen[nb] != stamp {
+					seen[nb] = stamp
+					halo = append(halo, nb)
+				}
 			}
-			slices.Sort(cells)
-			p.recvPlan[dst][src] = cells
-			p.sendPlan[src][dst] = cells
 		}
+		slices.SortFunc(halo, func(a, b int32) int {
+			return cmp.Or(cmp.Compare(part[a], part[b]), cmp.Compare(a, b))
+		})
+		p.halo[me] = halo
 	}
 	return p, nil
 }
 
 // HaloCells returns how many remote cell values part p receives per step —
 // the communication volume the §9 "arbitrary topology" mapping must move.
-func (p *Partition) HaloCells(part int) int {
-	n := 0
-	for _, cells := range p.recvPlan[part] {
-		n += len(cells)
-	}
-	return n
-}
+func (p *Partition) HaloCells(part int) int { return len(p.halo[part]) }

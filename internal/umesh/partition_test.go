@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/mesh"
@@ -60,86 +61,69 @@ func TestRCBBalancedPerBisectionLevel(t *testing.T) {
 	}
 }
 
-func TestRCBPlansSymmetric(t *testing.T) {
-	// Property: sendPlan[src][dst] and recvPlan[dst][src] are the same cell
-	// list — one message's wire format, agreed by both ends.
+func TestCompileLayoutSendsMatchReceiverBlocks(t *testing.T) {
+	// Property: every send is its receiver's halo block read back at the
+	// sender — the same cells in the same order, one block per (src, dst)
+	// pair, the blocks tiling each receiver's halo.
 	for name, u := range partitionFixtures(t) {
-		p, err := RCB(u, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for src := 0; src < p.NumParts; src++ {
-			for dst, sent := range p.sendPlan[src] {
-				recv, ok := p.recvPlan[dst][src]
-				if !ok {
-					t.Fatalf("%s: part %d sends to %d but %d expects nothing", name, src, dst, dst)
-				}
-				if len(sent) != len(recv) {
-					t.Fatalf("%s: %d→%d plan lengths differ: %d vs %d", name, src, dst, len(sent), len(recv))
-				}
-				for i := range sent {
-					if sent[i] != recv[i] {
-						t.Fatalf("%s: %d→%d plan diverges at %d: %d vs %d", name, src, dst, i, sent[i], recv[i])
-					}
-				}
+		for _, levels := range []int{1, 3} {
+			p, err := RCB(u, levels)
+			if err != nil {
+				t.Fatal(err)
 			}
-			// No receive without a matching send.
-			for src2, recv := range p.recvPlan[src] {
-				if _, ok := p.sendPlan[src2][src]; !ok {
-					t.Fatalf("%s: part %d expects %d cells from %d, which sends nothing",
-						name, src, len(recv), src2)
-				}
+			l, err := CompileLayout(u, p, 1)
+			if err != nil {
+				t.Fatalf("%s levels=%d: %v", name, levels, err)
 			}
+			assertSendsMatchBlocks(t, l)
+			l.Close()
 		}
 	}
 }
 
 func TestRCBPlannedHaloCellsFaceAdjacent(t *testing.T) {
-	// Property: every planned halo cell is owned by the sender AND shares a
-	// face with at least one cell of the receiving part — the plan ships
-	// exactly the §4 ghost layer, nothing speculative.
-	for name, u := range partitionFixtures(t) {
+	// Property: every halo cell is owned by another part, listed once, AND
+	// shares a face with the receiving part, and every cut face's far cell
+	// is listed — the lists hold exactly the §4 ghost layer.
+	for _, u := range partitionFixtures(t) {
 		p, err := RCB(u, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for dst := 0; dst < p.NumParts; dst++ {
-			for src, cells := range p.recvPlan[dst] {
-				for _, c := range cells {
-					if p.Part[c] != src {
-						t.Fatalf("%s: halo cell %d planned from part %d but owned by %d",
-							name, c, src, p.Part[c])
-					}
-					nbrs, _ := u.halfFaces(c)
-					adjacent := false
-					for _, nb := range nbrs {
-						if p.Part[nb] == dst {
-							adjacent = true
-							break
-						}
-					}
-					if !adjacent {
-						t.Fatalf("%s: planned halo cell %d (part %d→%d) is not face-adjacent to the receiving part",
-							name, c, src, dst)
-					}
-				}
-			}
-		}
-		// Completeness: every cross-part face's two cells appear in each
-		// other's plans (no missing halo).
-		for _, f := range u.Faces {
-			pa, pb := p.Part[f.A], p.Part[f.B]
-			if pa == pb {
-				continue
-			}
-			if !containsCell(p.recvPlan[pa][pb], f.B) {
-				t.Fatalf("%s: face (%d,%d) crosses %d/%d but %d is not in part %d's plan",
-					name, f.A, f.B, pa, pb, f.B, pa)
-			}
-			if !containsCell(p.recvPlan[pb][pa], f.A) {
-				t.Fatalf("%s: face (%d,%d) crosses %d/%d but %d is not in part %d's plan",
-					name, f.A, f.B, pa, pb, f.A, pb)
-			}
+		assertHaloLists(t, u, p)
+	}
+}
+
+func TestCompileLayoutRejectsPartitionNotFromRCB(t *testing.T) {
+	// A Partition's fields are exported, but only RCB records its halo
+	// lists: a hand-built or truncated one is an error naming RCB, never a
+	// panic, and so is an RCB partition of another mesh of the same size.
+	_, u := structuredFixture(t, mesh.Dims{Nx: 9, Ny: 7, Nz: 3})
+	_, other := structuredFixture(t, mesh.Dims{Nx: 7, Ny: 9, Nz: 3})
+	p, err := RCB(u, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := RCB(other, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		p    *Partition
+		want string
+	}{
+		"by hand":          {&Partition{NumParts: 2, Part: p.Part, Owned: p.Owned}, "RCB"},
+		"owned truncated":  {&Partition{NumParts: 2, Part: p.Part, Owned: p.Owned[:1], halo: p.halo}, "RCB"},
+		"halo truncated":   {&Partition{NumParts: 2, Part: p.Part, Owned: p.Owned, halo: p.halo[:1]}, "RCB"},
+		"parts overstated": {&Partition{NumParts: 4, Part: p.Part, Owned: p.Owned, halo: p.halo}, "RCB"},
+		"another mesh":     {q, "halo list"},
+	} {
+		l, err := CompileLayout(u, tc.p, 1)
+		if err == nil {
+			l.Close()
+			t.Errorf("%s: compiled", name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %s", name, err, tc.want)
 		}
 	}
 }
@@ -413,11 +397,17 @@ func rngPerm(rng *fuzzRand, n int) []int {
 	return p
 }
 
-func containsCell(cells []int, c int) bool {
-	for _, x := range cells {
-		if x == c {
-			return true
+// cutFaceComm counts a partition's exchange from the mesh's faces alone:
+// the distinct (receiver, far cell) pairs of its cut faces — the values one
+// halo push moves — and the distinct ordered part pairs they join — its
+// messages.
+func cutFaceComm(u *Mesh, p *Partition) (values, messages uint64) {
+	cells, pairs := map[[2]int]bool{}, map[[2]int]bool{}
+	for _, f := range u.Faces {
+		if pa, pb := p.Part[f.A], p.Part[f.B]; pa != pb {
+			cells[[2]int{pa, f.B}], cells[[2]int{pb, f.A}] = true, true
+			pairs[[2]int{pb, pa}], pairs[[2]int{pa, pb}] = true, true
 		}
 	}
-	return false
+	return uint64(len(cells)), uint64(len(pairs))
 }

@@ -122,7 +122,7 @@ type TransientResult struct {
 }
 
 // TransientSolver is the resident-engine form of the transient implicit
-// path: plan compilation (RCB renumbering consumption, layout halo plans,
+// path: plan compilation (RCB renumbering consumption, layout send plans,
 // CSR interleave, operator build, preconditioner setup hooks) happens once
 // in NewTransientSolver, and every Solve after that re-aims the compiled
 // engine at a new right-hand side — new wells, step count and initial field

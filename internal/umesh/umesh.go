@@ -7,7 +7,8 @@
 // counts), the TPFA flux computation in both face-based and cell-based
 // sweeps, and a compiled partition (Layout): recursive coordinate bisection,
 // compact per-part renumbering (owned + halo cells only), and message-passing
-// halo exchange through plans precompiled into flat direct-write index arrays
+// halo exchange through send plans precompiled into flat direct-write index
+// arrays
 // — the layer "usually implemented with MPI" (§4), executed on the shared
 // shard-pool runtime (internal/exec) the structured sharded engine also runs
 // on. Two runtimes stand on a Layout and add only their resident fields. The

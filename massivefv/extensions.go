@@ -111,7 +111,8 @@ func SimulateWave(m *WaveMedium, opts WaveOptions) (*WaveResult, error) {
 type (
 	// UMesh is a general unstructured finite-volume mesh.
 	UMesh = umesh.Mesh
-	// UPartition is an RCB decomposition with halo plans.
+	// UPartition is an RCB decomposition with its halo lists; only
+	// PartitionRCB builds one that the partitioned runtimes compile.
 	UPartition = umesh.Partition
 	// UEngineOptions configures the persistent partitioned engine.
 	UEngineOptions = umesh.EngineOptions

@@ -2,6 +2,7 @@ package massivefv
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/refflux"
@@ -136,6 +137,27 @@ func TestFacadeSolveUnstructured(t *testing.T) {
 	}
 	if xSerial[um.WellIndex()] <= 0 {
 		t.Errorf("injection did not raise pressure: %g", xSerial[um.WellIndex()])
+	}
+}
+
+func TestFacadeSolveUnstructuredRejectsHandBuiltPartition(t *testing.T) {
+	// UPartition's fields are exported, but only PartitionRCB records the
+	// halo lists a partitioned solve compiles: one assembled by hand is an
+	// error naming RCB, never a panic.
+	um, err := NewRadialMesh(DefaultRadialOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcb, err := PartitionRCB(um, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hand := &UPartition{NumParts: rcb.NumParts, Part: rcb.Part, Owned: rcb.Owned}
+	b := make([]float64, um.NumCells)
+	b[um.WellIndex()] = 1.5
+	_, _, err = SolveUnstructured(um, hand, DefaultFluid(), 3600, b, SolverOptions{Tol: 1e-8})
+	if err == nil || !strings.Contains(err.Error(), "RCB") {
+		t.Fatalf("SolveUnstructured on a hand-built partition: %v, want an error naming RCB", err)
 	}
 }
 
