@@ -96,7 +96,8 @@ race:
 # Chebyshev, AMG; 4524 once umesh's face-based residual, which only its
 # tests called, moved into them; 4447 once an application is a halo push and
 # one sweep over every owned row, with no interior/frontier row split; 4385
-# once a part's halo is one list RCB records and CompileLayout reads). Lower
+# once a part's halo is one list RCB records and CompileLayout reads; 4359
+# once solver.CG, which only tests called, moved into them). Lower
 # SIZE_CEILING when a PR shrinks the sum; a PR that must raise it says why.
 # SERVE_CEILING does the same for internal/serve, the serving core ROADMAP's
 # state-machine item tracks (2050 at PR 16, 2044 at PR 17, 2017 once the
@@ -108,7 +109,8 @@ race:
 # slices.Contains; 1819 once each backlog is served in arrival order and a
 # request is priced at its scenario's last observed seconds per step — the
 # cost prior, rung factors, EWMA, aging credit, shortest-job-first scan and
-# brownout are gone, and a request's steps are bounded at decode), and
+# brownout are gone, and a request's steps are bounded at decode; 1825 once
+# validate sums each cell's wells and rejects rates that cancel or underflow), and
 # BENCH_CEILING for internal/bench, which holds
 # the paper's tables, Fig. 8 and the ablations and nothing that times this
 # host (2695 at PR 19 with the five wall-clock sweeps, 956 at PR 20 without).
@@ -137,7 +139,7 @@ race:
 # and a 30-s receive timeout; 959 once a wavelet is routed to completion in
 # its sender's goroutine and deadlock is detected exactly; 941 once the
 # engine-counter sum and the router's switch-position probe, which only tests
-# called, were gone from it). MODULE_CEILING
+# called, were gone from it; 745 once the Fig. 6 broadcast moved into its tests). MODULE_CEILING
 # holds the whole module: every non-test .go and .s line outside benchmark/
 # (17568 before this ratchet, of which 287 assembly; 16590 once every exported
 # name needed a non-test caller — meshgen and its snapshot format, the ERT
@@ -145,13 +147,14 @@ race:
 # moved into the tests that use them; 16464 once the flat engine has one
 # application and the paper evaluation one engine, net of fvab's -workload
 # all; 16443 once umesh's row split is gone, net of fvab's count diff;
-# 16425 once the map-based halo plans are gone, net of fvab's raw judging).
-SIZE_CEILING = 4385
-SERVE_CEILING = 1819
+# 16425 once the map-based halo plans are gone, net of fvab's raw judging;
+# 15259 once cmd/wsesim and examples/ are gone, three of them now Examples).
+SIZE_CEILING = 4359
+SERVE_CEILING = 1825
 BENCH_CEILING = 897
 STRUCT_CEILING = 1780
-FABRIC_CEILING = 941
-MODULE_CEILING = 16425
+FABRIC_CEILING = 745
+MODULE_CEILING = 15259
 size:
 	@set -e; \
 	for d in $$($(GO) list -f '{{.Dir}}' ./... | sed "s|^$$PWD/*||; s|^$$|.|"); do \
@@ -364,8 +367,10 @@ cover:
 	check ./internal/loadgen/ 92; \
 	check ./internal/faultinject/ 82
 
-# Docs gate: the godoc Example functions (solver.CG, RunTransientPartitioned,
-# SolveUnstructured) execute with output verification, the architecture and
+# Docs gate: the godoc Example functions (solver.CompileCG,
+# umesh.RunTransientPartitioned, massivefv's SolveUnstructured, RunDataflow,
+# RunGPU and SimulateWave — the last three on amd64 only) execute with
+# output verification, the architecture and
 # benchmark documents exist, the README links them, every relative markdown
 # cross-link in the top-level docs resolves to a real file, every *.md file a
 # .go file (outside .bench_build/) or this Makefile names exists — at the

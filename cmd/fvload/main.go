@@ -3,8 +3,9 @@
 // weighted mix of scenario/payload bodies — against the target over HTTP
 // and reports sustained throughput, latency quantiles and the server's memo
 // hits per workload item. The arrival and quantile arithmetic is
-// internal/loadgen, the same engine the in-process serving benchmark runs
-// on, so remote and in-process measurements cannot drift.
+// internal/loadgen, whose arrival plans internal/serve's lifecycle test also
+// replays; the repository benchmark's serve-mixed workload does not use it —
+// benchmark/servemix.go runs its own open loop against an in-process server.
 //
 // Usage:
 //

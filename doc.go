@@ -67,8 +67,9 @@
 // (FuzzPartition, FuzzRadialMesh; `make fuzz-smoke`); golden regressions
 // (partitioned solves bit-identical to serial references, per rung); a race
 // gate over every concurrent engine (`make race`); a per-package coverage
-// gate (`make cover`); and runnable godoc Example functions verified on
-// every `go test` (`make docs-check`).
+// gate (`make cover`); and runnable godoc Example functions — the module's
+// only demonstrations, each with an exact Output block — verified on every
+// `go test` (`make docs-check`).
 //
 // ARCHITECTURE.md maps the layers and the dataflow of a partitioned
 // resident solve; docs/benchmarks.md says how a number is measured here:

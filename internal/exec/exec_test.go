@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestPoolClamping(t *testing.T) {
@@ -367,4 +368,34 @@ func TestPoolCounters(t *testing.T) {
 		t.Errorf("counters after Run = %d barriers/%d dispatches, want 5/3", b, d)
 	}
 	p2.Stop()
+}
+
+// TestParkedWorkersWake reaches both park paths on purpose: worker 1, left
+// idle past its spin budget, parks awaiting the next dispatch, and, done
+// with its own shard while shard 0 sleeps, parks again at the barrier. Both
+// wake and the plan runs every shard of every step.
+func TestParkedWorkersWake(t *testing.T) {
+	const pause = 20 * time.Millisecond
+	p := NewPool(2, 2)
+	defer p.Stop()
+	var ran [2]atomic.Int32
+	phase := func(s int) error {
+		if s == 0 {
+			time.Sleep(pause)
+		}
+		ran[s].Add(1)
+		return nil
+	}
+	pl := p.NewPlan([]Step{{Phase: phase}, {Phase: phase}})
+	for rep := 1; rep <= 2; rep++ {
+		time.Sleep(pause)
+		if _, err := pl.Execute(); err != nil {
+			t.Fatal(err)
+		}
+		for s := range ran {
+			if got := ran[s].Load(); got != int32(2*rep) {
+				t.Fatalf("dispatch %d: shard %d ran %d times, want %d", rep, s, got, 2*rep)
+			}
+		}
+	}
 }

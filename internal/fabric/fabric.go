@@ -62,10 +62,6 @@ var waitNames = [...]string{inRecv: "Recv", inBarrier: "a barrier"}
 // HasNeighbor reports whether a fabric neighbor exists on port p.
 func (pe *PE) HasNeighbor(p Port) bool { return p < PortRamp && pe.nbr[p] != nil }
 
-// Router exposes the PE's router for route configuration (before Run) and
-// for counter/position inspection (after).
-func (pe *PE) Router() *router { return pe.rt }
-
 // Send emits one wavelet from the worker onto the ramp and routes it to
 // completion in the caller's goroutine: every hop, switch command and
 // delivery happens before Send returns. The fabric mutex makes each send

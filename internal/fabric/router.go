@@ -78,17 +78,6 @@ func (r *router) SetRoute(c Color, pos uint8, from Port, to ...Port) error {
 	return nil
 }
 
-// SetCommandColor nominates the control color whose wavelets carry switch
-// commands. Command wavelets are routed like data (so commands propagate
-// along the same pattern) and then applied to this router.
-func (r *router) SetCommandColor(c Color) error {
-	if c >= MaxColors {
-		return fmt.Errorf("fabric: command color %d out of range", c)
-	}
-	r.cmd, r.hasCmd = c, true
-	return nil
-}
-
 // route carries one wavelet that arrives on port from through this router,
 // with the fabric mutex held: it applies a switch command, then appends to
 // the PE's inbox or hands the wavelet to the neighbor on each output port.

@@ -109,11 +109,6 @@ func FromF32(c Color, v float32) Wavelet {
 // to the alternative configuration — the paper's switch semantic.
 const TogglePosition uint8 = 0xFF
 
-// EncodeCommand packs a switch command payload.
-func EncodeCommand(target Color, newPos uint8) uint32 {
-	return uint32(target) | uint32(newPos)<<8
-}
-
 // DecodeCommand unpacks a switch command payload.
 func DecodeCommand(data uint32) (target Color, newPos uint8) {
 	return Color(data & 0xFF), uint8((data >> 8) & 0xFF)

@@ -136,7 +136,7 @@ func Build(d Dims, s Spacing, opts GeoOptions) (*Mesh, error) {
 }
 
 // BuildDefault is Build with DefaultGeoOptions and DefaultSpacing — the
-// one-liner used by examples and benchmarks.
+// one-liner behind fvsim and the facade's BuildMesh.
 func BuildDefault(d Dims) (*Mesh, error) {
 	return Build(d, DefaultSpacing(), DefaultGeoOptions())
 }

@@ -160,8 +160,8 @@ type Mesh struct {
 	// for a hydrostatic column only when z is height). Cells at depth carry
 	// negative elevations.
 	Elev []float64
-	// Porosity φ (pressure dependence is not used by the flux kernel but the
-	// field is part of the geomodel and exercised by examples).
+	// Porosity φ: the flux kernel does not read it; the transient
+	// simulators' accumulation term does, per cell.
 	Porosity []float64
 
 	// Trans holds the ten per-cell face transmissibilities:
@@ -239,15 +239,4 @@ func to32(in []float64) []float32 {
 		out[i] = float32(v)
 	}
 	return out
-}
-
-// TotalPoreVolume returns Σ φ·V over all cells (used by examples to report
-// storage capacity).
-func (m *Mesh) TotalPoreVolume() float64 {
-	v := m.Spacing.Dx * m.Spacing.Dy * m.Spacing.Dz
-	sum := 0.0
-	for _, phi := range m.Porosity {
-		sum += phi * v
-	}
-	return sum
 }

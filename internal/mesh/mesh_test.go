@@ -286,13 +286,6 @@ func TestPerturbPressure32Deterministic(t *testing.T) {
 	}
 }
 
-func TestTotalPoreVolumePositive(t *testing.T) {
-	m := mustBuild(t, smallDims(), DefaultGeoOptions())
-	if v := m.TotalPoreVolume(); v <= 0 {
-		t.Errorf("pore volume = %g", v)
-	}
-}
-
 func TestMaxAbsPressure(t *testing.T) {
 	m := mustBuild(t, smallDims(), DefaultGeoOptions())
 	if mx := slices.Max(m.Pressure); mx < 1e7 {

@@ -69,7 +69,7 @@ type Fluid struct {
 
 // DefaultFluid returns fluid properties representative of supercritical CO2
 // at storage conditions: these values exercise realistic gravity and upwind
-// behaviour and are used by the examples and experiments.
+// behaviour and are used by the Examples and experiments.
 func DefaultFluid() Fluid {
 	return Fluid{
 		RhoRef:          700.0,   // kg/m³

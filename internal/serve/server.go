@@ -542,15 +542,21 @@ func (r SolveRequest) validate(maxCells int) error {
 	// Negative well cells can never be valid; the upper bound is checked
 	// against the compiled mesh's real cell count after the cache resolves
 	// (cellEstimate is only the pre-compile MaxCells bound).
-	injected := 0.0
+	net := make(map[int]float64, len(r.Wells))
 	for _, well := range r.Wells {
 		if well.Cell < 0 {
 			return fmt.Errorf("serve: well cell %d is negative", well.Cell)
 		}
-		injected += math.Abs(well.Rate)
+		net[well.Cell] += well.Rate
 	}
-	if len(r.Wells) > 0 && injected == 0 {
-		return fmt.Errorf("serve: all well rates are zero — nothing drives the flow")
+	// Each cell's net rate is summed in well order, as the solver builds b:
+	// when every one squares to zero, ‖b‖ is zero and the solve does nothing.
+	drives := false
+	for _, q := range net {
+		drives = drives || q*q != 0
+	}
+	if len(r.Wells) > 0 && !drives {
+		return fmt.Errorf("serve: the wells' net rates are zero — nothing drives the flow")
 	}
 	return nil
 }

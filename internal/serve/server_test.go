@@ -119,6 +119,9 @@ func TestSolveRejectsInvalid(t *testing.T) {
 		{"negative well cell", testBody(`"wells":[{"cell":-1,"rate":2}]`)},
 		{"zero-rate well", testBody(`"wells":[{"cell":0,"rate":0}]`)},
 		{"zero-rate wells", testBody(`"wells":[{"cell":0,"rate":0},{"cell":47,"rate":-0.0}]`)},
+		{"wells cancelling in one cell", testBody(`"wells":[{"cell":0,"rate":2},{"cell":0,"rate":-2}]`)},
+		{"subnormal rates", testBody(`"wells":[{"cell":0,"rate":1e-320},{"cell":47,"rate":-1e-320}]`)},
+		{"rate whose square underflows", testBody(`"wells":[{"cell":0,"rate":1e-170}]`)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -143,6 +146,14 @@ func TestSolveRejectsInvalid(t *testing.T) {
 	if st.Admitted != 0 || st.Solves != 0 || st.MemoEntries != 0 || st.Failed != 0 {
 		t.Errorf("invalid requests got past decode: %d admitted, %d solves, %d memo entries, %d failed",
 			st.Admitted, st.Solves, st.MemoEntries, st.Failed)
+	}
+	// A rate far below any physical one still drives the flow.
+	var small SolveResponse
+	if code := postSolve(t, ts, testBody(`"wells":[{"cell":0,"rate":1e-100},{"cell":47,"rate":-1e-100}]`), &small); code != http.StatusOK {
+		t.Fatalf("rate 1e-100: status %d, want 200", code)
+	}
+	if small.Iterations == 0 {
+		t.Error("rate 1e-100: the solve took no iterations")
 	}
 }
 

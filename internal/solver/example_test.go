@@ -34,17 +34,23 @@ func (t tridiag) Apply(dst, x []float64) error {
 	return nil
 }
 
-// ExampleCG solves a small SPD system with Jacobi-preconditioned CG. The
-// preconditioner is the operator's own diagonal (Operator.Diagonal) — it
-// works with every operator: CG wraps a plain Operator like this one in a
-// SliceSpace and runs the same compiled recurrence a partitioned
-// solver.ProgramSpace runs in its own layout.
-func ExampleCG() {
+// ExampleCompileCG solves a small SPD system with Jacobi-preconditioned CG.
+// The preconditioner is the operator's own diagonal (Operator.Diagonal) — it
+// works with every operator: a SliceSpace around a plain Operator like this
+// one runs the same compiled recurrence a partitioned solver.ProgramSpace
+// runs in its own layout. The compiled Resident solves any number of
+// right-hand sides.
+func ExampleCompileCG() {
 	a := tridiag{n: 64}
+	cg, err := solver.CompileCG(&solver.SliceSpace{Operator: a}, solver.Options{Tol: 1e-10})
+	if err != nil {
+		fmt.Println("compile failed:", err)
+		return
+	}
 	b := make([]float64, a.n)
 	b[0], b[a.n-1] = 1, 1
 	x := make([]float64, a.n)
-	st, err := solver.CG(a, x, b, solver.Options{Tol: 1e-10})
+	st, err := cg.Solve(x, b, nil)
 	if err != nil {
 		fmt.Println("solve failed:", err)
 		return

@@ -110,28 +110,6 @@ func cancelErr(st *Stats) error {
 	return fmt.Errorf("%w after %d iterations (rel residual %.3e)", ErrCancelled, st.Iterations, st.Residual)
 }
 
-// CG solves A·x = b for symmetric positive definite A. x carries the
-// initial guess and receives the solution. It is one CompileCG and one Solve
-// on a's ProgramSpace: a itself when it is one (umesh.PartOperator — one
-// scatter of (x, b), compiled phase programs in the operator's own layout, one
-// gather), else a SliceSpace around it working in place on x and b. A caller
-// that solves the same system repeatedly keeps the Resident instead.
-func CG(a Operator, x, b []float64, opts Options) (*Stats, error) {
-	r, err := CompileCG(spaceOf(a), opts)
-	if err != nil {
-		return nil, err
-	}
-	return r.Solve(x, b, opts.Cancel)
-}
-
-// spaceOf is the space a one-shot solve over a runs in.
-func spaceOf(a Operator) ProgramSpace {
-	if ps, ok := a.(ProgramSpace); ok {
-		return ps
-	}
-	return &SliceSpace{Operator: a}
-}
-
 func dot(a, b []float64) float64 {
 	s := 0.0
 	for i := range a {

@@ -6,6 +6,25 @@ import (
 	"testing"
 )
 
+// CG solves A·x = b for symmetric positive definite A: one CompileCG and
+// one Solve on a itself when it is a ProgramSpace, else on a SliceSpace
+// around it working in place on x and b.
+func CG(a Operator, x, b []float64, opts Options) (*Stats, error) {
+	r, err := CompileCG(spaceOf(a), opts)
+	if err != nil {
+		return nil, err
+	}
+	return r.Solve(x, b, opts.Cancel)
+}
+
+// spaceOf is the space a one-shot solve over a runs in.
+func spaceOf(a Operator) ProgramSpace {
+	if ps, ok := a.(ProgramSpace); ok {
+		return ps
+	}
+	return &SliceSpace{Operator: a}
+}
+
 // denseOp is a dense test operator.
 type denseOp struct{ a [][]float64 }
 

@@ -105,7 +105,7 @@ func TestNonFiniteInputsRejected(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		b, x := probeVector(n, 1), probeVector(n, 2)
 		b[n/2] = bad
-		_, err := solver.CG(po, x, b, solver.Options{MaxIter: 5})
+		_, err := cg(po, x, b, solver.Options{MaxIter: 5})
 		if !errors.Is(err, solver.ErrBreakdown) {
 			t.Errorf("b[%d] = %v: err = %v, want ErrBreakdown", n/2, bad, err)
 		}

@@ -160,8 +160,8 @@ func TestPartEngineWorkingSetCompact(t *testing.T) {
 		if owned != len(part.Owned[me]) {
 			t.Errorf("part %d: owned %d, partition says %d", me, owned, len(part.Owned[me]))
 		}
-		if halo != part.HaloCells(me) {
-			t.Errorf("part %d: halo %d, partition says %d", me, halo, part.HaloCells(me))
+		if halo != len(part.halo[me]) {
+			t.Errorf("part %d: halo %d, partition says %d", me, halo, len(part.halo[me]))
 		}
 		resident := owned + halo
 		if len(ep.pres) != resident || len(ep.elev) != resident || len(ps.globalOf) != resident {
@@ -181,7 +181,7 @@ func TestPartEngineWorkingSetCompact(t *testing.T) {
 	// the prototype's parts × NumCells.
 	wantTotal := u.NumCells
 	for me := 0; me < part.NumParts; me++ {
-		wantTotal += part.HaloCells(me)
+		wantTotal += len(part.halo[me])
 	}
 	if totalResident != wantTotal {
 		t.Errorf("total resident cells %d, want cells+halos=%d", totalResident, wantTotal)

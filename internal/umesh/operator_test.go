@@ -12,6 +12,20 @@ import (
 	"repro/internal/solver"
 )
 
+// cg is one CompileCG and one Solve: on a itself when it is a
+// solver.ProgramSpace, else on a SliceSpace around it.
+func cg(a solver.Operator, x, b []float64, opts solver.Options) (*solver.Stats, error) {
+	ps, ok := a.(solver.ProgramSpace)
+	if !ok {
+		ps = &solver.SliceSpace{Operator: a}
+	}
+	r, err := solver.CompileCG(ps, opts)
+	if err != nil {
+		return nil, err
+	}
+	return r.Solve(x, b, opts.Cancel)
+}
+
 // probeVector returns a deterministic pressure-scale probe.
 func probeVector(n int, seed int) []float64 {
 	x := make([]float64, n)
@@ -215,12 +229,12 @@ func TestResidentSolveMatchesSlicePathBitExact(t *testing.T) {
 
 	opts := solver.Options{Tol: 1e-8, MaxIter: 800}
 	xSlice := make([]float64, n)
-	stSlice, err := solver.CG(ReferenceSpace(po.Sys, nil), xSlice, b, opts)
+	stSlice, err := cg(ReferenceSpace(po.Sys, nil), xSlice, b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	xRes := make([]float64, n)
-	stRes, err := solver.CG(po, xRes, b, opts)
+	stRes, err := cg(po, xRes, b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +290,7 @@ func TestResidentSolveScattersAndGathersOnce(t *testing.T) {
 	b := make([]float64, n)
 	b[0], b[n-1] = 2.0, -2.0
 	x := make([]float64, n)
-	st, err := solver.CG(po, x, b, solver.Options{Tol: 1e-8, MaxIter: 800})
+	st, err := cg(po, x, b, solver.Options{Tol: 1e-8, MaxIter: 800})
 	closeOp()
 	if err != nil {
 		t.Fatal(err)
@@ -608,7 +622,7 @@ func TestPartOperatorIterationParityWithStructuredHost(t *testing.T) {
 	}
 	solve := func(op solver.Operator) (int, []float64) {
 		x := make([]float64, op.Size())
-		st, err := solver.CG(op, x, b, solver.Options{Tol: 1e-8, MaxIter: 600})
+		st, err := cg(op, x, b, solver.Options{Tol: 1e-8, MaxIter: 600})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -263,7 +263,3 @@ func buildPartition(u *Mesh, part []int, numParts int) (*Partition, error) {
 	}
 	return p, nil
 }
-
-// HaloCells returns how many remote cell values part p receives per step —
-// the communication volume the §9 "arbitrary topology" mapping must move.
-func (p *Partition) HaloCells(part int) int { return len(p.halo[part]) }

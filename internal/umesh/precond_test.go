@@ -639,7 +639,7 @@ func TestAMGNonFiniteCoarseResidualIsBreakdown(t *testing.T) {
 		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 			b, x := probeVector(n, 1), probeVector(n, 2)
 			x[n/2] = bad
-			_, err := solver.CG(a, x, b, solver.Options{MaxIter: 5, PrecondKind: solver.PrecondAMG})
+			_, err := cg(a, x, b, solver.Options{MaxIter: 5, PrecondKind: solver.PrecondAMG})
 			if !errors.Is(err, solver.ErrBreakdown) {
 				t.Errorf("%s with x0[%d] = %v: err = %v, want ErrBreakdown", name, n/2, bad, err)
 			}
@@ -811,7 +811,7 @@ func TestPrecondLadderMonotoneError(t *testing.T) {
 			fixed := &solver.SliceSpace{Operator: ref.Operator, Dot: ref.Dot,
 				Rung: func(solver.PrecondKind, []float64) (func(z, r []float64), error) { return pre, nil }}
 			xstar := make([]float64, n)
-			if st, err := solver.CG(fixed, xstar, b, solver.Options{Tol: 1e-12, MaxIter: 4000, PrecondKind: kind}); err != nil || !st.Converged {
+			if st, err := cg(fixed, xstar, b, solver.Options{Tol: 1e-12, MaxIter: 4000, PrecondKind: kind}); err != nil || !st.Converged {
 				t.Fatalf("seed %d %s: reference solve failed: %v", seed, kind, err)
 			}
 			// Re-run capped at k iterations for growing k and measure
@@ -839,7 +839,7 @@ func TestPrecondLadderMonotoneError(t *testing.T) {
 				}
 				// Tol below any reachable residual: the solve always runs
 				// exactly k iterations (ErrNotConverged leaves x_k in x).
-				_, _ = solver.CG(fixed, x, b, solver.Options{Tol: 1e-300, MaxIter: k, PrecondKind: kind})
+				_, _ = cg(fixed, x, b, solver.Options{Tol: 1e-300, MaxIter: k, PrecondKind: kind})
 				cur := errNorm(x)
 				if cur > prev*(1+1e-9) {
 					t.Errorf("seed %d %s: error A-norm rose at iteration %d: %g → %g", seed, kind, k, prev, cur)

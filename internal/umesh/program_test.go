@@ -114,7 +114,7 @@ func TestCompiledCGIterationStepCount(t *testing.T) {
 				for _, tol := range []float64{1e-4, 1e-9} {
 					_, d0 := po.l.pool.Counters()
 					s0, g0 := po.Scatters, po.Gathers
-					st, err := solver.CG(po, make([]float64, n), b,
+					st, err := cg(po, make([]float64, n), b,
 						solver.Options{Tol: tol, MaxIter: 800, PrecondKind: kind})
 					if err != nil {
 						t.Fatal(err)

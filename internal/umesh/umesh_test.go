@@ -334,7 +334,7 @@ func TestPartitionedRadialMesh(t *testing.T) {
 	// Halo volume sanity: every part moves something, and far less than the
 	// whole mesh.
 	for me := 0; me < part.NumParts; me++ {
-		h := part.HaloCells(me)
+		h := len(part.halo[me])
 		if h == 0 {
 			t.Errorf("part %d has no halo — partition degenerate", me)
 		}

@@ -5,7 +5,6 @@ package massivefv
 // propagation, and the §9 unstructured-mesh support.
 
 import (
-	"repro/internal/refflux"
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/solver"
@@ -34,41 +33,6 @@ const (
 	PrecondChebyshev = solver.PrecondChebyshev
 	PrecondAMG       = solver.PrecondAMG
 )
-
-// NewPressureSystem freezes one implicit step of Eq. (2) on a structured
-// mesh: the system of umesh.FromStructured(m, all ten faces), with the mesh's
-// own porosity.
-func NewPressureSystem(m *Mesh, fl Fluid, dt float64) (*UPressureSystem, error) {
-	u, err := umesh.FromStructured(m, refflux.FacesAll)
-	if err != nil {
-		return nil, err
-	}
-	return umesh.NewUSystem(u, fl, dt, 0)
-}
-
-// NewDataflowOperator wraps the dataflow flux kernel as the linear operator
-// of a structured mesh's system (§8). It holds a compiled engine from its
-// first Apply on; Close releases it.
-func NewDataflowOperator(m *Mesh, sys *UPressureSystem, fl Fluid) *sim.DataflowOperator {
-	return sim.NewDataflowOperator(m, sys, fl, refflux.FacesAll)
-}
-
-// SolveCG runs conjugate gradients on a structured mesh's system through the
-// dataflow operator, preconditioned by opts.PrecondKind (Jacobi unless set)
-// from the system's own diagonal, and returns the pressure update.
-func SolveCG(m *Mesh, sys *UPressureSystem, fl Fluid, b []float64, opts SolverOptions) ([]float64, *SolverStats, error) {
-	op := NewDataflowOperator(m, sys, fl)
-	defer op.Close()
-	if err := op.Verify(); err != nil {
-		return nil, nil, err
-	}
-	x := make([]float64, op.Size())
-	st, err := solver.CG(umesh.ReferenceSpace(sys, op), x, b, opts)
-	if err != nil {
-		return nil, st, err
-	}
-	return x, st, nil
-}
 
 // Transient simulation (the §2 workflow) on a structured mesh.
 type (
@@ -154,9 +118,6 @@ func RunUnstructured(u *UMesh, part *UPartition, fl Fluid, opts UnstructuredOpti
 
 // Unstructured implicit solves (§8 on the §9 runtime).
 type (
-	// UPressureSystem is a frozen-coefficient backward-Euler pressure step
-	// over an unstructured mesh.
-	UPressureSystem = umesh.USystem
 	// UWell is a constant-rate mass source/sink at one cell.
 	UWell = umesh.Well
 	// UTransientOptions configures the partitioned implicit time stepping.

@@ -9,31 +9,6 @@ import (
 	"repro/internal/umesh"
 )
 
-func TestFacadePressureSolve(t *testing.T) {
-	m, err := BuildMesh(Dims{Nx: 8, Ny: 6, Nz: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl := DefaultFluid()
-	sys, err := NewPressureSystem(m, fl, 3600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := make([]float64, m.Dims.Cells())
-	b[m.Index(2, 2, 1)] = 1
-	b[m.Index(5, 4, 1)] = -1
-	x, st, err := SolveCG(m, sys, fl, b, SolverOptions{Tol: 1e-6, MaxIter: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Converged {
-		t.Fatal("facade CG did not converge")
-	}
-	if x[m.Index(2, 2, 1)] <= x[m.Index(5, 4, 1)] {
-		t.Error("pressure response has wrong polarity")
-	}
-}
-
 func TestFacadeTransient(t *testing.T) {
 	m, err := BuildMesh(Dims{Nx: 8, Ny: 6, Nz: 3})
 	if err != nil {
