@@ -2,7 +2,8 @@
 // Computation" (Sai, Jacquelin, Hamon, Araya-Polo, Settgast — SC 2023): a
 // two-point flux approximation (TPFA) finite-volume kernel for geologic CO2
 // storage, mapped onto a wafer-scale dataflow architecture and compared
-// against RAJA- and CUDA-style GPU reference implementations.
+// against the paper's RAJA and CUDA GPU builds, which here run one simulated
+// reference kernel and differ only in their calibrated projections.
 //
 // The module path is repro; the public API lives in repro/massivefv. From a
 // clean checkout:

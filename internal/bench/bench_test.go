@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/gpusim"
+	"repro/internal/kernels"
 	"repro/internal/mesh"
 )
 
@@ -26,8 +28,23 @@ func TestMeasureValidates(t *testing.T) {
 	if meas.Dataflow.Interior.FMUL != 60 {
 		t.Errorf("interior FMUL = %g", meas.Dataflow.Interior.FMUL)
 	}
-	if meas.RAJAStats.Flops == 0 || meas.CUDAStats.Flops == 0 {
+	if meas.GPUStats.Flops == 0 {
 		t.Error("GPU stats empty")
+	}
+}
+
+func TestOccupancyIsThatOfTheLaunchedBlock(t *testing.T) {
+	// The occupancy the Fig. 8 report prints is modeled for the block
+	// the reference kernel actually launched, and that block is Fig. 7's.
+	meas, err := Measure(smallCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := meas.GPUStats.Block; got != kernels.Block || got.Count() != 1024 {
+		t.Fatalf("launched block %+v, want kernels.Block %+v of 1024 threads", got, kernels.Block)
+	}
+	if want := gpusim.NewDevice(gpusim.A100()).OccupancyFor(meas.GPUStats.Block); meas.Occupancy != want {
+		t.Errorf("occupancy %+v, want %+v for the launched block", meas.Occupancy, want)
 	}
 }
 

@@ -54,13 +54,13 @@ type Measurement struct {
 	// float64 reference (linearized density), scaled by the max residual.
 	DataflowMaxRelErr float64
 
-	// GPU side.
-	RAJAStats *gpusim.KernelStats
-	CUDAStats *gpusim.KernelStats
-	// GPUMaxRelErr is the RAJA residual's error against the float64
+	// GPU side: the reference kernel, which stands for both the RAJA and
+	// the CUDA build.
+	GPUStats *gpusim.KernelStats
+	// GPUMaxRelErr is its residual's error against the float64
 	// exponential-density reference.
 	GPUMaxRelErr float64
-	// Occupancy is the modeled occupancy of the 16×8×8 launch.
+	// Occupancy is the modeled occupancy of its kernels.Block launch.
 	Occupancy gpusim.Occupancy
 }
 
@@ -94,50 +94,23 @@ func Measure(cfg Config) (*Measurement, error) {
 	}
 	meas.DataflowMaxRelErr = maxRelErr(meas.Dataflow.Residual, ref)
 
-	// GPU functional runs (fresh meshes: pressure is perturbed in place).
-	rajaRes, rajaStats, err := runGPU(cfg, fl, perfmodel.VariantRAJA)
-	if err != nil {
-		return nil, err
-	}
-	_, cudaStats, err := runGPU(cfg, fl, perfmodel.VariantCUDA)
-	if err != nil {
-		return nil, err
-	}
-	meas.RAJAStats, meas.CUDAStats = rajaStats, cudaStats
-	m2, err := mesh.BuildDefault(cfg.FuncDims)
-	if err != nil {
-		return nil, err
-	}
-	p2 := m2.Pressure32()
-	refExp, err := refflux.Run(m2, fl, p2, cfg.FuncApps, refflux.Options{})
-	if err != nil {
-		return nil, err
-	}
-	meas.GPUMaxRelErr = maxRelErr(rajaRes, refExp)
-	meas.Occupancy = gpusim.NewDevice(gpusim.A100()).OccupancyFor(gpusim.Dim3{X: 16, Y: 8, Z: 8})
-	return meas, nil
-}
-
-func runGPU(cfg Config, fl physics.Fluid, v perfmodel.Variant) ([]float32, *gpusim.KernelStats, error) {
-	m, err := mesh.BuildDefault(cfg.FuncDims)
-	if err != nil {
-		return nil, nil, err
-	}
+	// GPU functional run: Upload copies the mesh fields, so the kernel
+	// perturbs its device copy of the pressure and m stays as built.
 	dev := gpusim.NewDevice(gpusim.A100())
 	fd, err := kernels.Upload(dev, m, fl)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var st *gpusim.KernelStats
-	if v == perfmodel.VariantCUDA {
-		st, err = fd.RunCUDA(cfg.FuncApps)
-	} else {
-		st, err = fd.RunRAJA(cfg.FuncApps)
+	if meas.GPUStats, err = fd.Run(cfg.FuncApps); err != nil {
+		return nil, err
 	}
+	refExp, err := refflux.Run(m, fl, m.Pressure32(), cfg.FuncApps, refflux.Options{})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return fd.Residual(), st, nil
+	meas.GPUMaxRelErr = maxRelErr(fd.Residual(), refExp)
+	meas.Occupancy = dev.OccupancyFor(kernels.Block)
+	return meas, nil
 }
 
 func maxRelErr(got []float32, want []float64) float64 {
@@ -171,18 +144,11 @@ func (meas *Measurement) cs2InputsAt(nx, ny, nz, apps int) perfmodel.CS2Inputs {
 	}
 }
 
-// a100InputsAt assembles the GPU model inputs for a cell count.
+// a100InputsAt assembles the GPU model inputs for a cell count; v selects
+// the build's calibrated achieved fraction, the only thing that tells the
+// RAJA and CUDA rows apart.
 func (meas *Measurement) a100InputsAt(cells, apps int, v perfmodel.Variant) perfmodel.A100Inputs {
-	st := meas.RAJAStats
-	if v == perfmodel.VariantCUDA {
-		st = meas.CUDAStats
-	}
-	funcCells := meas.Dims.Cells()
-	den := float64(funcCells) * float64(meas.Apps)
-	return perfmodel.A100Inputs{
-		Cells: cells, Apps: apps,
-		WordBytesPerCell: float64(st.Bytes()) / den,
-		FlopsPerCell:     float64(st.Flops) / den,
-		Variant:          v,
-	}
+	in := perfmodel.FromKernelStats(meas.GPUStats, meas.Dims.Cells(), meas.Apps, v)
+	in.Cells, in.Apps = cells, apps
+	return in
 }

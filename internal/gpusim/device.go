@@ -2,9 +2,8 @@
 // paper's NVIDIA A100 (§6–7): device memory with explicit host↔device
 // copies, dim3 grid/block kernel launches executed on a host worker pool,
 // per-thread arithmetic with FLOP and memory-traffic counters, and an
-// occupancy model. The RAJA-style and CUDA-style flux kernels in
-// internal/kernels run on it; internal/perfmodel converts its counters into
-// projected A100 wall-clock.
+// occupancy model. The reference flux kernel in internal/kernels runs on it;
+// internal/perfmodel converts its counters into projected A100 wall-clock.
 package gpusim
 
 import (
@@ -79,12 +78,9 @@ type Device struct {
 	Spec DeviceSpec
 
 	allocated int64
-	buffers   []*Buffer
 
 	HostToDeviceBytes uint64
 	DeviceToHostBytes uint64
-
-	Workers int // host worker pool size for Launch (default NumCPU)
 }
 
 // NewDevice creates a device with empty memory.
@@ -101,9 +97,7 @@ func (d *Device) Malloc(name string, n int) (*Buffer, error) {
 			name, d.allocated, bytes, d.Spec.MemBytes)
 	}
 	d.allocated += bytes
-	b := &Buffer{data: make([]float32, n), name: name}
-	d.buffers = append(d.buffers, b)
-	return b, nil
+	return &Buffer{data: make([]float32, n), name: name}, nil
 }
 
 // CopyToDevice is the cudaMemcpy H2D analog.
@@ -190,7 +184,7 @@ type ThreadCtx struct {
 	c      *KernelStats // per-worker, merged at the end
 }
 
-// Return marks the thread as early-returned (the CUDA variant's boundary
+// Return marks the thread as early-returned (the reference kernel's boundary
 // guard); inactive threads are excluded from ThreadsActive.
 func (t *ThreadCtx) Return() { t.active = false }
 
@@ -253,14 +247,8 @@ func (d *Device) Launch(grid, block Dim3, kernel Kernel) (*KernelStats, error) {
 		return nil, fmt.Errorf("gpusim: block of %d threads exceeds the %d-thread limit",
 			block.Count(), d.Spec.MaxThreadsPerBlock)
 	}
-	workers := d.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
 	nBlocks := grid.Count()
-	if workers > nBlocks {
-		workers = nBlocks
-	}
+	workers := min(runtime.NumCPU(), nBlocks)
 
 	stats := &KernelStats{Grid: grid, Block: block, Blocks: uint64(nBlocks)}
 	perWorker := make([]KernelStats, workers)
@@ -294,12 +282,7 @@ func (d *Device) Launch(grid, block Dim3, kernel Kernel) (*KernelStats, error) {
 	}
 	wg.Wait()
 	for w := range perWorker {
-		stats.ThreadsLaunched += perWorker[w].ThreadsLaunched
-		stats.ThreadsActive += perWorker[w].ThreadsActive
-		stats.Flops += perWorker[w].Flops
-		stats.ExpCalls += perWorker[w].ExpCalls
-		stats.LoadWords += perWorker[w].LoadWords
-		stats.StoreWords += perWorker[w].StoreWords
+		stats.Add(&perWorker[w])
 	}
 	return stats, nil
 }

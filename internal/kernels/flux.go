@@ -1,3 +1,9 @@
+// Package kernels holds the reference GPU implementation of the flux
+// computation (§6): one kernel, launched at the paper's Fig. 7 geometry on
+// the internal/gpusim device, that stands for both the paper's RAJA and
+// hand-written CUDA builds. Its memory layout is X innermost, Z outermost;
+// its per-face arithmetic is the dataflow kernel's with the exponential
+// density.
 package kernels
 
 import (
@@ -93,7 +99,7 @@ var neighborOffsets = func() [mesh.NumDirections][3]int {
 	return out
 }()
 
-// fluxCell is the device function both reference kernels invoke — logically
+// fluxCell is the reference kernel's device function — logically
 // identical to the dataflow kernel (§6: "the functions that perform the flux
 // computation ... are logically identical"), but with the exponential
 // density (Eq. 5) and direct global-memory indexing instead of fabric
@@ -140,48 +146,51 @@ func clamp(v, lo, hi int) int {
 	return v
 }
 
-// FlopsPerCell is the measured per-cell FLOP count of the reference kernels
+// FlopsPerCell is the measured per-cell FLOP count of the reference kernel
 // (10 faces × physics.FlopsPerFaceExp); tests assert the counters agree.
 const FlopsPerCell = 10 * physics.FlopsPerFaceExp
 
-// RunRAJA applies Algorithm 1 apps times through the Fig. 7 execution
-// policy, perturbing the pressure vector between applications (host-side
-// preparation of "a different pressure vector at every call"). It returns
-// the accumulated kernel stats of all launches.
-func (fd *FluxData) RunRAJA(apps int) (*gpusim.KernelStats, error) {
-	return fd.run(apps, func() (*gpusim.KernelStats, error) {
-		return LaunchRAJA(fd.Dev, FluxPolicy(), [3]int{fd.Dims.Nx, fd.Dims.Ny, fd.Dims.Nz},
-			func(t *gpusim.ThreadCtx, x, y, z int) { fluxCell(t, fd, x, y, z) })
-	})
-}
+// Block is the reference kernel's thread block and the one statement of its
+// launch geometry: 1024 threads tiled 16×8×8, X innermost. The paper's RAJA
+// build fixes the block size with the Fig. 7 execution policy
+//
+//	KernelPolicy<
+//	  CudaKernelFixed<16*8*8,
+//	    Tile<1, tile_fixed<8>,  cuda_block_y_direct,
+//	    Tile<0, tile_fixed<16>, cuda_block_x_direct,
+//	      For<2, cuda_block_z_direct,
+//	      For<1, cuda_thread_y_direct,
+//	      For<0, cuda_thread_x_direct, Lambda<0>>>>>>>>
+//
+// (read literally, its For<2, cuda_block_z_direct> maps z onto blocks, not
+// threads), and its CUDA build launches the 16×8×8 block with the grid and
+// index math written by hand. The flux functions of the two are "logically
+// identical" (§6), so one simulated launch stands for both. They differ only
+// in time, which perfmodel's calibrated A100Params.AchievedFraction carries
+// per build.
+var Block = gpusim.Dim3{X: 16, Y: 8, Z: 8}
 
-// RunCUDA is the hand-written variant: the same 16×8×8 tiling, but the grid
-// and index math are computed manually and the boundary guard lives in the
-// kernel body ("it also needs to handle boundary checking", §6).
-func (fd *FluxData) RunCUDA(apps int) (*gpusim.KernelStats, error) {
-	block := gpusim.Dim3{X: 16, Y: 8, Z: 8}
-	grid := gpusim.Dim3{
-		X: ceilDiv(fd.Dims.Nx, block.X),
-		Y: ceilDiv(fd.Dims.Ny, block.Y),
-		Z: ceilDiv(fd.Dims.Nz, block.Z),
-	}
-	return fd.run(apps, func() (*gpusim.KernelStats, error) {
-		return fd.Dev.Launch(grid, block, func(t *gpusim.ThreadCtx) {
-			x := t.BlockIdx.X*t.BlockDim.X + t.ThreadIdx.X
-			y := t.BlockIdx.Y*t.BlockDim.Y + t.ThreadIdx.Y
-			z := t.BlockIdx.Z*t.BlockDim.Z + t.ThreadIdx.Z
-			if x >= fd.Dims.Nx || y >= fd.Dims.Ny || z >= fd.Dims.Nz {
-				t.Return() // manual boundary check
-				return
-			}
-			fluxCell(t, fd, x, y, z)
-		})
-	})
-}
-
-func (fd *FluxData) run(apps int, launch func() (*gpusim.KernelStats, error)) (*gpusim.KernelStats, error) {
+// Run applies Algorithm 1 apps times, perturbing the pressure vector between
+// applications (host-side preparation of "a different pressure vector at
+// every call"). Each application is one launch of ceil-divided Block tiles
+// over the mesh; the surplus threads of a partial tile return at the
+// kernel's boundary guard ("it also needs to handle boundary checking", §6).
+// It returns the accumulated kernel stats of all launches.
+func (fd *FluxData) Run(apps int) (*gpusim.KernelStats, error) {
 	if apps <= 0 {
 		return nil, fmt.Errorf("kernels: applications must be positive, got %d", apps)
+	}
+	d := fd.Dims
+	grid := gpusim.Dim3{X: ceilDiv(d.Nx, Block.X), Y: ceilDiv(d.Ny, Block.Y), Z: ceilDiv(d.Nz, Block.Z)}
+	kernel := func(t *gpusim.ThreadCtx) {
+		x := t.BlockIdx.X*t.BlockDim.X + t.ThreadIdx.X
+		y := t.BlockIdx.Y*t.BlockDim.Y + t.ThreadIdx.Y
+		z := t.BlockIdx.Z*t.BlockDim.Z + t.ThreadIdx.Z
+		if x >= d.Nx || y >= d.Ny || z >= d.Nz {
+			t.Return()
+			return
+		}
+		fluxCell(t, fd, x, y, z)
 	}
 	total := &gpusim.KernelStats{}
 	for app := 0; app < apps; app++ {
@@ -190,7 +199,7 @@ func (fd *FluxData) run(apps int, launch func() (*gpusim.KernelStats, error)) (*
 				mesh.PerturbPressure32(p, app, mesh.PerturbAmplitude)
 			})
 		}
-		st, err := launch()
+		st, err := fd.Dev.Launch(grid, Block, kernel)
 		if err != nil {
 			return nil, err
 		}
@@ -199,3 +208,5 @@ func (fd *FluxData) run(apps int, launch func() (*gpusim.KernelStats, error)) (*
 	}
 	return total, nil
 }
+
+func ceilDiv(a, b int) int { return (a + b - 1) / b }

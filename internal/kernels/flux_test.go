@@ -43,9 +43,9 @@ func assertClose(t *testing.T, got []float32, want []float64, tol float64) {
 	}
 }
 
-func TestRAJAMatchesReference(t *testing.T) {
+func TestRunMatchesReference(t *testing.T) {
 	fd, m, fl := uploadTestMesh(t, mesh.Dims{Nx: 18, Ny: 9, Nz: 10})
-	if _, err := fd.RunRAJA(1); err != nil {
+	if _, err := fd.Run(1); err != nil {
 		t.Fatal(err)
 	}
 	ref, err := refflux.ComputeResidual(m, fl, m.Pressure32(), refflux.Options{})
@@ -53,42 +53,11 @@ func TestRAJAMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertClose(t, fd.Residual(), ref, 2e-3)
-}
-
-func TestCUDAMatchesReference(t *testing.T) {
-	fd, m, fl := uploadTestMesh(t, mesh.Dims{Nx: 18, Ny: 9, Nz: 10})
-	if _, err := fd.RunCUDA(1); err != nil {
-		t.Fatal(err)
-	}
-	ref, err := refflux.ComputeResidual(m, fl, m.Pressure32(), refflux.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertClose(t, fd.Residual(), ref, 2e-3)
-}
-
-func TestRAJAAndCUDABitIdentical(t *testing.T) {
-	// Same arithmetic, same order: the two variants must agree exactly
-	// ("to validate the numerical accuracy", §6).
-	fdA, _, _ := uploadTestMesh(t, mesh.Dims{Nx: 20, Ny: 11, Nz: 9})
-	fdB, _, _ := uploadTestMesh(t, mesh.Dims{Nx: 20, Ny: 11, Nz: 9})
-	if _, err := fdA.RunRAJA(3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fdB.RunCUDA(3); err != nil {
-		t.Fatal(err)
-	}
-	a, b := fdA.Residual(), fdB.Residual()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("residual[%d] differs: RAJA %g vs CUDA %g", i, a[i], b[i])
-		}
-	}
 }
 
 func TestMultiAppMatchesReference(t *testing.T) {
 	fd, m, fl := uploadTestMesh(t, mesh.Dims{Nx: 8, Ny: 8, Nz: 6})
-	if _, err := fd.RunRAJA(4); err != nil {
+	if _, err := fd.Run(4); err != nil {
 		t.Fatal(err)
 	}
 	p := m.Pressure32()
@@ -104,7 +73,7 @@ func TestPerCellCounters(t *testing.T) {
 	// documented constants (280 FLOPs, 33 words → AI ≈ 2.12, §7.3's 2.11).
 	d := mesh.Dims{Nx: 16, Ny: 8, Nz: 8} // exact-fit launch: no inactive threads
 	fd, _, _ := uploadTestMesh(t, d)
-	st, err := fd.RunRAJA(1)
+	st, err := fd.Run(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,12 +96,19 @@ func TestPerCellCounters(t *testing.T) {
 	}
 }
 
-func TestCUDABoundaryThreads(t *testing.T) {
-	// A mesh that does not tile evenly: the CUDA variant launches ceil-div
-	// blocks and the surplus threads early-return.
+func TestRunBoundaryThreads(t *testing.T) {
+	// A mesh that tiles Block in no dimension: the launch ceil-divides
+	// Block and the surplus threads early-return. The residual starts NaN;
+	// every cell is written and exactly one store per cell is counted, so
+	// each (x, y, z) is visited exactly once.
 	d := mesh.Dims{Nx: 17, Ny: 9, Nz: 5}
-	fd, _, _ := uploadTestMesh(t, d)
-	st, err := fd.RunCUDA(1)
+	fd, m, fl := uploadTestMesh(t, d)
+	fd.Res.Mutate(func(r []float32) {
+		for i := range r {
+			r[i] = float32(math.NaN())
+		}
+	})
+	st, err := fd.Run(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,20 +116,26 @@ func TestCUDABoundaryThreads(t *testing.T) {
 	if st.ThreadsLaunched != launched {
 		t.Errorf("launched = %d, want %d", st.ThreadsLaunched, launched)
 	}
-	if st.ThreadsActive != uint64(d.Cells()) {
-		t.Errorf("active = %d, want %d", st.ThreadsActive, d.Cells())
+	cells := uint64(d.Cells())
+	if st.ThreadsActive != cells || st.StoreWords != cells {
+		t.Errorf("active threads %d, stores %d, want %d each", st.ThreadsActive, st.StoreWords, cells)
 	}
 	if st.ThreadsActive >= st.ThreadsLaunched {
 		t.Error("no boundary threads were culled")
 	}
+	ref, err := refflux.ComputeResidual(m, fl, m.Pressure32(), refflux.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertClose(t, fd.Residual(), ref, 2e-3)
 }
 
 func TestRunRejectsBadApps(t *testing.T) {
 	fd, _, _ := uploadTestMesh(t, mesh.Dims{Nx: 4, Ny: 4, Nz: 4})
-	if _, err := fd.RunRAJA(0); err == nil {
+	if _, err := fd.Run(0); err == nil {
 		t.Error("apps=0 accepted")
 	}
-	if _, err := fd.RunCUDA(-1); err == nil {
+	if _, err := fd.Run(-1); err == nil {
 		t.Error("apps=-1 accepted")
 	}
 }

@@ -10,9 +10,9 @@ import (
 type Variant string
 
 const (
-	// VariantRAJA is the policy-based kernel (Fig. 7).
+	// VariantRAJA is the paper's RAJA build (Fig. 7's execution policy).
 	VariantRAJA Variant = "raja"
-	// VariantCUDA is the hand-written kernel with manual indexing.
+	// VariantCUDA is the paper's hand-written CUDA build of the same kernel.
 	VariantCUDA Variant = "cuda"
 )
 

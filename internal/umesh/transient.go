@@ -264,14 +264,9 @@ func (s *TransientSolver) Solve(req TransientOptions) (*TransientResult, error) 
 	if len(wells) == 0 {
 		wells = s.opts.Wells
 	}
-	if len(wells) == 0 {
-		return nil, fmt.Errorf("umesh: no wells — nothing drives the flow")
-	}
 	u := s.u
 	b := s.b
-	for i := range b {
-		b[i] = 0
-	}
+	clear(b)
 	injected := 0.0
 	for _, w := range wells {
 		if w.Cell < 0 || w.Cell >= u.NumCells {
@@ -283,8 +278,16 @@ func (s *TransientSolver) Solve(req TransientOptions) (*TransientResult, error) 
 		b[w.Cell] += w.Rate
 		injected += math.Abs(w.Rate)
 	}
-	if injected == 0 {
-		return nil, fmt.Errorf("umesh: all well rates are zero")
+	// ‖b‖² is zero exactly when every b[i] squares to zero, serve's per-cell
+	// test: no wells, or rates that are zero, cancel in one cell or underflow
+	// when squared. CG would return Δp = 0 after no iteration.
+	sumQ, sumQ2 := 0.0, 0.0
+	for _, v := range b {
+		sumQ += v
+		sumQ2 += v * v
+	}
+	if sumQ2 == 0 {
+		return nil, fmt.Errorf("umesh: nothing drives the flow: every cell's net well rate squares to zero")
 	}
 
 	initial := req.InitialPressure
@@ -340,10 +343,6 @@ func (s *TransientSolver) Solve(req TransientOptions) (*TransientResult, error) 
 	}
 	res := &TransientResult{}
 	x := s.x
-	sumQ := 0.0
-	for _, v := range b {
-		sumQ += v
-	}
 	for step := 0; step < steps; step++ {
 		for i := range x {
 			x[i] = 0 // fresh δp each step (coefficients are frozen)

@@ -157,6 +157,41 @@ func TestTransientValidation(t *testing.T) {
 	if _, err := RunTransientPartitioned(u, nil, fl, bad); err == nil {
 		t.Error("wrong-length initial pressure accepted")
 	}
+
+	// Nonzero rates whose right-hand side is still zero, serial and
+	// partitioned: each would "solve" in no iteration with Δp = 0.
+	part, err := RCB(u, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := u.NumCells - 1
+	for _, p := range []*Partition{nil, part} {
+		for _, c := range []struct {
+			name  string
+			wells []Well
+		}{
+			{"wells cancelling in one cell", []Well{{Cell: 0, Rate: 2}, {Cell: 0, Rate: -2}}},
+			{"subnormal rates", []Well{{Cell: 0, Rate: 1e-320}, {Cell: last, Rate: -1e-320}}},
+			{"rate whose square underflows", []Well{{Cell: 0, Rate: 1e-170}}},
+		} {
+			bad = opts
+			bad.Wells = c.wells
+			if _, err := RunTransientPartitioned(u, p, fl, bad); err == nil {
+				t.Errorf("%s accepted (partitioned: %t)", c.name, p != nil)
+			}
+		}
+		tiny := opts
+		tiny.Steps = 1
+		tiny.Wells = []Well{{Cell: 0, Rate: 1e-100}}
+		res, err := RunTransientPartitioned(u, p, fl, tiny)
+		if err != nil {
+			t.Fatalf("a 1e-100 rate rejected (partitioned: %t): %v", p != nil, err)
+		}
+		if st := res.Steps[0]; st.Iterations == 0 || st.MaxDeltaP <= 0 {
+			t.Errorf("a 1e-100 rate did not drive the flow (partitioned: %t): %d iterations, max Δp %g",
+				p != nil, st.Iterations, st.MaxDeltaP)
+		}
+	}
 }
 
 // BenchmarkUsolveStep measures one partitioned implicit step (4 parts,

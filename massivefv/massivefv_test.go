@@ -31,7 +31,7 @@ func TestGPUFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resRAJA, stats, err := RunGPU(m, DefaultFluid(), 1, RAJA)
+	res, stats, err := RunGPU(m, DefaultFluid(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +49,8 @@ func TestGPUFlow(t *testing.T) {
 			scale = a
 		}
 	}
-	for i := range resRAJA {
-		if math.Abs(float64(resRAJA[i])-ref[i]) > 2e-3*scale {
+	for i := range res {
+		if math.Abs(float64(res[i])-ref[i]) > 2e-3*scale {
 			t.Fatalf("GPU residual mismatch at %d", i)
 		}
 	}
