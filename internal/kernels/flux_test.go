@@ -43,8 +43,20 @@ func assertClose(t *testing.T, got []float32, want []float64, tol float64) {
 	}
 }
 
-func TestRunMatchesReference(t *testing.T) {
-	fd, m, fl := uploadTestMesh(t, mesh.Dims{Nx: 18, Ny: 9, Nz: 10})
+// The paper's RAJA and CUDA builds run the one launch, Run; the two tests
+// check it against the reference at a shape that tiles Block in no
+// dimension and at one that tiles it exactly with several blocks per axis.
+func TestRAJAMatchesReference(t *testing.T) {
+	assertRunMatchesReference(t, mesh.Dims{Nx: 18, Ny: 9, Nz: 10})
+}
+
+func TestCUDAMatchesReference(t *testing.T) {
+	assertRunMatchesReference(t, mesh.Dims{Nx: 32, Ny: 16, Nz: 16})
+}
+
+func assertRunMatchesReference(t *testing.T, d mesh.Dims) {
+	t.Helper()
+	fd, m, fl := uploadTestMesh(t, d)
 	if _, err := fd.Run(1); err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +108,32 @@ func TestPerCellCounters(t *testing.T) {
 	}
 }
 
-func TestRunBoundaryThreads(t *testing.T) {
+func TestCUDABoundaryThreads(t *testing.T) {
 	// A mesh that tiles Block in no dimension: the launch ceil-divides
-	// Block and the surplus threads early-return. The residual starts NaN;
-	// every cell is written and exactly one store per cell is counted, so
-	// each (x, y, z) is visited exactly once.
+	// Block and the surplus threads early-return.
 	d := mesh.Dims{Nx: 17, Ny: 9, Nz: 5}
+	fd, _, _ := uploadTestMesh(t, d)
+	st, err := fd.Run(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	launched := uint64(2*2*1) * 1024 // grid (2,2,1) × 1024
+	if st.ThreadsLaunched != launched {
+		t.Errorf("launched = %d, want %d", st.ThreadsLaunched, launched)
+	}
+	if st.ThreadsActive != uint64(d.Cells()) {
+		t.Errorf("active = %d, want %d", st.ThreadsActive, d.Cells())
+	}
+	if st.ThreadsActive >= st.ThreadsLaunched {
+		t.Error("no boundary threads were culled")
+	}
+}
+
+func TestLaunchRAJACoversExactExtents(t *testing.T) {
+	// Run at a shape that tiles Block in no dimension visits each (x, y, z)
+	// exactly once: the residual starts NaN, every cell is written, exactly
+	// one store per cell is counted, and the result matches the reference.
+	d := mesh.Dims{Nx: 19, Ny: 7, Nz: 3}
 	fd, m, fl := uploadTestMesh(t, d)
 	fd.Res.Mutate(func(r []float32) {
 		for i := range r {
@@ -112,16 +144,12 @@ func TestRunBoundaryThreads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	launched := uint64(2*2*1) * 1024 // grid (2,2,1) × 1024
-	if st.ThreadsLaunched != launched {
-		t.Errorf("launched = %d, want %d", st.ThreadsLaunched, launched)
-	}
 	cells := uint64(d.Cells())
 	if st.ThreadsActive != cells || st.StoreWords != cells {
 		t.Errorf("active threads %d, stores %d, want %d each", st.ThreadsActive, st.StoreWords, cells)
 	}
-	if st.ThreadsActive >= st.ThreadsLaunched {
-		t.Error("no boundary threads were culled")
+	if st.ThreadsLaunched <= st.ThreadsActive {
+		t.Error("expected guarded surplus threads from the non-aligned extents")
 	}
 	ref, err := refflux.ComputeResidual(m, fl, m.Pressure32(), refflux.Options{})
 	if err != nil {
