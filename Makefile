@@ -98,7 +98,10 @@ race:
 # one sweep over every owned row, with no interior/frontier row split; 4385
 # once a part's halo is one list RCB records and CompileLayout reads; 4359
 # once solver.CG, which only tests called, moved into them; 4358 once the
-# transient solve rejects any right-hand side with ‖b‖ = 0). Lower
+# transient solve rejects any right-hand side with ‖b‖ = 0; 4463 once
+# internal/umesh/*.s is counted and the packed rows' AVX2 body is in it: 71
+# lines of assembly, 28 of Go stub and fallback, 6 of the vectorRows switch
+# and the two-pass row-store builder, net of a sweep 3 lines shorter). Lower
 # SIZE_CEILING when a PR shrinks the sum; a PR that must raise it says why.
 # SERVE_CEILING does the same for internal/serve, the serving core ROADMAP's
 # state-machine item tracks (2050 at PR 16, 2044 at PR 17, 2017 once the
@@ -151,21 +154,22 @@ race:
 # all; 16443 once umesh's row split is gone, net of fvab's count diff;
 # 16425 once the map-based halo plans are gone, net of fvab's raw judging;
 # 15259 once cmd/wsesim and examples/ are gone, three of them now Examples;
-# 15039 once one GPU launch is left: the RAJA policy interpreter is gone).
-SIZE_CEILING = 4358
+# 15039 once one GPU launch is left: the RAJA policy interpreter is gone;
+# 15144 with umesh's packed-row AVX2 body, its stub and its fallback).
+SIZE_CEILING = 4463
 SERVE_CEILING = 1825
 BENCH_CEILING = 863
 STRUCT_CEILING = 1780
 FABRIC_CEILING = 745
-MODULE_CEILING = 15039
+MODULE_CEILING = 15144
 size:
 	@set -e; \
 	for d in $$($(GO) list -f '{{.Dir}}' ./... | sed "s|^$$PWD/*||; s|^$$|.|"); do \
 	  n=$$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l); \
 	  printf '%6d  %s\n' $$n $$d; \
 	done | sort -k2; \
-	pair=$$(ls internal/solver/*.go internal/umesh/*.go internal/sim/*.go | grep -v _test.go | xargs cat | wc -l); \
-	echo "size: internal/solver + internal/umesh + internal/sim = $$pair non-test lines (ceiling $(SIZE_CEILING))"; \
+	pair=$$(ls internal/solver/*.go internal/umesh/*.go internal/umesh/*.s internal/sim/*.go | grep -v _test.go | xargs cat | wc -l); \
+	echo "size: internal/solver + internal/umesh + internal/sim = $$pair non-test lines, assembly included (ceiling $(SIZE_CEILING))"; \
 	if [ $$pair -gt $(SIZE_CEILING) ]; then echo "size: over the ceiling"; exit 1; fi; \
 	serve=$$(ls internal/serve/*.go | grep -v _test.go | xargs cat | wc -l); \
 	echo "size: internal/serve = $$serve non-test lines (ceiling $(SERVE_CEILING))"; \
@@ -203,7 +207,9 @@ layers:
 #     fused-dot operand), and per run, per block or per call one reslice per
 #     operand stream plus the block-table and resident-vector lookups
 #     (137 sites until the five BiCGStab-only shard kernels were deleted;
-#     100 until an application became one sweep beside one block dot).
+#     100 until an application became one sweep beside one block dot; 96
+#     until the packed rows became blocks of four whose whole blocks the
+#     vector body sweeps: the Go loop's rows now start where it stopped).
 #   - internal/dsd/ops.go is the structured kernel. Every op has one element
 #     loop, over columns resliced to the destination's length, and none
 #     reports a check (FluxFace and FluxCell stream the inlined fluxElem over
@@ -221,9 +227,10 @@ layers:
 #     resliced per plane), the rest is per tile or per PE.
 # The structured kernel's single spelling must also stay inlinable into the
 # two macro-ops' tail loops, or each element pays a call. Its vector body
-# (internal/dsd/*.s) must round every product before its sum as fluxElem
-# does, so a fused multiply-add mnemonic there fails the gate.
-BCE_PINS = internal/umesh:kernels.go:96 internal/dsd:ops.go:16 internal/core:hostload.go:20
+# (internal/dsd/*.s) and the packed rows' (internal/umesh/*.s) must round
+# every product before its sum as their Go spellings do, so a fused
+# multiply-add mnemonic there fails the gate.
+BCE_PINS = internal/umesh:kernels.go:95 internal/dsd:ops.go:16 internal/core:hostload.go:20
 bce:
 	@set -e; \
 	for pin in $(BCE_PINS); do \
@@ -239,9 +246,9 @@ bce:
 	$(GO) build -gcflags=-m ./internal/dsd/ 2>&1 | grep -q 'can inline fluxElem' || \
 	  { echo "bce: dsd.fluxElem is over the inlining budget — FluxFace and FluxCell would call it per element"; exit 1; }; \
 	echo "bce: dsd.fluxElem inlines"; \
-	if grep -nE 'VFN?M(ADD|SUB)' internal/dsd/*.s; then \
-	  echo "bce: the face kernel's vector body fuses a multiply and an add, which fluxElem never does"; exit 1; fi; \
-	echo "bce: no VFMADD/VFNMADD/VFMSUB/VFNMSUB in internal/dsd/*.s"
+	if grep -nE 'VFN?M(ADD|SUB)' internal/dsd/*.s internal/umesh/*.s; then \
+	  echo "bce: a vector body fuses a multiply and an add, which its Go spelling never does"; exit 1; fi; \
+	echo "bce: no VFMADD/VFNMADD/VFMSUB/VFNMSUB in internal/dsd/*.s or internal/umesh/*.s"
 
 # The repository benchmark (benchmark/, BENCHMARK.json) is its own module, so
 # the root `go build/vet/test ./...` never see it. It drives the stack through
@@ -332,7 +339,8 @@ chaos-smoke:
 
 # Short native-fuzz exploration of the RCB partitioner and canonical order
 # (held to the sort-per-level oracle, on coarse-grid inputs too), the radial mesh
-# builder, the part operator's row store, the serving layer's request
+# builder, the part operator's row store (and its packed rows' vector body
+# against their Go spelling), the serving layer's request
 # decoder and the whole-PE flux macro-op FluxCell (the seed corpora
 # already run under plain `make test`). -fuzz accepts one target per
 # invocation, hence five runs.

@@ -250,7 +250,8 @@ func (d *Device) Launch(grid, block Dim3, kernel Kernel) (*KernelStats, error) {
 	nBlocks := grid.Count()
 	workers := min(runtime.NumCPU(), nBlocks)
 
-	stats := &KernelStats{Grid: grid, Block: block, Blocks: uint64(nBlocks)}
+	stats := &KernelStats{Grid: grid, Block: block, Blocks: uint64(nBlocks),
+		ThreadsLaunched: uint64(nBlocks * block.Count())}
 	perWorker := make([]KernelStats, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -269,7 +270,6 @@ func (d *Device) Launch(grid, block Dim3, kernel Kernel) (*KernelStats, error) {
 						for tx := 0; tx < block.X; tx++ {
 							tc.ThreadIdx = Dim3{X: tx, Y: ty, Z: tz}
 							tc.active = true
-							local.ThreadsLaunched++
 							kernel(&tc)
 							if tc.active {
 								local.ThreadsActive++

@@ -287,12 +287,15 @@ func FuzzRadialMesh(f *testing.F) {
 // FuzzRowStore builds the part-resident operator over FuzzRadialMesh's corpus
 // shape at a fuzzer-chosen part count and holds its row store to the
 // structural invariants (assertRowStore) and its sweep — plain and with the
-// inner product fused — to the oracle, bit for bit.
+// inner product fused — to the oracle, bit for bit. Every input also holds
+// the packed rows' vector body to their Go spelling on random blocks
+// (assertVectorSweepMatchesGo).
 func FuzzRowStore(f *testing.F) {
 	f.Add(uint64(8), uint64(8), uint64(3), uint64(2))
 	f.Add(uint64(2), uint64(3), uint64(0), uint64(0))   // minimum geometry: no degree-4 row at all
 	f.Add(uint64(10), uint64(29), uint64(1), uint64(3)) // refine every ring: degree-5 rows throughout
 	f.Fuzz(func(t *testing.T, nRings, nSectors, nRefine, nLevels uint64) {
+		assertVectorSweepMatchesGo(t, nRings^nSectors<<16^nRefine<<32^nLevels<<48, 1+int((nSectors+nRefine)%40), 1+int((nRings+nLevels)%40))
 		opts, cells := fuzzRadialOptions(nRings, nSectors, nRefine)
 		levels := int(nLevels % 4)
 		if cells > 20000 || 1<<levels > cells {
@@ -308,4 +311,99 @@ func FuzzRowStore(f *testing.F) {
 		}
 		assertSweepMatchesOracle(t, sys, levels, 2, probeVector(cells, int(nRings%97)), true)
 	})
+}
+
+// fuzzSpecials are the float64 values a row's operands are salted with: the
+// signed zeros and infinities, NaN, subnormals and the extremes.
+var fuzzSpecials = []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+	5e-324, -2.2e-310, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64 * 3}
+
+// assertVectorSweepMatchesGo sweeps two packed runs of n1 and n2 random rows
+// — blocks filled from seed, weights, accumulations, x and w salted with
+// fuzzSpecials, neighbor indices repeated within a row and reaching into a
+// halo past the owned rows — once through the vector body and once through
+// the Go spelling alone, plain and with the dot fused, and requires the same
+// rows and block partials bit for bit (two NaNs count as equal: which
+// operand's payload an add propagates is the hardware's business). A host
+// without the vector body has nothing to compare.
+func assertVectorSweepMatchesGo(t *testing.T, seed uint64, n1, n2 int) {
+	t.Helper()
+	if !vectorRows {
+		return
+	}
+	rng := fuzzRand(seed)
+	n := n1 + n2
+	nx := n + 1 + int(rng.next()%9) // owned rows, then the halo
+	// One input in every 4, 32 or 256, or none: a row reads ~15 inputs, so
+	// the sparser saltings leave most rows and dot partials finite, where an
+	// operation out of order shows.
+	rate := []uint64{4, 32, 256, 0}[rng.next()%4]
+	salted := func(v []float64, scale float64) []float64 {
+		for i := range v {
+			v[i] = scale * (rng.float() - 0.5)
+			if rate > 0 && rng.next()%rate == 0 {
+				v[i] = fuzzSpecials[rng.next()%uint64(len(fuzzSpecials))]
+			}
+		}
+		return v
+	}
+	op := &opPart{
+		accum: salted(make([]float64, n), 1e3),
+		quad:  make([]quadBlock, (n1+3)/4+(n2+3)/4),
+		rows: []rowSeg{
+			{lo: 0, n: int32(n1), first: 0, flush: 0, packed: true},
+			{lo: int32(n1), n: int32(n2), first: int32((n1 + 3) / 4), flush: 1, packed: true},
+		},
+	}
+	for bi := range op.quad {
+		b := &op.quad[bi]
+		for k := range b.t {
+			salted(b.t[k][:], 1e-2)
+			for r := range b.li[k] {
+				b.li[k][r] = uint32(rng.next() % uint64(nx))
+				if k > 0 && rng.next()%5 == 0 {
+					b.li[k][r] = b.li[k-1][r] // the same neighbor twice
+				}
+			}
+		}
+	}
+	x, w := salted(make([]float64, nx), 2e7), salted(make([]float64, n), 1)
+	sweep := func(vector bool, w []float64) (dst, sums []float64) {
+		defer func(v bool) { vectorRows = v }(vectorRows)
+		vectorRows = vector
+		dst, sums = make([]float64, n), make([]float64, 2)
+		op.sweep(op.rows, x, dst, w, sums)
+		return dst, sums
+	}
+	for _, wv := range [][]float64{nil, w} {
+		gotD, gotS := sweep(true, wv)
+		wantD, wantS := sweep(false, wv)
+		for i := range wantD {
+			if !sameBits(gotD[i], wantD[i]) {
+				t.Fatalf("seed %#x runs %d+%d, row %d: vector body %g (%#x), Go %g (%#x)",
+					seed, n1, n2, i, gotD[i], math.Float64bits(gotD[i]), wantD[i], math.Float64bits(wantD[i]))
+			}
+		}
+		for i := range wantS {
+			if !sameBits(gotS[i], wantS[i]) {
+				t.Fatalf("seed %#x runs %d+%d, fused dot of run %d: vector body %g (%#x), Go %g (%#x)",
+					seed, n1, n2, i, gotS[i], math.Float64bits(gotS[i]), wantS[i], math.Float64bits(wantS[i]))
+			}
+		}
+	}
+}
+
+func TestVectorSweepMatchesGo(t *testing.T) {
+	if !vectorRows {
+		t.Skip("no vector body for the packed rows on this host")
+	}
+	// Every pair of run lengths 1–40, so each run ends on every n mod 4 at
+	// every offset of the second run, eight seeds each.
+	for n1 := 1; n1 <= 40; n1++ {
+		for n2 := 1; n2 <= 40; n2++ {
+			for seed := range 8 {
+				assertVectorSweepMatchesGo(t, uint64(seed<<16|n1<<8|n2), n1, n2)
+			}
+		}
+	}
 }

@@ -1,11 +1,17 @@
 package umesh
 
+import "repro/internal/cpufeat"
+
 // This file holds the loops of the part-resident operator that run once per
 // Krylov iteration: the row sweep over the row store (operator.go), the
 // application that calls it, and the shard kernels program.go captures into
 // plan steps. Each operand stream is resliced to the run or block being
 // walked (window), so element loops carry no bounds checks beyond the neighbor
 // gathers; `make bce` pins the number of check sites this file reports.
+
+// vectorRows selects the packed rows' vector body (cpufeat.AVX2FMA, so never
+// off amd64); only tests clear it, to check or pin the Go spelling alone.
+var vectorRows = cpufeat.AVX2FMA
 
 // window is v[lo:lo+n]. Every operand stream of a kernel loop is resliced
 // through it with one n, so the compiler sees equal lengths and the loop
@@ -19,48 +25,45 @@ func (op *opPart) block(blk int) (lo, n int) {
 	return int(op.blkLo[blk]), int(op.blkHi[blk] - op.blkLo[blk])
 }
 
-// quadFlux is a packed row's flux sum: f_k = t_k·(x[li_k] − xc) pairwise as
-// (f0+f1)+(f2+f3), hostFluxRow's degree-4 expression on premultiplied
-// weights. The four gathers are its only bounds checks.
-func quadFlux(r *quadRow, x []float64, xc float64) float64 {
-	f0 := r.t[0] * (x[r.li[0]] - xc)
-	f1 := r.t[1] * (x[r.li[1]] - xc)
-	f2 := r.t[2] * (x[r.li[2]] - xc)
-	f3 := r.t[3] * (x[r.li[3]] - xc)
-	return (f0 + f1) + (f2 + f3)
-}
-
 // sweep evaluates the rows of the given runs of dst = A·x in the part's local
 // layout: per row dst = accum·xc − Σ_k t_k·(x[li_k] − xc), the sum
-// associated exactly as hostFluxRow associates it — pairwise for the packed
-// degree-4 rows, left to right from zero for every other degree. A non-nil w
-// fuses the inner product ⟨w, dst⟩ into the pass: products accumulate in row
-// order and each run with a flush slot stores (and restarts) the partial —
-// the canonical blocked reduction, identical values and summation tree as a
-// separate block sweep, one less memory pass. The runs must be cut at the
-// reduction blocks, as a part's rows are (buildRows).
+// associated exactly as hostFluxRow associates it — pairwise as
+// (f0+f1)+(f2+f3) for the packed degree-4 rows, left to right from zero for
+// every other degree. A non-nil w fuses the inner product ⟨w, dst⟩ into the
+// pass: products accumulate in row order and each run with a flush slot
+// stores (and restarts) the partial — the canonical blocked reduction,
+// identical values and summation tree as a separate block sweep, one less
+// memory pass. The runs must be cut at the reduction blocks, as a part's rows
+// are (buildRows). A packed run's whole blocks go to the vector body where
+// there is one (quadVector); the packed row loop is its Go spelling and does
+// the rest.
 func (op *opPart) sweep(segs []rowSeg, x, dst, w, sums []float64) {
 	acc := 0.0
 	for si := range segs {
 		s := &segs[si]
 		lo, n := int(s.lo), int(s.n)
 		accum, xs, d := window(op.accum, lo, n), window(x, lo, n), window(dst, lo, n)
-		switch {
-		case s.packed && w == nil:
-			quad := op.quad[s.first:][:n]
-			for k := range quad {
-				xc := xs[k]
-				d[k] = accum[k]*xc - quadFlux(&quad[k], x, xc)
+		if s.packed {
+			quad := op.quad[s.first:][:(n+3)/4]
+			var ws []float64
+			if w != nil {
+				ws = window(w, lo, n)
 			}
-		case s.packed:
-			quad, ws := op.quad[s.first:][:n], window(w, lo, n)
-			for k := range quad {
-				xc := xs[k]
-				dk := accum[k]*xc - quadFlux(&quad[k], x, xc)
+			var k int
+			k, acc = quadVector(quad, x, xs, accum, d, ws, acc)
+			for ; k < n; k++ {
+				xc, b, r := xs[k], &quad[k>>2], k&3
+				f0 := b.t[0][r] * (x[b.li[0][r]] - xc)
+				f1 := b.t[1][r] * (x[b.li[1][r]] - xc)
+				f2 := b.t[2][r] * (x[b.li[2][r]] - xc)
+				f3 := b.t[3][r] * (x[b.li[3][r]] - xc)
+				dk := accum[k]*xc - ((f0 + f1) + (f2 + f3))
 				d[k] = dk
-				acc += ws[k] * dk
+				if ws != nil {
+					acc += ws[k] * dk
+				}
 			}
-		default:
+		} else {
 			start := op.genStart[s.first:][:n+1]
 			for k := range d {
 				xc := xs[k]

@@ -265,25 +265,26 @@ func ReferenceSpace(sys *USystem, op solver.Operator) *solver.SliceSpace {
 }
 
 // The row store. A part's owned flux rows live in one of two arrays, both
-// premultiplied (w = Υ·λ, one multiply less per face) and both indexed by the
-// row's rank among the rows of its kind in compact order:
+// premultiplied (w = Υ·λ, one multiply less per face):
 //
-//   - degree-4 rows — the bulk of every mesh here — are packed quadRow
-//     records: four weights and four local neighbor indices in adjacency
-//     order, 48 bytes a row with no header, degree or row pointer;
+//   - degree-4 rows — the bulk of every mesh here — are packed quadBlocks:
+//     four consecutive rows of a run stored face-major, the vector body's
+//     operand layout (sweep_amd64.s), 48 bytes a row with no header, degree
+//     or row pointer; a run's last n mod 4 rows sit in a partial block;
 //   - every other degree is a row of one flat CSR (genStart/gen), 16 bytes an
 //     entry.
 //
 // Rows are never looked up one at a time. A part's owned range is compiled
 // once into rowSegs — runs of consecutive compact rows that are all packed or
 // all general — and opPart.sweep walks a run with every per-row stream
-// (accum, x, dst, the records) resliced to the run length, so the neighbor
-// gathers are the only per-row bounds checks left.
+// (accum, x, dst, the records) resliced to the run length: a general row's
+// only bounds checks are its neighbor gathers, a whole block has none.
 
-// quadRow is one packed degree-4 flux row.
-type quadRow struct {
-	t  [4]float64 // premultiplied weights Υ·λ, adjacency order
-	li [4]uint32  // the neighbors' local indices
+// quadBlock is four packed rows: t[k][r] and li[k][r] are the weight and the
+// neighbor's local index of face k (adjacency order) of row r.
+type quadBlock struct {
+	t  [4][4]float64
+	li [4][4]uint32
 }
 
 // nbrEntry is one face of a general (degree ≠ 4) row: the premultiplied
@@ -295,11 +296,10 @@ type nbrEntry struct {
 }
 
 // rowSeg is a run of the consecutive compact rows [lo, lo+n), all packed or
-// all general; first is the rank of row lo in quad (packed) or genStart
-// (general), and the rest of the run follows it there. Runs are also cut at
-// the reduction blocks' ends, and the last run of each block carries the
-// block's blockSums slot in flush (−1 everywhere else), so a sweep can fuse
-// an inner product.
+// all general; first is the run's first block in quad or its first row's rank
+// in genStart. Runs are also cut at the reduction blocks' ends, and the last
+// run of each block carries the block's blockSums slot in flush (−1
+// everywhere else), so a sweep can fuse an inner product.
 type rowSeg struct {
 	lo, n  int32
 	first  int32
@@ -320,10 +320,10 @@ type opPart struct {
 	// accum is the system's accumulation coefficient in the part's compact
 	// layout, so the row sweep never chases a global index.
 	accum []float64
-	// quad, genStart and gen are the row store (see quadRow): the packed
+	// quad, genStart and gen are the row store (see quadBlock): the packed
 	// degree-4 rows, and general row g = gen[genStart[g]:genStart[g+1]].
 	// Only sweep reads them, and only through rows.
-	quad     []quadRow
+	quad     []quadBlock
 	genStart []int32
 	gen      []nbrEntry
 	// rows is the owned range compiled into runs, in compact order and cut
@@ -512,24 +512,14 @@ func (o *PartOperator) compileReduction() error {
 	return nil
 }
 
-// buildRows fills the part's row store from the layout's adjacency and
-// compiles the owned range into runs. It needs the reduction blocks
+// buildRows compiles the part's owned range into runs and fills its row
+// store from the layout's adjacency. It needs the reduction blocks
 // (compileReduction), which tile the owned range without a gap or an empty
 // block (a part owning no row has no run and is never swept).
 func (op *opPart) buildRows(ps *partLayout, lam float64) {
-	nQuad := 0
-	for i := 0; i < ps.nOwned; i++ {
-		if ps.rowStart[i+1]-ps.rowStart[i] == 4 {
-			nQuad++
-		}
-	}
-	op.quad = make([]quadRow, 0, nQuad)
-	op.genStart = make([]int32, 0, ps.nOwned-nQuad+1)
-	op.gen = make([]nbrEntry, 0, len(ps.nbrLocal)-4*nQuad)
-	blk := 0
+	nBlocks, nGen, blk := int32(0), int32(0), 0
 	for i := int32(0); i < int32(ps.nOwned); i++ {
-		lo, hi := ps.rowStart[i], ps.rowStart[i+1]
-		packed := hi-lo == 4
+		packed := ps.rowStart[i+1]-ps.rowStart[i] == 4
 		// A run grows while its rows are of one kind and in one block: the
 		// row that opens a block closes the previous block's last run.
 		last := len(op.rows) - 1
@@ -538,31 +528,44 @@ func (op *opPart) buildRows(ps *partLayout, lam float64) {
 			blk++
 		}
 		if last < 0 || op.rows[last].flush >= 0 || op.rows[last].packed != packed {
-			first := int32(len(op.genStart))
+			first := nGen
 			if packed {
-				first = int32(len(op.quad))
+				first = nBlocks
 			}
 			op.rows = append(op.rows, rowSeg{lo: i, first: first, flush: -1, packed: packed})
 		}
-		op.rows[len(op.rows)-1].n++
-		if packed {
-			var q quadRow
-			for k := range q.t {
-				q.t[k] = ps.nbrTrans[int(lo)+k] * lam
-				q.li[k] = uint32(ps.nbrLocal[int(lo)+k])
-			}
-			op.quad = append(op.quad, q)
-			continue
+		s := &op.rows[len(op.rows)-1]
+		switch {
+		case !packed:
+			nGen++
+		case s.n%4 == 0:
+			nBlocks++
 		}
-		op.genStart = append(op.genStart, int32(len(op.gen)))
-		for j := lo; j < hi; j++ {
-			op.gen = append(op.gen, nbrEntry{t: ps.nbrTrans[j] * lam, li: uint32(ps.nbrLocal[j])})
-		}
+		s.n++
 	}
-	op.genStart = append(op.genStart, int32(len(op.gen)))
 	if len(op.rows) > 0 {
 		op.rows[len(op.rows)-1].flush = op.blkOut[blk]
 	}
+	op.quad = make([]quadBlock, nBlocks)
+	op.genStart = make([]int32, 0, nGen+1)
+	op.gen = make([]nbrEntry, 0, len(ps.nbrLocal)-4*(ps.nOwned-int(nGen)))
+	for _, s := range op.rows {
+		for r := range s.n {
+			lo, hi := ps.rowStart[s.lo+r], ps.rowStart[s.lo+r+1]
+			if s.packed {
+				b := &op.quad[s.first+r/4]
+				for k := range b.t {
+					b.t[k][r%4], b.li[k][r%4] = ps.nbrTrans[lo+int32(k)]*lam, uint32(ps.nbrLocal[lo+int32(k)])
+				}
+				continue
+			}
+			op.genStart = append(op.genStart, int32(len(op.gen)))
+			for j := lo; j < hi; j++ {
+				op.gen = append(op.gen, nbrEntry{t: ps.nbrTrans[j] * lam, li: uint32(ps.nbrLocal[j])})
+			}
+		}
+	}
+	op.genStart = append(op.genStart, int32(len(op.gen)))
 }
 
 // finishApply folds the parts' halo traffic after an application (a barrier

@@ -762,68 +762,62 @@ func sameBits(a, b float64) bool {
 }
 
 // assertRowStore checks a part operator's row store and run list against
-// the engine's adjacency: every row is stored once, packed exactly when its
-// degree is 4, with the premultiplied weights and neighbors in adjacency
-// order; each part's runs start at row 0, follow each other with no gap, are
-// homogeneous and correctly ranked, end at nOwned, never cross a reduction
-// block, and each block's last run (and no other) carries the block's slot.
+// the engine's adjacency: each part's runs start at row 0, follow each other
+// with no gap, are homogeneous, end at nOwned, never cross a reduction block,
+// and each block's last run (and no other) carries the block's slot; a packed
+// run takes the next ⌈n/4⌉ blocks and a general run the next n CSR rows,
+// nothing else is stored, and every row holds its premultiplied weights and
+// neighbors in adjacency order — a packed row r of a run in lane r mod 4 of
+// block r/4.
 func assertRowStore(t *testing.T, po *PartOperator) {
 	t.Helper()
 	lam := po.Sys.Mobility
 	for me, op := range po.parts {
 		ps := po.l.parts[me]
-		nQuad, nGen := 0, 0
-		for i := 0; i < ps.nOwned; i++ {
-			lo, hi := int(ps.rowStart[i]), int(ps.rowStart[i+1])
-			if hi-lo == 4 {
-				q := op.quad[nQuad]
-				nQuad++
-				for k := 0; k < 4; k++ {
-					if q.t[k] != ps.nbrTrans[lo+k]*lam || q.li[k] != uint32(ps.nbrLocal[lo+k]) {
-						t.Fatalf("part %d row %d: packed face %d is (%g, %d), adjacency has (%g, %d)",
-							me, i, k, q.t[k], q.li[k], ps.nbrTrans[lo+k]*lam, ps.nbrLocal[lo+k])
-					}
-				}
-				continue
-			}
-			row := op.gen[op.genStart[nGen]:op.genStart[nGen+1]]
-			nGen++
-			if len(row) != hi-lo {
-				t.Fatalf("part %d row %d: general row holds %d faces, adjacency %d", me, i, len(row), hi-lo)
-			}
-			for k, e := range row {
-				if e.t != ps.nbrTrans[lo+k]*lam || e.li != uint32(ps.nbrLocal[lo+k]) {
-					t.Fatalf("part %d row %d: general face %d is (%g, %d), adjacency has (%g, %d)",
-						me, i, k, e.t, e.li, ps.nbrTrans[lo+k]*lam, ps.nbrLocal[lo+k])
-				}
+		face := func(i int32, k int, gotT float64, gotLi uint32, kind string) {
+			j := int(ps.rowStart[i]) + k
+			if gotT != ps.nbrTrans[j]*lam || gotLi != uint32(ps.nbrLocal[j]) {
+				t.Fatalf("part %d row %d: %s face %d is (%g, %d), adjacency has (%g, %d)",
+					me, i, kind, k, gotT, gotLi, ps.nbrTrans[j]*lam, ps.nbrLocal[j])
 			}
 		}
-		if nQuad != len(op.quad) || nGen+1 != len(op.genStart) || int(op.genStart[nGen]) != len(op.gen) {
-			t.Fatalf("part %d: store holds %d packed rows, %d general row ends and %d general faces beyond its %d+%d rows",
-				me, len(op.quad), len(op.genStart), len(op.gen), nQuad, nGen)
-		}
-		// rank of each row among the rows of its kind, recomputed here.
-		rank := make([]int32, ps.nOwned)
-		for i, q, g := 0, int32(0), int32(0); i < ps.nOwned; i++ {
-			if ps.rowStart[i+1]-ps.rowStart[i] == 4 {
-				rank[i], q = q, q+1
-			} else {
-				rank[i], g = g, g+1
-			}
-		}
-		next, blk := int32(0), 0
+		next, blk, nBlocks, nGen := int32(0), 0, int32(0), int32(0)
 		for si, s := range op.rows {
 			if s.lo != next || s.n < 1 {
 				t.Fatalf("part %d run %d [%d,+%d) does not start at row %d", me, si, s.lo, s.n, next)
 			}
 			next = s.lo + s.n
+			if want := map[bool]int32{true: nBlocks, false: nGen}[s.packed]; s.first != want {
+				t.Fatalf("part %d run %d (packed=%v) addresses %d, the runs before it fill %d", me, si, s.packed, s.first, want)
+			}
+			if s.packed && int(s.first+(s.n+3)/4) > len(op.quad) || !s.packed && int(s.first+s.n) >= len(op.genStart) {
+				t.Fatalf("part %d run %d (packed=%v) of %d rows at %d runs past the store", me, si, s.packed, s.n, s.first)
+			}
 			for i := s.lo; i < next; i++ {
-				if packed := ps.rowStart[i+1]-ps.rowStart[i] == 4; packed != s.packed {
+				deg := int(ps.rowStart[i+1] - ps.rowStart[i])
+				if packed := deg == 4; packed != s.packed {
 					t.Fatalf("part %d run %d: row %d packed=%v inside a packed=%v run", me, si, i, packed, s.packed)
 				}
-				if want := s.first + (i - s.lo); rank[i] != want {
-					t.Fatalf("part %d run %d: row %d has rank %d, run addresses %d", me, si, i, rank[i], want)
+				r := i - s.lo
+				if s.packed {
+					b := &op.quad[s.first+r/4]
+					for k := 0; k < 4; k++ {
+						face(i, k, b.t[k][r%4], b.li[k][r%4], "packed")
+					}
+					continue
 				}
+				row := op.gen[op.genStart[s.first+r]:op.genStart[s.first+r+1]]
+				if len(row) != deg {
+					t.Fatalf("part %d row %d: general row holds %d faces, adjacency %d", me, i, len(row), deg)
+				}
+				for k, e := range row {
+					face(i, k, e.t, e.li, "general")
+				}
+			}
+			if s.packed {
+				nBlocks += (s.n + 3) / 4
+			} else {
+				nGen += s.n
 			}
 			for s.lo >= op.blkHi[blk] {
 				blk++
@@ -844,7 +838,22 @@ func assertRowStore(t *testing.T, po *PartOperator) {
 		if int(next) != ps.nOwned {
 			t.Fatalf("part %d: runs end at row %d, the part owns %d", me, next, ps.nOwned)
 		}
+		if int(nBlocks) != len(op.quad) || int(nGen)+1 != len(op.genStart) || int(op.genStart[nGen]) != len(op.gen) {
+			t.Fatalf("part %d: store holds %d blocks, %d general row ends and %d general faces beyond its runs' %d blocks and %d rows",
+				me, len(op.quad), len(op.genStart), len(op.gen), nBlocks, nGen)
+		}
 	}
+}
+
+// packedRows counts the rows of a part's packed runs.
+func packedRows(op *opPart) int {
+	n := 0
+	for _, s := range op.rows {
+		if s.packed {
+			n += int(s.n)
+		}
+	}
+	return n
 }
 
 // assertSweepMatchesOracle applies the operator to x through the pool (halo
@@ -932,15 +941,15 @@ func TestRowStoreDegenerateShapes(t *testing.T) {
 		{"no degree-4 row", gridMesh(16, 1, false), []int{0, 1, 2}, func(t *testing.T, po *PartOperator) {
 			for me, op := range po.parts {
 				if len(op.quad) != 0 {
-					t.Errorf("part %d packs %d rows of a chain", me, len(op.quad))
+					t.Errorf("part %d packs %d blocks of a chain", me, len(op.quad))
 				}
 			}
 		}},
 		{"only degree-4 rows", gridMesh(6, 5, true), []int{0, 1, 2}, func(t *testing.T, po *PartOperator) {
 			for me, op := range po.parts {
-				if len(op.gen) != 0 || len(op.quad) != po.l.parts[me].nOwned {
+				if len(op.gen) != 0 || packedRows(op) != po.l.parts[me].nOwned {
 					t.Errorf("part %d keeps %d general faces of a torus, packs %d of %d rows",
-						me, len(op.gen), len(op.quad), po.l.parts[me].nOwned)
+						me, len(op.gen), packedRows(op), po.l.parts[me].nOwned)
 				}
 			}
 		}},

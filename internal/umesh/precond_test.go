@@ -134,6 +134,13 @@ func TestPrecondLadderIterationOrdering(t *testing.T) {
 }
 
 func TestPrecondLadderRecordedIterationCounts(t *testing.T) {
+	assertRecordedLadder(t, nil)
+}
+
+// assertRecordedLadder solves the pinned ladder on the benchmark radial mesh,
+// serially (levels nil) or on the RCB partition of *levels levels.
+func assertRecordedLadder(t *testing.T, levels *int) {
+	t.Helper()
 	// The pinned ladder: the benchmark radial mesh, three backward-Euler steps
 	// of 3600 s to 1e-8 between a ±2 kg/s well pair, takes exactly these
 	// serial iteration counts per rung — a fixed point no layout or fusion
@@ -156,6 +163,13 @@ func TestPrecondLadderRecordedIterationCounts(t *testing.T) {
 		t.Skip("three serial single-goroutine solves: nothing for the race detector to watch, and ~20 s instrumented")
 	}
 	u := benchRadial(t)
+	var part *Partition
+	if levels != nil {
+		var err error
+		if part, err = RCB(u, *levels); err != nil {
+			t.Fatal(err)
+		}
+	}
 	opts := TransientOptions{
 		Dt:    3600,
 		Steps: 3,
@@ -164,7 +178,7 @@ func TestPrecondLadderRecordedIterationCounts(t *testing.T) {
 	opts.Solver.Tol = 1e-8
 	for _, rung := range ladder {
 		opts.Solver.PrecondKind = rung.kind
-		res, err := RunTransientPartitioned(u, nil, physics.DefaultFluid(), opts)
+		res, err := RunTransientPartitioned(u, part, physics.DefaultFluid(), opts)
 		if err != nil {
 			t.Fatalf("%s: %v", rung.kind, err)
 		}
@@ -176,6 +190,19 @@ func TestPrecondLadderRecordedIterationCounts(t *testing.T) {
 			t.Errorf("%s took %d iterations, the pinned ladder says %d", rung.kind, got, rung.iterations)
 		}
 	}
+}
+
+// TestGoSweepHoldsTheGoldens runs the pinned ladder — on 4 parts, since the
+// recorded counts are solved serially and never sweep a row store — and the
+// transient golden once more with the packed rows' vector body switched off,
+// so the Go spelling, which is all arm64 runs, stays pinned on a host that
+// has the vector body.
+func TestGoSweepHoldsTheGoldens(t *testing.T) {
+	defer func(v bool) { vectorRows = v }(vectorRows)
+	vectorRows = false
+	levels := 2
+	t.Run("ladder/parts=4", func(t *testing.T) { assertRecordedLadder(t, &levels) })
+	t.Run("transient", TestTransientPartitionedGoldenAgainstSerial)
 }
 
 func TestAMGAggregationStructure(t *testing.T) {
