@@ -1,65 +1,91 @@
 package repro_test
 
 // The exported-name gate: every exported package-level name outside a main
-// package must have a caller outside the test files. A name only tests call
-// is test scaffolding in product code — it belongs in a _test.go file of the
-// package that uses it, or nowhere.
+// package must be reached by a program — a command, the benchmark, or
+// another product file. A name only tests reach is test scaffolding in
+// product code: it belongs in a _test.go file of the package that uses it,
+// or nowhere.
 //
-// Declarations are read with go/parser from every non-test, non-main .go
-// file outside benchmark/; callers are counted with go/scanner as identifier
-// tokens across every non-test .go file of the tree, benchmark/ and cmd/
-// included. A name is reported when it occurs exactly as many times as it
-// is declared. Counting bare identifiers is lenient — an unrelated field or
-// local of the same name counts as a caller — so the gate can miss a dead
-// name. A live name it reports is called from outside this tree (the
-// facade) or by the standard library (an interface method), and belongs on
-// the allowlist.
+// Names are resolved by go/types, not spelled: every non-test .go file that
+// go/build's MatchFile selects for this platform is parsed, and the module
+// and the nested benchmark/ module are type-checked together (the standard
+// library from its export data). An exported func, method, type, const or
+// var counts as used only when an identifier in a non-test file resolves
+// to it outside its own declaration; the receiver of a method does not use
+// the method's type. A method also counts as used when its type, or a
+// pointer to it, implements an interface that declares a method of that
+// name which the library calls (any standard-library interface, error
+// included) or which a non-test file of this tree calls. A live name the
+// gate reports is called from outside this tree (the facade) and belongs
+// on the allowlist with its reason.
 
 import (
+	"bufio"
+	"bytes"
+	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
-	"go/scanner"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
 	"os"
 	"path"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/fstest"
 )
 
-// exportAllowlist names the declarations that may lack a non-test caller,
+// exportAllowlist names the declarations that may lack a non-test user,
 // keyed as the gate reports them (package.Name or package.Recv.Name).
 var exportAllowlist = map[string]string{
 	// The massivefv facade is the module's public API: its callers are
 	// other modules, not this tree.
-	"massivefv.ExperimentConfig":  "public facade",
-	"massivefv.SolveUnstructured": "public facade, shown by ExampleSolveUnstructured",
-	"massivefv.BuildMesh":         "public facade, shown by ExampleRunDataflow",
-	"massivefv.RunDataflow":       "public facade, shown by ExampleRunDataflow",
-	"massivefv.ProjectCS2":        "public facade, shown by ExampleRunDataflow and ExampleRunGPU",
-	"massivefv.RunGPU":            "public facade, shown by ExampleRunGPU",
-	"massivefv.ProjectA100":       "public facade, shown by ExampleRunGPU",
-	"massivefv.NewWaveMedium":     "public facade, shown by ExampleSimulateWave",
-	"massivefv.SimulateWave":      "public facade, shown by ExampleSimulateWave",
-	"massivefv.WaveSource":        "public facade, shown by ExampleSimulateWave",
+	"massivefv.ExperimentConfig":   "public facade",
+	"massivefv.SolveUnstructured":  "public facade, shown by ExampleSolveUnstructured",
+	"massivefv.BuildMesh":          "public facade, shown by ExampleRunDataflow",
+	"massivefv.RunDataflow":        "public facade, shown by ExampleRunDataflow",
+	"massivefv.ProjectCS2":         "public facade, shown by ExampleRunDataflow and ExampleRunGPU",
+	"massivefv.RunGPU":             "public facade, shown by ExampleRunGPU",
+	"massivefv.ProjectA100":        "public facade, shown by ExampleRunGPU",
+	"massivefv.NewWaveMedium":      "public facade, shown by ExampleSimulateWave",
+	"massivefv.SimulateWave":       "public facade, shown by ExampleSimulateWave",
+	"massivefv.WaveSource":         "public facade, shown by ExampleSimulateWave",
+	"massivefv.CUDA":               "public facade",
+	"massivefv.RAJA":               "public facade",
+	"massivefv.DensityExponential": "public facade",
+	"massivefv.PrecondChebyshev":   "public facade",
+	"massivefv.RunFig8":            "public facade",
+	"massivefv.RunTable1":          "public facade",
+	"massivefv.RunTable2":          "public facade",
+	"massivefv.RunTable3":          "public facade",
+	"massivefv.RunTable4":          "public facade",
+	"massivefv.RunTransient":       "public facade",
+	"massivefv.Well":               "public facade",
 
 	// faultinject is test support: only tests import it.
 	"faultinject.Plan.Hook":      "test-support package",
 	"faultinject.Plan.Scheduled": "test-support package",
 	"faultinject.RandomPlan":     "test-support package",
+	"faultinject.Plan.Counts":    "test-support package",
+
+	// errors.Is and errors.As call Unwrap through an interface the standard
+	// library declares inside their bodies, where the gate cannot see it;
+	// serve dispatches on the wrapped solver sentinels.
+	"umesh.StepError.Unwrap": "called by errors.Is and errors.As",
 
 	// The cell-based oracle both umesh's and massivefv's tests compare
 	// against; a _test.go file cannot be shared across packages.
 	"umesh.RunCellBasedApps": "oracle shared by the umesh and massivefv tests",
 }
 
-// declaredExport is one exported package-level declaration.
-type declaredExport struct {
-	key  string // package.Name or package.Recv.Name
-	name string // the identifier itself
-}
+// stdImporter reads the standard library's export data; one is shared by
+// every tree the gate checks.
+var stdImporter = sync.OnceValue(importer.Default)
 
 // skipDir reports whether the walk should not descend into dir.
 func skipDir(dir string) bool {
@@ -67,12 +93,30 @@ func skipDir(dir string) bool {
 	return dir != "." && (strings.HasPrefix(base, ".") || base == "testdata")
 }
 
-// unreferencedExports returns the keys of the exported declarations in fsys
-// whose names occur nowhere in the non-test Go files but in their
-// declarations, sorted.
-func unreferencedExports(fsys fs.FS) ([]string, error) {
-	var decls []declaredExport
-	uses := map[string]int{}
+// sourceTree is the type-checked non-test code of every module under a root.
+type sourceTree struct {
+	fset  *token.FileSet
+	dirs  map[string]string         // import path → directory
+	files map[string][]*ast.File    // directory → its parsed non-test files
+	pkgs  map[string]*types.Package // import path → checked package
+	std   map[string]*types.Package // standard-library packages imported
+	info  *types.Info
+}
+
+// loadTree parses and type-checks every package of every module in fsys.
+func loadTree(fsys fs.FS) (*sourceTree, error) {
+	t := &sourceTree{
+		fset:  token.NewFileSet(),
+		dirs:  map[string]string{},
+		files: map[string][]*ast.File{},
+		pkgs:  map[string]*types.Package{},
+		std:   map[string]*types.Package{},
+		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+	}
+	ctxt := build.Default
+	ctxt.OpenFile = func(p string) (io.ReadCloser, error) { return fsys.Open(p) }
+	ctxt.JoinPath = path.Join
+	modules := map[string]string{} // directory → module path
 	err := fs.WalkDir(fsys, ".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -83,127 +127,262 @@ func unreferencedExports(fsys fs.FS) ([]string, error) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+		dir, name := path.Dir(p), path.Base(p)
+		if name == "go.mod" {
+			mod, err := modulePath(fsys, p)
+			modules[dir] = mod
+			return err
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			return nil
+		}
+		if ok, err := ctxt.MatchFile(dir, name); err != nil || !ok {
+			return err
 		}
 		src, err := fs.ReadFile(fsys, p)
 		if err != nil {
 			return err
 		}
-		countIdents(src, uses)
-		if p == "benchmark" || strings.HasPrefix(p, "benchmark/") {
-			return nil
-		}
-		fd, err := declaredExports(p, src)
-		decls = append(decls, fd...)
+		f, err := parser.ParseFile(t.fset, p, src, parser.SkipObjectResolution)
+		t.files[dir] = append(t.files[dir], f)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	declCount := map[string]int{}
-	for _, d := range decls {
-		declCount[d.name]++
+	for dir := range t.files {
+		ip, err := importPath(modules, dir)
+		if err != nil {
+			return nil, err
+		}
+		t.dirs[ip] = dir
 	}
-	var out []string
-	for _, d := range decls {
-		if uses[d.name] <= declCount[d.name] {
-			out = append(out, d.key)
+	for ip := range t.dirs {
+		if _, err := t.Import(ip); err != nil {
+			return nil, err
 		}
 	}
-	slices.Sort(out)
-	return out, nil
+	return t, nil
 }
 
-// countIdents adds each identifier token of src to uses.
-func countIdents(src []byte, uses map[string]int) {
-	fset := token.NewFileSet()
-	var s scanner.Scanner
-	s.Init(fset.AddFile("", -1, len(src)), src, nil, 0)
-	for {
-		_, tok, lit := s.Scan()
-		if tok == token.EOF {
-			return
+// modulePath reads the module line of the go.mod file at p.
+func modulePath(fsys fs.FS, p string) (string, error) {
+	src, err := fs.ReadFile(fsys, p)
+	if err != nil {
+		return "", err
+	}
+	sc := bufio.NewScanner(bytes.NewReader(src))
+	for sc.Scan() {
+		if mod, ok := strings.CutPrefix(strings.TrimSpace(sc.Text()), "module "); ok {
+			return strings.Trim(strings.TrimSpace(mod), `"`), nil
 		}
-		if tok == token.IDENT {
-			uses[lit]++
+	}
+	return "", fmt.Errorf("%s: no module line", p)
+}
+
+// importPath returns the import path of dir: the path of the nearest
+// enclosing module joined with dir's place in it.
+func importPath(modules map[string]string, dir string) (string, error) {
+	for d, rel := dir, ""; ; d = path.Dir(d) {
+		if mod, ok := modules[d]; ok {
+			return path.Join(mod, rel), nil
 		}
+		if d == "." {
+			return "", fmt.Errorf("%s: no go.mod above it", dir)
+		}
+		rel = path.Join(path.Base(d), rel)
 	}
 }
 
-// declaredExports lists the exported package-level funcs, methods, types,
-// consts and vars of the file at p, unless it belongs to a main package.
-func declaredExports(p string, src []byte) ([]declaredExport, error) {
-	f, err := parser.ParseFile(token.NewFileSet(), p, src, parser.SkipObjectResolution)
+// Import type-checks the tree's package at ip once, or reads a
+// standard-library package's export data.
+func (t *sourceTree) Import(ip string) (*types.Package, error) {
+	dir, ok := t.dirs[ip]
+	if !ok {
+		p, err := stdImporter().Import(ip)
+		if err == nil {
+			t.std[ip] = p
+		}
+		return p, err
+	}
+	if p, ok := t.pkgs[ip]; ok {
+		return p, nil
+	}
+	p, err := (&types.Config{Importer: t}).Check(ip, t.fset, t.files[dir], t.info)
 	if err != nil {
 		return nil, err
 	}
-	pkg := f.Name.Name
-	if pkg == "main" {
-		return nil, nil
-	}
-	var out []declaredExport
-	add := func(id *ast.Ident, recv string) {
-		if id.IsExported() {
-			out = append(out, declaredExport{key: pkg + "." + recv + id.Name, name: id.Name})
+	t.pkgs[ip] = p
+	return p, nil
+}
+
+// exportKey names obj as the gate reports it: package.Name, or
+// package.Recv.Name for a method.
+func exportKey(obj types.Object) string {
+	key := obj.Pkg().Name() + "."
+	if f, ok := obj.(*types.Func); ok {
+		if r := f.Signature().Recv(); r != nil {
+			key += receiverNamed(r.Type()).Obj().Name() + "."
 		}
 	}
-	for _, decl := range f.Decls {
-		switch d := decl.(type) {
-		case *ast.FuncDecl:
-			recv := ""
-			if d.Recv != nil {
-				recv = receiverName(d.Recv.List[0].Type) + "."
+	return key + obj.Name()
+}
+
+// receiverNamed returns the named type of a method receiver, T or *T.
+func receiverNamed(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, _ := types.Unalias(t).(*types.Named)
+	return n
+}
+
+// origin maps an instantiated method or field to its generic declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// span is the source extent of one declaration.
+type span struct{ pos, end token.Pos }
+
+// declarations returns the extent of every exported package-level
+// declaration outside a main package, and the identifiers of every method
+// receiver.
+func (t *sourceTree) declarations() (map[types.Object]span, map[*ast.Ident]bool) {
+	decls := map[types.Object]span{}
+	inReceiver := map[*ast.Ident]bool{}
+	add := func(id *ast.Ident, n ast.Node) {
+		if id.IsExported() {
+			decls[t.info.Defs[id]] = span{n.Pos(), n.End()}
+		}
+	}
+	for _, files := range t.files {
+		for _, f := range files {
+			if f.Name.Name == "main" {
+				continue
 			}
-			add(d.Name, recv)
-		case *ast.GenDecl:
-			for _, spec := range d.Specs {
-				switch s := spec.(type) {
-				case *ast.TypeSpec:
-					add(s.Name, "")
-				case *ast.ValueSpec:
-					for _, id := range s.Names {
-						add(id, "")
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					add(d.Name, d)
+					if d.Recv != nil {
+						ast.Inspect(d.Recv, func(n ast.Node) bool {
+							if id, ok := n.(*ast.Ident); ok {
+								inReceiver[id] = true
+							}
+							return true
+						})
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							add(s.Name, s)
+						case *ast.ValueSpec:
+							for _, id := range s.Names {
+								add(id, s)
+							}
+						}
 					}
 				}
 			}
 		}
 	}
-	return out, nil
+	return decls, inReceiver
 }
 
-// receiverName returns the type name of a method receiver expression:
-// T, *T, T[P] and *T[P] all give T.
-func receiverName(e ast.Expr) string {
-	for {
-		switch t := e.(type) {
-		case *ast.StarExpr:
-			e = t.X
-		case *ast.IndexExpr:
-			e = t.X
-		case *ast.IndexListExpr:
-			e = t.X
-		case *ast.Ident:
-			return t.Name
-		default:
-			return "?"
+// calledInterfaces maps a method name to the interfaces that declare a
+// method of that name which is called: by a used interface method of this
+// tree, or by the library — error and every named interface of the
+// standard-library packages the tree imports, directly or not.
+func (t *sourceTree) calledInterfaces(used map[types.Object]bool) map[string][]*types.Interface {
+	called := map[string][]*types.Interface{}
+	add := func(m *types.Func) {
+		if iface, ok := m.Signature().Recv().Type().Underlying().(*types.Interface); ok && iface.IsMethodSet() {
+			called[m.Name()] = append(called[m.Name()], iface)
 		}
 	}
+	for obj := range used {
+		if m, ok := obj.(*types.Func); ok && m.Signature().Recv() != nil {
+			add(m)
+		}
+	}
+	add(types.Universe.Lookup("error").Type().Underlying().(*types.Interface).Method(0))
+	seen := map[*types.Package]bool{}
+	var library func(p *types.Package)
+	library = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		scope := p.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			if n, ok := tn.Type().(*types.Named); ok && n.TypeParams() == nil {
+				if iface, ok := n.Underlying().(*types.Interface); ok {
+					for i := range iface.NumMethods() {
+						add(iface.Method(i))
+					}
+				}
+			}
+		}
+		for _, imp := range p.Imports() {
+			library(imp)
+		}
+	}
+	for _, p := range t.std {
+		library(p)
+	}
+	return called
 }
 
-// isInterfaceMethod reports whether key names a method that satisfies a
-// standard-library interface, which the library calls, not this tree.
-func isInterfaceMethod(key string) bool {
-	parts := strings.Split(key, ".")
-	if len(parts) != 3 {
+// unreferencedExports returns the keys of the exported declarations in fsys
+// that no non-test file uses, sorted.
+func unreferencedExports(fsys fs.FS) ([]string, error) {
+	t, err := loadTree(fsys)
+	if err != nil {
+		return nil, err
+	}
+	decls, inReceiver := t.declarations()
+	used := map[types.Object]bool{}
+	for id, obj := range t.info.Uses {
+		obj = origin(obj)
+		if d, ok := decls[obj]; inReceiver[id] || ok && d.pos <= id.Pos() && id.Pos() < d.end {
+			continue
+		}
+		used[obj] = true
+	}
+	called := t.calledInterfaces(used)
+	implements := func(m *types.Func) bool {
+		recv := receiverNamed(m.Signature().Recv().Type())
+		if recv.TypeParams() != nil {
+			return false
+		}
+		for _, iface := range called[m.Name()] {
+			if types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface) {
+				return true
+			}
+		}
 		return false
 	}
-	switch parts[2] {
-	case "Error", "String", "Unwrap", "Is", "Len", "Less", "Swap", "ServeHTTP",
-		"MarshalJSON", "UnmarshalJSON", "MarshalText", "UnmarshalText", "Format", "GoString":
-		return true
+	var out []string
+	for obj := range decls {
+		if m, ok := obj.(*types.Func); used[obj] || ok && m.Signature().Recv() != nil && implements(m) {
+			continue
+		}
+		out = append(out, exportKey(obj))
 	}
-	return false
+	slices.Sort(out)
+	return out, nil
 }
 
 func TestEveryExportHasANonTestCaller(t *testing.T) {
@@ -217,34 +396,48 @@ func TestEveryExportHasANonTestCaller(t *testing.T) {
 	flagged := map[string]bool{}
 	for _, key := range unref {
 		flagged[key] = true
-		if _, ok := exportAllowlist[key]; ok || isInterfaceMethod(key) {
+		if _, ok := exportAllowlist[key]; ok {
 			continue
 		}
-		t.Errorf("%s has no caller outside test files: delete it, move it into the tests that use it, or give it a caller", key)
+		t.Errorf("%s has no user outside test files: delete it, move it into the tests that use it, or give it a caller", key)
 	}
-	for key := range exportAllowlist {
+	for key, reason := range exportAllowlist {
+		if reason == "" {
+			t.Errorf("allowlist entry %s gives no reason", key)
+		}
 		if !flagged[key] {
-			t.Errorf("allowlist entry %s is stale: the name no longer exists or now has a non-test caller", key)
+			t.Errorf("allowlist entry %s is stale: the name no longer exists or now has a non-test user", key)
 		}
 	}
 }
 
 func TestUnreferencedExportsReportsOnlyTheDeadName(t *testing.T) {
-	fixture := fstest.MapFS{
-		"lib/lib.go": {Data: []byte(`package lib
+	for _, tc := range []struct {
+		name    string
+		fixture fstest.MapFS
+		want    []string
+	}{{
+		name: "test-only caller",
+		fixture: fstest.MapFS{
+			"lib/lib.go": {Data: []byte(`package lib
 
-// Used is called from the command; Dead only from a test.
+// Used is called from the command; Dead only from a test. Ghost is named
+// only by its method's receiver.
 func Used() int { return 1 }
 
 func Dead() int { return 2 }
+
+type Ghost struct{}
+
+func (Ghost) Boo() {}
 `)},
-		"lib/lib_test.go": {Data: []byte(`package lib
+			"lib/lib_test.go": {Data: []byte(`package lib
 
 import "testing"
 
 func TestDead(t *testing.T) { _ = Dead() }
 `)},
-		"cmd/tool/main.go": {Data: []byte(`package main
+			"cmd/tool/main.go": {Data: []byte(`package main
 
 import "fixture/lib"
 
@@ -253,12 +446,129 @@ func Main() {}
 
 func main() { _ = lib.Used() }
 `)},
+		},
+		want: []string{"lib.Dead", "lib.Ghost", "lib.Ghost.Boo"},
+	}, {
+		// A field of another package spelled like a method does not use it.
+		name: "method named like a field",
+		fixture: fstest.MapFS{
+			"mesh/mesh.go": {Data: []byte(`package mesh
+
+type Mesh struct{ n int }
+
+func New() *Mesh { return &Mesh{n: 1} }
+
+func (m *Mesh) Jitter() { m.n++ }
+`)},
+			"load/load.go": {Data: []byte(`package load
+
+type Shot struct{ Jitter float64 }
+`)},
+			"cmd/tool/main.go": {Data: []byte(`package main
+
+import (
+	"fixture/load"
+	"fixture/mesh"
+)
+
+func main() { _ = mesh.New(); _ = load.Shot{}.Jitter }
+`)},
+		},
+		want: []string{"mesh.Mesh.Jitter"},
+	}, {
+		// String and Error are called by the library; Area through a module
+		// interface this tree calls. Perimeter implements an interface whose
+		// method nothing calls.
+		name: "interface methods",
+		fixture: fstest.MapFS{
+			"shape/shape.go": {Data: []byte(`package shape
+
+type Shape interface{ Area() float64 }
+
+type Outline interface{ Perimeter() float64 }
+
+type Square struct{ Side float64 }
+
+func (s Square) Area() float64 { return s.Side * s.Side }
+
+func (s Square) Perimeter() float64 { return 4 * s.Side }
+
+func (s Square) String() string { return "square" }
+
+type Code int
+
+func (c *Code) Error() string { return "code" }
+
+func Total(shapes []Shape) (sum float64) {
+	for _, s := range shapes {
+		sum += s.Area()
 	}
-	got, err := unreferencedExports(fixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []string{"lib.Dead"}; !slices.Equal(got, want) {
-		t.Fatalf("unreferencedExports = %q, want %q", got, want)
+	return sum
+}
+`)},
+			"cmd/tool/main.go": {Data: []byte(`package main
+
+import (
+	"fmt"
+
+	"fixture/shape"
+)
+
+func main() {
+	var c shape.Code
+	fmt.Println(shape.Total([]shape.Shape{shape.Square{Side: 2}}), &c)
+}
+`)},
+		},
+		want: []string{"shape.Outline", "shape.Square.Perimeter"},
+	}, {
+		// Only the file built for this platform is checked, so the pair
+		// declares Sweep once.
+		name: "build-constrained pair",
+		fixture: fstest.MapFS{
+			"kern/sweep_amd64.go": {Data: []byte(`package kern
+
+func Sweep() int { return 1 }
+`)},
+			"kern/sweep_other.go": {Data: []byte(`//go:build !amd64
+
+package kern
+
+func Sweep() int { return 1 }
+`)},
+			"cmd/tool/main.go": {Data: []byte(`package main
+
+import "fixture/kern"
+
+func main() { _ = kern.Sweep() }
+`)},
+		},
+	}, {
+		// The nested benchmark module is a caller.
+		name: "benchmark caller",
+		fixture: fstest.MapFS{
+			"lib/lib.go": {Data: []byte(`package lib
+
+func Measured() int { return 1 }
+`)},
+			"benchmark/go.mod": {Data: []byte("module fixture/benchmark\n\nrequire fixture v0.0.0\n\nreplace fixture => ../\n")},
+			"benchmark/main.go": {Data: []byte(`package main
+
+import "fixture/lib"
+
+func main() { _ = lib.Measured() }
+`)},
+		},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.fixture["go.mod"] = &fstest.MapFile{Data: []byte("module fixture\n")}
+			got, err := unreferencedExports(tc.fixture)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("unreferencedExports = %q, want %q", got, tc.want)
+			}
+		})
 	}
 }

@@ -36,9 +36,6 @@ func (c *Counters) Flops() uint64 {
 	return c.FMUL + c.FADD + c.FSUB + c.FNEG + 2*c.FMA
 }
 
-// MemBytes returns the counted local-memory traffic in bytes.
-func (c *Counters) MemBytes() uint64 { return 4 * (c.Loads + c.Stores) }
-
 // MemAccesses returns counted loads+stores (Table 4 reports 406 per cell).
 func (c *Counters) MemAccesses() uint64 { return c.Loads + c.Stores }
 

@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// MemBytes returns the counted local-memory traffic in bytes.
+func (c *Counters) MemBytes() uint64 { return 4 * (c.Loads + c.Stores) }
+
 // opFixture allocates three 8-element vectors with known contents.
 func opFixture(t *testing.T) (*Engine, Desc, Desc, Desc) {
 	t.Helper()

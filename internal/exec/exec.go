@@ -160,9 +160,6 @@ func (p *Pool) NewPlan(steps []Step) *Plan {
 	return &Plan{pool: p, steps: steps}
 }
 
-// Steps returns the number of steps (= barrier points when workers > 1).
-func (pl *Plan) Steps() int { return len(pl.steps) }
-
 // Execute runs the plan to completion: every worker sweeps its shard range
 // through each step, separated by barriers. It returns stopped=true when an
 // action ended the plan early, and the first error (lowest erroring shard

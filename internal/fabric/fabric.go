@@ -9,7 +9,7 @@ import (
 )
 
 // Config sizes a fabric: its PE grid and each PE's memory. Routing is
-// synchronous (see PE.Send), so there is nothing in flight to buffer.
+// synchronous (see PE.SendColumn), so there is nothing in flight to buffer.
 type Config struct {
 	Width, Height int
 	// MemWords is each PE's private memory capacity in float32 words
@@ -62,20 +62,13 @@ var waitNames = [...]string{inRecv: "Recv", inBarrier: "a barrier"}
 // HasNeighbor reports whether a fabric neighbor exists on port p.
 func (pe *PE) HasNeighbor(p Port) bool { return p < PortRamp && pe.nbr[p] != nil }
 
-// Send emits one wavelet from the worker onto the ramp and routes it to
-// completion in the caller's goroutine: every hop, switch command and
-// delivery happens before Send returns. The fabric mutex makes each send
-// atomic, so a run is one legal schedule of an asynchronous fabric, with
-// per-link FIFO order and commands applied in the order they were sent.
-func (pe *PE) Send(w Wavelet) {
-	pe.fab.mu.Lock()
-	defer pe.fab.mu.Unlock()
-	pe.rt.route(w, PortRamp, 0)
-}
-
 // SendColumn emits a whole float32 column as consecutive wavelets of one
 // color — the paper's "local block of data of length Nz × 2" per direction —
-// under one acquisition of the fabric mutex.
+// from the worker onto the ramp, and routes each to completion in the
+// caller's goroutine: every hop, switch command and delivery happens before
+// SendColumn returns. The fabric mutex, held once per column, makes the send
+// atomic, so a run is one legal schedule of an asynchronous fabric, with
+// per-link FIFO order and commands applied in the order they were sent.
 func (pe *PE) SendColumn(c Color, vals []float32) {
 	pe.fab.mu.Lock()
 	defer pe.fab.mu.Unlock()
@@ -193,20 +186,6 @@ func New(cfg Config) (*Fabric, error) {
 		}
 	}
 	return f, nil
-}
-
-// Width returns the fabric width in PEs.
-func (f *Fabric) Width() int { return f.cfg.Width }
-
-// Height returns the fabric height in PEs.
-func (f *Fabric) Height() int { return f.cfg.Height }
-
-// PE returns the processing element at (x, y).
-func (f *Fabric) PE(x, y int) *PE {
-	if x < 0 || x >= f.cfg.Width || y < 0 || y >= f.cfg.Height {
-		panic(fmt.Sprintf("fabric: PE(%d,%d) outside %dx%d fabric", x, y, f.cfg.Width, f.cfg.Height))
-	}
-	return f.pes[y*f.cfg.Width+x]
 }
 
 // ForEachPE visits every PE in row-major order (host-side setup).

@@ -12,6 +12,28 @@ import (
 	"repro/internal/dsd"
 )
 
+// Width returns the fabric width in PEs.
+func (f *Fabric) Width() int { return f.cfg.Width }
+
+// Height returns the fabric height in PEs.
+func (f *Fabric) Height() int { return f.cfg.Height }
+
+// PE returns the processing element at (x, y).
+func (f *Fabric) PE(x, y int) *PE {
+	if x < 0 || x >= f.cfg.Width || y < 0 || y >= f.cfg.Height {
+		panic(fmt.Sprintf("fabric: PE(%d,%d) outside %dx%d fabric", x, y, f.cfg.Width, f.cfg.Height))
+	}
+	return f.pes[y*f.cfg.Width+x]
+}
+
+// Send emits one wavelet from the worker and routes it to completion, as
+// SendColumn does each wavelet of a column.
+func (pe *PE) Send(w Wavelet) {
+	pe.fab.mu.Lock()
+	defer pe.fab.mu.Unlock()
+	pe.rt.route(w, PortRamp, 0)
+}
+
 func newFabric(t *testing.T, w, h int) *Fabric {
 	t.Helper()
 	f, err := New(Config{Width: w, Height: h})

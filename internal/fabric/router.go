@@ -33,7 +33,7 @@ type RouterCounters struct {
 // router is one PE's five-port router: a switch, not a thread. Route
 // configuration happens before the fabric runs (static routes) and at
 // runtime through command wavelets; wavelets pass through it inside the
-// sender's PE.Send.
+// sender's PE.SendColumn.
 type router struct {
 	pe       *PE
 	entries  [MaxColors]*routeEntry

@@ -65,9 +65,6 @@ type Buffer struct {
 	name string
 }
 
-// Len returns the buffer length in words.
-func (b *Buffer) Len() int { return len(b.data) }
-
 // Mutate lets the host rewrite buffer contents in place (the analog of the
 // host preparing the next input vector; not counted as kernel traffic).
 // It must not race with a running Launch.

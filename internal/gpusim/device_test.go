@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// Len returns the buffer length in words.
+func (b *Buffer) Len() int { return len(b.data) }
+
 func TestA100Spec(t *testing.T) {
 	s := A100()
 	if s.SMs != 108 || s.WarpSize != 32 || s.MaxThreadsPerBlock != 1024 {

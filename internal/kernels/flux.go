@@ -146,10 +146,6 @@ func clamp(v, lo, hi int) int {
 	return v
 }
 
-// FlopsPerCell is the measured per-cell FLOP count of the reference kernel
-// (10 faces × physics.FlopsPerFaceExp); tests assert the counters agree.
-const FlopsPerCell = 10 * physics.FlopsPerFaceExp
-
 // Block is the reference kernel's thread block and the one statement of its
 // launch geometry: 1024 threads tiled 16×8×8, X innermost. The paper's RAJA
 // build fixes the block size with the Fig. 7 execution policy

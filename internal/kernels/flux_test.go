@@ -10,6 +10,24 @@ import (
 	"repro/internal/refflux"
 )
 
+// flopsPerFace is the operation count of one exponential face-flux
+// evaluation as the reference kernel executes it: 16 FLOPs (density per side
+// with g·z precombined elevations, the upwind select counted as one
+// predicated op) and two expf at gpusim.ExpFlopCost each. With it the kernel
+// measures 280 FLOPs per cell over 132 bytes of word-level traffic — an
+// arithmetic intensity of 2.12 FLOPs/Byte, matching the paper's reported
+// 2.11 (§7.3).
+const flopsPerFace = 16 + 2*gpusim.ExpFlopCost
+
+// flopsPerCell is the per-cell FLOP count the counters must measure.
+const flopsPerCell = 10 * flopsPerFace
+
+func TestFlopConstants(t *testing.T) {
+	if flopsPerFace != 28 {
+		t.Errorf("flopsPerFace = %d, want 28 (280/cell → AI 2.12, §7.3)", flopsPerFace)
+	}
+}
+
 func uploadTestMesh(t *testing.T, d mesh.Dims) (*FluxData, *mesh.Mesh, physics.Fluid) {
 	t.Helper()
 	m, err := mesh.BuildDefault(d)
@@ -93,8 +111,8 @@ func TestPerCellCounters(t *testing.T) {
 	if st.ThreadsActive != cells {
 		t.Fatalf("active threads %d != cells %d", st.ThreadsActive, cells)
 	}
-	if got := st.Flops / cells; got != FlopsPerCell {
-		t.Errorf("FLOPs/cell = %d, want %d", got, FlopsPerCell)
+	if got := st.Flops / cells; got != flopsPerCell {
+		t.Errorf("FLOPs/cell = %d, want %d", got, flopsPerCell)
 	}
 	// 2 own loads + 3 loads per face + 1 store.
 	if got, want := (st.LoadWords+st.StoreWords)/cells, uint64(2+3*10+1); got != want {

@@ -111,11 +111,6 @@ func (f Fluid) Density(p float64) float64 {
 	}
 }
 
-// Mobility evaluates λ(p) = ρ(p)/μ.
-func (f Fluid) Mobility(p float64) float64 {
-	return f.Density(p) / f.Viscosity
-}
-
 // LinearCoefficients returns (â, ĉ) of the linearized density ρ = â·p + ĉ:
 //
 //	â = ρref·cf

@@ -8,6 +8,11 @@ import (
 
 func testFluid() Fluid { return DefaultFluid() }
 
+// Mobility evaluates λ(p) = ρ(p)/μ.
+func (f Fluid) Mobility(p float64) float64 {
+	return f.Density(p) / f.Viscosity
+}
+
 func TestDefaultFluidValidates(t *testing.T) {
 	if err := DefaultFluid().Validate(); err != nil {
 		t.Fatalf("default fluid invalid: %v", err)

@@ -19,16 +19,3 @@ func (f Fluid) FaceFlux(trans, pK, pL, zK, zL float64) float64 {
 	}
 	return trans * lambda * dPhi
 }
-
-// ExpFlopCost is the FLOP-equivalent cost assigned to one expf evaluation in
-// the GPU kernels' accounting (SFU range reduction + polynomial, profiler
-// convention). With this value the reference GPU kernel measures 28 FLOPs
-// per face / 280 per cell over 132 bytes of word-level traffic — an
-// arithmetic intensity of 2.12 FLOPs/Byte, matching the paper's reported
-// 2.11 (§7.3).
-const ExpFlopCost = 6
-
-// FlopsPerFaceExp is the operation count of one exponential face-flux
-// evaluation as the GPU kernels execute it (density evaluated per side with
-// g·z precombined elevations, upwind select counted as one predicated op).
-const FlopsPerFaceExp = 16 + 2*ExpFlopCost

@@ -118,12 +118,3 @@ func TestPotentialDifferenceHydrostaticBalance(t *testing.T) {
 		t.Errorf("hydrostatic ΔΦ = %g, want ~0", dPhi)
 	}
 }
-
-func TestFlopConstants(t *testing.T) {
-	if FlopsPerFaceExp != 16+2*ExpFlopCost {
-		t.Errorf("FlopsPerFaceExp inconsistent: %d", FlopsPerFaceExp)
-	}
-	if FlopsPerFaceExp != 28 {
-		t.Errorf("FlopsPerFaceExp = %d, want 28 (280/cell → AI 2.12, §7.3)", FlopsPerFaceExp)
-	}
-}

@@ -4,14 +4,16 @@
 // layer and nothing else — it imports no other package of the repository: a
 // matrix-free solver (CG) with a preconditioner ladder over an Operator
 // interface. The operators live with the meshes they apply: umesh's
-// UHostOperator and PartOperator for the pressure system of one
-// backward-Euler step of Eq. (2),
+// UHostOperator for the pressure system of one backward-Euler step of
+// Eq. (2),
 //
 //	(V·φ·ρref·cf/Δt)·δp − ∂F/∂p·δp = b
 //
 // and sim's DataflowOperator, which applies the same matrix through the
-// paper's own dataflow kernel. The matrix is symmetric positive definite for
-// frozen mobilities, so CG is the Krylov method.
+// paper's own dataflow kernel. umesh.PartOperator is not an Operator: it is
+// a ProgramSpace of the same system and applies it only inside compiled
+// programs. The matrix is symmetric positive definite for frozen
+// mobilities, so CG is the Krylov method.
 //
 // Preconditioning is selected by Options.PrecondKind — a ladder of three
 // rungs (jacobi, chebyshev, amg) — and installed through

@@ -109,9 +109,9 @@ func NewUSystem(u *Mesh, fl physics.Fluid, dt, porosity float64) (*USystem, erro
 			return nil, fmt.Errorf("umesh: porosity %g outside (0, 1] at cell %d", phi, i)
 		}
 		acc[i] = u.Volume[i] * phi * fl.RhoRef * fl.Compressibility / dt
-		if acc[i] <= 0 {
-			return nil, fmt.Errorf("umesh: non-positive accumulation at cell %d (volume %g, cf %g)",
-				i, u.Volume[i], fl.Compressibility)
+		if !(acc[i] > 0) || math.IsInf(acc[i], 1) {
+			return nil, fmt.Errorf("umesh: accumulation at cell %d is not positive and finite (volume %g, cf %g, dt %g)",
+				i, u.Volume[i], fl.Compressibility, dt)
 		}
 	}
 	return &USystem{U: u, Mobility: fl.RhoRef / fl.Viscosity, Accum: acc}, nil
@@ -365,15 +365,12 @@ type PhaseSeconds struct {
 	Reduce   float64 `json:"reduce"`
 }
 
-// Total is the summed breakdown.
-func (p PhaseSeconds) Total() float64 { return p.Exchange + p.Compute + p.Reduce }
-
 // PartOperator is the matrix-free part-resident operator: a
 // solver.ProgramSpace, so CG keeps its whole working set in the parts'
 // compact layouts, scatters once, runs compiled phase programs
-// (program.go), and gathers once. It is also a plain solver.Operator: Apply is
-// scatter → a one-op program → gather. Steady-state Apply, scatter, gather
-// and every compiled program execution allocate nothing.
+// (program.go), and gathers once. Steady-state scatter, gather and every
+// compiled program execution allocate nothing. It is not a solver.Operator:
+// nothing applies it to global slices outside a compiled program.
 //
 // A PartOperator is driven by one goroutine at a time. Its partition is an
 // RCB partition — at most reductionDepth (8) bisection levels, up to
@@ -397,8 +394,6 @@ type PartOperator struct {
 	va, vb       int
 
 	loadPlan, storePlan, setPrePlan *exec.Plan
-	// applyProg is Apply's one-op program V(1) = A·V(0).
-	applyProg solver.Program
 
 	// preKind is the installed preconditioner ladder rung (SetPrecond), read
 	// by emitPrecond when a program is compiled.
@@ -466,19 +461,11 @@ func NewPartOperator(l *Layout, sys *USystem) (*PartOperator, error) {
 	o.loadPlan = one(o.phaseLoad2, &o.Phase.Exchange)
 	o.storePlan = one(o.phaseStore, &o.Phase.Exchange)
 	o.setPrePlan = one(o.phaseSetPre, &o.Phase.Reduce)
-	o.Reserve(2)
-	var err error
-	if o.applyProg, err = o.CompileProgram([]solver.ProgOp{{Kind: solver.OpApply, V1: 1, V2: 0}}); err != nil {
-		return nil, err
-	}
 	return o, nil
 }
 
-// Size implements solver.Operator.
+// Size implements solver.ProgramSpace.
 func (o *PartOperator) Size() int { return o.l.u.NumCells }
-
-// Diagonal implements solver.Operator: the system's diagonal.
-func (o *PartOperator) Diagonal() []float64 { return o.Sys.Diagonal() }
 
 // compileReduction assigns each part its canonical reduction blocks. The
 // partition must be what RCB builds: each part owns one run of the canonical
@@ -597,22 +584,6 @@ func (o *PartOperator) sendHalo(shard, xv int) {
 	op.comm.Messages += messages
 }
 
-// Apply computes dst = A·x on global slices: scatter, the one-op apply
-// program, gather — what makes the operator a plain solver.Operator. Steady
-// state allocates nothing. Solves never come through here: they keep their
-// vectors resident and pay the scatter and gather once per solve.
-func (o *PartOperator) Apply(dst, x []float64) error {
-	if len(dst) != len(x) || len(x) != o.Size() {
-		return fmt.Errorf("umesh: partitioned operator size mismatch")
-	}
-	o.Load2(0, x, 1, x)
-	if _, err := o.applyProg.Run(); err != nil {
-		return err
-	}
-	o.Store(dst, 1)
-	return nil
-}
-
 // Reserve implements solver.ProgramSpace: it grows each part's resident
 // vector pool to n vectors. Growing allocates; re-reserving does not.
 func (o *PartOperator) Reserve(n int) {
@@ -687,6 +658,5 @@ func NewSystemSpace(p *Partition, sys *USystem, workers int) (solver.ProgramSpac
 // compile-time interface checks
 var (
 	_ solver.Operator     = (*UHostOperator)(nil)
-	_ solver.Operator     = (*PartOperator)(nil)
 	_ solver.ProgramSpace = (*PartOperator)(nil)
 )

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/mesh"
@@ -25,6 +26,40 @@ func cg(a solver.Operator, x, b []float64, opts solver.Options) (*solver.Stats, 
 	}
 	return r.Solve(x, b, opts.Cancel)
 }
+
+// The tests hold PartOperator to the host operator as a solver.Operator;
+// nothing else applies it to global slices, so the methods that make it one
+// live here.
+var _ solver.Operator = (*PartOperator)(nil)
+
+// applyOps is the one-op program V(1) = A·V(0).
+var applyOps = []solver.ProgOp{{Kind: solver.OpApply, V1: 1, V2: 0}}
+
+// Apply computes dst = A·x on global slices: scatter, the one-op apply
+// program, gather. Solves never come through here: they keep their vectors
+// resident and pay the scatter and gather once per solve.
+func (o *PartOperator) Apply(dst, x []float64) error {
+	if len(dst) != len(x) || len(x) != o.Size() {
+		return fmt.Errorf("umesh: partitioned operator size mismatch")
+	}
+	o.Reserve(2)
+	prog, err := o.CompileProgram(applyOps)
+	if err != nil {
+		return err
+	}
+	o.Load2(0, x, 1, x)
+	if _, err := prog.Run(); err != nil {
+		return err
+	}
+	o.Store(dst, 1)
+	return nil
+}
+
+// Diagonal is the system's diagonal.
+func (o *PartOperator) Diagonal() []float64 { return o.Sys.Diagonal() }
+
+// Total is the summed breakdown.
+func (p PhaseSeconds) Total() float64 { return p.Exchange + p.Compute + p.Reduce }
 
 // probeVector returns a deterministic pressure-scale probe.
 func probeVector(n int, seed int) []float64 {
@@ -135,6 +170,7 @@ func TestPartOperatorDiagonalAndDotBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		var dot float64
+		po.Reserve(2)
 		po.Load2(0, a, 1, b)
 		runProg(t, po, solver.ProgOp{Kind: solver.OpDot, V1: 0, V2: 1, R1: &dot})
 		l.Close()
@@ -145,9 +181,9 @@ func TestPartOperatorDiagonalAndDotBitIdentical(t *testing.T) {
 }
 
 func TestPartOperatorApplyAllocFree(t *testing.T) {
-	// The acceptance check: once warm, Apply (scatter, the pre-compiled
-	// one-op program, gather) runs entirely through persistent buffers and
-	// pre-built plans — zero allocations.
+	// The acceptance check: once warm, an application on global slices
+	// (scatter, a compiled one-op program, gather) runs entirely through
+	// persistent buffers and pre-built plans — zero allocations.
 	u, err := NewRadialMesh(DefaultRadialOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -167,16 +203,21 @@ func TestPartOperatorApplyAllocFree(t *testing.T) {
 	}
 	x := probeVector(u.NumCells, 1)
 	dst := make([]float64, u.NumCells)
-	if err := po.Apply(dst, x); err != nil { // warm-up
+	po.Reserve(2)
+	prog, err := po.CompileProgram(applyOps)
+	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if err := po.Apply(dst, x); err != nil {
+	apply := func() {
+		po.Load2(0, x, 1, x)
+		if _, err := prog.Run(); err != nil {
 			t.Error(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state Apply allocates %.1f objects, want 0", allocs)
+		po.Store(dst, 1)
+	}
+	apply() // warm-up
+	if allocs := testing.AllocsPerRun(50, apply); allocs != 0 {
+		t.Errorf("steady-state application allocates %.1f objects, want 0", allocs)
 	}
 }
 
@@ -213,6 +254,7 @@ func residentFixtureOn(tb testing.TB, u *Mesh, levels, workers int) (*PartOperat
 		l.Close()
 		tb.Fatal(err)
 	}
+	po.Reserve(2) // the vectors the one-op probes address
 	return po, l.Close
 }
 
@@ -691,6 +733,15 @@ func TestNewUSystemValidation(t *testing.T) {
 	bad.Viscosity = 0
 	if _, err := NewUSystem(u, bad, 3600, 0); err == nil {
 		t.Error("invalid fluid accepted")
+	}
+	// NaN <= 0 is false: a NaN accumulation must be caught by name, not
+	// fail later as an anonymous preconditioner-diagonal error.
+	if _, err := NewUSystem(u, fl, math.NaN(), 0); err == nil || !strings.Contains(err.Error(), "cell 0 ") {
+		t.Errorf("NaN dt: NewUSystem = %v, want an accumulation error naming cell 0", err)
+	}
+	u.Volume[5] = 1e308 // finite, but its accumulation overflows to +Inf
+	if _, err := NewUSystem(u, fl, 3600, 0); err == nil || !strings.Contains(err.Error(), "cell 5 ") {
+		t.Errorf("overflowing volume: NewUSystem = %v, want an accumulation error naming cell 5", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package umesh
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/solver"
@@ -64,7 +65,9 @@ func TestCompiledCGIterationStepCount(t *testing.T) {
 				t.Fatal(err)
 			}
 			plan := prog.(*compiledProgram).plan
-			if got := plan.Steps(); got != tc.wantSteps {
+			// exec.Plan keeps its steps to itself; the count is read off the
+			// field (= barrier points when workers > 1).
+			if got := reflect.ValueOf(plan).Elem().FieldByName("steps").Len(); got != tc.wantSteps {
 				t.Fatalf("CG iteration compiled to %d steps, want %d", got, tc.wantSteps)
 			}
 

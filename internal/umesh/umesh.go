@@ -1,11 +1,11 @@
 // Package umesh implements the paper's §9 future work: "supporting
 // arbitrary mesh topologies ... to enable porting of a broader range of FV
 // applications". It provides a general unstructured finite-volume mesh
-// (cells + faces + adjacency, arbitrary degree), three builders (conversion
-// from the structured mesh, a geometry-jittered grid, and a radial
-// well-centered mesh whose refinement rings give cells irregular neighbor
-// counts), the TPFA flux computation in both face-based and cell-based
-// sweeps, and a compiled partition (Layout): recursive coordinate bisection,
+// (cells + faces + adjacency, arbitrary degree), two builders (conversion
+// from the structured mesh, and a radial well-centered mesh whose refinement
+// rings give cells irregular neighbor counts; the geometry-jittered grid is
+// a test fixture), the TPFA flux computation in both face-based and
+// cell-based sweeps, and a compiled partition (Layout): recursive coordinate bisection,
 // compact per-part renumbering (owned + halo cells only), and message-passing
 // halo exchange through send plans precompiled into flat direct-write index
 // arrays
@@ -126,12 +126,20 @@ func (u *Mesh) Validate() error {
 	if len(u.Centroid) != u.NumCells {
 		return fmt.Errorf("umesh: centroid length %d != cells %d", len(u.Centroid), u.NumCells)
 	}
-	// A NaN or infinite coordinate leaves the bisection order undefined.
+	// A NaN or infinite coordinate leaves the bisection order undefined; a
+	// volume that is not positive and finite, or an elevation that is not
+	// finite, would surface only as a NaN residual.
 	for c, x := range u.Centroid {
 		for _, v := range x {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return fmt.Errorf("umesh: cell %d has non-finite centroid %v", c, x)
 			}
+		}
+		if v := u.Volume[c]; !(v > 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("umesh: cell %d has invalid volume %g", c, v)
+		}
+		if e := u.Elev[c]; math.IsNaN(e) || math.IsInf(e, 0) {
+			return fmt.Errorf("umesh: cell %d has non-finite elevation %g", c, e)
 		}
 	}
 	for i, f := range u.Faces {
@@ -214,64 +222,6 @@ func FromStructured(m *mesh.Mesh, faces refflux.FaceSet) (*Mesh, error) {
 	}
 	u.buildAdjacency()
 	return u, u.Validate()
-}
-
-// Jitter perturbs the mesh geometry: cell centroids move by up to frac of
-// the local spacing (deterministic, seeded) and every face transmissibility
-// is rescaled by the distorted center-to-center distance — an irregular-
-// geometry mesh with the original topology.
-func (u *Mesh) Jitter(frac float64, seed uint64) error {
-	if frac < 0 || frac >= 0.5 {
-		return fmt.Errorf("umesh: jitter fraction %g outside [0, 0.5)", frac)
-	}
-	state := seed
-	next := func() float64 {
-		state += 0x9e3779b97f4a7c15
-		z := state
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		z ^= z >> 31
-		return float64(z>>11)/float64(1<<53)*2 - 1 // [-1, 1)
-	}
-	// Reference distance per face before jitter.
-	oldDist := make([]float64, len(u.Faces))
-	for i, f := range u.Faces {
-		oldDist[i] = dist(u.Centroid[f.A], u.Centroid[f.B])
-	}
-	// Move centroids by frac of the shortest incident face distance.
-	for c := 0; c < u.NumCells; c++ {
-		minD := math.Inf(1)
-		for i, f := range u.Faces {
-			if f.A == c || f.B == c {
-				if oldDist[i] < minD {
-					minD = oldDist[i]
-				}
-			}
-		}
-		if math.IsInf(minD, 1) {
-			continue // isolated cell
-		}
-		for k := 0; k < 3; k++ {
-			u.Centroid[c][k] += frac * minD * next()
-		}
-		u.Elev[c] = u.Centroid[c][2]
-	}
-	// Rescale transmissibilities: T ∝ 1/d.
-	for i := range u.Faces {
-		f := &u.Faces[i]
-		nd := dist(u.Centroid[f.A], u.Centroid[f.B])
-		if nd <= 0 {
-			return fmt.Errorf("umesh: jitter collapsed face %d", i)
-		}
-		f.Trans *= oldDist[i] / nd
-	}
-	u.buildAdjacency()
-	return u.Validate()
-}
-
-func dist(a, b [3]float64) float64 {
-	dx, dy, dz := a[0]-b[0], a[1]-b[1], a[2]-b[2]
-	return math.Sqrt(dx*dx + dy*dy + dz*dz)
 }
 
 // RadialOptions sizes the well-centered radial mesh.

@@ -1,6 +1,7 @@
 package umesh
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -22,6 +23,64 @@ func structuredFixture(t *testing.T, d mesh.Dims) (*mesh.Mesh, *Mesh) {
 		t.Fatal(err)
 	}
 	return sm, um
+}
+
+// Jitter turns a mesh into the jittered-grid test fixture: cell centroids
+// move by up to frac of the local spacing (deterministic, seeded) and every
+// face transmissibility is rescaled by the distorted center-to-center
+// distance — an irregular-geometry mesh with the original topology.
+func (u *Mesh) Jitter(frac float64, seed uint64) error {
+	if frac < 0 || frac >= 0.5 {
+		return fmt.Errorf("umesh: jitter fraction %g outside [0, 0.5)", frac)
+	}
+	state := seed
+	next := func() float64 {
+		state += 0x9e3779b97f4a7c15
+		z := state
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		z ^= z >> 31
+		return float64(z>>11)/float64(1<<53)*2 - 1 // [-1, 1)
+	}
+	// Reference distance per face before jitter.
+	oldDist := make([]float64, len(u.Faces))
+	for i, f := range u.Faces {
+		oldDist[i] = dist(u.Centroid[f.A], u.Centroid[f.B])
+	}
+	// Move centroids by frac of the shortest incident face distance.
+	for c := 0; c < u.NumCells; c++ {
+		minD := math.Inf(1)
+		for i, f := range u.Faces {
+			if f.A == c || f.B == c {
+				if oldDist[i] < minD {
+					minD = oldDist[i]
+				}
+			}
+		}
+		if math.IsInf(minD, 1) {
+			continue // isolated cell
+		}
+		for k := 0; k < 3; k++ {
+			u.Centroid[c][k] += frac * minD * next()
+		}
+		u.Elev[c] = u.Centroid[c][2]
+	}
+	// Rescale transmissibilities: T ∝ 1/d.
+	for i := range u.Faces {
+		f := &u.Faces[i]
+		nd := dist(u.Centroid[f.A], u.Centroid[f.B])
+		if nd <= 0 {
+			return fmt.Errorf("umesh: jitter collapsed face %d", i)
+		}
+		f.Trans *= oldDist[i] / nd
+	}
+	u.buildAdjacency()
+	return u.Validate()
+}
+
+func dist(a, b [3]float64) float64 {
+	dx, dy, dz := a[0]-b[0], a[1]-b[1], a[2]-b[2]
+	return math.Sqrt(dx*dx + dy*dy + dz*dz)
 }
 
 func TestFromStructuredMatchesRefflux(t *testing.T) {
@@ -356,6 +415,12 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		{"+Inf transmissibility", func(u *Mesh) { u.Faces[5].Trans = math.Inf(1) }, "face 5 "},
 		{"NaN centroid", func(u *Mesh) { u.Centroid[7][1] = math.NaN() }, "cell 7 "},
 		{"-Inf centroid", func(u *Mesh) { u.Centroid[2][0] = math.Inf(-1) }, "cell 2 "},
+		{"NaN volume", func(u *Mesh) { u.Volume[4] = math.NaN() }, "cell 4 "},
+		{"zero volume", func(u *Mesh) { u.Volume[6] = 0 }, "cell 6 "},
+		{"negative volume", func(u *Mesh) { u.Volume[0] = -1 }, "cell 0 "},
+		{"+Inf volume", func(u *Mesh) { u.Volume[1] = math.Inf(1) }, "cell 1 "},
+		{"NaN elevation", func(u *Mesh) { u.Elev[8] = math.NaN() }, "cell 8 "},
+		{"-Inf elevation", func(u *Mesh) { u.Elev[3] = math.Inf(-1) }, "cell 3 "},
 	} {
 		_, um := structuredFixture(t, mesh.Dims{Nx: 3, Ny: 3, Nz: 2})
 		tc.corrupt(um)
