@@ -75,9 +75,9 @@ race:
 SIZE_CEILING = 4385
 SERVE_CEILING = 1825
 BENCH_CEILING = 863
-STRUCT_CEILING = 1777
+STRUCT_CEILING = 1862
 FABRIC_CEILING = 724
-MODULE_CEILING = 15014
+MODULE_CEILING = 15132
 size:
 	@set -e; \
 	for d in $$($(GO) list -f '{{.Dir}}' ./... | sed "s|^$$PWD/*||; s|^$$|.|"); do \

@@ -28,12 +28,14 @@
 // the pairs anyway, judging setup_s and op_s_p50 by their raw counterparts
 // (host.raw_setup_s, host.raw_op_s_p50) under the same bounds, the
 // allocation and residency metrics as usual, and op_s_p90 and
-// cell_updates_per_s, which have no raw counterpart, not at all.
+// cell_updates_per_s, which have no raw counterpart, not at all. The raw
+// metrics are read from the table a run prints above its result line.
 //
 // Exit status:
 //   - 0 when no metric of any workload regressed beyond its bound and the
 //     change failed no larger share of operations;
-//   - 1 when one did, when a count moved, or on an error;
+//   - 1 when one did, when a count moved, when a run lacks a judged metric,
+//     or on an error;
 //   - 2 when none of that happened but the two builds' yardstick offsets
 //     differ, so only the raw metrics were judged.
 package main
@@ -50,6 +52,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -194,6 +197,9 @@ func compare(w io.Writer, workloads []string, bounds []bound, n int, run func(k 
 				if err != nil {
 					return err
 				}
+				if names := absent(bounds, r); len(names) > 0 {
+					return fmt.Errorf("%s: the %s run of seed %d reports no value for %s", wl, []string{"base", "change"}[k], seed, strings.Join(names, ", "))
+				}
 				p[k] = r
 			}
 			fmt.Fprintf(w, "pair %2d (seed %d, %s first):%s\n", seed, seed, first, p.line(bounds))
@@ -223,6 +229,18 @@ func compare(w io.Writer, workloads []string, bounds []bound, n int, run func(k 
 		errs = append(errs, fmt.Errorf("%w: %s", errMoved, strings.Join(moved, ", ")))
 	}
 	return errors.Join(errs...)
+}
+
+// absent returns the judged metrics a run lacks or reports as 0, which
+// would be judged 0 against 0.
+func absent(bounds []bound, r result) []string {
+	var names []string
+	for _, b := range bounds {
+		if r.Metrics[b.Name].Value == 0 {
+			names = append(names, b.Name)
+		}
+	}
+	return names
 }
 
 // countDiff prints every metric of a traced pair whose unit is count, base
@@ -379,17 +397,21 @@ func loadSpec(path, workload string) ([]string, []bound, int, error) {
 
 // result is a benchmark run's last output line.
 type result struct {
-	Correct   bool `json:"correct"`
-	Attempted int  `json:"attempted"`
-	Failed    int  `json:"failed"`
-	Metrics   map[string]struct {
-		Value float64 `json:"value"`
-		Unit  string  `json:"unit"`
-	} `json:"metrics"`
+	Correct   bool              `json:"correct"`
+	Attempted int               `json:"attempted"`
+	Failed    int               `json:"failed"`
+	Metrics   map[string]metric `json:"metrics"`
 }
 
-// parseResult reads the JSON result from a run's standard output: its last
-// non-empty line.
+// metric is one value of a run, from its result line or its table.
+type metric struct {
+	Value float64 `json:"value"`
+	Unit  string  `json:"unit"`
+}
+
+// parseResult reads the JSON result from a run's standard output, its last
+// non-empty line, plus each metric of the table above it ("  name value
+// unit") that the line lacks: an untraced run's line has no raw host metric.
 func parseResult(out []byte) (result, error) {
 	var r result
 	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
@@ -399,6 +421,15 @@ func parseResult(out []byte) (result, error) {
 	}
 	if err := json.Unmarshal([]byte(last), &r); err != nil {
 		return r, fmt.Errorf("result line: %w", err)
+	}
+	for _, l := range lines[:len(lines)-1] {
+		f := strings.Fields(l)
+		if len(f) != 3 || !strings.HasPrefix(l, "  ") || r.Metrics == nil {
+			continue
+		}
+		if v, err := strconv.ParseFloat(f[1], 64); err == nil && r.Metrics[f[0]].Unit == "" {
+			r.Metrics[f[0]] = metric{Value: v, Unit: f[2]}
+		}
 	}
 	return r, nil
 }

@@ -233,24 +233,32 @@ func TestCountDiffNamesEveryMovedCount(t *testing.T) {
 	}
 }
 
-// rawLine is a canned result line with every end-to-end metric of
-// BENCHMARK.json: norm scales the normalised times (and divides the
+// rawLine is the canned output of an untraced run, shaped as the benchmark
+// prints it: the metric table with every end-to-end metric of
+// BENCHMARK.json and the raw host times, then a result line with the
+// end-to-end metrics only. norm scales the normalised times (and divides the
 // normalised rate), raw scales the raw times.
 func rawLine(norm, raw float64) string {
-	return fmt.Sprintf(`{"correct":true,"attempted":100,"failed":0,"metrics":{`+
-		`"setup_s":{"value":%g,"unit":"s"},"op_s_p50":{"value":%g,"unit":"s"},"op_s_p90":{"value":%g,"unit":"s"},`+
-		`"cell_updates_per_s":{"value":%g,"unit":"1/s"},"alloc_mb_per_op":{"value":26.1,"unit":"MiB"},`+
-		`"resident_mb":{"value":80,"unit":"MiB"},"host.raw_setup_s":{"value":%g,"unit":"s"},`+
-		`"host.raw_op_s_p50":{"value":%g,"unit":"s"}}}`,
-		0.05*norm, 0.15*norm, 0.16*norm, 1e8/norm, 0.06*raw, 0.18*raw)
+	setup, op, p90, rate := 0.05*norm, 0.15*norm, 0.16*norm, 1e8/norm
+	return fmt.Sprintf("workload flux-structured  traced=false  ops_attempted=100  ops_failed=0\n"+
+		"  %-36s %14.6g s\n  %-36s %14.6g s\n  %-36s %14.6g s\n  %-36s %14.6g 1/s\n"+
+		"  %-36s %14.6g MiB\n  %-36s %14.6g MiB\n  %-36s %14.6g s\n  %-36s %14.6g s\n",
+		"setup_s", setup, "op_s_p50", op, "op_s_p90", p90, "cell_updates_per_s", rate,
+		"alloc_mb_per_op", 26.1, "resident_mb", 80.0, "host.raw_op_s_p50", 0.18*raw, "host.raw_setup_s", 0.06*raw) +
+		fmt.Sprintf(`{"correct":true,"attempted":100,"failed":0,"metrics":{`+
+			`"setup_s":{"value":%g,"unit":"s"},"op_s_p50":{"value":%g,"unit":"s"},"op_s_p90":{"value":%g,"unit":"s"},`+
+			`"cell_updates_per_s":{"value":%g,"unit":"1/s"},"alloc_mb_per_op":{"value":26.1,"unit":"MiB"},`+
+			`"resident_mb":{"value":80,"unit":"MiB"}}}`, setup, op, p90, rate)
 }
 
 // TestRawBoundsJudgeRawMetricsWhenLayoutsDiffer: on the repository's
 // BENCHMARK.json, setup_s and op_s_p50 are judged on their raw
 // counterparts under their own bounds, the allocation and residency metrics
-// as they are, and op_s_p90 and cell_updates_per_s not at all. A change
-// whose normalised metrics moved by 30 % while its raw times held passes; one
-// whose raw op time rose by 30 % regresses.
+// as they are, and op_s_p90 and cell_updates_per_s not at all. The raw
+// metrics come from the printed table, not the result line. A change whose
+// normalised metrics moved by 30 % while its raw times held passes; one whose
+// raw op time rose by 30 % regresses; a run that prints no raw metrics stops
+// the comparison, naming them.
 func TestRawBoundsJudgeRawMetricsWhenLayoutsDiffer(t *testing.T) {
 	_, bounds, _, err := loadSpec(filepath.Join("..", "..", "BENCHMARK.json"), "all")
 	if err != nil {
@@ -291,6 +299,21 @@ func TestRawBoundsJudgeRawMetricsWhenLayoutsDiffer(t *testing.T) {
 	i := slices.IndexFunc(rows, func(r string) bool { return strings.HasPrefix(r, "host.raw_op_s_p50 ") })
 	if !errors.Is(err, errRegressed) || i < 0 || !strings.Contains(rows[i], "REGRESSION") {
 		t.Fatalf("raw times 30 %% worse: report = %v, want host.raw_op_s_p50 to regress\n%s", err, out.String())
+	}
+
+	// Without its table a run's result line has no raw metric: compare
+	// refuses to judge 0 against 0.
+	run := func(k int, workload string, seed int, trace bool) (result, error) {
+		out := rawLine(1, 1)
+		if k == 1 {
+			out = out[strings.LastIndex(out, "\n")+1:]
+		}
+		return parseResult([]byte(out))
+	}
+	out.Reset()
+	err = compare(&out, []string{"flux-structured"}, judged, 2, run)
+	if err == nil || errors.Is(err, errRegressed) || !strings.Contains(err.Error(), "change run of seed 1 reports no value for host.raw_setup_s, host.raw_op_s_p50") {
+		t.Fatalf("compare on runs without raw metrics = %v\n%s", err, out.String())
 	}
 }
 

@@ -86,10 +86,12 @@
 // register and the residual stored once; descriptors are contiguous
 // columns, so every vector op is one loop over reslices with its bounds
 // checked once per call; per-op counter tallies are deferred and folded into
-// the full accounting at summarize time; per-PE memories are allocated as
-// one zeroed-once, footprint-sized arena per shard (dsd.NewSizedArena); host
-// loads walk the mesh a cache line at a time; and the flat engine reads its
-// neighbors' persistent send columns in place, with no copy or allocation.
+// the full accounting at summarize time; per-PE memories are one
+// footprint-sized arena per shard (dsd.NewSizedArena), whose slab
+// Engine.Close hands back for the next engine of that size to take as it
+// is, never re-zeroed; host loads walk the mesh a cache line at a time; and
+// the flat engine reads its neighbors' persistent send columns in place,
+// with no copy or allocation.
 // `make bench-kernel` runs the layer-by-layer microbenchmarks
 // (BenchmarkKernel* in internal/dsd, internal/core and internal/solver: the
 // fused kernels against the op-by-op oracle, the engine's four stages, a

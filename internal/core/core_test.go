@@ -78,7 +78,7 @@ func runFlat(m *mesh.Mesh, fl physics.Fluid, opts Options) (*Result, error) {
 // in arrival order (FluxFace) and assembles afterwards — every residual bit
 // and the whole Counters struct. Nz = 4 is all kernel tail; Nz = 13 is one
 // 8-lane step of the kernel's vector body plus a 5-element tail, where the
-// host has one.
+// host has one. The flat engine runs on slabs a closed engine left NaN.
 func TestFabricMatchesFlatBitExact(t *testing.T) {
 	for _, nz := range []int{4, 13} {
 		prefix := ""
@@ -116,10 +116,7 @@ func fabricMatchesFlat(t *testing.T, m *mesh.Mesh, prefix string) {
 					t.Fatal(err)
 				}
 				opts.CommOnly, opts.Vectorized = false, true
-				flat, err := runFlat(m, fl, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
+				flat := runFlatPoisoned(t, m, fl, opts)
 				if v.name == "comm-only" {
 					for i, r := range fab.Residual {
 						if r != 0 {
@@ -170,7 +167,8 @@ func TestFabricMatchesReferenceMultiApp(t *testing.T) {
 func TestTable4PerCellCounts(t *testing.T) {
 	// The centerpiece measurement: an interior PE must reproduce Table 4
 	// exactly — 60 FMUL, 40 FSUB, 10 FNEG, 10 FADD, 10 FMA, 16 FMOV,
-	// 406 loads+stores, 16 fabric loads, 140 FLOPs per cell.
+	// 406 loads+stores, 16 fabric loads, 140 FLOPs per cell — and the flat
+	// engine on poisoned slabs counts the same.
 	m := testMesh(t, mesh.Dims{Nx: 5, Ny: 5, Nz: 7})
 	res, err := RunFabric(m, physics.DefaultFluid(), DefaultOptions(3))
 	if err != nil {
@@ -179,6 +177,9 @@ func TestTable4PerCellCounts(t *testing.T) {
 	pc := res.Interior
 	if pc == nil {
 		t.Fatal("no interior PE measured")
+	}
+	if flat := runFlatPoisoned(t, m, physics.DefaultFluid(), DefaultOptions(3)); flat.Interior == nil || *flat.Interior != *pc {
+		t.Errorf("flat engine per-cell counts %+v, fabric %+v", flat.Interior, pc)
 	}
 	checks := []struct {
 		name string
@@ -254,6 +255,9 @@ func TestCommOnlyMode(t *testing.T) {
 	if res.Counters.FabricLoads != full.Counters.FabricLoads {
 		t.Errorf("comm-only fabric loads %d != full run %d",
 			res.Counters.FabricLoads, full.Counters.FabricLoads)
+	}
+	if flat := runFlatPoisoned(t, m, physics.DefaultFluid(), DefaultOptions(2)); flat.Counters != full.Counters {
+		t.Errorf("flat engine on poisoned slabs counts %+v, fabric full run %+v", flat.Counters, full.Counters)
 	}
 }
 

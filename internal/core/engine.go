@@ -95,11 +95,12 @@ type Engine struct {
 var errFabricOnly = errors.New("core: the flat engine runs only the vectorized kernel; the comm-only and scalar builds (CommOnly, Vectorized = false) run on RunFabric")
 
 // Compile builds the flat engine for a mesh: opts.Workers row bands, each
-// allocating its own arena (sized to the layout, budgeted at opts.MemWords)
-// and loading its PEs' static columns from the mesh, which is only read, not
-// retained. opts.Apps is the count RunFlatParallel applies; Apply takes its
-// own. CommOnly and Vectorized = false are errFabricOnly, checked first only
-// to hold the benchmark binary's layout (make bench-layout): after validate,
+// taking its own arena (sized to the layout, budgeted at opts.MemWords; the
+// slab of a closed engine when one of that size is still alive) and loading
+// its PEs' static columns from the mesh, which is only read, not retained.
+// opts.Apps is the count RunFlatParallel applies; Apply takes its own.
+// CommOnly and Vectorized = false are errFabricOnly, checked first only to
+// hold the benchmark binary's layout (make bench-layout): after validate,
 // Compile shrinks 32 bytes and moves the yardstick's offset mod 64.
 func Compile(m *mesh.Mesh, fl physics.Fluid, opts Options) (*Engine, error) {
 	if opts.CommOnly || !opts.Vectorized {
@@ -141,7 +142,7 @@ func (e *Engine) band(shard int) []peState {
 	return e.states[b.y0*e.dims.Nx : b.y1*e.dims.Nx]
 }
 
-// layoutBand allocates the PE memories of a band starting at grid row y0 and
+// layoutBand takes the PE memories of a band starting at grid row y0 and
 // lays every PE out in its own. The memories come from one dsd arena and the
 // engines and send columns from one slice each, so a band's working set is
 // cache-contiguous and costs a handful of allocations instead of several per
@@ -234,8 +235,21 @@ func (e *Engine) Residual(dst []float32) error {
 	return nil
 }
 
-// Close stops the engine's workers. The engine must not be used afterwards.
-func (e *Engine) Close() { e.pool.Stop() }
+// Close stops the engine's workers and hands each band's arena, whose first
+// memory is its first PE's, back to dsd for the next engine of the same size.
+// The engine must not be used afterwards; closing it again does nothing.
+func (e *Engine) Close() {
+	if e.pool == nil {
+		return
+	}
+	e.pool.Stop()
+	e.pool = nil
+	for _, b := range e.bands {
+		if s := &e.states[b.y0*e.dims.Nx]; s.eng != nil { // nil: Compile failed first
+			s.eng.Mem.Release()
+		}
+	}
+}
 
 // RunFlatParallel is one whole run of the flat engine: compile, load the
 // mesh's pressure field, apply opts.Apps times, summarize. At Workers = 1

@@ -1,7 +1,11 @@
 package dsd
 
 import (
+	"math"
+	"runtime"
+	"runtime/debug"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -14,8 +18,8 @@ func TestNewArena(t *testing.T) {
 	if len(mems) != n {
 		t.Fatalf("arena holds %d memories, want %d", len(mems), n)
 	}
-	// Every word is fresh: allocate a full-capacity block in each memory,
-	// check it reads zero and dirty it.
+	// No arena of this length was released, so the slab is fresh: allocate a
+	// full-capacity block in each memory, check it reads zero and dirty it.
 	for i := range mems {
 		m := &mems[i]
 		if m.Stats().CapacityWords != capacity {
@@ -123,27 +127,162 @@ func TestHostViewAliasesColumns(t *testing.T) {
 
 func TestArenaAllocationsDoNotScaleWithMemories(t *testing.T) {
 	// The engines' setup: one arena, then a PE-like layout in every memory
-	// (two padded columns, then dozens of equal columns). Words and headers
-	// are the only allocations, however many memories there are.
+	// (two padded columns, then dozens of equal columns). A fresh arena
+	// costs its words, their holder and the headers, however many memories
+	// there are; one that takes a released slab costs the headers alone.
 	const pes, nz = 64, 8
-	allocs := testing.AllocsPerRun(10, func() {
-		mems, err := NewArena(pes, 64*nz)
+	for _, tc := range []struct {
+		release bool
+		want    float64
+	}{{false, 3}, {true, 1}} {
+		allocs := testing.AllocsPerRun(10, func() {
+			mems, err := NewArena(pes, 64*nz)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range mems {
+				for k := 0; k < 44; k++ {
+					n := nz
+					if k < 2 {
+						n = nz + 2 // the padded own columns come first
+					}
+					if _, err := mems[i].Alloc(n); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if tc.release {
+				mems[0].Release()
+			}
+		})
+		if allocs != tc.want {
+			t.Errorf("arena of %d memories (released after use: %v) cost %.0f allocations, want %.0f", pes, tc.release, allocs, tc.want)
+		}
+	}
+}
+
+// slabOf is the identity of the slab an arena was carved from: its first word.
+func slabOf(mems []Memory) *float32 { return &mems[0].words[0] }
+
+// TestReleasedSlabIsTakenAsItWas: an arena of the released length takes the
+// released slab with its words as they were left, and starts every memory at
+// a break of 0; an arena of another length does not take it, and a second
+// Release of the same arena hands the slab back once.
+func TestReleasedSlabIsTakenAsItWas(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const n, capacity, footprint = 3, 64, 37
+	mems, err := NewSizedArena(n, capacity, footprint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range mems {
+		d, err := mems[i].Alloc(footprint)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range mems {
-			for k := 0; k < 44; k++ {
-				n := nz
-				if k < 2 {
-					n = nz + 2 // the padded own columns come first
-				}
-				if _, err := mems[i].Alloc(n); err != nil {
-					t.Fatal(err)
-				}
-			}
+		for j := range mems[i].HostView(d) {
+			mems[i].StoreHost(d, j, float32(math.NaN()))
 		}
-	})
-	if allocs != 2 {
-		t.Errorf("arena of %d memories cost %.0f allocations, want 2", pes, allocs)
 	}
+	mems[0].Release()
+	mems[0].Release()
+	other, err := NewSizedArena(n, capacity, footprint+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slabOf(other) == slabOf(mems) {
+		t.Fatal("an arena of another length took the released slab")
+	}
+	again, err := NewSizedArena(n, capacity, footprint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slabOf(again) != slabOf(mems) {
+		t.Fatal("an arena of the released length did not take the released slab")
+	}
+	for i := range again {
+		if again[i].Stats().HighWaterWords != 0 {
+			t.Fatalf("memory %d of the taken slab starts at break %d, want 0", i, again[i].Stats().HighWaterWords)
+		}
+		d, err := again[i].Alloc(footprint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := again[i].Load(d, footprint-1); !math.IsNaN(float64(v)) {
+			t.Fatalf("memory %d: the taken slab was cleared (last word %g)", i, v)
+		}
+	}
+	third, err := NewSizedArena(n, capacity, footprint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slabOf(third) == slabOf(mems) {
+		t.Fatal("an arena released twice was handed out twice")
+	}
+}
+
+// TestReleasedSlabDoesNotOutliveACollection: the free list points at a slab
+// weakly, so after a collection the next arena of its length is fresh and
+// zero, even while the released memories are still reachable.
+func TestReleasedSlabDoesNotOutliveACollection(t *testing.T) {
+	const n, capacity = 2, 53
+	mems, err := NewArena(n, capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := mems[0].Alloc(capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mems[0].StoreHost(d, 0, 1)
+	mems[0].Release()
+	runtime.GC()
+	fresh, err := NewArena(n, capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slabOf(fresh) == slabOf(mems) || fresh[0].words[0] != 0 {
+		t.Fatal("a released slab outlived a collection on the free list")
+	}
+	released.Lock()
+	defer released.Unlock()
+	if list := released.bySize[n*capacity]; len(list) != 0 {
+		t.Fatalf("the free list still holds %d entries of length %d", len(list), n*capacity)
+	}
+}
+
+// TestFreeListUnderConcurrentUse takes and releases arenas of two lengths
+// from several goroutines at once (the bands of an engine compile
+// concurrently); under -race this checks the list's locking, and no two
+// arenas alive at once may share a slab.
+func TestFreeListUnderConcurrentUse(t *testing.T) {
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	live := map[*float32]bool{}
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 50 {
+				mems, err := NewArena(2+(g+i)%2, 29)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				id := slabOf(mems)
+				mu.Lock()
+				if live[id] {
+					t.Error("two live arenas share a slab")
+				}
+				live[id] = true
+				mu.Unlock()
+				mems[0].words[0] = float32(g)
+				mu.Lock()
+				delete(live, id)
+				mu.Unlock()
+				mems[0].Release()
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -17,7 +17,11 @@
 // separate uncounted class exactly as Table 4 implies.
 package dsd
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+	"weak"
+)
 
 // Desc is a Data Structure Descriptor: a contiguous view over a PE's memory.
 // Every view the paper's mapping needs is one (§5.1: a PE keeps each field's
@@ -56,23 +60,39 @@ func (d Desc) Shift(off int) Desc {
 }
 
 // Memory is a PE's private local memory: a fixed budget of float32 words
-// with a bump allocator. Nothing is ever freed — the paper's buffer reuse
+// with a bump allocator. No block is ever freed — the paper's buffer reuse
 // (§5.3.1) is a fixed layout of fewer scratch columns, not a runtime free
-// list — so the break is the high-water mark Stats reports for the
-// buffer-reuse ablation.
+// list; only a whole arena's slab is recycled (Release) — so the break is the
+// high-water mark Stats reports for the buffer-reuse ablation.
 type Memory struct {
 	words []float32
 	// capacity is the budget Alloc enforces and Stats reports; words may be
 	// shorter when the arena was sized to a known footprint (NewSizedArena).
 	capacity int
 	brk      int
+	// slab is the arena's backing slab, held by its first memory until
+	// Release hands it back.
+	slab *slab
 }
+
+// slab owns the words of one arena; the free list points at it weakly.
+type slab struct{ words []float32 }
+
+// released is the free list of slabs handed back by Release, keyed by
+// length. Its pointers are weak: a slab no arena takes before the next
+// collection is freed, so the list keeps nothing resident.
+var released = struct {
+	sync.Mutex
+	bySize map[int][]weak.Pointer[slab]
+}{bySize: make(map[int][]weak.Pointer[slab])}
 
 // NewArena allocates n PE memories of capacityWords each, carved out of one
 // contiguous slab, so an engine's working set is cache-contiguous and costs
-// two allocations (words and headers) instead of several per PE. The slab
-// is zeroed exactly once, by its allocation — Alloc relies on fresh words
-// being zero.
+// three allocations (words, their holder and headers) instead of several per
+// PE. The slab is the last one Release handed back at its length when that
+// one is still alive (then only the headers are new), a fresh one otherwise,
+// so the words a memory starts with are unspecified: a layout writes every
+// word it reads.
 func NewArena(n, capacityWords int) ([]Memory, error) {
 	return NewSizedArena(n, capacityWords, capacityWords)
 }
@@ -95,18 +115,62 @@ func NewSizedArena(n, capacityWords, footprintWords int) ([]Memory, error) {
 		return nil, fmt.Errorf("dsd: arena footprint must be positive, got %d", footprintWords)
 	}
 	backed := min(capacityWords, footprintWords)
-	slab := make([]float32, n*backed)
+	s := takeSlab(n * backed)
 	mems := make([]Memory, n)
 	for i := range mems {
 		w := i * backed
-		mems[i].words = slab[w : w+backed : w+backed]
+		mems[i].words = s.words[w : w+backed : w+backed]
 		mems[i].capacity = capacityWords
 	}
+	mems[0].slab = s
 	return mems, nil
 }
 
-// Alloc reserves a contiguous block of n fresh, zero words and returns its
-// descriptor.
+// takeSlab pops the last released slab of the given length that is still
+// alive, or allocates a fresh one.
+func takeSlab(words int) *slab {
+	released.Lock()
+	defer released.Unlock()
+	for list := released.bySize[words]; len(list) > 0; {
+		s := list[len(list)-1].Value()
+		list = list[:len(list)-1]
+		released.bySize[words] = list
+		if s != nil {
+			return s
+		}
+	}
+	return &slab{words: make([]float32, words)}
+}
+
+// Release hands the slab of the arena whose first memory m is back for a
+// later arena of the same length. No memory of the arena may be used
+// afterwards; a second Release does nothing. It drops every entry whose slab
+// was collected, so the list never holds more entries than uncollected slabs.
+func (m *Memory) Release() {
+	s := m.slab
+	if s == nil {
+		return
+	}
+	m.slab = nil
+	released.Lock()
+	defer released.Unlock()
+	for size, list := range released.bySize {
+		live := list[:0]
+		for _, p := range list {
+			if p.Value() != nil {
+				live = append(live, p)
+			}
+		}
+		released.bySize[size] = live
+		if len(live) == 0 && size != len(s.words) {
+			delete(released.bySize, size)
+		}
+	}
+	released.bySize[len(s.words)] = append(released.bySize[len(s.words)], weak.Make(s))
+}
+
+// Alloc reserves a contiguous block of n words, which hold whatever the
+// arena's slab held (see NewArena), and returns its descriptor.
 func (m *Memory) Alloc(n int) (Desc, error) {
 	if n <= 0 {
 		return Desc{}, fmt.Errorf("dsd: allocation size must be positive, got %d", n)

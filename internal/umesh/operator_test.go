@@ -507,8 +507,9 @@ func BenchmarkPartOperatorHostApply(b *testing.B) {
 
 // BenchmarkUsolveJacobiStage times each step of one Jacobi-CG iteration on
 // the 15360-cell benchmark mesh at 4 parts — the halo push, the row sweep
-// with its fused inner product, the set-up dot, the fused CG tail and the
-// direction update — the shard kernels called part by part on the
+// with its fused inner product (apply; apply-go is the same sweep on the Go
+// loop alone, the whole path off amd64), the set-up dot, the fused CG tail
+// and the direction update — the shard kernels called part by part on the
 // benchmark goroutine, no pool: the per-stage sizing of a Jacobi iteration
 // (docs/benchmarks.md) without a scratch harness.
 func BenchmarkUsolveJacobiStage(b *testing.B) {
@@ -522,16 +523,22 @@ func BenchmarkUsolveJacobiStage(b *testing.B) {
 	po.Load2(0, probeVector(n, 1), 1, probeVector(n, 2))
 	po.Load2(2, probeVector(n, 3), 3, probeVector(n, 4))
 	for _, st := range []struct {
-		name string
-		run  func(shard int)
+		name   string
+		run    func(shard int)
+		goOnly bool // sweep with the Go loop alone, as off amd64
 	}{
-		{"push", func(s int) { po.sendHalo(s, 0) }},
-		{"apply", func(s int) { po.applyRows(s, 0, 4, 1, true, false) }},
-		{"dot", func(s int) { po.shardDot(s, 0, 1) }},
-		{"cgstep", func(s int) { po.shardCGStepPre(s, 2, 0, 1, 4, 3, 1e-3) }},
-		{"xpby", func(s int) { po.shardXpby(s, 0, 3, 0.5) }},
+		{"push", func(s int) { po.sendHalo(s, 0) }, false},
+		{"apply", func(s int) { po.applyRows(s, 0, 4, 1, true, false) }, false},
+		{"apply-go", func(s int) { po.applyRows(s, 0, 4, 1, true, false) }, true},
+		{"dot", func(s int) { po.shardDot(s, 0, 1) }, false},
+		{"cgstep", func(s int) { po.shardCGStepPre(s, 2, 0, 1, 4, 3, 1e-3) }, false},
+		{"xpby", func(s int) { po.shardXpby(s, 0, 3, 0.5) }, false},
 	} {
 		b.Run(st.name, func(b *testing.B) {
+			if st.goOnly {
+				defer func(v bool) { vectorRows = v }(vectorRows)
+				vectorRows = false
+			}
 			for i := 0; i < b.N; i++ {
 				for s := range po.parts {
 					st.run(s)
