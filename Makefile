@@ -75,9 +75,9 @@ race:
 SIZE_CEILING = 4385
 SERVE_CEILING = 1825
 BENCH_CEILING = 863
-STRUCT_CEILING = 1862
+STRUCT_CEILING = 1852
 FABRIC_CEILING = 724
-MODULE_CEILING = 15132
+MODULE_CEILING = 15122
 size:
 	@set -e; \
 	for d in $$($(GO) list -f '{{.Dir}}' ./... | sed "s|^$$PWD/*||; s|^$$|.|"); do \

@@ -88,7 +88,7 @@
 // checked once per call; per-op counter tallies are deferred and folded into
 // the full accounting at summarize time; per-PE memories are one
 // footprint-sized arena per shard (dsd.NewSizedArena), whose slab
-// Engine.Close hands back for the next engine of that size to take as it
+// Engine.Close hands back for the next band of that size to take as it
 // is, never re-zeroed; host loads walk the mesh a cache line at a time; and
 // the flat engine reads its neighbors' persistent send columns in place,
 // with no copy or allocation.

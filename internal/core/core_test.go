@@ -78,7 +78,8 @@ func runFlat(m *mesh.Mesh, fl physics.Fluid, opts Options) (*Result, error) {
 // in arrival order (FluxFace) and assembles afterwards — every residual bit
 // and the whole Counters struct. Nz = 4 is all kernel tail; Nz = 13 is one
 // 8-lane step of the kernel's vector body plus a 5-element tail, where the
-// host has one. The flat engine runs on slabs a closed engine left NaN.
+// host has one. The flat engine runs as one band, on the slab a closed
+// engine left NaN.
 func TestFabricMatchesFlatBitExact(t *testing.T) {
 	for _, nz := range []int{4, 13} {
 		prefix := ""
@@ -115,7 +116,7 @@ func fabricMatchesFlat(t *testing.T, m *mesh.Mesh, prefix string) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				opts.CommOnly, opts.Vectorized = false, true
+				opts.CommOnly, opts.Vectorized, opts.Workers = false, true, 1
 				flat := runFlatPoisoned(t, m, fl, opts)
 				if v.name == "comm-only" {
 					for i, r := range fab.Residual {
@@ -168,7 +169,7 @@ func TestTable4PerCellCounts(t *testing.T) {
 	// The centerpiece measurement: an interior PE must reproduce Table 4
 	// exactly — 60 FMUL, 40 FSUB, 10 FNEG, 10 FADD, 10 FMA, 16 FMOV,
 	// 406 loads+stores, 16 fabric loads, 140 FLOPs per cell — and the flat
-	// engine on poisoned slabs counts the same.
+	// engine on a poisoned slab counts the same.
 	m := testMesh(t, mesh.Dims{Nx: 5, Ny: 5, Nz: 7})
 	res, err := RunFabric(m, physics.DefaultFluid(), DefaultOptions(3))
 	if err != nil {
@@ -178,7 +179,9 @@ func TestTable4PerCellCounts(t *testing.T) {
 	if pc == nil {
 		t.Fatal("no interior PE measured")
 	}
-	if flat := runFlatPoisoned(t, m, physics.DefaultFluid(), DefaultOptions(3)); flat.Interior == nil || *flat.Interior != *pc {
+	flatOpts := DefaultOptions(3)
+	flatOpts.Workers = 1
+	if flat := runFlatPoisoned(t, m, physics.DefaultFluid(), flatOpts); flat.Interior == nil || *flat.Interior != *pc {
 		t.Errorf("flat engine per-cell counts %+v, fabric %+v", flat.Interior, pc)
 	}
 	checks := []struct {
@@ -256,8 +259,10 @@ func TestCommOnlyMode(t *testing.T) {
 		t.Errorf("comm-only fabric loads %d != full run %d",
 			res.Counters.FabricLoads, full.Counters.FabricLoads)
 	}
-	if flat := runFlatPoisoned(t, m, physics.DefaultFluid(), DefaultOptions(2)); flat.Counters != full.Counters {
-		t.Errorf("flat engine on poisoned slabs counts %+v, fabric full run %+v", flat.Counters, full.Counters)
+	flatOpts := DefaultOptions(2)
+	flatOpts.Workers = 1
+	if flat := runFlatPoisoned(t, m, physics.DefaultFluid(), flatOpts); flat.Counters != full.Counters {
+		t.Errorf("flat engine on a poisoned slab counts %+v, fabric full run %+v", flat.Counters, full.Counters)
 	}
 }
 

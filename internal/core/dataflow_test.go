@@ -15,9 +15,11 @@ import (
 
 // TestDataflowOperatorOnPoisonedSlabs holds sim.DataflowOperator, which keeps
 // one flat engine across the applications of a Krylov solve, to its fabric
-// oracle bit for bit while that engine runs on slabs a closed engine left
+// oracle bit for bit while that engine runs on a slab a closed engine left
 // NaN: on the 6-face stencil, whose engine runs with diagonals off, and on
-// all ten faces, at one and two workers.
+// all ten faces, at one and two workers. At two the bands hold 3 and 2 rows,
+// so the poisoned slab, the last band's, fits only the operator engine's
+// last band, the one its Close releases last.
 func TestDataflowOperatorOnPoisonedSlabs(t *testing.T) {
 	m, err := mesh.BuildDefault(mesh.Dims{Nx: 6, Ny: 5, Nz: 3})
 	if err != nil {

@@ -236,8 +236,8 @@ func (e *Engine) Residual(dst []float32) error {
 }
 
 // Close stops the engine's workers and hands each band's arena, whose first
-// memory is its first PE's, back to dsd for the next engine of the same size.
-// The engine must not be used afterwards; closing it again does nothing.
+// memory is its first PE's, back to dsd (Release). The engine must not be
+// used afterwards; closing it again does nothing.
 func (e *Engine) Close() {
 	if e.pool == nil {
 		return

@@ -235,8 +235,8 @@ func TestFlatEngineReadsTheWire(t *testing.T) {
 // per-PE strided gather they replaced, column by column: on grids whose
 // width is under, over and not a multiple of the tile, on a single column
 // and on a single plane, at one worker and at more bands than tiles. Every
-// engine runs on slabs a closed engine left NaN, so a column the loaders do
-// not write (a diagonal Υ with diagonals off) shows.
+// engine runs on a slab a closed engine left NaN; the diagonal Υ columns,
+// which no engine reads with diagonals off, are checked only with them on.
 func TestTileLoaderMatchesPerPEGather(t *testing.T) {
 	fl := physics.DefaultFluid().WithModel(physics.DensityLinear)
 	for _, d := range []mesh.Dims{
@@ -288,10 +288,10 @@ func TestTileLoaderMatchesPerPEGather(t *testing.T) {
 						}
 					}
 					for _, dir := range mesh.AllDirections {
-						tr := column(s, func(idx int) float32 { return float32(m.Trans[dir][idx]) })
 						if !diagonals && dir.IsDiagonal() {
-							tr = make([]float32, d.Nz)
+							continue
 						}
+						tr := column(s, func(idx int) float32 { return float32(m.Trans[dir][idx]) })
 						expect(s, "trans "+dir.String(), s.trans[dir], tr)
 					}
 					for k, dir := range xyDirections {

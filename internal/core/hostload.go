@@ -100,17 +100,10 @@ func loadStatic(band []peState, m *mesh.Mesh, fl physics.Fluid, opts Options) {
 				s.hostWrite(s.nbrGz[k], gzCol)
 			}
 		}
-		// Υ = 0 where a face is off; the arena's words are unspecified, so
-		// those columns are cleared, not left as they are.
-		for d := range s.trans {
-			if !opts.Diagonals && mesh.Direction(d).IsDiagonal() {
-				clear(s.eng.Mem.HostView(s.trans[d]))
-			}
-		}
 	}
 	for _, d := range mesh.AllDirections {
 		if !opts.Diagonals && d.IsDiagonal() {
-			continue // cleared above: diagonal faces contribute nothing
+			continue // no engine reads a diagonal Υ with diagonals off
 		}
 		loadField(band, m.Trans[d], 1, func(s *peState) []float32 { return s.eng.Mem.HostView(s.trans[d]) })
 	}

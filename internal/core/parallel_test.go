@@ -56,8 +56,9 @@ func TestPartitionRows(t *testing.T) {
 // TestParallelMatchesFlatBitExact is the tentpole equivalence: the sharded
 // engine must be bit-identical to the serial flat engine — residuals AND
 // counters — across worker counts, mesh shapes, diagonals on/off, each
-// sharded run on slabs a closed engine left NaN. Run under -race this also
-// proves the phase barriers are sufficient.
+// sharded run with one band (all of it at one worker) on the slab a closed
+// engine left NaN. Run under -race this also proves the phase barriers are
+// sufficient.
 func TestParallelMatchesFlatBitExact(t *testing.T) {
 	fl := physics.DefaultFluid()
 	dims := []mesh.Dims{

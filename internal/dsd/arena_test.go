@@ -18,8 +18,8 @@ func TestNewArena(t *testing.T) {
 	if len(mems) != n {
 		t.Fatalf("arena holds %d memories, want %d", len(mems), n)
 	}
-	// No arena of this length was released, so the slab is fresh: allocate a
-	// full-capacity block in each memory, check it reads zero and dirty it.
+	// Every word is fresh: allocate a full-capacity block in each memory,
+	// check it reads zero and dirty it.
 	for i := range mems {
 		m := &mems[i]
 		if m.Stats().CapacityWords != capacity {
@@ -127,16 +127,21 @@ func TestHostViewAliasesColumns(t *testing.T) {
 
 func TestArenaAllocationsDoNotScaleWithMemories(t *testing.T) {
 	// The engines' setup: one arena, then a PE-like layout in every memory
-	// (two padded columns, then dozens of equal columns). A fresh arena
-	// costs its words, their holder and the headers, however many memories
-	// there are; one that takes a released slab costs the headers alone.
+	// (two padded columns, then dozens of equal columns). A NewArena costs
+	// its words and headers, however many memories there are; a sized arena
+	// that takes the slab released before it costs the headers alone.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const pes, nz = 64, 8
 	for _, tc := range []struct {
-		release bool
-		want    float64
-	}{{false, 3}, {true, 1}} {
+		sized bool
+		want  float64
+	}{{false, 2}, {true, 1}} {
 		allocs := testing.AllocsPerRun(10, func() {
-			mems, err := NewArena(pes, 64*nz)
+			newArena := NewArena
+			if tc.sized {
+				newArena = func(n, c int) ([]Memory, error) { return NewSizedArena(n, c, c) }
+			}
+			mems, err := newArena(pes, 64*nz)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,12 +156,10 @@ func TestArenaAllocationsDoNotScaleWithMemories(t *testing.T) {
 					}
 				}
 			}
-			if tc.release {
-				mems[0].Release()
-			}
+			mems[0].Release()
 		})
 		if allocs != tc.want {
-			t.Errorf("arena of %d memories (released after use: %v) cost %.0f allocations, want %.0f", pes, tc.release, allocs, tc.want)
+			t.Errorf("arena of %d memories (sized and released after use: %v) cost %.0f allocations, want %.0f", pes, tc.sized, allocs, tc.want)
 		}
 	}
 }
@@ -164,13 +167,10 @@ func TestArenaAllocationsDoNotScaleWithMemories(t *testing.T) {
 // slabOf is the identity of the slab an arena was carved from: its first word.
 func slabOf(mems []Memory) *float32 { return &mems[0].words[0] }
 
-// TestReleasedSlabIsTakenAsItWas: an arena of the released length takes the
-// released slab with its words as they were left, and starts every memory at
-// a break of 0; an arena of another length does not take it, and a second
-// Release of the same arena hands the slab back once.
-func TestReleasedSlabIsTakenAsItWas(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	const n, capacity, footprint = 3, 64, 37
+// poisonedArena is a sized arena of n memories whose footprint words are all
+// NaN, released.
+func poisonedArena(t *testing.T, n, capacity, footprint int) []Memory {
+	t.Helper()
 	mems, err := NewSizedArena(n, capacity, footprint)
 	if err != nil {
 		t.Fatal(err)
@@ -185,6 +185,17 @@ func TestReleasedSlabIsTakenAsItWas(t *testing.T) {
 		}
 	}
 	mems[0].Release()
+	return mems
+}
+
+// TestReleasedSlabIsTakenAsItWas: a sized arena of the released length takes
+// the released slab with its words as they were left, and starts every
+// memory at a break of 0; an arena of another length does not take it, and a
+// second Release of the same arena hands the slab back once.
+func TestReleasedSlabIsTakenAsItWas(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const n, capacity, footprint = 3, 64, 37
+	mems := poisonedArena(t, n, capacity, footprint)
 	mems[0].Release()
 	other, err := NewSizedArena(n, capacity, footprint+1)
 	if err != nil {
@@ -221,12 +232,41 @@ func TestReleasedSlabIsTakenAsItWas(t *testing.T) {
 	}
 }
 
-// TestReleasedSlabDoesNotOutliveACollection: the free list points at a slab
+// TestNewArenaIsAlwaysFresh: NewArena (the fabric's full-budget arena) never
+// takes a released slab, even one of its exact length, and Release of its
+// memories hands nothing back.
+func TestNewArenaIsAlwaysFresh(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const n, capacity = 4, 48
+	sized := poisonedArena(t, n, capacity, capacity)
+	fresh, err := NewArena(n, capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slabOf(fresh) == slabOf(sized) {
+		t.Fatal("NewArena took a released slab")
+	}
+	for i, w := range fresh[0].words[:cap(fresh[0].words)] {
+		if w != 0 {
+			t.Fatalf("NewArena word %d = %g, want 0", i, w)
+		}
+	}
+	fresh[0].Release()
+	next, err := NewSizedArena(n, capacity, capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slabOf(next) != slabOf(sized) {
+		t.Fatal("Release of a NewArena arena displaced the sized arena's released slab")
+	}
+}
+
+// TestReleasedSlabDoesNotOutliveACollection: the slot points at a slab
 // weakly, so after a collection the next arena of its length is fresh and
 // zero, even while the released memories are still reachable.
 func TestReleasedSlabDoesNotOutliveACollection(t *testing.T) {
 	const n, capacity = 2, 53
-	mems, err := NewArena(n, capacity)
+	mems, err := NewSizedArena(n, capacity, capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,25 +277,20 @@ func TestReleasedSlabDoesNotOutliveACollection(t *testing.T) {
 	mems[0].StoreHost(d, 0, 1)
 	mems[0].Release()
 	runtime.GC()
-	fresh, err := NewArena(n, capacity)
+	fresh, err := NewSizedArena(n, capacity, capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if slabOf(fresh) == slabOf(mems) || fresh[0].words[0] != 0 {
-		t.Fatal("a released slab outlived a collection on the free list")
-	}
-	released.Lock()
-	defer released.Unlock()
-	if list := released.bySize[n*capacity]; len(list) != 0 {
-		t.Fatalf("the free list still holds %d entries of length %d", len(list), n*capacity)
+		t.Fatal("a released slab outlived a collection in the slot")
 	}
 }
 
-// TestFreeListUnderConcurrentUse takes and releases arenas of two lengths
-// from several goroutines at once (the bands of an engine compile
-// concurrently); under -race this checks the list's locking, and no two
+// TestFreeSlotUnderConcurrentUse takes and releases sized arenas of two
+// lengths from several goroutines at once (the bands of an engine compile
+// concurrently); under -race this checks the slot's locking, and no two
 // arenas alive at once may share a slab.
-func TestFreeListUnderConcurrentUse(t *testing.T) {
+func TestFreeSlotUnderConcurrentUse(t *testing.T) {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	live := map[*float32]bool{}
@@ -264,7 +299,7 @@ func TestFreeListUnderConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := range 50 {
-				mems, err := NewArena(2+(g+i)%2, 29)
+				mems, err := NewSizedArena(2+(g+i)%2, 29, 29)
 				if err != nil {
 					t.Error(err)
 					return

@@ -70,31 +70,29 @@ type Memory struct {
 	// shorter when the arena was sized to a known footprint (NewSizedArena).
 	capacity int
 	brk      int
-	// slab is the arena's backing slab, held by its first memory until
+	// slab is a sized arena's backing slab, held by its first memory until
 	// Release hands it back.
 	slab *slab
 }
 
-// slab owns the words of one arena; the free list points at it weakly.
+// slab owns the words of one sized arena; the free slot points at it weakly.
 type slab struct{ words []float32 }
 
-// released is the free list of slabs handed back by Release, keyed by
-// length. Its pointers are weak: a slab no arena takes before the next
-// collection is freed, so the list keeps nothing resident.
-var released = struct {
+// released is the slab Release handed back last. Its pointer is weak: a slab
+// no arena takes before the next collection is freed, so the slot keeps
+// nothing resident.
+var released struct {
 	sync.Mutex
-	bySize map[int][]weak.Pointer[slab]
-}{bySize: make(map[int][]weak.Pointer[slab])}
+	slot weak.Pointer[slab]
+}
 
 // NewArena allocates n PE memories of capacityWords each, carved out of one
 // contiguous slab, so an engine's working set is cache-contiguous and costs
-// three allocations (words, their holder and headers) instead of several per
-// PE. The slab is the last one Release handed back at its length when that
-// one is still alive (then only the headers are new), a fresh one otherwise,
-// so the words a memory starts with are unspecified: a layout writes every
-// word it reads.
+// two allocations (words and headers) instead of several per PE. The slab
+// is always fresh, zeroed exactly once by its allocation, and Release does
+// not hand it back.
 func NewArena(n, capacityWords int) ([]Memory, error) {
-	return NewSizedArena(n, capacityWords, capacityWords)
+	return newArena(n, capacityWords, capacityWords, false)
 }
 
 // NewSizedArena is NewArena for a caller that knows the exact footprint of
@@ -104,7 +102,16 @@ func NewArena(n, capacityWords int) ([]Memory, error) {
 // memories do not sit a power-of-two-ish 48 KiB apart, aliasing each other's
 // cache sets). A footprint over the capacity fails in Alloc with the usual
 // out-of-memory error; one that understates the layout fails there too.
+//
+// The slab is the one Release handed back last when that one is still alive
+// and of this length, taken as it was left (then only the headers are new),
+// and a fresh one otherwise, so the words a memory starts with are
+// unspecified: a layout writes every word it reads.
 func NewSizedArena(n, capacityWords, footprintWords int) ([]Memory, error) {
+	return newArena(n, capacityWords, footprintWords, true)
+}
+
+func newArena(n, capacityWords, footprintWords int, recycle bool) ([]Memory, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("dsd: arena must hold at least one memory, got %d", n)
 	}
@@ -115,62 +122,52 @@ func NewSizedArena(n, capacityWords, footprintWords int) ([]Memory, error) {
 		return nil, fmt.Errorf("dsd: arena footprint must be positive, got %d", footprintWords)
 	}
 	backed := min(capacityWords, footprintWords)
-	s := takeSlab(n * backed)
 	mems := make([]Memory, n)
+	var words []float32
+	if recycle {
+		mems[0].slab = takeSlab(n * backed)
+		words = mems[0].slab.words
+	} else {
+		words = make([]float32, n*backed)
+	}
 	for i := range mems {
 		w := i * backed
-		mems[i].words = s.words[w : w+backed : w+backed]
+		mems[i].words = words[w : w+backed : w+backed]
 		mems[i].capacity = capacityWords
 	}
-	mems[0].slab = s
 	return mems, nil
 }
 
-// takeSlab pops the last released slab of the given length that is still
-// alive, or allocates a fresh one.
+// takeSlab takes the slab Release handed back last if it is still alive and
+// holds the given number of words, and allocates a fresh one otherwise.
 func takeSlab(words int) *slab {
 	released.Lock()
-	defer released.Unlock()
-	for list := released.bySize[words]; len(list) > 0; {
-		s := list[len(list)-1].Value()
-		list = list[:len(list)-1]
-		released.bySize[words] = list
-		if s != nil {
-			return s
-		}
+	if s := released.slot.Value(); s != nil && len(s.words) == words {
+		released.slot = weak.Pointer[slab]{}
+		released.Unlock()
+		return s
 	}
+	released.Unlock()
 	return &slab{words: make([]float32, words)}
 }
 
-// Release hands the slab of the arena whose first memory m is back for a
-// later arena of the same length. No memory of the arena may be used
-// afterwards; a second Release does nothing. It drops every entry whose slab
-// was collected, so the list never holds more entries than uncollected slabs.
+// Release hands the slab of the sized arena whose first memory m is back
+// for the next NewSizedArena of the same length, in place of any slab
+// released before it. No memory of the arena may be used afterwards; a
+// second Release, or one on a NewArena arena, does nothing.
 func (m *Memory) Release() {
-	s := m.slab
-	if s == nil {
+	if m.slab == nil {
 		return
 	}
-	m.slab = nil
 	released.Lock()
-	defer released.Unlock()
-	for size, list := range released.bySize {
-		live := list[:0]
-		for _, p := range list {
-			if p.Value() != nil {
-				live = append(live, p)
-			}
-		}
-		released.bySize[size] = live
-		if len(live) == 0 && size != len(s.words) {
-			delete(released.bySize, size)
-		}
-	}
-	released.bySize[len(s.words)] = append(released.bySize[len(s.words)], weak.Make(s))
+	released.slot = weak.Make(m.slab)
+	released.Unlock()
+	m.slab = nil
 }
 
 // Alloc reserves a contiguous block of n words, which hold whatever the
-// arena's slab held (see NewArena), and returns its descriptor.
+// arena's slab held (zero for NewArena, see NewSizedArena), and returns its
+// descriptor.
 func (m *Memory) Alloc(n int) (Desc, error) {
 	if n <= 0 {
 		return Desc{}, fmt.Errorf("dsd: allocation size must be positive, got %d", n)
