@@ -72,12 +72,12 @@ race:
 # A PR that shrinks what a ceiling covers lowers it to the new sum. A PR that
 # must raise one says in CHANGES.md by how much and what the lines buy;
 # CHANGES.md keeps each ceiling's history.
-SIZE_CEILING = 4385
+SIZE_CEILING = 4552
 SERVE_CEILING = 1825
 BENCH_CEILING = 863
 STRUCT_CEILING = 1852
 FABRIC_CEILING = 724
-MODULE_CEILING = 15122
+MODULE_CEILING = 15300
 size:
 	@set -e; \
 	for d in $$($(GO) list -f '{{.Dir}}' ./... | sed "s|^$$PWD/*||; s|^$$|.|"); do \
@@ -125,7 +125,10 @@ layers:
 #     (137 sites until the five BiCGStab-only shard kernels were deleted;
 #     100 until an application became one sweep beside one block dot; 96
 #     until the packed rows became blocks of four whose whole blocks the
-#     vector body sweeps: the Go loop's rows now start where it stopped).
+#     vector body sweeps: the Go loop's rows now start where it stopped;
+#     95 until the CG tail and the direction update got vector bodies too:
+#     their Go loops resume past the whole groups of four with one reslice,
+#     per block in the tail and per call in the update).
 #   - internal/dsd/ops.go is the structured kernel. Every op has one element
 #     loop, over columns resliced to the destination's length, and none
 #     reports a check (FluxFace and FluxCell stream the inlined fluxElem over
@@ -143,10 +146,11 @@ layers:
 #     resliced per plane), the rest is per tile or per PE.
 # The structured kernel's single spelling must also stay inlinable into the
 # two macro-ops' tail loops, or each element pays a call. Its vector body
-# (internal/dsd/*.s) and the packed rows' (internal/umesh/*.s) must round
-# every product before its sum as their Go spellings do, so a fused
-# multiply-add mnemonic there fails the gate.
-BCE_PINS = internal/umesh:kernels.go:95 internal/dsd:ops.go:16 internal/core:hostload.go:20
+# (internal/dsd/*.s) and umesh's (internal/umesh/*.s: the packed rows, the
+# fused CG tail, the direction update) must round every product before its
+# sum as their Go spellings do, so a fused multiply-add mnemonic there fails
+# the gate.
+BCE_PINS = internal/umesh:kernels.go:97 internal/dsd:ops.go:16 internal/core:hostload.go:20
 bce:
 	@set -e; \
 	for pin in $(BCE_PINS); do \
@@ -238,7 +242,8 @@ bench-umesh:
 # BenchmarkUsolvePrecond/{jacobi,chebyshev,amg} — and the per-stage
 # sizings of one Jacobi-CG iteration, BenchmarkUsolveJacobiStage/{push,
 # apply,dot,cgstep,xpby} — the halo push, the row sweep with its fused dot,
-# the set-up dot, the fused CG tail, the direction update — and of one AMG
+# the set-up dot, the fused CG tail, the direction update, with apply-go,
+# cgstep-go and xpby-go their Go loops alone — and of one AMG
 # iteration, BenchmarkUsolveAMGStage, and the three stages of a set-up,
 # BenchmarkUsolveSetup/{mesh,rcb,compile}) once each — CI's guarantee that they keep
 # compiling and running.
@@ -255,8 +260,9 @@ chaos-smoke:
 
 # Short native-fuzz exploration of the RCB partitioner and canonical order
 # (held to the sort-per-level oracle, on coarse-grid inputs too), the radial mesh
-# builder, the part operator's row store (and its packed rows' vector body
-# against their Go spelling), the serving layer's request
+# builder, the part operator's row store (and its vector bodies — the packed
+# rows, the CG tail, the direction update — against their Go spellings), the
+# serving layer's request
 # decoder and the whole-PE flux macro-op FluxCell (the seed corpora
 # already run under plain `make test`). -fuzz accepts one target per
 # invocation, hence five runs.

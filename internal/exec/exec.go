@@ -84,6 +84,11 @@ type Pool struct {
 	seq atomic.Uint64
 	cur *Plan
 
+	// stopped records (under mu) that Stop has run; exited counts the
+	// worker goroutines out as they return, so Stop can wait for them.
+	stopped bool
+	exited  sync.WaitGroup
+
 	// epoch is the barrier generation; arrived counts workers at the current
 	// barrier. The last arriver runs the step's Actions, resets arrived, and
 	// bumps epoch (the sense reversal) under mu before broadcasting.
@@ -133,6 +138,7 @@ func NewPool(workers, shards int) *Pool {
 		p.lo[k] = k * shards / workers
 	}
 	p.runPlan = Plan{pool: p, steps: p.runStep[:]}
+	p.exited.Add(workers - 1)
 	for k := 1; k < workers; k++ {
 		// The initial dispatch generation is captured here, before the
 		// goroutine starts: loading it inside the worker would race with an
@@ -345,6 +351,7 @@ func (p *Pool) collectErr() error {
 // workerLoop is the body of workers 1..workers-1: wait for a dispatch, run
 // the posted plan, repeat until Stop posts a nil plan.
 func (p *Pool) workerLoop(k int, last uint64) {
+	defer p.exited.Done()
 	for {
 		last = p.awaitSeq(last)
 		pl := p.cur
@@ -390,14 +397,18 @@ func (p *Pool) Run(fn func(shard int) error) error {
 	return err
 }
 
-// Stop retires the worker goroutines. The pool must not be used after.
+// Stop retires the worker goroutines and returns once every one has exited;
+// a second call does nothing. The pool must not be used after.
 func (p *Pool) Stop() {
-	if p.workers == 1 {
+	p.mu.Lock()
+	if p.stopped {
+		p.mu.Unlock()
 		return
 	}
+	p.stopped = true
 	p.cur = nil
-	p.mu.Lock()
 	p.seq.Add(1)
 	p.mu.Unlock()
 	p.cond.Broadcast()
+	p.exited.Wait()
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -24,6 +25,28 @@ func TestPoolClamping(t *testing.T) {
 		if p.Workers() != c.wantWorkers || p.shards != c.wantShards {
 			t.Errorf("NewPool(%d, %d): workers %d shards %d, want %d/%d",
 				c.workers, c.shards, p.Workers(), p.shards, c.wantWorkers, c.wantShards)
+		}
+		p.Stop()
+	}
+}
+
+// TestStopWaitsForWorkersAndIsIdempotent stops a multi-worker pool (right
+// after a plan, so workers are still on their way back to wait) and finds no
+// worker goroutine left once Stop returns; a second Stop does nothing (under
+// -race it must not touch what the exiting workers read).
+func TestStopWaitsForWorkersAndIsIdempotent(t *testing.T) {
+	workerRunning := func() bool {
+		buf := make([]byte, 1<<20)
+		return strings.Contains(string(buf[:runtime.Stack(buf, true)]), "exec.(*Pool).workerLoop")
+	}
+	for _, workers := range []int{1, 2, 4} {
+		p := NewPool(workers, 8)
+		if err := p.Run(func(int) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		p.Stop()
+		if workerRunning() {
+			t.Fatalf("workers=%d: a worker goroutine is still running after Stop returned", workers)
 		}
 		p.Stop()
 	}

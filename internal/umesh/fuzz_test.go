@@ -289,13 +289,16 @@ func FuzzRadialMesh(f *testing.F) {
 // structural invariants (assertRowStore) and its sweep — plain and with the
 // inner product fused — to the oracle, bit for bit. Every input also holds
 // the packed rows' vector body to their Go spelling on random blocks
-// (assertVectorSweepMatchesGo).
+// (assertVectorSweepMatchesGo), and the CG tail's two vector bodies to
+// theirs on random streams (assertVectorCGTailMatchesGo).
 func FuzzRowStore(f *testing.F) {
 	f.Add(uint64(8), uint64(8), uint64(3), uint64(2))
 	f.Add(uint64(2), uint64(3), uint64(0), uint64(0))   // minimum geometry: no degree-4 row at all
 	f.Add(uint64(10), uint64(29), uint64(1), uint64(3)) // refine every ring: degree-5 rows throughout
 	f.Fuzz(func(t *testing.T, nRings, nSectors, nRefine, nLevels uint64) {
-		assertVectorSweepMatchesGo(t, nRings^nSectors<<16^nRefine<<32^nLevels<<48, 1+int((nSectors+nRefine)%40), 1+int((nRings+nLevels)%40))
+		seed := nRings ^ nSectors<<16 ^ nRefine<<32 ^ nLevels<<48
+		assertVectorSweepMatchesGo(t, seed, 1+int((nSectors+nRefine)%40), 1+int((nRings+nLevels)%40))
+		assertVectorCGTailMatchesGo(t, seed, int((nSectors+nRefine)%41), int((nRings+nLevels)%41))
 		opts, cells := fuzzRadialOptions(nRings, nSectors, nRefine)
 		levels := int(nLevels % 4)
 		if cells > 20000 || 1<<levels > cells {
@@ -403,6 +406,82 @@ func TestVectorSweepMatchesGo(t *testing.T) {
 		for n2 := 1; n2 <= 40; n2++ {
 			for seed := range 8 {
 				assertVectorSweepMatchesGo(t, uint64(seed<<16|n1<<8|n2), n1, n2)
+			}
+		}
+	}
+}
+
+// assertVectorCGTailMatchesGo runs the fused CG tail (shardCGStepPre) over
+// two reduction blocks of n1 and n2 elements, then the direction update
+// (shardXpby) over both, once through the vector bodies and once through the
+// Go loops alone, on inputs from seed — every stream, α and β salted with
+// fuzzSpecials — and requires x, r, z, y and both blocks' partials of ⟨r, r⟩
+// and ⟨r, z⟩ bit for bit. Two NaNs count as equal: when both operands of an
+// add or a multiply are NaN, the hardware returns the payload of the one in
+// its first source register, and the Go compiler orders the operands of a
+// commutative operation as its registers fall, so the payload is not the
+// spelling's to fix. A host without the vector bodies has nothing to compare.
+func assertVectorCGTailMatchesGo(t *testing.T, seed uint64, n1, n2 int) {
+	t.Helper()
+	if !vectorRows {
+		return
+	}
+	rng := fuzzRand(seed)
+	n := n1 + n2
+	rate := []uint64{4, 32, 256, 0}[rng.next()%4]
+	salted := func(scale float64) float64 {
+		if rate > 0 && rng.next()%rate == 0 {
+			return fuzzSpecials[rng.next()%uint64(len(fuzzSpecials))]
+		}
+		return scale * (rng.float() - 0.5)
+	}
+	in := make([][]float64, 6) // x, p, r, ap, z, then the inverse diagonal
+	for v := range in {
+		in[v] = make([]float64, n)
+		for i := range in[v] {
+			in[v][i] = salted(1e3)
+		}
+	}
+	alpha, beta := salted(2), salted(2)
+	run := func(vector bool) *PartOperator {
+		defer func(v bool) { vectorRows = v }(vectorRows)
+		vectorRows = vector
+		op := &opPart{accum: make([]float64, n), invDiag: slices.Clone(in[5]),
+			blkLo: []int32{0, int32(n1)}, blkHi: []int32{int32(n1), int32(n)}, blkOut: []int32{0, 1}}
+		for _, v := range in[:5] {
+			op.vecs = append(op.vecs, slices.Clone(v))
+		}
+		o := &PartOperator{parts: []*opPart{op}, blockSums: make([]float64, 2), blockSums2: make([]float64, 2)}
+		o.shardCGStepPre(0, 0, 1, 2, 3, 4, alpha)
+		o.shardXpby(0, 1, 4, beta) // p = z + β·p, CG's direction update
+		return o
+	}
+	got, want := run(true), run(false)
+	check := func(what string, g, w []float64) {
+		for i := range w {
+			if !sameBits(g[i], w[i]) {
+				t.Fatalf("seed %#x blocks %d+%d, α %g, β %g: %s[%d]: vector body %g (%#x), Go %g (%#x)",
+					seed, n1, n2, alpha, beta, what, i, g[i], math.Float64bits(g[i]), w[i], math.Float64bits(w[i]))
+			}
+		}
+	}
+	for v, what := range []string{"x", "y", "r", "ap", "z"} {
+		check(what, got.parts[0].vecs[v], want.parts[0].vecs[v])
+	}
+	check("⟨r, r⟩ partial", got.blockSums, want.blockSums)
+	check("⟨r, z⟩ partial", got.blockSums2, want.blockSums2)
+}
+
+func TestVectorCGTailMatchesGo(t *testing.T) {
+	if !vectorRows {
+		t.Skip("no vector body for the CG tail on this host")
+	}
+	// Every pair of block lengths 0–40, so each block ends on every n mod 4
+	// and the second starts at every offset, four seeds each.
+	for n1 := 0; n1 <= 40; n1++ {
+		for n2 := 0; n2 <= 40; n2++ {
+			for seed := range 4 {
+				assertVectorCGTailMatchesGo(t, uint64(seed<<16|n1<<8|n2), n1, n2)
 			}
 		}
 	}

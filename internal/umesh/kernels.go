@@ -9,8 +9,9 @@ import "repro/internal/cpufeat"
 // walked (window), so element loops carry no bounds checks beyond the neighbor
 // gathers; `make bce` pins the number of check sites this file reports.
 
-// vectorRows selects the packed rows' vector body (cpufeat.AVX2FMA, so never
-// off amd64); only tests clear it, to check or pin the Go spelling alone.
+// vectorRows selects the three vector bodies — the packed rows' sweep, the
+// fused CG tail and the direction update (cpufeat.AVX2FMA, so never off
+// amd64); only tests clear it, to check or pin the Go spellings alone.
 var vectorRows = cpufeat.AVX2FMA
 
 // window is v[lo:lo+n]. Every operand stream of a kernel loop is resliced
@@ -131,10 +132,14 @@ func (o *PartOperator) shardDot(shard, av, bv int) {
 	}
 }
 
-// shardXpby computes y = x + β·y (the CG search-direction update).
+// shardXpby computes y = x + β·y (the CG search-direction update). Its
+// whole groups of four go to the vector body where there is one
+// (xpbyVector); the loop is its Go spelling and does the rest.
 func (o *PartOperator) shardXpby(shard, yv, xv int, beta float64) {
 	op := o.parts[shard]
 	y, x := op.owned(yv), op.owned(xv)
+	k := xpbyVector(y, x, beta)
+	y, x = y[k:], x[k:]
 	for i := range y {
 		y[i] = x[i] + beta*y[i]
 	}
@@ -180,7 +185,10 @@ func (o *PartOperator) shardCGStep(shard, xv, pv, rv, apv int, alpha float64) {
 // preconditioner application z = M⁻¹·r and ⟨r, z⟩, all in one pass. The
 // per-element expressions and the per-block accumulation orders are exactly
 // those of shardCGStep followed by shardPreDot, so the fusion is invisible
-// bitwise.
+// bitwise. A block's whole groups of four go to the vector body where there
+// is one (cgTailVector), which adds each element's two products to the
+// partials in element order as this loop does; the loop is its Go spelling
+// and does the rest.
 func (o *PartOperator) shardCGStepPre(shard, xv, pv, rv, apv, zv int, alpha float64) {
 	op := o.parts[shard]
 	for blk := range op.blkLo {
@@ -188,7 +196,8 @@ func (o *PartOperator) shardCGStepPre(shard, xv, pv, rv, apv, zv int, alpha floa
 		x, p := window(op.vecs[xv], lo, n), window(op.vecs[pv], lo, n)
 		r, ap := window(op.vecs[rv], lo, n), window(op.vecs[apv], lo, n)
 		z, inv := window(op.vecs[zv], lo, n), window(op.invDiag, lo, n)
-		acc1, acc2 := 0.0, 0.0
+		k, acc1, acc2 := cgTailVector(x, p, r, ap, z, inv, alpha)
+		x, p, r, ap, z, inv = x[k:n], p[k:n], r[k:n], ap[k:n], z[k:n], inv[k:n]
 		for i := range x {
 			x[i] += alpha * p[i]
 			ri := r[i] - alpha*ap[i]

@@ -309,7 +309,8 @@ type rowSeg struct {
 
 // opPart is the operator's per-part working set: the resident Krylov
 // vectors in the part's compact local layout, the resident inverse diagonal,
-// and the row store. Everything is O(owned+halo) per vector.
+// and the row store. Everything is O(owned+halo) per vector; the vectors,
+// invDiag and accum share one slab, their starts staggered (stripe).
 type opPart struct {
 	// vecs holds the resident vectors, each owned cells first then halo
 	// blocks. Only Apply maintains halo entries (for its input vector); all
@@ -437,10 +438,8 @@ func NewPartOperator(l *Layout, sys *USystem) (*PartOperator, error) {
 	o.baseBarriers, o.baseDispatches = l.pool.Counters()
 	o.parts = make([]*opPart, len(l.parts))
 	for me, ps := range l.parts {
-		op := &opPart{
-			invDiag: make([]float64, ps.nOwned),
-			accum:   make([]float64, ps.nOwned),
-		}
+		op := &opPart{}
+		op.stripe(0, ps)
 		for i := range op.accum {
 			op.accum[i] = sys.Accum[ps.globalOf[i]]
 		}
@@ -588,10 +587,41 @@ func (o *PartOperator) sendHalo(shard, xv int) {
 // vector pool to n vectors. Growing allocates; re-reserving does not.
 func (o *PartOperator) Reserve(n int) {
 	for me, op := range o.parts {
-		for len(op.vecs) < n {
-			op.vecs = append(op.vecs, make([]float64, len(o.l.parts[me].globalOf)))
+		if len(op.vecs) < n {
+			op.stripe(n, o.l.parts[me])
 		}
 	}
+}
+
+// streamSkew is how far, in words mod 512 (4 KiB), each of a part's resident
+// streams starts from the one before it: 576 B, nine cache lines, an odd
+// number, so up to 64 streams start at distinct offsets mod 4 KiB, at least
+// 64 B apart.
+const streamSkew = 72
+
+// stripe lays the part's resident streams out in one new slab, contents kept:
+// accum, invDiag, then n vectors (new ones zero), each streamSkew words mod
+// 512 past the start of the one before. A Jacobi iteration walks all of them
+// in lockstep; laid out apart, as a 32 KiB vector of Go's size classes would
+// be, each would start at 0 mod 4 KiB, and their loads and stores would alias
+// in the memory system's 4 KiB address comparisons and share cache sets.
+func (op *opPart) stripe(n int, ps *partLayout) {
+	size := len(ps.globalOf)
+	stride := size + (streamSkew-size%512+512)%512
+	slab := make([]float64, (n+2)*stride)
+	next := func(old []float64, length int) []float64 {
+		s := slab[:length:length]
+		copy(s, old)
+		slab = slab[stride:]
+		return s
+	}
+	op.accum, op.invDiag = next(op.accum, ps.nOwned), next(op.invDiag, ps.nOwned)
+	vecs := make([][]float64, n)
+	copy(vecs, op.vecs)
+	for v := range vecs {
+		vecs[v] = next(vecs[v], size)
+	}
+	op.vecs = vecs
 }
 
 // Load2 scatters two global vectors into resident vectors in one phase — the

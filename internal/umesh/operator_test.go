@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/mesh"
 	"repro/internal/physics"
@@ -218,6 +219,61 @@ func TestPartOperatorApplyAllocFree(t *testing.T) {
 	apply() // warm-up
 	if allocs := testing.AllocsPerRun(50, apply); allocs != 0 {
 		t.Errorf("steady-state application allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// TestResidentStreamsAreStaggered holds the resident layout (stripe) on the
+// benchmark's mesh at 4 parts: every stream of a part that a Jacobi iteration
+// walks — the reserved vectors, the inverse diagonal and the accumulation —
+// starts at its own offset mod 4 KiB, at least 64 B from every other's,
+// before and after Reserve grows the pool to CG's six vectors. Growing keeps
+// every stream's contents and zeroes the new vectors; re-reserving allocates
+// nothing.
+func TestResidentStreamsAreStaggered(t *testing.T) {
+	po, closeOp := residentFixtureOn(t, benchRadial(t), 2, 1)
+	defer closeOp()
+	if err := po.SetPrecond(solver.PrecondJacobi); err != nil {
+		t.Fatal(err)
+	}
+	n := po.Size()
+	po.Load2(0, probeVector(n, 1), 1, probeVector(n, 2))
+	streamsOf := func(op *opPart) [][]float64 { return append([][]float64{op.accum, op.invDiag}, op.vecs...) }
+	staggered := func(when string) {
+		for me, op := range po.parts {
+			streams := streamsOf(op)
+			for i, a := range streams {
+				for _, b := range streams[:i] {
+					d := (uintptr(unsafe.Pointer(unsafe.SliceData(a))) - uintptr(unsafe.Pointer(unsafe.SliceData(b)))) % 4096
+					if d < 64 || d > 4096-64 {
+						t.Errorf("%s: part %d: stream %d starts %d B mod 4 KiB from an earlier one", when, me, i, d)
+					}
+				}
+			}
+		}
+	}
+	staggered("2 vectors")
+	var want [][][]float64 // each part's streams as they are, then four new zero vectors
+	for _, op := range po.parts {
+		var kept [][]float64
+		for _, s := range streamsOf(op) {
+			kept = append(kept, slices.Clone(s))
+		}
+		for len(kept) < 2+6 {
+			kept = append(kept, make([]float64, len(op.vecs[0])))
+		}
+		want = append(want, kept)
+	}
+	po.Reserve(6)
+	staggered("6 vectors")
+	for me, op := range po.parts {
+		for i, s := range streamsOf(op) {
+			if !slices.Equal(s, want[me][i]) {
+				t.Fatalf("part %d: stream %d changed when Reserve grew the pool", me, i)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { po.Reserve(6) }); allocs != 0 {
+		t.Errorf("re-reserving allocates %.1f objects, want 0", allocs)
 	}
 }
 
@@ -507,11 +563,11 @@ func BenchmarkPartOperatorHostApply(b *testing.B) {
 
 // BenchmarkUsolveJacobiStage times each step of one Jacobi-CG iteration on
 // the 15360-cell benchmark mesh at 4 parts — the halo push, the row sweep
-// with its fused inner product (apply; apply-go is the same sweep on the Go
-// loop alone, the whole path off amd64), the set-up dot, the fused CG tail
-// and the direction update — the shard kernels called part by part on the
-// benchmark goroutine, no pool: the per-stage sizing of a Jacobi iteration
-// (docs/benchmarks.md) without a scratch harness.
+// with its fused inner product (apply), the set-up dot, the fused CG tail
+// (cgstep) and the direction update (xpby); each -go case is the same kernel
+// on its Go loop alone, the whole path off amd64 — the shard kernels called
+// part by part on the benchmark goroutine, no pool: the per-stage sizing of a
+// Jacobi iteration (docs/benchmarks.md) without a scratch harness.
 func BenchmarkUsolveJacobiStage(b *testing.B) {
 	po, closeOp := residentFixtureOn(b, benchRadial(b), 2, 1)
 	defer closeOp()
@@ -525,14 +581,16 @@ func BenchmarkUsolveJacobiStage(b *testing.B) {
 	for _, st := range []struct {
 		name   string
 		run    func(shard int)
-		goOnly bool // sweep with the Go loop alone, as off amd64
+		goOnly bool // the Go loops alone, as off amd64
 	}{
 		{"push", func(s int) { po.sendHalo(s, 0) }, false},
 		{"apply", func(s int) { po.applyRows(s, 0, 4, 1, true, false) }, false},
 		{"apply-go", func(s int) { po.applyRows(s, 0, 4, 1, true, false) }, true},
 		{"dot", func(s int) { po.shardDot(s, 0, 1) }, false},
 		{"cgstep", func(s int) { po.shardCGStepPre(s, 2, 0, 1, 4, 3, 1e-3) }, false},
+		{"cgstep-go", func(s int) { po.shardCGStepPre(s, 2, 0, 1, 4, 3, 1e-3) }, true},
 		{"xpby", func(s int) { po.shardXpby(s, 0, 3, 0.5) }, false},
+		{"xpby-go", func(s int) { po.shardXpby(s, 0, 3, 0.5) }, true},
 	} {
 		b.Run(st.name, func(b *testing.B) {
 			if st.goOnly {

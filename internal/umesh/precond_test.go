@@ -194,9 +194,10 @@ func assertRecordedLadder(t *testing.T, levels *int) {
 
 // TestGoSweepHoldsTheGoldens runs the pinned ladder — on 4 parts, since the
 // recorded counts are solved serially and never sweep a row store — and the
-// transient golden once more with the packed rows' vector body switched off,
-// so the Go spelling, which is all arm64 runs, stays pinned on a host that
-// has the vector body.
+// transient golden once more with the vector bodies switched off through
+// their one switch, so all three Go spellings (the packed rows' sweep, the
+// fused CG tail and the direction update), which are all arm64 runs, stay
+// pinned on a host that has the vector bodies.
 func TestGoSweepHoldsTheGoldens(t *testing.T) {
 	defer func(v bool) { vectorRows = v }(vectorRows)
 	vectorRows = false

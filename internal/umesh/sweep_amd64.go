@@ -7,6 +7,17 @@ package umesh
 //go:noescape
 func quadBlocksAVX2(q []quadBlock, x, xc, accum, d, w []float64, acc float64) float64
 
+// cgTailAVX2 is shardCGStepPre's loop over the len(x)/4 whole groups of four
+// of a block, returning the block's partials of ⟨r, r⟩ and ⟨r, z⟩ so far.
+//
+//go:noescape
+func cgTailAVX2(x, p, r, ap, z, inv []float64, alpha float64) (rr, rz float64)
+
+// xpbyAVX2 is shardXpby's loop over the len(y)/4 whole groups of four.
+//
+//go:noescape
+func xpbyAVX2(y, x []float64, beta float64)
+
 // quadVector runs the vector body over the whole blocks of a packed run of
 // len(xs) rows and returns how many rows it did, with the fused dot's
 // partial — 0 rows where the host has no vector body; sweep's loop does the
@@ -16,4 +27,23 @@ func quadVector(quad []quadBlock, x, xs, accum, d, ws []float64, acc float64) (i
 		return 0, acc
 	}
 	return len(xs) &^ 3, quadBlocksAVX2(quad, x, xs, accum, d, ws, acc)
+}
+
+// cgTailVector and xpbyVector run the CG tail's vector bodies over the whole
+// groups of four of their windows and return how many elements they did (with
+// the block's two partials); the kernels' Go loops do the rest.
+func cgTailVector(x, p, r, ap, z, inv []float64, alpha float64) (int, float64, float64) {
+	if !vectorRows {
+		return 0, 0, 0
+	}
+	rr, rz := cgTailAVX2(x, p, r, ap, z, inv, alpha)
+	return len(x) &^ 3, rr, rz
+}
+
+func xpbyVector(y, x []float64, beta float64) int {
+	if !vectorRows {
+		return 0
+	}
+	xpbyAVX2(y, x, beta)
+	return len(y) &^ 3
 }

@@ -35,6 +35,7 @@ TEXT ·quadBlocksAVX2(SB), NOSPLIT, $0-160
 	XORQ   SI, SI
 	TESTQ  CX, CX
 	JZ     done
+	PCALIGN $64
 
 block:
 	VMOVUPD (R9)(SI*1), Y0

@@ -2,8 +2,15 @@
 
 package umesh
 
-// quadVector is the packed rows' vector body, which only amd64 has: here
-// sweep's loop does every row.
+// The vector bodies are amd64's alone: here the Go loops do every row and
+// every element.
+
 func quadVector(quad []quadBlock, x, xs, accum, d, ws []float64, acc float64) (int, float64) {
 	return 0, acc
 }
+
+func cgTailVector(x, p, r, ap, z, inv []float64, alpha float64) (int, float64, float64) {
+	return 0, 0, 0
+}
+
+func xpbyVector(y, x []float64, beta float64) int { return 0 }
