@@ -18,6 +18,15 @@ package repro_test
 // included) or which a non-test file of this tree calls. A live name the
 // gate reports is called from outside this tree (the facade) and belongs
 // on the allowlist with its reason.
+//
+// The same type-check drives the field rule. Every untagged, named struct
+// field of a non-main package, blank padding aside, must be read by a
+// non-test file. A write is not a read: the selector on an assignment's left
+// side or of an ++ / -- statement, and a composite literal's key; every
+// other use is. A field only written is bookkeeping no program looks at — a
+// test that wants the count keeps it itself. And every func-typed field must
+// be set by a non-test file: one that only tests set is a test seam, which
+// stays only on seamAllowlist, with the name of the test that sets it.
 
 import (
 	"bufio"
@@ -40,8 +49,9 @@ import (
 	"testing/fstest"
 )
 
-// exportAllowlist names the declarations that may lack a non-test user,
-// keyed as the gate reports them (package.Name or package.Recv.Name).
+// exportAllowlist names the declarations that may lack a non-test user and
+// the fields that may lack a non-test reader, keyed as the gate reports them
+// (package.Name, package.Recv.Name or package.Type.Field).
 var exportAllowlist = map[string]string{
 	// The massivefv facade is the module's public API: its callers are
 	// other modules, not this tree.
@@ -67,12 +77,6 @@ var exportAllowlist = map[string]string{
 	"massivefv.RunTransient":       "public facade",
 	"massivefv.Well":               "public facade",
 
-	// faultinject is test support: only tests import it.
-	"faultinject.Plan.Hook":      "test-support package",
-	"faultinject.Plan.Scheduled": "test-support package",
-	"faultinject.RandomPlan":     "test-support package",
-	"faultinject.Plan.Counts":    "test-support package",
-
 	// errors.Is and errors.As call Unwrap through an interface the standard
 	// library declares inside their bodies, where the gate cannot see it;
 	// serve dispatches on the wrapped solver sentinels.
@@ -81,6 +85,19 @@ var exportAllowlist = map[string]string{
 	// The cell-based oracle both umesh's and massivefv's tests compare
 	// against; a _test.go file cannot be shared across packages.
 	"umesh.RunCellBasedApps": "oracle shared by the umesh and massivefv tests",
+
+	// Fields read where the gate cannot see it.
+	"serve.memoKey.payload": "half of a map key: the memo's map lookups compare it",
+	"wave.Result.U":         "the wavefield the public facade's SimulateWave returns, drawn by ExampleSimulateWave",
+}
+
+// seamAllowlist names the func-typed fields no non-test file sets, keyed
+// package.Type.Field. Each is a test seam, and its reason names the test
+// that sets it: "test seam: TestName".
+var seamAllowlist = map[string]string{
+	"loadgen.Driver.now":      "test seam: TestDriverRun",
+	"loadgen.Driver.sleep":    "test seam: TestDriverRun",
+	"serve.Options.solveHook": "test seam: TestChaos",
 }
 
 // stdImporter reads the standard library's export data; one is shared by
@@ -345,13 +362,111 @@ func (t *sourceTree) calledInterfaces(used map[types.Object]bool) map[string][]*
 	return called
 }
 
-// unreferencedExports returns the keys of the exported declarations in fsys
-// that no non-test file uses, sorted.
-func unreferencedExports(fsys fs.FS) ([]string, error) {
+// fields returns the key of every untagged, named struct field declared in
+// a type of a non-main package, nested anonymous structs included, except
+// blank padding.
+func (t *sourceTree) fields() map[types.Object]string {
+	keys := map[types.Object]string{}
+	var walk func(prefix string, st *ast.StructType)
+	walk = func(prefix string, st *ast.StructType) {
+		for _, f := range st.Fields.List {
+			for _, id := range f.Names {
+				if f.Tag == nil && id.Name != "_" {
+					keys[t.info.Defs[id]] = prefix + id.Name
+				}
+				if inner, ok := f.Type.(*ast.StructType); ok {
+					walk(prefix+id.Name+".", inner)
+				}
+			}
+		}
+	}
+	for _, files := range t.files {
+		for _, f := range files {
+			if f.Name.Name == "main" {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if s, ok := n.(*ast.TypeSpec); ok {
+					if st, ok := s.Type.(*ast.StructType); ok {
+						walk(f.Name.Name+"."+s.Name.Name+".", st)
+					}
+				}
+				return true
+			})
+		}
+	}
+	return keys
+}
+
+// writes returns the identifiers that name a field being written: the
+// selector on an assignment's left side or of an ++ / -- statement, and a
+// composite literal's key.
+func (t *sourceTree) writes() map[*ast.Ident]bool {
+	out := map[*ast.Ident]bool{}
+	lhs := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			out[sel.Sel] = true
+		}
+	}
+	for _, files := range t.files {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch s := n.(type) {
+				case *ast.AssignStmt:
+					for _, e := range s.Lhs {
+						lhs(e)
+					}
+				case *ast.IncDecStmt:
+					lhs(s.X)
+				case *ast.KeyValueExpr:
+					if id, ok := s.Key.(*ast.Ident); ok {
+						if v, ok := t.info.Uses[id].(*types.Var); ok && v.IsField() {
+							out[id] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return out
+}
+
+// deadNames loads the tree in fsys and returns, sorted, the keys of what
+// no non-test file needs: every exported declaration it does not use and
+// every field it does not read (unused), and every func-typed field it does
+// not set (unset) — a seam only tests fill.
+func deadNames(fsys fs.FS) (unused, unset []string, err error) {
 	t, err := loadTree(fsys)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	unused = t.unreferencedExports()
+	fields, writes := t.fields(), t.writes()
+	read, set := map[types.Object]bool{}, map[types.Object]bool{}
+	for id, obj := range t.info.Uses {
+		if writes[id] {
+			set[origin(obj)] = true
+		} else {
+			read[origin(obj)] = true
+		}
+	}
+	for obj, key := range fields {
+		if !read[obj] {
+			unused = append(unused, key)
+		}
+		if _, ok := obj.Type().Underlying().(*types.Signature); ok && !set[obj] {
+			unset = append(unset, key)
+		}
+	}
+	slices.Sort(unused)
+	slices.Sort(unset)
+	return unused, unset, nil
+}
+
+// unreferencedExports returns the keys of the exported declarations that
+// no non-test file uses.
+func (t *sourceTree) unreferencedExports() []string {
 	decls, inReceiver := t.declarations()
 	used := map[types.Object]bool{}
 	for id, obj := range t.info.Uses {
@@ -381,41 +496,80 @@ func unreferencedExports(fsys fs.FS) ([]string, error) {
 		}
 		out = append(out, exportKey(obj))
 	}
-	slices.Sort(out)
-	return out, nil
+	return out
 }
 
 func TestEveryExportHasANonTestCaller(t *testing.T) {
 	if _, err := os.Stat("go.mod"); err != nil {
 		t.Fatalf("run from the module root: %v", err)
 	}
-	unref, err := unreferencedExports(os.DirFS("."))
+	fsys := os.DirFS(".")
+	unused, unset, err := deadNames(fsys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flagged := map[string]bool{}
-	for _, key := range unref {
-		flagged[key] = true
-		if _, ok := exportAllowlist[key]; ok {
-			continue
+	gate := func(keys []string, allow map[string]string, fix string) {
+		flagged := map[string]bool{}
+		for _, key := range keys {
+			flagged[key] = true
+			if _, ok := allow[key]; !ok {
+				t.Errorf("%s %s", key, fix)
+			}
 		}
-		t.Errorf("%s has no user outside test files: delete it, move it into the tests that use it, or give it a caller", key)
+		for key, reason := range allow {
+			if reason == "" {
+				t.Errorf("allowlist entry %s gives no reason", key)
+			}
+			if !flagged[key] {
+				t.Errorf("allowlist entry %s is stale: the name no longer exists or a non-test file now needs it", key)
+			}
+		}
 	}
-	for key, reason := range exportAllowlist {
-		if reason == "" {
-			t.Errorf("allowlist entry %s gives no reason", key)
-		}
-		if !flagged[key] {
-			t.Errorf("allowlist entry %s is stale: the name no longer exists or now has a non-test user", key)
+	gate(unused, exportAllowlist, "has no reader outside test files: delete it, move it into the tests that use it, or give it a reader")
+	gate(unset, seamAllowlist, "is a func field no non-test file sets: a test seam, which needs a seamAllowlist reason naming its test")
+	tests := testNames(t, fsys)
+	for key, reason := range seamAllowlist {
+		if name, ok := strings.CutPrefix(reason, "test seam: "); !ok || !tests[name] {
+			t.Errorf("seamAllowlist entry %s: reason %q does not read \"test seam: <an existing Test function>\"", key, reason)
 		}
 	}
 }
 
+// testNames returns the name of every Test function in the _test.go files
+// of fsys.
+func testNames(t *testing.T, fsys fs.FS) map[string]bool {
+	names := map[string]bool{}
+	err := fs.WalkDir(fsys, ".", func(p string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && skipDir(p):
+			return fs.SkipDir
+		case !strings.HasSuffix(p, "_test.go"):
+			return nil
+		}
+		src, err := fs.ReadFile(fsys, p)
+		for _, line := range strings.Split(string(src), "\n") {
+			if rest, ok := strings.CutPrefix(line, "func Test"); ok {
+				if name, _, ok := strings.Cut(rest, "("); ok {
+					names["Test"+name] = true
+				}
+			}
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
 func TestUnreferencedExportsReportsOnlyTheDeadName(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		fixture fstest.MapFS
-		want    []string
+		name      string
+		fixture   fstest.MapFS
+		want      []string
+		wantUnset []string
 	}{{
 		name: "test-only caller",
 		fixture: fstest.MapFS{
@@ -458,7 +612,7 @@ type Mesh struct{ n int }
 
 func New() *Mesh { return &Mesh{n: 1} }
 
-func (m *Mesh) Jitter() { m.n++ }
+func (m *Mesh) Jitter() int { m.n++; return m.n }
 `)},
 			"load/load.go": {Data: []byte(`package load
 
@@ -544,6 +698,74 @@ func main() { _ = kern.Sweep() }
 `)},
 		},
 	}, {
+		// Misses is only incremented and Total only set by a key; Label
+		// is tagged (encoding/json reads it) and _ is padding.
+		name: "field no program reads",
+		fixture: fstest.MapFS{
+			"stats/stats.go": {Data: []byte(`package stats
+
+type Counter struct {
+	Hits, Misses int
+	Total        int
+	Label        string ` + "`json:\"label\"`" + `
+	_            [8]byte
+}
+
+func New() *Counter { return &Counter{Total: 1} }
+
+func (c *Counter) Hit() { c.Hits++; c.Misses++ }
+
+func (c *Counter) Rate() int { return c.Hits }
+`)},
+			"stats/stats_test.go": {Data: []byte(`package stats
+
+import "testing"
+
+func TestMisses(t *testing.T) { _ = New().Misses }
+`)},
+			"cmd/tool/main.go": {Data: []byte(`package main
+
+import "fixture/stats"
+
+func main() { c := stats.New(); c.Label = "x"; c.Hit(); _ = c.Rate() }
+`)},
+		},
+		want: []string{"stats.Counter.Misses", "stats.Counter.Total"},
+	}, {
+		// step is set by the command; hook only by a test.
+		name: "func field only a test sets",
+		fixture: fstest.MapFS{
+			"run/run.go": {Data: []byte(`package run
+
+type Runner struct {
+	step func() int
+	hook func()
+}
+
+func New(step func() int) *Runner { return &Runner{step: step} }
+
+func (r *Runner) Go() int {
+	if r.hook != nil {
+		r.hook()
+	}
+	return r.step()
+}
+`)},
+			"run/run_test.go": {Data: []byte(`package run
+
+import "testing"
+
+func TestHook(t *testing.T) { r := New(nil); r.hook = func() {} }
+`)},
+			"cmd/tool/main.go": {Data: []byte(`package main
+
+import "fixture/run"
+
+func main() { _ = run.New(func() int { return 1 }).Go() }
+`)},
+		},
+		wantUnset: []string{"run.Runner.hook"},
+	}, {
 		// The nested benchmark module is a caller.
 		name: "benchmark caller",
 		fixture: fstest.MapFS{
@@ -562,12 +784,12 @@ func main() { _ = lib.Measured() }
 	}} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.fixture["go.mod"] = &fstest.MapFile{Data: []byte("module fixture\n")}
-			got, err := unreferencedExports(tc.fixture)
+			unused, unset, err := deadNames(tc.fixture)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(got, tc.want) {
-				t.Fatalf("unreferencedExports = %q, want %q", got, tc.want)
+			if !slices.Equal(unused, tc.want) || !slices.Equal(unset, tc.wantUnset) {
+				t.Fatalf("deadNames = %q, %q, want %q, %q", unused, unset, tc.want, tc.wantUnset)
 			}
 		})
 	}

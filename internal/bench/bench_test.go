@@ -161,6 +161,10 @@ func TestTable4ExactCounts(t *testing.T) {
 		t.Errorf("totals %g/%g/%g, want 406/16/140",
 			t4.MeasuredMemAccesses, t4.MeasuredFabric, t4.MeasuredFlops)
 	}
+	if t4.PaperMemAccesses != 406 || t4.PaperFabricLoads != 16 || t4.PaperFlopsPerCell != 140 {
+		t.Errorf("paper totals summed over the rows %g/%g/%g, want 406/16/140",
+			t4.PaperMemAccesses, t4.PaperFabricLoads, t4.PaperFlopsPerCell)
+	}
 	if _, err := t4.MeasuredCount("FDIV"); err == nil {
 		t.Error("unknown op accepted")
 	}

@@ -73,7 +73,6 @@ type Table2Row struct {
 
 // Table2 reproduces the weak-scaling experiment.
 type Table2 struct {
-	Meas *Measurement
 	Rows []Table2Row
 }
 
@@ -87,7 +86,7 @@ func RunTable2(cfg Config) (*Table2, error) {
 }
 
 func table2From(meas *Measurement) (*Table2, error) {
-	t := &Table2{Meas: meas}
+	t := &Table2{}
 	for _, pr := range PaperTable2 {
 		cs2, err := perfmodel.DefaultCS2().Project(wse.CS2(),
 			meas.cs2InputsAt(pr.Nx, pr.Ny, pr.Nz, PaperScale.Apps))
@@ -113,8 +112,6 @@ func table2From(meas *Measurement) (*Table2, error) {
 // functional comm-only ablation run that checks the communication volume is
 // unchanged when the flux math is removed.
 type Table3 struct {
-	Meas *Measurement
-
 	Model         *perfmodel.CS2Report
 	CommOnlyModel *perfmodel.CS2Report
 
@@ -131,7 +128,7 @@ func RunTable3(cfg Config) (*Table3, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Table3{Meas: meas}
+	t := &Table3{}
 	d, apps := PaperScale.Dims, PaperScale.Apps
 	t.Model, err = perfmodel.DefaultCS2().Project(wse.CS2(), meas.cs2InputsAt(d.Nx, d.Ny, d.Nz, apps))
 	if err != nil {
@@ -163,10 +160,9 @@ func RunTable3(cfg Config) (*Table3, error) {
 
 // Table4 compares the measured per-interior-cell counts with the paper's.
 type Table4 struct {
-	Meas     *Measurement
 	Measured core.PerCell
 
-	// Derived totals, paper vs measured.
+	// Derived totals, paper (summed over PaperTable4's rows) vs measured.
 	PaperMemAccesses    float64
 	PaperFabricLoads    float64
 	PaperFlopsPerCell   float64
@@ -183,18 +179,20 @@ func RunTable4(cfg Config) (*Table4, error) {
 		return nil, err
 	}
 	pc := *meas.Dataflow.Interior
-	return &Table4{
-		Meas:                meas,
+	t := &Table4{
 		Measured:            pc,
-		PaperMemAccesses:    406,
-		PaperFabricLoads:    16,
-		PaperFlopsPerCell:   140,
 		MeasuredMemAccesses: pc.MemAccesses,
 		MeasuredFabric:      pc.FabricLoads,
 		MeasuredFlops:       pc.Flops,
 		AIMemory:            pc.AIMemory(),
 		AIFabric:            pc.AIFabric(),
-	}, nil
+	}
+	for _, row := range PaperTable4 {
+		t.PaperMemAccesses += row.Count * (row.LoadsPerOp + row.StoresPerOp)
+		t.PaperFabricLoads += row.Count * row.FabricPerOp
+		t.PaperFlopsPerCell += row.Count * row.FlopsPerOp
+	}
+	return t, nil
 }
 
 // MeasuredCount returns the measured per-cell count for a Table 4 op name.

@@ -237,13 +237,10 @@ func (e *Engine) Residual(dst []float32) error {
 
 // Close stops the engine's workers and hands each band's arena, whose first
 // memory is its first PE's, back to dsd (Release). The engine must not be
-// used afterwards; closing it again does nothing.
+// used afterwards; closing it again does nothing (Stop and Release are both
+// idempotent).
 func (e *Engine) Close() {
-	if e.pool == nil {
-		return
-	}
 	e.pool.Stop()
-	e.pool = nil
 	for _, b := range e.bands {
 		if s := &e.states[b.y0*e.dims.Nx]; s.eng != nil { // nil: Compile failed first
 			s.eng.Mem.Release()
@@ -269,5 +266,5 @@ func RunFlatParallel(m *mesh.Mesh, fl physics.Fluid, opts Options) (*Result, err
 	if err := e.Apply(e.opts.Apps); err != nil {
 		return nil, err
 	}
-	return summarize("flat", e.states, e.dims, e.opts, time.Since(start)), nil
+	return summarize(e.states, e.dims, e.opts, time.Since(start)), nil
 }

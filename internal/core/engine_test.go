@@ -59,7 +59,7 @@ func TestEngineReuseBitIdentical(t *testing.T) {
 					if err := e.Apply(k + 1); err != nil {
 						t.Fatal(err)
 					}
-					got := summarize("flat", e.states, e.dims, withApps(e.opts, k+1), 0)
+					got := summarize(e.states, e.dims, withApps(e.opts, k+1), 0)
 					for i := range fresh.Residual {
 						if math.Float32bits(got.Residual[i]) != math.Float32bits(fresh.Residual[i]) {
 							t.Fatalf("round %d: residual[%d] = %g, fresh run gives %g", k, i, got.Residual[i], fresh.Residual[i])
@@ -147,7 +147,7 @@ func TestEngineApplyRejectsNegativeCount(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "-3") {
 		t.Fatalf("Apply(-3) = %v, want an error naming -3", err)
 	}
-	if c := summarize("flat", e.states, e.dims, e.opts, 0).Counters; e.app != 0 || c != (dsd.Counters{}) {
+	if c := summarize(e.states, e.dims, e.opts, 0).Counters; e.app != 0 || c != (dsd.Counters{}) {
 		t.Fatalf("Apply(-3) ran: application %d, counters %+v", e.app, c)
 	}
 }
@@ -208,7 +208,7 @@ func TestFlatEngineReadsTheWire(t *testing.T) {
 						if err := e.Apply(opts.Apps); err != nil {
 							t.Fatal(err)
 						}
-						flat := summarize("flat", e.states, e.dims, e.opts, 0)
+						flat := summarize(e.states, e.dims, e.opts, 0)
 						for i, got := range flat.Residual {
 							want := fab.Residual[i]
 							if corner := i%(m.Dims.Nx*m.Dims.Ny) == 0; mirrors && corner {

@@ -57,7 +57,7 @@ func RunFabric(m *mesh.Mesh, fl physics.Fluid, opts Options) (*Result, error) {
 		return nil, err
 	}
 
-	res := summarize("fabric", states, m.Dims, opts, elapsed)
+	res := summarize(states, m.Dims, opts, elapsed)
 	tot := fab.Totals()
 	res.FabricTotals = &tot
 	if tot.DroppedAtStop != 0 {

@@ -78,8 +78,8 @@ func TestParallelMatchesFlatBitExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if serial.Engine != "flat" {
-				t.Errorf("runFlat engine = %q, want flat", serial.Engine)
+			if serial.FabricTotals != nil {
+				t.Error("runFlat reports wavelet traffic, want the flat engine")
 			}
 			for _, w := range workerCounts {
 				opts := serialOpts
@@ -119,8 +119,8 @@ func TestParallelMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertResidualsClose(t, res.Residual, ref, 2e-3)
-	if res.Engine != "flat" {
-		t.Errorf("engine = %q, want flat", res.Engine)
+	if res.FabricTotals != nil {
+		t.Error("RunFlatParallel reports wavelet traffic, want the flat engine")
 	}
 }
 

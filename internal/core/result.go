@@ -38,8 +38,6 @@ func (p PerCell) AIFabric() float64 {
 
 // Result is the output of a core engine run.
 type Result struct {
-	// Engine names the executing engine: "fabric" or "flat".
-	Engine string
 	// Dims echoes the mesh dimensions; Apps the application count.
 	Dims mesh.Dims
 	Apps int
@@ -113,9 +111,8 @@ func gatherResidual(states []peState, d mesh.Dims) []float32 {
 // in any engine-dependent completion order — so the accounting a Result
 // reports is identical no matter which goroutine, worker or shard finished
 // first.
-func summarize(engine string, states []peState, d mesh.Dims, opts Options, elapsed time.Duration) *Result {
+func summarize(states []peState, d mesh.Dims, opts Options, elapsed time.Duration) *Result {
 	res := &Result{
-		Engine:   engine,
 		Dims:     d,
 		Apps:     opts.Apps,
 		Residual: gatherResidual(states, d),

@@ -100,40 +100,58 @@ func runFlatPoisoned(t testing.TB, m *mesh.Mesh, fl physics.Fluid, opts Options)
 	if err := e.Apply(e.opts.Apps); err != nil {
 		t.Fatal(err)
 	}
-	return summarize("flat", e.states, e.dims, e.opts, 0)
+	return summarize(e.states, e.dims, e.opts, 0)
 }
 
-// TestCloseHandsEachSlabBackOnce: closing an engine twice hands its slab
-// back once, so of the two engines compiled next — both alive at once — the
-// first takes the closed engine's slab and the second a fresh one.
+// TestCloseHandsEachSlabBackOnce: closing an engine twice stops its pool
+// and hands its slab back once, so of the two engines compiled next — both
+// alive at once — the first takes the closed engine's slab and the second a
+// fresh one, and the first runs bit-identical to the fabric.
 func TestCloseHandsEachSlabBackOnce(t *testing.T) {
 	gcOff(t)
 	m := testMesh(t, mesh.Dims{Nx: 6, Ny: 4, Nz: 3})
 	fl := physics.DefaultFluid()
 	opts := DefaultOptions(1)
-	opts.Workers = 1
-	e, err := Compile(m, fl, opts)
+	fab, err := RunFabric(m, fl, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	closed := slabs(e)
-	e.Close()
-	e.Close()
-	a, err := Compile(m, fl, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := Compile(m, fl, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if !shares(a, closed) {
-		t.Fatal("the next engine did not take the closed engine's slab")
-	}
-	if shares(b, slabs(a)) {
-		t.Fatal("two live engines share a slab: a twice-closed engine's slab was handed out twice")
+	for _, workers := range []int{1, 2} {
+		opts.Workers = workers
+		e, err := Compile(m, fl, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		closed := slabs(e)
+		e.Close()
+		e.Close()
+		a, err := Compile(m, fl, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Compile(m, fl, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !shares(a, closed) {
+			t.Fatalf("workers=%d: the next engine did not take the closed engine's slab", workers)
+		}
+		if shares(b, slabs(a)) {
+			t.Fatalf("workers=%d: two live engines share a slab: a twice-closed engine's slab was handed out twice", workers)
+		}
+		if err := a.LoadPressure(m.Pressure); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Apply(opts.Apps); err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range summarize(a.states, a.dims, a.opts, 0).Residual {
+			if math.Float32bits(v) != math.Float32bits(fab.Residual[i]) {
+				t.Fatalf("workers=%d: residual[%d] = %g after a close twice and a recompile, fabric %g", workers, i, v, fab.Residual[i])
+			}
+		}
+		a.Close()
+		b.Close()
 	}
 }
 

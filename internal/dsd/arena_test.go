@@ -22,8 +22,8 @@ func TestNewArena(t *testing.T) {
 	// check it reads zero and dirty it.
 	for i := range mems {
 		m := &mems[i]
-		if m.Stats().CapacityWords != capacity {
-			t.Fatalf("memory %d capacity = %d, want %d", i, m.Stats().CapacityWords, capacity)
+		if m.capacity != capacity {
+			t.Fatalf("memory %d capacity = %d, want %d", i, m.capacity, capacity)
 		}
 		d, err := m.Alloc(capacity)
 		if err != nil {
@@ -61,8 +61,8 @@ func TestSizedArenaBacksOnlyTheFootprint(t *testing.T) {
 	}
 	for i := range mems {
 		m := &mems[i]
-		if m.Stats().CapacityWords != capacity {
-			t.Fatalf("memory %d reports capacity %d, want the budget %d", i, m.Stats().CapacityWords, capacity)
+		if m.capacity != capacity {
+			t.Fatalf("memory %d reports capacity %d, want the budget %d", i, m.capacity, capacity)
 		}
 		if len(m.words) != footprint {
 			t.Fatalf("memory %d backs %d words, want the footprint %d", i, len(m.words), footprint)

@@ -185,13 +185,12 @@ func (m *Memory) Alloc(n int) (Desc, error) {
 
 // Stats reports allocator behaviour for the memory-optimization ablation.
 type Stats struct {
-	CapacityWords  int
 	HighWaterWords int
 }
 
 // Stats returns the allocator statistics.
 func (m *Memory) Stats() Stats {
-	return Stats{CapacityWords: m.capacity, HighWaterWords: m.brk}
+	return Stats{HighWaterWords: m.brk}
 }
 
 // Load reads element i of descriptor d (host/debug access, uncounted).

@@ -148,9 +148,6 @@ func NewPool(workers, shards int) *Pool {
 	return p
 }
 
-// Workers returns the worker count (after clamping), orchestrator included.
-func (p *Pool) Workers() int { return p.workers }
-
 // Counters reports the pool's lifetime synchronization counts: barriers is
 // the number of barrier crossings (one per executed plan step; always 0 with
 // one worker, where plans run inline with no synchronization at all), and

@@ -277,7 +277,7 @@ func TestBroadcastUsesSwitchCommands(t *testing.T) {
 		t.Fatal(err)
 	}
 	tot := f.Totals()
-	if tot.Commands == 0 {
+	if f.sums().commands == 0 {
 		t.Error("no switch commands were applied — the Fig. 6 mechanism was bypassed")
 	}
 	if tot.DroppedAtStop != 0 {

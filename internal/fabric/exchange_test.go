@@ -115,12 +115,12 @@ func TestExchangeDeliversEveryNeighbor(t *testing.T) {
 						adjacencies += 4 * (w - 1) * (h - 1)
 					}
 					want := uint64(rounds * width * adjacencies)
-					tot := f.Totals()
-					if tot.DeliveredToPE != want || tot.SentFromRamp != want {
-						t.Errorf("delivered %d, sent %d, want %d each", tot.DeliveredToPE, tot.SentFromRamp, want)
+					tot, sums := f.Totals(), f.sums()
+					if tot.DeliveredToPE != want || sums.sent != want {
+						t.Errorf("delivered %d, sent %d, want %d each", tot.DeliveredToPE, sums.sent, want)
 					}
-					if tot.Forwarded != 0 || tot.DroppedAtStop != 0 {
-						t.Errorf("router-level forwards %d, dropped %d, want 0 (relays are worker-level)", tot.Forwarded, tot.DroppedAtStop)
+					if sums.forwarded != 0 || tot.DroppedAtStop != 0 {
+						t.Errorf("router-level forwards %d, dropped %d, want 0 (relays are worker-level)", sums.forwarded, tot.DroppedAtStop)
 					}
 				})
 			}

@@ -140,7 +140,6 @@ func (pe *PE) unpark(k waitKind) {
 
 // Fabric is the W×H mesh of PEs.
 type Fabric struct {
-	cfg Config
 	pes []*PE
 
 	// mu serializes routing, the inboxes, the barrier and the counts below.
@@ -163,8 +162,7 @@ func New(cfg Config) (*Fabric, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	f := &Fabric{cfg: cfg}
-	f.pes = make([]*PE, cfg.Width*cfg.Height)
+	f := &Fabric{pes: make([]*PE, cfg.Width*cfg.Height)}
 	// One contiguous arena for every PE memory, so the fabric's working set
 	// is one allocation instead of W·H.
 	mems, err := dsd.NewArena(cfg.Width*cfg.Height, cfg.MemWords)
@@ -261,19 +259,16 @@ func (f *Fabric) Run(program func(pe *PE) error) error {
 	return errors.Join(all...)
 }
 
-// TotalCounters sums router counters across the fabric.
+// TotalCounters sums the router counters a run reports across the fabric.
 type TotalCounters struct {
-	SentFromRamp, DeliveredToPE, Forwarded, Commands, DroppedAtStop uint64
+	DeliveredToPE, DroppedAtStop uint64
 }
 
-// Totals aggregates all router counters (call after Run).
+// Totals aggregates the reported router counters (call after Run).
 func (f *Fabric) Totals() TotalCounters {
 	var t TotalCounters
 	for _, pe := range f.pes {
-		t.SentFromRamp += pe.rt.C.SentFromRamp.Load()
 		t.DeliveredToPE += pe.rt.C.DeliveredToPE.Load()
-		t.Forwarded += pe.rt.C.Forwarded.Load()
-		t.Commands += pe.rt.C.Commands.Load()
 		t.DroppedAtStop += pe.rt.C.DroppedAtStop.Load()
 	}
 	return t

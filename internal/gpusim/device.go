@@ -26,12 +26,10 @@ func (d Dim3) valid() bool { return d.X > 0 && d.Y > 0 && d.Z > 0 }
 // DeviceSpec captures the hardware characteristics the experiments need.
 type DeviceSpec struct {
 	Name               string
-	SMs                int     // streaming multiprocessors
 	WarpSize           int     // threads per warp
 	MaxThreadsPerBlock int     // CUDA limit (1024, §6)
 	MaxWarpsPerSM      int     // architectural warp slots per SM
 	ResidentBlocksWave int     // blocks resident per SM for this kernel's register budget
-	ClockHz            float64 // boost clock
 	PeakFP32           float64 // FLOP/s
 	MemBytes           int64   // device memory (40 GB, §7.1)
 	// ERTBandwidth is the streaming bandwidth an Empirical-Roofline-Toolkit
@@ -46,12 +44,10 @@ type DeviceSpec struct {
 func A100() DeviceSpec {
 	return DeviceSpec{
 		Name:               "NVIDIA A100-40GB",
-		SMs:                108,
 		WarpSize:           32,
 		MaxThreadsPerBlock: 1024,
 		MaxWarpsPerSM:      64,
 		ResidentBlocksWave: 1, // 1024-thread blocks with this register budget
-		ClockHz:            1.41e9,
 		PeakFP32:           19.5e12,
 		MemBytes:           40 * units.GiB,
 		ERTBandwidth:       1.891e12,
@@ -75,9 +71,6 @@ type Device struct {
 	Spec DeviceSpec
 
 	allocated int64
-
-	HostToDeviceBytes uint64
-	DeviceToHostBytes uint64
 }
 
 // NewDevice creates a device with empty memory.
@@ -103,7 +96,6 @@ func (d *Device) CopyToDevice(dst *Buffer, src []float32) error {
 		return fmt.Errorf("gpusim: H2D copy to %q: %d words into %d", dst.name, len(src), len(dst.data))
 	}
 	copy(dst.data, src)
-	d.HostToDeviceBytes += uint64(4 * len(src))
 	return nil
 }
 
@@ -111,7 +103,6 @@ func (d *Device) CopyToDevice(dst *Buffer, src []float32) error {
 func (d *Device) CopyToHost(src *Buffer) []float32 {
 	out := make([]float32, len(src.data))
 	copy(out, src.data)
-	d.DeviceToHostBytes += uint64(4 * len(out))
 	return out
 }
 
@@ -146,10 +137,9 @@ func (k *KernelStats) Add(o *KernelStats) {
 // warp-efficiency factor accounting for launch/drain overheads (paper: 30.79
 // of 32 warps, 48.11 % of the 50 % theoretical bound).
 type Occupancy struct {
-	TheoreticalWarpsPerSM float64
-	AchievedWarpsPerSM    float64
-	TheoreticalFraction   float64
-	AchievedFraction      float64
+	AchievedWarpsPerSM  float64
+	TheoreticalFraction float64
+	AchievedFraction    float64
 }
 
 // warpEfficiency is the calibrated active-warp fraction (30.79/32).
@@ -160,9 +150,8 @@ func (d *Device) OccupancyFor(block Dim3) Occupancy {
 	warpsPerBlock := float64(block.Count()) / float64(d.Spec.WarpSize)
 	theoWarps := warpsPerBlock * float64(d.Spec.ResidentBlocksWave)
 	occ := Occupancy{
-		TheoreticalWarpsPerSM: theoWarps,
-		AchievedWarpsPerSM:    theoWarps * warpEfficiency,
-		TheoreticalFraction:   theoWarps / float64(d.Spec.MaxWarpsPerSM),
+		AchievedWarpsPerSM:  theoWarps * warpEfficiency,
+		TheoreticalFraction: theoWarps / float64(d.Spec.MaxWarpsPerSM),
 	}
 	occ.AchievedFraction = occ.TheoreticalFraction * warpEfficiency
 	return occ
@@ -175,7 +164,6 @@ type ThreadCtx struct {
 	BlockIdx  Dim3
 	ThreadIdx Dim3
 	BlockDim  Dim3
-	GridDim   Dim3
 
 	active bool
 	c      *KernelStats // per-worker, merged at the end
@@ -256,7 +244,7 @@ func (d *Device) Launch(grid, block Dim3, kernel Kernel) (*KernelStats, error) {
 		go func(w int) {
 			defer wg.Done()
 			local := &perWorker[w]
-			tc := ThreadCtx{BlockDim: block, GridDim: grid, c: local}
+			tc := ThreadCtx{BlockDim: block, c: local}
 			for b := w; b < nBlocks; b += workers {
 				bz := b / (grid.X * grid.Y)
 				by := (b / grid.X) % grid.Y

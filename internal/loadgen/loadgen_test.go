@@ -179,8 +179,8 @@ func TestDriverRun(t *testing.T) {
 	var mu sync.Mutex
 	posts := 0
 	d := Driver{
-		Now:   clock.Now,
-		Sleep: func(time.Duration) {},
+		now:   clock.Now,
+		sleep: func(time.Duration) {},
 		Post: func(it Item) PostResult {
 			mu.Lock()
 			posts++
@@ -236,7 +236,7 @@ func TestDriverRunErrors(t *testing.T) {
 	calls := 0
 	var mu sync.Mutex
 	d := Driver{
-		Sleep: func(time.Duration) {},
+		sleep: func(time.Duration) {},
 		Post: func(Item) PostResult {
 			mu.Lock()
 			defer mu.Unlock()

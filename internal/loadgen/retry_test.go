@@ -96,8 +96,8 @@ func TestDriverRetriesHonorRetryAfter(t *testing.T) {
 	posts := 0
 	var waits []time.Duration
 	d := Driver{
-		Now: clock.Now,
-		Sleep: func(dur time.Duration) {
+		now: clock.Now,
+		sleep: func(dur time.Duration) {
 			mu.Lock()
 			waits = append(waits, dur)
 			mu.Unlock()
@@ -160,8 +160,8 @@ func TestDriverBackoffDeterministic(t *testing.T) {
 		var mu sync.Mutex
 		var waits []time.Duration
 		d := Driver{
-			Now: clock.Now,
-			Sleep: func(dur time.Duration) {
+			now: clock.Now,
+			sleep: func(dur time.Duration) {
 				mu.Lock()
 				waits = append(waits, dur)
 				mu.Unlock()

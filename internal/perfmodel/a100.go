@@ -67,12 +67,9 @@ func FromKernelStats(st *gpusim.KernelStats, cells, apps int, v Variant) A100Inp
 // A100Report is the projected GPU behaviour.
 type A100Report struct {
 	TotalTime      float64 // s, whole run (kernel time only, like the paper)
-	PerApp         float64 // s per application
 	AchievedGflops float64
-	AchievedBW     float64 // B/s sustained
 	AI             float64 // FLOPs/Byte at word level (paper: 2.11)
 	EnergyJ        float64
-	GflopsPerWatt  float64
 }
 
 // Project evaluates the model.
@@ -89,18 +86,13 @@ func (p A100Params) Project(spec gpusim.DeviceSpec, in A100Inputs) (*A100Report,
 	}
 	bw := spec.ERTBandwidth * frac
 	perApp := in.WordBytesPerCell*float64(in.Cells)/bw + p.LaunchOverhead
-	rep := &A100Report{
-		PerApp:     perApp,
-		TotalTime:  perApp * float64(in.Apps),
-		AchievedBW: bw,
-	}
+	rep := &A100Report{TotalTime: perApp * float64(in.Apps)}
 	totalFlops := in.FlopsPerCell * float64(in.Cells) * float64(in.Apps)
 	rep.AchievedGflops = totalFlops / rep.TotalTime / 1e9
 	if in.WordBytesPerCell > 0 {
 		rep.AI = in.FlopsPerCell / in.WordBytesPerCell
 	}
 	rep.EnergyJ = spec.PowerWatts * rep.TotalTime
-	rep.GflopsPerWatt = rep.AchievedGflops / spec.PowerWatts
 	return rep, nil
 }
 

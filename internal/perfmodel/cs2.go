@@ -75,13 +75,11 @@ type CS2Inputs struct {
 
 // CS2Report is the projected hardware behaviour of one run.
 type CS2Report struct {
-	ComputeTime  float64 // s, whole run
-	CommTime     float64 // s, whole run (incl. pipeline fill)
-	PipelineTime float64 // s, the (Nx+Ny) component of CommTime
-	IssueTime    float64 // s, scalar-issue exposure (0 when vectorized)
-	TotalTime    float64 // s
+	ComputeTime float64 // s, whole run
+	CommTime    float64 // s, whole run (incl. the (Nx+Ny) pipeline fill)
+	IssueTime   float64 // s, scalar-issue exposure (0 when vectorized)
+	TotalTime   float64 // s
 
-	Cells            int
 	TotalFlops       float64
 	TFlops           float64 // achieved TFLOP/s
 	ThroughputGcells float64 // cell updates per second / 1e9
@@ -124,11 +122,9 @@ func (p CS2Params) Project(spec wse.MachineSpec, in CS2Inputs) (*CS2Report, erro
 	issuePerApp := in.IssuesPerPEPerApp * p.IssueCost
 
 	rep := &CS2Report{
-		ComputeTime:  computePerApp * apps,
-		CommTime:     (commPerApp + pipelinePerApp) * apps,
-		PipelineTime: pipelinePerApp * apps,
-		IssueTime:    issuePerApp * apps,
-		Cells:        cells,
+		ComputeTime: computePerApp * apps,
+		CommTime:    (commPerApp + pipelinePerApp) * apps,
+		IssueTime:   issuePerApp * apps,
 	}
 	rep.TotalTime = rep.ComputeTime + rep.CommTime + rep.IssueTime
 	rep.TotalFlops = in.FlopsPerCell * float64(cells) * apps

@@ -245,11 +245,14 @@ func TestEnergyRatio(t *testing.T) {
 }
 
 func TestA100AIAndFraction(t *testing.T) {
-	rep := projectA100(t, paperA100Inputs(1000000, 10, VariantRAJA))
+	in := paperA100Inputs(1000000, 10, VariantRAJA)
+	rep := projectA100(t, in)
 	if math.Abs(rep.AI-2.12) > 0.02 {
 		t.Errorf("AI = %.3f, want ~2.12 (paper 2.11)", rep.AI)
 	}
-	frac := rep.AchievedBW / gpusim.A100().ERTBandwidth
+	// The sustained bandwidth: one application's words over its kernel time.
+	kernel := rep.TotalTime/float64(in.Apps) - DefaultA100().LaunchOverhead
+	frac := in.WordBytesPerCell * float64(in.Cells) / kernel / gpusim.A100().ERTBandwidth
 	if math.Abs(frac-0.76) > 0.005 {
 		t.Errorf("achieved fraction = %.3f, paper 76%%", frac)
 	}

@@ -135,14 +135,10 @@ func (f Fluid) WithModel(m DensityModel) Fluid {
 // Float32 returns the fluid constants narrowed to float32 for the
 // single-precision kernels (CS-2 PEs and the GPU model compute in fp32).
 type Float32 struct {
-	AHat   float32 // ρref·cf
-	CHat   float32 // ρref(1 − cf·pref)
-	NegC   float32 // −ĉ (the kernel subtracts a negative constant, dsd.FluxConsts)
-	InvMu  float32 // 1/μ
-	RhoRef float32
-	PRef   float32
-	Cf     float32
-	G      float32
+	AHat  float32 // ρref·cf
+	CHat  float32 // ρref(1 − cf·pref)
+	NegC  float32 // −ĉ (the kernel subtracts a negative constant, dsd.FluxConsts)
+	InvMu float32 // 1/μ
 }
 
 // Constants32 packages the single-precision constants used by the fp32
@@ -150,13 +146,9 @@ type Float32 struct {
 func (f Fluid) Constants32() Float32 {
 	a, c := f.LinearCoefficients()
 	return Float32{
-		AHat:   float32(a),
-		CHat:   float32(c),
-		NegC:   float32(-c),
-		InvMu:  float32(1 / f.Viscosity),
-		RhoRef: float32(f.RhoRef),
-		PRef:   float32(f.PRef),
-		Cf:     float32(f.Compressibility),
-		G:      float32(f.Gravity),
+		AHat:  float32(a),
+		CHat:  float32(c),
+		NegC:  float32(-c),
+		InvMu: float32(1 / f.Viscosity),
 	}
 }

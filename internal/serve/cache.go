@@ -417,7 +417,7 @@ func (c *cache) runEngine(e *entry, eng *engine) {
 	for j := e.next(eng); j != nil; j = e.next(eng) {
 		opts := j.req.transientOptions()
 		opts.Solver.Cancel = c.cancelHook(j)
-		opts.BeforeSolve = c.opts.SolveHook
+		opts.BeforeSolve = c.opts.solveHook
 		start := c.opts.Now()
 		res, panicked, err := solveJob(eng, opts)
 		sec := c.opts.Now().Sub(start).Seconds()

@@ -1,4 +1,4 @@
-package faultinject_test
+package serve
 
 import (
 	"bytes"
@@ -11,9 +11,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/faultinject"
-	"repro/internal/serve"
 )
 
 // The chaos suite drives a live serving stack through a seeded fault plan —
@@ -70,7 +67,7 @@ func TestChaos(t *testing.T) {
 	// Reference hashes from a fault-free server, one per payload variant.
 	ref := make(map[int]string)
 	func() {
-		clean := serve.New(serve.Options{})
+		clean := New(Options{})
 		ts := httptest.NewServer(clean.Handler())
 		defer func() { ts.Close(); clean.Drain() }()
 		for v := 0; v < 4; v++ {
@@ -85,13 +82,13 @@ func TestChaos(t *testing.T) {
 	// Chaos server: one engine, no memo — every request takes a real engine
 	// solve, so the plan's ordinals are actually consumed. The
 	// deadline comfortably exceeds the stall, so stalled solves complete.
-	plan := faultinject.RandomPlan(chaosSeed, chaosRequests, 3, 3, 3, 30*time.Millisecond, nil)
-	s := serve.New(serve.Options{
+	plan := randomFaultPlan(chaosSeed, chaosRequests, 3, 3, 3, 30*time.Millisecond, nil)
+	s := New(Options{
 		EnginesPerScenario: 1,
 		QueueDepth:         chaosRequests * 2,
 		MemoCapacity:       -1,
 		DefaultDeadline:    10 * time.Second,
-		SolveHook:          plan.Hook(),
+		solveHook:          plan.Hook(),
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -141,14 +138,14 @@ func TestChaos(t *testing.T) {
 	}
 
 	fired := plan.Counts()
-	if fired.Panics+fired.Stalls+fired.Breakdowns == 0 {
+	if fired.panics+fired.stalls+fired.breakdowns == 0 {
 		t.Error("no faults fired — the chaos run exercised nothing")
 	}
 	st := s.Stats()
-	if st.EnginePanics != uint64(fired.Panics) {
-		t.Errorf("EnginePanics = %d, want %d (one per fired panic)", st.EnginePanics, fired.Panics)
+	if st.EnginePanics != uint64(fired.panics) {
+		t.Errorf("EnginePanics = %d, want %d (one per fired panic)", st.EnginePanics, fired.panics)
 	}
-	if fired.Panics > 0 && st.EngineRestarts == 0 {
+	if fired.panics > 0 && st.EngineRestarts == 0 {
 		t.Error("engine panicked but no restart was recorded — pool did not heal")
 	}
 

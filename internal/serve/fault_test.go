@@ -114,7 +114,7 @@ func TestBreakdownReturns422(t *testing.T) {
 	hook := func(cancel func() bool) error {
 		return fmt.Errorf("injected: %w", solver.ErrBreakdown)
 	}
-	s, ts := newTestServer(t, Options{SolveHook: hook})
+	s, ts := newTestServer(t, Options{solveHook: hook})
 	var errBody map[string]any
 	if code := postSolve(t, ts, testBody(""), &errBody); code != http.StatusUnprocessableEntity {
 		t.Fatalf("status %d, want 422 (%v)", code, errBody)
@@ -166,7 +166,7 @@ func TestRetryAfterFromQueueCost(t *testing.T) {
 		clock.Advance(1250 * time.Millisecond) // every step's fake duration
 		return nil
 	}
-	s, ts := newTestServer(t, Options{QueueDepth: 1, Now: clock.Now, SolveHook: hook})
+	s, ts := newTestServer(t, Options{QueueDepth: 1, Now: clock.Now, solveHook: hook})
 	t.Cleanup(func() { close(steps) })
 
 	// solve posts a request that holds the one queue slot until its steps run.
@@ -240,7 +240,7 @@ func TestEnginePanicSelfHeals(t *testing.T) {
 		return nil
 	}
 	t.Cleanup(goroutineResidue(t)) // registered first, so it runs after the server's cleanup
-	s, ts := newTestServer(t, Options{SolveHook: hook, MemoCapacity: -1})
+	s, ts := newTestServer(t, Options{solveHook: hook, MemoCapacity: -1})
 
 	var refResp SolveResponse
 	var errBody map[string]any
@@ -286,7 +286,7 @@ func TestDrainWithinForceCancelsStall(t *testing.T) {
 		}
 		return fmt.Errorf("stall cancelled: %w", solver.ErrCancelled)
 	}
-	s := New(Options{SolveHook: hook, MemoCapacity: -1})
+	s := New(Options{solveHook: hook, MemoCapacity: -1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

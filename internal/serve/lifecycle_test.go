@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/faultinject"
 	"repro/internal/loadgen"
 	"repro/internal/umesh"
 )
@@ -459,7 +458,7 @@ func (d *sut) check(m *model, step string) {
 // TestLifecycleAgainstModel drives the core through seeded interleavings of
 // arrivals (a loadgen plan over the class mix), clock advances, engines
 // taking jobs, solves completing ok / with a solver error / with a panic (a
-// faultinject plan), and a drain — comparing every step's ended requests,
+// fault plan), and a drain — comparing every step's ended requests,
 // queued cost, job custody, single-flight groups, which job each engine took
 // and which one request each solve answered with the model.
 func TestLifecycleAgainstModel(t *testing.T) {
@@ -497,7 +496,7 @@ func runInterleaving(t *testing.T, seed int64, items []loadgen.Item, seen map[ou
 	}
 	clock := newFakeClock()
 	t0 := clock.Now()
-	hook := faultinject.RandomPlan(seed, 24, 6, 0, 4, 0, clock.Now).Hook()
+	hook := randomFaultPlan(seed, 24, 6, 0, 4, 0, clock.Now).Hook()
 	d := &sut{t: t, took: map[*engine]*job{}, s: New(Options{
 		Now: clock.Now, QueueDepth: mDepth, EnginesPerScenario: mEngines,
 		RatePerSec: mRate, Burst: mBurst,
@@ -608,8 +607,11 @@ func serveGoroutines() int {
 
 // TestEngineGoroutines pins the serving layer's goroutine budget, calling
 // the handler on the test's own goroutine: a resident scenario holds exactly
-// one goroutine per engine — no dispatcher — and Drain returns only once
-// they are all gone.
+// one goroutine per engine — no dispatcher — and none outlives Drain. Drain
+// returns once every engine goroutine has run its deferred Done, which is a
+// moment before that goroutine leaves the stack, so the check after it
+// polls, with the same bound as goroutineResidue: a goroutine that leaks
+// still fails it.
 func TestEngineGoroutines(t *testing.T) {
 	defer goroutineResidue(t)()
 	s := New(Options{EnginesPerScenario: 3})
@@ -624,8 +626,10 @@ func TestEngineGoroutines(t *testing.T) {
 		t.Errorf("a resident 3-engine scenario holds %d serving goroutines, want 3", got)
 	}
 	s.Drain()
-	if got := serveGoroutines(); got != 0 {
-		t.Errorf("%d serving goroutines right after Drain, want 0", got)
+	for deadline := time.Now().Add(5 * time.Second); serveGoroutines() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d serving goroutines 5 s after Drain, want 0", serveGoroutines())
+		}
 	}
 	assertQuiescent(t, s)
 }

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// gatedSolves returns a SolveHook that parks every solve until release is
+// gatedSolves returns a solveHook that parks every solve until release is
 // called. Register release as a cleanup after building the server, so it
 // runs ahead of the drain and a failing test cannot hang.
 func gatedSolves() (hook func(func() bool) error, release func()) {
@@ -95,7 +95,7 @@ func TestMemoHitSkipsEngine(t *testing.T) {
 // joined, so none of them arrives late enough to be a plain memo hit.
 func TestMemoSingleFlight(t *testing.T) {
 	hook, release := gatedSolves()
-	s, ts := newTestServer(t, Options{QueueDepth: 64, SolveHook: hook})
+	s, ts := newTestServer(t, Options{QueueDepth: 64, solveHook: hook})
 	t.Cleanup(release)
 	const n = 8
 	hashes := make([]string, n)
@@ -141,7 +141,7 @@ func TestMemoSingleFlight(t *testing.T) {
 // their own, with the same bits.
 func TestNoMemoIdenticalRequestsSolveSeparately(t *testing.T) {
 	hook, release := gatedSolves()
-	s, ts := newTestServer(t, Options{EnginesPerScenario: 1, SolveHook: hook})
+	s, ts := newTestServer(t, Options{EnginesPerScenario: 1, solveHook: hook})
 	t.Cleanup(release)
 	var wg sync.WaitGroup
 	resps := make([]SolveResponse, 3)

@@ -109,11 +109,11 @@ type Options struct {
 	// boundary and the request gets 504 with partial-progress diagnostics.
 	// 0 leaves solves unbounded unless the request asks.
 	DefaultDeadline time.Duration
-	// SolveHook, when non-nil, runs immediately before every engine step
-	// solve with that solve's cancel hook. It exists for deterministic
-	// fault injection (internal/faultinject) — production servers leave it
-	// nil.
-	SolveHook func(cancel func() bool) error
+	// solveHook, when non-nil, runs immediately before every engine step
+	// solve with that solve's cancel hook: the test seam through which
+	// TestChaos and TestLifecycleAgainstModel inject seeded panics, stalls
+	// and breakdowns. No server outside serve's tests sets it.
+	solveHook func(cancel func() bool) error
 	// Now overrides the clock (tests, replays). Every duration the layer
 	// reports derives from it. Default time.Now.
 	Now func() time.Time

@@ -57,7 +57,7 @@ func ExampleCompileCG() {
 	}
 	// Float values and exact iteration counts vary across architectures
 	// (FMA contraction), so the example asserts ranges instead.
-	fmt.Println("converged:", st.Converged)
+	fmt.Println("converged:", err == nil)
 	fmt.Println("iterations within budget:", st.Iterations > 0 && st.Iterations <= a.n)
 	fmt.Println("residual below tolerance:", st.Residual <= 1e-10)
 	// Output:

@@ -174,7 +174,6 @@ func (r *Resident) Solve(x, b []float64, cancel func() bool) (*Stats, error) {
 	}
 	if zeroRHS {
 		zero(x)
-		st.Converged = true
 		return st, nil
 	}
 	for s.k = 0; s.k < r.maxIter; s.k++ {
@@ -194,7 +193,6 @@ func (r *Resident) Solve(x, b []float64, cancel func() bool) (*Stats, error) {
 			return nil, err
 		}
 		if stopped {
-			st.Converged = true
 			a.Store(x, vecX) // the solve's one gather
 			return st, nil
 		}

@@ -90,7 +90,6 @@ func (o Options) withDefaults() Options {
 type Stats struct {
 	Iterations int
 	Residual   float64 // final relative residual
-	Converged  bool
 	// History holds ‖r‖/‖b‖ after each iteration (capped at MaxIter).
 	History []float64
 }

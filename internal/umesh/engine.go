@@ -56,11 +56,8 @@ type CommCounters struct {
 
 // PartResult is the outcome of one PartEngine.Run.
 type PartResult struct {
-	// Engine names the executing engine: "umesh-part".
-	Engine string
-	// NumCells, NumParts, Apps and Workers echo the run configuration
-	// (Workers after pool clamping).
-	NumCells, NumParts, Apps, Workers int
+	// NumCells and Apps echo the run configuration.
+	NumCells, Apps int
 	// Residual is the final application's residual in global cell order.
 	Residual []float64
 	// Comm is the total communication and synchronization over the run.
@@ -180,11 +177,8 @@ func (e *PartEngine) Run(pres []float32) (*PartResult, error) {
 	elapsed := time.Since(start)
 
 	res := &PartResult{
-		Engine:   "umesh-part",
 		NumCells: u.NumCells,
-		NumParts: len(e.parts),
 		Apps:     e.apps,
-		Workers:  pool.Workers(),
 		Residual: make([]float64, u.NumCells),
 		Elapsed:  elapsed,
 	}

@@ -65,10 +65,10 @@ const (
 )
 
 // chebCoeffs holds the Chebyshev interval coefficients for [b/chebLoFraction, b]:
-// center θ, half-width δ, σ = θ/δ, and the derived starting values.
+// half-width δ, σ = θ/δ for the center θ, and the derived starting values.
 type chebCoeffs struct {
-	theta, delta, sigma float64
-	invTheta, rho0      float64
+	delta, sigma   float64
+	invTheta, rho0 float64
 }
 
 func newChebCoeffs(b float64) chebCoeffs {
@@ -76,7 +76,7 @@ func newChebCoeffs(b float64) chebCoeffs {
 	theta := (b + a) / 2
 	delta := (b - a) / 2
 	sigma := theta / delta
-	return chebCoeffs{theta: theta, delta: delta, sigma: sigma, invTheta: 1 / theta, rho0: 1 / sigma}
+	return chebCoeffs{delta: delta, sigma: sigma, invTheta: 1 / theta, rho0: 1 / sigma}
 }
 
 // rounds returns the scalars (c1, c2) of the chebDegree−1 Chebyshev rounds

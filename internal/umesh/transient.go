@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/physics"
 	"repro/internal/solver"
@@ -49,10 +48,12 @@ type TransientOptions struct {
 	Solver solver.Options
 	// BeforeSolve, when non-nil, runs immediately before each step's Krylov
 	// solve with the effective cancel hook (never nil; a no-op when no
-	// Solver.Cancel is installed). It exists for fault injection in tests — a
-	// deterministic place to panic, stall (polling cancel so drains can
-	// unblock it), or force an error, without touching production arithmetic.
-	// A returned error aborts the step as a *StepError.
+	// Solver.Cancel is installed). A returned error aborts the step as a
+	// *StepError. It is read from the Solve request only — a compiled
+	// template's is ignored — and carries serve's test seam (its solveHook,
+	// set by TestChaos) into the engine: a deterministic place to panic,
+	// stall (polling cancel so drains can unblock it) or force an error,
+	// without touching the arithmetic.
 	BeforeSolve func(cancel func() bool) error
 }
 
@@ -96,8 +97,6 @@ type TransientStep struct {
 	// MassError is |Σ accum·δp − Σ q| / Σ|q| — the per-step conservation
 	// check.
 	MassError float64
-	// History is ‖r‖/‖b‖ after each Krylov iteration.
-	History []float64
 }
 
 // TransientResult is a transient run's outcome.
@@ -143,11 +142,6 @@ type TransientSolver struct {
 	close  func()
 	opts   TransientOptions // the compiled template (Dt, Porosity, Workers, Solver)
 
-	// CompileSeconds is the wall-clock NewTransientSolver spent building the
-	// system and the partitioned operator — the cost a scenario cache
-	// amortizes away on a warm hit.
-	CompileSeconds float64
-
 	b, x []float64
 }
 
@@ -158,7 +152,6 @@ type TransientSolver struct {
 // opts serve as that request's defaults). A nil partition compiles the
 // serial reference path.
 func NewTransientSolver(u *Mesh, p *Partition, fl physics.Fluid, opts TransientOptions) (*TransientSolver, error) {
-	start := time.Now()
 	sys, err := NewUSystem(u, fl, opts.Dt, opts.Porosity)
 	if err != nil {
 		return nil, err
@@ -167,12 +160,7 @@ func NewTransientSolver(u *Mesh, p *Partition, fl physics.Fluid, opts TransientO
 	if err != nil {
 		return nil, err
 	}
-	s, err := CompileTransient(sys, space, closeOp, opts)
-	if err != nil {
-		return nil, err
-	}
-	s.CompileSeconds = time.Since(start).Seconds()
-	return s, nil
+	return CompileTransient(sys, space, closeOp, opts)
 }
 
 // CompileTransient is the compile step every transient solver shares: it
@@ -333,10 +321,6 @@ func (s *TransientSolver) Solve(req TransientOptions) (*TransientResult, error) 
 	if cancel == nil {
 		cancel = s.opts.Solver.Cancel
 	}
-	beforeSolve := req.BeforeSolve
-	if beforeSolve == nil {
-		beforeSolve = s.opts.BeforeSolve
-	}
 	pollCancel := cancel
 	if pollCancel == nil {
 		pollCancel = func() bool { return false }
@@ -347,8 +331,8 @@ func (s *TransientSolver) Solve(req TransientOptions) (*TransientResult, error) 
 		for i := range x {
 			x[i] = 0 // fresh δp each step (coefficients are frozen)
 		}
-		if beforeSolve != nil {
-			if err := beforeSolve(pollCancel); err != nil {
+		if req.BeforeSolve != nil {
+			if err := req.BeforeSolve(pollCancel); err != nil {
 				return nil, &StepError{Step: step, Err: err}
 			}
 		}
@@ -370,7 +354,6 @@ func (s *TransientSolver) Solve(req TransientOptions) (*TransientResult, error) 
 			Residual:   st.Residual,
 			MaxDeltaP:  maxDp,
 			MassError:  math.Abs(mass-sumQ) / injected,
-			History:    st.History,
 		})
 	}
 	res.Pressure = pres

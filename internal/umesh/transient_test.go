@@ -58,17 +58,7 @@ func TestTransientPartitionedGoldenAgainstSerial(t *testing.T) {
 					t.Fatalf("parts=%d workers=%d step %d: %d iterations, serial took %d",
 						part.NumParts, workers, s, gs.Iterations, ws.Iterations)
 				}
-				if len(gs.History) != len(ws.History) {
-					t.Fatalf("parts=%d workers=%d step %d: history length %d vs %d",
-						part.NumParts, workers, s, len(gs.History), len(ws.History))
-				}
-				for k := range ws.History {
-					if gs.History[k] != ws.History[k] {
-						t.Fatalf("parts=%d workers=%d step %d: residual history[%d] differs: %g vs %g",
-							part.NumParts, workers, s, k, gs.History[k], ws.History[k])
-					}
-				}
-				if gs.Residual != ws.Residual || gs.MaxDeltaP != ws.MaxDeltaP || gs.MassError != ws.MassError {
+				if gs != ws {
 					t.Fatalf("parts=%d workers=%d step %d: report diverged: %+v vs %+v",
 						part.NumParts, workers, s, gs, ws)
 				}

@@ -79,7 +79,7 @@ func simulateFabric(m *Medium, opts Options) (*Result, error) {
 		return nil, err
 	}
 
-	res := &Result{U: final, Steps: opts.Steps, Engine: "fabric"}
+	res := &Result{U: final}
 	res.MaxAbs = make([]float32, opts.Steps)
 	for _, h := range hist {
 		for s, v := range h {

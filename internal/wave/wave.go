@@ -134,8 +134,6 @@ type Options struct {
 type Result struct {
 	U      []float32 // final wavefield, row-major
 	MaxAbs []float32 // max |u| after each step (stability evidence)
-	Steps  int
-	Engine string
 }
 
 func (m *Medium) validate(opts Options) error {
@@ -187,7 +185,7 @@ func simulateHost(m *Medium, opts Options) (*Result, error) {
 	u := make([]float32, n)
 	uPrev := make([]float32, n)
 	uNext := make([]float32, n)
-	res := &Result{Steps: opts.Steps, Engine: "host"}
+	res := &Result{}
 	srcIdx := m.Index(opts.Source.X, opts.Source.Y)
 	for step := 0; step < opts.Steps; step++ {
 		srcVal := sourceTerm(opts, step)

