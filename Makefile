@@ -71,12 +71,12 @@ race:
 # A PR that shrinks what a ceiling covers lowers it to the new sum. A PR that
 # must raise one says in CHANGES.md by how much and what the lines buy;
 # CHANGES.md keeps each ceiling's history.
-SIZE_CEILING = 4526
-SERVE_CEILING = 1825
+SIZE_CEILING = 4529
+SERVE_CEILING = 1831
 BENCH_CEILING = 861
-STRUCT_CEILING = 1845
-FABRIC_CEILING = 719
-MODULE_CEILING = 15036
+STRUCT_CEILING = 1844
+FABRIC_CEILING = 634
+MODULE_CEILING = 14959
 size:
 	@set -e; \
 	for d in $$($(GO) list -f '{{.Dir}}' ./... | sed "s|^$$PWD/*||; s|^$$|.|"); do \

@@ -103,9 +103,8 @@ func (o Options) validate(m *mesh.Mesh, fl physics.Fluid) error {
 }
 
 // exchangeColor is the first of the eight colors of the fabric engine's
-// §5.2 exchange (fabric/exchange.go owns the scheme; 0 and 1 are the Fig. 6
-// broadcast's).
-const exchangeColor fabric.Color = 2
+// §5.2 exchange (fabric/exchange.go owns the scheme).
+const exchangeColor fabric.Color = 0
 
 // xyDirections is the fixed processing order of the eight in-plane
 // directions; nbr buffers, flux buffers and the assembly use this order so

@@ -48,14 +48,14 @@ func InstallExchange(pe *PE, base Color, diagonals bool) error {
 		c, p := base+Color(o), o.port()
 		// Last hop: the payload arrives on p.
 		if pe.HasNeighbor(p) {
-			if err := pe.rt.SetRoute(c, 0, p, PortRamp); err != nil {
+			if err := pe.rt.SetRoute(c, p, PortRamp); err != nil {
 				return err
 			}
 		}
 		// First hop (cardinal) or turn (diagonal): out of the opposite port,
 		// so that the neighbor there sees it arrive on p.
 		if out := p.Opposite(); pe.HasNeighbor(out) {
-			if err := pe.rt.SetRoute(c, 0, PortRamp, out); err != nil {
+			if err := pe.rt.SetRoute(c, PortRamp, out); err != nil {
 				return err
 			}
 		}

@@ -115,12 +115,8 @@ func TestExchangeDeliversEveryNeighbor(t *testing.T) {
 						adjacencies += 4 * (w - 1) * (h - 1)
 					}
 					want := uint64(rounds * width * adjacencies)
-					tot, sums := f.Totals(), f.sums()
-					if tot.DeliveredToPE != want || sums.sent != want {
-						t.Errorf("delivered %d, sent %d, want %d each", tot.DeliveredToPE, sums.sent, want)
-					}
-					if sums.forwarded != 0 || tot.DroppedAtStop != 0 {
-						t.Errorf("router-level forwards %d, dropped %d, want 0 (relays are worker-level)", sums.forwarded, tot.DroppedAtStop)
+					if tot := f.Totals(); tot.DeliveredToPE != want || tot.DroppedAtStop != 0 {
+						t.Errorf("delivered %d, dropped %d, want %d and 0", tot.DeliveredToPE, tot.DroppedAtStop, want)
 					}
 				})
 			}
@@ -146,7 +142,7 @@ func TestExchangeCarriesOneRoundAhead(t *testing.T) {
 				// The middle PE has r payloads from here and gets r+2 from
 				// the west before this round's send.
 				deadline := time.Now().Add(5 * time.Second)
-				for middle.rt.C.DeliveredToPE.Load() < uint64((2*r+2)*width) {
+				for delivered(middle) < uint64((2*r+2)*width) {
 					if time.Now().After(deadline) {
 						return errors.New("west PE never ran ahead")
 					}
@@ -175,13 +171,21 @@ func TestExchangeCarriesOneRoundAhead(t *testing.T) {
 	}
 }
 
+// delivered reads pe's delivery count mid-run, under the fabric mutex
+// routing writes it under.
+func delivered(pe *PE) uint64 {
+	pe.fab.mu.Lock()
+	defer pe.fab.mu.Unlock()
+	return pe.rt.C.DeliveredToPE
+}
+
 // strayRoute lets PE(0,0) of a row send color c to PE(1,0)'s ramp.
 func strayRoute(t *testing.T, f *Fabric, c Color) {
 	t.Helper()
-	if err := f.PE(0, 0).rt.SetRoute(c, 0, PortRamp, PortEast); err != nil {
+	if err := f.PE(0, 0).rt.SetRoute(c, PortRamp, PortEast); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.PE(1, 0).rt.SetRoute(c, 0, PortWest, PortRamp); err != nil {
+	if err := f.PE(1, 0).rt.SetRoute(c, PortWest, PortRamp); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -265,7 +269,11 @@ func TestInstallExchangeRoutes(t *testing.T) {
 	installExchange(t, f, false)
 	for _, pe := range f.pes {
 		for o := Origin(0); o < NumOrigins; o++ {
-			if installed := pe.rt.entries[testBase+Color(o)] != nil; installed != (o < FromNorthWest) {
+			installed := false
+			for _, to := range pe.rt.out[testBase+Color(o)] {
+				installed = installed || to != NumPorts
+			}
+			if installed != (o < FromNorthWest) {
 				t.Errorf("PE(%d,%d) without diagonals: route for origin %d installed = %v", pe.X, pe.Y, o, installed)
 			}
 		}
@@ -275,27 +283,11 @@ func TestInstallExchangeRoutes(t *testing.T) {
 	}
 }
 
-// A correct protocol never reads as a deadlock, whatever the schedule: the
-// Fig. 6 broadcast at every width 1–9 and 20 exchange rounds on 4×3 and 8×8
-// fabrics, repeated (run it under -race, and with -count, to vary the
-// schedule).
+// A correct protocol never reads as a deadlock, whatever the schedule: 20
+// exchange rounds on 4×3 and 8×8 fabrics, repeated (run it under -race, and
+// with -count, to vary the schedule).
 func TestCorrectProtocolsNeverDeadlock(t *testing.T) {
 	for rep := 0; rep < 5; rep++ {
-		for w := 1; w <= 9; w++ {
-			values := make([]float32, w)
-			for x := range values {
-				values[x] = float32(x + 1)
-			}
-			got, err := EastwardBroadcast(newFabric(t, w, 1), values)
-			if err != nil {
-				t.Fatalf("broadcast width %d: %v", w, err)
-			}
-			for x := 1; x < w; x++ {
-				if got[x] != values[x-1] {
-					t.Fatalf("broadcast width %d: PE %d received %g, want %g", w, x, got[x], values[x-1])
-				}
-			}
-		}
 		for _, dims := range [][2]int{{4, 3}, {8, 8}} {
 			f := newFabric(t, dims[0], dims[1])
 			installExchange(t, f, true)

@@ -42,45 +42,34 @@ type PE struct {
 
 	// inbox[head:] holds the delivered, unread wavelets; both reset when it
 	// drains, so a steady-state run appends into the same backing array.
-	inbox []Wavelet
-	head  int
-	wake  sync.Cond // on fab.mu; signalled when a waker un-counts the worker
-	wait  waitKind  // what the parked worker waits for, or running
+	inbox   []Wavelet
+	head    int
+	wake    sync.Cond // on fab.mu; signalled when a waker un-counts the worker
+	waiting bool      // the worker is parked in Recv and counted as blocked
 }
-
-// waitKind names what a worker counted as blocked waits for.
-type waitKind uint8
-
-const (
-	running waitKind = iota
-	inRecv
-	inBarrier
-)
-
-var waitNames = [...]string{inRecv: "Recv", inBarrier: "a barrier"}
 
 // HasNeighbor reports whether a fabric neighbor exists on port p.
 func (pe *PE) HasNeighbor(p Port) bool { return p < PortRamp && pe.nbr[p] != nil }
 
 // SendColumn emits a whole float32 column as consecutive wavelets of one
 // color — the paper's "local block of data of length Nz × 2" per direction —
-// from the worker onto the ramp, and routes each to completion in the
-// caller's goroutine: every hop, switch command and delivery happens before
-// SendColumn returns. The fabric mutex, held once per column, makes the send
-// atomic, so a run is one legal schedule of an asynchronous fabric, with
-// per-link FIFO order and commands applied in the order they were sent.
+// from the worker onto the ramp, and delivers them in the caller's
+// goroutine: the route lookup on both ends of the link and the append to
+// the receiver's inbox happen before SendColumn returns. The fabric mutex,
+// held once per column, makes the send atomic, so a run is one legal
+// schedule of an asynchronous fabric, with per-link FIFO order.
 func (pe *PE) SendColumn(c Color, vals []float32) {
 	pe.fab.mu.Lock()
 	defer pe.fab.mu.Unlock()
-	for _, v := range vals {
-		pe.rt.route(FromF32(c, v), PortRamp, 0)
+	dst := pe.rt.hop(c)
+	if dst == nil {
+		return
 	}
-}
-
-// deliver appends w to the inbox and wakes the worker if it waits in Recv.
-func (pe *PE) deliver(w Wavelet) {
-	pe.inbox = append(pe.inbox, w)
-	pe.unpark(inRecv)
+	for _, v := range vals {
+		dst.inbox = append(dst.inbox, FromF32(c, v))
+	}
+	dst.rt.C.DeliveredToPE += uint64(len(vals))
+	dst.unpark()
 }
 
 // ErrDeadlock reports a worker that waited while every other live worker
@@ -96,7 +85,7 @@ func (pe *PE) Recv() (Wavelet, error) {
 	pe.fab.mu.Lock()
 	defer pe.fab.mu.Unlock()
 	for pe.head == len(pe.inbox) {
-		if err := pe.park(inRecv); err != nil {
+		if err := pe.park(); err != nil {
 			return Wavelet{}, err
 		}
 	}
@@ -108,31 +97,31 @@ func (pe *PE) Recv() (Wavelet, error) {
 	return w, nil
 }
 
-// park counts the worker as blocked on k and waits, with fab.mu held, until
-// a waker un-counts it (unpark) or the fabric is deadlocked.
-func (pe *PE) park(k waitKind) error {
+// park counts the worker as blocked and waits, with fab.mu held, until a
+// waker un-counts it (unpark) or the fabric is deadlocked.
+func (pe *PE) park() error {
 	f := pe.fab
-	pe.wait = k
+	pe.waiting = true
 	f.blocked++
 	f.checkDeadlock()
-	for pe.wait != running && !f.deadlocked {
+	for pe.waiting && !f.deadlocked {
 		pe.wake.Wait()
 	}
-	if pe.wait == running {
+	if !pe.waiting {
 		return nil
 	}
-	pe.wait = running
+	pe.waiting = false
 	f.blocked--
-	return fmt.Errorf("%w: PE(%d,%d) waits in %s while every live worker waits", ErrDeadlock, pe.X, pe.Y, waitNames[k])
+	return fmt.Errorf("%w: PE(%d,%d) waits in Recv while every live worker waits", ErrDeadlock, pe.X, pe.Y)
 }
 
-// unpark un-counts a worker parked on k and wakes it. The waker does the
+// unpark un-counts a parked worker and wakes it. The waker does the
 // un-counting, not the woken worker when it next runs: otherwise a woken
 // worker that has not run yet would still count as blocked, and the others
 // blocking meanwhile would look like a deadlock.
-func (pe *PE) unpark(k waitKind) {
-	if pe.wait == k {
-		pe.wait = running
+func (pe *PE) unpark() {
+	if pe.waiting {
+		pe.waiting = false
 		pe.fab.blocked--
 		pe.wake.Signal()
 	}
@@ -142,10 +131,10 @@ func (pe *PE) unpark(k waitKind) {
 type Fabric struct {
 	pes []*PE
 
-	// mu serializes routing, the inboxes, the barrier and the counts below.
+	// mu serializes routing, the inboxes and the counts below.
 	mu         sync.Mutex
 	live       int // workers of the current Run that have not returned
-	blocked    int // workers parked in Recv or a barrier
+	blocked    int // workers parked in Recv
 	deadlocked bool
 	ran        bool
 }
@@ -153,8 +142,8 @@ type Fabric struct {
 // ErrRunTwice reports a second call to Fabric.Run.
 var ErrRunTwice = errors.New("fabric: Run called twice on one fabric")
 
-// New builds a fabric with unconnected routes; callers install routes on
-// each PE's router, then call Run.
+// New builds a fabric without routes; callers install them on each PE
+// (InstallExchange), then call Run.
 func New(cfg Config) (*Fabric, error) {
 	if cfg.MemWords == 0 {
 		cfg.MemWords = 12288
@@ -172,7 +161,7 @@ func New(cfg Config) (*Fabric, error) {
 	for i := range f.pes {
 		pe := &PE{X: i % cfg.Width, Y: i / cfg.Width, Mem: &mems[i], fab: f}
 		pe.Eng = dsd.NewEngine(pe.Mem)
-		pe.rt = &router{pe: pe}
+		pe.rt = newRouter(pe)
 		pe.wake.L = &f.mu
 		f.pes[i] = pe
 		// Link to the western and northern neighbors, built already.
@@ -251,7 +240,7 @@ func (f *Fabric) Run(program func(pe *PE) error) error {
 		all = append(all[:8], fmt.Errorf("fabric: ... %d more worker errors suppressed", len(all)-8))
 	}
 	for _, pe := range f.pes {
-		pe.rt.C.DroppedAtStop.Add(uint64(len(pe.inbox) - pe.head))
+		pe.rt.C.DroppedAtStop = uint64(len(pe.inbox) - pe.head)
 		if pe.rt.routeErr != nil && len(all) < 16 {
 			all = append(all, pe.rt.routeErr)
 		}
@@ -268,8 +257,8 @@ type TotalCounters struct {
 func (f *Fabric) Totals() TotalCounters {
 	var t TotalCounters
 	for _, pe := range f.pes {
-		t.DeliveredToPE += pe.rt.C.DeliveredToPE.Load()
-		t.DroppedAtStop += pe.rt.C.DroppedAtStop.Load()
+		t.DeliveredToPE += pe.rt.C.DeliveredToPE
+		t.DroppedAtStop += pe.rt.C.DroppedAtStop
 	}
 	return t
 }

@@ -26,28 +26,8 @@ func (f *Fabric) PE(x, y int) *PE {
 	return f.pes[y*f.Width()+x]
 }
 
-// routerSums adds up the router counters that Totals does not report.
-type routerSums struct{ sent, forwarded, commands uint64 }
-
-// sums totals every router's ramp sends, link-to-link forwards and switch
-// commands (call after Run).
-func (f *Fabric) sums() routerSums {
-	var s routerSums
-	for _, pe := range f.pes {
-		s.sent += pe.rt.C.SentFromRamp.Load()
-		s.forwarded += pe.rt.C.Forwarded.Load()
-		s.commands += pe.rt.C.Commands.Load()
-	}
-	return s
-}
-
-// Send emits one wavelet from the worker and routes it to completion, as
-// SendColumn does each wavelet of a column.
-func (pe *PE) Send(w Wavelet) {
-	pe.fab.mu.Lock()
-	defer pe.fab.mu.Unlock()
-	pe.rt.route(w, PortRamp, 0)
-}
+// Send emits one wavelet from the worker: a column of one word.
+func (pe *PE) Send(w Wavelet) { pe.SendColumn(w.Color, []float32{w.F32()}) }
 
 func newFabric(t *testing.T, w, h int) *Fabric {
 	t.Helper()
@@ -156,27 +136,15 @@ func TestWaveletF32RoundTrip(t *testing.T) {
 	}
 }
 
-func TestCommandEncoding(t *testing.T) {
-	data := EncodeCommand(7, 1)
-	c, p := DecodeCommand(data)
-	if c != 7 || p != 1 {
-		t.Errorf("decode = (%d,%d)", c, p)
-	}
-	c, p = DecodeCommand(EncodeCommand(23, TogglePosition))
-	if c != 23 || p != TogglePosition {
-		t.Errorf("toggle decode = (%d,%d)", c, p)
-	}
-}
-
 // TestPointToPoint sends a column east across a 2×1 fabric with a static
 // route and checks delivery order and counters.
 func TestPointToPoint(t *testing.T) {
 	f := newFabric(t, 2, 1)
 	const col Color = 2
-	if err := f.PE(0, 0).Router().SetRoute(col, 0, PortRamp, PortEast); err != nil {
+	if err := f.PE(0, 0).rt.SetRoute(col, PortRamp, PortEast); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.PE(1, 0).Router().SetRoute(col, 0, PortWest, PortRamp); err != nil {
+	if err := f.PE(1, 0).rt.SetRoute(col, PortWest, PortRamp); err != nil {
 		t.Fatal(err)
 	}
 	sent := []float32{1, 2, 3, 4, 5}
@@ -206,161 +174,77 @@ func TestPointToPoint(t *testing.T) {
 			t.Fatalf("got[%d] = %g, want %g (order must be preserved)", i, got[i], v)
 		}
 	}
-	tot, sums := f.Totals(), f.sums()
-	if sums.sent != 5 || tot.DeliveredToPE != 5 || sums.forwarded != 0 {
-		t.Errorf("counters %+v %+v", tot, sums)
-	}
-	if tot.DroppedAtStop != 0 {
-		t.Errorf("dropped %d wavelets", tot.DroppedAtStop)
+	if tot := f.Totals(); tot.DeliveredToPE != 5 || tot.DroppedAtStop != 0 {
+		t.Errorf("counters %+v, want 5 delivered and none dropped", tot)
 	}
 }
 
-// TestMultiHopForward routes a wavelet through an intermediary router
-// (west→east pass-through) without worker involvement.
-func TestMultiHopForward(t *testing.T) {
-	f := newFabric(t, 3, 1)
-	const col Color = 4
-	if err := f.PE(0, 0).Router().SetRoute(col, 0, PortRamp, PortEast); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.PE(1, 0).Router().SetRoute(col, 0, PortWest, PortEast); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.PE(2, 0).Router().SetRoute(col, 0, PortWest, PortRamp); err != nil {
-		t.Fatal(err)
-	}
-	var got float32
-	err := f.Run(func(pe *PE) error {
-		switch pe.X {
-		case 0:
-			pe.Send(FromF32(col, 42))
-		case 2:
-			w, err := pe.Recv()
-			if err != nil {
-				return err
-			}
-			got = w.F32()
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 42 {
-		t.Fatalf("got %g, want 42", got)
-	}
-	if fwd := f.sums().forwarded; fwd != 1 {
-		t.Errorf("Forwarded = %d, want 1", fwd)
-	}
-}
-
-// TestBroadcastFanout checks a route with multiple outputs (ramp → E+S+ramp).
-func TestBroadcastFanout(t *testing.T) {
-	f := newFabric(t, 2, 2)
-	const col Color = 5
-	if err := f.PE(0, 0).Router().SetRoute(col, 0, PortRamp, PortEast, PortSouth, PortRamp); err != nil {
-		t.Fatal(err)
-	}
-	f.PE(1, 0).Router().SetRoute(col, 0, PortWest, PortRamp)
-	f.PE(0, 1).Router().SetRoute(col, 0, PortNorth, PortRamp)
-	got := make([]float32, 3)
-	err := f.Run(func(pe *PE) error {
-		switch {
-		case pe.X == 0 && pe.Y == 0:
-			pe.Send(FromF32(col, 7))
-			w, err := pe.Recv()
-			if err != nil {
-				return err
-			}
-			got[0] = w.F32()
-		case pe.X == 1 && pe.Y == 0:
-			w, err := pe.Recv()
-			if err != nil {
-				return err
-			}
-			got[1] = w.F32()
-		case pe.X == 0 && pe.Y == 1:
-			w, err := pe.Recv()
-			if err != nil {
-				return err
-			}
-			got[2] = w.F32()
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != 7 {
-			t.Fatalf("receiver %d got %g", i, v)
-		}
-	}
-}
-
+// A route is ramp→link or link→ramp, of a routable color, over a link that
+// exists.
 func TestRouteValidation(t *testing.T) {
-	f := newFabric(t, 2, 1)
-	rt := f.PE(0, 0).Router()
-	if err := rt.SetRoute(Color(40), 0, PortRamp, PortEast); err == nil {
-		t.Error("color out of range accepted")
+	rt := newFabric(t, 2, 1).PE(0, 0).rt
+	for _, tc := range []struct {
+		name     string
+		c        Color
+		from, to Port
+	}{
+		{"color out of range", 40, PortRamp, PortEast},
+		{"bad from-port", 2, Port(9), PortEast},
+		{"bad to-port", 2, PortEast, Port(9)},
+		{"ramp→link across the fabric edge", 2, PortRamp, PortWest},
+		{"link→ramp across the fabric edge", 2, PortNorth, PortRamp},
+		{"ramp→ramp", 2, PortRamp, PortRamp},
+		{"link→link", 2, PortEast, PortEast},
+	} {
+		if err := rt.SetRoute(tc.c, tc.from, tc.to); err == nil {
+			t.Errorf("%s: route %d %v→%v accepted", tc.name, tc.c, tc.from, tc.to)
+		}
 	}
-	if err := rt.SetRoute(2, 3, PortRamp, PortEast); err == nil {
-		t.Error("position out of range accepted")
+	if err := rt.SetRoute(2, PortRamp, PortEast); err != nil {
+		t.Errorf("ramp→east refused: %v", err)
 	}
-	if err := rt.SetRoute(2, 0, Port(9), PortEast); err == nil {
-		t.Error("bad from-port accepted")
-	}
-	if err := rt.SetRoute(2, 0, PortRamp, PortWest); err == nil {
-		t.Error("route across fabric edge accepted")
-	}
-	if err := rt.SetCommandColor(Color(99)); err == nil {
-		t.Error("bad command color accepted")
+	if err := rt.SetRoute(2, PortEast, PortRamp); err != nil {
+		t.Errorf("east→ramp refused: %v", err)
 	}
 }
 
+// A missing route on either end of the link is a routing error naming the
+// PE that lacks it, and the receiver the wavelet never reaches ends in a
+// deadlock, not a hang: with no routes at all the sender is blamed; with
+// the sender's ramp→east route alone, the receiver, which must route the
+// color from its west port to its ramp.
 func TestMissingRouteIsAnError(t *testing.T) {
-	f := newFabric(t, 2, 1)
-	// No routes installed at all: sending must surface a routing error, and
-	// the receiver the wavelet never reaches must end in a deadlock, not a
-	// hang.
-	err := f.Run(func(pe *PE) error {
-		if pe.X == 0 {
-			pe.Send(FromF32(3, 1))
-			return nil
-		}
-		_, err := pe.Recv()
-		return err
-	})
-	if err == nil || !strings.Contains(err.Error(), "no route") {
-		t.Fatalf("expected routing error, got %v", err)
-	}
-	if !errors.Is(err, ErrDeadlock) || !strings.Contains(err.Error(), "PE(1,0) waits in Recv") {
-		t.Fatalf("expected PE(1,0) to end in ErrDeadlock, got %v", err)
-	}
-}
-
-// A route that leads back into itself is a routing error, not an endless
-// forward.
-func TestRoutingCycleIsAnError(t *testing.T) {
-	f := newFabric(t, 2, 1)
-	const col Color = 6
-	if err := f.PE(0, 0).Router().SetRoute(col, 0, PortRamp, PortEast); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.PE(0, 0).Router().SetRoute(col, 0, PortEast, PortEast); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.PE(1, 0).Router().SetRoute(col, 0, PortWest, PortWest); err != nil {
-		t.Fatal(err)
-	}
-	err := f.Run(func(pe *PE) error {
-		if pe.X == 0 {
-			pe.Send(FromF32(col, 1))
-		}
-		return nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "routes in a cycle") {
-		t.Fatalf("expected a routing-cycle error, got %v", err)
+	const col Color = 3
+	for _, tc := range []struct {
+		name        string
+		senderRoute bool
+		want        string
+	}{
+		{"no routes", false, "PE(0,0) has no route for color 3 from ramp"},
+		{"receiver lacks its route", true, "PE(1,0) has no route for color 3 from west"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFabric(t, 2, 1)
+			if tc.senderRoute {
+				if err := f.PE(0, 0).rt.SetRoute(col, PortRamp, PortEast); err != nil {
+					t.Fatal(err)
+				}
+			}
+			err := f.Run(func(pe *PE) error {
+				if pe.X == 0 {
+					pe.Send(FromF32(col, 1))
+					return nil
+				}
+				_, err := pe.Recv()
+				return err
+			})
+			if err == nil || !strings.Contains(err.Error(), tc.want) || strings.Count(err.Error(), "no route") != 1 {
+				t.Fatalf("want the one routing error %q, got %v", tc.want, err)
+			}
+			if !errors.Is(err, ErrDeadlock) || !strings.Contains(err.Error(), "PE(1,0) waits in Recv") {
+				t.Fatalf("expected PE(1,0) to end in ErrDeadlock, got %v", err)
+			}
+		})
 	}
 }
 
@@ -461,15 +345,19 @@ func TestRecvDeadlock(t *testing.T) {
 }
 
 // A wavelet in the inbox is taken without waiting; the inbox reuses its
-// backing array, so a loopback Send + Recv allocates nothing.
+// backing array, so a Send to a neighbor and its Recv allocate nothing.
 func TestRecvQueuedWaveletAllocatesNothing(t *testing.T) {
-	pe := newFabric(t, 1, 1).PE(0, 0)
-	if err := pe.Router().SetRoute(2, 0, PortRamp, PortRamp); err != nil {
+	f := newFabric(t, 2, 1)
+	from, to := f.PE(0, 0), f.PE(1, 0)
+	if err := from.rt.SetRoute(2, PortRamp, PortEast); err != nil {
+		t.Fatal(err)
+	}
+	if err := to.rt.SetRoute(2, PortWest, PortRamp); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		pe.Send(FromF32(2, 1))
-		if _, err := pe.Recv(); err != nil {
+		from.Send(FromF32(2, 1))
+		if _, err := to.Recv(); err != nil {
 			t.Fatal(err)
 		}
 	})

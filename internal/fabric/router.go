@@ -1,140 +1,80 @@
 package fabric
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
-// RouteRule gives, for one color in one switch position, the set of output
-// ports for a wavelet arriving on each input port. A nil entry means the
-// color is not expected from that port (a routing error if it happens).
-type RouteRule struct {
-	out [NumPorts][]Port
-}
-
-// routeEntry is a color's routing state: two switch positions plus the
-// active position (paper Fig. 6a: configuration 0 = sending/broadcast root,
-// configuration 1 = receiving).
-type routeEntry struct {
-	rules [2]*RouteRule
-	pos   uint8
-}
-
-// RouterCounters aggregates a router's traffic. Routing updates them under
-// the fabric mutex; they are atomic so a worker may watch one mid-run.
+// RouterCounters holds a router's traffic. Routing writes them under the
+// fabric mutex; read them after Run, or under that mutex.
 type RouterCounters struct {
-	SentFromRamp  atomic.Uint64 // ramp → link
-	DeliveredToPE atomic.Uint64 // link → ramp
-	Forwarded     atomic.Uint64 // link → link (multi-hop traffic)
-	Commands      atomic.Uint64 // switch commands applied
-	DroppedAtStop atomic.Uint64 // wavelets left unread in the inbox when Run returned
+	DeliveredToPE uint64 // link → ramp
+	DroppedAtStop uint64 // wavelets left unread in the inbox when Run returned
 }
 
-// router is one PE's five-port router: a switch, not a thread. Route
-// configuration happens before the fabric runs (static routes) and at
-// runtime through command wavelets; wavelets pass through it inside the
-// sender's PE.SendColumn.
+// router is one PE's five-port router: a switch, not a thread, holding the
+// static routes of the §5.2 exchange. A color flows ramp→link on its sender
+// and link→ramp on its receiver; the exchange's corners are relayed by the
+// worker, so a wavelet crosses exactly one link. Routes are installed
+// before the fabric runs; wavelets pass through inside the sender's
+// PE.SendColumn.
 type router struct {
-	pe       *PE
-	entries  [MaxColors]*routeEntry
-	cmd      Color // command color; wavelets of this color flip switches
-	hasCmd   bool
+	pe *PE
+	// out[c][from] is the port a wavelet of color c arriving on from leaves
+	// by; NumPorts, what newRouter installs, means no route.
+	out      [MaxColors][NumPorts]Port
 	C        RouterCounters
 	routeErr error
 }
 
-// SetRoute installs outputs for (color, position, from-port). It may only be
-// called before the fabric runs.
-func (r *router) SetRoute(c Color, pos uint8, from Port, to ...Port) error {
+// newRouter returns pe's router with no routes.
+func newRouter(pe *PE) *router {
+	r := &router{pe: pe}
+	for c := range r.out {
+		for p := range r.out[c] {
+			r.out[c][p] = NumPorts
+		}
+	}
+	return r
+}
+
+// SetRoute routes color c from port from to port to: ramp→link on a sender,
+// link→ramp on a receiver. It may only be called before the fabric runs.
+func (r *router) SetRoute(c Color, from, to Port) error {
 	if c >= MaxColors {
 		return fmt.Errorf("fabric: color %d out of range (max %d)", c, MaxColors-1)
 	}
-	if pos > 1 {
-		return fmt.Errorf("fabric: switch position %d out of range", pos)
+	if from >= NumPorts || to >= NumPorts {
+		return fmt.Errorf("fabric: invalid route %v→%v", from, to)
 	}
-	if from >= NumPorts {
-		return fmt.Errorf("fabric: invalid from-port %d", from)
+	if (from == PortRamp) == (to == PortRamp) {
+		return fmt.Errorf("fabric: PE(%d,%d) route %v→%v is neither ramp→link nor link→ramp", r.pe.X, r.pe.Y, from, to)
 	}
-	for _, p := range to {
-		if p >= NumPorts {
-			return fmt.Errorf("fabric: invalid to-port %d", p)
-		}
-		if p != PortRamp && !r.pe.HasNeighbor(p) {
-			return fmt.Errorf("fabric: PE(%d,%d) route %v→%v crosses the fabric edge", r.pe.X, r.pe.Y, from, p)
-		}
+	if link := min(from, to); !r.pe.HasNeighbor(link) { // PortRamp is the largest port
+		return fmt.Errorf("fabric: PE(%d,%d) route %v→%v crosses the fabric edge", r.pe.X, r.pe.Y, from, to)
 	}
-	e := r.entries[c]
-	if e == nil {
-		e = &routeEntry{}
-		r.entries[c] = e
-	}
-	if e.rules[pos] == nil {
-		e.rules[pos] = &RouteRule{}
-	}
-	if to == nil {
-		to = []Port{} // "consume without forwarding" is a valid route
-	}
-	e.rules[pos].out[from] = to
+	r.out[c][from] = to
 	return nil
 }
 
-// route carries one wavelet that arrives on port from through this router,
-// with the fabric mutex held: it applies a switch command, then appends to
-// the PE's inbox or hands the wavelet to the neighbor on each output port.
-// hops counts the links crossed so far; a route that crosses more links
-// than the fabric has is a cycle. A routing error is recorded in routeErr
-// (Run reports it) and drops the wavelet.
-func (r *router) route(w Wavelet, from Port, hops int) {
-	if int(w.Color) >= len(r.entries) {
-		r.fail(fmt.Errorf("fabric: PE(%d,%d) received wavelet with invalid color %d", r.pe.X, r.pe.Y, w.Color))
-		return
+// hop returns the PE that receives color c sent from this router's ramp,
+// with the fabric mutex held: this router must route c out of a link, and
+// the neighbor there must route c from the arrival port to its ramp. A
+// missing route is a routing error recorded on the PE that lacks it (Run
+// reports it); hop then returns nil and the wavelets are dropped.
+func (r *router) hop(c Color) *PE {
+	if c >= MaxColors {
+		r.fail(fmt.Errorf("fabric: PE(%d,%d) sent wavelet with invalid color %d", r.pe.X, r.pe.Y, c))
+		return nil
 	}
-	e := r.entries[w.Color]
-	if e == nil {
-		r.fail(fmt.Errorf("fabric: PE(%d,%d) has no route for color %d (from %v)", r.pe.X, r.pe.Y, w.Color, from))
-		return
+	out := r.out[c][PortRamp]
+	if out == NumPorts {
+		r.fail(fmt.Errorf("fabric: PE(%d,%d) has no route for color %d from %v", r.pe.X, r.pe.Y, c, PortRamp))
+		return nil
 	}
-	rule := e.rules[e.pos]
-	if rule == nil || rule.out[from] == nil {
-		r.fail(fmt.Errorf("fabric: PE(%d,%d) color %d position %d has no route from %v", r.pe.X, r.pe.Y, w.Color, e.pos, from))
-		return
+	dst := r.pe.nbr[out]
+	if in := out.Opposite(); dst.rt.out[c][in] != PortRamp {
+		dst.rt.fail(fmt.Errorf("fabric: PE(%d,%d) has no route for color %d from %v", dst.X, dst.Y, c, in))
+		return nil
 	}
-	if hops > len(r.pe.fab.pes)*len(LinkPorts) {
-		r.fail(fmt.Errorf("fabric: PE(%d,%d) color %d routes in a cycle", r.pe.X, r.pe.Y, w.Color))
-		return
-	}
-	// Apply switch commands before forwarding: each router reconfigures as
-	// the command passes through it (Fig. 6b), and the worker observing the
-	// command (or its echo) is then guaranteed to see the new configuration.
-	if r.hasCmd && w.Color == r.cmd {
-		target, pos := DecodeCommand(w.Data)
-		te := r.entries[target]
-		switch {
-		case te != nil && pos == TogglePosition:
-			te.pos ^= 1
-		case te != nil && pos <= 1:
-			te.pos = pos
-		default:
-			r.fail(fmt.Errorf("fabric: PE(%d,%d) switch command for unknown color %d / position %d", r.pe.X, r.pe.Y, target, pos))
-			return
-		}
-		r.C.Commands.Add(1)
-	}
-	for _, out := range rule.out[from] {
-		switch {
-		case out == PortRamp:
-			if from != PortRamp {
-				r.C.DeliveredToPE.Add(1)
-			}
-			r.pe.deliver(w)
-			continue
-		case from == PortRamp:
-			r.C.SentFromRamp.Add(1)
-		default:
-			r.C.Forwarded.Add(1)
-		}
-		r.pe.nbr[out].rt.route(w, out.Opposite(), hops+1)
-	}
+	return dst
 }
 
 func (r *router) fail(err error) {

@@ -1,14 +1,14 @@
 // Package fabric simulates the wafer-scale engine's interconnect: a 2D mesh
 // of processing elements (PEs), each with a private memory, a vector engine,
 // and a five-port router (North, East, South, West, Ramp — paper Fig. 2).
-// Data moves in 32-bit wavelets tagged with a color; routers forward wavelets
-// according to per-color routing rules with two switch positions that runtime
-// commands can flip (paper Fig. 6). Each PE runs one goroutine, its worker
-// program; a router is a switch, not a thread: a sent wavelet is routed to
-// completion in the sender's goroutine, into the inboxes of the PEs it
-// reaches, so nothing is ever in flight and a run in which every live worker
-// waits is reported as ErrDeadlock. exchange.go holds the §5.2 neighborhood
-// exchange the flux and wave engines communicate through.
+// Data moves in 32-bit wavelets tagged with a color; a router holds one
+// static route per (color, input port): ramp→link on the sender, link→ramp
+// on the receiver — the routes of the §5.2 neighborhood exchange
+// (exchange.go) the flux and wave engines communicate through. Each PE runs
+// one goroutine, its worker program; a router is a switch, not a thread: a
+// sent wavelet is delivered in the sender's goroutine, into the receiver's
+// inbox, so nothing is ever in flight and a run in which every live worker
+// waits is reported as ErrDeadlock.
 package fabric
 
 import (
@@ -95,21 +95,7 @@ type Wavelet struct {
 // pressure and gravity coefficients as raw float bits).
 func (w Wavelet) F32() float32 { return math.Float32frombits(w.Data) }
 
-// FromF32 builds a data wavelet carrying a float32 payload.
+// FromF32 builds a wavelet carrying a float32 payload.
 func FromF32(c Color, v float32) Wavelet {
 	return Wavelet{Color: c, Data: math.Float32bits(v)}
-}
-
-// Command wavelets: the payload of a control wavelet encodes which color's
-// route to switch and the new switch position (paper Fig. 6: "a router
-// command is sent through the broadcast pattern, changing the configurations
-// from one to the alternative router configuration").
-
-// TogglePosition, used as a command's newPos, flips the target color's route
-// to the alternative configuration — the paper's switch semantic.
-const TogglePosition uint8 = 0xFF
-
-// DecodeCommand unpacks a switch command payload.
-func DecodeCommand(data uint32) (target Color, newPos uint8) {
-	return Color(data & 0xFF), uint8((data >> 8) & 0xFF)
 }

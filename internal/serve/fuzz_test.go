@@ -25,6 +25,7 @@ func FuzzSolveRequest(f *testing.F) {
 		testBody(`"wells":[{"cell":0,"rate":1.5},{"cell":47,"rate":-1.5}]`),
 		testBody(`"wells":[{"cell":-1,"rate":2}]`),
 		testBody(`"wells":[{"cell":0,"rate":0}]`),
+		testBody(`"wells":[{"cell":0,"rate":1e154},{"cell":47,"rate":1e154}]`),
 		`{"scenario":`,
 		`{"scenario":{},"bogus":1}`,
 		`{"scenario":{"mesh":"tetrahedral"}}`,

@@ -54,8 +54,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -549,14 +551,18 @@ func (r SolveRequest) validate(maxCells int) error {
 		}
 		net[well.Cell] += well.Rate
 	}
-	// Each cell's net rate is summed in well order, as the solver builds b:
-	// when every one squares to zero, ‖b‖ is zero and the solve does nothing.
-	drives := false
-	for _, q := range net {
-		drives = drives || q*q != 0
+	// Each cell's net rate is summed in well order and the squares in
+	// ascending cell order, as the solver builds b and ‖b‖²: zero means the
+	// solve does nothing, +Inf that CG has no finite residual to start from.
+	sumQ2 := 0.0
+	for _, c := range slices.Sorted(maps.Keys(net)) {
+		sumQ2 += net[c] * net[c]
 	}
-	if len(r.Wells) > 0 && !drives {
+	switch {
+	case len(r.Wells) > 0 && sumQ2 == 0:
 		return fmt.Errorf("serve: the wells' net rates are zero — nothing drives the flow")
+	case math.IsInf(sumQ2, 1):
+		return fmt.Errorf("serve: the wells' net rates overflow the sum of their squares")
 	}
 	return nil
 }

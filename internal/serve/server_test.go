@@ -122,6 +122,8 @@ func TestSolveRejectsInvalid(t *testing.T) {
 		{"wells cancelling in one cell", testBody(`"wells":[{"cell":0,"rate":2},{"cell":0,"rate":-2}]`)},
 		{"subnormal rates", testBody(`"wells":[{"cell":0,"rate":1e-320},{"cell":47,"rate":-1e-320}]`)},
 		{"rate whose square underflows", testBody(`"wells":[{"cell":0,"rate":1e-170}]`)},
+		{"rate whose square overflows", testBody(`"wells":[{"cell":0,"rate":1e300}]`)},
+		{"squares whose sum overflows", testBody(`"wells":[{"cell":0,"rate":1e154},{"cell":47,"rate":1e154}]`)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -86,9 +86,8 @@ func (e *StepError) Error() string { return fmt.Sprintf("umesh: step %d: %v", e.
 
 func (e *StepError) Unwrap() error { return e.Err }
 
-// TransientStep summarizes one implicit step, including the solver's full
-// residual history — the golden regression tests assert the history is
-// bit-identical across part counts.
+// TransientStep summarizes one implicit step: its CG iterations, final
+// residual, largest pressure change and mass balance.
 type TransientStep struct {
 	Step       int
 	Iterations int
@@ -266,9 +265,10 @@ func (s *TransientSolver) Solve(req TransientOptions) (*TransientResult, error) 
 		b[w.Cell] += w.Rate
 		injected += math.Abs(w.Rate)
 	}
-	// ‖b‖² is zero exactly when every b[i] squares to zero, serve's per-cell
-	// test: no wells, or rates that are zero, cancel in one cell or underflow
-	// when squared. CG would return Δp = 0 after no iteration.
+	// ‖b‖² is zero exactly when every b[i] squares to zero: no wells, or
+	// rates that are zero, cancel in one cell or underflow when squared, and
+	// CG would return Δp = 0 after no iteration; +Inf when they overflow it.
+	// serve refuses both at decode with this sum, in this cell order.
 	sumQ, sumQ2 := 0.0, 0.0
 	for _, v := range b {
 		sumQ += v
@@ -276,6 +276,9 @@ func (s *TransientSolver) Solve(req TransientOptions) (*TransientResult, error) 
 	}
 	if sumQ2 == 0 {
 		return nil, fmt.Errorf("umesh: nothing drives the flow: every cell's net well rate squares to zero")
+	}
+	if math.IsInf(sumQ2, 1) {
+		return nil, fmt.Errorf("umesh: the net well rates overflow ‖b‖²: their squares sum to +Inf")
 	}
 
 	initial := req.InitialPressure

@@ -1,9 +1,12 @@
 package umesh
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/physics"
+	"repro/internal/solver"
 )
 
 // transientFixture returns the radial mesh and well setup the transient
@@ -180,6 +183,31 @@ func TestTransientValidation(t *testing.T) {
 		if st := res.Steps[0]; st.Iterations == 0 || st.MaxDeltaP <= 0 {
 			t.Errorf("a 1e-100 rate did not drive the flow (partitioned: %t): %d iterations, max Δp %g",
 				p != nil, st.Iterations, st.MaxDeltaP)
+		}
+	}
+}
+
+// Rates whose ‖b‖² overflows are refused by name, serial and partitioned —
+// one rate whose square is +Inf, and two in different cells whose squares
+// are finite but sum to +Inf — rather than reaching CG as a breakdown.
+func TestTransientRefusesOverflowingRates(t *testing.T) {
+	u, opts := transientFixture(t)
+	fl := physics.DefaultFluid()
+	part, err := RCB(u, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*Partition{nil, part} {
+		for _, wells := range [][]Well{
+			{{Cell: 0, Rate: 1e300}},
+			{{Cell: 0, Rate: 1e154}, {Cell: u.NumCells - 1, Rate: 1e154}},
+		} {
+			bad := opts
+			bad.Wells = wells
+			_, err := RunTransientPartitioned(u, p, fl, bad)
+			if err == nil || !strings.Contains(err.Error(), "overflow") || errors.Is(err, solver.ErrBreakdown) {
+				t.Errorf("wells %v (partitioned: %t): want the overflow refusal, got %v", wells, p != nil, err)
+			}
 		}
 	}
 }

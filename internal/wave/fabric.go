@@ -12,7 +12,7 @@ import (
 // always see eight values.
 
 // exchangeColor is the first of the exchange's eight colors.
-const exchangeColor fabric.Color = 2
+const exchangeColor fabric.Color = 0
 
 // simulateFabric runs the leapfrog on the wavelet fabric.
 func simulateFabric(m *Medium, opts Options) (*Result, error) {
