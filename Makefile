@@ -50,7 +50,7 @@ test:
 # amd64 has one answer, and this leg fails the day that stops being true
 # (ROADMAP item 11 has the arm64 half of the question).
 test-v3:
-	GOAMD64=v3 $(GO) test ./internal/umesh/ ./internal/serve/ ./internal/solver/ ./internal/core/ ./internal/dsd/
+	GOAMD64=v3 $(GO) test ./internal/umesh/ ./internal/serve/ ./internal/solver/ ./internal/core/ ./internal/dsd/ ./internal/mesh/
 
 race:
 	$(GO) test -race -count=1 $(RACE_PKGS)
@@ -71,12 +71,12 @@ race:
 # A PR that shrinks what a ceiling covers lowers it to the new sum. A PR that
 # must raise one says in CHANGES.md by how much and what the lines buy;
 # CHANGES.md keeps each ceiling's history.
-SIZE_CEILING = 4529
+SIZE_CEILING = 4535
 SERVE_CEILING = 1831
 BENCH_CEILING = 861
-STRUCT_CEILING = 1844
+STRUCT_CEILING = 1894
 FABRIC_CEILING = 634
-MODULE_CEILING = 14959
+MODULE_CEILING = 15057
 size:
 	@set -e; \
 	for d in $$($(GO) list -f '{{.Dir}}' ./... | sed "s|^$$PWD/*||; s|^$$|.|"); do \
@@ -130,26 +130,29 @@ layers:
 #     per block in the tail and per call in the update).
 #   - internal/dsd/ops.go is the structured kernel. Every op has one element
 #     loop, over columns resliced to the destination's length, and none
-#     reports a check (FluxFace and FluxCell stream the inlined fluxElem over
-#     the tail their vector bodies leave); the pinned sites are per call or
-#     per face: one reslice per source column or wire half, FluxCell's tail
-#     clear, and the tally slot (106 sites while strided loops computed three
-#     addresses per element and the single-op loops checked their second
-#     operand; 33 with FluxFaceAcc; 32 until the single-instruction ops, whose
-#     reslices were half the sites, moved into the oracle's test file). The
-#     flat engine reads its neighbors' columns off the wire inside FluxCell —
-#     there is no FMOV copy on its path to keep check-free, only the fabric
-#     engine's receive.
+#     reports a check (FluxFace and RunCell stream the inlined fluxElem over
+#     columns their vector bodies do not take; RunCell's are unsafe.Slice
+#     views of one length, bound once by BindCell); the pinned sites are per
+#     call or per face: one reslice per FluxFace source column, AccV's
+#     source, the cell's face list and the tally slot (106 sites while strided
+#     loops computed three addresses per element and the single-op loops
+#     checked their second operand; 33 with FluxFaceAcc; 32 until the
+#     single-instruction ops, whose reslices were half the sites, moved into
+#     the oracle's test file; 16 until the per-call FluxCell, its tail loop
+#     and its wire reslices became the bound cell). The flat engine's cell
+#     reads its neighbors' own columns — there is no FMOV copy on its path to
+#     keep check-free, only the fabric engine's receive.
 #   - internal/core/hostload.go is the tile-ordered host loader: its element
 #     loop keeps exactly one check (the column view's [z]; the mesh line is
-#     resliced per plane), the rest is per tile or per PE.
+#     resliced per plane), the rest is per tile or per PE (20 sites until the
+#     loaders wrote PE memory directly instead of send columns).
 # The structured kernel's single spelling must also stay inlinable into the
 # two macro-ops' tail loops, or each element pays a call. Its vector body
 # (internal/dsd/*.s) and umesh's (internal/umesh/*.s: the packed rows, the
 # fused CG tail, the direction update) must round every product before its
 # sum as their Go spellings do, so a fused multiply-add mnemonic there fails
 # the gate.
-BCE_PINS = internal/umesh:kernels.go:97 internal/dsd:ops.go:16 internal/core:hostload.go:20
+BCE_PINS = internal/umesh:kernels.go:97 internal/dsd:ops.go:9 internal/core:hostload.go:16
 bce:
 	@set -e; \
 	for pin in $(BCE_PINS); do \
@@ -163,7 +166,7 @@ bce:
 	  fi; \
 	done; \
 	$(GO) build -gcflags=-m ./internal/dsd/ 2>&1 | grep -q 'can inline fluxElem' || \
-	  { echo "bce: dsd.fluxElem is over the inlining budget — FluxFace and FluxCell would call it per element"; exit 1; }; \
+	  { echo "bce: dsd.fluxElem is over the inlining budget — FluxFace and RunCell would call it per element"; exit 1; }; \
 	echo "bce: dsd.fluxElem inlines"; \
 	if grep -nE 'VFN?M(ADD|SUB)' internal/dsd/*.s internal/umesh/*.s; then \
 	  echo "bce: a vector body fuses a multiply and an add, which its Go spelling never does"; exit 1; fi; \
@@ -182,14 +185,31 @@ bench-selftest:
 # aligned, so any size change in a package linked before main moves it by
 # 32; at 0 mod 64 it has read 8–14 % faster than at 32, which shifts every
 # normalised metric of that build. Compare two builds' normalised numbers
-# only when both print the same offset.
+# only when both print the same offset. It then prints every marked loop
+# head of the module's assembly — the instruction after each `PCALIGN $64`
+# in internal/*/*.s, found in the binary by its source line — with its
+# offset mod 64, and fails if one is not 0 or is not in the binary: those
+# loops sit where they do whatever code is linked before them.
 bench-layout:
 	@set -e; build=$$PWD/.bench_build; mkdir -p $$build; \
 	( cd benchmark && HOME=$$build/home GOCACHE=$$build/gocache GOPATH=$$build/gopath \
 	  GOFLAGS= GOWORK=off GOTOOLCHAIN=local $(GO) build -o $$build/fvbench . ); \
 	addr=$$($(GO) tool nm $$build/fvbench | awk '$$3 == "main.(*yardstick).run" {print $$1}'); \
 	[ -n "$$addr" ] || { echo "bench-layout: no main.(*yardstick).run in the benchmark binary"; exit 1; }; \
-	echo "bench-layout: main.(*yardstick).run at 0x$$addr, $$((0x$$addr % 64)) mod 64"
+	echo "bench-layout: main.(*yardstick).run at 0x$$addr, $$((0x$$addr % 64)) mod 64"; \
+	bad=0; \
+	for f in $$(grep -lE '^[[:space:]]+PCALIGN' internal/*/*.s); do \
+	  dis=$$($(GO) tool objdump -s "^repro/$$(dirname $$f)\." $$build/fvbench); \
+	  for line in $$(grep -nE '^[[:space:]]+PCALIGN' $$f | cut -d: -f1); do \
+	    head=$$(echo "$$dis" | awk -v file="$$(basename $$f)" -v l=$$line \
+	      '{split($$1, a, ":")} a[1] == file && a[2]+0 > l && (at == "" || a[2]+0 < best) {best = a[2]+0; at = $$2; src = $$1} END {if (at != "") print src, at}'); \
+	    if [ -z "$$head" ]; then echo "bench-layout: the loop head after $$f:$$line is not in the benchmark binary"; bad=1; continue; fi; \
+	    at=$${head#* }; off=$$(($$at % 64)); \
+	    echo "bench-layout: loop head $${head% *} ($$f PCALIGN at line $$line) at $$at, $$off mod 64"; \
+	    [ $$off -eq 0 ] || bad=1; \
+	  done; \
+	done; \
+	[ $$bad -eq 0 ] || { echo "bench-layout: a marked loop head is missing or not 64-byte aligned"; exit 1; }
 
 # The claim protocol as one command (cmd/fvab): builds the benchmark from
 # BASE (a git worktree under .bench_build/ab) and from the working
@@ -218,7 +238,7 @@ bench-smoke:
 	@echo "bench-smoke: GOMAXPROCS=$${GOMAXPROCS:-$$(nproc)}"
 	$(GO) test -run '^$$' -bench . -benchtime 1x -short ./...
 
-# The structured-kernel microbenchmarks (dsd ops, the whole-PE FluxCell and
+# The structured-kernel microbenchmarks (dsd ops, the whole-PE bound cell and
 # the fused FluxFace against their op-by-op sequence, faceFlux, exchange,
 # whole engine, the engine's compile / load-pressure / apply / gather stages,
 # the wavelet fabric engine, and a dataflow-operator CG solve beside one bare
@@ -262,7 +282,7 @@ chaos-smoke:
 # builder, the part operator's row store (and its vector bodies — the packed
 # rows, the CG tail, the direction update — against their Go spellings), the
 # serving layer's request
-# decoder and the whole-PE flux macro-op FluxCell (the seed corpora
+# decoder and the whole-PE flux macro-op, a bound cell (the seed corpora
 # already run under plain `make test`). -fuzz accepts one target per
 # invocation, hence five runs.
 fuzz-smoke:

@@ -47,15 +47,15 @@ func BenchmarkKernelFaceFlux(b *testing.B) {
 }
 
 // BenchmarkKernelLocalApplication measures one interior PE's complete
-// vectorized application as the flat engine runs it: one FluxCell over ten
-// faces, eight of them read off the neighbors' send columns — exchange,
+// vectorized application as the flat engine runs it: its bound cell over
+// ten faces, eight of them read from the neighbors' own columns — exchange,
 // residual zeroing, face groups and assembly in one pass.
 func BenchmarkKernelLocalApplication(b *testing.B) {
 	states, m, _ := benchStates(b, mesh.Dims{Nx: 3, Ny: 3, Nz: 246}, 1)
 	s := &states[1*m.Dims.Nx+1]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.applyCell(states)
+		s.applyCell()
 	}
 }
 

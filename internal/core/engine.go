@@ -28,8 +28,9 @@ import (
 // structure makes the data sharing safe without per-PE locks:
 //
 //   - perturbation writes only the owning PE's pressure column;
-//   - the application reads neighbor pressure/gravity send columns and
-//     writes only the owning PE's residual and counters.
+//   - the application reads the neighbors' own pressure and gravity columns
+//     (what their send columns would carry) and writes only the owning PE's
+//     residual and counters.
 //
 // The only cross-shard conflict is therefore perturb's write against a
 // neighboring shard's read, so each application runs as two barriered
@@ -97,7 +98,8 @@ var errFabricOnly = errors.New("core: the flat engine runs only the vectorized k
 // Compile builds the flat engine for a mesh: opts.Workers row bands, each
 // taking its own arena (sized to the layout, budgeted at opts.MemWords; the
 // slab of a closed engine when one of that size is still alive) and loading
-// its PEs' static columns from the mesh, which is only read, not retained.
+// its PEs' static columns from the mesh, which is only read, not retained;
+// then every PE's application is bound (bindCell) over the laid-out grid.
 // opts.Apps is the count RunFlatParallel applies; Apply takes its own.
 // CommOnly and Vectorized = false are errFabricOnly, checked first only to
 // hold the benchmark binary's layout (make bench-layout): after validate,
@@ -133,6 +135,9 @@ func Compile(m *mesh.Mesh, fl physics.Fluid, opts Options) (*Engine, error) {
 		e.Close()
 		return nil, err
 	}
+	for i := range e.states {
+		e.states[i].bindCell(e.states)
+	}
 	return e, nil
 }
 
@@ -144,9 +149,8 @@ func (e *Engine) band(shard int) []peState {
 
 // layoutBand takes the PE memories of a band starting at grid row y0 and
 // lays every PE out in its own. The memories come from one dsd arena and the
-// engines and send columns from one slice each, so a band's working set is
-// cache-contiguous and costs a handful of allocations instead of several per
-// PE.
+// engines from one slice, so a band's working set is cache-contiguous and
+// costs a handful of allocations instead of several per PE.
 func layoutBand(band []peState, d mesh.Dims, y0 int, flLin physics.Fluid, opts Options) error {
 	footprint := WordsPerZ(opts.BufferReuse)*d.Nz + FixedWords
 	mems, err := dsd.NewSizedArena(len(band), opts.MemWords, footprint)
@@ -154,11 +158,9 @@ func layoutBand(band []peState, d mesh.Dims, y0 int, flLin physics.Fluid, opts O
 		return err
 	}
 	engs := make([]dsd.Engine, len(band))
-	send := make([]float32, len(band)*2*d.Nz)
 	for i := range band {
 		engs[i].Mem = &mems[i]
-		err := band[i].layout(&engs[i], d, flLin, i%d.Nx, y0+i/d.Nx, opts, send[i*2*d.Nz:(i+1)*2*d.Nz])
-		if err != nil {
+		if err := band[i].layout(&engs[i], d, flLin, i%d.Nx, y0+i/d.Nx, opts); err != nil {
 			return err
 		}
 	}
@@ -220,7 +222,7 @@ func (e *Engine) perturb(shard int) error {
 func (e *Engine) applyBand(shard int) error {
 	band := e.band(shard)
 	for i := range band {
-		band[i].applyCell(e.states)
+		band[i].applyCell()
 	}
 	return nil
 }

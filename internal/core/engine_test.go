@@ -282,7 +282,7 @@ func TestTileLoaderMatchesPerPEGather(t *testing.T) {
 					expect(s, "pPad", s.pPad, append(append([]float32{p[0]}, p...), p[d.Nz-1]))
 					expect(s, "gzPad", s.gzPad, append(append([]float32{gz[0]}, gz...), gz[d.Nz-1]))
 					send := append(append([]float32(nil), p...), gz...)
-					for z, v := range s.sendBuf {
+					for z, v := range s.sendColumn(make([]float32, 2*d.Nz)) {
 						if math.Float32bits(v) != math.Float32bits(send[z]) {
 							t.Fatalf("%s: PE(%d,%d) send column[%d] = %g, want %g", name, s.x, s.y, z, v, send[z])
 						}

@@ -33,13 +33,11 @@ func RunFabric(m *mesh.Mesh, fl physics.Fluid, opts Options) (*Result, error) {
 
 	flLin := fl.WithModel(physics.DensityLinear)
 	states := make([]peState, nx*ny)
-	send := make([]float32, len(states)*2*nz)
 	err = fab.ForEachPE(func(pe *fabric.PE) error {
 		if err := fabric.InstallExchange(pe, exchangeColor, opts.Diagonals); err != nil {
 			return err
 		}
-		i := pe.Y*nx + pe.X
-		return states[i].layout(pe.Eng, m.Dims, flLin, pe.X, pe.Y, opts, send[i*2*nz:(i+1)*2*nz])
+		return states[pe.Y*nx+pe.X].layout(pe.Eng, m.Dims, flLin, pe.X, pe.Y, opts)
 	})
 	if err != nil {
 		return nil, err
@@ -49,8 +47,10 @@ func RunFabric(m *mesh.Mesh, fl physics.Fluid, opts Options) (*Result, error) {
 	loadPressure(states, m.Pressure)
 
 	start := time.Now()
+	send := make([]float32, len(states)*2*nz)
 	err = fab.Run(func(pe *fabric.PE) error {
-		return fluxWorker(pe, &states[pe.Y*nx+pe.X], opts)
+		i := pe.Y*nx + pe.X
+		return fluxWorker(pe, &states[i], opts, send[i*2*nz:(i+1)*2*nz])
 	})
 	elapsed := time.Since(start)
 	if err != nil {
@@ -67,13 +67,14 @@ func RunFabric(m *mesh.Mesh, fl physics.Fluid, opts Options) (*Result, error) {
 }
 
 // fluxWorker is the per-PE program: for every application it perturbs its
-// column, sends it into the §5.2 exchange (fabric/exchange.go), computes the
-// vertical faces while data is in flight (§5.3.2 overlap), then stores each
-// neighbor column as the exchange completes it and evaluates that face's
-// fluxes immediately, and finally assembles the residual. Columns complete in
-// arrival order; every face writes its own fbuf[d] and assemble adds them in
-// assemblyOrder, so the residual does not depend on it.
-func fluxWorker(pe *fabric.PE, s *peState, opts Options) error {
+// column, refreshes its send column from PE memory and sends that into the
+// §5.2 exchange (fabric/exchange.go), computes the vertical faces while data
+// is in flight (§5.3.2 overlap), then stores each neighbor column as the
+// exchange completes it and evaluates that face's fluxes immediately, and
+// finally assembles the residual. Columns complete in arrival order; every
+// face writes its own fbuf[d] and assemble adds them in assemblyOrder, so
+// the residual does not depend on it.
+func fluxWorker(pe *fabric.PE, s *peState, opts Options, send []float32) error {
 	ex := fabric.NewExchange(pe, exchangeColor, 2*s.nz, opts.Diagonals)
 	deliver := func(o fabric.Origin, data []float32) error {
 		d := originDir[o]
@@ -92,7 +93,7 @@ func fluxWorker(pe *fabric.PE, s *peState, opts Options) error {
 		if !opts.CommOnly {
 			s.eng.Fill(s.res, 0)
 		}
-		ex.Send(s.ownColumn())
+		ex.Send(s.sendColumn(send))
 		if !opts.CommOnly {
 			s.computeVerticalFaces() // overlapped with communication
 		}

@@ -6,7 +6,7 @@ import (
 )
 
 // This file applies the 14-FLOP per-face flux kernel (§5.3.3: fluxElem,
-// in dsd.FluxFace or the flat engine's dsd.FluxCell) to the ten faces and
+// in dsd.FluxFace or the flat engine's bound dsd.Cell) to the ten faces and
 // assembles the residual, the engines' ways. Every face is evaluated by the
 // same kernel and added in the same fixed order from +0, so all engines
 // produce bit-identical float32 residuals.
@@ -77,12 +77,13 @@ func (s *peState) assemble() {
 	}
 }
 
-// applyCell is the flat engine's application: one dsd.FluxCell
-// over the faces in assembly order, each in-plane neighbor's column read off
-// its send column (the wire the FMOV receive copies from) and a missing
-// neighbor's off the mirror buffers. It counts and yields what receive,
-// compute and assemble would, but writes only the residual.
-func (s *peState) applyCell(states []peState) {
+// bindCell binds the flat engine's application: one dsd.Cell over the faces
+// in assembly order, each in-plane neighbor's column read from that
+// neighbor's own p and gz columns (the words its send column carries, which
+// no kernel writes) and a missing neighbor's from the mirror buffers. It
+// runs once every PE of the grid is laid out, since a neighbor may sit in
+// another band, and BindCell checks every operand there, once.
+func (s *peState) bindCell(states []peState) {
 	var faces [mesh.NumDirections]dsd.Face
 	k := 0
 	for _, d := range assemblyOrder {
@@ -92,9 +93,16 @@ func (s *peState) applyCell(states []peState) {
 		pL, gzL := s.faceNeighbor(d)
 		faces[k] = dsd.Face{Tr: s.trans[d], PL: pL, GzL: gzL}
 		if d < mesh.Down && s.hasNbr[d] { // in-plane directions are enum values 0..7
-			faces[k].Wire = s.wire(states, d)
+			dx, dy, _ := d.Offset()
+			nbr := &states[(s.y+dy)*s.dims.Nx+s.x+dx]
+			faces[k].WireP, faces[k].WireGz = nbr.view(nbr.p), nbr.view(nbr.gz)
 		}
 		k++
 	}
-	s.eng.FluxCell(s.res, s.p, s.gz, faces[:k], s.consts)
+	s.eng.BindCell(&s.cell, s.res, s.p, s.gz, faces[:k], s.consts)
 }
+
+// applyCell is the flat engine's application: the bound cell, which counts
+// and yields what receive, compute and assemble would, but writes only the
+// residual.
+func (s *peState) applyCell() { s.eng.RunCell(&s.cell) }

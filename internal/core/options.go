@@ -14,7 +14,7 @@
 //     twin of the CSL implementation, and the independent oracle;
 //   - the flat engine (Engine: Compile, LoadPressure, Apply, Residual)
 //     computes the same residuals and counters without wavelets, one
-//     dsd.FluxCell per PE that reads the neighbors' columns off the wire,
+//     bound dsd.Cell per PE that reads the neighbors' own columns in place,
 //     for large functional meshes and for callers that apply the kernel many
 //     times: the PE grid is decomposed into contiguous row bands executed on
 //     a worker pool, with a barrier per phase so halo reads never race with

@@ -27,9 +27,11 @@ import (
 // writes depends on the engine. The fused dsd.FluxFace keeps the
 // intermediates in registers, so no run writes scratch, and no descriptor of
 // it is kept. The fabric engine receives into nbr and, computing faces in
-// arrival order, stores every flux column in fbuf. The flat engine's
-// dsd.FluxCell reads the neighbors' send columns off the wire and sums the
-// fluxes in a register, so it writes neither.
+// arrival order, stores every flux column in fbuf. The flat engine's cell
+// (a dsd.Cell, bound once at Compile) reads each in-plane neighbor's own p
+// and gz columns — the words its send column would carry — straight from
+// that neighbor's memory and sums the fluxes in a register, so it writes
+// neither; a missing neighbor's face reads the mirror buffers.
 //
 // With buffer reuse the footprint is 44·Nz+4 words; the CS-2's 12288-word
 // PEs therefore hold at most Nz = 279, and without reuse only Nz = 236 —
@@ -49,13 +51,11 @@ type peState struct {
 	nbrP, nbrGz [8]dsd.Desc // indexed by mesh.Direction (0..7 are in-plane)
 	fbuf        [mesh.NumDirections]dsd.Desc
 
-	// sendBuf is the host-side copy of the own body columns in send order:
-	// the Nz pressure words followed by the Nz gravity words. The host
-	// loaders and perturb write the columns here first and copy them into PE
-	// memory, so halo exchange never allocates; neighbors read it directly.
-	sendBuf []float32
-
 	hasNbr [8]bool // in-plane mesh adjacency
+
+	// cell is the flat engine's application, bound by bindCell (the fabric
+	// engine leaves it zero).
+	cell dsd.Cell
 }
 
 // scratchColumns is the kernel's intermediate-column count: the 13
@@ -78,21 +78,20 @@ func WordsPerZ(bufferReuse bool) int {
 // FixedWords is the Z-independent part of the footprint (the pad cells).
 const FixedWords = 4
 
-// layout allocates one PE's descriptors and binds its send column; it reads
-// nothing from the mesh (the band-wide loaders below do). The engine's
-// memory must be freshly allocated (descriptors are laid out from offset 0).
-func (s *peState) layout(eng *dsd.Engine, dims mesh.Dims, fl physics.Fluid, x, y int, opts Options, sendBuf []float32) error {
+// layout allocates one PE's descriptors; it reads nothing from the mesh (the
+// band-wide loaders do). The engine's memory must be freshly allocated
+// (descriptors are laid out from offset 0).
+func (s *peState) layout(eng *dsd.Engine, dims mesh.Dims, fl physics.Fluid, x, y int, opts Options) error {
 	nz := dims.Nz
 	c := fl.Constants32()
 	*s = peState{
-		eng:     eng,
-		opts:    opts,
-		consts:  dsd.FluxConsts{AHat: c.AHat, CHat: c.CHat, NegC: c.NegC, InvMu: c.InvMu},
-		x:       x,
-		y:       y,
-		nz:      nz,
-		dims:    dims,
-		sendBuf: sendBuf,
+		eng:    eng,
+		opts:   opts,
+		consts: dsd.FluxConsts{AHat: c.AHat, CHat: c.CHat, NegC: c.NegC, InvMu: c.InvMu},
+		x:      x,
+		y:      y,
+		nz:     nz,
+		dims:   dims,
 	}
 	mem := eng.Mem
 	fail := func(what string, err error) error {
@@ -141,17 +140,12 @@ func (s *peState) layout(eng *dsd.Engine, dims mesh.Dims, fl physics.Fluid, x, y
 	return nil
 }
 
-// hostWrite copies a host column into PE memory (uncounted — the host
-// runtime's memcpy analog). Column and descriptor are both Nz long by
-// construction, so a mismatch is a bug.
-func (s *peState) hostWrite(d dsd.Desc, src []float32) {
-	if err := s.eng.Mem.WriteAll(d, src); err != nil {
-		panic(err)
-	}
-}
+// view is the host's view of one of the PE's columns (uncounted — the host
+// runtime's memcpy analog reads and writes through it).
+func (s *peState) view(d dsd.Desc) []float32 { return s.eng.Mem.HostView(d) }
 
 // residual is the host's view of the PE's residual column.
-func (s *peState) residual() []float32 { return s.eng.Mem.HostView(s.res) }
+func (s *peState) residual() []float32 { return s.view(s.res) }
 
 // globalIndex maps the PE's z-th cell to the mesh's linear index.
 func (s *peState) globalIndex(z int) int {
@@ -172,29 +166,21 @@ func (s *peState) refreshGhosts() {
 // perturb applies the shared between-application pressure update to the own
 // column. The update models the host supplying "a different pressure vector
 // at every call" (§3) and is therefore a host-style write, not kernel work:
-// the send buffer's pressure half is the host copy, updated first and then
-// copied into PE memory. The kernel never writes p or gz, so the two stay
-// equal and the buffer stays valid for every neighbor that reads it.
+// it goes straight into the PE's pressure column, which is also what every
+// neighbor reads as this PE's send column.
 func (s *peState) perturb(app int) {
-	p := s.sendBuf[:s.nz]
-	mesh.PerturbColumn32(p, app, s.globalIndex(0), s.dims.Nx*s.dims.Ny, mesh.PerturbAmplitude)
-	s.hostWrite(s.p, p)
+	mesh.PerturbColumn32(s.view(s.p), app, s.globalIndex(0), s.dims.Nx*s.dims.Ny, mesh.PerturbAmplitude)
 	s.refreshGhosts()
 }
 
-// ownColumn returns the PE's serialized (pressure, gravity) body columns in
-// send order: the Nz pressure words followed by the Nz gravity words — the
-// paper's "local block of data of length Nz × 2" (§5.2.1). The returned
-// slice is the persistent send buffer: valid until the next perturb, never
-// reallocated.
-func (s *peState) ownColumn() []float32 { return s.sendBuf }
-
-// wire returns the send column of s's neighbor in in-plane direction d, the
-// column the §5.2 exchange delivers from there — a diagonal one straight from
-// the corner PE, the values the clockwise relay would carry.
-func (s *peState) wire(states []peState, d mesh.Direction) []float32 {
-	dx, dy, _ := d.Offset()
-	return states[(s.y+dy)*s.dims.Nx+s.x+dx].ownColumn()
+// sendColumn fills send with the PE's serialized (pressure, gravity) body
+// columns: the Nz pressure words followed by the Nz gravity words — the
+// paper's "local block of data of length Nz × 2" (§5.2.1) the fabric engine
+// sends.
+func (s *peState) sendColumn(send []float32) []float32 {
+	copy(send, s.view(s.p))
+	copy(send[s.nz:], s.view(s.gz))
+	return send
 }
 
 // receiveColumn stores an arrived 2·Nz column into the direction's neighbor

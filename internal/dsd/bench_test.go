@@ -118,7 +118,7 @@ func BenchmarkKernelMovRecv(b *testing.B) {
 
 // BenchmarkKernelFluxFace measures the residual's faces at the paper's
 // column depth four ways: the flat engine's whole application of one PE as
-// one FluxCell over ten faces, eight of them read off the wire (through the
+// one bound cell over ten faces, eight of them read off the wire (through the
 // vector body where the host has one, and as cell-scalar through fluxElem
 // alone); and one face as the fabric engine evaluates it, FluxFace into the
 // flux column then AccV, and as the op-by-op sequence then AccV — the
@@ -158,8 +158,8 @@ func BenchmarkKernelFluxFace(b *testing.B) {
 	}
 }
 
-// benchCell times one FluxCell over an interior PE's ten faces: eight
-// in-plane ones on their own wire columns, then Down and Up.
+// benchCell times one RunCell of a cell bound to an interior PE's ten faces:
+// eight in-plane ones on their own wire columns, then Down and Up.
 func benchCell(b *testing.B, n int) {
 	c := newCellColumns(b, n)
 	w := c.e.Mem.words
@@ -178,9 +178,11 @@ func benchCell(b *testing.B, n int) {
 		faces = append(faces, c.face(s, s, wire))
 	}
 	faces = append(faces, c.face(slotDown, 8, nil), c.face(slotUp, 9, nil))
+	var cell Cell
+	c.e.BindCell(&cell, c.res, c.p, c.gz, faces, testConsts)
 	b.SetBytes(4 * int64(n*len(faces)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.e.FluxCell(c.res, c.p, c.gz, faces, testConsts)
+		c.e.RunCell(&cell)
 	}
 }

@@ -209,15 +209,6 @@ func (m *Memory) HostView(d Desc) []float32 {
 	return v[:len(v):len(v)]
 }
 
-// WriteAll copies src into descriptor d (host load). Lengths must match.
-func (m *Memory) WriteAll(d Desc, src []float32) error {
-	if len(src) != d.Len {
-		return fmt.Errorf("dsd: WriteAll length %d != descriptor length %d", len(src), d.Len)
-	}
-	copy(m.col(d), src)
-	return nil
-}
-
 // col returns the words d views. It is every op's bounds check: a view
 // reaching outside the memory (or a negative length) is a programming error
 // in kernel construction, not a runtime condition, and panics. An empty

@@ -1,6 +1,7 @@
 package dsd
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -215,4 +216,14 @@ func TestAllocReuseRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// WriteAll copies src into descriptor d (a host load; the engines write
+// through HostView). Lengths must match.
+func (m *Memory) WriteAll(d Desc, src []float32) error {
+	if len(src) != d.Len {
+		return fmt.Errorf("dsd: WriteAll length %d != descriptor length %d", len(src), d.Len)
+	}
+	copy(m.col(d), src)
+	return nil
 }

@@ -5,8 +5,13 @@
 // fused multiply-add (every product rounds before its sum, as the explicit
 // float32 conversions in fluxElem demand), and the upwind branch is a
 // greater-than compare and a blend, so NaN and ±0 choose as Go's
-// `if dphi > 0` does. Both entry points take n, a positive multiple of 8,
-// and pointers to the first element of columns n long.
+// `if dphi > 0` does. Both entry points take n ≥ 8 and pointers to the
+// first element of columns n long. They run whole 8-lane steps from the
+// start, and the last step at n − 8, so when n is not a multiple of 8 it
+// overlaps the one before: SI walks the byte offsets 0, 32, … and is
+// clamped to CX, the last step's offset, where the loop ends. The loop head
+// is 64-byte aligned (PCALIGN), so its placement does not depend on the code
+// linked before it.
 
 DATA half<>+0(SB)/8, $0x3f0000003f000000 // 0.5 in each of 8 lanes
 DATA half<>+8(SB)/8, $0x3f0000003f000000
@@ -71,24 +76,31 @@ TEXT ·fluxFaceAVX2(SB), NOSPLIT, $0-64
 	MOVQ gzL+40(FP), R12
 	MOVQ n+48(FP), CX
 	SHLQ $2, CX
+	SUBQ $32, CX
 	MOVQ c+56(FP), AX
 	CONSTS
 	XORQ SI, SI
+	PCALIGN $64
 
 store:
 	OWN
 	FACE
 	VMOVUPS Y0, (DI)(SI*1)
+	CMPQ    SI, CX
+	JGE     done
 	ADDQ    $32, SI
 	CMPQ    SI, CX
-	JLT     store
+	CMOVQGT CX, SI
+	JMP     store
+
+done:
 	VZEROUPPER
 	RET
 
 // func fluxCellAVX2(res, pK, gzK *float32, faces *cellFaces, nf, n int, c *FluxConsts)
 // Per step OWN runs once and the nf faces' fluxes are summed from +0 in Y15,
-// in face order; a face's tr, pL and gzL pointers are at 0, 24 and 48 bytes
-// of its 72-byte cellFaces entry.
+// in face order; a face's tr, pL and gzL pointers are at 0, 8 and 16 bytes
+// of its 24-byte cellFaces entry.
 TEXT ·fluxCellAVX2(SB), NOSPLIT, $0-56
 	MOVQ res+0(FP), DI
 	MOVQ pK+8(FP), R9
@@ -96,10 +108,12 @@ TEXT ·fluxCellAVX2(SB), NOSPLIT, $0-56
 	MOVQ faces+24(FP), R13
 	MOVQ n+40(FP), CX
 	SHLQ $2, CX
+	SUBQ $32, CX
 	MOVQ c+48(FP), AX
 	CONSTS
 	MOVQ nf+32(FP), AX
 	XORQ SI, SI
+	PCALIGN $64
 
 step:
 	OWN
@@ -110,17 +124,22 @@ step:
 	JZ     sum
 face:
 	MOVQ   0(BX), R8
-	MOVQ   24(BX), R11
-	MOVQ   48(BX), R12
+	MOVQ   8(BX), R11
+	MOVQ   16(BX), R12
 	FACE
 	VADDPS Y0, Y15, Y15
-	ADDQ   $72, BX
+	ADDQ   $24, BX
 	DECQ   DX
 	JNZ    face
 sum:
 	VMOVUPS Y15, (DI)(SI*1)
+	CMPQ    SI, CX
+	JGE     done
 	ADDQ    $32, SI
 	CMPQ    SI, CX
-	JLT     step
+	CMOVQGT CX, SI
+	JMP     step
+
+done:
 	VZEROUPPER
 	RET

@@ -10,6 +10,14 @@ import (
 
 var testConsts = FluxConsts{AHat: 7e-6, CHat: 595, NegC: -595, InvMu: 16666}
 
+// fluxCell is one application as a per-call macro-op: BindCell, then
+// RunCell once — the split the flat engine makes between Compile and Apply.
+func (e *Engine) fluxCell(res, pK, gzK Desc, faces []Face, c FluxConsts) {
+	var cell Cell
+	e.BindCell(&cell, res, pK, gzK, faces, c)
+	e.RunCell(&cell)
+}
+
 // fluxSequence is the op-by-op spelling of the face kernel FluxFace fuses
 // (the buffer-reuse discipline of core's kernel): the oracle the macro-op is
 // held to, bit for bit and counter for counter.
@@ -320,7 +328,7 @@ func TestFluxVectorMatchesFluxElem(t *testing.T) {
 	)
 	lanes = append(lanes, signedZeroTie(t))
 	rng := rand.New(rand.NewPCG(31, 0x5eed))
-	for len(lanes)%8 != 5 || len(lanes) < 4096 { // whole steps and a 5-lane tail
+	for len(lanes)%8 != 5 || len(lanes) < 4096 { // whole steps, then an overlapped step for 5 lanes
 		var l [5]float32
 		for in, centre := range typical {
 			col := l[in : in+1]
@@ -342,15 +350,11 @@ func TestFluxVectorMatchesFluxElem(t *testing.T) {
 	}
 	before := append([]float32(nil), out...)
 	c := testConsts
-	done := fluxVector(out, cols[tr], cols[pk], cols[gk], cols[pl], cols[gl], &c)
-	if want := uint(n &^ 7); done != want {
-		t.Fatalf("vector body ran %d of %d elements, want %d", done, n, want)
+	if !fluxVector(out, cols[tr], cols[pk], cols[gk], cols[pl], cols[gl], &c) {
+		t.Fatalf("vector body did not run on %d elements", n)
 	}
 	for i := range out {
-		want := before[i]
-		if i < int(done) {
-			want = fluxElem(cols[tr][i], cols[pk][i], cols[gk][i], cols[pl][i], cols[gl][i], testConsts)
-		}
+		want := fluxElem(cols[tr][i], cols[pk][i], cols[gk][i], cols[pl][i], cols[gl][i], testConsts)
 		if !sameBits(out[i], want) {
 			t.Fatalf("lane %d inputs %v: vector %g (%#08x), fluxElem %g (%#08x)", i, lanes[i],
 				out[i], math.Float32bits(out[i]), want, math.Float32bits(want))
@@ -360,26 +364,24 @@ func TestFluxVectorMatchesFluxElem(t *testing.T) {
 	// The cell body: face k reads the neighbor lanes rotated by k·(n/10), so
 	// every special value meets every face position and the others' sums.
 	for nf := 0; nf <= maxCellFaces; nf++ {
-		var faces cellFaces
+		var faces [maxCellFaces][3][]float32
+		cell := Cell{res: &out[0], pK: &cols[pk][0], gzK: &cols[gk][0], nf: nf, n: n, c: c}
 		for k := range faces[:nf] {
 			rot := func(col []float32) []float32 {
 				r := k * (n / maxCellFaces)
 				return append(append([]float32(nil), col[r:]...), col[:r]...)
 			}
 			faces[k] = [3][]float32{rot(cols[tr]), rot(cols[pl]), rot(cols[gl])}
+			cell.faces[k] = [3]*float32{&faces[k][0][0], &faces[k][1][0], &faces[k][2][0]}
 		}
 		copy(out, before)
-		done := cellVector(out, cols[pk], cols[gk], &faces, nf, &c)
-		if want := uint(n &^ 7); done != want {
-			t.Fatalf("%d faces: cell body ran %d of %d elements, want %d", nf, done, n, want)
+		if !cellVector(&cell) {
+			t.Fatalf("%d faces: cell body did not run on %d elements", nf, n)
 		}
 		for i := range out {
-			want := before[i]
-			if i < int(done) {
-				want = 0
-				for _, f := range faces[:nf] {
-					want += fluxElem(f[0][i], cols[pk][i], cols[gk][i], f[1][i], f[2][i], testConsts)
-				}
+			want := float32(0)
+			for _, f := range faces[:nf] {
+				want += fluxElem(f[0][i], cols[pk][i], cols[gk][i], f[1][i], f[2][i], testConsts)
 			}
 			if !sameBits(out[i], want) {
 				t.Fatalf("%d faces, lane %d: cell body %g (%#08x), sum of fluxElem %g (%#08x)", nf, i,
@@ -452,10 +454,10 @@ func TestFluxFaceAntisymmetric(t *testing.T) {
 }
 
 // TestFluxFaceRejectsAliasedOutputs: an output sharing a word with an
-// operand — FluxFace's flux column, or FluxCell's residual with any view it
-// reads or a receive buffer the op-by-op spelling writes — is a
-// kernel-construction bug: the macro-op panics with a dsd: message before it
-// writes or counts anything. Disjoint operands, and inputs overlapping each
+// operand — FluxFace's flux column, or a cell's residual with any view or
+// wire column it reads or a receive buffer the op-by-op spelling writes — is
+// a kernel-construction bug: FluxFace, or BindCell, panics with a dsd:
+// message before anything is written or counted. Disjoint operands, and inputs overlapping each
 // other (the vertical faces), run.
 func TestFluxFaceRejectsAliasedOutputs(t *testing.T) {
 	const m = 8
@@ -464,7 +466,7 @@ func TestFluxFaceRejectsAliasedOutputs(t *testing.T) {
 	f, res, tr, p, gz, nbrP, nbrGz := cut(c.f), cut(c.res), cut(c.tr), cut(c.p), cut(c.gz), cut(c.nbrP), cut(c.nbrGz)
 	wire := make([]float32, 2*m)
 	cell := func(res Desc, face Face) func() {
-		return func() { c.e.FluxCell(res, p, gz, []Face{{Tr: tr, PL: p.Shift(1), GzL: gz.Shift(1)}, face}, testConsts) }
+		return func() { c.e.fluxCell(res, p, gz, []Face{{Tr: tr, PL: p.Shift(1), GzL: gz.Shift(1)}, face}, testConsts) }
 	}
 	for _, tc := range []struct {
 		name string
@@ -475,10 +477,11 @@ func TestFluxFaceRejectsAliasedOutputs(t *testing.T) {
 		{"inputs overlap", true, func() { c.e.FluxFace(f, tr, p, gz, p.Shift(1), gz.Shift(1), testConsts) }},
 		{"output overlaps input", false, func() { c.e.FluxFace(p.Shift(1), tr, p, gz, nbrP, nbrGz, testConsts) }},
 		{"flux overlaps input", false, func() { c.e.FluxFace(gz.Shift(m/2), tr, p, gz, nbrP, nbrGz, testConsts) }},
-		{"cell disjoint operands", true, cell(res, Face{Tr: tr, PL: nbrP, GzL: nbrGz, Wire: wire})},
+		{"cell disjoint operands", true, cell(res, Face{Tr: tr, PL: nbrP, GzL: nbrGz, WireP: wire[:m], WireGz: wire[m:]})},
 		{"residual overlaps input", false, cell(p.Shift(m/2), Face{Tr: tr, PL: nbrP, GzL: nbrGz})},
 		{"residual overlaps transmissibility", false, cell(tr.Shift(m/2), Face{Tr: tr, PL: nbrP, GzL: nbrGz})},
-		{"residual overlaps receive buffer", false, cell(nbrGz, Face{Tr: tr, PL: nbrP, GzL: nbrGz, Wire: wire})},
+		{"residual overlaps receive buffer", false, cell(nbrGz, Face{Tr: tr, PL: nbrP, GzL: nbrGz, WireP: wire[:m], WireGz: wire[m:]})},
+		{"residual overlaps wire column", false, cell(res, Face{Tr: tr, PL: nbrP, GzL: nbrGz, WireP: wire[:m], WireGz: c.e.Mem.HostView(res)})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if !tc.ok {
@@ -545,7 +548,7 @@ func TestFluxFaceDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// cellColumns is one PE's layout for FluxCell: padded own columns (so the
+// cellColumns is one PE's layout for a cell: padded own columns (so the
 // vertical faces' Shift(±1) views stay inside the memory), the residual, a
 // flux column for the op-by-op oracle, ten transmissibility columns and
 // eight pairs of receive buffers. It is laid out by hand, so n may be 0.
@@ -591,7 +594,8 @@ const (
 )
 
 // face returns the Face of slot s with transmissibility column k; an in-plane
-// face takes wire when it is non-nil, else it reads its receive buffers.
+// face reads wire — pressure then g·z, each half a column — when it is
+// non-nil, else its receive buffers.
 func (c *cellColumns) face(s, k int, wire []float32) Face {
 	f := Face{Tr: c.tr[k]}
 	switch s {
@@ -600,20 +604,23 @@ func (c *cellColumns) face(s, k int, wire []float32) Face {
 	case slotUp:
 		f.PL, f.GzL = c.p.Shift(1), c.gz.Shift(1)
 	default:
-		f.PL, f.GzL, f.Wire = c.nbrP[s], c.nbrGz[s], wire
+		f.PL, f.GzL = c.nbrP[s], c.nbrGz[s]
+		if wire != nil {
+			f.WireP, f.WireGz = wire[:len(wire)/2], wire[len(wire)/2:]
+		}
 	}
 	return f
 }
 
-// cellSequence is FluxCell's op-by-op spelling, the oracle FuzzFluxCell
+// cellSequence is a cell's op-by-op spelling, the oracle FuzzFluxCell
 // holds it to: zero the residual, then per face receive the wire into the
 // receive buffers, evaluate the face into the flux column and add it.
 func cellSequence(c *cellColumns, faces []Face) {
 	c.e.Fill(c.res, 0)
 	for _, f := range faces {
-		if f.Wire != nil {
-			c.e.MovRecv(f.PL, f.Wire[:c.res.Len])
-			c.e.MovRecv(f.GzL, f.Wire[c.res.Len:])
+		if f.WireP != nil {
+			c.e.MovRecv(f.PL, f.WireP)
+			c.e.MovRecv(f.GzL, f.WireGz)
 		}
 		c.e.FluxFace(c.f, f.Tr, c.p, c.gz, f.PL, f.GzL, testConsts)
 		c.e.AccV(c.res, c.f)
@@ -657,20 +664,35 @@ func drawFaces(rng *rand.Rand, c *cellColumns, set, n int) []Face {
 			wire = make([]float32, 2*n)
 			drawColumn(rng, wire[:n], 2e7, 1e6)
 			drawColumn(rng, wire[n:], -15000, 500)
+			saltOverlap(rng, wire[:n])
+			saltOverlap(rng, wire[n:])
 		}
 		faces[k] = c.face(s, rng.IntN(maxCellFaces), wire)
 	}
 	return faces
 }
 
-// FuzzFluxCell holds the whole-cell macro-op to its op-by-op spelling
-// (cellSequence: Fill, two MovRecvs per wire face into real receive buffers,
-// FluxFace, AccV) on columns 0–40 deep — every tail past the vector body's
-// 8-lane steps, or whole columns through fluxElem alone — with 0–10 faces, wire and memory faces mixed beside the
-// vertical Shift(±1) views, salted with NaN, ±0, ±Inf and subnormal lanes
-// and zero transmissibilities (fluxes of either zero sign): the residual
-// bits and the counters are the oracle's, and FluxCell writes nothing but
-// the residual.
+// saltOverlap writes +0, −0 or NaN into about half the lanes of col that the
+// vector body's last step recomputes when len(col) is not a multiple of 8 —
+// from len(col) − 8 up to the end of the last whole step — so an overlapped
+// step that did not store a lane's bits again would show.
+func saltOverlap(rng *rand.Rand, col []float32) {
+	for i := max(len(col)-8, 0); i < len(col)&^7; i++ {
+		if rng.IntN(2) == 0 {
+			col[i] = specials[rng.IntN(3)]
+		}
+	}
+}
+
+// FuzzFluxCell holds a bound cell (fluxCell: BindCell, then RunCell) to its
+// op-by-op spelling (cellSequence: Fill, two MovRecvs per wire face into
+// real receive buffers, FluxFace, AccV) on columns 0–246 deep — every
+// n mod 8 through the vector body's overlapped last step, or whole columns
+// through fluxElem alone — with 0–10 faces, wire and memory faces mixed
+// beside the vertical Shift(±1) views, salted with NaN, ±0, ±Inf and
+// subnormal lanes (NaN and ±0 inside the overlap too) and zero
+// transmissibilities (fluxes of either zero sign): the residual bits and the
+// counters are the oracle's, and the cell writes nothing but the residual.
 func FuzzFluxCell(f *testing.F) {
 	for _, nz := range []uint8{0, 1, 4, 7, 8, 13, 16, 23, 40} {
 		f.Add(uint64(nz)*0x9e37+1, nz, uint8(setAll), false)
@@ -681,12 +703,17 @@ func FuzzFluxCell(f *testing.F) {
 	f.Add(uint64(5), uint8(31), uint8(setNoDiagonals), false)
 	f.Add(uint64(6), uint8(40), uint8(setAll), true)
 	f.Add(uint64(7), uint8(24), uint8(setRandom), true)
+	// The paper's depth (246 = 30 steps + 6) and the deepest short overlaps.
+	f.Add(uint64(8), uint8(246), uint8(setAll), false)
+	f.Add(uint64(9), uint8(246), uint8(setNoDiagonals), true)
+	f.Add(uint64(10), uint8(9), uint8(setAll), false)
+	f.Add(uint64(11), uint8(15), uint8(setRandom), false)
 	f.Fuzz(func(t *testing.T, seed uint64, depth, set uint8, goOnly bool) {
 		// goOnly runs every element through fluxElem, as hosts without the
 		// vector body do.
 		defer func(v bool) { vectorFlux = v }(vectorFlux)
 		vectorFlux = vectorFlux && !goOnly
-		n := int(depth) % 41
+		n := int(depth) % 247
 		rng := rand.New(rand.NewPCG(seed, 0xce11))
 		fused, oracle := newCellColumns(t, n), newCellColumns(t, n)
 		w := fused.e.Mem.words
@@ -703,11 +730,15 @@ func FuzzFluxCell(f *testing.F) {
 			drawColumn(rng, w[fused.nbrP[k].Base:fused.nbrP[k].Base+n], 2e7, 1e6)
 			drawColumn(rng, w[fused.nbrGz[k].Base:fused.nbrGz[k].Base+n], -15000, 500)
 		}
+		salted := append(append(append([]Desc{fused.p, fused.gz}, fused.tr[:]...), fused.nbrP[:]...), fused.nbrGz[:]...)
+		for _, d := range salted {
+			saltOverlap(rng, fused.e.Mem.HostView(d))
+		}
 		copy(oracle.e.Mem.words, w)
 		before := append([]float32(nil), w...)
 
 		faces := drawFaces(rng, fused, int(set)%numCellSets, n)
-		fused.e.FluxCell(fused.res, fused.p, fused.gz, faces, testConsts)
+		fused.e.fluxCell(fused.res, fused.p, fused.gz, faces, testConsts)
 		// The same faces over the oracle's memory: the layouts are identical.
 		cellSequence(oracle, faces)
 
@@ -730,7 +761,7 @@ func FuzzFluxCell(f *testing.F) {
 // The operand shapes FuzzFluxFaceAcc draws for its one face: the valid ones
 // (an in-plane face, on the wire or read from its receive buffers, and the
 // two vertical faces, whose neighbor views overlap the own columns) and three
-// ways the residual can alias an operand, which make FluxCell panic.
+// ways the residual can alias an operand, which make BindCell panic.
 const (
 	shapeInPlane = iota
 	shapeUp
@@ -741,13 +772,13 @@ const (
 	numAccShapes
 )
 
-// FuzzFluxFaceAcc holds one face's flux accumulated into the residual —
-// FluxCell over a single face — to its op-by-op spelling (cellSequence) on
-// columns 1–246 deep: the paper's depth and every tail past the 8-lane
-// steps, deeper than FuzzFluxCell draws. On valid operands the residual
-// bits and the counters are the oracle's and nothing else is written; on an
-// aliased residual the op panics with a dsd: message, having written and
-// counted nothing.
+// FuzzFluxFaceAcc holds one face's flux accumulated into the residual — a
+// bound cell of a single face — to its op-by-op spelling (cellSequence) on
+// columns 1–246 deep: the paper's depth and every n mod 8 through the
+// overlapped last step, with NaN and ±0 lanes inside the overlap. On valid
+// operands the residual bits and the counters are the oracle's and nothing
+// else is written; on an aliased residual BindCell panics with a dsd:
+// message, having written and counted nothing.
 func FuzzFluxFaceAcc(f *testing.F) {
 	for shape := 0; shape < numAccShapes; shape++ {
 		f.Add(uint64(shape)*0x9e37+1, uint8(7+shape), uint8(shape))
@@ -775,12 +806,17 @@ func FuzzFluxFaceAcc(f *testing.F) {
 		}
 		drawColumn(rng, w[fused.nbrP[0].Base:fused.nbrP[0].Base+m], 2e7, 1e6)
 		drawColumn(rng, w[fused.nbrGz[0].Base:fused.nbrGz[0].Base+m], -15000, 500)
+		for _, d := range []Desc{fused.p, fused.gz, fused.tr[0], fused.nbrP[0], fused.nbrGz[0]} {
+			saltOverlap(rng, fused.e.Mem.HostView(d))
+		}
 		copy(oracle.e.Mem.words, w)
 		before := append([]float32(nil), w...)
 
 		wire := make([]float32, 2*m)
 		drawColumn(rng, wire[:m], 2e7, 1e6)
 		drawColumn(rng, wire[m:], -15000, 500)
+		saltOverlap(rng, wire[:m])
+		saltOverlap(rng, wire[m:])
 		res, face := fused.res, fused.face(0, 0, nil)
 		switch shape {
 		case shapeInPlane:
@@ -800,10 +836,10 @@ func FuzzFluxFaceAcc(f *testing.F) {
 			res = face.GzL
 		}
 		if shape > shapeDown {
-			rejects(t, fused.e, func() { fused.e.FluxCell(res, fused.p, fused.gz, []Face{face}, testConsts) }, "overlaps")
+			rejects(t, fused.e, func() { fused.e.fluxCell(res, fused.p, fused.gz, []Face{face}, testConsts) }, "overlaps")
 			return
 		}
-		fused.e.FluxCell(res, fused.p, fused.gz, []Face{face}, testConsts)
+		fused.e.fluxCell(res, fused.p, fused.gz, []Face{face}, testConsts)
 		// The same face over the oracle's memory: the layouts are identical.
 		cellSequence(oracle, []Face{face})
 
@@ -823,6 +859,8 @@ func FuzzFluxFaceAcc(f *testing.F) {
 	})
 }
 
+// TestFluxCellPanicsLikeTheOps: BindCell checks every operand once, as the
+// ops check theirs on every call, and binds nothing when one is bad.
 func TestFluxCellPanicsLikeTheOps(t *testing.T) {
 	const n = 8
 	c := newCellColumns(t, n)
@@ -841,18 +879,23 @@ func TestFluxCellPanicsLikeTheOps(t *testing.T) {
 		{"input length mismatch", "dsd: descriptor length mismatch", c.res, c.p.MustSlice(0, 7), []Face{c.face(0, 0, wire)}},
 		{"transmissibility length mismatch", "dsd: descriptor length mismatch", c.res, c.p, []Face{{Tr: c.tr[0].MustSlice(2, 5), PL: c.nbrP[0], GzL: c.nbrGz[0]}}},
 		{"residual out of bounds", "out of memory bounds", oob, c.p, []Face{c.face(0, 0, wire)}},
-		{"receive buffer out of bounds", "out of memory bounds", c.res, c.p, []Face{{Tr: c.tr[0], PL: oob, GzL: c.nbrGz[0], Wire: wire}}},
-		{"wire length mismatch", "dsd: FluxCell wire of 15 words", c.res, c.p, []Face{c.face(1, 0, wire[1:])}},
-		{"eleven faces", "dsd: FluxCell of 11 faces", c.res, c.p, all},
+		{"receive buffer out of bounds", "out of memory bounds", c.res, c.p, []Face{{Tr: c.tr[0], PL: oob, GzL: c.nbrGz[0], WireP: wire[:n], WireGz: wire[n:]}}},
+		{"wire length mismatch", "dsd: BindCell wire of 8 + 7 words", c.res, c.p, []Face{{Tr: c.tr[0], PL: c.nbrP[0], GzL: c.nbrGz[0], WireP: wire[:n], WireGz: wire[n+1:]}}},
+		{"eleven faces", "dsd: BindCell of 11 faces", c.res, c.p, all},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rejects(t, c.e, func() { c.e.FluxCell(tc.res, tc.pK, c.gz, tc.faces, testConsts) }, tc.want)
+			var cell Cell
+			rejects(t, c.e, func() { c.e.BindCell(&cell, tc.res, tc.pK, c.gz, tc.faces, testConsts) }, tc.want)
+			if cell != (Cell{}) {
+				t.Fatal("a rejected BindCell bound the cell")
+			}
 		})
 	}
 }
 
 // TestFluxCellDoesNotAllocate: the flat engine's application, ten faces of
-// which eight arrive on the wire, at the paper's depth.
+// which eight arrive on the wire, at the paper's depth — a bound cell runs
+// without allocating, and so does binding it.
 func TestFluxCellDoesNotAllocate(t *testing.T) {
 	const n = 246
 	c := newCellColumns(t, n)
@@ -862,10 +905,13 @@ func TestFluxCellDoesNotAllocate(t *testing.T) {
 		faces = append(faces, c.face(s, s, wire))
 	}
 	faces = append(faces, c.face(slotDown, 8, nil), c.face(slotUp, 9, nil))
-	allocs := testing.AllocsPerRun(100, func() {
-		c.e.FluxCell(c.res, c.p, c.gz, faces, testConsts)
-	})
-	if allocs != 0 {
-		t.Errorf("FluxCell allocates %.0f times per call, want 0", allocs)
+	var cell Cell
+	if allocs := testing.AllocsPerRun(100, func() {
+		c.e.BindCell(&cell, c.res, c.p, c.gz, faces, testConsts)
+	}); allocs != 0 {
+		t.Errorf("BindCell allocates %.0f times per call, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c.e.RunCell(&cell) }); allocs != 0 {
+		t.Errorf("RunCell allocates %.0f times per call, want 0", allocs)
 	}
 }

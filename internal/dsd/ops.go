@@ -2,6 +2,7 @@ package dsd
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/cpufeat"
 )
@@ -169,8 +170,8 @@ type FluxConsts struct {
 // forbids contraction into a fused multiply-add the separate ops would not
 // perform. It is the kernel's definition: the macro-ops' vector body
 // (flux_amd64.s, on hosts with AVX2) performs the same operations in the same
-// order on 8 lanes, and fluxElem takes the tail past its last whole step and
-// every element elsewhere. The temporaries are few because it must stay under
+// order on 8 lanes, and fluxElem takes every element of a column shorter
+// than one step and every element elsewhere. The temporaries are few because it must stay under
 // the compiler's inlining budget (`make bce` checks that it does).
 func fluxElem(tr, pk, gk, pl, gl float32, c FluxConsts) float32 {
 	rK := float32(pk * c.AHat)              // MulVS
@@ -225,74 +226,117 @@ func (e *Engine) FluxFace(f, tr, pK, gzK, pL, gzL Desc, c FluxConsts) {
 	fo := e.Mem.col(f)
 	tv, pk, gk := e.operand(f, tr)[:len(fo)], e.operand(f, pK)[:len(fo)], e.operand(f, gzK)[:len(fo)]
 	pl, gl := e.operand(f, pL)[:len(fo)], e.operand(f, gzL)[:len(fo)]
-	// i is unsigned so that i < len(fo) alone proves every index in range.
-	for i := fluxVector(fo, tv, pk, gk, pl, gl, &c); i < uint(len(fo)); i++ {
-		fo[i] = fluxElem(tv[i], pk[i], gk[i], pl[i], gl[i], c)
+	if !fluxVector(fo, tv, pk, gk, pl, gl, &c) {
+		for i := range fo {
+			fo[i] = fluxElem(tv[i], pk[i], gk[i], pl[i], gl[i], c)
+		}
 	}
 	e.countFlux(1, len(fo))
 }
 
-// Face is one face of a FluxCell: its transmissibility column Tr and the
-// neighbor's pressure and g·z columns PL and GzL — or, when Wire is not nil,
-// the receive buffers the op-by-op spelling MovRecvs the wire into: the
-// neighbor's 2·Len words, pressure then g·z, as the §5.2 exchange sends them.
-// FluxCell reads the wire and leaves the buffers as they are.
+// Face is one face of a cell (BindCell): its transmissibility column Tr and
+// the neighbor's pressure and g·z columns PL and GzL — or, when WireP is not
+// nil, the neighbor's own columns WireP and WireGz, the 2·Len words the §5.2
+// exchange sends, which the op-by-op spelling MovRecvs into PL and GzL. The
+// cell reads the wire and leaves those buffers as they are. The wire columns
+// may lie in another PE's memory; they must not change while the cell runs.
 type Face struct {
-	Tr, PL, GzL Desc
-	Wire        []float32
+	Tr, PL, GzL   Desc
+	WireP, WireGz []float32
 }
 
-// maxCellFaces is the most faces a FluxCell takes: a cell's eight in-plane
-// and two vertical faces.
+// maxCellFaces is the most faces a cell takes: a cell's eight in-plane and
+// two vertical faces.
 const maxCellFaces = 10
 
-// cellFaces holds each face's (tr, pL, gzL) columns, the layout the vector
-// body walks: the data pointers sit 24 bytes apart, faces 72 bytes apart.
-type cellFaces [maxCellFaces][3][]float32
+// cellFaces holds each face's (tr, pL, gzL) data pointers, the layout the
+// vector body walks: faces 24 bytes apart.
+type cellFaces [maxCellFaces][3]*float32
 
-// FluxCell is one whole application of a PE as one macro-op, exactly
+// Cell is one whole application of a PE as one macro-op, bound once by
+// BindCell and run by RunCell as many times as the columns' values change.
+// It holds the data pointers of every column it reads and writes, the face
+// count, the depth and the constants — 304 bytes, kept by value beside the
+// rest of a PE's state.
+type Cell struct {
+	res, pK, gzK *float32
+	faces        cellFaces
+	nf, n, wires int
+	c            FluxConsts
+}
+
+// BindCell binds cell to the application
 //
 //	Fill(res, 0)
 //	for each face, in order:
-//		MovRecv(PL, Wire[:Len]); MovRecv(GzL, Wire[Len:])  (wire faces only)
+//		MovRecv(PL, WireP); MovRecv(GzL, WireGz)  (wire faces only)
 //		FluxFace(f, Tr, pK, gzK, PL, GzL)
 //		AccV(res, f)
 //
-// in one pass: per element it reads pK and gzK once, sums the fluxes from +0
-// in a register in face order and stores res once, which is tallied as that
-// sequence and bit-identical to it. Nothing else is written. Every operand is
-// checked first, as the ops do: lengths, bounds, the wire's 2·Len words, and
-// res sharing a word with any view.
-func (e *Engine) FluxCell(res, pK, gzK Desc, faces []Face, c FluxConsts) {
+// after checking every operand as the ops would: lengths, bounds, the wire
+// columns' Len words each, and res sharing a word with any view or wire
+// column (an aliased output would differ from the op-by-op sequence). It
+// panics on a bad operand, as the ops do, and writes and counts nothing.
+// The views are bound by address: the memory's words must stay where they
+// are while the cell is used.
+func (e *Engine) BindCell(cell *Cell, res, pK, gzK Desc, faces []Face, c FluxConsts) {
 	if len(faces) > maxCellFaces {
-		panic(fmt.Sprintf("dsd: FluxCell of %d faces, at most %d", len(faces), maxCellFaces))
+		panic(fmt.Sprintf("dsd: BindCell of %d faces, at most %d", len(faces), maxCellFaces))
 	}
 	ro := e.Mem.col(res)
-	pk, gk := e.operand(res, pK)[:len(ro)], e.operand(res, gzK)[:len(ro)]
-	var cols cellFaces
-	wires := uint64(0)
+	data := func(d Desc) *float32 { return unsafe.SliceData(e.operand(res, d)) }
+	b := Cell{res: unsafe.SliceData(ro), pK: data(pK), gzK: data(gzK), nf: len(faces), n: len(ro), c: c}
 	for k, f := range faces {
-		cols[k] = [3][]float32{e.operand(res, f.Tr), e.operand(res, f.PL), e.operand(res, f.GzL)}
-		if f.Wire != nil {
-			if len(f.Wire) != 2*len(ro) {
-				panic(fmt.Sprintf("dsd: FluxCell wire of %d words for a %d-element column", len(f.Wire), len(ro)))
-			}
-			cols[k][1], cols[k][2] = f.Wire[:len(ro)], f.Wire[len(ro):]
-			wires++
+		b.faces[k] = [3]*float32{data(f.Tr), data(f.PL), data(f.GzL)}
+		if f.WireP == nil {
+			continue
+		}
+		if len(f.WireP) != len(ro) || len(f.WireGz) != len(ro) {
+			panic(fmt.Sprintf("dsd: BindCell wire of %d + %d words for a %d-element column", len(f.WireP), len(f.WireGz), len(ro)))
+		}
+		if sharesWord(ro, f.WireP) || sharesWord(ro, f.WireGz) {
+			panic(fmt.Sprintf("dsd: cell output {base %d len %d} overlaps a wire column", res.Base, res.Len))
+		}
+		b.faces[k][1], b.faces[k][2] = unsafe.SliceData(f.WireP), unsafe.SliceData(f.WireGz)
+		b.wires++
+	}
+	*cell = b
+}
+
+// sharesWord reports whether two columns share a word.
+func sharesWord(a, b []float32) bool {
+	pa, pb := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return len(a) > 0 && len(b) > 0 && pa < pb+4*uintptr(len(b)) && pb < pa+4*uintptr(len(a))
+}
+
+// RunCell runs a cell BindCell bound on e in one pass: per element it reads
+// pK and gzK once, sums the fluxes from +0 in a register in face order and
+// stores res once, which is tallied as the bound sequence and bit-identical
+// to it. Nothing else is written.
+func (e *Engine) RunCell(cell *Cell) {
+	if !cellVector(cell) {
+		cellElems(cell)
+	}
+	n := cell.n
+	e.count(opFill, n)
+	e.countN(opMovRecv, 2*uint64(cell.wires), n)
+	e.countFlux(uint64(cell.nf), n)
+	e.countN(opAccV, uint64(cell.nf), n)
+}
+
+// cellElems is RunCell through fluxElem alone: the columns shorter than one
+// vector step, and every host without the vector body.
+func cellElems(cell *Cell) {
+	n := cell.n
+	ro := unsafe.Slice(cell.res, n)
+	pk, gk := unsafe.Slice(cell.pK, n), unsafe.Slice(cell.gzK, n)
+	clear(ro)
+	for _, f := range cell.faces[:cell.nf] {
+		tv, pl, gl := unsafe.Slice(f[0], n), unsafe.Slice(f[1], n), unsafe.Slice(f[2], n)
+		for i := range ro {
+			ro[i] += fluxElem(tv[i], pk[i], gk[i], pl[i], gl[i], cell.c)
 		}
 	}
-	done := cellVector(ro, pk, gk, &cols, len(faces), &c)
-	clear(ro[done:])
-	for _, col := range cols[:len(faces)] {
-		tv, pl, gl := col[0][:len(ro)], col[1][:len(ro)], col[2][:len(ro)]
-		for i := done; i < uint(len(ro)); i++ {
-			ro[i] += fluxElem(tv[i], pk[i], gk[i], pl[i], gl[i], c)
-		}
-	}
-	e.count(opFill, len(ro))
-	e.countN(opMovRecv, 2*wires, len(ro))
-	e.countFlux(uint64(len(faces)), len(ro))
-	e.countN(opAccV, uint64(len(faces)), len(ro))
 }
 
 // AccV computes dst += a — the flux-assembly accumulate-store ("assembles

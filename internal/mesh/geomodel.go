@@ -266,42 +266,39 @@ func PerturbDelta32(app, cellIndex int, amp float32) float32 {
 // p[z] is cell first + z·step. It is the per-PE form (a Z column is every
 // Nx·Ny-th cell) with the application's phase term hoisted out of the loop;
 // every element evaluates the same float32 expression as PerturbDelta32.
-// Where the host has the sine's vector body (vectorSin), whole blocks of four
-// arguments go through it, and a lane it marks NaN is recomputed with sin32,
-// so every sine is sin32's bit for bit; the tail and other hosts call sin32.
+// Where the host has the vector pass (vectorSin) and every index fits int32,
+// whole groups of four go through it; a group it stops at (a lane whose sine
+// it cannot round with certainty) and the tail take the Go loop, so every
+// element is PerturbDelta32's bit for bit.
 func PerturbColumn32(p []float32, app, first, step int, amp float32) {
 	phase := float32(0.7 * float32(app))
 	idx := first
-	var x, s [sinBlock]float32
-	for vectorSin && len(p) >= 4 {
-		n := min(len(p), sinBlock) &^ 3
-		for i := range x[:n] {
-			x[i] = phase + float32(0.001*float32(idx))
+	vector := vectorSin && int32Lanes(first, step, len(p))
+	for len(p) > 0 {
+		if vector && len(p) >= 4 {
+			done := perturbVector(p, phase, idx, step, amp)
+			p, idx = p[done:], idx+done*step
+		}
+		k := min(len(p), 4)
+		for z := range p[:k] {
+			p[z] += float32(amp * sin32(phase+float32(0.001*float32(idx))))
 			idx += step
 		}
-		sinVector(s[:n], x[:n])
-		for i, v := range s[:n] {
-			if v != v {
-				v = sin32(x[i])
-			}
-			p[i] += float32(amp * v)
-		}
-		p = p[n:]
-	}
-	for z := range p {
-		p[z] += float32(amp * sin32(phase+float32(0.001*float32(idx))))
-		idx += step
+		p = p[k:]
 	}
 }
 
+// int32Lanes reports whether the n indices first + z·step all fit the vector
+// pass's int32 lanes.
+func int32Lanes(first, step, n int) bool {
+	fits := func(v int) bool { return v == int(int32(v)) }
+	return fits(first) && fits(step) && fits(n) && fits(first+(n-1)*step)
+}
+
 // sin32 is float32 sine via float64 math (single, shared rounding path).
-// It is the definition: sinVector returns its values or marks a lane for it.
+// It is the definition: the vector pass keeps only lanes it rounds the same.
 func sin32(x float32) float32 { return float32(math.Sin(float64(x))) }
 
-// vectorSin selects the sine's vector body where the host has one
+// vectorSin selects the perturbation's vector pass where the host has one
 // (cpufeat.AVX2FMA). Only tests clear it, to time or check sin32 alone.
 var vectorSin = cpufeat.AVX2FMA
-
-// sinBlock is how many arguments PerturbColumn32 hands the vector body per
-// call: a column of the paper's depth (246) takes four calls.
-const sinBlock = 64

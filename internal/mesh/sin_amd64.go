@@ -1,14 +1,17 @@
 package mesh
 
-// sinAVX2 stores, for each of the first n elements of x, sin32 of it or NaN
-// (recompute with sin32) into dst. n is a positive multiple of 4.
+// perturbAVX2 adds float32(amp·sin32(phase + float32(0.001·float32(idx +
+// z·step)))) to p[z] over p's whole groups of four from the start, stopping
+// at the first group holding a lane it must leave to sin32, and returns how
+// many elements it did. Every index it reaches fits int32.
 //
 //go:noescape
-func sinAVX2(dst, x *float32, n int)
+func perturbAVX2(p *float32, n int, phase float32, idx, step int, amp float32) int
 
-// sinVector fills dst with sin32 of each element of x or NaN where the lane
-// must be recomputed with sin32. len(dst) == len(x) is a positive multiple
-// of 4, and the host has the vector body (vectorSin).
-func sinVector(dst, x []float32) {
-	sinAVX2(&dst[0], &x[0], len(x))
+// perturbVector is PerturbColumn32's vector pass over p (len(p) ≥ 4, the
+// host has the vector body: vectorSin): it returns how many elements it
+// perturbed — len(p) &^ 3, or fewer when the group after them holds a lane
+// the caller must finish with sin32.
+func perturbVector(p []float32, phase float32, idx, step int, amp float32) int {
+	return perturbAVX2(&p[0], len(p), phase, idx, step, amp)
 }

@@ -1,9 +1,10 @@
 #include "textflag.h"
 
-// The perturbation sine's vector body: sin32 of 4 float32 arguments per step,
-// evaluated in float64 lanes. Each lane is either sin32's value or NaN, which
-// tells the caller to recompute that lane with sin32; sin32 of a finite
-// argument is never NaN, so the mark is unambiguous.
+// The perturbation as one vector pass: p[z] += float32(amp·sin32(x)) with
+// x = phase + float32(0.001·float32(idx)), idx = first + z·step, for 4
+// elements per step. The indices run in int32 lanes and the arguments are
+// formed in float32 exactly as Go forms them; the sine is evaluated in
+// float64 lanes:
 //
 //	k = round(x·2/π)                    x·2/π + 1.5·2⁵² in one FMA: k's low
 //	                                    bits land in the sum's mantissa
@@ -13,12 +14,15 @@
 //	cos r = 1 − r²/2 + r⁴·C(r²)
 //	y = (k odd ? cos r : sin r), negated when k mod 4 ≥ 2
 //
-// y is within 2⁻⁵⁰·|y| of sin x, and so is math.Sin(x). The lane is kept
-// when y·(1 − 2⁻⁴⁰) and y·(1 + 2⁻⁴⁰) round to the same float32 — every
-// value between them, both of those included, rounds to it too — and when
-// 2⁻²⁰ ≤ |x| < 2²⁰, the range the reduction is exact over. Anything else
-// (a value near a float32 rounding boundary, a tiny or huge argument, ±Inf,
-// NaN) is marked.
+// y is within 2⁻⁵⁰·|y| of sin x, and so is math.Sin(x). A lane is kept when
+// y·(1 − 2⁻⁴⁰) and y·(1 + 2⁻⁴⁰) round to the same float32 — every value
+// between them, both of those included, rounds to it too, so float32(y) is
+// sin32(x) — and when 2⁻²⁰ ≤ |x| < 2²⁰, the range the reduction is exact
+// over. Any other lane (a value near a float32 rounding boundary, a tiny or
+// huge argument, ±Inf, NaN) is Ziv-marked: the pass stops before the step
+// that holds it, leaving that group of four and the rest for its caller.
+// The products and sums outside the sine round one at a time, as Go's
+// float32 expression does; no fused multiply-add touches them.
 
 #define CONST4(sym, bits) \
 	DATA sym<>+0(SB)/8, bits; \
@@ -59,18 +63,46 @@ CONST4(zivHi, $0x3ff0000000001000) // 1 + 2⁻⁴⁰
 CONST4I(absMask, $0x7fffffff)
 CONST4I(tinyBits, $0x357fffff) // largest float32 below 2⁻²⁰
 CONST4I(hugeBits, $0x497fffff) // largest float32 below 2²⁰
+CONST4I(milli, $0x3a83126f)    // float32(0.001)
 
-// func sinAVX2(dst, x *float32, n int)
-TEXT ·sinAVX2(SB), NOSPLIT, $0-24
-	MOVQ      dst+0(FP), DI
-	MOVQ      x+8(FP), SI
-	MOVQ      n+16(FP), CX
-	SHLQ      $2, CX
-	XORQ      BX, BX
-	VPCMPEQD  X15, X15, X15 // all ones: a NaN
+DATA lanes<>+0(SB)/4, $0
+DATA lanes<>+4(SB)/4, $1
+DATA lanes<>+8(SB)/4, $2
+DATA lanes<>+12(SB)/4, $3
+GLOBL lanes<>(SB), RODATA|NOPTR, $16
+
+// func perturbAVX2(p *float32, n int, phase float32, idx, step int, amp float32) int
+// It perturbs p's whole groups of four from the start and returns how many
+// elements it did: n &^ 3, or the offset of the first group with a marked
+// lane. Every index idx + z·step it reaches fits int32 (the caller checks).
+TEXT ·perturbAVX2(SB), NOSPLIT, $0-56
+	MOVQ         p+0(FP), DI
+	MOVQ         n+8(FP), CX
+	ANDQ         $-4, CX
+	SHLQ         $2, CX
+	VBROADCASTSS phase+16(FP), X8
+	VBROADCASTSS amp+40(FP), X9
+
+	// X10 = idx + (0, 1, 2, 3)·step, X11 = 4·step, in int32 lanes
+	MOVQ         idx+24(FP), AX
+	MOVQ         AX, X10
+	VPBROADCASTD X10, X10
+	MOVQ         step+32(FP), AX
+	MOVQ         AX, X11
+	VPBROADCASTD X11, X11
+	VPMULLD      lanes<>(SB), X11, X12
+	VPADDD       X12, X10, X10
+	VPSLLD       $2, X11, X11
+	XORQ         BX, BX
+	TESTQ        CX, CX
+	JZ           done
+	PCALIGN      $64
 
 loop:
-	VMOVUPS   (SI)(BX*1), X0
+	// X0 = x = phase + float32(0.001·float32(idx))
+	VCVTDQ2PS X10, X0
+	VMULPS    milli<>(SB), X0, X0
+	VADDPS    X8, X0, X0
 
 	// X13 = 2⁻²⁰ ≤ |x| < 2²⁰, integer compares on the bits (false on NaN, ±Inf)
 	VPAND     absMask<>(SB), X0, X14
@@ -129,13 +161,24 @@ loop:
 	VPCMPEQD   X6, X7, X7
 	VPAND      X7, X13, X13
 
-	// dst = X13 ? float32(y) : NaN
+	// stop at a group with a marked lane
+	VMOVMSKPS X13, AX
+	CMPQ      AX, $15
+	JNE       done
+
+	// p += float32(amp·float32(y))
 	VCVTPD2PSY Y5, X5
-	VBLENDVPS  X13, X5, X15, X5
+	VMULPS     X9, X5, X5
+	VADDPS     (DI)(BX*1), X5, X5
 	VMOVUPS    X5, (DI)(BX*1)
 
-	ADDQ $16, BX
-	CMPQ BX, CX
-	JLT  loop
+	VPADDD X11, X10, X10
+	ADDQ   $16, BX
+	CMPQ   BX, CX
+	JLT    loop
+
+done:
+	SHRQ       $2, BX
+	MOVQ       BX, ret+48(FP)
 	VZEROUPPER
 	RET

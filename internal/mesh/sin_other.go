@@ -2,10 +2,6 @@
 
 package mesh
 
-// sinVector is the perturbation sine's vector body, which only amd64 has:
-// vectorSin is false here, and this spelling is sin32 itself.
-func sinVector(dst, x []float32) {
-	for i := range dst {
-		dst[i] = sin32(x[i])
-	}
-}
+// perturbVector is the perturbation's vector pass, which only amd64 has:
+// vectorSin is false here, and this stub leaves every element to sin32.
+func perturbVector(p []float32, phase float32, idx, step int, amp float32) int { return 0 }

@@ -6,25 +6,49 @@ import (
 	"testing"
 )
 
-// checkSinVector runs the sine's vector body (callers check vectorSin) over
-// xs and fails on any lane that is neither NaN (recompute) nor sin32's value
+// sinLane runs the vector pass over one group of four whose every lane's
+// argument is x (phase x, index 0, amplitude 1, p = −0, so p + sin is the
+// sine's bits) and returns the sine and whether the pass kept the lane — a
+// lane it marks stops it before the group, leaving p as it was.
+func sinLane(t *testing.T, x float32) (float32, bool) {
+	t.Helper()
+	negZero := float32(math.Copysign(0, -1))
+	p := []float32{negZero, negZero, negZero, negZero}
+	switch done := perturbVector(p, x, 0, 0, 1); done {
+	case 0:
+		for _, v := range p {
+			if math.Float32bits(v) != math.Float32bits(negZero) {
+				t.Fatalf("sin(%g): the pass stopped at the group but wrote %v", x, p)
+			}
+		}
+		return 0, false
+	case 4:
+		for _, v := range p[1:] {
+			if math.Float32bits(v) != math.Float32bits(p[0]) {
+				t.Fatalf("sin(%g): lanes of one argument differ: %v", x, p)
+			}
+		}
+		return p[0], true
+	default:
+		t.Fatalf("sin(%g): the pass did %d of 4 elements", x, done)
+		return 0, false
+	}
+}
+
+// checkSinVector runs the vector pass (callers check vectorSin) on every
+// argument of xs and fails on any lane it keeps that is not sin32's value
 // bit for bit; it returns the number of lanes marked.
 func checkSinVector(t *testing.T, xs []float32) (marked int) {
 	t.Helper()
-	xs = xs[:len(xs)&^3]
-	if len(xs) == 0 {
-		return 0
-	}
-	s := make([]float32, len(xs))
-	sinVector(s, xs)
-	for i, v := range s {
-		if v != v {
+	for _, x := range xs {
+		v, kept := sinLane(t, x)
+		if !kept {
 			marked++
 			continue
 		}
-		if want := sin32(xs[i]); math.Float32bits(v) != math.Float32bits(want) {
-			t.Fatalf("sin(%g = %#08x) = %g (%#08x) in the vector body, sin32 gives %g (%#08x)",
-				xs[i], math.Float32bits(xs[i]), v, math.Float32bits(v), want, math.Float32bits(want))
+		if want := sin32(x); math.Float32bits(v) != math.Float32bits(want) {
+			t.Fatalf("sin(%g = %#08x) = %g (%#08x) in the vector pass, sin32 gives %g (%#08x)",
+				x, math.Float32bits(x), v, math.Float32bits(v), want, math.Float32bits(want))
 		}
 	}
 	return marked
@@ -65,7 +89,7 @@ func TestPerturbColumn32ExhaustiveOnBenchmarkMesh(t *testing.T) {
 		}
 	}
 	if vectorSin {
-		t.Logf("vector body: %d of %d arguments recomputed with sin32", marked, 8*d.Cells())
+		t.Logf("vector pass: %d of %d arguments left to sin32", marked, 8*d.Cells())
 	}
 }
 
@@ -74,7 +98,7 @@ func TestPerturbColumn32ExhaustiveOnBenchmarkMesh(t *testing.T) {
 // marked — the arguments outside [2⁻²⁰, 2²⁰) and the non-finite ones always.
 func TestSinVectorMatchesSin32(t *testing.T) {
 	if !vectorSin {
-		t.Skip("no vector body for the sine on this host")
+		t.Skip("no vector pass for the perturbation on this host")
 	}
 	specials := []float32{
 		0, float32(math.Copysign(0, -1)), math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
@@ -82,12 +106,10 @@ func TestSinVectorMatchesSin32(t *testing.T) {
 		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
 		math.Pi / 2, math.Pi, 3 * math.Pi / 2, 2 * math.Pi, 355, 103993, -103993,
 	}
-	checkSinVector(t, append(specials, 0, 0)) // padded to whole steps
-	s := make([]float32, 4)
+	checkSinVector(t, specials)
 	for i, x := range []float32{0x1p-21, 0x1p20, float32(math.Inf(1)), float32(math.NaN())} {
-		sinVector(s, []float32{x, x, x, x})
-		if s[0] == s[0] {
-			t.Errorf("argument %d (%g) outside the reduction's range came back unmarked: %g", i, x, s[0])
+		if v, kept := sinLane(t, x); kept {
+			t.Errorf("argument %d (%g) outside the reduction's range came back unmarked: %g", i, x, v)
 		}
 	}
 
@@ -103,7 +125,76 @@ func TestSinVectorMatchesSin32(t *testing.T) {
 		xs[i] = math.Float32frombits(b)
 	}
 	marked := checkSinVector(t, xs)
-	t.Logf("vector body: %d of %d random arguments marked", marked, len(xs))
+	t.Logf("vector pass: %d of %d random arguments marked", marked, len(xs))
+}
+
+// perturbDeltas checks PerturbColumn32 of a column of n elements at indices
+// first + z·step against PerturbDelta32 bit for bit.
+func perturbDeltas(t *testing.T, app, first, step, n int) {
+	t.Helper()
+	col, want := make([]float32, n), make([]float32, n)
+	for z := range col {
+		col[z] = 2e7 + float32(z)
+		want[z] = col[z] + PerturbDelta32(app, first+z*step, PerturbAmplitude)
+	}
+	PerturbColumn32(col, app, first, step, PerturbAmplitude)
+	for z := range col {
+		if math.Float32bits(col[z]) != math.Float32bits(want[z]) {
+			t.Fatalf("app %d, index %d: column form %g (%#08x), per-cell form %g (%#08x)",
+				app, first+z*step, col[z], math.Float32bits(col[z]), want[z], math.Float32bits(want[z]))
+		}
+	}
+}
+
+// TestPerturbColumn32FinishesMarkedGroups: a Ziv-marked lane in a column's
+// first, a middle and its last whole group stops the vector pass there, and
+// the Go loop's finish of that group keeps every element PerturbDelta32's.
+// The marks are a zero argument (application 0 at index 0, below the
+// reduction's range) and the first index whose argument at application 1
+// the pass leaves to sin32 (a value near a float32 rounding boundary).
+func TestPerturbColumn32FinishesMarkedGroups(t *testing.T) {
+	if !vectorSin {
+		t.Skip("no vector pass for the perturbation on this host")
+	}
+	arg := func(app, idx int) float32 { return float32(0.7*float32(app)) + float32(0.001*float32(idx)) }
+	ziv := 1
+	for ; ; ziv++ {
+		if _, kept := sinLane(t, arg(1, ziv)); !kept {
+			break
+		}
+	}
+	const n = 23 // five whole groups and a tail of three
+	for _, mark := range []struct{ app, idx int }{{0, 0}, {1, ziv}} {
+		for _, z0 := range []int{0, 9, 19} {
+			first := mark.idx - z0
+			p := make([]float32, n)
+			if done := perturbVector(p, arg(mark.app, 0), first, 1, PerturbAmplitude); done != z0&^3 {
+				t.Fatalf("mark at index %d (element %d): the pass did %d elements, want %d", mark.idx, z0, done, z0&^3)
+			}
+			perturbDeltas(t, mark.app, first, 1, n)
+		}
+	}
+}
+
+// TestPerturbColumn32PastInt32: a column whose indices pass 2³¹ (and one
+// whose stride alone does) takes the Go loop and still gives every element
+// PerturbDelta32's bits; the benchmark mesh's columns fit the vector lanes.
+func TestPerturbColumn32PastInt32(t *testing.T) {
+	if !int32Lanes(24*24-1, 24*24, 246) {
+		t.Fatal("the benchmark mesh's last column does not fit int32 lanes")
+	}
+	for _, c := range []struct{ first, step, n int }{
+		{math.MaxInt32 - 40, 3, 30},
+		{5, math.MaxInt32 + 1, 9},
+		{math.MinInt32 + 4, -1, 12},
+	} {
+		if int32Lanes(c.first, c.step, c.n) {
+			t.Fatalf("indices %d + z·%d, z < %d, accepted for int32 lanes", c.first, c.step, c.n)
+		}
+		for _, app := range []int{1, 5} {
+			perturbDeltas(t, app, c.first, c.step, c.n)
+		}
+	}
 }
 
 // BenchmarkPerturbColumn times one paper-depth column's perturbation (246

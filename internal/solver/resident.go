@@ -40,8 +40,9 @@ const (
 type cgState struct {
 	k         int // current iteration
 	normB, rr float64
-	tol, one  float64 // one is the constant 1.0 an op's *A1 can point at
-	st        *Stats  // the running solve's report
+	tol, one  float64   // one is the constant 1.0 an op's *A1 can point at
+	st        *Stats    // the running solve's report
+	history   []float64 // backs st.History; every Solve reuses it
 
 	rz, rzNew, pap, alpha, beta float64
 }
@@ -84,7 +85,8 @@ func cgProgram(s *cgState, rung bool) []ProgOp {
 	convAct := func() (bool, error) {
 		s.st.Iterations = s.k + 1
 		s.st.Residual = math.Sqrt(s.rr) / s.normB
-		s.st.History = append(s.st.History, s.st.Residual)
+		s.history = append(s.history, s.st.Residual)
+		s.st.History = s.history
 		return s.st.Residual <= s.tol, nil
 	}
 	betaAct := func() (bool, error) {
@@ -159,14 +161,14 @@ func CompileCG(a ProgramSpace, opts Options) (*Resident, error) {
 // Solve solves A·x = b: x carries the initial guess and receives the
 // solution. cancel has the meaning of Options.Cancel (nil means never) and
 // is per solve, so one compiled Resident can serve requests with different
-// deadlines.
+// deadlines. The Stats' History is valid until the Resident's next Solve.
 func (r *Resident) Solve(x, b []float64, cancel func() bool) (*Stats, error) {
 	a, s := r.a, r.s
 	if n := a.Size(); len(x) != n || len(b) != n {
 		return nil, fmt.Errorf("solver: size mismatch: operator %d, x %d, b %d", n, len(x), len(b))
 	}
 	st := &Stats{}
-	s.st = st
+	s.st, s.history = st, s.history[:0]
 	a.Load2(vecX, x, vecB, b) // the solve's one scatter
 	zeroRHS, err := r.setup.Run()
 	if err != nil {

@@ -46,6 +46,40 @@ func TestTransientCancelReturnsStepError(t *testing.T) {
 	}
 }
 
+// TestStepErrorKeepsItsHistory: a failed step's StepError carries its own
+// copy of the residual history, so the next Solve on the same solver, which
+// records into the buffer the Krylov solve reuses, leaves it as it was.
+func TestStepErrorKeepsItsHistory(t *testing.T) {
+	u, opts := transientFixture(t)
+	ts, err := NewTransientSolver(u, nil, physics.DefaultFluid(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	polls := 0
+	req := TransientOptions{Steps: 1, Wells: opts.Wells}
+	req.Solver.Cancel = func() bool {
+		polls++
+		return polls > 3
+	}
+	_, err = ts.Solve(req)
+	var se *StepError
+	if !errors.As(err, &se) || se.Stats == nil || len(se.Stats.History) != 3 {
+		t.Fatalf("want a *StepError with 3 iterations of history, got %v", err)
+	}
+	kept := append([]float64(nil), se.Stats.History...)
+	req.Solver.Cancel = nil
+	req.Wells = []Well{{Cell: u.NumCells / 2, Rate: 1}, {Cell: u.NumCells - 1, Rate: -1}} // another history
+	if _, err := ts.Solve(req); err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range se.Stats.History {
+		if v != kept[k] {
+			t.Fatalf("history[%d] of the failed step became %g after the next Solve, was %g", k, v, kept[k])
+		}
+	}
+}
+
 // TestTransientSolverCancelFromSolverOptions: a resident solver polls the
 // request's Solver.Cancel, and the compiled template's when the request sets
 // none — a tripped one ends the step in a *StepError wrapping

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/physics"
 	"repro/internal/solver"
@@ -341,6 +342,9 @@ func (s *TransientSolver) Solve(req TransientOptions) (*TransientResult, error) 
 		}
 		st, err := s.krylov.Solve(x, b, cancel)
 		if err != nil {
+			if st != nil { // its History is the solver's buffer: keep a copy
+				st.History = slices.Clone(st.History)
+			}
 			return nil, &StepError{Step: step, Stats: st, Err: err}
 		}
 		maxDp, mass := 0.0, 0.0
