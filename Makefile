@@ -13,7 +13,7 @@ GO ?= go
 # engine writes shared result slices.
 RACE_PKGS = ./internal/core/ ./internal/fabric/ ./internal/dsd/ ./internal/exec/ ./internal/umesh/ ./internal/solver/ ./internal/sim/ ./internal/serve/ ./internal/loadgen/ ./internal/wave/
 
-.PHONY: build cross-arm64 test test-v3 race size layers bce bench-selftest bench-layout ab ab-all bench-smoke bench-kernel bench-umesh bench-usolve chaos-smoke fuzz-smoke cover docs-check vet fmt-check ci
+.PHONY: build cross-arm64 test test-v3 race size layers bce bench-selftest bench-layout ab ab-all ab-stage bench-smoke bench-kernel bench-umesh bench-usolve chaos-smoke fuzz-smoke cover docs-check vet fmt-check ci
 
 build:
 	$(GO) build ./...
@@ -71,12 +71,12 @@ race:
 # A PR that shrinks what a ceiling covers lowers it to the new sum. A PR that
 # must raise one says in CHANGES.md by how much and what the lines buy;
 # CHANGES.md keeps each ceiling's history.
-SIZE_CEILING = 4535
+SIZE_CEILING = 4826
 SERVE_CEILING = 1831
 BENCH_CEILING = 861
 STRUCT_CEILING = 1894
 FABRIC_CEILING = 634
-MODULE_CEILING = 15057
+MODULE_CEILING = 15497
 size:
 	@set -e; \
 	for d in $$($(GO) list -f '{{.Dir}}' ./... | sed "s|^$$PWD/*||; s|^$$|.|"); do \
@@ -128,6 +128,13 @@ layers:
 #     95 until the CG tail and the direction update got vector bodies too:
 #     their Go loops resume past the whole groups of four with one reslice,
 #     per block in the tail and per call in the update).
+#   - internal/umesh/vcycle.go holds the AMG V-cycle's host loops: the
+#     degree-bucketed A_c product and the size-bucketed restriction, each
+#     walking a bucket eight rows at a time, and the smoothing and
+#     prolongation loops. An inner loop keeps only its gathers (z of the
+#     product, r and w of the restriction, ec of the prolongation); the rest
+#     is per bucket, per eight rows or per row — their ids, reslices and the
+#     diagonal, start and result at a row id — or per call.
 #   - internal/dsd/ops.go is the structured kernel. Every op has one element
 #     loop, over columns resliced to the destination's length, and none
 #     reports a check (FluxFace and RunCell stream the inlined fluxElem over
@@ -149,10 +156,10 @@ layers:
 # The structured kernel's single spelling must also stay inlinable into the
 # two macro-ops' tail loops, or each element pays a call. Its vector body
 # (internal/dsd/*.s) and umesh's (internal/umesh/*.s: the packed rows, the
-# fused CG tail, the direction update) must round every product before its
-# sum as their Go spellings do, so a fused multiply-add mnemonic there fails
-# the gate.
-BCE_PINS = internal/umesh:kernels.go:97 internal/dsd:ops.go:9 internal/core:hostload.go:16
+# fused CG tail, the direction update, the AMG smoothing steps) must round
+# every product before its sum as their Go spellings do, so a fused
+# multiply-add mnemonic there fails the gate.
+BCE_PINS = internal/umesh:kernels.go:97 internal/umesh:vcycle.go:127 internal/dsd:ops.go:9 internal/core:hostload.go:16
 bce:
 	@set -e; \
 	for pin in $(BCE_PINS); do \
@@ -230,6 +237,16 @@ ab:
 ab-all:
 	@[ -n "$(BASE)" ] || { echo "usage: make ab-all BASE=<rev> [N=10]"; exit 2; }
 	$(GO) run ./cmd/fvab -base $(BASE) -workload all -n $(N)
+
+# The same alternation for one package's Go benchmarks (cmd/fvab -pkg):
+# builds PKG's test binary (go test -c) from BASE's worktree and from the
+# working tree, runs the two alternately N rounds at -cpu 1 on the benchmarks
+# BENCH selects, and prints per case both medians and quartiles of µs/op and
+# the change's wins, e.g.
+#   make ab-stage BASE=HEAD~1 PKG=./internal/umesh BENCH=AMGStage N=10
+ab-stage:
+	@[ -n "$(BASE)" ] && [ -n "$(PKG)" ] && [ -n "$(BENCH)" ] || { echo "usage: make ab-stage BASE=<rev> PKG=<dir> BENCH=<pattern> [N=10]"; exit 2; }
+	$(GO) run ./cmd/fvab -base $(BASE) -pkg $(PKG) -bench '$(BENCH)' -n $(N)
 
 # Exercise every benchmark once at reduced size — validates the harness
 # without paying full measurement cost (what CI runs). -run '^$$' skips the

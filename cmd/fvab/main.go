@@ -4,14 +4,17 @@
 // offset mod 64. Then it runs N alternating pairs of one workload, or of
 // every workload in BENCHMARK.json's order with -workload all, and judges
 // every end-to-end metric against its bound in BENCHMARK.json, printing one
-// verdict table per workload.
+// verdict table per workload. With -pkg it compares one package's Go
+// benchmarks instead (stage.go).
 //
 // Usage:
 //
 //	fvab -base <rev> -workload <name> [-n 10]
 //	fvab -base <rev> -workload all [-n 10]
+//	fvab -base <rev> -pkg <dir> -bench <pattern> [-n 10]
 //	make ab BASE=<rev> W=<workload> N=10
 //	make ab-all BASE=<rev> N=10
+//	make ab-stage BASE=<rev> PKG=<dir> BENCH=<pattern> N=10
 //
 // The base is checked out as a detached git worktree under .bench_build/ab
 // (the revision must already be in .git) and removed afterwards. Both
@@ -95,24 +98,34 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var (
 		base     = fs.String("base", "", "git revision to compare the working tree against (required)")
-		workload = fs.String("workload", "", "benchmark workload, as BENCHMARK.json names it, or all (required)")
-		n        = fs.Int("n", 10, "alternating pairs to run, seeds 1…n")
+		workload = fs.String("workload", "", "benchmark workload, as BENCHMARK.json names it, or all")
+		n        = fs.Int("n", 10, "alternating pairs (rounds with -pkg) to run, seeds 1…n")
+		pkg      = fs.String("pkg", "", "package directory, relative to the repository root, whose Go benchmarks to compare instead")
+		bench    = fs.String("bench", "", "with -pkg: the -test.bench pattern")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *base == "" || *workload == "" || *n < 1 || fs.NArg() > 0 {
+	stage := *pkg != ""
+	if *base == "" || *n < 1 || fs.NArg() > 0 || stage == (*workload != "") || stage != (*bench != "") {
 		fs.Usage()
-		return errors.New("need -base and -workload, and -n ≥ 1")
+		return errors.New("need -base, and -workload or -pkg with -bench, and -n ≥ 1")
 	}
 	top, err := output(".", "git", "rev-parse", "--show-toplevel")
 	if err != nil {
 		return err
 	}
 	root := strings.TrimSpace(top)
-	workloads, bounds, seconds, err := loadSpec(filepath.Join(root, "BENCHMARK.json"), *workload)
-	if err != nil {
-		return err
+	var (
+		workloads []string
+		bounds    []bound
+		seconds   int
+	)
+	if !stage {
+		workloads, bounds, seconds, err = loadSpec(filepath.Join(root, "BENCHMARK.json"), *workload)
+		if err != nil {
+			return err
+		}
 	}
 
 	ab := filepath.Join(root, ".bench_build", "ab")
@@ -128,6 +141,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintln(stderr, "fvab: leaving the base worktree behind:", err)
 		}
 	}()
+	if stage {
+		return runStages(stdout, [2]string{tree, root}, ab, *pkg, *bench, *n, *base)
+	}
 	sides := [2]side{
 		{name: "base", tree: tree, bin: filepath.Join(ab, "base", "fvbench")},
 		{name: "change", tree: root, bin: filepath.Join(ab, "change", "fvbench")},

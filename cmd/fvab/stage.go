@@ -1,0 +1,133 @@
+package main
+
+import (
+	"bufio"
+	"bytes"
+	"fmt"
+	"io"
+	"os/exec"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
+)
+
+// The stage comparison: fvab -pkg builds the package's test binary in the
+// base worktree and in the working tree (go test -c), runs the two
+// alternately for n rounds — each run one -test.count of every benchmark
+// the pattern selects, at -test.cpu 1, in its own tree's package directory;
+// the base first in odd rounds, the change first in even ones — and prints
+// per case both medians and quartiles of ns/op and in how many rounds the
+// change was faster. The per-stage benchmarks (docs/benchmarks.md) are what
+// it is for: alternating the two binaries is what makes a host whose speed
+// drifts within minutes comparable with itself.
+
+// runStages builds both sides' test binaries of pkg — trees holds the base
+// and the change checkout — under dir, then compares them.
+func runStages(stdout io.Writer, trees [2]string, dir, pkg, pattern string, n int, base string) error {
+	var bins [2]string
+	for k, name := range []string{"base", "change"} {
+		bins[k] = filepath.Join(dir, name, "pkg.test")
+		cmd := exec.Command("go", "test", "-c", "-o", bins[k], "./"+filepath.ToSlash(filepath.Clean(pkg)))
+		cmd.Dir = trees[k]
+		if out, err := cmd.CombinedOutput(); err != nil {
+			return fmt.Errorf("building the %s test binary of %s: %v\n%s", name, pkg, err, out)
+		}
+	}
+	args := []string{"-test.run", "^$", "-test.bench", pattern, "-test.cpu", "1", "-test.count", "1"}
+	fmt.Fprintf(stdout, "fvab: %s -bench %q, %d alternating rounds at -cpu 1, base %s vs the working tree\n", pkg, pattern, n, base)
+	return compareStages(stdout, n, func(k int) (map[string]float64, error) {
+		cmd := exec.Command(bins[k], args...)
+		cmd.Dir = filepath.Join(trees[k], pkg)
+		out, err := cmd.Output()
+		if err != nil {
+			return nil, fmt.Errorf("%s test binary: %v\n%s", []string{"base", "change"}[k], err, out)
+		}
+		return parseBench(out)
+	})
+}
+
+// parseBench reads each benchmark line of go test -bench output into its
+// case name → ns/op.
+func parseBench(out []byte) (map[string]float64, error) {
+	cases := map[string]float64{}
+	sc := bufio.NewScanner(bytes.NewReader(out))
+	for sc.Scan() {
+		f := strings.Fields(sc.Text())
+		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
+			continue
+		}
+		for i := 2; i+1 < len(f); i++ {
+			if f[i+1] == "ns/op" {
+				v, err := strconv.ParseFloat(f[i], 64)
+				if err != nil {
+					return nil, fmt.Errorf("benchmark line %q: %v", sc.Text(), err)
+				}
+				cases[f[0]] = v
+			}
+		}
+	}
+	if len(cases) == 0 {
+		return nil, fmt.Errorf("no benchmark line with ns/op in the output")
+	}
+	return cases, nil
+}
+
+// compareStages runs n alternating rounds — run(k) runs the base (k = 0) or
+// the change (k = 1) once and returns its ns/op per case — and prints one
+// row per case: both sides' median and quartiles in µs, the change's median
+// against the base's, and its wins. A case one side lacks is named, with the
+// other side's median.
+func compareStages(w io.Writer, n int, run func(k int) (map[string]float64, error)) error {
+	var names []string
+	var times [2]map[string][]float64
+	for k := range times {
+		times[k] = map[string][]float64{}
+	}
+	wins := map[string]int{}
+	for round := 1; round <= n; round++ {
+		order := []int{0, 1}
+		if round%2 == 0 {
+			order = []int{1, 0}
+		}
+		var got [2]map[string]float64
+		for _, k := range order {
+			cases, err := run(k)
+			if err != nil {
+				return fmt.Errorf("round %d: %w", round, err)
+			}
+			got[k] = cases
+			for name, v := range cases {
+				if !slices.Contains(names, name) {
+					names = append(names, name)
+				}
+				times[k][name] = append(times[k][name], v)
+			}
+		}
+		for name, c := range got[1] {
+			if b, ok := got[0][name]; ok && c < b {
+				wins[name]++
+			}
+		}
+		fmt.Fprintf(w, "round %2d (%s first): %d cases\n", round, []string{"base", "change"}[order[0]], len(got[order[0]]))
+	}
+	slices.Sort(names)
+	fmt.Fprintf(w, "%-44s %-28s %-28s %8s %6s\n", "case (µs/op)", "base median [q1, q3]", "change median [q1, q3]", "Δ median", "wins")
+	q := func(v []float64) string {
+		s := quartiles(v)
+		return fmt.Sprintf("%.4g [%.4g, %.4g]", s[1]/1e3, s[0]/1e3, s[2]/1e3)
+	}
+	for _, name := range names {
+		b, c := times[0][name], times[1][name]
+		switch {
+		case len(b) == 0:
+			fmt.Fprintf(w, "%-44s %-28s %-28s  only in the change\n", name, "—", q(c))
+		case len(c) == 0:
+			fmt.Fprintf(w, "%-44s %-28s %-28s  only in the base\n", name, q(b), "—")
+		default:
+			mb, mc := quartiles(b)[1], quartiles(c)[1]
+			fmt.Fprintf(w, "%-44s %-28s %-28s %+7.1f%% %3d/%-2d\n", name, q(b), q(c), 100*(mc-mb)/mb, wins[name], min(len(b), len(c)))
+		}
+	}
+	return nil
+}

@@ -341,10 +341,12 @@ type opPart struct {
 
 	// Preconditioner-resident state (SetPrecond): the Chebyshev direction
 	// vector, the scratch destination of in-preconditioner operator
-	// applications, and the part-local view of the AMG aggregates (global
-	// aggregate ids, member CSR over local indices, owned-cell → aggregate).
-	pd, pw                            []float64
-	aggID, aggPtr, aggCells, aggOfLoc []int32
+	// applications, and the part-local view of the AMG aggregates (the
+	// restriction into global aggregate ids over local indices, owned-cell →
+	// aggregate).
+	pd, pw   []float64
+	restrict restriction
+	aggOfLoc []int32
 }
 
 // owned is resident vector v without its halo blocks — the part's own entries,

@@ -21,9 +21,9 @@ import (
 // Every rung's arithmetic is written once. Both rungs are elementwise
 // updates, operator applications and per-aggregate sums, none of which cares
 // how a vector is laid out, so their float expressions live in the
-// layout-free kernels below (chebInit, chebStep, amgPre, amgResidualSum,
-// amgProlong, amgPost, and the Chebyshev scalar recurrence chebCoeffs.rounds)
-// and both realizations are compositions of the same calls.
+// layout-free kernels (chebInit, chebStep and the Chebyshev scalar recurrence
+// chebCoeffs.rounds below; amgPre, restriction.run, amgProlong and amgPost in
+// vcycle.go) and both realizations are compositions of the same calls.
 //
 //   - Chebyshev: a fixed-degree polynomial of the Jacobi-scaled operator
 //     D⁻¹A on the interval [b/30, b], where b ≥ λmax(D⁻¹A) is the Gershgorin
@@ -122,16 +122,14 @@ func (s *USystem) chebUpper() float64 {
 // ---------------------------------------------------------------------------
 
 // aggregates is one piecewise-constant prolongation: the fine index →
-// aggregate map and each aggregate's members in the level's walk order
-// (canonical for cells, ascending for level-1 aggregates) — the shared
-// restriction summation order.
+// aggregate map and its restriction, each aggregate's members in the level's
+// walk order (canonical for cells, ascending for level-1 aggregates) — the
+// shared restriction summation order.
 type aggregates struct {
-	nAgg               int
-	aggOf              []int32
-	aggStart, aggCells []int32
+	nAgg     int
+	aggOf    []int32
+	restrict restriction
 }
-
-func (g *aggregates) members(a int) []int32 { return g.aggCells[g.aggStart[a]:g.aggStart[a+1]] }
 
 // amgLevel is the AMG hierarchy of one USystem, assembled once per system
 // (USystem.amg) and shared, read-only, by the reference rung and every
@@ -141,11 +139,8 @@ type amgLevel struct {
 	// pos is the canonical position of each cell (the inverse of
 	// CanonicalOrder) — kept for the part-local aggregate compilation.
 	pos []int32
-	// A_c as CSR: the diagonal and its inverse, and per row the off-diagonal
-	// entries (−conductance) sorted by column.
-	cDiag, cInv []float64
-	cPtr, cCol  []int32
-	cVal        []float64
+	// ac is A_c, its off-diagonal rows bucketed by degree.
+	ac coarseMatrix
 	// coarse aggregates the level-1 aggregates into level 2.
 	coarse aggregates
 	// fac is the level-2 Cholesky factor as a skyline of Lᵀ, the one layout
@@ -224,24 +219,22 @@ func buildAMGLevel(s *USystem) (*amgLevel, error) {
 	// couplings over their faces in face order. A bad diagonal is named by its
 	// level-1 aggregate before anything is built on it.
 	acc := lvl.sum(s.Accum)
-	lvl.cDiag = laplacianDiag(acc, edges)
-	lvl.cInv = make([]float64, nAgg)
-	for a, d := range lvl.cDiag {
+	diag := laplacianDiag(acc, edges)
+	inv := make([]float64, nAgg)
+	for a, d := range diag {
 		if !(d > 0) || math.IsInf(d, 1) {
 			return nil, fmt.Errorf("umesh: AMG coarse matrix lost positive definiteness at aggregate %d (pivot %g)", a, d)
 		}
-		lvl.cInv[a] = 1 / d
+		inv[a] = 1 / d
 	}
-	lvl.cPtr, lvl.cCol, lvl.cVal = csr(nAgg, edges)
+	ptr, col, val := csr(nAgg, edges)
+	lvl.ac = newCoarseMatrix(diag, inv, ptr, col, val)
 
 	// Level 2: the same rule on A_c's graph, seeded in level-1 order and not
 	// block-bounded — level 2 lives only in the host-serial barrier action,
 	// which no part owns.
-	ids := make([]int32, nAgg)
-	for a := range ids {
-		ids[a] = int32(a)
-	}
-	agg2, n2 := aggregate(ids, func(a int32) []int32 { return lvl.cCol[lvl.cPtr[a]:lvl.cPtr[a+1]] }, nil)
+	ids := iota32(nAgg)
+	agg2, n2 := aggregate(ids, func(a int32) []int32 { return col[ptr[a]:ptr[a+1]] }, nil)
 	lvl.coarse = newAggregates(agg2, n2, ids)
 	if err := lvl.factor(lvl.coarse.sum(acc), coarsen(agg2, n2, edges)); err != nil {
 		return nil, err
@@ -290,7 +283,93 @@ func aggregate(seeds []int32, nbrs func(int32) []int32, keep func(seed, i int32)
 // newAggregates lists each aggregate's members in walk order.
 func newAggregates(aggOf []int32, n int, walk []int32) aggregates {
 	cells, start := bucketed(walk, n, func(c int32) int32 { return aggOf[c] })
-	return aggregates{nAgg: n, aggOf: aggOf, aggStart: start, aggCells: cells}
+	members := func(i int) []int32 { return cells[start[i]:start[i+1]] }
+	return aggregates{nAgg: n, aggOf: aggOf, restrict: newRestriction(iota32(n), members, nil)}
+}
+
+// iota32 is 0, 1, …, n−1.
+func iota32(n int) []int32 {
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	return ids
+}
+
+// byLength orders items 0…len(lengths)−1 by their entry count, stably, and
+// cuts the order into one bucket per count that occurs, ascending; at[i] is
+// where item i's entries start in the strided entry streams, which hold
+// Σ lengths entries.
+func byLength(lengths []int32) (order, at []int32, bs []bucket) {
+	k := int32(0)
+	for _, l := range lengths {
+		k = max(k, l)
+	}
+	order, start := bucketed(iota32(len(lengths)), int(k)+1, func(i int32) int32 { return lengths[i] })
+	used := 0
+	for l := range k + 1 {
+		if start[l+1] > start[l] {
+			used++
+		}
+	}
+	at, bs = make([]int32, len(lengths)), make([]bucket, 0, used)
+	off := int32(0)
+	for l := range k + 1 {
+		if start[l+1] == start[l] {
+			continue
+		}
+		bs = append(bs, bucket{k: l, n: start[l+1] - start[l]})
+		for _, i := range order[start[l]:start[l+1]] {
+			at[i] = off
+			off += l
+		}
+	}
+	return order, at, bs
+}
+
+// newRestriction lays out aggregates ids[i], whose members are members(i)
+// mapped through cell (nil: as they are), bucketed by size.
+func newRestriction(ids []int32, members func(i int) []int32, cell func(int32) int32) restriction {
+	lengths, total := make([]int32, len(ids)), 0
+	for i := range ids {
+		lengths[i] = int32(len(members(i)))
+		total += len(members(i))
+	}
+	order, at, bs := byLength(lengths)
+	g := restriction{ids: make([]int32, len(ids)), cells: make([]int32, total), buckets: bs}
+	for p, i := range order {
+		g.ids[p] = ids[i]
+	}
+	for i := range ids {
+		dst := g.cells[at[i]:][:len(members(i))]
+		for k, c := range members(i) {
+			if cell != nil {
+				c = cell(c)
+			}
+			dst[k] = c
+		}
+	}
+	return g
+}
+
+// newCoarseMatrix lays out a matrix given as its diagonal and inverse and
+// its off-diagonal rows in CSR, the rows bucketed by degree.
+func newCoarseMatrix(diag, inv []float64, ptr, col []int32, val []float64) coarseMatrix {
+	lengths := make([]int32, len(diag))
+	for i := range lengths {
+		lengths[i] = ptr[i+1] - ptr[i]
+	}
+	order, at, bs := byLength(lengths)
+	a := coarseMatrix{inv: inv, diag: make([]float64, len(diag)), rows: order,
+		col: make([]int32, len(col)), val: make([]float64, len(val)), buckets: bs}
+	for p, i := range order {
+		a.diag[p] = diag[i]
+	}
+	for i, l := range lengths {
+		copy(a.col[at[i]:][:l], col[ptr[i]:ptr[i+1]])
+		copy(a.val[at[i]:][:l], val[ptr[i]:ptr[i+1]])
+	}
+	return a
 }
 
 // bucketed is a stable counting sort of items by a key in [0, n); it also
@@ -315,11 +394,11 @@ func bucketed[T any](items []T, n int, key func(T) int32) ([]T, []int32) {
 // sum restricts v: per aggregate, v summed over the members in member order.
 func (g *aggregates) sum(v []float64) []float64 {
 	out := make([]float64, g.nAgg)
-	for a := range out {
-		for _, i := range g.members(a) {
+	g.restrict.each(func(a int32, cells []int32) {
+		for _, i := range cells {
 			out[a] += v[i]
 		}
-	}
+	})
 	return out
 }
 
@@ -363,7 +442,8 @@ func laplacianDiag(acc []float64, es []edge) []float64 {
 
 // csr lays sorted edges out as the off-diagonal rows of their matrix, −t at
 // both (lo, hi) and (hi, lo); sorted edges place every (j, i) with j < i
-// before any (i, k), so each row comes out in ascending column order.
+// before any (i, k), so each row comes out in ascending column order. Only
+// the build walks it: A_c's product runs on its degree buckets.
 func csr(n int, es []edge) (ptr, col []int32, val []float64) {
 	ptr = make([]int32, n+1)
 	for _, e := range es {
@@ -506,35 +586,27 @@ func subScaled(dst, src []float64, c float64) {
 // the identical code and data on the serial and partitioned paths.
 func (l *amgLevel) solveCoarse(rc, ec []float64) {
 	l.mu.Lock()
-	w, r2, e2 := l.w, l.r2, l.e2
 	rc, ec = rc[:l.nAgg], ec[:l.nAgg]
-	amgPre(ec, l.cInv, rc)
-	l.applyCoarse(w, ec)
-	for p := range r2 {
-		r2[p] = amgResidualSum(l.coarse.members(p), rc, w)
-	}
-	l.solveSkyline(r2, e2)
-	amgProlong(ec, e2, l.coarse.aggOf)
-	l.applyCoarse(w, ec)
-	amgPost(ec, l.cInv, rc, w)
+	l.coarseDown(rc, ec)
+	l.solveSkyline(l.r2, l.e2)
+	l.coarseUp(rc, ec)
 	l.mu.Unlock()
 }
 
-// applyCoarse is w = A_c·z, each row's diagonal term first and then its
-// off-diagonal terms in ascending column order.
-func (l *amgLevel) applyCoarse(w, z []float64) {
-	ptr, col, val := l.cPtr[:len(w)+1], l.cCol, l.cVal
-	diag, z := l.cDiag[:len(w)], z[:len(w)]
-	for i := range w {
-		cols := col[ptr[i]:ptr[i+1]]
-		vals := val[ptr[i]:ptr[i+1]]
-		vals = vals[:len(cols)]
-		acc := diag[i] * z[i]
-		for k, j := range cols {
-			acc += vals[k] * z[j]
-		}
-		w[i] = acc
-	}
+// coarseDown is the level-1 work before the level-2 solve, in the level's
+// scratch under l.mu: the pre-smooth and its residual's restriction into r2.
+func (l *amgLevel) coarseDown(rc, ec []float64) {
+	amgPre(ec, l.ac.inv, rc)
+	l.ac.apply(l.w, ec)
+	l.coarse.restrict.run(l.r2, rc, l.w)
+}
+
+// coarseUp is the level-1 work after it: the prolongation of e2 and the
+// post-smooth.
+func (l *amgLevel) coarseUp(rc, ec []float64) {
+	amgProlong(ec, l.e2, l.coarse.aggOf)
+	l.ac.apply(l.w, ec)
+	amgPost(ec, l.ac.inv, rc, l.w)
 }
 
 // solveSkyline solves the factored level-2 system L·Lᵀ·e = r, both sweeps
@@ -588,40 +660,6 @@ func chebStep(z, d, inv, r, w []float64, c1, c2 float64) {
 	}
 }
 
-// amgPre is the weighted-Jacobi pre-smooth from zero: z = ω·D⁻¹r.
-func amgPre(z, inv, r []float64) {
-	inv, r = inv[:len(z)], r[:len(z)]
-	for i := range z {
-		z[i] = amgOmega * (inv[i] * r[i])
-	}
-}
-
-// amgResidualSum restricts to one aggregate: the residual r − A·z (w = A·z)
-// summed over the aggregate's member cells in the order given (canonical).
-func amgResidualSum(cells []int32, r, w []float64) float64 {
-	acc := 0.0
-	for _, c := range cells {
-		acc += r[c] - w[c]
-	}
-	return acc
-}
-
-// amgProlong adds the coarse correction: z_i += e[agg(i)].
-func amgProlong(z, ec []float64, agg []int32) {
-	agg = agg[:len(z)]
-	for i := range z {
-		z[i] += ec[agg[i]]
-	}
-}
-
-// amgPost is the weighted-Jacobi post-smooth: z += ω·D⁻¹(r − A·z), w = A·z.
-func amgPost(z, inv, r, w []float64) {
-	inv, r, w = inv[:len(z)], r[:len(z)], w[:len(z)]
-	for i := range z {
-		z[i] += amgOmega * (inv[i] * (r[i] - w[i]))
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Reference realizations: what the serial reference space's Rung field builds
 // ---------------------------------------------------------------------------
@@ -662,9 +700,7 @@ func referenceRung(h *UHostOperator, kind solver.PrecondKind, diag []float64) (f
 		return func(z, r []float64) {
 			amgPre(z, inv, r)
 			_ = h.Apply(w, z)
-			for a := range rc {
-				rc[a] = amgResidualSum(lvl.members(a), r, w)
-			}
+			lvl.restrict.run(rc, r, w)
 			lvl.solveCoarse(rc, ec)
 			amgProlong(z, ec, lvl.aggOf)
 			_ = h.Apply(w, z)
@@ -739,35 +775,31 @@ func (o *PartOperator) phaseSetPre(shard int) error {
 }
 
 // compileAMG builds the part-local views of a shared AMG level: each part's
-// aggregate id list, member CSR in local compact indices (member canonical
-// order is preserved — compact index = canonical position − part start), and
-// the owned-cell → aggregate map for prolongation. Aggregates are
-// block-bounded and parts own whole blocks, so every aggregate lands wholly
-// in one part and restriction is a disjoint write into the shared coarse
-// vector.
+// restriction, its aggregates' global ids with their members in local compact
+// indices (member canonical order is preserved — compact index = canonical
+// position − part start), and the owned-cell → aggregate map for
+// prolongation. Aggregates are block-bounded and parts own whole blocks, so
+// every aggregate lands wholly in one part and restriction is a disjoint
+// write into the shared coarse vector.
 func (o *PartOperator) compileAMG(lvl *amgLevel) error {
 	p, starts := o.l.part, o.l.starts
-	for _, op := range o.parts {
-		op.aggID = op.aggID[:0]
-		op.aggPtr = op.aggPtr[:0]
-		op.aggCells = op.aggCells[:0]
-	}
-	for a := int32(0); a < int32(lvl.nAgg); a++ {
-		c0 := lvl.aggCells[lvl.aggStart[a]]
-		me := p.Part[c0]
-		op := o.parts[me]
-		op.aggID = append(op.aggID, a)
-		op.aggPtr = append(op.aggPtr, int32(len(op.aggCells)))
-		for k := lvl.aggStart[a]; k < lvl.aggStart[a+1]; k++ {
-			g := lvl.aggCells[k]
-			if p.Part[g] != me {
-				return fmt.Errorf("umesh: AMG aggregate %d spans parts %d and %d — aggregation must stay block-bounded", a, me, p.Part[g])
+	ids, members := make([][]int32, len(o.parts)), make([][][]int32, len(o.parts))
+	var err error
+	lvl.restrict.each(func(a int32, cells []int32) {
+		me := p.Part[cells[0]]
+		for _, g := range cells {
+			if p.Part[g] != me && err == nil {
+				err = fmt.Errorf("umesh: AMG aggregate %d spans parts %d and %d — aggregation must stay block-bounded", a, me, p.Part[g])
 			}
-			op.aggCells = append(op.aggCells, lvl.pos[g]-starts[me])
 		}
+		ids[me], members[me] = append(ids[me], a), append(members[me], cells)
+	})
+	if err != nil {
+		return err
 	}
 	for me, op := range o.parts {
-		op.aggPtr = append(op.aggPtr, int32(len(op.aggCells)))
+		local := func(g int32) int32 { return lvl.pos[g] - starts[me] }
+		op.restrict = newRestriction(ids[me], func(i int) []int32 { return members[me][i] }, local)
 		ps := o.l.parts[me]
 		if len(op.aggOfLoc) < ps.nOwned {
 			op.aggOfLoc = make([]int32, ps.nOwned)

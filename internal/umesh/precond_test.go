@@ -237,14 +237,14 @@ func TestAMGAggregationStructure(t *testing.T) {
 			blockOf[order[k]] = bi
 		}
 	}
+	members := memberLists(t, lvl.nAgg, &lvl.restrict)
 	for a := 0; a < lvl.nAgg; a++ {
-		if lvl.aggStart[a+1] <= lvl.aggStart[a] {
+		if len(members[a]) == 0 {
 			t.Fatalf("aggregate %d is empty", a)
 		}
-		b0 := blockOf[lvl.aggCells[lvl.aggStart[a]]]
+		b0 := blockOf[members[a][0]]
 		prevPos := int32(-1)
-		for k := lvl.aggStart[a]; k < lvl.aggStart[a+1]; k++ {
-			c := lvl.aggCells[k]
+		for _, c := range members[a] {
 			if seen[c] {
 				t.Fatalf("cell %d appears in two aggregates", c)
 			}
@@ -277,7 +277,7 @@ func TestAMGAggregationStructure(t *testing.T) {
 		}
 	}
 	t.Logf("cells=%d aggregates=%d A_c off-diagonals=%d level-2 aggregates=%d max band=%d envelope entries=%d (dense band %d) factor bytes=%d",
-		u.NumCells, lvl.nAgg, len(lvl.cVal), n2, bw, len(lvl.fac), n2*(bw+1), 8*len(lvl.fac))
+		u.NumCells, lvl.nAgg, len(lvl.ac.val), n2, bw, len(lvl.fac), n2*(bw+1), 8*len(lvl.fac))
 }
 
 // bandOracle is the textbook level-2 factor the skyline must reproduce bit
@@ -522,12 +522,15 @@ func TestAMGSkylineMatchesDenseBandOracle(t *testing.T) {
 		n, want := lvl.nAgg, o.fac2
 		n2 := want.n
 		t.Logf("%s: aggregates=%d A_c band=%d off-diagonals=%d level-2 aggregates=%d band=%d envelope entries=%d (dense band %d)",
-			name, n, o.bw, len(lvl.cVal), n2, want.bw, len(lvl.fac), n2*(want.bw+1))
+			name, n, o.bw, len(lvl.ac.val), n2, want.bw, len(lvl.fac), n2*(want.bw+1))
+		t.Logf("%s: A_c rows {degree count} %v; level-1 aggregates {size count} %v; level 2 %v",
+			name, lvl.ac.buckets, lvl.restrict.buckets, lvl.coarse.restrict.buckets)
 
 		// A_c, entry for entry.
+		diag, ptr, col, val := bucketRows(t, &lvl.ac)
 		for i := 0; i < n; i++ {
-			if math.Float64bits(lvl.cDiag[i]) != math.Float64bits(o.d[i]) {
-				t.Fatalf("%s: A_c[%d][%d] = %x, oracle %x", name, i, i, math.Float64bits(lvl.cDiag[i]), math.Float64bits(o.d[i]))
+			if math.Float64bits(diag[i]) != math.Float64bits(o.d[i]) {
+				t.Fatalf("%s: A_c[%d][%d] = %x, oracle %x", name, i, i, math.Float64bits(diag[i]), math.Float64bits(o.d[i]))
 			}
 			nnz := 0
 			for j := max(i-o.bw, 0); j <= min(i+o.bw, n-1); j++ {
@@ -535,16 +538,16 @@ func TestAMGSkylineMatchesDenseBandOracle(t *testing.T) {
 					nnz++
 				}
 			}
-			if got := int(lvl.cPtr[i+1] - lvl.cPtr[i]); got != nnz {
+			if got := int(ptr[i+1] - ptr[i]); got != nnz {
 				t.Fatalf("%s: A_c row %d holds %d off-diagonals, oracle %d", name, i, got, nnz)
 			}
-			for k := lvl.cPtr[i]; k < lvl.cPtr[i+1]; k++ {
-				j := int(lvl.cCol[k])
-				if k > lvl.cPtr[i] && lvl.cCol[k-1] >= lvl.cCol[k] {
+			for k := ptr[i]; k < ptr[i+1]; k++ {
+				j := int(col[k])
+				if k > ptr[i] && col[k-1] >= col[k] {
 					t.Fatalf("%s: A_c row %d columns out of order at %d", name, i, j)
 				}
-				if math.Float64bits(lvl.cVal[k]) != math.Float64bits(-o.t(i, j)) {
-					t.Fatalf("%s: A_c[%d][%d] = %x, oracle %x", name, i, j, math.Float64bits(lvl.cVal[k]), math.Float64bits(-o.t(i, j)))
+				if math.Float64bits(val[k]) != math.Float64bits(-o.t(i, j)) {
+					t.Fatalf("%s: A_c[%d][%d] = %x, oracle %x", name, i, j, math.Float64bits(val[k]), math.Float64bits(-o.t(i, j)))
 				}
 			}
 		}
@@ -1020,7 +1023,10 @@ func BenchmarkUsolvePrecond(b *testing.B) {
 // BenchmarkUsolveAMGStage times the one-off level build and each stage of one
 // AMG V-cycle on the 15360-cell benchmark mesh, through the reference
 // realization's kernels — the per-stage sizing of an AMG iteration
-// (docs/benchmarks.md) without a scratch harness.
+// (docs/benchmarks.md) without a scratch harness. Every stage calls the code
+// the cycle runs: the restriction and A_c product of the level, and
+// solveCoarse's two level-1 halves; pre-go and post-go are the smoothing
+// steps' Go loops alone.
 func BenchmarkUsolveAMGStage(b *testing.B) {
 	u := benchRadial(b)
 	sys, err := NewUSystem(u, physics.DefaultFluid(), 3600, 0)
@@ -1039,39 +1045,33 @@ func BenchmarkUsolveAMGStage(b *testing.B) {
 	}
 	r, z, w := probeVector(n, 1), make([]float64, n), make([]float64, n)
 	rc, ec := make([]float64, lvl.nAgg), make([]float64, lvl.nAgg)
-	wc, r2, e2 := make([]float64, lvl.nAgg), make([]float64, lvl.coarse.nAgg), make([]float64, lvl.coarse.nAgg)
 	stages := []struct {
-		name string
-		run  func()
+		name   string
+		run    func()
+		goOnly bool // the Go loops alone, as off amd64
 	}{
 		{"build", func() {
 			if _, err := buildAMGLevel(sys); err != nil {
 				b.Fatal(err)
 			}
-		}},
-		{"pre", func() { amgPre(z, inv, r) }},
-		{"apply", func() { _ = h.Apply(w, z) }},
-		{"restrict", func() {
-			for a := range rc {
-				rc[a] = amgResidualSum(lvl.aggCells[lvl.aggStart[a]:lvl.aggStart[a+1]], r, w)
-			}
-		}},
+		}, false},
+		{"pre", func() { amgPre(z, inv, r) }, false},
+		{"apply", func() { _ = h.Apply(w, z) }, false},
+		{"restrict", func() { lvl.restrict.run(rc, r, w) }, false},
 		// solveCoarse split in two: everything on level 1 — the two A_c
-		// residuals, the Jacobi steps, the level-2 restriction and
-		// prolongation — and the level-2 skyline sweeps.
+		// products, the Jacobi steps, the level-2 restriction and
+		// prolongation — and the level-2 skyline sweeps; coarse-apply is
+		// one A_c product of the two.
 		{"coarse-smooth", func() {
-			amgPre(ec, lvl.cInv, rc)
-			lvl.applyCoarse(wc, ec)
-			for p := range r2 {
-				r2[p] = amgResidualSum(lvl.coarse.members(p), rc, wc)
-			}
-			amgProlong(ec, e2, lvl.coarse.aggOf)
-			lvl.applyCoarse(wc, ec)
-			amgPost(ec, lvl.cInv, rc, wc)
-		}},
-		{"coarse-solve", func() { lvl.solveSkyline(r2, e2) }},
-		{"prolong", func() { amgProlong(z, ec, lvl.aggOf) }},
-		{"post", func() { amgPost(z, inv, r, w) }},
+			lvl.coarseDown(rc, ec)
+			lvl.coarseUp(rc, ec)
+		}, false},
+		{"coarse-apply", func() { lvl.ac.apply(lvl.w, ec) }, false},
+		{"coarse-solve", func() { lvl.solveSkyline(lvl.r2, lvl.e2) }, false},
+		{"prolong", func() { amgProlong(z, ec, lvl.aggOf) }, false},
+		{"post", func() { amgPost(z, inv, r, w) }, false},
+		{"pre-go", func() { amgPre(z, inv, r) }, true},
+		{"post-go", func() { amgPost(z, inv, r, w) }, true},
 	}
 	// One V-cycle first, so every stage is timed on the data it sees in a solve.
 	for _, st := range stages[1:] {
@@ -1079,6 +1079,10 @@ func BenchmarkUsolveAMGStage(b *testing.B) {
 	}
 	for _, st := range stages {
 		b.Run(st.name, func(b *testing.B) {
+			if st.goOnly {
+				defer func(v bool) { vectorRows = v }(vectorRows)
+				vectorRows = false
+			}
 			for i := 0; i < b.N; i++ {
 				st.run()
 			}

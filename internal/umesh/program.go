@@ -184,11 +184,8 @@ func (b *planBuilder) emitPrecond(zv, rv int, r1 *float64) {
 		b.emitApply(zv, 0, 0, nil, true)
 		// Aggregates are block-bounded and parts own whole blocks, so the
 		// parts' restrictions are disjoint writes into the shared coarse vector.
-		b.addLocal(func(op *opPart) {
-			for a, id := range op.aggID {
-				o.coarseR[id] = amgResidualSum(op.aggCells[op.aggPtr[a]:op.aggPtr[a+1]], op.vecs[rv], op.pw)
-			}
-		}, func() (bool, error) { o.amg.solveCoarse(o.coarseR, o.coarseE); return false, nil })
+		b.addLocal(func(op *opPart) { op.restrict.run(o.coarseR, op.vecs[rv], op.pw) },
+			func() (bool, error) { o.amg.solveCoarse(o.coarseR, o.coarseE); return false, nil })
 		b.addLocal(func(op *opPart) { amgProlong(op.owned(zv), o.coarseE, op.aggOfLoc) })
 		b.emitApply(zv, 0, 0, nil, true)
 		b.addLocal(func(op *opPart) { amgPost(op.owned(zv), op.invDiag, op.vecs[rv], op.pw) })

@@ -18,6 +18,15 @@ func cgTailAVX2(x, p, r, ap, z, inv []float64, alpha float64) (rr, rz float64)
 //go:noescape
 func xpbyAVX2(y, x []float64, beta float64)
 
+// amgPreAVX2 and amgPostAVX2 are amgPre's and amgPost's loops over the
+// len(z)/4 whole groups of four, with omega the Jacobi weight.
+//
+//go:noescape
+func amgPreAVX2(z, inv, r []float64, omega float64)
+
+//go:noescape
+func amgPostAVX2(z, inv, r, w []float64, omega float64)
+
 // quadVector runs the vector body over the whole blocks of a packed run of
 // len(xs) rows and returns how many rows it did, with the fused dot's
 // partial — 0 rows where the host has no vector body; sweep's loop does the
@@ -46,4 +55,23 @@ func xpbyVector(y, x []float64, beta float64) int {
 	}
 	xpbyAVX2(y, x, beta)
 	return len(y) &^ 3
+}
+
+// amgPreVector and amgPostVector run the smoothing steps' vector bodies over
+// the whole groups of four and return how many elements they did; the Go
+// loops do the rest.
+func amgPreVector(z, inv, r []float64) int {
+	if !vectorRows {
+		return 0
+	}
+	amgPreAVX2(z, inv, r, amgOmega)
+	return len(z) &^ 3
+}
+
+func amgPostVector(z, inv, r, w []float64) int {
+	if !vectorRows {
+		return 0
+	}
+	amgPostAVX2(z, inv, r, w, amgOmega)
+	return len(z) &^ 3
 }

@@ -14,3 +14,7 @@ func cgTailVector(x, p, r, ap, z, inv []float64, alpha float64) (int, float64, f
 }
 
 func xpbyVector(y, x []float64, beta float64) int { return 0 }
+
+func amgPreVector(z, inv, r []float64) int { return 0 }
+
+func amgPostVector(z, inv, r, w []float64) int { return 0 }

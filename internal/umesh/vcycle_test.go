@@ -1,0 +1,303 @@
+package umesh
+
+import (
+	"math"
+	"slices"
+	"testing"
+
+	"repro/internal/physics"
+	"repro/internal/solver"
+)
+
+// The V-cycle's bucketed layouts against the walks they replaced: the CSR
+// walk of A_c and the member walk of a restriction, kept here as oracles, on
+// the benchmark mesh and on random meshes whose degenerate topology gives
+// singleton aggregates, coarse rows of degree 0 and 1 and duplicate faces,
+// with NaN, ±0 and ±Inf in the operands; and the smoothing steps' vector
+// bodies against their Go loops.
+
+// csrApply is the CSR walk: w = A·z, each row's diagonal term first and then
+// its off-diagonal terms in ascending column order.
+func csrApply(w, z, diag []float64, ptr, col []int32, val []float64) {
+	for i := range w {
+		acc := diag[i] * z[i]
+		for k := ptr[i]; k < ptr[i+1]; k++ {
+			acc += val[k] * z[col[k]]
+		}
+		w[i] = acc
+	}
+}
+
+// memberWalk is the member walk: per aggregate, (r − w) summed from zero
+// over its members in the order given.
+func memberWalk(out []float64, members [][]int32, r, w []float64) {
+	for a, cells := range members {
+		acc := 0.0
+		for _, c := range cells {
+			acc += r[c] - w[c]
+		}
+		out[a] = acc
+	}
+}
+
+// walkMembers lists each of n aggregates' members in walk order, straight
+// from the fine → aggregate map.
+func walkMembers(aggOf []int32, n int, walk []int32) [][]int32 {
+	members := make([][]int32, n)
+	for _, c := range walk {
+		members[aggOf[c]] = append(members[aggOf[c]], c)
+	}
+	return members
+}
+
+// memberLists reads a restriction back as each of n aggregates' member list,
+// failing unless its buckets ascend in size, none is empty, and every
+// aggregate is listed exactly once.
+func memberLists(t testing.TB, n int, g *restriction) [][]int32 {
+	t.Helper()
+	members := make([][]int32, n)
+	listed := make([]bool, n)
+	for bi, b := range g.buckets {
+		if b.n <= 0 || bi > 0 && b.k <= g.buckets[bi-1].k {
+			t.Fatalf("restriction bucket %d (size %d, %d aggregates) is empty or out of order", bi, b.k, b.n)
+		}
+	}
+	g.each(func(a int32, cells []int32) {
+		if listed[a] {
+			t.Fatalf("aggregate %d listed twice", a)
+		}
+		listed[a], members[a] = true, cells
+	})
+	if i := slices.Index(listed, false); i >= 0 {
+		t.Fatalf("aggregate %d not listed", i)
+	}
+	return members
+}
+
+// bucketRows reads A_c back out of its degree buckets as its diagonal and
+// its off-diagonal rows in CSR, failing unless the buckets ascend in degree,
+// rows ascend within a bucket, and every row is listed exactly once.
+func bucketRows(t testing.TB, a *coarseMatrix) (diag []float64, ptr, col []int32, val []float64) {
+	t.Helper()
+	n := len(a.diag)
+	at, deg, listed := make([]int32, n), make([]int32, n), make([]bool, n)
+	diag = make([]float64, n)
+	p, off := 0, int32(0)
+	for bi, b := range a.buckets {
+		if b.n <= 0 || bi > 0 && b.k <= a.buckets[bi-1].k {
+			t.Fatalf("A_c bucket %d (degree %d, %d rows) is empty or out of order", bi, b.k, b.n)
+		}
+		for j := range b.n {
+			i := a.rows[p]
+			if listed[i] || j > 0 && a.rows[p-1] >= i {
+				t.Fatalf("A_c row %d listed twice or out of order in bucket %d", i, bi)
+			}
+			listed[i], at[i], deg[i], diag[i] = true, off, b.k, a.diag[p]
+			p, off = p+1, off+b.k
+		}
+	}
+	if p != n || int(off) != len(a.col) || len(a.val) != len(a.col) {
+		t.Fatalf("A_c buckets list %d of %d rows and %d of %d entries", p, n, off, len(a.col))
+	}
+	ptr = make([]int32, n+1)
+	for i := range n {
+		ptr[i+1] = ptr[i] + deg[i]
+		col = append(col, a.col[at[i]:][:deg[i]]...)
+		val = append(val, a.val[at[i]:][:deg[i]]...)
+	}
+	return diag, ptr, col, val
+}
+
+// oracleCSR lays the coarse oracle's band out as A_c's off-diagonal rows,
+// −t in ascending column order: an A_c assembled without the build's sort.
+func oracleCSR(o *coarseOracle) (ptr, col []int32, val []float64) {
+	ptr = make([]int32, o.n+1)
+	for i := range o.n {
+		for j := max(i-o.bw, 0); j <= min(i+o.bw, o.n-1); j++ {
+			if t := o.t(i, j); j != i && t != 0 {
+				col, val = append(col, int32(j)), append(val, -t)
+			}
+		}
+		ptr[i+1] = int32(len(col))
+	}
+	return ptr, col, val
+}
+
+// salted fills v from rng at the given scale, one entry in rate (none at 0)
+// replaced by a special value.
+func salted(rng *fuzzRand, v []float64, scale float64, rate uint64) []float64 {
+	for i := range v {
+		v[i] = scale * (rng.float() - 0.5)
+		if rate > 0 && rng.next()%rate == 0 {
+			v[i] = fuzzSpecials[rng.next()%uint64(len(fuzzSpecials))]
+		}
+	}
+	return v
+}
+
+// assertSameBits fails at the first entry where got and want differ (two
+// NaNs count as equal).
+func assertSameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if !sameBits(got[i], want[i]) {
+			t.Fatalf("%s[%d]: %g (%#x), oracle %g (%#x)", what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+func TestCoarseBucketsMatchCSRAndMemberWalks(t *testing.T) {
+	meshes := map[string]*Mesh{"bench": benchRadial(t)}
+	for i, size := range [][2]int{{24, 72}, {40, 20}, {60, 60}, {150, 120}, {400, 700}, {97, 300}} {
+		meshes["random-"+string(rune('a'+i))] = randomFuzzMesh(uint64(i+1)*0x9e37, size[0], size[1], 0)
+	}
+	var singleton, deg0, deg1, dupFace bool
+	for name, u := range meshes {
+		sys, err := NewUSystem(u, physics.DefaultFluid(), 3600, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		lvl, err := sys.amg()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		o, err := newCoarseOracle(sys, lvl)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		pairs := map[[2]int]bool{}
+		for _, f := range u.Faces {
+			p := [2]int{min(f.A, f.B), max(f.A, f.B)}
+			dupFace = dupFace || pairs[p]
+			pairs[p] = true
+		}
+		ptr, col, val := oracleCSR(o)
+		for i := range lvl.nAgg {
+			deg0 = deg0 || ptr[i+1] == ptr[i]
+			deg1 = deg1 || ptr[i+1] == ptr[i]+1
+		}
+		fine := walkMembers(lvl.aggOf, lvl.nAgg, CanonicalOrder(u))
+		coarse := walkMembers(lvl.coarse.aggOf, lvl.coarse.nAgg, iota32(lvl.nAgg))
+		for _, m := range fine {
+			singleton = singleton || len(m) == 1
+		}
+		if got := memberLists(t, lvl.nAgg, &lvl.restrict); !slices.EqualFunc(got, fine, slices.Equal) {
+			t.Fatalf("%s: the level-1 restriction's member lists differ from the canonical walk's", name)
+		}
+		if got := memberLists(t, lvl.coarse.nAgg, &lvl.coarse.restrict); !slices.EqualFunc(got, coarse, slices.Equal) {
+			t.Fatalf("%s: the level-2 restriction's member lists differ from the ascending walk's", name)
+		}
+		n, nc, n2 := u.NumCells, lvl.nAgg, lvl.coarse.nAgg
+		rng := fuzzRand(uint64(n))
+		for _, rate := range []uint64{0, 256, 16, 3} {
+			z := salted(&rng, make([]float64, nc), 1e3, rate)
+			got, want := make([]float64, nc), make([]float64, nc)
+			lvl.ac.apply(got, z)
+			csrApply(want, z, o.d, ptr, col, val)
+			assertSameBits(t, name+" A_c·z", got, want)
+
+			r, w := salted(&rng, make([]float64, n), 1e3, rate), salted(&rng, make([]float64, n), 1e3, rate)
+			lvl.restrict.run(got, r, w)
+			memberWalk(want, fine, r, w)
+			assertSameBits(t, name+" level-1 restriction", got, want)
+
+			rc, wc := salted(&rng, make([]float64, nc), 1e3, rate), salted(&rng, make([]float64, nc), 1e3, rate)
+			got2, want2 := make([]float64, n2), make([]float64, n2)
+			lvl.coarse.restrict.run(got2, rc, wc)
+			memberWalk(want2, coarse, rc, wc)
+			assertSameBits(t, name+" level-2 restriction", got2, want2)
+		}
+		// Every residual −0 − (+0) = −0: only a sum that starts from +0, as
+		// the member walk's does, comes out +0.
+		r, w := make([]float64, n), make([]float64, n)
+		for i := range r {
+			r[i] = math.Copysign(0, -1)
+		}
+		got, want := make([]float64, nc), make([]float64, nc)
+		lvl.restrict.run(got, r, w)
+		memberWalk(want, fine, r, w)
+		assertSameBits(t, name+" level-1 restriction of −0", got, want)
+		got2, want2 := make([]float64, n2), make([]float64, n2)
+		lvl.coarse.restrict.run(got2, r[:nc], w[:nc])
+		memberWalk(want2, coarse, r[:nc], w[:nc])
+		assertSameBits(t, name+" level-2 restriction of −0", got2, want2)
+	}
+	if !singleton || !deg0 || !deg1 || !dupFace {
+		t.Errorf("the meshes miss a shape: singleton aggregate %v, degree-0 row %v, degree-1 row %v, duplicate face %v",
+			singleton, deg0, deg1, dupFace)
+	}
+}
+
+func TestPartRestrictionsMatchMemberWalk(t *testing.T) {
+	// Each part's restriction over its compact layout sums exactly the
+	// aggregates it owns, their members in canonical order, and together
+	// the parts cover every aggregate once.
+	u := benchRadial(t)
+	for _, levels := range []int{0, 1, 3} {
+		po, closeOp := residentFixtureOn(t, u, levels, 1)
+		if err := po.SetPrecond(solver.PrecondAMG); err != nil {
+			t.Fatal(err)
+		}
+		lvl := po.amg
+		fine := walkMembers(lvl.aggOf, lvl.nAgg, CanonicalOrder(u))
+		rng := fuzzRand(uint64(levels + 1))
+		r, w := salted(&rng, make([]float64, u.NumCells), 1e3, 16), salted(&rng, make([]float64, u.NumCells), 1e3, 16)
+		want := make([]float64, lvl.nAgg)
+		memberWalk(want, fine, r, w)
+		got, owner := make([]float64, lvl.nAgg), make([]int, lvl.nAgg)
+		for i := range owner {
+			owner[i] = -1
+		}
+		for me, op := range po.parts {
+			ps := po.l.parts[me]
+			rl, wl := make([]float64, ps.nOwned), make([]float64, ps.nOwned)
+			for i := range rl {
+				rl[i], wl[i] = r[ps.globalOf[i]], w[ps.globalOf[i]]
+			}
+			op.restrict.run(got, rl, wl)
+			op.restrict.each(func(a int32, _ []int32) {
+				if owner[a] >= 0 {
+					t.Fatalf("levels %d: aggregate %d restricted by parts %d and %d", levels, a, owner[a], me)
+				}
+				owner[a] = me
+			})
+		}
+		if i := slices.Index(owner, -1); i >= 0 {
+			t.Fatalf("levels %d: no part restricts aggregate %d", levels, i)
+		}
+		assertSameBits(t, "part restriction", got, want)
+		closeOp()
+	}
+}
+
+func TestVectorSmoothingMatchesGo(t *testing.T) {
+	if !vectorRows {
+		t.Skip("no vector body for the smoothing steps on this host")
+	}
+	// Lengths 0–9 — no whole group, one, two, each with every tail — at
+	// offsets 0–3 into the streams, so the bodies also run off 32-byte
+	// alignment, on special values at four saltings.
+	rng := fuzzRand(51)
+	for n := 0; n <= 9; n++ {
+		for off := 0; off <= 3; off++ {
+			for _, rate := range []uint64{0, 8, 3, 1} {
+				var in [4][]float64 // z, inv, r, w
+				for v := range in {
+					in[v] = salted(&rng, make([]float64, off+n), 1e3, rate)
+				}
+				run := func(vector bool) (pre, post []float64) {
+					defer func(v bool) { vectorRows = v }(vectorRows)
+					vectorRows = vector
+					pre, post = slices.Clone(in[0]), slices.Clone(in[0])
+					amgPre(pre[off:], in[1][off:], in[2][off:])
+					amgPost(post[off:], in[1][off:], in[2][off:], in[3][off:])
+					return pre, post
+				}
+				gotPre, gotPost := run(true)
+				wantPre, wantPost := run(false)
+				assertSameBits(t, "amgPre z", gotPre, wantPre)
+				assertSameBits(t, "amgPost z", gotPost, wantPost)
+			}
+		}
+	}
+}
