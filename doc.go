@@ -79,18 +79,18 @@
 //
 // Performance: the engines stay bit-identical (residuals and counters) to an
 // op-by-op oracle kept in the tests. The 14-FLOP face kernel is one fused
-// single-pass macro-op (dsd.Engine.FluxFace; every product explicitly
-// rounded so no target contracts it into an FMA), and the flat engine runs a
-// PE's whole application as one more, a dsd.Cell that Compile binds once
-// (dsd.Engine.BindCell, every operand checked there) and Apply runs
-// (dsd.Engine.RunCell, one vector pass): the ten faces in one pass, in-plane
-// columns read from the neighbors' own memory, the fluxes summed in a
-// register and the residual stored once; descriptors are contiguous
-// columns, so every vector op is one loop over reslices with its bounds
-// checked once per call; per-op counter tallies are deferred and folded into
-// the full accounting at summarize time; per-PE memories are one
-// footprint-sized arena per shard (dsd.NewSizedArena), whose slab
-// Engine.Close hands back for the next band of that size to take as it
+// single-pass macro-op (dsd.Engine.FluxFace, Go on every host, which the
+// fabric engine runs; every product explicitly rounded so no target contracts
+// it into an FMA), and the flat engine runs a PE's whole application as one
+// more, a dsd.Cell that Compile binds once (dsd.Engine.BindCell, every
+// operand checked there) and Apply runs (dsd.Engine.RunCell, one vector
+// pass): the ten faces in one pass, in-plane columns read from the neighbors'
+// own memory, the fluxes summed in a register and the residual stored once;
+// descriptors are contiguous columns, so every vector op is one loop over
+// reslices with its bounds checked once per call; per-op counter tallies are
+// deferred and folded into the full accounting at summarize time; per-PE
+// memories are one footprint-sized arena per shard (dsd.NewSizedArena), whose
+// slab Engine.Close hands back for the next band of that size to take as it
 // is, never re-zeroed; host loads walk the mesh a cache line at a time; the
 // flat engine reads its neighbors' own pressure and g·z columns in place,
 // with no send column, copy or allocation; and the between-application

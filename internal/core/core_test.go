@@ -73,13 +73,14 @@ func runFlat(m *mesh.Mesh, fl physics.Fluid, opts Options) (*Result, error) {
 
 // TestFabricMatchesFlatBitExact holds two independent executions of the
 // kernel to each other under every ablation: the flat engine, which reads
-// the in-plane columns off the wire and sums the faces in a register
-// (FluxCell), and the fabric engine, which stores every flux column in fbuf
-// in arrival order (FluxFace) and assembles afterwards — every residual bit
-// and the whole Counters struct. Nz = 4 is all kernel tail; Nz = 13 is one
-// 8-lane step of the kernel's vector body plus a 5-element tail, where the
-// host has one. The flat engine runs as one band, on the slab a closed
-// engine left NaN.
+// the in-plane columns off the wire and sums the faces in a register (its
+// bound cell, through the kernel's vector body where the host has one), and
+// the fabric engine, which stores every flux column in fbuf in arrival order
+// (FluxFace, fluxElem per element) and assembles afterwards — every residual
+// bit and the whole Counters struct. Nz = 4 is shorter than one 8-lane step,
+// so the cell runs fluxElem too; Nz = 13 is one step and an overlapped last
+// step of the vector body. The flat engine runs as one band, on the slab a
+// closed engine left NaN.
 func TestFabricMatchesFlatBitExact(t *testing.T) {
 	for _, nz := range []int{4, 13} {
 		prefix := ""
@@ -289,12 +290,11 @@ func TestDiagonalsOffAblation(t *testing.T) {
 }
 
 // TestScalarAblationBitIdentical: the scalar ablation issues every op on
-// single elements, so it streams every face through the kernel's Go
-// spelling, fluxElem; the vectorized run takes whole columns through the
-// vector body where the host has one. Both run on the fabric engine, and
-// their residuals agree bit for bit at depths that are all tail (4, 5),
-// exactly one 8-lane step (8), a step and a tail (13) and the paper's depth
-// (246).
+// single elements, through one-element subviews of the face buffers; the
+// vectorized run issues each op once over the whole column. Both run on the
+// fabric engine, whose FluxFace streams every element through fluxElem, so
+// their residuals agree bit for bit and only the issue counts differ, at
+// depths 4, 5, 8, 13 and the paper's 246.
 func TestScalarAblationBitIdentical(t *testing.T) {
 	fl := physics.DefaultFluid()
 	for _, d := range []mesh.Dims{{Nx: 4, Ny: 4, Nz: 4}, {Nx: 4, Ny: 4, Nz: 5}, {Nx: 4, Ny: 4, Nz: 8}, {Nx: 4, Ny: 4, Nz: 13}, {Nx: 3, Ny: 3, Nz: 246}} {

@@ -120,9 +120,10 @@ func BenchmarkKernelMovRecv(b *testing.B) {
 // column depth four ways: the flat engine's whole application of one PE as
 // one bound cell over ten faces, eight of them read off the wire (through the
 // vector body where the host has one, and as cell-scalar through fluxElem
-// alone); and one face as the fabric engine evaluates it, FluxFace into the
-// flux column then AccV, and as the op-by-op sequence then AccV — the
-// spelling the tests hold the macro-ops to, so its time is the oracle's cost.
+// alone); and one face as the fabric engine evaluates it, FluxFace (fluxElem
+// per element, on every host) into the flux column then AccV, and as the
+// op-by-op sequence then AccV — the spelling the tests hold the macro-ops
+// to, so its time is the oracle's cost.
 // MB/s counts face evaluations (4 bytes per element of each face), so Melem/s
 // is MB/s ÷ 4 whatever the face count.
 func BenchmarkKernelFluxFace(b *testing.B) {

@@ -1,17 +1,16 @@
 #include "textflag.h"
 
-// The face kernel's vector bodies: fluxElem on 8 float32 lanes per step, with
+// The face kernel's vector body: fluxElem on 8 float32 lanes per step, with
 // the same IEEE single-precision operations in the same order. There is no
 // fused multiply-add (every product rounds before its sum, as the explicit
 // float32 conversions in fluxElem demand), and the upwind branch is a
 // greater-than compare and a blend, so NaN and ±0 choose as Go's
-// `if dphi > 0` does. Both entry points take n ≥ 8 and pointers to the
-// first element of columns n long. They run whole 8-lane steps from the
-// start, and the last step at n − 8, so when n is not a multiple of 8 it
-// overlaps the one before: SI walks the byte offsets 0, 32, … and is
-// clamped to CX, the last step's offset, where the loop ends. The loop head
-// is 64-byte aligned (PCALIGN), so its placement does not depend on the code
-// linked before it.
+// `if dphi > 0` does. It takes n ≥ 8 and pointers to the first element of
+// columns n long. It runs whole 8-lane steps from the start, and the last
+// step at n − 8, so when n is not a multiple of 8 it overlaps the one
+// before: SI walks the byte offsets 0, 32, … and is clamped to CX, the last
+// step's offset, where the loop ends. The loop head is 64-byte aligned
+// (PCALIGN), so its placement does not depend on the code linked before it.
 
 DATA half<>+0(SB)/8, $0x3f0000003f000000 // 0.5 in each of 8 lanes
 DATA half<>+8(SB)/8, $0x3f0000003f000000
@@ -65,37 +64,6 @@ GLOBL signbit<>(SB), RODATA|NOPTR, $4
 	VMULPS    Y11, Y4, Y4; \
 	VMULPS    (R8)(SI*1), Y6, Y6; \
 	VMULPS    Y4, Y6, Y0
-
-// func fluxFaceAVX2(f, tr, pK, gzK, pL, gzL *float32, n int, c *FluxConsts)
-TEXT ·fluxFaceAVX2(SB), NOSPLIT, $0-64
-	MOVQ f+0(FP), DI
-	MOVQ tr+8(FP), R8
-	MOVQ pK+16(FP), R9
-	MOVQ gzK+24(FP), R10
-	MOVQ pL+32(FP), R11
-	MOVQ gzL+40(FP), R12
-	MOVQ n+48(FP), CX
-	SHLQ $2, CX
-	SUBQ $32, CX
-	MOVQ c+56(FP), AX
-	CONSTS
-	XORQ SI, SI
-	PCALIGN $64
-
-store:
-	OWN
-	FACE
-	VMOVUPS Y0, (DI)(SI*1)
-	CMPQ    SI, CX
-	JGE     done
-	ADDQ    $32, SI
-	CMPQ    SI, CX
-	CMOVQGT CX, SI
-	JMP     store
-
-done:
-	VZEROUPPER
-	RET
 
 // func fluxCellAVX2(res, pK, gzK *float32, faces *cellFaces, nf, n int, c *FluxConsts)
 // Per step OWN runs once and the nf faces' fluxes are summed from +0 in Y15,

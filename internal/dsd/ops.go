@@ -168,11 +168,12 @@ type FluxConsts struct {
 //
 // Each product is rounded through an explicit float32 conversion, which
 // forbids contraction into a fused multiply-add the separate ops would not
-// perform. It is the kernel's definition: the macro-ops' vector body
-// (flux_amd64.s, on hosts with AVX2) performs the same operations in the same
-// order on 8 lanes, and fluxElem takes every element of a column shorter
-// than one step and every element elsewhere. The temporaries are few because it must stay under
-// the compiler's inlining budget (`make bce` checks that it does).
+// perform. It is the kernel's definition: FluxFace streams every element
+// through it, and the bound cell's vector body (flux_amd64.s, on hosts with
+// AVX2) performs the same operations in the same order on 8 lanes, leaving
+// it the columns shorter than one step and every element elsewhere. The
+// temporaries are few because it must stay under the compiler's inlining
+// budget (`make bce` checks that it does).
 func fluxElem(tr, pk, gk, pl, gl float32, c FluxConsts) float32 {
 	rK := float32(pk * c.AHat)              // MulVS
 	rL := float32(pl * c.AHat)              // MulVS
@@ -216,20 +217,18 @@ func (e *Engine) countFlux(k uint64, n int) {
 
 // FluxFace is the 14-FLOP TPFA face kernel as one macro-op: it computes
 // f = tr · λ_upw · ΔΦ from the own columns (pK, gzK) and the neighbor columns
-// (pL, gzL) by streaming every element through fluxElem or its vector body —
-// 6 loads and 1 store per element instead of 27 and 14 — and accounts for it
-// as those 14 issues over Len elements, so counters and every float32 result
-// bit equal the op-by-op execution. The intermediates never reach memory: a
+// (pL, gzL) by streaming every element through fluxElem — 6 loads and 1
+// store per element instead of 27 and 14 — and accounts for it as those 14
+// issues over Len elements, so counters and every float32 result bit equal
+// the op-by-op execution. The intermediates never reach memory: a
 // kernel's scratch buffers stay allocated (footprint and HighWaterWords are
 // those of the op-by-op kernel) but are not written.
 func (e *Engine) FluxFace(f, tr, pK, gzK, pL, gzL Desc, c FluxConsts) {
 	fo := e.Mem.col(f)
 	tv, pk, gk := e.operand(f, tr)[:len(fo)], e.operand(f, pK)[:len(fo)], e.operand(f, gzK)[:len(fo)]
 	pl, gl := e.operand(f, pL)[:len(fo)], e.operand(f, gzL)[:len(fo)]
-	if !fluxVector(fo, tv, pk, gk, pl, gl, &c) {
-		for i := range fo {
-			fo[i] = fluxElem(tv[i], pk[i], gk[i], pl[i], gl[i], c)
-		}
+	for i := range fo {
+		fo[i] = fluxElem(tv[i], pk[i], gk[i], pl[i], gl[i], c)
 	}
 	e.countFlux(1, len(fo))
 }

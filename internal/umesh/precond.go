@@ -283,8 +283,8 @@ func aggregate(seeds []int32, nbrs func(int32) []int32, keep func(seed, i int32)
 // newAggregates lists each aggregate's members in walk order.
 func newAggregates(aggOf []int32, n int, walk []int32) aggregates {
 	cells, start := bucketed(walk, n, func(c int32) int32 { return aggOf[c] })
-	members := func(i int) []int32 { return cells[start[i]:start[i+1]] }
-	return aggregates{nAgg: n, aggOf: aggOf, restrict: newRestriction(iota32(n), members, nil)}
+	r, _ := layRows(iota32(n), start, cells)
+	return aggregates{nAgg: n, aggOf: aggOf, restrict: restriction{r}}
 }
 
 // iota32 is 0, 1, …, n−1.
@@ -296,78 +296,47 @@ func iota32(n int) []int32 {
 	return ids
 }
 
-// byLength orders items 0…len(lengths)−1 by their entry count, stably, and
-// cuts the order into one bucket per count that occurs, ascending; at[i] is
-// where item i's entries start in the strided entry streams, which hold
-// Σ lengths entries.
-func byLength(lengths []int32) (order, at []int32, bs []bucket) {
+// layRows lays out the CSR whose row i is ids[i] with entries
+// idx[ptr[i]:ptr[i+1]] as rows, one bucket per length that occurs,
+// ascending, in one counting pass; at[i] is where row i's entries landed in
+// the layout's idx.
+func layRows(ids, ptr, idx []int32) (r rows, at []int32) {
 	k := int32(0)
-	for _, l := range lengths {
-		k = max(k, l)
-	}
-	order, start := bucketed(iota32(len(lengths)), int(k)+1, func(i int32) int32 { return lengths[i] })
-	used := 0
-	for l := range k + 1 {
-		if start[l+1] > start[l] {
-			used++
-		}
-	}
-	at, bs = make([]int32, len(lengths)), make([]bucket, 0, used)
-	off := int32(0)
-	for l := range k + 1 {
-		if start[l+1] == start[l] {
-			continue
-		}
-		bs = append(bs, bucket{k: l, n: start[l+1] - start[l]})
-		for _, i := range order[start[l]:start[l+1]] {
-			at[i] = off
-			off += l
-		}
-	}
-	return order, at, bs
-}
-
-// newRestriction lays out aggregates ids[i], whose members are members(i)
-// mapped through cell (nil: as they are), bucketed by size.
-func newRestriction(ids []int32, members func(i int) []int32, cell func(int32) int32) restriction {
-	lengths, total := make([]int32, len(ids)), 0
 	for i := range ids {
-		lengths[i] = int32(len(members(i)))
-		total += len(members(i))
+		k = max(k, ptr[i+1]-ptr[i])
 	}
-	order, at, bs := byLength(lengths)
-	g := restriction{ids: make([]int32, len(ids)), cells: make([]int32, total), buckets: bs}
-	for p, i := range order {
-		g.ids[p] = ids[i]
-	}
+	// next[l] and off[l] are where the next row of length l and its entries go.
+	next, off := make([]int32, k+1), make([]int32, k+1)
 	for i := range ids {
-		dst := g.cells[at[i]:][:len(members(i))]
-		for k, c := range members(i) {
-			if cell != nil {
-				c = cell(c)
-			}
-			dst[k] = c
-		}
+		next[ptr[i+1]-ptr[i]]++
 	}
-	return g
+	p, e := int32(0), int32(0)
+	for l, n := range next {
+		if n > 0 {
+			r.buckets = append(r.buckets, bucket{k: int32(l), n: n})
+		}
+		next[l], off[l] = p, e
+		p, e = p+n, e+n*int32(l)
+	}
+	r.ids, r.idx, at = make([]int32, len(ids)), make([]int32, e), make([]int32, len(ids))
+	for i, id := range ids {
+		l := ptr[i+1] - ptr[i]
+		r.ids[next[l]], at[i] = id, off[l]
+		copy(r.idx[off[l]:][:l], idx[ptr[i]:ptr[i+1]])
+		next[l]++
+		off[l] += l
+	}
+	return r, at
 }
 
 // newCoarseMatrix lays out a matrix given as its diagonal and inverse and
 // its off-diagonal rows in CSR, the rows bucketed by degree.
 func newCoarseMatrix(diag, inv []float64, ptr, col []int32, val []float64) coarseMatrix {
-	lengths := make([]int32, len(diag))
-	for i := range lengths {
-		lengths[i] = ptr[i+1] - ptr[i]
-	}
-	order, at, bs := byLength(lengths)
-	a := coarseMatrix{inv: inv, diag: make([]float64, len(diag)), rows: order,
-		col: make([]int32, len(col)), val: make([]float64, len(val)), buckets: bs}
-	for p, i := range order {
+	r, at := layRows(iota32(len(diag)), ptr, col)
+	a := coarseMatrix{rows: r, inv: inv, diag: make([]float64, len(diag)), val: make([]float64, len(r.idx))}
+	for p, i := range r.ids {
 		a.diag[p] = diag[i]
-	}
-	for i, l := range lengths {
-		copy(a.col[at[i]:][:l], col[ptr[i]:ptr[i+1]])
-		copy(a.val[at[i]:][:l], val[ptr[i]:ptr[i+1]])
+		copy(a.val[at[i]:], val[ptr[i]:ptr[i+1]])
 	}
 	return a
 }
@@ -783,7 +752,10 @@ func (o *PartOperator) phaseSetPre(shard int) error {
 // write into the shared coarse vector.
 func (o *PartOperator) compileAMG(lvl *amgLevel) error {
 	p, starts := o.l.part, o.l.starts
-	ids, members := make([][]int32, len(o.parts)), make([][][]int32, len(o.parts))
+	ids, ptr, idx := make([][]int32, len(o.parts)), make([][]int32, len(o.parts)), make([][]int32, len(o.parts))
+	for me := range ptr {
+		ptr[me] = []int32{0}
+	}
 	var err error
 	lvl.restrict.each(func(a int32, cells []int32) {
 		me := p.Part[cells[0]]
@@ -791,15 +763,16 @@ func (o *PartOperator) compileAMG(lvl *amgLevel) error {
 			if p.Part[g] != me && err == nil {
 				err = fmt.Errorf("umesh: AMG aggregate %d spans parts %d and %d — aggregation must stay block-bounded", a, me, p.Part[g])
 			}
+			idx[me] = append(idx[me], lvl.pos[g]-starts[me])
 		}
-		ids[me], members[me] = append(ids[me], a), append(members[me], cells)
+		ids[me], ptr[me] = append(ids[me], a), append(ptr[me], int32(len(idx[me])))
 	})
 	if err != nil {
 		return err
 	}
 	for me, op := range o.parts {
-		local := func(g int32) int32 { return lvl.pos[g] - starts[me] }
-		op.restrict = newRestriction(ids[me], func(i int) []int32 { return members[me][i] }, local)
+		r, _ := layRows(ids[me], ptr[me], idx[me])
+		op.restrict = restriction{r}
 		ps := o.l.parts[me]
 		if len(op.aggOfLoc) < ps.nOwned {
 			op.aggOfLoc = make([]int32, ps.nOwned)

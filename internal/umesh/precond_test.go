@@ -237,7 +237,7 @@ func TestAMGAggregationStructure(t *testing.T) {
 			blockOf[order[k]] = bi
 		}
 	}
-	members := memberLists(t, lvl.nAgg, &lvl.restrict)
+	_, members := readRows(t, "level-1 restriction", lvl.nAgg, &lvl.restrict.rows)
 	for a := 0; a < lvl.nAgg; a++ {
 		if len(members[a]) == 0 {
 			t.Fatalf("aggregate %d is empty", a)
@@ -527,10 +527,15 @@ func TestAMGSkylineMatchesDenseBandOracle(t *testing.T) {
 			name, lvl.ac.buckets, lvl.restrict.buckets, lvl.coarse.restrict.buckets)
 
 		// A_c, entry for entry.
-		diag, ptr, col, val := bucketRows(t, &lvl.ac)
+		refs, cols := readRows(t, name+" A_c", n, &lvl.ac.rows)
+		if len(lvl.ac.diag) != n || len(lvl.ac.val) != len(lvl.ac.idx) {
+			t.Fatalf("%s: A_c holds %d diagonal entries for %d rows and %d values for %d columns",
+				name, len(lvl.ac.diag), n, len(lvl.ac.val), len(lvl.ac.idx))
+		}
 		for i := 0; i < n; i++ {
-			if math.Float64bits(diag[i]) != math.Float64bits(o.d[i]) {
-				t.Fatalf("%s: A_c[%d][%d] = %x, oracle %x", name, i, i, math.Float64bits(diag[i]), math.Float64bits(o.d[i]))
+			d, val := lvl.ac.diag[refs[i].pos], lvl.ac.val[refs[i].at:][:refs[i].k]
+			if math.Float64bits(d) != math.Float64bits(o.d[i]) {
+				t.Fatalf("%s: A_c[%d][%d] = %x, oracle %x", name, i, i, math.Float64bits(d), math.Float64bits(o.d[i]))
 			}
 			nnz := 0
 			for j := max(i-o.bw, 0); j <= min(i+o.bw, n-1); j++ {
@@ -538,12 +543,12 @@ func TestAMGSkylineMatchesDenseBandOracle(t *testing.T) {
 					nnz++
 				}
 			}
-			if got := int(ptr[i+1] - ptr[i]); got != nnz {
+			if got := len(cols[i]); got != nnz {
 				t.Fatalf("%s: A_c row %d holds %d off-diagonals, oracle %d", name, i, got, nnz)
 			}
-			for k := ptr[i]; k < ptr[i+1]; k++ {
-				j := int(col[k])
-				if k > ptr[i] && col[k-1] >= col[k] {
+			for k, c := range cols[i] {
+				j := int(c)
+				if k > 0 && cols[i][k-1] >= c {
 					t.Fatalf("%s: A_c row %d columns out of order at %d", name, i, j)
 				}
 				if math.Float64bits(val[k]) != math.Float64bits(-o.t(i, j)) {

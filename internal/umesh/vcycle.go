@@ -2,43 +2,44 @@ package umesh
 
 // This file holds the AMG V-cycle's host loops, which run once per Krylov
 // iteration on both levels: the product with A_c, the restrictions and the
-// weighted-Jacobi smoothing around them. The two sparse layouts are bucketed
-// by length — A_c's rows by degree, the restrictions' aggregates by size — so
-// every row of a bucket runs the same number of terms and the inner loop's
-// exit is the same branch bucket-long; each bucket is walked eight rows at a
-// time, eight independent sums in flight. As in kernels.go, the inner loops
-// index windows of one length and carry no bounds checks beyond their
+// weighted-Jacobi smoothing around them. Both sparse operands are rows,
+// bucketed by length — A_c's rows by degree, the restrictions' aggregates by
+// size — so every row of a bucket runs the same number of terms and the inner
+// loop's exit is the same branch bucket-long; each bucket is walked eight rows
+// at a time, eight independent sums in flight. As in kernels.go, the inner
+// loops index windows of one length and carry no bounds checks beyond their
 // gathers; `make bce` pins the number of check sites this file reports.
 
-// bucket is one run of a length-bucketed layout: n items of k entries each,
-// listed after the previous bucket's items and stored after its entries.
+// bucket is one run of a length-bucketed layout: n rows of k entries each,
+// listed after the previous bucket's rows and stored after its entries.
 type bucket struct{ k, n int32 }
 
-// coarseMatrix is A_c: the inverse of its diagonal, and its rows bucketed by
-// degree. rows lists the row ids bucket by bucket, in ascending id within a
-// bucket, and diag their diagonal entries in that order; each row's
-// off-diagonal columns (ascending) and values (−conductance) sit at the
-// bucket's stride k in col and val.
-type coarseMatrix struct {
-	inv, diag []float64
-	rows, col []int32
-	val       []float64
-	buckets   []bucket
+// rows is a sparse layout bucketed by row length (layRows): ids lists the
+// rows bucket by bucket, in their original order within a bucket, and idx
+// each row's entries at the bucket's stride k.
+type rows struct {
+	ids, idx []int32
+	buckets  []bucket
 }
 
-// restriction sums r − w over aggregates bucketed by size: ids lists the
-// aggregates bucket by bucket, in their original order within a bucket, and
-// cells their members at the bucket's stride k, in the level's walk order.
-type restriction struct {
-	ids, cells []int32
-	buckets    []bucket
+// coarseMatrix is A_c: the inverse of its diagonal, and its off-diagonal
+// rows bucketed by degree — ids ascending within a bucket, idx their columns
+// (ascending), val their values (−conductance) at the same offsets, and diag
+// the rows' diagonal entries in ids' order.
+type coarseMatrix struct {
+	rows
+	inv, diag, val []float64
 }
+
+// restriction sums r − w over aggregates bucketed by size: ids are the
+// aggregates and idx their members, in the level's walk order.
+type restriction struct{ rows }
 
 // apply is w = A_c·z, each row's diagonal term first and then its
 // off-diagonal terms in ascending column order, every product rounded before
 // its add — the CSR walk's bits.
 func (a *coarseMatrix) apply(w, z []float64) {
-	rows, diag, col, val := a.rows, a.diag, a.col, a.val
+	rows, diag, col, val := a.ids, a.diag, a.idx, a.val
 	for _, b := range a.buckets {
 		k, n := int(b.k), int(b.n)
 		ids, d, c, v := rows[:n], diag[:n], col[:n*k], val[:n*k]
@@ -79,7 +80,7 @@ func (a *coarseMatrix) apply(w, z []float64) {
 // run restricts the residual r − w (w = A·z) into out: per aggregate, from
 // zero, (r − w)_c added over the members in their order.
 func (g *restriction) run(out, r, w []float64) {
-	ids, cells := g.ids, g.cells
+	ids, cells := g.ids, g.idx
 	for _, b := range g.buckets {
 		k, n := int(b.k), int(b.n)
 		as, c := ids[:n], cells[:n*k]
@@ -113,14 +114,14 @@ func (g *restriction) run(out, r, w []float64) {
 	}
 }
 
-// each calls f on every aggregate and its members, bucket by bucket — the
-// build's walk of a laid-out restriction.
-func (g *restriction) each(f func(a int32, cells []int32)) {
-	ids, cells := g.ids, g.cells
-	for _, b := range g.buckets {
+// each calls f on every row and its entries, bucket by bucket — the build's
+// walk of a laid-out restriction.
+func (r *rows) each(f func(id int32, idx []int32)) {
+	ids, idx := r.ids, r.idx
+	for _, b := range r.buckets {
 		for range b.n {
-			f(ids[0], cells[:b.k])
-			ids, cells = ids[1:], cells[b.k:]
+			f(ids[0], idx[:b.k])
+			ids, idx = ids[1:], idx[b.k:]
 		}
 	}
 }

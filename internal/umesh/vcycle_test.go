@@ -50,62 +50,35 @@ func walkMembers(aggOf []int32, n int, walk []int32) [][]int32 {
 	return members
 }
 
-// memberLists reads a restriction back as each of n aggregates' member list,
-// failing unless its buckets ascend in size, none is empty, and every
-// aggregate is listed exactly once.
-func memberLists(t testing.TB, n int, g *restriction) [][]int32 {
-	t.Helper()
-	members := make([][]int32, n)
-	listed := make([]bool, n)
-	for bi, b := range g.buckets {
-		if b.n <= 0 || bi > 0 && b.k <= g.buckets[bi-1].k {
-			t.Fatalf("restriction bucket %d (size %d, %d aggregates) is empty or out of order", bi, b.k, b.n)
-		}
-	}
-	g.each(func(a int32, cells []int32) {
-		if listed[a] {
-			t.Fatalf("aggregate %d listed twice", a)
-		}
-		listed[a], members[a] = true, cells
-	})
-	if i := slices.Index(listed, false); i >= 0 {
-		t.Fatalf("aggregate %d not listed", i)
-	}
-	return members
-}
+// rowRef is where a row of a rows layout sits: its position in ids, and the
+// offset and count of its entries in idx.
+type rowRef struct{ pos, at, k int32 }
 
-// bucketRows reads A_c back out of its degree buckets as its diagonal and
-// its off-diagonal rows in CSR, failing unless the buckets ascend in degree,
-// rows ascend within a bucket, and every row is listed exactly once.
-func bucketRows(t testing.TB, a *coarseMatrix) (diag []float64, ptr, col []int32, val []float64) {
+// readRows reads a rows layout of n rows back by row id, as where each row
+// sits and its entries, failing unless the buckets ascend in length and none
+// is empty, ids ascend within a bucket, every row is listed exactly once and
+// the buckets hold every entry.
+func readRows(t testing.TB, what string, n int, r *rows) ([]rowRef, [][]int32) {
 	t.Helper()
-	n := len(a.diag)
-	at, deg, listed := make([]int32, n), make([]int32, n), make([]bool, n)
-	diag = make([]float64, n)
-	p, off := 0, int32(0)
-	for bi, b := range a.buckets {
-		if b.n <= 0 || bi > 0 && b.k <= a.buckets[bi-1].k {
-			t.Fatalf("A_c bucket %d (degree %d, %d rows) is empty or out of order", bi, b.k, b.n)
+	refs, entries := make([]rowRef, n), make([][]int32, n)
+	p, off := int32(0), int32(0)
+	for bi, b := range r.buckets {
+		if b.n <= 0 || bi > 0 && b.k <= r.buckets[bi-1].k {
+			t.Fatalf("%s bucket %d (length %d, %d rows) is empty or out of order", what, bi, b.k, b.n)
 		}
 		for j := range b.n {
-			i := a.rows[p]
-			if listed[i] || j > 0 && a.rows[p-1] >= i {
-				t.Fatalf("A_c row %d listed twice or out of order in bucket %d", i, bi)
+			i := r.ids[p]
+			if entries[i] != nil || j > 0 && r.ids[p-1] >= i {
+				t.Fatalf("%s row %d listed twice or out of order in bucket %d", what, i, bi)
 			}
-			listed[i], at[i], deg[i], diag[i] = true, off, b.k, a.diag[p]
+			refs[i], entries[i] = rowRef{pos: p, at: off, k: b.k}, r.idx[off:][:b.k:b.k]
 			p, off = p+1, off+b.k
 		}
 	}
-	if p != n || int(off) != len(a.col) || len(a.val) != len(a.col) {
-		t.Fatalf("A_c buckets list %d of %d rows and %d of %d entries", p, n, off, len(a.col))
+	if int(p) != n || int(off) != len(r.idx) {
+		t.Fatalf("%s buckets list %d of %d rows and %d of %d entries", what, p, n, off, len(r.idx))
 	}
-	ptr = make([]int32, n+1)
-	for i := range n {
-		ptr[i+1] = ptr[i] + deg[i]
-		col = append(col, a.col[at[i]:][:deg[i]]...)
-		val = append(val, a.val[at[i]:][:deg[i]]...)
-	}
-	return diag, ptr, col, val
+	return refs, entries
 }
 
 // oracleCSR lays the coarse oracle's band out as A_c's off-diagonal rows,
@@ -181,10 +154,10 @@ func TestCoarseBucketsMatchCSRAndMemberWalks(t *testing.T) {
 		for _, m := range fine {
 			singleton = singleton || len(m) == 1
 		}
-		if got := memberLists(t, lvl.nAgg, &lvl.restrict); !slices.EqualFunc(got, fine, slices.Equal) {
+		if _, got := readRows(t, "level-1 restriction", lvl.nAgg, &lvl.restrict.rows); !slices.EqualFunc(got, fine, slices.Equal) {
 			t.Fatalf("%s: the level-1 restriction's member lists differ from the canonical walk's", name)
 		}
-		if got := memberLists(t, lvl.coarse.nAgg, &lvl.coarse.restrict); !slices.EqualFunc(got, coarse, slices.Equal) {
+		if _, got := readRows(t, "level-2 restriction", lvl.coarse.nAgg, &lvl.coarse.restrict.rows); !slices.EqualFunc(got, coarse, slices.Equal) {
 			t.Fatalf("%s: the level-2 restriction's member lists differ from the ascending walk's", name)
 		}
 		n, nc, n2 := u.NumCells, lvl.nAgg, lvl.coarse.nAgg
