@@ -74,9 +74,9 @@ race:
 SIZE_CEILING = 4800
 SERVE_CEILING = 1831
 BENCH_CEILING = 861
-STRUCT_CEILING = 1846
+STRUCT_CEILING = 1835
 FABRIC_CEILING = 634
-MODULE_CEILING = 15423
+MODULE_CEILING = 15413
 size:
 	@set -e; \
 	for d in $$($(GO) list -f '{{.Dir}}' ./... | sed "s|^$$PWD/*||; s|^$$|.|"); do \
@@ -302,15 +302,17 @@ chaos-smoke:
 # builder, the part operator's row store (and its vector bodies — the packed
 # rows, the CG tail, the direction update — against their Go spellings), the
 # serving layer's request
-# decoder and the whole-PE flux macro-op, a bound cell (the seed corpora
-# already run under plain `make test`). -fuzz accepts one target per
-# invocation, hence five runs.
+# decoder, the whole-PE flux macro-op, a bound cell, and the flat engine on a
+# NaN slab against the fabric engine (the seed corpora already run under
+# plain `make test`). -fuzz accepts one target per invocation, hence six
+# runs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPartition$$' -fuzztime 10s ./internal/umesh/
 	$(GO) test -run '^$$' -fuzz '^FuzzRadialMesh$$' -fuzztime 10s ./internal/umesh/
 	$(GO) test -run '^$$' -fuzz '^FuzzRowStore$$' -fuzztime 10s ./internal/umesh/
 	$(GO) test -run '^$$' -fuzz '^FuzzSolveRequest$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzFluxCell$$' -fuzztime 10s ./internal/dsd/
+	$(GO) test -run '^$$' -fuzz '^FuzzFlatMatchesFabric$$' -fuzztime 10s ./internal/core/
 
 # Per-package coverage gate over the solver-path packages. Floors are pinned
 # a few points under the measured numbers so genuine regressions fail while

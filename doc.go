@@ -89,7 +89,8 @@
 // descriptors are contiguous columns, so every vector op is one loop over
 // reslices with its bounds checked once per call; per-op counter tallies are
 // deferred and folded into the full accounting at summarize time; per-PE
-// memories are one footprint-sized arena per shard (dsd.NewSizedArena), whose
+// memories are one arena per shard sized to the 13 columns the flat engine
+// reads (dsd.NewSizedArena; Compile checks the paper's footprint), whose
 // slab Engine.Close hands back for the next band of that size to take as it
 // is, never re-zeroed; host loads walk the mesh a cache line at a time; the
 // flat engine reads its neighbors' own pressure and g·z columns in place,

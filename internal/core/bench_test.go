@@ -36,13 +36,15 @@ func benchStates(b *testing.B, d mesh.Dims, apps int) ([]peState, *mesh.Mesh, Op
 }
 
 // BenchmarkKernelFaceFlux measures one face-group evaluation (the §5.3.3
-// vector kernel) on an interior PE at the paper's column depth.
+// vector kernel, dsd.FluxFace) on an interior PE at the paper's column depth:
+// its Up face, into the residual column.
 func BenchmarkKernelFaceFlux(b *testing.B) {
 	states, m, _ := benchStates(b, mesh.Dims{Nx: 3, Ny: 3, Nz: 246}, 1)
 	s := &states[1*m.Dims.Nx+1] // interior PE
+	pL, gzL := s.faceNeighbor(mesh.Up)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.computeFace(mesh.West)
+		s.eng.FluxFace(s.res, s.trans[mesh.Up], s.p, s.gz, pL, gzL, s.consts)
 	}
 }
 
@@ -98,7 +100,7 @@ func BenchmarkKernelFlatEngine(b *testing.B) {
 // BenchmarkKernelEngineStages sizes the four stages of a flat-engine run on
 // the repository benchmark's flux-structured mesh (24×24×246; shrunk under
 // -short): compile (arena, layout, static columns), load-pressure (own
-// columns, ghosts, mirrors), apply (one application, perturbation included)
+// columns and ghosts), apply (one application, perturbation included)
 // and gather (the residual back in mesh layout). One flux-structured op is
 // compile + load-pressure + 8 × apply + gather.
 func BenchmarkKernelEngineStages(b *testing.B) {

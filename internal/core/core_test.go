@@ -79,8 +79,9 @@ func runFlat(m *mesh.Mesh, fl physics.Fluid, opts Options) (*Result, error) {
 // (FluxFace, fluxElem per element) and assembles afterwards — every residual
 // bit and the whole Counters struct. Nz = 4 is shorter than one 8-lane step,
 // so the cell runs fluxElem too; Nz = 13 is one step and an overlapped last
-// step of the vector body. The flat engine runs as one band, on the slab a
-// closed engine left NaN.
+// step of the vector body. The flat engine runs as one band and as two (of
+// 3 and 2 rows, so wired faces cross a band edge), each on the slab a closed
+// engine left NaN.
 func TestFabricMatchesFlatBitExact(t *testing.T) {
 	for _, nz := range []int{4, 13} {
 		prefix := ""
@@ -117,34 +118,37 @@ func fabricMatchesFlat(t *testing.T, m *mesh.Mesh, prefix string) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				opts.CommOnly, opts.Vectorized, opts.Workers = false, true, 1
-				flat := runFlatPoisoned(t, m, fl, opts)
-				if v.name == "comm-only" {
-					for i, r := range fab.Residual {
-						if r != 0 {
-							t.Fatalf("comm-only residual[%d] = %g, want 0", i, r)
+				opts.CommOnly, opts.Vectorized = false, true
+				for _, workers := range []int{1, 2} {
+					opts.Workers = workers
+					flat := runFlatPoisoned(t, m, fl, opts)
+					if v.name == "comm-only" {
+						for i, r := range fab.Residual {
+							if r != 0 {
+								t.Fatalf("comm-only residual[%d] = %g, want 0", i, r)
+							}
+						}
+						if fab.Counters.Flops() != 0 || fab.Counters.FabricLoads != flat.Counters.FabricLoads {
+							t.Errorf("comm-only: %d FLOPs, %d fabric words; want 0 and the full run's %d at %d workers",
+								fab.Counters.Flops(), fab.Counters.FabricLoads, flat.Counters.FabricLoads, workers)
+						}
+						continue
+					}
+					for i := range flat.Residual {
+						if math.Float32bits(flat.Residual[i]) != math.Float32bits(fab.Residual[i]) {
+							t.Fatalf("workers=%d: residual[%d] differs: flat %g vs fabric %g", workers, i, flat.Residual[i], fab.Residual[i])
 						}
 					}
-					if fab.Counters.Flops() != 0 || fab.Counters.FabricLoads != flat.Counters.FabricLoads {
-						t.Errorf("comm-only: %d FLOPs, %d fabric words; want 0 and the full run's %d",
-							fab.Counters.Flops(), fab.Counters.FabricLoads, flat.Counters.FabricLoads)
+					want, got := flat.Counters, fab.Counters
+					if v.name == "scalar" {
+						if got.Issues <= want.Issues {
+							t.Errorf("scalar issues %d not above vectorized %d", got.Issues, want.Issues)
+						}
+						got.Issues = want.Issues
 					}
-					return
-				}
-				for i := range flat.Residual {
-					if math.Float32bits(flat.Residual[i]) != math.Float32bits(fab.Residual[i]) {
-						t.Fatalf("residual[%d] differs: flat %g vs fabric %g", i, flat.Residual[i], fab.Residual[i])
+					if got != want {
+						t.Errorf("workers=%d: counters differ:\nflat   %+v\nfabric %+v", workers, want, got)
 					}
-				}
-				want, got := flat.Counters, fab.Counters
-				if v.name == "scalar" {
-					if got.Issues <= want.Issues {
-						t.Errorf("scalar issues %d not above vectorized %d", got.Issues, want.Issues)
-					}
-					got.Issues = want.Issues
-				}
-				if got != want {
-					t.Errorf("counters differ:\nflat   %+v\nfabric %+v", want, got)
 				}
 			})
 		}
@@ -327,16 +331,20 @@ func TestScalarAblationBitIdentical(t *testing.T) {
 	}
 }
 
+// TestBufferReuseAblation: the §5.3.1 ablation runs on the fabric engine,
+// which lays out the paper's whole layout, so its high-water mark is the
+// footprint model's, with and without reuse, and reuse changes no residual
+// bit.
 func TestBufferReuseAblation(t *testing.T) {
 	m := testMesh(t, mesh.Dims{Nx: 4, Ny: 4, Nz: 6})
 	fl := physics.DefaultFluid()
-	reuse, err := runFlat(m, fl, DefaultOptions(1))
+	reuse, err := RunFabric(m, fl, DefaultOptions(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions(1)
 	opts.BufferReuse = false
-	naive, err := runFlat(m, fl, opts)
+	naive, err := RunFabric(m, fl, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,6 +379,36 @@ func TestPaperNzCapacity(t *testing.T) {
 	}
 	if maxNaive >= 246 {
 		t.Errorf("naive discipline admits Nz=%d ≥ 246 — ablation has no bite", maxNaive)
+	}
+}
+
+// TestFlatEngineHoldsThePaperCapacity: the flat engine lays out only the
+// columns it reads, 13·Nz + 4 words per PE, yet refuses what the paper's
+// layout cannot hold: at the CS-2's 12288 words it runs Nz = 279 with buffer
+// reuse and 236 without, and names Nz = 280 and 237 out of PE memory.
+func TestFlatEngineHoldsThePaperCapacity(t *testing.T) {
+	fl := physics.DefaultFluid()
+	for _, tc := range []struct {
+		reuse bool
+		maxNz int
+	}{{true, 279}, {false, 236}} {
+		opts := DefaultOptions(1)
+		opts.BufferReuse, opts.MemWords = tc.reuse, 12288
+		for _, nz := range []int{tc.maxNz, tc.maxNz + 1} {
+			res, err := runFlat(testMesh(t, mesh.Dims{Nx: 3, Ny: 3, Nz: nz}), fl, opts)
+			if nz > tc.maxNz {
+				if err == nil || !strings.Contains(err.Error(), "out of PE memory") {
+					t.Errorf("reuse=%v Nz=%d: err = %v, want out of PE memory", tc.reuse, nz, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("reuse=%v Nz=%d: %v", tc.reuse, nz, err)
+			}
+			if got := res.MemStats.HighWaterWords; got != 13*nz+4 {
+				t.Errorf("reuse=%v Nz=%d: high water %d words, want 13·Nz + 4 = %d", tc.reuse, nz, got, 13*nz+4)
+			}
+		}
 	}
 }
 

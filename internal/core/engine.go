@@ -96,21 +96,19 @@ type Engine struct {
 var errFabricOnly = errors.New("core: the flat engine runs only the vectorized kernel; the comm-only and scalar builds (CommOnly, Vectorized = false) run on RunFabric")
 
 // Compile builds the flat engine for a mesh: opts.Workers row bands, each
-// taking its own arena (sized to the layout, budgeted at opts.MemWords; the
-// slab of a closed engine when one of that size is still alive) and loading
-// its PEs' static columns from the mesh, which is only read, not retained;
-// then every PE's application is bound (bindCell) over the laid-out grid.
-// opts.Apps is the count RunFlatParallel applies; Apply takes its own.
-// CommOnly and Vectorized = false are errFabricOnly, checked first only to
-// hold the benchmark binary's layout (make bench-layout): after validate,
-// Compile shrinks 32 bytes and moves the yardstick's offset mod 64.
+// taking its own arena (sized to the peState columns it lays out; the slab of
+// a closed engine when one of that size is still alive) and loading its PEs'
+// static columns from the mesh, which is only read, not retained; then every
+// PE's application is bound (bindCell) over the laid-out grid. opts.Apps is
+// the count RunFlatParallel applies; Apply takes its own. CommOnly and
+// Vectorized = false are errFabricOnly.
 func Compile(m *mesh.Mesh, fl physics.Fluid, opts Options) (*Engine, error) {
-	if opts.CommOnly || !opts.Vectorized {
-		return nil, errFabricOnly
-	}
 	opts = opts.withDefaults()
 	if err := opts.validate(m, fl); err != nil {
 		return nil, err
+	}
+	if opts.CommOnly || !opts.Vectorized {
+		return nil, errFabricOnly
 	}
 	flLin := fl.WithModel(physics.DensityLinear)
 	nx, ny := m.Dims.Nx, m.Dims.Ny
@@ -152,8 +150,7 @@ func (e *Engine) band(shard int) []peState {
 // engines from one slice, so a band's working set is cache-contiguous and
 // costs a handful of allocations instead of several per PE.
 func layoutBand(band []peState, d mesh.Dims, y0 int, flLin physics.Fluid, opts Options) error {
-	footprint := WordsPerZ(opts.BufferReuse)*d.Nz + FixedWords
-	mems, err := dsd.NewSizedArena(len(band), opts.MemWords, footprint)
+	mems, err := dsd.NewSizedArena(len(band), flatWordsPerZ*d.Nz+FixedWords)
 	if err != nil {
 		return err
 	}
@@ -167,8 +164,8 @@ func layoutBand(band []peState, d mesh.Dims, y0 int, flLin physics.Fluid, opts O
 	return nil
 }
 
-// LoadPressure moves a mesh-layout pressure field onto the PEs (own columns,
-// ghost cells, missing-neighbor mirrors) and restarts the application count:
+// LoadPressure moves a mesh-layout pressure field onto the PEs (own columns
+// and ghost cells) and restarts the application count:
 // the next Apply starts from exactly the state a fresh engine compiled on a
 // mesh holding p would.
 func (e *Engine) LoadPressure(p []float64) error {

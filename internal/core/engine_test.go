@@ -152,85 +152,6 @@ func TestEngineApplyRejectsNegativeCount(t *testing.T) {
 	}
 }
 
-// TestFlatEngineReadsTheWire: the vectorized flat engine takes each in-plane
-// neighbor's column straight off that neighbor's send column, so with every
-// present neighbor's receive buffers NaN after LoadPressure its residual bits
-// and counters are still RunFabric's — at Nz = 4 (all kernel tail) and 13,
-// with and without diagonals, at one worker and two. A PE with a missing
-// neighbor still reads that face off its mirror buffers: NaN them on the
-// corner PE (0,0) too and exactly its residual turns NaN (Υ = 0 there, and
-// 0·NaN is NaN), while every other cell keeps the fabric's bits.
-func TestFlatEngineReadsTheWire(t *testing.T) {
-	fl := physics.DefaultFluid()
-	nan := float32(math.NaN())
-	// poison NaNs the receive buffers of s's present (or missing) neighbors.
-	poison := func(s *peState, present bool) {
-		for k, has := range s.hasNbr {
-			if has != present {
-				continue
-			}
-			for _, col := range [][]float32{s.eng.Mem.HostView(s.nbrP[k]), s.eng.Mem.HostView(s.nbrGz[k])} {
-				for i := range col {
-					col[i] = nan
-				}
-			}
-		}
-	}
-	for _, nz := range []int{4, 13} {
-		m := testMesh(t, mesh.Dims{Nx: 5, Ny: 4, Nz: nz})
-		for _, diagonals := range []bool{true, false} {
-			opts := DefaultOptions(3)
-			opts.Diagonals = diagonals
-			fab, err := RunFabric(m, fl, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 2} {
-				for _, mirrors := range []bool{false, true} {
-					name := fmt.Sprintf("nz=%d/diagonals=%v/workers=%d/nan-mirrors=%v", nz, diagonals, workers, mirrors)
-					t.Run(name, func(t *testing.T) {
-						opts := opts
-						opts.Workers = workers
-						e, err := Compile(m, fl, opts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						defer e.Close()
-						if err := e.LoadPressure(m.Pressure); err != nil {
-							t.Fatal(err)
-						}
-						for i := range e.states {
-							poison(&e.states[i], true)
-						}
-						if mirrors {
-							poison(&e.states[0], false)
-						}
-						if err := e.Apply(opts.Apps); err != nil {
-							t.Fatal(err)
-						}
-						flat := summarize(e.states, e.dims, e.opts, 0)
-						for i, got := range flat.Residual {
-							want := fab.Residual[i]
-							if corner := i%(m.Dims.Nx*m.Dims.Ny) == 0; mirrors && corner {
-								if got == got {
-									t.Fatalf("residual[%d] = %g with NaN mirrors, want NaN: the mirror was not read", i, got)
-								}
-								continue
-							}
-							if math.Float32bits(got) != math.Float32bits(want) {
-								t.Fatalf("residual[%d] = %g, fabric %g: a receive buffer was read", i, got, want)
-							}
-						}
-						if flat.Counters != fab.Counters {
-							t.Errorf("counters differ:\nflat   %+v\nfabric %+v", flat.Counters, fab.Counters)
-						}
-					})
-				}
-			}
-		}
-	}
-}
-
 // TestTileLoaderMatchesPerPEGather holds the tile-ordered host loaders to the
 // per-PE strided gather they replaced, column by column: on grids whose
 // width is under, over and not a multiple of the tile, on a single column
@@ -299,10 +220,6 @@ func TestTileLoaderMatchesPerPEGather(t *testing.T) {
 						has := s.x+dx >= 0 && s.x+dx < d.Nx && s.y+dy >= 0 && s.y+dy < d.Ny
 						if s.hasNbr[k] != has {
 							t.Fatalf("%s: PE(%d,%d) hasNbr[%v] = %v", name, s.x, s.y, dir, s.hasNbr[k])
-						}
-						if !has { // mirrors of the own data
-							expect(s, "mirror p "+dir.String(), s.nbrP[k], p)
-							expect(s, "mirror gz "+dir.String(), s.nbrGz[k], gz)
 						}
 					}
 					// A recognisable residual for the gather below.

@@ -33,11 +33,16 @@ func RunFabric(m *mesh.Mesh, fl physics.Fluid, opts Options) (*Result, error) {
 
 	flLin := fl.WithModel(physics.DensityLinear)
 	states := make([]peState, nx*ny)
+	pes := make([]fabricPE, nx*ny)
 	err = fab.ForEachPE(func(pe *fabric.PE) error {
 		if err := fabric.InstallExchange(pe, exchangeColor, opts.Diagonals); err != nil {
 			return err
 		}
-		return states[pe.Y*nx+pe.X].layout(pe.Eng, m.Dims, flLin, pe.X, pe.Y, opts)
+		i := pe.Y*nx + pe.X
+		if err := states[i].layout(pe.Eng, m.Dims, flLin, pe.X, pe.Y, opts); err != nil {
+			return err
+		}
+		return pes[i].layout(&states[i])
 	})
 	if err != nil {
 		return nil, err
@@ -50,7 +55,7 @@ func RunFabric(m *mesh.Mesh, fl physics.Fluid, opts Options) (*Result, error) {
 	send := make([]float32, len(states)*2*nz)
 	err = fab.Run(func(pe *fabric.PE) error {
 		i := pe.Y*nx + pe.X
-		return fluxWorker(pe, &states[i], opts, send[i*2*nz:(i+1)*2*nz])
+		return fluxWorker(pe, &pes[i], opts, send[i*2*nz:(i+1)*2*nz])
 	})
 	elapsed := time.Since(start)
 	if err != nil {
@@ -74,7 +79,7 @@ func RunFabric(m *mesh.Mesh, fl physics.Fluid, opts Options) (*Result, error) {
 // finally assembles the residual. Columns complete in arrival order; every
 // face writes its own fbuf[d] and assemble adds them in assemblyOrder, so
 // the residual does not depend on it.
-func fluxWorker(pe *fabric.PE, s *peState, opts Options, send []float32) error {
+func fluxWorker(pe *fabric.PE, s *fabricPE, opts Options, send []float32) error {
 	ex := fabric.NewExchange(pe, exchangeColor, 2*s.nz, opts.Diagonals)
 	deliver := func(o fabric.Origin, data []float32) error {
 		d := originDir[o]
@@ -102,8 +107,9 @@ func fluxWorker(pe *fabric.PE, s *peState, opts Options, send []float32) error {
 		}
 		if !opts.CommOnly {
 			// Fabric-edge faces have no incoming column; their Υ = 0 face
-			// groups are still evaluated (uniform kernel code on every PE),
-			// exactly like the flat engine, yielding zero flux.
+			// groups are still evaluated on the own columns (uniform kernel
+			// code on every PE), exactly like the flat engine, yielding zero
+			// flux.
 			for i, d := range xyDirections {
 				if s.hasNbr[i] {
 					continue

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/dsd"
 	"repro/internal/mesh"
 	"repro/internal/physics"
 )
@@ -87,11 +86,10 @@ func storeTile(dst []float32, cols [][]float32, plane, nz int) {
 }
 
 // loadStatic loads what a band's PEs keep for the engine's lifetime: the
-// gravity column g·z (own column and ghost cells, missing-neighbor mirrors)
-// and the transmissibility columns of every face the options enable.
+// gravity column g·z (its ghost cells come with the pressure's) and the
+// transmissibility columns of every face the options enable.
 func loadStatic(band []peState, m *mesh.Mesh, fl physics.Fluid, opts Options) {
 	loadField(band, m.Elev, fl.Gravity, func(s *peState) []float32 { return s.view(s.gz) })
-	loadMirrors(band, func(s *peState) (dsd.Desc, *[8]dsd.Desc) { return s.gz, &s.nbrGz })
 	for _, d := range mesh.AllDirections {
 		if !opts.Diagonals && d.IsDiagonal() {
 			continue // no engine reads a diagonal Υ with diagonals off
@@ -100,27 +98,11 @@ func loadStatic(band []peState, m *mesh.Mesh, fl physics.Fluid, opts Options) {
 	}
 }
 
-// loadPressure loads a mesh-layout pressure field into a band's PEs: the own
-// column with its ghost cells, and the missing-neighbor buffers.
+// loadPressure loads a mesh-layout pressure field into a band's PEs' own
+// columns and refreshes the ghost cells of both own columns.
 func loadPressure(band []peState, p []float64) {
 	loadField(band, p, 1, func(s *peState) []float32 { return s.view(s.p) })
-	loadMirrors(band, func(s *peState) (dsd.Desc, *[8]dsd.Desc) { return s.p, &s.nbrP })
-}
-
-// loadMirrors finishes a loaded own column (p or gz, with its neighbor
-// buffers, as cols picks them) on every PE of a band: the ghost cells, and a
-// copy in the buffer of each missing neighbor. Mirroring own data into those
-// keeps every intermediate finite; with Υ = 0 on boundary faces the values
-// are inert.
-func loadMirrors(band []peState, cols func(s *peState) (dsd.Desc, *[8]dsd.Desc)) {
 	for i := range band {
-		s := &band[i]
-		s.refreshGhosts()
-		own, nbr := cols(s)
-		for k, has := range s.hasNbr {
-			if !has {
-				copy(s.view(nbr[k]), s.view(own))
-			}
-		}
+		band[i].refreshGhosts()
 	}
 }

@@ -15,7 +15,7 @@ import (
 // own column (pK, gzK), the neighbor column (pL, gzL) and the face
 // transmissibilities tr. Exactly 6 FMUL + 4 FSUB + 1 FADD + 1 FMA + 1 FNEG
 // per element, plus one predicated SELGT — the Table 4 mix.
-func (s *peState) faceFlux(dst, tr, pK, gzK, pL, gzL dsd.Desc) {
+func (s *fabricPE) faceFlux(dst, tr, pK, gzK, pL, gzL dsd.Desc) {
 	e, c := s.eng, s.consts
 	if s.opts.Vectorized {
 		// Whole-column vector issue: the descriptors already are the face
@@ -32,11 +32,13 @@ func (s *peState) faceFlux(dst, tr, pK, gzK, pL, gzL dsd.Desc) {
 	}
 }
 
-// faceNeighbor returns the neighbor-side (pL, gzL) views of direction d. An
-// in-plane neighbor is the received column. The z±1 neighbors live in the
-// same PE memory (§5.2c): shifted views over the padded own columns stand in
-// for them, and no fabric traffic occurs — which is why Table 4 counts no
-// FMOV for the vertical faces.
+// faceNeighbor returns the neighbor-side (pL, gzL) views of direction d in
+// the PE's own memory. The z±1 neighbors live there (§5.2c): shifted views
+// over the padded own columns stand in for them, and no fabric traffic occurs
+// — which is why Table 4 counts no FMOV for the vertical faces. A missing
+// in-plane neighbor's face reads the own columns: Υ = 0 on it, so its flux is
+// ±0, which a residual summed from +0 absorbs. A present in-plane neighbor's
+// column comes over the fabric (wired).
 func (s *peState) faceNeighbor(d mesh.Direction) (pL, gzL dsd.Desc) {
 	switch d {
 	case mesh.Up:
@@ -44,12 +46,20 @@ func (s *peState) faceNeighbor(d mesh.Direction) (pL, gzL dsd.Desc) {
 	case mesh.Down:
 		return s.p.Shift(-1), s.gz.Shift(-1)
 	}
-	return s.nbrP[d], s.nbrGz[d] // in-plane directions are enum values 0..7
+	return s.p, s.gz
 }
 
-// computeFace evaluates the flux column of direction d into fbuf[d].
-func (s *peState) computeFace(d mesh.Direction) {
+// wired reports whether direction d's neighbor column comes over the fabric:
+// d is in-plane (enum values 0..7) and the neighbor exists.
+func (s *peState) wired(d mesh.Direction) bool { return d < mesh.Down && s.hasNbr[d] }
+
+// computeFace evaluates the flux column of direction d into fbuf[d], reading
+// a wired neighbor's column from its receive buffers.
+func (s *fabricPE) computeFace(d mesh.Direction) {
 	pL, gzL := s.faceNeighbor(d)
+	if s.wired(d) {
+		pL, gzL = s.nbrP[d], s.nbrGz[d]
+	}
 	s.faceFlux(s.fbuf[d], s.trans[d], s.p, s.gz, pL, gzL)
 }
 
@@ -60,7 +70,7 @@ func (s *peState) computeFace(d mesh.Direction) {
 // the flux columns wait in fbuf for the fixed-order assembly.
 
 // computeVerticalFaces evaluates the Up and Down flux columns.
-func (s *peState) computeVerticalFaces() {
+func (s *fabricPE) computeVerticalFaces() {
 	s.computeFace(mesh.Up)
 	s.computeFace(mesh.Down)
 }
@@ -68,7 +78,7 @@ func (s *peState) computeVerticalFaces() {
 // assemble accumulates the ten face-flux columns into the residual in the
 // fixed direction order ("assembles all the local fluxes", §6). Keeping the
 // order fixed makes the float32 result independent of communication timing.
-func (s *peState) assemble() {
+func (s *fabricPE) assemble() {
 	for _, d := range assemblyOrder {
 		if !s.opts.Diagonals && d.IsDiagonal() {
 			continue
@@ -78,11 +88,11 @@ func (s *peState) assemble() {
 }
 
 // bindCell binds the flat engine's application: one dsd.Cell over the faces
-// in assembly order, each in-plane neighbor's column read from that
-// neighbor's own p and gz columns (the words its send column carries, which
-// no kernel writes) and a missing neighbor's from the mirror buffers. It
-// runs once every PE of the grid is laid out, since a neighbor may sit in
-// another band, and BindCell checks every operand there, once.
+// in assembly order, each wired face on that neighbor's own p and gz columns
+// (the words its send column carries, which no kernel writes) and every other
+// face on faceNeighbor's views. It runs once every PE of the grid is laid
+// out, since a neighbor may sit in another band, and BindCell checks every
+// operand there, once.
 func (s *peState) bindCell(states []peState) {
 	var faces [mesh.NumDirections]dsd.Face
 	k := 0
@@ -90,12 +100,13 @@ func (s *peState) bindCell(states []peState) {
 		if !s.opts.Diagonals && d.IsDiagonal() {
 			continue
 		}
-		pL, gzL := s.faceNeighbor(d)
-		faces[k] = dsd.Face{Tr: s.trans[d], PL: pL, GzL: gzL}
-		if d < mesh.Down && s.hasNbr[d] { // in-plane directions are enum values 0..7
+		faces[k].Tr = s.trans[d]
+		if s.wired(d) {
 			dx, dy, _ := d.Offset()
 			nbr := &states[(s.y+dy)*s.dims.Nx+s.x+dx]
 			faces[k].WireP, faces[k].WireGz = nbr.view(nbr.p), nbr.view(nbr.gz)
+		} else {
+			faces[k].PL, faces[k].GzL = s.faceNeighbor(d)
 		}
 		k++
 	}

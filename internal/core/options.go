@@ -54,10 +54,12 @@ type Options struct {
 	Vectorized bool
 	// BufferReuse enables the §5.3.1 scratch-buffer reuse: 5 scratch columns
 	// for the kernel's 13 intermediates, else 13. The fused kernel never
-	// writes them, so only the per-PE high-water mark moves (Result.MemStats).
+	// writes them, so only the capacity check (WordsPerZ) and the fabric
+	// engine's per-PE high-water mark (Result.MemStats) move.
 	BufferReuse bool
 	// MemWords overrides the per-PE memory budget in float32 words
-	// (default: the CS-2's 12288). Small values inject allocation failures.
+	// (default: the CS-2's 12288). Both engines refuse a mesh whose
+	// WordsPerZ·Nz + FixedWords exceeds it, as out of PE memory.
 	MemWords int
 	// Workers is the worker-goroutine count of the flat engine: the PE grid
 	// is decomposed into that many contiguous row bands, each executed by
@@ -98,6 +100,9 @@ func (o Options) validate(m *mesh.Mesh, fl physics.Fluid) error {
 	}
 	if err := m.Dims.Validate(); err != nil {
 		return err
+	}
+	if need := WordsPerZ(o.BufferReuse)*m.Dims.Nz + FixedWords; need > o.MemWords {
+		return fmt.Errorf("core: out of PE memory: the paper's layout of this mesh needs %d words per PE, over the %d-word budget", need, o.MemWords)
 	}
 	return nil
 }

@@ -51,7 +51,7 @@ type Result struct {
 	// FabricTotals reports wavelet traffic (fabric engine only).
 	FabricTotals *fabric.TotalCounters
 	// MemStats is the allocator report of a representative (interior if
-	// possible) PE — the buffer-reuse ablation reads HighWaterWords.
+	// possible) PE; the buffer-reuse ablation reads the fabric engine's.
 	MemStats dsd.Stats
 	// Elapsed is the host wall-clock for the device portion of the run.
 	Elapsed time.Duration

@@ -36,13 +36,13 @@ func shares(e *Engine, ids map[*float32]bool) bool {
 	return false
 }
 
-// poisonArenas NaN-fills every backed word of a closed engine's PE
-// memories, through its own states: whatever the next engine on these slabs
-// reads before it writes it is NaN.
+// poisonArenas NaN-fills every word a closed engine's PE memories laid out,
+// up to each one's high-water mark, through its own states: whatever the next
+// engine on these slabs reads before it writes it is NaN.
 func poisonArenas(e *Engine) {
-	words := WordsPerZ(e.opts.BufferReuse)*e.dims.Nz + FixedWords
 	for i := range e.states {
-		for k, col := 0, e.states[i].eng.Mem.HostView(dsd.Desc{Len: words}); k < len(col); k++ {
+		mem := e.states[i].eng.Mem
+		for k, col := 0, mem.HostView(dsd.Desc{Len: mem.Stats().HighWaterWords}); k < len(col); k++ {
 			col[k] = float32(math.NaN())
 		}
 	}

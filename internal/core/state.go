@@ -9,32 +9,24 @@ import (
 )
 
 // peState is the device-side state of one PE: descriptors over its private
-// memory for the Z column it owns (paper §5.1). The layout, in allocation
-// order:
+// memory for the Z column it owns (paper §5.1) — the columns both engines
+// read, and all the flat engine lays out. In allocation order:
 //
 //	pPad, gzPad   — own pressure and g·z columns with one ghost cell at each
 //	                end, so every cell computes all ten faces with full-length
 //	                vectors (boundary faces carry Υ = 0)
 //	res           — the flux residual column
 //	trans[10]     — per-direction transmissibility columns
-//	nbrP/nbrGz[8] — receive buffers for the eight in-plane neighbors
-//	fbuf[10]      — per-face flux columns (assembled in fixed order)
-//	scratch       — kernel intermediates: 5 buffers with reuse (§5.3.1),
-//	                13 without
 //
-// nbr, fbuf and scratch are what the CSL kernel needs, so every run
-// allocates them and the footprint model counts them; how much of them a run
-// writes depends on the engine. The fused dsd.FluxFace keeps the
-// intermediates in registers, so no run writes scratch, and no descriptor of
-// it is kept. The fabric engine receives into nbr and, computing faces in
-// arrival order, stores every flux column in fbuf. The flat engine's cell
-// (a dsd.Cell, bound once at Compile) reads each in-plane neighbor's own p
-// and gz columns — the words its send column would carry — straight from
-// that neighbor's memory and sums the fluxes in a register, so it writes
-// neither; a missing neighbor's face reads the mirror buffers.
+// That is flatWordsPerZ·Nz + FixedWords words. The flat engine's cell (a
+// dsd.Cell, bound once at Compile) reads each in-plane neighbor's own p and
+// gz columns — the words its send column would carry — straight from that
+// neighbor's memory, a missing neighbor's face the PE's own columns, and sums
+// the fluxes in a register. The fabric engine lays out the rest (fabricPE).
 //
-// With buffer reuse the footprint is 44·Nz+4 words; the CS-2's 12288-word
-// PEs therefore hold at most Nz = 279, and without reuse only Nz = 236 —
+// The paper's layout is the capacity model both engines are held to:
+// WordsPerZ·Nz + FixedWords words, 44·Nz+4 with buffer reuse, so the CS-2's
+// 12288-word PEs hold at most Nz = 279, and without reuse only Nz = 236 —
 // bracketing the paper's 246-layer maximum mesh (§7; TestPaperNzCapacity).
 type peState struct {
 	eng    *dsd.Engine
@@ -48,14 +40,30 @@ type peState struct {
 	p, gz       dsd.Desc // body views, length nz
 	res         dsd.Desc
 	trans       [mesh.NumDirections]dsd.Desc
-	nbrP, nbrGz [8]dsd.Desc // indexed by mesh.Direction (0..7 are in-plane)
-	fbuf        [mesh.NumDirections]dsd.Desc
 
 	hasNbr [8]bool // in-plane mesh adjacency
 
 	// cell is the flat engine's application, bound by bindCell (the fabric
 	// engine leaves it zero).
 	cell dsd.Cell
+}
+
+// fabricPE is one PE of the fabric engine: its peState, then the columns of
+// the paper's layout only the fabric engine has — in allocation order,
+//
+//	nbrP/nbrGz[8] — receive buffers for the eight in-plane neighbors
+//	fbuf[10]      — per-face flux columns (assembled in fixed order)
+//	scratch       — kernel intermediates: 5 buffers with reuse (§5.3.1),
+//	                13 without
+//
+// so its high-water mark is the paper's footprint. Computing faces in arrival
+// order, it stores every flux column in fbuf. The fused dsd.FluxFace keeps
+// the intermediates in registers, so no run writes scratch, and no
+// descriptor of it is kept.
+type fabricPE struct {
+	*peState
+	nbrP, nbrGz [8]dsd.Desc // indexed by mesh.Direction (0..7 are in-plane)
+	fbuf        [mesh.NumDirections]dsd.Desc
 }
 
 // scratchColumns is the kernel's intermediate-column count: the 13
@@ -78,8 +86,12 @@ func WordsPerZ(bufferReuse bool) int {
 // FixedWords is the Z-independent part of the footprint (the pad cells).
 const FixedWords = 4
 
-// layout allocates one PE's descriptors; it reads nothing from the mesh (the
-// band-wide loaders do). The engine's memory must be freshly allocated
+// flatWordsPerZ is the per-layer part of a peState: 2 padded own columns,
+// res and 10 trans.
+const flatWordsPerZ = 2 + 1 + 10
+
+// layout lays out one PE's peState columns; it reads nothing from the mesh
+// (the band-wide loaders do). The engine's memory must be freshly allocated
 // (descriptors are laid out from offset 0).
 func (s *peState) layout(eng *dsd.Engine, dims mesh.Dims, fl physics.Fluid, x, y int, opts Options) error {
 	nz := dims.Nz
@@ -93,49 +105,38 @@ func (s *peState) layout(eng *dsd.Engine, dims mesh.Dims, fl physics.Fluid, x, y
 		nz:     nz,
 		dims:   dims,
 	}
-	mem := eng.Mem
-	fail := func(what string, err error) error {
-		return fmt.Errorf("core: PE(%d,%d) allocating %s: %w", x, y, what, err)
+	blk, err := eng.Mem.Alloc(flatWordsPerZ*nz + FixedWords)
+	if err != nil {
+		return fmt.Errorf("core: PE(%d,%d) laying out its columns: %w", x, y, err)
 	}
-	var err error
-	if s.pPad, err = mem.Alloc(nz + 2); err != nil {
-		return fail("pressure column", err)
-	}
-	if s.gzPad, err = mem.Alloc(nz + 2); err != nil {
-		return fail("gravity column", err)
-	}
-	s.p = s.pPad.MustSlice(1, nz)
-	s.gz = s.gzPad.MustSlice(1, nz)
-	if s.res, err = mem.Alloc(nz); err != nil {
-		return fail("residual column", err)
-	}
-	for _, d := range mesh.AllDirections {
-		if s.trans[d], err = mem.Alloc(nz); err != nil {
-			return fail("transmissibility columns", err)
-		}
-	}
-	for i := range s.nbrP {
-		if s.nbrP[i], err = mem.Alloc(nz); err != nil {
-			return fail("neighbor pressure buffers", err)
-		}
-		if s.nbrGz[i], err = mem.Alloc(nz); err != nil {
-			return fail("neighbor gravity buffers", err)
-		}
-	}
-	for _, d := range mesh.AllDirections {
-		if s.fbuf[d], err = mem.Alloc(nz); err != nil {
-			return fail("flux buffers", err)
-		}
-	}
-	for range scratchColumns(opts.BufferReuse) {
-		if _, err = mem.Alloc(nz); err != nil {
-			return fail("kernel scratch", err)
-		}
+	s.pPad, s.gzPad = blk.MustSlice(0, nz+2), blk.MustSlice(nz+2, nz+2)
+	s.p, s.gz = s.pPad.MustSlice(1, nz), s.gzPad.MustSlice(1, nz)
+	s.res = blk.MustSlice(2*nz+4, nz)
+	for d := range s.trans {
+		s.trans[d] = blk.MustSlice((3+d)*nz+4, nz)
 	}
 	for i, d := range xyDirections {
 		dx, dy, _ := d.Offset()
 		nx, ny := x+dx, y+dy
 		s.hasNbr[i] = nx >= 0 && nx < dims.Nx && ny >= 0 && ny < dims.Ny
+	}
+	return nil
+}
+
+// layout lays out the fabric engine's columns after own's, which layout has
+// laid out.
+func (s *fabricPE) layout(own *peState) error {
+	s.peState = own
+	nz := s.nz
+	blk, err := s.eng.Mem.Alloc((WordsPerZ(s.opts.BufferReuse) - flatWordsPerZ) * nz)
+	if err != nil {
+		return fmt.Errorf("core: PE(%d,%d) laying out the fabric engine's buffers: %w", s.x, s.y, err)
+	}
+	for i := range s.nbrP {
+		s.nbrP[i], s.nbrGz[i] = blk.MustSlice(2*i*nz, nz), blk.MustSlice((2*i+1)*nz, nz)
+	}
+	for d := range s.fbuf {
+		s.fbuf[d] = blk.MustSlice((16+d)*nz, nz)
 	}
 	return nil
 }
@@ -185,7 +186,7 @@ func (s *peState) sendColumn(send []float32) []float32 {
 
 // receiveColumn stores an arrived 2·Nz column into the direction's neighbor
 // buffers (FMOV: fabric load + memory store per element).
-func (s *peState) receiveColumn(dirIdx int, data []float32) error {
+func (s *fabricPE) receiveColumn(dirIdx int, data []float32) error {
 	if len(data) != 2*s.nz {
 		return fmt.Errorf("core: PE(%d,%d) received %d words for %s, want %d",
 			s.x, s.y, len(data), xyDirections[dirIdx], 2*s.nz)

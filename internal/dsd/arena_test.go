@@ -22,8 +22,8 @@ func TestNewArena(t *testing.T) {
 	// check it reads zero and dirty it.
 	for i := range mems {
 		m := &mems[i]
-		if m.capacity != capacity {
-			t.Fatalf("memory %d capacity = %d, want %d", i, m.capacity, capacity)
+		if len(m.words) != capacity {
+			t.Fatalf("memory %d capacity = %d, want %d", i, len(m.words), capacity)
 		}
 		d, err := m.Alloc(capacity)
 		if err != nil {
@@ -54,16 +54,13 @@ func TestNewArena(t *testing.T) {
 }
 
 func TestSizedArenaBacksOnlyTheFootprint(t *testing.T) {
-	const n, capacity, footprint = 3, 64, 40
-	mems, err := NewSizedArena(n, capacity, footprint)
+	const n, footprint = 3, 40
+	mems, err := NewSizedArena(n, footprint)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range mems {
 		m := &mems[i]
-		if m.capacity != capacity {
-			t.Fatalf("memory %d reports capacity %d, want the budget %d", i, m.capacity, capacity)
-		}
 		if len(m.words) != footprint {
 			t.Fatalf("memory %d backs %d words, want the footprint %d", i, len(m.words), footprint)
 		}
@@ -73,7 +70,7 @@ func TestSizedArenaBacksOnlyTheFootprint(t *testing.T) {
 		}
 		view := m.HostView(d)
 		view[footprint-1] = float32(i + 1)
-		if _, err := m.Alloc(1); err == nil || !strings.Contains(err.Error(), "footprint") {
+		if _, err := m.Alloc(1); err == nil || !strings.Contains(err.Error(), "out of PE memory: need 1 words, 40 of 40 used") {
 			t.Fatalf("memory %d: allocation past the backed words: err = %v", i, err)
 		}
 	}
@@ -82,16 +79,7 @@ func TestSizedArenaBacksOnlyTheFootprint(t *testing.T) {
 			t.Errorf("memory %d last word = %g, want %d", i, v, i+1)
 		}
 	}
-	// A footprint over the budget is an out-of-memory error at the budget,
-	// exactly as in a fully backed memory.
-	mems, err = NewSizedArena(1, 16, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mems[0].Alloc(17); err == nil || !strings.Contains(err.Error(), "out of PE memory: need 17 words, 0 of 16 used") {
-		t.Fatalf("over-budget allocation: err = %v", err)
-	}
-	if _, err := NewSizedArena(1, 16, 0); err == nil {
+	if _, err := NewSizedArena(1, 0); err == nil {
 		t.Error("NewSizedArena accepted an empty footprint")
 	}
 }
@@ -139,7 +127,7 @@ func TestArenaAllocationsDoNotScaleWithMemories(t *testing.T) {
 		allocs := testing.AllocsPerRun(10, func() {
 			newArena := NewArena
 			if tc.sized {
-				newArena = func(n, c int) ([]Memory, error) { return NewSizedArena(n, c, c) }
+				newArena = NewSizedArena
 			}
 			mems, err := newArena(pes, 64*nz)
 			if err != nil {
@@ -169,9 +157,9 @@ func slabOf(mems []Memory) *float32 { return &mems[0].words[0] }
 
 // poisonedArena is a sized arena of n memories whose footprint words are all
 // NaN, released.
-func poisonedArena(t *testing.T, n, capacity, footprint int) []Memory {
+func poisonedArena(t *testing.T, n, footprint int) []Memory {
 	t.Helper()
-	mems, err := NewSizedArena(n, capacity, footprint)
+	mems, err := NewSizedArena(n, footprint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,17 +182,17 @@ func poisonedArena(t *testing.T, n, capacity, footprint int) []Memory {
 // second Release of the same arena hands the slab back once.
 func TestReleasedSlabIsTakenAsItWas(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	const n, capacity, footprint = 3, 64, 37
-	mems := poisonedArena(t, n, capacity, footprint)
+	const n, footprint = 3, 37
+	mems := poisonedArena(t, n, footprint)
 	mems[0].Release()
-	other, err := NewSizedArena(n, capacity, footprint+1)
+	other, err := NewSizedArena(n, footprint+1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if slabOf(other) == slabOf(mems) {
 		t.Fatal("an arena of another length took the released slab")
 	}
-	again, err := NewSizedArena(n, capacity, footprint)
+	again, err := NewSizedArena(n, footprint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +211,7 @@ func TestReleasedSlabIsTakenAsItWas(t *testing.T) {
 			t.Fatalf("memory %d: the taken slab was cleared (last word %g)", i, v)
 		}
 	}
-	third, err := NewSizedArena(n, capacity, footprint)
+	third, err := NewSizedArena(n, footprint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +226,7 @@ func TestReleasedSlabIsTakenAsItWas(t *testing.T) {
 func TestNewArenaIsAlwaysFresh(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const n, capacity = 4, 48
-	sized := poisonedArena(t, n, capacity, capacity)
+	sized := poisonedArena(t, n, capacity)
 	fresh, err := NewArena(n, capacity)
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +240,7 @@ func TestNewArenaIsAlwaysFresh(t *testing.T) {
 		}
 	}
 	fresh[0].Release()
-	next, err := NewSizedArena(n, capacity, capacity)
+	next, err := NewSizedArena(n, capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +254,7 @@ func TestNewArenaIsAlwaysFresh(t *testing.T) {
 // zero, even while the released memories are still reachable.
 func TestReleasedSlabDoesNotOutliveACollection(t *testing.T) {
 	const n, capacity = 2, 53
-	mems, err := NewSizedArena(n, capacity, capacity)
+	mems, err := NewSizedArena(n, capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +265,7 @@ func TestReleasedSlabDoesNotOutliveACollection(t *testing.T) {
 	mems[0].StoreHost(d, 0, 1)
 	mems[0].Release()
 	runtime.GC()
-	fresh, err := NewSizedArena(n, capacity, capacity)
+	fresh, err := NewSizedArena(n, capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +287,7 @@ func TestFreeSlotUnderConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := range 50 {
-				mems, err := NewSizedArena(2+(g+i)%2, 29, 29)
+				mems, err := NewSizedArena(2+(g+i)%2, 29)
 				if err != nil {
 					t.Error(err)
 					return

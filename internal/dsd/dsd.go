@@ -65,11 +65,8 @@ func (d Desc) Shift(off int) Desc {
 // list; only a whole arena's slab is recycled (Release) — so the break is the
 // high-water mark Stats reports for the buffer-reuse ablation.
 type Memory struct {
-	words []float32
-	// capacity is the budget Alloc enforces and Stats reports; words may be
-	// shorter when the arena was sized to a known footprint (NewSizedArena).
-	capacity int
-	brk      int
+	words []float32 // the budget: Alloc enforces len(words)
+	brk   int
 	// slab is a sized arena's backing slab, held by its first memory until
 	// Release hands it back.
 	slab *slab
@@ -86,54 +83,44 @@ var released struct {
 	slot weak.Pointer[slab]
 }
 
-// NewArena allocates n PE memories of capacityWords each, carved out of one
+// NewArena allocates n PE memories of words each, carved out of one
 // contiguous slab, so an engine's working set is cache-contiguous and costs
 // two allocations (words and headers) instead of several per PE. The slab
 // is always fresh, zeroed exactly once by its allocation, and Release does
 // not hand it back.
-func NewArena(n, capacityWords int) ([]Memory, error) {
-	return newArena(n, capacityWords, capacityWords, false)
+func NewArena(n, words int) ([]Memory, error) {
+	return newArena(n, words, false)
 }
 
-// NewSizedArena is NewArena for a caller that knows the exact footprint of
-// the layout it is about to allocate: every memory enforces and reports
-// capacityWords, but only min(capacityWords, footprintWords) words of it are
-// backed, so the slab holds no word the layout never reaches (and the
-// memories do not sit a power-of-two-ish 48 KiB apart, aliasing each other's
-// cache sets). A footprint over the capacity fails in Alloc with the usual
-// out-of-memory error; one that understates the layout fails there too.
-//
-// The slab is the one Release handed back last when that one is still alive
-// and of this length, taken as it was left (then only the headers are new),
-// and a fresh one otherwise, so the words a memory starts with are
-// unspecified: a layout writes every word it reads.
-func NewSizedArena(n, capacityWords, footprintWords int) ([]Memory, error) {
-	return newArena(n, capacityWords, footprintWords, true)
+// NewSizedArena is NewArena for a caller that sizes every memory to the
+// layout it is about to allocate, so the slab holds no word the layout never
+// reaches (and the memories do not sit a power-of-two-ish 48 KiB apart,
+// aliasing each other's cache sets). The slab is the one Release handed back
+// last when that one is still alive and of this length, taken as it was left
+// (then only the headers are new), and a fresh one otherwise, so the words a
+// memory starts with are unspecified: a layout writes every word it reads.
+func NewSizedArena(n, words int) ([]Memory, error) {
+	return newArena(n, words, true)
 }
 
-func newArena(n, capacityWords, footprintWords int, recycle bool) ([]Memory, error) {
+func newArena(n, words int, recycle bool) ([]Memory, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("dsd: arena must hold at least one memory, got %d", n)
 	}
-	if capacityWords <= 0 {
-		return nil, fmt.Errorf("dsd: memory capacity must be positive, got %d", capacityWords)
+	if words <= 0 {
+		return nil, fmt.Errorf("dsd: memory capacity must be positive, got %d", words)
 	}
-	if footprintWords <= 0 {
-		return nil, fmt.Errorf("dsd: arena footprint must be positive, got %d", footprintWords)
-	}
-	backed := min(capacityWords, footprintWords)
 	mems := make([]Memory, n)
-	var words []float32
+	var all []float32
 	if recycle {
-		mems[0].slab = takeSlab(n * backed)
-		words = mems[0].slab.words
+		mems[0].slab = takeSlab(n * words)
+		all = mems[0].slab.words
 	} else {
-		words = make([]float32, n*backed)
+		all = make([]float32, n*words)
 	}
 	for i := range mems {
-		w := i * backed
-		mems[i].words = words[w : w+backed : w+backed]
-		mems[i].capacity = capacityWords
+		w := i * words
+		mems[i].words = all[w : w+words : w+words]
 	}
 	return mems, nil
 }
@@ -172,11 +159,8 @@ func (m *Memory) Alloc(n int) (Desc, error) {
 	if n <= 0 {
 		return Desc{}, fmt.Errorf("dsd: allocation size must be positive, got %d", n)
 	}
-	if m.brk+n > m.capacity {
-		return Desc{}, fmt.Errorf("dsd: out of PE memory: need %d words, %d of %d used", n, m.brk, m.capacity)
-	}
 	if m.brk+n > len(m.words) {
-		return Desc{}, fmt.Errorf("dsd: allocation of %d words at %d runs past the %d-word footprint this arena backs", n, m.brk, len(m.words))
+		return Desc{}, fmt.Errorf("dsd: out of PE memory: need %d words, %d of %d used", n, m.brk, len(m.words))
 	}
 	base := m.brk
 	m.brk += n

@@ -146,7 +146,7 @@ func TestReadInto(t *testing.T) {
 			t.Fatal("HostView of a column past the end of memory did not panic")
 		}
 	}()
-	m.HostView(Desc{Base: blk.Base, Len: m.capacity - blk.Base + 1})
+	m.HostView(Desc{Base: blk.Base, Len: len(m.words) - blk.Base + 1})
 }
 
 func TestBoundsCheckPanics(t *testing.T) {

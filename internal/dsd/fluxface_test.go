@@ -444,10 +444,10 @@ func TestFluxFaceAntisymmetric(t *testing.T) {
 
 // TestFluxFaceRejectsAliasedOutputs: an output sharing a word with an
 // operand — FluxFace's flux column, or a cell's residual with any view or
-// wire column it reads or a receive buffer the op-by-op spelling writes — is
-// a kernel-construction bug: FluxFace, or BindCell, panics with a dsd:
-// message before anything is written or counted. Disjoint operands, and inputs overlapping each
-// other (the vertical faces), run.
+// wire column it reads — is a kernel-construction bug: FluxFace, or
+// BindCell, panics with a dsd: message before anything is written or
+// counted. Disjoint operands, and inputs overlapping each other (the
+// vertical faces), run.
 func TestFluxFaceRejectsAliasedOutputs(t *testing.T) {
 	const m = 8
 	c := newFaceColumns(t, 2*m)
@@ -466,11 +466,10 @@ func TestFluxFaceRejectsAliasedOutputs(t *testing.T) {
 		{"inputs overlap", true, func() { c.e.FluxFace(f, tr, p, gz, p.Shift(1), gz.Shift(1), testConsts) }},
 		{"output overlaps input", false, func() { c.e.FluxFace(p.Shift(1), tr, p, gz, nbrP, nbrGz, testConsts) }},
 		{"flux overlaps input", false, func() { c.e.FluxFace(gz.Shift(m/2), tr, p, gz, nbrP, nbrGz, testConsts) }},
-		{"cell disjoint operands", true, cell(res, Face{Tr: tr, PL: nbrP, GzL: nbrGz, WireP: wire[:m], WireGz: wire[m:]})},
+		{"cell disjoint operands", true, cell(res, Face{Tr: tr, WireP: wire[:m], WireGz: wire[m:]})},
 		{"residual overlaps input", false, cell(p.Shift(m/2), Face{Tr: tr, PL: nbrP, GzL: nbrGz})},
 		{"residual overlaps transmissibility", false, cell(tr.Shift(m/2), Face{Tr: tr, PL: nbrP, GzL: nbrGz})},
-		{"residual overlaps receive buffer", false, cell(nbrGz, Face{Tr: tr, PL: nbrP, GzL: nbrGz, WireP: wire[:m], WireGz: wire[m:]})},
-		{"residual overlaps wire column", false, cell(res, Face{Tr: tr, PL: nbrP, GzL: nbrGz, WireP: wire[:m], WireGz: c.e.Mem.HostView(res)})},
+		{"residual overlaps wire column", false, cell(res, Face{Tr: tr, WireP: wire[:m], WireGz: c.e.Mem.HostView(res)})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if !tc.ok {
@@ -513,7 +512,7 @@ func panicMessage(fn func()) (msg string) {
 
 func TestFluxFacePanicsLikeTheOps(t *testing.T) {
 	c := newFaceColumns(t, 8)
-	oob := Desc{Base: c.e.Mem.capacity - 4, Len: 8}
+	oob := Desc{Base: len(c.e.Mem.words) - 4, Len: 8}
 	for _, tc := range []struct {
 		name, want string
 		pL         Desc
@@ -539,20 +538,22 @@ func TestFluxFaceDoesNotAllocate(t *testing.T) {
 
 // cellColumns is one PE's layout for a cell: padded own columns (so the
 // vertical faces' Shift(±1) views stay inside the memory), the residual, a
-// flux column for the op-by-op oracle, ten transmissibility columns and
-// eight pairs of receive buffers. It is laid out by hand, so n may be 0.
+// flux column and a pair of receive buffers for the op-by-op oracle, ten
+// transmissibility columns and eight pairs of in-plane neighbor columns. It
+// is laid out by hand, so n may be 0.
 type cellColumns struct {
-	e           *Engine
-	pPad, gzPad Desc
-	p, gz       Desc
-	res, f      Desc
-	tr          [maxCellFaces]Desc
-	nbrP, nbrGz [8]Desc
+	e             *Engine
+	pPad, gzPad   Desc
+	p, gz         Desc
+	res, f        Desc
+	recvP, recvGz Desc
+	tr            [maxCellFaces]Desc
+	nbrP, nbrGz   [8]Desc
 }
 
 func newCellColumns(t testing.TB, n int) *cellColumns {
 	t.Helper()
-	m, err := NewMemory(30*n + 4)
+	m, err := NewMemory(32*n + 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,6 +567,7 @@ func newCellColumns(t testing.TB, n int) *cellColumns {
 	c.pPad, c.gzPad = col(n+2), col(n+2)
 	c.p, c.gz = c.pPad.MustSlice(1, n), c.gzPad.MustSlice(1, n)
 	c.res, c.f = col(n), col(n)
+	c.recvP, c.recvGz = col(n), col(n)
 	for k := range c.tr {
 		c.tr[k] = col(n)
 	}
@@ -575,8 +577,8 @@ func newCellColumns(t testing.TB, n int) *cellColumns {
 	return c
 }
 
-// Face slots of a cell: 0–7 are the in-plane faces with their receive
-// buffers, then the two vertical faces.
+// Face slots of a cell: 0–7 are the in-plane faces with their neighbor
+// columns, then the two vertical faces.
 const (
 	slotDown = 8 + iota
 	slotUp
@@ -584,34 +586,36 @@ const (
 
 // face returns the Face of slot s with transmissibility column k; an in-plane
 // face reads wire — pressure then g·z, each half a column — when it is
-// non-nil, else its receive buffers.
+// non-nil, else its neighbor columns in the memory.
 func (c *cellColumns) face(s, k int, wire []float32) Face {
 	f := Face{Tr: c.tr[k]}
-	switch s {
-	case slotDown:
+	switch {
+	case s == slotDown:
 		f.PL, f.GzL = c.p.Shift(-1), c.gz.Shift(-1)
-	case slotUp:
+	case s == slotUp:
 		f.PL, f.GzL = c.p.Shift(1), c.gz.Shift(1)
+	case wire != nil:
+		f.WireP, f.WireGz = wire[:len(wire)/2], wire[len(wire)/2:]
 	default:
 		f.PL, f.GzL = c.nbrP[s], c.nbrGz[s]
-		if wire != nil {
-			f.WireP, f.WireGz = wire[:len(wire)/2], wire[len(wire)/2:]
-		}
 	}
 	return f
 }
 
 // cellSequence is a cell's op-by-op spelling, the oracle FuzzFluxCell
-// holds it to: zero the residual, then per face receive the wire into the
-// receive buffers, evaluate the face into the flux column and add it.
+// holds it to: zero the residual, then per face receive a wire face's
+// columns into the oracle's receive buffers, evaluate the face into the flux
+// column and add it.
 func cellSequence(c *cellColumns, faces []Face) {
 	c.e.Fill(c.res, 0)
 	for _, f := range faces {
+		pL, gzL := f.PL, f.GzL
 		if f.WireP != nil {
-			c.e.MovRecv(f.PL, f.WireP)
-			c.e.MovRecv(f.GzL, f.WireGz)
+			pL, gzL = c.recvP, c.recvGz
+			c.e.MovRecv(pL, f.WireP)
+			c.e.MovRecv(gzL, f.WireGz)
 		}
-		c.e.FluxFace(c.f, f.Tr, c.p, c.gz, f.PL, f.GzL, testConsts)
+		c.e.FluxFace(c.f, f.Tr, c.p, c.gz, pL, gzL, testConsts)
 		c.e.AccV(c.res, c.f)
 	}
 }
@@ -626,7 +630,7 @@ const (
 )
 
 // drawFaces returns a face list of the given set over c, each in-plane face
-// on a fresh random wire or (a boundary PE's mirror) its receive buffers.
+// on a fresh random wire or on its slot's neighbor columns in the memory.
 func drawFaces(rng *rand.Rand, c *cellColumns, set, n int) []Face {
 	var slots []int
 	switch set {
@@ -635,8 +639,8 @@ func drawFaces(rng *rand.Rand, c *cellColumns, set, n int) []Face {
 	case setNoDiagonals:
 		slots = []int{0, 1, 2, 3, slotDown, slotUp}
 	default:
-		// A receive buffer belongs to one face, but the vertical views may
-		// repeat: they are only read.
+		// An in-plane slot is drawn once, but the vertical views may repeat:
+		// every view is only read.
 		inPlane := rng.Perm(8)
 		for range rng.IntN(maxCellFaces + 1) {
 			if s := rng.IntN(10); s < 8 && len(inPlane) > 0 {
@@ -675,7 +679,7 @@ func saltOverlap(rng *rand.Rand, col []float32) {
 
 // FuzzFluxCell holds a bound cell (fluxCell: BindCell, then RunCell) to its
 // op-by-op spelling (cellSequence: Fill, two MovRecvs per wire face into
-// real receive buffers, FluxFace, AccV) on columns 0–246 deep — every
+// the oracle's receive buffers, FluxFace, AccV) on columns 0–246 deep — every
 // n mod 8 through the vector body's overlapped last step, or whole columns
 // through fluxElem alone — with 0–10 faces, wire and memory faces mixed
 // beside the vertical Shift(±1) views, salted with NaN, ±0, ±Inf and
@@ -748,16 +752,15 @@ func FuzzFluxCell(f *testing.F) {
 }
 
 // The operand shapes FuzzFluxFaceAcc draws for its one face: the valid ones
-// (an in-plane face, on the wire or read from its receive buffers, and the
-// two vertical faces, whose neighbor views overlap the own columns) and three
-// ways the residual can alias an operand, which make BindCell panic.
+// (an in-plane face, on the wire or read from memory, and the two vertical
+// faces, whose neighbor views overlap the own columns) and two ways the
+// residual can alias an operand, which make BindCell panic.
 const (
 	shapeInPlane = iota
 	shapeUp
 	shapeDown
 	shapeResOverlapsInput
 	shapeResOverlapsTr
-	shapeResIsRecvBuf
 	numAccShapes
 )
 
@@ -775,12 +778,14 @@ func FuzzFluxFaceAcc(f *testing.F) {
 	f.Add(uint64(21), uint8(123), uint8(shapeInPlane))
 	f.Add(uint64(22), uint8(1), uint8(shapeUp))
 	f.Add(uint64(23), uint8(0), uint8(shapeResOverlapsInput)) // m = 1: exact overlap
-	f.Add(uint64(24), uint8(0), uint8(shapeResIsRecvBuf))
-	f.Add(uint64(25), uint8(245), uint8(shapeDown)) // m = 246, the paper's depth and the deepest draw
+	f.Add(uint64(25), uint8(245), uint8(shapeDown))           // m = 246, the paper's depth and the deepest draw
 	// m = 16 … 23: two 8-lane steps and every tail length.
 	for tail := 0; tail < 8; tail++ {
 		f.Add(uint64(30+tail), uint8(15+tail), uint8(tail%3))
 	}
+	// One whole step and no tail; a residual over the paper's-depth Υ.
+	f.Add(uint64(40), uint8(7), uint8(shapeInPlane))
+	f.Add(uint64(41), uint8(245), uint8(shapeResOverlapsTr))
 	f.Fuzz(func(t *testing.T, seed uint64, size, shapeByte uint8) {
 		m, shape := int(size)%246+1, int(shapeByte)%numAccShapes
 		rng := rand.New(rand.NewPCG(seed, 0xacc))
@@ -820,9 +825,6 @@ func FuzzFluxFaceAcc(f *testing.F) {
 			res = fused.p.Shift(m / 2)
 		case shapeResOverlapsTr:
 			res = face.Tr.Shift(m / 2)
-		case shapeResIsRecvBuf:
-			face = fused.face(0, 0, wire)
-			res = face.GzL
 		}
 		if shape > shapeDown {
 			rejects(t, fused.e, func() { fused.e.fluxCell(res, fused.p, fused.gz, []Face{face}, testConsts) }, "overlaps")
@@ -853,7 +855,7 @@ func FuzzFluxFaceAcc(f *testing.F) {
 func TestFluxCellPanicsLikeTheOps(t *testing.T) {
 	const n = 8
 	c := newCellColumns(t, n)
-	oob := Desc{Base: c.e.Mem.capacity - 4, Len: n}
+	oob := Desc{Base: len(c.e.Mem.words) - 4, Len: n}
 	wire := make([]float32, 2*n)
 	all := make([]Face, maxCellFaces+1)
 	for k := range all {
@@ -868,8 +870,8 @@ func TestFluxCellPanicsLikeTheOps(t *testing.T) {
 		{"input length mismatch", "dsd: descriptor length mismatch", c.res, c.p.MustSlice(0, 7), []Face{c.face(0, 0, wire)}},
 		{"transmissibility length mismatch", "dsd: descriptor length mismatch", c.res, c.p, []Face{{Tr: c.tr[0].MustSlice(2, 5), PL: c.nbrP[0], GzL: c.nbrGz[0]}}},
 		{"residual out of bounds", "out of memory bounds", oob, c.p, []Face{c.face(0, 0, wire)}},
-		{"receive buffer out of bounds", "out of memory bounds", c.res, c.p, []Face{{Tr: c.tr[0], PL: oob, GzL: c.nbrGz[0], WireP: wire[:n], WireGz: wire[n:]}}},
-		{"wire length mismatch", "dsd: BindCell wire of 8 + 7 words", c.res, c.p, []Face{{Tr: c.tr[0], PL: c.nbrP[0], GzL: c.nbrGz[0], WireP: wire[:n], WireGz: wire[n+1:]}}},
+		{"neighbor column out of bounds", "out of memory bounds", c.res, c.p, []Face{{Tr: c.tr[0], PL: oob, GzL: c.nbrGz[0]}}},
+		{"wire length mismatch", "dsd: BindCell wire of 8 + 7 words", c.res, c.p, []Face{{Tr: c.tr[0], WireP: wire[:n], WireGz: wire[n+1:]}}},
 		{"eleven faces", "dsd: BindCell of 11 faces", c.res, c.p, all},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -220,9 +220,9 @@ func (e *Engine) countFlux(k uint64, n int) {
 // (pL, gzL) by streaming every element through fluxElem — 6 loads and 1
 // store per element instead of 27 and 14 — and accounts for it as those 14
 // issues over Len elements, so counters and every float32 result bit equal
-// the op-by-op execution. The intermediates never reach memory: a
-// kernel's scratch buffers stay allocated (footprint and HighWaterWords are
-// those of the op-by-op kernel) but are not written.
+// the op-by-op execution. The intermediates never reach memory: the scratch
+// columns a layout keeps for the op-by-op kernel (core's fabric engine keeps
+// the paper's) are not written.
 func (e *Engine) FluxFace(f, tr, pK, gzK, pL, gzL Desc, c FluxConsts) {
 	fo := e.Mem.col(f)
 	tv, pk, gk := e.operand(f, tr)[:len(fo)], e.operand(f, pK)[:len(fo)], e.operand(f, gzK)[:len(fo)]
@@ -234,11 +234,12 @@ func (e *Engine) FluxFace(f, tr, pK, gzK, pL, gzL Desc, c FluxConsts) {
 }
 
 // Face is one face of a cell (BindCell): its transmissibility column Tr and
-// the neighbor's pressure and g·z columns PL and GzL — or, when WireP is not
-// nil, the neighbor's own columns WireP and WireGz, the 2·Len words the §5.2
-// exchange sends, which the op-by-op spelling MovRecvs into PL and GzL. The
-// cell reads the wire and leaves those buffers as they are. The wire columns
-// may lie in another PE's memory; they must not change while the cell runs.
+// the neighbor's pressure and g·z columns — in this memory, PL and GzL, or,
+// when WireP is not nil, on the wire: the neighbor's own columns WireP and
+// WireGz, the 2·Len words the §5.2 exchange sends, which the op-by-op
+// spelling MovRecvs into receive buffers before the face reads them. A wire
+// face leaves PL and GzL zero; its columns may lie in another PE's memory and
+// must not change while the cell runs.
 type Face struct {
 	Tr, PL, GzL   Desc
 	WireP, WireGz []float32
@@ -268,7 +269,8 @@ type Cell struct {
 //
 //	Fill(res, 0)
 //	for each face, in order:
-//		MovRecv(PL, WireP); MovRecv(GzL, WireGz)  (wire faces only)
+//		MovRecv(PL, WireP); MovRecv(GzL, WireGz)  (wire faces only: PL
+//		                                           and GzL receive buffers)
 //		FluxFace(f, Tr, pK, gzK, PL, GzL)
 //		AccV(res, f)
 //
@@ -286,8 +288,9 @@ func (e *Engine) BindCell(cell *Cell, res, pK, gzK Desc, faces []Face, c FluxCon
 	data := func(d Desc) *float32 { return unsafe.SliceData(e.operand(res, d)) }
 	b := Cell{res: unsafe.SliceData(ro), pK: data(pK), gzK: data(gzK), nf: len(faces), n: len(ro), c: c}
 	for k, f := range faces {
-		b.faces[k] = [3]*float32{data(f.Tr), data(f.PL), data(f.GzL)}
+		tr := data(f.Tr)
 		if f.WireP == nil {
+			b.faces[k] = [3]*float32{tr, data(f.PL), data(f.GzL)}
 			continue
 		}
 		if len(f.WireP) != len(ro) || len(f.WireGz) != len(ro) {
@@ -296,7 +299,7 @@ func (e *Engine) BindCell(cell *Cell, res, pK, gzK Desc, faces []Face, c FluxCon
 		if sharesWord(ro, f.WireP) || sharesWord(ro, f.WireGz) {
 			panic(fmt.Sprintf("dsd: cell output {base %d len %d} overlaps a wire column", res.Base, res.Len))
 		}
-		b.faces[k][1], b.faces[k][2] = unsafe.SliceData(f.WireP), unsafe.SliceData(f.WireGz)
+		b.faces[k] = [3]*float32{tr, unsafe.SliceData(f.WireP), unsafe.SliceData(f.WireGz)}
 		b.wires++
 	}
 	*cell = b
