@@ -498,7 +498,7 @@ func judge(bounds []bound, pairs []pair) []row {
 		case r.worse > m.Bound:
 			r.regressed = true
 			r.verdict = fmt.Sprintf("REGRESSION: worse by more than the bound %g", m.Bound)
-		case r.worse < 0 && 10*r.wins >= 9*len(pairs) && math.Abs(r.change[1]-r.base[1]) > r.base[2]-r.base[0]:
+		case r.worse < 0 && clearWin(r.wins, len(pairs), r.base, r.change):
 			r.verdict = "better: ≥ 9 in 10 pairs, beyond the base IQR"
 		default:
 			r.verdict = "within the bound"
@@ -506,6 +506,14 @@ func judge(bounds []bound, pairs []pair) []row {
 		rows = append(rows, r)
 	}
 	return rows
+}
+
+// clearWin is the rule by which a difference counts: the winning side wins
+// at least 9 in 10 pairs and the medians differ by more than the base's
+// interquartile range (base and change are first quartile, median, third
+// quartile).
+func clearWin(wins, pairs int, base, change [3]float64) bool {
+	return 10*wins >= 9*pairs && math.Abs(change[1]-base[1]) > base[2]-base[0]
 }
 
 // failedShare sums one side's failed and attempted operations over the pairs.

@@ -17,8 +17,9 @@ import (
 // alternately for n rounds — each run one -test.count of every benchmark
 // the pattern selects, at -test.cpu 1, in its own tree's package directory;
 // the base first in odd rounds, the change first in even ones — and prints
-// per case both medians and quartiles of ns/op and in how many rounds the
-// change was faster. The per-stage benchmarks (docs/benchmarks.md) are what
+// per case both medians and quartiles of ns/op, in how many rounds the
+// change was faster, and a verdict by the rule judge applies to workloads
+// (stageVerdict). The per-stage benchmarks (docs/benchmarks.md) are what
 // it is for: alternating the two binaries is what makes a host whose speed
 // drifts within minutes comparable with itself.
 
@@ -76,15 +77,15 @@ func parseBench(out []byte) (map[string]float64, error) {
 // compareStages runs n alternating rounds — run(k) runs the base (k = 0) or
 // the change (k = 1) once and returns its ns/op per case — and prints one
 // row per case: both sides' median and quartiles in µs, the change's median
-// against the base's, and its wins. A case one side lacks is named, with the
-// other side's median.
+// against the base's, its wins and the verdict. A case one side lacks is
+// named, with the other side's median.
 func compareStages(w io.Writer, n int, run func(k int) (map[string]float64, error)) error {
 	var names []string
 	var times [2]map[string][]float64
 	for k := range times {
 		times[k] = map[string][]float64{}
 	}
-	wins := map[string]int{}
+	wins, losses := map[string]int{}, map[string]int{}
 	for round := 1; round <= n; round++ {
 		order := []int{0, 1}
 		if round%2 == 0 {
@@ -107,12 +108,14 @@ func compareStages(w io.Writer, n int, run func(k int) (map[string]float64, erro
 		for name, c := range got[1] {
 			if b, ok := got[0][name]; ok && c < b {
 				wins[name]++
+			} else if ok && c > b {
+				losses[name]++
 			}
 		}
 		fmt.Fprintf(w, "round %2d (%s first): %d cases\n", round, []string{"base", "change"}[order[0]], len(got[order[0]]))
 	}
 	slices.Sort(names)
-	fmt.Fprintf(w, "%-44s %-28s %-28s %8s %6s\n", "case (µs/op)", "base median [q1, q3]", "change median [q1, q3]", "Δ median", "wins")
+	fmt.Fprintf(w, "%-44s %-28s %-28s %8s %6s  %s\n", "case (µs/op)", "base median [q1, q3]", "change median [q1, q3]", "Δ median", "wins", "verdict")
 	q := func(v []float64) string {
 		s := quartiles(v)
 		return fmt.Sprintf("%.4g [%.4g, %.4g]", s[1]/1e3, s[0]/1e3, s[2]/1e3)
@@ -125,9 +128,25 @@ func compareStages(w io.Writer, n int, run func(k int) (map[string]float64, erro
 		case len(c) == 0:
 			fmt.Fprintf(w, "%-44s %-28s %-28s  only in the base\n", name, q(b), "—")
 		default:
-			mb, mc := quartiles(b)[1], quartiles(c)[1]
-			fmt.Fprintf(w, "%-44s %-28s %-28s %+7.1f%% %3d/%-2d\n", name, q(b), q(c), 100*(mc-mb)/mb, wins[name], min(len(b), len(c)))
+			qb, qc := quartiles(b), quartiles(c)
+			pairs := min(len(b), len(c))
+			fmt.Fprintf(w, "%-44s %-28s %-28s %+7.1f%% %3d/%-2d  %s\n", name, q(b), q(c), 100*(qc[1]-qb[1])/qb[1],
+				wins[name], pairs, stageVerdict(wins[name], losses[name], pairs, qb, qc))
 		}
 	}
 	return nil
+}
+
+// stageVerdict judges one case over its paired rounds by judge's rule
+// (clearWin): "better" when the change is faster in at least 9 in 10 rounds
+// and its median is below the base's by more than the base's interquartile
+// range, "worse" when the base wins that way, and "within noise" otherwise.
+func stageVerdict(wins, losses, pairs int, base, change [3]float64) string {
+	switch {
+	case change[1] < base[1] && clearWin(wins, pairs, base, change):
+		return "better"
+	case change[1] > base[1] && clearWin(losses, pairs, base, change):
+		return "worse"
+	}
+	return "within noise"
 }

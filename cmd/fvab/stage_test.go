@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -96,5 +97,72 @@ func TestCompareStagesStopsOnAFailedRun(t *testing.T) {
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("compareStages returned %v, want the run's error", err)
+	}
+}
+
+func TestCompareStagesJudgesEachCase(t *testing.T) {
+	// Ten rounds of canned go test -bench output per side. The change is
+	// 40 % faster on pre and 25 % slower on restrict in every round, faster
+	// on post in every round by 10 ns, far inside the base's spread, faster
+	// on smooth in only 8 rounds, and on edge in exactly 9.
+	calls := 0
+	run := func(k int) (map[string]float64, error) {
+		calls++
+		round := (calls + 1) / 2
+		r := float64(round)
+		ns := map[string][2]float64{
+			"pre":      {10000 + r, 6000 + r},
+			"restrict": {40000 + r, 50000 + r},
+			"post":     {9000 + 200*r, 8990 + 200*r},
+			"smooth":   {20000 + r, map[bool]float64{true: 10000, false: 30000}[round <= 8]},
+			"edge":     {30000 + r, map[bool]float64{true: 20000, false: 40000}[round <= 9]},
+		}
+		var out strings.Builder
+		out.WriteString("goos: linux\ngoarch: amd64\npkg: repro/internal/umesh\n")
+		for _, name := range []string{"pre", "restrict", "post", "smooth", "edge"} {
+			fmt.Fprintf(&out, "BenchmarkS/%-10s\t   10000\t%10.0f ns/op\n", name, ns[name][k])
+		}
+		out.WriteString("PASS\n")
+		return parseBench([]byte(out.String()))
+	}
+	var out bytes.Buffer
+	if err := compareStages(&out, 10, run); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]string{
+		"pre":      "10/10  better",
+		"restrict": " 0/10  worse",
+		"post":     "10/10  within noise",
+		"smooth":   " 8/10  within noise",
+		"edge":     " 9/10  better",
+	} {
+		line := ""
+		for _, l := range strings.Split(out.String(), "\n") {
+			if strings.HasPrefix(l, "BenchmarkS/"+name+" ") {
+				line = l
+			}
+		}
+		if !strings.HasSuffix(line, want) {
+			t.Errorf("%s: row %q does not end in %q:\n%s", name, line, want, out.String())
+		}
+	}
+}
+
+func TestStageVerdictNeedsBothWinsAndTheIQR(t *testing.T) {
+	base := [3]float64{90, 100, 110}
+	for _, tc := range []struct {
+		wins, losses int
+		change       [3]float64
+		want         string
+	}{
+		{9, 1, [3]float64{60, 70, 80}, "better"},
+		{8, 2, [3]float64{60, 70, 80}, "within noise"},
+		{10, 0, [3]float64{85, 95, 105}, "within noise"}, // 5 below, inside the IQR of 20
+		{1, 9, [3]float64{115, 125, 135}, "worse"},
+		{0, 10, [3]float64{110, 120, 130}, "within noise"}, // exactly the IQR away
+	} {
+		if got := stageVerdict(tc.wins, tc.losses, 10, base, tc.change); got != tc.want {
+			t.Errorf("wins %d, losses %d, change %v: %q, want %q", tc.wins, tc.losses, tc.change, got, tc.want)
+		}
 	}
 }

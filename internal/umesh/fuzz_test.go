@@ -287,8 +287,10 @@ func FuzzRadialMesh(f *testing.F) {
 // FuzzRowStore builds the part-resident operator over FuzzRadialMesh's corpus
 // shape at a fuzzer-chosen part count and holds its row store to the
 // structural invariants (assertRowStore) and its sweep — plain and with the
-// inner product fused — to the oracle, bit for bit. Every input also holds
-// the packed rows' vector body to their Go spelling on random blocks
+// inner product fused — to the oracle, bit for bit; then the same on a
+// random mesh (randomFuzzMesh: isolated cells, duplicate faces, rows of high
+// degree) at 1, 2 or 4 parts. Every input also holds the row store's vector
+// body to its Go spelling on random blocks of mixed quads
 // (assertVectorSweepMatchesGo), and the CG tail's two vector bodies to
 // theirs on random streams (assertVectorCGTailMatchesGo).
 func FuzzRowStore(f *testing.F) {
@@ -299,6 +301,11 @@ func FuzzRowStore(f *testing.F) {
 		seed := nRings ^ nSectors<<16 ^ nRefine<<32 ^ nLevels<<48
 		assertVectorSweepMatchesGo(t, seed, 1+int((nSectors+nRefine)%40), 1+int((nRings+nLevels)%40))
 		assertVectorCGTailMatchesGo(t, seed, int((nSectors+nRefine)%41), int((nRings+nLevels)%41))
+		cells := 2 + int(nSectors%90)
+		random := randomFuzzMesh(seed, cells, int((13*nRings+nRefine)%uint64(12*cells)), int(nRefine%8))
+		if levels := int(nLevels % 3); 1<<levels <= cells {
+			assertSweepMatchesOracle(t, newUSystemFixture(t, random), levels, 2, probeVector(cells, int(nRings%97)), true)
+		}
 		opts, cells := fuzzRadialOptions(nRings, nSectors, nRefine)
 		levels := int(nLevels % 4)
 		if cells > 20000 || 1<<levels > cells {
@@ -321,14 +328,18 @@ func FuzzRowStore(f *testing.F) {
 var fuzzSpecials = []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
 	5e-324, -2.2e-310, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64 * 3}
 
-// assertVectorSweepMatchesGo sweeps two packed runs of n1 and n2 random rows
-// — blocks filled from seed, weights, accumulations, x and w salted with
-// fuzzSpecials, neighbor indices repeated within a row and reaching into a
-// halo past the owned rows — once through the vector body and once through
-// the Go spelling alone, plain and with the dot fused, and requires the same
-// rows and block partials bit for bit (two NaNs count as equal: which
-// operand's payload an add propagates is the hardware's business). A host
-// without the vector body has nothing to compare.
+// assertVectorSweepMatchesGo lays out a part of two reduction blocks of n1
+// and n2 random rows through buildRows — degrees 0–9 drawn beside degree-4
+// rows at a seed-chosen share, so quads are pure, mixed and, past a block
+// length that is not a multiple of 4, partial; weights, accumulations, x
+// and w salted with fuzzSpecials; neighbor indices repeated within a row and
+// reaching into a halo past the owned rows — and sweeps it once through the
+// vector body and once through the Go spelling alone, plain and with the dot
+// fused, requiring the same rows and block partials bit for bit (two NaNs
+// count as equal: which operand's payload an add propagates is the
+// hardware's business). x[0], which every pad lane of the vector body
+// gathers, is salted in one input in two. A host without the vector body
+// has nothing to compare.
 func assertVectorSweepMatchesGo(t *testing.T, seed uint64, n1, n2 int) {
 	t.Helper()
 	if !vectorRows {
@@ -337,9 +348,9 @@ func assertVectorSweepMatchesGo(t *testing.T, seed uint64, n1, n2 int) {
 	rng := fuzzRand(seed)
 	n := n1 + n2
 	nx := n + 1 + int(rng.next()%9) // owned rows, then the halo
-	// One input in every 4, 32 or 256, or none: a row reads ~15 inputs, so
-	// the sparser saltings leave most rows and dot partials finite, where an
-	// operation out of order shows.
+	// One input in every 4, 32 or 256, or none: a row reads up to ~20
+	// inputs, so the sparser saltings leave most rows and dot partials
+	// finite, where an operation out of order shows.
 	rate := []uint64{4, 32, 256, 0}[rng.next()%4]
 	salted := func(v []float64, scale float64) []float64 {
 		for i := range v {
@@ -350,32 +361,35 @@ func assertVectorSweepMatchesGo(t *testing.T, seed uint64, n1, n2 int) {
 		}
 		return v
 	}
-	op := &opPart{
-		accum: salted(make([]float64, n), 1e3),
-		quad:  make([]quadBlock, (n1+3)/4+(n2+3)/4),
-		rows: []rowSeg{
-			{lo: 0, n: int32(n1), first: 0, flush: 0, packed: true},
-			{lo: int32(n1), n: int32(n2), first: int32((n1 + 3) / 4), flush: 1, packed: true},
-		},
-	}
-	for bi := range op.quad {
-		b := &op.quad[bi]
-		for k := range b.t {
-			salted(b.t[k][:], 1e-2)
-			for r := range b.li[k] {
-				b.li[k][r] = uint32(rng.next() % uint64(nx))
-				if k > 0 && rng.next()%5 == 0 {
-					b.li[k][r] = b.li[k-1][r] // the same neighbor twice
-				}
+	// One row in every 1, 2 or 8 has degree 4, or none does.
+	pure := []uint64{1, 2, 8, 0}[rng.next()%4]
+	ps := &partLayout{nOwned: n, rowStart: make([]int32, n+1)}
+	for i := range n {
+		deg := 4
+		if pure == 0 || rng.next()%pure != 0 {
+			deg = int(rng.next() % 10)
+		}
+		ps.rowStart[i+1] = ps.rowStart[i] + int32(deg)
+		for k := range deg {
+			li := int32(rng.next() % uint64(nx))
+			if k > 0 && rng.next()%5 == 0 {
+				li = ps.nbrLocal[len(ps.nbrLocal)-1] // the same neighbor twice
 			}
+			ps.nbrLocal = append(ps.nbrLocal, li)
 		}
 	}
+	ps.nbrTrans = salted(make([]float64, len(ps.nbrLocal)), 1e-2)
+	op := &opPart{accum: salted(make([]float64, n), 1e3), blocks: []rowBlock{{lo: 0, n: n1, out: 0}, {lo: n1, n: n2, out: 1}}}
+	op.buildRows(ps, 1)
 	x, w := salted(make([]float64, nx), 2e7), salted(make([]float64, n), 1)
+	if rng.next()%2 == 0 {
+		x[0] = fuzzSpecials[rng.next()%uint64(len(fuzzSpecials))]
+	}
 	sweep := func(vector bool, w []float64) (dst, sums []float64) {
 		defer func(v bool) { vectorRows = v }(vectorRows)
 		vectorRows = vector
 		dst, sums = make([]float64, n), make([]float64, 2)
-		op.sweep(op.rows, x, dst, w, sums)
+		op.sweep(x, dst, w, sums)
 		return dst, sums
 	}
 	for _, wv := range [][]float64{nil, w} {
@@ -383,13 +397,13 @@ func assertVectorSweepMatchesGo(t *testing.T, seed uint64, n1, n2 int) {
 		wantD, wantS := sweep(false, wv)
 		for i := range wantD {
 			if !sameBits(gotD[i], wantD[i]) {
-				t.Fatalf("seed %#x runs %d+%d, row %d: vector body %g (%#x), Go %g (%#x)",
-					seed, n1, n2, i, gotD[i], math.Float64bits(gotD[i]), wantD[i], math.Float64bits(wantD[i]))
+				t.Fatalf("seed %#x blocks %d+%d, row %d (degree %d): vector body %g (%#x), Go %g (%#x)",
+					seed, n1, n2, i, ps.rowStart[i+1]-ps.rowStart[i], gotD[i], math.Float64bits(gotD[i]), wantD[i], math.Float64bits(wantD[i]))
 			}
 		}
 		for i := range wantS {
 			if !sameBits(gotS[i], wantS[i]) {
-				t.Fatalf("seed %#x runs %d+%d, fused dot of run %d: vector body %g (%#x), Go %g (%#x)",
+				t.Fatalf("seed %#x blocks %d+%d, fused dot of block %d: vector body %g (%#x), Go %g (%#x)",
 					seed, n1, n2, i, gotS[i], math.Float64bits(gotS[i]), wantS[i], math.Float64bits(wantS[i]))
 			}
 		}
@@ -398,10 +412,10 @@ func assertVectorSweepMatchesGo(t *testing.T, seed uint64, n1, n2 int) {
 
 func TestVectorSweepMatchesGo(t *testing.T) {
 	if !vectorRows {
-		t.Skip("no vector body for the packed rows on this host")
+		t.Skip("no vector body for the row store on this host")
 	}
-	// Every pair of run lengths 1–40, so each run ends on every n mod 4 at
-	// every offset of the second run, eight seeds each.
+	// Every pair of block lengths 1–40, so each block ends on every n mod 4
+	// with quads of every kind before it, eight seeds each.
 	for n1 := 1; n1 <= 40; n1++ {
 		for n2 := 1; n2 <= 40; n2++ {
 			for seed := range 8 {
@@ -447,7 +461,7 @@ func assertVectorCGTailMatchesGo(t *testing.T, seed uint64, n1, n2 int) {
 		defer func(v bool) { vectorRows = v }(vectorRows)
 		vectorRows = vector
 		op := &opPart{accum: make([]float64, n), invDiag: slices.Clone(in[5]),
-			blkLo: []int32{0, int32(n1)}, blkHi: []int32{int32(n1), int32(n)}, blkOut: []int32{0, 1}}
+			blocks: []rowBlock{{lo: 0, n: n1, out: 0}, {lo: n1, n: n2, out: 1}}}
 		for _, v := range in[:5] {
 			op.vecs = append(op.vecs, slices.Clone(v))
 		}
@@ -482,6 +496,47 @@ func TestVectorCGTailMatchesGo(t *testing.T) {
 		for n2 := 0; n2 <= 40; n2++ {
 			for seed := range 4 {
 				assertVectorCGTailMatchesGo(t, uint64(seed<<16|n1<<8|n2), n1, n2)
+			}
+		}
+	}
+}
+
+// TestShardDotMatchesOneBlockLoop holds shardDot, which walks two reduction
+// blocks at once, to the one-block loop — each block's partial from +0 in
+// element order — bit for bit, on one to seven blocks of 1–40 elements (an
+// odd count leaves the last block alone), operands salted with
+// fuzzSpecials. Two NaNs count as equal, as in assertVectorCGTailMatchesGo.
+func TestShardDotMatchesOneBlockLoop(t *testing.T) {
+	for seed := range uint64(500) {
+		rng := fuzzRand(seed)
+		rate := []uint64{4, 32, 256, 0}[rng.next()%4]
+		op := &opPart{}
+		n := 0
+		for bi := range 1 + int(rng.next()%7) {
+			ln := 1 + int(rng.next()%40)
+			op.blocks = append(op.blocks, rowBlock{lo: n, n: ln, out: int32(bi)})
+			n += ln
+		}
+		for range 2 {
+			v := make([]float64, n)
+			for i := range v {
+				v[i] = 1e3 * (rng.float() - 0.5)
+				if rate > 0 && rng.next()%rate == 0 {
+					v[i] = fuzzSpecials[rng.next()%uint64(len(fuzzSpecials))]
+				}
+			}
+			op.vecs = append(op.vecs, v)
+		}
+		o := &PartOperator{parts: []*opPart{op}, blockSums: make([]float64, len(op.blocks))}
+		o.shardDot(0, 0, 1)
+		for bi, b := range op.blocks {
+			want := 0.0
+			for i := b.lo; i < b.lo+b.n; i++ {
+				want += op.vecs[0][i] * op.vecs[1][i]
+			}
+			if got := o.blockSums[bi]; !sameBits(got, want) {
+				t.Fatalf("seed %d, block %d of %d (%d elements): shardDot %g (%#x), one-block loop %g (%#x)",
+					seed, bi, len(op.blocks), b.n, got, math.Float64bits(got), want, math.Float64bits(want))
 			}
 		}
 	}

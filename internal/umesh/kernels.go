@@ -5,11 +5,11 @@ import "repro/internal/cpufeat"
 // This file holds the loops of the part-resident operator that run once per
 // Krylov iteration: the row sweep over the row store (operator.go), the
 // application that calls it, and the shard kernels program.go captures into
-// plan steps. Each operand stream is resliced to the run or block being
-// walked (window), so element loops carry no bounds checks beyond the neighbor
+// plan steps. Each operand stream is resliced to the block being walked
+// (window), so element loops carry no bounds checks beyond the neighbor
 // gathers; `make bce` pins the number of check sites this file reports.
 
-// vectorRows selects the five vector bodies — the packed rows' sweep, the
+// vectorRows selects the five vector bodies — the row store's sweep, the
 // fused CG tail, the direction update and the AMG V-cycle's two smoothing
 // steps (cpufeat.AVX2FMA, so never off amd64); only tests clear it, to check
 // or pin the Go spellings alone.
@@ -18,73 +18,69 @@ var vectorRows = cpufeat.AVX2FMA
 // window is v[lo:lo+n]. Every operand stream of a kernel loop is resliced
 // through it with one n, so the compiler sees equal lengths and the loop
 // indexes all of them on a single range check; the reslice itself is the one
-// bounds check a run or block pays per operand.
+// bounds check a block pays per operand.
 func window(v []float64, lo, n int) []float64 { return v[lo:][:n] }
 
-// block returns reduction block blk of the part as (start, length) in compact
-// indices.
-func (op *opPart) block(blk int) (lo, n int) {
-	return int(op.blkLo[blk]), int(op.blkHi[blk] - op.blkLo[blk])
-}
-
-// sweep evaluates the rows of the given runs of dst = A·x in the part's local
-// layout: per row dst = accum·xc − Σ_k t_k·(x[li_k] − xc), the sum
+// sweep evaluates every owned row of dst = A·x in the part's local layout,
+// block by block: per row dst = accum·xc − Σ_k t_k·(x[li_k] − xc), the sum
 // associated exactly as hostFluxRow associates it — pairwise as
-// (f0+f1)+(f2+f3) for the packed degree-4 rows, left to right from zero for
-// every other degree. A non-nil w fuses the inner product ⟨w, dst⟩ into the
-// pass: products accumulate in row order and each run with a flush slot
-// stores (and restarts) the partial — the canonical blocked reduction,
-// identical values and summation tree as a separate block sweep, one less
-// memory pass. The runs must be cut at the reduction blocks, as a part's rows
-// are (buildRows). A packed run's whole blocks go to the vector body where
-// there is one (quadVector); the packed row loop is its Go spelling and does
-// the rest.
-func (op *opPart) sweep(segs []rowSeg, x, dst, w, sums []float64) {
-	acc := 0.0
-	for si := range segs {
-		s := &segs[si]
-		lo, n := int(s.lo), int(s.n)
-		accum, xs, d := window(op.accum, lo, n), window(x, lo, n), window(dst, lo, n)
-		if s.packed {
-			quad := op.quad[s.first:][:(n+3)/4]
-			var ws []float64
-			if w != nil {
-				ws = window(w, lo, n)
-			}
-			var k int
-			k, acc = quadVector(quad, x, xs, accum, d, ws, acc)
-			for ; k < n; k++ {
-				xc, b, r := xs[k], &quad[k>>2], k&3
-				f0 := b.t[0][r] * (x[b.li[0][r]] - xc)
-				f1 := b.t[1][r] * (x[b.li[1][r]] - xc)
-				f2 := b.t[2][r] * (x[b.li[2][r]] - xc)
-				f3 := b.t[3][r] * (x[b.li[3][r]] - xc)
-				dk := accum[k]*xc - ((f0 + f1) + (f2 + f3))
-				d[k] = dk
-				if ws != nil {
-					acc += ws[k] * dk
-				}
-			}
-		} else {
-			start := op.genStart[s.first:][:n+1]
-			for k := range d {
-				xc := xs[k]
-				flux := 0.0
-				for _, e := range op.gen[start[k]:start[k+1]] {
-					flux += e.t * (x[e.li] - xc)
-				}
-				dk := accum[k]*xc - flux
-				d[k] = dk
-				if w != nil {
-					acc += w[lo+k] * dk
-				}
-			}
+// (f0+f1)+(f2+f3) for a row of degree 4, left to right from +0 for every
+// other degree. A non-nil w fuses the inner product ⟨w, dst⟩ into the pass:
+// products accumulate in row order and each block's partial goes to its
+// blockSums slot — the canonical blocked reduction, identical values and
+// summation tree as a separate block sweep, one less memory pass. A block's
+// quads go to the vector body where there is one (quadVector); quadRows is
+// its Go spelling.
+func (op *opPart) sweep(x, dst, w, sums []float64) {
+	for _, b := range op.blocks {
+		xs, accum, d := window(x, b.lo, b.n), window(op.accum, b.lo, b.n), window(dst, b.lo, b.n)
+		var ws []float64
+		if w != nil {
+			ws = window(w, b.lo, b.n)
 		}
-		if w != nil && s.flush >= 0 {
-			sums[s.flush] = acc
-			acc = 0
+		acc, ok := quadVector(b.heads, b.slots, x, xs, accum, d, ws)
+		if !ok {
+			acc = quadRows(b.heads, b.slots, x, xs, accum, d, ws)
+		}
+		if w != nil {
+			sums[b.out] = acc
 		}
 	}
+}
+
+// quadRows sweeps the quads of one block, whose rows xs, accum and d (and ws
+// when the dot is fused) window, and returns the block's partial of ⟨w, d⟩.
+// x is the part's local vector, the gathers' base. A row reads only its own
+// faces, so a pad slot adds nothing; every quad is at least four slots wide.
+func quadRows(heads []quadHead, slots []quadSlot, x, xs, accum, d, ws []float64) float64 {
+	acc := 0.0
+	for qi := range heads {
+		h := &heads[qi]
+		q, q4 := slots, (*[4]quadSlot)(slots)
+		slots = slots[h.width:]
+		for r := range min(4, len(xs)-4*qi) {
+			k := 4*qi + r
+			xc := xs[k]
+			var flux float64
+			if deg := h.deg[r]; deg == 4 {
+				f0 := q4[0].t[r] * (x[q4[0].li[r]] - xc)
+				f1 := q4[1].t[r] * (x[q4[1].li[r]] - xc)
+				f2 := q4[2].t[r] * (x[q4[2].li[r]] - xc)
+				f3 := q4[3].t[r] * (x[q4[3].li[r]] - xc)
+				flux = (f0 + f1) + (f2 + f3)
+			} else {
+				for _, s := range q[:deg] {
+					flux += s.t[r] * (x[s.li[r]] - xc)
+				}
+			}
+			dk := accum[k]*xc - flux
+			d[k] = dk
+			if ws != nil {
+				acc += ws[k] * dk
+			}
+		}
+	}
+	return acc
 }
 
 // applyRows is an application's one sweep: every owned row of dst = A·x in
@@ -102,7 +98,7 @@ func (o *PartOperator) applyRows(shard, xv, dstv, wv int, withDot, scratch bool)
 	if withDot {
 		w = op.vecs[wv]
 	}
-	op.sweep(op.rows, op.vecs[xv], dst, w, o.blockSums)
+	op.sweep(op.vecs[xv], dst, w, o.blockSums)
 }
 
 // The shard kernels below are the vector ops of the phase programs, one per
@@ -119,18 +115,41 @@ func (o *PartOperator) shardCopy(shard, dstv, srcv int) {
 	copy(op.owned(dstv), op.owned(srcv))
 }
 
-// shardDot accumulates ⟨a, b⟩.
+// shardDot accumulates ⟨a, b⟩, two blocks at a time: each block's partial
+// is its own chain in element order, so two of them interleave without
+// changing a bit, and past the shorter block's end the longer one's chain
+// goes on alone (dotFrom).
 func (o *PartOperator) shardDot(shard, av, bv int) {
 	op := o.parts[shard]
-	for blk := range op.blkLo {
-		lo, n := op.block(blk)
-		a, b := window(op.vecs[av], lo, n), window(op.vecs[bv], lo, n)
-		acc := 0.0
-		for i := range a {
-			acc += a[i] * b[i]
+	va, vb := op.vecs[av], op.vecs[bv]
+	bi := 0
+	for ; bi+1 < len(op.blocks); bi += 2 {
+		blk0, blk1 := &op.blocks[bi], &op.blocks[bi+1]
+		a0, b0 := window(va, blk0.lo, blk0.n), window(vb, blk0.lo, blk0.n)
+		a1, b1 := window(va, blk1.lo, blk1.n), window(vb, blk1.lo, blk1.n)
+		m := min(blk0.n, blk1.n)
+		x0, y0, x1, y1 := a0[:m], b0[:m], a1[:m], b1[:m]
+		acc0, acc1 := 0.0, 0.0
+		for i := range x0 {
+			acc0 += x0[i] * y0[i]
+			acc1 += x1[i] * y1[i]
 		}
-		o.blockSums[op.blkOut[blk]] = acc
+		o.blockSums[blk0.out] = dotFrom(acc0, a0[m:], b0[m:])
+		o.blockSums[blk1.out] = dotFrom(acc1, a1[m:], b1[m:])
 	}
+	if bi < len(op.blocks) {
+		blk := &op.blocks[bi]
+		o.blockSums[blk.out] = dotFrom(0, window(va, blk.lo, blk.n), window(vb, blk.lo, blk.n))
+	}
+}
+
+// dotFrom adds a[i]·b[i] to acc in element order.
+func dotFrom(acc float64, a, b []float64) float64 {
+	b = b[:len(a)]
+	for i := range a {
+		acc += a[i] * b[i]
+	}
+	return acc
 }
 
 // shardXpby computes y = x + β·y (the CG search-direction update). Its
@@ -149,8 +168,8 @@ func (o *PartOperator) shardXpby(shard, yv, xv int, beta float64) {
 // shardSubAxpyDot computes dst = a − α·b and accumulates ⟨dst, dst⟩, fused.
 func (o *PartOperator) shardSubAxpyDot(shard, dstv, av, bv int, alpha float64) {
 	op := o.parts[shard]
-	for blk := range op.blkLo {
-		lo, n := op.block(blk)
+	for _, blk := range op.blocks {
+		lo, n := blk.lo, blk.n
 		dst, a, b := window(op.vecs[dstv], lo, n), window(op.vecs[av], lo, n), window(op.vecs[bv], lo, n)
 		acc := 0.0
 		for i := range dst {
@@ -158,7 +177,7 @@ func (o *PartOperator) shardSubAxpyDot(shard, dstv, av, bv int, alpha float64) {
 			dst[i] = d
 			acc += d * d
 		}
-		o.blockSums[op.blkOut[blk]] = acc
+		o.blockSums[blk.out] = acc
 	}
 }
 
@@ -166,8 +185,8 @@ func (o *PartOperator) shardSubAxpyDot(shard, dstv, av, bv int, alpha float64) {
 // CG axpys and the residual norm fused into one pass.
 func (o *PartOperator) shardCGStep(shard, xv, pv, rv, apv int, alpha float64) {
 	op := o.parts[shard]
-	for blk := range op.blkLo {
-		lo, n := op.block(blk)
+	for _, blk := range op.blocks {
+		lo, n := blk.lo, blk.n
 		x, p := window(op.vecs[xv], lo, n), window(op.vecs[pv], lo, n)
 		r, ap := window(op.vecs[rv], lo, n), window(op.vecs[apv], lo, n)
 		acc := 0.0
@@ -177,7 +196,7 @@ func (o *PartOperator) shardCGStep(shard, xv, pv, rv, apv int, alpha float64) {
 			r[i] = ri
 			acc += ri * ri
 		}
-		o.blockSums[op.blkOut[blk]] = acc
+		o.blockSums[blk.out] = acc
 	}
 }
 
@@ -192,8 +211,8 @@ func (o *PartOperator) shardCGStep(shard, xv, pv, rv, apv int, alpha float64) {
 // and does the rest.
 func (o *PartOperator) shardCGStepPre(shard, xv, pv, rv, apv, zv int, alpha float64) {
 	op := o.parts[shard]
-	for blk := range op.blkLo {
-		lo, n := op.block(blk)
+	for _, blk := range op.blocks {
+		lo, n := blk.lo, blk.n
 		x, p := window(op.vecs[xv], lo, n), window(op.vecs[pv], lo, n)
 		r, ap := window(op.vecs[rv], lo, n), window(op.vecs[apv], lo, n)
 		z, inv := window(op.vecs[zv], lo, n), window(op.invDiag, lo, n)
@@ -208,8 +227,8 @@ func (o *PartOperator) shardCGStepPre(shard, xv, pv, rv, apv, zv int, alpha floa
 			z[i] = zi
 			acc2 += ri * zi
 		}
-		o.blockSums[op.blkOut[blk]] = acc1
-		o.blockSums2[op.blkOut[blk]] = acc2
+		o.blockSums[blk.out] = acc1
+		o.blockSums2[blk.out] = acc2
 	}
 }
 
@@ -217,8 +236,8 @@ func (o *PartOperator) shardCGStepPre(shard, xv, pv, rv, apv, zv int, alpha floa
 // with ⟨r, z⟩ accumulated in the same pass.
 func (o *PartOperator) shardPreDot(shard, zv, rv int) {
 	op := o.parts[shard]
-	for blk := range op.blkLo {
-		lo, n := op.block(blk)
+	for _, blk := range op.blocks {
+		lo, n := blk.lo, blk.n
 		z, r, inv := window(op.vecs[zv], lo, n), window(op.vecs[rv], lo, n), window(op.invDiag, lo, n)
 		acc := 0.0
 		for i := range z {
@@ -226,6 +245,6 @@ func (o *PartOperator) shardPreDot(shard, zv, rv int) {
 			z[i] = zi
 			acc += r[i] * zi
 		}
-		o.blockSums[op.blkOut[blk]] = acc
+		o.blockSums[blk.out] = acc
 	}
 }

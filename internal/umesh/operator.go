@@ -32,8 +32,8 @@ import (
 // host-driven phases left (scatter, gather, preconditioner-diagonal load) move
 // data between global slices and the part layouts.
 //
-// Rows are a fixed-width table built once per operator (the row store,
-// below); one kernel, opPart.sweep (kernels.go), is its only reader, and
+// Rows are laid out once per operator, as quads of four rows per reduction
+// block (the row store, below); one kernel, opPart.sweep (kernels.go), is its only reader, and
 // hostFluxRow/UHostOperator.Apply stay the independently written oracle of its
 // arithmetic.
 //
@@ -175,7 +175,7 @@ func treeFold(v []float64) float64 {
 // hostFluxRow is the serial flux-row kernel, the oracle's spelling of a row:
 // the cell's face fluxes in adjacency order, with degree-4 rows (the bulk of
 // every mesh here) summed pairwise as (f0+f1)+(f2+f3) and every other degree
-// left to right from zero (hostFluxRowSlow) — the associations the packed
+// left to right from zero (hostFluxRowSlow) — the associations the row
 // sweep of the part-resident operator reproduces, which is what keeps host and
 // resident applications bit-identical. It reads the mesh's own adjacency and
 // multiplies Υ·λ per face, and is kept apart from opPart.sweep on purpose: the
@@ -264,47 +264,42 @@ func ReferenceSpace(sys *USystem, op solver.Operator) *solver.SliceSpace {
 	}
 }
 
-// The row store. A part's owned flux rows live in one of two arrays, both
-// premultiplied (w = Υ·λ, one multiply less per face):
-//
-//   - degree-4 rows — the bulk of every mesh here — are packed quadBlocks:
-//     four consecutive rows of a run stored face-major, the vector body's
-//     operand layout (sweep_amd64.s), 48 bytes a row with no header, degree
-//     or row pointer; a run's last n mod 4 rows sit in a partial block;
-//   - every other degree is a row of one flat CSR (genStart/gen), 16 bytes an
-//     entry.
-//
-// Rows are never looked up one at a time. A part's owned range is compiled
-// once into rowSegs — runs of consecutive compact rows that are all packed or
-// all general — and opPart.sweep walks a run with every per-row stream
-// (accum, x, dst, the records) resliced to the run length: a general row's
-// only bounds checks are its neighbor gathers, a whole block has none.
+// The row store. A part's owned flux rows are laid out per canonical
+// reduction block as quads — four consecutive rows of the block, its last
+// quad partial when its length is not a multiple of four — each face
+// premultiplied (w = Υ·λ, one multiply less per face). A quad's faces are
+// slots, face-major: slot k holds face k of each of its four rows, the
+// vector body's operand layout (sweep_amd64.s). A pure quad (four rows of
+// degree 4, the bulk of every mesh here) takes four slots; a mixed one as
+// many as its widest row, at least four, and a lane past its row's degree
+// or past the block's end is a pad (weight 0, neighbor 0) that adds nothing
+// to its row.
+// opPart.sweep walks a block's quads with every per-row stream (accum, x,
+// dst, w) resliced to the block: rows are never looked up one at a time.
 
-// quadBlock is four packed rows: t[k][r] and li[k][r] are the weight and the
-// neighbor's local index of face k (adjacency order) of row r.
-type quadBlock struct {
-	t  [4][4]float64
-	li [4][4]uint32
+// quadSlot is one face of each of a quad's four rows: t[r] and li[r] are the
+// weight and the neighbor's local index of row r's face.
+type quadSlot struct {
+	t  [4]float64
+	li [4]uint32
 }
 
-// nbrEntry is one face of a general (degree ≠ 4) row: the premultiplied
-// weight and the neighbor's local index, one 16-byte record.
-type nbrEntry struct {
-	t  float64
-	li uint32
-	_  uint32
+// quadHead is what the walk needs of a quad: its rows' degrees (0 for a lane
+// past the block's end) and its width, the slots it takes in the store.
+type quadHead struct {
+	deg   [4]uint32
+	width uint32
 }
 
-// rowSeg is a run of the consecutive compact rows [lo, lo+n), all packed or
-// all general; first is the run's first block in quad or its first row's rank
-// in genStart. Runs are also cut at the reduction blocks' ends, and the last
-// run of each block carries the block's blockSums slot in flush (−1
-// everywhere else), so a sweep can fuse an inner product.
-type rowSeg struct {
-	lo, n  int32
-	first  int32
-	flush  int32
-	packed bool
+// rowBlock is one canonical reduction block of a part: its owned rows
+// [lo, lo+n) in compact order, the blockSums slot its partials go to, and
+// its rows in the row store — heads[i] is the quad of rows lo+4i …
+// lo+4i+3, whose slots follow the previous quad's in slots.
+type rowBlock struct {
+	lo, n int
+	out   int32
+	heads []quadHead
+	slots []quadSlot
 }
 
 // opPart is the operator's per-part working set: the resident Krylov
@@ -321,23 +316,13 @@ type opPart struct {
 	// accum is the system's accumulation coefficient in the part's compact
 	// layout, so the row sweep never chases a global index.
 	accum []float64
-	// quad, genStart and gen are the row store (see quadBlock): the packed
-	// degree-4 rows, and general row g = gen[genStart[g]:genStart[g+1]].
-	// Only sweep reads them, and only through rows.
-	quad     []quadBlock
-	genStart []int32
-	gen      []nbrEntry
-	// rows is the owned range compiled into runs, in compact order and cut
-	// at the reduction blocks (buildRows): the one row list every sweep
-	// walks.
-	rows []rowSeg
-	// blkLo/blkHi/blkOut segment the part's owned range into its canonical
-	// reduction blocks (compact-index [lo, hi) → blockSums[out]): every
-	// reduction accumulates flat within a block and the block partials fold
-	// through treeFold, the summation tree that is identical for every part
-	// count.
-	blkLo, blkHi, blkOut []int32
-	comm                 CommCounters
+	// blocks segment the part's owned range into its canonical reduction
+	// blocks, in compact order (compileReduction), and hold the row store
+	// (buildRows): every reduction accumulates flat within a block and the
+	// block partials fold through treeFold, the summation tree that is
+	// identical for every part count.
+	blocks []rowBlock
+	comm   CommCounters
 
 	// Preconditioner-resident state (SetPrecond): the Chebyshev direction
 	// vector, the scratch destination of in-preconditioner operator
@@ -493,67 +478,41 @@ func (o *PartOperator) compileReduction() error {
 			return fmt.Errorf("umesh: part %d starts inside canonical block %d — more than %d parts", me+1, bi, MaxParts)
 		}
 		op := o.parts[me]
-		op.blkLo = append(op.blkLo, lo-starts[me])
-		op.blkHi = append(op.blkHi, hi-starts[me])
-		op.blkOut = append(op.blkOut, int32(bi))
+		op.blocks = append(op.blocks, rowBlock{lo: int(lo - starts[me]), n: int(hi - lo), out: int32(bi)})
 	}
 	return nil
 }
 
-// buildRows compiles the part's owned range into runs and fills its row
-// store from the layout's adjacency. It needs the reduction blocks
-// (compileReduction), which tile the owned range without a gap or an empty
-// block (a part owning no row has no run and is never swept).
+// buildRows lays each reduction block's rows out as quads from the layout's
+// adjacency. It needs the blocks (compileReduction), which tile the owned
+// range without a gap or an empty block.
 func (op *opPart) buildRows(ps *partLayout, lam float64) {
-	nBlocks, nGen, blk := int32(0), int32(0), 0
-	for i := int32(0); i < int32(ps.nOwned); i++ {
-		packed := ps.rowStart[i+1]-ps.rowStart[i] == 4
-		// A run grows while its rows are of one kind and in one block: the
-		// row that opens a block closes the previous block's last run.
-		last := len(op.rows) - 1
-		if i == op.blkHi[blk] {
-			op.rows[last].flush = op.blkOut[blk]
-			blk++
-		}
-		if last < 0 || op.rows[last].flush >= 0 || op.rows[last].packed != packed {
-			first := nGen
-			if packed {
-				first = nBlocks
+	for bi := range op.blocks {
+		b := &op.blocks[bi]
+		b.heads = make([]quadHead, (b.n+3)/4)
+		width := 0
+		for qi := range b.heads {
+			h := &b.heads[qi]
+			h.width = 4
+			for r := range min(4, b.n-4*qi) {
+				i := b.lo + 4*qi + r
+				h.deg[r] = uint32(ps.rowStart[i+1] - ps.rowStart[i])
+				h.width = max(h.width, h.deg[r])
 			}
-			op.rows = append(op.rows, rowSeg{lo: i, first: first, flush: -1, packed: packed})
+			width += int(h.width)
 		}
-		s := &op.rows[len(op.rows)-1]
-		switch {
-		case !packed:
-			nGen++
-		case s.n%4 == 0:
-			nBlocks++
-		}
-		s.n++
-	}
-	if len(op.rows) > 0 {
-		op.rows[len(op.rows)-1].flush = op.blkOut[blk]
-	}
-	op.quad = make([]quadBlock, nBlocks)
-	op.genStart = make([]int32, 0, nGen+1)
-	op.gen = make([]nbrEntry, 0, len(ps.nbrLocal)-4*(ps.nOwned-int(nGen)))
-	for _, s := range op.rows {
-		for r := range s.n {
-			lo, hi := ps.rowStart[s.lo+r], ps.rowStart[s.lo+r+1]
-			if s.packed {
-				b := &op.quad[s.first+r/4]
-				for k := range b.t {
-					b.t[k][r%4], b.li[k][r%4] = ps.nbrTrans[lo+int32(k)]*lam, uint32(ps.nbrLocal[lo+int32(k)])
+		b.slots = make([]quadSlot, width)
+		q := b.slots
+		for qi, h := range b.heads {
+			for r, deg := range h.deg {
+				for k := range deg {
+					j := ps.rowStart[b.lo+4*qi+r] + int32(k)
+					q[k].t[r], q[k].li[r] = ps.nbrTrans[j]*lam, uint32(ps.nbrLocal[j])
 				}
-				continue
 			}
-			op.genStart = append(op.genStart, int32(len(op.gen)))
-			for j := lo; j < hi; j++ {
-				op.gen = append(op.gen, nbrEntry{t: ps.nbrTrans[j] * lam, li: uint32(ps.nbrLocal[j])})
-			}
+			q = q[h.width:]
 		}
 	}
-	op.genStart = append(op.genStart, int32(len(op.gen)))
 }
 
 // finishApply folds the parts' halo traffic after an application (a barrier

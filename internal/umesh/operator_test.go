@@ -449,7 +449,7 @@ func TestResidentFusedPhasesAllocFree(t *testing.T) {
 				"sweep": func() {
 					for shard, op := range po.parts {
 						po.sendHalo(shard, 0)
-						op.sweep(op.rows, op.vecs[0], op.vecs[4], op.vecs[2], po.blockSums)
+						op.sweep(op.vecs[0], op.vecs[4], op.vecs[2], po.blockSums)
 					}
 				},
 				"block windows": func() {
@@ -874,96 +874,78 @@ func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
 
-// assertRowStore checks a part operator's row store and run list against
-// the engine's adjacency: each part's runs start at row 0, follow each other
-// with no gap, are homogeneous, end at nOwned, never cross a reduction block,
-// and each block's last run (and no other) carries the block's slot; a packed
-// run takes the next ⌈n/4⌉ blocks and a general run the next n CSR rows,
-// nothing else is stored, and every row holds its premultiplied weights and
-// neighbors in adjacency order — a packed row r of a run in lane r mod 4 of
-// block r/4.
+// assertRowStore checks a part operator's row store against the engine's
+// adjacency: the part's reduction blocks tile its owned rows in order, each
+// has its ⌈n/4⌉ quads and exactly the slots they take; a quad's lanes hold
+// its rows' degrees (0 past the block's end) and it is as wide as its widest
+// row, at least four; slot k of lane r holds row r's premultiplied face k in
+// adjacency order, and every slot past a lane's degree is a pad (weight +0,
+// neighbor 0).
 func assertRowStore(t *testing.T, po *PartOperator) {
 	t.Helper()
 	lam := po.Sys.Mobility
 	for me, op := range po.parts {
 		ps := po.l.parts[me]
-		face := func(i int32, k int, gotT float64, gotLi uint32, kind string) {
-			j := int(ps.rowStart[i]) + k
-			if gotT != ps.nbrTrans[j]*lam || gotLi != uint32(ps.nbrLocal[j]) {
-				t.Fatalf("part %d row %d: %s face %d is (%g, %d), adjacency has (%g, %d)",
-					me, i, kind, k, gotT, gotLi, ps.nbrTrans[j]*lam, ps.nbrLocal[j])
+		next := 0
+		for bi, b := range op.blocks {
+			if b.lo != next || b.n < 1 {
+				t.Fatalf("part %d block %d [%d,+%d) does not start at row %d", me, bi, b.lo, b.n, next)
 			}
-		}
-		next, blk, nBlocks, nGen := int32(0), 0, int32(0), int32(0)
-		for si, s := range op.rows {
-			if s.lo != next || s.n < 1 {
-				t.Fatalf("part %d run %d [%d,+%d) does not start at row %d", me, si, s.lo, s.n, next)
+			next = b.lo + b.n
+			if want := (b.n + 3) / 4; len(b.heads) != want {
+				t.Fatalf("part %d block %d of %d rows has %d quads, want %d", me, bi, b.n, len(b.heads), want)
 			}
-			next = s.lo + s.n
-			if want := map[bool]int32{true: nBlocks, false: nGen}[s.packed]; s.first != want {
-				t.Fatalf("part %d run %d (packed=%v) addresses %d, the runs before it fill %d", me, si, s.packed, s.first, want)
-			}
-			if s.packed && int(s.first+(s.n+3)/4) > len(op.quad) || !s.packed && int(s.first+s.n) >= len(op.genStart) {
-				t.Fatalf("part %d run %d (packed=%v) of %d rows at %d runs past the store", me, si, s.packed, s.n, s.first)
-			}
-			for i := s.lo; i < next; i++ {
-				deg := int(ps.rowStart[i+1] - ps.rowStart[i])
-				if packed := deg == 4; packed != s.packed {
-					t.Fatalf("part %d run %d: row %d packed=%v inside a packed=%v run", me, si, i, packed, s.packed)
-				}
-				r := i - s.lo
-				if s.packed {
-					b := &op.quad[s.first+r/4]
-					for k := 0; k < 4; k++ {
-						face(i, k, b.t[k][r%4], b.li[k][r%4], "packed")
+			slot := 0
+			for qi, h := range b.heads {
+				width := uint32(4)
+				for r, deg := range h.deg {
+					i := b.lo + 4*qi + r
+					want := uint32(0)
+					if i < next {
+						want = uint32(ps.rowStart[i+1] - ps.rowStart[i])
 					}
-					continue
+					if deg != want {
+						t.Fatalf("part %d block %d quad %d lane %d: degree %d, want %d", me, bi, qi, r, deg, want)
+					}
+					width = max(width, deg)
+					for k := range min(h.width, uint32(len(b.slots)-slot)) {
+						s := b.slots[slot+int(k)]
+						if k >= deg {
+							if math.Float64bits(s.t[r]) != 0 || s.li[r] != 0 {
+								t.Fatalf("part %d row %d: pad slot %d is (%g, %d), want (+0, 0)", me, i, k, s.t[r], s.li[r])
+							}
+							continue
+						}
+						j := ps.rowStart[i] + int32(k)
+						if s.t[r] != ps.nbrTrans[j]*lam || s.li[r] != uint32(ps.nbrLocal[j]) {
+							t.Fatalf("part %d row %d: face %d is (%g, %d), adjacency has (%g, %d)",
+								me, i, k, s.t[r], s.li[r], ps.nbrTrans[j]*lam, ps.nbrLocal[j])
+						}
+					}
 				}
-				row := op.gen[op.genStart[s.first+r]:op.genStart[s.first+r+1]]
-				if len(row) != deg {
-					t.Fatalf("part %d row %d: general row holds %d faces, adjacency %d", me, i, len(row), deg)
+				if h.width != width {
+					t.Fatalf("part %d block %d quad %d is %d slots wide, want %d", me, bi, qi, h.width, width)
 				}
-				for k, e := range row {
-					face(i, k, e.t, e.li, "general")
-				}
+				slot += int(h.width)
 			}
-			if s.packed {
-				nBlocks += (s.n + 3) / 4
-			} else {
-				nGen += s.n
-			}
-			for s.lo >= op.blkHi[blk] {
-				blk++
-			}
-			if s.lo < op.blkLo[blk] || next > op.blkHi[blk] {
-				t.Fatalf("part %d run %d [%d,%d) crosses reduction block [%d,%d)", me, si, s.lo, next, op.blkLo[blk], op.blkHi[blk])
-			}
-			last := si+1 == len(op.rows) || op.rows[si+1].lo >= op.blkHi[blk]
-			if want := int32(-1); last {
-				want = op.blkOut[blk]
-				if s.flush != want {
-					t.Fatalf("part %d run %d ends block %d with slot %d, want %d", me, si, blk, s.flush, want)
-				}
-			} else if s.flush != want {
-				t.Fatalf("part %d run %d is inside block %d but carries slot %d", me, si, blk, s.flush)
+			if slot != len(b.slots) {
+				t.Fatalf("part %d block %d: its quads take %d slots, it holds %d", me, bi, slot, len(b.slots))
 			}
 		}
-		if int(next) != ps.nOwned {
-			t.Fatalf("part %d: runs end at row %d, the part owns %d", me, next, ps.nOwned)
-		}
-		if int(nBlocks) != len(op.quad) || int(nGen)+1 != len(op.genStart) || int(op.genStart[nGen]) != len(op.gen) {
-			t.Fatalf("part %d: store holds %d blocks, %d general row ends and %d general faces beyond its runs' %d blocks and %d rows",
-				me, len(op.quad), len(op.genStart), len(op.gen), nBlocks, nGen)
+		if next != ps.nOwned {
+			t.Fatalf("part %d: blocks end at row %d, the part owns %d", me, next, ps.nOwned)
 		}
 	}
 }
 
-// packedRows counts the rows of a part's packed runs.
-func packedRows(op *opPart) int {
+// pureQuads counts a part's quads of four degree-4 rows.
+func pureQuads(op *opPart) int {
 	n := 0
-	for _, s := range op.rows {
-		if s.packed {
-			n += int(s.n)
+	for _, b := range op.blocks {
+		for _, h := range b.heads {
+			if h.deg == [4]uint32{4, 4, 4, 4} {
+				n++
+			}
 		}
 	}
 	return n
@@ -1053,16 +1035,20 @@ func TestRowStoreDegenerateShapes(t *testing.T) {
 	}{
 		{"no degree-4 row", gridMesh(16, 1, false), []int{0, 1, 2}, func(t *testing.T, po *PartOperator) {
 			for me, op := range po.parts {
-				if len(op.quad) != 0 {
-					t.Errorf("part %d packs %d blocks of a chain", me, len(op.quad))
+				if n := pureQuads(op); n != 0 {
+					t.Errorf("part %d has %d pure quads of a chain", me, n)
 				}
 			}
 		}},
-		{"only degree-4 rows", gridMesh(6, 5, true), []int{0, 1, 2}, func(t *testing.T, po *PartOperator) {
+		{"only degree-4 rows", gridMesh(48, 32, true), []int{0, 1, 2}, func(t *testing.T, po *PartOperator) {
 			for me, op := range po.parts {
-				if len(op.gen) != 0 || packedRows(op) != po.l.parts[me].nOwned {
-					t.Errorf("part %d keeps %d general faces of a torus, packs %d of %d rows",
-						me, len(op.gen), packedRows(op), po.l.parts[me].nOwned)
+				whole, wide := 0, 0
+				for _, b := range op.blocks {
+					whole += b.n / 4
+					wide += len(b.slots) - 4*len(b.heads)
+				}
+				if n := pureQuads(op); n != whole || wide != 0 {
+					t.Errorf("part %d of a torus: %d pure quads of %d whole ones, %d slots past four a quad", me, n, whole, wide)
 				}
 			}
 		}},
@@ -1080,14 +1066,14 @@ func TestRowStoreDegenerateShapes(t *testing.T) {
 				t.Error("no part of the 2-cell-per-part chain has every row reading a halo cell")
 			}
 		}},
-		{"single-row run at a block edge", ladderMesh(t), []int{0}, func(t *testing.T, po *PartOperator) {
+		{"partial quad at a block edge", ladderMesh(t), []int{0}, func(t *testing.T, po *PartOperator) {
 			op := po.parts[0]
-			for _, s := range op.rows {
-				if s.n == 1 && s.flush >= 0 {
+			for _, b := range op.blocks {
+				if b.n%4 != 0 {
 					return
 				}
 			}
-			t.Error("no single-row run ends a reduction block on the ladder mesh")
+			t.Error("no reduction block of the ladder mesh ends in a partial quad")
 		}},
 	} {
 		sys := newUSystemFixture(t, tc.u)

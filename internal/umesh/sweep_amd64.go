@@ -1,11 +1,10 @@
 package umesh
 
-// quadBlocksAVX2 sweeps the len(xc)/4 whole blocks at q of a packed run: those
-// rows of d = accum·xc − flux, with ⟨w, d⟩ added to acc in row order when w
-// is not nil. x is the part's local vector, the gathers' base.
+// quadRowsAVX2 is quadRows: the quads of one block, whose rows xc, accum and
+// d (and w, unless nil) window, returning the block's partial of ⟨w, d⟩.
 //
 //go:noescape
-func quadBlocksAVX2(q []quadBlock, x, xc, accum, d, w []float64, acc float64) float64
+func quadRowsAVX2(heads []quadHead, slots []quadSlot, x, xc, accum, d, w []float64) float64
 
 // cgTailAVX2 is shardCGStepPre's loop over the len(x)/4 whole groups of four
 // of a block, returning the block's partials of ⟨r, r⟩ and ⟨r, z⟩ so far.
@@ -27,15 +26,14 @@ func amgPreAVX2(z, inv, r []float64, omega float64)
 //go:noescape
 func amgPostAVX2(z, inv, r, w []float64, omega float64)
 
-// quadVector runs the vector body over the whole blocks of a packed run of
-// len(xs) rows and returns how many rows it did, with the fused dot's
-// partial — 0 rows where the host has no vector body; sweep's loop does the
-// rest.
-func quadVector(quad []quadBlock, x, xs, accum, d, ws []float64, acc float64) (int, float64) {
+// quadVector runs the vector body over the quads of one block and returns
+// the block's partial of the fused dot, and false where the host has no
+// vector body: quadRows then does the block.
+func quadVector(heads []quadHead, slots []quadSlot, x, xs, accum, d, ws []float64) (float64, bool) {
 	if !vectorRows {
-		return 0, acc
+		return 0, false
 	}
-	return len(xs) &^ 3, quadBlocksAVX2(quad, x, xs, accum, d, ws, acc)
+	return quadRowsAVX2(heads, slots, x, xs, accum, d, ws), true
 }
 
 // cgTailVector and xpbyVector run the CG tail's vector bodies over the whole

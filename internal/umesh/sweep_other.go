@@ -5,8 +5,8 @@ package umesh
 // The vector bodies are amd64's alone: here the Go loops do every row and
 // every element.
 
-func quadVector(quad []quadBlock, x, xs, accum, d, ws []float64, acc float64) (int, float64) {
-	return 0, acc
+func quadVector(heads []quadHead, slots []quadSlot, x, xs, accum, d, ws []float64) (float64, bool) {
+	return 0, false
 }
 
 func cgTailVector(x, p, r, ap, z, inv []float64, alpha float64) (int, float64, float64) {
