@@ -71,12 +71,12 @@ race:
 # A PR that shrinks what a ceiling covers lowers it to the new sum. A PR that
 # must raise one says in CHANGES.md by how much and what the lines buy;
 # CHANGES.md keeps each ceiling's history.
-SIZE_CEILING = 4880
+SIZE_CEILING = 5163
 SERVE_CEILING = 1831
 BENCH_CEILING = 861
 STRUCT_CEILING = 1835
 FABRIC_CEILING = 634
-MODULE_CEILING = 15520
+MODULE_CEILING = 15803
 size:
 	@set -e; \
 	for d in $$($(GO) list -f '{{.Dir}}' ./... | sed "s|^$$PWD/*||; s|^$$|.|"); do \
@@ -133,12 +133,13 @@ layers:
 #     Go loop per block, and every kernel ranged over the part's blocks
 #     instead of indexing three block tables).
 #   - internal/umesh/vcycle.go holds the AMG V-cycle's host loops: the
-#     degree-bucketed A_c product and the size-bucketed restriction, each
-#     walking a bucket eight rows at a time, and the smoothing and
-#     prolongation loops. An inner loop keeps only its gathers (z of the
-#     product, r and w of the restriction, ec of the prolongation); the rest
-#     is per bucket, per eight rows or per row — their ids, reslices and the
-#     diagonal, start and result at a row id — or per call.
+#     degree-bucketed A_c product and the size-bucketed restriction, whose Go
+#     spellings walk a bucket's lane-major groups of four rows two at a time,
+#     and the smoothing and prolongation loops. An inner loop keeps only its
+#     gathers (z of the product, r and w of the restriction, ec of the
+#     prolongation); the rest is per bucket, per two groups or per group —
+#     their ids, reslices and the diagonal, start and result at a row id — or
+#     per call (127 sites until the layouts became lane-major).
 #   - internal/dsd/ops.go is the structured kernel. Every op has one element
 #     loop, over columns resliced to the destination's length, and none
 #     reports a check (FluxFace streams the inlined fluxElem over every
@@ -161,10 +162,11 @@ layers:
 # The structured kernel's single spelling must also stay inlinable into the
 # two macro-ops' element loops, or each element pays a call. Its vector body
 # (internal/dsd/*.s) and umesh's (internal/umesh/*.s: the row store, the
-# fused CG tail, the direction update, the AMG smoothing steps) must round
+# fused CG tail, the direction update, the AMG smoothing steps, A_c product,
+# restriction and prolongation) must round
 # every product before its sum as their Go spellings do, so a fused
 # multiply-add mnemonic there fails the gate.
-BCE_PINS = internal/umesh:kernels.go:92 internal/umesh:vcycle.go:127 internal/dsd:ops.go:9 internal/core:hostload.go:16
+BCE_PINS = internal/umesh:kernels.go:92 internal/umesh:vcycle.go:117 internal/dsd:ops.go:9 internal/core:hostload.go:16
 bce:
 	@set -e; \
 	for pin in $(BCE_PINS); do \
@@ -200,7 +202,7 @@ bench-selftest:
 # only when both print the same offset; the offset is printed, not pinned,
 # because it also depends on the toolchain's patch level. It then prints
 # every marked loop head of the module's assembly — the instruction after
-# each `PCALIGN $64` in internal/*/*.s (seven), found in the binary by its
+# each `PCALIGN $64` in internal/*/*.s (twelve), found in the binary by its
 # source line — with its offset mod 64, and fails if one is not 0 or is not
 # in the binary: those loops sit where they do whatever code is linked
 # before them. Part of ci.

@@ -9,10 +9,11 @@ import "repro/internal/cpufeat"
 // (window), so element loops carry no bounds checks beyond the neighbor
 // gathers; `make bce` pins the number of check sites this file reports.
 
-// vectorRows selects the five vector bodies — the row store's sweep, the
+// vectorRows selects the eight vector bodies — the row store's sweep, the
 // fused CG tail, the direction update and the AMG V-cycle's two smoothing
-// steps (cpufeat.AVX2FMA, so never off amd64); only tests clear it, to check
-// or pin the Go spellings alone.
+// steps, A_c product, restriction and prolongation (cpufeat.AVX2FMA, so
+// never off amd64); only tests clear it, to check or pin the Go spellings
+// alone.
 var vectorRows = cpufeat.AVX2FMA
 
 // window is v[lo:lo+n]. Every operand stream of a kernel loop is resliced

@@ -484,13 +484,19 @@ func (o *PartOperator) compileReduction() error {
 }
 
 // buildRows lays each reduction block's rows out as quads from the layout's
-// adjacency. It needs the blocks (compileReduction), which tile the owned
-// range without a gap or an empty block.
+// adjacency, every block's heads and slots carved from one array of each per
+// part. It needs the blocks (compileReduction), which tile the owned range
+// without a gap or an empty block.
 func (op *opPart) buildRows(ps *partLayout, lam float64) {
+	nq := 0
+	for _, b := range op.blocks {
+		nq += (b.n + 3) / 4
+	}
+	heads, width := make([]quadHead, nq), 0
 	for bi := range op.blocks {
 		b := &op.blocks[bi]
-		b.heads = make([]quadHead, (b.n+3)/4)
-		width := 0
+		nq = (b.n + 3) / 4
+		b.heads, heads = heads[:nq:nq], heads[nq:]
 		for qi := range b.heads {
 			h := &b.heads[qi]
 			h.width = 4
@@ -501,8 +507,11 @@ func (op *opPart) buildRows(ps *partLayout, lam float64) {
 			}
 			width += int(h.width)
 		}
-		b.slots = make([]quadSlot, width)
-		q := b.slots
+	}
+	slots := make([]quadSlot, width)
+	for bi := range op.blocks {
+		b := &op.blocks[bi]
+		q := slots
 		for qi, h := range b.heads {
 			for r, deg := range h.deg {
 				for k := range deg {
@@ -512,6 +521,8 @@ func (op *opPart) buildRows(ps *partLayout, lam float64) {
 			}
 			q = q[h.width:]
 		}
+		width = len(slots) - len(q)
+		b.slots, slots = slots[:width:width], q
 	}
 }
 

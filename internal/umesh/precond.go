@@ -139,7 +139,7 @@ type amgLevel struct {
 	// pos is the canonical position of each cell (the inverse of
 	// CanonicalOrder) — kept for the part-local aggregate compilation.
 	pos []int32
-	// ac is A_c, its off-diagonal rows bucketed by degree.
+	// ac is A_c, its rows bucketed by degree and laid out lane-major.
 	ac coarseMatrix
 	// coarse aggregates the level-1 aggregates into level 2.
 	coarse aggregates
@@ -298,46 +298,75 @@ func iota32(n int) []int32 {
 
 // layRows lays out the CSR whose row i is ids[i] with entries
 // idx[ptr[i]:ptr[i+1]] as rows, one bucket per length that occurs,
-// ascending, in one counting pass; at[i] is where row i's entries landed in
-// the layout's idx.
+// ascending, in one counting pass; at[i] is where row i landed, four times
+// its group's first entry in the layout's idx plus its lane.
 func layRows(ids, ptr, idx []int32) (r rows, at []int32) {
 	k := int32(0)
 	for i := range ids {
 		k = max(k, ptr[i+1]-ptr[i])
 	}
-	// next[l] and off[l] are where the next row of length l and its entries go.
+	// next[l] counts the rows of length l placed so far, off[l] is where
+	// their bucket's groups start.
 	next, off := make([]int32, k+1), make([]int32, k+1)
 	for i := range ids {
 		next[ptr[i+1]-ptr[i]]++
 	}
-	p, e := int32(0), int32(0)
+	r.buckets = make([]bucket, 0, len(next))
+	e := 0
 	for l, n := range next {
 		if n > 0 {
 			r.buckets = append(r.buckets, bucket{k: int32(l), n: n})
+			off[l] = int32(e)
+			e += r.buckets[len(r.buckets)-1].span()
 		}
-		next[l], off[l] = p, e
-		p, e = p+n, e+n*int32(l)
+		next[l] = 0
 	}
-	r.ids, r.idx, at = make([]int32, len(ids)), make([]int32, e), make([]int32, len(ids))
+	r.idx, at = make([][4]int32, e), make([]int32, len(ids))
 	for i, id := range ids {
 		l := ptr[i+1] - ptr[i]
-		r.ids[next[l]], at[i] = id, off[l]
-		copy(r.idx[off[l]:][:l], idx[ptr[i]:ptr[i+1]])
+		g, lane := off[l]+next[l]/4*(1+l), next[l]%4
 		next[l]++
-		off[l] += l
+		at[i] = 4*g + lane
+		r.idx[g][lane] = id
+		for x, c := range idx[ptr[i]:ptr[i+1]] {
+			r.idx[g+1+int32(x)][lane] = c
+		}
 	}
+	padLanes(r.buckets, r.idx)
 	return r, at
 }
 
+// padLanes fills the missing lanes of each bucket's last group, every entry,
+// with its lane 0.
+func padLanes[T any](buckets []bucket, groups [][4]T) {
+	for _, b := range buckets {
+		m := b.span()
+		if p := int(b.n % 4); p > 0 {
+			last := groups[m-int(1+b.k) : m]
+			for x := range last {
+				for l := p; l < 4; l++ {
+					last[x][l] = last[x][0]
+				}
+			}
+		}
+		groups = groups[m:]
+	}
+}
+
 // newCoarseMatrix lays out a matrix given as its diagonal and inverse and
-// its off-diagonal rows in CSR, the rows bucketed by degree.
+// its off-diagonal rows in CSR, the rows bucketed by degree and their
+// values laid out lane-major beside their columns.
 func newCoarseMatrix(diag, inv []float64, ptr, col []int32, val []float64) coarseMatrix {
 	r, at := layRows(iota32(len(diag)), ptr, col)
-	a := coarseMatrix{rows: r, inv: inv, diag: make([]float64, len(diag)), val: make([]float64, len(r.idx))}
-	for p, i := range r.ids {
-		a.diag[p] = diag[i]
-		copy(a.val[at[i]:], val[ptr[i]:ptr[i+1]])
+	a := coarseMatrix{rows: r, inv: inv, val: make([][4]float64, len(r.idx))}
+	for i, p := range at {
+		g, lane := p/4, p%4
+		a.val[g][lane] = diag[i]
+		for x, v := range val[ptr[i]:ptr[i+1]] {
+			a.val[g+1+int32(x)][lane] = v
+		}
 	}
+	padLanes(r.buckets, a.val)
 	return a
 }
 

@@ -277,7 +277,7 @@ func TestAMGAggregationStructure(t *testing.T) {
 		}
 	}
 	t.Logf("cells=%d aggregates=%d A_c off-diagonals=%d level-2 aggregates=%d max band=%d envelope entries=%d (dense band %d) factor bytes=%d",
-		u.NumCells, lvl.nAgg, len(lvl.ac.val), n2, bw, len(lvl.fac), n2*(bw+1), 8*len(lvl.fac))
+		u.NumCells, lvl.nAgg, rowEntries(&lvl.ac.rows), n2, bw, len(lvl.fac), n2*(bw+1), 8*len(lvl.fac))
 }
 
 // bandOracle is the textbook level-2 factor the skyline must reproduce bit
@@ -522,18 +522,22 @@ func TestAMGSkylineMatchesDenseBandOracle(t *testing.T) {
 		n, want := lvl.nAgg, o.fac2
 		n2 := want.n
 		t.Logf("%s: aggregates=%d A_c band=%d off-diagonals=%d level-2 aggregates=%d band=%d envelope entries=%d (dense band %d)",
-			name, n, o.bw, len(lvl.ac.val), n2, want.bw, len(lvl.fac), n2*(want.bw+1))
+			name, n, o.bw, rowEntries(&lvl.ac.rows), n2, want.bw, len(lvl.fac), n2*(want.bw+1))
 		t.Logf("%s: A_c rows {degree count} %v; level-1 aggregates {size count} %v; level 2 %v",
 			name, lvl.ac.buckets, lvl.restrict.buckets, lvl.coarse.restrict.buckets)
 
 		// A_c, entry for entry.
 		refs, cols := readRows(t, name+" A_c", n, &lvl.ac.rows)
-		if len(lvl.ac.diag) != n || len(lvl.ac.val) != len(lvl.ac.idx) {
-			t.Fatalf("%s: A_c holds %d diagonal entries for %d rows and %d values for %d columns",
-				name, len(lvl.ac.diag), n, len(lvl.ac.val), len(lvl.ac.idx))
+		if len(lvl.ac.val) != len(lvl.ac.idx) {
+			t.Fatalf("%s: A_c holds %d value entries for %d index entries", name, len(lvl.ac.val), len(lvl.ac.idx))
 		}
+		assertPadsRepeat(t, name+" A_c values", lvl.ac.buckets, lvl.ac.val)
 		for i := 0; i < n; i++ {
-			d, val := lvl.ac.diag[refs[i].pos], lvl.ac.val[refs[i].at:][:refs[i].k]
+			ref, val := refs[i], make([]float64, refs[i].k)
+			for k := range val {
+				val[k] = lvl.ac.val[ref.g+1+int32(k)][ref.lane]
+			}
+			d := lvl.ac.val[ref.g][ref.lane]
 			if math.Float64bits(d) != math.Float64bits(o.d[i]) {
 				t.Fatalf("%s: A_c[%d][%d] = %x, oracle %x", name, i, i, math.Float64bits(d), math.Float64bits(o.d[i]))
 			}
@@ -1030,8 +1034,9 @@ func BenchmarkUsolvePrecond(b *testing.B) {
 // realization's kernels — the per-stage sizing of an AMG iteration
 // (docs/benchmarks.md) without a scratch harness. Every stage calls the code
 // the cycle runs: the restriction and A_c product of the level, and
-// solveCoarse's two level-1 halves; pre-go and post-go are the smoothing
-// steps' Go loops alone.
+// solveCoarse's two level-1 halves; the -go cases are the smoothing steps',
+// the A_c product's, the restriction's and the prolongation's Go spellings
+// alone.
 func BenchmarkUsolveAMGStage(b *testing.B) {
 	u := benchRadial(b)
 	sys, err := NewUSystem(u, physics.DefaultFluid(), 3600, 0)
@@ -1077,6 +1082,9 @@ func BenchmarkUsolveAMGStage(b *testing.B) {
 		{"post", func() { amgPost(z, inv, r, w) }, false},
 		{"pre-go", func() { amgPre(z, inv, r) }, true},
 		{"post-go", func() { amgPost(z, inv, r, w) }, true},
+		{"coarse-apply-go", func() { lvl.ac.apply(lvl.w, ec) }, true},
+		{"restrict-go", func() { lvl.restrict.run(rc, r, w) }, true},
+		{"prolong-go", func() { amgProlong(z, ec, lvl.aggOf) }, true},
 	}
 	// One V-cycle first, so every stage is timed on the data it sees in a solve.
 	for _, st := range stages[1:] {

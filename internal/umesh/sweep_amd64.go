@@ -26,6 +26,20 @@ func amgPreAVX2(z, inv, r []float64, omega float64)
 //go:noescape
 func amgPostAVX2(z, inv, r, w []float64, omega float64)
 
+// amgProlongAVX2 is amgProlong's loop over the len(z)/4 whole groups of four.
+//
+//go:noescape
+func amgProlongAVX2(z, ec []float64, agg []int32)
+
+// coarseApplyAVX2 and restrictAVX2 are coarseApplyGo and restrictGo: one
+// bucket's lane-major groups of rows of k entries.
+//
+//go:noescape
+func coarseApplyAVX2(w, z []float64, idx [][4]int32, val [][4]float64, k int)
+
+//go:noescape
+func restrictAVX2(out, r, w []float64, idx [][4]int32, k int)
+
 // quadVector runs the vector body over the quads of one block and returns
 // the block's partial of the fused dot, and false where the host has no
 // vector body: quadRows then does the block.
@@ -72,4 +86,33 @@ func amgPostVector(z, inv, r, w []float64) int {
 	}
 	amgPostAVX2(z, inv, r, w, amgOmega)
 	return len(z) &^ 3
+}
+
+// amgProlongVector runs the prolongation's vector body over the whole groups
+// of four and returns how many elements it did; the Go loop does the rest.
+func amgProlongVector(z, ec []float64, agg []int32) int {
+	if !vectorRows {
+		return 0
+	}
+	amgProlongAVX2(z, ec, agg)
+	return len(z) &^ 3
+}
+
+// coarseApplyVector and restrictVector run a bucket through the A_c
+// product's or the restriction's vector body and report false where the
+// host has none: the Go spelling then does the bucket.
+func coarseApplyVector(w, z []float64, idx [][4]int32, val [][4]float64, k int) bool {
+	if !vectorRows {
+		return false
+	}
+	coarseApplyAVX2(w, z, idx, val, k)
+	return true
+}
+
+func restrictVector(out, r, w []float64, idx [][4]int32, k int) bool {
+	if !vectorRows {
+		return false
+	}
+	restrictAVX2(out, r, w, idx, k)
+	return true
 }

@@ -18,3 +18,9 @@ func xpbyVector(y, x []float64, beta float64) int { return 0 }
 func amgPreVector(z, inv, r []float64) int { return 0 }
 
 func amgPostVector(z, inv, r, w []float64) int { return 0 }
+
+func amgProlongVector(z, ec []float64, agg []int32) int { return 0 }
+
+func coarseApplyVector(w, z []float64, idx [][4]int32, val [][4]float64, k int) bool { return false }
+
+func restrictVector(out, r, w []float64, idx [][4]int32, k int) bool { return false }

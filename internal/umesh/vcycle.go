@@ -1,128 +1,173 @@
 package umesh
 
 // This file holds the AMG V-cycle's host loops, which run once per Krylov
-// iteration on both levels: the product with A_c, the restrictions and the
-// weighted-Jacobi smoothing around them. Both sparse operands are rows,
-// bucketed by length — A_c's rows by degree, the restrictions' aggregates by
-// size — so every row of a bucket runs the same number of terms and the inner
-// loop's exit is the same branch bucket-long; each bucket is walked eight rows
-// at a time, eight independent sums in flight. As in kernels.go, the inner
-// loops index windows of one length and carry no bounds checks beyond their
-// gathers; `make bce` pins the number of check sites this file reports.
+// iteration on both levels: the product with A_c, the restrictions, the
+// prolongation and the weighted-Jacobi smoothing around them. Both sparse
+// operands are rows, bucketed by length — A_c's rows by degree, the
+// restrictions' aggregates by size — and laid out lane-major, four rows to a
+// group, so every row of a bucket runs the same number of terms and entry e
+// of four rows is one load: a bucket goes to a vector body (one gather per
+// entry, one lane per row) where there is one, and its Go spelling walks the
+// same groups two at a time, eight independent sums in flight. As in
+// kernels.go, the inner loops index windows of one length and carry no bounds
+// checks beyond their gathers; `make bce` pins the number of check sites this
+// file reports.
 
 // bucket is one run of a length-bucketed layout: n rows of k entries each,
-// listed after the previous bucket's rows and stored after its entries.
+// in ⌈n/4⌉ groups after the previous bucket's.
 type bucket struct{ k, n int32 }
 
-// rows is a sparse layout bucketed by row length (layRows): ids lists the
-// rows bucket by bucket, in their original order within a bucket, and idx
-// each row's entries at the bucket's stride k.
+// span is how many lane-major entries the bucket's groups take, 1+k each.
+func (b bucket) span() int { return int(b.n+3) / 4 * int(1+b.k) }
+
+// rows is a sparse layout bucketed by row length (layRows) and laid out
+// lane-major: a bucket's rows go in groups of four, in their original order,
+// and a group of rows of length k is 1+k entries of idx — its four row ids,
+// then entry e of each of the four rows side by side, e = 1…k. A bucket's
+// last group may be partial: its missing lanes repeat lane 0, so they
+// compute lane 0's row again and store the same bits to the same id.
 type rows struct {
-	ids, idx []int32
-	buckets  []bucket
+	idx     [][4]int32
+	buckets []bucket
 }
 
 // coarseMatrix is A_c: the inverse of its diagonal, and its off-diagonal
-// rows bucketed by degree — ids ascending within a bucket, idx their columns
-// (ascending), val their values (−conductance) at the same offsets, and diag
-// the rows' diagonal entries in ids' order.
+// rows bucketed by degree — in idx the row ids and their columns
+// (ascending), and in val, at the same places, the rows' diagonal entries
+// and their off-diagonal values (−conductance).
 type coarseMatrix struct {
 	rows
-	inv, diag, val []float64
+	inv []float64
+	val [][4]float64
 }
 
-// restriction sums r − w over aggregates bucketed by size: ids are the
-// aggregates and idx their members, in the level's walk order.
+// restriction sums r − w over aggregates bucketed by size: the rows are the
+// aggregates and their entries the members, in the level's walk order.
 type restriction struct{ rows }
 
 // apply is w = A_c·z, each row's diagonal term first and then its
 // off-diagonal terms in ascending column order, every product rounded before
-// its add — the CSR walk's bits.
+// its add — the CSR walk's bits. A bucket goes to the vector body where there
+// is one (coarseApplyVector); coarseApplyGo is its Go spelling.
 func (a *coarseMatrix) apply(w, z []float64) {
-	rows, diag, col, val := a.ids, a.diag, a.idx, a.val
+	idx, val := a.idx, a.val
 	for _, b := range a.buckets {
-		k, n := int(b.k), int(b.n)
-		ids, d, c, v := rows[:n], diag[:n], col[:n*k], val[:n*k]
-		rows, diag, col, val = rows[n:], diag[n:], col[n*k:], val[n*k:]
-		j := 0
-		for ; j+8 <= n; j += 8 {
-			c0, c1, c2, c3 := c[j*k:][:k], c[(j+1)*k:][:k], c[(j+2)*k:][:k], c[(j+3)*k:][:k]
-			c4, c5, c6, c7 := c[(j+4)*k:][:k], c[(j+5)*k:][:k], c[(j+6)*k:][:k], c[(j+7)*k:][:k]
-			v0, v1, v2, v3 := v[j*k:][:k], v[(j+1)*k:][:k], v[(j+2)*k:][:k], v[(j+3)*k:][:k]
-			v4, v5, v6, v7 := v[(j+4)*k:][:k], v[(j+5)*k:][:k], v[(j+6)*k:][:k], v[(j+7)*k:][:k]
-			i, di := ids[j:j+8:j+8], d[j:j+8:j+8]
-			s0, s1, s2, s3 := di[0]*z[i[0]], di[1]*z[i[1]], di[2]*z[i[2]], di[3]*z[i[3]]
-			s4, s5, s6, s7 := di[4]*z[i[4]], di[5]*z[i[5]], di[6]*z[i[6]], di[7]*z[i[7]]
-			for e := range c0 {
-				s0 += v0[e] * z[c0[e]]
-				s1 += v1[e] * z[c1[e]]
-				s2 += v2[e] * z[c2[e]]
-				s3 += v3[e] * z[c3[e]]
-				s4 += v4[e] * z[c4[e]]
-				s5 += v5[e] * z[c5[e]]
-				s6 += v6[e] * z[c6[e]]
-				s7 += v7[e] * z[c7[e]]
-			}
-			w[i[0]], w[i[1]], w[i[2]], w[i[3]] = s0, s1, s2, s3
-			w[i[4]], w[i[5]], w[i[6]], w[i[7]] = s4, s5, s6, s7
-		}
-		for ; j < n; j++ {
-			c0, v0, i := c[j*k:][:k], v[j*k:][:k], ids[j]
-			s := d[j] * z[i]
-			for e := range c0 {
-				s += v0[e] * z[c0[e]]
-			}
-			w[i] = s
+		m := b.span()
+		c, v := idx[:m], val[:m]
+		idx, val = idx[m:], val[m:]
+		if !coarseApplyVector(w, z, c, v, int(b.k)) {
+			coarseApplyGo(w, z, c, v, int(b.k))
 		}
 	}
+}
+
+// coarseApplyGo is apply on one bucket's groups of rows of degree k, two
+// groups at a time and then the last one alone.
+func coarseApplyGo(w, z []float64, c [][4]int32, v [][4]float64, k int) {
+	g := 1 + k
+	v = v[:len(c)]
+	for ; len(c) >= 2*g; c, v = c[2*g:], v[2*g:] {
+		i, j, d, e := c[0], c[g], v[0], v[g]
+		c0, c1, v0, v1 := c[1:][:k], c[g+1:][:k], v[1:][:k], v[g+1:][:k]
+		s0, s1, s2, s3 := d[0]*z[i[0]], d[1]*z[i[1]], d[2]*z[i[2]], d[3]*z[i[3]]
+		s4, s5, s6, s7 := e[0]*z[j[0]], e[1]*z[j[1]], e[2]*z[j[2]], e[3]*z[j[3]]
+		for x, p := range c0 {
+			q, a, b := c1[x], v0[x], v1[x]
+			s0 += a[0] * z[p[0]]
+			s1 += a[1] * z[p[1]]
+			s2 += a[2] * z[p[2]]
+			s3 += a[3] * z[p[3]]
+			s4 += b[0] * z[q[0]]
+			s5 += b[1] * z[q[1]]
+			s6 += b[2] * z[q[2]]
+			s7 += b[3] * z[q[3]]
+		}
+		w[i[0]], w[i[1]], w[i[2]], w[i[3]] = s0, s1, s2, s3
+		w[j[0]], w[j[1]], w[j[2]], w[j[3]] = s4, s5, s6, s7
+	}
+	if len(c) == 0 {
+		return
+	}
+	i, d := c[0], v[0]
+	c0, v0 := c[1:][:k], v[1:][:k]
+	s0, s1, s2, s3 := d[0]*z[i[0]], d[1]*z[i[1]], d[2]*z[i[2]], d[3]*z[i[3]]
+	for x, p := range c0 {
+		a := v0[x]
+		s0 += a[0] * z[p[0]]
+		s1 += a[1] * z[p[1]]
+		s2 += a[2] * z[p[2]]
+		s3 += a[3] * z[p[3]]
+	}
+	w[i[0]], w[i[1]], w[i[2]], w[i[3]] = s0, s1, s2, s3
 }
 
 // run restricts the residual r − w (w = A·z) into out: per aggregate, from
-// zero, (r − w)_c added over the members in their order.
+// zero, (r − w)_c added over the members in their order. A bucket goes to
+// the vector body where there is one (restrictVector); restrictGo is its Go
+// spelling.
 func (g *restriction) run(out, r, w []float64) {
-	ids, cells := g.ids, g.idx
+	idx := g.idx
 	for _, b := range g.buckets {
-		k, n := int(b.k), int(b.n)
-		as, c := ids[:n], cells[:n*k]
-		ids, cells = ids[n:], cells[n*k:]
-		j := 0
-		for ; j+8 <= n; j += 8 {
-			c0, c1, c2, c3 := c[j*k:][:k], c[(j+1)*k:][:k], c[(j+2)*k:][:k], c[(j+3)*k:][:k]
-			c4, c5, c6, c7 := c[(j+4)*k:][:k], c[(j+5)*k:][:k], c[(j+6)*k:][:k], c[(j+7)*k:][:k]
-			s0, s1, s2, s3, s4, s5, s6, s7 := 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
-			for e := range c0 {
-				s0 += r[c0[e]] - w[c0[e]]
-				s1 += r[c1[e]] - w[c1[e]]
-				s2 += r[c2[e]] - w[c2[e]]
-				s3 += r[c3[e]] - w[c3[e]]
-				s4 += r[c4[e]] - w[c4[e]]
-				s5 += r[c5[e]] - w[c5[e]]
-				s6 += r[c6[e]] - w[c6[e]]
-				s7 += r[c7[e]] - w[c7[e]]
-			}
-			a := as[j : j+8 : j+8]
-			out[a[0]], out[a[1]], out[a[2]], out[a[3]] = s0, s1, s2, s3
-			out[a[4]], out[a[5]], out[a[6]], out[a[7]] = s4, s5, s6, s7
-		}
-		for ; j < n; j++ {
-			s := 0.0
-			for _, m := range c[j*k:][:k] {
-				s += r[m] - w[m]
-			}
-			out[as[j]] = s
+		m := b.span()
+		c := idx[:m]
+		idx = idx[m:]
+		if !restrictVector(out, r, w, c, int(b.k)) {
+			restrictGo(out, r, w, c, int(b.k))
 		}
 	}
 }
 
-// each calls f on every row and its entries, bucket by bucket — the build's
-// walk of a laid-out restriction.
-func (r *rows) each(f func(id int32, idx []int32)) {
-	ids, idx := r.ids, r.idx
-	for _, b := range r.buckets {
-		for range b.n {
-			f(ids[0], idx[:b.k])
-			ids, idx = ids[1:], idx[b.k:]
+// restrictGo is run on one bucket's groups of aggregates of k members, two
+// groups at a time and then the last one alone.
+func restrictGo(out, r, w []float64, c [][4]int32, k int) {
+	g := 1 + k
+	for ; len(c) >= 2*g; c = c[2*g:] {
+		i, j := c[0], c[g]
+		c0, c1 := c[1:][:k], c[g+1:][:k]
+		s0, s1, s2, s3, s4, s5, s6, s7 := 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
+		for x, p := range c0 {
+			q := c1[x]
+			s0 += r[p[0]] - w[p[0]]
+			s1 += r[p[1]] - w[p[1]]
+			s2 += r[p[2]] - w[p[2]]
+			s3 += r[p[3]] - w[p[3]]
+			s4 += r[q[0]] - w[q[0]]
+			s5 += r[q[1]] - w[q[1]]
+			s6 += r[q[2]] - w[q[2]]
+			s7 += r[q[3]] - w[q[3]]
 		}
+		out[i[0]], out[i[1]], out[i[2]], out[i[3]] = s0, s1, s2, s3
+		out[j[0]], out[j[1]], out[j[2]], out[j[3]] = s4, s5, s6, s7
+	}
+	if len(c) == 0 {
+		return
+	}
+	i := c[0]
+	s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
+	for _, p := range c[1:][:k] {
+		s0 += r[p[0]] - w[p[0]]
+		s1 += r[p[1]] - w[p[1]]
+		s2 += r[p[2]] - w[p[2]]
+		s3 += r[p[3]] - w[p[3]]
+	}
+	out[i[0]], out[i[1]], out[i[2]], out[i[3]] = s0, s1, s2, s3
+}
+
+// each calls f on every row and its entries, bucket by bucket, pad lanes
+// skipped — the build's walk of a laid-out restriction. idx is f's only
+// during the call.
+func (r *rows) each(f func(id int32, idx []int32)) {
+	groups, row := r.idx, []int32(nil)
+	for _, b := range r.buckets {
+		for j := range b.n {
+			grp, l := groups[j/4*(1+b.k):][:1+b.k], j%4
+			row = row[:0]
+			for _, e := range grp[1:] {
+				row = append(row, e[l])
+			}
+			f(grp[0][l], row)
+		}
+		groups = groups[b.span():]
 	}
 }
 
@@ -138,9 +183,13 @@ func amgPre(z, inv, r []float64) {
 	}
 }
 
-// amgProlong adds the coarse correction: z_i += e[agg(i)].
+// amgProlong adds the coarse correction: z_i += e[agg(i)]. Its whole groups
+// of four go to the vector body where there is one (amgProlongVector); the
+// loop is its Go spelling and does the rest.
 func amgProlong(z, ec []float64, agg []int32) {
 	agg = agg[:len(z)]
+	k := amgProlongVector(z, ec, agg)
+	agg, z = agg[k:len(z)], z[k:]
 	for i := range z {
 		z[i] += ec[agg[i]]
 	}

@@ -50,35 +50,80 @@ func walkMembers(aggOf []int32, n int, walk []int32) [][]int32 {
 	return members
 }
 
-// rowRef is where a row of a rows layout sits: its position in ids, and the
-// offset and count of its entries in idx.
-type rowRef struct{ pos, at, k int32 }
+// rowRef is where a row of a rows layout sits: its group's first entry in
+// idx, its lane, and its length.
+type rowRef struct{ g, lane, k int32 }
 
-// readRows reads a rows layout of n rows back by row id, as where each row
-// sits and its entries, failing unless the buckets ascend in length and none
-// is empty, ids ascend within a bucket, every row is listed exactly once and
-// the buckets hold every entry.
+// readRows reads a lane-major rows layout of n rows back by row id, as where
+// each row sits and its entries, failing unless the buckets ascend in length
+// and none is empty, ids ascend within a bucket, every row is listed exactly
+// once, every pad lane of a bucket's last group repeats its lane 0 and the
+// buckets' groups take every entry.
 func readRows(t testing.TB, what string, n int, r *rows) ([]rowRef, [][]int32) {
 	t.Helper()
 	refs, entries := make([]rowRef, n), make([][]int32, n)
-	p, off := int32(0), int32(0)
+	p, g := 0, 0
 	for bi, b := range r.buckets {
-		if b.n <= 0 || bi > 0 && b.k <= r.buckets[bi-1].k {
-			t.Fatalf("%s bucket %d (length %d, %d rows) is empty or out of order", what, bi, b.k, b.n)
+		if b.n <= 0 || bi > 0 && b.k <= r.buckets[bi-1].k || g+b.span() > len(r.idx) {
+			t.Fatalf("%s bucket %d (length %d, %d rows) is empty, out of order or past the layout", what, bi, b.k, b.n)
 		}
-		for j := range b.n {
-			i := r.ids[p]
-			if entries[i] != nil || j > 0 && r.ids[p-1] >= i {
-				t.Fatalf("%s row %d listed twice or out of order in bucket %d", what, i, bi)
+		w := int(1 + b.k)
+		for j := range int(b.n) {
+			at, lane := g+j/4*w, j%4
+			i := r.idx[at][lane]
+			if i < 0 || int(i) >= n || entries[i] != nil || j > 0 && r.idx[g+(j-1)/4*w][(j-1)%4] >= i {
+				t.Fatalf("%s row %d out of range, listed twice or out of order in bucket %d", what, i, bi)
 			}
-			refs[i], entries[i] = rowRef{pos: p, at: off, k: b.k}, r.idx[off:][:b.k:b.k]
-			p, off = p+1, off+b.k
+			row := make([]int32, b.k)
+			for e := range row {
+				row[e] = r.idx[at+1+e][lane]
+			}
+			refs[i], entries[i] = rowRef{g: int32(at), lane: int32(lane), k: b.k}, row
+			p++
 		}
+		if m := int(b.n % 4); m > 0 {
+			for _, e := range r.idx[g+b.span()-w : g+b.span()] {
+				for l := m; l < 4; l++ {
+					if e[l] != e[0] {
+						t.Fatalf("%s bucket %d: pad lane %d of its last group does not repeat lane 0: %v", what, bi, l, e)
+					}
+				}
+			}
+		}
+		g += b.span()
 	}
-	if int(p) != n || int(off) != len(r.idx) {
-		t.Fatalf("%s buckets list %d of %d rows and %d of %d entries", what, p, n, off, len(r.idx))
+	if p != n || g != len(r.idx) {
+		t.Fatalf("%s buckets list %d of %d rows and %d of %d entries", what, p, n, g, len(r.idx))
 	}
 	return refs, entries
+}
+
+// assertPadsRepeat fails unless every pad lane of each bucket's last group
+// of a lane-major value layout holds its lane 0's bits.
+func assertPadsRepeat(t testing.TB, what string, buckets []bucket, val [][4]float64) {
+	t.Helper()
+	for _, b := range buckets {
+		if m := int(b.n % 4); m > 0 {
+			for _, e := range val[b.span()-int(1+b.k) : b.span()] {
+				for l := m; l < 4; l++ {
+					if math.Float64bits(e[l]) != math.Float64bits(e[0]) {
+						t.Fatalf("%s: pad lane %d of a last group does not repeat lane 0: %v", what, l, e)
+					}
+				}
+			}
+		}
+		val = val[b.span():]
+	}
+}
+
+// rowEntries is how many entries a rows layout's rows hold, pads not
+// counted.
+func rowEntries(r *rows) int {
+	n := 0
+	for _, b := range r.buckets {
+		n += int(b.n * b.k)
+	}
+	return n
 }
 
 // oracleCSR lays the coarse oracle's band out as A_c's off-diagonal rows,
@@ -270,6 +315,80 @@ func TestVectorSmoothingMatchesGo(t *testing.T) {
 				wantPre, wantPost := run(false)
 				assertSameBits(t, "amgPre z", gotPre, wantPre)
 				assertSameBits(t, "amgPost z", gotPost, wantPost)
+			}
+		}
+	}
+}
+
+func TestVectorGathersMatchGo(t *testing.T) {
+	if !vectorRows {
+		t.Skip("no vector body for the V-cycle's gathers on this host")
+	}
+	// For n = 0–9, a layout of n rows of every length 0–11, so each bucket's
+	// last group is whole or partial by n mod 4; the rows' lengths are
+	// shuffled before layRows, so ids scatter over the groups, and the
+	// columns or members repeat and reach past the rows. The A_c product,
+	// the restriction and the prolongation (over n elements) run on windows
+	// at offsets 0–3, with special values — NaNs with payloads among them —
+	// in z, r, w, ec and the A_c values at four saltings.
+	nans := []float64{math.Float64frombits(0x7ff8000000000bad), math.Float64frombits(0xfff4000000c0ffee)}
+	rng := fuzzRand(55)
+	salt := func(v []float64, rate uint64) []float64 {
+		salted(&rng, v, 1e3, rate)
+		for i := range v {
+			if rate > 0 && rng.next()%(2*rate) == 0 {
+				v[i] = nans[rng.next()%2]
+			}
+		}
+		return v
+	}
+	for n := 0; n <= 9; n++ {
+		var lens []int32
+		for k := range int32(12) {
+			for range n {
+				lens = append(lens, k)
+			}
+		}
+		for i := len(lens) - 1; i > 0; i-- {
+			j := rng.next() % uint64(i+1)
+			lens[i], lens[j] = lens[j], lens[i]
+		}
+		rowsN, m := len(lens), len(lens)+5
+		ptr := make([]int32, rowsN+1)
+		for i, l := range lens {
+			ptr[i+1] = ptr[i] + l
+		}
+		col := make([]int32, ptr[rowsN])
+		for i := range col {
+			col[i] = int32(rng.next() % uint64(m))
+		}
+		g, _ := layRows(iota32(rowsN), ptr, col)
+		restrict := restriction{g}
+		agg := make([]int32, 3+n)
+		for i := range agg {
+			agg[i] = int32(rng.next() % uint64(m))
+		}
+		for _, rate := range []uint64{0, 8, 3, 1} {
+			a := newCoarseMatrix(salt(make([]float64, rowsN), rate), nil, ptr, col, salt(make([]float64, len(col)), rate))
+			for off := 0; off <= 3; off++ {
+				var in [5][]float64 // z, r, w, ec, and the outputs' prior contents
+				for v := range in {
+					in[v] = salt(make([]float64, off+m), rate)
+				}
+				run := func(vector bool) (w, out, z []float64) {
+					defer func(v bool) { vectorRows = v }(vectorRows)
+					vectorRows = vector
+					w, out, z = slices.Clone(in[4]), slices.Clone(in[4]), slices.Clone(in[0][:off+n])
+					a.apply(w[off:], in[0][off:])
+					restrict.run(out[off:], in[1][off:], in[2][off:])
+					amgProlong(z[off:], in[3][off:], agg[off:][:n])
+					return w, out, z
+				}
+				gotW, gotOut, gotZ := run(true)
+				wantW, wantOut, wantZ := run(false)
+				assertSameBits(t, "A_c·z", gotW, wantW)
+				assertSameBits(t, "restriction", gotOut, wantOut)
+				assertSameBits(t, "prolongation z", gotZ, wantZ)
 			}
 		}
 	}
