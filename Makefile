@@ -74,9 +74,9 @@ race:
 SIZE_CEILING = 5163
 SERVE_CEILING = 1831
 BENCH_CEILING = 861
-STRUCT_CEILING = 1835
+STRUCT_CEILING = 1979
 FABRIC_CEILING = 634
-MODULE_CEILING = 15803
+MODULE_CEILING = 15960
 size:
 	@set -e; \
 	for d in $$($(GO) list -f '{{.Dir}}' ./... | sed "s|^$$PWD/*||; s|^$$|.|"); do \
@@ -92,7 +92,7 @@ size:
 	bench=$$(ls internal/bench/*.go | grep -v _test.go | xargs cat | wc -l); \
 	echo "size: internal/bench = $$bench non-test lines (ceiling $(BENCH_CEILING))"; \
 	if [ $$bench -gt $(BENCH_CEILING) ]; then echo "size: over the ceiling"; exit 1; fi; \
-	structured=$$(ls internal/dsd/*.go internal/dsd/*.s internal/core/*.go | grep -v _test.go | xargs cat | wc -l); \
+	structured=$$(ls internal/dsd/*.go internal/dsd/*.s internal/core/*.go internal/core/*.s | grep -v _test.go | xargs cat | wc -l); \
 	echo "size: internal/dsd + internal/core = $$structured non-test lines, assembly included (ceiling $(STRUCT_CEILING))"; \
 	if [ $$structured -gt $(STRUCT_CEILING) ]; then echo "size: over the ceiling"; exit 1; fi; \
 	fab=$$(ls internal/fabric/*.go | grep -v _test.go | xargs cat | wc -l); \
@@ -158,10 +158,13 @@ layers:
 #   - internal/core/hostload.go is the tile-ordered host loader: its element
 #     loop keeps exactly one check (the column view's [z]; the mesh line is
 #     resliced per plane), the rest is per tile or per PE (20 sites until the
-#     loaders wrote PE memory directly instead of send columns).
+#     loaders wrote PE memory directly instead of send columns). The vector
+#     body's once-per-tile checks — src's extent, every column's length —
+#     are in hostload_amd64.go, outside the pin.
 # The structured kernel's single spelling must also stay inlinable into the
 # two macro-ops' element loops, or each element pays a call. Its vector body
-# (internal/dsd/*.s) and umesh's (internal/umesh/*.s: the row store, the
+# (internal/dsd/*.s), the tile loader's (internal/core/*.s: scale·src, then
+# one narrowing) and umesh's (internal/umesh/*.s: the row store, the
 # fused CG tail, the direction update, the AMG smoothing steps, A_c product,
 # restriction and prolongation) must round
 # every product before its sum as their Go spellings do, so a fused
@@ -182,9 +185,9 @@ bce:
 	$(GO) build -gcflags=-m ./internal/dsd/ 2>&1 | grep -q 'can inline fluxElem' || \
 	  { echo "bce: dsd.fluxElem is over the inlining budget — FluxFace and RunCell would call it per element"; exit 1; }; \
 	echo "bce: dsd.fluxElem inlines"; \
-	if grep -nE 'VFN?M(ADD|SUB)' internal/dsd/*.s internal/umesh/*.s; then \
+	if grep -nE 'VFN?M(ADD|SUB)' internal/dsd/*.s internal/core/*.s internal/umesh/*.s; then \
 	  echo "bce: a vector body fuses a multiply and an add, which its Go spelling never does"; exit 1; fi; \
-	echo "bce: no VFMADD/VFNMADD/VFMSUB/VFNMSUB in internal/dsd/*.s or internal/umesh/*.s"
+	echo "bce: no VFMADD/VFNMADD/VFMSUB/VFNMSUB in internal/dsd/*.s, internal/core/*.s or internal/umesh/*.s"
 
 # The repository benchmark (benchmark/, BENCHMARK.json) is its own module, so
 # the root `go build/vet/test ./...` never see it. It drives the stack through
@@ -202,7 +205,7 @@ bench-selftest:
 # only when both print the same offset; the offset is printed, not pinned,
 # because it also depends on the toolchain's patch level. It then prints
 # every marked loop head of the module's assembly — the instruction after
-# each `PCALIGN $64` in internal/*/*.s (twelve), found in the binary by its
+# each `PCALIGN $64` in internal/*/*.s (thirteen), found in the binary by its
 # source line — with its offset mod 64, and fails if one is not 0 or is not
 # in the binary: those loops sit where they do whatever code is linked
 # before them. Part of ci.
@@ -253,11 +256,14 @@ ab-all:
 # BENCH selects, and prints per case both medians and quartiles of µs/op,
 # the change's wins and a verdict by the rule ab applies to a workload
 # ("better" / "worse": ≥ 9 in 10 rounds and beyond the base IQR; else
-# "within noise"), e.g.
+# "within noise"). BENCHTIME, when set, is every run's -test.benchtime
+# (default 1s): a case whose 1 s runs spread wider than its gain reads
+# "within noise" at 1 s and may resolve at 5s. E.g.
 #   make ab-stage BASE=HEAD~1 PKG=./internal/umesh BENCH=AMGStage N=10
+#   make ab-stage BASE=HEAD~1 PKG=./internal/core BENCH=KernelEngineStages BENCHTIME=5s
 ab-stage:
-	@[ -n "$(BASE)" ] && [ -n "$(PKG)" ] && [ -n "$(BENCH)" ] || { echo "usage: make ab-stage BASE=<rev> PKG=<dir> BENCH=<pattern> [N=10]"; exit 2; }
-	$(GO) run ./cmd/fvab -base $(BASE) -pkg $(PKG) -bench '$(BENCH)' -n $(N)
+	@[ -n "$(BASE)" ] && [ -n "$(PKG)" ] && [ -n "$(BENCH)" ] || { echo "usage: make ab-stage BASE=<rev> PKG=<dir> BENCH=<pattern> [BENCHTIME=<d>] [N=10]"; exit 2; }
+	$(GO) run ./cmd/fvab -base $(BASE) -pkg $(PKG) -bench '$(BENCH)' $(if $(BENCHTIME),-benchtime $(BENCHTIME)) -n $(N)
 
 # Exercise every benchmark once at reduced size — validates the harness
 # without paying full measurement cost (what CI runs). -run '^$$' skips the

@@ -11,10 +11,10 @@
 //
 //	fvab -base <rev> -workload <name> [-n 10]
 //	fvab -base <rev> -workload all [-n 10]
-//	fvab -base <rev> -pkg <dir> -bench <pattern> [-n 10]
+//	fvab -base <rev> -pkg <dir> -bench <pattern> [-benchtime <d>] [-n 10]
 //	make ab BASE=<rev> W=<workload> N=10
 //	make ab-all BASE=<rev> N=10
-//	make ab-stage BASE=<rev> PKG=<dir> BENCH=<pattern> N=10
+//	make ab-stage BASE=<rev> PKG=<dir> BENCH=<pattern> [BENCHTIME=<d>] N=10
 //
 // The base is checked out as a detached git worktree under .bench_build/ab
 // (the revision must already be in .git) and removed afterwards. Both
@@ -97,19 +97,20 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("fvab", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		base     = fs.String("base", "", "git revision to compare the working tree against (required)")
-		workload = fs.String("workload", "", "benchmark workload, as BENCHMARK.json names it, or all")
-		n        = fs.Int("n", 10, "alternating pairs (rounds with -pkg) to run, seeds 1…n")
-		pkg      = fs.String("pkg", "", "package directory, relative to the repository root, whose Go benchmarks to compare instead")
-		bench    = fs.String("bench", "", "with -pkg: the -test.bench pattern")
+		base      = fs.String("base", "", "git revision to compare the working tree against (required)")
+		workload  = fs.String("workload", "", "benchmark workload, as BENCHMARK.json names it, or all")
+		n         = fs.Int("n", 10, "alternating pairs (rounds with -pkg) to run, seeds 1…n")
+		pkg       = fs.String("pkg", "", "package directory, relative to the repository root, whose Go benchmarks to compare instead")
+		bench     = fs.String("bench", "", "with -pkg: the -test.bench pattern")
+		benchtime = fs.String("benchtime", "", "with -pkg: the -test.benchtime of each run (default the test binary's own, 1s)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	stage := *pkg != ""
-	if *base == "" || *n < 1 || fs.NArg() > 0 || stage == (*workload != "") || stage != (*bench != "") {
+	if *base == "" || *n < 1 || fs.NArg() > 0 || stage == (*workload != "") || stage != (*bench != "") || !stage && *benchtime != "" {
 		fs.Usage()
-		return errors.New("need -base, and -workload or -pkg with -bench, and -n ≥ 1")
+		return errors.New("need -base, and -workload or -pkg with -bench (and optionally -benchtime), and -n ≥ 1")
 	}
 	top, err := output(".", "git", "rev-parse", "--show-toplevel")
 	if err != nil {
@@ -142,7 +143,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}()
 	if stage {
-		return runStages(stdout, [2]string{tree, root}, ab, *pkg, *bench, *n, *base)
+		return runStages(stdout, [2]string{tree, root}, ab, *pkg, stageArgs(*bench, *benchtime), *n, *base)
 	}
 	sides := [2]side{
 		{name: "base", tree: tree, bin: filepath.Join(ab, "base", "fvbench")},

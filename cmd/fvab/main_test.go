@@ -364,7 +364,7 @@ func TestRunRejectsMissingFlags(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	for _, args := range [][]string{{}, {"-base", "HEAD"}, {"-workload", "flux-structured"}, {"-base", "HEAD", "-workload", "x", "-n", "0"},
 		{"-base", "HEAD", "-pkg", "./internal/umesh"}, {"-base", "HEAD", "-workload", "x", "-pkg", "./internal/umesh", "-bench", "."},
-		{"-base", "HEAD", "-workload", "x", "-bench", "."}} {
+		{"-base", "HEAD", "-workload", "x", "-bench", "."}, {"-base", "HEAD", "-workload", "x", "-benchtime", "3s"}} {
 		if err := run(args, &stdout, &stderr); err == nil {
 			t.Errorf("run(%q) accepted it", args)
 		}

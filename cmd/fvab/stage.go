@@ -15,17 +15,30 @@ import (
 // The stage comparison: fvab -pkg builds the package's test binary in the
 // base worktree and in the working tree (go test -c), runs the two
 // alternately for n rounds — each run one -test.count of every benchmark
-// the pattern selects, at -test.cpu 1, in its own tree's package directory;
-// the base first in odd rounds, the change first in even ones — and prints
+// the pattern selects, at -test.cpu 1 and -benchtime's -test.benchtime when
+// it is given, in its own tree's package directory; the base first in odd
+// rounds, the change first in even ones — and prints
 // per case both medians and quartiles of ns/op, in how many rounds the
 // change was faster, and a verdict by the rule judge applies to workloads
 // (stageVerdict). The per-stage benchmarks (docs/benchmarks.md) are what
 // it is for: alternating the two binaries is what makes a host whose speed
 // drifts within minutes comparable with itself.
 
+// stageArgs is the argument list of every run of a test binary: the
+// benchmarks pattern selects, no unit test, one count at -cpu 1, and
+// -test.benchtime benchtime unless it is "".
+func stageArgs(pattern, benchtime string) []string {
+	args := []string{"-test.run", "^$", "-test.bench", pattern, "-test.cpu", "1", "-test.count", "1"}
+	if benchtime != "" {
+		args = append(args, "-test.benchtime", benchtime)
+	}
+	return args
+}
+
 // runStages builds both sides' test binaries of pkg — trees holds the base
-// and the change checkout — under dir, then compares them.
-func runStages(stdout io.Writer, trees [2]string, dir, pkg, pattern string, n int, base string) error {
+// and the change checkout — under dir, then runs each with args (stageArgs)
+// and compares them.
+func runStages(stdout io.Writer, trees [2]string, dir, pkg string, args []string, n int, base string) error {
 	var bins [2]string
 	for k, name := range []string{"base", "change"} {
 		bins[k] = filepath.Join(dir, name, "pkg.test")
@@ -35,8 +48,7 @@ func runStages(stdout io.Writer, trees [2]string, dir, pkg, pattern string, n in
 			return fmt.Errorf("building the %s test binary of %s: %v\n%s", name, pkg, err, out)
 		}
 	}
-	args := []string{"-test.run", "^$", "-test.bench", pattern, "-test.cpu", "1", "-test.count", "1"}
-	fmt.Fprintf(stdout, "fvab: %s -bench %q, %d alternating rounds at -cpu 1, base %s vs the working tree\n", pkg, pattern, n, base)
+	fmt.Fprintf(stdout, "fvab: %s %q, %d alternating rounds, base %s vs the working tree\n", pkg, args, n, base)
 	return compareStages(stdout, n, func(k int) (map[string]float64, error) {
 		cmd := exec.Command(bins[k], args...)
 		cmd.Dir = filepath.Join(trees[k], pkg)

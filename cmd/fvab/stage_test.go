@@ -46,6 +46,20 @@ func TestParseBenchReadsNsPerOp(t *testing.T) {
 	}
 }
 
+// TestStageArgsForwardBenchtime: every run of a test binary selects the
+// pattern's benchmarks alone, once, at -cpu 1, and -benchtime reaches it as
+// -test.benchtime only when it is given.
+func TestStageArgsForwardBenchtime(t *testing.T) {
+	base := []string{"-test.run", "^$", "-test.bench", "Stages/compile", "-test.cpu", "1", "-test.count", "1"}
+	if got := stageArgs("Stages/compile", ""); !slices.Equal(got, base) {
+		t.Errorf("stageArgs without -benchtime = %q, want %q", got, base)
+	}
+	want := append(slices.Clone(base), "-test.benchtime", "5s")
+	if got := stageArgs("Stages/compile", "5s"); !slices.Equal(got, want) {
+		t.Errorf("stageArgs with -benchtime 5s = %q, want %q", got, want)
+	}
+}
+
 func TestCompareStagesAlternatesAndCountsWins(t *testing.T) {
 	// The change is 40 % faster on pre in every round, slower on restrict in
 	// rounds 1 and 2 only, and has a case the base lacks.

@@ -26,7 +26,12 @@ package repro_test
 // other use is. A field only written is bookkeeping no program looks at — a
 // test that wants the count keeps it itself. And every func-typed field must
 // be set by a non-test file: one that only tests set is a test seam, which
-// stays only on seamAllowlist, with the name of the test that sets it.
+// stays only on seamAllowlist, with the name of the test that sets it. So
+// does every package-level variable of a non-main package that a test file
+// of its package assigns and no non-test file assigns after declaring it — a
+// switch such as the vector bodies' (dsd.vectorFlux), set once at start-up,
+// that only tests flip. Test files are parsed, not type-checked: an
+// assigned identifier the file does not declare itself is the package's.
 
 import (
 	"bufio"
@@ -92,12 +97,17 @@ var exportAllowlist = map[string]string{
 }
 
 // seamAllowlist names the func-typed fields no non-test file sets, keyed
-// package.Type.Field. Each is a test seam, and its reason names the test
-// that sets it: "test seam: TestName".
+// package.Type.Field, and the package-level variables only tests assign,
+// keyed package.name. Each is a test seam, and its reason names a test,
+// fuzz target or benchmark that sets it: "test seam: TestName".
 var seamAllowlist = map[string]string{
 	"loadgen.Driver.now":      "test seam: TestDriverRun",
 	"loadgen.Driver.sleep":    "test seam: TestDriverRun",
 	"serve.Options.solveHook": "test seam: TestChaos",
+	"dsd.vectorFlux":          "test seam: FuzzFluxCell",
+	"mesh.vectorSin":          "test seam: BenchmarkPerturbColumn",
+	"umesh.vectorRows":        "test seam: TestGoSweepHoldsTheGoldens",
+	"core.vectorLoad":         "test seam: TestVectorLoadMatchesGo",
 }
 
 // stdImporter reads the standard library's export data; one is shared by
@@ -115,6 +125,7 @@ type sourceTree struct {
 	fset  *token.FileSet
 	dirs  map[string]string         // import path → directory
 	files map[string][]*ast.File    // directory → its parsed non-test files
+	tests map[string][]*ast.File    // directory → its test files, parsed only
 	pkgs  map[string]*types.Package // import path → checked package
 	std   map[string]*types.Package // standard-library packages imported
 	info  *types.Info
@@ -126,6 +137,7 @@ func loadTree(fsys fs.FS) (*sourceTree, error) {
 		fset:  token.NewFileSet(),
 		dirs:  map[string]string{},
 		files: map[string][]*ast.File{},
+		tests: map[string][]*ast.File{},
 		pkgs:  map[string]*types.Package{},
 		std:   map[string]*types.Package{},
 		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
@@ -150,7 +162,7 @@ func loadTree(fsys fs.FS) (*sourceTree, error) {
 			modules[dir] = mod
 			return err
 		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if !strings.HasSuffix(name, ".go") {
 			return nil
 		}
 		if ok, err := ctxt.MatchFile(dir, name); err != nil || !ok {
@@ -158,6 +170,12 @@ func loadTree(fsys fs.FS) (*sourceTree, error) {
 		}
 		src, err := fs.ReadFile(fsys, p)
 		if err != nil {
+			return err
+		}
+		if strings.HasSuffix(name, "_test.go") {
+			// Object resolution marks what the test file declares itself.
+			f, err := parser.ParseFile(t.fset, p, src, 0)
+			t.tests[dir] = append(t.tests[dir], f)
 			return err
 		}
 		f, err := parser.ParseFile(t.fset, p, src, parser.SkipObjectResolution)
@@ -432,10 +450,72 @@ func (t *sourceTree) writes() map[*ast.Ident]bool {
 	return out
 }
 
+// assignedIdents returns the bare identifiers n assigns: the left side of
+// an assignment that declares nothing, or an ++ / -- operand.
+func assignedIdents(n ast.Node) []*ast.Ident {
+	var lhs []ast.Expr
+	switch s := n.(type) {
+	case *ast.AssignStmt:
+		if s.Tok != token.DEFINE {
+			lhs = s.Lhs
+		}
+	case *ast.IncDecStmt:
+		lhs = []ast.Expr{s.X}
+	}
+	var out []*ast.Ident
+	for _, e := range lhs {
+		if id, ok := ast.Unparen(e).(*ast.Ident); ok {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// testOnlyVars returns the keys of the package-level variables of non-main
+// packages that a test file of their package assigns and no non-test file
+// assigns.
+func (t *sourceTree) testOnlyVars() []string {
+	assigned := map[types.Object]bool{}
+	for _, files := range t.files {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				for _, id := range assignedIdents(n) {
+					assigned[t.info.Uses[id]] = true
+				}
+				return true
+			})
+		}
+	}
+	var out []string
+	for ip, dir := range t.dirs {
+		pkg := t.pkgs[ip]
+		if pkg.Name() == "main" {
+			continue
+		}
+		seen := map[types.Object]bool{}
+		for _, f := range t.tests[dir] {
+			if f.Name.Name != pkg.Name() {
+				continue // an external test package reaches no unexported variable
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				for _, id := range assignedIdents(n) {
+					if v, ok := pkg.Scope().Lookup(id.Name).(*types.Var); ok && id.Obj == nil && !assigned[v] && !seen[v] {
+						seen[v] = true
+						out = append(out, exportKey(v))
+					}
+				}
+				return true
+			})
+		}
+	}
+	return out
+}
+
 // deadNames loads the tree in fsys and returns, sorted, the keys of what
 // no non-test file needs: every exported declaration it does not use and
 // every field it does not read (unused), and every func-typed field it does
-// not set (unset) — a seam only tests fill.
+// not set and every package-level variable only tests assign (unset) —
+// seams only tests fill.
 func deadNames(fsys fs.FS) (unused, unset []string, err error) {
 	t, err := loadTree(fsys)
 	if err != nil {
@@ -459,6 +539,7 @@ func deadNames(fsys fs.FS) (unused, unset []string, err error) {
 			unset = append(unset, key)
 		}
 	}
+	unset = append(unset, t.testOnlyVars()...)
 	slices.Sort(unused)
 	slices.Sort(unset)
 	return unused, unset, nil
@@ -526,17 +607,17 @@ func TestEveryExportHasANonTestCaller(t *testing.T) {
 		}
 	}
 	gate(unused, exportAllowlist, "has no reader outside test files: delete it, move it into the tests that use it, or give it a reader")
-	gate(unset, seamAllowlist, "is a func field no non-test file sets: a test seam, which needs a seamAllowlist reason naming its test")
+	gate(unset, seamAllowlist, "is a func field no non-test file sets or a variable only tests assign: a test seam, which needs a seamAllowlist reason naming its test")
 	tests := testNames(t, fsys)
 	for key, reason := range seamAllowlist {
 		if name, ok := strings.CutPrefix(reason, "test seam: "); !ok || !tests[name] {
-			t.Errorf("seamAllowlist entry %s: reason %q does not read \"test seam: <an existing Test function>\"", key, reason)
+			t.Errorf("seamAllowlist entry %s: reason %q does not read \"test seam: <an existing Test, Fuzz or Benchmark function>\"", key, reason)
 		}
 	}
 }
 
-// testNames returns the name of every Test function in the _test.go files
-// of fsys.
+// testNames returns the name of every Test, Fuzz and Benchmark function in
+// the _test.go files of fsys.
 func testNames(t *testing.T, fsys fs.FS) map[string]bool {
 	names := map[string]bool{}
 	err := fs.WalkDir(fsys, ".", func(p string, d fs.DirEntry, err error) error {
@@ -549,14 +630,24 @@ func testNames(t *testing.T, fsys fs.FS) map[string]bool {
 			return nil
 		}
 		src, err := fs.ReadFile(fsys, p)
-		for _, line := range strings.Split(string(src), "\n") {
-			if rest, ok := strings.CutPrefix(line, "func Test"); ok {
-				if name, _, ok := strings.Cut(rest, "("); ok {
-					names["Test"+name] = true
+		if err != nil {
+			return err
+		}
+		// Parsed, so a fixture's source inside a string declares nothing.
+		f, err := parser.ParseFile(token.NewFileSet(), p, src, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+				for _, kind := range []string{"Test", "Fuzz", "Benchmark"} {
+					if strings.HasPrefix(fn.Name.Name, kind) {
+						names[fn.Name.Name] = true
+					}
 				}
 			}
 		}
-		return err
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -765,6 +856,52 @@ func main() { _ = run.New(func() int { return 1 }).Go() }
 `)},
 		},
 		wantUnset: []string{"run.Runner.hook"},
+	}, {
+		// fast is assigned only by a test, limit also by the package, and
+		// the test's own fast and rate are its locals.
+		name: "variable only a test assigns",
+		fixture: fstest.MapFS{
+			"kern/kern.go": {Data: []byte(`package kern
+
+var fast = true
+
+var limit = 4
+
+var rate = 2
+
+func Raise() int { limit++; return limit * rate }
+
+func Fast() bool { return fast }
+`)},
+			"kern/kern_test.go": {Data: []byte(`package kern
+
+import "testing"
+
+func TestFast(t *testing.T) {
+	defer func(v bool) { fast = v }(fast)
+	fast, limit = false, 1
+	rate := 3
+	rate = 4
+	func(fast bool) { fast = !fast }(true)
+	_ = rate
+}
+`)},
+			"kern/kern_ext_test.go": {Data: []byte(`package kern_test
+
+import "testing"
+
+var rate int
+
+func TestRate(t *testing.T) { rate = 1 }
+`)},
+			"cmd/tool/main.go": {Data: []byte(`package main
+
+import "fixture/kern"
+
+func main() { _ = kern.Raise(); _ = kern.Fast() }
+`)},
+		},
+		wantUnset: []string{"kern.fast"},
 	}, {
 		// The nested benchmark module is a caller.
 		name: "benchmark caller",

@@ -102,7 +102,9 @@ func BenchmarkKernelFlatEngine(b *testing.B) {
 // -short): compile (arena, layout, static columns), load-pressure (own
 // columns and ghosts), apply (one application, perturbation included)
 // and gather (the residual back in mesh layout). One flux-structured op is
-// compile + load-pressure + 8 × apply + gather.
+// compile + load-pressure + 8 × apply + gather. compile-go is compile with
+// the tile loader's Go loop alone, the cost of a host without its vector
+// body.
 func BenchmarkKernelEngineStages(b *testing.B) {
 	d := mesh.Dims{Nx: 24, Ny: 24, Nz: 246}
 	if testing.Short() {
@@ -123,6 +125,13 @@ func BenchmarkKernelEngineStages(b *testing.B) {
 		return e
 	}
 	b.Run("compile", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			compile(b).Close()
+		}
+	})
+	b.Run("compile-go", func(b *testing.B) {
+		defer func(v bool) { vectorLoad = v }(vectorLoad)
+		vectorLoad = false
 		for i := 0; i < b.N; i++ {
 			compile(b).Close()
 		}

@@ -152,10 +152,63 @@ func TestEngineApplyRejectsNegativeCount(t *testing.T) {
 	}
 }
 
+// TestVectorLoadMatchesGo holds the tile loader's vector body to loadTile
+// on the benchmark's 24×24×246 mesh, diagonals on: every column the loaders
+// write, and the residual of two applications, bit for bit, each engine on a
+// slab a closed engine left NaN.
+func TestVectorLoadMatchesGo(t *testing.T) {
+	if !vectorLoad {
+		t.Skip("no vector tile loader on this host")
+	}
+	defer func(v bool) { vectorLoad = v }(vectorLoad)
+	m := testMesh(t, mesh.Dims{Nx: 24, Ny: 24, Nz: 246})
+	fl := physics.DefaultFluid()
+	opts := DefaultOptions(2)
+	opts.Workers = 1
+	run := func(vector bool) (cols [][]float32, res []float32) {
+		vectorLoad = vector
+		e := compileOnPoisoned(t, m, fl, opts)
+		defer e.Close()
+		if err := e.LoadPressure(m.Pressure); err != nil {
+			t.Fatal(err)
+		}
+		for i := range e.states {
+			s := &e.states[i]
+			for _, d := range append([]dsd.Desc{s.pPad, s.gzPad}, s.trans[:]...) {
+				cols = append(cols, append([]float32(nil), s.view(d)...))
+			}
+		}
+		if err := e.Apply(opts.Apps); err != nil {
+			t.Fatal(err)
+		}
+		res = make([]float32, m.Dims.Cells())
+		if err := e.Residual(res); err != nil {
+			t.Fatal(err)
+		}
+		return cols, res
+	}
+	goCols, goRes := run(false)
+	vecCols, vecRes := run(true)
+	for c := range goCols {
+		for z, v := range vecCols[c] {
+			if math.Float32bits(v) != math.Float32bits(goCols[c][z]) {
+				t.Fatalf("column %d [%d]: vector body %g, loadTile %g", c, z, v, goCols[c][z])
+			}
+		}
+	}
+	for i, v := range vecRes {
+		if math.Float32bits(v) != math.Float32bits(goRes[i]) {
+			t.Fatalf("residual[%d]: vector load %g, Go load %g", i, v, goRes[i])
+		}
+	}
+}
+
 // TestTileLoaderMatchesPerPEGather holds the tile-ordered host loaders to the
 // per-PE strided gather they replaced, column by column: on grids whose
 // width is under, over and not a multiple of the tile, on a single column
-// and on a single plane, at one worker and at more bands than tiles. Every
+// and on a single plane, on full tiles at least 8 deep — the vector body's —
+// with the depth a multiple of 8 and not, at one worker and at more bands
+// than tiles. Every
 // engine runs on a slab a closed engine left NaN; the diagonal Υ columns,
 // which no engine reads with diagonals off, are checked only with them on.
 func TestTileLoaderMatchesPerPEGather(t *testing.T) {
@@ -163,6 +216,7 @@ func TestTileLoaderMatchesPerPEGather(t *testing.T) {
 	for _, d := range []mesh.Dims{
 		{Nx: 3, Ny: 2, Nz: 4}, {Nx: 8, Ny: 3, Nz: 3}, {Nx: 13, Ny: 4, Nz: 5}, {Nx: 17, Ny: 2, Nz: 2},
 		{Nx: 1, Ny: 1, Nz: 9}, {Nx: 11, Ny: 1, Nz: 1}, {Nx: 1, Ny: 7, Nz: 3},
+		{Nx: 17, Ny: 3, Nz: 21}, {Nx: 24, Ny: 2, Nz: 16},
 	} {
 		for _, diagonals := range []bool{true, false} {
 			for _, workers := range []int{1, 3} {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/cpufeat"
 	"repro/internal/mesh"
 	"repro/internal/physics"
 )
@@ -16,7 +17,9 @@ import (
 // field, fetched once and used whole, while the only column lines live are
 // the tile's. A per-PE gather uses 8 bytes of every 64 it fetches, and a
 // sweep over a whole row keeps more column lines live than the cache sets PE
-// memories share can hold.
+// memories share can hold. It is also the vector body's width
+// (hostload_amd64.s): 8 planes of a full tile are an 8×8 block it transposes
+// in registers, one 32-byte store per PE column.
 const tileWidth = 8
 
 // hoistTile returns the tile that starts at PE t of a row-major band —
@@ -34,21 +37,32 @@ func hoistTile(band []peState, t int, view func(s *peState) []float32, views *[t
 
 // loadField is the band-wide host load (H2D) of one mesh-layout float64
 // field: every PE's float32 column dst(pe) receives scale·src narrowed over
-// the PE's Z column (every Nx·Ny-th cell from (x, y)), tile by tile. scale
+// the PE's Z column (every Nx·Ny-th cell from (x, y)), tile by tile — a full
+// tile by the vector body where the host has one, else by loadTile. scale
 // is 1 for a field that is only narrowed; the product is exact then.
 func loadField(band []peState, src []float64, scale float64, dst func(s *peState) []float32) {
 	d := band[0].dims
+	plane := d.Nx * d.Ny
 	var views [tileWidth][]float32
 	for t := 0; t < len(band); {
 		cols, first := hoistTile(band, t, dst, &views)
-		loadTile(cols, src[first:], d.Nx*d.Ny, d.Nz, scale)
+		srcTile := src[first:]
+		if !tileVector(&views, len(cols), srcTile, plane, d.Nz, scale) {
+			loadTile(cols, srcTile, plane, d.Nz, scale)
+		}
 		t += len(cols)
 	}
 }
 
-// loadTile fills the tile's columns from nz planes of src, plane apart. It is
-// kept out of line: inlined into loadField's tile walk the same loop ran a
-// third slower (2.8 against 1.8 ms for the ten Υ fields of 24×24×246).
+// vectorLoad selects the tile loader's vector body (cpufeat.AVX2FMA); tests
+// and the compile-go benchmark clear it to run loadTile alone.
+var vectorLoad = cpufeat.AVX2FMA
+
+// loadTile fills the tile's columns from nz planes of src, plane apart: the
+// vector body's oracle, and the loader of partial tiles, of columns under 8
+// deep and of hosts without the vector body. It is kept out of line: inlined
+// into loadField's tile walk the same loop ran a third slower (2.8 against
+// 1.8 ms for the ten Υ fields of 24×24×246, before the vector body).
 //
 //go:noinline
 func loadTile(cols [][]float32, src []float64, plane, nz int, scale float64) {
